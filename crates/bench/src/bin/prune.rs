@@ -3,13 +3,14 @@
 //! workloads.
 //!
 //! The rebuild row is the pre-incremental loop (a from-scratch Kahn sort +
-//! closure per pass); `per-edge` maintains the oracle across passes via
-//! `KnownGraph::insert_edges` with one closure propagation per resolved
-//! edge; `batched` (the engine default) stages each apply phase through
-//! `insert_edges_deferred` and propagates closure rows once per phase
-//! frontier. At `threads > 1` the per-pass constraint sweep additionally
-//! fans out over scoped threads. Following the scaling-paradox lesson of
-//! "When More Cores Hurts", every row reports its speedup against the
+//! closure per pass, every resolved edge kept); `batched` (the engine
+//! default) maintains the oracle across passes, stages each apply phase
+//! through `insert_edges_deferred`, propagates closure rows once per phase
+//! frontier, and materialises only the resolved edges the known graph did
+//! not already imply — `known_after` / `implied` report what that saved.
+//! At `threads > 1` the per-pass constraint sweep additionally fans out
+//! over scoped threads. Following the scaling-paradox lesson of "When
+//! More Cores Hurts", every row reports its speedup against the
 //! *sequential batched* baseline as well as against the rebuild loop — a
 //! configuration that loses to either is a regression, not a win.
 //!
@@ -26,8 +27,7 @@ use std::time::Instant;
 /// feeding a hot key that `siblings` stale read-modify-writes then
 /// contend on. The first prune pass forces every (chain-tail, sibling)
 /// constraint at once, and each forced side's edges grow the closure rows
-/// of the *entire* chain — per-edge propagation re-walks the chain per
-/// edge, the batched flush once per batch.
+/// of the *entire* chain — once per batched flush, not once per edge.
 fn hot_chain(chain: usize, siblings: usize) -> History {
     let h = Key(1);
     let mut b = HistoryBuilder::new();
@@ -46,13 +46,28 @@ fn hot_chain(chain: usize, siblings: usize) -> History {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// One timed prune run; returns (seconds, accepted, survivors, known len).
-fn timed(base: &Polygraph, opts: &PruneOptions) -> (f64, bool, usize, usize) {
+/// One timed prune run.
+struct Timed {
+    secs: f64,
+    accepted: bool,
+    /// Constraints left for the solver.
+    survivors: usize,
+    /// `Polygraph::known` after pruning.
+    known_after: usize,
+    /// Resolved edges the known graph already implied (not materialised).
+    implied: usize,
+}
+
+fn timed(base: &Polygraph, opts: &PruneOptions) -> Timed {
     let mut g = base.clone();
     let t = Instant::now();
     let result = g.prune_with(opts);
     let secs = t.elapsed().as_secs_f64();
-    (secs, matches!(result, PruneResult::Pruned(_)), g.constraints.len(), g.known.len())
+    let (accepted, implied) = match result {
+        PruneResult::Pruned(stats) => (true, stats.implied_edges),
+        PruneResult::Violation(_) => (false, 0),
+    };
+    Timed { secs, accepted, survivors: g.constraints.len(), known_after: g.known.len(), implied }
 }
 
 fn main() {
@@ -63,12 +78,22 @@ fn main() {
     let threads: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     println!("# Prune stage: rebuild vs incremental × threads × oracle ({txns} txns)");
     println!(
-        "{:<16} {:>7} {:>9} {:<12} {:<7} {:>7} {:>10} {:>9} {:>9}",
-        "workload", "txns", "cons", "mode", "oracle", "threads", "secs", "vs-reb", "vs-seq"
+        "{:<16} {:>7} {:>9} {:<12} {:<7} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9}",
+        "workload",
+        "txns",
+        "cons",
+        "mode",
+        "oracle",
+        "threads",
+        "secs",
+        "vs-reb",
+        "vs-seq",
+        "known",
+        "implied"
     );
     let mut csv = CsvSink::new(
         "prune",
-        "workload,txns,constraints,mode,oracle,threads,seconds,speedup_vs_rebuild,speedup_vs_seq,accepted",
+        "workload,txns,constraints,mode,oracle,threads,seconds,speedup_vs_rebuild,speedup_vs_seq,accepted,known_after,implied",
     );
     let mut workloads: Vec<(&str, History)> = Vec::new();
     for (name, components) in [("general", 1usize), ("multi_component", 4)] {
@@ -105,12 +130,6 @@ fn main() {
             1usize,
             timed(&g, &PruneOptions { incremental: false, ..dense }),
         )];
-        measurements.push((
-            "per-edge",
-            "dense",
-            1usize,
-            timed(&g, &PruneOptions { batch: false, ..dense }),
-        ));
         for &t in threads {
             let m = timed(&g, &PruneOptions { threads: t, ..dense });
             measurements.push(("batched", "dense", t, m));
@@ -121,23 +140,31 @@ fn main() {
             1usize,
             timed(&g, &PruneOptions { oracle: OracleKind::Chains, ..Default::default() }),
         ));
-        let rebuild_secs = measurements[0].3 .0;
-        let seq_secs = measurements
-            .iter()
-            .find(|(mode, oracle, t, _)| *mode == "batched" && *oracle == "dense" && *t == 1)
-            .map_or(rebuild_secs, |(_, _, _, m)| m.0);
-        let reference = (measurements[0].3 .1, measurements[0].3 .2, measurements[0].3 .3);
-        for (mode, oracle, nthreads, (secs, ok, survivors, known)) in measurements {
+        let rebuild_secs = measurements[0].3.secs;
+        let seq = &measurements[1].3;
+        let (seq_secs, seq_known) = (seq.secs, (seq.known_after, seq.implied));
+        let reference = (measurements[0].3.accepted, measurements[0].3.survivors);
+        for (mode, oracle, nthreads, m) in measurements {
             assert_eq!(
                 reference,
-                (ok, survivors, known),
+                (m.accepted, m.survivors),
                 "{name}/{mode}/{oracle}/{nthreads} diverged from the rebuild loop"
             );
-            let vs_rebuild = rebuild_secs / secs;
-            let vs_seq = seq_secs / secs;
+            if mode == "batched" {
+                assert_eq!(
+                    seq_known,
+                    (m.known_after, m.implied),
+                    "{name}/{oracle}/{nthreads}: the reduced known graph depends on the mode"
+                );
+            }
+            let vs_rebuild = rebuild_secs / m.secs;
+            let vs_seq = seq_secs / m.secs;
             println!(
-                "{name:<16} {:>7} {cons:>9} {mode:<12} {oracle:<7} {nthreads:>7} {secs:>10.3} {vs_rebuild:>8.2}x {vs_seq:>8.2}x",
-                h.len()
+                "{name:<16} {:>7} {cons:>9} {mode:<12} {oracle:<7} {nthreads:>7} {:>10.3} {vs_rebuild:>8.2}x {vs_seq:>8.2}x {:>9} {:>9}",
+                h.len(),
+                m.secs,
+                m.known_after,
+                m.implied
             );
             csv.row([
                 name.to_string(),
@@ -146,10 +173,12 @@ fn main() {
                 mode.to_string(),
                 oracle.to_string(),
                 nthreads.to_string(),
-                format!("{secs:.6}"),
+                format!("{:.6}", m.secs),
                 format!("{vs_rebuild:.3}"),
                 format!("{vs_seq:.3}"),
-                ok.to_string(),
+                m.accepted.to_string(),
+                m.known_after.to_string(),
+                m.implied.to_string(),
             ]);
         }
     }
@@ -172,11 +201,12 @@ fn main() {
 
         CountingAllocator::reset_peak();
         let chains_opts = PruneOptions { oracle: OracleKind::Chains, ..Default::default() };
-        let (chains_secs, ok, survivors, known) = timed(&g, &chains_opts);
+        let chains = timed(&g, &chains_opts);
+        let chains_secs = chains.secs;
         let chains_peak = CountingAllocator::peak();
         println!(
-            "{name:<16} {mono_txns:>7} {cons:>9} {:<12} {:<7} {:>7} {chains_secs:>10.3} {:>8.2}x {:>8.2}x",
-            "batched", "chains", 1, 1.0, 1.0
+            "{name:<16} {mono_txns:>7} {cons:>9} {:<12} {:<7} {:>7} {chains_secs:>10.3} {:>8.2}x {:>8.2}x {:>9} {:>9}",
+            "batched", "chains", 1, 1.0, 1.0, chains.known_after, chains.implied
         );
         csv.row([
             name.to_string(),
@@ -188,23 +218,26 @@ fn main() {
             format!("{chains_secs:.6}"),
             "1.000".to_string(),
             "1.000".to_string(),
-            ok.to_string(),
+            chains.accepted.to_string(),
+            chains.known_after.to_string(),
+            chains.implied.to_string(),
         ]);
 
         let dense_predicted = (2 * mono_txns) * (2 * mono_txns) / 8;
         let budget = 10 * chains_peak;
         if dense_predicted <= budget {
             let dense_opts = PruneOptions { oracle: OracleKind::Dense, ..Default::default() };
-            let (dense_secs, d_ok, d_survivors, d_known) = timed(&g, &dense_opts);
+            let d = timed(&g, &dense_opts);
             assert_eq!(
-                (ok, survivors, known),
-                (d_ok, d_survivors, d_known),
+                (chains.accepted, chains.survivors, chains.known_after, chains.implied),
+                (d.accepted, d.survivors, d.known_after, d.implied),
                 "{name}: dense diverged from chains"
             );
+            let dense_secs = d.secs;
             let vs = dense_secs / chains_secs;
             println!(
-                "{name:<16} {mono_txns:>7} {cons:>9} {:<12} {:<7} {:>7} {dense_secs:>10.3} {:>8.2}x {:>8.2}x",
-                "batched", "dense", 1, 1.0 / vs, 1.0 / vs
+                "{name:<16} {mono_txns:>7} {cons:>9} {:<12} {:<7} {:>7} {dense_secs:>10.3} {:>8.2}x {:>8.2}x {:>9} {:>9}",
+                "batched", "dense", 1, 1.0 / vs, 1.0 / vs, d.known_after, d.implied
             );
             csv.row([
                 name.to_string(),
@@ -216,7 +249,9 @@ fn main() {
                 format!("{dense_secs:.6}"),
                 format!("{:.3}", 1.0 / vs),
                 format!("{:.3}", 1.0 / vs),
-                d_ok.to_string(),
+                d.accepted.to_string(),
+                d.known_after.to_string(),
+                d.implied.to_string(),
             ]);
         } else {
             println!(

@@ -671,6 +671,7 @@ impl CheckEngine {
             m.counter("prune.constraints_after").add(p.constraints_after as u64);
             m.counter("prune.closure_updates").add(p.closure_updates as u64);
             m.counter("prune.incremental_edges").add(p.incremental_edges as u64);
+            m.counter("prune.implied_edges").add(p.implied_edges as u64);
             m.counter("prune.graph_builds").add(p.graph_builds as u64);
         }
         let e = &report.encode_stats;

@@ -69,6 +69,7 @@ fn write_prune_stats(w: &mut JsonWriter, p: &PruneStats) {
     w.field_u64("graph_builds", p.graph_builds as u64);
     w.field_u64("closure_updates", p.closure_updates as u64);
     w.field_u64("incremental_edges", p.incremental_edges as u64);
+    w.field_u64("implied_edges", p.implied_edges as u64);
     w.end_object();
 }
 

@@ -22,7 +22,9 @@
 //!   keys whose writer or reader sets grew);
 //! * the prune stage's reachability oracle, grown with
 //!   [`KnownGraph::grow`] and extended with
-//!   [`KnownGraph::insert_edges_bulk`] — never rebuilt;
+//!   [`KnownGraph::insert_edges_bulk`] — never rebuilt; it keeps only the
+//!   delta edges its paths do not already imply, and the polygraph's
+//!   `known` list mirrors exactly those;
 //! * the prune fixpoint resumes from the delta's touched set
 //!   ([`Polygraph::prune_resume`]) instead of sweeping every constraint.
 //!
@@ -173,9 +175,6 @@ struct ComponentState {
     poly: Polygraph,
     /// The warm reachability oracle (`None` only transiently).
     oracle: Option<Box<KnownGraph>>,
-    /// Known edges (local ids) already fed to the oracle — dedup for
-    /// delta insertion.
-    known_set: HashSet<Edge>,
     /// Writers per key already incorporated into constraints (a prefix
     /// length of `facts.writers[key]`).
     writer_seen: HashMap<Key, usize>,
@@ -666,14 +665,6 @@ impl StreamingChecker {
             let lmap = oracle.compact(keep);
             let n2 = keep.iter().filter(|&&kept| kept).count();
             state.poly.compact(&lmap, n2);
-            state.known_set = state
-                .known_set
-                .iter()
-                .filter_map(|e| {
-                    let (f, t) = (lmap[e.from.idx()], lmap[e.to.idx()]);
-                    (f != u32::MAX && t != u32::MAX).then(|| Edge::new(TxnId(f), TxnId(t), e.label))
-                })
-                .collect();
             state.txns = state
                 .txns
                 .iter()
@@ -719,10 +710,8 @@ impl StreamingChecker {
         );
         let writer_seen =
             comp.keys.iter().map(|&k| (k, facts.writers.get(&k).map_or(0, Vec::len))).collect();
-        let known_set = poly.known.iter().copied().collect();
         let (result, oracle) = poly.prune_with_oracle_traced(prune_opts, &self.obs.tracer);
-        let mut state =
-            ComponentState { txns: comp.txns, poly, oracle: None, known_set, writer_seen };
+        let mut state = ComponentState { txns: comp.txns, poly, oracle: None, writer_seen };
         match result {
             PruneResult::Violation(_) => (state, false),
             PruneResult::Pruned(stats) => {
@@ -742,6 +731,7 @@ impl StreamingChecker {
         m.counter("prune.constraints_after").add(p.constraints_after as u64);
         m.counter("prune.closure_updates").add(p.closure_updates as u64);
         m.counter("prune.incremental_edges").add(p.incremental_edges as u64);
+        m.counter("prune.implied_edges").add(p.implied_edges as u64);
         m.counter("prune.graph_builds").add(p.graph_builds as u64);
     }
 
@@ -826,24 +816,29 @@ impl StreamingChecker {
 
         // Grow the vertex space, then land the edge delta (dedup +
         // localize) so reachability reflects this checkpoint's knowns.
+        // The oracle keeps only the edges its paths do not already imply
+        // and `poly.known` mirrors it; every delta edge still marks the
+        // resume worklist. Each event fires once, so an edge can repeat
+        // only within a batch (an init read and a final write landing
+        // together name the same anti-dependency) — hence the local set.
         let n = state.txns.len();
         state.poly.n = n;
         let mut oracle = state.oracle.take().expect("live component has an oracle");
         oracle.grow(n);
         let mut touched = vec![false; n];
+        let mut landed: HashSet<Edge> = HashSet::new();
         let mut delta: Vec<Edge> = Vec::new();
         for e in new_known {
             let le = state.local_edge(e);
-            if state.known_set.insert(le) {
+            if landed.insert(le) {
                 touched[le.from.idx()] = true;
                 touched[le.to.idx()] = true;
                 delta.push(le);
             }
         }
-        if oracle.insert_edges_bulk(&delta).is_err() {
+        if oracle.insert_edges_bulk(&delta, &mut state.poly.known).is_err() {
             return false; // terminal; the canonical witness comes from batch
         }
-        state.poly.known.extend(delta);
 
         // Fresh constraints for the new writer pairs.
         let mut new_constraints: Vec<Constraint> = Vec::new();
@@ -883,7 +878,7 @@ impl StreamingChecker {
                     // conclusion, applied directly).
                     if r != w2 {
                         let e = Edge::new(lr, lw2, Label::Rw(key));
-                        if state.known_set.insert(e) {
+                        if landed.insert(e) {
                             touched[e.from.idx()] = true;
                             touched[e.to.idx()] = true;
                             follow_on.push(e);
@@ -896,11 +891,10 @@ impl StreamingChecker {
                 // on this side; nothing to do.
             }
         }
-        if !follow_on.is_empty() {
-            if oracle.insert_edges_bulk(&follow_on).is_err() {
-                return false;
-            }
-            state.poly.known.extend(follow_on);
+        if !follow_on.is_empty()
+            && oracle.insert_edges_bulk(&follow_on, &mut state.poly.known).is_err()
+        {
+            return false;
         }
 
         // Open pairs: drop the survivor, regenerate over the grown reader

@@ -367,6 +367,11 @@ impl ClosureStore {
 /// [`KnownGraph::build_with`]. Constraint pruning leans on this: passes
 /// after the first touch `O(affected)` closure rows rather than
 /// `O(n·m/64)`.
+///
+/// Incremental insertion keeps the graph *reachability-reduced*: an edge
+/// that real paths already imply ([`KnownGraph::implies`]) is absorbed
+/// without entering the adjacency, and the `insert_edges*` family reports
+/// the edges it kept so a caller's edge list can mirror the oracle's.
 pub struct KnownGraph {
     n: usize,
     /// Edge-composition semantics the graph was built under.
@@ -384,13 +389,14 @@ pub struct KnownGraph {
     ord: Vec<u32>,
     /// Closure rows grown by incremental updates (performance counter).
     closure_updates: usize,
-    /// Typed edges accepted by [`KnownGraph::insert_edges`].
+    /// Typed edges materialised by [`KnownGraph::insert_edges`] (implied
+    /// ones are absorbed and not counted).
     inserted_edges: usize,
     /// Layered edges already applied to the adjacency, order, and `dep_in`
     /// but whose closure propagation is deferred to the next
-    /// [`KnownGraph::flush_closure`]. While non-empty, exact reachability
-    /// is recovered by composing at-flush closure segments with these
-    /// explicit edges.
+    /// [`KnownGraph::flush_closure`]. While non-empty the closure
+    /// under-approximates reachability; cycle checks stay exact because
+    /// Pearce–Kelly searches the adjacency, not the closure.
     pending: Vec<(u32, u32)>,
     /// Session-chain extensions (`So f → t`) staged alongside [`Self::pending`]
     /// and applied at the start of the next flush. Deferring the append
@@ -405,6 +411,16 @@ pub struct KnownGraph {
     visited: Vec<u32>,
     /// Flush scratch: `grown[v] == stamp` marks rows grown this flush.
     grown: Vec<u32>,
+}
+
+/// What [`KnownGraph::stage`] did with one typed edge.
+enum Staged {
+    /// Materialised: adjacency, order and pending closure updated.
+    Kept,
+    /// Already implied by real paths; nothing changed.
+    Implied,
+    /// Would close a violating cycle; nothing changed.
+    Cycle,
 }
 
 /// Result of building the known graph.
@@ -423,10 +439,9 @@ fn b(i: u32) -> u32 {
 
 /// Staged (layered) edges per closure propagation: one apply phase's
 /// resolutions propagate in batches of at most this many edges, so a row
-/// the whole batch feeds is recomputed once instead of per edge. Must
-/// stay ≤ 62: the pending-aware exact queries run their BFS over the
-/// staged-edge indices on `u64` masks, and one typed edge stages up to
-/// two layered images before the limit check fires.
+/// the whole batch feeds is recomputed once instead of per edge, while
+/// the implied-edge test — which reads the closure as of the last flush —
+/// never lags far behind what the phase has already inserted.
 const PENDING_FLUSH_LIMIT: usize = 62;
 
 impl KnownGraph {
@@ -571,7 +586,8 @@ impl KnownGraph {
         self.closure_updates
     }
 
-    /// Typed edges accepted by [`KnownGraph::insert_edges`] so far.
+    /// Typed edges materialised by [`KnownGraph::insert_edges`] so far
+    /// (implied ones are absorbed and not counted).
     pub fn inserted_edges(&self) -> usize {
         self.inserted_edges
     }
@@ -823,18 +839,23 @@ impl KnownGraph {
     /// Extend the oracle with newly known typed edges, maintaining the
     /// topological order and the closure incrementally.
     ///
+    /// The known graph stays *reachability-reduced*: an edge the graph
+    /// already [implies](Self::implies) is absorbed without a trace, and
+    /// only the others are materialised — those are appended to `kept`, in
+    /// batch order, so the caller's edge list can mirror the oracle's.
+    ///
     /// Edges are applied in order; the first edge that would close a
     /// violating cycle aborts the batch and returns that cycle (typed, no
     /// two adjacent `RW` under SI), with every *earlier* edge of the batch
-    /// already applied. On `Ok` the oracle is exactly equivalent to a
+    /// already applied. On `Ok` every query answers exactly as a
     /// from-scratch [`KnownGraph::build_with`] over the union of edges.
     ///
     /// Equivalent to [`KnownGraph::insert_edges_deferred`] followed by an
     /// immediate [`KnownGraph::flush_closure`]; callers batching several
     /// edge sets (e.g. one prune apply phase) should use those directly so
     /// closure rows propagate once per phase instead of once per call.
-    pub fn insert_edges(&mut self, batch: &[Edge]) -> Result<(), Vec<Edge>> {
-        let staged = self.insert_edges_deferred(batch);
+    pub fn insert_edges(&mut self, batch: &[Edge], kept: &mut Vec<Edge>) -> Result<(), Vec<Edge>> {
+        let staged = self.insert_edges_deferred(batch, kept);
         // Flush even on failure: the accepted prefix is applied, and the
         // oracle must answer queries about it coherently.
         self.flush_closure();
@@ -846,52 +867,25 @@ impl KnownGraph {
     /// topological order are updated per edge (so [`Self::topo_positions`]
     /// and witness path extraction stay exact), but closure rows are left
     /// at their last-flush state and the staged edges are queued. Cycle
-    /// prechecks — including those of later `insert_edges_deferred` calls
-    /// in the same batch — remain *exact*: queries compose at-flush
-    /// closure segments with the explicit staged edges, so verdicts and
-    /// witness cycles are byte-identical to the eager per-edge path.
+    /// checks — including those of later `insert_edges_deferred` calls in
+    /// the same batch — remain *exact*: Pearce–Kelly searches the staged
+    /// adjacency. The implied-edge test reads the at-flush closure only,
+    /// so *which* edges are kept depends on the flush points — a
+    /// deterministic function of the edge sequence.
     ///
     /// Callers must [`KnownGraph::flush_closure`] before using the oracle
-    /// read-only (e.g. handing it to a parallel sweep); on `Err` the
-    /// oracle should be discarded.
+    /// read-only (e.g. handing it to a parallel sweep). On `Err` the
+    /// accepted prefix has been flushed (the witness is built from the
+    /// flushed closure) and the oracle should be discarded.
     ///
-    /// The pending set is bounded: once enough staged
-    /// edges accumulate, the batch flushes itself. Exactness never
-    /// depends on flush granularity — the pending-aware queries answer
-    /// identically either way — but the composition fallback costs
-    /// O(|pending|) per query, so an unbounded phase (thousands of
-    /// resolutions on contended workloads) would turn prechecks
-    /// quadratic.
-    pub fn insert_edges_deferred(&mut self, batch: &[Edge]) -> Result<(), Vec<Edge>> {
-        for &e in batch {
-            if !self.try_stage(e) {
-                let cycle = self
-                    .closing_cycle(e)
-                    .expect("Pearce-Kelly found a cycle, so the exact queries must too");
-                return Err(cycle);
-            }
-            if self.pending.len() >= PENDING_FLUSH_LIMIT {
-                self.flush_closure();
-            }
-        }
-        Ok(())
-    }
-
-    /// [`KnownGraph::insert_edges`] with one closure propagation per
-    /// *edge* — the pre-batching behaviour, kept for the `prune` bench's
-    /// batched-vs-per-edge ablation. Results are byte-identical to the
-    /// batched path; only the propagation schedule differs.
-    pub fn insert_edges_per_edge(&mut self, batch: &[Edge]) -> Result<(), Vec<Edge>> {
-        for &e in batch {
-            if !self.try_stage(e) {
-                let cycle = self
-                    .closing_cycle(e)
-                    .expect("Pearce-Kelly found a cycle, so the exact queries must too");
-                return Err(cycle);
-            }
-            self.flush_closure();
-        }
-        Ok(())
+    /// The pending set is bounded: once enough staged edges accumulate,
+    /// the batch flushes itself.
+    pub fn insert_edges_deferred(
+        &mut self,
+        batch: &[Edge],
+        kept: &mut Vec<Edge>,
+    ) -> Result<(), Vec<Edge>> {
+        self.stage_all(batch, kept, PENDING_FLUSH_LIMIT)
     }
 
     /// [`KnownGraph::insert_edges`] for *large* batches: every edge is
@@ -903,22 +897,44 @@ impl KnownGraph {
     ///
     /// Trade-off vs. [`KnownGraph::insert_edges`]: cycle detection stays
     /// exact (Pearce–Kelly's forward search runs over the staged
-    /// adjacency), but the redundancy skip consults only the at-flush
-    /// closure, so edges made redundant *within* the batch are staged
-    /// anyway — harmless, they propagate nothing. On a cycle the accepted
-    /// prefix is flushed before the witness is built, and the oracle
-    /// should be discarded as usual.
-    pub fn insert_edges_bulk(&mut self, batch: &[Edge]) -> Result<(), Vec<Edge>> {
+    /// adjacency), but edges implied only *within* the batch are kept —
+    /// harmless, they propagate nothing.
+    pub fn insert_edges_bulk(
+        &mut self,
+        batch: &[Edge],
+        kept: &mut Vec<Edge>,
+    ) -> Result<(), Vec<Edge>> {
+        let staged = self.stage_all(batch, kept, usize::MAX);
+        self.flush_closure();
+        staged
+    }
+
+    /// The loop behind the `insert_edges*` family: stage `batch` in order,
+    /// flushing whenever `flush_limit` layered edges are pending. On a
+    /// cycle the accepted prefix is flushed first, so the witness is built
+    /// from plain closure queries.
+    fn stage_all(
+        &mut self,
+        batch: &[Edge],
+        kept: &mut Vec<Edge>,
+        flush_limit: usize,
+    ) -> Result<(), Vec<Edge>> {
         for &e in batch {
-            if !self.stage(e, true) {
+            match self.stage(e) {
+                Staged::Implied => {}
+                Staged::Kept => kept.push(e),
+                Staged::Cycle => {
+                    self.flush_closure();
+                    let cycle = self
+                        .closing_cycle(e)
+                        .expect("Pearce-Kelly found a cycle, so the closure queries must too");
+                    return Err(cycle);
+                }
+            }
+            if self.pending.len() >= flush_limit {
                 self.flush_closure();
-                let cycle = self
-                    .closing_cycle(e)
-                    .expect("Pearce-Kelly found a cycle, so the exact queries must too");
-                return Err(cycle);
             }
         }
-        self.flush_closure();
         Ok(())
     }
 
@@ -1003,20 +1019,19 @@ impl KnownGraph {
 
     /// The violating cycle that adding `e` to the known graph would close,
     /// if any — the incremental counterpart of the cyclicity check in
-    /// [`KnownGraph::build_with`]. Read-only; usable from parallel sweeps.
-    /// Exact even while a deferred batch is pending (queries go through
-    /// the pending-aware composition), so the witnesses it returns are
-    /// byte-identical between the eager and the batched insertion paths.
+    /// [`KnownGraph::build_with`]. Read-only; requires a flushed oracle.
+    /// Witness paths run over the materialised edges only — every implied
+    /// edge has such a path.
     pub fn closing_cycle(&self, e: Edge) -> Option<Vec<Edge>> {
         let (f, t) = (e.from, e.to);
         debug_assert_ne!(f, t, "self edges are malformed: {e:?}");
         if self.semantics == Semantics::Si && !e.label.is_dep() {
             // RW f→t closes a cycle iff some Dep predecessor of `f` is
             // reached from (or equals) `t` (Figure 4b).
-            if !self.rw_closes_cycle_exact(f, t) {
+            if !self.rw_closes_cycle(f, t) {
                 return None;
             }
-            let prec = self.witness_pred_exact(f, t);
+            let prec = self.witness_pred(f, t);
             let mut cycle = vec![self.dep_edge_between(prec, f), e];
             if t != prec {
                 cycle.extend(self.find_path(t, prec).expect("witness_pred reachability"));
@@ -1024,7 +1039,7 @@ impl KnownGraph {
             return Some(cycle);
         }
         // Plain edge (SER) or Dep boundary image (SI): t ⇝ f.
-        if self.reach_exact(t.idx(), f.idx()) {
+        if self.reaches(t, f) {
             let mut cycle = vec![e];
             cycle.extend(self.find_path(t, f).expect("reaches held"));
             return Some(cycle);
@@ -1032,13 +1047,13 @@ impl KnownGraph {
         // Dep i→k under SI also adds B(i)→M(k); a path M(k) ⇝ B(i) — an
         // `RW` out of `k` composing back — closes a cycle the boundary
         // image misses.
-        if self.semantics == Semantics::Si && self.reach_exact(self.n + t.idx(), f.idx()) {
+        if self.semantics == Semantics::Si && self.store.reach(self.n + t.idx(), f.idx()) {
             for &(j, rw) in &self.adj[self.n + t.idx()] {
                 let j = TxnId(j);
                 if j == f {
                     return Some(vec![e, rw]);
                 }
-                if self.reach_exact(j.idx(), f.idx()) {
+                if self.reaches(j, f) {
                     let mut cycle = vec![e, rw];
                     cycle.extend(self.find_path(j, f).expect("closure row held"));
                     return Some(cycle);
@@ -1049,48 +1064,56 @@ impl KnownGraph {
         None
     }
 
-    /// Try to stage one typed edge: push the layered images, restore the
-    /// topological order (Pearce–Kelly affected-region reordering), and
-    /// queue the closure propagation for the next flush. Returns `false`
-    /// — with the partially staged images undone — when the edge would
-    /// close a violating cycle: the PK forward search discovers exactly
-    /// the layered cycles, so the hot path needs no separate reachability
-    /// precheck; callers build the canonical witness afterwards through
-    /// the (exact, pending-aware) [`Self::closing_cycle`].
-    fn try_stage(&mut self, e: Edge) -> bool {
-        self.stage(e, false)
+    /// Whether the known graph already *implies* `e`: real paths cover
+    /// every layered image of the edge, so materialising it could change
+    /// no closure row now or after any later insertion (reachability is
+    /// monotone), could close no cycle (the graph is acyclic, so the
+    /// reverse path cannot also exist), and would never be needed as a
+    /// witness edge (the covering path serves). By edge kind:
+    ///
+    /// * SI `Dep f → t` (`SO`/`WR`/`WW`): some known `Dep` edge `p → t`
+    ///   has `p = f` or `B(f) ⇝ B(p)` — both images `B(f) → B(t)` and
+    ///   `B(f) → M(t)` are then paths through `B(p)`, and `p` serves
+    ///   wherever `f` would as a `Dep` predecessor of `t`;
+    /// * SI `RW f → t`: `M(f) ⇝ B(t)`;
+    /// * SER: `f ⇝ t`.
+    ///
+    /// These are *path* conditions, never row inclusion: a `Dep` edge
+    /// whose target's `M` row merely happens to be covered today must be
+    /// kept, or a later `RW` out of the target would not reach the source.
+    ///
+    /// Reads the closure as of the last flush, which under-approximates
+    /// while edges are staged — `false` then only means "keep it".
+    pub fn implies(&self, e: Edge) -> bool {
+        let (f, t) = (e.from.idx(), e.to.idx());
+        match (self.semantics, e.label.is_dep()) {
+            (Semantics::Ser, _) => self.store.reach(f, t),
+            (Semantics::Si, true) => {
+                self.store.is_dep_pred(t, f) || self.store.reaches_dep_pred(f, t)
+            }
+            (Semantics::Si, false) => self.store.reach(self.n + f, t),
+        }
     }
 
-    /// [`Self::try_stage`], with `bulk` selecting the redundancy check:
-    /// exact pending-aware composition on the bounded-pending path,
-    /// at-flush closure only when the pending set may exceed the query
-    /// machinery's 64-edge masks.
-    fn stage(&mut self, e: Edge, bulk: bool) -> bool {
+    /// Stage one typed edge unless the graph already [implies](Self::implies)
+    /// it: push the layered images, restore the topological order
+    /// (Pearce–Kelly affected-region reordering), and queue the closure
+    /// propagation for the next flush. Reports [`Staged::Cycle`] — with
+    /// the partially staged images undone — when the edge would close a
+    /// violating cycle: the PK forward search discovers exactly the
+    /// layered cycles, so the hot path needs no separate reachability
+    /// precheck; callers flush and build the canonical witness afterwards
+    /// through [`Self::closing_cycle`].
+    fn stage(&mut self, e: Edge) -> Staged {
+        if self.implies(e) {
+            return Staged::Implied;
+        }
         let (f, t) = (e.from.0 as usize, e.to.0 as usize);
         let layered: [(usize, usize); 2] = match (self.semantics, e.label.is_dep()) {
             (Semantics::Ser, _) => [(f, t), (usize::MAX, 0)],
             (Semantics::Si, true) => [(f, t), (f, self.n + t)],
             (Semantics::Si, false) => [(self.n + f, t), (usize::MAX, 0)],
         };
-        // Reachability-redundant non-`Dep` edges are absorbed without
-        // staging: if the layered source already reaches the target, no
-        // closure row can change (reachability is monotone, so the edge
-        // stays redundant forever), no cycle can close (the graph is
-        // acyclic and the reverse path cannot also exist), and — unlike
-        // `Dep` edges — nothing looks the edge up in the adjacency
-        // (`dep_in`-driven witness construction needs `Dep` images
-        // present; plain paths route around an omitted redundant edge).
-        // This keeps streaming deltas cheap: dense components take most
-        // of their new anti-dependencies through here, skipping the
-        // Pearce–Kelly reorder a backward-priority insertion would pay.
-        if !e.label.is_dep() {
-            let (lu, lv) = layered[0];
-            let redundant = if bulk { self.store.reach(lu, lv) } else { self.reach_exact(lu, lv) };
-            if redundant {
-                self.inserted_edges += 1;
-                return true;
-            }
-        }
         let staged_from = self.pending.len();
         for &(lu, lv) in layered.iter().filter(|&&(lu, _)| lu != usize::MAX) {
             if !self.pk_insert(lu as u32, lv as u32) {
@@ -1103,7 +1126,7 @@ impl KnownGraph {
                     self.adj[plu as usize].pop();
                     self.radj[plv as usize].pop();
                 }
-                return false;
+                return Staged::Cycle;
             }
             self.adj[lu].push((lv as u32, e));
             self.radj[lv].push(lu as u32);
@@ -1118,140 +1141,7 @@ impl KnownGraph {
             self.pending_chain.push((f as u32, t as u32));
         }
         self.inserted_edges += 1;
-        true
-    }
-
-    /// Exact reachability from layered node `src` to boundary transaction
-    /// `dst`, pending edges included. Any true path decomposes into
-    /// maximal at-flush segments separated by pending edges, so at-flush
-    /// closure lookups plus a BFS over the (small, per-phase) pending-edge
-    /// list are complete; with nothing pending this is one bit test.
-    fn reach_exact(&self, src: usize, dst: usize) -> bool {
-        if self.store.reach(src, dst) {
-            return true;
-        }
-        if self.pending.is_empty() {
-            return false;
-        }
-        let mut frontier = self.pending_reached_from(src);
-        let mut rest = frontier;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let v = self.pending[i].1 as usize;
-            if v == dst || self.store.reach(v, dst) {
-                return true;
-            }
-            let new = self.pending_reached_from(v) & !frontier;
-            frontier |= new;
-            rest |= new;
-        }
-        false
-    }
-
-    /// Bitmask over pending-edge indices whose *source* is flush-reachable
-    /// from layered node `x`. The pending set is bounded well below 64
-    /// (the flush limit), so the whole pending BFS runs on
-    /// `u64` masks with no allocation.
-    #[inline]
-    fn pending_reached_from(&self, x: usize) -> u64 {
-        debug_assert!(self.pending.len() <= 64);
-        let mut mask = 0u64;
-        for (i, &(u, _)) in self.pending.iter().enumerate() {
-            if self.flush_reach(x, u as usize) {
-                mask |= 1 << i;
-            }
-        }
-        mask
-    }
-
-    /// The closed set of pending-edge indices reachable from layered
-    /// `src` (transitively, through at-flush segments).
-    fn pending_closure_from(&self, src: usize) -> u64 {
-        let mut seen = self.pending_reached_from(src);
-        let mut rest = seen;
-        while rest != 0 {
-            let i = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let new = self.pending_reached_from(self.pending[i].1 as usize) & !seen;
-            seen |= new;
-            rest |= new;
-        }
-        seen
-    }
-
-    /// Whether layered node `x` reaches layered node `y` using only
-    /// at-flush edges (empty paths allowed — this connects consecutive
-    /// pending edges). A mid node is entered only through an at-flush
-    /// `Dep` image `B(p) → M(m)`; staged in-edges are the trailing
-    /// `pending_in[y]` entries of the reverse adjacency and are excluded.
-    fn flush_reach(&self, x: usize, y: usize) -> bool {
-        if x == y {
-            return true;
-        }
-        if y < self.n {
-            return self.store.reach(x, y);
-        }
-        let pend = self.pending.iter().filter(|&&(_, v)| v as usize == y).count();
-        let ins = &self.radj[y];
-        ins[..ins.len() - pend].iter().any(|&p| x == p as usize || self.store.reach(x, p as usize))
-    }
-
-    /// Pending-aware [`Self::rw_closes_cycle`]: after the stale row
-    /// intersection, test paths through the (≤ 64) staged edges — the
-    /// pending BFS from `to` runs once, and each reached staged target's
-    /// closure row is intersected against the `dep_in` row.
-    fn rw_closes_cycle_exact(&self, from: TxnId, to: TxnId) -> bool {
-        if self.store.is_dep_pred(from.idx(), to.idx()) {
-            return true;
-        }
-        if self.store.reaches_dep_pred(b(to.0) as usize, from.idx()) {
-            return true;
-        }
-        if self.pending.is_empty() {
-            return false;
-        }
-        let mut reached = self.pending_closure_from(to.idx());
-        while reached != 0 {
-            let i = reached.trailing_zeros() as usize;
-            reached &= reached - 1;
-            let v = self.pending[i].1 as usize;
-            if v < self.n && self.store.is_dep_pred(from.idx(), v) {
-                return true;
-            }
-            if self.store.reaches_dep_pred(v, from.idx()) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Pending-aware [`Self::witness_pred`].
-    fn witness_pred_exact(&self, from: TxnId, to: TxnId) -> TxnId {
-        if self.store.is_dep_pred(from.idx(), to.idx()) {
-            return to;
-        }
-        let reached = self.pending_closure_from(to.idx());
-        let exact_reach = |p: usize| {
-            if self.store.reach(to.idx(), p) {
-                return true;
-            }
-            let mut rest = reached;
-            while rest != 0 {
-                let i = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let v = self.pending[i].1 as usize;
-                if v == p || self.store.reach(v, p) {
-                    return true;
-                }
-            }
-            false
-        };
-        self.store
-            .dep_pred_iter(from.idx())
-            .map(|p| TxnId(p as u32))
-            .find(|&p| exact_reach(p.idx()))
-            .expect("rw_closes_cycle held")
+        Staged::Kept
     }
 
     /// Pearce–Kelly: accommodate the layered edge `u → v` in `ord`, or
@@ -1318,8 +1208,7 @@ impl KnownGraph {
     /// `reaches(a, a)` is true only on a real cycle, which cannot happen for
     /// an acyclic graph).
     /// Reads the closure directly and therefore requires a flushed oracle
-    /// (no deferred batch pending); [`Self::closing_cycle`] stays exact
-    /// mid-batch through the pending-aware internal queries.
+    /// (no deferred batch pending).
     #[inline]
     pub fn reaches(&self, a: TxnId, w: TxnId) -> bool {
         debug_assert!(self.pending.is_empty(), "query on an unflushed oracle");
@@ -1581,7 +1470,7 @@ mod tests {
         let initial = [so(0, 1), wr(1, 2)];
         let extra = [ww(2, 3), rw(3, 4), wr(0, 4)];
         let mut g = acyclic(5, &initial);
-        g.insert_edges(&extra).expect("acyclic");
+        g.insert_edges(&extra, &mut Vec::new()).expect("acyclic");
         let all: Vec<Edge> = initial.iter().chain(&extra).copied().collect();
         let full = acyclic(5, &all);
         for a in 0..5u32 {
@@ -1608,9 +1497,59 @@ mod tests {
     }
 
     #[test]
+    fn implied_edges_are_absorbed_and_the_rest_reported() {
+        let mut g = acyclic(4, &[so(0, 1), wr(1, 2), rw(2, 3)]);
+        let mut kept = Vec::new();
+        // ww(0, 2): B(0) ⇝ B(1) and 1 is a Dep predecessor of 2 — implied.
+        // wr(1, 2) again: 1 already is a Dep predecessor of 2 — implied.
+        // rw(2, 3) under another key: M(2) ⇝ B(3) — implied.
+        // ww(0, 3): 0 ⇝ 3, but 3 has no Dep predecessor yet — kept.
+        let other_rw = Edge::new(TxnId(2), TxnId(3), Label::Rw(Key(9)));
+        g.insert_edges(&[ww(0, 2), wr(1, 2), other_rw, ww(0, 3)], &mut kept).expect("acyclic");
+        assert_eq!(kept, vec![ww(0, 3)]);
+        assert_eq!(g.inserted_edges(), 1);
+        let full = acyclic(4, &[so(0, 1), wr(1, 2), rw(2, 3), ww(0, 2), other_rw, ww(0, 3)]);
+        assert_oracles_agree(&g, &full, 4, "reduced vs every edge");
+        for row in 0..8 {
+            assert_eq!(g.closure().row(row), full.closure().row(row), "row {row}");
+        }
+    }
+
+    #[test]
+    fn dep_edge_with_a_covered_mid_row_but_no_dep_pred_path_is_kept() {
+        // The row-inclusion trap. Dep 0→1, RW 1→2 give 0 ⇝ 2 while 2 has
+        // no Dep predecessor; M(2)'s row is empty — a subset of B(0)'s —
+        // so by row inclusion WW 0→2 would change nothing *today*. It is
+        // not implied, though: no path enters M(2) from B(0), and a later
+        // RW out of 2 must still propagate to 0.
+        for kind in [OracleKind::Dense, OracleKind::Chains] {
+            let mut g = match KnownGraph::build_with_oracle(
+                4,
+                &[wr(0, 1), rw(1, 2)],
+                Semantics::Si,
+                kind,
+            ) {
+                KnownGraphResult::Acyclic(g) => g,
+                KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
+            };
+            assert!(g.reaches(TxnId(0), TxnId(2)));
+            assert!(!g.implies(ww(0, 2)), "no Dep-pred path: the edge must be kept");
+            let mut kept = Vec::new();
+            g.insert_edges(&[ww(0, 2)], &mut kept).expect("acyclic");
+            assert_eq!(kept, vec![ww(0, 2)]);
+            g.insert_edges(&[rw(2, 3)], &mut kept).expect("acyclic");
+            assert!(g.reaches(TxnId(0), TxnId(3)), "RW out of the target must reach the source");
+            // With a real Dep-pred path the same edge *is* implied, and
+            // later RWs out of the target still reach the source.
+            assert!(g.implies(ww(0, 2)));
+            assert!(!g.implies(rw(3, 0)), "a cycle-closing edge is never implied");
+        }
+    }
+
+    #[test]
     fn insert_detects_dep_cycle() {
         let mut g = acyclic(3, &[wr(0, 1), ww(1, 2)]);
-        let err = g.insert_edges(&[ww(2, 0)]).unwrap_err();
+        let err = g.insert_edges(&[ww(2, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err.len(), 3);
         assert_eq!(err[0], ww(2, 0));
     }
@@ -1619,7 +1558,7 @@ mod tests {
     fn insert_detects_rw_composition_cycle() {
         // Dep 0→1 known; RW 1→0 closes 0→1→0.
         let mut g = acyclic(2, &[wr(0, 1)]);
-        let err = g.insert_edges(&[rw(1, 0)]).unwrap_err();
+        let err = g.insert_edges(&[rw(1, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err.len(), 2);
         assert!(err.contains(&rw(1, 0)));
     }
@@ -1630,15 +1569,15 @@ mod tests {
         // later Dep 0→1 composes with it into the cycle 0 -WR-> 1 -RW-> 0 —
         // visible only through the mid-node image of the new Dep edge.
         let mut g = acyclic(2, &[]);
-        g.insert_edges(&[rw(1, 0)]).expect("lone RW composes with nothing");
-        let err = g.insert_edges(&[wr(0, 1)]).unwrap_err();
+        g.insert_edges(&[rw(1, 0)], &mut Vec::new()).expect("lone RW composes with nothing");
+        let err = g.insert_edges(&[wr(0, 1)], &mut Vec::new()).unwrap_err();
         assert_eq!(err, vec![wr(0, 1), rw(1, 0)]);
     }
 
     #[test]
     fn insert_batch_applies_prefix_before_failing() {
         let mut g = acyclic(3, &[so(0, 1)]);
-        let err = g.insert_edges(&[ww(1, 2), ww(2, 0)]).unwrap_err();
+        let err = g.insert_edges(&[ww(1, 2), ww(2, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err[0], ww(2, 0));
         // The first batch edge landed before the violation.
         assert!(g.reaches(TxnId(0), TxnId(2)));
@@ -1647,11 +1586,12 @@ mod tests {
     #[test]
     fn deferred_cycle_checks_are_exact_mid_batch() {
         // Stage a chain without flushing; a closing edge staged in the
-        // same logical phase must be rejected through the pending-aware
-        // composition (the closure still reflects only `so(0, 1)`).
+        // same logical phase must be rejected by the Pearce–Kelly search
+        // over the staged adjacency (the closure still reflects only
+        // `so(0, 1)`), and the witness built after the error-path flush.
         let mut g = acyclic(4, &[so(0, 1)]);
-        g.insert_edges_deferred(&[ww(1, 2), ww(2, 3)]).expect("chain is acyclic");
-        let err = g.insert_edges_deferred(&[ww(3, 0)]).unwrap_err();
+        g.insert_edges_deferred(&[ww(1, 2), ww(2, 3)], &mut Vec::new()).expect("chain is acyclic");
+        let err = g.insert_edges_deferred(&[ww(3, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err[0], ww(3, 0));
     }
 
@@ -1660,8 +1600,9 @@ mod tests {
         // The mid-node Dep;RW composition must fire against *staged* RW
         // edges too: RW 1→0 staged, then Dep 0→1 staged in the same batch.
         let mut g = acyclic(2, &[]);
-        g.insert_edges_deferred(&[rw(1, 0)]).expect("lone RW composes with nothing");
-        let err = g.insert_edges_deferred(&[wr(0, 1)]).unwrap_err();
+        g.insert_edges_deferred(&[rw(1, 0)], &mut Vec::new())
+            .expect("lone RW composes with nothing");
+        let err = g.insert_edges_deferred(&[wr(0, 1)], &mut Vec::new()).unwrap_err();
         assert_eq!(err, vec![wr(0, 1), rw(1, 0)]);
     }
 
@@ -1672,8 +1613,8 @@ mod tests {
         let mut eager = acyclic(5, &initial);
         let mut deferred = acyclic(5, &initial);
         for batch in batches {
-            eager.insert_edges(batch).expect("acyclic");
-            deferred.insert_edges_deferred(batch).expect("acyclic");
+            eager.insert_edges(batch, &mut Vec::new()).expect("acyclic");
+            deferred.insert_edges_deferred(batch, &mut Vec::new()).expect("acyclic");
         }
         deferred.flush_closure();
         assert_eq!(eager.closure().count_ones(), deferred.closure().count_ones());
@@ -1694,7 +1635,7 @@ mod tests {
         g.grow(4); // no-op
         g.grow(7);
         let extra = [ww(3, 5), wr(5, 6), rw(6, 4)];
-        g.insert_edges(&extra).expect("acyclic after growth");
+        g.insert_edges(&extra, &mut Vec::new()).expect("acyclic after growth");
         let all: Vec<Edge> = initial.iter().chain(&extra).copied().collect();
         let full = acyclic(7, &all);
         for a in 0..7u32 {
@@ -1719,7 +1660,7 @@ mod tests {
         // SI-specific queries keep working on remapped mid nodes.
         assert_eq!(g.rw_closes_cycle(TxnId(2), TxnId(1)), full.rw_closes_cycle(TxnId(2), TxnId(1)));
         // A cycle through old and new vertices is still caught.
-        let err = g.insert_edges(&[ww(6, 1)]).unwrap_err();
+        let err = g.insert_edges(&[ww(6, 1)], &mut Vec::new()).unwrap_err();
         assert!(!err.is_empty());
     }
 
@@ -1761,7 +1702,7 @@ mod tests {
             // The compacted oracle keeps working: grow, insert, reject.
             g.grow(5);
             let extra = [so(2, 3), wr(1, 4), rw(4, 0)];
-            g.insert_edges(&extra).expect("acyclic after compact+grow");
+            g.insert_edges(&extra, &mut Vec::new()).expect("acyclic after compact+grow");
             let all: Vec<Edge> = survivors.iter().chain(&extra).copied().collect();
             let full = acyclic(5, &all);
             assert_oracles_agree(&g, &full, 5, "post-compact growth");
@@ -1777,7 +1718,7 @@ mod tests {
                 }
             }
             // A dependency cycle through survivors and new nodes is caught.
-            let err = g.insert_edges(&[ww(3, 0)]).unwrap_err();
+            let err = g.insert_edges(&[ww(3, 0)], &mut Vec::new()).unwrap_err();
             assert!(!err.is_empty());
         }
     }
@@ -1802,7 +1743,8 @@ mod tests {
         assert_oracles_agree(&g, &acyclic(2, &[so(0, 1)]), 2, "emptied chain");
         // A fresh session lands on the recycled column without ghosts.
         g.grow(5);
-        g.insert_edges(&[so(2, 3), so(3, 4), wr(1, 2), rw(1, 4)]).expect("acyclic");
+        g.insert_edges(&[so(2, 3), so(3, 4), wr(1, 2), rw(1, 4)], &mut Vec::new())
+            .expect("acyclic");
         let full = acyclic(5, &[so(0, 1), so(2, 3), so(3, 4), wr(1, 2), rw(1, 4)]);
         assert_oracles_agree(&g, &full, 5, "recycled column");
     }
@@ -1814,10 +1756,10 @@ mod tests {
             KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
         };
         // Under SER an RW edge is a plain edge: it extends reachability...
-        g.insert_edges(&[rw(1, 2)]).expect("chain");
+        g.insert_edges(&[rw(1, 2)], &mut Vec::new()).expect("chain");
         assert!(g.reaches(TxnId(0), TxnId(2)));
         // ...and a back edge closes a plain cycle.
-        let err = g.insert_edges(&[rw(2, 0)]).unwrap_err();
+        let err = g.insert_edges(&[rw(2, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err.len(), 3);
     }
 
@@ -1866,8 +1808,8 @@ mod tests {
         let extra = [ww(3, 4), rw(4, 5), wr(0, 5), ww(1, 4)];
         let mut dense = acyclic(6, &initial);
         let mut chains = acyclic_chains(6, &initial);
-        dense.insert_edges(&extra).expect("acyclic");
-        chains.insert_edges(&extra).expect("acyclic");
+        dense.insert_edges(&extra, &mut Vec::new()).expect("acyclic");
+        chains.insert_edges(&extra, &mut Vec::new()).expect("acyclic");
         assert_oracles_agree(&dense, &chains, 6, "incremental");
         // Same propagation-operation unit, but chain suffixes absorb some
         // dense row growth for free — never the other way around.
@@ -1883,8 +1825,8 @@ mod tests {
         let closing = [ww(2, 3), rw(3, 0)];
         let mut dense = acyclic(4, &initial);
         let mut chains = acyclic_chains(4, &initial);
-        let e1 = dense.insert_edges(&closing).unwrap_err();
-        let e2 = chains.insert_edges(&closing).unwrap_err();
+        let e1 = dense.insert_edges(&closing, &mut Vec::new()).unwrap_err();
+        let e2 = chains.insert_edges(&closing, &mut Vec::new()).unwrap_err();
         assert_eq!(e1, e2, "witness cycles must be byte-identical");
     }
 
@@ -1898,8 +1840,8 @@ mod tests {
         // Session 0 continues into the new vertex space; 4, 5 start a
         // new session; cross edges tie them in.
         let extra = [so(1, 3), so(4, 5), wr(3, 4), ww(2, 4), rw(2, 5)];
-        dense.insert_edges(&extra).expect("acyclic after growth");
-        chains.insert_edges(&extra).expect("acyclic after growth");
+        dense.insert_edges(&extra, &mut Vec::new()).expect("acyclic after growth");
+        chains.insert_edges(&extra, &mut Vec::new()).expect("acyclic after growth");
         assert_oracles_agree(&dense, &chains, 6, "grow");
         assert!(chains.closure_updates() <= dense.closure_updates());
         // The chain oracle keeps its column budget near the session
@@ -1913,14 +1855,14 @@ mod tests {
         let batch = [wr(0, 3), rw(4, 1), ww(2, 5), wr(3, 5)];
         let mut dense = acyclic(6, &initial);
         let mut chains = acyclic_chains(6, &initial);
-        dense.insert_edges_bulk(&batch).expect("acyclic");
-        chains.insert_edges_bulk(&batch).expect("acyclic");
+        dense.insert_edges_bulk(&batch, &mut Vec::new()).expect("acyclic");
+        chains.insert_edges_bulk(&batch, &mut Vec::new()).expect("acyclic");
         assert_oracles_agree(&dense, &chains, 6, "bulk");
 
         let mut dense_d = acyclic(6, &initial);
         let mut chains_d = acyclic_chains(6, &initial);
-        dense_d.insert_edges_deferred(&batch).expect("acyclic");
-        chains_d.insert_edges_deferred(&batch).expect("acyclic");
+        dense_d.insert_edges_deferred(&batch, &mut Vec::new()).expect("acyclic");
+        chains_d.insert_edges_deferred(&batch, &mut Vec::new()).expect("acyclic");
         dense_d.flush_closure();
         chains_d.flush_closure();
         assert_oracles_agree(&dense_d, &chains_d, 6, "deferred");
@@ -1962,7 +1904,7 @@ mod tests {
                 KnownGraphResult::Acyclic(g) => g,
                 KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
             };
-        g.insert_edges(&[rw(3, 0)]).unwrap_err();
+        g.insert_edges(&[rw(3, 0)], &mut Vec::new()).unwrap_err();
         assert!(g.reaches(TxnId(0), TxnId(3)));
     }
 

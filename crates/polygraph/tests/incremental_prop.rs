@@ -1,11 +1,14 @@
 //! Property tests: after any random interleaving of
-//! `KnownGraph::insert_edges` calls, the incremental oracle must be
-//! indistinguishable from a from-scratch `KnownGraph::build_with` over the
-//! same edge set — closure, topo positions (as an order), cycle verdict,
-//! and witness validity — under both SI and SER semantics.
+//! `KnownGraph::insert_edges` calls, the incremental oracle — which keeps
+//! its graph *reachability-reduced*, absorbing every edge real paths
+//! already imply — must be indistinguishable from a from-scratch
+//! `KnownGraph::build_with` fed **every** edge: closure rows,
+//! `rw_closes_cycle`, topo positions (as an order), cycle verdict, and
+//! witness validity, under both SI and SER semantics and both closure
+//! representations.
 
 use polysi_history::{Key, TxnId};
-use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label, Semantics};
+use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Semantics};
 use proptest::prelude::*;
 
 /// A random edge set over `n` transactions plus a batch split plan.
@@ -65,15 +68,23 @@ fn assert_valid_cycle(cycle: &[Edge], allowed: &[Edge], semantics: Semantics) {
     }
 }
 
+/// A finished incremental run: the flushed oracle and the edges it
+/// materialised (the rest of the inserted edges were implied).
+struct Reduced {
+    g: Box<KnownGraph>,
+    kept: Vec<Edge>,
+}
+
 /// Drive the incremental path over the plan — eagerly (closure flushed by
 /// every `insert_edges` call) or deferred (every batch staged through
 /// `insert_edges_deferred`, one `flush_closure` at the very end, so all
-/// mid-run cycle checks exercise the pending-aware queries). Returns the
-/// final (flushed) oracle on acceptance, or the batch end position plus
-/// the raw witness on violation.
-fn drive(plan: &Plan, deferred: bool) -> Result<Box<KnownGraph>, (usize, Vec<Edge>)> {
+/// mid-run cycle checks run against a stale closure). Returns the
+/// final (flushed) oracle plus its kept edges on acceptance, or the batch
+/// end position plus the raw witness on violation. A witness may use only
+/// edges the reduced graph materialised, plus the closing edge.
+fn drive(plan: &Plan, kind: OracleKind, deferred: bool) -> Result<Reduced, (usize, Vec<Edge>)> {
     let initial = &plan.edges[..plan.initial];
-    let mut g = match KnownGraph::build_with(plan.n, initial, plan.semantics) {
+    let mut g = match KnownGraph::build_with_oracle(plan.n, initial, plan.semantics, kind) {
         KnownGraphResult::Acyclic(g) => g,
         KnownGraphResult::Cyclic(cycle) => {
             assert_valid_cycle(&cycle, initial, plan.semantics);
@@ -82,73 +93,102 @@ fn drive(plan: &Plan, deferred: bool) -> Result<Box<KnownGraph>, (usize, Vec<Edg
     };
     let mut next = plan.initial;
     let mut batch = 0;
+    let mut kept = Vec::new();
     while next < plan.edges.len() {
         let size = plan.batch_sizes[batch % plan.batch_sizes.len()];
         batch += 1;
         let end = (next + size).min(plan.edges.len());
         let staged = if deferred {
-            g.insert_edges_deferred(&plan.edges[next..end])
+            g.insert_edges_deferred(&plan.edges[next..end], &mut kept)
         } else {
-            g.insert_edges(&plan.edges[next..end])
+            g.insert_edges(&plan.edges[next..end], &mut kept)
         };
         match staged {
             Ok(()) => next = end,
             Err(cycle) => {
-                assert_valid_cycle(&cycle, &plan.edges[..end], plan.semantics);
+                let mut allowed: Vec<Edge> = initial.iter().chain(&kept).copied().collect();
+                let closing: Vec<Edge> =
+                    cycle.iter().filter(|e| !allowed.contains(e)).copied().collect();
+                assert_eq!(closing.len(), 1, "one closing edge, the rest materialised: {cycle:?}");
+                assert!(plan.edges[next..end].contains(&closing[0]));
+                allowed.push(closing[0]);
+                assert_valid_cycle(&cycle, &allowed, plan.semantics);
                 return Err((end, cycle));
             }
         }
     }
     g.flush_closure();
-    Ok(g)
+    Ok(Reduced { g, kept })
 }
 
-/// Drive the eager path and translate a violation into the first cyclic
-/// prefix length, for the from-scratch verdict comparison.
-fn run_incremental(plan: &Plan) -> Result<Box<KnownGraph>, usize> {
-    match drive(plan, false) {
-        Ok(g) => Ok(g),
-        Err((end, _)) => {
-            // Everything accepted so far rebuilds acyclic, so the first
-            // cyclic prefix pins down the offending edge.
-            let bad = (0..end)
-                .find(|&i| {
-                    matches!(
-                        KnownGraph::build_with(plan.n, &plan.edges[..=i], plan.semantics),
-                        KnownGraphResult::Cyclic(_)
-                    )
-                })
-                .expect("insert_edges reported a cycle no prefix rebuild sees");
-            Err(bad + 1)
+/// The first prefix length at which a from-scratch build over every edge
+/// turns cyclic, if any — the reference cycle verdict.
+fn first_cyclic_prefix(plan: &Plan) -> Option<usize> {
+    (plan.initial..=plan.edges.len()).find(|&i| {
+        matches!(
+            KnownGraph::build_with(plan.n, &plan.edges[..i], plan.semantics),
+            KnownGraphResult::Cyclic(_)
+        )
+    })
+}
+
+/// Every query the prune stage asks must answer alike on both oracles.
+fn assert_same_answers(
+    a: &KnownGraph,
+    b: &KnownGraph,
+    n: usize,
+    semantics: Semantics,
+) -> Result<(), TestCaseError> {
+    for x in 0..n as u32 {
+        for y in 0..n as u32 {
+            let (x, y) = (TxnId(x), TxnId(y));
+            prop_assert_eq!(a.reaches(x, y), b.reaches(x, y), "reaches({:?}, {:?})", x, y);
+            if semantics == Semantics::Si && x != y {
+                prop_assert_eq!(
+                    a.rw_closes_cycle(x, y),
+                    b.rw_closes_cycle(x, y),
+                    "rw_closes_cycle({:?}, {:?})",
+                    x,
+                    y
+                );
+            }
         }
     }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
+    /// The reduced incremental oracle against one fed every edge, on both
+    /// closure representations: same cycle verdict at the same batch; on
+    /// acceptance the same closure rows (bit for bit on the dense store,
+    /// boundary and mid), the same query answers, a valid maintained
+    /// order, every dropped edge implied, and the kept list alone
+    /// rebuilding the same reachability — which is what lets
+    /// `Polygraph::known` hold only the kept edges.
     #[test]
     fn incremental_equals_from_scratch(plan in plan_strategy()) {
-        match run_incremental(&plan) {
-            Err(prefix) => {
-                // The incremental path flagged a violation at `prefix`
-                // edges: the from-scratch build of that prefix must be
-                // cyclic too (and of the prefix minus one, acyclic — the
-                // helper already pinned the first cyclic prefix).
-                prop_assert!(matches!(
-                    KnownGraph::build_with(plan.n, &plan.edges[..prefix], plan.semantics),
-                    KnownGraphResult::Cyclic(_)
-                ));
-            }
-            Ok(g) => {
-                let full = match KnownGraph::build_with(plan.n, &plan.edges, plan.semantics) {
-                    KnownGraphResult::Acyclic(f) => f,
-                    KnownGraphResult::Cyclic(c) => {
-                        return Err(TestCaseError::fail(format!(
-                            "incremental accepted a cyclic edge set: {c:?}"
-                        )));
-                    }
-                };
+        let cyclic_at = first_cyclic_prefix(&plan);
+        for kind in [OracleKind::Dense, OracleKind::Chains] {
+            let Reduced { g, kept } = match drive(&plan, kind, false) {
+                Err((end, _)) => {
+                    // Flagged within the batch ending at `end`: the first
+                    // cyclic prefix of the full edge list lies in it.
+                    let at = cyclic_at.expect("insert_edges reported a cycle no prefix rebuild sees");
+                    prop_assert!(at <= end, "violation surfaced before the edge set turns cyclic");
+                    let batch_start = if end == plan.initial { 0 } else { plan.initial };
+                    prop_assert!(at >= batch_start);
+                    continue;
+                }
+                Ok(r) => r,
+            };
+            prop_assert!(cyclic_at.is_none(), "incremental accepted a cyclic edge set");
+            let full = match KnownGraph::build_with(plan.n, &plan.edges, plan.semantics) {
+                KnownGraphResult::Acyclic(f) => f,
+                KnownGraphResult::Cyclic(_) => unreachable!("no cyclic prefix"),
+            };
+            if kind == OracleKind::Dense {
                 // Closure rows — boundary and mid — must be bit-identical.
                 prop_assert_eq!(g.closure().count_ones(), full.closure().count_ones());
                 for row in 0..2 * plan.n {
@@ -159,42 +199,60 @@ proptest! {
                         row
                     );
                 }
-                // Derived queries agree, and the maintained topo positions
-                // are a valid order for the final reachability.
-                let pos = g.topo_positions();
-                for a in 0..plan.n as u32 {
-                    for w in 0..plan.n as u32 {
-                        let (a, w) = (TxnId(a), TxnId(w));
-                        prop_assert_eq!(g.reaches(a, w), full.reaches(a, w));
-                        if plan.semantics == Semantics::Si {
-                            prop_assert_eq!(
-                                g.rw_closes_cycle(a, w),
-                                full.rw_closes_cycle(a, w)
-                            );
-                        }
-                        if a != w && g.reaches(a, w) {
-                            prop_assert!(
-                                pos[a.idx()] < pos[w.idx()],
-                                "positions contradict reachability {:?} -> {:?}",
-                                a,
-                                w
-                            );
-                        }
+            }
+            assert_same_answers(&g, &full, plan.n, plan.semantics)?;
+            // The maintained topo positions are a valid order for the
+            // final reachability.
+            let pos = g.topo_positions();
+            for a in 0..plan.n as u32 {
+                for w in 0..plan.n as u32 {
+                    let (a, w) = (TxnId(a), TxnId(w));
+                    if a != w && g.reaches(a, w) {
+                        prop_assert!(
+                            pos[a.idx()] < pos[w.idx()],
+                            "positions contradict reachability {:?} -> {:?}",
+                            a,
+                            w
+                        );
                     }
                 }
             }
+            // The kept edges are a sub-sequence of the inserted ones, the
+            // dropped ones are implied by what stayed, and the reduced
+            // list alone carries the whole reachability relation.
+            let inserted = &plan.edges[plan.initial..];
+            let mut rest = inserted.iter();
+            for k in &kept {
+                prop_assert!(rest.any(|e| e == k), "kept edges out of insertion order");
+            }
+            prop_assert_eq!(g.inserted_edges(), kept.len());
+            for e in inserted {
+                prop_assert!(g.implies(*e), "an inserted edge is not implied at the end: {:?}", e);
+            }
+            let reduced: Vec<Edge> =
+                plan.edges[..plan.initial].iter().chain(&kept).copied().collect();
+            let rebuilt = match KnownGraph::build_with(plan.n, &reduced, plan.semantics) {
+                KnownGraphResult::Acyclic(r) => r,
+                KnownGraphResult::Cyclic(c) => {
+                    return Err(TestCaseError::fail(format!("reduced list is cyclic: {c:?}")));
+                }
+            };
+            assert_same_answers(&rebuilt, &full, plan.n, plan.semantics)?;
         }
     }
 
     /// The deferred-batch path (stage every batch, flush once at the end)
-    /// is indistinguishable from the eager per-call path: same verdict at
-    /// the same batch, byte-identical witness cycles, and — on acceptance
-    /// — bit-identical closures. This is what lets pruning batch closure
-    /// propagation across a whole apply phase without changing results.
+    /// answers like the eager per-call path: same verdict at the same
+    /// batch, valid witnesses (checked in `drive`), and — on acceptance —
+    /// bit-identical closures. Which edges are *kept* may differ: the
+    /// implied test reads the at-flush closure, so it depends on the
+    /// flush points. This is what lets pruning batch closure propagation
+    /// across a whole apply phase without changing results.
     #[test]
     fn deferred_batching_equals_eager(plan in plan_strategy()) {
-        match (drive(&plan, false), drive(&plan, true)) {
+        match (drive(&plan, OracleKind::Dense, false), drive(&plan, OracleKind::Dense, true)) {
             (Ok(eager), Ok(deferred)) => {
+                let (eager, deferred) = (eager.g, deferred.g);
                 prop_assert_eq!(eager.closure().count_ones(), deferred.closure().count_ones());
                 for row in 0..2 * plan.n {
                     prop_assert_eq!(
@@ -204,11 +262,9 @@ proptest! {
                         row
                     );
                 }
-                prop_assert_eq!(eager.inserted_edges(), deferred.inserted_edges());
             }
-            (Err((e_end, e_cycle)), Err((d_end, d_cycle))) => {
+            (Err((e_end, _)), Err((d_end, _))) => {
                 prop_assert_eq!(e_end, d_end, "violation surfaced at a different batch");
-                prop_assert_eq!(e_cycle, d_cycle, "witness cycles diverged");
             }
             (eager, deferred) => {
                 return Err(TestCaseError::fail(format!(

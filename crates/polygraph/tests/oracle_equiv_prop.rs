@@ -4,9 +4,10 @@
 //! `insert_edges` / `insert_edges_deferred` / `insert_edges_bulk` / `grow`
 //! — identical reachability answers, identical topological validity,
 //! identical cycle verdicts at identical points, byte-identical witness
-//! cycles, and identical propagation counters — under both SI and SER
-//! semantics. Extends the `incremental_prop` patterns (including the
-//! deferred≡eager check) to the two-representation setting.
+//! cycles, identical *kept* (non-implied) edge lists, and identical
+//! propagation counters — under both SI and SER semantics. Extends the
+//! `incremental_prop` patterns (including the deferred≡eager check) to
+//! the two-representation setting.
 
 use polysi_history::{Key, TxnId};
 use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Semantics};
@@ -95,15 +96,20 @@ fn assert_valid_cycle(cycle: &[Edge], allowed: &[Edge], semantics: Semantics) {
     }
 }
 
+/// An accepting run: the final (flushed) oracle, its vertex count, and
+/// the edges it kept (the rest were implied).
+type Accepted = (Box<KnownGraph>, usize, Vec<Edge>);
+
 /// Drive one oracle over the plan; `force` overrides every batch's mode.
-/// Returns the final (flushed) oracle and its vertex count on acceptance,
-/// or the edge position plus the witness on violation. Witnesses are
-/// structurally validated here, whichever representation produced them.
+/// Returns the final (flushed) oracle, its vertex count, and the edges it
+/// kept (the rest were implied) on acceptance, or the edge position plus
+/// the witness on violation. Witnesses are structurally validated here,
+/// whichever representation produced them.
 fn drive(
     plan: &Plan,
     kind: OracleKind,
     force: Option<Mode>,
-) -> Result<(Box<KnownGraph>, usize), (usize, Vec<Edge>)> {
+) -> Result<Accepted, (usize, Vec<Edge>)> {
     let initial = &plan.edges[..plan.initial];
     let mut g = match KnownGraph::build_with_oracle(plan.n0, initial, plan.semantics, kind) {
         KnownGraphResult::Acyclic(g) => g,
@@ -115,6 +121,7 @@ fn drive(
     let mut cur_n = plan.n0;
     let mut next = plan.initial;
     let mut b = 0;
+    let mut kept = Vec::new();
     while next < plan.edges.len() {
         let (size, mode) = plan.batches[b % plan.batches.len()];
         let mode = force.unwrap_or(mode);
@@ -128,9 +135,9 @@ fn drive(
             cur_n = needed;
         }
         let staged = match mode {
-            Mode::Eager => g.insert_edges(batch),
-            Mode::Deferred => g.insert_edges_deferred(batch),
-            Mode::Bulk => g.insert_edges_bulk(batch),
+            Mode::Eager => g.insert_edges(batch, &mut kept),
+            Mode::Deferred => g.insert_edges_deferred(batch, &mut kept),
+            Mode::Bulk => g.insert_edges_bulk(batch, &mut kept),
         };
         match staged {
             Ok(()) => next = end,
@@ -141,7 +148,7 @@ fn drive(
         }
     }
     g.flush_closure();
-    Ok((g, cur_n))
+    Ok((g, cur_n, kept))
 }
 
 /// Every observable of the two oracles must agree: queries, counters,
@@ -205,8 +212,9 @@ proptest! {
     #[test]
     fn chain_oracle_is_indistinguishable_from_dense(plan in plan_strategy()) {
         match (drive(&plan, OracleKind::Dense, None), drive(&plan, OracleKind::Chains, None)) {
-            (Ok((dense, n)), Ok((chains, n2))) => {
+            (Ok((dense, n, dense_kept)), Ok((chains, n2, chains_kept))) => {
                 prop_assert_eq!(n, n2);
+                prop_assert_eq!(dense_kept, chains_kept, "the reduced edge list depends on the oracle");
                 prop_assert_eq!(dense.oracle_kind(), OracleKind::Dense);
                 prop_assert_eq!(chains.oracle_kind(), OracleKind::Chains);
                 assert_indistinguishable(&dense, &chains, n, plan.semantics, &plan)?;
@@ -245,16 +253,18 @@ proptest! {
     }
 
     /// Deferred≡eager, on the chain oracle: staging whole batches and
-    /// flushing late must be indistinguishable from flushing per call —
-    /// the pending-aware exact queries never depend on the chain rows'
-    /// staleness.
+    /// flushing late answers every query like flushing per call — the
+    /// cycle checks search the staged adjacency and never depend on the
+    /// chain rows' staleness. Which edges are *kept* may differ (the implied test
+    /// reads the at-flush closure), so witnesses are compared for
+    /// validity (in `drive`), not bytes.
     #[test]
     fn chain_oracle_deferred_equals_eager(plan in plan_strategy()) {
         match (
             drive(&plan, OracleKind::Chains, Some(Mode::Eager)),
             drive(&plan, OracleKind::Chains, Some(Mode::Deferred)),
         ) {
-            (Ok((eager, n)), Ok((deferred, n2))) => {
+            (Ok((eager, n, _)), Ok((deferred, n2, _))) => {
                 prop_assert_eq!(n, n2);
                 for a in 0..n as u32 {
                     for w in 0..n as u32 {
@@ -265,11 +275,9 @@ proptest! {
                         );
                     }
                 }
-                prop_assert_eq!(eager.inserted_edges(), deferred.inserted_edges());
             }
-            (Err((e_end, e_cycle)), Err((d_end, d_cycle))) => {
+            (Err((e_end, _)), Err((d_end, _))) => {
                 prop_assert_eq!(e_end, d_end, "violation surfaced at a different batch");
-                prop_assert_eq!(e_cycle, d_cycle, "witness cycles diverged");
             }
             (eager, deferred) => {
                 return Err(TestCaseError::fail(format!(

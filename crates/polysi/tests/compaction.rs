@@ -21,7 +21,7 @@ use polysi::checker::engine::{check, CompactMode, EngineOptions, IsolationLevel}
 use polysi::checker::{Outcome, StreamVerdict, StreamingChecker};
 use polysi::dbsim::corpus::{settled_prefix_late_anomaly, watermark_straddle_anomaly};
 use polysi::dbsim::testkit::conformance_corpus;
-use polysi::history::{History, SessionId, TxnId};
+use polysi::history::{History, HistoryBuilder, Key, SessionId, TxnId, Value};
 use proptest::prelude::*;
 
 /// The class name of an axiom violation (ids excluded: compaction
@@ -82,6 +82,17 @@ fn fence_engaged(checker: &StreamingChecker) -> bool {
     !checker.stream().facts().watermark_violations().is_empty()
 }
 
+/// What a replay exercised, summed over the compacting runs.
+#[derive(Default)]
+struct Engaged {
+    /// Transactions dropped by the watermark.
+    compacted: usize,
+    /// Resolved or delta edges the cached known graphs absorbed as
+    /// already implied (`prune.implied_edges`) — non-zero means the
+    /// watermark's forward closure ran over a *reduced* `poly.known`.
+    implied: u64,
+}
+
 /// Replay `h` along `order` into checkers for every `CompactMode`,
 /// sealing each session the moment its last transaction is pushed
 /// (sessions with `seal[s] == false` are never sealed, freezing their
@@ -95,7 +106,7 @@ fn assert_compaction_invisible(
     stops: &[usize],
     isolation: IsolationLevel,
     label: &str,
-) -> usize {
+) -> Engaged {
     let mk = |mode: CompactMode| {
         let opts = EngineOptions { compact: mode, interpret: false, ..Default::default() };
         let mut c = StreamingChecker::new(isolation, opts);
@@ -108,6 +119,13 @@ fn assert_compaction_invisible(
     let mut remaining: Vec<usize> = h.sessions().map(|s| s.txns.len()).collect();
     let mut next_stop = 0usize;
     let mut compacted = 0usize;
+    let engaged = |compacted: usize, on: &StreamingChecker, auto: &StreamingChecker| Engaged {
+        compacted,
+        implied: [on, auto]
+            .iter()
+            .map(|c| c.obs().metrics.counter("prune.implied_edges").total())
+            .sum(),
+    };
     for (i, &id) in order.iter().enumerate() {
         let txn = h.txn(id);
         let s = txn.session.0 as usize;
@@ -154,11 +172,11 @@ fn assert_compaction_invisible(
                 );
             }
             if matches!(cp_off.verdict, StreamVerdict::Rejected { .. }) {
-                return compacted;
+                return engaged(compacted, &on, &auto);
             }
         }
     }
-    compacted
+    engaged(compacted, &on, &auto)
 }
 
 fn session_major(h: &History) -> Vec<TxnId> {
@@ -315,9 +333,87 @@ fn watermark_templates_survive_every_mode() {
             &stops,
             IsolationLevel::Si,
             "watermark-template",
-        );
+        )
+        .compacted;
     }
     assert!(engaged > 0, "the settled-prefix replay must actually compact");
+}
+
+/// Waves of sealed sessions over a small key set: each wave opens with
+/// one read-modify-write of every key against the previous wave's final
+/// versions, then overwrites every key blindly `blind` times. Almost
+/// every edge pruning resolves is already implied by session order plus
+/// the wave-to-wave `WR` edges, so the cached `poly.known` stays a small
+/// fraction of the resolved set while the watermark drops each settled
+/// wave. With `anomaly`, two closing sessions lose an update on key 0.
+/// Returns the history and the checkpoint stops (one per wave).
+fn sealed_waves(waves: usize, keys: u64, blind: usize, anomaly: bool) -> (History, Vec<usize>) {
+    let mut b = HistoryBuilder::new();
+    let mut last = vec![Value::INIT; keys as usize];
+    let mut next = 1u64;
+    let mut fresh = || {
+        next += 1;
+        Value(next)
+    };
+    let (mut txns, mut stops) = (0usize, Vec::new());
+    for _ in 0..waves {
+        b.session();
+        b.begin();
+        for k in 0..keys {
+            let v = fresh();
+            b.read(Key(k), last[k as usize]).write(Key(k), v);
+            last[k as usize] = v;
+        }
+        b.commit();
+        for _ in 0..blind {
+            for k in 0..keys {
+                let v = fresh();
+                b.begin().write(Key(k), v).commit();
+                last[k as usize] = v;
+            }
+        }
+        txns += 1 + blind * keys as usize;
+        stops.push(txns);
+    }
+    if anomaly {
+        for _ in 0..2 {
+            b.session();
+            let v = fresh();
+            b.begin().read(Key(0), last[0]).write(Key(0), v).commit();
+        }
+        stops.push(txns + 2);
+    }
+    (b.build(), stops)
+}
+
+/// Compacted ≡ uncompacted over a *reduced* `poly.known`: the cached
+/// component polygraphs hold only the edges their oracle did not already
+/// imply, and the watermark's retained set is a forward closure over
+/// exactly that list. Every implied edge is covered by a typed-edge path,
+/// so the closure — and with it every later verdict — must match the run
+/// that never compacts: on the accepting waves, and when a lost update
+/// arrives above a watermark that has already dropped most of the stream.
+#[test]
+fn compaction_agrees_over_a_reduced_known_graph() {
+    for (isolation, anomaly) in [
+        (IsolationLevel::Si, false),
+        (IsolationLevel::Si, true),
+        (IsolationLevel::Ser, false),
+        (IsolationLevel::Ser, true),
+    ] {
+        let (h, stops) = sealed_waves(6, 3, 4, anomaly);
+        let seal = vec![true; h.num_sessions()];
+        let label = format!("sealed-waves/{isolation:?}/anomaly={anomaly}");
+        let engaged =
+            assert_compaction_invisible(&h, &session_major(&h), &seal, &stops, isolation, &label);
+        assert!(engaged.compacted > 0, "{label}: the settled waves must compact");
+        assert!(engaged.implied > 0, "{label}: no edge was implied — known was not reduced");
+        assert_eq!(
+            check(&h, isolation, &EngineOptions::default()).accepted(),
+            !anomaly,
+            "{label}: batch verdict"
+        );
+    }
 }
 
 // Property test: random seal masks, random session-order-respecting

@@ -44,8 +44,9 @@ fn fixture_path(name: &str) -> String {
 }
 
 /// Batch-check `h` with the given worker-pool sizes and return the
-/// registry's deterministic counter digest.
-fn batch_digest(h: &History, prune: PruneThreads, solve: SolveThreads) -> u64 {
+/// registry's deterministic counter digest, plus the count of resolved
+/// edges the reduced known graph did not materialise.
+fn batch_digest(h: &History, prune: PruneThreads, solve: SolveThreads) -> (u64, u64) {
     let opts = EngineOptions {
         sharding: Sharding::Auto,
         prune_threads: prune,
@@ -54,7 +55,7 @@ fn batch_digest(h: &History, prune: PruneThreads, solve: SolveThreads) -> u64 {
     };
     let obs = Obs::default();
     CheckEngine::new(IsolationLevel::Si, opts).with_obs(obs.clone()).check(h);
-    obs.metrics.counter_digest()
+    (obs.metrics.counter_digest(), obs.metrics.counter("prune.implied_edges").total())
 }
 
 /// Stream `h` in thirds with the given checkpoint pool and return the
@@ -84,8 +85,10 @@ fn stream_digest(h: &History, threads: CheckpointThreads) -> u64 {
 fn counter_digest_is_thread_count_invariant() {
     let corpus = conformance_corpus(0x00D1_6E57, 1, 6);
     assert!(corpus.len() >= 10, "corpus too small: {}", corpus.len());
+    let mut implied = 0u64;
     for case in &corpus {
         let base = batch_digest(&case.history, PruneThreads::Fixed(1), SolveThreads::Fixed(1));
+        implied += base.1;
         for (prune, solve) in [
             (PruneThreads::Fixed(4), SolveThreads::Fixed(1)),
             (PruneThreads::Fixed(1), SolveThreads::Fixed(4)),
@@ -99,6 +102,9 @@ fn counter_digest_is_thread_count_invariant() {
             );
         }
     }
+    // The digest covers `prune.implied_edges` only if the corpus makes it
+    // move: the reduced known graph must have absorbed something.
+    assert!(implied > 0, "corpus never exercised the reduced known graph");
 }
 
 #[test]
@@ -127,7 +133,7 @@ fn spans_cover_the_check_and_nest_the_stages() {
         let obs = Obs::enabled();
         let opts = EngineOptions { sharding: Sharding::Off, ..Default::default() };
         let t0 = std::time::Instant::now();
-        CheckEngine::new(IsolationLevel::Si, opts.clone()).with_obs(obs.clone()).check(&h);
+        CheckEngine::new(IsolationLevel::Si, opts).with_obs(obs.clone()).check(&h);
         let wall_us = t0.elapsed().as_micros() as u64;
         let covered = {
             let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
@@ -180,7 +186,8 @@ fn cli_check_report_json_round_trips() {
         .output()
         .expect("run check");
     assert!(out.status.success());
-    let v = parse(&String::from_utf8(out.stdout).unwrap()).expect("valid JSON");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let v = parse(&text).expect("valid JSON");
     assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v1"));
     for key in [
         "isolation",
@@ -202,6 +209,15 @@ fn cli_check_report_json_round_trips() {
         assert!(v.get(key).is_some(), "missing key {key}");
     }
     assert_eq!(v.get("accepted").and_then(Value::as_bool), Some(true));
+    // Append-only: `implied_edges` closes the prune object, after every
+    // key a v1 consumer already knows, and the registry carries its twin.
+    let prune = v.get("prune").expect("prune stats");
+    assert!(prune.get("incremental_edges").and_then(Value::as_u64).is_some());
+    assert!(prune.get("implied_edges").and_then(Value::as_u64).is_some());
+    let (inc, imp) = (text.find("\"incremental_edges\""), text.find("\"implied_edges\""));
+    assert!(inc.is_some() && inc < imp, "implied_edges must follow incremental_edges");
+    let counters = v.get("metrics").and_then(|m| m.get("counters")).expect("counters");
+    assert!(counters.get("prune.implied_edges").and_then(Value::as_u64).is_some());
 }
 
 #[test]
@@ -237,6 +253,11 @@ fn cli_stream_and_live_report_json_round_trip() {
         let cps = v.get("checkpoints").and_then(Value::as_array).expect("checkpoints");
         assert!(!cps.is_empty(), "{mode}: no checkpoints");
         assert!(v.get("final").is_some() && v.get("metrics").is_some());
+        let counters = v.get("metrics").and_then(|m| m.get("counters")).expect("counters");
+        assert!(
+            counters.get("prune.implied_edges").and_then(Value::as_u64).is_some(),
+            "{mode}: the registry snapshot must carry prune.implied_edges"
+        );
         if mode == "--live" {
             let ingest = v.get("ingest").expect("ingest counters");
             assert!(ingest.get("ingested").and_then(Value::as_u64).unwrap() > 0);

@@ -1,6 +1,6 @@
 //! Determinism of the parallel prune sweep: `--prune-threads 1` and
-//! `auto`/fixed-N must produce byte-identical verdicts, resolved-edge
-//! sets, and counterexample cycles across the conformance corpus — the
+//! `auto`/fixed-N must produce byte-identical verdicts, known-edge
+//! lists, and counterexample cycles across the conformance corpus — the
 //! sweep is read-only against the shared oracle and resolutions are
 //! applied in constraint order, so thread count is purely a performance
 //! knob. This suite is also CI's `--prune-threads auto` conformance run:
@@ -10,7 +10,9 @@ use polysi::checker::engine::{check, EngineOptions, IsolationLevel, PruneThreads
 use polysi::checker::Outcome;
 use polysi::dbsim::testkit::conformance_corpus;
 use polysi::history::Facts;
-use polysi::polygraph::{ConstraintMode, Polygraph, PruneOptions, PruneResult};
+use polysi::polygraph::{
+    ConstraintMode, OracleKind, Polygraph, PruneOptions, PruneResult, Semantics,
+};
 
 const SEED: u64 = 0xD15C_0C0A;
 
@@ -60,49 +62,76 @@ fn prune_threads_are_deterministic_across_corpus() {
     }
 }
 
-/// Polygraph-level: the resolved-edge *sets* (not just counts) are
-/// byte-identical for any thread count, and the incremental oracle agrees
-/// with the rebuild loop on every verdict.
+/// Polygraph-level: `Polygraph::known` after prune — the reduced list of
+/// materialised edges, not just its length — is byte-identical for every
+/// thread count, chunk size, and oracle representation, under SI and SER;
+/// and the incremental oracle agrees with the unreduced rebuild loop on
+/// every verdict and, on acceptance, on the surviving constraints.
 #[test]
 fn resolved_edge_sets_are_identical() {
     let mut violations = 0usize;
+    let mut reduced = 0usize;
     for case in corpus() {
         let facts = Facts::analyze(&case.history);
         if !facts.axioms_ok() {
             continue;
         }
-        let base = Polygraph::from_history(&case.history, &facts, ConstraintMode::Generalized);
-        let run = |opts: PruneOptions| {
-            let mut g = base.clone();
-            let witness = match g.prune_with(&opts) {
-                PruneResult::Pruned(_) => None,
-                PruneResult::Violation(c) => Some(c),
+        for semantics in [Semantics::Si, Semantics::Ser] {
+            let base = Polygraph::from_history_with(
+                &case.history,
+                &facts,
+                ConstraintMode::Generalized,
+                semantics,
+            );
+            let run = |opts: PruneOptions| {
+                let mut g = base.clone();
+                let witness = match g.prune_with(&opts) {
+                    PruneResult::Pruned(_) => None,
+                    PruneResult::Violation(c) => Some(c),
+                };
+                (witness, g.known, g.constraints)
             };
-            (witness, g.known, g.constraints.len())
-        };
-        let seq = run(PruneOptions::default());
-        for threads in [2usize, 4, 8] {
-            // parallel_min: 0 forces the threaded sweep on these small
-            // corpus worklists; the default size cutoff would otherwise
-            // route every case through the sequential fallback and compare
-            // sequential against sequential.
+            let seq = run(PruneOptions::default());
+            for threads in [2usize, 4, 8] {
+                // parallel_min: 0 forces the threaded sweep on these small
+                // corpus worklists; the default size cutoff would otherwise
+                // route every case through the sequential fallback and
+                // compare sequential against sequential.
+                for chunk_size in [0usize, 1, 7] {
+                    let opts =
+                        PruneOptions { threads, chunk_size, parallel_min: 0, ..Default::default() };
+                    assert!(
+                        seq == run(opts),
+                        "{}: {semantics:?} threads={threads} chunk={chunk_size} diverged",
+                        case.name
+                    );
+                }
+            }
+            for oracle in [OracleKind::Dense, OracleKind::Chains] {
+                let opts =
+                    PruneOptions { oracle, threads: 4, parallel_min: 0, ..Default::default() };
+                assert!(
+                    seq == run(opts),
+                    "{}: {semantics:?} oracle={oracle:?} diverged",
+                    case.name
+                );
+            }
+            let rebuild = run(PruneOptions { incremental: false, ..Default::default() });
             assert_eq!(
-                seq,
-                run(PruneOptions { threads, parallel_min: 0, ..Default::default() }),
-                "{}: threads={threads} diverged",
+                seq.0.is_some(),
+                rebuild.0.is_some(),
+                "{}: rebuild and incremental verdicts diverged",
                 case.name
             );
-        }
-        let rebuild = run(PruneOptions { incremental: false, ..Default::default() });
-        assert_eq!(
-            seq.0.is_some(),
-            rebuild.0.is_some(),
-            "{}: rebuild and incremental verdicts diverged",
-            case.name
-        );
-        if seq.0.is_some() {
-            violations += 1;
+            if seq.0.is_some() {
+                violations += 1;
+            } else {
+                assert!(seq.2 == rebuild.2, "{}: surviving constraints diverged", case.name);
+                assert!(seq.1.len() <= rebuild.1.len());
+                reduced += (seq.1.len() < rebuild.1.len()) as usize;
+            }
         }
     }
     assert!(violations > 0, "corpus exercised no prune-time violations");
+    assert!(reduced > 0, "corpus exercised no implied resolved edge");
 }
