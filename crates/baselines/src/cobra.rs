@@ -27,8 +27,8 @@
 //! pruning implementation so the two can be differentially tested against
 //! each other (see `tests/agreement.rs` and the conformance harness).
 
-use polysi_history::{Facts, History, TxnId};
-use polysi_polygraph::{Constraint, ConstraintMode, Edge, Label};
+use polysi_history::{Facts, History};
+use polysi_polygraph::{ConstraintMode, ConstraintSet, Edge, Label};
 use polysi_solver::{Lit, SolveResult, Solver};
 use std::collections::HashSet;
 
@@ -103,22 +103,8 @@ pub fn cobra_check_ser(h: &History, opts: &CobraOptions) -> (SerVerdict, CobraSt
     }
 
     // Constraints per key per writer pair (as in the polygraph).
-    let mut constraints: Vec<Constraint> = Vec::new();
-    for (&key, writers) in &facts.writers {
-        for (i, &t) in writers.iter().enumerate() {
-            for &s in &writers[i + 1..] {
-                let readers = |w: TxnId| facts.readers_of(key, w);
-                match opts.mode {
-                    ConstraintMode::Generalized => {
-                        constraints.push(Constraint::generalized(key, t, s, readers));
-                    }
-                    ConstraintMode::Plain => {
-                        constraints.extend(Constraint::plain(key, t, s, readers));
-                    }
-                }
-            }
-        }
-    }
+    let mut constraints =
+        ConstraintSet::from_facts(&facts, facts.writers.keys().copied(), opts.mode);
     stats.constraints = constraints.len();
 
     // Iterative reachability pruning over the plain known graph.
@@ -128,27 +114,30 @@ pub fn cobra_check_ser(h: &History, opts: &CobraOptions) -> (SerVerdict, CobraSt
                 // The known graph is already cyclic: not serializable.
                 return (SerVerdict::NotSerializable, stats);
             };
-            let mut changed = false;
-            let mut remaining = Vec::with_capacity(constraints.len());
-            for cons in constraints.drain(..) {
-                let bad = |side: &[Edge]| side.iter().any(|e| reach.contains(&(e.to.0, e.from.0)));
-                match (bad(&cons.either), bad(&cons.or)) {
-                    (true, true) => return (SerVerdict::NotSerializable, stats),
-                    (true, false) => {
-                        known.extend(cons.or.iter().copied());
-                        stats.resolved += 1;
-                        changed = true;
-                    }
-                    (false, true) => {
-                        known.extend(cons.either.iter().copied());
-                        stats.resolved += 1;
-                        changed = true;
-                    }
-                    (false, false) => remaining.push(cons),
+            let resolved_before = stats.resolved;
+            let mut contradiction = false;
+            constraints.retain(|_, cons| {
+                if contradiction {
+                    return true;
                 }
+                let bad = |side: &[Edge]| side.iter().any(|e| reach.contains(&(e.to.0, e.from.0)));
+                let forced = match (bad(cons.either), bad(cons.or)) {
+                    (true, true) => {
+                        contradiction = true;
+                        return true;
+                    }
+                    (true, false) => cons.or,
+                    (false, true) => cons.either,
+                    (false, false) => return true,
+                };
+                known.extend_from_slice(forced);
+                stats.resolved += 1;
+                false
+            });
+            if contradiction {
+                return (SerVerdict::NotSerializable, stats);
             }
-            constraints = remaining;
-            if !changed {
+            if stats.resolved == resolved_before {
                 break;
             }
         }
@@ -170,12 +159,12 @@ pub fn cobra_check_ser(h: &History, opts: &CobraOptions) -> (SerVerdict, CobraSt
                     .map(|e| if topo[e.from.idx()] < topo[e.to.idx()] { 1i64 } else { -1 })
                     .sum()
             };
-            solver.set_phase(var, score(&cons.either) >= score(&cons.or));
+            solver.set_phase(var, score(cons.either) >= score(cons.or));
         }
-        for e in &cons.either {
+        for e in cons.either {
             solver.add_symbolic_edge(s, e.from.0, e.to.0);
         }
-        for e in &cons.or {
+        for e in cons.or {
             solver.add_symbolic_edge(!s, e.from.0, e.to.0);
         }
     }

@@ -14,8 +14,8 @@
 //! Figure 6 measures. No GPU variant exists here (documented in
 //! EXPERIMENTS.md).
 
-use polysi_history::{Facts, History, TxnId};
-use polysi_polygraph::{Constraint, Edge, KnownGraph, KnownGraphResult, Label};
+use polysi_history::{Facts, History};
+use polysi_polygraph::{ConstraintMode, ConstraintSet, Edge, KnownGraph, KnownGraphResult, Label};
 use polysi_solver::{Lit, SolveResult, Solver};
 
 /// Outcome of a CobraSI run.
@@ -71,15 +71,8 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
         }
     }
 
-    let mut constraints: Vec<Constraint> = Vec::new();
-    for (&key, writers) in &facts.writers {
-        for (i, &t) in writers.iter().enumerate() {
-            for &s in &writers[i + 1..] {
-                constraints
-                    .extend(Constraint::plain(key, t, s, |w: TxnId| facts.readers_of(key, w)));
-            }
-        }
-    }
+    let mut constraints =
+        ConstraintSet::from_facts(&facts, facts.writers.keys().copied(), ConstraintMode::Plain);
     stats.constraints = constraints.len();
 
     // Cobra-style pruning: only the direct reachability rule, applied to
@@ -89,29 +82,32 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
             KnownGraphResult::Acyclic(g) => g,
             KnownGraphResult::Cyclic(_) => return (SiVerdict::NotSi, stats),
         };
-        let mut changed = false;
-        let mut remaining = Vec::with_capacity(constraints.len());
-        for cons in constraints.drain(..) {
+        let resolved_before = stats.resolved;
+        let mut contradiction = false;
+        constraints.retain(|_, cons| {
+            if contradiction {
+                return true;
+            }
             let bad = |side: &[Edge]| {
                 side.iter().any(|e| matches!(e.label, Label::Ww(_)) && kg.reaches(e.to, e.from))
             };
-            match (bad(&cons.either), bad(&cons.or)) {
-                (true, true) => return (SiVerdict::NotSi, stats),
-                (true, false) => {
-                    known.extend(cons.or.iter().copied());
-                    stats.resolved += 1;
-                    changed = true;
+            let forced = match (bad(cons.either), bad(cons.or)) {
+                (true, true) => {
+                    contradiction = true;
+                    return true;
                 }
-                (false, true) => {
-                    known.extend(cons.either.iter().copied());
-                    stats.resolved += 1;
-                    changed = true;
-                }
-                (false, false) => remaining.push(cons),
-            }
+                (true, false) => cons.or,
+                (false, true) => cons.either,
+                (false, false) => return true,
+            };
+            known.extend_from_slice(forced);
+            stats.resolved += 1;
+            false
+        });
+        if contradiction {
+            return (SiVerdict::NotSi, stats);
         }
-        constraints = remaining;
-        if !changed {
+        if stats.resolved == resolved_before {
             break;
         }
     }
@@ -154,12 +150,12 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
                     .map(|e| if topo[e.from.idx()] < topo[e.to.idx()] { 1i64 } else { -1 })
                     .sum()
             };
-            solver.set_phase(var, score(&cons.either) >= score(&cons.or));
+            solver.set_phase(var, score(cons.either) >= score(cons.or));
         }
-        for e in &cons.either {
+        for e in cons.either {
             add_sym(&mut solver, s, e);
         }
-        for e in &cons.or {
+        for e in cons.or {
             add_sym(&mut solver, !s, e);
         }
     }

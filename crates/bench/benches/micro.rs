@@ -32,6 +32,16 @@ fn bench_construct(c: &mut Criterion) {
             b.iter(|| Polygraph::from_history(&h, &facts, ConstraintMode::Generalized))
         });
     }
+    // The benchmark's `batch_general` shape (paper defaults, 20 × 500):
+    // ~570 k constraints over ~3 M edges, where the constraint store is
+    // what construction costs.
+    let plan = generate(&GeneralParams { txns_per_session: 500, ..Default::default() });
+    let h = run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, 42)).history;
+    let facts = Facts::analyze(&h);
+    g.sample_size(10);
+    g.bench_with_input(BenchmarkId::from_parameter("batch_general-20x500"), &(), |b, _| {
+        b.iter(|| Polygraph::from_history(&h, &facts, ConstraintMode::Generalized))
+    });
     g.finish();
 }
 

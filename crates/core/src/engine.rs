@@ -764,11 +764,11 @@ pub(crate) fn encode(
         if let Some(topo) = &topo {
             solver.set_phase(var, phase_along_topo(topo, cons, semantics));
         }
-        for e in &cons.either {
+        for e in cons.either {
             add_symbolic(&mut solver, n, s, e, semantics);
             encode_stats.symbolic_edges += edge_count(e, semantics);
         }
-        for e in &cons.or {
+        for e in cons.or {
             add_symbolic(&mut solver, n, !s, e, semantics);
             encode_stats.symbolic_edges += edge_count(e, semantics);
         }
@@ -786,8 +786,7 @@ pub(crate) fn extract_cycle(g: &Polygraph) -> Vec<Edge> {
     for either in [true, false] {
         let mut edges = g.known.clone();
         for c in &g.constraints {
-            let side = if either { &c.either } else { &c.or };
-            edges.extend(side.iter().copied());
+            edges.extend_from_slice(if either { c.either } else { c.or });
         }
         if let KnownGraphResult::Cyclic(cycle) = KnownGraph::build_with(g.n, &edges, g.semantics) {
             if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
@@ -801,14 +800,18 @@ pub(crate) fn extract_cycle(g: &Polygraph) -> Vec<Edge> {
 /// Prefer the constraint side whose edges agree with the known topological
 /// order. Under SI only `WW` edges vote (the `RW` companions follow them);
 /// under SER every edge is a plain edge and votes.
-fn phase_along_topo(topo: &[u32], cons: &polysi_polygraph::Constraint, sem: Semantics) -> bool {
+fn phase_along_topo(
+    topo: &[u32],
+    cons: polysi_polygraph::ConstraintRef<'_>,
+    sem: Semantics,
+) -> bool {
     let agreement = |side: &[Edge]| -> i64 {
         side.iter()
             .filter(|e| sem == Semantics::Ser || matches!(e.label, Label::Ww(_)))
             .map(|e| if topo[e.from.idx()] < topo[e.to.idx()] { 1i64 } else { -1 })
             .sum()
     };
-    agreement(&cons.either) >= agreement(&cons.or)
+    agreement(cons.either) >= agreement(cons.or)
 }
 
 /// Theory edges contributed by one typed edge.

@@ -13,7 +13,7 @@
 //!    search the paper itself reports sufficient in practice).
 
 use polysi_history::{Facts, History, Key, TxnId, WrSource};
-use polysi_polygraph::{Constraint, Edge, Label};
+use polysi_polygraph::{ConstraintSet, Edge, Label};
 use std::collections::HashSet;
 
 /// Whether a scenario dependency is established or still a guess.
@@ -143,15 +143,17 @@ pub fn interpret(h: &History, facts: &Facts, cycle: &[Edge]) -> Scenario {
         let mut progressed = false;
         let mut still = Vec::new();
         for (key, t, s) in unresolved.drain(..) {
-            let cons = Constraint::generalized(key, t, s, |w| facts.readers_of(key, w));
-            let wit_either = side_witness(&graph, &cons.either);
-            let wit_or = side_witness(&graph, &cons.or);
+            let mut pair = ConstraintSet::new();
+            pair.push_generalized(key, t, s, facts.readers_of(key, t), facts.readers_of(key, s));
+            let cons = pair.get(0);
+            let wit_either = side_witness(&graph, cons.either);
+            let wit_or = side_witness(&graph, cons.or);
             // On a violation both sides may be blocked; pick the `either`
             // orientation so the scenario stays deterministic.
             let resolution = match (&wit_either, &wit_or) {
-                (None, Some(w)) => Some((&cons.either, w.clone())),
-                (Some(w), None) => Some((&cons.or, w.clone())),
-                (Some(_), Some(w)) => Some((&cons.either, w.clone())),
+                (None, Some(w)) => Some((cons.either, w.clone())),
+                (Some(w), None) => Some((cons.or, w.clone())),
+                (Some(_), Some(w)) => Some((cons.either, w.clone())),
                 (None, None) => None,
             };
             if let Some((side, witness)) = resolution {

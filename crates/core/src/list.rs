@@ -10,7 +10,7 @@
 
 use crate::anomaly::Anomaly;
 use polysi_history::{Key, TxnId, TxnStatus, Value};
-use polysi_polygraph::{Constraint, Edge, KnownGraph, KnownGraphResult, Label};
+use polysi_polygraph::{ConstraintSet, Edge, KnownGraph, KnownGraphResult, Label};
 use polysi_solver::{Lit, SolveResult, Solver};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -275,15 +275,15 @@ fn run(h: &ListHistory) -> Result<(), ListViolation> {
     }
 
     // Constraints: mutual orders of unobserved appenders per key.
-    let mut constraints: Vec<Constraint> = Vec::new();
+    let mut constraints = ConstraintSet::new();
     for (&key, ws) in &unobserved {
         for (i, &t) in ws.iter().enumerate() {
             for &s2 in &ws[i + 1..] {
-                constraints.push(Constraint {
+                constraints.push(
                     key,
-                    either: vec![Edge::new(t, s2, Label::Ww(key))],
-                    or: vec![Edge::new(s2, t, Label::Ww(key))],
-                });
+                    [Edge::new(t, s2, Label::Ww(key))],
+                    [Edge::new(s2, t, Label::Ww(key))],
+                );
             }
         }
     }
@@ -313,7 +313,7 @@ fn run(h: &ListHistory) -> Result<(), ListViolation> {
         // ids): a consistent per-key total order, so the first assignment
         // is near-acyclic.
         solver.set_phase(var, true);
-        for (guard, side) in [(sel, &cons.either), (!sel, &cons.or)] {
+        for (guard, side) in [(sel, cons.either), (!sel, cons.or)] {
             for e in side {
                 let (f, t) = (e.from.0, e.to.0);
                 solver.add_symbolic_edge(guard, f, t);
@@ -327,7 +327,7 @@ fn run(h: &ListHistory) -> Result<(), ListViolation> {
             // Every resolution is cyclic; materialize one for the witness.
             let mut all = edges;
             for cons in &constraints {
-                all.extend(cons.either.iter().copied());
+                all.extend_from_slice(cons.either);
             }
             match KnownGraph::build(n, &all) {
                 KnownGraphResult::Cyclic(cycle) => {

@@ -330,11 +330,9 @@ fn rank_selectors(g: &Polygraph, deg: &[u32]) -> Vec<usize> {
 /// endpoint counts over the constraint edges alone.
 fn derive_degrees(g: &Polygraph) -> Vec<u32> {
     let mut d = vec![0u32; g.n];
-    for cons in &g.constraints {
-        for e in cons.either.iter().chain(&cons.or) {
-            d[e.from.idx()] += 1;
-            d[e.to.idx()] += 1;
-        }
+    for e in g.constraints.edges() {
+        d[e.from.idx()] += 1;
+        d[e.to.idx()] += 1;
     }
     d
 }
@@ -342,12 +340,7 @@ fn derive_degrees(g: &Polygraph) -> Vec<u32> {
 /// One selector's ranking score: summed transaction degree over its
 /// constraint's edge endpoints.
 fn selector_score(g: &Polygraph, deg: &[u32], ci: usize) -> u64 {
-    let cons = &g.constraints[ci];
-    cons.either
-        .iter()
-        .chain(&cons.or)
-        .map(|e| deg[e.from.idx()] as u64 + deg[e.to.idx()] as u64)
-        .sum()
+    g.constraints.get(ci).edges().map(|e| deg[e.from.idx()] as u64 + deg[e.to.idx()] as u64).sum()
 }
 
 /// What one cube/portfolio unit reported.
@@ -544,7 +537,7 @@ fn finish_units(
 mod tests {
     use super::*;
     use polysi_history::TxnId;
-    use polysi_polygraph::{Constraint, Edge, Label, Semantics};
+    use polysi_polygraph::{ConstraintSet, Edge, Label, Semantics};
 
     fn ww(f: u32, t: u32) -> Edge {
         Edge::new(TxnId(f), TxnId(t), Label::Ww(polysi_history::Key(0)))
@@ -553,13 +546,10 @@ mod tests {
     /// A polygraph whose solver instance is SAT: a ring of WW choices
     /// (acyclic orientations exist).
     fn ring(n: u32) -> Polygraph {
-        let constraints = (0..n)
-            .map(|i| Constraint {
-                key: polysi_history::Key(0),
-                either: vec![ww(i, (i + 1) % n)],
-                or: vec![ww((i + 1) % n, i)],
-            })
-            .collect();
+        let mut constraints = ConstraintSet::new();
+        for i in 0..n {
+            constraints.push(polysi_history::Key(0), [ww(i, (i + 1) % n)], [ww((i + 1) % n, i)]);
+        }
         Polygraph { n: n as usize, known: Vec::new(), constraints, semantics: Semantics::Si }
     }
 
@@ -670,17 +660,12 @@ mod tests {
         // Tie-break: equal scores rank by index (derived degrees).
         assert_eq!(rank_selectors(&g, &derive_degrees(&g))[0], 0);
         // A hub transaction boosts every constraint touching it.
-        g.constraints.push(Constraint {
-            key: polysi_history::Key(1),
-            either: vec![ww(0, 4)],
-            or: vec![ww(4, 0)],
-        });
+        g.constraints.push(polysi_history::Key(1), [ww(0, 4)], [ww(4, 0)]);
         let degrees: Vec<u32> = (0..8).map(|i| if i == 4 { 100 } else { 1 }).collect();
         let ranked = rank_selectors(&g, &degrees);
         let top = ranked[0];
         let touches_hub = |ci: usize| {
-            let c = &g.constraints[ci];
-            c.either.iter().chain(&c.or).any(|e| e.from == TxnId(4) || e.to == TxnId(4))
+            g.constraints.get(ci).edges().any(|e| e.from == TxnId(4) || e.to == TxnId(4))
         };
         assert!(touches_hub(top), "top selector must touch the high-degree txn");
     }

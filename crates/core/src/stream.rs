@@ -70,7 +70,7 @@ use polysi_history::{
 };
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
-    Constraint, ConstraintMode, Edge, KnownGraph, Label, Polygraph, PruneOptions, PruneResult,
+    ConstraintMode, ConstraintSet, Edge, KnownGraph, Label, Polygraph, PruneOptions, PruneResult,
     PruneStats,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -588,11 +588,9 @@ impl StreamingChecker {
                     mark(state.local(w).0, &mut keep, &mut stack);
                 }
             }
-            for c in &state.poly.constraints {
-                for e in c.either.iter().chain(c.or.iter()) {
-                    mark(e.from.0, &mut keep, &mut stack);
-                    mark(e.to.0, &mut keep, &mut stack);
-                }
+            for e in state.poly.constraints.edges() {
+                mark(e.from.0, &mut keep, &mut stack);
+                mark(e.to.0, &mut keep, &mut stack);
             }
             // Non-committed transactions never settle: their writes stay
             // readable forever (an aborted read is a terminal, monotone
@@ -840,19 +838,15 @@ impl StreamingChecker {
             return false; // terminal; the canonical witness comes from batch
         }
 
-        // Fresh constraints for the new writer pairs.
-        let mut new_constraints: Vec<Constraint> = Vec::new();
-        let localize = |c: &mut Constraint, touched: &mut [bool], state: &ComponentState| {
-            for e in c.either.iter_mut().chain(c.or.iter_mut()) {
-                *e = state.local_edge(*e);
-                touched[e.from.idx()] = true;
-                touched[e.to.idx()] = true;
-            }
+        // Fresh constraints for the new writer pairs (global ids until
+        // the whole batch is localized below).
+        let mut new_constraints = ConstraintSet::new();
+        let mut generate = |key: Key, t: TxnId, s: TxnId| {
+            let (rt, rs) = (facts.readers_of(key, t), facts.readers_of(key, s));
+            new_constraints.push_generalized(key, t, s, rt, rs);
         };
         for &(key, t, s) in &new_pairs {
-            let mut c = Constraint::generalized(key, t, s, |w| facts.readers_of(key, w));
-            localize(&mut c, &mut touched, state);
-            new_constraints.push(c);
+            generate(key, t, s);
         }
 
         // Reader growth against pre-existing pairs: decided pairs take the
@@ -901,7 +895,7 @@ impl StreamingChecker {
         // sets (re-resolution is impossible here — neither direction is
         // reachable — so no duplicate work is queued).
         if !regen.is_empty() {
-            state.poly.constraints.retain(|c| {
+            state.poly.constraints.retain(|_, c| {
                 let ww = c.either[0];
                 debug_assert!(matches!(ww.label, Label::Ww(_)));
                 let (t, s) = (state.txns[ww.from.idx()], state.txns[ww.to.idx()]);
@@ -909,10 +903,13 @@ impl StreamingChecker {
                 !regen.contains(&pair)
             });
             for &(key, t, s) in &regen {
-                let mut c = Constraint::generalized(key, t, s, |w| facts.readers_of(key, w));
-                localize(&mut c, &mut touched, state);
-                new_constraints.push(c);
+                generate(key, t, s);
             }
+        }
+        new_constraints.remap(|t| state.local(t));
+        for e in new_constraints.edges() {
+            touched[e.from.idx()] = true;
+            touched[e.to.idx()] = true;
         }
         state.poly.constraints.extend(new_constraints);
 

@@ -8,8 +8,9 @@
 //! This crate provides:
 //!
 //! * [`Edge`]/[`Label`] — typed dependency edges;
-//! * [`Constraint`] — generalized (Definition 9) and plain (Definition 8)
-//!   constraints;
+//! * [`ConstraintSet`] — generalized (Definition 9) and plain
+//!   (Definition 8) constraints in one flat edge arena, read through
+//!   borrowed [`ConstraintRef`] views;
 //! * [`Polygraph::from_history`] — construction from a history's
 //!   [`polysi_history::Facts`];
 //! * [`Polygraph::prune`] — the paper's Algorithm 1: iteratively resolve
@@ -29,7 +30,7 @@ mod edge;
 mod graph;
 mod polygraph;
 
-pub use constraint::Constraint;
+pub use constraint::{ConstraintRef, ConstraintSet};
 pub use edge::{Edge, Label};
 pub use graph::{KnownGraph, KnownGraphResult, OracleKind};
 pub use polygraph::{ConstraintMode, Polygraph, PruneOptions, PruneResult, PruneStats, Semantics};

@@ -2,7 +2,7 @@
 //! (Section 4.3, Algorithm 1), for both SI and SER edge semantics and for
 //! whole histories as well as key-connectivity shards.
 
-use crate::constraint::Constraint;
+use crate::constraint::ConstraintSet;
 use crate::edge::{Edge, Label};
 use crate::graph::{KnownGraph, KnownGraphResult, OracleKind};
 use polysi_history::{Facts, History, ShardComponent, TxnId, WrSource};
@@ -54,7 +54,7 @@ pub struct Polygraph {
     /// edges.
     pub known: Vec<Edge>,
     /// Unresolved constraints.
-    pub constraints: Vec<Constraint>,
+    pub constraints: ConstraintSet,
     /// Edge-composition semantics used by pruning and reachability.
     pub semantics: Semantics,
 }
@@ -229,7 +229,7 @@ impl Polygraph {
 
     /// Total uncertain dependency edges across unresolved constraints.
     pub fn unknown_deps(&self) -> usize {
-        self.constraints.iter().map(Constraint::num_edges).sum()
+        self.constraints.num_edges()
     }
 
     /// Apply a watermark-compaction id map (`u32::MAX` = dropped, as
@@ -237,25 +237,20 @@ impl Polygraph {
     /// endpoint disappear, surviving edges and constraints are renumbered,
     /// and the vertex count shrinks to `n2`. The caller guarantees no
     /// live constraint references a dropped transaction — the watermark
-    /// guard retains every constraint endpoint.
+    /// guard retains every constraint endpoint — and a violated guard
+    /// panics here, at the cause.
     pub fn compact(&mut self, map: &[u32], n2: usize) {
         debug_assert_eq!(map.len(), self.n);
         self.known.retain(|e| map[e.from.idx()] != u32::MAX && map[e.to.idx()] != u32::MAX);
-        let remap = |e: &mut Edge| {
+        for e in &mut self.known {
             e.from = TxnId(map[e.from.idx()]);
             e.to = TxnId(map[e.to.idx()]);
-        };
-        self.known.iter_mut().for_each(remap);
-        for cons in &mut self.constraints {
-            debug_assert!(
-                cons.either
-                    .iter()
-                    .chain(&cons.or)
-                    .all(|e| map[e.from.idx()] != u32::MAX && map[e.to.idx()] != u32::MAX),
-                "live constraint references a compacted transaction"
-            );
-            cons.either.iter_mut().chain(cons.or.iter_mut()).for_each(remap);
         }
+        self.constraints.remap(|t| {
+            let to = map[t.idx()];
+            assert!(to != u32::MAX, "live constraint references compacted transaction {t}");
+            TxnId(to)
+        });
         self.n = n2;
     }
 
@@ -402,6 +397,7 @@ impl Polygraph {
         let full_first = seed.is_none();
         let mut touched_now = vec![false; self.n];
         let mut work: Vec<u32> = Vec::with_capacity(self.constraints.len());
+        let mut resolved: Vec<bool> = Vec::new();
         loop {
             let t_pass = Instant::now();
             stats.iterations += 1;
@@ -423,22 +419,16 @@ impl Polygraph {
             );
             let outcomes = sweep(&kg, &self.constraints, &work, semantics, opts);
             touched_now.iter_mut().for_each(|t| *t = false);
-            let mut resolved = vec![false; self.constraints.len()];
-            let mut changed = false;
+            resolved.clear();
+            resolved.resize(self.constraints.len(), false);
+            let mut resolved_count = 0usize;
             let known_before = self.known.len();
             let mut resolved_edges = 0usize;
             for chunk in outcomes {
                 let mut survivors = chunk.edges.as_slice();
-                for (idx, res) in chunk.resolutions {
-                    let (either, kept) = match res {
-                        Resolution::Contradiction { witness } => {
-                            // Neither possibility can hold (line 57/65).
-                            return (PruneResult::Violation(witness), None);
-                        }
-                        Resolution::Forced { either, kept } => (either, kept as usize),
-                    };
-                    let cons = &self.constraints[idx as usize];
-                    let side = if either { &cons.either } else { &cons.or };
+                for forced in chunk.forced {
+                    let cons = self.constraints.get(forced.idx as usize);
+                    let side = if forced.either() { cons.either } else { cons.or };
                     // The whole side marks the next worklist, implied
                     // edges included: what gets re-tested must not depend
                     // on what happened to be materialised.
@@ -447,7 +437,7 @@ impl Polygraph {
                         touched_now[e.to.idx()] = true;
                     }
                     resolved_edges += side.len();
-                    let (mine, rest) = survivors.split_at(kept);
+                    let (mine, rest) = survivors.split_at(forced.kept());
                     survivors = rest;
                     if !opts.incremental {
                         self.known.extend_from_slice(side);
@@ -457,22 +447,22 @@ impl Polygraph {
                         // surfaces the violating cycle.
                         return (PruneResult::Violation(cycle), None);
                     }
-                    resolved[idx as usize] = true;
-                    changed = true;
+                    resolved[forced.idx as usize] = true;
+                    resolved_count += 1;
+                }
+                if let Some(witness) = chunk.contradiction {
+                    // Neither possibility can hold (line 57/65).
+                    return (PruneResult::Violation(witness), None);
                 }
             }
+            let changed = resolved_count > 0;
             stats.implied_edges += resolved_edges - (self.known.len() - known_before);
-            pass_span.attr("resolved", resolved.iter().filter(|&&r| r).count());
+            pass_span.attr("resolved", resolved_count);
             // One closure propagation for what the apply phase left
             // staged, from the frontier of everything just inserted.
             kg.flush_closure();
             if changed {
-                let mut i = 0;
-                self.constraints.retain(|_| {
-                    let keep = !resolved[i];
-                    i += 1;
-                    keep
-                });
+                self.constraints.retain(|i, _| !resolved[i]);
             }
             // The rebuild-mode oracle refresh belongs to the pass whose
             // resolutions made it necessary, so it runs before the pass
@@ -509,55 +499,81 @@ impl Polygraph {
 }
 
 /// What the sweep decided about one constraint, against the shared
-/// read-only oracle of the pass. Constraints with neither side impossible
-/// emit nothing — they simply survive — so on accepting workloads (where
-/// most tests are inconclusive) the sweep output stays small.
-enum Resolution {
-    /// Exactly one side is impossible: the other (`either`?) is forced.
-    /// `kept` of its edges are not implied by the pass oracle; they are
-    /// the next `kept` entries of the chunk's [`ChunkOut::edges`].
-    Forced { either: bool, kept: u32 },
-    /// Both sides are impossible; `witness` is the violating cycle of the
-    /// `either` side.
-    Contradiction { witness: Vec<Edge> },
+/// read-only oracle of the pass: exactly one side is impossible, so the
+/// other is forced. Constraints with neither side impossible emit nothing
+/// — they simply survive — so on accepting workloads (where most tests are
+/// inconclusive) the sweep output stays small; eight bytes per entry keep
+/// it small on the first pass too, where nearly everything resolves while
+/// the full constraint store is still live.
+#[derive(Clone, Copy)]
+struct Forced {
+    /// Index of the constraint.
+    idx: u32,
+    /// `kept << 1 | either`.
+    packed: u32,
+}
+
+impl Forced {
+    fn new(idx: u32, either: bool, kept: usize) -> Self {
+        let packed = u32::try_from(kept << 1 | either as usize)
+            .expect("a constraint side is addressed by u32 arena offsets");
+        Forced { idx, packed }
+    }
+
+    /// Whether the forced side is `either` (else `or`).
+    fn either(self) -> bool {
+        self.packed & 1 == 1
+    }
+
+    /// How many of the forced side's edges the pass oracle does not
+    /// imply: the next `kept` entries of the chunk's [`ChunkOut::edges`].
+    fn kept(self) -> usize {
+        (self.packed >> 1) as usize
+    }
 }
 
 /// One sweep chunk's output, in worklist order.
 #[derive(Default)]
 struct ChunkOut {
-    /// The decided constraints (index, resolution).
-    resolutions: Vec<(u32, Resolution)>,
+    /// The decided constraints.
+    forced: Vec<Forced>,
     /// The forced sides' not-yet-implied edges, back to back — one flat
     /// buffer per chunk rather than a `Vec` per constraint.
     edges: Vec<Edge>,
+    /// The violating cycle of the `either` side of the chunk's first
+    /// constraint with both sides impossible. The chunk ends there: the
+    /// apply phase stops at a contradiction, so nothing after it is read.
+    contradiction: Option<Vec<Edge>>,
 }
 
 /// Test the constraints `work` against the oracle (read-only), in order.
 fn test_chunk(
     kg: &KnownGraph,
-    constraints: &[Constraint],
+    constraints: &ConstraintSet,
     work: &[u32],
     semantics: Semantics,
 ) -> ChunkOut {
     let mut out = ChunkOut::default();
     for &i in work {
-        let cons = &constraints[i as usize];
-        let bad_either = side_impossible(kg, &cons.either, semantics);
-        let bad_or = side_impossible(kg, &cons.or, semantics);
-        let res = match (bad_either, bad_or) {
-            (false, false) => continue,
-            (true, true) => Resolution::Contradiction {
-                witness: witness_cycle(kg, &cons.either, semantics)
-                    .expect("side_impossible implies a witness"),
-            },
+        let cons = constraints.get(i as usize);
+        let bad_either = side_impossible(kg, cons.either, semantics);
+        let bad_or = side_impossible(kg, cons.or, semantics);
+        match (bad_either, bad_or) {
+            (false, false) => {}
+            (true, true) => {
+                out.contradiction = Some(
+                    witness_cycle(kg, cons.either, semantics)
+                        .expect("side_impossible implies a witness"),
+                );
+                break;
+            }
             (bad_either, _) => {
-                let side = if bad_either { &cons.or } else { &cons.either };
+                let side = if bad_either { cons.or } else { cons.either };
                 let from = out.edges.len();
                 out.edges.extend(side.iter().filter(|&&e| !kg.implies(e)));
-                Resolution::Forced { either: !bad_either, kept: (out.edges.len() - from) as u32 }
+                out.forced.push(Forced::new(i, !bad_either, out.edges.len() - from));
             }
-        };
-        out.resolutions.push((i, res));
+        }
     }
     out
 }
@@ -581,7 +597,7 @@ const PARALLEL_SWEEP_MIN: usize = 8192;
 /// in sequence is identical to the sequential sweep.
 fn sweep(
     kg: &KnownGraph,
-    constraints: &[Constraint],
+    constraints: &ConstraintSet,
     work: &[u32],
     semantics: Semantics,
     opts: &PruneOptions,
@@ -690,23 +706,8 @@ fn build_polygraph_from(
         }
     }
     // Constraints per key per writer pair.
-    let mut constraints = Vec::new();
-    for key in component_keys(&facts.writers, comp) {
-        let writers = &facts.writers[&key];
-        for (i, &t) in writers.iter().enumerate() {
-            for &s in &writers[i + 1..] {
-                let readers = |w: TxnId| facts.readers_of(key, w);
-                match mode {
-                    ConstraintMode::Generalized => {
-                        constraints.push(Constraint::generalized(key, t, s, readers));
-                    }
-                    ConstraintMode::Plain => {
-                        constraints.extend(Constraint::plain(key, t, s, readers));
-                    }
-                }
-            }
-        }
-    }
+    let mut constraints =
+        ConstraintSet::from_facts(facts, component_keys(&facts.writers, comp), mode);
     // Translate to component-local vertex ids.
     if let Some(c) = comp {
         let local = |t: TxnId| c.local(t).expect("edge endpoint outside its component");
@@ -714,12 +715,7 @@ fn build_polygraph_from(
             e.from = local(e.from);
             e.to = local(e.to);
         }
-        for cons in &mut constraints {
-            for e in cons.either.iter_mut().chain(cons.or.iter_mut()) {
-                e.from = local(e.from);
-                e.to = local(e.to);
-            }
-        }
+        constraints.remap(local);
     }
     Polygraph { n, known, constraints, semantics }
 }
@@ -1059,6 +1055,33 @@ mod tests {
             }
             PruneResult::Violation(c) => panic!("serial chain flagged: {c:?}"),
         }
+    }
+
+    /// T0 -SO-> T1, with T1-vs-T2 on x still open.
+    fn open_pair() -> Polygraph {
+        let ww = |f, t| Edge::new(TxnId(f), TxnId(t), Label::Ww(k(1)));
+        let mut constraints = ConstraintSet::new();
+        constraints.push(k(1), [ww(1, 2)], [ww(2, 1)]);
+        let known = vec![Edge::new(TxnId(0), TxnId(1), Label::So)];
+        Polygraph { n: 3, known, constraints, semantics: Semantics::Si }
+    }
+
+    #[test]
+    fn compact_drops_and_renumbers() {
+        let mut g = open_pair();
+        g.compact(&[u32::MAX, 0, 1], 2);
+        assert_eq!(g.n, 2);
+        assert!(g.known.is_empty(), "the SO edge lost its source: {:?}", g.known);
+        let c = g.constraints.get(0);
+        assert_eq!((c.either[0].from, c.either[0].to), (TxnId(0), TxnId(1)));
+        assert_eq!((c.or[0].from, c.or[0].to), (TxnId(1), TxnId(0)));
+    }
+
+    /// A violated watermark guard fails at the cause, in every profile.
+    #[test]
+    #[should_panic(expected = "live constraint references compacted transaction T1")]
+    fn compact_refuses_to_drop_a_constraint_endpoint() {
+        open_pair().compact(&[0, u32::MAX, 1], 2);
     }
 
     #[test]

@@ -16,6 +16,16 @@ fn demo_emits_parseable_history_and_violation() {
     // The emitted history parses back.
     let body: String = text.lines().filter(|l| !l.starts_with('#')).collect::<Vec<_>>().join("\n");
     polysi::history::codec::decode(&body).expect("demo output is valid history text");
+    // `check` rejects it with exit 1 (violation) specifically — exit 2
+    // would be a parse error — whole-history and sharded alike.
+    let dir = std::env::temp_dir().join("polysi-cli-test-demo");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("demo.txt");
+    std::fs::write(&path, body).unwrap();
+    for extra in [&[][..], &["--shards", "auto"][..]] {
+        let out = bin().arg("check").arg(&path).args(extra).output().expect("run check");
+        assert_eq!(out.status.code(), Some(1), "check {extra:?} on the demo history");
+    }
 }
 
 #[test]
@@ -317,7 +327,45 @@ fn solver_stress_fixtures_decide_at_the_solve_stage() {
             .output()
             .expect("run ser check");
         assert_eq!(out.status.code(), Some(0), "clique/{threads} must stay serializable");
+        let out = bin()
+            .arg("check")
+            .arg(dir.join("solver_stress_lattice.txt"))
+            .args(["--solve-threads", threads])
+            .output()
+            .expect("run si check");
+        assert_eq!(out.status.code(), Some(0), "lattice/{threads} must stay SI");
     }
+}
+
+/// `--reach-oracle` is a pure representation knob: the chain-stress
+/// fixtures keep their verdicts under every oracle kind, and the chain
+/// oracle composes with `--stream`.
+#[test]
+fn reach_oracle_flag_preserves_fixture_verdicts() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for oracle in ["dense", "chains", "auto"] {
+        for (file, code) in
+            [("session_braid.txt", 1), ("monolithic_session.txt", 1), ("serializable.txt", 0)]
+        {
+            let out = bin()
+                .arg("check")
+                .arg(dir.join(file))
+                .args(["--reach-oracle", oracle])
+                .output()
+                .expect("run check");
+            assert_eq!(out.status.code(), Some(code), "{file} --reach-oracle {oracle}");
+        }
+    }
+    let out = bin()
+        .arg("check")
+        .arg(dir.join("shard_disjoint_components.txt"))
+        .args(["--reach-oracle", "chains", "--stream"])
+        .output()
+        .expect("run stream check");
+    assert_eq!(out.status.code(), Some(0), "--reach-oracle chains --stream");
+    let out =
+        bin().args(["check", "/nonexistent", "--reach-oracle", "sparse"]).output().expect("run");
+    assert_eq!(out.status.code(), Some(2), "bad --reach-oracle must be a usage error");
 }
 
 /// The serializability mode: SER rejects SI-acceptable write skew and the
@@ -371,11 +419,14 @@ fn shards_auto_reports_partition() {
     assert!(stdout.contains("CrossShardSessions"), "{stdout}");
 }
 
-/// Every fixture parses, and `polysi stats` succeeds on it regardless of
-/// the verdict.
+/// Every fixture parses, `polysi stats` succeeds on it regardless of the
+/// verdict, and `polysi convert` takes it text → binary → text → binary
+/// with byte-identical binary output (both encoders are deterministic).
 #[test]
 fn fixture_corpus_parses_and_has_stats() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let tmp = std::env::temp_dir().join("polysi-cli-test-fixture-convert");
+    std::fs::create_dir_all(&tmp).unwrap();
     let mut count = 0;
     for entry in std::fs::read_dir(&dir).expect("fixtures dir") {
         let path = entry.unwrap().path();
@@ -388,6 +439,17 @@ fn fixture_corpus_parses_and_has_stats() {
         let out = bin().arg("stats").arg(&path).output().expect("run stats");
         assert!(out.status.success(), "{}", path.display());
         assert!(String::from_utf8_lossy(&out.stdout).contains("txns"));
+        let (pbh, txt, pbh2) = (tmp.join("a.pbh"), tmp.join("a.txt"), tmp.join("b.pbh"));
+        for (from, to) in [(&path, &pbh), (&pbh, &txt), (&txt, &pbh2)] {
+            let out = bin().arg("convert").arg(from).arg(to).output().expect("run convert");
+            assert!(out.status.success(), "{}: convert to {}", path.display(), to.display());
+        }
+        assert_eq!(
+            std::fs::read(&pbh).unwrap(),
+            std::fs::read(&pbh2).unwrap(),
+            "{}: convert round trip must be byte-stable",
+            path.display()
+        );
     }
     assert_eq!(count, 21, "fixture corpus changed size without updating the verdict table");
 }
