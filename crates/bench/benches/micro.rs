@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks for the building blocks of the checker:
-//! polygraph construction, pruning, the end-to-end pipeline, the
-//! acyclicity solver, and PolySI-List inference.
+//! the history analyses, polygraph construction, pruning, the end-to-end
+//! pipeline, the acyclicity solver, and PolySI-List inference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use polysi_checker::{check_si, CheckOptions};
 use polysi_dbsim::{run, IsolationLevel, SimConfig};
-use polysi_history::Facts;
+use polysi_history::{Facts, ShardPlan};
 use polysi_polygraph::{ConstraintMode, Polygraph};
 use polysi_solver::{Lit, Solver};
-use polysi_workloads::{generate, GeneralParams};
+use polysi_workloads::{generate, multi_component, GeneralParams, KeyDistribution};
 
 fn history(sessions: usize, txns: usize) -> polysi_history::History {
     let plan = generate(&GeneralParams {
@@ -21,6 +21,41 @@ fn history(sessions: usize, txns: usize) -> polysi_history::History {
         ..Default::default()
     });
     run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, 42)).history
+}
+
+/// The serial front of every check — `Facts::analyze` and
+/// `ShardPlan::analyze`, each building its own key index — on the
+/// benchmark's two batch shapes: `batch_sharded` (64 components, 102 400
+/// transactions, 819 200 operations, mostly reads of many keys) and
+/// `batch_general` (paper defaults, 20 × 500, one component, hot keys).
+fn bench_history_analyze(c: &mut Criterion) {
+    let mut g = c.benchmark_group("history-analyze");
+    g.sample_size(10);
+    let sharded = GeneralParams {
+        sessions: 4,
+        txns_per_session: 400,
+        ops_per_txn: 8,
+        keys: 2000,
+        read_pct: 90,
+        dist: KeyDistribution::Uniform,
+        seed: 7,
+    };
+    let general = GeneralParams { txns_per_session: 500, ..Default::default() };
+    let sim = SimConfig::new(IsolationLevel::SnapshotIsolation, 7);
+    let shapes = [
+        ("batch_sharded-64x1600", multi_component(&sharded, 64)),
+        ("batch_general-20x500", generate(&general)),
+    ];
+    for (name, plan) in shapes {
+        let h = run(&plan, &sim).history;
+        g.bench_with_input(BenchmarkId::new("facts", name), &(), |b, _| {
+            b.iter(|| Facts::analyze(&h))
+        });
+        g.bench_with_input(BenchmarkId::new("shard-plan", name), &(), |b, _| {
+            b.iter(|| ShardPlan::analyze(&h))
+        });
+    }
+    g.finish();
 }
 
 fn bench_construct(c: &mut Criterion) {
@@ -138,6 +173,7 @@ fn bench_list_mode(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_history_analyze,
     bench_construct,
     bench_prune,
     bench_check_si,

@@ -42,7 +42,7 @@ use crate::check::{CheckOptions, CheckReport, EncodeStats, Outcome, StageTimings
 use crate::interpret::interpret;
 use crate::solve::{merge_solver_stats, run_solve, SolvePlan, SolveStats};
 pub use crate::solve::{SolveMode, SolveThreads};
-use polysi_history::{Facts, History, ShardComponent, ShardFallback, ShardPlan, TxnId};
+use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan, TxnId};
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
     ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Polygraph, PruneOptions,
@@ -399,11 +399,17 @@ impl CheckEngine {
         // aborted write read in another session) may span what would
         // otherwise be distinct shards. Its time is folded into
         // `constructing`, as in the original pipeline.
-        let facts = {
-            let _span = self.obs.tracer.span("axioms");
-            Facts::analyze(h)
+        // The key index both analyses read is built here, once.
+        let (index, facts) = {
+            let mut span = self.obs.tracer.span_kv("axioms", kv! { txns: h.len() });
+            let index = KeyIndex::build(h);
+            span.attr("ops", index.op_ids().len());
+            span.attr("keys", index.len());
+            let facts = Facts::analyze_with(h, &index);
+            (index, facts)
         };
         let axioms_time = t0.elapsed();
+        self.obs.metrics.histogram_us("check.axioms_us").observe_duration(axioms_time);
         if !facts.axioms_ok() {
             timings.constructing = axioms_time;
             return CheckReport {
@@ -418,31 +424,21 @@ impl CheckEngine {
             };
         }
 
-        let (mut unit, shard_stats) = match self.opts.sharding {
-            Sharding::Off => (
-                self.check_unit(h, &facts, None, self.prune_options(&facts, 1), self.solve_plan(1)),
-                None,
-            ),
-            Sharding::Auto => {
-                let plan = ShardPlan::analyze(h);
-                let stats = ShardStats {
-                    components: plan.components.len().max(1),
-                    key_components: plan.key_components.max(1),
-                    largest: plan.largest().max(if plan.is_shardable() { 0 } else { h.len() }),
-                    fallback: plan.fallback(),
-                };
-                let unit = if plan.is_shardable() {
-                    self.check_shards(h, &facts, &plan)
-                } else {
-                    self.check_unit(
-                        h,
-                        &facts,
-                        None,
-                        self.prune_options(&facts, 1),
-                        self.solve_plan(1),
-                    )
-                };
-                (unit, Some(stats))
+        let plan = match self.opts.sharding {
+            Sharding::Off => None,
+            Sharding::Auto => Some(self.shard_plan(h, &index)),
+        };
+        drop(index);
+        let shard_stats = plan.as_ref().map(|plan| ShardStats {
+            components: plan.components.len().max(1),
+            key_components: plan.key_components.max(1),
+            largest: plan.largest().max(if plan.is_shardable() { 0 } else { h.len() }),
+            fallback: plan.fallback(),
+        });
+        let mut unit = match plan.filter(ShardPlan::is_shardable) {
+            Some(plan) => self.check_shards(h, &facts, &plan),
+            None => {
+                self.check_unit(h, &facts, None, self.prune_options(&facts, 1), self.solve_plan(1))
             }
         };
 
@@ -466,6 +462,21 @@ impl CheckEngine {
             shard_stats,
             reach_oracle: self.opts.reach_oracle,
         }
+    }
+
+    /// The key-connectivity plan, under a `shard.plan` span and the
+    /// `check.shard_plan_us` histogram. No [`StageTimings`] field includes
+    /// this time.
+    fn shard_plan(&self, h: &History, index: &KeyIndex) -> ShardPlan {
+        let t = Instant::now();
+        let mut span = self.obs.tracer.span("shard.plan");
+        let plan = ShardPlan::analyze_with(h, index);
+        span.attr("components", plan.components.len());
+        span.attr("keys", index.len());
+        span.attr("largest", plan.largest());
+        drop(span);
+        self.obs.metrics.histogram_us("check.shard_plan_us").observe_duration(t.elapsed());
+        plan
     }
 
     /// Check every component on scoped worker threads and merge the
@@ -494,13 +505,7 @@ impl CheckEngine {
                         .obs
                         .tracer
                         .span_kv("shard", kv! { component: i, txns: plan.components[i].len() });
-                    let unit = self.check_unit(
-                        h,
-                        facts,
-                        Some(&plan.components[i]),
-                        prune_opts,
-                        solve_plan,
-                    );
+                    let unit = self.check_unit(h, facts, Some((plan, i)), prune_opts, solve_plan);
                     results.lock().expect("shard worker panicked").push((i, unit));
                 });
             }
@@ -557,15 +562,16 @@ impl CheckEngine {
     }
 
     /// Stages Construct → Prune → Encode → Solve for one unit: the whole
-    /// history (`comp == None`) or one key-connectivity component.
+    /// history (`shard == None`) or one key-connectivity component.
     fn check_unit(
         &self,
         h: &History,
         facts: &Facts,
-        comp: Option<&ShardComponent>,
+        shard: Option<(&ShardPlan, usize)>,
         prune_opts: PruneOptions,
         solve_plan: SolvePlan,
     ) -> UnitReport {
+        let comp = shard.map(|(plan, i)| &plan.components[i]);
         let semantics = self.isolation.semantics();
         let mut timings = StageTimings::default();
         let translate = |mut cycle: Vec<Edge>| {
@@ -582,9 +588,11 @@ impl CheckEngine {
         let t = Instant::now();
         let mut g = {
             let _span = self.obs.tracer.span("construct");
-            match comp {
+            match shard {
                 None => Polygraph::from_history_with(h, facts, self.opts.mode, semantics),
-                Some(c) => Polygraph::from_component(h, facts, self.opts.mode, semantics, c),
+                Some((plan, i)) => {
+                    Polygraph::from_component(h, facts, self.opts.mode, semantics, plan, i)
+                }
             }
         };
         timings.constructing = t.elapsed();

@@ -6,11 +6,48 @@
 //! the *last* value `T` writes to `x`, and `T ⊢ R(x, v)` when `v` is the
 //! value returned by the first read of `x` that precedes any write of `T`
 //! to `x` (an *external* read).
+//!
+//! # How the analysis runs
+//!
+//! [`Facts::analyze_with`] makes two passes and never hashes a key: the
+//! caller's [`KeyIndex`] already holds a dense id for the key of every
+//! operation.
+//!
+//! 1. **Effects.** One [`TxnEffects`] scratch walks every transaction in
+//!    program order (the same walk `StreamFacts::push` uses): `Int` and
+//!    `WroteInitValue` are decided on the spot, the external reads of a
+//!    committed transaction are written straight into `reads[t]` with their
+//!    source still open, its final writes go into `writes[t]` and the
+//!    `(key, value) → writer` table, and `(key id, transaction)` pairs are
+//!    noted for every final write and every initial-value read.
+//! 2. **Resolution, in place.** Every non-initial read of `reads[t]` looks
+//!    its `(key, value)` up once; the entry gets its source, or is reported
+//!    (aborted / intermediate / unknown-value read) and removed. There is
+//!    no second copy of the reads.
+//!
+//! `writers` and `init_readers` are then built from the noted pairs:
+//! counted per key id, filled into exact-capacity lists, and loaded into
+//! the `BTreeMap` in one ascending sweep ([`KeyIndex::ids_by_key`]).
+//!
+//! # Ordering guarantees
+//!
+//! Nothing below depends on the iteration order of a hash map, so two runs
+//! on the same history produce equal `Facts`, whatever the hash seed:
+//!
+//! * `reads[t]` is in program order, `writes[t]` in key order;
+//! * every per-key and per-`(key, writer)` list ascends by transaction id;
+//! * `violations` lists, transaction by transaction, first the `Int` /
+//!   `WroteInitValue` violations in program order, then the transaction's
+//!   `DuplicateWrite`s in **key order**; after all of those come the
+//!   unresolvable reads, reader by reader, in program order.
 
-use crate::history::History;
+use crate::fasthash::FastMap;
+use crate::history::{History, Transaction};
 use crate::ids::{Key, TxnId, Value};
+use crate::index::KeyIndex;
 use crate::op::Op;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Where an external read's value came from.
@@ -124,136 +161,265 @@ pub type ReadFact = (Key, Value, WrSource);
 /// aborted transactions are empty (the formal analysis is over committed
 /// transactions only — Definition 4).
 pub struct Facts {
-    /// Per-transaction external reads with their resolved sources.
+    /// Per-transaction external reads with their resolved sources, in
+    /// program order.
     pub reads: Vec<Vec<ReadFact>>,
-    /// Per-transaction final writes `(key, value)`.
+    /// Per-transaction final writes `(key, value)`, in key order.
     pub writes: Vec<Vec<(Key, Value)>>,
     /// Committed writers per key (`WriteTx_x`), in transaction-id order.
     pub writers: BTreeMap<Key, Vec<TxnId>>,
-    /// Readers of each committed final write: `(key, writer) → readers`.
-    pub readers: HashMap<(Key, TxnId), Vec<TxnId>>,
-    /// Readers that observed the initial value, per key.
+    /// Readers of each committed final write: `(key, writer) → readers`, in
+    /// transaction-id order. Look entries up ([`Facts::readers_of`]); the
+    /// map's iteration order means nothing.
+    pub readers: FastMap<(Key, TxnId), Vec<TxnId>>,
+    /// Readers that observed the initial value, per key, in transaction-id
+    /// order.
     pub init_readers: BTreeMap<Key, Vec<TxnId>>,
-    /// All detected axiom violations, in discovery order.
+    /// All detected axiom violations: first, transaction by transaction,
+    /// its `Int` / `WroteInitValue` violations in program order and then its
+    /// `DuplicateWrite`s in key order; after those, reader by reader, the
+    /// reads that resolve to no committed final write, in program order.
     pub violations: Vec<AxiomViolation>,
+}
+
+/// One touched key of the transaction a [`TxnEffects`] last walked.
+struct Touched {
+    key: Key,
+    /// The latest value read from or written to the key.
+    last: Value,
+    /// The latest value written to the key, if any was.
+    written: Option<Value>,
+    /// Index of the first operation on the key.
+    first_op: u32,
+}
+
+/// The effects of one transaction — the program-order walk `Facts::analyze`
+/// and `StreamFacts::push` share. One value is reused across transactions,
+/// so a walk allocates nothing once its vectors have grown to the largest
+/// transaction seen.
+#[derive(Default)]
+pub(crate) struct TxnEffects {
+    /// Touched keys, in first-touch order.
+    touched: Vec<Touched>,
+    /// `key → touched index`, kept only while the transaction has touched
+    /// more than [`TxnEffects::LINEAR_MAX`] keys.
+    slots: FastMap<Key, u32>,
+    /// External reads `(key, value, operation index)`, in program order.
+    pub(crate) ext_reads: Vec<(Key, Value, u32)>,
+    /// Final writes `(key, value, index of the first operation on the
+    /// key)`, in key order.
+    pub(crate) final_writes: Vec<(Key, Value, u32)>,
+    /// Values the transaction wrote and then overwrote itself, in program
+    /// order.
+    pub(crate) overwritten: Vec<(Key, Value)>,
+}
+
+impl TxnEffects {
+    /// Up to this many touched keys are found by scanning `touched`;
+    /// transactions touch a handful of keys, and a scan of that many
+    /// beats hashing. Beyond it `slots` takes over.
+    const LINEAR_MAX: usize = 32;
+
+    fn slot(&self, key: Key) -> Option<usize> {
+        if self.touched.len() <= Self::LINEAR_MAX {
+            self.touched.iter().position(|t| t.key == key)
+        } else {
+            self.slots.get(&key).map(|&i| i as usize)
+        }
+    }
+
+    fn touch(&mut self, t: Touched) {
+        let at = self.touched.len();
+        if at > Self::LINEAR_MAX {
+            self.slots.insert(t.key, at as u32);
+        }
+        self.touched.push(t);
+        if at == Self::LINEAR_MAX {
+            self.slots.extend(self.touched.iter().enumerate().map(|(i, t)| (t.key, i as u32)));
+        }
+    }
+
+    /// Walk `txn` in program order: fill `ext_reads`, `final_writes` and
+    /// `overwritten`, and — for a committed transaction — append its `Int`
+    /// and `WroteInitValue` violations to `violations`, in program order.
+    pub(crate) fn walk(
+        &mut self,
+        id: TxnId,
+        txn: &Transaction,
+        violations: &mut Vec<AxiomViolation>,
+    ) {
+        self.touched.clear();
+        self.slots.clear();
+        self.ext_reads.clear();
+        self.final_writes.clear();
+        self.overwritten.clear();
+        let committed = txn.committed();
+        for (i, op) in txn.ops.iter().enumerate() {
+            let slot = self.slot(op.key());
+            match *op {
+                Op::Read { key, value } => match slot {
+                    Some(s) => {
+                        let prev = std::mem::replace(&mut self.touched[s].last, value);
+                        if prev != value && committed {
+                            violations.push(AxiomViolation::Int {
+                                txn: id,
+                                key,
+                                expected: prev,
+                                got: value,
+                            });
+                        }
+                    }
+                    None => {
+                        self.ext_reads.push((key, value, i as u32));
+                        self.touch(Touched { key, last: value, written: None, first_op: i as u32 });
+                    }
+                },
+                Op::Write { key, value } => {
+                    if value.is_init() && committed {
+                        violations.push(AxiomViolation::WroteInitValue { txn: id, key });
+                    }
+                    match slot {
+                        Some(s) => {
+                            let t = &mut self.touched[s];
+                            t.last = value;
+                            if let Some(prev) = t.written.replace(value) {
+                                self.overwritten.push((key, prev));
+                            }
+                        }
+                        None => self.touch(Touched {
+                            key,
+                            last: value,
+                            written: Some(value),
+                            first_op: i as u32,
+                        }),
+                    }
+                }
+            }
+        }
+        self.final_writes.extend(
+            self.touched.iter().filter_map(|t| t.written.map(|value| (t.key, value, t.first_op))),
+        );
+        self.final_writes.sort_unstable_by_key(|&(key, _, _)| key);
+    }
+}
+
+/// Group `(key id, transaction)` pairs, given in transaction order, into one
+/// exact-capacity list per key and load them into a map in key order.
+fn group_by_key(pairs: Vec<(u32, TxnId)>, index: &KeyIndex) -> BTreeMap<Key, Vec<TxnId>> {
+    let mut count = vec![0u32; index.len()];
+    for &(kid, _) in &pairs {
+        count[kid as usize] += 1;
+    }
+    let mut lists: Vec<Vec<TxnId>> =
+        count.iter().map(|&c| Vec::with_capacity(c as usize)).collect();
+    drop(count);
+    for (kid, t) in pairs {
+        lists[kid as usize].push(t);
+    }
+    index
+        .ids_by_key()
+        .iter()
+        .map(|&kid| (index.key(kid), std::mem::take(&mut lists[kid as usize])))
+        .filter(|(_, list)| !list.is_empty())
+        .collect()
 }
 
 impl Facts {
     /// Analyze a history: compute effects, resolve `WR`, and check the
     /// non-cyclic axioms.
     pub fn analyze(h: &History) -> Facts {
+        Self::analyze_with(h, &KeyIndex::build(h))
+    }
+
+    /// [`Facts::analyze`] over a key index the caller already has (it must
+    /// come from [`KeyIndex::build`] on the same history).
+    pub fn analyze_with(h: &History, index: &KeyIndex) -> Facts {
         let n = h.len();
         let mut violations = Vec::new();
 
-        // Pass 1: per-transaction effects + write maps.
-        let mut reads_raw: Vec<Vec<(Key, Value)>> = vec![Vec::new(); n];
-        let mut writes: Vec<Vec<(Key, Value)>> = vec![Vec::new(); n];
+        // Pass 1: per-transaction effects, and who wrote what. A committed
+        // transaction's external reads go straight into `reads`, sources
+        // still open (initial-value reads need no lookup and are final).
+        let mut reads: Vec<Vec<ReadFact>> = Vec::with_capacity(n);
+        let mut writes: Vec<Vec<(Key, Value)>> = Vec::with_capacity(n);
         // (key, value) → writer, for committed final writes.
-        let mut final_writer: HashMap<(Key, Value), TxnId> = HashMap::new();
+        let mut final_writer: FastMap<(Key, Value), TxnId> = FastMap::default();
         // values overwritten within their own transaction (any status).
-        let mut intermediate_writer: HashMap<(Key, Value), TxnId> = HashMap::new();
+        let mut overwriting_writer: FastMap<(Key, Value), TxnId> = FastMap::default();
         // final writes of aborted transactions.
-        let mut aborted_writer: HashMap<(Key, Value), TxnId> = HashMap::new();
+        let mut aborted_writer: FastMap<(Key, Value), TxnId> = FastMap::default();
+        // (key id, transaction) per committed final write / per
+        // initial-value read, in transaction order.
+        let mut write_pairs: Vec<(u32, TxnId)> = Vec::new();
+        let mut init_pairs: Vec<(u32, TxnId)> = Vec::new();
 
-        for (id, txn) in h.iter() {
-            // Program-order walk: last value per key (read or written), plus
-            // which keys have been written (to delimit external reads).
-            let mut last_seen: HashMap<Key, Value> = HashMap::new();
-            let mut written: HashMap<Key, Value> = HashMap::new();
-            let mut ext_reads: Vec<(Key, Value)> = Vec::new();
-            for op in &txn.ops {
-                match *op {
-                    Op::Read { key, value } => {
-                        if let Some(&prev) = last_seen.get(&key) {
-                            if prev != value && txn.committed() {
-                                violations.push(AxiomViolation::Int {
-                                    txn: id,
-                                    key,
-                                    expected: prev,
-                                    got: value,
-                                });
-                            }
-                        } else {
-                            ext_reads.push((key, value));
-                        }
-                        last_seen.insert(key, value);
-                    }
-                    Op::Write { key, value } => {
-                        if value.is_init() && txn.committed() {
-                            violations.push(AxiomViolation::WroteInitValue { txn: id, key });
-                        }
-                        if let Some(prev) = written.insert(key, value) {
-                            intermediate_writer.insert((key, prev), id);
-                        }
-                        last_seen.insert(key, value);
-                    }
-                }
+        let mut fx = TxnEffects::default();
+        for (id, txn, key_ids) in index.per_txn(h) {
+            fx.walk(id, txn, &mut violations);
+            for &pair in &fx.overwritten {
+                overwriting_writer.insert(pair, id);
             }
-            for (&key, &value) in &written {
-                if txn.committed() {
-                    if let Some(&first) = final_writer.get(&(key, value)) {
-                        violations.push(AxiomViolation::DuplicateWrite {
-                            key,
-                            value,
-                            first,
-                            second: id,
-                        });
-                    } else {
-                        final_writer.insert((key, value), id);
-                    }
-                    writes[id.idx()].push((key, value));
-                } else {
+            if !txn.committed() {
+                for &(key, value, _) in &fx.final_writes {
                     aborted_writer.insert((key, value), id);
                 }
+                reads.push(Vec::new());
+                writes.push(Vec::new());
+                continue;
             }
-            writes[id.idx()].sort_unstable();
-            if txn.committed() {
-                reads_raw[id.idx()] = ext_reads;
+            for &(key, value, op) in &fx.final_writes {
+                match final_writer.entry((key, value)) {
+                    Entry::Occupied(first) => violations.push(AxiomViolation::DuplicateWrite {
+                        key,
+                        value,
+                        first: *first.get(),
+                        second: id,
+                    }),
+                    Entry::Vacant(slot) => {
+                        slot.insert(id);
+                    }
+                }
+                write_pairs.push((key_ids[op as usize], id));
             }
+            writes.push(fx.final_writes.iter().map(|&(key, value, _)| (key, value)).collect());
+            for &(_, value, op) in &fx.ext_reads {
+                if value.is_init() {
+                    init_pairs.push((key_ids[op as usize], id));
+                }
+            }
+            reads.push(
+                fx.ext_reads.iter().map(|&(key, value, _)| (key, value, WrSource::Init)).collect(),
+            );
         }
+        let writers = group_by_key(write_pairs, index);
+        let init_readers = group_by_key(init_pairs, index);
 
-        // Pass 2: resolve WR sources for committed readers.
-        let mut reads: Vec<Vec<ReadFact>> = vec![Vec::new(); n];
-        let mut readers: HashMap<(Key, TxnId), Vec<TxnId>> = HashMap::new();
-        let mut init_readers: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
-        for (idx, ext) in reads_raw.iter().enumerate() {
+        // Pass 2: resolve the WR source of every other external read in
+        // place; a read with no committed final writer is a violation and
+        // leaves the list.
+        let mut readers: FastMap<(Key, TxnId), Vec<TxnId>> = FastMap::default();
+        for (idx, ext) in reads.iter_mut().enumerate() {
             let reader = TxnId(idx as u32);
-            for &(key, value) in ext {
-                let source = if value.is_init() {
-                    init_readers.entry(key).or_default().push(reader);
-                    Some(WrSource::Init)
-                } else if let Some(&w) = final_writer.get(&(key, value)) {
+            ext.retain_mut(|&mut (key, value, ref mut source)| {
+                if value.is_init() {
+                    return true;
+                }
+                if let Some(&w) = final_writer.get(&(key, value)) {
                     if w != reader {
                         readers.entry((key, w)).or_default().push(reader);
                     }
-                    Some(WrSource::Txn(w))
-                } else if let Some(&w) = aborted_writer.get(&(key, value)) {
-                    violations.push(AxiomViolation::AbortedRead { reader, writer: w, key, value });
-                    None
-                } else if let Some(&w) = intermediate_writer.get(&(key, value)) {
-                    violations.push(AxiomViolation::IntermediateRead {
-                        reader,
-                        writer: w,
-                        key,
-                        value,
-                    });
-                    None
-                } else {
-                    violations.push(AxiomViolation::UnknownValueRead { txn: reader, key, value });
-                    None
-                };
-                if let Some(source) = source {
-                    reads[idx].push((key, value, source));
+                    *source = WrSource::Txn(w);
+                    return true;
                 }
-            }
-        }
-
-        // Writers per key (committed final writes only).
-        let mut writers: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
-        for (idx, ws) in writes.iter().enumerate() {
-            for &(key, _) in ws {
-                writers.entry(key).or_default().push(TxnId(idx as u32));
-            }
+                violations.push(if let Some(&w) = aborted_writer.get(&(key, value)) {
+                    AxiomViolation::AbortedRead { reader, writer: w, key, value }
+                } else if let Some(&w) = overwriting_writer.get(&(key, value)) {
+                    AxiomViolation::IntermediateRead { reader, writer: w, key, value }
+                } else {
+                    AxiomViolation::UnknownValueRead { txn: reader, key, value }
+                });
+                false
+            });
         }
 
         Facts { reads, writes, writers, readers, init_readers, violations }
@@ -426,6 +592,79 @@ mod tests {
         b.begin().write(k(1), v(5)).commit();
         let f = Facts::analyze(&b.build());
         assert!(matches!(f.violations[0], AxiomViolation::DuplicateWrite { .. }));
+    }
+
+    /// A transaction re-writing several taken `(key, value)` pairs reports
+    /// them in key order, after its program-order violations — the same
+    /// list on every run (the old walk iterated a `RandomState` map here).
+    #[test]
+    fn duplicate_writes_of_one_transaction_come_in_key_order() {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(k(1), v(5)).write(k(2), v(6)).write(k(3), v(7)).write(k(4), v(8)).commit();
+        b.session();
+        b.begin()
+            .write(k(3), v(7))
+            .write(k(9), Value::INIT)
+            .write(k(1), v(5))
+            .write(k(4), v(8))
+            .write(k(2), v(6))
+            .commit();
+        let h = b.build();
+        let dup = |key, value| AxiomViolation::DuplicateWrite {
+            key: k(key),
+            value: v(value),
+            first: TxnId(0),
+            second: TxnId(1),
+        };
+        let expected = vec![
+            AxiomViolation::WroteInitValue { txn: TxnId(1), key: k(9) },
+            dup(1, 5),
+            dup(2, 6),
+            dup(3, 7),
+            dup(4, 8),
+        ];
+        for _ in 0..32 {
+            assert_eq!(Facts::analyze(&h).violations, expected);
+        }
+    }
+
+    /// Past `TxnEffects::LINEAR_MAX` touched keys the walk switches from
+    /// scanning to its map; effects must not change at the switch.
+    #[test]
+    fn wide_transactions_take_the_map_fallback() {
+        let width = 3 * TxnEffects::LINEAR_MAX as u64;
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin();
+        for i in 0..width {
+            b.write(k(i), v(100 + i));
+        }
+        b.commit();
+        b.session();
+        b.begin();
+        for i in (0..width).rev() {
+            b.read(k(i), v(100 + i)); // external
+        }
+        for i in 0..width {
+            b.read(k(i), v(100 + i)).write(k(i), v(500 + i)).write(k(i), v(900 + i));
+        }
+        b.read(k(width - 1), v(1)).commit(); // Int: expected 900 + width - 1
+        let f = Facts::analyze(&b.build());
+        assert_eq!(
+            f.violations,
+            vec![AxiomViolation::Int {
+                txn: TxnId(1),
+                key: k(width - 1),
+                expected: v(900 + width - 1),
+                got: v(1),
+            }]
+        );
+        assert_eq!(f.reads[1].len(), width as usize);
+        assert_eq!(f.reads[1][0], (k(width - 1), v(100 + width - 1), WrSource::Txn(TxnId(0))));
+        let finals: Vec<_> = (0..width).map(|i| (k(i), v(900 + i))).collect();
+        assert_eq!(f.writes[1], finals);
+        assert_eq!(f.writers[&k(40)], vec![TxnId(0), TxnId(1)]);
     }
 
     #[test]

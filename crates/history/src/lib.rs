@@ -16,6 +16,19 @@
 //! plus the **UniqueValue** assumption check and the extraction of the
 //! write-read (`WR`) relation that it makes possible.
 //!
+//! Both whole-history analyses — [`Facts`] (effects, `WR`, axioms) and
+//! [`ShardPlan`] (key-connectivity components) — read the history through
+//! one [`KeyIndex`]: a dense first-touch id per key and the id of every
+//! operation, built with one hash lookup per operation on the seeded
+//! fold-multiply hasher of [`fasthash`]. A caller that needs both builds
+//! the index once (`Facts::analyze_with`, `ShardPlan::analyze_with`); the
+//! one-argument `analyze` forms build their own. `Facts` resolves reads in
+//! place and bulk-builds its per-key maps, and every list either analysis
+//! returns has a documented order that no hash seed can change (violations
+//! by transaction, a transaction's final writes and duplicate-write reports
+//! by key, component keys ascending). The streaming mirror ([`StreamFacts`]) runs the same
+//! per-transaction effects walk as the batch analysis.
+//!
 //! Histories can be built programmatically with [`HistoryBuilder`], loaded
 //! from and saved to a line-oriented text format ([`codec`]) or a compact
 //! columnar binary format ([`binfmt`], `.pbh`), and summarized with
@@ -24,8 +37,10 @@
 pub mod binfmt;
 pub mod codec;
 mod facts;
+pub mod fasthash;
 mod history;
 mod ids;
+mod index;
 pub mod live;
 mod op;
 pub mod shard;
@@ -33,8 +48,10 @@ pub mod stats;
 pub mod stream;
 
 pub use facts::{AxiomViolation, Facts, WrSource};
+pub use fasthash::FastMap;
 pub use history::{History, HistoryBuilder, SessionView};
 pub use ids::{Key, SessionId, TxnId, Value};
+pub use index::KeyIndex;
 pub use live::{Delivery, IngestError};
 pub use op::{Op, TxnStatus};
 pub use shard::{ShardComponent, ShardFallback, ShardPlan};

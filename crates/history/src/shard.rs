@@ -21,10 +21,21 @@
 //! otherwise key-disjoint transaction groups, the history collapses into a
 //! single component and the engine must fall back to whole-history
 //! checking ([`ShardFallback::CrossShardSessions`]).
+//!
+//! The union–find runs on the dense key ids of a [`KeyIndex`] — sessions
+//! are unioned with key ids as the operations are met, roots map to
+//! components through a vector — so apart from building the index the plan
+//! costs two array steps per operation and allocates a fixed number of
+//! blocks per history and component. Its output is ordered by construction,
+//! not by sorting: components by their first session, `sessions` and `txns`
+//! ascending (sessions are id ranges), `keys` ascending (filled by one sweep
+//! of [`KeyIndex::ids_by_key`]), and [`ShardPlan::local_of`] gives every
+//! transaction its position in its component's `txns`, so consumers
+//! translate ids by indexing instead of searching.
 
 use crate::history::History;
 use crate::ids::{Key, SessionId, TxnId};
-use std::collections::BTreeMap;
+use crate::index::KeyIndex;
 
 /// One independently checkable component of a history.
 #[derive(Clone, Debug)]
@@ -88,6 +99,10 @@ pub struct ShardPlan {
     pub components: Vec<ShardComponent>,
     /// Component index of each transaction (dense over `TxnId`).
     pub component_of: Vec<u32>,
+    /// Component-local id of each transaction (dense over `TxnId`): its
+    /// position in `components[component_of[t]].txns`, i.e. what
+    /// [`ShardComponent::local`] finds by binary search.
+    pub local_of: Vec<u32>,
     /// Number of components under key connectivity alone (ignoring
     /// sessions). `key_components > components.len()` means session edges
     /// merged otherwise independent shards.
@@ -97,17 +112,17 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Compute the finest independent partition of `h`.
     pub fn analyze(h: &History) -> ShardPlan {
-        let nsess = h.num_sessions();
+        Self::analyze_with(h, &KeyIndex::build(h))
+    }
 
-        // Dense ids for the keys, in key order (determinism).
-        let mut key_ids: BTreeMap<Key, u32> = BTreeMap::new();
-        for (_, txn) in h.iter() {
-            for op in &txn.ops {
-                let next = key_ids.len() as u32;
-                key_ids.entry(op.key()).or_insert(next);
-            }
-        }
-        let nkeys = key_ids.len();
+    /// [`ShardPlan::analyze`] over a key index the caller already has (it
+    /// must come from [`KeyIndex::build`] on the same history). Apart from
+    /// the index, the work per operation is two union–find steps on dense
+    /// ids, and the number of allocations depends on the sessions and
+    /// components only.
+    pub fn analyze_with(h: &History, index: &KeyIndex) -> ShardPlan {
+        let nsess = h.num_sessions();
+        let nkeys = index.len();
 
         // Union–find 1: sessions ∪ keys (nodes 0..nsess are sessions,
         // nsess.. are keys) — the partition the engine shards by.
@@ -115,60 +130,66 @@ impl ShardPlan {
         // Union–find 2: keys linked only through single transactions — the
         // partition key connectivity alone would give.
         let mut kf = UnionFind::new(nkeys);
-        for (_, txn) in h.iter() {
+        for (_, txn, key_ids) in index.per_txn(h) {
             let sess = txn.session.0 as usize;
-            let mut first_key: Option<usize> = None;
-            for op in &txn.ops {
-                let k = key_ids[&op.key()] as usize;
-                uf.union(sess, nsess + k);
-                match first_key {
-                    None => first_key = Some(k),
-                    Some(f) => {
-                        kf.union(f, k);
-                    }
-                }
+            for &k in key_ids {
+                uf.union(sess, nsess + k as usize);
+                kf.union(key_ids[0] as usize, k as usize);
             }
         }
 
         // Components, ordered by first session: map union-find roots to
         // dense component indices.
-        let mut comp_of_root: BTreeMap<usize, u32> = BTreeMap::new();
+        let mut comp_of_root = vec![u32::MAX; nsess + nkeys];
         let mut components: Vec<ShardComponent> = Vec::new();
-        for s in 0..nsess {
-            let root = uf.find(s);
-            comp_of_root.entry(root).or_insert_with(|| {
+        let mut sizes: Vec<(usize, usize)> = Vec::new(); // (txns, keys) per component
+        for s in h.sessions() {
+            let root = uf.find(s.id.0 as usize);
+            if comp_of_root[root] == u32::MAX {
+                comp_of_root[root] = components.len() as u32;
                 components.push(ShardComponent {
                     sessions: Vec::new(),
                     txns: Vec::new(),
                     keys: Vec::new(),
                 });
-                components.len() as u32 - 1
-            });
-            let c = comp_of_root[&root] as usize;
-            components[c].sessions.push(SessionId(s as u32));
+                sizes.push((0, 0));
+            }
+            let c = comp_of_root[root] as usize;
+            components[c].sessions.push(s.id);
+            sizes[c].0 += s.txns.len();
         }
+        let comp_of_key: Vec<u32> = (0..nkeys).map(|k| comp_of_root[uf.find(nsess + k)]).collect();
+        for &c in &comp_of_key {
+            sizes[c as usize].1 += 1;
+        }
+        for (comp, &(txns, keys)) in components.iter_mut().zip(&sizes) {
+            comp.txns.reserve_exact(txns);
+            comp.keys.reserve_exact(keys);
+        }
+
+        // Sessions are id ranges, so walking them in order visits the
+        // transactions ascending; `ids_by_key` visits the keys ascending.
         let mut component_of = vec![0u32; h.len()];
-        for (id, txn) in h.iter() {
-            let c = comp_of_root[&uf.find(txn.session.0 as usize)];
-            component_of[id.idx()] = c;
-            components[c as usize].txns.push(id);
+        let mut local_of = vec![0u32; h.len()];
+        for s in h.sessions() {
+            let c = comp_of_root[uf.find(s.id.0 as usize)];
+            let txns = &mut components[c as usize].txns;
+            for i in 0..s.txns.len() {
+                let id = TxnId(s.first.0 + i as u32);
+                component_of[id.idx()] = c;
+                local_of[id.idx()] = txns.len() as u32;
+                txns.push(id);
+            }
         }
-        for (&key, &kid) in &key_ids {
-            let c = comp_of_root[&uf.find(nsess + kid as usize)];
-            components[c as usize].keys.push(key);
+        for &kid in index.ids_by_key() {
+            components[comp_of_key[kid as usize] as usize].keys.push(index.key(kid));
         }
 
-        // Key-only component count: distinct roots among each transaction's
-        // first key (every transaction touches at least one key).
-        let mut key_roots: Vec<usize> = h
-            .iter()
-            .filter_map(|(_, txn)| txn.ops.first())
-            .map(|op| kf.find(key_ids[&op.key()] as usize))
-            .collect();
-        key_roots.sort_unstable();
-        key_roots.dedup();
+        // Every key is touched by some transaction and a transaction's keys
+        // share one root, so the key-only components are the roots of `kf`.
+        let key_components = (0..nkeys).filter(|&k| kf.find(k) == k).count();
 
-        ShardPlan { components, component_of, key_components: key_roots.len() }
+        ShardPlan { components, component_of, local_of, key_components }
     }
 
     /// Whether the partition is worth sharding over (two or more

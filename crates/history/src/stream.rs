@@ -33,7 +33,8 @@
 //!   checker consumes to extend per-component polygraphs without
 //!   re-deriving anything from scratch.
 
-use crate::facts::{AxiomViolation, Facts, ReadFact, WrSource};
+use crate::facts::{AxiomViolation, Facts, ReadFact, TxnEffects, WrSource};
+use crate::fasthash::FastMap;
 use crate::history::{History, Transaction};
 use crate::ids::{Key, SessionId, TxnId, Value};
 use crate::live::IngestError;
@@ -99,12 +100,12 @@ pub struct StreamFacts {
     /// or *unresolved*, and the batch-exact classification of unresolved
     /// reads (aborted/intermediate/unknown) is produced by a snapshot
     /// `Facts::analyze` when a broken prefix must be reported.
-    final_writer: HashMap<(Key, Value), TxnId>,
+    final_writer: FastMap<(Key, Value), TxnId>,
     /// Per-transaction external reads in program order, with their
     /// resolution state (`None` = no committed final writer yet).
     ext: Vec<Vec<(Key, Value, Option<WrSource>)>>,
     /// Readers waiting on a committed final write of `(key, value)`.
-    unresolved: HashMap<(Key, Value), Vec<TxnId>>,
+    unresolved: FastMap<(Key, Value), Vec<TxnId>>,
     unresolved_count: usize,
     /// Monotone axiom violations seen so far (Int, duplicate committed
     /// writes, writes of the reserved initial value). These never heal,
@@ -132,6 +133,10 @@ pub struct StreamFacts {
     /// re-analysis.
     watermark_violations: Vec<AxiomViolation>,
     events: Vec<FactEvent>,
+    /// Scratch of the per-transaction walk shared with `Facts::analyze`,
+    /// and the violations it reports (only counted here).
+    effects: TxnEffects,
+    walk_violations: Vec<AxiomViolation>,
 }
 
 impl StreamFacts {
@@ -141,19 +146,21 @@ impl StreamFacts {
                 reads: Vec::new(),
                 writes: Vec::new(),
                 writers: BTreeMap::new(),
-                readers: HashMap::new(),
+                readers: FastMap::default(),
                 init_readers: BTreeMap::new(),
                 violations: Vec::new(),
             },
-            final_writer: HashMap::new(),
+            final_writer: FastMap::default(),
             ext: Vec::new(),
-            unresolved: HashMap::new(),
+            unresolved: FastMap::default(),
             unresolved_count: 0,
             monotone_violations: 0,
             fenced: HashMap::new(),
             dropped_values: HashMap::new(),
             watermark_violations: Vec::new(),
             events: Vec::new(),
+            effects: TxnEffects::default(),
+            walk_violations: Vec::new(),
         }
     }
 
@@ -227,38 +234,18 @@ impl StreamFacts {
         self.events.push(FactEvent::Txn { id });
         let committed = txn.committed();
 
-        // Pass-1 mirror: program-order walk for Int, external reads, and
-        // final writes.
-        let mut last_seen: HashMap<Key, Value> = HashMap::new();
-        let mut written: BTreeMap<Key, Value> = BTreeMap::new();
-        let mut ext_reads: Vec<(Key, Value)> = Vec::new();
-        for op in &txn.ops {
-            match *op {
-                Op::Read { key, value } => {
-                    if let Some(&prev) = last_seen.get(&key) {
-                        if prev != value && committed {
-                            self.monotone_violations += 1;
-                        }
-                    } else {
-                        ext_reads.push((key, value));
-                    }
-                    last_seen.insert(key, value);
-                }
-                Op::Write { key, value } => {
-                    if value.is_init() && committed {
-                        self.monotone_violations += 1;
-                    }
-                    written.insert(key, value);
-                    last_seen.insert(key, value);
-                }
-            }
-        }
+        // The batch analysis' program-order walk: Int and init-value
+        // writes are monotone violations, the rest feeds the steps below.
+        let mut fx = std::mem::take(&mut self.effects);
+        fx.walk(id, txn, &mut self.walk_violations);
+        self.monotone_violations += self.walk_violations.len();
+        self.walk_violations.clear();
 
         // Final writes: register before resolving any read, so reads of a
         // transaction's own final writes resolve exactly as in the batch
         // analysis (which completes pass 1 before resolving).
         if committed {
-            for (&key, &value) in &written {
+            for &(key, value, _) in &fx.final_writes {
                 if self.dropped_values.get(&key).is_some_and(|vs| vs.contains(&value)) {
                     // The first writer of this value was compacted away;
                     // its `final_writer` entry is gone, but the value is
@@ -287,7 +274,7 @@ impl StreamFacts {
 
         // Heal older reads that were waiting on these writes.
         if committed {
-            for (&key, &value) in &written {
+            for &(key, value, _) in &fx.final_writes {
                 if self.dropped_values.get(&key).is_some_and(|vs| vs.contains(&value)) {
                     // A re-write of a dropped value was refused above and
                     // must not heal readers waiting on that value: they
@@ -318,7 +305,7 @@ impl StreamFacts {
         // Resolve this transaction's own external reads (committed only,
         // as in the batch pass 2).
         if committed {
-            for (key, value) in ext_reads {
+            for &(key, value, _) in &fx.ext_reads {
                 let source = if value.is_init() {
                     if self.fenced.contains_key(&key) {
                         // The anti-dependency edges to the key's dropped
@@ -347,6 +334,7 @@ impl StreamFacts {
             }
             self.rebuild_reads(id);
         }
+        self.effects = fx;
     }
 
     /// Drop the transactions whose `map` entry is `u32::MAX` and renumber
@@ -417,7 +405,8 @@ impl StreamFacts {
             }
             !ws.is_empty()
         });
-        let mut readers = HashMap::with_capacity(self.facts.readers.len());
+        let mut readers =
+            FastMap::with_capacity_and_hasher(self.facts.readers.len(), Default::default());
         for ((key, w), mut rs) in self.facts.readers.drain() {
             if !live(w) {
                 debug_assert!(rs.iter().all(|&r| !live(r)), "surviving reader of a dropped writer");

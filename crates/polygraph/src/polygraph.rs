@@ -5,7 +5,7 @@
 use crate::constraint::ConstraintSet;
 use crate::edge::{Edge, Label};
 use crate::graph::{KnownGraph, KnownGraphResult, OracleKind};
-use polysi_history::{Facts, History, ShardComponent, TxnId, WrSource};
+use polysi_history::{Facts, History, Key, ShardComponent, ShardPlan, TxnId, WrSource};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -191,22 +191,35 @@ impl Polygraph {
         mode: ConstraintMode,
         semantics: Semantics,
     ) -> Self {
-        build_polygraph(h, facts, mode, semantics, None)
+        let so = h.so_edges().map(|(a, b)| Edge::new(a, b, Label::So)).collect();
+        build_polygraph_from(so, facts, mode, semantics, None, h.len())
     }
 
-    /// Build the polygraph of one key-connectivity component, reusing the
+    /// Build the polygraph of component `i` of `plan`, reusing the
     /// whole-history `facts` (axioms run once globally; no per-shard
     /// re-analysis). Vertices are the component-local dense transaction
-    /// ids — translate cycles back with [`ShardComponent::global`]. Cost is
-    /// proportional to the component, not the history.
+    /// ids ([`ShardPlan::local_of`]) — translate cycles back with
+    /// [`ShardComponent::global`]. Cost is proportional to the component,
+    /// not the history.
     pub fn from_component(
         h: &History,
         facts: &Facts,
         mode: ConstraintMode,
         semantics: Semantics,
-        comp: &ShardComponent,
+        plan: &ShardPlan,
+        i: usize,
     ) -> Self {
-        build_polygraph(h, facts, mode, semantics, Some(comp))
+        let comp = &plan.components[i];
+        // Session order: consecutive edges generate the same reachability
+        // as the full transitive SO relation. Sessions never span
+        // components, so every successor stays inside `comp`.
+        let so = comp
+            .txns
+            .iter()
+            .filter_map(|&t| h.so_successor(t).map(|s| Edge::new(t, s, Label::So)))
+            .collect();
+        let local = |t: TxnId| TxnId(plan.local_of[t.idx()]);
+        build_polygraph_from(so, facts, mode, semantics, Some((comp, &local)), h.len())
     }
 
     /// [`Polygraph::from_component`] for callers that have no [`History`]
@@ -224,7 +237,8 @@ impl Polygraph {
         comp: &ShardComponent,
     ) -> Self {
         let so = so_edges.iter().map(|&(a, b)| Edge::new(a, b, Label::So)).collect();
-        build_polygraph_from(so, facts, mode, semantics, Some(comp), comp.len())
+        let local = |t: TxnId| comp.local(t).expect("edge endpoint outside its component");
+        build_polygraph_from(so, facts, mode, semantics, Some((comp, &local)), comp.len())
     }
 
     /// Total uncertain dependency edges across unresolved constraints.
@@ -632,42 +646,21 @@ fn sweep(
     per_chunk.into_iter().map(|(_, out)| out).collect()
 }
 
-/// Shared constructor behind [`Polygraph::from_history_with`] (iterating
-/// the whole history) and [`Polygraph::from_component`] (iterating one
-/// component's transactions and keys, then remapping to local ids).
-fn build_polygraph(
-    h: &History,
-    facts: &Facts,
-    mode: ConstraintMode,
-    semantics: Semantics,
-    comp: Option<&ShardComponent>,
-) -> Polygraph {
-    // Session order: consecutive edges generate the same reachability as
-    // the full transitive SO relation. Sessions never span components, so
-    // every successor stays inside `comp`.
-    let so: Vec<Edge> = match comp {
-        None => h.so_edges().map(|(a, b)| Edge::new(a, b, Label::So)).collect(),
-        Some(c) => c
-            .txns
-            .iter()
-            .filter_map(|&t| h.so_successor(t).map(|s| Edge::new(t, s, Label::So)))
-            .collect(),
-    };
-    build_polygraph_from(so, facts, mode, semantics, comp, h.len())
-}
-
-/// The history-free core of [`build_polygraph`]: everything but the
-/// session-order edges derives from `facts` alone, which lets the
-/// streaming checker construct component polygraphs from incrementally
-/// maintained facts without materializing a [`History`].
+/// The shared constructor: everything but the session-order edges `so`
+/// derives from `facts` alone, which lets the streaming checker construct
+/// component polygraphs from incrementally maintained facts without
+/// materializing a [`History`]. `scope` restricts the build to one
+/// component and names its global → local id translation; `None` builds
+/// the whole history over `n_whole` vertices.
 fn build_polygraph_from(
     so: Vec<Edge>,
     facts: &Facts,
     mode: ConstraintMode,
     semantics: Semantics,
-    comp: Option<&ShardComponent>,
+    scope: Option<(&ShardComponent, &dyn Fn(TxnId) -> TxnId)>,
     n_whole: usize,
 ) -> Polygraph {
+    let comp = scope.map(|(c, _)| c);
     let n = comp.map_or(n_whole, ShardComponent::len);
     let mut known: Vec<Edge> = so;
     // Write-read edges; under SER also the read-modify-write inference:
@@ -693,10 +686,17 @@ fn build_polygraph_from(
     }
     // Reads of the initial value: the initial version precedes every
     // write, so such readers have known anti-dependencies to *all* writers
-    // of the key.
-    for key in component_keys(&facts.init_readers, comp) {
+    // of the key. A component probes each per-key map once per key of its
+    // own, so its cost stays proportional to the shard.
+    let init_readers: Box<dyn Iterator<Item = (Key, &Vec<TxnId>)> + '_> = match comp {
+        None => Box::new(facts.init_readers.iter().map(|(&key, rs)| (key, rs))),
+        Some(c) => Box::new(
+            c.keys.iter().filter_map(|&key| facts.init_readers.get(&key).map(|rs| (key, rs))),
+        ),
+    };
+    for (key, readers) in init_readers {
         if let Some(writers) = facts.writers.get(&key) {
-            for &r in &facts.init_readers[&key] {
+            for &r in readers {
                 for &w in writers {
                     if w != r {
                         known.push(Edge::new(r, w, Label::Rw(key)));
@@ -705,12 +705,13 @@ fn build_polygraph_from(
             }
         }
     }
-    // Constraints per key per writer pair.
-    let mut constraints =
-        ConstraintSet::from_facts(facts, component_keys(&facts.writers, comp), mode);
+    // Constraints per key per writer pair (keys nobody writes yield none).
+    let mut constraints = match comp {
+        None => ConstraintSet::from_facts(facts, facts.writers.keys().copied(), mode),
+        Some(c) => ConstraintSet::from_facts(facts, c.keys.iter().copied(), mode),
+    };
     // Translate to component-local vertex ids.
-    if let Some(c) = comp {
-        let local = |t: TxnId| c.local(t).expect("edge endpoint outside its component");
+    if let Some((_, local)) = scope {
         for e in &mut known {
             e.from = local(e.from);
             e.to = local(e.to);
@@ -718,19 +719,6 @@ fn build_polygraph_from(
         constraints.remap(local);
     }
     Polygraph { n, known, constraints, semantics }
-}
-
-/// The keys of `map` restricted to a component (all of them for the
-/// whole-history build). Component key lists are small relative to the
-/// history, so iteration cost stays proportional to the shard.
-fn component_keys<'a, V>(
-    map: &'a std::collections::BTreeMap<polysi_history::Key, V>,
-    comp: Option<&'a ShardComponent>,
-) -> Box<dyn Iterator<Item = polysi_history::Key> + 'a> {
-    match comp {
-        None => Box::new(map.keys().copied()),
-        Some(c) => Box::new(c.keys.iter().copied().filter(move |k| map.contains_key(k))),
-    }
 }
 
 /// Whether adding any single edge of `side` closes a cycle in `KI`.

@@ -1,13 +1,17 @@
 //! Construction must not pay the allocator per constraint: the constraint
 //! store is one edge arena plus one record array, sized by a counting
 //! pre-pass, so `Polygraph::from_history` performs a number of heap
-//! allocations that does not grow with the constraint count. This test
-//! binary installs its own counting allocator (hence its own file).
+//! allocations that does not grow with the constraint count. Likewise the
+//! history analyses in front of it must not pay per *operation*:
+//! `Facts::analyze` allocates its output lists (a few per transaction and
+//! per key) and `ShardPlan::analyze` a fixed number of arrays per history
+//! and component. This test binary installs its own counting allocator
+//! (hence its own file).
 
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
-use polysi::history::Facts;
+use polysi::history::{Facts, History, KeyIndex, ShardPlan};
 use polysi::polygraph::{ConstraintMode, Polygraph};
-use polysi::workloads::{generate, GeneralParams};
+use polysi::workloads::{generate, multi_component, GeneralParams, KeyDistribution};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -67,4 +71,53 @@ fn construction_allocations_do_not_grow_with_constraints() {
     let (more, more_allocs) = construct(200);
     assert!(more > 3 * constraints, "{more} vs {constraints} constraints");
     assert!(more_allocs <= allocs + 8, "{allocs} allocations grew to {more_allocs}");
+}
+
+/// Sixteen key-disjoint copies of a 4-session × 100-transaction workload
+/// over `keys` keys each.
+fn sharded_history(ops_per_txn: usize, keys: u64) -> History {
+    let base = GeneralParams {
+        sessions: 4,
+        txns_per_session: 100,
+        ops_per_txn,
+        keys,
+        read_pct: 80,
+        dist: KeyDistribution::Uniform,
+        seed: 7,
+    };
+    let sim = SimConfig::new(IsolationLevel::SnapshotIsolation, 7);
+    run(&multi_component(&base, 16), &sim).history
+}
+
+fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+#[test]
+fn history_analyses_do_not_allocate_per_operation() {
+    let h = sharded_history(8, 1000);
+    let (txns, keys) = (h.len() as u64, KeyIndex::build(&h).len() as u64);
+    assert!(txns == 6400 && keys > 12_000, "{txns} txns, {keys} keys");
+
+    // Facts: its output lists and little else — no map per transaction, no
+    // node per fact.
+    let (facts, allocs) = allocs_of(|| Facts::analyze(&h));
+    assert!(facts.axioms_ok());
+    assert!(allocs <= 3 * txns + 3 * keys, "{allocs} allocations for {txns} txns, {keys} keys");
+
+    // The plan: the same blocks for twice the operations on the same
+    // sessions and keys (150 a component: few enough that every key is
+    // touched whatever the transaction length).
+    let h = sharded_history(8, 150);
+    let (plan, allocs) = allocs_of(|| ShardPlan::analyze(&h));
+    assert_eq!(plan.components.len(), 16);
+    let longer = sharded_history(16, 150);
+    assert!(longer.num_ops() >= 2 * h.num_ops());
+    let (longer_plan, longer_allocs) = allocs_of(|| ShardPlan::analyze(&longer));
+    assert_eq!(longer_plan.components.len(), 16);
+    assert_eq!(longer_plan.components[3].keys, plan.components[3].keys);
+    assert_eq!(longer_allocs, allocs, "plan allocations follow the operation count");
+    assert!(allocs < 120, "{allocs} allocations for 16 components");
 }

@@ -177,6 +177,53 @@ fn spans_cover_the_check_and_nest_the_stages() {
     }
 }
 
+/// The serial front of a sharded check is visible without re-running it:
+/// `axioms` carries the history's size, `shard.plan` sits between it and
+/// the shards with the partition's shape, and both feed latency histograms
+/// next to the stage ones.
+#[test]
+fn axioms_and_shard_plan_are_traced_and_timed() {
+    let h = fixture_history("shard_disjoint_components.txt");
+    let obs = Obs::enabled();
+    let report = CheckEngine::new(IsolationLevel::Si, EngineOptions::default())
+        .with_obs(obs.clone())
+        .check(&h);
+    let stats = report.shard_stats.expect("sharding is on by default");
+    assert!(stats.components >= 2, "fixture no longer shards");
+
+    let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+    let root = forest.iter().find(|n| n.name == "check").expect("check root");
+    let u64_attr = |node: &polysi_obs::span::SpanNode, key: &str| {
+        node.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| match v {
+            polysi_obs::span::AttrValue::U64(n) => *n,
+            other => panic!("{}.{key} is {other:?}", node.name),
+        })
+    };
+    let front: Vec<&str> = root.children.iter().map(|c| c.name).take(2).collect();
+    assert_eq!(front, ["axioms", "shard.plan"]);
+    let (axioms, plan) = (&root.children[0], &root.children[1]);
+    assert_eq!(u64_attr(axioms, "txns"), Some(h.len() as u64));
+    assert_eq!(u64_attr(axioms, "ops"), Some(h.num_ops() as u64));
+    let keys = u64_attr(axioms, "keys").expect("axioms.keys");
+    assert!(keys >= 2);
+    assert_eq!(u64_attr(plan, "keys"), Some(keys));
+    assert_eq!(u64_attr(plan, "components"), Some(stats.components as u64));
+    assert_eq!(u64_attr(plan, "largest"), Some(stats.largest as u64));
+
+    let snapshot = obs.metrics.snapshot();
+    for name in ["check.axioms_us", "check.shard_plan_us", "check.construct_us"] {
+        let hist = snapshot.histograms.iter().find(|h| h.name == name);
+        assert_eq!(hist.map(|h| h.count), Some(1), "{name}");
+    }
+    // The plan's time is its own: `constructing` still means axioms plus
+    // polygraph construction.
+    let unsharded = EngineOptions { sharding: Sharding::Off, ..Default::default() };
+    let obs = Obs::enabled();
+    CheckEngine::new(IsolationLevel::Si, unsharded).with_obs(obs.clone()).check(&h);
+    assert!(obs.tracer.events().iter().all(|e| e.name != "shard.plan"));
+    assert!(obs.metrics.snapshot().histograms.iter().all(|h| h.name != "check.shard_plan_us"));
+}
+
 #[test]
 fn cli_check_report_json_round_trips() {
     let out = bin()
