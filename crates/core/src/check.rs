@@ -99,6 +99,14 @@ pub struct EncodeStats {
     pub symbolic_edges: usize,
 }
 
+/// How often the Solve stage ran.
+#[derive(Clone, Copy, Debug)]
+pub struct SolveStats {
+    /// Solver calls: pipeline units (the whole history, or one shard each)
+    /// that reached the Solve stage. Added up across shards.
+    pub units: usize,
+}
+
 /// The verdict of a check.
 pub enum Outcome {
     /// The history satisfies the checked isolation level (named for the
@@ -149,12 +157,11 @@ pub struct CheckReport {
     pub prune_stats: Option<PruneStats>,
     /// Encoded instance size.
     pub encode_stats: EncodeStats,
-    /// Solver counters, when the solver ran (summed over cubes/workers on
-    /// parallel solves).
+    /// Solver counters, when the solver ran; summed across shards on
+    /// sharded runs.
     pub solver_stats: Option<SolverStats>,
-    /// Solve-stage strategy counters (mode, units, winner), when the
-    /// solve stage ran; merged across shards on sharded runs.
-    pub solve_stats: Option<crate::solve::SolveStats>,
+    /// Solve-stage counters, when the solve stage ran.
+    pub solve_stats: Option<SolveStats>,
     /// Sharding decision, when the engine ran with `Sharding::Auto`.
     pub shard_stats: Option<ShardStats>,
     /// Reachability-oracle representation the run was configured with

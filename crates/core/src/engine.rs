@@ -13,7 +13,7 @@
 //! | [`Stage::Construct`] | Algorithm 2 (`CreateKnownGraph` + `GenerateConstraints`) | known `SO ∪ WR` (+ init-read `RW`, + RMW-inferred `WW` under SER) edges and per-key writer-pair constraints |
 //! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — and the per-pass sweep can fan out over [`PruneThreads`] scoped threads |
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
-//! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | CDCL search, parallelized over [`SolveThreads`] scoped workers: deterministic cube-and-conquer over top-degree selectors when enough constraints survive pruning, a seeded portfolio otherwise ([`crate::solve`]); on UNSAT a violating cycle is extracted from the polygraph, classified, and interpreted — byte-identical for any worker count |
+//! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph, classified, and interpreted |
 //!
 //! # Isolation levels
 //!
@@ -38,17 +38,17 @@
 //! ([`ShardFallback::CrossShardSessions`]).
 
 use crate::anomaly::Anomaly;
-use crate::check::{CheckOptions, CheckReport, EncodeStats, Outcome, StageTimings, Violation};
+use crate::check::{
+    CheckOptions, CheckReport, EncodeStats, Outcome, SolveStats, StageTimings, Violation,
+};
 use crate::interpret::interpret;
-use crate::solve::{merge_solver_stats, run_solve, SolvePlan, SolveStats};
-pub use crate::solve::{SolveMode, SolveThreads};
-use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan, TxnId};
+use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan};
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
     ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Polygraph, PruneOptions,
     PruneResult, PruneStats, Semantics,
 };
-use polysi_solver::{Lit, Solver, SolverStats};
+use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -251,13 +251,6 @@ pub struct EngineOptions {
     pub phase_seeding: bool,
     /// Intra-component parallelism of the Prune stage's constraint sweep.
     pub prune_threads: PruneThreads,
-    /// Worker parallelism of the Solve stage (cube-and-conquer or
-    /// portfolio over cloned solver state; verdict-identical for any
-    /// setting).
-    pub solve_threads: SolveThreads,
-    /// Solve strategy; [`SolveMode::Auto`] picks per instance. Exposed
-    /// mainly for the `solve` bench's mode ablation.
-    pub solve_mode: SolveMode,
     /// Reachability-oracle representation for the known graph
     /// ([`OracleKind`]): dense closure rows, per-session chain rows, or
     /// `Auto` (per component, chains when the session count beats the
@@ -282,8 +275,6 @@ impl Default for EngineOptions {
             interpret: true,
             phase_seeding: true,
             prune_threads: PruneThreads::Auto,
-            solve_threads: SolveThreads::Auto,
-            solve_mode: SolveMode::Auto,
             reach_oracle: OracleKind::Auto,
             compact: CompactMode::Auto,
             checkpoint_threads: CheckpointThreads::Auto,
@@ -305,8 +296,6 @@ impl From<&CheckOptions> for EngineOptions {
             interpret: opts.interpret,
             phase_seeding: opts.phase_seeding,
             prune_threads: PruneThreads::Fixed(1),
-            solve_threads: SolveThreads::Fixed(1),
-            solve_mode: SolveMode::Auto,
             reach_oracle: opts.reach_oracle,
             compact: CompactMode::Auto,
             checkpoint_threads: CheckpointThreads::Fixed(1),
@@ -437,9 +426,7 @@ impl CheckEngine {
         });
         let mut unit = match plan.filter(ShardPlan::is_shardable) {
             Some(plan) => self.check_shards(h, &facts, &plan),
-            None => {
-                self.check_unit(h, &facts, None, self.prune_options(&facts, 1), self.solve_plan(1))
-            }
+            None => self.check_unit(h, &facts, None, self.prune_options(&facts, 1)),
         };
 
         unit.timings.constructing += axioms_time;
@@ -488,10 +475,8 @@ impl CheckEngine {
         let workers =
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).clamp(1, ncomp);
         // Shard pipelines run `workers`-wide, so each unit's intra-prune
-        // sweep and solve-stage worker pool get a proportional share of
-        // the machine.
+        // sweep gets a proportional share of the machine.
         let prune_opts = self.prune_options(facts, workers);
-        let solve_plan = self.solve_plan(workers);
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, UnitReport)>> = Mutex::new(Vec::with_capacity(ncomp));
         std::thread::scope(|s| {
@@ -505,7 +490,7 @@ impl CheckEngine {
                         .obs
                         .tracer
                         .span_kv("shard", kv! { component: i, txns: plan.components[i].len() });
-                    let unit = self.check_unit(h, facts, Some((plan, i)), prune_opts, solve_plan);
+                    let unit = self.check_unit(h, facts, Some((plan, i)), prune_opts);
                     results.lock().expect("shard worker panicked").push((i, unit));
                 });
             }
@@ -542,7 +527,7 @@ impl CheckEngine {
                 (a, b) => a.or(b),
             };
             merged.solve_stats = match (merged.solve_stats, u.solve_stats) {
-                (Some(a), Some(b)) => Some(a.merge(b)),
+                (Some(a), Some(b)) => Some(SolveStats { units: a.units + b.units }),
                 (a, b) => a.or(b),
             };
         }
@@ -555,12 +540,6 @@ impl CheckEngine {
         prune_options_for(&self.opts, facts, units)
     }
 
-    /// Solve plan for one pipeline unit, `units` of which solve
-    /// concurrently.
-    fn solve_plan(&self, units: usize) -> SolvePlan {
-        solve_plan_for(&self.opts, units)
-    }
-
     /// Stages Construct → Prune → Encode → Solve for one unit: the whole
     /// history (`shard == None`) or one key-connectivity component.
     fn check_unit(
@@ -569,7 +548,6 @@ impl CheckEngine {
         facts: &Facts,
         shard: Option<(&ShardPlan, usize)>,
         prune_opts: PruneOptions,
-        solve_plan: SolvePlan,
     ) -> UnitReport {
         let comp = shard.map(|(plan, i)| &plan.components[i]);
         let semantics = self.isolation.semantics();
@@ -639,16 +617,10 @@ impl CheckEngine {
         solver.set_tracer(self.obs.tracer.clone());
         timings.encoding = t.elapsed();
 
-        // Stage::Solve. Cube ranking wants the history's transaction
-        // degrees in this unit's (possibly shard-local) id space.
+        // Stage::Solve.
         let t = Instant::now();
         let _solve_span = self.obs.tracer.span_kv("solve", kv! { vars: encode_stats.vars });
-        let degrees: Vec<u32> = match comp {
-            None => (0..h.len() as u32).map(|i| facts.txn_degree(TxnId(i)) as u32).collect(),
-            Some(c) => c.txns.iter().map(|&t| facts.txn_degree(t) as u32).collect(),
-        };
-        let (sat, solve_stats) = run_solve(&g, solver, Some(&degrees), &solve_plan);
-        let solver_stats = Some(solve_stats.solver);
+        let (sat, solver_stats) = solve(solver);
         let cycle = (!sat).then(|| translate(extract_cycle(&g)));
         timings.solving = t.elapsed();
         UnitReport {
@@ -656,15 +628,14 @@ impl CheckEngine {
             timings,
             prune_stats,
             encode_stats,
-            solver_stats,
-            solve_stats: Some(solve_stats),
+            solver_stats: Some(solver_stats),
+            solve_stats: Some(SolveStats { units: 1 }),
         }
     }
 
     /// Fold a finished report into the metrics registry. Plain counters
     /// carry only scheduling-independent totals (the digest contract);
-    /// solver runtime counters go under `runtime.*` and stage latencies
-    /// into histograms.
+    /// stage latencies go into histograms.
     fn record_metrics(&self, h: &History, report: &CheckReport) {
         let m = &self.obs.metrics;
         m.counter("check.runs").inc();
@@ -688,12 +659,12 @@ impl CheckEngine {
         m.counter("encode.known_edges").add(e.known_edges as u64);
         m.counter("encode.symbolic_edges").add(e.symbolic_edges as u64);
         if let Some(s) = &report.solver_stats {
-            m.counter("runtime.solver.decisions").add(s.decisions);
-            m.counter("runtime.solver.propagations").add(s.propagations);
-            m.counter("runtime.solver.conflicts").add(s.conflicts);
-            m.counter("runtime.solver.theory_conflicts").add(s.theory_conflicts);
-            m.counter("runtime.solver.learned_clauses").add(s.learned_clauses);
-            m.counter("runtime.solver.restarts").add(s.restarts);
+            m.counter("solver.decisions").add(s.decisions);
+            m.counter("solver.propagations").add(s.propagations);
+            m.counter("solver.conflicts").add(s.conflicts);
+            m.counter("solver.theory_conflicts").add(s.theory_conflicts);
+            m.counter("solver.learned_clauses").add(s.learned_clauses);
+            m.counter("solver.restarts").add(s.restarts);
         }
         let t = &report.timings;
         m.histogram_us("check.total_us").observe_duration(t.total());
@@ -722,10 +693,15 @@ pub(crate) fn prune_options_for(opts: &EngineOptions, facts: &Facts, units: usiz
     }
 }
 
-/// Solve plan for one pipeline unit, `units` of which solve concurrently
-/// (shared with the streaming checker, like [`prune_options_for`]).
-pub(crate) fn solve_plan_for(opts: &EngineOptions, units: usize) -> SolvePlan {
-    SolvePlan { mode: opts.solve_mode, threads: opts.solve_threads.resolve(units) }
+fn merge_solver_stats(a: SolverStats, b: SolverStats) -> SolverStats {
+    SolverStats {
+        decisions: a.decisions + b.decisions,
+        propagations: a.propagations + b.propagations,
+        conflicts: a.conflicts + b.conflicts,
+        theory_conflicts: a.theory_conflicts + b.theory_conflicts,
+        learned_clauses: a.learned_clauses + b.learned_clauses,
+        restarts: a.restarts + b.restarts,
+    }
 }
 
 /// Encode a polygraph into the SAT-modulo-acyclicity solver. Under SI the
@@ -784,11 +760,23 @@ pub(crate) fn encode(
     (solver, encode_stats)
 }
 
+/// Stage::Solve proper: whether the encoded instance is satisfiable, i.e.
+/// some resolution of the surviving constraints is acyclic, and what the
+/// search cost. Consumes the solver, so its clauses are freed before the
+/// caller builds a witness.
+pub(crate) fn solve(mut solver: Solver) -> (bool, SolverStats) {
+    let sat = match solver.solve() {
+        SolveResult::Sat(_) => true,
+        SolveResult::Unsat => false,
+        SolveResult::Unknown => unreachable!("the engine sets no conflict budget"),
+    };
+    (sat, *solver.stats())
+}
+
 /// On UNSAT, every resolution of the constraints is cyclic (Definition 15),
 /// so resolving everything one way and extracting a cycle yields a genuine
 /// counterexample. We try both uniform resolutions and keep the shorter
-/// cycle. A pure function of the polygraph: the witness is byte-identical
-/// whichever solve mode or worker count proved the UNSAT.
+/// cycle. A pure function of the polygraph, never of solver state.
 pub(crate) fn extract_cycle(g: &Polygraph) -> Vec<Edge> {
     let mut best: Option<Vec<Edge>> = None;
     for either in [true, false] {
@@ -868,7 +856,9 @@ fn add_symbolic(solver: &mut Solver, n: usize, guard: Lit, e: &Edge, sem: Semant
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polysi_history::{HistoryBuilder, Key, Value};
+    use polysi_history::{HistoryBuilder, Key, TxnId, Value};
+    use polysi_polygraph::ConstraintSet;
+    use proptest::prelude::*;
 
     fn k(n: u64) -> Key {
         Key(n)
@@ -1007,37 +997,24 @@ mod tests {
         }
     }
 
+    /// `solve_stats.units` counts solver calls: one per component that
+    /// reaches the Solve stage.
     #[test]
-    fn solve_threads_and_modes_do_not_change_reports() {
-        let histories = [write_skew_chain(), two_components_one_bad()];
-        for h in &histories {
-            for isolation in [IsolationLevel::Si, IsolationLevel::Ser] {
-                let run = |threads: SolveThreads, mode: SolveMode| {
-                    let opts = EngineOptions {
-                        solve_threads: threads,
-                        solve_mode: mode,
-                        ..Default::default()
-                    };
-                    check(h, isolation, &opts)
-                };
-                let seq = run(SolveThreads::Fixed(1), SolveMode::Auto);
-                for threads in [SolveThreads::Fixed(4), SolveThreads::Auto] {
-                    for mode in [SolveMode::Auto, SolveMode::Cube, SolveMode::Portfolio] {
-                        let par = run(threads, mode);
-                        assert_eq!(seq.is_si(), par.is_si(), "{isolation:?} {threads:?} {mode:?}");
-                        let cycles = |r: &crate::check::CheckReport| match &r.outcome {
-                            Outcome::CyclicViolation(v) => format!("{:?}", v.cycle),
-                            _ => String::new(),
-                        };
-                        assert_eq!(
-                            cycles(&seq),
-                            cycles(&par),
-                            "{isolation:?} {threads:?} {mode:?}"
-                        );
-                    }
-                }
-            }
+    fn solve_units_count_components_that_reach_solve() {
+        let mut b = HistoryBuilder::new();
+        for base in [0, 10, 20] {
+            b.session();
+            b.begin().write(k(base), v(1)).commit();
+            b.session();
+            b.begin().read(k(base), v(1)).write(k(base), v(2)).commit();
         }
+        let h = b.build();
+        let report = check(&h, IsolationLevel::Si, &EngineOptions::default());
+        assert!(report.is_si());
+        assert_eq!(report.shard_stats.map(|s| s.components), Some(3));
+        assert_eq!(report.solve_stats.map(|s| s.units), Some(3));
+        let off = EngineOptions { sharding: Sharding::Off, ..Default::default() };
+        assert_eq!(check(&h, IsolationLevel::Si, &off).solve_stats.map(|s| s.units), Some(1));
     }
 
     #[test]
@@ -1060,5 +1037,88 @@ mod tests {
         assert_eq!(names, ["axioms", "construct", "prune", "encode", "solve"]);
         assert_eq!(IsolationLevel::Ser.name(), "ser");
         assert_eq!(IsolationLevel::Si.long_name(), "snapshot isolation");
+    }
+
+    // -- encode + solve ≡ enumerated ground truth on random polygraphs ------
+
+    #[derive(Debug, Clone)]
+    struct RandomPolygraph {
+        n: usize,
+        known: Vec<Edge>,
+        constraints: Vec<(Vec<Edge>, Vec<Edge>)>,
+        semantics: Semantics,
+    }
+
+    fn edge_strategy(n: u32) -> impl Strategy<Value = Edge> {
+        (0..n, 0..n - 1, 0u8..4, 0u64..3).prop_map(move |(f, t0, kind, key)| {
+            let t = if t0 >= f { t0 + 1 } else { t0 };
+            let label = match kind {
+                0 => Label::So,
+                1 => Label::Wr(Key(key)),
+                2 => Label::Ww(Key(key)),
+                _ => Label::Rw(Key(key)),
+            };
+            Edge::new(TxnId(f), TxnId(t), label)
+        })
+    }
+
+    fn polygraph_strategy() -> impl Strategy<Value = RandomPolygraph> {
+        (4u32..10, any::<bool>()).prop_flat_map(|(n, ser)| {
+            let known = prop::collection::vec(edge_strategy(n), 0..10);
+            let constraints = prop::collection::vec(
+                (
+                    prop::collection::vec(edge_strategy(n), 1..3),
+                    prop::collection::vec(edge_strategy(n), 1..3),
+                ),
+                0..9,
+            );
+            (known, constraints).prop_map(move |(known, constraints)| RandomPolygraph {
+                n: n as usize,
+                known,
+                constraints,
+                semantics: if ser { Semantics::Ser } else { Semantics::Si },
+            })
+        })
+    }
+
+    fn build(rp: &RandomPolygraph) -> Polygraph {
+        let mut constraints = ConstraintSet::new();
+        for (either, or) in &rp.constraints {
+            constraints.push(Key(0), either.iter().copied(), or.iter().copied());
+        }
+        Polygraph { n: rp.n, known: rp.known.clone(), constraints, semantics: rp.semantics }
+    }
+
+    /// Ground truth by enumeration: some resolution of the constraints is
+    /// acyclic (Definition 15 — the instance is SAT iff one exists).
+    fn enumerate_sat(g: &Polygraph) -> bool {
+        let c = g.constraints.len();
+        assert!(c <= 12, "enumeration bound");
+        (0..(1u32 << c)).any(|mask| {
+            let mut edges = g.known.clone();
+            for (i, cons) in g.constraints.iter().enumerate() {
+                edges.extend_from_slice(if mask >> i & 1 == 0 { cons.either } else { cons.or });
+            }
+            matches!(KnownGraph::build_with(g.n, &edges, g.semantics), KnownGraphResult::Acyclic(_))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The Solve stage decides exactly the existence of an acyclic
+        /// resolution, on random polygraphs under both semantics, with
+        /// and without phase seeding. Model validity on SAT is enforced
+        /// internally (the solver cross-checks every model against the
+        /// full theory before returning it).
+        #[test]
+        fn encode_and_solve_match_enumeration(rp in polygraph_strategy()) {
+            let g = build(&rp);
+            let truth = enumerate_sat(&g);
+            for phase_seeding in [true, false] {
+                let (solver, _) = encode(&g, phase_seeding, None, OracleKind::Auto);
+                prop_assert_eq!(solve(solver).0, truth, "phase seeding {}", phase_seeding);
+            }
+        }
     }
 }

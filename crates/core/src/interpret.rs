@@ -14,7 +14,7 @@
 
 use polysi_history::{Facts, History, Key, TxnId, WrSource};
 use polysi_polygraph::{ConstraintSet, Edge, Label};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Whether a scenario dependency is established or still a guess.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,8 +42,9 @@ pub struct Scenario {
 pub fn interpret(h: &History, facts: &Facts, cycle: &[Edge]) -> Scenario {
     let mut edges: Vec<(Edge, Certainty)> = Vec::new();
     // Constraint pairs (key, writer, writer) that interpretation must
-    // resolve, normalized to ascending transaction ids.
-    let mut pairs: HashSet<(Key, TxnId, TxnId)> = HashSet::new();
+    // resolve, normalized to ascending transaction ids. Walked in sorted
+    // order, so the scenario lists its edges the same way on every run.
+    let mut pairs: BTreeSet<(Key, TxnId, TxnId)> = BTreeSet::new();
 
     let upsert = |edges: &mut Vec<(Edge, Certainty)>, e: Edge, c: Certainty| {
         if let Some(slot) = edges.iter_mut().find(|(x, _)| *x == e) {
@@ -54,7 +55,7 @@ pub fn interpret(h: &History, facts: &Facts, cycle: &[Edge]) -> Scenario {
             edges.push((e, c));
         }
     };
-    let register = |pairs: &mut HashSet<_>, key: Key, a: TxnId, b: TxnId| {
+    let register = |pairs: &mut BTreeSet<_>, key: Key, a: TxnId, b: TxnId| {
         let (lo, hi) = if a.0 <= b.0 { (a, b) } else { (b, a) };
         pairs.insert((key, lo, hi));
     };
@@ -131,7 +132,6 @@ pub fn interpret(h: &History, facts: &Facts, cycle: &[Edge]) -> Scenario {
     // final picture is self-contained (Figure 5b/5c).
     let known = known_edges(h, facts);
     let mut unresolved: Vec<(Key, TxnId, TxnId)> = pairs.into_iter().collect();
-    unresolved.sort_unstable_by_key(|&(k, a, b)| (k, a, b));
     loop {
         let mut graph = SmallGraph::new();
         graph.add_edges(&known);
@@ -402,6 +402,35 @@ mod tests {
         let s = interpret(&h, &facts, &cycle);
         assert_eq!(s.edges, vec![(cycle[0], Certainty::Certain)]);
         assert!(s.restored.is_empty());
+    }
+
+    /// The scenario's edge order must not depend on a hash set's
+    /// iteration order (under `RandomState` that differs on every call).
+    #[test]
+    fn scenario_order_repeats_across_runs() {
+        // Two keys, three writers each: six writer pairs, four restored
+        // `WR` edges whose first insertion depends on the pair order.
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(k(1), v(1)).write(k(2), v(1)).commit();
+        b.session();
+        b.begin().read(k(1), v(1)).read(k(2), v(1)).write(k(1), v(2)).write(k(2), v(2)).commit();
+        b.session();
+        b.begin().read(k(1), v(1)).read(k(2), v(1)).write(k(1), v(3)).write(k(2), v(3)).commit();
+        let h = b.build();
+        let facts = Facts::analyze(&h);
+        assert!(facts.axioms_ok());
+        let cycle = [
+            Edge::new(TxnId(1), TxnId(2), Label::Ww(k(1))),
+            Edge::new(TxnId(2), TxnId(1), Label::Rw(k(2))),
+        ];
+        let first = interpret(&h, &facts, &cycle);
+        assert!(first.finalized.len() >= 6, "a multi-pair scenario: {:?}", first.finalized);
+        for _ in 0..32 {
+            let again = interpret(&h, &facts, &cycle);
+            assert_eq!(again.edges, first.edges);
+            assert_eq!(again.finalized, first.finalized);
+        }
     }
 
     #[test]

@@ -50,12 +50,11 @@ pub mod list;
 pub mod live;
 pub mod oracle;
 pub mod report;
-pub mod solve;
 pub mod stream;
 
 pub use anomaly::Anomaly;
 pub use check::{
-    check_si, CheckOptions, CheckReport, EncodeStats, Outcome, StageTimings, Violation,
+    check_si, CheckOptions, CheckReport, EncodeStats, Outcome, SolveStats, StageTimings, Violation,
 };
 pub use engine::{
     check, CheckEngine, CheckpointThreads, EngineOptions, IsolationLevel, PruneThreads, ShardStats,
@@ -68,5 +67,4 @@ pub use live::{
 };
 pub use polysi_history::ShardFallback;
 pub use polysi_polygraph::OracleKind;
-pub use solve::{SolveMode, SolveModeUsed, SolveStats, SolveThreads};
 pub use stream::{CheckpointReport, StreamRejection, StreamVerdict, StreamingChecker};

@@ -5,13 +5,15 @@
 //!
 //! | schema             | producer                                   |
 //! |--------------------|--------------------------------------------|
-//! | `polysi.check.v1`  | batch check ([`check_report_json`])        |
-//! | `polysi.stream.v1` | streaming check ([`stream_report_json`])   |
-//! | `polysi.live.v1`   | live ingest run ([`live_report_json`])     |
+//! | `polysi.check.v2`  | batch check ([`check_report_json`])        |
+//! | `polysi.stream.v2` | streaming check ([`stream_report_json`])   |
+//! | `polysi.live.v2`   | live ingest run ([`live_report_json`])     |
 //! | `polysi.stats.v1`  | history statistics ([`stats_json`])        |
 //!
 //! The schemas are **append-only**: new optional fields may be added
-//! within a version; removing or re-typing a field bumps it. All
+//! within a version; removing or re-typing a field bumps it (`v2`: the
+//! `solve` object of the check body, which the stream and live schemas
+//! nest under `rejection.report`, shrank to `{"units": N}`). All
 //! durations are integer microseconds with a `_us` suffix; absent
 //! sub-reports (e.g. solver counters on an axiom rejection) are `null`,
 //! never omitted. The output is strict JSON — it round-trips through
@@ -22,7 +24,6 @@
 use crate::check::{CheckReport, Outcome, Violation};
 use crate::engine::{IsolationLevel, ShardStats};
 use crate::live::LiveReport;
-use crate::solve::SolveStats;
 use crate::stream::{CheckpointReport, StreamRejection, StreamVerdict};
 use polysi_history::stats::HistoryStats;
 use polysi_history::{AxiomViolation, ShardFallback};
@@ -84,26 +85,6 @@ fn write_solver_stats(w: &mut JsonWriter, s: &SolverStats) {
     w.end_object();
 }
 
-fn write_solve_stats(w: &mut JsonWriter, s: &SolveStats) {
-    w.begin_object();
-    w.field_str("mode", s.mode.name());
-    w.field_u64("threads", s.threads as u64);
-    w.field_u64("units", s.units as u64);
-    w.field_u64("split_selectors", s.split_selectors as u64);
-    match s.winner {
-        Some(i) => {
-            w.field_u64("winner", i as u64);
-        }
-        None => {
-            w.field_null("winner");
-        }
-    }
-    w.field_u64("sat_units", s.sat_units as u64);
-    w.field_u64("unsat_units", s.unsat_units as u64);
-    w.field_u64("cancelled_units", s.cancelled_units as u64);
-    w.end_object();
-}
-
 fn write_shard_stats(w: &mut JsonWriter, s: &ShardStats) {
     w.begin_object();
     w.field_u64("components", s.components as u64);
@@ -133,7 +114,7 @@ fn write_metrics(w: &mut JsonWriter, metrics: Option<&MetricsSnapshot>) {
     }
 }
 
-/// Write the body of a `polysi.check.v1` report (everything after the
+/// Write the body of a `polysi.check.v2` report (everything after the
 /// opening brace and schema tag is shared with the nested rejection
 /// report of the stream schema).
 fn write_check_body(w: &mut JsonWriter, report: &CheckReport, isolation: IsolationLevel) {
@@ -194,7 +175,11 @@ fn write_check_body(w: &mut JsonWriter, report: &CheckReport, isolation: Isolati
     }
     w.key("solve");
     match &report.solve_stats {
-        Some(s) => write_solve_stats(w, s),
+        Some(s) => {
+            w.begin_object();
+            w.field_u64("units", s.units as u64);
+            w.end_object();
+        }
         None => {
             w.null();
         }
@@ -209,7 +194,7 @@ fn write_check_body(w: &mut JsonWriter, report: &CheckReport, isolation: Isolati
     w.field_str("reach_oracle", report.reach_oracle.name());
 }
 
-/// The batch check report as a `polysi.check.v1` JSON document.
+/// The batch check report as a `polysi.check.v2` JSON document.
 ///
 /// `wall` is the end-to-end wall-clock of the run (load + check);
 /// `metrics` embeds a registry snapshot when observability was on.
@@ -221,7 +206,7 @@ pub fn check_report_json(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.check.v1");
+    w.field_str("schema", "polysi.check.v2");
     write_check_body(&mut w, report, isolation);
     w.field_u64("wall_us", us(wall));
     write_metrics(&mut w, metrics);
@@ -290,7 +275,7 @@ fn write_rejection(w: &mut JsonWriter, rej: Option<&StreamRejection>, isolation:
     }
 }
 
-/// A streaming run as a `polysi.stream.v1` JSON document: the checkpoint
+/// A streaming run as a `polysi.stream.v2` JSON document: the checkpoint
 /// trail, the final verdict, and (on terminal rejection) the canonical
 /// batch report on the rejecting prefix.
 pub fn stream_report_json(
@@ -302,7 +287,7 @@ pub fn stream_report_json(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.stream.v1");
+    w.field_str("schema", "polysi.stream.v2");
     w.field_str("isolation", isolation.name());
     w.key("checkpoints");
     w.begin_array();
@@ -324,7 +309,7 @@ pub fn stream_report_json(
     w.finish()
 }
 
-/// A live ingest run as a `polysi.live.v1` JSON document: the stream
+/// A live ingest run as a `polysi.live.v2` JSON document: the stream
 /// schema's checkpoint trail plus degradation flags, ingest counters, and
 /// the typed fault log.
 pub fn live_report_json(
@@ -336,7 +321,7 @@ pub fn live_report_json(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.live.v1");
+    w.field_str("schema", "polysi.live.v2");
     w.field_str("isolation", isolation.name());
     w.key("checkpoints");
     w.begin_array();
@@ -438,7 +423,7 @@ mod tests {
             Some(&engine.obs().metrics.snapshot()),
         );
         let v = parse(&json).expect("report must be valid JSON");
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v1"));
+        assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v2"));
         assert_eq!(v.get("verdict").and_then(Value::as_str), Some("ok"));
         assert_eq!(v.get("accepted").and_then(Value::as_bool), Some(true));
         assert!(v.get("timings").and_then(|t| t.get("total_us")).is_some());

@@ -57,13 +57,12 @@
 //!
 //! Streaming requires the default engine configuration of the graph
 //! stages: generalized constraints and pruning enabled (the prune oracle
-//! *is* the incremental structure). Thread knobs and `SolveMode` apply
-//! unchanged; interpretation runs inside the canonical batch report.
+//! *is* the incremental structure). Thread knobs apply unchanged;
+//! interpretation runs inside the canonical batch report.
 
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, Outcome};
-use crate::engine::{encode, CheckEngine, CompactMode, EngineOptions, IsolationLevel};
-use crate::solve::SolvePlan;
+use crate::engine::{encode, solve, CheckEngine, CompactMode, EngineOptions, IsolationLevel};
 use polysi_history::{
     AxiomViolation, FactEvent, Facts, History, HistoryStream, IngestError, Key, Op, RootInfo,
     SessionId, ShardComponent, TxnId, TxnStatus, WrSource,
@@ -415,7 +414,6 @@ impl StreamingChecker {
         let workers = self.opts.checkpoint_threads.resolve(dirty);
         let prune_opts =
             crate::engine::prune_options_for(&self.opts, self.stream.facts().facts(), workers);
-        let solve_plan = crate::engine::solve_plan_for(&self.opts, workers);
 
         // Collect the dirty components as independent jobs: each owns its
         // cached state (if any) and its event slice. Every job runs — even
@@ -438,7 +436,7 @@ impl StreamingChecker {
                 .span_kv("component", kv! { tag: job.tag, events: job.events.len() });
             let (tag, state, ok, was_rebuilt) = match job.state {
                 Some(mut state) => {
-                    let ok = self.check_delta(&mut state, &job.events, &prune_opts, &solve_plan);
+                    let ok = self.check_delta(&mut state, &job.events, &prune_opts);
                     (job.tag, state, ok, false)
                 }
                 None => {
@@ -449,7 +447,7 @@ impl StreamingChecker {
                         .find(|c| c.tag == job.tag)
                         .expect("grouped tag is live")
                         .clone();
-                    let (state, ok) = self.check_rebuild(&info, &prune_opts, &solve_plan);
+                    let (state, ok) = self.check_rebuild(&info, &prune_opts);
                     (job.tag, state, ok, true)
                 }
             };
@@ -683,12 +681,7 @@ impl StreamingChecker {
     /// First sight of a component (or a post-merge rebuild): construct
     /// and run the full staged pipeline on it. Returns the cached state
     /// and whether the component accepted.
-    fn check_rebuild(
-        &self,
-        info: &RootInfo,
-        prune_opts: &PruneOptions,
-        solve_plan: &SolvePlan,
-    ) -> (ComponentState, bool) {
+    fn check_rebuild(&self, info: &RootInfo, prune_opts: &PruneOptions) -> (ComponentState, bool) {
         let facts = self.stream.facts().facts();
         let mut keys = info.keys.clone();
         keys.sort_unstable();
@@ -714,7 +707,7 @@ impl StreamingChecker {
             PruneResult::Violation(_) => (state, false),
             PruneResult::Pruned(stats) => {
                 self.record_prune(&stats);
-                let ok = self.encode_and_solve(&mut state, oracle, solve_plan);
+                let ok = self.encode_and_solve(&mut state, oracle);
                 (state, ok)
             }
         }
@@ -753,7 +746,6 @@ impl StreamingChecker {
         state: &mut ComponentState,
         events: &[FactEvent],
         prune_opts: &PruneOptions,
-        solve_plan: &SolvePlan,
     ) -> bool {
         let facts = self.stream.facts().facts();
         let semantics = self.isolation.semantics();
@@ -919,7 +911,7 @@ impl StreamingChecker {
             PruneResult::Violation(_) => false,
             PruneResult::Pruned(stats) => {
                 self.record_prune(&stats);
-                self.encode_and_solve(state, oracle, solve_plan)
+                self.encode_and_solve(state, oracle)
             }
         }
     }
@@ -929,9 +921,7 @@ impl StreamingChecker {
         &self,
         state: &mut ComponentState,
         oracle: Option<Box<KnownGraph>>,
-        solve_plan: &SolvePlan,
     ) -> bool {
-        let facts = self.stream.facts().facts();
         let (mut solver, estats) =
             encode(&state.poly, self.opts.phase_seeding, oracle.as_deref(), self.opts.reach_oracle);
         solver.set_tracer(self.obs.tracer.clone());
@@ -940,10 +930,8 @@ impl StreamingChecker {
         m.counter("encode.clauses").add(estats.clauses as u64);
         m.counter("encode.known_edges").add(estats.known_edges as u64);
         m.counter("encode.symbolic_edges").add(estats.symbolic_edges as u64);
-        let degrees: Vec<u32> = state.txns.iter().map(|&t| facts.txn_degree(t) as u32).collect();
-        let (sat, _) = crate::solve::run_solve(&state.poly, solver, Some(&degrees), solve_plan);
         state.oracle = oracle;
-        sat
+        solve(solver).0
     }
 }
 

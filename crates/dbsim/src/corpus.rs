@@ -449,9 +449,9 @@ fn so_cascade_causality(base: u64) -> History {
 // solve stage: every constraint they generate survives pruning — each
 // violating cycle threads *two* constraint selectors, invisible to the
 // paper's one-constraint-at-a-time prune rule — so the SAT search after
-// pruning is non-trivial. The solve bench scales them to thousands of
-// transactions; the conformance sweep and the `solve_parallel`
-// determinism suite run small instances.
+// pruning is non-trivial. The benchmark's `batch_solver` workload scales
+// the lattice to 999 cells; `tests/solver_stress.rs` anchors small
+// instances against the oracle and the baselines.
 // ---------------------------------------------------------------------------
 
 /// Solver-stress template: a **write-skew lattice** — an odd ring of
@@ -525,14 +525,10 @@ pub fn write_skew_lattice(base: u64, cells: usize) -> History {
 /// Every companion cycle here is `WR`-linked (`R_0 → Y_0 ⇝ L_i → R_i →
 /// Y_i ⇝ H_i → R_0`, anti-dependencies non-adjacent), so the frustration
 /// binds under *both* semantics. Phase seeding orients every cell along
-/// the known topological order — the hub's conflicting side — so a
-/// sequential solver pays one theory conflict per satellite before
-/// flipping the hub, while a cube that pins the hub selector's other
-/// polarity is satisfiable outright and cubes pinning conflicting
-/// polarities die on assumption-level conflicts: the shape
-/// cube-and-conquer's selector ranking is built to exploit. The hub
-/// reader's transaction degree grows with `satellites`, so the ranking
-/// provably puts the hub selector first.
+/// the known topological order — the hub's conflicting side — so the
+/// solver pays one theory conflict per satellite before flipping the
+/// hub; deciding the hub selector first would be satisfiable outright.
+/// The hub reader's transaction degree grows with `satellites`.
 pub fn overlapping_clique(base: u64, satellites: usize) -> History {
     let a = |i: usize| Key(base + i as u64);
     let px = |i: usize| Key(base + 2_000 + i as u64);

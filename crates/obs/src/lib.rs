@@ -10,9 +10,9 @@
 //!    holding `None`; `span()` on it is a branch and a `None` guard, nothing
 //!    else — no clock read, no allocation, no lock.
 //! 2. **Deterministic counts.** Counter totals depend only on the work done,
-//!    never on thread interleaving; anything runtime-dependent (solver
-//!    conflicts, timings) goes into `runtime.*` counters, gauges, or
-//!    histograms, all of which are excluded from [`Metrics::counter_digest`].
+//!    never on thread interleaving; anything runtime-dependent (timings)
+//!    goes into `runtime.*` counters, gauges, or histograms, all of which
+//!    are excluded from [`Metrics::counter_digest`].
 //! 3. **No dependencies.** std only; the vendored shims are not even used
 //!    outside dev-dependencies.
 

@@ -8,10 +8,9 @@
 //!
 //! **Determinism contract:** plain counter totals depend only on the work
 //! performed, never on scheduling, so [`Metrics::counter_digest`] must be
-//! byte-identical across `--prune-threads` / `--solve-threads` /
-//! `--checkpoint-threads` settings. Runtime-dependent quantities (solver
-//! conflict counts, wall times) live in `runtime.*` counters, gauges, or
-//! histograms, all excluded from the digest.
+//! byte-identical across `--prune-threads` / `--checkpoint-threads`
+//! settings. Runtime-dependent quantities (wall times) live in `runtime.*`
+//! counters, gauges, or histograms, all excluded from the digest.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -10,7 +10,6 @@
 //! polysi check history.txt --isolation ser  # serializability instead of SI
 //! polysi check history.txt --shards auto    # shard by key connectivity
 //! polysi check history.txt --prune-threads 4  # parallel constraint sweep
-//! polysi check history.txt --solve-threads 4  # parallel solve stage
 //! polysi check history.txt --stream --checkpoint-threads 4  # parallel checkpoints
 //! polysi check history.txt --live            # concurrent ingest via bounded queues
 //! polysi check history.txt --dot out.dot
@@ -22,7 +21,7 @@
 
 use polysi::checker::engine::{
     CheckEngine, CheckpointThreads, CompactMode, EngineOptions, IsolationLevel, PruneThreads,
-    Sharding, SolveThreads,
+    Sharding,
 };
 use polysi::checker::report::{
     check_report_json, live_report_json, stats_json, stream_report_json,
@@ -36,7 +35,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto] [--solve-threads N|auto]\n               [--reach-oracle auto|dense|chains]\n               [--stream] [--live] [--checkpoints N] [--checkpoint-threads N|auto]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
+        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto] [--reach-oracle auto|dense|chains]\n               [--stream] [--live] [--checkpoints N] [--checkpoint-threads N|auto]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
     );
     ExitCode::from(2)
 }
@@ -425,23 +424,6 @@ fn main() -> ExitCode {
                                     return usage();
                                 }
                             };
-                    }
-                    "--solve-threads" => {
-                        i += 1;
-                        opts.solve_threads = match args.get(i).map(String::as_str) {
-                            Some("auto") => SolveThreads::Auto,
-                            Some(n) => match n.parse::<usize>() {
-                                Ok(n) if n >= 1 => SolveThreads::Fixed(n),
-                                _ => {
-                                    eprintln!("--solve-threads takes N|auto, got {n:?}");
-                                    return usage();
-                                }
-                            },
-                            None => {
-                                eprintln!("--solve-threads takes N|auto");
-                                return usage();
-                            }
-                        };
                     }
                     "--dot" => {
                         i += 1;

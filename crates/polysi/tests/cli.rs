@@ -295,45 +295,25 @@ fn live_flag_checks_through_the_ingest_service() {
     assert_eq!(out.status.code(), Some(2), "--live --no-pruning must be a usage error");
 }
 
-#[test]
-fn solve_threads_flag_validates() {
-    let out =
-        bin().args(["check", "/nonexistent", "--solve-threads", "many"]).output().expect("run");
-    assert_eq!(out.status.code(), Some(2), "bad --solve-threads must be usage error");
-    let out = bin().args(["check", "/nonexistent", "--solve-threads", "0"]).output().expect("run");
-    assert_eq!(out.status.code(), Some(2));
-}
-
 /// The solver-stress fixtures reach the solve stage with surviving
-/// constraints: the lattice is the SI-accepted / SER-rejected pair, and
-/// `--solve-threads` never changes either verdict.
+/// constraints: the lattice is the SI-accepted / SER-rejected pair.
 #[test]
 fn solver_stress_fixtures_decide_at_the_solve_stage() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    for threads in ["1", "4", "auto"] {
+    for (file, isolation, code, needle) in [
+        ("solver_stress_lattice.txt", "ser", 1, "write skew"),
+        ("solver_stress_clique.txt", "ser", 0, "OK"),
+        ("solver_stress_lattice.txt", "si", 0, "OK"),
+    ] {
         let out = bin()
             .arg("check")
-            .arg(dir.join("solver_stress_lattice.txt"))
-            .args(["--isolation", "ser", "--solve-threads", threads])
+            .arg(dir.join(file))
+            .args(["--isolation", isolation])
             .output()
-            .expect("run ser check");
+            .expect("run check");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(out.status.code(), Some(1), "lattice/{threads}: {stdout}");
-        assert!(stdout.contains("write skew"), "lattice/{threads}: {stdout}");
-        let out = bin()
-            .arg("check")
-            .arg(dir.join("solver_stress_clique.txt"))
-            .args(["--isolation", "ser", "--solve-threads", threads])
-            .output()
-            .expect("run ser check");
-        assert_eq!(out.status.code(), Some(0), "clique/{threads} must stay serializable");
-        let out = bin()
-            .arg("check")
-            .arg(dir.join("solver_stress_lattice.txt"))
-            .args(["--solve-threads", threads])
-            .output()
-            .expect("run si check");
-        assert_eq!(out.status.code(), Some(0), "lattice/{threads} must stay SI");
+        assert_eq!(out.status.code(), Some(code), "{file}/{isolation}: {stdout}");
+        assert!(stdout.contains(needle), "{file}/{isolation}: {stdout}");
     }
 }
 
@@ -460,6 +440,11 @@ fn bad_usage_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = bin().arg("check").arg("/nonexistent/file").output().expect("run");
     assert_eq!(out.status.code(), Some(2));
+    // A removed flag is an unknown flag, whatever the file holds.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/serializable.txt");
+    let out = bin().args(["check", fixture, "--solve-threads", "4"]).output().expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --solve-threads"));
 }
 
 /// `convert` moves histories between the text and binary formats in both

@@ -1,11 +1,12 @@
 //! Observability contract tests: deterministic metrics, well-nested span
 //! trees, and machine-readable reports.
 //!
-//! * **Counter determinism** — plain (non-`runtime.*`) counter totals are
-//!   a function of the history and options, not of scheduling:
+//! * **Counter determinism** — plain (non-`runtime.*`) counter totals,
+//!   the solver's search counters among them, are a function of the
+//!   history and options, not of scheduling:
 //!   [`polysi_obs::Metrics::counter_digest`] must be byte-identical at 1,
-//!   4, and auto threads for the prune, solve, and checkpoint worker
-//!   pools, across the conformance corpus.
+//!   4, and auto threads for the prune and checkpoint worker pools,
+//!   across the conformance corpus.
 //! * **Span coverage** — a traced batch check on the solver-stress
 //!   fixture produces one well-nested `check` root covering ≥95% of the
 //!   measured wall time, with the pipeline stages as ordered children.
@@ -16,7 +17,6 @@
 
 use polysi::checker::engine::{
     CheckEngine, CheckpointThreads, EngineOptions, IsolationLevel, PruneThreads, Sharding,
-    SolveThreads,
 };
 use polysi::checker::StreamingChecker;
 use polysi::dbsim::testkit::conformance_corpus;
@@ -43,19 +43,19 @@ fn fixture_path(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
-/// Batch-check `h` with the given worker-pool sizes and return the
-/// registry's deterministic counter digest, plus the count of resolved
-/// edges the reduced known graph did not materialise.
-fn batch_digest(h: &History, prune: PruneThreads, solve: SolveThreads) -> (u64, u64) {
-    let opts = EngineOptions {
-        sharding: Sharding::Auto,
-        prune_threads: prune,
-        solve_threads: solve,
-        ..Default::default()
-    };
+/// Batch-check `h` with the given prune pool and return the registry's
+/// deterministic counter digest, plus the count of resolved edges the
+/// reduced known graph did not materialise and the solver's decisions.
+fn batch_digest(h: &History, prune: PruneThreads) -> (u64, u64, u64) {
+    let opts =
+        EngineOptions { sharding: Sharding::Auto, prune_threads: prune, ..Default::default() };
     let obs = Obs::default();
     CheckEngine::new(IsolationLevel::Si, opts).with_obs(obs.clone()).check(h);
-    (obs.metrics.counter_digest(), obs.metrics.counter("prune.implied_edges").total())
+    (
+        obs.metrics.counter_digest(),
+        obs.metrics.counter("prune.implied_edges").total(),
+        obs.metrics.counter("solver.decisions").total(),
+    )
 }
 
 /// Stream `h` in thirds with the given checkpoint pool and return the
@@ -85,26 +85,21 @@ fn stream_digest(h: &History, threads: CheckpointThreads) -> u64 {
 fn counter_digest_is_thread_count_invariant() {
     let corpus = conformance_corpus(0x00D1_6E57, 1, 6);
     assert!(corpus.len() >= 10, "corpus too small: {}", corpus.len());
-    let mut implied = 0u64;
+    let (mut implied, mut decisions) = (0u64, 0u64);
     for case in &corpus {
-        let base = batch_digest(&case.history, PruneThreads::Fixed(1), SolveThreads::Fixed(1));
+        let base = batch_digest(&case.history, PruneThreads::Fixed(1));
         implied += base.1;
-        for (prune, solve) in [
-            (PruneThreads::Fixed(4), SolveThreads::Fixed(1)),
-            (PruneThreads::Fixed(1), SolveThreads::Fixed(4)),
-            (PruneThreads::Auto, SolveThreads::Auto),
-        ] {
-            let digest = batch_digest(&case.history, prune, solve);
-            assert_eq!(
-                digest, base,
-                "{}: counter digest diverged at {prune:?}/{solve:?}",
-                case.name
-            );
+        decisions += base.2;
+        for prune in [PruneThreads::Fixed(4), PruneThreads::Auto] {
+            let digest = batch_digest(&case.history, prune);
+            assert_eq!(digest, base, "{}: counter digest diverged at {prune:?}", case.name);
         }
     }
-    // The digest covers `prune.implied_edges` only if the corpus makes it
-    // move: the reduced known graph must have absorbed something.
+    // The digest covers `prune.implied_edges` and `solver.*` only if the
+    // corpus makes them move: the reduced known graph must have absorbed
+    // something, and the solver must have searched.
     assert!(implied > 0, "corpus never exercised the reduced known graph");
+    assert!(decisions > 0, "corpus never made the solver decide");
 }
 
 #[test]
@@ -235,7 +230,7 @@ fn cli_check_report_json_round_trips() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     let v = parse(&text).expect("valid JSON");
-    assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v1"));
+    assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v2"));
     for key in [
         "isolation",
         "verdict",
@@ -256,6 +251,8 @@ fn cli_check_report_json_round_trips() {
         assert!(v.get(key).is_some(), "missing key {key}");
     }
     assert_eq!(v.get("accepted").and_then(Value::as_bool), Some(true));
+    // v2: the solve object is the number of solver calls and nothing else.
+    assert!(text.contains("\"solve\":{\"units\":1}"), "solve object: {text}");
     // Append-only: `implied_edges` closes the prune object, after every
     // key a v1 consumer already knows, and the registry carries its twin.
     let prune = v.get("prune").expect("prune stats");
@@ -265,6 +262,8 @@ fn cli_check_report_json_round_trips() {
     assert!(inc.is_some() && inc < imp, "implied_edges must follow incremental_edges");
     let counters = v.get("metrics").and_then(|m| m.get("counters")).expect("counters");
     assert!(counters.get("prune.implied_edges").and_then(Value::as_u64).is_some());
+    // The solver's search counters are plain, digest-covered counters.
+    assert!(counters.get("solver.conflicts").and_then(Value::as_u64).is_some_and(|c| c > 0));
 }
 
 #[test]
@@ -286,7 +285,7 @@ fn cli_check_report_json_carries_the_violation() {
 
 #[test]
 fn cli_stream_and_live_report_json_round_trip() {
-    for (mode, schema) in [("--stream", "polysi.stream.v1"), ("--live", "polysi.live.v1")] {
+    for (mode, schema) in [("--stream", "polysi.stream.v2"), ("--live", "polysi.live.v2")] {
         let out = bin()
             .arg("check")
             .arg(fixture_path("serializable.txt"))

@@ -22,18 +22,25 @@ fn corpus() -> &'static [polysi::dbsim::testkit::ConformanceCase] {
     CORPUS.get_or_init(|| conformance_corpus(SEED, 1, 16))
 }
 
-/// A comparable digest of everything a check run decides.
-fn digest(report: &polysi::checker::CheckReport) -> (bool, String, Option<(usize, usize)>) {
+/// A comparable digest of everything a check run decides, and of the
+/// search effort the solver spent deciding it.
+fn digest(report: &polysi::checker::CheckReport) -> (bool, String, Option<(usize, usize)>, String) {
     let cycle = match &report.outcome {
         Outcome::CyclicViolation(v) => format!("{:?}", v.cycle),
         Outcome::AxiomViolations(vs) => format!("{vs:?}"),
         Outcome::Si => String::new(),
     };
-    (report.is_si(), cycle, report.prune_stats.map(|s| (s.constraints_after, s.unknown_deps_after)))
+    (
+        report.is_si(),
+        cycle,
+        report.prune_stats.map(|s| (s.constraints_after, s.unknown_deps_after)),
+        format!("{:?}", report.solver_stats),
+    )
 }
 
-/// Engine-level: thread counts never change verdicts, witness cycles, or
-/// surviving-constraint counts, sharded or not, for either isolation level.
+/// Engine-level: thread counts never change verdicts, witness cycles,
+/// surviving-constraint counts, or solver counters, sharded or not, for
+/// either isolation level.
 #[test]
 fn prune_threads_are_deterministic_across_corpus() {
     for case in corpus() {

@@ -11,13 +11,18 @@ use polysi::dbsim::testkit::conformance_corpus;
 use polysi::history::{History, SessionId, TxnId};
 use proptest::prelude::*;
 
-/// A stable digest of a batch report's verdict (scenario excluded: it is
-/// derived from the cycle and not part of the verdict contract).
+/// A stable digest of a batch report's verdict, the finalized scenario of
+/// the interpretation included (where interpretation ran).
 fn digest(report: &CheckReport) -> String {
     match &report.outcome {
         Outcome::Si => "ok".into(),
         Outcome::AxiomViolations(vs) => format!("axioms:{vs:?}"),
-        Outcome::CyclicViolation(v) => format!("cycle:{}:{:?}", v.anomaly, v.cycle),
+        Outcome::CyclicViolation(v) => format!(
+            "cycle:{}:{:?}:{:?}",
+            v.anomaly,
+            v.cycle,
+            v.scenario.as_ref().map(|s| &s.finalized)
+        ),
     }
 }
 

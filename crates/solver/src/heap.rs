@@ -60,15 +60,6 @@ impl ActivityHeap {
         Some(top)
     }
 
-    /// Re-establish the heap invariant after arbitrary activity edits
-    /// (e.g. a portfolio worker's deterministic reseed). Membership is
-    /// preserved; only the order is rebuilt.
-    pub fn rebuild(&mut self, activity: &[f64]) {
-        for pos in (0..self.heap.len()).rev() {
-            self.sift_down(pos, activity);
-        }
-    }
-
     /// Restore heap order after `v`'s activity increased.
     pub fn bumped(&mut self, v: Var, activity: &[f64]) {
         let pos = self.index[v.idx()];

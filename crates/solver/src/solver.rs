@@ -14,9 +14,7 @@
 
 use crate::heap::ActivityHeap;
 use crate::theory::{AcyclicityTheory, KnownGraph};
-use crate::types::{splitmix64, LBool, Lit, Var};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use crate::types::{LBool, Lit, Var};
 
 /// Outcome of [`Solver::solve`].
 #[derive(Debug)]
@@ -25,8 +23,8 @@ pub enum SolveResult {
     Sat(Model),
     /// Unsatisfiable.
     Unsat,
-    /// The conflict budget was exhausted — or the solver was interrupted
-    /// through [`Solver::set_interrupt`] — before a decision was reached.
+    /// The conflict budget ([`Solver::set_conflict_budget`]) was exhausted
+    /// before a decision was reached.
     Unknown,
 }
 
@@ -92,10 +90,8 @@ enum Conflict {
 
 /// The solver. See the module docs for the architecture.
 ///
-/// `Solver` is `Clone`: cloning a freshly encoded (pre-solve) instance is
-/// cheap relative to solving and is how the parallel solve stage hands
-/// each cube-and-conquer cube or portfolio worker its own private copy of
-/// the clauses and theory graph.
+/// `Solver` is `Clone`: a clone of a pre-solve instance is an independent
+/// copy of the clauses and theory graph.
 #[derive(Clone)]
 pub struct Solver {
     clauses: Vec<Clause>,
@@ -116,15 +112,8 @@ pub struct Solver {
     theory_finalized: bool,
     ok: bool,
     budget: Option<u64>,
-    /// Cooperative cancellation: when set and raised, `solve` returns
-    /// [`SolveResult::Unknown`] at the next conflict or decision.
-    interrupt: Option<Arc<AtomicBool>>,
-    /// Base conflict interval of the Luby restart schedule; portfolio
-    /// workers vary it through [`Solver::reseed`].
-    restart_base: u64,
     stats: SolverStats,
-    /// Span tracer ([`polysi_obs`]); disabled by default. Clones share the
-    /// sink, so cube/portfolio workers trace into one log.
+    /// Span tracer ([`polysi_obs`]); disabled by default.
     tracer: polysi_obs::Tracer,
 }
 
@@ -159,8 +148,6 @@ impl Solver {
             theory_finalized: false,
             ok: true,
             budget: None,
-            interrupt: None,
-            restart_base: RESTART_BASE,
             stats: SolverStats::default(),
             tracer: polysi_obs::Tracer::default(),
         }
@@ -205,9 +192,7 @@ impl Solver {
         &self.stats
     }
 
-    /// Record `sat.solve` spans into `tracer`. The solve stage hands every
-    /// worker a clone of this solver, so each cube/portfolio attempt traces
-    /// a span on its own thread lane.
+    /// Record a `sat.solve` span per [`Solver::solve`] call into `tracer`.
     pub fn set_tracer(&mut self, tracer: polysi_obs::Tracer) {
         self.tracer = tracer;
     }
@@ -218,57 +203,12 @@ impl Solver {
         self.budget = Some(max_conflicts);
     }
 
-    /// Attach a cooperative cancellation flag: when another thread raises
-    /// it, `solve` returns [`SolveResult::Unknown`] at its next conflict or
-    /// decision. The parallel solve stage uses this to stand down workers
-    /// whose result can no longer affect the verdict (e.g. higher-index
-    /// cubes once a SAT cube is known).
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
-    }
-
-    /// Deterministically perturb the search trajectory for portfolio
-    /// worker `seed` — initial phases, decision tie-breaking, the restart
-    /// interval, and the theory's cycle-discovery order all shift as pure
-    /// functions of the seed, so every run of the same seed retraces the
-    /// same search. Seed 0 is the identity: worker 0 *is* the sequential
-    /// solver. Call after encoding, before `solve`.
-    pub fn reseed(&mut self, seed: u64) {
-        if seed == 0 {
-            return;
-        }
-        for v in 0..self.assigns.len() {
-            let h = splitmix64(seed ^ (v as u64).wrapping_mul(0xA24B_AED4_963E_E407));
-            // Flip roughly one in eight seeded phases: enough to diversify
-            // the first full assignment without discarding the topological
-            // phase seeding wholesale.
-            if h & 7 == 0 {
-                self.phase[v] = !self.phase[v];
-            }
-            // Sub-1e-6 activity jitter: reorders VSIDS ties only, real
-            // bumps (increments of ~1.0) dominate it immediately.
-            self.activity[v] += (h >> 40) as f64 * 1e-14;
-        }
-        self.heap.rebuild(&self.activity);
-        self.restart_base = RESTART_BASE << (splitmix64(seed) % 3);
-        if let Some(t) = self.theory.as_mut() {
-            t.reseed(seed);
-        }
-    }
-
     /// Set the initial decision phase of a variable. A good initial phase
     /// (e.g. orienting write-order selectors along a topological order of
     /// the known graph) makes the first full assignment near-acyclic and
     /// cuts conflicts dramatically.
     pub fn set_phase(&mut self, v: Var, phase: bool) {
         self.phase[v.idx()] = phase;
-    }
-
-    /// The current decision phase of a variable (pre-solve: the seeded
-    /// initial phase). Cube-and-conquer splits cubes *around* the seeded
-    /// phases so cube 0 explores the phase-preferred subspace first.
-    pub fn phase(&self, v: Var) -> bool {
-        self.phase[v.idx()]
     }
 
     /// Add an unconditional graph edge `u → v` (must precede `solve`).
@@ -589,28 +529,13 @@ impl Solver {
 
     /// Solve the instance.
     pub fn solve(&mut self) -> SolveResult {
-        self.solve_with_assumptions(&[])
-    }
-
-    /// Solve under `assumptions`: before any free decision, each
-    /// assumption literal is decided in order (each on its own decision
-    /// level, exactly as MiniSat does), so a returned model satisfies all
-    /// of them and `Unsat` means *unsatisfiable under the assumptions*.
-    /// Restarts re-decide the assumptions; a learned clause that forces an
-    /// assumption false ends the search with `Unsat`. The cube-and-conquer
-    /// solve stage uses this to hand each worker one cube of selector
-    /// polarities over a cloned pre-solve instance.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
         if !self.tracer.is_enabled() {
-            return self.solve_inner(assumptions);
+            return self.solve_inner();
         }
         let tracer = self.tracer.clone();
-        let mut span = tracer.span_kv(
-            "sat.solve",
-            polysi_obs::kv! { vars: self.num_vars(), assumptions: assumptions.len() },
-        );
+        let mut span = tracer.span_kv("sat.solve", polysi_obs::kv! { vars: self.num_vars() });
         let before = self.stats;
-        let result = self.solve_inner(assumptions);
+        let result = self.solve_inner();
         span.attr(
             "result",
             match result {
@@ -624,8 +549,8 @@ impl Solver {
         result
     }
 
-    /// The CDCL search loop behind [`Solver::solve_with_assumptions`].
-    fn solve_inner(&mut self, assumptions: &[Lit]) -> SolveResult {
+    /// The CDCL search loop behind [`Solver::solve`].
+    fn solve_inner(&mut self) -> SolveResult {
         if !self.ok {
             return SolveResult::Unsat;
         }
@@ -639,13 +564,13 @@ impl Solver {
             }
         }
         let mut conflicts_since_restart = 0u64;
-        let mut restart_budget = self.restart_base * luby(self.stats.restarts + 1);
+        let mut restart_budget = RESTART_BASE * luby(self.stats.restarts + 1);
         loop {
             match self.propagate_all() {
                 Some(conflict) => {
                     self.stats.conflicts += 1;
                     conflicts_since_restart += 1;
-                    if self.budget.is_some_and(|b| self.stats.conflicts > b) || self.interrupted() {
+                    if self.budget.is_some_and(|b| self.stats.conflicts > b) {
                         return SolveResult::Unknown;
                     }
                     if self.decision_level() == 0 {
@@ -668,28 +593,9 @@ impl Solver {
                     if conflicts_since_restart >= restart_budget {
                         self.stats.restarts += 1;
                         conflicts_since_restart = 0;
-                        restart_budget = self.restart_base * luby(self.stats.restarts + 1);
+                        restart_budget = RESTART_BASE * luby(self.stats.restarts + 1);
                         self.cancel_until(0);
                         continue;
-                    }
-                    if (self.decision_level() as usize) < assumptions.len() {
-                        let a = assumptions[self.decision_level() as usize];
-                        match self.value(a) {
-                            // Already satisfied: open an empty level so the
-                            // level index keeps tracking the assumption
-                            // prefix.
-                            LBool::True => self.trail_lim.push(self.trail.len()),
-                            LBool::False => return SolveResult::Unsat,
-                            LBool::Undef => {
-                                self.stats.decisions += 1;
-                                self.trail_lim.push(self.trail.len());
-                                self.enqueue(a, None);
-                            }
-                        }
-                        continue;
-                    }
-                    if self.interrupted() {
-                        return SolveResult::Unknown;
                     }
                     match self.pick_branch() {
                         Some(l) => {
@@ -713,10 +619,6 @@ impl Solver {
                 }
             }
         }
-    }
-    #[inline]
-    fn interrupted(&self) -> bool {
-        self.interrupt.as_ref().is_some_and(|f| f.load(Ordering::Relaxed))
     }
 }
 
@@ -955,82 +857,6 @@ mod tests {
         s.add_clause(&[Lit::neg(x)]);
         assert!(!s.solve().is_sat());
     }
-}
-
-#[cfg(test)]
-mod assumption_tests {
-    use super::*;
-
-    fn lit(i: u32) -> Lit {
-        Lit::pos(Var(i))
-    }
-
-    #[test]
-    fn assumptions_restrict_the_model() {
-        let mut s = Solver::new();
-        for _ in 0..2 {
-            s.new_var();
-        }
-        s.add_clause(&[lit(0), lit(1)]);
-        match s.solve_with_assumptions(&[!lit(0)]) {
-            SolveResult::Sat(m) => {
-                assert!(!m.value(Var(0)));
-                assert!(m.value(Var(1)));
-            }
-            _ => panic!("expected SAT under ¬x0"),
-        }
-    }
-
-    #[test]
-    fn unsat_under_assumptions_but_sat_globally() {
-        let mut s = Solver::new();
-        for _ in 0..2 {
-            s.new_var();
-        }
-        s.add_clause(&[lit(0), lit(1)]);
-        let mut both_false = s.clone();
-        assert!(matches!(
-            both_false.solve_with_assumptions(&[!lit(0), !lit(1)]),
-            SolveResult::Unsat
-        ));
-        assert!(s.solve().is_sat(), "the instance itself is satisfiable");
-    }
-
-    #[test]
-    fn graph_cubes_partition_the_search() {
-        // Triangle with one forced direction per pair; assuming the cyclic
-        // orientation is UNSAT, the anti-cyclic one SAT.
-        let base = {
-            let mut s = Solver::with_graph(3);
-            let a = Lit::pos(s.new_var());
-            let b = Lit::pos(s.new_var());
-            let c = Lit::pos(s.new_var());
-            s.add_symbolic_edge(a, 0, 1);
-            s.add_symbolic_edge(b, 1, 2);
-            s.add_symbolic_edge(c, 2, 0);
-            s
-        };
-        let lits = [lit(0), lit(1), lit(2)];
-        let mut cyclic = base.clone();
-        assert!(matches!(cyclic.solve_with_assumptions(&lits), SolveResult::Unsat));
-        let mut acyclic = base.clone();
-        assert!(acyclic.solve_with_assumptions(&[lit(0), lit(1), !lit(2)]).is_sat());
-    }
-
-    #[test]
-    fn assumed_true_assumption_opens_empty_level() {
-        // A unit clause pre-satisfies the assumption; solving must still
-        // terminate and respect it.
-        let mut s = Solver::new();
-        s.new_var();
-        s.new_var();
-        s.add_clause(&[lit(0)]);
-        s.add_clause(&[!lit(0), lit(1)]);
-        match s.solve_with_assumptions(&[lit(0), lit(1)]) {
-            SolveResult::Sat(m) => assert!(m.value(Var(0)) && m.value(Var(1))),
-            _ => panic!("expected SAT"),
-        }
-    }
 
     #[test]
     fn cloned_pre_solve_state_is_independent() {
@@ -1044,64 +870,6 @@ mod assumption_tests {
         // The original is untouched by the clone's solve.
         assert!(base.solve().is_sat());
         assert_eq!(base.stats().conflicts, 0);
-    }
-
-    #[test]
-    fn reseed_zero_is_identity_and_seeds_are_deterministic() {
-        let build = || {
-            let mut s = Solver::with_graph(4);
-            let mut guards = Vec::new();
-            for i in 0..4u32 {
-                for j in 0..4u32 {
-                    if i != j {
-                        let g = Lit::pos(s.new_var());
-                        s.add_symbolic_edge(g, i, j);
-                        guards.push(g);
-                    }
-                }
-            }
-            // Every pair oriented one way or the other.
-            for k in (0..guards.len()).step_by(2) {
-                s.add_clause(&[guards[k], guards[k + 1]]);
-            }
-            s
-        };
-        let run = |seed: u64| {
-            let mut s = build();
-            s.reseed(seed);
-            let sat = s.solve().is_sat();
-            (sat, s.stats().decisions, s.stats().conflicts)
-        };
-        let baseline = run(0);
-        assert_eq!(baseline, run(0), "same seed must retrace the same search");
-        for seed in 1..4 {
-            let seeded = run(seed);
-            assert_eq!(seeded, run(seed), "seed {seed} must be deterministic");
-            assert_eq!(baseline.0, seeded.0, "reseeding must not change the verdict");
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn interrupt_flag_aborts_with_unknown() {
-        // Pigeonhole 6-into-5 cannot finish a single conflict round before
-        // noticing a pre-raised flag.
-        let mut s = Solver::new();
-        let p: Vec<Vec<Lit>> =
-            (0..6).map(|_| (0..5).map(|_| Lit::pos(s.new_var())).collect()).collect();
-        for row in &p {
-            s.add_clause(row);
-        }
-        for j in 0..5 {
-            for a in 0..6 {
-                for b in (a + 1)..6 {
-                    s.add_clause(&[!p[a][j], !p[b][j]]);
-                }
-            }
-        }
-        let flag = Arc::new(AtomicBool::new(true));
-        s.set_interrupt(flag);
-        assert!(matches!(s.solve(), SolveResult::Unknown));
     }
 }
 

@@ -16,7 +16,7 @@
 //! facts). Edge deletion (solver backtracking) is O(1): removing edges
 //! never invalidates a topological order.
 
-use crate::types::{splitmix64, Lit};
+use crate::types::Lit;
 use std::collections::HashMap;
 
 /// Result of finalizing the known subgraph.
@@ -263,26 +263,6 @@ impl AcyclicityTheory {
             self.ord[*node as usize] = slot;
         }
         None
-    }
-
-    /// Deterministically vary the theory's tie-breaking for a portfolio
-    /// worker: rotate each guard's edge list (which edge of a multi-edge
-    /// guard is inserted — and therefore conflicts — first) by a
-    /// seed-derived offset. Seed 0 is the identity, so worker 0 reproduces
-    /// the unseeded trajectory exactly. Call before solving; the decision
-    /// problem is unchanged — only the order in which cycles are
-    /// discovered, and hence the learned clauses, shifts.
-    pub fn reseed(&mut self, seed: u64) {
-        if seed == 0 {
-            return;
-        }
-        for (lit, edges) in self.edges_of_lit.iter_mut() {
-            if edges.len() > 1 {
-                let h = splitmix64(seed ^ (lit.idx() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let offset = (h % edges.len() as u64) as usize;
-                edges.rotate_left(offset);
-            }
-        }
     }
 
     /// Undo all activations performed at main-trail positions `>= trail_len`.

@@ -84,18 +84,6 @@ impl fmt::Debug for Lit {
     }
 }
 
-/// SplitMix64: a tiny, high-quality deterministic mixer used wherever the
-/// solver needs reproducible per-seed variation (portfolio reseeding) —
-/// the workspace vendors no RNG into this dependency-free crate.
-#[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A three-valued assignment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LBool {
