@@ -102,8 +102,11 @@ pub struct EncodeStats {
 /// How often the Solve stage ran.
 #[derive(Clone, Copy, Debug)]
 pub struct SolveStats {
-    /// Solver calls: pipeline units (the whole history, or one shard each)
-    /// that reached the Solve stage. Added up across shards.
+    /// Solver calls actually made: pipeline units (the whole history, or
+    /// one shard each) that reached the Solve stage with a constraint
+    /// pruning had not resolved (or without pruning). A unit pruning
+    /// decided completely is accepted without a solver and counts 0.
+    /// Added up across shards.
     pub units: usize,
 }
 
@@ -157,10 +160,10 @@ pub struct CheckReport {
     pub prune_stats: Option<PruneStats>,
     /// Encoded instance size.
     pub encode_stats: EncodeStats,
-    /// Solver counters, when the solver ran; summed across shards on
+    /// Solver counters, when a solver was called; summed across shards on
     /// sharded runs.
     pub solver_stats: Option<SolverStats>,
-    /// Solve-stage counters, when the solve stage ran.
+    /// Solve-stage counters, when a unit reached the Solve stage.
     pub solve_stats: Option<SolveStats>,
     /// Sharding decision, when the engine ran with `Sharding::Auto`.
     pub shard_stats: Option<ShardStats>,

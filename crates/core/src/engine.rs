@@ -15,6 +15,15 @@
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
 //! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph, classified, and interpreted |
 //!
+//! Encode and Solve are one function (`encode_and_solve`, shared with the
+//! streaming checker) and cost the constraints that *survive* pruning: a
+//! unit whose pruning ran and left no constraint is accepted without
+//! building a solver — the known graph is then the only compatible graph,
+//! and the prune oracle already holds it acyclic. `solve.units`
+//! ([`SolveStats`]) therefore counts the solver calls actually made, not
+//! the units that got that far; with `pruning: false` every unit is
+//! encoded.
+//!
 //! # Isolation levels
 //!
 //! [`IsolationLevel::Si`] runs the paper's pipeline on the layered
@@ -43,15 +52,15 @@ use crate::check::{
 };
 use crate::interpret::interpret;
 use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan};
-use polysi_obs::{kv, Obs};
+use polysi_obs::{kv, Metrics, Obs, Tracer};
 use polysi_polygraph::{
     ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Polygraph, PruneOptions,
     PruneResult, PruneStats, Semantics,
 };
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// The isolation level a history is checked against (the *policy*; the
 /// graph-level *mechanism* is [`Semantics`]).
@@ -117,13 +126,22 @@ pub enum PruneThreads {
     Fixed(usize),
 }
 
+/// The machine's available parallelism, read once per process: the
+/// standard library re-derives it on every call (on Linux from the cgroup
+/// files — ≈15 µs), and the streaming checker resolves its thread knobs at
+/// every sub-millisecond checkpoint.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
+}
+
 impl PruneThreads {
     /// Resolve to a concrete thread count for one of `units` concurrently
     /// pruning pipeline units. `Fixed` is capped at a small multiple of
     /// the machine's parallelism — an absurd `--prune-threads` value must
     /// degrade to oversubscription, not exhaust the process thread limit.
     pub(crate) fn resolve(self, units: usize) -> usize {
-        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+        let cores = cores();
         match self {
             PruneThreads::Fixed(n) => n.clamp(1, cores.saturating_mul(4).max(64)),
             PruneThreads::Auto => (cores / units.max(1)).max(1),
@@ -152,7 +170,7 @@ pub enum CheckpointThreads {
 impl CheckpointThreads {
     /// Resolve to a concrete worker count for `dirty` dirty components.
     pub(crate) fn resolve(self, dirty: usize) -> usize {
-        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+        let cores = cores();
         match self {
             CheckpointThreads::Fixed(n) => n.clamp(1, cores.saturating_mul(4).max(64)),
             CheckpointThreads::Auto => cores,
@@ -472,8 +490,7 @@ impl CheckEngine {
     /// deterministic regardless of scheduling.
     fn check_shards(&self, h: &History, facts: &Facts, plan: &ShardPlan) -> UnitReport {
         let ncomp = plan.components.len();
-        let workers =
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).clamp(1, ncomp);
+        let workers = cores().clamp(1, ncomp);
         // Shard pipelines run `workers`-wide, so each unit's intra-prune
         // sweep gets a proportional share of the machine.
         let prune_opts = self.prune_options(facts, workers);
@@ -537,7 +554,7 @@ impl CheckEngine {
     /// Prune options for one pipeline unit, `units` of which prune
     /// concurrently.
     fn prune_options(&self, facts: &Facts, units: usize) -> PruneOptions {
-        prune_options_for(&self.opts, facts, units)
+        prune_options_for(&self.opts, facts.mean_txn_degree(), units)
     }
 
     /// Stages Construct → Prune → Encode → Solve for one unit: the whole
@@ -606,30 +623,29 @@ impl CheckEngine {
             }
         }
 
-        // Stage::Encode. Phase seeding reuses the oracle pruning just
-        // maintained (it reflects every resolved edge) instead of paying a
-        // second from-scratch closure build.
+        // Stages Encode → Solve (the counterexample is part of the Solve
+        // stage's time, as it always was).
+        let tail = encode_and_solve(
+            &g,
+            &self.opts,
+            oracle.as_deref(),
+            &self.obs.tracer,
+            ["encode", "solve"],
+        );
+        timings.encoding = tail.encoding;
         let t = Instant::now();
-        let (mut solver, encode_stats) = {
-            let _span = self.obs.tracer.span("encode");
-            encode(&g, self.opts.phase_seeding, oracle.as_deref(), self.opts.reach_oracle)
-        };
-        solver.set_tracer(self.obs.tracer.clone());
-        timings.encoding = t.elapsed();
-
-        // Stage::Solve.
-        let t = Instant::now();
-        let _solve_span = self.obs.tracer.span_kv("solve", kv! { vars: encode_stats.vars });
-        let (sat, solver_stats) = solve(solver);
-        let cycle = (!sat).then(|| translate(extract_cycle(&g)));
-        timings.solving = t.elapsed();
+        let cycle = (!tail.sat).then(|| {
+            let _span = self.obs.tracer.span("solve.witness");
+            translate(extract_cycle(&g))
+        });
+        timings.solving = tail.solving + t.elapsed();
         UnitReport {
             cycle,
             timings,
             prune_stats,
-            encode_stats,
-            solver_stats: Some(solver_stats),
-            solve_stats: Some(SolveStats { units: 1 }),
+            encode_stats: tail.encode_stats,
+            solver_stats: tail.solver_stats,
+            solve_stats: Some(SolveStats { units: tail.solver_stats.is_some() as usize }),
         }
     }
 
@@ -653,19 +669,7 @@ impl CheckEngine {
             m.counter("prune.implied_edges").add(p.implied_edges as u64);
             m.counter("prune.graph_builds").add(p.graph_builds as u64);
         }
-        let e = &report.encode_stats;
-        m.counter("encode.vars").add(e.vars as u64);
-        m.counter("encode.clauses").add(e.clauses as u64);
-        m.counter("encode.known_edges").add(e.known_edges as u64);
-        m.counter("encode.symbolic_edges").add(e.symbolic_edges as u64);
-        if let Some(s) = &report.solver_stats {
-            m.counter("solver.decisions").add(s.decisions);
-            m.counter("solver.propagations").add(s.propagations);
-            m.counter("solver.conflicts").add(s.conflicts);
-            m.counter("solver.theory_conflicts").add(s.theory_conflicts);
-            m.counter("solver.learned_clauses").add(s.learned_clauses);
-            m.counter("solver.restarts").add(s.restarts);
-        }
+        record_instance_stats(m, &report.encode_stats, report.solver_stats.as_ref());
         let t = &report.timings;
         m.histogram_us("check.total_us").observe_duration(t.total());
         m.histogram_us("check.construct_us").observe_duration(t.constructing);
@@ -677,19 +681,42 @@ impl CheckEngine {
 
 /// Prune options for one pipeline unit, `units` of which prune
 /// concurrently: the thread knob resolves against the machine, and the
-/// sweep chunk size derives from the history's txn-degree hints —
-/// high-degree workloads carry more edges per constraint, so chunks
-/// shrink to keep parallel sweep stragglers short. Shared between the
-/// batch engine and the streaming checker so the two pipelines always
+/// sweep chunk size derives from the history's mean txn degree
+/// ([`Facts::mean_txn_degree`], or the streaming checker's running
+/// equivalent) — high-degree workloads carry more edges per constraint, so
+/// chunks shrink to keep parallel sweep stragglers short. Shared between
+/// the batch engine and the streaming checker so the two pipelines always
 /// run the same configuration.
-pub(crate) fn prune_options_for(opts: &EngineOptions, facts: &Facts, units: usize) -> PruneOptions {
+pub(crate) fn prune_options_for(
+    opts: &EngineOptions,
+    mean_txn_degree: f64,
+    units: usize,
+) -> PruneOptions {
     let threads = opts.prune_threads.resolve(units);
-    let chunk_size = (512.0 / (1.0 + facts.mean_txn_degree())).round() as usize;
+    let chunk_size = (512.0 / (1.0 + mean_txn_degree)).round() as usize;
     PruneOptions {
         threads,
         chunk_size: chunk_size.clamp(16, 512),
         oracle: opts.reach_oracle,
         ..Default::default()
+    }
+}
+
+/// Fold the size of the encoded instances and the solver's search counters
+/// into the registry (batch: the merged report's; stream: one call per
+/// dirty component's tail).
+pub(crate) fn record_instance_stats(m: &Metrics, e: &EncodeStats, s: Option<&SolverStats>) {
+    m.counter("encode.vars").add(e.vars as u64);
+    m.counter("encode.clauses").add(e.clauses as u64);
+    m.counter("encode.known_edges").add(e.known_edges as u64);
+    m.counter("encode.symbolic_edges").add(e.symbolic_edges as u64);
+    if let Some(s) = s {
+        m.counter("solver.decisions").add(s.decisions);
+        m.counter("solver.propagations").add(s.propagations);
+        m.counter("solver.conflicts").add(s.conflicts);
+        m.counter("solver.theory_conflicts").add(s.theory_conflicts);
+        m.counter("solver.learned_clauses").add(s.learned_clauses);
+        m.counter("solver.restarts").add(s.restarts);
     }
 }
 
@@ -704,6 +731,63 @@ fn merge_solver_stats(a: SolverStats, b: SolverStats) -> SolverStats {
     }
 }
 
+/// What the Encode → Solve tail of one pipeline unit produced.
+pub(crate) struct Tail {
+    /// Whether some resolution of the surviving constraints is acyclic.
+    pub sat: bool,
+    /// Size of the encoded instance (all zero when none was built).
+    pub encode_stats: EncodeStats,
+    /// The solver's search counters; `None` when no solver was called.
+    pub solver_stats: Option<SolverStats>,
+    /// Wall-clock of the Encode stage.
+    pub encoding: Duration,
+    /// Wall-clock of the Solve stage proper (no counterexample).
+    pub solving: Duration,
+}
+
+/// Stages Encode → Solve for one pipeline unit — a batch unit or one dirty
+/// component of a streaming checkpoint — under the two span names given.
+///
+/// The tail costs the constraints that survived pruning: when pruning ran
+/// (`oracle` is the reachability oracle it handed back) and left none, the
+/// unit is accepted here and no solver is built. That is sound because
+/// [`PruneResult::Pruned`] means every known edge sits in an acyclic
+/// oracle, and with no constraint left the known graph is the only
+/// compatible graph; it is also what the solver would answer (`finalize`
+/// on the known edges alone). Without an oracle — `pruning: false` — the
+/// known graph has not been checked, so the unit is encoded whatever it
+/// holds.
+pub(crate) fn encode_and_solve(
+    g: &Polygraph,
+    opts: &EngineOptions,
+    oracle: Option<&KnownGraph>,
+    tracer: &Tracer,
+    spans: [&'static str; 2],
+) -> Tail {
+    let t = Instant::now();
+    let encoded = {
+        let _span = tracer.span(spans[0]);
+        let decided = oracle.is_some() && g.constraints.is_empty();
+        // Phase seeding reuses the oracle pruning just maintained (it
+        // reflects every resolved edge) instead of paying a second
+        // from-scratch closure build.
+        (!decided).then(|| encode(g, opts.phase_seeding, oracle, opts.reach_oracle))
+    };
+    let encoding = t.elapsed();
+    let t = Instant::now();
+    let mut span = tracer.span(spans[1]);
+    span.attr("vars", g.constraints.len());
+    let (sat, encode_stats, solver_stats) = match encoded {
+        None => (true, EncodeStats::default(), None),
+        Some((mut solver, encode_stats)) => {
+            solver.set_tracer(tracer.clone());
+            let (sat, solver_stats) = solve(solver);
+            (sat, encode_stats, Some(solver_stats))
+        }
+    };
+    Tail { sat, encode_stats, solver_stats, encoding, solving: t.elapsed() }
+}
+
 /// Encode a polygraph into the SAT-modulo-acyclicity solver. Under SI the
 /// theory graph is the layered one (2n nodes, `Dep` edges fan out to
 /// boundary + mid images); under SER it is the plain n-node graph with
@@ -712,7 +796,7 @@ fn merge_solver_stats(a: SolverStats, b: SolverStats) -> SolverStats {
 /// near-acyclic; `oracle` (the reachability oracle pruning handed back,
 /// when it ran) supplies that order without a rebuild, and `kind` picks
 /// the representation of the fallback build when pruning did not run.
-pub(crate) fn encode(
+fn encode(
     g: &Polygraph,
     phase_seeding: bool,
     oracle: Option<&KnownGraph>,
@@ -764,7 +848,7 @@ pub(crate) fn encode(
 /// some resolution of the surviving constraints is acyclic, and what the
 /// search cost. Consumes the solver, so its clauses are freed before the
 /// caller builds a witness.
-pub(crate) fn solve(mut solver: Solver) -> (bool, SolverStats) {
+fn solve(mut solver: Solver) -> (bool, SolverStats) {
     let sat = match solver.solve() {
         SolveResult::Sat(_) => true,
         SolveResult::Unsat => false,
@@ -997,34 +1081,66 @@ mod tests {
         }
     }
 
-    /// `solve_stats.units` counts solver calls: one per component that
-    /// reaches the Solve stage.
+    /// `solve_stats.units` counts the solver calls actually made: one per
+    /// component that reaches the Solve stage with a constraint pruning
+    /// could not resolve. A component pruning decides completely is
+    /// accepted without a solver — unless pruning is off, when nothing
+    /// vouches for its known graph and every component is encoded.
     #[test]
     fn solve_units_count_components_that_reach_solve() {
-        let mut b = HistoryBuilder::new();
-        for base in [0, 10, 20] {
-            b.session();
-            b.begin().write(k(base), v(1)).commit();
-            b.session();
-            b.begin().read(k(base), v(1)).write(k(base), v(2)).commit();
-        }
-        let h = b.build();
+        // Three read-modify-write components: the `WR` edge decides the
+        // one writer pair of each. With `blind`, two more whose writers
+        // never read: either order is possible, so the pair survives.
+        let history = |blind: bool| {
+            let mut b = HistoryBuilder::new();
+            for base in [0, 10, 20] {
+                b.session();
+                b.begin().write(k(base), v(1)).commit();
+                b.session();
+                b.begin().read(k(base), v(1)).write(k(base), v(2)).commit();
+            }
+            for base in [30, 40].into_iter().filter(|_| blind) {
+                b.session();
+                b.begin().write(k(base), v(1)).commit();
+                b.session();
+                b.begin().write(k(base), v(2)).commit();
+            }
+            b.build()
+        };
+        let (decided, h) = (history(false), history(true));
+
         let report = check(&h, IsolationLevel::Si, &EngineOptions::default());
         assert!(report.is_si());
-        assert_eq!(report.shard_stats.map(|s| s.components), Some(3));
-        assert_eq!(report.solve_stats.map(|s| s.units), Some(3));
+        assert_eq!(report.shard_stats.map(|s| s.components), Some(5));
+        assert_eq!(report.prune_stats.map(|p| p.constraints_after), Some(2));
+        assert_eq!(report.solve_stats.map(|s| s.units), Some(2));
+        assert_eq!(report.encode_stats.vars, 2);
         let off = EngineOptions { sharding: Sharding::Off, ..Default::default() };
         assert_eq!(check(&h, IsolationLevel::Si, &off).solve_stats.map(|s| s.units), Some(1));
+
+        // Nothing survives: no solver is built, whole or sharded.
+        for opts in [EngineOptions::default(), off] {
+            let report = check(&decided, IsolationLevel::Si, &opts);
+            assert!(report.is_si());
+            assert_eq!(report.prune_stats.map(|p| p.constraints_after), Some(0));
+            assert_eq!(report.solve_stats.map(|s| s.units), Some(0));
+            assert!(report.solver_stats.is_none());
+            assert_eq!((report.encode_stats.vars, report.encode_stats.known_edges), (0, 0));
+        }
+        let unpruned = EngineOptions { pruning: false, ..Default::default() };
+        let report = check(&decided, IsolationLevel::Si, &unpruned);
+        assert!(report.is_si());
+        assert_eq!(report.solve_stats.map(|s| s.units), Some(3));
+        assert_eq!(report.encode_stats.vars, 3);
     }
 
     #[test]
     fn prune_threads_resolve() {
         assert_eq!(PruneThreads::Fixed(3).resolve(8), 3);
         assert_eq!(PruneThreads::Fixed(0).resolve(1), 1);
-        let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         assert_eq!(
             PruneThreads::Fixed(usize::MAX).resolve(1),
-            cores.saturating_mul(4).max(64),
+            cores().saturating_mul(4).max(64),
             "absurd --prune-threads values must be capped, not spawned"
         );
         assert!(PruneThreads::Auto.resolve(1) >= 1);
@@ -1118,6 +1234,34 @@ mod tests {
             for phase_seeding in [true, false] {
                 let (solver, _) = encode(&g, phase_seeding, None, OracleKind::Auto);
                 prop_assert_eq!(solve(solver).0, truth, "phase seeding {}", phase_seeding);
+            }
+        }
+
+        /// The shared Encode → Solve tail after pruning: its verdict is
+        /// the ground truth, it builds a solver exactly when a constraint
+        /// survived, and where it accepts without one the solver, run on
+        /// the same pruned polygraph, accepts too.
+        #[test]
+        fn tail_without_survivors_accepts_exactly_like_the_solver(rp in polygraph_strategy()) {
+            let mut g = build(&rp);
+            let truth = enumerate_sat(&g);
+            let (pruned, oracle) = g.prune_with_oracle(&PruneOptions::default());
+            if let PruneResult::Violation(_) = pruned {
+                prop_assert!(!truth, "pruning rejected a satisfiable polygraph");
+                return Ok(());
+            }
+            let opts = EngineOptions::default();
+            let tracer = Tracer::disabled();
+            let tail = encode_and_solve(&g, &opts, oracle.as_deref(), &tracer, ["encode", "solve"]);
+            prop_assert_eq!(tail.sat, truth);
+            prop_assert_eq!(tail.solver_stats.is_none(), g.constraints.is_empty());
+            if g.constraints.is_empty() {
+                prop_assert_eq!(tail.encode_stats.known_edges, 0, "nothing was encoded");
+                let (solver, _) = encode(&g, true, oracle.as_deref(), OracleKind::Auto);
+                prop_assert!(solve(solver).0, "the solver rejects what the tail accepted");
+                // Without an oracle nothing vouches for the known graph.
+                let unpruned = encode_and_solve(&g, &opts, None, &tracer, ["encode", "solve"]);
+                prop_assert!(unpruned.sat && unpruned.solver_stats.is_some());
             }
         }
     }

@@ -372,20 +372,25 @@ impl LiveChecker {
         if !self.cadence_due() {
             return;
         }
-        if self.stalled().is_empty() {
-            self.checkpoint_now();
-        } else {
+        let stalled = self.stalled();
+        if !stalled.is_empty() {
             self.overdue += 1;
-            if self.overdue > self.cfg.stall_patience {
-                self.checkpoint_now();
+            if self.overdue <= self.cfg.stall_patience {
+                return;
             }
         }
+        self.checkpoint_with(stalled);
     }
 
     /// Take a checkpoint right now, flagged degraded when reorder gaps
     /// are open (the covered prefix excludes what they buffer).
     pub fn checkpoint_now(&mut self) -> &LiveCheckpoint {
         let stalled = self.stalled();
+        self.checkpoint_with(stalled)
+    }
+
+    /// Checkpoint with the sessions already found `stalled`.
+    fn checkpoint_with(&mut self, stalled: Vec<SessionId>) -> &LiveCheckpoint {
         let report = self.checker.checkpoint();
         self.since_cp = 0;
         self.overdue = 0;

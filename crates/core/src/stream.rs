@@ -24,12 +24,35 @@
 //!   [`KnownGraph::grow`] and extended with
 //!   [`KnownGraph::insert_edges_bulk`] — never rebuilt; it keeps only the
 //!   delta edges its paths do not already imply, and the polygraph's
-//!   `known` list mirrors exactly those;
+//!   `known` list mirrors exactly those. Under `OracleKind::Auto` its
+//!   representation follows the growth (`grow` moves a dense oracle to
+//!   chains once the component is big enough for that to pay), so a
+//!   component first seen small ends up with the oracle a batch check of
+//!   the same prefix would build;
 //! * the prune fixpoint resumes from the delta's touched set
 //!   ([`Polygraph::prune_resume`]) instead of sweeping every constraint.
 //!
-//! The encode and solve stages re-run per dirty component (solver state
-//! is not incremental); clean components keep their cached accept.
+//! **A checkpoint costs its delta.** Global → local ids are one read of
+//! the checker's `local_of` column (filled by the sequential parts of a
+//! checkpoint; the component workers only read it), the delta's dedup and
+//! pair sets hash with the seeded fold-multiply hasher of
+//! `polysi_history::fasthash`, and the thread knobs resolve against a core
+//! count read once per process. The Encode → Solve tail is the batch
+//! engine's (`engine::encode_and_solve`) and costs the constraints that
+//! *survive*: a dirty component whose resumed prune leaves none is accepted
+//! without building a solver — the common case on update-heavy streams —
+//! so the registry's `encode.*` / `solver.*` counters count only the
+//! instances actually built and the solver calls actually made. When
+//! constraints do survive, the instance is rebuilt from the component's
+//! whole known graph (solver state is not incremental); clean components
+//! keep their cached accept.
+//!
+//! Each step is a span: `checkpoint` ⊃ `checkpoint.group`, one `component`
+//! per dirty component ⊃ `delta.events` / `delta.grow` (attrs `kind`,
+//! `converted`) / `delta.insert` / `delta.constraints` / `delta.prune` /
+//! `delta.encode` / `delta.solve` (a rebuild has the batch stages
+//! `construct` / `prune` / `encode` / `solve` instead), then `compact` ⊃
+//! `compact.select` / `history.compact` / `compact.remap`.
 //!
 //! # Monotonicity contract
 //!
@@ -62,17 +85,20 @@
 
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, Outcome};
-use crate::engine::{encode, solve, CheckEngine, CompactMode, EngineOptions, IsolationLevel};
+use crate::engine::{
+    encode_and_solve, record_instance_stats, CheckEngine, CompactMode, EngineOptions,
+    IsolationLevel,
+};
 use polysi_history::{
-    AxiomViolation, FactEvent, Facts, History, HistoryStream, IngestError, Key, Op, RootInfo,
-    SessionId, ShardComponent, TxnId, TxnStatus, WrSource,
+    AxiomViolation, FactEvent, Facts, FastMap, FastSet, History, HistoryStream, IngestError, Key,
+    Op, RootInfo, SessionId, ShardComponent, TxnId, TxnStatus, WrSource,
 };
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
     ConstraintMode, ConstraintSet, Edge, KnownGraph, Label, Polygraph, PruneOptions, PruneResult,
     PruneStats,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -165,7 +191,8 @@ pub struct StreamRejection {
 }
 
 /// Cached per-component pipeline state (arrival-order local ids: position
-/// in `txns` = local id, stable because arrivals only append).
+/// in `txns` = local id, stable because arrivals only append; the inverse
+/// is the checker's `local_of` column).
 struct ComponentState {
     /// Member transactions, ascending arrival ids.
     txns: Vec<TxnId>,
@@ -176,17 +203,7 @@ struct ComponentState {
     oracle: Option<Box<KnownGraph>>,
     /// Writers per key already incorporated into constraints (a prefix
     /// length of `facts.writers[key]`).
-    writer_seen: HashMap<Key, usize>,
-}
-
-impl ComponentState {
-    fn local(&self, t: TxnId) -> TxnId {
-        TxnId(self.txns.binary_search(&t).expect("transaction outside its component") as u32)
-    }
-
-    fn local_edge(&self, e: Edge) -> Edge {
-        Edge::new(self.local(e.from), self.local(e.to), e.label)
-    }
+    writer_seen: FastMap<Key, usize>,
 }
 
 /// The streaming checker (see the module docs).
@@ -194,7 +211,18 @@ pub struct StreamingChecker {
     isolation: IsolationLevel,
     opts: EngineOptions,
     stream: HistoryStream,
-    comps: HashMap<u64, ComponentState>,
+    comps: FastMap<u64, ComponentState>,
+    /// Arrival id → local id within the transaction's component (its
+    /// position in that [`ComponentState::txns`]): what
+    /// `ShardPlan::local_of` is for a batch check. Written only by the
+    /// sequential parts of a checkpoint — the event-grouping loop, the
+    /// collection of rebuild jobs, compaction — so the component workers
+    /// just read it. Covers every transaction of a cached component.
+    local_of: Vec<u32>,
+    /// `(Txn events, other events)` consumed so far: their ratio is the
+    /// running mean transaction degree ([`Facts::mean_txn_degree`] without
+    /// the scan), which sizes the chunks of a threaded prune sweep.
+    degree: (usize, usize),
     /// Events consumed from the stream's fact log.
     cursor: usize,
     checkpoints: usize,
@@ -218,7 +246,9 @@ impl StreamingChecker {
             isolation,
             opts,
             stream: HistoryStream::new(),
-            comps: HashMap::new(),
+            comps: FastMap::default(),
+            local_of: Vec::new(),
+            degree: (0, 0),
             cursor: 0,
             checkpoints: 0,
             rejection: None,
@@ -324,7 +354,14 @@ impl StreamingChecker {
         let seq = self.checkpoints;
         let (txns, ops) = (self.stream.total_pushed(), self.stream.num_ops());
         let live_txns = self.stream.len();
-        let components = self.stream.shards().components().filter(|c| !c.txns.is_empty()).count();
+        // One walk over the shard structure: the transaction-bearing
+        // component count, and the live tags the cache is filtered by.
+        let mut components = 0usize;
+        let mut live: FastSet<u64> = FastSet::default();
+        for c in self.stream.shards().components() {
+            components += !c.txns.is_empty() as usize;
+            live.insert(c.tag);
+        }
         let base =
             |verdict: StreamVerdict, dirty: usize, rebuilt: usize, t0: Instant| CheckpointReport {
                 seq,
@@ -388,67 +425,80 @@ impl StreamingChecker {
         }
 
         // Drop cached state for components that merged away.
-        let live: HashSet<u64> = self.stream.shards().components().map(|c| c.tag).collect();
         self.comps.retain(|tag, _| live.contains(tag));
 
-        // Group the new events by their *current* component.
-        let events = self.stream.facts().events();
-        let mut per_tag: BTreeMap<u64, Vec<FactEvent>> = BTreeMap::new();
-        for &ev in &events[self.cursor..] {
-            let tag = match ev {
-                FactEvent::Txn { id } => {
-                    let session = self.stream.txn(id).session;
-                    self.stream.shards().component_of_session(session).tag
-                }
-                FactEvent::FinalWrite { key, .. }
-                | FactEvent::Wr { key, .. }
-                | FactEvent::InitRead { key, .. } => {
-                    self.stream.shards().component_of_key(key).expect("key was pushed").tag
-                }
-            };
-            per_tag.entry(tag).or_default().push(ev);
-        }
-        self.cursor = events.len();
-
-        let dirty = per_tag.len();
-        let workers = self.opts.checkpoint_threads.resolve(dirty);
-        let prune_opts =
-            crate::engine::prune_options_for(&self.opts, self.stream.facts().facts(), workers);
-
         // Collect the dirty components as independent jobs: each owns its
-        // cached state (if any) and its event slice. Every job runs — even
-        // after one rejects — so `rebuilt` and the cached states are
-        // identical for any worker count (the canonical rejection report
-        // below is a pure function of the snapshot either way).
-        struct DirtyJob {
-            tag: u64,
+        // cached state (if any) and its events, grouped by their *current*
+        // component. A cached component's new transactions join its member
+        // list — and get their local ids — right here, so the workers only
+        // read the `local_of` column. Every job runs — even after one
+        // rejects — so `rebuilt` and the cached states are identical for
+        // any worker count (the canonical rejection report below is a pure
+        // function of the snapshot either way).
+        struct DirtyJob<'a> {
+            info: &'a RootInfo,
             events: Vec<FactEvent>,
             state: Option<ComponentState>,
         }
-        let jobs: Vec<DirtyJob> = per_tag
-            .into_iter()
-            .map(|(tag, events)| DirtyJob { tag, events, state: self.comps.remove(&tag) })
-            .collect();
-        let run_job = |job: DirtyJob| -> (u64, ComponentState, bool, bool) {
-            let mut span = self
-                .obs
-                .tracer
-                .span_kv("component", kv! { tag: job.tag, events: job.events.len() });
-            let (tag, state, ok, was_rebuilt) = match job.state {
+        let group_span = self.obs.tracer.span("checkpoint.group");
+        let events = self.stream.facts().events();
+        let shards = self.stream.shards();
+        self.local_of.resize(self.stream.len(), u32::MAX);
+        let mut per_tag: BTreeMap<u64, DirtyJob<'_>> = BTreeMap::new();
+        for &ev in &events[self.cursor..] {
+            let info = match ev {
+                FactEvent::Txn { id } => shards.component_of_session(self.stream.txn(id).session),
+                FactEvent::FinalWrite { key, .. }
+                | FactEvent::Wr { key, .. }
+                | FactEvent::InitRead { key, .. } => {
+                    shards.component_of_key(key).expect("key was pushed")
+                }
+            };
+            let job = per_tag.entry(info.tag).or_insert_with(|| DirtyJob {
+                info,
+                events: Vec::new(),
+                state: self.comps.remove(&info.tag),
+            });
+            job.events.push(ev);
+            match ev {
+                FactEvent::Txn { id } => {
+                    self.degree.0 += 1;
+                    // (A rebuild numbers its whole component, below.)
+                    if let Some(state) = &mut job.state {
+                        debug_assert!(state.txns.last().is_none_or(|&t| t < id));
+                        self.local_of[id.idx()] = state.txns.len() as u32;
+                        state.txns.push(id);
+                    }
+                }
+                _ => self.degree.1 += 1,
+            }
+        }
+        self.cursor = events.len();
+        let jobs: Vec<DirtyJob<'_>> = per_tag.into_values().collect();
+        for job in jobs.iter().filter(|job| job.state.is_none()) {
+            for (i, t) in job.info.txns.iter().enumerate() {
+                self.local_of[t.idx()] = i as u32;
+            }
+        }
+        drop(group_span);
+
+        let dirty = jobs.len();
+        let workers = self.opts.checkpoint_threads.resolve(dirty);
+        let mean_degree = self.degree.1 as f64 / self.degree.0.max(1) as f64;
+        let prune_opts = crate::engine::prune_options_for(&self.opts, mean_degree, workers);
+
+        let run_job = |job: DirtyJob<'_>| -> (u64, ComponentState, bool, bool) {
+            let tag = job.info.tag;
+            let mut span =
+                self.obs.tracer.span_kv("component", kv! { tag: tag, events: job.events.len() });
+            let (state, ok, was_rebuilt) = match job.state {
                 Some(mut state) => {
                     let ok = self.check_delta(&mut state, &job.events, &prune_opts);
-                    (job.tag, state, ok, false)
+                    (state, ok, false)
                 }
                 None => {
-                    let info = self
-                        .stream
-                        .shards()
-                        .components()
-                        .find(|c| c.tag == job.tag)
-                        .expect("grouped tag is live")
-                        .clone();
-                    let (state, ok) = self.check_rebuild(&info, &prune_opts);
-                    (job.tag, state, ok, true)
+                    let (state, ok) = self.check_rebuild(job.info, &prune_opts);
+                    (state, ok, true)
                 }
             };
             span.attr("rebuilt", was_rebuilt);
@@ -556,9 +606,10 @@ impl StreamingChecker {
 
         // Phase 1: per-component retained sets, merged into one global
         // drop mask.
+        let select_span = self.obs.tracer.span("compact.select");
         let facts = self.stream.facts().facts();
         let mut drop = vec![false; self.stream.len()];
-        let mut keeps: HashMap<u64, Vec<bool>> = HashMap::new();
+        let mut keeps: FastMap<u64, Vec<bool>> = FastMap::default();
         let mut dropped = 0usize;
         for info in self.stream.shards().components() {
             if info.txns.is_empty() {
@@ -583,7 +634,7 @@ impl StreamingChecker {
             // the open constraints (the undecided frontier).
             for &key in &info.keys {
                 if let Some(&w) = facts.writers.get(&key).and_then(|ws| ws.last()) {
-                    mark(state.local(w).0, &mut keep, &mut stack);
+                    mark(self.local_of[w.idx()], &mut keep, &mut stack);
                 }
             }
             for e in state.poly.constraints.edges() {
@@ -616,7 +667,7 @@ impl StreamingChecker {
                 }
                 for &(_, _, src) in &facts.reads[state.txns[i as usize].idx()] {
                     if let WrSource::Txn(w) = src {
-                        let j = state.local(w).0;
+                        let j = self.local_of[w.idx()];
                         if !keep[j as usize] {
                             keep[j as usize] = true;
                             stack.push(j);
@@ -636,6 +687,7 @@ impl StreamingChecker {
             dropped += d;
             keeps.insert(info.tag, keep);
         }
+        std::mem::drop(select_span);
         if dropped == 0 {
             return 0;
         }
@@ -648,7 +700,9 @@ impl StreamingChecker {
         // Phase 3: remap every cached component in place. Untouched
         // components only renumber their member list (local ids are
         // positional and unchanged); compacted ones restrict their oracle,
-        // polygraph, and bookkeeping to the survivors.
+        // polygraph, and bookkeeping to the survivors. Global ids moved
+        // for everyone, so the `local_of` column is rewritten whole.
+        let _remap_span = self.obs.tracer.span("compact.remap");
         let facts = self.stream.facts().facts();
         for (tag, state) in self.comps.iter_mut() {
             let Some(keep) = keeps.get(tag) else {
@@ -675,6 +729,13 @@ impl StreamingChecker {
                 .collect();
         }
         self.comps.retain(|_, s| !s.txns.is_empty());
+        self.local_of.clear();
+        self.local_of.resize(self.stream.len(), u32::MAX);
+        for state in self.comps.values() {
+            for (i, t) in state.txns.iter().enumerate() {
+                self.local_of[t.idx()] = i as u32;
+            }
+        }
         dropped
     }
 
@@ -683,6 +744,8 @@ impl StreamingChecker {
     /// and whether the component accepted.
     fn check_rebuild(&self, info: &RootInfo, prune_opts: &PruneOptions) -> (ComponentState, bool) {
         let facts = self.stream.facts().facts();
+        let tracer = &self.obs.tracer;
+        let construct_span = tracer.span("construct");
         let mut keys = info.keys.clone();
         keys.sort_unstable();
         let comp =
@@ -701,13 +764,17 @@ impl StreamingChecker {
         );
         let writer_seen =
             comp.keys.iter().map(|&k| (k, facts.writers.get(&k).map_or(0, Vec::len))).collect();
-        let (result, oracle) = poly.prune_with_oracle_traced(prune_opts, &self.obs.tracer);
+        drop(construct_span);
+        let (result, oracle) = {
+            let _span = tracer.span("prune");
+            poly.prune_with_oracle_traced(prune_opts, tracer)
+        };
         let mut state = ComponentState { txns: comp.txns, poly, oracle: None, writer_seen };
         match result {
             PruneResult::Violation(_) => (state, false),
             PruneResult::Pruned(stats) => {
                 self.record_prune(&stats);
-                let ok = self.encode_and_solve(&mut state, oracle);
+                let ok = self.encode_and_solve(&mut state, oracle, ["encode", "solve"]);
                 (state, ok)
             }
         }
@@ -716,6 +783,8 @@ impl StreamingChecker {
     /// Fold one component's prune counters into the metrics registry
     /// (same names as the batch engine — per-component work is identical
     /// for any checkpoint worker count, so the totals stay deterministic).
+    /// Each [`PruneStats`] covers one prune call, so the registry holds the
+    /// stream's true totals.
     fn record_prune(&self, p: &PruneStats) {
         let m = &self.obs.metrics;
         m.counter("prune.constraints_before").add(p.constraints_before as u64);
@@ -726,9 +795,17 @@ impl StreamingChecker {
         m.counter("prune.graph_builds").add(p.graph_builds as u64);
     }
 
+    /// The local id of a transaction within its component: one read of the
+    /// `local_of` column.
+    fn local(&self, t: TxnId) -> TxnId {
+        TxnId(self.local_of[t.idx()])
+    }
+
     /// Delta path: extend the cached polygraph and oracle with the
     /// component's new events, resume pruning from the touched set, then
-    /// re-encode and re-solve. Returns whether the component accepted.
+    /// re-encode and re-solve what survives. Returns whether the component
+    /// accepted. Every step costs the delta (or the surviving constraints),
+    /// and each is a `delta.*` span under the component's.
     ///
     /// Constraint maintenance distinguishes three cases per affected
     /// writer pair:
@@ -749,17 +826,19 @@ impl StreamingChecker {
     ) -> bool {
         let facts = self.stream.facts().facts();
         let semantics = self.isolation.semantics();
+        let tracer = &self.obs.tracer;
+
+        let events_span = tracer.span("delta.events");
         let mut new_known: Vec<Edge> = Vec::new(); // global ids
                                                    // (key, t, s) with `t` before `s` in the key's writer list (writer
                                                    // lists are ascending in arrival order, so min/max normalizes).
         let mut new_pairs: Vec<(Key, TxnId, TxnId)> = Vec::new();
-        let mut fresh: HashSet<(Key, TxnId, TxnId)> = HashSet::new();
         let mut reader_growth: Vec<(Key, TxnId, TxnId)> = Vec::new(); // (key, writer, reader)
         for &ev in events {
             match ev {
                 FactEvent::Txn { id } => {
-                    debug_assert!(state.txns.last().is_none_or(|&t| t < id));
-                    state.txns.push(id);
+                    // Already a member (the grouping loop appended it).
+                    debug_assert_eq!(state.txns[self.local(id).idx()], id);
                     if let Some(p) = self.stream.session_predecessor(id) {
                         new_known.push(Edge::new(p, id, Label::So));
                     }
@@ -768,10 +847,7 @@ impl StreamingChecker {
                     let seen = state.writer_seen.entry(key).or_insert(0);
                     let writers = &facts.writers[&key];
                     debug_assert_eq!(writers[*seen], writer, "writer events arrive in order");
-                    for &w2 in &writers[..*seen] {
-                        new_pairs.push((key, w2, writer));
-                        fresh.insert((key, w2, writer));
-                    }
+                    new_pairs.extend(writers[..*seen].iter().map(|&w2| (key, w2, writer)));
                     *seen += 1;
                     // Init readers (past and in-batch; dedup below) gain a
                     // known anti-dependency to the new writer.
@@ -803,33 +879,47 @@ impl StreamingChecker {
                 }
             }
         }
+        drop(events_span);
 
-        // Grow the vertex space, then land the edge delta (dedup +
-        // localize) so reachability reflects this checkpoint's knowns.
-        // The oracle keeps only the edges its paths do not already imply
-        // and `poly.known` mirrors it; every delta edge still marks the
-        // resume worklist. Each event fires once, so an edge can repeat
-        // only within a batch (an init read and a final write landing
-        // together name the same anti-dependency) — hence the local set.
+        // Grow the vertex space (an `Auto` oracle re-resolves its
+        // representation for the new size here).
         let n = state.txns.len();
         state.poly.n = n;
         let mut oracle = state.oracle.take().expect("live component has an oracle");
-        oracle.grow(n);
-        let mut touched = vec![false; n];
-        let mut landed: HashSet<Edge> = HashSet::new();
-        let mut delta: Vec<Edge> = Vec::new();
-        for e in new_known {
-            let le = state.local_edge(e);
-            if landed.insert(le) {
-                touched[le.from.idx()] = true;
-                touched[le.to.idx()] = true;
-                delta.push(le);
-            }
-        }
-        if oracle.insert_edges_bulk(&delta, &mut state.poly.known).is_err() {
-            return false; // terminal; the canonical witness comes from batch
+        {
+            let mut span = tracer.span("delta.grow");
+            let kind = oracle.oracle_kind();
+            oracle.grow(n);
+            span.attr("kind", oracle.oracle_kind().name());
+            span.attr("converted", oracle.oracle_kind() != kind);
         }
 
+        // Land the edge delta (dedup + localize) so reachability reflects
+        // this checkpoint's knowns. The oracle keeps only the edges its
+        // paths do not already imply and `poly.known` mirrors it; every
+        // delta edge still marks the resume worklist. Each event fires
+        // once, so an edge can repeat only within a batch (an init read
+        // and a final write landing together name the same
+        // anti-dependency) — hence the local set.
+        let mut touched = vec![false; n];
+        let mut landed: FastSet<Edge> = FastSet::default();
+        {
+            let _span = tracer.span("delta.insert");
+            let mut delta: Vec<Edge> = Vec::with_capacity(new_known.len());
+            for e in new_known {
+                let le = Edge::new(self.local(e.from), self.local(e.to), e.label);
+                if landed.insert(le) {
+                    touched[le.from.idx()] = true;
+                    touched[le.to.idx()] = true;
+                    delta.push(le);
+                }
+            }
+            if oracle.insert_edges_bulk(&delta, &mut state.poly.known).is_err() {
+                return false; // terminal; the canonical witness comes from batch
+            }
+        }
+
+        let constraints_span = tracer.span("delta.constraints");
         // Fresh constraints for the new writer pairs (global ids until
         // the whole batch is localized below).
         let mut new_constraints = ConstraintSet::new();
@@ -844,11 +934,12 @@ impl StreamingChecker {
         // Reader growth against pre-existing pairs: decided pairs take the
         // new anti-dependency as a direct known edge, open pairs are
         // marked for regeneration.
-        let mut regen: BTreeSet<(Key, TxnId, TxnId)> = BTreeSet::new();
+        let fresh: FastSet<(Key, TxnId, TxnId)> = new_pairs.into_iter().collect();
+        let mut regen: FastSet<(Key, TxnId, TxnId)> = FastSet::default();
         let mut follow_on: Vec<Edge> = Vec::new(); // local ids
         for &(key, w, r) in &reader_growth {
             let seen = state.writer_seen.get(&key).copied().unwrap_or(0);
-            let (lw, lr) = (state.local(w), state.local(r));
+            let (lw, lr) = (self.local(w), self.local(r));
             for &w2 in &facts.writers[&key][..seen] {
                 if w2 == w {
                     continue;
@@ -857,7 +948,7 @@ impl StreamingChecker {
                 if fresh.contains(&pair) {
                     continue; // the fresh constraint already carries `r`
                 }
-                let lw2 = state.local(w2);
+                let lw2 = self.local(w2);
                 if oracle.reaches(lw, lw2) {
                     // `w` precedes `w2` in every compatible graph, so the
                     // new reader of `w` must too (the prune rule's forced
@@ -884,8 +975,8 @@ impl StreamingChecker {
         }
 
         // Open pairs: drop the survivor, regenerate over the grown reader
-        // sets (re-resolution is impossible here — neither direction is
-        // reachable — so no duplicate work is queued).
+        // sets in pair order (re-resolution is impossible here — neither
+        // direction is reachable — so no duplicate work is queued).
         if !regen.is_empty() {
             state.poly.constraints.retain(|_, c| {
                 let ww = c.either[0];
@@ -894,44 +985,49 @@ impl StreamingChecker {
                 let pair = if t < s { (c.key, t, s) } else { (c.key, s, t) };
                 !regen.contains(&pair)
             });
-            for &(key, t, s) in &regen {
+            let mut regen: Vec<(Key, TxnId, TxnId)> = regen.into_iter().collect();
+            regen.sort_unstable();
+            for (key, t, s) in regen {
                 generate(key, t, s);
             }
         }
-        new_constraints.remap(|t| state.local(t));
+        new_constraints.remap(|t| self.local(t));
         for e in new_constraints.edges() {
             touched[e.from.idx()] = true;
             touched[e.to.idx()] = true;
         }
         state.poly.constraints.extend(new_constraints);
+        drop(constraints_span);
 
-        let (result, oracle) =
-            state.poly.prune_resume_traced(oracle, &touched, prune_opts, &self.obs.tracer);
+        let (result, oracle) = {
+            let mut span = tracer.span("delta.prune");
+            span.attr("constraints", state.poly.constraints.len());
+            state.poly.prune_resume_traced(oracle, &touched, prune_opts, tracer)
+        };
         match result {
             PruneResult::Violation(_) => false,
             PruneResult::Pruned(stats) => {
                 self.record_prune(&stats);
-                self.encode_and_solve(state, oracle)
+                self.encode_and_solve(state, oracle, ["delta.encode", "delta.solve"])
             }
         }
     }
 
-    /// Shared encode+solve tail; stores the oracle back into the state.
+    /// The Encode → Solve tail the batch engine runs
+    /// ([`encode_and_solve`]: no solver when pruning left no constraint),
+    /// with this component's share folded into the registry; stores the
+    /// oracle back into the state.
     fn encode_and_solve(
         &self,
         state: &mut ComponentState,
         oracle: Option<Box<KnownGraph>>,
+        spans: [&'static str; 2],
     ) -> bool {
-        let (mut solver, estats) =
-            encode(&state.poly, self.opts.phase_seeding, oracle.as_deref(), self.opts.reach_oracle);
-        solver.set_tracer(self.obs.tracer.clone());
-        let m = &self.obs.metrics;
-        m.counter("encode.vars").add(estats.vars as u64);
-        m.counter("encode.clauses").add(estats.clauses as u64);
-        m.counter("encode.known_edges").add(estats.known_edges as u64);
-        m.counter("encode.symbolic_edges").add(estats.symbolic_edges as u64);
+        let tail =
+            encode_and_solve(&state.poly, &self.opts, oracle.as_deref(), &self.obs.tracer, spans);
         state.oracle = oracle;
-        solve(solver).0
+        record_instance_stats(&self.obs.metrics, &tail.encode_stats, tail.solver_stats.as_ref());
+        tail.sat
     }
 }
 
@@ -1237,5 +1333,248 @@ mod tests {
         }
         assert!(run(IsolationLevel::Si), "write skew is SI-allowed");
         assert!(!run(IsolationLevel::Ser), "write skew chain is not serializable");
+    }
+    /// A serial execution: every read names the latest committed write of
+    /// its key (the initial value before any) and every write a fresh
+    /// value, so any prefix — dealt to any sessions — satisfies SI.
+    #[derive(Default)]
+    struct Serial {
+        latest: std::collections::HashMap<u64, u64>,
+        values: u64,
+    }
+
+    impl Serial {
+        fn txn(&mut self, reads: &[u64], writes: &[u64]) -> Vec<Op> {
+            let mut ops: Vec<Op> = reads
+                .iter()
+                .map(|key| r(*key, self.latest.get(key).copied().unwrap_or(0)))
+                .collect();
+            for &key in writes {
+                self.values += 1;
+                self.latest.insert(key, self.values);
+                ops.push(w(key, self.values));
+            }
+            ops
+        }
+    }
+
+    /// The cached oracle of a single-component stream.
+    fn only_oracle(c: &StreamingChecker) -> &KnownGraph {
+        assert_eq!(c.comps.len(), 1, "one component");
+        c.comps.values().next().and_then(|s| s.oracle.as_deref()).expect("accepted state")
+    }
+
+    /// What `Auto` resolves to when the checker's current prefix is
+    /// checked as a batch: the kind of the oracle its prune stage builds.
+    fn batch_oracle_kind(c: &StreamingChecker) -> polysi_polygraph::OracleKind {
+        let (prefix, _) = c.stream().snapshot();
+        let facts = Facts::analyze(&prefix);
+        let mut g = Polygraph::from_history(&prefix, &facts, ConstraintMode::Generalized);
+        let (_, oracle) = g.prune_with_oracle(&PruneOptions::default());
+        oracle.expect("an accepted prefix prunes").oracle_kind()
+    }
+
+    /// A 20-session component first seen at 256 transactions and grown to
+    /// 4 096: at every checkpoint the verdict is batch's and the cached
+    /// oracle has the representation a batch check of the same prefix
+    /// picks — dense below the threshold, chains from 1 024 on, at a
+    /// fraction of the bytes — while a pinned kind stays put.
+    #[test]
+    fn streamed_oracle_follows_growth_like_a_batch_check() {
+        use polysi_polygraph::OracleKind;
+        let run = |reach_oracle: OracleKind| {
+            let opts = EngineOptions { reach_oracle, ..EngineOptions::default() };
+            let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
+            let sessions: Vec<SessionId> = (0..20).map(|_| c.session()).collect();
+            let mut serial = Serial::default();
+            let mut kinds = Vec::new();
+            for j in 0..4096u64 {
+                let s = j % 20;
+                // A key of its own, and a read of the previous
+                // transaction's (another session's): one component, one
+                // writer per key. Every eighth round a session also
+                // updates the hot key it owns.
+                let own = 1_000 + j;
+                let (mut reads, mut writes) = (vec![own - 1], vec![own]);
+                if (j / 20) % 8 == 0 {
+                    reads.push(1 + s);
+                    writes.push(1 + s);
+                }
+                c.push_transaction(
+                    sessions[s as usize],
+                    serial.txn(&reads[(j == 0) as usize..], &writes),
+                    TxnStatus::Committed,
+                );
+                if (j + 1) % 256 == 0 {
+                    if reach_oracle == OracleKind::Auto {
+                        assert!(assert_matches_batch(&mut c));
+                        assert_eq!(
+                            only_oracle(&c).oracle_kind(),
+                            batch_oracle_kind(&c),
+                            "at {} transactions",
+                            j + 1
+                        );
+                    } else {
+                        assert!(c.checkpoint().verdict.accepted());
+                    }
+                    kinds.push(only_oracle(&c).oracle_kind());
+                }
+            }
+            (kinds, only_oracle(&c).oracle_bytes())
+        };
+        let (kinds, bytes) = run(OracleKind::Auto);
+        assert_eq!(kinds[..3], [OracleKind::Dense; 3]);
+        assert_eq!(kinds[3..], [OracleKind::Chains; 13], "chains from 1 024 transactions on");
+        assert!(bytes <= 2 << 20, "chain oracle holds {bytes} B");
+        let (kinds, dense_bytes) = run(OracleKind::Dense);
+        assert_eq!(kinds, [OracleKind::Dense; 16], "a pinned kind is kept throughout");
+        assert!(dense_bytes >= 6 << 20, "the dense oracle would hold {dense_bytes} B");
+    }
+
+    /// A soak-shaped stream — waves of fresh sessions updating their own
+    /// keys, sealed, checkpointed and compacted — never leaves pruning a
+    /// constraint, so it never meets a solver: no instance is encoded, no
+    /// solver is called, and every verdict is still batch's.
+    #[test]
+    fn a_stream_with_no_surviving_constraint_meets_no_solver() {
+        let obs = Obs::enabled();
+        let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
+        let mut c = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs.clone());
+        let mut serial = Serial::default();
+        let (mut constraints, mut compacted) = (0u64, 0usize);
+        for _wave in 0..64 {
+            let sessions: Vec<SessionId> = (0..4).map(|_| c.session()).collect();
+            for t in 0..8u64 {
+                for (slot, &s) in sessions.iter().enumerate() {
+                    let key = 1 + 2 * slot as u64 + t % 2;
+                    // The first write to a key this wave reads the
+                    // previous wave's final version; later ones sometimes
+                    // read a neighbour's current value.
+                    let neighbour = 1 + 2 * ((slot as u64 + 1) % 4) + t % 2;
+                    let reads = if t < 2 { vec![key] } else { vec![neighbour] };
+                    let reads = if t < 2 || t % 3 == 0 { &reads[..] } else { &[] };
+                    c.push_transaction(s, serial.txn(reads, &[key]), TxnStatus::Committed);
+                }
+            }
+            for s in sessions {
+                c.seal_session(s);
+            }
+            let (prefix, _) = c.stream().snapshot();
+            let cp = c.checkpoint();
+            assert!(cp.verdict.accepted() && check(&prefix, c.isolation(), &opts).accepted());
+            compacted += cp.compacted;
+            constraints = obs.metrics.counter("prune.constraints_before").total();
+        }
+        assert!(constraints > 0, "the stream must give pruning something to decide");
+        assert!(compacted > 0, "the stream must compact");
+        for name in ["encode.vars", "encode.known_edges", "solver.decisions", "solver.propagations"]
+        {
+            assert_eq!(obs.metrics.counter(name).total(), 0, "{name}");
+        }
+        assert_eq!(obs.metrics.counter("prune.constraints_after").total(), 0);
+        assert!(obs.tracer.events().iter().all(|e| e.name != "sat.solve"), "a solver was called");
+    }
+
+    /// Satellite of the delta accounting: the registry's prune counters are
+    /// sums of per-checkpoint work. They used to add the oracle's lifetime
+    /// totals at every checkpoint (sums of prefix sums), which overtakes
+    /// the oracle's own counters from the second checkpoint on.
+    #[test]
+    fn registry_prune_counters_stay_below_the_oracle_lifetime_totals() {
+        let obs = Obs::default();
+        let mut c = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default())
+            .with_obs(obs.clone());
+        let (writer, reader) = (c.session(), c.session());
+        let mut serial = Serial::default();
+        for checkpoint in 0..6 {
+            for _ in 0..4 {
+                // An update chain on one key, each version also read from
+                // the other session: every writer pair is decided by
+                // pruning, and each reader's first anti-dependency is an
+                // edge no path implies yet.
+                c.push_transaction(writer, serial.txn(&[1], &[1]), TxnStatus::Committed);
+                c.push_transaction(reader, serial.txn(&[1], &[]), TxnStatus::Committed);
+            }
+            assert!(c.checkpoint().verdict.accepted());
+            let oracle = only_oracle(&c);
+            let updates = obs.metrics.counter("prune.closure_updates").total();
+            let edges = obs.metrics.counter("prune.incremental_edges").total();
+            assert!(updates as usize <= oracle.closure_updates(), "checkpoint {checkpoint}");
+            assert!(edges as usize <= oracle.inserted_edges(), "checkpoint {checkpoint}");
+            assert!(edges > 0 && updates > 0, "pruning must materialise edges here");
+        }
+    }
+
+    /// The `local_of` column against the search it replaced, for every
+    /// live transaction of every cached component.
+    fn assert_local_of_matches_search(c: &StreamingChecker) {
+        let mut members = 0;
+        for state in c.comps.values() {
+            for t in &state.txns {
+                assert_eq!(Ok(c.local_of[t.idx()] as usize), state.txns.binary_search(t));
+            }
+            members += state.txns.len();
+        }
+        assert_eq!(members, c.stream.len(), "every live transaction is in a cached component");
+    }
+
+    /// The column stays the inverse of the member lists through first
+    /// sight, delta growth, a merge (rebuild) and compactions, whatever
+    /// the worker count.
+    #[test]
+    fn local_of_column_tracks_pushes_merges_and_compactions() {
+        for workers in [1, 4] {
+            let opts = EngineOptions {
+                compact: CompactMode::On,
+                checkpoint_threads: crate::engine::CheckpointThreads::Fixed(workers),
+                ..EngineOptions::default()
+            };
+            let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
+            let mut serial = Serial::default();
+            let sessions: Vec<SessionId> = (0..4).map(|_| c.session()).collect();
+            // Three components, interleaved: sessions 0 and 1 update key 1
+            // in turn, sessions 2 and 3 overwrite a key of their own
+            // blindly (so all but its last version can settle).
+            let round = |c: &mut StreamingChecker, serial: &mut Serial| {
+                for (&s, key) in sessions.iter().zip([1, 1, 2, 3]) {
+                    let reads = if key == 1 { &[1][..] } else { &[] };
+                    c.push_transaction(s, serial.txn(reads, &[key]), TxnStatus::Committed);
+                }
+            };
+            round(&mut c, &mut serial);
+            let cp = c.checkpoint();
+            assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 3, 3));
+            assert_local_of_matches_search(&c);
+            round(&mut c, &mut serial);
+            round(&mut c, &mut serial);
+            let cp = c.checkpoint();
+            assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 3, 0));
+            assert_local_of_matches_search(&c);
+            // A bridge merges the components of keys 2 and 3.
+            c.push_transaction(sessions[2], serial.txn(&[2, 3], &[2]), TxnStatus::Committed);
+            round(&mut c, &mut serial);
+            let cp = c.checkpoint();
+            assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 2, 1));
+            assert_local_of_matches_search(&c);
+            // Seal everything: the settled prefixes are dropped and every
+            // global id moves.
+            for &s in &sessions {
+                c.seal_session(s);
+            }
+            let cp = c.checkpoint();
+            assert!(cp.verdict.accepted() && cp.compacted > 0, "dropped {}", cp.compacted);
+            assert_local_of_matches_search(&c);
+            // The survivors keep growing under their new ids.
+            let late = c.session();
+            for reads in [&[2][..], &[], &[], &[]] {
+                c.push_transaction(late, serial.txn(reads, &[2]), TxnStatus::Committed);
+            }
+            assert!(assert_matches_batch(&mut c));
+            assert_local_of_matches_search(&c);
+            c.seal_session(late);
+            let cp = c.checkpoint();
+            assert!(cp.verdict.accepted() && cp.compacted > 0);
+            assert_local_of_matches_search(&c);
+        }
     }
 }

@@ -18,12 +18,15 @@
 //! iteration order of a [`FastMap`], exactly as under `RandomState`.
 
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A `HashMap` on the fold-multiply hasher.
 pub type FastMap<K, V> = HashMap<K, V, FastBuild>;
+
+/// A `HashSet` on the fold-multiply hasher.
+pub type FastSet<T> = HashSet<T, FastBuild>;
 
 /// An odd 64-bit constant with no structure (digits of π, as in the
 /// Blowfish P-array).
@@ -98,6 +101,13 @@ impl Hasher for FastHasher {
     #[inline]
     fn write_u32(&mut self, word: u32) {
         self.write_u64(u64::from(word));
+    }
+
+    /// Derived `Hash` writes an enum's discriminant as an `isize`, which
+    /// the default methods hand on to this one.
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
     }
 
     /// The byte-slice fallback (no key type of this crate reaches it):

@@ -48,7 +48,7 @@ pub mod stats;
 pub mod stream;
 
 pub use facts::{AxiomViolation, Facts, WrSource};
-pub use fasthash::FastMap;
+pub use fasthash::{FastMap, FastSet};
 pub use history::{History, HistoryBuilder, SessionView};
 pub use ids::{Key, SessionId, TxnId, Value};
 pub use index::KeyIndex;

@@ -28,9 +28,11 @@ use polysi_solver::bitset::{BitMatrix, ChainRows};
 /// verdicts, witnesses, and propagation schedules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum OracleKind {
-    /// Decide per build: chains when the session structure makes chain
-    /// rows cheaper than dense bit rows (see [`KnownGraph::build_with_oracle`]),
-    /// dense otherwise.
+    /// Decide from the graph: chains when the session structure makes
+    /// chain rows cheaper than dense bit rows (see
+    /// [`KnownGraph::build_with_oracle`]), dense otherwise — at build, and
+    /// again whenever [`KnownGraph::grow`] extends a graph that is still
+    /// dense.
     #[default]
     Auto,
     /// Always the dense `BitMatrix` closure.
@@ -82,6 +84,12 @@ struct ChainIndex {
 
 impl ChainIndex {
     const NONE: u32 = u32::MAX;
+
+    /// Columns a store over this cover ends up with: the multi-node chains
+    /// plus one per node that is still unplaced.
+    fn estimated_chains(&self) -> usize {
+        self.tail.len() + self.chain_of.iter().filter(|&&c| c == Self::NONE).count()
+    }
 
     /// Allocate a chain column (recycling retired ids first).
     fn alloc(&mut self, rows: &mut ChainRows) -> u32 {
@@ -186,37 +194,36 @@ enum ClosureStore {
     },
 }
 
+/// The `Auto` rule: chains iff the component is big enough to matter
+/// (n ≥ 1024) and `chains` columns keep a `u32` chain row cheaper than an
+/// `n`-bit dense row (`4·chains ≤ n/8`).
+fn chains_pay(n: usize, chains: usize) -> bool {
+    n >= 1024 && chains * 32 <= n
+}
+
 impl ClosureStore {
     /// Build an empty store of the requested kind; `Auto` resolves from
-    /// the cover: chains iff the component is big enough to matter
-    /// (n ≥ 1024) and the estimated chain count keeps a `u32` chain row
-    /// cheaper than an `n`-bit dense row (`4·chains ≤ n/8`).
+    /// the cover by [`chains_pay`].
     fn new(n: usize, known: &[Edge], kind: OracleKind) -> ClosureStore {
-        let kind = if kind == OracleKind::Auto {
-            let idx = chain_cover(n, known);
-            let singles = idx.chain_of.iter().filter(|&&c| c == ChainIndex::NONE).count();
-            if n >= 1024 && (idx.tail.len() + singles) * 32 <= n {
-                return ClosureStore::Chains {
-                    rows: ChainRows::rect(0, 0),
-                    idx,
-                    dep_preds: vec![Vec::new(); n],
-                };
-            }
-            OracleKind::Dense
-        } else {
-            kind
-        };
+        let dense =
+            || ClosureStore::Dense { closure: BitMatrix::rect(0, 0), dep_in: BitMatrix::new(n) };
         match kind {
-            OracleKind::Dense => {
-                ClosureStore::Dense { closure: BitMatrix::rect(0, 0), dep_in: BitMatrix::new(n) }
+            OracleKind::Dense => dense(),
+            OracleKind::Chains => ClosureStore::chains(n, chain_cover(n, known)),
+            OracleKind::Auto => {
+                let idx = chain_cover(n, known);
+                if chains_pay(n, idx.estimated_chains()) {
+                    ClosureStore::chains(n, idx)
+                } else {
+                    dense()
+                }
             }
-            OracleKind::Chains => ClosureStore::Chains {
-                rows: ChainRows::rect(0, 0),
-                idx: chain_cover(n, known),
-                dep_preds: vec![Vec::new(); n],
-            },
-            OracleKind::Auto => unreachable!("Auto resolved above"),
         }
+    }
+
+    /// An empty chain store over `n` transactions placed by `idx`.
+    fn chains(n: usize, idx: ChainIndex) -> ClosureStore {
+        ClosureStore::Chains { rows: ChainRows::rect(0, 0), idx, dep_preds: vec![Vec::new(); n] }
     }
 
     fn kind(&self) -> OracleKind {
@@ -381,9 +388,13 @@ pub struct KnownGraph {
     /// Reverse layered adjacency (sources per node): the ancestor
     /// iteration order of incremental closure updates.
     radj: Vec<Vec<u32>>,
-    /// Closure rows + `Dep` predecessor index, in the representation
-    /// selected at build time ([`OracleKind`]).
+    /// Closure rows + `Dep` predecessor index, in one of the
+    /// [`OracleKind`] representations.
     store: ClosureStore,
+    /// Whether the representation was resolved from [`OracleKind::Auto`]
+    /// (and so follows the graph as it grows) rather than pinned by the
+    /// caller.
+    auto_kind: bool,
     /// Topological priority of each layered node (a permutation of
     /// `0..2n`), maintained dynamically across insertions.
     ord: Vec<u32>,
@@ -468,9 +479,11 @@ impl KnownGraph {
     /// [`KnownGraph::build_with`] with an explicit closure representation.
     /// `Auto` measures the history's session-chain cover and picks chains
     /// exactly when the component is large (n ≥ 1024) and a chain row
-    /// (`4·chains` bytes) undercuts a dense bit row (`n/8` bytes). The
-    /// representation is invisible to every query: answers, cycle
-    /// verdicts, witnesses, and even the propagation counters are
+    /// (`4·chains` bytes) undercuts a dense bit row (`n/8` bytes); an
+    /// `Auto` graph that starts dense re-applies the rule as it
+    /// [grows](Self::grow), a pinned `Dense` / `Chains` keeps its kind for
+    /// life. The representation is invisible to every query: answers,
+    /// cycle verdicts, witnesses, and even the propagation counters are
     /// byte-identical across kinds.
     pub fn build_with_oracle(
         n: usize,
@@ -503,6 +516,7 @@ impl KnownGraph {
             adj,
             radj,
             store,
+            auto_kind: kind == OracleKind::Auto,
             ord: vec![0; 2 * n],
             closure_updates: 0,
             inserted_edges: 0,
@@ -626,6 +640,14 @@ impl KnownGraph {
     /// structure is remapped; existing topological priorities are kept and
     /// the new (isolated) vertices take the fresh tail slots in index
     /// order. Requires a flushed oracle.
+    ///
+    /// The representation follows the growth: a graph built under
+    /// [`OracleKind::Auto`] that is still dense re-applies the build-time
+    /// rule here — for the new size, with the chain count of the graph as
+    /// it stands — and moves to chains once that pays, so a component that
+    /// was first seen small does not carry `n²/4` bytes of bit matrix to
+    /// whatever size it reaches. One-way, and invisible to every query
+    /// like the kind itself.
     pub fn grow(&mut self, n2: usize) {
         assert!(self.pending.is_empty(), "grow on an unflushed oracle");
         let n = self.n;
@@ -633,6 +655,7 @@ impl KnownGraph {
         if n2 == n {
             return;
         }
+        self.follow_growth(n2);
         let node = |old: usize| if old < n { old } else { old - n + n2 };
         let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); 2 * n2];
         for (i, list) in std::mem::take(&mut self.adj).into_iter().enumerate() {
@@ -677,6 +700,47 @@ impl KnownGraph {
         self.visited = vec![0; 2 * n2];
         self.grown = vec![0; 2 * n2];
         self.n = n2;
+    }
+
+    /// Re-resolve an `Auto` graph's representation for a vertex space
+    /// about to reach `n2`: the rule of [`ClosureStore::new`], with the
+    /// chain count of the graph as it stands — the vertices being added
+    /// are still unplaced and join chains when their `So` edges land, so
+    /// they are not columns yet. On dense → chains the store is re-derived
+    /// from the graph's own typed adjacency: the cover of the `So` edges it
+    /// holds, the `Dep` predecessor lists, and the closure by the
+    /// reverse-topological sweep of a fresh build run along the
+    /// *maintained* order — so the order, the counters, and with them every
+    /// query, witness and propagation schedule carry over.
+    fn follow_growth(&mut self, n2: usize) {
+        if !self.auto_kind || n2 < 1024 || !matches!(self.store, ClosureStore::Dense { .. }) {
+            return;
+        }
+        let n = self.n;
+        // Boundary images only: under SI a `Dep` edge also has a mid image.
+        let boundary = |v: u32| (v as usize) < n;
+        let held = |keep: fn(Label) -> bool| {
+            self.adj[..n]
+                .iter()
+                .flatten()
+                .filter(move |&&(v, e)| boundary(v) && keep(e.label))
+                .map(|&(_, e)| e)
+        };
+        let so: Vec<Edge> = held(|l| matches!(l, Label::So)).collect();
+        let idx = chain_cover(n, &so);
+        if !chains_pay(n2, idx.estimated_chains()) {
+            return;
+        }
+        let mut store = ClosureStore::chains(n, idx);
+        if self.semantics == Semantics::Si {
+            for e in held(Label::is_dep) {
+                store.record_dep(e.from.idx(), e.to.idx());
+            }
+        }
+        self.store = store;
+        let mut order: Vec<u32> = (0..2 * n as u32).collect();
+        order.sort_unstable_by_key(|&x| self.ord[x as usize]);
+        self.compute_closure(&order);
     }
 
     /// Shrink the vertex space to the transactions with `keep[i]` set,
@@ -1894,6 +1958,63 @@ mod tests {
         assert_eq!(OracleKind::parse("chains"), Some(OracleKind::Chains));
         assert_eq!(OracleKind::parse("bogus"), None);
         assert_eq!(OracleKind::Auto.name(), "auto");
+    }
+
+    #[test]
+    fn auto_oracle_follows_growth_and_pinned_kinds_stay() {
+        // Two sessions of 500 with cross dependencies: under the size
+        // threshold, so `Auto` starts dense.
+        let half = 500u32;
+        let mut edges = Vec::new();
+        for s in [0, half] {
+            edges.extend((0..half - 1).map(|i| so(s + i, s + i + 1)));
+        }
+        edges.extend((0..half - 1).step_by(7).map(|i| wr(i, half + i + 1)));
+        edges.extend((0..half - 1).step_by(11).map(|i| rw(half + i, i + 1)));
+        let build = |kind| match KnownGraph::build_with_oracle(1000, &edges, Semantics::Si, kind) {
+            KnownGraphResult::Acyclic(g) => g,
+            KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
+        };
+        let (mut auto, mut dense) = (build(OracleKind::Auto), build(OracleKind::Dense));
+        assert_eq!(auto.oracle_kind(), OracleKind::Dense);
+        // Still under the threshold: nothing moves.
+        auto.grow(1010);
+        dense.grow(1010);
+        assert_eq!(auto.oracle_kind(), OracleKind::Dense);
+        // Across it: two chains against 1100-bit rows.
+        let dense_bytes = auto.oracle_bytes();
+        let before = (auto.closure_updates(), auto.inserted_edges(), auto.topo_positions());
+        auto.grow(1100);
+        dense.grow(1100);
+        assert_eq!(auto.oracle_kind(), OracleKind::Chains);
+        assert_eq!(dense.oracle_kind(), OracleKind::Dense, "a pinned kind stays for life");
+        assert!(auto.oracle_bytes() * 8 < dense_bytes);
+        assert_eq!((auto.closure_updates(), auto.inserted_edges()), (before.0, before.1));
+        assert_eq!(auto.topo_positions()[..1010], before.2[..]);
+        // The new vertices continue session 0 and tie into session 1; the
+        // converted oracle keeps answering like the dense one.
+        let mut extra = vec![so(499, 1010)];
+        extra.extend((1010..1099).map(|i| so(i, i + 1)));
+        extra.extend([wr(999, 1050), rw(600, 1020)]);
+        let (mut kept_auto, mut kept_dense) = (Vec::new(), Vec::new());
+        auto.insert_edges_bulk(&extra, &mut kept_auto).expect("acyclic");
+        dense.insert_edges_bulk(&extra, &mut kept_dense).expect("acyclic");
+        assert_eq!(kept_auto, kept_dense);
+        assert_eq!(auto.topo_positions(), dense.topo_positions());
+        for (x, y) in
+            (0..1100u32).step_by(13).flat_map(|x| (0..1100).step_by(17).map(move |y| (x, y)))
+        {
+            let (x, y) = (TxnId(x), TxnId(y));
+            assert_eq!(auto.reaches(x, y), dense.reaches(x, y), "reaches({x}, {y})");
+            if x != y {
+                assert_eq!(auto.rw_closes_cycle(x, y), dense.rw_closes_cycle(x, y));
+                assert_eq!(auto.closing_cycle(ww(x.0, y.0)), dense.closing_cycle(ww(x.0, y.0)));
+            }
+        }
+        assert_eq!(
+            auto.insert_edges(&[ww(1099, 0)], &mut Vec::new()).unwrap_err(),
+            dense.insert_edges(&[ww(1099, 0)], &mut Vec::new()).unwrap_err(),
+        );
     }
 
     #[test]

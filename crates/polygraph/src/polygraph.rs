@@ -76,13 +76,14 @@ pub struct PruneStats {
     /// From-scratch reachability-oracle builds: 1 on the incremental path,
     /// one per pass on the rebuild path.
     pub graph_builds: usize,
-    /// Closure propagation operations: rows grown by incremental
-    /// `insert_edges` updates. Oracle-neutral in unit (one grown row is
+    /// Closure propagation operations: rows grown by this prune call's
+    /// incremental `insert_edges` updates (a resumed oracle's earlier work
+    /// is not counted again). Oracle-neutral in unit (one grown row is
     /// one propagation op in either representation), so dense-vs-chains
     /// bench rows compare directly; the chain oracle's implicit session
     /// suffixes typically make its count *smaller* on the same input.
     pub closure_updates: usize,
-    /// Typed edges materialised in the oracle incrementally (resolved
+    /// Typed edges this prune call materialised in the oracle (resolved
     /// constraint edges the known graph did not already imply).
     pub incremental_edges: usize,
     /// Resolved constraint edges *not* materialised because real paths of
@@ -400,6 +401,9 @@ impl Polygraph {
         tracer: &polysi_obs::Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         let semantics = self.semantics;
+        // The oracle's counters are lifetime totals; a resumed oracle has
+        // a past, and this call reports only its own work.
+        let (updates_before, edges_before) = (kg.closure_updates(), kg.inserted_edges());
         // Transactions incident to edges resolved in the previous pass;
         // `first` forces a full sweep before the worklist narrows (unless
         // a resume seed already narrows it).
@@ -504,8 +508,9 @@ impl Polygraph {
             first = false;
             std::mem::swap(&mut touched, &mut touched_now);
         }
-        stats.closure_updates = kg.closure_updates();
-        stats.incremental_edges = kg.inserted_edges();
+        // (Saturating: the rebuild reference swaps in fresh oracles.)
+        stats.closure_updates = kg.closure_updates().saturating_sub(updates_before);
+        stats.incremental_edges = kg.inserted_edges().saturating_sub(edges_before);
         stats.constraints_after = self.constraints.len();
         stats.unknown_deps_after = self.unknown_deps();
         (PruneResult::Pruned(stats), Some(kg))
@@ -1043,6 +1048,47 @@ mod tests {
             }
             PruneResult::Violation(c) => panic!("serial chain flagged: {c:?}"),
         }
+    }
+
+    /// A resumed prune reports its own oracle work, not the oracle's
+    /// lifetime totals: the first prune, the delta landed between the two
+    /// and the resume each account for their share exactly once.
+    #[test]
+    fn resumed_prune_stats_are_deltas_of_the_oracle_counters() {
+        let ww = |f, t| Edge::new(TxnId(f), TxnId(t), Label::Ww(k(1)));
+        let rw = |f, t| Edge::new(TxnId(f), TxnId(t), Label::Rw(k(1)));
+        let so = |f, t| Edge::new(TxnId(f), TxnId(t), Label::So);
+        // Writers `a → b` in session order, each with one reader: the
+        // reverse order is impossible, and of the forced side the `WW` edge
+        // is implied while the reader's `RW` edge is new.
+        let pair = |a, b, ra, rb| ([ww(a, b), rw(ra, b)], [ww(b, a), rw(rb, a)]);
+        let mut constraints = ConstraintSet::new();
+        let (either, or) = pair(0, 1, 2, 3);
+        constraints.push(k(1), either, or);
+        let mut g =
+            Polygraph { n: 8, known: vec![so(0, 1)], constraints, semantics: Semantics::Si };
+        let (first, kg) = g.prune_with_oracle(&PruneOptions::default());
+        let PruneResult::Pruned(first) = first else { panic!("acyclic") };
+        let mut kg = kg.expect("pruning hands its oracle back");
+        assert_eq!((first.incremental_edges, first.implied_edges), (1, 1));
+        assert!(first.closure_updates > 0);
+        assert_eq!((first.closure_updates, 1), (kg.closure_updates(), kg.inserted_edges()));
+        // The streaming delta: new known edges land outside any prune call.
+        kg.insert_edges_bulk(&[so(1, 4), so(4, 5)], &mut g.known).expect("acyclic");
+        let landed = (kg.closure_updates(), kg.inserted_edges());
+        assert!(landed.0 > first.closure_updates && landed.1 == 3);
+        let (either, or) = pair(4, 5, 6, 7);
+        g.constraints.push(k(1), either, or);
+        let seed = [false, false, false, false, true, true, true, true];
+        let (resumed, kg) = g.prune_resume(kg, &seed, &PruneOptions::default());
+        let PruneResult::Pruned(resumed) = resumed else { panic!("acyclic") };
+        let kg = kg.expect("pruning hands its oracle back");
+        assert_eq!((resumed.incremental_edges, resumed.implied_edges), (1, 1));
+        assert!(resumed.closure_updates > 0);
+        assert_eq!(resumed.closure_updates, kg.closure_updates() - landed.0);
+        assert_eq!(resumed.incremental_edges, kg.inserted_edges() - landed.1);
+        assert!(first.closure_updates + resumed.closure_updates < kg.closure_updates());
+        assert!(g.constraints.is_empty());
     }
 
     /// T0 -SO-> T1, with T1-vs-T2 on x still open.

@@ -8,6 +8,12 @@
 //! propagation counters — under both SI and SER semantics. Extends the
 //! `incremental_prop` patterns (including the deferred≡eager check) to
 //! the two-representation setting.
+//!
+//! A second family grows history-shaped graphs across the `Auto` size
+//! threshold: an [`OracleKind::Auto`] oracle that starts dense and converts
+//! to chains inside `grow` must be indistinguishable from the dense oracle
+//! it replaced, from a chains oracle built that way, and from a fresh
+//! chains build — before and after `compact`, and as it keeps growing.
 
 use polysi_history::{Key, TxnId};
 use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Semantics};
@@ -286,5 +292,203 @@ proptest! {
                 )));
             }
         }
+    }
+}
+
+// -- Auto: the representation follows growth ------------------------------
+
+/// xorshift64: the big plans derive everything from one proptest seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A history-shaped graph over `n` vertices in arrival order: vertex `v`
+/// belongs to session `v % sessions` (one `So` chain each), plus `extra`
+/// random cross edges per vertex. Every edge points from the earlier
+/// vertex to the later one, so the graph is acyclic and any id suffix is a
+/// predecessor-closed keep set. Sorted by target, so a prefix of the list
+/// is the graph of a prefix of the arrivals.
+fn arrival_graph(rng: &mut Rng, n: usize, sessions: usize, extra: usize) -> Vec<Edge> {
+    let mut edges = Vec::new();
+    for t in 1..n {
+        if t >= sessions {
+            edges.push(Edge::new(TxnId((t - sessions) as u32), TxnId(t as u32), Label::So));
+        }
+        for _ in 0..extra {
+            let f = TxnId(rng.below(t) as u32);
+            let key = Key(rng.next() % 5);
+            let label = [Label::Wr(key), Label::Ww(key), Label::Rw(key)][rng.below(3)];
+            edges.push(Edge::new(f, TxnId(t as u32), label));
+        }
+    }
+    edges
+}
+
+fn build(n: usize, edges: &[Edge], semantics: Semantics, kind: OracleKind) -> Box<KnownGraph> {
+    match KnownGraph::build_with_oracle(n, edges, semantics, kind) {
+        KnownGraphResult::Acyclic(g) => g,
+        KnownGraphResult::Cyclic(c) => panic!("arrival graphs are acyclic: {c:?}"),
+    }
+}
+
+/// Land `edges` on every oracle through the same schedule of batch sizes
+/// and `mode`; returns each oracle's kept list.
+fn land(
+    oracles: &mut [&mut KnownGraph],
+    edges: &[Edge],
+    mode: Mode,
+    rng: &mut Rng,
+) -> Vec<Vec<Edge>> {
+    let mut kept = vec![Vec::new(); oracles.len()];
+    let mut at = 0;
+    while at < edges.len() {
+        let end = (at + 1 + rng.below(96)).min(edges.len());
+        for (g, kept) in oracles.iter_mut().zip(&mut kept) {
+            match mode {
+                Mode::Eager => g.insert_edges(&edges[at..end], kept),
+                Mode::Deferred => g.insert_edges_deferred(&edges[at..end], kept),
+                Mode::Bulk => g.insert_edges_bulk(&edges[at..end], kept),
+            }
+            .expect("arrival graphs are acyclic");
+        }
+        at = end;
+    }
+    for g in oracles.iter_mut() {
+        g.flush_closure();
+    }
+    kept
+}
+
+/// `reaches` / `rw_closes_cycle` / `implies` / `closing_cycle` on sampled
+/// pairs (both directions, so cycle-closing edges and their byte-identical
+/// witnesses are covered), and the maintained order.
+fn assert_same_answers(
+    a: &KnownGraph,
+    b: &KnownGraph,
+    n: usize,
+    semantics: Semantics,
+    same_order: bool,
+    rng: &mut Rng,
+    ctx: &str,
+) -> Result<(), TestCaseError> {
+    if same_order {
+        prop_assert_eq!(a.topo_positions(), b.topo_positions(), "{}: topo_positions", ctx);
+    }
+    for _ in 0..500 {
+        let (x, y) = (TxnId(rng.below(n) as u32), TxnId(rng.below(n) as u32));
+        prop_assert_eq!(a.reaches(x, y), b.reaches(x, y), "{}: reaches({:?}, {:?})", ctx, x, y);
+        if x == y {
+            continue;
+        }
+        if semantics == Semantics::Si {
+            prop_assert_eq!(a.rw_closes_cycle(x, y), b.rw_closes_cycle(x, y), "{}: rw", ctx);
+        }
+        let key = Key(rng.next() % 5);
+        for label in [Label::So, Label::Ww(key), Label::Rw(key)] {
+            let e = Edge::new(x, y, label);
+            prop_assert_eq!(a.implies(e), b.implies(e), "{}: implies({:?})", ctx, e);
+            if same_order {
+                prop_assert_eq!(a.closing_cycle(e), b.closing_cycle(e), "{}: cycle({:?})", ctx, e);
+            } else {
+                let (ca, cb) = (a.closing_cycle(e), b.closing_cycle(e));
+                prop_assert_eq!(ca.is_some(), cb.is_some(), "{}: cycle({:?})", ctx, e);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// An `Auto` oracle first built under the size threshold, then grown
+    /// across it: `grow` converts it to chains, after which it answers
+    /// exactly as the dense oracle it replaced (queries, witnesses, kept
+    /// edges, order, counters), as an oracle that was chains from the
+    /// start, and as a fresh chains build — under eager, deferred and bulk
+    /// insertion, through `compact`, and while it keeps growing. Pinned
+    /// kinds never move.
+    #[test]
+    fn auto_oracle_converts_on_growth_and_stays_indistinguishable(
+        (seed, sessions, ser, mode) in (any::<u64>(), 2usize..24, any::<bool>(), mode_strategy())
+    ) {
+        let mut rng = Rng(seed | 1);
+        let semantics = if ser { Semantics::Ser } else { Semantics::Si };
+        let (n0, n1) = (700 + rng.below(300), 1024 + rng.below(200));
+        let edges = arrival_graph(&mut rng, n1 + 150, sessions, 2);
+        let upto = |n: usize| edges.partition_point(|e| e.to.idx() < n);
+
+        let initial = &edges[..upto(n0)];
+        let mut auto = build(n0, initial, semantics, OracleKind::Auto);
+        let mut dense = build(n0, initial, semantics, OracleKind::Dense);
+        let mut chains = build(n0, initial, semantics, OracleKind::Chains);
+        prop_assert_eq!(auto.oracle_kind(), OracleKind::Dense, "under the threshold");
+
+        // Across the threshold.
+        for g in [&mut auto, &mut dense, &mut chains] {
+            g.grow(n1);
+        }
+        prop_assert_eq!(auto.oracle_kind(), OracleKind::Chains, "{} sessions at n = {}", sessions, n1);
+        prop_assert_eq!(dense.oracle_kind(), OracleKind::Dense);
+        prop_assert!(auto.oracle_bytes() < dense.oracle_bytes());
+        assert_same_answers(&auto, &dense, n1, semantics, true, &mut rng, "converted vs dense")?;
+        let kept = land(
+            &mut [&mut auto, &mut dense, &mut chains],
+            &edges[upto(n0)..upto(n1)],
+            mode,
+            &mut rng,
+        );
+        prop_assert_eq!(&kept[0], &kept[1], "the reduced edge list depends on the conversion");
+        prop_assert_eq!(&kept[0], &kept[2]);
+        prop_assert_eq!(auto.inserted_edges(), dense.inserted_edges());
+        prop_assert!(auto.closure_updates() <= dense.closure_updates());
+        prop_assert!(chains.closure_updates() <= auto.closure_updates());
+        assert_same_answers(&auto, &dense, n1, semantics, true, &mut rng, "grown vs dense")?;
+        assert_same_answers(&auto, &chains, n1, semantics, true, &mut rng, "grown vs chains")?;
+        let fresh = build(n1, &edges[..upto(n1)], semantics, OracleKind::Chains);
+        assert_same_answers(&auto, &fresh, n1, semantics, false, &mut rng, "grown vs fresh")?;
+
+        // Through compaction: any id suffix is predecessor-closed here.
+        let cut = n1 / 4 + rng.below(n1 / 2);
+        let keep: Vec<bool> = (0..n1).map(|v| v >= cut).collect();
+        let n2 = n1 - cut;
+        for g in [&mut auto, &mut dense, &mut chains] {
+            let map = g.compact(&keep);
+            prop_assert_eq!(map[cut], 0);
+        }
+        prop_assert_eq!(auto.oracle_kind(), OracleKind::Chains, "the move is one-way");
+        assert_same_answers(&auto, &dense, n2, semantics, true, &mut rng, "compacted vs dense")?;
+        assert_same_answers(&auto, &chains, n2, semantics, true, &mut rng, "compacted vs chains")?;
+        let shift = |e: &Edge| {
+            Edge::new(TxnId((e.from.idx() - cut) as u32), TxnId((e.to.idx() - cut) as u32), e.label)
+        };
+        let survivors: Vec<Edge> =
+            edges[..upto(n1)].iter().filter(|e| e.from.idx() >= cut).map(shift).collect();
+        let fresh = build(n2, &survivors, semantics, OracleKind::Chains);
+        assert_same_answers(&auto, &fresh, n2, semantics, false, &mut rng, "compacted vs fresh")?;
+
+        // And it keeps growing.
+        let n3 = n2 + 150;
+        for g in [&mut auto, &mut dense, &mut chains] {
+            g.grow(n3);
+        }
+        let tail: Vec<Edge> =
+            edges[upto(n1)..].iter().filter(|e| e.from.idx() >= cut).map(shift).collect();
+        let kept = land(&mut [&mut auto, &mut dense, &mut chains], &tail, mode, &mut rng);
+        prop_assert_eq!(&kept[0], &kept[1]);
+        prop_assert_eq!(&kept[0], &kept[2]);
+        assert_same_answers(&auto, &dense, n3, semantics, true, &mut rng, "regrown vs dense")?;
+        assert_same_answers(&auto, &chains, n3, semantics, true, &mut rng, "regrown vs chains")?;
     }
 }

@@ -280,9 +280,39 @@ impl AcyclicityTheory {
         }
     }
 
+    /// The *order certificate* of a complete assignment: whether the
+    /// maintained topological priorities put the source of every known edge,
+    /// and of every edge whose guard `is_true`, strictly before its target.
+    ///
+    /// `true` proves known ∪ enabled acyclic — `ord` is a permutation
+    /// (`finalize` assigns one, Pearce–Kelly only redistributes slots), and
+    /// a cycle cannot descend strictly all the way round — at the cost of
+    /// one pass over the edges and no allocation. The enabled edges are read
+    /// from the guard index, not from the activation log, so the check does
+    /// not trust the bookkeeping it certifies: a guard that is true but was
+    /// never activated, or any other way of leaving the order stale, makes
+    /// it answer `false`, never `true` wrongly. It answers `true` exactly
+    /// when every true guard has been activated without conflict, which is
+    /// the state the solver is in when it reports a model;
+    /// [`Self::validate_model`] is the order-independent reference.
+    pub fn order_certifies(&self, is_true: impl Fn(Lit) -> bool) -> bool {
+        let in_order = |u: u32, v: u32| self.ord[u as usize] < self.ord[v as usize];
+        let known = self.out.iter().enumerate().all(|(u, es)| {
+            es.iter().filter(|(_, g)| g.is_none()).all(|&(v, _)| in_order(u as u32, v))
+        });
+        known
+            && self
+                .edges_of_lit
+                .iter()
+                .filter(|(&lit, _)| is_true(lit))
+                .all(|(_, edges)| edges.iter().all(|&(u, v)| in_order(u, v)))
+    }
+
     /// Check a *complete* assignment: with `is_true(lit)` deciding guard
     /// truth, verify the full graph (known + all enabled symbolic edges) is
-    /// acyclic. Used as an independent final-model validation.
+    /// acyclic by rebuilding it and sorting it topologically. The solver
+    /// certifies its models with [`Self::order_certifies`]; this is the
+    /// reference the tests hold that certificate against.
     pub fn validate_model(&self, is_true: impl Fn(Lit) -> bool) -> bool {
         let mut out: Vec<Vec<u32>> = self
             .out
@@ -407,6 +437,29 @@ mod tests {
         t.add_symbolic_edge(lit(1), 2, 0);
         assert!(t.validate_model(|l| l == lit(0)));
         assert!(!t.validate_model(|_| true));
+    }
+
+    #[test]
+    fn order_certificate_passes_activated_models_and_fails_stale_orders() {
+        let mut t = AcyclicityTheory::new(3);
+        t.add_known_edge(0, 1);
+        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        t.add_symbolic_edge(lit(0), 1, 2);
+        t.add_symbolic_edge(lit(1), 2, 0);
+        // A true guard that was never activated: nothing ordered its edges.
+        assert!(t.order_certifies(|_| false));
+        assert!(!t.order_certifies(|l| l == lit(1)), "2 → 0 runs against the known order");
+        // Activated: Pearce–Kelly has made room for the edge.
+        assert_eq!(t.activate(lit(1), 0), None);
+        assert!(t.order_certifies(|l| l == lit(1)));
+        assert!(t.validate_model(|l| l == lit(1)));
+        // A cyclic assignment has no order at all.
+        assert!(!t.order_certifies(|_| true));
+        // One known edge reversed in the order: the certificate fails even
+        // though the graph itself is still acyclic.
+        t.ord.swap(0, 1);
+        assert!(t.validate_model(|l| l == lit(1)));
+        assert!(!t.order_certifies(|l| l == lit(1)));
     }
 
     #[test]

@@ -233,6 +233,68 @@ proptest! {
         }
     }
 
+    /// The order certificate the solver proves its models with agrees with
+    /// the rebuild-and-sort reference on every assignment the theory can be
+    /// driven to: after activating the true guards (up to the first
+    /// conflict), `order_certifies` holds exactly when `validate_model`
+    /// does. An acyclic assignment is fully activated, so its order covers
+    /// every enabled edge; a cyclic one stops at the conflict and leaves
+    /// the order stale, which the certificate must report, not trust.
+    #[test]
+    fn order_certificate_agrees_with_validate_model(inst in theory_instance_strategy()) {
+        for bits in 0u32..(1 << inst.nv) {
+            let lit_true = |l: Lit| (bits >> l.var().0 & 1 == 1) == l.is_pos();
+            let (mut th, known_ok) = build_theory(&inst);
+            if !known_ok {
+                continue;
+            }
+            // Nothing activated yet: only assignments whose enabled edges
+            // already run along the known order may pass.
+            prop_assert!(
+                !th.order_certifies(lit_true) || th.validate_model(lit_true),
+                "a never-activated assignment passed wrongly: {:?}",
+                inst
+            );
+            let mut guards: Vec<Lit> = th.guard_lits().collect();
+            guards.sort();
+            for (pos, &l) in guards.iter().filter(|&&l| lit_true(l)).enumerate() {
+                if th.activate(l, pos).is_some() {
+                    break;
+                }
+            }
+            prop_assert_eq!(
+                th.order_certifies(lit_true),
+                th.validate_model(lit_true),
+                "certificate and reference diverged under bits={:#b}: {:?}",
+                bits,
+                inst
+            );
+        }
+    }
+
+    /// The same agreement on the models the solver itself returns: mirror
+    /// the instance into a theory, activate the model's true guards, and
+    /// both checks accept.
+    #[test]
+    fn order_certificate_accepts_every_sat_model(inst in instance_strategy()) {
+        let SolveResult::Sat(m) = run_solver(&inst) else { return Ok(()) };
+        let theory = TheoryInstance {
+            nv: inst.nv,
+            nn: inst.nn,
+            known_edges: inst.known_edges.clone(),
+            sym_edges: inst.sym_edges.clone(),
+        };
+        let (mut th, known_ok) = build_theory(&theory);
+        prop_assert!(known_ok, "a SAT instance has an acyclic known graph");
+        let mut guards: Vec<Lit> = th.guard_lits().filter(|&l| m.lit_true(l)).collect();
+        guards.sort();
+        for (pos, &l) in guards.iter().enumerate() {
+            prop_assert_eq!(th.activate(l, pos), None, "a model's guards cannot conflict");
+        }
+        prop_assert!(th.order_certifies(|l| m.lit_true(l)), "certificate rejected a model");
+        prop_assert!(th.validate_model(|l| m.lit_true(l)), "reference rejected a model");
+    }
+
     /// Rollback restores the pre-activation state exactly: an activation
     /// sequence that was conflict-free stays conflict-free when replayed
     /// in reverse after a full rollback.

@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Compare two committed benchmark trajectory files (BENCH_<pr>.json).
+
+    scripts/bench_compare.py PREV.json THIS.json [--benchmark BENCHMARK.json]
+
+Two tables, one row per workload x end-to-end metric, medians of the ten
+alternating pairs each file records:
+
+* drift   PREV's `change` side against THIS's `parent` side. They are the
+          same commit measured in two sessions, so the ratio is how much
+          the machine moved between the files. Reported, never judged.
+* change  THIS's `parent` side against its `change` side, judged with the
+          bounds `BENCHMARK.json` declares: a metric is a regression when
+          the change's median is worse than the parent's by more than its
+          bound, a workload when its change side is incorrect or fails
+          more operations than its parent side.
+
+Exit status: 0 when no row of the second table regresses, 1 when one
+does, 2 on unusable input. A file comparison: nothing is built or run.
+"""
+
+import argparse
+import json
+import sys
+
+
+def load(path):
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        print(f"error: {path}: {e}", file=sys.stderr)
+        sys.exit(2)
+
+
+def summary(doc, side, path):
+    try:
+        return doc["sides"][side]["summary"]
+    except (KeyError, TypeError):
+        print(f"error: {path}: no sides.{side}.summary", file=sys.stderr)
+        sys.exit(2)
+
+
+def worse_by(base, new, better):
+    """Relative worsening of `new` against `base` (negative = improved)."""
+    if base == 0:
+        return 0.0 if new == 0 else float("inf")
+    delta = (new - base) / abs(base)
+    return delta if better == "lower" else -delta
+
+
+def table(title, metrics, base, new, judge):
+    """Print one table; return the regressions found (only when judging)."""
+    print(title)
+    print(f"  {'workload':<14} {'metric':<18} {'base':>12} {'new':>12} {'worse by':>9} {'bound':>6}")
+    regressions = []
+    for workload in base:
+        if workload not in new:
+            print(f"  {workload:<14} missing from the newer side")
+            continue
+        for m in metrics:
+            name = m["name"]
+            b, n = base[workload].get(name), new[workload].get(name)
+            if b is None or n is None:
+                continue
+            worse = worse_by(b["median"], n["median"], m["better"])
+            mark = ""
+            if judge and worse > m["bound"]:
+                mark = "  REGRESSION"
+                regressions.append(f"{workload} {name}: worse by {worse:+.1%} (bound {m['bound']:.0%})")
+            print(
+                f"  {workload:<14} {name:<18} {b['median']:>12.6g} {n['median']:>12.6g}"
+                f" {worse:>+9.1%} {m['bound']:>6.0%}{mark}"
+            )
+        if judge:
+            b, n = base[workload], new[workload]
+            if not n.get("correct", True) or n.get("failed", 0) > b.get("failed", 0):
+                regressions.append(
+                    f"{workload}: correct={n.get('correct')} failed {b.get('failed', 0)} -> {n.get('failed', 0)}"
+                )
+    print()
+    return regressions
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("prev", help="the previous PR's BENCH_<pr>.json")
+    ap.add_argument("this", help="this PR's BENCH_<pr>.json")
+    ap.add_argument("--benchmark", default="BENCHMARK.json", help="where the bounds are declared")
+    args = ap.parse_args()
+
+    prev, this, bench = load(args.prev), load(args.this), load(args.benchmark)
+    metrics = bench.get("end_to_end")
+    if not metrics:
+        print(f"error: {args.benchmark}: no end_to_end metrics", file=sys.stderr)
+        sys.exit(2)
+
+    def commit(doc, side):
+        return doc["sides"][side].get("commit", "?")
+
+    table(
+        f"drift: {args.prev} change ({commit(prev, 'change')})\n"
+        f"    -> {args.this} parent ({commit(this, 'parent')}) -- same code, two sessions; not judged",
+        metrics,
+        summary(prev, "change", args.prev),
+        summary(this, "parent", args.this),
+        judge=False,
+    )
+    regressions = table(
+        f"change: {args.this} parent -> change ({commit(this, 'change')})",
+        metrics,
+        summary(this, "parent", args.this),
+        summary(this, "change", args.this),
+        judge=True,
+    )
+    if regressions:
+        print("regressions beyond the declared bounds:")
+        for r in regressions:
+            print(f"  {r}")
+        sys.exit(1)
+    print("no metric is worse than its bound")
+
+
+if __name__ == "__main__":
+    main()
