@@ -717,6 +717,8 @@ pub(crate) fn record_instance_stats(m: &Metrics, e: &EncodeStats, s: Option<&Sol
         m.counter("solver.theory_conflicts").add(s.theory_conflicts);
         m.counter("solver.learned_clauses").add(s.learned_clauses);
         m.counter("solver.restarts").add(s.restarts);
+        m.counter("solver.theory_propagations").add(s.theory_propagations);
+        m.counter("solver.theory_visits").add(s.theory_visits);
     }
 }
 
@@ -728,6 +730,8 @@ fn merge_solver_stats(a: SolverStats, b: SolverStats) -> SolverStats {
         theory_conflicts: a.theory_conflicts + b.theory_conflicts,
         learned_clauses: a.learned_clauses + b.learned_clauses,
         restarts: a.restarts + b.restarts,
+        theory_propagations: a.theory_propagations + b.theory_propagations,
+        theory_visits: a.theory_visits + b.theory_visits,
     }
 }
 

@@ -82,6 +82,8 @@ fn write_solver_stats(w: &mut JsonWriter, s: &SolverStats) {
     w.field_u64("theory_conflicts", s.theory_conflicts);
     w.field_u64("learned_clauses", s.learned_clauses);
     w.field_u64("restarts", s.restarts);
+    w.field_u64("theory_propagations", s.theory_propagations);
+    w.field_u64("theory_visits", s.theory_visits);
     w.end_object();
 }
 

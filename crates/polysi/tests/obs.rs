@@ -176,6 +176,50 @@ fn spans_cover_the_check_and_nest_the_stages() {
     }
 }
 
+/// The solver's one automatic decision explains itself: a `sat.solve` span
+/// says how many literals the theory implied, at which conflict the first
+/// restart opened theory propagation (absent when it never did) and whether
+/// a granted work budget ran dry, and the registry carries the totals.
+#[test]
+fn sat_solve_span_explains_the_propagation_gate() {
+    use polysi_obs::span::{AttrValue, SpanNode};
+    fn find<'a>(nodes: &'a [SpanNode], name: &str) -> Option<&'a SpanNode> {
+        nodes.iter().find_map(|n| if n.name == name { Some(n) } else { find(&n.children, name) })
+    }
+    let traced = |h: &History, level: IsolationLevel| {
+        let obs = Obs::enabled();
+        let opts = EngineOptions { interpret: false, ..Default::default() };
+        let report = CheckEngine::new(level, opts).with_obs(obs.clone()).check(h);
+        let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+        let attrs = find(&forest, "sat.solve").expect("the solver was called").attrs.clone();
+        let attr = move |key: &str| attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
+        let counter = move |name: &str| obs.metrics.counter(name).total();
+        (report, attr, counter)
+    };
+
+    // 999 cells at SER: 100 conflicts to the first restart, then the theory
+    // implies its way round the ring.
+    let lattice = polysi::dbsim::corpus::write_skew_lattice(1, 999);
+    let (report, attr, counter) = traced(&lattice, IsolationLevel::Ser);
+    let stats = report.solver_stats.expect("decided by the solver");
+    assert!(!report.is_si() && stats.theory_propagations > 0, "{stats:?}");
+    assert_eq!(attr("theory_propagations"), Some(AttrValue::U64(stats.theory_propagations)));
+    assert_eq!(attr("eager_from_conflict"), Some(AttrValue::U64(100)));
+    assert_eq!(attr("budget_exhausted"), Some(AttrValue::Bool(false)));
+    assert_eq!(counter("solver.theory_propagations"), stats.theory_propagations);
+    assert_eq!(counter("solver.theory_visits"), stats.theory_visits);
+    assert!(stats.theory_visits > 0);
+
+    // A corpus accept decided by the solver long before any restart.
+    let clique = fixture_history("solver_stress_clique.txt");
+    let (report, attr, counter) = traced(&clique, IsolationLevel::Si);
+    assert!(report.is_si() && report.solver_stats.is_some_and(|s| s.conflicts > 0));
+    assert_eq!(attr("theory_propagations"), Some(AttrValue::U64(0)));
+    assert_eq!(attr("eager_from_conflict"), None);
+    assert_eq!(attr("budget_exhausted"), Some(AttrValue::Bool(false)));
+    assert_eq!(counter("solver.theory_propagations") + counter("solver.theory_visits"), 0);
+}
+
 /// The serial front of a sharded check is visible without re-running it:
 /// `axioms` carries the history's size, `shard.plan` sits between it and
 /// the shards with the partition's shape, and both feed latency histograms

@@ -4,7 +4,7 @@ use crate::types::Var;
 
 /// Binary max-heap keyed by an external activity array, with an index map
 /// for `decrease/increase`-key and membership tests (MiniSat's `VarOrder`).
-#[derive(Default, Clone)]
+#[derive(Default)]
 pub struct ActivityHeap {
     heap: Vec<Var>,
     /// Position of each var in `heap`, or `usize::MAX` if absent.

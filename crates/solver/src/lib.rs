@@ -9,10 +9,20 @@
 //!
 //! * [`Solver`] — a CDCL SAT core (watched literals, VSIDS, first-UIP
 //!   learning, phase saving, Luby restarts);
-//! * [`theory::AcyclicityTheory`] — a monotonic graph theory: known edges
-//!   are collapsed into a transitive-closure bit matrix, symbolic edges are
-//!   guarded by literals, and any cycle produces a conflict clause over the
-//!   guards of the symbolic edges on the cycle.
+//! * [`theory::AcyclicityTheory`] — a monotonic graph theory over a flat
+//!   (CSR) graph: known edges are facts, symbolic edges are guarded by
+//!   literals. It *detects*: any cycle produces a conflict clause over the
+//!   guards of the symbolic edges on the cycle, found incrementally
+//!   (Pearce–Kelly) as guards become true. And it *propagates*: a guard
+//!   whose edge would close a cycle is implied false before the SAT core
+//!   tries it.
+//!
+//! Detection is complete and is the judge; propagation is an accelerator
+//! the solver gates on its own behaviour — off until the search's first
+//! restart, then a work budget of 16 passes over the theory graph per
+//! restart, abandoned when it runs dry — so an instance decided in a few
+//! conflicts pays nothing for it and no instance pays more than a bounded
+//! multiple of its graph per restart. There is no switch for it.
 //!
 //! ```
 //! use polysi_solver::{Lit, Solver};

@@ -2,11 +2,28 @@
 //!
 //! The Boolean core is MiniSat-shaped: two-watched-literal propagation,
 //! first-UIP conflict analysis, VSIDS decision order with activity decay,
-//! phase saving, and Luby restarts. The theory (see [`crate::theory`]) is
-//! integrated lazily: after every Boolean propagation fixpoint the newly
-//! true guard literals activate their graph edges; a cycle yields a theory
-//! conflict clause which is analyzed like any other conflict (standard lazy
-//! SMT — each learned clause is asserting, so the loop terminates).
+//! phase saving, and Luby restarts.
+//!
+//! The theory (see [`crate::theory`]) **detects** after every Boolean
+//! propagation fixpoint: the newly true guard literals activate their graph
+//! edges; a cycle yields a theory conflict clause which is analyzed like
+//! any other conflict (each learned clause is asserting, so the loop
+//! terminates). Detection is complete and is the only judge — a model is
+//! reported once every true guard is activated without a cycle, and the
+//! theory's maintained order certifies it.
+//!
+//! The theory also **propagates** — a guard whose edge would close a cycle
+//! is implied false, with the cycle's guards as a learned reason clause,
+//! before the SAT core tries it — but only for a search that has shown it
+//! needs it. The gate is a rule the solver observes on itself: propagation
+//! is off until the search's first restart (`RESTART_BASE` conflicts; an
+//! instance decided before that pays one branch per activation), and every
+//! restart grants `PROPAGATION_PASSES` passes over the theory graph as a
+//! work budget. Every graph entry a propagation touches is charged; a
+//! search that runs the budget dry is abandoned and the solver stays lazy
+//! until the next restart. Propagation is an accelerator: skipped or
+//! abandoned, it costs conflicts, never a verdict. Boolean and theory
+//! propagation alternate to a common fixpoint before each decision.
 //!
 //! Clause learning keeps every learned clause (no database reduction): the
 //! instances produced by polygraph encoding after pruning are small, and the
@@ -68,9 +85,14 @@ pub struct SolverStats {
     pub learned_clauses: u64,
     /// Number of restarts.
     pub restarts: u64,
+    /// Number of literals implied by theory propagation.
+    pub theory_propagations: u64,
+    /// Graph entries (nodes, adjacency entries, candidate edges) theory
+    /// propagation touched, i.e. what it charged to its work budget.
+    pub theory_visits: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Clause {
     lits: Vec<Lit>,
 }
@@ -89,10 +111,6 @@ enum Conflict {
 }
 
 /// The solver. See the module docs for the architecture.
-///
-/// `Solver` is `Clone`: a clone of a pre-solve instance is an independent
-/// copy of the clauses and theory graph.
-#[derive(Clone)]
 pub struct Solver {
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watcher>>,
@@ -112,6 +130,15 @@ pub struct Solver {
     theory_finalized: bool,
     ok: bool,
     budget: Option<u64>,
+    /// Theory-propagation work left until the next restart; zero (the gate
+    /// is closed) until the first one.
+    propagation_budget: u64,
+    /// `stats.conflicts` when the first restart opened the gate.
+    eager_from: Option<u64>,
+    /// Whether a granted propagation budget ran dry.
+    budget_exhausted: bool,
+    /// Lemmas of one theory propagation (scratch).
+    lemmas: Vec<Vec<Lit>>,
     stats: SolverStats,
     /// Span tracer ([`polysi_obs`]); disabled by default.
     tracer: polysi_obs::Tracer,
@@ -119,6 +146,9 @@ pub struct Solver {
 
 const VAR_DECAY: f64 = 1.0 / 0.95;
 const RESTART_BASE: u64 = 100;
+/// Theory-propagation work granted per restart, in passes over the theory
+/// graph ([`AcyclicityTheory::size`] entries each).
+const PROPAGATION_PASSES: u64 = 16;
 
 impl Default for Solver {
     fn default() -> Self {
@@ -148,6 +178,10 @@ impl Solver {
             theory_finalized: false,
             ok: true,
             budget: None,
+            propagation_budget: 0,
+            eager_from: None,
+            budget_exhausted: false,
+            lemmas: Vec::new(),
             stats: SolverStats::default(),
             tracer: polysi_obs::Tracer::default(),
         }
@@ -198,7 +232,8 @@ impl Solver {
     }
 
     /// Abort `solve` with [`SolveResult::Unknown`] once this many conflicts
-    /// have occurred — the benchmarks' deterministic timeout stand-in.
+    /// have occurred ([`SolverStats::conflicts`] is then exactly the budget;
+    /// zero means the first conflict aborts) — a deterministic timeout.
     pub fn set_conflict_budget(&mut self, max_conflicts: u64) {
         self.budget = Some(max_conflicts);
     }
@@ -226,12 +261,7 @@ impl Solver {
 
     #[inline]
     fn value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().idx()];
-        if l.is_pos() {
-            v
-        } else {
-            v.negate()
-        }
+        lit_value(&self.assigns, l)
     }
 
     #[inline]
@@ -381,28 +411,81 @@ impl Solver {
         None
     }
 
-    /// Run the theory over trail entries not yet processed.
+    /// Run the theory over trail entries not yet processed: activate each
+    /// (detection) and, while the gate is open, propagate from it. Hands
+    /// back to Boolean propagation as soon as the theory implied a literal.
     fn theory_check(&mut self) -> Option<Vec<Lit>> {
-        let Some(theory) = self.theory.as_mut() else {
+        if self.theory.is_none() {
             self.theory_head = self.trail.len();
             return None;
-        };
-        while self.theory_head < self.trail.len() {
+        }
+        while self.theory_head < self.trail.len() && self.qhead == self.trail.len() {
             let l = self.trail[self.theory_head];
-            if let Some(clause) = theory.activate(l, self.theory_head) {
-                self.stats.theory_conflicts += 1;
-                return Some(clause);
+            let theory = self.theory.as_mut().expect("checked above");
+            let mut conflict = theory.activate(l, self.theory_head);
+            if conflict.is_none() {
+                self.theory_head += 1;
+                if self.propagation_budget > 0 {
+                    conflict = self.theory_propagate(l);
+                }
             }
-            self.theory_head += 1;
+            if conflict.is_some() {
+                self.stats.theory_conflicts += 1;
+                return conflict;
+            }
         }
         None
     }
 
-    fn propagate_all(&mut self) -> Option<Conflict> {
-        if let Some(ci) = self.propagate() {
-            return Some(Conflict::Clause(ci));
+    /// Theory propagation from `l`, just activated: every lemma implies its
+    /// first literal (attached as a learned clause, which is its reason) or,
+    /// when that literal is already false, is the conflict returned. The
+    /// second literal `¬l` is false at the current decision level — every
+    /// trail entry the theory has not processed is — and the rest are false
+    /// at or below it, so watching the first two keeps the watch invariant
+    /// and `analyze` finds the implied literal first in its reason.
+    fn theory_propagate(&mut self, l: Lit) -> Option<Vec<Lit>> {
+        let theory = self.theory.as_mut().expect("theory_check found a theory");
+        let mut lemmas = std::mem::take(&mut self.lemmas);
+        let granted = self.propagation_budget;
+        let assigns = &self.assigns;
+        theory.propagate(l, |g| lit_value(assigns, g), &mut self.propagation_budget, &mut lemmas);
+        self.stats.theory_visits += granted - self.propagation_budget;
+        self.budget_exhausted |= self.propagation_budget == 0;
+        let mut conflict = None;
+        for lemma in lemmas.drain(..) {
+            match self.value(lemma[0]) {
+                LBool::True => {}
+                LBool::False => {
+                    conflict = Some(lemma);
+                    break;
+                }
+                LBool::Undef => {
+                    let implied = lemma[0];
+                    let ci = self.attach_clause(lemma);
+                    self.stats.learned_clauses += 1;
+                    self.stats.theory_propagations += 1;
+                    self.enqueue(implied, Some(ci));
+                }
+            }
         }
-        self.theory_check().map(Conflict::Theory)
+        self.lemmas = lemmas;
+        conflict
+    }
+
+    /// Boolean and theory propagation to their common fixpoint.
+    fn propagate_all(&mut self) -> Option<Conflict> {
+        loop {
+            if let Some(ci) = self.propagate() {
+                return Some(Conflict::Clause(ci));
+            }
+            if let Some(clause) = self.theory_check() {
+                return Some(Conflict::Theory(clause));
+            }
+            if self.qhead == self.trail.len() {
+                return None;
+            }
+        }
     }
 
     fn bump(&mut self, v: Var) {
@@ -546,6 +629,14 @@ impl Solver {
         );
         span.attr("conflicts", self.stats.conflicts - before.conflicts);
         span.attr("propagations", self.stats.propagations - before.propagations);
+        span.attr(
+            "theory_propagations",
+            self.stats.theory_propagations - before.theory_propagations,
+        );
+        if let Some(conflicts) = self.eager_from {
+            span.attr("eager_from_conflict", conflicts);
+        }
+        span.attr("budget_exhausted", self.budget_exhausted);
         result
     }
 
@@ -568,11 +659,13 @@ impl Solver {
         loop {
             match self.propagate_all() {
                 Some(conflict) => {
-                    self.stats.conflicts += 1;
-                    conflicts_since_restart += 1;
-                    if self.budget.is_some_and(|b| self.stats.conflicts > b) {
+                    if self.budget.is_some_and(|b| self.stats.conflicts >= b) {
+                        // Back to a state `solve` can be called on again.
+                        self.cancel_until(0);
                         return SolveResult::Unknown;
                     }
+                    self.stats.conflicts += 1;
+                    conflicts_since_restart += 1;
                     if self.decision_level() == 0 {
                         self.ok = false;
                         return SolveResult::Unsat;
@@ -595,6 +688,10 @@ impl Solver {
                         conflicts_since_restart = 0;
                         restart_budget = RESTART_BASE * luby(self.stats.restarts + 1);
                         self.cancel_until(0);
+                        if let Some(t) = &self.theory {
+                            self.propagation_budget = PROPAGATION_PASSES * t.size() as u64;
+                            self.eager_from.get_or_insert(self.stats.conflicts);
+                        }
                         continue;
                     }
                     match self.pick_branch() {
@@ -623,6 +720,16 @@ impl Solver {
                 }
             }
         }
+    }
+}
+
+#[inline]
+fn lit_value(assigns: &[LBool], l: Lit) -> LBool {
+    let v = assigns[l.var().idx()];
+    if l.is_pos() {
+        v
+    } else {
+        v.negate()
     }
 }
 
@@ -861,31 +968,15 @@ mod tests {
         s.add_clause(&[Lit::neg(x)]);
         assert!(!s.solve().is_sat());
     }
-
-    #[test]
-    fn cloned_pre_solve_state_is_independent() {
-        let mut base = Solver::with_graph(2);
-        let a = Lit::pos(base.new_var());
-        base.add_symbolic_edge(a, 0, 1);
-        base.add_known_edge(1, 0);
-        let mut forced = base.clone();
-        forced.add_clause(&[a]);
-        assert!(!forced.solve().is_sat());
-        // The original is untouched by the clone's solve.
-        assert!(base.solve().is_sat());
-        assert_eq!(base.stats().conflicts, 0);
-    }
 }
 
 #[cfg(test)]
 mod budget_tests {
     use super::*;
 
-    #[test]
+    /// Pigeonhole 6-into-5: unsatisfiable, and only after many conflicts.
     #[allow(clippy::needless_range_loop)]
-    fn conflict_budget_reports_unknown() {
-        // Pigeonhole 6-into-5 forces many conflicts; a budget of 1 cannot
-        // finish.
+    fn pigeonhole() -> Solver {
         let mut s = Solver::new();
         let p: Vec<Vec<Lit>> =
             (0..6).map(|_| (0..5).map(|_| Lit::pos(s.new_var())).collect()).collect();
@@ -899,8 +990,26 @@ mod budget_tests {
                 }
             }
         }
-        s.set_conflict_budget(1);
-        assert!(matches!(s.solve(), SolveResult::Unknown));
+        s
+    }
+
+    /// The budget is exact: `Unknown` arrives with exactly that many
+    /// conflicts analysed (zero: none), and leaves the solver in a state
+    /// a larger budget can resume from.
+    #[test]
+    fn conflict_budget_reports_unknown() {
+        for budget in [0, 1, 7] {
+            let mut s = pigeonhole();
+            s.set_conflict_budget(budget);
+            assert!(matches!(s.solve(), SolveResult::Unknown), "budget {budget}");
+            assert_eq!(s.stats().conflicts, budget);
+            assert_eq!(s.stats().learned_clauses, budget, "every counted conflict was analysed");
+            s.set_conflict_budget(budget + 3);
+            assert!(matches!(s.solve(), SolveResult::Unknown));
+            assert_eq!(s.stats().conflicts, budget + 3);
+            s.set_conflict_budget(u64::MAX);
+            assert!(matches!(s.solve(), SolveResult::Unsat), "resumed after budget {budget}");
+        }
     }
 
     #[test]
@@ -910,5 +1019,163 @@ mod budget_tests {
         s.add_clause(&[a]);
         s.set_conflict_budget(1_000);
         assert!(s.solve().is_sat());
+    }
+}
+
+/// Theory propagation with the gate forced open — the private budget field
+/// is the only switch there is — against brute force.
+#[cfg(test)]
+mod eager_tests {
+    use super::*;
+    use crate::theory::tests::validate_model;
+    use proptest::prelude::*;
+
+    /// CNF over `nv` variables plus known and symbolic edges over `nn` nodes.
+    #[derive(Debug, Clone)]
+    struct Instance {
+        nv: u32,
+        nn: u32,
+        clauses: Vec<Vec<Lit>>,
+        known: Vec<(u32, u32)>,
+        symbolic: Vec<(Lit, u32, u32)>,
+    }
+
+    fn instance() -> impl Strategy<Value = Instance> {
+        (2u32..7, 2u32..6).prop_flat_map(|(nv, nn)| {
+            let lit = move || (0..nv, any::<bool>()).prop_map(|(v, s)| Lit::new(Var(v), s));
+            let clauses = prop::collection::vec(prop::collection::vec(lit(), 1..4), 0..5);
+            let known = prop::collection::vec((0..nn, 0..nn), 0..3);
+            let symbolic = prop::collection::vec((lit(), 0..nn, 0..nn), 0..14);
+            (clauses, known, symbolic).prop_map(move |(clauses, known, symbolic)| Instance {
+                nv,
+                nn,
+                clauses,
+                known,
+                symbolic,
+            })
+        })
+    }
+
+    fn theory_of(inst: &Instance) -> AcyclicityTheory {
+        let mut t = AcyclicityTheory::new(inst.nn as usize);
+        for &(u, v) in &inst.known {
+            t.add_known_edge(u, v);
+        }
+        for &(l, u, v) in &inst.symbolic {
+            t.add_symbolic_edge(l, u, v);
+        }
+        t
+    }
+
+    fn eager_solver(inst: &Instance) -> Solver {
+        let mut s = Solver::with_graph(inst.nn as usize);
+        for _ in 0..inst.nv {
+            s.new_var();
+        }
+        for c in &inst.clauses {
+            s.add_clause(c);
+        }
+        s.theory = Some(theory_of(inst));
+        s.propagation_budget = u64::MAX;
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Propagating from the first decision with no budget limit, the
+        /// solver enumerates (model, blocking clause, again) exactly the
+        /// models brute force counts — one lemma that is not a consequence
+        /// would lose one — and every model satisfies the clauses, carries
+        /// the order certificate and passes the rebuild-and-sort reference.
+        #[test]
+        fn forced_propagation_finds_exactly_the_brute_force_models(inst in instance()) {
+            let reference = theory_of(&inst);
+            let expected = (0u32..1 << inst.nv)
+                .filter(|bits| {
+                    let holds = |l: Lit| (bits >> l.var().0 & 1 == 1) == l.is_pos();
+                    inst.clauses.iter().all(|c| c.iter().any(|&l| holds(l)))
+                        && validate_model(&reference, holds)
+                })
+                .count();
+            let mut s = eager_solver(&inst);
+            let mut found = 0;
+            while let SolveResult::Sat(m) = s.solve() {
+                found += 1;
+                prop_assert!(found <= expected, "more models than brute force: {:?}", inst);
+                for c in &inst.clauses {
+                    prop_assert!(c.iter().any(|&l| m.lit_true(l)), "clause {:?}", c);
+                }
+                let theory = s.theory.as_ref().expect("with_graph");
+                prop_assert!(theory.order_certifies(|l| m.lit_true(l)));
+                prop_assert!(validate_model(theory, |l| m.lit_true(l)));
+                s.cancel_until(0);
+                let block: Vec<Lit> =
+                    (0..inst.nv).map(|v| Lit::new(Var(v), !m.value(Var(v)))).collect();
+                s.add_clause(&block);
+            }
+            prop_assert_eq!(found, expected, "models lost: {:?}", inst);
+        }
+    }
+
+    /// Known 0 → 1, `a` guards 1 → 2 and is a unit: with the gate open `b`
+    /// (2 → 0) is implied false at level 0 by the theory, where the lazy
+    /// solver may decide it true first and pay a conflict.
+    #[test]
+    fn forced_propagation_implies_instead_of_conflicting() {
+        let build = || {
+            let mut s = Solver::with_graph(3);
+            let (a, b) = (Lit::pos(s.new_var()), Lit::pos(s.new_var()));
+            s.add_known_edge(0, 1);
+            s.add_symbolic_edge(a, 1, 2);
+            s.add_symbolic_edge(b, 2, 0);
+            s.add_clause(&[a]);
+            s.set_phase(b.var(), true);
+            (s, b)
+        };
+        let (mut lazy, b) = build();
+        assert!(matches!(lazy.solve(), SolveResult::Sat(m) if !m.lit_true(b)));
+        assert_eq!((lazy.stats().conflicts, lazy.stats().theory_propagations), (1, 0));
+        assert_eq!(lazy.stats().theory_visits, 0, "the gate never opened");
+
+        let (mut eager, b) = build();
+        eager.propagation_budget = u64::MAX;
+        assert!(matches!(eager.solve(), SolveResult::Sat(m) if !m.lit_true(b)));
+        assert_eq!((eager.stats().conflicts, eager.stats().theory_propagations), (0, 1));
+        assert_eq!(eager.stats().decisions, 0);
+        assert!(eager.stats().theory_visits > 0);
+    }
+
+    /// The gate is the first restart, and each restart's grant is
+    /// `PROPAGATION_PASSES` graph passes: a ring of two-cell frustrations
+    /// long enough to need a restart propagates only after it, and never
+    /// spends more than the restarts granted.
+    #[test]
+    fn the_gate_opens_at_the_first_restart_and_the_budget_bounds_the_work() {
+        // Cells i = 0..n: selector s_i orients a pair; s_i and s_{i+1} true
+        // together close a cycle, as do ¬s_i and ¬s_{i+1} (an odd ring of
+        // these is unsatisfiable, and only two-selector lemmas say why).
+        let n = 301u32;
+        let mut s = Solver::with_graph(4 * n as usize);
+        let cells: Vec<Lit> = (0..n).map(|_| Lit::pos(s.new_var())).collect();
+        for i in 0..n {
+            let j = (i + 1) % n;
+            let (a, b, c, d) = (4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3);
+            let (ja, jb, jc, jd) = (4 * j, 4 * j + 1, 4 * j + 2, 4 * j + 3);
+            s.add_symbolic_edge(cells[i as usize], a, b);
+            s.add_symbolic_edge(!cells[i as usize], c, d);
+            // b_i → a_j and b_j → a_i: both cells true closes a_i b_i a_j b_j.
+            s.add_known_edge(b, ja);
+            s.add_known_edge(jb, a);
+            s.add_known_edge(d, jc);
+            s.add_known_edge(jd, c);
+        }
+        assert!(matches!(s.solve(), SolveResult::Unsat));
+        let stats = *s.stats();
+        assert!(stats.restarts >= 1, "{stats:?}");
+        assert_eq!(s.eager_from, Some(RESTART_BASE));
+        assert!(stats.theory_propagations > 0, "{stats:?}");
+        let size = s.theory.as_ref().expect("with_graph").size() as u64;
+        assert!(stats.theory_visits <= PROPAGATION_PASSES * stats.restarts * size, "{stats:?}");
     }
 }

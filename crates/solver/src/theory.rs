@@ -5,7 +5,7 @@
 //! (present iff a guard literal is true), with the hard assertion that the
 //! graph stays acyclic.
 //!
-//! Cycle detection is incremental à la Pearce–Kelly: the theory maintains a
+//! **Detection** is incremental à la Pearce–Kelly: the theory maintains a
 //! topological order of all nodes under the currently-present edges.
 //! Inserting an edge `u → v` with `ord(u) < ord(v)` costs O(1) — the common
 //! case once the solver seeds decision phases along the known topological
@@ -14,10 +14,27 @@
 //! yields the conflict clause `¬g₁ ∨ … ∨ ¬gₖ` over the guards of the
 //! symbolic edges on it (known edges contribute no literals — they are
 //! facts). Edge deletion (solver backtracking) is O(1): removing edges
-//! never invalidates a topological order.
+//! never invalidates a topological order. Detection is complete and is the
+//! judge: [`AcyclicityTheory::activate`] reports every cycle, whatever
+//! propagation did or did not do.
+//!
+//! **Propagation** ([`AcyclicityTheory::propagate`]) is the accelerator on
+//! top: once `u → v` is in, every symbolic edge `a → b` with `v ⇝ a` and
+//! `b ⇝ u` would close a cycle, so its guard is implied false, with the
+//! cycle's guards as the reason. It costs graph searches the detection does
+//! not need, so the caller hands it a work budget; every adjacency and
+//! candidate entry touched is charged, and a search that runs dry is
+//! abandoned — that costs time only, never a verdict.
+//!
+//! **Layout.** Everything is flat: known edges are staged in one vector and
+//! counting-sorted into out-/in-CSR by [`AcyclicityTheory::finalize`];
+//! symbolic edges are indexed by guard literal and by source node in two
+//! more CSRs; the active symbolic edges of a node live in a fixed region of
+//! one array (a node's region has room for every symbolic edge incident to
+//! it), so activating and rolling back are a store and a decrement, and
+//! `activate` allocates nothing unless it has a conflict to report.
 
-use crate::types::Lit;
-use std::collections::HashMap;
+use crate::types::{LBool, Lit};
 
 /// Result of finalizing the known subgraph.
 #[derive(Debug, PartialEq, Eq)]
@@ -29,25 +46,149 @@ pub enum KnownGraph {
     Cyclic(Vec<u32>),
 }
 
+/// Stable counting sort of `items` into `buckets` buckets: the offsets
+/// (`buckets + 1` of them) and `value` of every item in bucket order,
+/// items of one bucket in their original order.
+fn bucket<T, V: Copy>(
+    buckets: usize,
+    items: &[T],
+    key: impl Fn(&T) -> u32,
+    value: impl Fn(&T) -> V,
+) -> (Vec<u32>, Vec<V>) {
+    let mut start = vec![0u32; buckets + 1];
+    let Some(first) = items.first() else { return (start, Vec::new()) };
+    for item in items {
+        start[key(item) as usize + 1] += 1;
+    }
+    for b in 0..buckets {
+        start[b + 1] += start[b];
+    }
+    // Fill with `start[b]` as bucket b's cursor; afterwards it holds the
+    // bucket's end, i.e. the start of b + 1: shift back by one.
+    let mut values = vec![value(first); items.len()];
+    for item in items {
+        let cursor = &mut start[key(item) as usize];
+        values[*cursor as usize] = value(item);
+        *cursor += 1;
+    }
+    start.copy_within(0..buckets, 1);
+    start[0] = 0;
+    (start, values)
+}
+
+/// One direction (out or in) of the theory graph: per node the known
+/// neighbours, then the neighbours over active symbolic edges, oldest
+/// activation first — the order every search visits them in.
+struct Adjacency {
+    /// CSR offsets (`n + 1`) into `known`.
+    known_start: Vec<u32>,
+    known: Vec<u32>,
+    /// Offsets (`n + 1`) of each node's region of `active`: one slot per
+    /// symbolic edge incident to the node in this direction.
+    active_start: Vec<u32>,
+    /// `(neighbour, guard)`; the first `active_len[x]` slots of `x`'s
+    /// region are live.
+    active: Vec<(u32, Lit)>,
+    active_len: Vec<u32>,
+}
+
+impl Adjacency {
+    fn new(n: usize) -> Self {
+        Adjacency {
+            known_start: vec![0; n + 1],
+            known: Vec::new(),
+            active_start: vec![0; n + 1],
+            active: Vec::new(),
+            active_len: vec![0; n],
+        }
+    }
+
+    fn known(&self, x: u32) -> &[u32] {
+        let x = x as usize;
+        &self.known[self.known_start[x] as usize..self.known_start[x + 1] as usize]
+    }
+
+    fn active(&self, x: u32) -> &[(u32, Lit)] {
+        let start = self.active_start[x as usize] as usize;
+        &self.active[start..start + self.active_len[x as usize] as usize]
+    }
+
+    /// Neighbours of `x` with the guard of the edge (`None` = known).
+    fn edges(&self, x: u32) -> impl Iterator<Item = (u32, Option<Lit>)> + '_ {
+        let known = self.known(x).iter().map(|&y| (y, None));
+        known.chain(self.active(x).iter().map(|&(y, g)| (y, Some(g))))
+    }
+
+    fn degree(&self, x: u32) -> usize {
+        self.known(x).len() + self.active_len[x as usize] as usize
+    }
+
+    fn push(&mut self, x: u32, y: u32, guard: Lit) {
+        let len = &mut self.active_len[x as usize];
+        debug_assert!(
+            self.active_start[x as usize] + *len < self.active_start[x as usize + 1],
+            "a guard was activated twice without a rollback"
+        );
+        self.active[(self.active_start[x as usize] + *len) as usize] = (y, guard);
+        *len += 1;
+    }
+
+    /// Drop the newest active edge of `x`; returns its neighbour.
+    fn pop(&mut self, x: u32) -> u32 {
+        let len = &mut self.active_len[x as usize];
+        *len -= 1;
+        self.active[(self.active_start[x as usize] + *len) as usize].0
+    }
+
+    /// Lay the active regions out afresh along `start`, all empty.
+    fn reset_active(&mut self, start: Vec<u32>, slots: usize) {
+        self.active_start = start;
+        self.active.clear();
+        self.active.resize(slots, (0, Lit::from_idx(0)));
+        self.active_len.fill(0);
+    }
+}
+
 /// The acyclicity theory state.
-#[derive(Clone)]
 pub struct AcyclicityTheory {
     n: usize,
-    /// Out-edges: `(target, guard)`; `None` = known edge (permanent).
-    out: Vec<Vec<(u32, Option<Lit>)>>,
-    /// In-edges, mirroring `out`.
-    inn: Vec<Vec<(u32, Option<Lit>)>>,
+    /// Known edges in insertion order, until `finalize` sorts them into
+    /// `out` / `inn`.
+    staged: Vec<(u32, u32)>,
+    out: Adjacency,
+    inn: Adjacency,
     /// Topological priority of each node (unique).
     ord: Vec<u32>,
-    /// Guard literal → edges it enables.
-    edges_of_lit: HashMap<Lit, Vec<(u32, u32)>>,
-    /// LIFO log of activations: `(trail_len_at_activation, u, v)`.
-    activations: Vec<(usize, u32, u32)>,
+    /// Symbolic edges `(guard, u, v)` in registration order.
+    symbolic: Vec<(Lit, u32, u32)>,
+    /// How many of `symbolic` the indexes below (and the active regions of
+    /// `out` / `inn`) cover; `activate` re-indexes when edges were added.
+    indexed: usize,
+    /// CSR by guard: `Lit::idx()` → the `(u, v)` it enables.
+    guard_start: Vec<u32>,
+    guard_edges: Vec<(u32, u32)>,
+    /// `(guard, target)` of every symbolic edge by source node — the
+    /// candidates of `propagate`; its offsets are `out.active_start`.
+    source_edges: Vec<(Lit, u32)>,
+    /// LIFO log of activations: `(trail_pos, guard, u, v)`.
+    activations: Vec<(usize, Lit, u32, u32)>,
     finalized: bool,
-    // DFS scratch (stamped to avoid clearing).
+    // Search scratch, reused by every `insert` and `propagate`: nodes and
+    // guards are marked with a stamp instead of being cleared.
     stamp: u32,
     visited: Vec<u32>,
+    /// Forward search tree: `(predecessor, guard of the edge from it)`.
     parent: Vec<(u32, Option<Lit>)>,
+    /// Backward search tree: `(successor, guard of the edge to it)`; only
+    /// propagation needs one, so it is sized by the first `propagate`.
+    back: Vec<(u32, Option<Lit>)>,
+    stack: Vec<u32>,
+    delta_f: Vec<u32>,
+    delta_b: Vec<u32>,
+    slots: Vec<u32>,
+    candidates: Vec<(Lit, u32, u32)>,
+    /// Per guard: the `propagate` call that last implied it false.
+    implied: Vec<u32>,
 }
 
 impl AcyclicityTheory {
@@ -55,15 +196,27 @@ impl AcyclicityTheory {
     pub fn new(n: usize) -> Self {
         AcyclicityTheory {
             n,
-            out: vec![Vec::new(); n],
-            inn: vec![Vec::new(); n],
+            staged: Vec::new(),
+            out: Adjacency::new(n),
+            inn: Adjacency::new(n),
             ord: (0..n as u32).collect(),
-            edges_of_lit: HashMap::new(),
+            symbolic: Vec::new(),
+            indexed: 0,
+            guard_start: Vec::new(),
+            guard_edges: Vec::new(),
+            source_edges: Vec::new(),
             activations: Vec::new(),
             finalized: false,
             stamp: 0,
             visited: vec![0; n],
             parent: vec![(0, None); n],
+            back: Vec::new(),
+            stack: Vec::new(),
+            delta_f: Vec::new(),
+            delta_b: Vec::new(),
+            slots: Vec::new(),
+            candidates: Vec::new(),
+            implied: Vec::new(),
         }
     }
 
@@ -72,46 +225,50 @@ impl AcyclicityTheory {
         self.n
     }
 
-    /// Whether any symbolic edge is registered.
-    pub fn has_symbolic_edges(&self) -> bool {
-        !self.edges_of_lit.is_empty()
+    /// Nodes + known edges + symbolic edges: what one pass over the whole
+    /// graph touches, the unit a propagation budget is granted in.
+    pub fn size(&self) -> usize {
+        self.n + self.staged.len() + self.out.known.len() + self.symbolic.len()
     }
 
-    /// Guard literals that have at least one edge attached.
-    pub fn guard_lits(&self) -> impl Iterator<Item = Lit> + '_ {
-        self.edges_of_lit.keys().copied()
+    /// Guard literals that have at least one edge attached, ascending.
+    pub fn guard_lits(&self) -> impl Iterator<Item = Lit> {
+        let mut guards: Vec<Lit> = self.symbolic.iter().map(|&(g, _, _)| g).collect();
+        guards.sort_unstable();
+        guards.dedup();
+        guards.into_iter()
     }
 
     /// Add an unconditional edge `u → v`. Must precede [`Self::finalize`].
     pub fn add_known_edge(&mut self, u: u32, v: u32) {
         debug_assert!(!self.finalized, "known edges must be added before finalize");
-        self.out[u as usize].push((v, None));
-        self.inn[v as usize].push((u, None));
+        self.staged.push((u, v));
     }
 
     /// Add a symbolic edge `u → v` guarded by `lit` (present iff `lit` is
     /// true in the assignment).
     pub fn add_symbolic_edge(&mut self, lit: Lit, u: u32, v: u32) {
-        self.edges_of_lit.entry(lit).or_default().push((u, v));
+        self.symbolic.push((lit, u, v));
     }
 
-    /// Topologically order the known subgraph. Returns
-    /// [`KnownGraph::Cyclic`] with a witness cycle if the known edges alone
-    /// are cyclic.
+    /// Sort the staged known edges into the out-/in-CSR and order the known
+    /// subgraph topologically. Returns [`KnownGraph::Cyclic`] with a
+    /// witness cycle if the known edges alone are cyclic.
     pub fn finalize(&mut self) -> KnownGraph {
+        debug_assert!(!self.finalized, "finalize runs once");
         self.finalized = true;
-        let mut indeg = vec![0u32; self.n];
-        for outs in &self.out {
-            for &(v, _) in outs {
-                indeg[v as usize] += 1;
-            }
-        }
+        let staged = std::mem::take(&mut self.staged);
+        (self.out.known_start, self.out.known) = bucket(self.n, &staged, |e| e.0, |e| e.1);
+        (self.inn.known_start, self.inn.known) = bucket(self.n, &staged, |e| e.1, |e| e.0);
+        drop(staged);
+        let mut indeg: Vec<u32> =
+            (0..self.n as u32).map(|v| self.inn.known(v).len() as u32).collect();
         let mut order: Vec<u32> = (0..self.n as u32).filter(|&v| indeg[v as usize] == 0).collect();
         let mut head = 0;
         while head < order.len() {
             let u = order[head];
             head += 1;
-            for &(v, _) in &self.out[u as usize] {
+            for &v in self.out.known(u) {
                 indeg[v as usize] -= 1;
                 if indeg[v as usize] == 0 {
                     order.push(v);
@@ -145,7 +302,7 @@ impl AcyclicityTheory {
             let mut path: Vec<u32> = vec![start as u32];
             color[start] = Color::Gray;
             while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-                if let Some(&(v, _)) = self.out[u as usize].get(*next) {
+                if let Some(&v) = self.out.known(u).get(*next) {
                     *next += 1;
                     match color[v as usize] {
                         Color::Gray => {
@@ -169,12 +326,56 @@ impl AcyclicityTheory {
         unreachable!("Kahn reported a cycle, so a DFS back edge must exist")
     }
 
+    /// Rebuild the by-guard and by-source indexes and the active regions
+    /// over every registered symbolic edge. Edges already active keep their
+    /// per-node activation order: the log is replayed into the new regions.
+    fn index_symbolic(&mut self) {
+        let lits = self.symbolic.iter().map(|e| e.0.idx() + 1).max().unwrap_or(0);
+        let n = self.n;
+        (self.guard_start, self.guard_edges) =
+            bucket(lits, &self.symbolic, |e| e.0.idx() as u32, |e| (e.1, e.2));
+        let (by_source, source_edges) = bucket(n, &self.symbolic, |e| e.1, |e| (e.0, e.2));
+        let (by_target, _) = bucket(n, &self.symbolic, |e| e.2, |_| ());
+        self.source_edges = source_edges;
+        self.out.reset_active(by_source, self.symbolic.len());
+        self.inn.reset_active(by_target, self.symbolic.len());
+        for &(_, guard, u, v) in &self.activations {
+            self.out.push(u, v, guard);
+            self.inn.push(v, u, guard);
+        }
+        self.implied.clear();
+        self.implied.resize(lits, 0);
+        self.indexed = self.symbolic.len();
+    }
+
+    /// The range of `guard_edges` that `lit` enables.
+    fn guard_range(&self, lit: Lit) -> std::ops::Range<usize> {
+        match self.guard_start.get(lit.idx()..lit.idx() + 2) {
+            Some(bounds) => bounds[0] as usize..bounds[1] as usize,
+            None => 0..0,
+        }
+    }
+
+    /// A mark no live entry of `visited` / `implied` carries.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.visited.fill(0);
+            self.implied.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.stamp
+    }
+
     /// Activate every edge guarded by `lit` (which just became true at main
     /// trail position `trail_pos`). On a cycle, returns the conflict clause
     /// (guards of the cycle's symbolic edges, negated).
     pub fn activate(&mut self, lit: Lit, trail_pos: usize) -> Option<Vec<Lit>> {
-        let edges = self.edges_of_lit.get(&lit)?.clone();
-        for (u, v) in edges {
+        if self.indexed != self.symbolic.len() {
+            self.index_symbolic();
+        }
+        for e in self.guard_range(lit) {
+            let (u, v) = self.guard_edges[e];
             if u == v {
                 return Some(vec![!lit]);
             }
@@ -184,9 +385,9 @@ impl AcyclicityTheory {
                 clause.dedup();
                 return Some(clause);
             }
-            self.out[u as usize].push((v, Some(lit)));
-            self.inn[v as usize].push((u, Some(lit)));
-            self.activations.push((trail_pos, u, v));
+            self.out.push(u, v, lit);
+            self.inn.push(v, u, lit);
+            self.activations.push((trail_pos, lit, u, v));
         }
         None
     }
@@ -200,16 +401,15 @@ impl AcyclicityTheory {
             return None; // already in order
         }
         // Forward DFS from v over nodes with ord <= ub.
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut delta_f: Vec<u32> = Vec::new();
-        let mut stack = vec![v];
+        let stamp = self.next_stamp();
+        self.delta_f.clear();
+        self.stack.clear();
+        self.stack.push(v);
         self.visited[v as usize] = stamp;
         self.parent[v as usize] = (v, None);
-        while let Some(x) = stack.pop() {
-            delta_f.push(x);
-            for i in 0..self.out[x as usize].len() {
-                let (y, guard) = self.out[x as usize][i];
+        while let Some(x) = self.stack.pop() {
+            self.delta_f.push(x);
+            for (y, guard) in self.out.edges(x) {
                 if y == u {
                     // Cycle: u → v ⇝ x → u. Collect guards along v ⇝ x,
                     // plus this closing edge's guard.
@@ -230,37 +430,35 @@ impl AcyclicityTheory {
                 if self.ord[y as usize] <= ub && self.visited[y as usize] != stamp {
                     self.visited[y as usize] = stamp;
                     self.parent[y as usize] = (x, guard);
-                    stack.push(y);
+                    self.stack.push(y);
                 }
             }
         }
         // Backward DFS from u over nodes with ord >= lb. (No cycle is
         // possible here: it would have been found forward.)
-        let mut delta_b: Vec<u32> = Vec::new();
-        let mut stack = vec![u];
-        // Reuse stamps with a second marker value by bumping again.
-        self.stamp += 1;
-        let bstamp = self.stamp;
-        self.visited[u as usize] = bstamp;
-        while let Some(x) = stack.pop() {
-            delta_b.push(x);
-            for i in 0..self.inn[x as usize].len() {
-                let (y, _) = self.inn[x as usize][i];
-                if self.ord[y as usize] >= lb && self.visited[y as usize] != bstamp {
-                    self.visited[y as usize] = bstamp;
-                    stack.push(y);
+        let stamp = self.next_stamp();
+        self.delta_b.clear();
+        self.stack.push(u);
+        self.visited[u as usize] = stamp;
+        while let Some(x) = self.stack.pop() {
+            self.delta_b.push(x);
+            for (y, _) in self.inn.edges(x) {
+                if self.ord[y as usize] >= lb && self.visited[y as usize] != stamp {
+                    self.visited[y as usize] = stamp;
+                    self.stack.push(y);
                 }
             }
         }
         // Reorder: δB (sources) must precede δF (sinks). Pool their current
         // priorities and redistribute.
-        delta_b.sort_unstable_by_key(|&x| self.ord[x as usize]);
-        delta_f.sort_unstable_by_key(|&x| self.ord[x as usize]);
-        let mut slots: Vec<u32> =
-            delta_b.iter().chain(delta_f.iter()).map(|&x| self.ord[x as usize]).collect();
-        slots.sort_unstable();
-        for (node, slot) in delta_b.iter().chain(delta_f.iter()).zip(slots) {
-            self.ord[*node as usize] = slot;
+        let ord = &mut self.ord;
+        self.delta_b.sort_unstable_by_key(|&x| ord[x as usize]);
+        self.delta_f.sort_unstable_by_key(|&x| ord[x as usize]);
+        self.slots.clear();
+        self.slots.extend(self.delta_b.iter().chain(&self.delta_f).map(|&x| ord[x as usize]));
+        self.slots.sort_unstable();
+        for (node, slot) in self.delta_b.iter().chain(&self.delta_f).zip(&self.slots) {
+            ord[*node as usize] = *slot;
         }
         None
     }
@@ -268,16 +466,134 @@ impl AcyclicityTheory {
     /// Undo all activations performed at main-trail positions `>= trail_len`.
     /// Removing edges keeps the topological order valid.
     pub fn rollback(&mut self, trail_len: usize) {
-        while let Some(&(pos, u, v)) = self.activations.last() {
+        while let Some(&(pos, _, u, v)) = self.activations.last() {
             if pos < trail_len {
                 break;
             }
             self.activations.pop();
-            let popped = self.out[u as usize].pop();
-            debug_assert_eq!(popped.map(|(t, _)| t), Some(v));
-            let popped = self.inn[v as usize].pop();
-            debug_assert_eq!(popped.map(|(s, _)| s), Some(u));
+            let target = self.out.pop(u);
+            debug_assert_eq!(target, v);
+            let source = self.inn.pop(v);
+            debug_assert_eq!(source, u);
         }
+    }
+
+    /// Theory propagation for `lit`, whose edges [`Self::activate`] has just
+    /// put in without a conflict. For each such edge `u → v`: every
+    /// symbolic edge `a → b` with `v ⇝ a` and `b ⇝ u` (over known ∪ active
+    /// edges) would close a cycle, so unless `value` already has its guard
+    /// `g` false a lemma `[¬g, ¬lit, ¬(guards on v ⇝ a), ¬(guards on
+    /// b ⇝ u)]` is pushed onto `lemmas` — at most one per guard and call.
+    /// Under an assignment that makes `lit` and the activated guards true,
+    /// every literal of a lemma but the first is false: the caller implies
+    /// `¬g` with the lemma as reason when `g` is unassigned, and has a
+    /// conflict when `g` is true (assigned, not yet activated).
+    ///
+    /// Every node, adjacency entry and candidate entry touched takes one
+    /// unit from `budget`. When it reaches zero the search is abandoned
+    /// where it stands; lemmas already pushed are sound, the rest are simply
+    /// not found — [`Self::activate`] still detects every cycle.
+    pub fn propagate(
+        &mut self,
+        lit: Lit,
+        value: impl Fn(Lit) -> LBool,
+        budget: &mut u64,
+        lemmas: &mut Vec<Vec<Lit>>,
+    ) {
+        let call = self.next_stamp();
+        self.back.resize(self.n, (0, None));
+        for e in self.guard_range(lit) {
+            let (u, v) = self.guard_edges[e];
+            if !self.reach(true, v, 0, budget) {
+                return;
+            }
+            // Candidates: symbolic edges leaving the forward set whose
+            // target the order does not already put after `u`.
+            self.candidates.clear();
+            let limit = self.ord[u as usize];
+            let mut floor = u32::MAX;
+            for &a in &self.delta_f {
+                let from = self.out.active_start[a as usize] as usize;
+                let to = self.out.active_start[a as usize + 1] as usize;
+                if !charge(budget, to - from) {
+                    return;
+                }
+                for &(g, b) in &self.source_edges[from..to] {
+                    let pos = self.ord[b as usize];
+                    if pos <= limit && self.implied[g.idx()] != call && value(g) != LBool::False {
+                        self.candidates.push((g, a, b));
+                        floor = floor.min(pos);
+                    }
+                }
+            }
+            if self.candidates.is_empty() {
+                continue;
+            }
+            // A path b ⇝ u runs through positions ord(b) ..= ord(u) only.
+            if !self.reach(false, u, floor, budget) {
+                return;
+            }
+            let backward = self.stamp;
+            for i in 0..self.candidates.len() {
+                let (g, a, b) = self.candidates[i];
+                if self.visited[b as usize] != backward || self.implied[g.idx()] == call {
+                    continue;
+                }
+                self.implied[g.idx()] = call;
+                let mut lemma = vec![!g, !lit];
+                let mut path_guard = |guard: Option<Lit>| match guard {
+                    Some(p) if p != lit => lemma.push(!p),
+                    _ => {}
+                };
+                let mut cur = a;
+                while cur != v {
+                    let (prev, guard) = self.parent[cur as usize];
+                    path_guard(guard);
+                    cur = prev;
+                }
+                let mut cur = b;
+                while cur != u {
+                    let (next, guard) = self.back[cur as usize];
+                    path_guard(guard);
+                    cur = next;
+                }
+                lemma[2..].sort_unstable();
+                lemma.dedup();
+                lemmas.push(lemma);
+            }
+        }
+    }
+
+    /// Depth-first search from `from` — forward along out-edges into
+    /// `delta_f` / `parent`, or backward along in-edges into `delta_b` /
+    /// `back` — over nodes at positions `>= floor`, marking `visited` with
+    /// a fresh stamp (left in `self.stamp`). Charges `budget` one unit per
+    /// node and adjacency entry; `false` when it ran dry mid-search.
+    fn reach(&mut self, forward: bool, from: u32, floor: u32, budget: &mut u64) -> bool {
+        let stamp = self.next_stamp();
+        let (adj, tree, reached) = if forward {
+            (&self.out, &mut self.parent, &mut self.delta_f)
+        } else {
+            (&self.inn, &mut self.back, &mut self.delta_b)
+        };
+        reached.clear();
+        self.stack.clear();
+        self.stack.push(from);
+        self.visited[from as usize] = stamp;
+        while let Some(x) = self.stack.pop() {
+            if !charge(budget, 1 + adj.degree(x)) {
+                return false;
+            }
+            reached.push(x);
+            for (y, guard) in adj.edges(x) {
+                if self.ord[y as usize] >= floor && self.visited[y as usize] != stamp {
+                    self.visited[y as usize] = stamp;
+                    tree[y as usize] = (x, guard);
+                    self.stack.push(y);
+                }
+            }
+        }
+        true
     }
 
     /// The *order certificate* of a complete assignment: whether the
@@ -288,52 +604,64 @@ impl AcyclicityTheory {
     /// (`finalize` assigns one, Pearce–Kelly only redistributes slots), and
     /// a cycle cannot descend strictly all the way round — at the cost of
     /// one pass over the edges and no allocation. The enabled edges are read
-    /// from the guard index, not from the activation log, so the check does
-    /// not trust the bookkeeping it certifies: a guard that is true but was
-    /// never activated, or any other way of leaving the order stale, makes
-    /// it answer `false`, never `true` wrongly. It answers `true` exactly
-    /// when every true guard has been activated without conflict, which is
-    /// the state the solver is in when it reports a model;
-    /// [`Self::validate_model`] is the order-independent reference.
+    /// from the registered edge list, not from the activation log, so the
+    /// check does not trust the bookkeeping it certifies: a guard that is
+    /// true but was never activated, or any other way of leaving the order
+    /// stale, makes it answer `false`, never `true` wrongly. It answers
+    /// `true` exactly when every true guard has been activated without
+    /// conflict, which is the state the solver is in when it reports a
+    /// model; the tests hold it against a rebuild-and-sort reference.
     pub fn order_certifies(&self, is_true: impl Fn(Lit) -> bool) -> bool {
         let in_order = |u: u32, v: u32| self.ord[u as usize] < self.ord[v as usize];
-        let known = self.out.iter().enumerate().all(|(u, es)| {
-            es.iter().filter(|(_, g)| g.is_none()).all(|&(v, _)| in_order(u as u32, v))
-        });
-        known
-            && self
-                .edges_of_lit
-                .iter()
-                .filter(|(&lit, _)| is_true(lit))
-                .all(|(_, edges)| edges.iter().all(|&(u, v)| in_order(u, v)))
+        let known = (0..self.n as u32).all(|u| self.out.known(u).iter().all(|&v| in_order(u, v)));
+        known && self.symbolic.iter().filter(|e| is_true(e.0)).all(|&(_, u, v)| in_order(u, v))
+    }
+}
+
+/// Take `cost` units from `budget`; `false` (and an empty budget) when it
+/// does not hold that many.
+fn charge(budget: &mut u64, cost: usize) -> bool {
+    match budget.checked_sub(cost as u64) {
+        Some(left) => {
+            *budget = left;
+            true
+        }
+        None => {
+            *budget = 0;
+            false
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::types::Var;
+
+    fn lit(i: u32) -> Lit {
+        Lit::pos(Var(i))
     }
 
-    /// Check a *complete* assignment: with `is_true(lit)` deciding guard
-    /// truth, verify the full graph (known + all enabled symbolic edges) is
-    /// acyclic by rebuilding it and sorting it topologically. The solver
-    /// certifies its models with [`Self::order_certifies`]; this is the
-    /// reference the tests hold that certificate against.
-    pub fn validate_model(&self, is_true: impl Fn(Lit) -> bool) -> bool {
-        let mut out: Vec<Vec<u32>> = self
-            .out
-            .iter()
-            .map(|es| es.iter().filter(|(_, g)| g.is_none()).map(|&(t, _)| t).collect())
-            .collect();
-        for (&lit, edges) in &self.edges_of_lit {
-            if is_true(lit) {
-                for &(u, v) in edges {
-                    out[u as usize].push(v);
-                }
+    /// The order-independent reference for a *complete* assignment: with
+    /// `is_true(lit)` deciding guard truth, rebuild the full graph (known +
+    /// all enabled symbolic edges) and sort it topologically.
+    pub(crate) fn validate_model(t: &AcyclicityTheory, is_true: impl Fn(Lit) -> bool) -> bool {
+        let mut out: Vec<Vec<u32>> = (0..t.n as u32).map(|u| t.out.known(u).to_vec()).collect();
+        for &(u, v) in &t.staged {
+            out[u as usize].push(v);
+        }
+        for &(guard, u, v) in &t.symbolic {
+            if is_true(guard) {
+                out[u as usize].push(v);
             }
         }
-        let mut indeg = vec![0u32; self.n];
+        let mut indeg = vec![0u32; t.n];
         for outs in &out {
             for &v in outs {
                 indeg[v as usize] += 1;
             }
         }
-        let mut queue: Vec<u32> = (0..self.n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut seen = queue.len();
+        let mut queue: Vec<u32> = (0..t.n as u32).filter(|&v| indeg[v as usize] == 0).collect();
         let mut head = 0;
         while head < queue.len() {
             let u = queue[head];
@@ -342,21 +670,32 @@ impl AcyclicityTheory {
                 indeg[v as usize] -= 1;
                 if indeg[v as usize] == 0 {
                     queue.push(v);
-                    seen += 1;
                 }
             }
         }
-        seen == self.n
+        queue.len() == t.n
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::types::Var;
+    /// `propagate` with every other guard unassigned and no budget limit.
+    fn propagate_all(t: &mut AcyclicityTheory, l: Lit) -> Vec<Vec<Lit>> {
+        let (mut budget, mut lemmas) = (u64::MAX, Vec::new());
+        t.propagate(
+            l,
+            |g| if g == l { LBool::True } else { LBool::Undef },
+            &mut budget,
+            &mut lemmas,
+        );
+        lemmas
+    }
 
-    fn lit(i: u32) -> Lit {
-        Lit::pos(Var(i))
+    #[test]
+    fn bucket_is_a_stable_counting_sort() {
+        let items = [(2u32, 'a'), (0, 'b'), (2, 'c'), (1, 'd'), (0, 'e')];
+        let (start, values) = bucket(4, &items, |e| e.0, |e| e.1);
+        assert_eq!(start, vec![0, 2, 3, 5, 5]);
+        assert_eq!(values, vec!['b', 'e', 'd', 'a', 'c']);
+        let (start, values) = bucket(2, &[] as &[(u32, char)], |e| e.0, |e| e.1);
+        assert_eq!((start, values), (vec![0, 0, 0], vec![]));
     }
 
     #[test]
@@ -365,6 +704,21 @@ mod tests {
         t.add_known_edge(0, 1);
         t.add_known_edge(1, 2);
         assert_eq!(t.finalize(), KnownGraph::Acyclic);
+    }
+
+    #[test]
+    fn finalize_keeps_each_node_s_edges_in_insertion_order() {
+        let mut t = AcyclicityTheory::new(4);
+        for (u, v) in [(2, 3), (0, 3), (0, 1), (2, 0), (0, 2), (1, 3)] {
+            t.add_known_edge(u, v);
+        }
+        // 2 → 0 → 2 is a cycle; the layout is what is under test.
+        assert!(matches!(t.finalize(), KnownGraph::Cyclic(_)));
+        assert_eq!(t.out.known(0), [3, 1, 2]);
+        assert_eq!(t.out.known(2), [3, 0]);
+        assert_eq!(t.inn.known(3), [2, 0, 1]);
+        assert_eq!(t.inn.known(0), [2]);
+        assert_eq!(t.size(), 4 + 6);
     }
 
     #[test]
@@ -435,8 +789,8 @@ mod tests {
         assert_eq!(t.finalize(), KnownGraph::Acyclic);
         t.add_symbolic_edge(lit(0), 1, 2);
         t.add_symbolic_edge(lit(1), 2, 0);
-        assert!(t.validate_model(|l| l == lit(0)));
-        assert!(!t.validate_model(|_| true));
+        assert!(validate_model(&t, |l| l == lit(0)));
+        assert!(!validate_model(&t, |_| true));
     }
 
     #[test]
@@ -452,22 +806,24 @@ mod tests {
         // Activated: Pearce–Kelly has made room for the edge.
         assert_eq!(t.activate(lit(1), 0), None);
         assert!(t.order_certifies(|l| l == lit(1)));
-        assert!(t.validate_model(|l| l == lit(1)));
+        assert!(validate_model(&t, |l| l == lit(1)));
         // A cyclic assignment has no order at all.
         assert!(!t.order_certifies(|_| true));
         // One known edge reversed in the order: the certificate fails even
         // though the graph itself is still acyclic.
         t.ord.swap(0, 1);
-        assert!(t.validate_model(|l| l == lit(1)));
+        assert!(validate_model(&t, |l| l == lit(1)));
         assert!(!t.order_certifies(|l| l == lit(1)));
     }
 
     #[test]
     fn guard_lits_enumerates() {
         let mut t = AcyclicityTheory::new(2);
+        t.add_symbolic_edge(lit(3), 0, 1);
+        t.add_symbolic_edge(!lit(0), 1, 0);
+        t.add_symbolic_edge(lit(3), 1, 0);
         t.add_symbolic_edge(lit(0), 0, 1);
-        assert!(t.has_symbolic_edges());
-        assert_eq!(t.guard_lits().collect::<Vec<_>>(), vec![lit(0)]);
+        assert_eq!(t.guard_lits().collect::<Vec<_>>(), vec![lit(0), !lit(0), lit(3)]);
     }
 
     #[test]
@@ -492,6 +848,27 @@ mod tests {
     }
 
     #[test]
+    fn edges_added_after_activations_keep_the_active_ones() {
+        // Two active edges out of node 0, then a re-index: both survive, in
+        // activation order, and roll back in LIFO order.
+        let mut t = AcyclicityTheory::new(4);
+        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        t.add_symbolic_edge(lit(0), 0, 2);
+        t.add_symbolic_edge(lit(1), 0, 1);
+        assert_eq!(t.activate(lit(1), 0), None);
+        assert_eq!(t.activate(lit(0), 1), None);
+        t.add_symbolic_edge(lit(2), 0, 3);
+        t.add_symbolic_edge(lit(3), 2, 0);
+        assert_eq!(t.activate(lit(2), 2), None);
+        assert_eq!(t.out.active(0), [(1, lit(1)), (2, lit(0)), (3, lit(2))]);
+        assert_eq!(t.inn.active(2), [(0, lit(0))]);
+        assert_eq!(t.activate(lit(3), 3), Some(vec![!lit(0), !lit(3)]));
+        t.rollback(1);
+        assert_eq!(t.out.active(0), [(1, lit(1))]);
+        assert_eq!(t.activate(lit(3), 1), None);
+    }
+
+    #[test]
     fn mixed_known_and_symbolic_cycle_reports_only_guards() {
         let mut t = AcyclicityTheory::new(4);
         t.add_known_edge(0, 1);
@@ -504,5 +881,86 @@ mod tests {
         let mut expect = vec![!lit(0), !lit(1)];
         expect.sort_unstable();
         assert_eq!(clause, expect, "known edges contribute no literals");
+    }
+
+    #[test]
+    fn propagation_implies_the_guards_that_would_close_a_cycle() {
+        // Known 0 → 1 and 2 → 3; x0 guards 1 → 2. Once it is in, x1 (3 → 0)
+        // would close 0 → 1 → 2 → 3 → 0 and x2 (3 → 1) the shorter cycle;
+        // x3 (0 → 3) runs along the order and stays free.
+        let mut t = AcyclicityTheory::new(4);
+        t.add_known_edge(0, 1);
+        t.add_known_edge(2, 3);
+        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        t.add_symbolic_edge(lit(0), 1, 2);
+        t.add_symbolic_edge(lit(1), 3, 0);
+        t.add_symbolic_edge(lit(2), 3, 1);
+        t.add_symbolic_edge(lit(3), 0, 3);
+        assert_eq!(t.activate(lit(0), 0), None);
+        let lemmas = propagate_all(&mut t, lit(0));
+        assert_eq!(lemmas, vec![vec![!lit(1), !lit(0)], vec![!lit(2), !lit(0)]]);
+        // The lazy check agrees with both lemmas.
+        assert!(t.activate(lit(1), 1).is_some());
+        t.rollback(1);
+        assert!(t.activate(lit(2), 1).is_some());
+    }
+
+    #[test]
+    fn propagation_reasons_carry_the_guards_of_both_paths() {
+        // Chain of symbolic edges 0 → 1 → 2 → 3 activated out of order, so
+        // the last activation (1 → 2) has guards before and behind it.
+        let mut t = AcyclicityTheory::new(4);
+        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        t.add_symbolic_edge(lit(0), 0, 1);
+        t.add_symbolic_edge(lit(1), 1, 2);
+        t.add_symbolic_edge(lit(2), 2, 3);
+        t.add_symbolic_edge(lit(3), 3, 0);
+        assert_eq!(t.activate(lit(0), 0), None);
+        assert_eq!(t.activate(lit(2), 1), None);
+        assert_eq!(propagate_all(&mut t, lit(2)), Vec::<Vec<Lit>>::new());
+        assert_eq!(t.activate(lit(1), 2), None);
+        assert_eq!(
+            propagate_all(&mut t, lit(1)),
+            vec![vec![!lit(3), !lit(1), !lit(0), !lit(2)]],
+            "implied literal first, the activated guard second, path guards ascending"
+        );
+    }
+
+    #[test]
+    fn propagation_skips_false_guards_and_reports_true_ones() {
+        let mut t = AcyclicityTheory::new(2);
+        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        t.add_symbolic_edge(lit(0), 0, 1);
+        t.add_symbolic_edge(lit(1), 1, 0);
+        t.add_symbolic_edge(lit(2), 1, 0);
+        assert_eq!(t.activate(lit(0), 0), None);
+        let (mut budget, mut lemmas) = (u64::MAX, Vec::new());
+        let value = |g: Lit| if g == lit(1) { LBool::False } else { LBool::True };
+        t.propagate(lit(0), value, &mut budget, &mut lemmas);
+        assert_eq!(lemmas, vec![vec![!lit(2), !lit(0)]], "x1 is false already; x2 is a conflict");
+    }
+
+    #[test]
+    fn propagation_charges_what_it_touches_and_stops_when_dry() {
+        let mut t = AcyclicityTheory::new(4);
+        t.add_known_edge(0, 1);
+        t.add_known_edge(2, 3);
+        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        t.add_symbolic_edge(lit(0), 1, 2);
+        t.add_symbolic_edge(lit(1), 3, 0);
+        assert_eq!(t.activate(lit(0), 0), None);
+        // Forward from 2: nodes 2, 3 and the edge 2 → 3; candidates: the
+        // source entries of 2 (none) and 3 (one); backward from 1 down to
+        // position ord(0): nodes 1, 0 and the edge 0 → 1.
+        let full = 3 + 1 + 3;
+        let mut budget = 100;
+        let mut lemmas = Vec::new();
+        t.propagate(lit(0), |_| LBool::Undef, &mut budget, &mut lemmas);
+        assert_eq!((100 - budget, lemmas.len()), (full, 1));
+        for granted in 0..full {
+            let (mut budget, mut lemmas) = (granted, Vec::new());
+            t.propagate(lit(0), |_| LBool::Undef, &mut budget, &mut lemmas);
+            assert_eq!((budget, lemmas.len()), (0, 0), "abandoned at {granted} of {full}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! with brute-force enumeration on random small instances.
 
 use polysi_solver::theory::{AcyclicityTheory, KnownGraph};
-use polysi_solver::{Lit, SolveResult, Solver, Var};
+use polysi_solver::{LBool, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
 
 /// A random instance: CNF over `nv` vars plus symbolic edges over `nn` nodes.
@@ -125,6 +125,22 @@ fn theory_instance_strategy() -> impl Strategy<Value = TheoryInstance> {
     })
 }
 
+/// Theory instances dense enough in guards for propagation to have reasons:
+/// more variables and symbolic edges over few nodes, so that a guard is
+/// regularly implied through paths that run over other guards' edges.
+fn guard_dense_instance_strategy() -> impl Strategy<Value = TheoryInstance> {
+    (3u32..6, 3u32..6).prop_flat_map(|(nv, nn)| {
+        let known = prop::collection::vec((0..nn, 0..nn), 0..3);
+        let sym = prop::collection::vec((lit_strategy(nv), 0..nn, 0..nn), 3..12);
+        (known, sym).prop_map(move |(known_edges, sym_edges)| TheoryInstance {
+            nv,
+            nn,
+            known_edges,
+            sym_edges,
+        })
+    })
+}
+
 /// Ground truth for the theory: Kahn toposort over an explicit edge list.
 fn naive_acyclic(nn: u32, edges: &[(u32, u32)]) -> bool {
     let n = nn as usize;
@@ -149,6 +165,15 @@ fn naive_acyclic(nn: u32, edges: &[(u32, u32)]) -> bool {
     queue.len() == n
 }
 
+/// The order-independent reference the order certificate is held against:
+/// the full graph of a complete assignment (known + enabled symbolic
+/// edges), rebuilt and sorted topologically.
+fn validate_model(inst: &TheoryInstance, is_true: impl Fn(Lit) -> bool) -> bool {
+    let mut enabled = inst.known_edges.clone();
+    enabled.extend(inst.sym_edges.iter().filter(|e| is_true(e.0)).map(|&(_, u, v)| (u, v)));
+    naive_acyclic(inst.nn, &enabled)
+}
+
 /// Build the theory for an instance and return it finalized, plus whether
 /// the known subgraph alone was acyclic.
 fn build_theory(inst: &TheoryInstance) -> (AcyclicityTheory, bool) {
@@ -168,9 +193,8 @@ proptest! {
 
     /// Drive `AcyclicityTheory` directly (no SAT core): for every guard
     /// assignment, incremental activation must report a conflict exactly
-    /// when enumerate-and-toposort finds the enabled graph cyclic, any
-    /// conflict clause must be falsified by the assignment, and accepted
-    /// models must pass `validate_model`.
+    /// when enumerate-and-toposort finds the enabled graph cyclic, and any
+    /// conflict clause must be falsified by the assignment.
     #[test]
     fn acyclicity_theory_matches_enumerate_and_toposort(
         inst in theory_instance_strategy()
@@ -188,8 +212,7 @@ proptest! {
                 continue; // Unsat regardless of the assignment.
             }
 
-            let mut guards: Vec<Lit> = th.guard_lits().collect();
-            guards.sort(); // HashMap order is not deterministic.
+            let guards: Vec<Lit> = th.guard_lits().collect();
             let mut conflict = None;
             for (pos, &l) in guards.iter().filter(|&&l| lit_true(l)).enumerate() {
                 if let Some(clause) = th.activate(l, pos) {
@@ -198,37 +221,22 @@ proptest! {
                 }
             }
 
-            let mut enabled = inst.known_edges.clone();
-            enabled.extend(
-                inst.sym_edges
-                    .iter()
-                    .filter(|&&(l, _, _)| lit_true(l))
-                    .map(|&(_, u, v)| (u, v)),
-            );
-            let expected = naive_acyclic(inst.nn, &enabled);
             prop_assert_eq!(
                 conflict.is_none(),
-                expected,
+                validate_model(&inst, lit_true),
                 "theory verdict diverged under bits={:#b}: {:?}",
                 bits,
                 inst
             );
-            match conflict {
-                Some(clause) => {
-                    prop_assert!(!clause.is_empty(), "empty conflict clause");
-                    for l in clause {
-                        prop_assert!(
-                            !lit_true(l),
-                            "conflict clause not falsified by the assignment: {:?}",
-                            inst
-                        );
-                    }
+            if let Some(clause) = conflict {
+                prop_assert!(!clause.is_empty(), "empty conflict clause");
+                for l in clause {
+                    prop_assert!(
+                        !lit_true(l),
+                        "conflict clause not falsified by the assignment: {:?}",
+                        inst
+                    );
                 }
-                None => prop_assert!(
-                    th.validate_model(lit_true),
-                    "validate_model rejected an acyclic model: {:?}",
-                    inst
-                ),
             }
         }
     }
@@ -251,12 +259,11 @@ proptest! {
             // Nothing activated yet: only assignments whose enabled edges
             // already run along the known order may pass.
             prop_assert!(
-                !th.order_certifies(lit_true) || th.validate_model(lit_true),
+                !th.order_certifies(lit_true) || validate_model(&inst, lit_true),
                 "a never-activated assignment passed wrongly: {:?}",
                 inst
             );
-            let mut guards: Vec<Lit> = th.guard_lits().collect();
-            guards.sort();
+            let guards: Vec<Lit> = th.guard_lits().collect();
             for (pos, &l) in guards.iter().filter(|&&l| lit_true(l)).enumerate() {
                 if th.activate(l, pos).is_some() {
                     break;
@@ -264,7 +271,7 @@ proptest! {
             }
             prop_assert_eq!(
                 th.order_certifies(lit_true),
-                th.validate_model(lit_true),
+                validate_model(&inst, lit_true),
                 "certificate and reference diverged under bits={:#b}: {:?}",
                 bits,
                 inst
@@ -286,13 +293,97 @@ proptest! {
         };
         let (mut th, known_ok) = build_theory(&theory);
         prop_assert!(known_ok, "a SAT instance has an acyclic known graph");
-        let mut guards: Vec<Lit> = th.guard_lits().filter(|&l| m.lit_true(l)).collect();
-        guards.sort();
+        let guards: Vec<Lit> = th.guard_lits().filter(|&l| m.lit_true(l)).collect();
         for (pos, &l) in guards.iter().enumerate() {
             prop_assert_eq!(th.activate(l, pos), None, "a model's guards cannot conflict");
         }
         prop_assert!(th.order_certifies(|l| m.lit_true(l)), "certificate rejected a model");
-        prop_assert!(th.validate_model(|l| m.lit_true(l)), "reference rejected a model");
+        prop_assert!(validate_model(&theory, |l| m.lit_true(l)), "reference rejected a model");
+    }
+
+    /// Theory propagation, driven directly: activate the true guards of an
+    /// acyclic assignment one by one, propagating after each with every
+    /// other guard unassigned. Every lemma is *sound* — enabling its head's
+    /// guard together with the guards of its reason is cyclic — and has the
+    /// shape the solver relies on (head unassigned, second literal the
+    /// negation of the guard just activated, the rest negations of guards
+    /// activated before). With no budget limit the lemmas are *complete for
+    /// single-edge closure*: every unassigned guard owning an edge that
+    /// closes a cycle with the activated edges (and not with the known
+    /// edges alone — no activation triggers that one) heads some lemma.
+    /// Under a budget, propagation finds a subset and spends exactly what it
+    /// was granted or less.
+    #[test]
+    fn theory_propagation_is_sound_and_complete_for_single_edges(
+        inst in guard_dense_instance_strategy(),
+        budget in 0u64..64,
+    ) {
+        for bits in 0u32..(1 << inst.nv) {
+            let lit_true = |l: Lit| (bits >> l.var().0 & 1 == 1) == l.is_pos();
+            if !validate_model(&inst, lit_true) {
+                continue; // Not a conflict-free activation sequence.
+            }
+            for limit in [u64::MAX, budget] {
+                let (mut th, _) = build_theory(&inst);
+                let sequence: Vec<Lit> = th.guard_lits().filter(|&l| lit_true(l)).collect();
+                let mut heads: Vec<Lit> = Vec::new();
+                for (pos, &l) in sequence.iter().enumerate() {
+                    prop_assert_eq!(th.activate(l, pos), None);
+                    let active = &sequence[..=pos];
+                    let value = |g: Lit| {
+                        if active.contains(&g) {
+                            LBool::True
+                        } else if active.contains(&!g) {
+                            LBool::False
+                        } else {
+                            LBool::Undef
+                        }
+                    };
+                    let (mut left, mut lemmas) = (limit, Vec::new());
+                    th.propagate(l, value, &mut left, &mut lemmas);
+                    prop_assert!(left <= limit);
+                    for lemma in lemmas {
+                        prop_assert!(lemma.len() >= 2 && lemma[1] == !l, "shape: {:?}", lemma);
+                        prop_assert_eq!(value(lemma[0]), LBool::Undef, "head: {:?}", lemma);
+                        prop_assert!(
+                            lemma[2..].iter().all(|&r| r != !l && active.contains(&!r)),
+                            "reason of {:?} is not among the activated guards",
+                            lemma
+                        );
+                        prop_assert!(
+                            !validate_model(&inst, |g| lemma.contains(&!g)),
+                            "unsound lemma {:?}: {:?}",
+                            lemma,
+                            inst
+                        );
+                        heads.push(lemma[0]);
+                    }
+                }
+                if limit != u64::MAX {
+                    continue;
+                }
+                for &(g, a, b) in &inst.sym_edges {
+                    if sequence.contains(&g) || sequence.contains(&!g) {
+                        continue; // Assigned.
+                    }
+                    let closes = |with: &dyn Fn(Lit) -> bool| {
+                        let mut edges = vec![(a, b)];
+                        edges.extend(inst.known_edges.iter().copied());
+                        edges.extend(
+                            inst.sym_edges.iter().filter(|e| with(e.0)).map(|&(_, u, v)| (u, v)),
+                        );
+                        !naive_acyclic(inst.nn, &edges)
+                    };
+                    if closes(&|l| sequence.contains(&l)) && !closes(&|_| false) {
+                        prop_assert!(
+                            heads.contains(&!g),
+                            "{:?} ({} → {}) closes a cycle and was not implied, bits={:#b}: {:?}",
+                            g, a, b, bits, inst
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Rollback restores the pre-activation state exactly: an activation
@@ -307,9 +398,7 @@ proptest! {
         let (mut th, known_ok) = build_theory(&inst);
         prop_assume!(known_ok);
 
-        let mut guards: Vec<Lit> = th.guard_lits().collect();
-        guards.sort();
-        guards.retain(|&l| lit_true(l));
+        let guards: Vec<Lit> = th.guard_lits().filter(|&l| lit_true(l)).collect();
 
         let forward_conflicted = {
             let mut conflicted = false;
