@@ -15,7 +15,9 @@
 //! EXPERIMENTS.md).
 
 use polysi_history::{Facts, History};
-use polysi_polygraph::{ConstraintMode, ConstraintSet, Edge, KnownGraph, KnownGraphResult, Label};
+use polysi_polygraph::{
+    ConstraintMode, ConstraintSet, Edge, KnownGraph, KnownGraphResult, Label, Semantics,
+};
 use polysi_solver::{Lit, SolveResult, Solver};
 
 /// Outcome of a CobraSI run.
@@ -78,7 +80,7 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
     // Cobra-style pruning: only the direct reachability rule, applied to
     // WW edges over the doubled graph.
     loop {
-        let kg = match KnownGraph::build(n, &known) {
+        let kg = match KnownGraph::build(n, &known, Semantics::Si) {
             KnownGraphResult::Acyclic(g) => g,
             KnownGraphResult::Cyclic(_) => return (SiVerdict::NotSi, stats),
         };
@@ -114,7 +116,7 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
 
     // Encode on the doubled (layered) graph; seed phases along the known
     // topological order.
-    let topo: Option<Vec<u32>> = match KnownGraph::build(n, &known) {
+    let topo: Option<Vec<u32>> = match KnownGraph::build(n, &known, Semantics::Si) {
         KnownGraphResult::Acyclic(kg) => Some(kg.topo_positions()),
         KnownGraphResult::Cyclic(_) => None,
     };

@@ -13,7 +13,7 @@
 //!   no GPU acceleration exists in this environment).
 //!
 //! All three share the verdict-level contract with
-//! `polysi_checker::check_si` and are cross-validated against it in this
+//! `polysi_checker::check` and are cross-validated against it in this
 //! crate's test suite.
 
 pub mod cobra;

@@ -6,7 +6,7 @@ use polysi_baselines::{
     cobra_check_ser, cobra_si_check, dbcop_check_si, CobraOptions, DbcopVerdict, SerVerdict,
     SiVerdict,
 };
-use polysi_checker::{check_si, CheckOptions};
+use polysi_checker::{check, EngineOptions, IsolationLevel as Level};
 use polysi_dbsim::{run, IsolationLevel, SimConfig};
 use polysi_workloads::{generate, GeneralParams};
 
@@ -38,7 +38,7 @@ fn sims() -> impl Iterator<Item = polysi_history::History> {
 #[test]
 fn polysi_dbcop_cobrasi_agree() {
     for (i, h) in sims().enumerate() {
-        let poly = check_si(&h, &CheckOptions::default()).is_si();
+        let poly = check(&h, Level::Si, &EngineOptions::default()).is_si();
         let dbcop = dbcop_check_si(&h, 5_000_000);
         let cobrasi = cobra_si_check(&h).0;
         match dbcop.verdict {
@@ -60,7 +60,7 @@ fn serializability_implies_si() {
         let (ser, _) = cobra_check_ser(&h, &CobraOptions::default());
         if ser == SerVerdict::Serializable {
             assert!(
-                check_si(&h, &CheckOptions::default()).is_si(),
+                check(&h, Level::Si, &EngineOptions::default()).is_si(),
                 "case {i}: SER but not SI — hierarchy violated\n{h:?}"
             );
         }
@@ -117,7 +117,7 @@ fn si_sim_runs_can_violate_ser_but_not_si() {
             ..Default::default()
         });
         let out = run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, seed));
-        assert!(check_si(&out.history, &CheckOptions::default()).is_si(), "seed {seed}");
+        assert!(check(&out.history, Level::Si, &EngineOptions::default()).is_si(), "seed {seed}");
         let (ser, _) = cobra_check_ser(&out.history, &CobraOptions::default());
         if ser == SerVerdict::NotSerializable {
             saw_skew = true;

@@ -3,10 +3,11 @@
 //! pipeline, the acyclicity solver, and PolySI-List inference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use polysi_checker::{check_si, CheckOptions};
+use polysi_checker::{check, EngineOptions, IsolationLevel as Level};
 use polysi_dbsim::{run, IsolationLevel, SimConfig};
 use polysi_history::{Facts, ShardPlan};
-use polysi_polygraph::{ConstraintMode, Polygraph};
+use polysi_obs::Tracer;
+use polysi_polygraph::{ConstraintMode, Polygraph, PruneOptions};
 use polysi_solver::{Lit, Solver};
 use polysi_workloads::{generate, multi_component, GeneralParams, KeyDistribution};
 
@@ -88,7 +89,7 @@ fn bench_prune(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(10 * txns), &txns, |b, _| {
             b.iter_batched(
                 || Polygraph::from_history(&h, &facts, ConstraintMode::Generalized),
-                |mut pg| pg.prune(),
+                |mut pg| pg.prune(&PruneOptions::default(), &Tracer::disabled()).0,
                 criterion::BatchSize::SmallInput,
             )
         });
@@ -101,9 +102,9 @@ fn bench_check_si(c: &mut Criterion) {
     g.sample_size(10);
     for &txns in &[25usize, 50, 100] {
         let h = history(10, txns);
-        let opts = CheckOptions { interpret: false, ..Default::default() };
+        let opts = EngineOptions { interpret: false, ..Default::default() };
         g.bench_with_input(BenchmarkId::from_parameter(10 * txns), &txns, |b, _| {
-            b.iter(|| check_si(&h, &opts))
+            b.iter(|| check(&h, Level::Si, &opts))
         });
     }
     g.finish();

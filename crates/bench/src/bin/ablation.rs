@@ -4,7 +4,7 @@
 //! write-heavy workload where solving dominates.
 
 use polysi_bench::{csv_append, scale, scaled, CountingAllocator};
-use polysi_checker::{check_si, CheckOptions};
+use polysi_checker::{check, EngineOptions};
 use polysi_dbsim::{run, IsolationLevel, SimConfig};
 use polysi_polygraph::ConstraintMode;
 use polysi_workloads::{general_wh, generate};
@@ -20,23 +20,23 @@ fn main() {
     let plan = generate(&params);
     let sim = run(&plan, &SimConfig::new(IsolationLevel::Serializable, 77));
 
-    let configs: [(&str, CheckOptions); 4] = [
-        ("full (seeded phases)", CheckOptions { interpret: false, ..Default::default() }),
+    let configs: [(&str, EngineOptions); 4] = [
+        ("full (seeded phases)", EngineOptions { interpret: false, ..Default::default() }),
         (
             "no phase seeding",
-            CheckOptions { interpret: false, phase_seeding: false, ..Default::default() },
+            EngineOptions { interpret: false, phase_seeding: false, ..Default::default() },
         ),
-        ("no pruning", CheckOptions { interpret: false, pruning: false, ..Default::default() }),
+        ("no pruning", EngineOptions { interpret: false, pruning: false, ..Default::default() }),
         (
             "plain constraints",
-            CheckOptions { interpret: false, mode: ConstraintMode::Plain, ..Default::default() },
+            EngineOptions { interpret: false, mode: ConstraintMode::Plain, ..Default::default() },
         ),
     ];
     println!("{:<22} {:>10} {:>12} {:>14}", "configuration", "time(s)", "conflicts", "decisions");
     let mut rows = Vec::new();
     for (name, opts) in configs {
         let t0 = Instant::now();
-        let report = check_si(&sim.history, &opts);
+        let report = check(&sim.history, polysi_checker::IsolationLevel::Si, &opts);
         let elapsed = t0.elapsed();
         let (conflicts, decisions) =
             report.solver_stats.map(|s| (s.conflicts, s.decisions)).unwrap_or((0, 0));

@@ -4,7 +4,7 @@
 //! and confirms PolySI rejects every single one.
 
 use polysi_bench::{csv_append, scale, scaled, CountingAllocator};
-use polysi_checker::{check_si, CheckOptions};
+use polysi_checker::{check, EngineOptions, IsolationLevel};
 use polysi_dbsim::corpus::generate_corpus;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -20,7 +20,7 @@ fn main() {
     let mut detected = 0usize;
     let mut by_source: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     for entry in &corpus {
-        let caught = !check_si(&entry.history, &CheckOptions::default()).is_si();
+        let caught = !check(&entry.history, IsolationLevel::Si, &EngineOptions::default()).is_si();
         let slot = by_source.entry(entry.source.clone()).or_default();
         slot.1 += 1;
         if caught {

@@ -3,7 +3,7 @@
 
 use polysi_bench::sweeps::six_benchmarks;
 use polysi_bench::{csv_append, scale, CountingAllocator};
-use polysi_checker::{check_si, CheckOptions};
+use polysi_checker::{check, EngineOptions};
 use polysi_dbsim::IsolationLevel;
 
 #[global_allocator]
@@ -17,8 +17,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (name, h) in six_benchmarks(IsolationLevel::SnapshotIsolation, 9) {
-        let opts = CheckOptions { interpret: false, ..Default::default() };
-        let report = check_si(&h, &opts);
+        let opts = EngineOptions { interpret: false, ..Default::default() };
+        let report = check(&h, polysi_checker::IsolationLevel::Si, &opts);
         let t = report.timings;
         println!(
             "{:<12} {:>12.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",

@@ -4,7 +4,7 @@
 //! Graphviz DOT files.
 
 use polysi_bench::{csv_append, CountingAllocator};
-use polysi_checker::{check_si, dot, Anomaly, CheckOptions, Outcome};
+use polysi_checker::{check, dot, Anomaly, EngineOptions, IsolationLevel, Outcome};
 use polysi_dbsim::{run, table2_profiles, ExpectedAnomaly, SimConfig};
 use polysi_workloads::{generate, GeneralParams};
 
@@ -50,7 +50,7 @@ fn main() {
                 ..Default::default()
             });
             let sim = run(&plan, &SimConfig::new(profile.level, attempt));
-            let report = check_si(&sim.history, &CheckOptions::default());
+            let report = check(&sim.history, IsolationLevel::Si, &EngineOptions::default());
             if matches!(report.outcome, Outcome::Si) {
                 continue;
             }

@@ -5,7 +5,8 @@ use polysi_bench::sweeps::six_benchmarks;
 use polysi_bench::{csv_append, scale, CountingAllocator};
 use polysi_dbsim::IsolationLevel;
 use polysi_history::Facts;
-use polysi_polygraph::{ConstraintMode, Polygraph, PruneResult};
+use polysi_obs::Tracer;
+use polysi_polygraph::{ConstraintMode, Polygraph, PruneOptions, PruneResult};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -24,7 +25,7 @@ fn main() {
         let facts = Facts::analyze(&h);
         assert!(facts.axioms_ok(), "{name}: axioms failed");
         let mut g = Polygraph::from_history(&h, &facts, ConstraintMode::Generalized);
-        match g.prune() {
+        match g.prune(&PruneOptions::default(), &Tracer::disabled()).0 {
             PruneResult::Pruned(s) => {
                 println!(
                     "{:<12} {:>12} {:>12} {:>14} {:>14}",

@@ -5,8 +5,9 @@ use polysi_baselines::{
     cobra_check_ser, cobra_si_check, dbcop_check_si, CobraOptions, DbcopVerdict, SerVerdict,
     SiVerdict,
 };
-use polysi_checker::{check_si, CheckOptions};
+use polysi_checker::{CheckEngine, EngineOptions, IsolationLevel};
 use polysi_history::History;
+use polysi_polygraph::ConstraintMode;
 use std::fmt;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -94,20 +95,16 @@ pub fn measure(checker: Checker, h: &History, timeout: &Timeout) -> Measurement 
     CountingAllocator::reset_peak();
     let base = CountingAllocator::current();
     let t0 = Instant::now();
+    // PolySI is the shipped engine; the paper's two ablations (Figure 10)
+    // are the only knobs the figures turn.
+    let polysi = |pruning: bool, mode: ConstraintMode| {
+        let opts = EngineOptions { interpret: false, pruning, mode, ..Default::default() };
+        Some(CheckEngine::new(IsolationLevel::Si, opts).check(h).is_si())
+    };
     let verdict = match checker {
-        Checker::PolySi => {
-            Some(check_si(h, &CheckOptions { interpret: false, ..Default::default() }).is_si())
-        }
-        Checker::PolySiNoPruning => {
-            let mut o = CheckOptions::without_pruning();
-            o.interpret = false;
-            Some(check_si(h, &o).is_si())
-        }
-        Checker::PolySiNoCompactionNoPruning => {
-            let mut o = CheckOptions::without_compaction_and_pruning();
-            o.interpret = false;
-            Some(check_si(h, &o).is_si())
-        }
+        Checker::PolySi => polysi(true, ConstraintMode::Generalized),
+        Checker::PolySiNoPruning => polysi(false, ConstraintMode::Generalized),
+        Checker::PolySiNoCompactionNoPruning => polysi(false, ConstraintMode::Plain),
         Checker::Dbcop => match dbcop_check_si(h, timeout.dbcop_states).verdict {
             DbcopVerdict::Si => Some(true),
             DbcopVerdict::NotSi => Some(false),

@@ -1,68 +1,15 @@
-//! The `CheckSI` entry point and report types (Algorithm 1/2 of the
-//! paper): axioms → construction → pruning → encoding → solving, with
-//! per-stage timing for the decomposition analysis (Section 5.4.2).
-//!
-//! The pipeline itself lives in the staged [`crate::engine::CheckEngine`];
-//! [`check_si`] is a thin compatibility wrapper that runs the engine at
-//! [`crate::engine::IsolationLevel::Si`] with sharding off: same options,
-//! same verdicts. (Internals may differ from the pre-engine pipeline — the
-//! worklist prune can leave more constraints to the solver than the old
-//! full fixpoint, shifting `prune_stats`/`encode_stats` and occasionally
-//! the extracted witness cycle; verdicts are unaffected, as the property
-//! suite and conformance harness assert.)
+//! What a check run reports (Algorithm 1/2 of the paper): the verdict with
+//! its witness, per-stage timing for the decomposition analysis (Section
+//! 5.4.2) and the stage counters. The pipeline that fills them in is the
+//! staged [`crate::engine::CheckEngine`].
 
 use crate::anomaly::Anomaly;
-use crate::engine::{CheckEngine, EngineOptions, IsolationLevel, ShardStats};
+use crate::engine::ShardStats;
 use crate::interpret::Scenario;
-use polysi_history::{AxiomViolation, History};
-use polysi_polygraph::{ConstraintMode, Edge, OracleKind, PruneStats};
+use polysi_history::AxiomViolation;
+use polysi_polygraph::{Edge, OracleKind, PruneStats};
 use polysi_solver::SolverStats;
 use std::time::Duration;
-
-/// Configuration of a check run. The defaults are the full PolySI
-/// configuration; the differential variants of Section 5.4.3 disable
-/// pruning (`PolySI w/o P`) and constraint compaction (`PolySI w/o C+P`).
-#[derive(Clone, Copy, Debug)]
-pub struct CheckOptions {
-    /// Constraint representation (generalized vs. plain).
-    pub mode: ConstraintMode,
-    /// Run constraint pruning before encoding.
-    pub pruning: bool,
-    /// Run the interpretation algorithm on violations to recover a minimal
-    /// explained scenario.
-    pub interpret: bool,
-    /// Seed solver decision phases along a topological order of the known
-    /// graph (this implementation's ablatable optimization — see the
-    /// `ablation` bench binary).
-    pub phase_seeding: bool,
-    /// Reachability-oracle representation ([`OracleKind`]); verdicts and
-    /// witnesses are identical for any setting, `Auto` picks per run.
-    pub reach_oracle: OracleKind,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions {
-            mode: ConstraintMode::Generalized,
-            pruning: true,
-            interpret: true,
-            phase_seeding: true,
-            reach_oracle: OracleKind::Auto,
-        }
-    }
-}
-
-impl CheckOptions {
-    /// `PolySI w/o P`: generalized constraints, no pruning.
-    pub fn without_pruning() -> Self {
-        CheckOptions { pruning: false, ..Default::default() }
-    }
-
-    /// `PolySI w/o C+P`: plain constraints, no pruning.
-    pub fn without_compaction_and_pruning() -> Self {
-        CheckOptions { mode: ConstraintMode::Plain, pruning: false, ..Default::default() }
-    }
-}
 
 /// Wall-clock duration of each pipeline stage (Figure 9). For sharded runs
 /// these are summed across components (CPU time, not wall-clock — the
@@ -167,9 +114,32 @@ pub struct CheckReport {
     pub solve_stats: Option<SolveStats>,
     /// Sharding decision, when the engine ran with `Sharding::Auto`.
     pub shard_stats: Option<ShardStats>,
-    /// Reachability-oracle representation the run was configured with
-    /// (`Auto` resolves per component at build time).
-    pub reach_oracle: OracleKind,
+    /// Which reachability-oracle representation the Prune stage picked,
+    /// per pipeline unit.
+    pub oracles: OracleCounts,
+}
+
+/// Pipeline units (the whole history, or one shard each) whose Prune stage
+/// built a reachability oracle, by the representation `KnownGraph::build`
+/// picked for it ([`OracleKind`]). A unit whose known graph is cyclic
+/// before any oracle exists, or that runs with `pruning: false`, counts
+/// under neither.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OracleCounts {
+    /// Units on the dense bit-matrix closure.
+    pub dense: usize,
+    /// Units on the session-chain decomposition.
+    pub chains: usize,
+}
+
+impl OracleCounts {
+    /// Count one unit's oracle.
+    pub(crate) fn record(&mut self, kind: OracleKind) {
+        match kind {
+            OracleKind::Dense => self.dense += 1,
+            OracleKind::Chains => self.chains += 1,
+        }
+    }
 }
 
 impl CheckReport {
@@ -185,23 +155,12 @@ impl CheckReport {
     }
 }
 
-/// Check a history against (strong session) snapshot isolation.
-///
-/// Sound and complete (Theorems 18/19): returns a violation iff the history
-/// does not satisfy SI, assuming determinate transactions.
-///
-/// Compatibility wrapper over the staged engine: identical to
-/// `engine::check(h, IsolationLevel::Si, …)` with sharding off (see the
-/// module docs for the internals that may differ from the pre-engine
-/// pipeline).
-pub fn check_si(h: &History, opts: &CheckOptions) -> CheckReport {
-    CheckEngine::new(IsolationLevel::Si, EngineOptions::from(opts)).check(h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polysi_history::{HistoryBuilder, Key, Value};
+    use crate::engine::{self, EngineOptions, IsolationLevel};
+    use polysi_history::{History, HistoryBuilder, Key, Value};
+    use polysi_polygraph::ConstraintMode;
 
     fn k(n: u64) -> Key {
         Key(n)
@@ -211,7 +170,7 @@ mod tests {
     }
 
     fn check(h: &History) -> CheckReport {
-        check_si(h, &CheckOptions::default())
+        engine::check(h, IsolationLevel::Si, &EngineOptions::default())
     }
 
     #[test]
@@ -346,9 +305,15 @@ mod tests {
             b.build()
         };
         let h = build();
-        let full = check_si(&h, &CheckOptions::default());
-        let no_p = check_si(&h, &CheckOptions::without_pruning());
-        let no_cp = check_si(&h, &CheckOptions::without_compaction_and_pruning());
+        let run = |opts: EngineOptions| engine::check(&h, IsolationLevel::Si, &opts);
+        let full = run(EngineOptions::default());
+        // The paper's two ablations: "w/o P" and "w/o C+P".
+        let no_p = run(EngineOptions { pruning: false, ..Default::default() });
+        let no_cp = run(EngineOptions {
+            mode: ConstraintMode::Plain,
+            pruning: false,
+            ..Default::default()
+        });
         assert!(!full.is_si() && !no_p.is_si() && !no_cp.is_si());
     }
 
@@ -365,7 +330,7 @@ mod tests {
         assert!(report.is_si());
         assert!(report.prune_stats.is_some());
         assert!(report.timings.total() > Duration::ZERO);
-        assert!(report.shard_stats.is_none(), "check_si never shards");
+        assert_eq!(report.oracles, OracleCounts { dense: 1, chains: 0 });
     }
 
     #[test]

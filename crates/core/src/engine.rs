@@ -48,13 +48,13 @@
 
 use crate::anomaly::Anomaly;
 use crate::check::{
-    CheckOptions, CheckReport, EncodeStats, Outcome, SolveStats, StageTimings, Violation,
+    CheckReport, EncodeStats, OracleCounts, Outcome, SolveStats, StageTimings, Violation,
 };
 use crate::interpret::interpret;
 use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan};
 use polysi_obs::{kv, Metrics, Obs, Tracer};
 use polysi_polygraph::{
-    ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Polygraph, PruneOptions,
+    ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, Polygraph, PruneOptions,
     PruneResult, PruneStats, Semantics,
 };
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
@@ -269,12 +269,6 @@ pub struct EngineOptions {
     pub phase_seeding: bool,
     /// Intra-component parallelism of the Prune stage's constraint sweep.
     pub prune_threads: PruneThreads,
-    /// Reachability-oracle representation for the known graph
-    /// ([`OracleKind`]): dense closure rows, per-session chain rows, or
-    /// `Auto` (per component, chains when the session count beats the
-    /// dense bit-row budget). Verdict- and witness-identical for any
-    /// setting.
-    pub reach_oracle: OracleKind,
     /// Watermark compaction of the streaming checker's settled prefix
     /// ([`CompactMode`]); ignored by batch checks.
     pub compact: CompactMode,
@@ -293,30 +287,8 @@ impl Default for EngineOptions {
             interpret: true,
             phase_seeding: true,
             prune_threads: PruneThreads::Auto,
-            reach_oracle: OracleKind::Auto,
             compact: CompactMode::Auto,
             checkpoint_threads: CheckpointThreads::Auto,
-        }
-    }
-}
-
-impl From<&CheckOptions> for EngineOptions {
-    /// The compatibility mapping used by `check_si`: same knobs, sharding
-    /// off and a sequential prune sweep. Verdict-compatible with earlier
-    /// releases; the witness cycle on a rejected history may differ (the
-    /// incremental oracle surfaces violations at insert time rather than
-    /// at the next pass's rebuild).
-    fn from(opts: &CheckOptions) -> Self {
-        EngineOptions {
-            sharding: Sharding::Off,
-            mode: opts.mode,
-            pruning: opts.pruning,
-            interpret: opts.interpret,
-            phase_seeding: opts.phase_seeding,
-            prune_threads: PruneThreads::Fixed(1),
-            reach_oracle: opts.reach_oracle,
-            compact: CompactMode::Auto,
-            checkpoint_threads: CheckpointThreads::Fixed(1),
         }
     }
 }
@@ -353,8 +325,10 @@ pub struct CheckEngine {
 
 /// What one pipeline unit (the whole history, or one shard) produced.
 /// Cycles are in *global* transaction ids.
+#[derive(Default)]
 struct UnitReport {
     cycle: Option<Vec<Edge>>,
+    oracles: OracleCounts,
     timings: StageTimings,
     prune_stats: Option<PruneStats>,
     encode_stats: EncodeStats,
@@ -427,7 +401,7 @@ impl CheckEngine {
                 solver_stats: None,
                 solve_stats: None,
                 shard_stats: None,
-                reach_oracle: self.opts.reach_oracle,
+                oracles: OracleCounts::default(),
             };
         }
 
@@ -465,7 +439,7 @@ impl CheckEngine {
             solver_stats: unit.solver_stats,
             solve_stats: unit.solve_stats,
             shard_stats,
-            reach_oracle: self.opts.reach_oracle,
+            oracles: unit.oracles,
         }
     }
 
@@ -515,18 +489,13 @@ impl CheckEngine {
         let mut units = results.into_inner().expect("shard worker panicked");
         units.sort_by_key(|&(i, _)| i);
 
-        let mut merged = UnitReport {
-            cycle: None,
-            timings: StageTimings::default(),
-            prune_stats: None,
-            encode_stats: EncodeStats::default(),
-            solver_stats: None,
-            solve_stats: None,
-        };
+        let mut merged = UnitReport::default();
         for (_, u) in units {
             if merged.cycle.is_none() {
                 merged.cycle = u.cycle;
             }
+            merged.oracles.dense += u.oracles.dense;
+            merged.oracles.chains += u.oracles.chains;
             merged.timings.constructing += u.timings.constructing;
             merged.timings.pruning += u.timings.pruning;
             merged.timings.encoding += u.timings.encoding;
@@ -595,13 +564,24 @@ impl CheckEngine {
         // Stage::Prune.
         let mut prune_stats = None;
         let mut oracle = None;
+        let mut oracles = OracleCounts::default();
         if self.opts.pruning {
             let t = Instant::now();
             let (pr, orc) = {
                 let mut span =
                     self.obs.tracer.span_kv("prune", kv! { constraints: g.constraints.len() });
-                let r = g.prune_with_oracle_traced(&prune_opts, &self.obs.tracer);
+                let r = g.prune(&prune_opts, &self.obs.tracer);
                 span.attr("remaining", g.constraints.len());
+                if let Some(kg) = &r.1 {
+                    oracles.record(kg.oracle_kind());
+                    // What the representation rule picked, and its two
+                    // inputs (the second costs a pass over the graph).
+                    if self.obs.tracer.is_enabled() {
+                        span.attr("oracle", kg.oracle_kind().name());
+                        span.attr("n", g.n);
+                        span.attr("chains", kg.rule_chains());
+                    }
+                }
                 r
             };
             timings.pruning = t.elapsed();
@@ -613,11 +593,9 @@ impl CheckEngine {
                 PruneResult::Violation(cycle) => {
                     return UnitReport {
                         cycle: Some(translate(cycle)),
+                        oracles,
                         timings,
-                        prune_stats: None,
-                        encode_stats: EncodeStats::default(),
-                        solver_stats: None,
-                        solve_stats: None,
+                        ..Default::default()
                     };
                 }
             }
@@ -641,6 +619,7 @@ impl CheckEngine {
         timings.solving = tail.solving + t.elapsed();
         UnitReport {
             cycle,
+            oracles,
             timings,
             prune_stats,
             encode_stats: tail.encode_stats,
@@ -662,12 +641,7 @@ impl CheckEngine {
             Outcome::CyclicViolation(_) => m.counter("check.cyclic_violations").inc(),
         }
         if let Some(p) = &report.prune_stats {
-            m.counter("prune.constraints_before").add(p.constraints_before as u64);
-            m.counter("prune.constraints_after").add(p.constraints_after as u64);
-            m.counter("prune.closure_updates").add(p.closure_updates as u64);
-            m.counter("prune.incremental_edges").add(p.incremental_edges as u64);
-            m.counter("prune.implied_edges").add(p.implied_edges as u64);
-            m.counter("prune.graph_builds").add(p.graph_builds as u64);
+            record_prune_stats(m, p);
         }
         record_instance_stats(m, &report.encode_stats, report.solver_stats.as_ref());
         let t = &report.timings;
@@ -694,12 +668,19 @@ pub(crate) fn prune_options_for(
 ) -> PruneOptions {
     let threads = opts.prune_threads.resolve(units);
     let chunk_size = (512.0 / (1.0 + mean_txn_degree)).round() as usize;
-    PruneOptions {
-        threads,
-        chunk_size: chunk_size.clamp(16, 512),
-        oracle: opts.reach_oracle,
-        ..Default::default()
-    }
+    PruneOptions::new(threads, chunk_size.clamp(16, 512))
+}
+
+/// Fold the counters of one prune call (batch: the merged report's; stream:
+/// one call per dirty component) into the registry. Per-component work is
+/// identical for any worker count, so the totals stay deterministic.
+pub(crate) fn record_prune_stats(m: &Metrics, p: &PruneStats) {
+    m.counter("prune.constraints_before").add(p.constraints_before as u64);
+    m.counter("prune.constraints_after").add(p.constraints_after as u64);
+    m.counter("prune.closure_updates").add(p.closure_updates as u64);
+    m.counter("prune.incremental_edges").add(p.incremental_edges as u64);
+    m.counter("prune.implied_edges").add(p.implied_edges as u64);
+    m.counter("prune.graph_builds").add(p.graph_builds as u64);
 }
 
 /// Fold the size of the encoded instances and the solver's search counters
@@ -775,7 +756,7 @@ pub(crate) fn encode_and_solve(
         // Phase seeding reuses the oracle pruning just maintained (it
         // reflects every resolved edge) instead of paying a second
         // from-scratch closure build.
-        (!decided).then(|| encode(g, opts.phase_seeding, oracle, opts.reach_oracle))
+        (!decided).then(|| encode(g, opts.phase_seeding, oracle))
     };
     let encoding = t.elapsed();
     let t = Instant::now();
@@ -798,20 +779,18 @@ pub(crate) fn encode_and_solve(
 /// every edge direct. Selector phases are seeded from a topological order
 /// of the known graph so the solver's first full assignment is already
 /// near-acyclic; `oracle` (the reachability oracle pruning handed back,
-/// when it ran) supplies that order without a rebuild, and `kind` picks
-/// the representation of the fallback build when pruning did not run.
+/// when it ran) supplies that order without a rebuild.
 fn encode(
     g: &Polygraph,
     phase_seeding: bool,
     oracle: Option<&KnownGraph>,
-    kind: OracleKind,
 ) -> (Solver, EncodeStats) {
     let n = g.n;
     let semantics = g.semantics;
     let topo: Option<Vec<u32>> = if phase_seeding {
         match oracle {
             Some(kg) => Some(kg.topo_positions()),
-            None => match g.known_graph_with(kind) {
+            None => match g.known_graph() {
                 KnownGraphResult::Acyclic(kg) => Some(kg.topo_positions()),
                 KnownGraphResult::Cyclic(_) => None, // solver will report Unsat
             },
@@ -872,7 +851,7 @@ pub(crate) fn extract_cycle(g: &Polygraph) -> Vec<Edge> {
         for c in &g.constraints {
             edges.extend_from_slice(if either { c.either } else { c.or });
         }
-        if let KnownGraphResult::Cyclic(cycle) = KnownGraph::build_with(g.n, &edges, g.semantics) {
+        if let Some(cycle) = KnownGraph::find_cycle(g.n, &edges, g.semantics) {
             if best.as_ref().is_none_or(|b| cycle.len() < b.len()) {
                 best = Some(cycle);
             }
@@ -1219,7 +1198,7 @@ mod tests {
             for (i, cons) in g.constraints.iter().enumerate() {
                 edges.extend_from_slice(if mask >> i & 1 == 0 { cons.either } else { cons.or });
             }
-            matches!(KnownGraph::build_with(g.n, &edges, g.semantics), KnownGraphResult::Acyclic(_))
+            KnownGraph::find_cycle(g.n, &edges, g.semantics).is_none()
         })
     }
 
@@ -1236,7 +1215,7 @@ mod tests {
             let g = build(&rp);
             let truth = enumerate_sat(&g);
             for phase_seeding in [true, false] {
-                let (solver, _) = encode(&g, phase_seeding, None, OracleKind::Auto);
+                let (solver, _) = encode(&g, phase_seeding, None);
                 prop_assert_eq!(solve(solver).0, truth, "phase seeding {}", phase_seeding);
             }
         }
@@ -1249,7 +1228,7 @@ mod tests {
         fn tail_without_survivors_accepts_exactly_like_the_solver(rp in polygraph_strategy()) {
             let mut g = build(&rp);
             let truth = enumerate_sat(&g);
-            let (pruned, oracle) = g.prune_with_oracle(&PruneOptions::default());
+            let (pruned, oracle) = g.prune(&PruneOptions::default(), &Tracer::disabled());
             if let PruneResult::Violation(_) = pruned {
                 prop_assert!(!truth, "pruning rejected a satisfiable polygraph");
                 return Ok(());
@@ -1261,7 +1240,7 @@ mod tests {
             prop_assert_eq!(tail.solver_stats.is_none(), g.constraints.is_empty());
             if g.constraints.is_empty() {
                 prop_assert_eq!(tail.encode_stats.known_edges, 0, "nothing was encoded");
-                let (solver, _) = encode(&g, true, oracle.as_deref(), OracleKind::Auto);
+                let (solver, _) = encode(&g, true, oracle.as_deref());
                 prop_assert!(solve(solver).0, "the solver rejects what the tail accepted");
                 // Without an oracle nothing vouches for the known graph.
                 let unpruned = encode_and_solve(&g, &opts, None, &tracer, ["encode", "solve"]);

@@ -21,7 +21,7 @@
 //! ([`list`]) for Elle-style list-append histories.
 //!
 //! ```
-//! use polysi_checker::{check_si, CheckOptions, Outcome};
+//! use polysi_checker::{check, EngineOptions, IsolationLevel, Outcome};
 //! use polysi_history::{HistoryBuilder, Key, Value};
 //!
 //! let mut b = HistoryBuilder::new();
@@ -32,7 +32,7 @@
 //! b.session();
 //! b.begin().read(Key(1), Value(10)).write(Key(1), Value(12)).commit();
 //!
-//! let report = check_si(&b.build(), &CheckOptions::default());
+//! let report = check(&b.build(), IsolationLevel::Si, &EngineOptions::default());
 //! match report.outcome {
 //!     Outcome::CyclicViolation(v) => {
 //!         println!("anomaly: {}", v.anomaly); // "lost update"
@@ -54,7 +54,7 @@ pub mod stream;
 
 pub use anomaly::Anomaly;
 pub use check::{
-    check_si, CheckOptions, CheckReport, EncodeStats, Outcome, SolveStats, StageTimings, Violation,
+    CheckReport, EncodeStats, OracleCounts, Outcome, SolveStats, StageTimings, Violation,
 };
 pub use engine::{
     check, CheckEngine, CheckpointThreads, EngineOptions, IsolationLevel, PruneThreads, ShardStats,

@@ -10,7 +10,7 @@
 
 use crate::anomaly::Anomaly;
 use polysi_history::{Key, TxnId, TxnStatus, Value};
-use polysi_polygraph::{ConstraintSet, Edge, KnownGraph, KnownGraphResult, Label};
+use polysi_polygraph::{ConstraintSet, Edge, KnownGraph, Label, Semantics};
 use polysi_solver::{Lit, SolveResult, Solver};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -288,7 +288,7 @@ fn run(h: &ListHistory) -> Result<(), ListViolation> {
         }
     }
 
-    if let KnownGraphResult::Cyclic(cycle) = KnownGraph::build(n, &edges) {
+    if let Some(cycle) = KnownGraph::find_cycle(n, &edges, Semantics::Si) {
         let anomaly = Anomaly::classify(&cycle);
         return Err(ListViolation::Cyclic { cycle, anomaly });
     }
@@ -329,15 +329,10 @@ fn run(h: &ListHistory) -> Result<(), ListViolation> {
             for cons in &constraints {
                 all.extend_from_slice(cons.either);
             }
-            match KnownGraph::build(n, &all) {
-                KnownGraphResult::Cyclic(cycle) => {
-                    let anomaly = Anomaly::classify(&cycle);
-                    Err(ListViolation::Cyclic { cycle, anomaly })
-                }
-                KnownGraphResult::Acyclic(_) => {
-                    unreachable!("UNSAT list instance must be cyclic under a uniform resolution")
-                }
-            }
+            let cycle = KnownGraph::find_cycle(n, &all, Semantics::Si)
+                .expect("UNSAT list instance must be cyclic under a uniform resolution");
+            let anomaly = Anomaly::classify(&cycle);
+            Err(ListViolation::Cyclic { cycle, anomaly })
         }
     }
 }

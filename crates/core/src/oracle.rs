@@ -8,7 +8,7 @@
 //! validating soundness and completeness.
 
 use polysi_history::{Facts, History, TxnId};
-use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label};
+use polysi_polygraph::{Edge, KnownGraph, Label, Semantics};
 
 /// Decide SI by exhaustive enumeration. Panics if the search space exceeds
 /// `limit` combinations (default guard: call [`oracle_check_si`]).
@@ -85,7 +85,7 @@ pub fn oracle_check_si_with_limit(h: &History, limit: u64) -> bool {
         for (key, order) in keys.iter().zip(orders) {
             add_order(*key, order, &mut edges);
         }
-        matches!(KnownGraph::build(h.len(), &edges), KnownGraphResult::Acyclic(_))
+        KnownGraph::find_cycle(h.len(), &edges, Semantics::Si).is_none()
     }
 
     fn rec(

@@ -5,15 +5,18 @@
 //!
 //! | schema             | producer                                   |
 //! |--------------------|--------------------------------------------|
-//! | `polysi.check.v2`  | batch check ([`check_report_json`])        |
-//! | `polysi.stream.v2` | streaming check ([`stream_report_json`])   |
-//! | `polysi.live.v2`   | live ingest run ([`live_report_json`])     |
+//! | `polysi.check.v3`  | batch check ([`check_report_json`])        |
+//! | `polysi.stream.v3` | streaming check ([`stream_report_json`])   |
+//! | `polysi.live.v3`   | live ingest run ([`live_report_json`])     |
 //! | `polysi.stats.v1`  | history statistics ([`stats_json`])        |
 //!
 //! The schemas are **append-only**: new optional fields may be added
 //! within a version; removing or re-typing a field bumps it (`v2`: the
 //! `solve` object of the check body, which the stream and live schemas
-//! nest under `rejection.report`, shrank to `{"units": N}`). All
+//! nest under `rejection.report`, shrank to `{"units": N}`; `v3`: the
+//! same body's closing string, the configured oracle kind — a setting that
+//! no longer exists — gave way to `"oracles": {"dense": N, "chains": M}`,
+//! the representation the Prune stage picked per pipeline unit). All
 //! durations are integer microseconds with a `_us` suffix; absent
 //! sub-reports (e.g. solver counters on an axiom rejection) are `null`,
 //! never omitted. The output is strict JSON — it round-trips through
@@ -116,7 +119,7 @@ fn write_metrics(w: &mut JsonWriter, metrics: Option<&MetricsSnapshot>) {
     }
 }
 
-/// Write the body of a `polysi.check.v2` report (everything after the
+/// Write the body of a `polysi.check.v3` report (everything after the
 /// opening brace and schema tag is shared with the nested rejection
 /// report of the stream schema).
 fn write_check_body(w: &mut JsonWriter, report: &CheckReport, isolation: IsolationLevel) {
@@ -193,10 +196,14 @@ fn write_check_body(w: &mut JsonWriter, report: &CheckReport, isolation: Isolati
             w.null();
         }
     }
-    w.field_str("reach_oracle", report.reach_oracle.name());
+    w.key("oracles");
+    w.begin_object();
+    w.field_u64("dense", report.oracles.dense as u64);
+    w.field_u64("chains", report.oracles.chains as u64);
+    w.end_object();
 }
 
-/// The batch check report as a `polysi.check.v2` JSON document.
+/// The batch check report as a `polysi.check.v3` JSON document.
 ///
 /// `wall` is the end-to-end wall-clock of the run (load + check);
 /// `metrics` embeds a registry snapshot when observability was on.
@@ -208,7 +215,7 @@ pub fn check_report_json(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.check.v2");
+    w.field_str("schema", "polysi.check.v3");
     write_check_body(&mut w, report, isolation);
     w.field_u64("wall_us", us(wall));
     write_metrics(&mut w, metrics);
@@ -277,7 +284,7 @@ fn write_rejection(w: &mut JsonWriter, rej: Option<&StreamRejection>, isolation:
     }
 }
 
-/// A streaming run as a `polysi.stream.v2` JSON document: the checkpoint
+/// A streaming run as a `polysi.stream.v3` JSON document: the checkpoint
 /// trail, the final verdict, and (on terminal rejection) the canonical
 /// batch report on the rejecting prefix.
 pub fn stream_report_json(
@@ -289,7 +296,7 @@ pub fn stream_report_json(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.stream.v2");
+    w.field_str("schema", "polysi.stream.v3");
     w.field_str("isolation", isolation.name());
     w.key("checkpoints");
     w.begin_array();
@@ -311,7 +318,7 @@ pub fn stream_report_json(
     w.finish()
 }
 
-/// A live ingest run as a `polysi.live.v2` JSON document: the stream
+/// A live ingest run as a `polysi.live.v3` JSON document: the stream
 /// schema's checkpoint trail plus degradation flags, ingest counters, and
 /// the typed fault log.
 pub fn live_report_json(
@@ -323,7 +330,7 @@ pub fn live_report_json(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.live.v2");
+    w.field_str("schema", "polysi.live.v3");
     w.field_str("isolation", isolation.name());
     w.key("checkpoints");
     w.begin_array();
@@ -425,7 +432,7 @@ mod tests {
             Some(&engine.obs().metrics.snapshot()),
         );
         let v = parse(&json).expect("report must be valid JSON");
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v2"));
+        assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v3"));
         assert_eq!(v.get("verdict").and_then(Value::as_str), Some("ok"));
         assert_eq!(v.get("accepted").and_then(Value::as_bool), Some(true));
         assert!(v.get("timings").and_then(|t| t.get("total_us")).is_some());

@@ -22,9 +22,9 @@
 //!   keys whose writer or reader sets grew);
 //! * the prune stage's reachability oracle, grown with
 //!   [`KnownGraph::grow`] and extended with
-//!   [`KnownGraph::insert_edges_bulk`] — never rebuilt; it keeps only the
-//!   delta edges its paths do not already imply, and the polygraph's
-//!   `known` list mirrors exactly those. Under `OracleKind::Auto` its
+//!   [`KnownGraph::insert_edges`] (one flush per delta) — never rebuilt;
+//!   it keeps only the delta edges its paths do not already imply, and the
+//!   polygraph's `known` list mirrors exactly those. Its
 //!   representation follows the growth (`grow` moves a dense oracle to
 //!   chains once the component is big enough for that to pay), so a
 //!   component first seen small ends up with the oracle a batch check of
@@ -86,8 +86,8 @@
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, Outcome};
 use crate::engine::{
-    encode_and_solve, record_instance_stats, CheckEngine, CompactMode, EngineOptions,
-    IsolationLevel,
+    encode_and_solve, record_instance_stats, record_prune_stats, CheckEngine, CompactMode,
+    EngineOptions, IsolationLevel,
 };
 use polysi_history::{
     AxiomViolation, FactEvent, Facts, FastMap, FastSet, History, HistoryStream, IngestError, Key,
@@ -95,8 +95,8 @@ use polysi_history::{
 };
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
-    ConstraintMode, ConstraintSet, Edge, KnownGraph, Label, Polygraph, PruneOptions, PruneResult,
-    PruneStats,
+    ConstraintMode, ConstraintSet, Edge, Flush, KnownGraph, Label, Polygraph, PruneOptions,
+    PruneResult,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -767,32 +767,17 @@ impl StreamingChecker {
         drop(construct_span);
         let (result, oracle) = {
             let _span = tracer.span("prune");
-            poly.prune_with_oracle_traced(prune_opts, tracer)
+            poly.prune(prune_opts, tracer)
         };
         let mut state = ComponentState { txns: comp.txns, poly, oracle: None, writer_seen };
         match result {
             PruneResult::Violation(_) => (state, false),
             PruneResult::Pruned(stats) => {
-                self.record_prune(&stats);
+                record_prune_stats(&self.obs.metrics, &stats);
                 let ok = self.encode_and_solve(&mut state, oracle, ["encode", "solve"]);
                 (state, ok)
             }
         }
-    }
-
-    /// Fold one component's prune counters into the metrics registry
-    /// (same names as the batch engine — per-component work is identical
-    /// for any checkpoint worker count, so the totals stay deterministic).
-    /// Each [`PruneStats`] covers one prune call, so the registry holds the
-    /// stream's true totals.
-    fn record_prune(&self, p: &PruneStats) {
-        let m = &self.obs.metrics;
-        m.counter("prune.constraints_before").add(p.constraints_before as u64);
-        m.counter("prune.constraints_after").add(p.constraints_after as u64);
-        m.counter("prune.closure_updates").add(p.closure_updates as u64);
-        m.counter("prune.incremental_edges").add(p.incremental_edges as u64);
-        m.counter("prune.implied_edges").add(p.implied_edges as u64);
-        m.counter("prune.graph_builds").add(p.graph_builds as u64);
     }
 
     /// The local id of a transaction within its component: one read of the
@@ -881,8 +866,8 @@ impl StreamingChecker {
         }
         drop(events_span);
 
-        // Grow the vertex space (an `Auto` oracle re-resolves its
-        // representation for the new size here).
+        // Grow the vertex space (the oracle re-resolves its representation
+        // for the new size here).
         let n = state.txns.len();
         state.poly.n = n;
         let mut oracle = state.oracle.take().expect("live component has an oracle");
@@ -914,7 +899,7 @@ impl StreamingChecker {
                     delta.push(le);
                 }
             }
-            if oracle.insert_edges_bulk(&delta, &mut state.poly.known).is_err() {
+            if oracle.insert_edges(&delta, &mut state.poly.known, Flush::AtEnd).is_err() {
                 return false; // terminal; the canonical witness comes from batch
             }
         }
@@ -969,7 +954,7 @@ impl StreamingChecker {
             }
         }
         if !follow_on.is_empty()
-            && oracle.insert_edges_bulk(&follow_on, &mut state.poly.known).is_err()
+            && oracle.insert_edges(&follow_on, &mut state.poly.known, Flush::AtEnd).is_err()
         {
             return false;
         }
@@ -1002,12 +987,12 @@ impl StreamingChecker {
         let (result, oracle) = {
             let mut span = tracer.span("delta.prune");
             span.attr("constraints", state.poly.constraints.len());
-            state.poly.prune_resume_traced(oracle, &touched, prune_opts, tracer)
+            state.poly.prune_resume(oracle, &touched, prune_opts, tracer)
         };
         match result {
             PruneResult::Violation(_) => false,
             PruneResult::Pruned(stats) => {
-                self.record_prune(&stats);
+                record_prune_stats(&self.obs.metrics, &stats);
                 self.encode_and_solve(state, oracle, ["delta.encode", "delta.solve"])
             }
         }
@@ -1364,13 +1349,13 @@ mod tests {
         c.comps.values().next().and_then(|s| s.oracle.as_deref()).expect("accepted state")
     }
 
-    /// What `Auto` resolves to when the checker's current prefix is
-    /// checked as a batch: the kind of the oracle its prune stage builds.
+    /// The representation a batch check of the checker's current prefix
+    /// picks: the kind of the oracle its prune stage builds.
     fn batch_oracle_kind(c: &StreamingChecker) -> polysi_polygraph::OracleKind {
         let (prefix, _) = c.stream().snapshot();
         let facts = Facts::analyze(&prefix);
         let mut g = Polygraph::from_history(&prefix, &facts, ConstraintMode::Generalized);
-        let (_, oracle) = g.prune_with_oracle(&PruneOptions::default());
+        let (_, oracle) = g.prune(&PruneOptions::default(), &polysi_obs::Tracer::disabled());
         oracle.expect("an accepted prefix prunes").oracle_kind()
     }
 
@@ -1378,57 +1363,42 @@ mod tests {
     /// 4 096: at every checkpoint the verdict is batch's and the cached
     /// oracle has the representation a batch check of the same prefix
     /// picks — dense below the threshold, chains from 1 024 on, at a
-    /// fraction of the bytes — while a pinned kind stays put.
+    /// fraction of the bytes a dense oracle of that size holds (≥ 6 MiB).
     #[test]
     fn streamed_oracle_follows_growth_like_a_batch_check() {
         use polysi_polygraph::OracleKind;
-        let run = |reach_oracle: OracleKind| {
-            let opts = EngineOptions { reach_oracle, ..EngineOptions::default() };
-            let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
-            let sessions: Vec<SessionId> = (0..20).map(|_| c.session()).collect();
-            let mut serial = Serial::default();
-            let mut kinds = Vec::new();
-            for j in 0..4096u64 {
-                let s = j % 20;
-                // A key of its own, and a read of the previous
-                // transaction's (another session's): one component, one
-                // writer per key. Every eighth round a session also
-                // updates the hot key it owns.
-                let own = 1_000 + j;
-                let (mut reads, mut writes) = (vec![own - 1], vec![own]);
-                if (j / 20) % 8 == 0 {
-                    reads.push(1 + s);
-                    writes.push(1 + s);
-                }
-                c.push_transaction(
-                    sessions[s as usize],
-                    serial.txn(&reads[(j == 0) as usize..], &writes),
-                    TxnStatus::Committed,
-                );
-                if (j + 1) % 256 == 0 {
-                    if reach_oracle == OracleKind::Auto {
-                        assert!(assert_matches_batch(&mut c));
-                        assert_eq!(
-                            only_oracle(&c).oracle_kind(),
-                            batch_oracle_kind(&c),
-                            "at {} transactions",
-                            j + 1
-                        );
-                    } else {
-                        assert!(c.checkpoint().verdict.accepted());
-                    }
-                    kinds.push(only_oracle(&c).oracle_kind());
-                }
+        let mut c = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default());
+        let sessions: Vec<SessionId> = (0..20).map(|_| c.session()).collect();
+        let mut serial = Serial::default();
+        let mut kinds = Vec::new();
+        for j in 0..4096u64 {
+            let s = j % 20;
+            // A key of its own, and a read of the previous transaction's
+            // (another session's): one component, one writer per key.
+            // Every eighth round a session also updates the hot key it
+            // owns.
+            let own = 1_000 + j;
+            let (mut reads, mut writes) = (vec![own - 1], vec![own]);
+            if (j / 20) % 8 == 0 {
+                reads.push(1 + s);
+                writes.push(1 + s);
             }
-            (kinds, only_oracle(&c).oracle_bytes())
-        };
-        let (kinds, bytes) = run(OracleKind::Auto);
+            c.push_transaction(
+                sessions[s as usize],
+                serial.txn(&reads[(j == 0) as usize..], &writes),
+                TxnStatus::Committed,
+            );
+            if (j + 1) % 256 == 0 {
+                assert!(assert_matches_batch(&mut c));
+                let kind = only_oracle(&c).oracle_kind();
+                assert_eq!(kind, batch_oracle_kind(&c), "at {} transactions", j + 1);
+                kinds.push(kind);
+            }
+        }
         assert_eq!(kinds[..3], [OracleKind::Dense; 3]);
         assert_eq!(kinds[3..], [OracleKind::Chains; 13], "chains from 1 024 transactions on");
+        let bytes = only_oracle(&c).oracle_bytes();
         assert!(bytes <= 2 << 20, "chain oracle holds {bytes} B");
-        let (kinds, dense_bytes) = run(OracleKind::Dense);
-        assert_eq!(kinds, [OracleKind::Dense; 16], "a pinned kind is kept throughout");
-        assert!(dense_bytes >= 6 << 20, "the dense oracle would hold {dense_bytes} B");
     }
 
     /// A soak-shaped stream — waves of fresh sessions updating their own

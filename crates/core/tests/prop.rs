@@ -3,7 +3,7 @@
 //! in every configuration (with/without pruning, generalized/plain
 //! constraints).
 
-use polysi_checker::{check_si, oracle::oracle_check_si, CheckOptions, Outcome};
+use polysi_checker::{check, oracle::oracle_check_si, EngineOptions, IsolationLevel, Outcome};
 use polysi_history::{History, HistoryBuilder, Key, Value};
 use proptest::prelude::*;
 
@@ -77,21 +77,21 @@ proptest! {
     fn checker_matches_oracle(spec in spec_strategy()) {
         let h = build(&spec);
         let expected = oracle_check_si(&h);
-        let got = check_si(&h, &CheckOptions::default());
+        let got = check(&h, IsolationLevel::Si, &EngineOptions::default());
         prop_assert_eq!(got.is_si(), expected, "history: {:?}", h);
     }
 
     #[test]
     fn pruning_and_compaction_preserve_verdicts(spec in spec_strategy()) {
         let h = build(&spec);
-        let full = check_si(&h, &CheckOptions::default()).is_si();
-        let no_p = check_si(&h, &CheckOptions::without_pruning()).is_si();
-        let no_cp = check_si(&h, &CheckOptions::without_compaction_and_pruning()).is_si();
-        let plain_p = check_si(
-            &h,
-            &CheckOptions { mode: polysi_polygraph::ConstraintMode::Plain, ..Default::default() },
-        )
-        .is_si();
+        let full = check(&h, IsolationLevel::Si, &EngineOptions::default()).is_si();
+        let run = |pruning: bool, mode: polysi_polygraph::ConstraintMode| {
+            let opts = EngineOptions { pruning, mode, ..Default::default() };
+            check(&h, IsolationLevel::Si, &opts).is_si()
+        };
+        let no_p = run(false, polysi_polygraph::ConstraintMode::Generalized);
+        let no_cp = run(false, polysi_polygraph::ConstraintMode::Plain);
+        let plain_p = run(true, polysi_polygraph::ConstraintMode::Plain);
         prop_assert_eq!(full, no_p, "pruning changed the verdict: {:?}", h);
         prop_assert_eq!(full, no_cp, "compaction changed the verdict: {:?}", h);
         prop_assert_eq!(full, plain_p, "plain+pruning changed the verdict: {:?}", h);
@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn violations_come_with_valid_cycles(spec in spec_strategy()) {
         let h = build(&spec);
-        let report = check_si(&h, &CheckOptions::default());
+        let report = check(&h, IsolationLevel::Si, &EngineOptions::default());
         if let Outcome::CyclicViolation(viol) = &report.outcome {
             // The cycle closes and no two RW edges are adjacent (cyclically).
             let c = &viol.cycle;
@@ -135,7 +135,7 @@ proptest! {
     #[test]
     fn scenario_finalized_is_nonempty_on_cyclic_violations(spec in spec_strategy()) {
         let h = build(&spec);
-        let report = check_si(&h, &CheckOptions::default());
+        let report = check(&h, IsolationLevel::Si, &EngineOptions::default());
         if let Outcome::CyclicViolation(viol) = &report.outcome {
             let s = viol.scenario.as_ref().expect("interpret defaults on");
             prop_assert!(!s.edges.is_empty());

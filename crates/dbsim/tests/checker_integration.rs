@@ -2,7 +2,7 @@
 //! correct isolation levels must always be accepted; each fault class must
 //! eventually be caught, with the right anomaly classification.
 
-use polysi_checker::{check_si, Anomaly, CheckOptions, Outcome};
+use polysi_checker::{check, Anomaly, EngineOptions, IsolationLevel as Level, Outcome};
 use polysi_dbsim::{run, IsolationLevel, SimConfig};
 use polysi_workloads::{generate, GeneralParams};
 
@@ -23,7 +23,7 @@ fn snapshot_isolation_histories_always_accepted() {
     for seed in 0..10 {
         let plan = generate(&contended(seed));
         let out = run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, seed));
-        let report = check_si(&out.history, &CheckOptions::default());
+        let report = check(&out.history, Level::Si, &EngineOptions::default());
         assert!(
             report.is_si(),
             "seed {seed}: SI simulator produced a rejected history:\n{:?}",
@@ -37,7 +37,7 @@ fn serializable_histories_always_accepted() {
     for seed in 0..10 {
         let plan = generate(&contended(seed));
         let out = run(&plan, &SimConfig::new(IsolationLevel::Serializable, seed));
-        assert!(check_si(&out.history, &CheckOptions::default()).is_si(), "seed {seed}");
+        assert!(check(&out.history, Level::Si, &EngineOptions::default()).is_si(), "seed {seed}");
     }
 }
 
@@ -49,7 +49,7 @@ fn hunt(level: IsolationLevel, seeds: std::ops::Range<u64>) -> (usize, Vec<Anoma
     for seed in seeds {
         let plan = generate(&contended(seed));
         let out = run(&plan, &SimConfig::new(level, seed));
-        let report = check_si(&out.history, &CheckOptions::default());
+        let report = check(&out.history, Level::Si, &EngineOptions::default());
         match report.outcome {
             Outcome::Si => {}
             Outcome::CyclicViolation(v) => {
@@ -103,7 +103,7 @@ fn read_uncommitted_fault_yields_axiom_violations() {
         let plan = generate(&contended(seed));
         let out = run(&plan, &SimConfig::new(IsolationLevel::ReadUncommitted, seed));
         if let Outcome::AxiomViolations(_) =
-            check_si(&out.history, &CheckOptions::default()).outcome
+            check(&out.history, Level::Si, &EngineOptions::default()).outcome
         {
             axiom_hits += 1;
         }
@@ -129,7 +129,7 @@ fn checker_and_operational_replay_agree_on_small_runs() {
                 ..Default::default()
             });
             let out = run(&plan, &SimConfig::new(level, seed));
-            let poly = check_si(&out.history, &CheckOptions::default()).is_si();
+            let poly = check(&out.history, Level::Si, &EngineOptions::default()).is_si();
             match replay_check_si(&out.history, 2_000_000) {
                 ReplayResult::Si => assert!(poly, "seed {seed} {level:?}: replay=SI polysi=No"),
                 ReplayResult::NotSi => {

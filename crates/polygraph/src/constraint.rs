@@ -33,7 +33,7 @@ impl<'a> ConstraintRef<'a> {
 
     /// Whether any endpoint of the constraint's edges lies in the
     /// `touched` transaction set — the worklist retest criterion of
-    /// `Polygraph::prune_with`.
+    /// `Polygraph::prune`.
     pub fn incident(&self, touched: &[bool]) -> bool {
         self.edges().any(|e| touched[e.from.idx()] || touched[e.to.idx()])
     }

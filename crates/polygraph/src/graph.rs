@@ -26,38 +26,28 @@ use polysi_solver::bitset::{BitMatrix, ChainRows};
 /// reachability collapses to one minimum-reachable-position `u32` per
 /// chain (`O(n·sessions)`), with identical query answers, cycle
 /// verdicts, witnesses, and propagation schedules.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+///
+/// Nobody sets this: [`KnownGraph::build`] decides from the graph (chains
+/// iff n ≥ 1024 and a `4·chains`-byte chain row undercuts an `n/8`-byte
+/// bit row), [`KnownGraph::grow`] decides again while the graph is still
+/// dense, and [`KnownGraph::oracle_kind`] reports the choice. Both stay
+/// because each loses badly on the other's ground: chains on the
+/// session-poor 7 992-transaction lattice of the benchmark's `batch_solver`
+/// cost 40× the time and 25× the memory.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OracleKind {
-    /// Decide from the graph: chains when the session structure makes
-    /// chain rows cheaper than dense bit rows (see
-    /// [`KnownGraph::build_with_oracle`]), dense otherwise — at build, and
-    /// again whenever [`KnownGraph::grow`] extends a graph that is still
-    /// dense.
-    #[default]
-    Auto,
-    /// Always the dense `BitMatrix` closure.
+    /// The dense `BitMatrix` closure.
     Dense,
-    /// Always the session-chain decomposition.
+    /// The session-chain decomposition.
     Chains,
 }
 
 impl OracleKind {
-    /// Stable lowercase name (CLI flag values, CSV columns).
+    /// Stable lowercase name (span attributes, report keys).
     pub fn name(self) -> &'static str {
         match self {
-            OracleKind::Auto => "auto",
             OracleKind::Dense => "dense",
             OracleKind::Chains => "chains",
-        }
-    }
-
-    /// Inverse of [`OracleKind::name`].
-    pub fn parse(s: &str) -> Option<OracleKind> {
-        match s {
-            "auto" => Some(OracleKind::Auto),
-            "dense" => Some(OracleKind::Dense),
-            "chains" => Some(OracleKind::Chains),
-            _ => None,
         }
     }
 }
@@ -194,30 +184,28 @@ enum ClosureStore {
     },
 }
 
-/// The `Auto` rule: chains iff the component is big enough to matter
-/// (n ≥ 1024) and `chains` columns keep a `u32` chain row cheaper than an
-/// `n`-bit dense row (`4·chains ≤ n/8`).
+/// The representation rule: chains iff the component is big enough to
+/// matter (n ≥ 1024) and `chains` columns keep a `u32` chain row cheaper
+/// than an `n`-bit dense row (`4·chains ≤ n/8`).
 fn chains_pay(n: usize, chains: usize) -> bool {
     n >= 1024 && chains * 32 <= n
 }
 
 impl ClosureStore {
-    /// Build an empty store of the requested kind; `Auto` resolves from
-    /// the cover by [`chains_pay`].
-    fn new(n: usize, known: &[Edge], kind: OracleKind) -> ClosureStore {
-        let dense =
-            || ClosureStore::Dense { closure: BitMatrix::rect(0, 0), dep_in: BitMatrix::new(n) };
-        match kind {
-            OracleKind::Dense => dense(),
-            OracleKind::Chains => ClosureStore::chains(n, chain_cover(n, known)),
-            OracleKind::Auto => {
-                let idx = chain_cover(n, known);
-                if chains_pay(n, idx.estimated_chains()) {
-                    ClosureStore::chains(n, idx)
-                } else {
-                    dense()
-                }
+    /// Build an empty store: of the kind [`chains_pay`] picks for the
+    /// session cover of `known`, unless `pinned` names one.
+    fn new(n: usize, known: &[Edge], pinned: Option<OracleKind>) -> ClosureStore {
+        let idx = chain_cover(n, known);
+        let by_rule = if chains_pay(n, idx.estimated_chains()) {
+            OracleKind::Chains
+        } else {
+            OracleKind::Dense
+        };
+        match pinned.unwrap_or(by_rule) {
+            OracleKind::Dense => {
+                ClosureStore::Dense { closure: BitMatrix::rect(0, 0), dep_in: BitMatrix::new(n) }
             }
+            OracleKind::Chains => ClosureStore::chains(n, idx),
         }
     }
 
@@ -371,13 +359,13 @@ impl ClosureStore {
 /// and closure rows are updated by propagating the target's row into the
 /// ancestors of the source over the reverse adjacency — instead of the
 /// from-scratch Kahn sort + reverse-topological closure sweep of
-/// [`KnownGraph::build_with`]. Constraint pruning leans on this: passes
+/// [`KnownGraph::build`]. Constraint pruning leans on this: passes
 /// after the first touch `O(affected)` closure rows rather than
 /// `O(n·m/64)`.
 ///
 /// Incremental insertion keeps the graph *reachability-reduced*: an edge
 /// that real paths already imply ([`KnownGraph::implies`]) is absorbed
-/// without entering the adjacency, and the `insert_edges*` family reports
+/// without entering the adjacency, and [`KnownGraph::insert_edges`] reports
 /// the edges it kept so a caller's edge list can mirror the oracle's.
 pub struct KnownGraph {
     n: usize,
@@ -391,10 +379,9 @@ pub struct KnownGraph {
     /// Closure rows + `Dep` predecessor index, in one of the
     /// [`OracleKind`] representations.
     store: ClosureStore,
-    /// Whether the representation was resolved from [`OracleKind::Auto`]
-    /// (and so follows the graph as it grows) rather than pinned by the
-    /// caller.
-    auto_kind: bool,
+    /// Whether the representation was picked by the rule (and so follows
+    /// the graph as it grows) rather than pinned by a test.
+    follows_growth: bool,
     /// Topological priority of each layered node (a permutation of
     /// `0..2n`), maintained dynamically across insertions.
     ord: Vec<u32>,
@@ -448,76 +435,141 @@ fn b(i: u32) -> u32 {
     i
 }
 
-/// Staged (layered) edges per closure propagation: one apply phase's
-/// resolutions propagate in batches of at most this many edges, so a row
-/// the whole batch feeds is recomputed once instead of per edge, while
-/// the implied-edge test — which reads the closure as of the last flush —
-/// never lags far behind what the phase has already inserted.
-const PENDING_FLUSH_LIMIT: usize = 62;
+/// When [`KnownGraph::insert_edges`] propagates what it stages into the
+/// closure rows. The implied-edge test reads the closure as of the last
+/// flush, so *which* edges are kept is a deterministic function of the edge
+/// sequence and the flush points; cycle detection is exact either way
+/// (Pearce–Kelly searches the staged adjacency).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flush {
+    /// Flush whenever this many layered edges are pending; what is still
+    /// staged when the call returns waits for a later call or for
+    /// [`KnownGraph::flush_closure`]. A row a whole batch feeds is
+    /// recomputed once per flush, not per edge (the prune apply phase).
+    Every(usize),
+    /// Stage the whole batch, however large, and flush once before
+    /// returning. Edges implied only *within* the batch are kept —
+    /// harmless, they propagate nothing (a checkpoint delta).
+    AtEnd,
+}
+
+/// The layered adjacency of `known`: `adj[node] = (target, underlying
+/// edge)`. Under [`Semantics::Si`] a `Dep` edge `i → k` fans out to
+/// `B(i) → B(k)` and `B(i) → M(k)` and an `RW` edge leaves its source's
+/// mid node; under [`Semantics::Ser`] every edge is boundary-to-boundary.
+fn layered_adjacency(n: usize, known: &[Edge], semantics: Semantics) -> Vec<Vec<(u32, Edge)>> {
+    let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); 2 * n];
+    for &e in known {
+        let (f, t) = (e.from.0, e.to.0);
+        debug_assert_ne!(f, t, "self edges are malformed: {e:?}");
+        if semantics == Semantics::Ser || e.label.is_dep() {
+            adj[b(f) as usize].push((b(t), e));
+            if semantics == Semantics::Si {
+                adj[b(f) as usize].push((n as u32 + t, e));
+            }
+        } else {
+            adj[(n as u32 + f) as usize].push((b(t), e));
+        }
+    }
+    adj
+}
+
+/// Kahn topological sort over a layered adjacency; `None` if cyclic.
+fn topological_order(adj: &[Vec<(u32, Edge)>]) -> Option<Vec<u32>> {
+    let total = adj.len();
+    let mut indeg = vec![0u32; total];
+    for outs in adj {
+        for &(v, _) in outs {
+            indeg[v as usize] += 1;
+        }
+    }
+    let mut order: Vec<u32> = (0..total as u32).filter(|&v| indeg[v as usize] == 0).collect();
+    let mut head = 0;
+    while head < order.len() {
+        let u = order[head];
+        head += 1;
+        for &(v, _) in &adj[u as usize] {
+            indeg[v as usize] -= 1;
+            if indeg[v as usize] == 0 {
+                order.push(v);
+            }
+        }
+    }
+    (order.len() == total).then_some(order)
+}
 
 impl KnownGraph {
-    /// Build the layered graph from known typed edges under SI semantics;
-    /// detect cycles.
-    pub fn build(n: usize, known: &[Edge]) -> KnownGraphResult {
-        Self::build_with(n, known, Semantics::Si)
-    }
-
-    /// Build the reachability oracle under explicit edge semantics. Under
-    /// [`Semantics::Si`] the graph is layered as described above; under
-    /// [`Semantics::Ser`] every edge — `RW` included — is a plain
-    /// boundary-to-boundary edge (mid nodes stay isolated), so paths and
-    /// cycles are those of the ordinary dependency graph
-    /// `SO ∪ WR ∪ WW ∪ RW`. The SI-specific queries
+    /// Build the reachability oracle over `known`, or return the violating
+    /// cycle the known edges already contain. Under [`Semantics::Si`] the
+    /// graph is layered as described above; under [`Semantics::Ser`] every
+    /// edge — `RW` included — is a plain boundary-to-boundary edge (mid
+    /// nodes stay isolated), so paths and cycles are those of the ordinary
+    /// dependency graph `SO ∪ WR ∪ WW ∪ RW`. The SI-specific queries
     /// ([`Self::rw_closes_cycle`], [`Self::witness_pred`],
     /// [`Self::dep_edge_between`]) are meaningful only for SI-built graphs.
-    /// Always builds the dense closure; use
-    /// [`KnownGraph::build_with_oracle`] to select a representation.
-    pub fn build_with(n: usize, known: &[Edge], semantics: Semantics) -> KnownGraphResult {
-        Self::build_with_oracle(n, known, semantics, OracleKind::Dense)
+    /// The closure representation is picked from the graph ([`OracleKind`])
+    /// and is invisible to every query, witness and propagation counter.
+    pub fn build(n: usize, known: &[Edge], semantics: Semantics) -> KnownGraphResult {
+        Self::build_inner(n, known, semantics, None)
     }
 
-    /// [`KnownGraph::build_with`] with an explicit closure representation.
-    /// `Auto` measures the history's session-chain cover and picks chains
-    /// exactly when the component is large (n ≥ 1024) and a chain row
-    /// (`4·chains` bytes) undercuts a dense bit row (`n/8` bytes); an
-    /// `Auto` graph that starts dense re-applies the rule as it
-    /// [grows](Self::grow), a pinned `Dense` / `Chains` keeps its kind for
-    /// life. The representation is invisible to every query: answers,
-    /// cycle verdicts, witnesses, and even the propagation counters are
-    /// byte-identical across kinds.
-    pub fn build_with_oracle(
+    /// [`KnownGraph::build`] with the representation forced, for the
+    /// equivalence suites that hold one store against the other. A pinned
+    /// graph keeps its kind for life ([`KnownGraph::grow`] never converts
+    /// it).
+    #[doc(hidden)]
+    pub fn build_pinned(
         n: usize,
         known: &[Edge],
         semantics: Semantics,
         kind: OracleKind,
     ) -> KnownGraphResult {
-        let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); 2 * n];
+        Self::build_inner(n, known, semantics, Some(kind))
+    }
+
+    /// The violating cycle `edges` contain, if any — the cyclic half of
+    /// [`KnownGraph::build`] (same adjacency, same sort, same cycle)
+    /// without the oracle: no closure store is allocated, so callers that
+    /// only want a verdict or a witness pay `O(n + m)`.
+    pub fn find_cycle(n: usize, edges: &[Edge], semantics: Semantics) -> Option<Vec<Edge>> {
+        let adj = layered_adjacency(n, edges, semantics);
+        topological_order(&adj).is_none().then(|| extract_cycle(n, &adj))
+    }
+
+    fn build_inner(
+        n: usize,
+        known: &[Edge],
+        semantics: Semantics,
+        pinned: Option<OracleKind>,
+    ) -> KnownGraphResult {
+        let adj = layered_adjacency(n, known, semantics);
+        let Some(order) = topological_order(&adj) else {
+            return KnownGraphResult::Cyclic(extract_cycle(n, &adj));
+        };
         let mut radj: Vec<Vec<u32>> = vec![Vec::new(); 2 * n];
-        let mut store = ClosureStore::new(n, known, kind);
-        for &e in known {
-            let (f, t) = (e.from.0, e.to.0);
-            debug_assert_ne!(f, t, "self edges are malformed: {e:?}");
-            if semantics == Semantics::Ser || e.label.is_dep() {
-                adj[b(f) as usize].push((b(t), e));
-                radj[b(t) as usize].push(b(f));
-                if semantics == Semantics::Si {
-                    adj[b(f) as usize].push((n as u32 + t, e));
-                    radj[(n as u32 + t) as usize].push(b(f));
-                    store.record_dep(f as usize, t as usize);
-                }
-            } else {
-                adj[(n as u32 + f) as usize].push((b(t), e));
-                radj[b(t) as usize].push(n as u32 + f);
+        for (u, outs) in adj.iter().enumerate() {
+            for &(v, _) in outs {
+                radj[v as usize].push(u as u32);
             }
         }
-        let g = KnownGraph {
+        let mut store = ClosureStore::new(n, known, pinned);
+        if semantics == Semantics::Si {
+            for e in known.iter().filter(|e| e.label.is_dep()) {
+                store.record_dep(e.from.idx(), e.to.idx());
+            }
+        }
+        let mut ord = vec![0; 2 * n];
+        for (pos, &node) in order.iter().enumerate() {
+            ord[node as usize] = pos as u32;
+        }
+        let mut g = KnownGraph {
             n,
             semantics,
             adj,
             radj,
             store,
-            auto_kind: kind == OracleKind::Auto,
-            ord: vec![0; 2 * n],
+            follows_growth: pinned.is_none(),
+            ord,
             closure_updates: 0,
             inserted_edges: 0,
             pending: Vec::new(),
@@ -526,44 +578,8 @@ impl KnownGraph {
             visited: vec![0; 2 * n],
             grown: vec![0; 2 * n],
         };
-        match g.topological_order() {
-            Some(order) => {
-                let mut g = g;
-                for (pos, &node) in order.iter().enumerate() {
-                    g.ord[node as usize] = pos as u32;
-                }
-                g.compute_closure(&order);
-                KnownGraphResult::Acyclic(Box::new(g))
-            }
-            None => {
-                let cycle = g.extract_cycle();
-                KnownGraphResult::Cyclic(cycle)
-            }
-        }
-    }
-
-    /// Kahn topological sort over the layered graph; `None` if cyclic.
-    fn topological_order(&self) -> Option<Vec<u32>> {
-        let total = 2 * self.n;
-        let mut indeg = vec![0u32; total];
-        for outs in &self.adj {
-            for &(v, _) in outs {
-                indeg[v as usize] += 1;
-            }
-        }
-        let mut order: Vec<u32> = (0..total as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut head = 0;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            for &(v, _) in &self.adj[u as usize] {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    order.push(v);
-                }
-            }
-        }
-        (order.len() == total).then_some(order)
+        g.compute_closure(&order);
+        KnownGraphResult::Acyclic(Box::new(g))
     }
 
     /// Reverse-topological DP: `closure[u]` = boundary transactions
@@ -606,28 +622,43 @@ impl KnownGraph {
         self.inserted_edges
     }
 
-    /// The closure representation this oracle stores (never `Auto`).
+    /// The closure representation this oracle stores.
     pub fn oracle_kind(&self) -> OracleKind {
         self.store.kind()
     }
 
-    /// Bytes of closure + dep-index storage (memory accounting; the
-    /// figure the `Auto` heuristic and the bench memory columns compare).
-    pub fn oracle_bytes(&self) -> usize {
-        self.store.bytes()
+    /// The session-chain count of the graph as it stands — with the vertex
+    /// count, the two inputs of the rule behind [`Self::oracle_kind`]. A
+    /// dense store recomputes its session cover for the answer (`O(n + m)`),
+    /// so this is for explaining a run, not for a hot path.
+    pub fn rule_chains(&self) -> usize {
+        match &self.store {
+            ClosureStore::Dense { .. } => self.session_cover().estimated_chains(),
+            ClosureStore::Chains { idx, .. } => idx.estimated_chains(),
+        }
     }
 
-    /// The raw closure matrix (2n layered rows × n boundary columns), for
-    /// diagnostics and equivalence tests against a from-scratch build.
-    /// Dense-only: panics on a chain-decomposition oracle (compare
-    /// through [`Self::reaches`] instead).
-    pub fn closure(&self) -> &BitMatrix {
-        match &self.store {
-            ClosureStore::Dense { closure, .. } => closure,
-            ClosureStore::Chains { .. } => {
-                panic!("closure() is a dense-only diagnostic accessor")
-            }
-        }
+    /// The typed edges the graph holds whose label `keep`s, by their
+    /// boundary images only (under SI a `Dep` edge also has a mid image).
+    fn held(&self, keep: fn(Label) -> bool) -> impl Iterator<Item = Edge> + '_ {
+        let n = self.n;
+        self.adj[..n]
+            .iter()
+            .flatten()
+            .filter(move |&&(v, e)| (v as usize) < n && keep(e.label))
+            .map(|&(_, e)| e)
+    }
+
+    /// The chain cover of the `So` edges the graph holds.
+    fn session_cover(&self) -> ChainIndex {
+        let so: Vec<Edge> = self.held(|l| matches!(l, Label::So)).collect();
+        chain_cover(self.n, &so)
+    }
+
+    /// Bytes of closure + dep-index storage (memory accounting; the
+    /// figure the representation rule is about).
+    pub fn oracle_bytes(&self) -> usize {
+        self.store.bytes()
     }
 
     /// Extend the vertex space to `n2` transactions (`n2 ≥ n`), adding
@@ -641,13 +672,12 @@ impl KnownGraph {
     /// the new (isolated) vertices take the fresh tail slots in index
     /// order. Requires a flushed oracle.
     ///
-    /// The representation follows the growth: a graph built under
-    /// [`OracleKind::Auto`] that is still dense re-applies the build-time
-    /// rule here — for the new size, with the chain count of the graph as
-    /// it stands — and moves to chains once that pays, so a component that
-    /// was first seen small does not carry `n²/4` bytes of bit matrix to
-    /// whatever size it reaches. One-way, and invisible to every query
-    /// like the kind itself.
+    /// The representation follows the growth: a graph that is still dense
+    /// re-applies the build-time rule here — for the new size, with the
+    /// chain count of the graph as it stands — and moves to chains once
+    /// that pays, so a component that was first seen small does not carry
+    /// `n²/4` bytes of bit matrix to whatever size it reaches. One-way, and
+    /// invisible to every query like the kind itself.
     pub fn grow(&mut self, n2: usize) {
         assert!(self.pending.is_empty(), "grow on an unflushed oracle");
         let n = self.n;
@@ -702,9 +732,9 @@ impl KnownGraph {
         self.n = n2;
     }
 
-    /// Re-resolve an `Auto` graph's representation for a vertex space
-    /// about to reach `n2`: the rule of [`ClosureStore::new`], with the
-    /// chain count of the graph as it stands — the vertices being added
+    /// Re-resolve the representation for a vertex space about to reach
+    /// `n2` (never a pinned one): the rule of [`ClosureStore::new`], with
+    /// the chain count of the graph as it stands — the vertices being added
     /// are still unplaced and join chains when their `So` edges land, so
     /// they are not columns yet. On dense → chains the store is re-derived
     /// from the graph's own typed adjacency: the cover of the `So` edges it
@@ -713,27 +743,17 @@ impl KnownGraph {
     /// *maintained* order — so the order, the counters, and with them every
     /// query, witness and propagation schedule carry over.
     fn follow_growth(&mut self, n2: usize) {
-        if !self.auto_kind || n2 < 1024 || !matches!(self.store, ClosureStore::Dense { .. }) {
+        if !self.follows_growth || n2 < 1024 || !matches!(self.store, ClosureStore::Dense { .. }) {
             return;
         }
         let n = self.n;
-        // Boundary images only: under SI a `Dep` edge also has a mid image.
-        let boundary = |v: u32| (v as usize) < n;
-        let held = |keep: fn(Label) -> bool| {
-            self.adj[..n]
-                .iter()
-                .flatten()
-                .filter(move |&&(v, e)| boundary(v) && keep(e.label))
-                .map(|&(_, e)| e)
-        };
-        let so: Vec<Edge> = held(|l| matches!(l, Label::So)).collect();
-        let idx = chain_cover(n, &so);
+        let idx = self.session_cover();
         if !chains_pay(n2, idx.estimated_chains()) {
             return;
         }
         let mut store = ClosureStore::chains(n, idx);
         if self.semantics == Semantics::Si {
-            for e in held(Label::is_dep) {
+            for e in self.held(Label::is_dep) {
                 store.record_dep(e.from.idx(), e.to.idx());
             }
         }
@@ -908,81 +928,31 @@ impl KnownGraph {
     /// only the others are materialised — those are appended to `kept`, in
     /// batch order, so the caller's edge list can mirror the oracle's.
     ///
+    /// Each edge is *staged*: the adjacency, `Dep` predecessor index and
+    /// layered topological order are updated at once (so
+    /// [`Self::topo_positions`], witness paths and the cycle checks of later
+    /// edges stay exact), while closure rows wait for the next flush, which
+    /// `flush` schedules. Until then the closure under-approximates, so
+    /// callers must [`KnownGraph::flush_closure`] before using the oracle
+    /// read-only (e.g. handing it to a parallel sweep).
+    ///
     /// Edges are applied in order; the first edge that would close a
     /// violating cycle aborts the batch and returns that cycle (typed, no
-    /// two adjacent `RW` under SI), with every *earlier* edge of the batch
-    /// already applied. On `Ok` every query answers exactly as a
-    /// from-scratch [`KnownGraph::build_with`] over the union of edges.
-    ///
-    /// Equivalent to [`KnownGraph::insert_edges_deferred`] followed by an
-    /// immediate [`KnownGraph::flush_closure`]; callers batching several
-    /// edge sets (e.g. one prune apply phase) should use those directly so
-    /// closure rows propagate once per phase instead of once per call.
-    pub fn insert_edges(&mut self, batch: &[Edge], kept: &mut Vec<Edge>) -> Result<(), Vec<Edge>> {
-        let staged = self.insert_edges_deferred(batch, kept);
-        // Flush even on failure: the accepted prefix is applied, and the
-        // oracle must answer queries about it coherently.
-        self.flush_closure();
-        staged
-    }
-
-    /// [`KnownGraph::insert_edges`] with closure propagation *deferred*:
-    /// the adjacency, reverse adjacency, `dep_in` bits, and the layered
-    /// topological order are updated per edge (so [`Self::topo_positions`]
-    /// and witness path extraction stay exact), but closure rows are left
-    /// at their last-flush state and the staged edges are queued. Cycle
-    /// checks — including those of later `insert_edges_deferred` calls in
-    /// the same batch — remain *exact*: Pearce–Kelly searches the staged
-    /// adjacency. The implied-edge test reads the at-flush closure only,
-    /// so *which* edges are kept depends on the flush points — a
-    /// deterministic function of the edge sequence.
-    ///
-    /// Callers must [`KnownGraph::flush_closure`] before using the oracle
-    /// read-only (e.g. handing it to a parallel sweep). On `Err` the
-    /// accepted prefix has been flushed (the witness is built from the
-    /// flushed closure) and the oracle should be discarded.
-    ///
-    /// The pending set is bounded: once enough staged edges accumulate,
-    /// the batch flushes itself.
-    pub fn insert_edges_deferred(
+    /// two adjacent `RW` under SI). The accepted prefix has then been
+    /// applied and flushed — the witness is built from plain closure
+    /// queries — and the oracle should be discarded. On `Ok`, once flushed,
+    /// every query answers exactly as a from-scratch [`KnownGraph::build`]
+    /// over the union of edges.
+    pub fn insert_edges(
         &mut self,
         batch: &[Edge],
         kept: &mut Vec<Edge>,
+        flush: Flush,
     ) -> Result<(), Vec<Edge>> {
-        self.stage_all(batch, kept, PENDING_FLUSH_LIMIT)
-    }
-
-    /// [`KnownGraph::insert_edges`] for *large* batches: every edge is
-    /// staged first — the pending set may exceed the per-phase flush
-    /// limit — and the closure propagates in a single flush at the end,
-    /// so each affected row is recomputed once per call instead of once
-    /// per 62 staged edges. The streaming checker lands whole checkpoint
-    /// deltas this way.
-    ///
-    /// Trade-off vs. [`KnownGraph::insert_edges`]: cycle detection stays
-    /// exact (Pearce–Kelly's forward search runs over the staged
-    /// adjacency), but edges implied only *within* the batch are kept —
-    /// harmless, they propagate nothing.
-    pub fn insert_edges_bulk(
-        &mut self,
-        batch: &[Edge],
-        kept: &mut Vec<Edge>,
-    ) -> Result<(), Vec<Edge>> {
-        let staged = self.stage_all(batch, kept, usize::MAX);
-        self.flush_closure();
-        staged
-    }
-
-    /// The loop behind the `insert_edges*` family: stage `batch` in order,
-    /// flushing whenever `flush_limit` layered edges are pending. On a
-    /// cycle the accepted prefix is flushed first, so the witness is built
-    /// from plain closure queries.
-    fn stage_all(
-        &mut self,
-        batch: &[Edge],
-        kept: &mut Vec<Edge>,
-        flush_limit: usize,
-    ) -> Result<(), Vec<Edge>> {
+        let flush_limit = match flush {
+            Flush::Every(pending) => pending,
+            Flush::AtEnd => usize::MAX,
+        };
         for &e in batch {
             match self.stage(e) {
                 Staged::Implied => {}
@@ -998,6 +968,9 @@ impl KnownGraph {
             if self.pending.len() >= flush_limit {
                 self.flush_closure();
             }
+        }
+        if flush == Flush::AtEnd {
+            self.flush_closure();
         }
         Ok(())
     }
@@ -1083,7 +1056,7 @@ impl KnownGraph {
 
     /// The violating cycle that adding `e` to the known graph would close,
     /// if any — the incremental counterpart of the cyclicity check in
-    /// [`KnownGraph::build_with`]. Read-only; requires a flushed oracle.
+    /// [`KnownGraph::build`]. Read-only; requires a flushed oracle.
     /// Witness paths run over the materialised edges only — every implied
     /// edge has such a path.
     pub fn closing_cycle(&self, e: Edge) -> Option<Vec<Edge>> {
@@ -1316,98 +1289,102 @@ impl KnownGraph {
     /// Shortest path `a ⇝ b` in the induced graph, as the underlying typed
     /// edge sequence. Allows `a == b` (shortest cycle through `a`).
     pub fn find_path(&self, a: TxnId, target: TxnId) -> Option<Vec<Edge>> {
-        let start = b(a.0);
-        let goal = b(target.0);
-        let total = 2 * self.n;
-        let mut parent: Vec<Option<(u32, Edge)>> = vec![None; total];
-        let mut queue = vec![start];
-        let mut visited = vec![false; total];
-        // Deliberately do not mark `start` visited so that paths may return
-        // to it (cycle search when a == target).
-        let mut head = 0;
-        let mut found = false;
-        'bfs: while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for &(v, e) in &self.adj[u as usize] {
-                if v == goal {
-                    parent[v as usize] = Some((u, e));
-                    found = true;
-                    break 'bfs;
-                }
-                if !visited[v as usize] && v != start {
-                    visited[v as usize] = true;
-                    parent[v as usize] = Some((u, e));
-                    queue.push(v);
-                }
-            }
-        }
-        if !found {
-            return None;
-        }
-        // Walk parents from the goal back to the first return to start.
-        let mut path = Vec::new();
-        let mut cur = goal;
-        loop {
-            let (prev, e) = parent[cur as usize].expect("walked off the parent chain");
-            path.push(e);
-            cur = prev;
-            if cur == start {
-                break;
-            }
-        }
-        path.reverse();
-        Some(path)
+        find_path(&self.adj, a, target)
     }
+}
 
-    /// Extract some violating cycle from a cyclic layered graph, shortened
-    /// by a BFS through one of its nodes.
-    fn extract_cycle(&self) -> Vec<Edge> {
-        // Iterative DFS for a back edge.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let total = 2 * self.n;
-        let mut color = vec![Color::White; total];
-        for s in 0..total as u32 {
-            if color[s as usize] != Color::White {
-                continue;
+/// [`KnownGraph::find_path`] over a bare layered adjacency.
+fn find_path(adj: &[Vec<(u32, Edge)>], a: TxnId, target: TxnId) -> Option<Vec<Edge>> {
+    let start = b(a.0);
+    let goal = b(target.0);
+    let total = adj.len();
+    let mut parent: Vec<Option<(u32, Edge)>> = vec![None; total];
+    let mut queue = vec![start];
+    let mut visited = vec![false; total];
+    // Deliberately do not mark `start` visited so that paths may return
+    // to it (cycle search when a == target).
+    let mut head = 0;
+    let mut found = false;
+    'bfs: while head < queue.len() {
+        let u = queue[head];
+        head += 1;
+        for &(v, e) in &adj[u as usize] {
+            if v == goal {
+                parent[v as usize] = Some((u, e));
+                found = true;
+                break 'bfs;
             }
-            let mut stack: Vec<(u32, usize)> = vec![(s, 0)];
-            color[s as usize] = Color::Gray;
-            while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-                if let Some(&(v, _)) = self.adj[u as usize].get(*next) {
-                    *next += 1;
-                    match color[v as usize] {
-                        Color::Gray => {
-                            // Back edge u→v: the DFS path v..u plus this edge
-                            // is a cycle. Pick a *boundary* node on it (mid
-                            // nodes only have boundary successors, so if v is
-                            // a mid node then u is boundary) and shorten by
-                            // BFS.
-                            let bnode = if (v as usize) < self.n { v } else { u };
-                            debug_assert!((bnode as usize) < self.n);
-                            return self
-                                .find_path(TxnId(bnode), TxnId(bnode))
-                                .expect("boundary node lies on a cycle");
-                        }
-                        Color::White => {
-                            color[v as usize] = Color::Gray;
-                            stack.push((v, 0));
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color[u as usize] = Color::Black;
-                    stack.pop();
-                }
+            if !visited[v as usize] && v != start {
+                visited[v as usize] = true;
+                parent[v as usize] = Some((u, e));
+                queue.push(v);
             }
         }
-        unreachable!("extract_cycle called on an acyclic graph")
     }
+    if !found {
+        return None;
+    }
+    // Walk parents from the goal back to the first return to start.
+    let mut path = Vec::new();
+    let mut cur = goal;
+    loop {
+        let (prev, e) = parent[cur as usize].expect("walked off the parent chain");
+        path.push(e);
+        cur = prev;
+        if cur == start {
+            break;
+        }
+    }
+    path.reverse();
+    Some(path)
+}
+
+/// Extract some violating cycle from a cyclic layered adjacency over `n`
+/// transactions, shortened by a BFS through one of its nodes.
+fn extract_cycle(n: usize, adj: &[Vec<(u32, Edge)>]) -> Vec<Edge> {
+    // Iterative DFS for a back edge.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Color {
+        White,
+        Gray,
+        Black,
+    }
+    let total = adj.len();
+    let mut color = vec![Color::White; total];
+    for s in 0..total as u32 {
+        if color[s as usize] != Color::White {
+            continue;
+        }
+        let mut stack: Vec<(u32, usize)> = vec![(s, 0)];
+        color[s as usize] = Color::Gray;
+        while let Some(&mut (u, ref mut next)) = stack.last_mut() {
+            if let Some(&(v, _)) = adj[u as usize].get(*next) {
+                *next += 1;
+                match color[v as usize] {
+                    Color::Gray => {
+                        // Back edge u→v: the DFS path v..u plus this edge
+                        // is a cycle. Pick a *boundary* node on it (mid
+                        // nodes only have boundary successors, so if v is
+                        // a mid node then u is boundary) and shorten by
+                        // BFS.
+                        let bnode = if (v as usize) < n { v } else { u };
+                        debug_assert!((bnode as usize) < n);
+                        return find_path(adj, TxnId(bnode), TxnId(bnode))
+                            .expect("boundary node lies on a cycle");
+                    }
+                    Color::White => {
+                        color[v as usize] = Color::Gray;
+                        stack.push((v, 0));
+                    }
+                    Color::Black => {}
+                }
+            } else {
+                color[u as usize] = Color::Black;
+                stack.pop();
+            }
+        }
+    }
+    unreachable!("extract_cycle called on an acyclic graph")
 }
 
 #[cfg(test)]
@@ -1430,10 +1407,27 @@ mod tests {
     }
 
     fn acyclic(n: usize, edges: &[Edge]) -> Box<KnownGraph> {
-        match KnownGraph::build(n, edges) {
+        match KnownGraph::build(n, edges, Semantics::Si) {
             KnownGraphResult::Acyclic(g) => g,
             KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
         }
+    }
+
+    fn pinned(n: usize, edges: &[Edge], semantics: Semantics, kind: OracleKind) -> Box<KnownGraph> {
+        match KnownGraph::build_pinned(n, edges, semantics, kind) {
+            KnownGraphResult::Acyclic(g) => g,
+            KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
+        }
+    }
+
+    /// The apply phase's flush policy.
+    const STAGED: Flush = Flush::Every(62);
+
+    /// Insert and flush: the closure is current when the call returns.
+    fn insert(g: &mut KnownGraph, edges: &[Edge], kept: &mut Vec<Edge>) -> Result<(), Vec<Edge>> {
+        let staged = g.insert_edges(edges, kept, STAGED);
+        g.flush_closure();
+        staged
     }
 
     #[test]
@@ -1467,7 +1461,7 @@ mod tests {
 
     #[test]
     fn dep_cycle_detected() {
-        match KnownGraph::build(2, &[wr(0, 1), ww(1, 0)]) {
+        match KnownGraph::build(2, &[wr(0, 1), ww(1, 0)], Semantics::Si) {
             KnownGraphResult::Cyclic(c) => {
                 assert_eq!(c.len(), 2);
             }
@@ -1478,7 +1472,7 @@ mod tests {
     #[test]
     fn dep_rw_cycle_detected() {
         // 0 -WR-> 1 -RW-> 0 is a violating cycle (single RW).
-        match KnownGraph::build(2, &[wr(0, 1), rw(1, 0)]) {
+        match KnownGraph::build(2, &[wr(0, 1), rw(1, 0)], Semantics::Si) {
             KnownGraphResult::Cyclic(c) => {
                 assert_eq!(c.len(), 2);
                 assert!(c.iter().any(|e| !e.label.is_dep()));
@@ -1492,7 +1486,7 @@ mod tests {
         // RW 0→1, RW 1→0 with deps feeding them: write-skew shape, no
         // violating cycle (the two RW edges are adjacent).
         let edges = [wr(2, 0), wr(3, 1), rw(0, 1), rw(1, 0)];
-        match KnownGraph::build(4, &edges) {
+        match KnownGraph::build(4, &edges, Semantics::Si) {
             KnownGraphResult::Acyclic(g) => {
                 assert!(g.reaches(TxnId(2), TxnId(1)));
                 assert!(g.reaches(TxnId(3), TxnId(0)));
@@ -1534,30 +1528,13 @@ mod tests {
         let initial = [so(0, 1), wr(1, 2)];
         let extra = [ww(2, 3), rw(3, 4), wr(0, 4)];
         let mut g = acyclic(5, &initial);
-        g.insert_edges(&extra, &mut Vec::new()).expect("acyclic");
+        insert(&mut g, &extra, &mut Vec::new()).expect("acyclic");
         let all: Vec<Edge> = initial.iter().chain(&extra).copied().collect();
         let full = acyclic(5, &all);
-        for a in 0..5u32 {
-            for w in 0..5u32 {
-                assert_eq!(
-                    g.reaches(TxnId(a), TxnId(w)),
-                    full.reaches(TxnId(a), TxnId(w)),
-                    "reaches({a}, {w})"
-                );
-            }
-        }
-        assert_eq!(g.closure().count_ones(), full.closure().count_ones());
+        assert_oracles_agree(&g, &full, 5, "incremental vs rebuild");
         assert_eq!(g.inserted_edges(), 3);
         assert!(g.closure_updates() > 0);
-        // The maintained order stays topological for the induced graph.
-        let pos = g.topo_positions();
-        for a in 0..5usize {
-            for w in 0..5usize {
-                if g.reaches(TxnId(a as u32), TxnId(w as u32)) {
-                    assert!(pos[a] < pos[w], "order violates reachability {a} -> {w}");
-                }
-            }
-        }
+        assert_order_is_topological(&g, 5);
     }
 
     #[test]
@@ -1569,14 +1546,11 @@ mod tests {
         // rw(2, 3) under another key: M(2) ⇝ B(3) — implied.
         // ww(0, 3): 0 ⇝ 3, but 3 has no Dep predecessor yet — kept.
         let other_rw = Edge::new(TxnId(2), TxnId(3), Label::Rw(Key(9)));
-        g.insert_edges(&[ww(0, 2), wr(1, 2), other_rw, ww(0, 3)], &mut kept).expect("acyclic");
+        insert(&mut g, &[ww(0, 2), wr(1, 2), other_rw, ww(0, 3)], &mut kept).expect("acyclic");
         assert_eq!(kept, vec![ww(0, 3)]);
         assert_eq!(g.inserted_edges(), 1);
         let full = acyclic(4, &[so(0, 1), wr(1, 2), rw(2, 3), ww(0, 2), other_rw, ww(0, 3)]);
         assert_oracles_agree(&g, &full, 4, "reduced vs every edge");
-        for row in 0..8 {
-            assert_eq!(g.closure().row(row), full.closure().row(row), "row {row}");
-        }
     }
 
     #[test]
@@ -1587,21 +1561,13 @@ mod tests {
         // not implied, though: no path enters M(2) from B(0), and a later
         // RW out of 2 must still propagate to 0.
         for kind in [OracleKind::Dense, OracleKind::Chains] {
-            let mut g = match KnownGraph::build_with_oracle(
-                4,
-                &[wr(0, 1), rw(1, 2)],
-                Semantics::Si,
-                kind,
-            ) {
-                KnownGraphResult::Acyclic(g) => g,
-                KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
-            };
+            let mut g = pinned(4, &[wr(0, 1), rw(1, 2)], Semantics::Si, kind);
             assert!(g.reaches(TxnId(0), TxnId(2)));
             assert!(!g.implies(ww(0, 2)), "no Dep-pred path: the edge must be kept");
             let mut kept = Vec::new();
-            g.insert_edges(&[ww(0, 2)], &mut kept).expect("acyclic");
+            insert(&mut g, &[ww(0, 2)], &mut kept).expect("acyclic");
             assert_eq!(kept, vec![ww(0, 2)]);
-            g.insert_edges(&[rw(2, 3)], &mut kept).expect("acyclic");
+            insert(&mut g, &[rw(2, 3)], &mut kept).expect("acyclic");
             assert!(g.reaches(TxnId(0), TxnId(3)), "RW out of the target must reach the source");
             // With a real Dep-pred path the same edge *is* implied, and
             // later RWs out of the target still reach the source.
@@ -1613,7 +1579,7 @@ mod tests {
     #[test]
     fn insert_detects_dep_cycle() {
         let mut g = acyclic(3, &[wr(0, 1), ww(1, 2)]);
-        let err = g.insert_edges(&[ww(2, 0)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[ww(2, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err.len(), 3);
         assert_eq!(err[0], ww(2, 0));
     }
@@ -1622,7 +1588,7 @@ mod tests {
     fn insert_detects_rw_composition_cycle() {
         // Dep 0→1 known; RW 1→0 closes 0→1→0.
         let mut g = acyclic(2, &[wr(0, 1)]);
-        let err = g.insert_edges(&[rw(1, 0)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[rw(1, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err.len(), 2);
         assert!(err.contains(&rw(1, 0)));
     }
@@ -1633,15 +1599,15 @@ mod tests {
         // later Dep 0→1 composes with it into the cycle 0 -WR-> 1 -RW-> 0 —
         // visible only through the mid-node image of the new Dep edge.
         let mut g = acyclic(2, &[]);
-        g.insert_edges(&[rw(1, 0)], &mut Vec::new()).expect("lone RW composes with nothing");
-        let err = g.insert_edges(&[wr(0, 1)], &mut Vec::new()).unwrap_err();
+        insert(&mut g, &[rw(1, 0)], &mut Vec::new()).expect("lone RW composes with nothing");
+        let err = insert(&mut g, &[wr(0, 1)], &mut Vec::new()).unwrap_err();
         assert_eq!(err, vec![wr(0, 1), rw(1, 0)]);
     }
 
     #[test]
     fn insert_batch_applies_prefix_before_failing() {
         let mut g = acyclic(3, &[so(0, 1)]);
-        let err = g.insert_edges(&[ww(1, 2), ww(2, 0)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[ww(1, 2), ww(2, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err[0], ww(2, 0));
         // The first batch edge landed before the violation.
         assert!(g.reaches(TxnId(0), TxnId(2)));
@@ -1654,8 +1620,8 @@ mod tests {
         // over the staged adjacency (the closure still reflects only
         // `so(0, 1)`), and the witness built after the error-path flush.
         let mut g = acyclic(4, &[so(0, 1)]);
-        g.insert_edges_deferred(&[ww(1, 2), ww(2, 3)], &mut Vec::new()).expect("chain is acyclic");
-        let err = g.insert_edges_deferred(&[ww(3, 0)], &mut Vec::new()).unwrap_err();
+        g.insert_edges(&[ww(1, 2), ww(2, 3)], &mut Vec::new(), STAGED).expect("chain is acyclic");
+        let err = g.insert_edges(&[ww(3, 0)], &mut Vec::new(), STAGED).unwrap_err();
         assert_eq!(err[0], ww(3, 0));
     }
 
@@ -1664,9 +1630,9 @@ mod tests {
         // The mid-node Dep;RW composition must fire against *staged* RW
         // edges too: RW 1→0 staged, then Dep 0→1 staged in the same batch.
         let mut g = acyclic(2, &[]);
-        g.insert_edges_deferred(&[rw(1, 0)], &mut Vec::new())
+        g.insert_edges(&[rw(1, 0)], &mut Vec::new(), STAGED)
             .expect("lone RW composes with nothing");
-        let err = g.insert_edges_deferred(&[wr(0, 1)], &mut Vec::new()).unwrap_err();
+        let err = g.insert_edges(&[wr(0, 1)], &mut Vec::new(), STAGED).unwrap_err();
         assert_eq!(err, vec![wr(0, 1), rw(1, 0)]);
     }
 
@@ -1677,14 +1643,11 @@ mod tests {
         let mut eager = acyclic(5, &initial);
         let mut deferred = acyclic(5, &initial);
         for batch in batches {
-            eager.insert_edges(batch, &mut Vec::new()).expect("acyclic");
-            deferred.insert_edges_deferred(batch, &mut Vec::new()).expect("acyclic");
+            insert(&mut eager, batch, &mut Vec::new()).expect("acyclic");
+            deferred.insert_edges(batch, &mut Vec::new(), STAGED).expect("acyclic");
         }
         deferred.flush_closure();
-        assert_eq!(eager.closure().count_ones(), deferred.closure().count_ones());
-        for row in 0..10 {
-            assert_eq!(eager.closure().row(row), deferred.closure().row(row), "row {row}");
-        }
+        assert_oracles_agree(&eager, &deferred, 5, "eager vs deferred");
         // One flush for three staged batches: closure rows were each
         // touched at most once, so the update counter stays below the
         // per-call propagation's.
@@ -1699,32 +1662,14 @@ mod tests {
         g.grow(4); // no-op
         g.grow(7);
         let extra = [ww(3, 5), wr(5, 6), rw(6, 4)];
-        g.insert_edges(&extra, &mut Vec::new()).expect("acyclic after growth");
+        insert(&mut g, &extra, &mut Vec::new()).expect("acyclic after growth");
         let all: Vec<Edge> = initial.iter().chain(&extra).copied().collect();
         let full = acyclic(7, &all);
-        for a in 0..7u32 {
-            for w in 0..7u32 {
-                assert_eq!(
-                    g.reaches(TxnId(a), TxnId(w)),
-                    full.reaches(TxnId(a), TxnId(w)),
-                    "reaches({a}, {w}) after grow"
-                );
-            }
-        }
-        assert_eq!(g.closure().count_ones(), full.closure().count_ones());
-        // The maintained order stays topological across the remap.
-        let pos = g.topo_positions();
-        for a in 0..7usize {
-            for w in 0..7usize {
-                if g.reaches(TxnId(a as u32), TxnId(w as u32)) {
-                    assert!(pos[a] < pos[w], "order violates reachability {a} -> {w}");
-                }
-            }
-        }
-        // SI-specific queries keep working on remapped mid nodes.
-        assert_eq!(g.rw_closes_cycle(TxnId(2), TxnId(1)), full.rw_closes_cycle(TxnId(2), TxnId(1)));
+        // Boundary rows, the remapped mid rows and the SI-specific queries.
+        assert_oracles_agree(&g, &full, 7, "grown vs rebuild");
+        assert_order_is_topological(&g, 7);
         // A cycle through old and new vertices is still caught.
-        let err = g.insert_edges(&[ww(6, 1)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[ww(6, 1)], &mut Vec::new()).unwrap_err();
         assert!(!err.is_empty());
     }
 
@@ -1749,10 +1694,7 @@ mod tests {
         ];
         let keep = [false, false, false, true, false, false, true, true];
         for kind in [OracleKind::Dense, OracleKind::Chains] {
-            let mut g = match KnownGraph::build_with_oracle(8, &initial, Semantics::Si, kind) {
-                KnownGraphResult::Acyclic(g) => g,
-                KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
-            };
+            let mut g = pinned(8, &initial, Semantics::Si, kind);
             let kind_before = g.oracle_kind();
             let map = g.compact(&keep);
             assert_eq!(map, vec![u32::MAX, u32::MAX, u32::MAX, 0, u32::MAX, u32::MAX, 1, 2]);
@@ -1766,23 +1708,13 @@ mod tests {
             // The compacted oracle keeps working: grow, insert, reject.
             g.grow(5);
             let extra = [so(2, 3), wr(1, 4), rw(4, 0)];
-            g.insert_edges(&extra, &mut Vec::new()).expect("acyclic after compact+grow");
+            insert(&mut g, &extra, &mut Vec::new()).expect("acyclic after compact+grow");
             let all: Vec<Edge> = survivors.iter().chain(&extra).copied().collect();
             let full = acyclic(5, &all);
             assert_oracles_agree(&g, &full, 5, "post-compact growth");
-            let pos = g.topo_positions();
-            for a in 0..5u32 {
-                for w in 0..5u32 {
-                    if g.reaches(TxnId(a), TxnId(w)) {
-                        assert!(
-                            pos[a as usize] < pos[w as usize],
-                            "order violates reachability {a} -> {w}"
-                        );
-                    }
-                }
-            }
+            assert_order_is_topological(&g, 5);
             // A dependency cycle through survivors and new nodes is caught.
-            let err = g.insert_edges(&[ww(3, 0)], &mut Vec::new()).unwrap_err();
+            let err = insert(&mut g, &[ww(3, 0)], &mut Vec::new()).unwrap_err();
             assert!(!err.is_empty());
         }
     }
@@ -1794,11 +1726,7 @@ mod tests {
         let initial =
             [so(0, 1), so(1, 2), so(2, 3), so(4, 5), so(5, 6), so(6, 7), wr(0, 4), wr(3, 6)];
         let keep = [false, false, false, false, false, false, true, true];
-        let mut g =
-            match KnownGraph::build_with_oracle(8, &initial, Semantics::Si, OracleKind::Chains) {
-                KnownGraphResult::Acyclic(g) => g,
-                KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
-            };
+        let mut g = pinned(8, &initial, Semantics::Si, OracleKind::Chains);
         let bytes_before = g.oracle_bytes();
         let map = g.compact(&keep);
         assert_eq!(map[6], 0);
@@ -1807,7 +1735,7 @@ mod tests {
         assert_oracles_agree(&g, &acyclic(2, &[so(0, 1)]), 2, "emptied chain");
         // A fresh session lands on the recycled column without ghosts.
         g.grow(5);
-        g.insert_edges(&[so(2, 3), so(3, 4), wr(1, 2), rw(1, 4)], &mut Vec::new())
+        insert(&mut g, &[so(2, 3), so(3, 4), wr(1, 2), rw(1, 4)], &mut Vec::new())
             .expect("acyclic");
         let full = acyclic(5, &[so(0, 1), so(2, 3), so(3, 4), wr(1, 2), rw(1, 4)]);
         assert_oracles_agree(&g, &full, 5, "recycled column");
@@ -1815,25 +1743,32 @@ mod tests {
 
     #[test]
     fn insert_edges_under_ser_semantics() {
-        let mut g = match KnownGraph::build_with(3, &[wr(0, 1)], Semantics::Ser) {
-            KnownGraphResult::Acyclic(g) => g,
-            KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
-        };
+        let mut g = pinned(3, &[wr(0, 1)], Semantics::Ser, OracleKind::Dense);
         // Under SER an RW edge is a plain edge: it extends reachability...
-        g.insert_edges(&[rw(1, 2)], &mut Vec::new()).expect("chain");
+        insert(&mut g, &[rw(1, 2)], &mut Vec::new()).expect("chain");
         assert!(g.reaches(TxnId(0), TxnId(2)));
         // ...and a back edge closes a plain cycle.
-        let err = g.insert_edges(&[rw(2, 0)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[rw(2, 0)], &mut Vec::new()).unwrap_err();
         assert_eq!(err.len(), 3);
     }
 
     fn acyclic_chains(n: usize, edges: &[Edge]) -> Box<KnownGraph> {
-        match KnownGraph::build_with_oracle(n, edges, Semantics::Si, OracleKind::Chains) {
-            KnownGraphResult::Acyclic(g) => g,
-            KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
+        pinned(n, edges, Semantics::Si, OracleKind::Chains)
+    }
+
+    /// The maintained order is topological for the induced graph.
+    fn assert_order_is_topological(g: &KnownGraph, n: usize) {
+        let pos = g.topo_positions();
+        for (a, w) in (0..n).flat_map(|a| (0..n).map(move |w| (a, w))) {
+            if g.reaches(TxnId(a as u32), TxnId(w as u32)) {
+                assert!(pos[a] < pos[w], "order violates reachability {a} -> {w}");
+            }
         }
     }
 
+    /// All-pairs agreement on what the closure rows hold: boundary rows
+    /// through `reaches`, mid rows through `implies` of an `RW` edge
+    /// (`M(x) ⇝ B(y)` on these SI graphs).
     fn assert_oracles_agree(a: &KnownGraph, b: &KnownGraph, n: usize, ctx: &str) {
         for x in 0..n as u32 {
             for y in 0..n as u32 {
@@ -1848,6 +1783,7 @@ mod tests {
                         b.rw_closes_cycle(TxnId(x), TxnId(y)),
                         "{ctx}: rw_closes_cycle({x}, {y})"
                     );
+                    assert_eq!(a.implies(rw(x, y)), b.implies(rw(x, y)), "{ctx}: mid row {x}, {y}");
                 }
             }
         }
@@ -1872,8 +1808,8 @@ mod tests {
         let extra = [ww(3, 4), rw(4, 5), wr(0, 5), ww(1, 4)];
         let mut dense = acyclic(6, &initial);
         let mut chains = acyclic_chains(6, &initial);
-        dense.insert_edges(&extra, &mut Vec::new()).expect("acyclic");
-        chains.insert_edges(&extra, &mut Vec::new()).expect("acyclic");
+        insert(&mut dense, &extra, &mut Vec::new()).expect("acyclic");
+        insert(&mut chains, &extra, &mut Vec::new()).expect("acyclic");
         assert_oracles_agree(&dense, &chains, 6, "incremental");
         // Same propagation-operation unit, but chain suffixes absorb some
         // dense row growth for free — never the other way around.
@@ -1889,8 +1825,8 @@ mod tests {
         let closing = [ww(2, 3), rw(3, 0)];
         let mut dense = acyclic(4, &initial);
         let mut chains = acyclic_chains(4, &initial);
-        let e1 = dense.insert_edges(&closing, &mut Vec::new()).unwrap_err();
-        let e2 = chains.insert_edges(&closing, &mut Vec::new()).unwrap_err();
+        let e1 = insert(&mut dense, &closing, &mut Vec::new()).unwrap_err();
+        let e2 = insert(&mut chains, &closing, &mut Vec::new()).unwrap_err();
         assert_eq!(e1, e2, "witness cycles must be byte-identical");
     }
 
@@ -1904,8 +1840,8 @@ mod tests {
         // Session 0 continues into the new vertex space; 4, 5 start a
         // new session; cross edges tie them in.
         let extra = [so(1, 3), so(4, 5), wr(3, 4), ww(2, 4), rw(2, 5)];
-        dense.insert_edges(&extra, &mut Vec::new()).expect("acyclic after growth");
-        chains.insert_edges(&extra, &mut Vec::new()).expect("acyclic after growth");
+        insert(&mut dense, &extra, &mut Vec::new()).expect("acyclic after growth");
+        insert(&mut chains, &extra, &mut Vec::new()).expect("acyclic after growth");
         assert_oracles_agree(&dense, &chains, 6, "grow");
         assert!(chains.closure_updates() <= dense.closure_updates());
         // The chain oracle keeps its column budget near the session
@@ -1919,14 +1855,14 @@ mod tests {
         let batch = [wr(0, 3), rw(4, 1), ww(2, 5), wr(3, 5)];
         let mut dense = acyclic(6, &initial);
         let mut chains = acyclic_chains(6, &initial);
-        dense.insert_edges_bulk(&batch, &mut Vec::new()).expect("acyclic");
-        chains.insert_edges_bulk(&batch, &mut Vec::new()).expect("acyclic");
+        dense.insert_edges(&batch, &mut Vec::new(), Flush::AtEnd).expect("acyclic");
+        chains.insert_edges(&batch, &mut Vec::new(), Flush::AtEnd).expect("acyclic");
         assert_oracles_agree(&dense, &chains, 6, "bulk");
 
         let mut dense_d = acyclic(6, &initial);
         let mut chains_d = acyclic_chains(6, &initial);
-        dense_d.insert_edges_deferred(&batch, &mut Vec::new()).expect("acyclic");
-        chains_d.insert_edges_deferred(&batch, &mut Vec::new()).expect("acyclic");
+        dense_d.insert_edges(&batch, &mut Vec::new(), STAGED).expect("acyclic");
+        chains_d.insert_edges(&batch, &mut Vec::new(), STAGED).expect("acyclic");
         dense_d.flush_closure();
         chains_d.flush_closure();
         assert_oracles_agree(&dense_d, &chains_d, 6, "deferred");
@@ -1935,12 +1871,8 @@ mod tests {
     #[test]
     fn auto_resolution_follows_the_memory_heuristic() {
         // Small component: dense regardless of session shape.
-        let g = match KnownGraph::build_with_oracle(3, &[so(0, 1)], Semantics::Si, OracleKind::Auto)
-        {
-            KnownGraphResult::Acyclic(g) => g,
-            _ => panic!("acyclic"),
-        };
-        assert_eq!(g.oracle_kind(), OracleKind::Dense);
+        let g = acyclic(3, &[so(0, 1)]);
+        assert_eq!((g.oracle_kind(), g.rule_chains()), (OracleKind::Dense, 2));
         // Large two-session component: chains win (2 chains × 4 bytes
         // vs 2000-bit rows).
         let n = 2000;
@@ -1950,20 +1882,34 @@ mod tests {
                 edges.push(so(s * n as u32 / 2 + i, s * n as u32 / 2 + i + 1));
             }
         }
-        let g = match KnownGraph::build_with_oracle(n, &edges, Semantics::Si, OracleKind::Auto) {
-            KnownGraphResult::Acyclic(g) => g,
-            _ => panic!("acyclic"),
-        };
-        assert_eq!(g.oracle_kind(), OracleKind::Chains);
-        assert_eq!(OracleKind::parse("chains"), Some(OracleKind::Chains));
-        assert_eq!(OracleKind::parse("bogus"), None);
-        assert_eq!(OracleKind::Auto.name(), "auto");
+        let g = acyclic(n, &edges);
+        assert_eq!((g.oracle_kind(), g.rule_chains()), (OracleKind::Chains, 2));
+        // As large, but session-poor (every transaction its own chain):
+        // a chain row would be 4 bytes per transaction against one bit.
+        let g = acyclic(n, &[wr(0, 1)]);
+        assert_eq!((g.oracle_kind(), g.rule_chains()), (OracleKind::Dense, n));
+        assert_eq!(OracleKind::Chains.name(), "chains");
+    }
+
+    #[test]
+    fn find_cycle_is_the_cyclic_half_of_build() {
+        let cyclic = [so(0, 1), wr(1, 2), rw(2, 3), ww(3, 1), wr(2, 0)];
+        for semantics in [Semantics::Si, Semantics::Ser] {
+            for upto in 0..=cyclic.len() {
+                let found = KnownGraph::find_cycle(4, &cyclic[..upto], semantics);
+                match KnownGraph::build(4, &cyclic[..upto], semantics) {
+                    KnownGraphResult::Acyclic(_) => assert_eq!(found, None),
+                    KnownGraphResult::Cyclic(c) => assert_eq!(found, Some(c)),
+                }
+            }
+            assert!(KnownGraph::find_cycle(4, &cyclic, semantics).is_some());
+        }
     }
 
     #[test]
     fn auto_oracle_follows_growth_and_pinned_kinds_stay() {
         // Two sessions of 500 with cross dependencies: under the size
-        // threshold, so `Auto` starts dense.
+        // threshold, so the rule starts dense.
         let half = 500u32;
         let mut edges = Vec::new();
         for s in [0, half] {
@@ -1971,11 +1917,8 @@ mod tests {
         }
         edges.extend((0..half - 1).step_by(7).map(|i| wr(i, half + i + 1)));
         edges.extend((0..half - 1).step_by(11).map(|i| rw(half + i, i + 1)));
-        let build = |kind| match KnownGraph::build_with_oracle(1000, &edges, Semantics::Si, kind) {
-            KnownGraphResult::Acyclic(g) => g,
-            KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
-        };
-        let (mut auto, mut dense) = (build(OracleKind::Auto), build(OracleKind::Dense));
+        let mut auto = acyclic(1000, &edges);
+        let mut dense = pinned(1000, &edges, Semantics::Si, OracleKind::Dense);
         assert_eq!(auto.oracle_kind(), OracleKind::Dense);
         // Still under the threshold: nothing moves.
         auto.grow(1010);
@@ -1997,8 +1940,8 @@ mod tests {
         extra.extend((1010..1099).map(|i| so(i, i + 1)));
         extra.extend([wr(999, 1050), rw(600, 1020)]);
         let (mut kept_auto, mut kept_dense) = (Vec::new(), Vec::new());
-        auto.insert_edges_bulk(&extra, &mut kept_auto).expect("acyclic");
-        dense.insert_edges_bulk(&extra, &mut kept_dense).expect("acyclic");
+        auto.insert_edges(&extra, &mut kept_auto, Flush::AtEnd).expect("acyclic");
+        dense.insert_edges(&extra, &mut kept_dense, Flush::AtEnd).expect("acyclic");
         assert_eq!(kept_auto, kept_dense);
         assert_eq!(auto.topo_positions(), dense.topo_positions());
         for (x, y) in
@@ -2012,20 +1955,16 @@ mod tests {
             }
         }
         assert_eq!(
-            auto.insert_edges(&[ww(1099, 0)], &mut Vec::new()).unwrap_err(),
-            dense.insert_edges(&[ww(1099, 0)], &mut Vec::new()).unwrap_err(),
+            insert(&mut auto, &[ww(1099, 0)], &mut Vec::new()).unwrap_err(),
+            insert(&mut dense, &[ww(1099, 0)], &mut Vec::new()).unwrap_err(),
         );
     }
 
     #[test]
     fn chain_oracle_under_ser_semantics() {
         let edges = [so(0, 1), so(1, 2), wr(2, 3)];
-        let mut g =
-            match KnownGraph::build_with_oracle(4, &edges, Semantics::Ser, OracleKind::Chains) {
-                KnownGraphResult::Acyclic(g) => g,
-                KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
-            };
-        g.insert_edges(&[rw(3, 0)], &mut Vec::new()).unwrap_err();
+        let mut g = pinned(4, &edges, Semantics::Ser, OracleKind::Chains);
+        insert(&mut g, &[rw(3, 0)], &mut Vec::new()).unwrap_err();
         assert!(g.reaches(TxnId(0), TxnId(3)));
     }
 
@@ -2038,7 +1977,7 @@ mod tests {
             Edge::new(TxnId(2), TxnId(4), Label::Wr(Key(1))),
             rw(4, 1),
         ];
-        match KnownGraph::build(5, &edges) {
+        match KnownGraph::build(5, &edges, Semantics::Si) {
             KnownGraphResult::Cyclic(c) => {
                 assert_eq!(c.len(), 4);
                 let rw_count = c.iter().filter(|e| !e.label.is_dep()).count();

@@ -32,5 +32,7 @@ mod polygraph;
 
 pub use constraint::{ConstraintRef, ConstraintSet};
 pub use edge::{Edge, Label};
-pub use graph::{KnownGraph, KnownGraphResult, OracleKind};
-pub use polygraph::{ConstraintMode, Polygraph, PruneOptions, PruneResult, PruneStats, Semantics};
+pub use graph::{Flush, KnownGraph, KnownGraphResult, OracleKind};
+pub use polygraph::{
+    ConstraintMode, Polygraph, PruneOptions, PruneResult, PruneStats, Semantics, PARALLEL_SWEEP_MIN,
+};

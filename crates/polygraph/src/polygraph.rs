@@ -4,11 +4,11 @@
 
 use crate::constraint::ConstraintSet;
 use crate::edge::{Edge, Label};
-use crate::graph::{KnownGraph, KnownGraphResult, OracleKind};
+use crate::graph::{Flush, KnownGraph, KnownGraphResult};
 use polysi_history::{Facts, History, Key, ShardComponent, ShardPlan, TxnId, WrSource};
+use polysi_obs::Tracer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Which constraint representation to generate (Section 5.4.3's
 /// differential variants).
@@ -59,8 +59,8 @@ pub struct Polygraph {
     pub semantics: Semantics,
 }
 
-/// Counters reported in the paper's Table 3, plus the incremental-oracle
-/// and per-pass timing counters of this implementation's prune stage.
+/// Counters reported in the paper's Table 3, plus the oracle-maintenance
+/// counters of this implementation's prune stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Fixpoint iterations executed.
@@ -73,11 +73,11 @@ pub struct PruneStats {
     pub constraints_after: usize,
     /// Uncertain dependency edges remaining after pruning.
     pub unknown_deps_after: usize,
-    /// From-scratch reachability-oracle builds: 1 on the incremental path,
-    /// one per pass on the rebuild path.
+    /// From-scratch reachability-oracle builds: 1 for [`Polygraph::prune`],
+    /// 0 for a [`Polygraph::prune_resume`] on a warm oracle.
     pub graph_builds: usize,
     /// Closure propagation operations: rows grown by this prune call's
-    /// incremental `insert_edges` updates (a resumed oracle's earlier work
+    /// `insert_edges` updates (a resumed oracle's earlier work
     /// is not counted again). Oracle-neutral in unit (one grown row is
     /// one propagation op in either representation), so dense-vs-chains
     /// bench rows compare directly; the chain oracle's implicit session
@@ -89,17 +89,11 @@ pub struct PruneStats {
     /// Resolved constraint edges *not* materialised because real paths of
     /// the known graph already implied them ([`KnownGraph::implies`]).
     pub implied_edges: usize,
-    /// Wall-clock of the first (full-sweep) pass, including the initial
-    /// oracle build.
-    pub first_pass: Duration,
-    /// Wall-clock of all later (worklist) passes combined.
-    pub later_passes: Duration,
 }
 
 impl PruneStats {
     /// Merge per-shard counters into whole-run stats: counts add up;
-    /// `iterations` takes the maximum because shards prune concurrently;
-    /// pass timings add up (CPU time, like the engine's stage timings).
+    /// `iterations` takes the maximum because shards prune concurrently.
     pub fn merge(self, other: PruneStats) -> PruneStats {
         PruneStats {
             iterations: self.iterations.max(other.iterations),
@@ -111,56 +105,46 @@ impl PruneStats {
             closure_updates: self.closure_updates + other.closure_updates,
             incremental_edges: self.incremental_edges + other.incremental_edges,
             implied_edges: self.implied_edges + other.implied_edges,
-            first_pass: self.first_pass + other.first_pass,
-            later_passes: self.later_passes + other.later_passes,
         }
     }
 }
 
-/// Knobs of [`Polygraph::prune_with`]. The defaults reproduce the
-/// sequential incremental pipeline. `threads`, `chunk_size`, and
-/// `parallel_min` are pure performance knobs: any setting yields
-/// byte-identical verdicts, known-edge lists, and counterexample cycles
-/// (the sweep is read-only and resolutions are applied in constraint
-/// order). `incremental: false` is the unreduced reference: it keeps every
-/// resolved edge and may surface a violation at a different point of a
-/// pass, so it agrees on verdicts, surviving constraints, and
-/// reachability, not on `known` or witnesses.
+/// Knobs of [`Polygraph::prune`]: pure performance knobs — any setting
+/// yields byte-identical verdicts, known-edge lists, and counterexample
+/// cycles (the sweep is read-only and resolutions are applied in
+/// constraint order). The default is the sequential sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct PruneOptions {
     /// Worker threads for the per-pass constraint sweep (1 = in-place).
+    /// Worklists shorter than [`PARALLEL_SWEEP_MIN`] stay in-place anyway.
     pub threads: usize,
-    /// Maintain the reachability oracle incrementally across passes via
-    /// [`KnownGraph::insert_edges`]; `false` rebuilds it from scratch every
-    /// pass (the pre-incremental loop, kept for the `prune` bench's
-    /// rebuild-vs-incremental comparison).
-    pub incremental: bool,
     /// Constraints per parallel work unit; `0` derives a size from the
     /// worklist length and thread count. Callers with workload knowledge
     /// (e.g. the engine, from txn-degree hints) can override.
     pub chunk_size: usize,
-    /// Worklists shorter than this stay in-place even when `threads > 1`
-    /// — thread setup would dominate, and later worklist passes are
-    /// usually tiny. Tests lower it to force the threaded path on small
-    /// inputs.
-    pub parallel_min: usize,
-    /// Reachability-oracle representation ([`OracleKind`]): dense
-    /// `BitMatrix` closure rows, per-session chain-position rows, or
-    /// `Auto` (chains when the session count keeps a chain row cheaper
-    /// than an `n`-bit dense row). Pure representation knob — queries,
-    /// verdicts, and witnesses are byte-identical for any setting.
-    pub oracle: OracleKind,
+    /// Worklists shorter than this stay in-place even when `threads > 1`.
+    parallel_min: usize,
+}
+
+impl PruneOptions {
+    /// `threads` sweep workers over chunks of `chunk_size` constraints.
+    pub fn new(threads: usize, chunk_size: usize) -> Self {
+        PruneOptions { threads, chunk_size, parallel_min: PARALLEL_SWEEP_MIN }
+    }
+
+    /// [`PruneOptions::new`] without the worklist-size cut-off, so the
+    /// threaded sweep runs on the few-constraint corpus histories too — a
+    /// thread-equivalence test would otherwise compare the in-place path
+    /// with itself.
+    #[doc(hidden)]
+    pub fn forced_parallel(threads: usize, chunk_size: usize) -> Self {
+        PruneOptions { threads, chunk_size, parallel_min: 0 }
+    }
 }
 
 impl Default for PruneOptions {
     fn default() -> Self {
-        PruneOptions {
-            threads: 1,
-            incremental: true,
-            chunk_size: 0,
-            parallel_min: PARALLEL_SWEEP_MIN,
-            oracle: OracleKind::Auto,
-        }
+        PruneOptions::new(1, 0)
     }
 }
 
@@ -272,27 +256,12 @@ impl Polygraph {
     /// Build the reachability oracle over the current known edges, or
     /// return a violating cycle if the known part is already cyclic.
     pub fn known_graph(&self) -> KnownGraphResult {
-        KnownGraph::build_with(self.n, &self.known, self.semantics)
-    }
-
-    /// [`Polygraph::known_graph`] with an explicit oracle representation.
-    pub fn known_graph_with(&self, kind: OracleKind) -> KnownGraphResult {
-        KnownGraph::build_with_oracle(self.n, &self.known, self.semantics, kind)
+        KnownGraph::build(self.n, &self.known, self.semantics)
     }
 
     /// Prune constraints to a fixpoint (procedure `PruneConstraints`,
-    /// Algorithm 1 lines 10–32) with the default [`PruneOptions`]:
-    /// sequential sweep, incremental oracle.
-    pub fn prune(&mut self) -> PruneResult {
-        self.prune_with(&PruneOptions::default())
-    }
-
-    /// [`Polygraph::prune_with`], discarding the final oracle.
-    pub fn prune_with(&mut self, opts: &PruneOptions) -> PruneResult {
-        self.prune_with_oracle(opts).0
-    }
-
-    /// Worklist-driven constraint pruning.
+    /// Algorithm 1 lines 10–32), worklist-driven, recording one
+    /// `prune.pass` span per fixpoint pass into `tracer`.
     ///
     /// A constraint possibility is *impossible* when adding any one of its
     /// edges would close a cycle in the known induced graph `KI`; the
@@ -309,10 +278,8 @@ impl Polygraph {
     /// then *applies* them in constraint order (so the lowest-index
     /// contradiction wins and results are identical for any thread
     /// count), feeding those edges to the oracle via
-    /// [`KnownGraph::insert_edges_deferred`], which re-tests them against
-    /// what earlier resolutions added and reports the ones it kept (or
-    /// keeping every edge and rebuilding per pass when `opts.incremental`
-    /// is off).
+    /// [`KnownGraph::insert_edges`], which re-tests them against what
+    /// earlier resolutions added and reports the ones it kept.
     ///
     /// After the first full pass, only constraints *incident* to a
     /// transaction touched by edges resolved in the previous pass are
@@ -321,36 +288,20 @@ impl Polygraph {
     /// missed); whatever survives goes to the solver, so verdicts are
     /// unaffected.
     ///
-    /// On [`PruneResult::Pruned`] the finished reachability oracle is
-    /// returned alongside — it reflects every resolved edge, so encoding
-    /// can reuse it (e.g. [`KnownGraph::topo_positions`] for phase
-    /// seeding) instead of rebuilding from scratch.
-    pub fn prune_with_oracle(
+    /// The reachability oracle is handed back whenever one was built. On
+    /// [`PruneResult::Pruned`] it reflects every resolved edge, so
+    /// encoding can reuse it (e.g. [`KnownGraph::topo_positions`] for
+    /// phase seeding) instead of rebuilding from scratch; after a
+    /// violation found mid-loop it says what was built and nothing more.
+    pub fn prune(
         &mut self,
         opts: &PruneOptions,
+        tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
-        self.prune_with_oracle_traced(opts, &polysi_obs::Tracer::disabled())
-    }
-
-    /// [`Polygraph::prune_with_oracle`] recording one `prune.pass` span per
-    /// fixpoint pass into `tracer`.
-    pub fn prune_with_oracle_traced(
-        &mut self,
-        opts: &PruneOptions,
-        tracer: &polysi_obs::Tracer,
-    ) -> (PruneResult, Option<Box<KnownGraph>>) {
-        let stats = PruneStats {
-            constraints_before: self.constraints.len(),
-            unknown_deps_before: self.unknown_deps(),
-            graph_builds: 1,
-            ..Default::default()
-        };
-        let t_first = Instant::now();
-        let kg = match self.known_graph_with(opts.oracle) {
-            KnownGraphResult::Acyclic(g) => g,
-            KnownGraphResult::Cyclic(cycle) => return (PruneResult::Violation(cycle), None),
-        };
-        self.prune_loop(kg, opts, stats, t_first, None, tracer)
+        match self.known_graph() {
+            KnownGraphResult::Acyclic(kg) => self.prune_loop(kg, opts, None, tracer),
+            KnownGraphResult::Cyclic(cycle) => (PruneResult::Violation(cycle), None),
+        }
     }
 
     /// Resume pruning with a *warm* oracle — the streaming checker's delta
@@ -360,47 +311,35 @@ impl Polygraph {
     /// incident to them are swept in the first pass (the same sound
     /// under-approximation as the later worklist passes — anything
     /// untested simply survives to the solver). From there the worklist
-    /// fixpoint proceeds exactly as in [`Polygraph::prune_with_oracle`].
+    /// fixpoint proceeds exactly as in [`Polygraph::prune`].
     pub fn prune_resume(
         &mut self,
         kg: Box<KnownGraph>,
         seed: &[bool],
         opts: &PruneOptions,
-    ) -> (PruneResult, Option<Box<KnownGraph>>) {
-        self.prune_resume_traced(kg, seed, opts, &polysi_obs::Tracer::disabled())
-    }
-
-    /// [`Polygraph::prune_resume`] recording one `prune.pass` span per
-    /// fixpoint pass into `tracer`.
-    pub fn prune_resume_traced(
-        &mut self,
-        kg: Box<KnownGraph>,
-        seed: &[bool],
-        opts: &PruneOptions,
-        tracer: &polysi_obs::Tracer,
+        tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         debug_assert_eq!(seed.len(), self.n, "seed must cover the vertex space");
-        let stats = PruneStats {
-            constraints_before: self.constraints.len(),
-            unknown_deps_before: self.unknown_deps(),
-            ..Default::default()
-        };
-        self.prune_loop(kg, opts, stats, Instant::now(), Some(seed), tracer)
+        self.prune_loop(kg, opts, Some(seed), tracer)
     }
 
-    /// The shared pass loop behind [`Polygraph::prune_with_oracle`]
-    /// (`seed == None`: full first sweep) and [`Polygraph::prune_resume`]
+    /// The shared pass loop behind [`Polygraph::prune`] (`seed == None`:
+    /// fresh oracle, full first sweep) and [`Polygraph::prune_resume`]
     /// (`seed == Some`: first sweep restricted to the seeded worklist).
     fn prune_loop(
         &mut self,
         mut kg: Box<KnownGraph>,
         opts: &PruneOptions,
-        mut stats: PruneStats,
-        t_first: Instant,
         seed: Option<&[bool]>,
-        tracer: &polysi_obs::Tracer,
+        tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         let semantics = self.semantics;
+        let mut stats = PruneStats {
+            constraints_before: self.constraints.len(),
+            unknown_deps_before: self.unknown_deps(),
+            graph_builds: seed.is_none() as usize,
+            ..Default::default()
+        };
         // The oracle's counters are lifetime totals; a resumed oracle has
         // a past, and this call reports only its own work.
         let (updates_before, edges_before) = (kg.closure_updates(), kg.inserted_edges());
@@ -417,7 +356,6 @@ impl Polygraph {
         let mut work: Vec<u32> = Vec::with_capacity(self.constraints.len());
         let mut resolved: Vec<bool> = Vec::new();
         loop {
-            let t_pass = Instant::now();
             stats.iterations += 1;
             work.clear();
             if first && full_first {
@@ -457,20 +395,18 @@ impl Polygraph {
                     resolved_edges += side.len();
                     let (mine, rest) = survivors.split_at(forced.kept());
                     survivors = rest;
-                    if !opts.incremental {
-                        self.known.extend_from_slice(side);
-                    } else if let Err(cycle) = kg.insert_edges_deferred(mine, &mut self.known) {
+                    if let Err(cycle) = kg.insert_edges(mine, &mut self.known, APPLY_FLUSH) {
                         // An earlier resolution of this apply phase made
                         // this side impossible too: the staged insertion
                         // surfaces the violating cycle.
-                        return (PruneResult::Violation(cycle), None);
+                        return (PruneResult::Violation(cycle), Some(kg));
                     }
                     resolved[forced.idx as usize] = true;
                     resolved_count += 1;
                 }
                 if let Some(witness) = chunk.contradiction {
                     // Neither possibility can hold (line 57/65).
-                    return (PruneResult::Violation(witness), None);
+                    return (PruneResult::Violation(witness), Some(kg));
                 }
             }
             let changed = resolved_count > 0;
@@ -482,40 +418,26 @@ impl Polygraph {
             if changed {
                 self.constraints.retain(|i, _| !resolved[i]);
             }
-            // The rebuild-mode oracle refresh belongs to the pass whose
-            // resolutions made it necessary, so it runs before the pass
-            // timer is read — otherwise the rebuild cost (the very thing
-            // the rebuild-vs-incremental counters compare) would land in
-            // neither timing bucket.
-            if changed && !opts.incremental {
-                kg = match self.known_graph_with(opts.oracle) {
-                    KnownGraphResult::Acyclic(g) => g,
-                    KnownGraphResult::Cyclic(cycle) => {
-                        return (PruneResult::Violation(cycle), None)
-                    }
-                };
-                stats.graph_builds += 1;
-            }
-            let dt = if first { t_first.elapsed() } else { t_pass.elapsed() };
-            if first {
-                stats.first_pass = dt;
-            } else {
-                stats.later_passes += dt;
-            }
             if !changed {
                 break;
             }
             first = false;
             std::mem::swap(&mut touched, &mut touched_now);
         }
-        // (Saturating: the rebuild reference swaps in fresh oracles.)
-        stats.closure_updates = kg.closure_updates().saturating_sub(updates_before);
-        stats.incremental_edges = kg.inserted_edges().saturating_sub(edges_before);
+        stats.closure_updates = kg.closure_updates() - updates_before;
+        stats.incremental_edges = kg.inserted_edges() - edges_before;
         stats.constraints_after = self.constraints.len();
         stats.unknown_deps_after = self.unknown_deps();
         (PruneResult::Pruned(stats), Some(kg))
     }
 }
+
+/// How the apply phase of a prune pass schedules closure propagation: one
+/// phase's resolutions propagate in batches of at most 62 staged (layered)
+/// edges, so a row the whole batch feeds is recomputed once instead of per
+/// edge, while the implied-edge test — which reads the closure as of the
+/// last flush — never lags far behind what the phase has already inserted.
+const APPLY_FLUSH: Flush = Flush::Every(62);
 
 /// What the sweep decided about one constraint, against the shared
 /// read-only oracle of the pass: exactly one side is impossible, so the
@@ -597,8 +519,9 @@ fn test_chunk(
     out
 }
 
-/// Default for [`PruneOptions::parallel_min`]: below this worklist size a
-/// parallel sweep costs more in thread setup than it saves. Measured on
+/// Below this worklist size a sweep stays in-place whatever
+/// [`PruneOptions::threads`] says: a parallel sweep costs more in thread
+/// setup than it saves. Measured on
 /// the 2-core container: a sweep costs ~0.12 µs of CPU per constraint
 /// (`batch_general`: 567 k constraints in ~40 ms on two threads), and
 /// fanning one pass out costs ~0.25–0.5 ms in spawn + join (the
@@ -608,7 +531,7 @@ fn test_chunk(
 /// best halve a sweep, so the fan-out breaks even at a few thousand
 /// constraints; this cut-off keeps millisecond checkpoints in place while
 /// a batch first pass still fans out.
-const PARALLEL_SWEEP_MIN: usize = 8192;
+pub const PARALLEL_SWEEP_MIN: usize = 8192;
 
 /// Test `work` (constraint indices) against the oracle, in order. With
 /// `opts.threads > 1` and enough work, disjoint chunks are tested on scoped
@@ -726,49 +649,42 @@ fn build_polygraph_from(
     Polygraph { n, known, constraints, semantics }
 }
 
-/// Whether adding any single edge of `side` closes a cycle in `KI`.
-/// Under SI (Figure 4 of the paper) `WW` edges test plain reachability and
-/// `RW` edges look for a `Dep` predecessor of the source; under SER every
-/// edge tests plain reachability.
-fn side_impossible(kg: &KnownGraph, side: &[Edge], semantics: Semantics) -> bool {
-    side.iter().any(|e| match (semantics, e.label) {
+/// Whether adding `e` closes a cycle in `KI`. Under SI (Figure 4 of the
+/// paper) `WW` edges test plain reachability and `RW` edges look for a
+/// `Dep` predecessor of the source; under SER every edge tests plain
+/// reachability.
+fn edge_impossible(kg: &KnownGraph, e: &Edge, semantics: Semantics) -> bool {
+    match (semantics, e.label) {
         (Semantics::Si, Label::Rw(_)) => kg.rw_closes_cycle(e.from, e.to),
         _ => kg.reaches(e.to, e.from),
-    })
+    }
 }
 
-/// Construct the violating cycle witnessing that `side` is impossible.
+/// Whether adding any single edge of `side` closes a cycle in `KI`.
+fn side_impossible(kg: &KnownGraph, side: &[Edge], semantics: Semantics) -> bool {
+    side.iter().any(|e| edge_impossible(kg, e, semantics))
+}
+
+/// The violating cycle witnessing that `side` is impossible: the one its
+/// first impossible edge closes.
 fn witness_cycle(kg: &KnownGraph, side: &[Edge], semantics: Semantics) -> Option<Vec<Edge>> {
-    for &e in side {
-        match (semantics, e.label) {
-            (Semantics::Si, Label::Rw(_)) => {
-                if kg.rw_closes_cycle(e.from, e.to) {
-                    // Cycle: prec -Dep-> from -RW-> to ⇝ prec.
-                    let prec = kg.witness_pred(e.from, e.to);
-                    let mut cycle = vec![kg.dep_edge_between(prec, e.from), e];
-                    if e.to != prec {
-                        cycle.extend(kg.find_path(e.to, prec).expect("witness_pred reachability"));
-                    }
-                    return Some(cycle);
-                }
-            }
-            _ => {
-                if kg.reaches(e.to, e.from) {
-                    // Cycle: from -WW-> to ⇝ from.
-                    let mut cycle = vec![e];
-                    cycle.extend(kg.find_path(e.to, e.from).expect("reaches held"));
-                    return Some(cycle);
-                }
-            }
-        }
-    }
-    None
+    side.iter().find(|e| edge_impossible(kg, e, semantics)).and_then(|&e| kg.closing_cycle(e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use polysi_history::{HistoryBuilder, Key, Value};
+    use rebuild::prune_by_rebuild;
+
+    mod rebuild {
+        include!("../tests/support/rebuild.rs");
+    }
+
+    /// `prune` with the default options and no tracer, oracle dropped.
+    fn prune(g: &mut Polygraph) -> PruneResult {
+        g.prune(&PruneOptions::default(), &Tracer::disabled()).0
+    }
 
     fn k(n: u64) -> Key {
         Key(n)
@@ -820,7 +736,7 @@ mod tests {
         let h = long_fork();
         let f = Facts::analyze(&h);
         let mut g = Polygraph::from_history(&h, &f, ConstraintMode::Generalized);
-        match g.prune() {
+        match prune(&mut g) {
             PruneResult::Pruned(stats) => {
                 assert_eq!(stats.constraints_before, 4);
                 assert!(stats.constraints_after <= 1, "stats: {stats:?}");
@@ -853,7 +769,7 @@ mod tests {
         let between = |e: &Edge| (e.from == t0 && e.to == t5) || (e.from == t5 && e.to == t0);
         let open = |g: &Polygraph| g.constraints.iter().any(|c| c.either.iter().any(between));
         assert!(open(&g));
-        let (result, oracle) = g.prune_with_oracle(&PruneOptions::default());
+        let (result, oracle) = g.prune(&PruneOptions::default(), &Tracer::disabled());
         let stats = match result {
             PruneResult::Pruned(stats) => stats,
             PruneResult::Violation(c) => panic!("an SI history was rejected: {c:?}"),
@@ -879,7 +795,7 @@ mod tests {
         let f = Facts::analyze(&h);
         assert!(f.axioms_ok());
         let mut g = Polygraph::from_history(&h, &f, ConstraintMode::Generalized);
-        match g.prune() {
+        match prune(&mut g) {
             PruneResult::Pruned(s) => {
                 assert_eq!(s.constraints_after, 0);
                 assert_eq!(s.unknown_deps_after, 0);
@@ -906,7 +822,7 @@ mod tests {
         let h = b.build();
         let f = Facts::analyze(&h);
         let mut g = Polygraph::from_history(&h, &f, ConstraintMode::Generalized);
-        match g.prune() {
+        match prune(&mut g) {
             PruneResult::Pruned(s) => {
                 assert_eq!(s.constraints_before, 3);
                 assert_eq!(s.constraints_after, 1);
@@ -948,10 +864,10 @@ mod tests {
     }
 
     /// Any thread count and chunk size produces a byte-identical `known`
-    /// list, surviving constraints, and witnesses. The rebuild mode is the
+    /// list, surviving constraints, and witnesses. The rebuild loop is the
     /// unreduced reference (it keeps every resolved edge): it agrees on
     /// the verdict and, on acceptance, on the surviving constraints and on
-    /// every closure row of the known graph.
+    /// the reachability of the known graph, from boundary and mid nodes.
     #[test]
     fn prune_modes_agree() {
         let histories = [long_fork(), {
@@ -972,52 +888,49 @@ mod tests {
             let base = Polygraph::from_history(h, &f, ConstraintMode::Generalized);
             let run = |opts: PruneOptions| {
                 let mut g = base.clone();
-                let result = g.prune_with(&opts);
-                let witness = match &result {
+                let witness = match g.prune(&opts, &Tracer::disabled()).0 {
                     PruneResult::Pruned(_) => None,
-                    PruneResult::Violation(c) => Some(c.clone()),
+                    PruneResult::Violation(c) => Some(c),
                 };
                 (witness, g.known.clone(), g.constraints.clone())
             };
             let seq = run(PruneOptions::default());
             for threads in [2usize, 4, 7] {
-                // parallel_min: 0 forces the threaded sweep even on these
+                // `forced_parallel` runs the threaded sweep even on these
                 // small worklists — without it the size cutoff would fall
                 // back to the sequential path and the comparison would be
                 // vacuous.
-                let par = run(PruneOptions { threads, parallel_min: 0, ..Default::default() });
-                assert_eq!(seq, par, "threads={threads} diverged");
-                let par = run(PruneOptions {
-                    threads,
-                    chunk_size: 1,
-                    parallel_min: 0,
-                    ..Default::default()
-                });
-                assert_eq!(seq, par, "threads={threads} chunk=1 diverged");
+                for chunk_size in [0, 1] {
+                    let par = run(PruneOptions::forced_parallel(threads, chunk_size));
+                    assert_eq!(seq, par, "threads={threads} chunk={chunk_size} diverged");
+                }
             }
-            let rebuild = run(PruneOptions { incremental: false, ..Default::default() });
-            assert_eq!(seq.0.is_none(), rebuild.0.is_none(), "verdict diverged across modes");
-            if seq.0.is_none() {
-                assert_eq!(seq.2, rebuild.2, "surviving constraints diverged across modes");
-                assert!(seq.1.len() <= rebuild.1.len(), "the reduced list grew past the full one");
-                let closure = |known: &[Edge]| match KnownGraph::build(base.n, known) {
+            let mut rebuild = base.clone();
+            let accepted = prune_by_rebuild(&mut rebuild);
+            assert_eq!(seq.0.is_none(), accepted, "verdict diverged from the rebuild reference");
+            if accepted {
+                assert_eq!(seq.2, rebuild.constraints, "surviving constraints diverged");
+                assert!(seq.1.len() <= rebuild.known.len(), "the reduced list outgrew the full");
+                let oracle = |known: &[Edge]| match KnownGraph::build(base.n, known, base.semantics)
+                {
                     KnownGraphResult::Acyclic(g) => g,
                     KnownGraphResult::Cyclic(c) => panic!("accepted prune left a cycle: {c:?}"),
                 };
-                let (reduced, full) = (closure(&seq.1), closure(&rebuild.1));
-                for row in 0..2 * base.n {
-                    assert_eq!(
-                        reduced.closure().row(row),
-                        full.closure().row(row),
-                        "closure row {row} diverged between the reduced and the full known graph"
-                    );
+                let (reduced, full) = (oracle(&seq.1), oracle(&rebuild.known));
+                for (x, y) in
+                    (0..base.n as u32).flat_map(|x| (0..base.n as u32).map(move |y| (x, y)))
+                {
+                    let (tx, ty) = (TxnId(x), TxnId(y));
+                    assert_eq!(reduced.reaches(tx, ty), full.reaches(tx, ty), "{x} ⇝ {y}");
+                    let rw = Edge::new(tx, ty, Label::Rw(k(1)));
+                    assert_eq!(reduced.implies(rw), full.implies(rw), "mid row of {x} ⇝ {y}");
                 }
             }
         }
     }
 
-    /// The incremental path builds the oracle once and records its
-    /// closure-update counters.
+    /// Pruning builds its oracle once and records the closure-update
+    /// counters; the rebuild reference keeps every resolved edge.
     #[test]
     fn incremental_prune_builds_once() {
         let mut b = HistoryBuilder::new();
@@ -1032,19 +945,14 @@ mod tests {
         let f = Facts::analyze(&h);
         let mut g = Polygraph::from_history(&h, &f, ConstraintMode::Generalized);
         let mut rebuild = g.clone();
-        match g.prune_with(&PruneOptions::default()) {
+        match prune(&mut g) {
             PruneResult::Pruned(s) => {
                 assert_eq!(s.graph_builds, 1);
                 assert!(s.incremental_edges > 0, "resolutions must flow through insert_edges");
                 assert!(s.closure_updates > 0);
                 assert!(s.iterations >= 2, "a serial RMW chain needs a cascade");
-            }
-            PruneResult::Violation(c) => panic!("serial chain flagged: {c:?}"),
-        }
-        match rebuild.prune_with(&PruneOptions { incremental: false, ..Default::default() }) {
-            PruneResult::Pruned(s) => {
-                assert!(s.graph_builds >= 2, "rebuild mode rebuilds per pass");
-                assert_eq!(s.incremental_edges, 0);
+                assert!(prune_by_rebuild(&mut rebuild), "serial chain flagged by the reference");
+                assert_eq!(rebuild.known.len() - g.known.len(), s.implied_edges);
             }
             PruneResult::Violation(c) => panic!("serial chain flagged: {c:?}"),
         }
@@ -1067,20 +975,21 @@ mod tests {
         constraints.push(k(1), either, or);
         let mut g =
             Polygraph { n: 8, known: vec![so(0, 1)], constraints, semantics: Semantics::Si };
-        let (first, kg) = g.prune_with_oracle(&PruneOptions::default());
+        let (first, kg) = g.prune(&PruneOptions::default(), &Tracer::disabled());
         let PruneResult::Pruned(first) = first else { panic!("acyclic") };
         let mut kg = kg.expect("pruning hands its oracle back");
         assert_eq!((first.incremental_edges, first.implied_edges), (1, 1));
         assert!(first.closure_updates > 0);
         assert_eq!((first.closure_updates, 1), (kg.closure_updates(), kg.inserted_edges()));
         // The streaming delta: new known edges land outside any prune call.
-        kg.insert_edges_bulk(&[so(1, 4), so(4, 5)], &mut g.known).expect("acyclic");
+        kg.insert_edges(&[so(1, 4), so(4, 5)], &mut g.known, Flush::AtEnd).expect("acyclic");
         let landed = (kg.closure_updates(), kg.inserted_edges());
         assert!(landed.0 > first.closure_updates && landed.1 == 3);
         let (either, or) = pair(4, 5, 6, 7);
         g.constraints.push(k(1), either, or);
         let seed = [false, false, false, false, true, true, true, true];
-        let (resumed, kg) = g.prune_resume(kg, &seed, &PruneOptions::default());
+        let (resumed, kg) =
+            g.prune_resume(kg, &seed, &PruneOptions::default(), &Tracer::disabled());
         let PruneResult::Pruned(resumed) = resumed else { panic!("acyclic") };
         let kg = kg.expect("pruning hands its oracle back");
         assert_eq!((resumed.incremental_edges, resumed.implied_edges), (1, 1));
@@ -1131,7 +1040,7 @@ mod tests {
         let h = b.build();
         let f = Facts::analyze(&h);
         let mut g = Polygraph::from_history(&h, &f, ConstraintMode::Generalized);
-        match g.prune() {
+        match prune(&mut g) {
             PruneResult::Pruned(_) => {
                 // The remaining graph must be satisfiable; the known part is
                 // acyclic.

@@ -2,14 +2,17 @@
 //! `KnownGraph::insert_edges` calls, the incremental oracle — which keeps
 //! its graph *reachability-reduced*, absorbing every edge real paths
 //! already imply — must be indistinguishable from a from-scratch
-//! `KnownGraph::build_with` fed **every** edge: closure rows,
-//! `rw_closes_cycle`, topo positions (as an order), cycle verdict, and
-//! witness validity, under both SI and SER semantics and both closure
-//! representations.
+//! `KnownGraph::build` fed **every** edge: reachability from boundary and
+//! mid nodes, `rw_closes_cycle`, topo positions (as an order), cycle
+//! verdict, and witness validity, under both SI and SER semantics, both
+//! closure representations and each flush policy.
 
 use polysi_history::{Key, TxnId};
 use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Semantics};
 use proptest::prelude::*;
+use support::{Policy, BULK, DEFERRED, EAGER};
+
+mod support;
 
 /// A random edge set over `n` transactions plus a batch split plan.
 #[derive(Debug, Clone)]
@@ -75,16 +78,15 @@ struct Reduced {
     kept: Vec<Edge>,
 }
 
-/// Drive the incremental path over the plan — eagerly (closure flushed by
-/// every `insert_edges` call) or deferred (every batch staged through
-/// `insert_edges_deferred`, one `flush_closure` at the very end, so all
-/// mid-run cycle checks run against a stale closure). Returns the
+/// Drive the incremental path over the plan under `policy` (these plans
+/// never reach 62 pending edges, so under `DEFERRED` every mid-run cycle
+/// check runs against a stale closure). Returns the
 /// final (flushed) oracle plus its kept edges on acceptance, or the batch
 /// end position plus the raw witness on violation. A witness may use only
 /// edges the reduced graph materialised, plus the closing edge.
-fn drive(plan: &Plan, kind: OracleKind, deferred: bool) -> Result<Reduced, (usize, Vec<Edge>)> {
+fn drive(plan: &Plan, kind: OracleKind, policy: Policy) -> Result<Reduced, (usize, Vec<Edge>)> {
     let initial = &plan.edges[..plan.initial];
-    let mut g = match KnownGraph::build_with_oracle(plan.n, initial, plan.semantics, kind) {
+    let mut g = match KnownGraph::build_pinned(plan.n, initial, plan.semantics, kind) {
         KnownGraphResult::Acyclic(g) => g,
         KnownGraphResult::Cyclic(cycle) => {
             assert_valid_cycle(&cycle, initial, plan.semantics);
@@ -98,12 +100,7 @@ fn drive(plan: &Plan, kind: OracleKind, deferred: bool) -> Result<Reduced, (usiz
         let size = plan.batch_sizes[batch % plan.batch_sizes.len()];
         batch += 1;
         let end = (next + size).min(plan.edges.len());
-        let staged = if deferred {
-            g.insert_edges_deferred(&plan.edges[next..end], &mut kept)
-        } else {
-            g.insert_edges(&plan.edges[next..end], &mut kept)
-        };
-        match staged {
+        match policy.insert(&mut g, &plan.edges[next..end], &mut kept) {
             Ok(()) => next = end,
             Err(cycle) => {
                 let mut allowed: Vec<Edge> = initial.iter().chain(&kept).copied().collect();
@@ -124,15 +121,13 @@ fn drive(plan: &Plan, kind: OracleKind, deferred: bool) -> Result<Reduced, (usiz
 /// The first prefix length at which a from-scratch build over every edge
 /// turns cyclic, if any — the reference cycle verdict.
 fn first_cyclic_prefix(plan: &Plan) -> Option<usize> {
-    (plan.initial..=plan.edges.len()).find(|&i| {
-        matches!(
-            KnownGraph::build_with(plan.n, &plan.edges[..i], plan.semantics),
-            KnownGraphResult::Cyclic(_)
-        )
-    })
+    (plan.initial..=plan.edges.len())
+        .find(|&i| KnownGraph::find_cycle(plan.n, &plan.edges[..i], plan.semantics).is_some())
 }
 
-/// Every query the prune stage asks must answer alike on both oracles.
+/// Every query the prune stage asks must answer alike on both oracles —
+/// which covers every closure row: boundary rows through `reaches`, mid
+/// rows through `implies` of an `RW` edge (`M(x) ⇝ B(y)` under SI).
 fn assert_same_answers(
     a: &KnownGraph,
     b: &KnownGraph,
@@ -151,6 +146,8 @@ fn assert_same_answers(
                     x,
                     y
                 );
+                let rw = Edge::new(x, y, Label::Rw(Key(0)));
+                prop_assert_eq!(a.implies(rw), b.implies(rw), "mid row: {:?}", rw);
             }
         }
     }
@@ -162,8 +159,8 @@ proptest! {
 
     /// The reduced incremental oracle against one fed every edge, on both
     /// closure representations: same cycle verdict at the same batch; on
-    /// acceptance the same closure rows (bit for bit on the dense store,
-    /// boundary and mid), the same query answers, a valid maintained
+    /// acceptance the same reachability (boundary and mid rows, all
+    /// pairs), the same query answers, a valid maintained
     /// order, every dropped edge implied, and the kept list alone
     /// rebuilding the same reachability — which is what lets
     /// `Polygraph::known` hold only the kept edges.
@@ -171,7 +168,7 @@ proptest! {
     fn incremental_equals_from_scratch(plan in plan_strategy()) {
         let cyclic_at = first_cyclic_prefix(&plan);
         for kind in [OracleKind::Dense, OracleKind::Chains] {
-            let Reduced { g, kept } = match drive(&plan, kind, false) {
+            let Reduced { g, kept } = match drive(&plan, kind, EAGER) {
                 Err((end, _)) => {
                     // Flagged within the batch ending at `end`: the first
                     // cyclic prefix of the full edge list lies in it.
@@ -184,22 +181,11 @@ proptest! {
                 Ok(r) => r,
             };
             prop_assert!(cyclic_at.is_none(), "incremental accepted a cyclic edge set");
-            let full = match KnownGraph::build_with(plan.n, &plan.edges, plan.semantics) {
+            let full = match KnownGraph::build(plan.n, &plan.edges, plan.semantics) {
                 KnownGraphResult::Acyclic(f) => f,
                 KnownGraphResult::Cyclic(_) => unreachable!("no cyclic prefix"),
             };
-            if kind == OracleKind::Dense {
-                // Closure rows — boundary and mid — must be bit-identical.
-                prop_assert_eq!(g.closure().count_ones(), full.closure().count_ones());
-                for row in 0..2 * plan.n {
-                    prop_assert_eq!(
-                        g.closure().row(row),
-                        full.closure().row(row),
-                        "closure row {} diverged",
-                        row
-                    );
-                }
-            }
+            prop_assert_eq!(full.oracle_kind(), OracleKind::Dense, "the reference is dense");
             assert_same_answers(&g, &full, plan.n, plan.semantics)?;
             // The maintained topo positions are a valid order for the
             // final reachability.
@@ -231,7 +217,7 @@ proptest! {
             }
             let reduced: Vec<Edge> =
                 plan.edges[..plan.initial].iter().chain(&kept).copied().collect();
-            let rebuilt = match KnownGraph::build_with(plan.n, &reduced, plan.semantics) {
+            let rebuilt = match KnownGraph::build(plan.n, &reduced, plan.semantics) {
                 KnownGraphResult::Acyclic(r) => r,
                 KnownGraphResult::Cyclic(c) => {
                     return Err(TestCaseError::fail(format!("reduced list is cyclic: {c:?}")));
@@ -241,36 +227,32 @@ proptest! {
         }
     }
 
-    /// The deferred-batch path (stage every batch, flush once at the end)
-    /// answers like the eager per-call path: same verdict at the same
+    /// The staged paths — the apply phase's (stage every batch, flush once
+    /// at the very end) and a checkpoint delta's (one flush per call) —
+    /// answer like the eager per-call path: same verdict at the same
     /// batch, valid witnesses (checked in `drive`), and — on acceptance —
-    /// bit-identical closures. Which edges are *kept* may differ: the
-    /// implied test reads the at-flush closure, so it depends on the
-    /// flush points. This is what lets pruning batch closure propagation
-    /// across a whole apply phase without changing results.
+    /// the same reachability from every boundary and mid node. Which edges
+    /// are *kept* may differ: the implied test reads the at-flush closure,
+    /// so it depends on the flush points. This is what lets pruning batch
+    /// closure propagation across a whole apply phase without changing
+    /// results.
     #[test]
     fn deferred_batching_equals_eager(plan in plan_strategy()) {
-        match (drive(&plan, OracleKind::Dense, false), drive(&plan, OracleKind::Dense, true)) {
-            (Ok(eager), Ok(deferred)) => {
-                let (eager, deferred) = (eager.g, deferred.g);
-                prop_assert_eq!(eager.closure().count_ones(), deferred.closure().count_ones());
-                for row in 0..2 * plan.n {
-                    prop_assert_eq!(
-                        eager.closure().row(row),
-                        deferred.closure().row(row),
-                        "closure row {} diverged between eager and deferred",
-                        row
-                    );
+        let eager = drive(&plan, OracleKind::Dense, EAGER);
+        for policy in [DEFERRED, BULK] {
+            match (&eager, drive(&plan, OracleKind::Dense, policy)) {
+                (Ok(eager), Ok(staged)) => {
+                    assert_same_answers(&eager.g, &staged.g, plan.n, plan.semantics)?;
                 }
-            }
-            (Err((e_end, _)), Err((d_end, _))) => {
-                prop_assert_eq!(e_end, d_end, "violation surfaced at a different batch");
-            }
-            (eager, deferred) => {
-                return Err(TestCaseError::fail(format!(
-                    "verdicts diverged: eager={:?} deferred={:?}",
-                    eager.is_ok(), deferred.is_ok()
-                )));
+                (Err((e_end, _)), Err((s_end, _))) => {
+                    prop_assert_eq!(*e_end, s_end, "violation surfaced at a different batch");
+                }
+                (eager, staged) => {
+                    return Err(TestCaseError::fail(format!(
+                        "verdicts diverged: eager={:?} {:?}={:?}",
+                        eager.is_ok(), policy, staged.is_ok()
+                    )));
+                }
             }
         }
     }

@@ -1,45 +1,37 @@
 //! Differential oracle property tests: the chain-decomposition closure
 //! ([`OracleKind::Chains`]) must be *indistinguishable* from the dense
 //! `BitMatrix` closure under any random interleaving of
-//! `insert_edges` / `insert_edges_deferred` / `insert_edges_bulk` / `grow`
-//! — identical reachability answers, identical topological validity,
+//! `insert_edges` under each flush policy and `grow` — identical
+//! reachability answers, identical topological validity,
 //! identical cycle verdicts at identical points, byte-identical witness
 //! cycles, identical *kept* (non-implied) edge lists, and identical
 //! propagation counters — under both SI and SER semantics. Extends the
 //! `incremental_prop` patterns (including the deferred≡eager check) to
 //! the two-representation setting.
 //!
-//! A second family grows history-shaped graphs across the `Auto` size
-//! threshold: an [`OracleKind::Auto`] oracle that starts dense and converts
-//! to chains inside `grow` must be indistinguishable from the dense oracle
-//! it replaced, from a chains oracle built that way, and from a fresh
+//! A second family grows history-shaped graphs across the size threshold
+//! of the representation rule: a [`KnownGraph::build`] oracle that starts
+//! dense and converts to chains inside `grow` must be indistinguishable
+//! from the dense oracle it replaced, from a chains oracle built that way, and from a fresh
 //! chains build — before and after `compact`, and as it keeps growing.
 
 use polysi_history::{Key, TxnId};
 use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Semantics};
 use proptest::prelude::*;
+use support::{Policy, BULK, DEFERRED, EAGER};
 
-/// How one batch of edges is applied.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mode {
-    /// `insert_edges` (stage + flush per call).
-    Eager,
-    /// `insert_edges_deferred` (flush only at batch-plan boundaries).
-    Deferred,
-    /// `insert_edges_bulk` (one flush per call, unbounded pending).
-    Bulk,
-}
+mod support;
 
 /// A random edge set plus an application schedule: initial build over a
 /// (possibly smaller) vertex space, then batches of the given sizes and
-/// modes, growing the oracle just-in-time when a batch references
+/// flush policies, growing the oracle just-in-time when a batch references
 /// transactions beyond the current space.
 #[derive(Debug, Clone)]
 struct Plan {
     n0: usize,
     edges: Vec<Edge>,
     initial: usize,
-    batches: Vec<(usize, Mode)>,
+    batches: Vec<(usize, Policy)>,
     semantics: Semantics,
 }
 
@@ -57,18 +49,14 @@ fn edge_strategy(n: u32) -> impl Strategy<Value = Edge> {
     })
 }
 
-fn mode_strategy() -> impl Strategy<Value = Mode> {
-    (0u8..3).prop_map(|m| match m {
-        0 => Mode::Eager,
-        1 => Mode::Deferred,
-        _ => Mode::Bulk,
-    })
+fn policy_strategy() -> impl Strategy<Value = Policy> {
+    (0usize..3).prop_map(|p| [EAGER, DEFERRED, BULK][p])
 }
 
 fn plan_strategy() -> impl Strategy<Value = Plan> {
     (3u32..10, any::<bool>()).prop_flat_map(|(n, ser)| {
         let edges = prop::collection::vec(edge_strategy(n), 0..20);
-        let batches = prop::collection::vec((1usize..5, mode_strategy()), 1..5);
+        let batches = prop::collection::vec((1usize..5, policy_strategy()), 1..5);
         (edges, batches, 0usize..6, 1u32..n).prop_map(move |(edges, batches, initial, n0)| {
             let initial = initial.min(edges.len());
             // The initial vertex space must cover the initial build.
@@ -106,7 +94,7 @@ fn assert_valid_cycle(cycle: &[Edge], allowed: &[Edge], semantics: Semantics) {
 /// the edges it kept (the rest were implied).
 type Accepted = (Box<KnownGraph>, usize, Vec<Edge>);
 
-/// Drive one oracle over the plan; `force` overrides every batch's mode.
+/// Drive one oracle over the plan; `force` overrides every batch's policy.
 /// Returns the final (flushed) oracle, its vertex count, and the edges it
 /// kept (the rest were implied) on acceptance, or the edge position plus
 /// the witness on violation. Witnesses are structurally validated here,
@@ -114,10 +102,10 @@ type Accepted = (Box<KnownGraph>, usize, Vec<Edge>);
 fn drive(
     plan: &Plan,
     kind: OracleKind,
-    force: Option<Mode>,
+    force: Option<Policy>,
 ) -> Result<Accepted, (usize, Vec<Edge>)> {
     let initial = &plan.edges[..plan.initial];
-    let mut g = match KnownGraph::build_with_oracle(plan.n0, initial, plan.semantics, kind) {
+    let mut g = match KnownGraph::build_pinned(plan.n0, initial, plan.semantics, kind) {
         KnownGraphResult::Acyclic(g) => g,
         KnownGraphResult::Cyclic(cycle) => {
             assert_valid_cycle(&cycle, initial, plan.semantics);
@@ -129,8 +117,8 @@ fn drive(
     let mut b = 0;
     let mut kept = Vec::new();
     while next < plan.edges.len() {
-        let (size, mode) = plan.batches[b % plan.batches.len()];
-        let mode = force.unwrap_or(mode);
+        let (size, policy) = plan.batches[b % plan.batches.len()];
+        let policy = force.unwrap_or(policy);
         b += 1;
         let end = (next + size).min(plan.edges.len());
         let batch = &plan.edges[next..end];
@@ -140,12 +128,7 @@ fn drive(
             g.grow(needed);
             cur_n = needed;
         }
-        let staged = match mode {
-            Mode::Eager => g.insert_edges(batch, &mut kept),
-            Mode::Deferred => g.insert_edges_deferred(batch, &mut kept),
-            Mode::Bulk => g.insert_edges_bulk(batch, &mut kept),
-        };
-        match staged {
+        match policy.insert(&mut g, batch, &mut kept) {
             Ok(()) => next = end,
             Err(cycle) => {
                 assert_valid_cycle(&cycle, &plan.edges[..end], plan.semantics);
@@ -225,7 +208,7 @@ proptest! {
                 prop_assert_eq!(chains.oracle_kind(), OracleKind::Chains);
                 assert_indistinguishable(&dense, &chains, n, plan.semantics, &plan)?;
                 // From-scratch chain build over the full edge set.
-                let fresh = match KnownGraph::build_with_oracle(
+                let fresh = match KnownGraph::build_pinned(
                     n, &plan.edges, plan.semantics, OracleKind::Chains,
                 ) {
                     KnownGraphResult::Acyclic(f) => f,
@@ -267,8 +250,8 @@ proptest! {
     #[test]
     fn chain_oracle_deferred_equals_eager(plan in plan_strategy()) {
         match (
-            drive(&plan, OracleKind::Chains, Some(Mode::Eager)),
-            drive(&plan, OracleKind::Chains, Some(Mode::Deferred)),
+            drive(&plan, OracleKind::Chains, Some(EAGER)),
+            drive(&plan, OracleKind::Chains, Some(DEFERRED)),
         ) {
             (Ok((eager, n, _)), Ok((deferred, n2, _))) => {
                 prop_assert_eq!(n, n2);
@@ -295,7 +278,7 @@ proptest! {
     }
 }
 
-// -- Auto: the representation follows growth ------------------------------
+// -- The representation follows growth ------------------------------------
 
 /// xorshift64: the big plans derive everything from one proptest seed.
 struct Rng(u64);
@@ -335,19 +318,29 @@ fn arrival_graph(rng: &mut Rng, n: usize, sessions: usize, extra: usize) -> Vec<
     edges
 }
 
-fn build(n: usize, edges: &[Edge], semantics: Semantics, kind: OracleKind) -> Box<KnownGraph> {
-    match KnownGraph::build_with_oracle(n, edges, semantics, kind) {
+/// An oracle of the kind the rule picks (`None`) or of a pinned one.
+fn build(
+    n: usize,
+    edges: &[Edge],
+    semantics: Semantics,
+    kind: Option<OracleKind>,
+) -> Box<KnownGraph> {
+    let built = match kind {
+        None => KnownGraph::build(n, edges, semantics),
+        Some(kind) => KnownGraph::build_pinned(n, edges, semantics, kind),
+    };
+    match built {
         KnownGraphResult::Acyclic(g) => g,
         KnownGraphResult::Cyclic(c) => panic!("arrival graphs are acyclic: {c:?}"),
     }
 }
 
 /// Land `edges` on every oracle through the same schedule of batch sizes
-/// and `mode`; returns each oracle's kept list.
+/// under `policy`; returns each oracle's kept list.
 fn land(
     oracles: &mut [&mut KnownGraph],
     edges: &[Edge],
-    mode: Mode,
+    policy: Policy,
     rng: &mut Rng,
 ) -> Vec<Vec<Edge>> {
     let mut kept = vec![Vec::new(); oracles.len()];
@@ -355,12 +348,7 @@ fn land(
     while at < edges.len() {
         let end = (at + 1 + rng.below(96)).min(edges.len());
         for (g, kept) in oracles.iter_mut().zip(&mut kept) {
-            match mode {
-                Mode::Eager => g.insert_edges(&edges[at..end], kept),
-                Mode::Deferred => g.insert_edges_deferred(&edges[at..end], kept),
-                Mode::Bulk => g.insert_edges_bulk(&edges[at..end], kept),
-            }
-            .expect("arrival graphs are acyclic");
+            policy.insert(g, &edges[at..end], kept).expect("arrival graphs are acyclic");
         }
         at = end;
     }
@@ -412,7 +400,7 @@ fn assert_same_answers(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// An `Auto` oracle first built under the size threshold, then grown
+    /// A rule-built oracle first built under the size threshold, then grown
     /// across it: `grow` converts it to chains, after which it answers
     /// exactly as the dense oracle it replaced (queries, witnesses, kept
     /// edges, order, counters), as an oracle that was chains from the
@@ -421,7 +409,8 @@ proptest! {
     /// kinds never move.
     #[test]
     fn auto_oracle_converts_on_growth_and_stays_indistinguishable(
-        (seed, sessions, ser, mode) in (any::<u64>(), 2usize..24, any::<bool>(), mode_strategy())
+        (seed, sessions, ser, policy) in
+            (any::<u64>(), 2usize..24, any::<bool>(), policy_strategy())
     ) {
         let mut rng = Rng(seed | 1);
         let semantics = if ser { Semantics::Ser } else { Semantics::Si };
@@ -430,9 +419,9 @@ proptest! {
         let upto = |n: usize| edges.partition_point(|e| e.to.idx() < n);
 
         let initial = &edges[..upto(n0)];
-        let mut auto = build(n0, initial, semantics, OracleKind::Auto);
-        let mut dense = build(n0, initial, semantics, OracleKind::Dense);
-        let mut chains = build(n0, initial, semantics, OracleKind::Chains);
+        let mut auto = build(n0, initial, semantics, None);
+        let mut dense = build(n0, initial, semantics, Some(OracleKind::Dense));
+        let mut chains = build(n0, initial, semantics, Some(OracleKind::Chains));
         prop_assert_eq!(auto.oracle_kind(), OracleKind::Dense, "under the threshold");
 
         // Across the threshold.
@@ -446,7 +435,7 @@ proptest! {
         let kept = land(
             &mut [&mut auto, &mut dense, &mut chains],
             &edges[upto(n0)..upto(n1)],
-            mode,
+            policy,
             &mut rng,
         );
         prop_assert_eq!(&kept[0], &kept[1], "the reduced edge list depends on the conversion");
@@ -456,7 +445,7 @@ proptest! {
         prop_assert!(chains.closure_updates() <= auto.closure_updates());
         assert_same_answers(&auto, &dense, n1, semantics, true, &mut rng, "grown vs dense")?;
         assert_same_answers(&auto, &chains, n1, semantics, true, &mut rng, "grown vs chains")?;
-        let fresh = build(n1, &edges[..upto(n1)], semantics, OracleKind::Chains);
+        let fresh = build(n1, &edges[..upto(n1)], semantics, Some(OracleKind::Chains));
         assert_same_answers(&auto, &fresh, n1, semantics, false, &mut rng, "grown vs fresh")?;
 
         // Through compaction: any id suffix is predecessor-closed here.
@@ -475,7 +464,7 @@ proptest! {
         };
         let survivors: Vec<Edge> =
             edges[..upto(n1)].iter().filter(|e| e.from.idx() >= cut).map(shift).collect();
-        let fresh = build(n2, &survivors, semantics, OracleKind::Chains);
+        let fresh = build(n2, &survivors, semantics, Some(OracleKind::Chains));
         assert_same_answers(&auto, &fresh, n2, semantics, false, &mut rng, "compacted vs fresh")?;
 
         // And it keeps growing.
@@ -485,7 +474,7 @@ proptest! {
         }
         let tail: Vec<Edge> =
             edges[upto(n1)..].iter().filter(|e| e.from.idx() >= cut).map(shift).collect();
-        let kept = land(&mut [&mut auto, &mut dense, &mut chains], &tail, mode, &mut rng);
+        let kept = land(&mut [&mut auto, &mut dense, &mut chains], &tail, policy, &mut rng);
         prop_assert_eq!(&kept[0], &kept[1]);
         prop_assert_eq!(&kept[0], &kept[2]);
         assert_same_answers(&auto, &dense, n3, semantics, true, &mut rng, "regrown vs dense")?;

@@ -8,7 +8,7 @@
 //! cargo run --example audit_database
 //! ```
 
-use polysi::checker::{check_si, CheckOptions, Outcome};
+use polysi::checker::{check, EngineOptions, IsolationLevel as Level, Outcome};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::stats::HistoryStats;
 use polysi::workloads::{generate, GeneralParams};
@@ -30,7 +30,7 @@ fn main() {
         let plan = generate(&params);
         let sim = run(&plan, &SimConfig::new(level, seed));
         let stats = HistoryStats::of(&sim.history);
-        let report = check_si(&sim.history, &CheckOptions::default());
+        let report = check(&sim.history, Level::Si, &EngineOptions::default());
         match report.outcome {
             Outcome::Si => {
                 println!("run {seed:>3}: {stats} — OK");

@@ -8,7 +8,7 @@
 //! cargo run --example banking
 //! ```
 
-use polysi::checker::{check_si, CheckOptions, Outcome};
+use polysi::checker::{check, EngineOptions, IsolationLevel as Level, Outcome};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::{HistoryBuilder, Key, Value};
 use polysi::workloads::{OpIntent, Plan};
@@ -29,7 +29,7 @@ fn main() {
     let history = b.build();
 
     println!("— the anomalous outcome —");
-    match check_si(&history, &CheckOptions::default()).outcome {
+    match check(&history, Level::Si, &EngineOptions::default()).outcome {
         Outcome::CyclicViolation(v) => {
             println!("PolySI verdict: VIOLATION ({})", v.anomaly);
             println!("one of the deposits was lost: both read balance 10 and");
@@ -51,7 +51,7 @@ fn main() {
     };
     let sim = run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, 42));
     println!("simulator: {} transaction(s) aborted by write-conflict detection", sim.aborts);
-    let verdict = check_si(&sim.history, &CheckOptions::default());
+    let verdict = check(&sim.history, Level::Si, &EngineOptions::default());
     println!(
         "PolySI verdict on the recorded history: {}",
         if verdict.is_si() { "SI holds" } else { "violation" }

@@ -10,9 +10,10 @@ use polysi::baselines::{
     cobra_check_ser, cobra_si_check, dbcop_check_si, CobraOptions, DbcopVerdict, SerVerdict,
     SiVerdict,
 };
-use polysi::checker::{check_si, CheckOptions};
+use polysi::checker::{check, EngineOptions};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::stats::HistoryStats;
+use polysi::polygraph::ConstraintMode;
 use polysi::workloads::{generate, GeneralParams};
 use std::time::Instant;
 
@@ -37,32 +38,18 @@ fn main() {
         println!("{:<18} {:>12} {:>9.1} ms", name, verdict, t.elapsed().as_secs_f64() * 1e3);
     };
 
-    timed("PolySI", &mut || {
-        let o = CheckOptions { interpret: false, ..Default::default() };
-        if check_si(&sim.history, &o).is_si() {
+    // Full PolySI and the paper's two ablations (Figure 10).
+    let polysi = |pruning: bool, mode: ConstraintMode| -> String {
+        let o = EngineOptions { interpret: false, pruning, mode, ..Default::default() };
+        if check(&sim.history, polysi::checker::IsolationLevel::Si, &o).is_si() {
             "SI".into()
         } else {
             "violation".into()
         }
-    });
-    timed("PolySI w/o P", &mut || {
-        let mut o = CheckOptions::without_pruning();
-        o.interpret = false;
-        if check_si(&sim.history, &o).is_si() {
-            "SI".into()
-        } else {
-            "violation".into()
-        }
-    });
-    timed("PolySI w/o C+P", &mut || {
-        let mut o = CheckOptions::without_compaction_and_pruning();
-        o.interpret = false;
-        if check_si(&sim.history, &o).is_si() {
-            "SI".into()
-        } else {
-            "violation".into()
-        }
-    });
+    };
+    timed("PolySI", &mut || polysi(true, ConstraintMode::Generalized));
+    timed("PolySI w/o P", &mut || polysi(false, ConstraintMode::Generalized));
+    timed("PolySI w/o C+P", &mut || polysi(false, ConstraintMode::Plain));
     timed("dbcop", &mut || match dbcop_check_si(&sim.history, 20_000_000).verdict {
         DbcopVerdict::Si => "SI".into(),
         DbcopVerdict::NotSi => "violation".into(),

@@ -6,7 +6,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use polysi::checker::{check_si, dot, CheckOptions, Outcome};
+use polysi::checker::{check, dot, EngineOptions, IsolationLevel, Outcome};
 use polysi::history::{HistoryBuilder, Key, Value};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     let history = b.build();
 
     println!("checking {} transactions against snapshot isolation...\n", history.len());
-    let report = check_si(&history, &CheckOptions::default());
+    let report = check(&history, IsolationLevel::Si, &EngineOptions::default());
 
     match &report.outcome {
         Outcome::Si => println!("history satisfies SI (unexpected for this example!)"),

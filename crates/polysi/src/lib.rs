@@ -10,7 +10,7 @@
 //!    here the deterministic MVCC simulator ([`dbsim`]) — collecting a
 //!    client-observed [`history::History`];
 //! 2. check the history against snapshot isolation with
-//!    [`checker::check_si`], which builds a generalized polygraph
+//!    [`checker::check`], which builds a generalized polygraph
 //!    ([`polygraph`]), prunes constraints, and decides acyclicity of the
 //!    induced SI graph with a SAT-modulo-acyclicity solver ([`solver`]);
 //! 3. on violation, interpret the counterexample
@@ -21,7 +21,7 @@
 //!
 //! ```
 //! use polysi::history::{HistoryBuilder, Key, Value};
-//! use polysi::checker::{check_si, CheckOptions};
+//! use polysi::checker::{check, EngineOptions, IsolationLevel};
 //!
 //! // Lost update: both transactions read 10 and blindly overwrite it.
 //! let mut b = HistoryBuilder::new();
@@ -32,7 +32,7 @@
 //! b.session();
 //! b.begin().read(Key(1), Value(10)).write(Key(1), Value(12)).commit();
 //!
-//! let outcome = check_si(&b.build(), &CheckOptions::default());
+//! let outcome = check(&b.build(), IsolationLevel::Si, &EngineOptions::default());
 //! assert!(!outcome.is_si());
 //! ```
 

@@ -20,22 +20,20 @@
 //! ```
 
 use polysi::checker::engine::{
-    CheckEngine, CheckpointThreads, CompactMode, EngineOptions, IsolationLevel, PruneThreads,
-    Sharding,
+    check, CheckEngine, CheckpointThreads, CompactMode, EngineOptions, IsolationLevel,
+    PruneThreads, Sharding,
 };
 use polysi::checker::report::{
     check_report_json, live_report_json, stats_json, stream_report_json,
 };
-use polysi::checker::{
-    check_si, dot, CheckOptions, LiveConfig, LiveService, Outcome, StreamVerdict, StreamingChecker,
-};
+use polysi::checker::{dot, LiveConfig, LiveService, Outcome, StreamVerdict, StreamingChecker};
 use polysi::history::{binfmt, codec, stats::HistoryStats, History};
 use polysi_obs::{trace::chrome_trace_json, Obs, Tracer};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto] [--reach-oracle auto|dense|chains]\n               [--stream] [--live] [--checkpoints N] [--checkpoint-threads N|auto]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
+        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto]\n               [--stream] [--live] [--checkpoints N] [--checkpoint-threads N|auto]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
     );
     ExitCode::from(2)
 }
@@ -410,21 +408,6 @@ fn main() -> ExitCode {
                             }
                         };
                     }
-                    "--reach-oracle" => {
-                        i += 1;
-                        opts.reach_oracle =
-                            match args.get(i).and_then(|s| polysi::polygraph::OracleKind::parse(s))
-                            {
-                                Some(kind) => kind,
-                                None => {
-                                    eprintln!(
-                                        "--reach-oracle takes auto|dense|chains, got {:?}",
-                                        args.get(i)
-                                    );
-                                    return usage();
-                                }
-                            };
-                    }
                     "--dot" => {
                         i += 1;
                         dot_path = args.get(i).cloned();
@@ -608,7 +591,7 @@ fn main() -> ExitCode {
             b.begin().read(Key(1), Value(10)).read(Key(2), Value(21)).commit();
             let h = b.build();
             println!("{}", codec::encode(&h));
-            match check_si(&h, &CheckOptions::default()).outcome {
+            match check(&h, IsolationLevel::Si, &EngineOptions::default()).outcome {
                 Outcome::CyclicViolation(v) => println!("# verdict: VIOLATION ({})", v.anomaly),
                 _ => println!("# verdict: OK"),
             }

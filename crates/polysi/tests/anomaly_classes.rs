@@ -2,7 +2,7 @@
 //! the classification its name promises — the "informative" criterion of
 //! SIEGE+ made testable.
 
-use polysi::checker::{check_si, Anomaly, CheckOptions, Outcome};
+use polysi::checker::{check, Anomaly, EngineOptions, IsolationLevel, Outcome};
 use polysi::dbsim::corpus::generate_corpus;
 
 #[test]
@@ -16,7 +16,7 @@ fn corpus_templates_classified_as_named() {
             continue;
         };
         seen.insert(template.to_string());
-        let report = check_si(&entry.history, &CheckOptions::default());
+        let report = check(&entry.history, IsolationLevel::Si, &EngineOptions::default());
         match (template, &report.outcome) {
             (
                 "lost-update"
@@ -68,7 +68,7 @@ fn corpus_templates_classified_as_named() {
 fn whole_corpus_is_rejected() {
     for entry in generate_corpus(60, 11) {
         assert!(
-            !check_si(&entry.history, &CheckOptions::default()).is_si(),
+            !check(&entry.history, IsolationLevel::Si, &EngineOptions::default()).is_si(),
             "corpus entry {} wrongly accepted",
             entry.source
         );

@@ -317,37 +317,6 @@ fn solver_stress_fixtures_decide_at_the_solve_stage() {
     }
 }
 
-/// `--reach-oracle` is a pure representation knob: the chain-stress
-/// fixtures keep their verdicts under every oracle kind, and the chain
-/// oracle composes with `--stream`.
-#[test]
-fn reach_oracle_flag_preserves_fixture_verdicts() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    for oracle in ["dense", "chains", "auto"] {
-        for (file, code) in
-            [("session_braid.txt", 1), ("monolithic_session.txt", 1), ("serializable.txt", 0)]
-        {
-            let out = bin()
-                .arg("check")
-                .arg(dir.join(file))
-                .args(["--reach-oracle", oracle])
-                .output()
-                .expect("run check");
-            assert_eq!(out.status.code(), Some(code), "{file} --reach-oracle {oracle}");
-        }
-    }
-    let out = bin()
-        .arg("check")
-        .arg(dir.join("shard_disjoint_components.txt"))
-        .args(["--reach-oracle", "chains", "--stream"])
-        .output()
-        .expect("run stream check");
-    assert_eq!(out.status.code(), Some(0), "--reach-oracle chains --stream");
-    let out =
-        bin().args(["check", "/nonexistent", "--reach-oracle", "sparse"]).output().expect("run");
-    assert_eq!(out.status.code(), Some(2), "bad --reach-oracle must be a usage error");
-}
-
 /// The serializability mode: SER rejects SI-acceptable write skew and the
 /// sharded run agrees with the whole-history one.
 #[test]
@@ -442,9 +411,13 @@ fn bad_usage_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     // A removed flag is an unknown flag, whatever the file holds.
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/serializable.txt");
-    let out = bin().args(["check", fixture, "--solve-threads", "4"]).output().expect("run");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --solve-threads"));
+    for removed in [["--solve-threads", "4"], ["--reach-oracle", "dense"]] {
+        let out = bin().args(["check", fixture]).args(removed).output().expect("run");
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {}", removed[0])), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
 }
 
 /// `convert` moves histories between the text and binary formats in both

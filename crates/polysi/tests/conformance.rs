@@ -4,7 +4,7 @@
 //!
 //! Checkers under test:
 //!
-//! * `check_si` — the PolySI pipeline (default options and `--no-pruning`);
+//! * `check` — the PolySI pipeline (default options and `--no-pruning`);
 //! * the brute-force Theorem-6 `oracle` (on cases where its exponential
 //!   search space is feasible);
 //! * `dbcop` — interleaving search (a generous state budget stands in for
@@ -23,7 +23,7 @@ use polysi::baselines::{
     SerVerdict, SiVerdict,
 };
 use polysi::checker::engine::{check, EngineOptions, IsolationLevel, Sharding};
-use polysi::checker::{check_si, oracle::oracle_check_si_with_limit, CheckOptions, Outcome};
+use polysi::checker::{oracle::oracle_check_si_with_limit, Outcome};
 use polysi::dbsim::testkit::{conformance_corpus, ConformanceCase, Expectation};
 use polysi::history::{AxiomViolation, Facts, History};
 
@@ -99,11 +99,12 @@ fn all_si_checkers_agree_on_conformance_corpus() {
 
     for case in cases {
         let h = &case.history;
-        let polysi = check_si(h, &CheckOptions::default());
+        let polysi = check(h, IsolationLevel::Si, &EngineOptions::default());
         let verdict = polysi.is_si();
 
         // The pipeline's own ablations may not change the verdict.
-        let no_pruning = check_si(h, &CheckOptions::without_pruning()).is_si();
+        let no_pruning = EngineOptions { pruning: false, ..Default::default() };
+        let no_pruning = check(h, IsolationLevel::Si, &no_pruning).is_si();
         assert_eq!(verdict, no_pruning, "{}: pruning changed the verdict", case.name);
 
         let (cobrasi, _) = cobra_si_check(h);
@@ -182,7 +183,7 @@ fn injected_anomalies_are_caught_and_classified() {
             Expectation::FaultInjected { classes } => classes,
             Expectation::Si { .. } => continue,
         };
-        let report = check_si(&case.history, &CheckOptions::default());
+        let report = check(&case.history, IsolationLevel::Si, &EngineOptions::default());
         let observed = observed_classes(&report.outcome);
         if matches!(case.expected, Expectation::Anomalous { .. }) {
             assert!(!observed.is_empty(), "{}: known anomaly not detected (verdict SI)", case.name);
@@ -237,7 +238,7 @@ fn serializability_hierarchy_holds_on_corpus() {
         let (ser, _) = cobra_check_ser(&case.history, &CobraOptions::default());
         if ser == SerVerdict::Serializable {
             assert!(
-                check_si(&case.history, &CheckOptions::default()).is_si(),
+                check(&case.history, IsolationLevel::Si, &EngineOptions::default()).is_si(),
                 "{}: serializable but not SI — hierarchy violated",
                 case.name
             );

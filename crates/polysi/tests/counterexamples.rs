@@ -4,9 +4,9 @@
 //! certain dependencies leaves a graph that no longer demonstrates the
 //! violation on its own cycle structure.
 
-use polysi::checker::{check_si, CheckOptions, Outcome};
+use polysi::checker::{check, EngineOptions, IsolationLevel as Level, Outcome};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
-use polysi::polygraph::{Edge, KnownGraph, KnownGraphResult};
+use polysi::polygraph::{Edge, KnownGraph, Semantics};
 use polysi::workloads::{generate, GeneralParams};
 
 fn violating_runs() -> Vec<(polysi::history::History, Vec<Edge>, Vec<Edge>)> {
@@ -28,7 +28,7 @@ fn violating_runs() -> Vec<(polysi::history::History, Vec<Edge>, Vec<Edge>)> {
             });
             let sim = run(&plan, &SimConfig::new(level, seed));
             if let Outcome::CyclicViolation(v) =
-                check_si(&sim.history, &CheckOptions::default()).outcome
+                check(&sim.history, Level::Si, &EngineOptions::default()).outcome
             {
                 let scenario = v.scenario.expect("interpret on");
                 out.push((sim.history, v.cycle, scenario.finalized));
@@ -41,7 +41,7 @@ fn violating_runs() -> Vec<(polysi::history::History, Vec<Edge>, Vec<Edge>)> {
 
 /// The layered graph over `edges` must contain a violating cycle.
 fn is_violating(n: usize, edges: &[Edge]) -> bool {
-    matches!(KnownGraph::build(n, edges), KnownGraphResult::Cyclic(_))
+    KnownGraph::find_cycle(n, edges, Semantics::Si).is_some()
 }
 
 #[test]
@@ -99,7 +99,7 @@ fn handcrafted_lost_update_yields_galera_shape() {
     b.session();
     b.begin().read(Key(0), Value(4)).write(Key(0), Value(13)).commit();
     let h = b.build();
-    let report = check_si(&h, &CheckOptions::default());
+    let report = check(&h, Level::Si, &EngineOptions::default());
     let Outcome::CyclicViolation(v) = report.outcome else {
         panic!("lost update must be rejected")
     };

@@ -2,7 +2,7 @@
 //! workload generation → database simulation → (de)serialization →
 //! checking → interpretation.
 
-use polysi::checker::{check_si, CheckOptions, Outcome};
+use polysi::checker::{check, EngineOptions, IsolationLevel as Level, Outcome};
 use polysi::dbsim::{run, table2_profiles, IsolationLevel, SimConfig};
 use polysi::history::{codec, stats::HistoryStats};
 use polysi::workloads::{generate, GeneralParams, KeyDistribution};
@@ -24,7 +24,7 @@ fn full_pipeline_accepts_si_databases() {
     for dist in [KeyDistribution::Uniform, KeyDistribution::Zipfian, KeyDistribution::Hotspot] {
         let plan = generate(&GeneralParams { dist, ..params(1) });
         let sim = run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, 1));
-        assert!(check_si(&sim.history, &CheckOptions::default()).is_si(), "{dist:?}");
+        assert!(check(&sim.history, Level::Si, &EngineOptions::default()).is_si(), "{dist:?}");
     }
 }
 
@@ -37,8 +37,8 @@ fn histories_survive_codec_round_trip_with_same_verdict() {
             let text = codec::encode(&sim.history);
             let parsed = codec::decode(&text).expect("round trip");
             assert_eq!(sim.history, parsed);
-            let a = check_si(&sim.history, &CheckOptions::default()).is_si();
-            let b = check_si(&parsed, &CheckOptions::default()).is_si();
+            let a = check(&sim.history, Level::Si, &EngineOptions::default()).is_si();
+            let b = check(&parsed, Level::Si, &EngineOptions::default()).is_si();
             assert_eq!(a, b);
         }
     }
@@ -51,7 +51,7 @@ fn every_table2_profile_is_caught_within_bounded_runs() {
         for seed in 0..40u64 {
             let plan = generate(&GeneralParams { keys: 8, ..params(seed) });
             let sim = run(&plan, &SimConfig::new(profile.level, seed));
-            if !check_si(&sim.history, &CheckOptions::default()).is_si() {
+            if !check(&sim.history, Level::Si, &EngineOptions::default()).is_si() {
                 caught = true;
                 break;
             }
@@ -64,7 +64,7 @@ fn every_table2_profile_is_caught_within_bounded_runs() {
 fn interpretation_scenarios_reference_real_transactions() {
     let plan = generate(&GeneralParams { keys: 6, read_pct: 40, ..params(3) });
     let sim = run(&plan, &SimConfig::new(IsolationLevel::NoWriteConflictDetection, 3));
-    let report = check_si(&sim.history, &CheckOptions::default());
+    let report = check(&sim.history, Level::Si, &EngineOptions::default());
     if let Outcome::CyclicViolation(v) = &report.outcome {
         let s = v.scenario.as_ref().expect("interpretation on by default");
         let n = sim.history.len() as u32;
@@ -102,6 +102,6 @@ fn higher_isolation_levels_nest() {
     for seed in 0..5 {
         let plan = generate(&params(seed));
         let ser = run(&plan, &SimConfig::new(IsolationLevel::Serializable, seed));
-        assert!(check_si(&ser.history, &CheckOptions::default()).is_si(), "seed {seed}");
+        assert!(check(&ser.history, Level::Si, &EngineOptions::default()).is_si(), "seed {seed}");
     }
 }

@@ -26,7 +26,7 @@ use polysi::checker::StreamingChecker;
 use polysi::dbsim::testkit::conformance_corpus;
 use polysi::history::History;
 use polysi_obs::json::{parse, Value};
-use polysi_obs::span::span_forest;
+use polysi_obs::span::{span_forest, AttrValue, SpanNode};
 use polysi_obs::Obs;
 use std::process::Command;
 
@@ -176,25 +176,34 @@ fn spans_cover_the_check_and_nest_the_stages() {
     }
 }
 
+/// A traced, uninterpreted check with the default options: the report, the
+/// attribute lookup of the first span called `span`, and the registry.
+fn traced_check(
+    h: &History,
+    level: IsolationLevel,
+    span: &str,
+) -> (polysi::checker::CheckReport, impl Fn(&str) -> Option<AttrValue>, Obs) {
+    fn find<'a>(nodes: &'a [SpanNode], name: &str) -> Option<&'a SpanNode> {
+        nodes.iter().find_map(|n| if n.name == name { Some(n) } else { find(&n.children, name) })
+    }
+    let obs = Obs::enabled();
+    let opts = EngineOptions { interpret: false, ..Default::default() };
+    let report = CheckEngine::new(level, opts).with_obs(obs.clone()).check(h);
+    let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+    let attrs = find(&forest, span).unwrap_or_else(|| panic!("no {span} span")).attrs.clone();
+    let attr = move |key: &str| attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
+    (report, attr, obs)
+}
+
 /// The solver's one automatic decision explains itself: a `sat.solve` span
 /// says how many literals the theory implied, at which conflict the first
 /// restart opened theory propagation (absent when it never did) and whether
 /// a granted work budget ran dry, and the registry carries the totals.
 #[test]
 fn sat_solve_span_explains_the_propagation_gate() {
-    use polysi_obs::span::{AttrValue, SpanNode};
-    fn find<'a>(nodes: &'a [SpanNode], name: &str) -> Option<&'a SpanNode> {
-        nodes.iter().find_map(|n| if n.name == name { Some(n) } else { find(&n.children, name) })
-    }
     let traced = |h: &History, level: IsolationLevel| {
-        let obs = Obs::enabled();
-        let opts = EngineOptions { interpret: false, ..Default::default() };
-        let report = CheckEngine::new(level, opts).with_obs(obs.clone()).check(h);
-        let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
-        let attrs = find(&forest, "sat.solve").expect("the solver was called").attrs.clone();
-        let attr = move |key: &str| attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v.clone());
-        let counter = move |name: &str| obs.metrics.counter(name).total();
-        (report, attr, counter)
+        let (report, attr, obs) = traced_check(h, level, "sat.solve");
+        (report, attr, move |name: &str| obs.metrics.counter(name).total())
     };
 
     // 999 cells at SER: 100 conflicts to the first restart, then the theory
@@ -218,6 +227,46 @@ fn sat_solve_span_explains_the_propagation_gate() {
     assert_eq!(attr("eager_from_conflict"), None);
     assert_eq!(attr("budget_exhausted"), Some(AttrValue::Bool(false)));
     assert_eq!(counter("solver.theory_propagations") + counter("solver.theory_visits"), 0);
+}
+
+/// The one decision nobody can pin any more explains itself: the `prune`
+/// span names the closure store `KnownGraph::build` picked with the two
+/// inputs of the rule (n ≥ 1024 and 32·chains ≤ n → chains), and the report
+/// counts the stores per pipeline unit.
+#[test]
+fn prune_span_says_which_oracle_the_rule_picked() {
+    use polysi::checker::OracleCounts;
+    let traced = |h: &History, level: IsolationLevel| {
+        let (report, attr, _) = traced_check(h, level, "prune");
+        (report.oracles, attr("oracle"), attr("n"), attr("chains"))
+    };
+    let (dense, chains) = (AttrValue::Str("dense".into()), AttrValue::Str("chains".into()));
+
+    // The paper-default general history: 20 sessions × 500 transactions.
+    let plan = polysi::workloads::generate(&polysi::workloads::GeneralParams {
+        txns_per_session: 500,
+        ..Default::default()
+    });
+    let config = polysi::dbsim::SimConfig::new(polysi::dbsim::IsolationLevel::SnapshotIsolation, 7);
+    let general = polysi::dbsim::run(&plan, &config).history;
+    let (oracles, oracle, n, sessions) = traced(&general, IsolationLevel::Si);
+    assert_eq!(oracles, OracleCounts { dense: 0, chains: 1 });
+    assert_eq!((oracle, n), (Some(chains), Some(AttrValue::U64(general.len() as u64))));
+    assert!(matches!(sessions, Some(AttrValue::U64(c)) if c * 32 <= general.len() as u64));
+
+    // The 999-cell lattice: big enough, but session-poor — the row that
+    // keeps the dense store.
+    let lattice = polysi::dbsim::corpus::write_skew_lattice(1, 999);
+    let (oracles, oracle, n, sessions) = traced(&lattice, IsolationLevel::Ser);
+    assert_eq!(oracles, OracleCounts { dense: 1, chains: 0 });
+    assert_eq!((oracle, n), (Some(dense.clone()), Some(AttrValue::U64(lattice.len() as u64))));
+    assert!(lattice.len() >= 1024);
+    assert!(matches!(sessions, Some(AttrValue::U64(c)) if c * 32 > lattice.len() as u64));
+
+    // A corpus accept: small, so dense whatever its sessions.
+    let clique = fixture_history("solver_stress_clique.txt");
+    let (oracles, oracle, ..) = traced(&clique, IsolationLevel::Si);
+    assert_eq!((oracles, oracle), (OracleCounts { dense: 1, chains: 0 }, Some(dense)));
 }
 
 /// The serial front of a sharded check is visible without re-running it:
@@ -405,7 +454,7 @@ fn cli_check_report_json_round_trips() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     let v = parse(&text).expect("valid JSON");
-    assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v2"));
+    assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v3"));
     for key in [
         "isolation",
         "verdict",
@@ -419,7 +468,7 @@ fn cli_check_report_json_round_trips() {
         "solver",
         "solve",
         "shards",
-        "reach_oracle",
+        "oracles",
         "wall_us",
         "metrics",
     ] {
@@ -428,6 +477,9 @@ fn cli_check_report_json_round_trips() {
     assert_eq!(v.get("accepted").and_then(Value::as_bool), Some(true));
     // v2: the solve object is the number of solver calls and nothing else.
     assert!(text.contains("\"solve\":{\"units\":1}"), "solve object: {text}");
+    // v3: which closure store the prune stage picked, per pipeline unit, in
+    // place of the oracle-kind setting that no longer exists.
+    assert!(text.contains("\"oracles\":{\"dense\":1,\"chains\":0}"), "oracles object: {text}");
     // Append-only: `implied_edges` closes the prune object, after every
     // key a v1 consumer already knows, and the registry carries its twin.
     let prune = v.get("prune").expect("prune stats");
@@ -460,7 +512,7 @@ fn cli_check_report_json_carries_the_violation() {
 
 #[test]
 fn cli_stream_and_live_report_json_round_trip() {
-    for (mode, schema) in [("--stream", "polysi.stream.v2"), ("--live", "polysi.live.v2")] {
+    for (mode, schema) in [("--stream", "polysi.stream.v3"), ("--live", "polysi.live.v3")] {
         let out = bin()
             .arg("check")
             .arg(fixture_path("serializable.txt"))

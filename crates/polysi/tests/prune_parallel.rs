@@ -11,8 +11,16 @@ use polysi::checker::Outcome;
 use polysi::dbsim::testkit::conformance_corpus;
 use polysi::history::Facts;
 use polysi::polygraph::{
-    ConstraintMode, OracleKind, Polygraph, PruneOptions, PruneResult, Semantics,
+    ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Polygraph, PruneOptions,
+    PruneResult, Semantics,
 };
+use polysi_obs::Tracer;
+use rebuild::prune_by_rebuild;
+
+/// The textbook Algorithm-1 loop the production prune is held against.
+mod rebuild {
+    include!("../../polygraph/tests/support/rebuild.rs");
+}
 
 const SEED: u64 = 0xD15C_0C0A;
 
@@ -76,6 +84,7 @@ fn prune_threads_are_deterministic_across_corpus() {
 /// every verdict and, on acceptance, on the surviving constraints.
 #[test]
 fn resolved_edge_sets_are_identical() {
+    let tracer = Tracer::disabled();
     let mut violations = 0usize;
     let mut reduced = 0usize;
     for case in corpus() {
@@ -90,52 +99,68 @@ fn resolved_edge_sets_are_identical() {
                 ConstraintMode::Generalized,
                 semantics,
             );
-            let run = |opts: PruneOptions| {
-                let mut g = base.clone();
-                let witness = match g.prune_with(&opts) {
+            let outcome = |g: Polygraph, result: PruneResult| {
+                let witness = match result {
                     PruneResult::Pruned(_) => None,
                     PruneResult::Violation(c) => Some(c),
                 };
                 (witness, g.known, g.constraints)
             };
+            let run = |opts: PruneOptions| {
+                let mut g = base.clone();
+                let result = g.prune(&opts, &tracer).0;
+                outcome(g, result)
+            };
             let seq = run(PruneOptions::default());
             for threads in [2usize, 4, 8] {
-                // parallel_min: 0 forces the threaded sweep on these small
-                // corpus worklists; the default size cutoff would otherwise
-                // route every case through the sequential fallback and
-                // compare sequential against sequential.
+                // `forced_parallel` runs the threaded sweep on these small
+                // corpus worklists; the size cutoff would otherwise route
+                // every case through the sequential fallback and compare
+                // sequential against sequential.
                 for chunk_size in [0usize, 1, 7] {
-                    let opts =
-                        PruneOptions { threads, chunk_size, parallel_min: 0, ..Default::default() };
                     assert!(
-                        seq == run(opts),
+                        seq == run(PruneOptions::forced_parallel(threads, chunk_size)),
                         "{}: {semantics:?} threads={threads} chunk={chunk_size} diverged",
                         case.name
                     );
                 }
             }
-            for oracle in [OracleKind::Dense, OracleKind::Chains] {
-                let opts =
-                    PruneOptions { oracle, threads: 4, parallel_min: 0, ..Default::default() };
+            // Either store, pinned: a pre-built oracle resumed with every
+            // transaction seeded sweeps exactly what `prune` sweeps.
+            for kind in [OracleKind::Dense, OracleKind::Chains] {
+                let mut g = base.clone();
+                let result = match KnownGraph::build_pinned(g.n, &g.known, semantics, kind) {
+                    KnownGraphResult::Cyclic(cycle) => PruneResult::Violation(cycle),
+                    KnownGraphResult::Acyclic(kg) => {
+                        assert_eq!(kg.oracle_kind(), kind);
+                        let opts = PruneOptions::forced_parallel(4, 0);
+                        g.prune_resume(kg, &vec![true; base.n], &opts, &tracer).0
+                    }
+                };
                 assert!(
-                    seq == run(opts),
-                    "{}: {semantics:?} oracle={oracle:?} diverged",
+                    seq == outcome(g, result),
+                    "{}: {semantics:?} oracle={kind:?} diverged",
                     case.name
                 );
             }
-            let rebuild = run(PruneOptions { incremental: false, ..Default::default() });
+            let mut rebuild = base.clone();
+            let accepted = prune_by_rebuild(&mut rebuild);
             assert_eq!(
-                seq.0.is_some(),
-                rebuild.0.is_some(),
+                seq.0.is_none(),
+                accepted,
                 "{}: rebuild and incremental verdicts diverged",
                 case.name
             );
-            if seq.0.is_some() {
-                violations += 1;
+            if accepted {
+                assert!(
+                    seq.2 == rebuild.constraints,
+                    "{}: surviving constraints diverged",
+                    case.name
+                );
+                assert!(seq.1.len() <= rebuild.known.len());
+                reduced += (seq.1.len() < rebuild.known.len()) as usize;
             } else {
-                assert!(seq.2 == rebuild.2, "{}: surviving constraints diverged", case.name);
-                assert!(seq.1.len() <= rebuild.1.len());
-                reduced += (seq.1.len() < rebuild.1.len()) as usize;
+                violations += 1;
             }
         }
     }

@@ -18,7 +18,9 @@ use polysi::workloads::{generate, GeneralParams};
 /// the independent Theorem-6 oracle plus the Cobra baselines agree.
 #[test]
 fn solver_stress_templates_have_anchored_verdicts() {
-    use polysi::checker::{check_si, oracle::oracle_check_si_with_limit, CheckOptions};
+    use polysi::checker::{
+        check, oracle::oracle_check_si_with_limit, EngineOptions, IsolationLevel,
+    };
     let opts = EngineOptions { interpret: false, ..Default::default() };
 
     let lattice = write_skew_lattice(0, 5);
@@ -56,7 +58,7 @@ fn solver_stress_templates_have_anchored_verdicts() {
     // Independent anchors.
     for (h, expect_si, expect_ser) in [(&lattice, true, false), (&clique, true, true)] {
         assert_eq!(oracle_check_si_with_limit(h, 20_000), expect_si, "Theorem-6 oracle");
-        assert_eq!(check_si(h, &CheckOptions::default()).is_si(), expect_si);
+        assert_eq!(check(h, IsolationLevel::Si, &EngineOptions::default()).is_si(), expect_si);
         assert_eq!(cobra_si_check(h).0 == SiVerdict::Si, expect_si, "CobraSI");
         assert_eq!(
             cobra_check_ser(h, &CobraOptions::default()).0 == SerVerdict::Serializable,
