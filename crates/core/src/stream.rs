@@ -328,15 +328,22 @@ impl StreamingChecker {
     /// Produce a verdict for the prefix ingested so far, re-checking only
     /// the components dirtied since the previous checkpoint.
     pub fn checkpoint(&mut self) -> CheckpointReport {
-        let report = {
+        let (report, disagreement) = {
             let mut span = self.obs.tracer.span_kv("checkpoint", kv! { seq: self.checkpoints + 1 });
-            let report = self.checkpoint_inner();
+            let (report, disagreement) = self.checkpoint_inner();
             span.attr("verdict", report.verdict.kind());
             span.attr("dirty", report.dirty);
             span.attr("rebuilt", report.rebuilt);
-            report
+            span.attr("disagreement", disagreement);
+            (report, disagreement)
         };
         let m = &self.obs.metrics;
+        if disagreement {
+            // Registered on first use, like `compact.retired_sessions`: a
+            // counter is a kilobyte of stripes, and most streams never
+            // need either.
+            m.counter("stream.disagreements").inc();
+        }
         m.counter("stream.checkpoints").inc();
         m.counter("stream.txns").add((report.txns - self.counted.0) as u64);
         m.counter("stream.ops").add((report.ops - self.counted.1) as u64);
@@ -345,10 +352,17 @@ impl StreamingChecker {
         m.counter("stream.rebuilt_components").add(report.rebuilt as u64);
         m.counter("compact.dropped_txns").add(report.compacted as u64);
         m.histogram_us("checkpoint.latency_us").observe_duration(report.elapsed);
+        // A dirty-recheck false positive is a bug in the delta machinery.
+        // A release build trusts the batch verdict (the counter and the
+        // span attribute above are what is left of it); a debug build
+        // stops here, after recording it.
+        debug_assert!(!disagreement, "streaming detector rejected a batch-accepted prefix");
         report
     }
 
-    fn checkpoint_inner(&mut self) -> CheckpointReport {
+    /// One checkpoint, and whether its delta detector rejected a prefix the
+    /// batch engine accepts.
+    fn checkpoint_inner(&mut self) -> (CheckpointReport, bool) {
         let t0 = Instant::now();
         self.checkpoints += 1;
         let seq = self.checkpoints;
@@ -382,7 +396,7 @@ impl StreamingChecker {
                 anomaly: rejection_anomaly(&rej.report),
                 first_violation_op: rej.op_index,
             };
-            return base(verdict, 0, 0, t0);
+            return (base(verdict, 0, 0, t0), false);
         }
 
         // Axiom state: batch-canonical reporting, graph work skipped (the
@@ -419,9 +433,10 @@ impl StreamingChecker {
                     checkpoint: seq,
                 });
                 let verdict = StreamVerdict::Rejected { anomaly: None, first_violation_op: ops };
-                return base(verdict, 0, 0, t0);
+                return (base(verdict, 0, 0, t0), false);
             }
-            return base(StreamVerdict::AxiomViolations { violations, healable }, 0, 0, t0);
+            let verdict = StreamVerdict::AxiomViolations { violations, healable };
+            return (base(verdict, 0, 0, t0), false);
         }
 
         // Drop cached state for components that merged away.
@@ -544,12 +559,11 @@ impl StreamingChecker {
             let (prefix, _) = self.stream.snapshot();
             let report = CheckEngine::new(self.isolation, self.opts).check(&prefix);
             if report.accepted() {
-                // A dirty-recheck false positive would be a bug in the
-                // delta machinery; trust the batch verdict, drop every
-                // cache so the next checkpoint rebuilds from scratch.
-                debug_assert!(false, "streaming detector rejected a batch-accepted prefix");
+                // A disagreement (see `checkpoint`): trust the batch
+                // verdict, drop every cache so the next checkpoint
+                // rebuilds from scratch.
                 self.comps.clear();
-                return base(StreamVerdict::Accepted, dirty, rebuilt, t0);
+                return (base(StreamVerdict::Accepted, dirty, rebuilt, t0), true);
             }
             let verdict = StreamVerdict::Rejected {
                 anomaly: rejection_anomaly(&report),
@@ -562,29 +576,40 @@ impl StreamingChecker {
                 txn_count: txns,
                 checkpoint: seq,
             });
-            return base(verdict, dirty, rebuilt, t0);
+            return (base(verdict, dirty, rebuilt, t0), false);
         }
 
         // Watermark GC: the settled prefix of every fully sealed component
-        // can be dropped now that the prefix is accepted.
+        // can be dropped now that the prefix is accepted. The span says
+        // what it freed: transactions, whole sessions, and what the
+        // duplicate-write evidence now holds.
         let compacted = {
             let mut span = self.obs.tracer.span("compact");
+            let retired = self.stream.retired_sessions();
             let compacted = self.maybe_compact();
+            let retired = self.stream.retired_sessions() - retired;
             span.attr("dropped", compacted);
+            span.attr("retired", retired);
+            span.attr("evidence_bytes", self.stream.facts().fences().heap_bytes());
+            if retired > 0 {
+                self.obs.metrics.counter("compact.retired_sessions").add(retired as u64);
+            }
             compacted
         };
         let mut report = base(StreamVerdict::Accepted, dirty, rebuilt, t0);
         report.live_txns = self.stream.len();
         report.compacted = compacted;
-        report
+        (report, false)
     }
 
     /// Compact the settled prefix of every eligible component (watermark
     /// GC). Called only after an accepted checkpoint, when the event
     /// cursor is fully drained.
     ///
-    /// Per component, the watermark requires: every contributing session
-    /// sealed, cached (accepted) pipeline state present, and a settled
+    /// Per component, the watermark requires: every live contributing
+    /// session sealed (a retired one is sealed and no longer listed, so the
+    /// test costs the live sessions only), cached (accepted) pipeline state
+    /// present, and a settled
     /// prefix — the complement of the *retained* set, which is the forward
     /// closure (along known dependency edges, plus each retained reader's
     /// `WR` sources) of the per-key final writers, the endpoints of the
@@ -1147,6 +1172,49 @@ mod tests {
         c.push_transaction(s0, vec![r(1, 7), w(1, 8)], TxnStatus::Committed);
         c.push_transaction(s1, vec![r(1, 7), w(1, 9)], TxnStatus::Committed);
         assert!(!c.checkpoint().verdict.accepted());
+    }
+
+    /// A delta detector that rejects a prefix the batch engine accepts is
+    /// counted and marked on its checkpoint span before anything else: a
+    /// release build then reports the batch verdict and rebuilds from
+    /// scratch, a debug build stops at the assertion.
+    #[test]
+    fn a_detector_disagreement_is_counted() {
+        let obs = Obs::enabled();
+        let mut c = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default())
+            .with_obs(obs.clone());
+        let s0 = c.session();
+        c.push_transaction(s0, vec![w(1, 1)], TxnStatus::Committed);
+        assert!(c.checkpoint().verdict.accepted());
+        // Corrupt the cached component: a known edge from the session's
+        // next transaction (local id 1) back to its first, which the
+        // coming session-order edge closes into a cycle no batch check
+        // sees.
+        let state = c.comps.values_mut().next().expect("one cached component");
+        let oracle = state.oracle.as_mut().expect("accepted state");
+        oracle.grow(2);
+        let poison = [Edge::new(TxnId(1), TxnId(0), Label::So)];
+        oracle.insert_edges(&poison, &mut state.poly.known, Flush::AtEnd).expect("still acyclic");
+        c.push_transaction(s0, vec![w(1, 2)], TxnStatus::Committed);
+
+        let cp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.checkpoint()));
+        assert_eq!(cp.is_err(), cfg!(debug_assertions), "only a debug build stops");
+        assert!(cp.is_err() || cp.is_ok_and(|cp| cp.verdict.accepted()));
+        assert_eq!(obs.metrics.counter("stream.disagreements").total(), 1);
+        let forest = polysi_obs::span::span_forest(&obs.tracer.events()).expect("well-nested");
+        let marks: Vec<bool> = forest
+            .iter()
+            .filter(|n| n.name == "checkpoint")
+            .map(|n| n.attrs.iter().any(|a| *a == ("disagreement", true.into())))
+            .collect();
+        assert_eq!(marks, [false, true]);
+
+        // The caches were dropped: the next checkpoint rebuilds and agrees.
+        c.push_transaction(s0, vec![w(1, 3)], TxnStatus::Committed);
+        let cp = c.checkpoint();
+        assert!(cp.verdict.accepted());
+        assert_eq!((cp.dirty, cp.rebuilt), (1, 1));
+        assert_eq!(obs.metrics.counter("stream.disagreements").total(), 1);
     }
 
     /// Monotone axiom violations are terminal.

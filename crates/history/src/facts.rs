@@ -87,9 +87,10 @@ pub enum AxiomViolation {
     /// A committed write below the compaction watermark: `txn` re-wrote a
     /// `(key, value)` pair whose original writer was already compacted
     /// away (streaming only — batch analysis reports this shape as a
-    /// [`AxiomViolation::DuplicateWrite`]). The dropped-value summary kept
-    /// across compaction (see `StreamFacts::dropped_values`) preserves the
-    /// UniqueValue evidence the writers themselves no longer carry.
+    /// [`AxiomViolation::DuplicateWrite`]). The key's fence record kept
+    /// across compaction (a [`crate::KeyFence`], see
+    /// `StreamFacts::fences`) preserves the UniqueValue evidence the
+    /// writers themselves no longer carry.
     CompactedDuplicateWrite { txn: TxnId, key: Key, value: Value },
 }
 

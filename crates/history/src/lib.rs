@@ -38,6 +38,7 @@ pub mod binfmt;
 pub mod codec;
 mod facts;
 pub mod fasthash;
+mod fence;
 mod history;
 mod ids;
 mod index;
@@ -49,6 +50,7 @@ pub mod stream;
 
 pub use facts::{AxiomViolation, Facts, WrSource};
 pub use fasthash::{FastMap, FastSet};
+pub use fence::{Fences, KeyFence};
 pub use history::{History, HistoryBuilder, SessionView};
 pub use ids::{Key, SessionId, TxnId, Value};
 pub use index::KeyIndex;

@@ -34,12 +34,13 @@
 //!   re-deriving anything from scratch.
 
 use crate::facts::{AxiomViolation, Facts, ReadFact, TxnEffects, WrSource};
-use crate::fasthash::FastMap;
+use crate::fasthash::{FastMap, FastSet};
+use crate::fence::Fences;
 use crate::history::{History, Transaction};
 use crate::ids::{Key, SessionId, TxnId, Value};
 use crate::live::IngestError;
 use crate::op::{Op, TxnStatus};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// One entry of the incremental graph-delta log: everything a checker
 /// needs to extend component polygraphs between two checkpoints. Events
@@ -111,20 +112,21 @@ pub struct StreamFacts {
     /// writes, writes of the reserved initial value). These never heal,
     /// unlike unresolved reads.
     monotone_violations: usize,
-    /// Keys with at least one writer dropped by compaction, with the
-    /// dropped-writer count. An initial-value read of a fenced key after
-    /// compaction can no longer be given its anti-dependency edges to the
-    /// dropped writers, so it is refused as a terminal
-    /// [`AxiomViolation::FencedRead`] rather than silently under-checked.
-    fenced: HashMap<Key, u32>,
-    /// Committed values compacted away, per key. Compaction removes the
-    /// `final_writer` entries the duplicate-write axiom consults, so a
-    /// later committed re-write of a dropped `(key, value)` pair would be
-    /// registered as if the value were fresh; this summary preserves the
-    /// uniqueness evidence, and such a re-write is refused as a terminal
-    /// [`AxiomViolation::CompactedDuplicateWrite`] — exactly where an
-    /// uncompacted run reports a `DuplicateWrite`.
-    dropped_values: HashMap<Key, HashSet<Value>>,
+    /// One fence record per key with at least one writer dropped by
+    /// compaction: the committed values those writers installed.
+    ///
+    /// * An initial-value read of a fenced key can no longer be given its
+    ///   anti-dependency edges to the dropped writers, so it is refused as
+    ///   a terminal [`AxiomViolation::FencedRead`] rather than silently
+    ///   under-checked.
+    /// * Compaction removes the `final_writer` entries the duplicate-write
+    ///   axiom consults, so a later committed re-write of a dropped
+    ///   `(key, value)` pair would be registered as if the value were
+    ///   fresh; the record keeps the uniqueness evidence, and such a
+    ///   re-write is refused as a terminal
+    ///   [`AxiomViolation::CompactedDuplicateWrite`] — exactly where an
+    ///   uncompacted run reports a `DuplicateWrite`.
+    fences: Fences,
     /// Watermark violations seen so far: fenced reads and duplicate
     /// writes of compacted values. Like monotone violations these never
     /// heal; unlike them they are streaming-only (a batch analysis of the
@@ -155,8 +157,7 @@ impl StreamFacts {
             unresolved: FastMap::default(),
             unresolved_count: 0,
             monotone_violations: 0,
-            fenced: HashMap::new(),
-            dropped_values: HashMap::new(),
+            fences: Fences::default(),
             watermark_violations: Vec::new(),
             events: Vec::new(),
             effects: TxnEffects::default(),
@@ -200,17 +201,12 @@ impl StreamFacts {
         &self.watermark_violations
     }
 
-    /// Keys fenced by compaction (at least one dropped writer), with the
-    /// dropped-writer count.
-    pub fn fenced_keys(&self) -> &HashMap<Key, u32> {
-        &self.fenced
-    }
-
-    /// Committed values dropped by compaction, per key — the uniqueness
-    /// evidence the duplicate-write axiom consults after the writers
-    /// themselves are gone.
-    pub fn dropped_values(&self) -> &HashMap<Key, HashSet<Value>> {
-        &self.dropped_values
+    /// The keys fenced by compaction (at least one dropped writer), each
+    /// with its [`crate::KeyFence`]: the committed values the dropped
+    /// writers installed — the uniqueness evidence the duplicate-write
+    /// axiom consults after the writers themselves are gone.
+    pub fn fences(&self) -> &Fences {
+        &self.fences
     }
 
     /// The append-only graph-delta log (see [`FactEvent`]).
@@ -246,7 +242,7 @@ impl StreamFacts {
         // analysis (which completes pass 1 before resolving).
         if committed {
             for &(key, value, _) in &fx.final_writes {
-                if self.dropped_values.get(&key).is_some_and(|vs| vs.contains(&value)) {
+                if self.fences.contains(key, value) {
                     // The first writer of this value was compacted away;
                     // its `final_writer` entry is gone, but the value is
                     // still taken. Registering the re-write would silently
@@ -275,19 +271,15 @@ impl StreamFacts {
         // Heal older reads that were waiting on these writes.
         if committed {
             for &(key, value, _) in &fx.final_writes {
-                if self.dropped_values.get(&key).is_some_and(|vs| vs.contains(&value)) {
-                    // A re-write of a dropped value was refused above and
-                    // must not heal readers waiting on that value: they
-                    // stay unresolved, as a read of dropped state should.
-                    continue;
-                }
-                let Some(waiting) = self.unresolved.remove(&(key, value)) else { continue };
-                // A duplicate committed write never reaches here (its
-                // final_writer entry predates it, so the first writer
-                // already resolved the waiters).
+                // Only the value's registered writer heals: a duplicate
+                // committed write (the first writer already resolved the
+                // waiters) and a refused re-write of a dropped value (its
+                // readers stay unresolved, as reads of dropped state
+                // should) hold no `final_writer` entry of their own.
                 if self.final_writer.get(&(key, value)) != Some(&id) {
                     continue;
                 }
+                let Some(waiting) = self.unresolved.remove(&(key, value)) else { continue };
                 self.unresolved_count -= waiting.len();
                 for r in waiting {
                     for slot in self.ext[r.idx()].iter_mut() {
@@ -307,7 +299,7 @@ impl StreamFacts {
         if committed {
             for &(key, value, _) in &fx.ext_reads {
                 let source = if value.is_init() {
-                    if self.fenced.contains_key(&key) {
+                    if self.fences.get(key).is_some() {
                         // The anti-dependency edges to the key's dropped
                         // writers cannot be produced any more — refuse
                         // loudly instead of under-checking.
@@ -343,9 +335,10 @@ impl StreamFacts {
     /// transaction has a known dependency edge into a dropped one — in
     /// particular every reader of a dropped writer is itself dropped and
     /// every `WR` source of a surviving reader survives — so the compacted
-    /// facts are exactly `Facts::analyze` of the compacted snapshot. Keys
-    /// losing a writer are fenced (see [`StreamFacts::fenced_keys`]); the
-    /// event log is cleared (consumers re-anchor their cursors at zero).
+    /// facts are exactly `Facts::analyze` of the compacted snapshot. The
+    /// values of the dropped writers join their keys' fence records (see
+    /// [`StreamFacts::fences`]); the event log is cleared (consumers
+    /// re-anchor their cursors at zero).
     fn compact(&mut self, map: &[u32]) {
         assert!(
             self.unresolved.is_empty() && self.unresolved_count == 0,
@@ -382,29 +375,30 @@ impl StreamFacts {
             self.rebuild_reads(TxnId(r as u32));
         }
 
-        let dropped_values = &mut self.dropped_values;
+        let mut dropped = Vec::new();
         self.final_writer.retain(|&(key, value), w| {
             if live(*w) {
                 *w = remap(*w);
                 true
             } else {
-                dropped_values.entry(key).or_default().insert(value);
+                dropped.push((key, value));
                 false
             }
         });
-        let fenced = &mut self.fenced;
-        self.facts.writers.retain(|&key, ws| {
+        // Each writer of a key registered exactly one final value of it, so
+        // the dropped values are the dropped writers, key by key.
+        let mut dropped_writers = 0;
+        self.facts.writers.retain(|_, ws| {
             let before = ws.len();
             ws.retain(|&w| live(w));
-            let dropped = (before - ws.len()) as u32;
-            if dropped > 0 {
-                *fenced.entry(key).or_insert(0) += dropped;
-            }
+            dropped_writers += before - ws.len();
             for w in ws.iter_mut() {
                 *w = remap(*w);
             }
             !ws.is_empty()
         });
+        debug_assert_eq!(dropped_writers, dropped.len(), "a dropped writer without its value");
+        self.fences.record(&mut dropped);
         let mut readers =
             FastMap::with_capacity_and_hasher(self.facts.readers.len(), Default::default());
         for ((key, w), mut rs) in self.facts.readers.drain() {
@@ -441,7 +435,8 @@ pub struct RootInfo {
     pub tag: u64,
     /// Member transactions (arrival ids), ascending.
     pub txns: Vec<TxnId>,
-    /// Member sessions, in discovery order.
+    /// Member sessions that have not retired (see
+    /// [`HistoryStream::compact`]), in discovery order.
     pub sessions: Vec<SessionId>,
     /// Keys touched by the component, in discovery order.
     pub keys: Vec<Key>,
@@ -554,6 +549,20 @@ impl StreamShards {
         node
     }
 
+    /// Remove retired sessions from their components' member lists. Their
+    /// nodes stay: a node may be its component's root, and a retired
+    /// session still has a component to answer for.
+    fn retire(&mut self, retired: &FastSet<SessionId>) {
+        let mut roots: Vec<u32> =
+            retired.iter().map(|s| self.find_compress(self.session_node[s.0 as usize])).collect();
+        roots.sort_unstable();
+        roots.dedup();
+        for root in roots {
+            let info = self.info.get_mut(&root).expect("a root has info");
+            info.sessions.retain(|s| !retired.contains(s));
+        }
+    }
+
     /// The component a session currently belongs to.
     pub fn component_of_session(&self, s: SessionId) -> &RootInfo {
         &self.info[&self.find(self.session_node[s.0 as usize])]
@@ -586,14 +595,19 @@ impl StreamShards {
 /// facts and shard structure (see the module docs).
 pub struct HistoryStream {
     txns: Vec<Transaction>,
-    /// Per-session arrival ids, in session order.
-    session_txns: Vec<Vec<TxnId>>,
+    /// Per live session, the arrival ids of its live transactions, in
+    /// session order. A retired session (see [`HistoryStream::compact`])
+    /// has no entry.
+    session_txns: FastMap<SessionId, Vec<TxnId>>,
+    /// Per session ever opened, whether it is sealed.
     sealed: Vec<bool>,
     ops: usize,
     /// Transactions dropped by watermark compaction (monotone; `ops` and
     /// `total_pushed` likewise never decrease, so progress counters agree
     /// between compacted and uncompacted runs of the same stream).
     compacted_txns: usize,
+    /// Sessions retired by compaction so far (monotone).
+    retired_sessions: usize,
     facts: StreamFacts,
     shards: StreamShards,
     /// Span tracer ([`polysi_obs`]); disabled by default. The streaming
@@ -613,10 +627,11 @@ impl HistoryStream {
     pub fn new() -> Self {
         HistoryStream {
             txns: Vec::new(),
-            session_txns: Vec::new(),
+            session_txns: FastMap::default(),
             sealed: Vec::new(),
             ops: 0,
             compacted_txns: 0,
+            retired_sessions: 0,
             facts: StreamFacts::new(),
             shards: StreamShards::new(),
             tracer: polysi_obs::Tracer::default(),
@@ -631,8 +646,8 @@ impl HistoryStream {
     /// Open a new session; returns its id. Sessions must be opened before
     /// transactions are pushed to them.
     pub fn session(&mut self) -> SessionId {
-        let id = SessionId(self.session_txns.len() as u32);
-        self.session_txns.push(Vec::new());
+        let id = SessionId(self.sealed.len() as u32);
+        self.session_txns.insert(id, Vec::new());
         self.sealed.push(false);
         self.shards.ensure_session(id);
         id
@@ -668,21 +683,8 @@ impl HistoryStream {
         ops: Vec<Op>,
         status: TxnStatus,
     ) -> Result<TxnId, IngestError> {
-        if (session.0 as usize) >= self.session_txns.len() {
-            return Err(IngestError::UnknownSession { session });
-        }
-        if self.sealed[session.0 as usize] {
-            return Err(IngestError::SealedSession { session });
-        }
-        if ops.is_empty() {
-            return Err(IngestError::EmptyTransaction { session });
-        }
-        let id = TxnId(self.txns.len() as u32);
-        self.ops += ops.len();
-        let index_in_session = self.session_txns[session.0 as usize].len() as u32;
-        self.session_txns[session.0 as usize].push(id);
-        let txn = Transaction { session, index_in_session, ops, status };
-        self.push_prepared(txn, id);
+        let (id, index_in_session) = self.admit(session, ops.len())?;
+        self.push_prepared(Transaction { session, index_in_session, ops, status }, id);
         Ok(id)
     }
 
@@ -697,22 +699,28 @@ impl HistoryStream {
         ops: &[Op],
         status: TxnStatus,
     ) -> Result<TxnId, IngestError> {
-        if (session.0 as usize) >= self.session_txns.len() {
-            return Err(IngestError::UnknownSession { session });
-        }
-        if self.sealed[session.0 as usize] {
-            return Err(IngestError::SealedSession { session });
-        }
-        if ops.is_empty() {
-            return Err(IngestError::EmptyTransaction { session });
-        }
-        let id = TxnId(self.txns.len() as u32);
-        self.ops += ops.len();
-        let index_in_session = self.session_txns[session.0 as usize].len() as u32;
-        self.session_txns[session.0 as usize].push(id);
+        let (id, index_in_session) = self.admit(session, ops.len())?;
         let txn = Transaction { session, index_in_session, ops: ops.to_vec(), status };
         self.push_prepared(txn, id);
         Ok(id)
+    }
+
+    /// Shared head of the two push paths: check the delivery contract,
+    /// then give the transaction its arrival id and its place in the
+    /// session. A retired session is sealed, so a push to it is refused
+    /// like any push after a seal.
+    fn admit(&mut self, session: SessionId, ops: usize) -> Result<(TxnId, u32), IngestError> {
+        match self.sealed.get(session.0 as usize) {
+            None => return Err(IngestError::UnknownSession { session }),
+            Some(true) => return Err(IngestError::SealedSession { session }),
+            Some(false) if ops == 0 => return Err(IngestError::EmptyTransaction { session }),
+            Some(false) => {}
+        }
+        let id = TxnId(self.txns.len() as u32);
+        self.ops += ops;
+        let txns = self.session_txns.get_mut(&session).expect("an unsealed session is live");
+        txns.push(id);
+        Ok((id, txns.len() as u32 - 1))
     }
 
     /// Shared tail of the two push paths: union the session with every
@@ -782,9 +790,15 @@ impl HistoryStream {
         self.txns.is_empty()
     }
 
-    /// Number of opened sessions.
+    /// Number of opened sessions (retired ones included).
     pub fn num_sessions(&self) -> usize {
-        self.session_txns.len()
+        self.sealed.len()
+    }
+
+    /// Sessions retired by compaction so far (see
+    /// [`HistoryStream::compact`]).
+    pub fn retired_sessions(&self) -> usize {
+        self.retired_sessions
     }
 
     /// Total operations pushed.
@@ -801,7 +815,7 @@ impl HistoryStream {
     pub fn session_predecessor(&self, id: TxnId) -> Option<TxnId> {
         let t = &self.txns[id.idx()];
         let idx = t.index_in_session as usize;
-        (idx > 0).then(|| self.session_txns[t.session.0 as usize][idx - 1])
+        (idx > 0).then(|| self.session_txns[&t.session][idx - 1])
     }
 
     /// Watermark compaction: drop the transactions with `drop[id] == true`
@@ -829,56 +843,83 @@ impl HistoryStream {
     /// are refused as terminal [`AxiomViolation::FencedRead`]s, and later
     /// committed re-*writes* of a dropped value are refused as terminal
     /// [`AxiomViolation::CompactedDuplicateWrite`]s (see
-    /// [`StreamFacts::dropped_values`]).
+    /// [`StreamFacts::fences`]: per fenced key one [`crate::KeyFence`],
+    /// the exact, gap-encoded set of the dropped writers' values).
+    ///
+    /// A sealed session whose last live transaction is dropped **retires**:
+    /// its transaction list is freed and it leaves its component's
+    /// [`RootInfo::sessions`], so no later compaction or checkpoint visits
+    /// it. What it keeps is its seal bit and its union–find node; its
+    /// [`SessionId`] stays valid — a push is refused as
+    /// [`IngestError::SealedSession`], a seal is an idempotent `Ok`, and
+    /// [`HistoryStream::snapshot`] emits it as an empty session.
+    ///
+    /// The work is linear in the live transactions and the live sessions,
+    /// never in the sessions ever opened: the session prefixes come from
+    /// the dropped transactions, the per-session lists from those dropped
+    /// and kept.
     pub fn compact(&mut self, drop: &[bool]) -> Vec<u32> {
         assert_eq!(drop.len(), self.txns.len(), "drop mask must cover the live transactions");
         let mut span =
             self.tracer.span_kv("history.compact", polysi_obs::kv! { txns: self.txns.len() });
+        // Old → new ids, and the length of each session's dropped prefix.
+        // Session-order edges point forward, so a forward-closed drop set
+        // is a prefix of every session; a session's transactions arrive in
+        // session order, so that holds iff its k-th dropped one is its
+        // k-th live one.
         let mut map = vec![u32::MAX; self.txns.len()];
+        let mut prefix: FastMap<SessionId, u32> = FastMap::default();
         let mut next = 0u32;
         for (i, &d) in drop.iter().enumerate() {
-            if d {
-                let session = self.txns[i].session;
-                assert!(
-                    self.sealed[session.0 as usize],
-                    "compact a transaction of unsealed session {session:?}"
-                );
-            } else {
+            if !d {
                 map[i] = next;
                 next += 1;
+                continue;
             }
+            let t = &self.txns[i];
+            let session = t.session;
+            assert!(
+                self.sealed[session.0 as usize],
+                "compact a transaction of unsealed session {session:?}"
+            );
+            let p = prefix.entry(session).or_insert(0);
+            assert!(
+                t.index_in_session == *p,
+                "dropped transactions of session {session:?} are not a session prefix"
+            );
+            *p += 1;
         }
         let dropped = self.txns.len() - next as usize;
         span.attr("dropped", dropped);
         if dropped == 0 {
             return map;
         }
-        // Session-order edges point forward, so a forward-closed drop set
-        // is a prefix of every session.
-        let mut prefix = vec![0u32; self.session_txns.len()];
-        for (s, txns) in self.session_txns.iter().enumerate() {
-            let p = txns.iter().take_while(|id| drop[id.idx()]).count();
-            assert!(
-                txns[p..].iter().all(|id| !drop[id.idx()]),
-                "dropped transactions of session {s} are not a session prefix"
-            );
-            prefix[s] = p as u32;
-        }
         let mut kept = Vec::with_capacity(next as usize);
         for (i, mut t) in std::mem::take(&mut self.txns).into_iter().enumerate() {
             if drop[i] {
                 continue;
             }
-            t.index_in_session -= prefix[t.session.0 as usize];
+            t.index_in_session -= prefix.get(&t.session).copied().unwrap_or(0);
             kept.push(t);
         }
         self.txns = kept;
-        for txns in self.session_txns.iter_mut() {
-            txns.retain(|id| !drop[id.idx()]);
+        let mut retired: FastSet<SessionId> = FastSet::default();
+        for (&s, &p) in &prefix {
+            let txns = self.session_txns.get_mut(&s).expect("a session with live transactions");
+            if p as usize == txns.len() {
+                self.session_txns.remove(&s);
+                retired.insert(s);
+            } else {
+                txns.drain(..p as usize);
+            }
+        }
+        for txns in self.session_txns.values_mut() {
             for id in txns.iter_mut() {
                 *id = TxnId(map[id.idx()]);
             }
         }
+        self.shards.retire(&retired);
+        self.retired_sessions += retired.len();
         self.facts.compact(&map);
         for info in self.shards.info.values_mut() {
             info.txns.retain(|id| !drop[id.idx()]);
@@ -903,13 +944,15 @@ impl HistoryStream {
     /// Materialize the current prefix as a session-major [`History`], plus
     /// the arrival-id → session-major-id mapping. `Facts::analyze` /
     /// `ShardPlan::analyze` / the batch engine on the result see exactly
-    /// this prefix.
+    /// this prefix. Every session ever opened is emitted, a retired one as
+    /// an empty session, so session ids match the stream's.
     pub fn snapshot(&self) -> (History, Vec<TxnId>) {
         let mut h = History::new();
-        let mut start = vec![0u32; self.session_txns.len()];
+        let mut start = vec![0u32; self.sealed.len()];
         let mut acc = 0u32;
-        for (s, txns) in self.session_txns.iter().enumerate() {
-            start[s] = acc;
+        for (s, start) in start.iter_mut().enumerate() {
+            let txns = self.session_txns.get(&SessionId(s as u32)).map_or(&[][..], Vec::as_slice);
+            *start = acc;
             acc += txns.len() as u32;
             h.push_session(
                 txns.iter()
@@ -932,6 +975,7 @@ impl HistoryStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fence::KeyFence;
     use crate::history::HistoryBuilder;
     use crate::shard::ShardPlan;
 
@@ -1099,7 +1143,7 @@ mod tests {
         assert_eq!(s.total_pushed(), 3);
         assert_eq!(s.num_ops(), 3, "ops stay monotone across compaction");
         assert!(s.facts().events().is_empty(), "event log is cleared");
-        assert_eq!(s.facts().fenced_keys().get(&k(1)), Some(&1));
+        assert_eq!(s.facts().fences().get(k(1)).map(KeyFence::len), Some(1));
         assert_eq!(s.session_predecessor(TxnId(0)), None, "T1 is now a session head");
         assert!(s.facts().axioms_ok());
 
@@ -1133,6 +1177,62 @@ mod tests {
         assert_eq!(s.compacted_txns(), 1);
     }
 
+    /// A sealed session whose last live transaction is compacted retires:
+    /// it leaves the per-session lists and its component's member list,
+    /// while its id keeps every contract of a sealed session and the
+    /// snapshot still shows it, empty.
+    #[test]
+    fn a_fully_compacted_sealed_session_retires() {
+        let mut s = HistoryStream::new();
+        let s0 = s.session();
+        let s1 = s.session();
+        let s2 = s.session();
+        s.push_transaction(s0, vec![w(k(1), v(1))], TxnStatus::Committed);
+        s.push_transaction(s0, vec![w(k(1), v(2))], TxnStatus::Committed);
+        s.push_transaction(s1, vec![w(k(1), v(3))], TxnStatus::Committed);
+        s.push_transaction(s2, vec![r(k(1), v(3))], TxnStatus::Committed);
+        s.seal_session(s0);
+        assert_eq!(s.shards().component_of_session(s1).sessions.len(), 3);
+
+        let map = s.compact(&[true, true, false, false]);
+        assert_eq!(map, vec![u32::MAX, u32::MAX, 0, 1]);
+        assert_eq!((s.retired_sessions(), s.num_sessions()), (1, 3));
+        assert!(!s.session_txns.contains_key(&s0), "the retired session's list is freed");
+        let component = s.shards().component_of_session(s1);
+        assert_eq!(component.sessions.len(), 2);
+        assert!(!component.sessions.contains(&s0));
+        assert_eq!(s.shards().component_of_session(s0).tag, component.tag);
+
+        // The id keeps the contracts of a sealed session.
+        assert_eq!(
+            s.try_push_transaction(s0, vec![w(k(1), v(4))], TxnStatus::Committed),
+            Err(IngestError::SealedSession { session: s0 })
+        );
+        assert_eq!(
+            s.try_push_transaction_slice(s0, &[w(k(1), v(4))], TxnStatus::Committed),
+            Err(IngestError::SealedSession { session: s0 })
+        );
+        assert_eq!(s.try_seal_session(s0), Ok(()));
+        assert!(s.is_sealed(s0));
+        assert_eq!((s.len(), s.num_sessions(), s.total_pushed()), (2, 3, 4));
+
+        // The snapshot shows it as an empty session, and the stream keeps
+        // growing around it.
+        s.push_transaction(s1, vec![r(k(1), v(3)), w(k(1), v(5))], TxnStatus::Committed);
+        let (h, map) = s.snapshot();
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.session();
+        b.begin().write(k(1), v(3)).commit();
+        b.begin().read(k(1), v(3)).write(k(1), v(5)).commit();
+        b.session();
+        b.begin().read(k(1), v(3)).commit();
+        assert_eq!(h, b.build());
+        assert_eq!(map, vec![TxnId(0), TxnId(2), TxnId(1)]);
+        assert_eq!(s.session_predecessor(TxnId(2)), Some(TxnId(0)));
+        assert!(s.facts().axioms_ok());
+    }
+
     /// A later initial-value read of a fenced key (one with dropped
     /// writers) is refused as a terminal fenced read.
     #[test]
@@ -1158,8 +1258,8 @@ mod tests {
     }
 
     /// A later committed re-write of a *dropped value* is refused via the
-    /// dropped-value summary — the stream-level half of closing the PR 7
-    /// duplicate-write gap (an uncompacted run reports `DuplicateWrite`
+    /// key's fence record — the stream-level half of closing the
+    /// watermark's duplicate-write gap (an uncompacted run reports `DuplicateWrite`
     /// here; a compacted one must not silently accept).
     #[test]
     fn rewrites_of_dropped_values_are_terminal() {
@@ -1170,7 +1270,7 @@ mod tests {
         s.push_transaction(s0, vec![w(k(1), v(2))], TxnStatus::Committed);
         s.seal_session(s0);
         s.compact(&[true, false]);
-        assert_eq!(s.facts().dropped_values()[&k(1)].len(), 1);
+        assert_eq!(s.facts().fences().get(k(1)).map(KeyFence::len), Some(1));
         // Re-writing the *surviving* value's key with a fresh value is fine.
         s.push_transaction(s1, vec![w(k(1), v(3))], TxnStatus::Committed);
         assert!(s.facts().axioms_ok());

@@ -38,7 +38,7 @@ fn axiom_class(v: &polysi::history::AxiomViolation) -> &'static str {
         A::WroteInitValue { .. } => "wrote-init-value",
         A::FencedRead { .. } => "fenced read",
         // Same class as `DuplicateWrite` on purpose: a compacting run that
-        // catches a duplicate via the dropped-value summary must digest
+        // catches a duplicate via the key's fence record must digest
         // identically to the uncompacted run that still has the writer.
         A::CompactedDuplicateWrite { .. } => "unique-value violation",
     }
@@ -159,7 +159,7 @@ fn assert_compaction_invisible(
                 // silently accepted, and never via a spurious cycle.
                 let facts = checker.stream().facts();
                 assert!(
-                    !facts.fenced_keys().is_empty() || !facts.watermark_violations().is_empty(),
+                    !facts.fences().is_empty() || !facts.watermark_violations().is_empty(),
                     "{label}/{mode}: verdict diverged without any fenced key: {d} vs {d_off}"
                 );
                 assert!(

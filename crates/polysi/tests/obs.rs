@@ -443,6 +443,75 @@ fn delta_checkpoints_are_attributed_to_their_phases() {
     assert!(!obs.tracer.is_enabled() && obs.tracer.events().is_empty());
 }
 
+/// Compaction says what it freed. A soak-shaped stream — 16 waves of
+/// eight fresh sessions over a fixed set of 32 keys, each wave reading the
+/// previous one's final versions, sealed and checkpointed — retires every
+/// session of the wave before, once settled: the `compact` span counts
+/// them in `retired` (as the `compact.retired_sessions` counter does), and
+/// its `evidence_bytes` — the heap of the duplicate-write evidence — grows
+/// by less than 16 B per value dropped.
+#[test]
+fn compaction_reports_retired_sessions_and_evidence_bytes() {
+    use polysi::checker::engine::CompactMode;
+    use polysi::history::{Key, Op, TxnStatus, Value};
+    let opts = EngineOptions {
+        compact: CompactMode::On,
+        checkpoint_threads: CheckpointThreads::Fixed(1),
+        ..EngineOptions::default()
+    };
+    let obs = Obs::enabled();
+    let mut checker = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs.clone());
+    let key = |slot: u64, i: u64| Key(1 + slot * 4 + i % 4);
+    let mut latest = std::collections::HashMap::new();
+    let mut value = 0u64;
+    let mut dropped = Vec::new();
+    for _wave in 0..16 {
+        let sessions: Vec<_> = (0..8).map(|_| checker.session()).collect();
+        for t in 0..32u64 {
+            for (slot, &s) in (0u64..).zip(&sessions) {
+                let k = key(slot, t);
+                let read =
+                    if t < 4 { Some(k) } else { (t % 8 == 3).then(|| key((slot + 1) % 8, t)) };
+                let mut ops: Vec<Op> = read
+                    .and_then(|r| latest.get(&r).map(|&v| Op::Read { key: r, value: v }))
+                    .into_iter()
+                    .collect();
+                value += 1;
+                ops.push(Op::Write { key: k, value: Value(value) });
+                latest.insert(k, Value(value));
+                checker.push_transaction(s, ops, TxnStatus::Committed);
+            }
+        }
+        sessions.iter().for_each(|&s| checker.seal_session(s));
+        let cp = checker.checkpoint();
+        assert!(cp.verdict.accepted());
+        dropped.push(cp.compacted as u64);
+    }
+
+    let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+    let attr = |node: &SpanNode, key: &str| match node.attrs.iter().find(|(k, _)| *k == key) {
+        Some((_, AttrValue::U64(n))) => *n,
+        other => panic!("{}.{key} is {other:?}", node.name),
+    };
+    let compacts: Vec<&SpanNode> = forest
+        .iter()
+        .filter(|n| n.name == "checkpoint")
+        .map(|cp| cp.children.last().filter(|c| c.name == "compact").expect("compact span"))
+        .collect();
+    let retired: Vec<u64> = compacts.iter().map(|c| attr(c, "retired")).collect();
+    let evidence: Vec<u64> = compacts.iter().map(|c| attr(c, "evidence_bytes")).collect();
+    println!("dropped {dropped:?}\nretired {retired:?}\nevidence_bytes {evidence:?}");
+    assert_eq!(retired[0], 0, "the first wave's final writers are still live");
+    assert_eq!(retired[1..], [8; 15], "each checkpoint retires the wave before");
+    assert_eq!(
+        obs.metrics.counter("compact.retired_sessions").total(),
+        retired.iter().sum::<u64>()
+    );
+    let growth = evidence[15] - evidence[0];
+    let values: u64 = dropped[1..].iter().sum();
+    assert!(values > 0 && growth < 16 * values, "{growth} B for {values} dropped values");
+}
+
 #[test]
 fn cli_check_report_json_round_trips() {
     let out = bin()
