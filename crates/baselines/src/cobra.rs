@@ -17,7 +17,8 @@
 //!   known path `v ⇝ u` is impossible.
 //!
 //! No GPU acceleration exists in this environment; this corresponds to the
-//! paper's "CobraSI w/o GPU" configuration (see EXPERIMENTS.md).
+//! paper's "CobraSI w/o GPU" configuration (see the README's "Scaling and
+//! substitutions").
 //!
 //! The same SER semantics (plain acyclicity + RMW inference) is also a
 //! first-class mode of the main pipeline

@@ -11,8 +11,8 @@
 //! rule of Figure 4b) + the same SAT-modulo-acyclicity backend on the
 //! doubled graph. It is sound and complete for SI but carries more
 //! constraints and prunes less than PolySI, which is what the paper's
-//! Figure 6 measures. No GPU variant exists here (documented in
-//! EXPERIMENTS.md).
+//! Figure 6 measures. No GPU variant exists here (README, "Scaling and
+//! substitutions").
 
 use polysi_history::{Facts, History};
 use polysi_polygraph::{

@@ -2,8 +2,8 @@
 //! billion keys and one million transactions (hours, ~40 GB); this
 //! reproduction runs the same workload *shape* — 20 sessions, short (15-op)
 //! and long transactions mixed, sweeping read proportion and long-
-//! transaction size — scaled via `POLYSI_SCALE` (see EXPERIMENTS.md for
-//! the scaling argument). The expected shape: time grows roughly linearly
+//! transaction size — scaled via `POLYSI_SCALE` (see the README's "Scaling
+//! and substitutions" for the scaling argument). The expected shape: time grows roughly linearly
 //! with transaction size, memory stays flat.
 
 use polysi_bench::{csv_append, measure, scale, scaled, Checker, CountingAllocator, Timeout};

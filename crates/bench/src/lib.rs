@@ -1,7 +1,7 @@
 //! # polysi-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (Section 5); see
-//! DESIGN.md's experiment index. Binaries print the same rows/series the
+//! the README's "Experiment index". Binaries print the same rows/series the
 //! paper plots and append machine-readable CSV under `bench_results/`.
 //!
 //! Shared infrastructure: a byte-counting global allocator (memory figures

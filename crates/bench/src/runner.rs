@@ -44,8 +44,8 @@ impl Checker {
 }
 
 /// A timeout emulation: dbcop gets a state budget; SAT-based checkers are
-/// wall-clock-bounded only through workload sizing (documented in
-/// EXPERIMENTS.md).
+/// wall-clock-bounded only through workload sizing (README, "Scaling and
+/// substitutions").
 #[derive(Clone, Copy, Debug)]
 pub struct Timeout {
     /// dbcop search-state budget (~states explored within the paper's

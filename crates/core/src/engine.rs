@@ -149,36 +149,6 @@ impl PruneThreads {
     }
 }
 
-/// Worker threads for the streaming checker's dirty-component sweep at a
-/// checkpoint (CLI `--checkpoint-threads`). Each dirty component's
-/// delta-extend (or rebuild) is independent of the others, so the sweep
-/// fans out over scoped threads exactly like the sharded batch engine;
-/// checkpoint reports are byte-identical for any setting — the verdict,
-/// violation list, and witness are canonical functions of the session-major
-/// snapshot, and the per-checkpoint stats are order-independent counts.
-/// Ignored by batch checks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CheckpointThreads {
-    /// Use the machine's available parallelism, capped at the number of
-    /// dirty components.
-    #[default]
-    Auto,
-    /// Exactly `n` workers (1 = the sequential sweep).
-    Fixed(usize),
-}
-
-impl CheckpointThreads {
-    /// Resolve to a concrete worker count for `dirty` dirty components.
-    pub(crate) fn resolve(self, dirty: usize) -> usize {
-        let cores = cores();
-        match self {
-            CheckpointThreads::Fixed(n) => n.clamp(1, cores.saturating_mul(4).max(64)),
-            CheckpointThreads::Auto => cores,
-        }
-        .min(dirty.max(1))
-    }
-}
-
 /// Watermark compaction of the streaming checker's settled prefix
 /// (CLI `--compact`). Batch checks ignore it; with streaming, any setting
 /// yields the same checkpoint verdicts, violation lists, and witnesses as
@@ -272,10 +242,6 @@ pub struct EngineOptions {
     /// Watermark compaction of the streaming checker's settled prefix
     /// ([`CompactMode`]); ignored by batch checks.
     pub compact: CompactMode,
-    /// Worker parallelism of the streaming checker's dirty-component
-    /// sweep at a checkpoint ([`CheckpointThreads`]); ignored by batch
-    /// checks.
-    pub checkpoint_threads: CheckpointThreads,
 }
 
 impl Default for EngineOptions {
@@ -288,7 +254,6 @@ impl Default for EngineOptions {
             phase_seeding: true,
             prune_threads: PruneThreads::Auto,
             compact: CompactMode::Auto,
-            checkpoint_threads: CheckpointThreads::Auto,
         }
     }
 }
@@ -418,7 +383,7 @@ impl CheckEngine {
         });
         let mut unit = match plan.filter(ShardPlan::is_shardable) {
             Some(plan) => self.check_shards(h, &facts, &plan),
-            None => self.check_unit(h, &facts, None, self.prune_options(&facts, 1)),
+            None => self.check_unit(h, &facts, None, self.prune_options(1)),
         };
 
         unit.timings.constructing += axioms_time;
@@ -467,7 +432,7 @@ impl CheckEngine {
         let workers = cores().clamp(1, ncomp);
         // Shard pipelines run `workers`-wide, so each unit's intra-prune
         // sweep gets a proportional share of the machine.
-        let prune_opts = self.prune_options(facts, workers);
+        let prune_opts = self.prune_options(workers);
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, UnitReport)>> = Mutex::new(Vec::with_capacity(ncomp));
         std::thread::scope(|s| {
@@ -522,8 +487,8 @@ impl CheckEngine {
 
     /// Prune options for one pipeline unit, `units` of which prune
     /// concurrently.
-    fn prune_options(&self, facts: &Facts, units: usize) -> PruneOptions {
-        prune_options_for(&self.opts, facts.mean_txn_degree(), units)
+    fn prune_options(&self, units: usize) -> PruneOptions {
+        PruneOptions::new(self.opts.prune_threads.resolve(units))
     }
 
     /// Stages Construct → Prune → Encode → Solve for one unit: the whole
@@ -651,24 +616,6 @@ impl CheckEngine {
         m.histogram_us("check.encode_us").observe_duration(t.encoding);
         m.histogram_us("check.solve_us").observe_duration(t.solving);
     }
-}
-
-/// Prune options for one pipeline unit, `units` of which prune
-/// concurrently: the thread knob resolves against the machine, and the
-/// sweep chunk size derives from the history's mean txn degree
-/// ([`Facts::mean_txn_degree`], or the streaming checker's running
-/// equivalent) — high-degree workloads carry more edges per constraint, so
-/// chunks shrink to keep parallel sweep stragglers short. Shared between
-/// the batch engine and the streaming checker so the two pipelines always
-/// run the same configuration.
-pub(crate) fn prune_options_for(
-    opts: &EngineOptions,
-    mean_txn_degree: f64,
-    units: usize,
-) -> PruneOptions {
-    let threads = opts.prune_threads.resolve(units);
-    let chunk_size = (512.0 / (1.0 + mean_txn_degree)).round() as usize;
-    PruneOptions::new(threads, chunk_size.clamp(16, 512))
 }
 
 /// Fold the counters of one prune call (batch: the merged report's; stream:

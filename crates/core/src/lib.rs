@@ -57,8 +57,7 @@ pub use check::{
     CheckReport, EncodeStats, OracleCounts, Outcome, SolveStats, StageTimings, Violation,
 };
 pub use engine::{
-    check, CheckEngine, CheckpointThreads, EngineOptions, IsolationLevel, PruneThreads, ShardStats,
-    Sharding, Stage,
+    check, CheckEngine, EngineOptions, IsolationLevel, PruneThreads, ShardStats, Sharding, Stage,
 };
 pub use interpret::{Certainty, Scenario};
 pub use list::{check_si_list, ListHistory, ListOp, ListReport, ListTxn, ListViolation};

@@ -33,15 +33,14 @@
 //!   ([`Polygraph::prune_resume`]) instead of sweeping every constraint.
 //!
 //! **A checkpoint costs its delta.** Global → local ids are one read of
-//! the checker's `local_of` column (filled by the sequential parts of a
-//! checkpoint; the component workers only read it), the delta's dedup and
-//! pair sets hash with the seeded fold-multiply hasher of
-//! `polysi_history::fasthash`, and the thread knobs resolve against a core
-//! count read once per process. The Encode → Solve tail is the batch
-//! engine's (`engine::encode_and_solve`) and costs the constraints that
-//! *survive*: a dirty component whose resumed prune leaves none is accepted
-//! without building a solver — the common case on update-heavy streams —
-//! so the registry's `encode.*` / `solver.*` counters count only the
+//! the checker's `local_of` column, the delta's dedup and pair sets hash
+//! with the seeded fold-multiply hasher of `polysi_history::fasthash`, and
+//! the prune thread knob resolves against a core count read once per
+//! process. The dirty components are checked one after another. The
+//! Encode → Solve tail is the batch engine's (`engine::encode_and_solve`)
+//! and costs the constraints that *survive*: a dirty component whose
+//! resumed prune leaves none is accepted without building a solver — the
+//! common case on update-heavy streams — so the registry's `encode.*` / `solver.*` counters count only the
 //! instances actually built and the solver calls actually made. When
 //! constraints do survive, the instance is rebuilt from the component's
 //! whole known graph (solver state is not incremental); clean components
@@ -80,8 +79,8 @@
 //!
 //! Streaming requires the default engine configuration of the graph
 //! stages: generalized constraints and pruning enabled (the prune oracle
-//! *is* the incremental structure). Thread knobs apply unchanged;
-//! interpretation runs inside the canonical batch report.
+//! *is* the incremental structure). The prune thread knob applies
+//! unchanged; interpretation runs inside the canonical batch report.
 
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, Outcome};
@@ -99,8 +98,6 @@ use polysi_polygraph::{
     PruneResult,
 };
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The verdict of one checkpoint.
@@ -214,15 +211,11 @@ pub struct StreamingChecker {
     comps: FastMap<u64, ComponentState>,
     /// Arrival id → local id within the transaction's component (its
     /// position in that [`ComponentState::txns`]): what
-    /// `ShardPlan::local_of` is for a batch check. Written only by the
-    /// sequential parts of a checkpoint — the event-grouping loop, the
-    /// collection of rebuild jobs, compaction — so the component workers
-    /// just read it. Covers every transaction of a cached component.
+    /// `ShardPlan::local_of` is for a batch check. Written by the
+    /// event-grouping loop, the collection of rebuild jobs and compaction;
+    /// the component jobs just read it. Covers every transaction of a
+    /// cached component.
     local_of: Vec<u32>,
-    /// `(Txn events, other events)` consumed so far: their ratio is the
-    /// running mean transaction degree ([`Facts::mean_txn_degree`] without
-    /// the scan), which sizes the chunks of a threaded prune sweep.
-    degree: (usize, usize),
     /// Events consumed from the stream's fact log.
     cursor: usize,
     checkpoints: usize,
@@ -248,7 +241,6 @@ impl StreamingChecker {
             stream: HistoryStream::new(),
             comps: FastMap::default(),
             local_of: Vec::new(),
-            degree: (0, 0),
             cursor: 0,
             checkpoints: 0,
             rejection: None,
@@ -445,11 +437,10 @@ impl StreamingChecker {
         // Collect the dirty components as independent jobs: each owns its
         // cached state (if any) and its events, grouped by their *current*
         // component. A cached component's new transactions join its member
-        // list — and get their local ids — right here, so the workers only
-        // read the `local_of` column. Every job runs — even after one
-        // rejects — so `rebuilt` and the cached states are identical for
-        // any worker count (the canonical rejection report below is a pure
-        // function of the snapshot either way).
+        // list — and get their local ids — right here, so the jobs only
+        // read the `local_of` column. Every job runs, even after one
+        // rejects (the canonical rejection report below is a pure function
+        // of the snapshot).
         struct DirtyJob<'a> {
             info: &'a RootInfo,
             events: Vec<FactEvent>,
@@ -475,17 +466,11 @@ impl StreamingChecker {
                 state: self.comps.remove(&info.tag),
             });
             job.events.push(ev);
-            match ev {
-                FactEvent::Txn { id } => {
-                    self.degree.0 += 1;
-                    // (A rebuild numbers its whole component, below.)
-                    if let Some(state) = &mut job.state {
-                        debug_assert!(state.txns.last().is_none_or(|&t| t < id));
-                        self.local_of[id.idx()] = state.txns.len() as u32;
-                        state.txns.push(id);
-                    }
-                }
-                _ => self.degree.1 += 1,
+            // (A rebuild numbers its whole component, below.)
+            if let (FactEvent::Txn { id }, Some(state)) = (ev, &mut job.state) {
+                debug_assert!(state.txns.last().is_none_or(|&t| t < id));
+                self.local_of[id.idx()] = state.txns.len() as u32;
+                state.txns.push(id);
             }
         }
         self.cursor = events.len();
@@ -498,55 +483,23 @@ impl StreamingChecker {
         drop(group_span);
 
         let dirty = jobs.len();
-        let workers = self.opts.checkpoint_threads.resolve(dirty);
-        let mean_degree = self.degree.1 as f64 / self.degree.0.max(1) as f64;
-        let prune_opts = crate::engine::prune_options_for(&self.opts, mean_degree, workers);
-
-        let run_job = |job: DirtyJob<'_>| -> (u64, ComponentState, bool, bool) {
+        let prune_opts = PruneOptions::new(self.opts.prune_threads.resolve(1));
+        let (mut rebuilt, mut rejected) = (0usize, false);
+        for job in jobs {
             let tag = job.info.tag;
+            let was_rebuilt = job.state.is_none();
             let mut span =
                 self.obs.tracer.span_kv("component", kv! { tag: tag, events: job.events.len() });
-            let (state, ok, was_rebuilt) = match job.state {
+            let (state, ok) = match job.state {
                 Some(mut state) => {
                     let ok = self.check_delta(&mut state, &job.events, &prune_opts);
-                    (state, ok, false)
+                    (state, ok)
                 }
-                None => {
-                    let (state, ok) = self.check_rebuild(job.info, &prune_opts);
-                    (state, ok, true)
-                }
+                None => self.check_rebuild(job.info, &prune_opts),
             };
             span.attr("rebuilt", was_rebuilt);
             span.attr("ok", ok);
-            (tag, state, ok, was_rebuilt)
-        };
-        let results: Vec<(u64, ComponentState, bool, bool)> = if workers <= 1 {
-            jobs.into_iter().map(run_job).collect()
-        } else {
-            // Scoped-thread fan-out with atomic work stealing, mirroring
-            // the sharded batch engine's `check_shards`.
-            let slots: Vec<Mutex<Option<DirtyJob>>> =
-                jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-            let next = AtomicUsize::new(0);
-            let out: Mutex<Vec<(u64, ComponentState, bool, bool)>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= slots.len() {
-                            break;
-                        }
-                        let job = slots[i].lock().unwrap().take().expect("each slot claimed once");
-                        let res = run_job(job);
-                        out.lock().unwrap().push(res);
-                    });
-                }
-            });
-            out.into_inner().unwrap()
-        };
-        let mut rebuilt = 0usize;
-        let mut rejected = false;
-        for (tag, state, ok, was_rebuilt) in results {
+            drop(span);
             self.comps.insert(tag, state);
             rebuilt += was_rebuilt as usize;
             rejected |= !ok;
@@ -1557,62 +1510,55 @@ mod tests {
     }
 
     /// The column stays the inverse of the member lists through first
-    /// sight, delta growth, a merge (rebuild) and compactions, whatever
-    /// the worker count.
+    /// sight, delta growth, a merge (rebuild) and compactions.
     #[test]
     fn local_of_column_tracks_pushes_merges_and_compactions() {
-        for workers in [1, 4] {
-            let opts = EngineOptions {
-                compact: CompactMode::On,
-                checkpoint_threads: crate::engine::CheckpointThreads::Fixed(workers),
-                ..EngineOptions::default()
-            };
-            let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
-            let mut serial = Serial::default();
-            let sessions: Vec<SessionId> = (0..4).map(|_| c.session()).collect();
-            // Three components, interleaved: sessions 0 and 1 update key 1
-            // in turn, sessions 2 and 3 overwrite a key of their own
-            // blindly (so all but its last version can settle).
-            let round = |c: &mut StreamingChecker, serial: &mut Serial| {
-                for (&s, key) in sessions.iter().zip([1, 1, 2, 3]) {
-                    let reads = if key == 1 { &[1][..] } else { &[] };
-                    c.push_transaction(s, serial.txn(reads, &[key]), TxnStatus::Committed);
-                }
-            };
-            round(&mut c, &mut serial);
-            let cp = c.checkpoint();
-            assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 3, 3));
-            assert_local_of_matches_search(&c);
-            round(&mut c, &mut serial);
-            round(&mut c, &mut serial);
-            let cp = c.checkpoint();
-            assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 3, 0));
-            assert_local_of_matches_search(&c);
-            // A bridge merges the components of keys 2 and 3.
-            c.push_transaction(sessions[2], serial.txn(&[2, 3], &[2]), TxnStatus::Committed);
-            round(&mut c, &mut serial);
-            let cp = c.checkpoint();
-            assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 2, 1));
-            assert_local_of_matches_search(&c);
-            // Seal everything: the settled prefixes are dropped and every
-            // global id moves.
-            for &s in &sessions {
-                c.seal_session(s);
+        let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
+        let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
+        let mut serial = Serial::default();
+        let sessions: Vec<SessionId> = (0..4).map(|_| c.session()).collect();
+        // Three components, interleaved: sessions 0 and 1 update key 1
+        // in turn, sessions 2 and 3 overwrite a key of their own
+        // blindly (so all but its last version can settle).
+        let round = |c: &mut StreamingChecker, serial: &mut Serial| {
+            for (&s, key) in sessions.iter().zip([1, 1, 2, 3]) {
+                let reads = if key == 1 { &[1][..] } else { &[] };
+                c.push_transaction(s, serial.txn(reads, &[key]), TxnStatus::Committed);
             }
-            let cp = c.checkpoint();
-            assert!(cp.verdict.accepted() && cp.compacted > 0, "dropped {}", cp.compacted);
-            assert_local_of_matches_search(&c);
-            // The survivors keep growing under their new ids.
-            let late = c.session();
-            for reads in [&[2][..], &[], &[], &[]] {
-                c.push_transaction(late, serial.txn(reads, &[2]), TxnStatus::Committed);
-            }
-            assert!(assert_matches_batch(&mut c));
-            assert_local_of_matches_search(&c);
-            c.seal_session(late);
-            let cp = c.checkpoint();
-            assert!(cp.verdict.accepted() && cp.compacted > 0);
-            assert_local_of_matches_search(&c);
+        };
+        round(&mut c, &mut serial);
+        let cp = c.checkpoint();
+        assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 3, 3));
+        assert_local_of_matches_search(&c);
+        round(&mut c, &mut serial);
+        round(&mut c, &mut serial);
+        let cp = c.checkpoint();
+        assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 3, 0));
+        assert_local_of_matches_search(&c);
+        // A bridge merges the components of keys 2 and 3.
+        c.push_transaction(sessions[2], serial.txn(&[2, 3], &[2]), TxnStatus::Committed);
+        round(&mut c, &mut serial);
+        let cp = c.checkpoint();
+        assert_eq!((cp.verdict.accepted(), cp.dirty, cp.rebuilt), (true, 2, 1));
+        assert_local_of_matches_search(&c);
+        // Seal everything: the settled prefixes are dropped and every
+        // global id moves.
+        for &s in &sessions {
+            c.seal_session(s);
         }
+        let cp = c.checkpoint();
+        assert!(cp.verdict.accepted() && cp.compacted > 0, "dropped {}", cp.compacted);
+        assert_local_of_matches_search(&c);
+        // The survivors keep growing under their new ids.
+        let late = c.session();
+        for reads in [&[2][..], &[], &[], &[]] {
+            c.push_transaction(late, serial.txn(reads, &[2]), TxnStatus::Committed);
+        }
+        assert!(assert_matches_batch(&mut c));
+        assert_local_of_matches_search(&c);
+        c.seal_session(late);
+        let cp = c.checkpoint();
+        assert!(cp.verdict.accepted() && cp.compacted > 0);
+        assert_local_of_matches_search(&c);
     }
 }

@@ -4,8 +4,8 @@
 //! The real systems (Dgraph, MariaDB-Galera, YugabyteDB, CockroachDB,
 //! MySQL-Galera) cannot run in this environment; the substitution preserves
 //! the property the experiment measures — that the checker detects and
-//! correctly classifies each defect class on realistic workloads (see
-//! DESIGN.md).
+//! correctly classifies each defect class on realistic workloads (see the
+//! README's "Scaling and substitutions").
 
 use crate::store::IsolationLevel;
 

@@ -459,25 +459,6 @@ impl Facts {
     pub fn num_wr_edges(&self) -> usize {
         self.wr_edges().count()
     }
-
-    /// Degree hint of one transaction: external reads plus final writes.
-    /// Proportional to the dependency edges (and so the constraint edges)
-    /// the transaction can contribute; aborted transactions score 0.
-    pub fn txn_degree(&self, t: TxnId) -> usize {
-        self.reads[t.idx()].len() + self.writes[t.idx()].len()
-    }
-
-    /// Mean transaction degree across the history (`0.0` when empty).
-    /// Callers size parallel work units with this: high-degree workloads
-    /// carry more edges per constraint, so chunks should be smaller to
-    /// balance sweep stragglers.
-    pub fn mean_txn_degree(&self) -> f64 {
-        if self.reads.is_empty() {
-            return 0.0;
-        }
-        let total: usize = (0..self.reads.len()).map(|i| self.txn_degree(TxnId(i as u32))).sum();
-        total as f64 / self.reads.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -711,23 +692,6 @@ mod tests {
         assert_eq!(f.writes[1], vec![(k(1), v(2))]);
         assert!(f.writes_key(TxnId(1), k(1)));
         assert!(!f.writes_key(TxnId(1), k(2)));
-    }
-
-    #[test]
-    fn txn_degree_hints() {
-        let mut b = HistoryBuilder::new();
-        b.session();
-        b.begin().write(k(1), v(1)).write(k(2), v(2)).commit(); // degree 2
-        b.session();
-        b.begin().read(k(1), v(1)).write(k(1), v(3)).commit(); // degree 2
-        b.begin().read(k(2), v(2)).commit(); // degree 1
-        b.begin().write(k(3), v(9)).abort(); // degree 0
-        let f = Facts::analyze(&b.build());
-        assert_eq!(f.txn_degree(TxnId(0)), 2);
-        assert_eq!(f.txn_degree(TxnId(2)), 1);
-        assert_eq!(f.txn_degree(TxnId(3)), 0);
-        assert!((f.mean_txn_degree() - 5.0 / 4.0).abs() < 1e-9);
-        assert_eq!(Facts::analyze(&crate::history::History::new()).mean_txn_degree(), 0.0);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! **Determinism contract:** plain counter totals depend only on the work
 //! performed, never on scheduling, so [`Metrics::counter_digest`] must be
-//! byte-identical across `--prune-threads` / `--checkpoint-threads`
-//! settings. Runtime-dependent quantities (wall times) live in `runtime.*`
-//! counters, gauges, or histograms, all excluded from the digest.
+//! byte-identical across `--prune-threads` settings (a contract of the
+//! facade's mode matrix). Runtime-dependent quantities (wall times) live in
+//! `runtime.*` counters, gauges, or histograms, all excluded from the
+//! digest.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,7 +1,7 @@
 //! Property test: span logs are well-nested — every span end matches the
 //! innermost open span on its thread — for arbitrary nesting scripts
 //! executed across scoped-thread workers, mirroring how the engine's
-//! shard / checkpoint workers trace under a shared `Tracer`.
+//! shard workers and prune sweep trace under a shared `Tracer`.
 
 use proptest::prelude::*;
 

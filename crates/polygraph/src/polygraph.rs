@@ -118,18 +118,14 @@ pub struct PruneOptions {
     /// Worker threads for the per-pass constraint sweep (1 = in-place).
     /// Worklists shorter than [`PARALLEL_SWEEP_MIN`] stay in-place anyway.
     pub threads: usize,
-    /// Constraints per parallel work unit; `0` derives a size from the
-    /// worklist length and thread count. Callers with workload knowledge
-    /// (e.g. the engine, from txn-degree hints) can override.
-    pub chunk_size: usize,
     /// Worklists shorter than this stay in-place even when `threads > 1`.
     parallel_min: usize,
 }
 
 impl PruneOptions {
-    /// `threads` sweep workers over chunks of `chunk_size` constraints.
-    pub fn new(threads: usize, chunk_size: usize) -> Self {
-        PruneOptions { threads, chunk_size, parallel_min: PARALLEL_SWEEP_MIN }
+    /// `threads` sweep workers.
+    pub fn new(threads: usize) -> Self {
+        PruneOptions { threads, parallel_min: PARALLEL_SWEEP_MIN }
     }
 
     /// [`PruneOptions::new`] without the worklist-size cut-off, so the
@@ -137,14 +133,14 @@ impl PruneOptions {
     /// thread-equivalence test would otherwise compare the in-place path
     /// with itself.
     #[doc(hidden)]
-    pub fn forced_parallel(threads: usize, chunk_size: usize) -> Self {
-        PruneOptions { threads, chunk_size, parallel_min: 0 }
+    pub fn forced_parallel(threads: usize) -> Self {
+        PruneOptions { threads, parallel_min: 0 }
     }
 }
 
 impl Default for PruneOptions {
     fn default() -> Self {
-        PruneOptions::new(1, 0)
+        PruneOptions::new(1)
     }
 }
 
@@ -547,13 +543,10 @@ fn sweep(
     if opts.threads <= 1 || work.len() < opts.parallel_min.max(2) {
         return vec![test_chunk(kg, constraints, work, semantics)];
     }
-    let chunk = if opts.chunk_size > 0 {
-        opts.chunk_size.max(1)
-    } else {
-        // ~8 chunks per thread keeps stragglers short without drowning in
-        // scheduling overhead.
-        (work.len() / (opts.threads * 8)).clamp(32, 2048)
-    };
+    // ~8 chunks per thread keeps stragglers short without drowning in
+    // scheduling overhead. The floor only binds under `forced_parallel`,
+    // where it cuts a small worklist into many chunks.
+    let chunk = (work.len() / (opts.threads * 8)).clamp(1, 2048);
     let chunks: Vec<&[u32]> = work.chunks(chunk).collect();
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(chunks.len()));
@@ -900,10 +893,8 @@ mod tests {
                 // small worklists — without it the size cutoff would fall
                 // back to the sequential path and the comparison would be
                 // vacuous.
-                for chunk_size in [0, 1] {
-                    let par = run(PruneOptions::forced_parallel(threads, chunk_size));
-                    assert_eq!(seq, par, "threads={threads} chunk={chunk_size} diverged");
-                }
+                let par = run(PruneOptions::forced_parallel(threads));
+                assert_eq!(seq, par, "threads={threads} diverged");
             }
             let mut rebuild = base.clone();
             let accepted = prune_by_rebuild(&mut rebuild);

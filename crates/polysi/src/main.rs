@@ -10,7 +10,7 @@
 //! polysi check history.txt --isolation ser  # serializability instead of SI
 //! polysi check history.txt --shards auto    # shard by key connectivity
 //! polysi check history.txt --prune-threads 4  # parallel constraint sweep
-//! polysi check history.txt --stream --checkpoint-threads 4  # parallel checkpoints
+//! polysi check history.txt --stream          # online checkpoints over a replay
 //! polysi check history.txt --live            # concurrent ingest via bounded queues
 //! polysi check history.txt --dot out.dot
 //! polysi check history.txt --no-pruning
@@ -20,8 +20,7 @@
 //! ```
 
 use polysi::checker::engine::{
-    check, CheckEngine, CheckpointThreads, CompactMode, EngineOptions, IsolationLevel,
-    PruneThreads, Sharding,
+    check, CheckEngine, CompactMode, EngineOptions, IsolationLevel, PruneThreads, Sharding,
 };
 use polysi::checker::report::{
     check_report_json, live_report_json, stats_json, stream_report_json,
@@ -33,7 +32,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto]\n               [--stream] [--live] [--checkpoints N] [--checkpoint-threads N|auto]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
+        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto]\n               [--stream] [--live] [--checkpoints N]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
     );
     ExitCode::from(2)
 }
@@ -332,23 +331,6 @@ fn main() -> ExitCode {
                     "--quiet" => quiet = true,
                     "--stream" => stream = true,
                     "--live" => live = true,
-                    "--checkpoint-threads" => {
-                        i += 1;
-                        opts.checkpoint_threads = match args.get(i).map(String::as_str) {
-                            Some("auto") => CheckpointThreads::Auto,
-                            Some(n) => match n.parse::<usize>() {
-                                Ok(n) if n >= 1 => CheckpointThreads::Fixed(n),
-                                _ => {
-                                    eprintln!("--checkpoint-threads takes N|auto, got {n:?}");
-                                    return usage();
-                                }
-                            },
-                            None => {
-                                eprintln!("--checkpoint-threads takes N|auto");
-                                return usage();
-                            }
-                        };
-                    }
                     "--checkpoints" => {
                         i += 1;
                         checkpoints = match args.get(i).and_then(|n| n.parse::<usize>().ok()) {

@@ -10,24 +10,17 @@
 //! the same verdict from either format under both isolation levels.
 
 use polysi::checker::engine::{check, EngineOptions, IsolationLevel};
-use polysi::checker::Outcome;
 use polysi::dbsim::corpus::{generate_corpus, overlapping_clique, write_skew_lattice};
 use polysi::history::{binfmt, codec, History, HistoryBuilder, Key, Op, TxnStatus, Value};
+use polysi_obs::json::Value as Json;
 use proptest::prelude::*;
+use support::Proj;
 
-/// Stable digest of a check verdict: the outcome class plus sorted
-/// violation renderings. Two runs over equal histories must match.
-fn verdict_digest(h: &History, isolation: IsolationLevel) -> String {
-    let report = check(h, isolation, &EngineOptions::default());
-    match &report.outcome {
-        Outcome::Si => "accepted".to_string(),
-        Outcome::CyclicViolation(v) => format!("cycle:{}", v.anomaly.name()),
-        Outcome::AxiomViolations(vs) => {
-            let mut names: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
-            names.sort();
-            format!("axioms:{}", names.join(";"))
-        }
-    }
+mod support;
+
+/// The exact digest of a default check of `h`.
+fn verdict(h: &History, level: IsolationLevel) -> Json {
+    support::digest(&check(h, level, &EngineOptions::default()), level, Proj::Exact)
 }
 
 /// One full round trip: text ↔ binary ↔ text, plus verdict agreement.
@@ -45,15 +38,19 @@ fn assert_round_trips(name: &str, h: &History) {
 
     for isolation in [IsolationLevel::Si, IsolationLevel::Ser] {
         assert_eq!(
-            verdict_digest(h, isolation),
-            verdict_digest(&back, isolation),
+            verdict(h, isolation),
+            verdict(&back, isolation),
             "{name}: verdict diverged between formats under {isolation:?}"
         );
     }
 }
 
+/// Every corpus template and fault-injected draw round trips; and, as the
+/// round-trip rows of the mode matrix, the matrix corpus read back through
+/// either format checks byte-identically to plain batch.
 #[test]
 fn corpus_round_trips_across_formats() {
+    support::check_modes(&["text", ".pbh"], |_, _, _| {});
     // 40 entries = every one of the 20 templates once, interleaved with 20
     // fault-injected draws.
     let entries = generate_corpus(40, 0xB1AF_0001);
@@ -117,6 +114,6 @@ proptest! {
         prop_assert_eq!(&back, h);
         prop_assert_eq!(codec::encode(&back), codec::encode(h));
         let isolation = if ser { IsolationLevel::Ser } else { IsolationLevel::Si };
-        prop_assert_eq!(verdict_digest(h, isolation), verdict_digest(&back, isolation));
+        prop_assert_eq!(verdict(h, isolation), verdict(&back, isolation));
     }
 }

@@ -73,6 +73,8 @@ fn stats_prints_counts() {
 /// The `tests/fixtures/` regression corpus: known histories with known
 /// verdicts, exercised through the public CLI exactly as a user would.
 /// Each entry is (file, expected exit code, required stdout substring).
+/// (That no mode changes a fixture's verdict is the mode matrix's job,
+/// `tests/conformance.rs`.)
 #[test]
 fn fixture_corpus_has_stable_verdicts() {
     let fixtures: [(&str, i32, &str); 21] = [
@@ -108,33 +110,6 @@ fn fixture_corpus_has_stable_verdicts() {
             "{file}: wrong exit code\nstdout: {stdout}"
         );
         assert!(stdout.contains(needle), "{file}: missing {needle:?} in output\n{stdout}");
-        // `--shards auto` never changes a verdict, only the execution plan.
-        let sharded = bin()
-            .arg("check")
-            .arg(dir.join(file))
-            .args(["--shards", "auto"])
-            .output()
-            .expect("run sharded check");
-        assert_eq!(
-            sharded.status.code(),
-            Some(expected_code),
-            "{file}: --shards auto changed the verdict"
-        );
-        // Neither does the prune sweep's thread count. (`auto` is the
-        // flagless default, so the base run above already covers it.)
-        for threads in ["1", "4"] {
-            let parallel = bin()
-                .arg("check")
-                .arg(dir.join(file))
-                .args(["--prune-threads", threads])
-                .output()
-                .expect("run parallel-prune check");
-            assert_eq!(
-                parallel.status.code(),
-                Some(expected_code),
-                "{file}: --prune-threads {threads} changed the verdict"
-            );
-        }
     }
 }
 
@@ -245,24 +220,14 @@ fn prune_threads_flag_validates() {
     assert_eq!(out.status.code(), Some(2), "bad --prune-threads must be usage error");
     let out = bin().args(["check", "/nonexistent", "--prune-threads", "0"]).output().expect("run");
     assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn checkpoint_threads_flag_validates() {
-    let out = bin()
-        .args(["check", "/nonexistent", "--checkpoint-threads", "lots"])
-        .output()
-        .expect("run");
-    assert_eq!(out.status.code(), Some(2), "bad --checkpoint-threads must be usage error");
-    let out =
-        bin().args(["check", "/nonexistent", "--checkpoint-threads", "0"]).output().expect("run");
-    assert_eq!(out.status.code(), Some(2));
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/lost_update.txt");
+    let out = bin().args(["check", fixture, "--prune-threads", "4"]).output().expect("run");
+    assert_eq!(out.status.code(), Some(1), "a valid --prune-threads checks as usual");
 }
 
 /// `--live` replays the history through the concurrent ingest service:
-/// verdicts and exit codes match the batch run, the checkpoint trail and
-/// ingest counters are reported, and `--checkpoint-threads` never changes
-/// a verdict.
+/// verdicts and exit codes match the batch run, and the checkpoint trail
+/// and ingest counters are reported.
 #[test]
 fn live_flag_checks_through_the_ingest_service() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -271,19 +236,12 @@ fn live_flag_checks_through_the_ingest_service() {
         ("stalled_session_long_fork.txt", 1, "long fork"),
         ("shard_disjoint_components.txt", 0, "OK"),
     ] {
-        for threads in ["1", "4", "auto"] {
-            let out = bin()
-                .arg("check")
-                .arg(dir.join(file))
-                .args(["--live", "--checkpoint-threads", threads])
-                .output()
-                .expect("run live check");
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert_eq!(out.status.code(), Some(code), "{file} --live/{threads}\n{stdout}");
-            assert!(stdout.contains(needle), "{file} --live/{threads}: {stdout}");
-            assert!(stdout.contains("ingest:"), "{file}: missing ingest counters\n{stdout}");
-            assert!(stdout.contains("checkpoint 1:"), "{file}: missing trail\n{stdout}");
-        }
+        let out = bin().arg("check").arg(dir.join(file)).arg("--live").output().expect("run live");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{file} --live\n{stdout}");
+        assert!(stdout.contains(needle), "{file} --live: {stdout}");
+        assert!(stdout.contains("ingest:"), "{file}: missing ingest counters\n{stdout}");
+        assert!(stdout.contains("checkpoint 1:"), "{file}: missing trail\n{stdout}");
     }
     // --live inherits --stream's composition rules.
     let out = bin()
@@ -411,7 +369,9 @@ fn bad_usage_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     // A removed flag is an unknown flag, whatever the file holds.
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/serializable.txt");
-    for removed in [["--solve-threads", "4"], ["--reach-oracle", "dense"]] {
+    for removed in
+        [["--solve-threads", "4"], ["--checkpoint-threads", "4"], ["--reach-oracle", "dense"]]
+    {
         let out = bin().args(["check", fixture]).args(removed).output().expect("run");
         assert_eq!(out.status.code(), Some(2));
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,14 +1,13 @@
 //! Compaction ≡ no-compaction: watermark GC must be verdict-invisible.
 //!
-//! Two `StreamingChecker`s consume the identical stream — same arrival
-//! interleaving, same session seals, same checkpoint cadence — one with
-//! `CompactMode::Off`, one compacting. At every checkpoint their verdict
-//! digests and monotone counters must agree, with exactly one sanctioned
-//! exception: a transaction that reads the *initial* version of a key
-//! whose writers were compacted away is refused loudly (`FencedRead`) by
-//! the compacting run, never answered silently. Watermark-respecting
-//! streams (nothing above the frontier reads below it) never hit the
-//! fence, so for them the equivalence is unconditional.
+//! Streams that compact (`CompactMode::On` / `Auto`) are replayed next to
+//! one that never does — same arrival interleaving, same session seals,
+//! same checkpoint cadence — and must agree with it checkpoint by
+//! checkpoint on the verdict kind and axiom classes (the mode matrix's
+//! `Fenced` contract), with exactly one sanctioned exception: a
+//! transaction that reads below the watermark is refused loudly by the
+//! compacting run (`FencedRead`, or an unknown-value read whose writer was
+//! dropped), never answered silently.
 //!
 //! The deterministic tests pin the two watermark corpus shapes: the
 //! settled-prefix anomaly (witness entirely above the watermark —
@@ -18,218 +17,93 @@
 //! evidence).
 
 use polysi::checker::engine::{check, CompactMode, EngineOptions, IsolationLevel};
-use polysi::checker::{Outcome, StreamVerdict, StreamingChecker};
+use polysi::checker::{CheckpointReport, Outcome, StreamingChecker};
 use polysi::dbsim::corpus::{settled_prefix_late_anomaly, watermark_straddle_anomaly};
-use polysi::dbsim::testkit::conformance_corpus;
-use polysi::history::{History, HistoryBuilder, Key, SessionId, TxnId, Value};
+use polysi::dbsim::faults::{clean_script, ScriptStep};
+use polysi::history::live::Delivery;
+use polysi::history::{History, HistoryBuilder, Key, Op, SessionId, TxnStatus, Value};
 use proptest::prelude::*;
+use support::Contract;
 
-/// The class name of an axiom violation (ids excluded: compaction
-/// renumbers surviving transactions, so the two runs' violation *texts*
-/// legitimately differ while their classes must not).
-fn axiom_class(v: &polysi::history::AxiomViolation) -> &'static str {
-    use polysi::history::AxiomViolation as A;
-    match v {
-        A::Int { .. } => "int violation",
-        A::AbortedRead { .. } => "aborted read",
-        A::IntermediateRead { .. } => "intermediate read",
-        A::DuplicateWrite { .. } => "unique-value violation",
-        A::UnknownValueRead { .. } => "unknown-value read",
-        A::WroteInitValue { .. } => "wrote-init-value",
-        A::FencedRead { .. } => "fenced read",
-        // Same class as `DuplicateWrite` on purpose: a compacting run that
-        // catches a duplicate via the key's fence record must digest
-        // identically to the uncompacted run that still has the writer.
-        A::CompactedDuplicateWrite { .. } => "unique-value violation",
-    }
-}
+mod support;
 
-/// A verdict digest that is stable under compaction's transaction-id
-/// renumbering: the monotone counters, the outcome kind, and axiom
-/// *classes*. Cyclic rejections digest as bare `cycle`: the canonical
-/// witness is extracted from differently-numbered (and, compacted,
-/// differently-sized) graphs, so the specific cycle — and on histories
-/// with several coexisting anomalies even its classification — is not
-/// part of the equivalence contract. The deterministic template tests
-/// below pin exact anomaly classes where the history has only one.
-fn digest(cp: &polysi::checker::CheckpointReport, checker: &StreamingChecker) -> String {
-    let verdict = match &cp.verdict {
-        StreamVerdict::Accepted => "ok".into(),
-        StreamVerdict::AxiomViolations { violations, healable } => {
-            let mut classes: Vec<&str> = violations.iter().map(axiom_class).collect();
-            classes.sort_unstable();
-            classes.dedup();
-            format!("axioms(healable={healable}):{classes:?}")
-        }
-        StreamVerdict::Rejected { .. } => {
-            let report = &checker.rejection().expect("rejected stream has a report").report;
-            match &report.outcome {
-                Outcome::Si => unreachable!("rejection with an SI outcome"),
-                Outcome::CyclicViolation(_) => "cycle".into(),
-                Outcome::AxiomViolations(vs) => {
-                    let mut classes: Vec<&str> = vs.iter().map(axiom_class).collect();
-                    classes.sort_unstable();
-                    classes.dedup();
-                    format!("axioms(terminal):{classes:?}")
-                }
-            }
-        }
-    };
-    format!("txns={} ops={} {verdict}", cp.txns, cp.ops)
-}
-
-fn fence_engaged(checker: &StreamingChecker) -> bool {
-    !checker.stream().facts().watermark_violations().is_empty()
-}
-
-/// What a replay exercised, summed over the compacting runs.
-#[derive(Default)]
-struct Engaged {
-    /// Transactions dropped by the watermark.
-    compacted: usize,
-    /// Resolved or delta edges the cached known graphs absorbed as
-    /// already implied (`prune.implied_edges`) — non-zero means the
-    /// watermark's forward closure ran over a *reduced* `poly.known`.
-    implied: u64,
-}
-
-/// Replay `h` along `order` into checkers for every `CompactMode`,
-/// sealing each session the moment its last transaction is pushed
-/// (sessions with `seal[s] == false` are never sealed, freezing their
-/// components' watermarks), checkpointing at `stops`. All modes must
-/// produce identical digests at every checkpoint unless the compacting
-/// run hits the fence — then it must be refusing loudly.
+/// Deliver `steps` to a stream that never compacts and to one per
+/// compacting mode, asserting the `Fenced` contract; returns the
+/// transactions the compacting runs dropped and the resolved or delta
+/// edges their cached known graphs absorbed as already implied.
 fn assert_compaction_invisible(
     h: &History,
-    order: &[TxnId],
-    seal: &[bool],
-    stops: &[usize],
-    isolation: IsolationLevel,
+    steps: &[ScriptStep],
+    level: IsolationLevel,
     label: &str,
-) -> Engaged {
-    let mk = |mode: CompactMode| {
-        let opts = EngineOptions { compact: mode, interpret: false, ..Default::default() };
-        let mut c = StreamingChecker::new(isolation, opts);
-        let sessions: Vec<SessionId> = (0..h.num_sessions()).map(|_| c.session()).collect();
-        (c, sessions)
-    };
-    let (mut off, off_sessions) = mk(CompactMode::Off);
-    let (mut on, on_sessions) = mk(CompactMode::On);
-    let (mut auto, auto_sessions) = mk(CompactMode::Auto);
-    let mut remaining: Vec<usize> = h.sessions().map(|s| s.txns.len()).collect();
-    let mut next_stop = 0usize;
-    let mut compacted = 0usize;
-    let engaged = |compacted: usize, on: &StreamingChecker, auto: &StreamingChecker| Engaged {
-        compacted,
-        implied: [on, auto]
-            .iter()
-            .map(|c| c.obs().metrics.counter("prune.implied_edges").total())
-            .sum(),
-    };
-    for (i, &id) in order.iter().enumerate() {
-        let txn = h.txn(id);
-        let s = txn.session.0 as usize;
-        off.push_transaction(off_sessions[s], txn.ops.clone(), txn.status);
-        on.push_transaction(on_sessions[s], txn.ops.clone(), txn.status);
-        auto.push_transaction(auto_sessions[s], txn.ops.clone(), txn.status);
-        remaining[s] -= 1;
-        if remaining[s] == 0 && seal[s] {
-            off.seal_session(off_sessions[s]);
-            on.seal_session(on_sessions[s]);
-            auto.seal_session(auto_sessions[s]);
-        }
-        while next_stop < stops.len() && i + 1 == stops[next_stop] {
-            next_stop += 1;
-            let cp_off = off.checkpoint();
-            let cp_on = on.checkpoint();
-            let cp_auto = auto.checkpoint();
-            assert_eq!(cp_off.compacted, 0, "{label}: CompactMode::Off compacted");
-            compacted += cp_on.compacted + cp_auto.compacted;
-            let d_off = digest(&cp_off, &off);
-            for (cp, checker, mode) in [(&cp_on, &on, "on"), (&cp_auto, &auto, "auto")] {
-                let d = digest(cp, checker);
-                if d == d_off {
-                    continue;
-                }
-                // The only sanctioned divergence is the fence: a stream
-                // that reads below the watermark — the initial version of
-                // a fenced key (terminal `FencedRead`) or a value whose
-                // writer was dropped (permanently unresolved, classified
-                // as an unknown-value read) — is refused *loudly*, never
-                // silently accepted, and never via a spurious cycle.
-                let facts = checker.stream().facts();
-                assert!(
-                    !facts.fences().is_empty() || !facts.watermark_violations().is_empty(),
-                    "{label}/{mode}: verdict diverged without any fenced key: {d} vs {d_off}"
-                );
-                assert!(
-                    !cp.verdict.accepted(),
-                    "{label}/{mode}: compacting run accepted where Off said {d_off}"
-                );
-                assert!(
-                    d.contains("fenced read") || d.contains("unknown-value read"),
-                    "{label}/{mode}: divergence not attributable to the fence: {d} vs {d_off}"
-                );
-            }
-            if matches!(cp_off.verdict, StreamVerdict::Rejected { .. }) {
-                return engaged(compacted, &on, &auto);
-            }
-        }
+) -> (u64, u64) {
+    let runs = [("stream", support::stream(h, level, CompactMode::Off, steps))];
+    let (mut dropped, mut implied) = (0, 0);
+    for mode in [CompactMode::On, CompactMode::Auto] {
+        let run = support::stream(h, level, mode, steps);
+        Contract::Fenced("stream").assert(&run, &runs, level, &format!("{label}/{mode:?}"));
+        let metrics = run.metrics.expect("a stream has a registry");
+        dropped += metrics.counter("compact.dropped_txns").total();
+        implied += metrics.counter("prune.implied_edges").total();
     }
-    engaged(compacted, &on, &auto)
+    (dropped, implied)
 }
 
-fn session_major(h: &History) -> Vec<TxnId> {
-    h.iter().map(|(id, _)| id).collect()
+/// The compacting rows of the mode matrix: streams under `CompactMode::On`
+/// and `Auto` keep the `Fenced` contract against the stream that never
+/// compacts, under SI and SER, on every history of the matrix corpus — and
+/// the corpus really compacts and fences.
+#[test]
+fn compaction_is_verdict_invisible_on_conformance_corpus() {
+    let (mut compacted, mut fenced) = (0, 0);
+    support::check_modes(&["stream compact on", "stream compact auto"], |_, _, runs| {
+        for mode in ["stream compact on", "stream compact auto"] {
+            let run = support::run_of(runs, mode);
+            compacted += run.counter("compact.dropped_txns");
+            fenced += run.trail.iter().filter(|cp| cp.fenced).count();
+        }
+    });
+    assert!(compacted > 0, "no stream compacted");
+    assert!(fenced > 0, "no compaction left a fence");
 }
 
-fn cadence(total: usize, checkpoints: usize) -> Vec<usize> {
-    let interval = total.div_ceil(checkpoints.max(1)).max(1);
-    let mut stops: Vec<usize> = (1..=checkpoints).map(|i| (i * interval).min(total)).collect();
-    stops.dedup();
-    stops
-}
-
-fn corpus() -> &'static [polysi::dbsim::testkit::ConformanceCase] {
-    static CORPUS: std::sync::OnceLock<Vec<polysi::dbsim::testkit::ConformanceCase>> =
-        std::sync::OnceLock::new();
-    CORPUS.get_or_init(|| conformance_corpus(0x57A7_7E1E, 1, 12))
+/// Stream `h` with compaction on: its first session, sealed, and a
+/// checkpoint; then the other sessions and a second checkpoint, which must
+/// catch a lost update. Returns the first checkpoint.
+fn settle_then_reject(h: &History) -> CheckpointReport {
+    let opts = EngineOptions { compact: CompactMode::On, ..Default::default() };
+    let mut checker = StreamingChecker::new(IsolationLevel::Si, opts);
+    for _ in 0..h.num_sessions() {
+        checker.session();
+    }
+    let (first, rest): (Vec<_>, Vec<_>) = h.iter().map(|(_, t)| t).partition(|t| t.session.0 == 0);
+    for t in first {
+        checker.push_transaction(t.session, t.ops.clone(), t.status);
+    }
+    checker.seal_session(SessionId(0));
+    let settled = checker.checkpoint();
+    assert!(settled.verdict.accepted());
+    for t in rest {
+        checker.push_transaction(t.session, t.ops.clone(), t.status);
+    }
+    assert!(!checker.checkpoint().verdict.accepted(), "the lost update is not caught");
+    let Outcome::CyclicViolation(v) = &checker.rejection().unwrap().report.outcome else {
+        panic!("rejection must be cyclic");
+    };
+    assert_eq!(v.anomaly.name(), "lost update");
+    settled
 }
 
 /// The settled-prefix shape end to end: the sealed blind-write session
 /// compacts down to its final writer, and the lost update arriving
-/// entirely above the watermark is still caught, identically to batch.
+/// entirely above the watermark is still caught, as batch catches it.
 #[test]
 fn settled_prefix_compacts_and_still_catches_the_late_anomaly() {
     let h = settled_prefix_late_anomaly(70);
-    let opts = EngineOptions { compact: CompactMode::On, ..Default::default() };
-    let mut checker = StreamingChecker::new(IsolationLevel::Si, opts);
-    let sessions: Vec<SessionId> = (0..h.num_sessions()).map(|_| checker.session()).collect();
-    // Push the prefix session, seal it, checkpoint: the watermark drops
-    // everything but the final writer.
-    let txns: Vec<_> = h.iter().collect();
-    for (_, txn) in txns.iter().filter(|(_, t)| t.session.0 == 0) {
-        checker.push_transaction(sessions[0], txn.ops.clone(), txn.status);
-    }
-    checker.seal_session(sessions[0]);
-    let cp = checker.checkpoint();
-    assert!(cp.verdict.accepted());
+    let cp = settle_then_reject(&h);
     assert_eq!(cp.compacted, 5, "six blind writes must compact to the final writer");
     assert_eq!(cp.live_txns, 1);
-    // The anomaly arrives above the watermark; the verdict matches batch.
-    for (_, txn) in txns.iter().filter(|(_, t)| t.session.0 != 0) {
-        checker.push_transaction(sessions[txn.session.0 as usize], txn.ops.clone(), txn.status);
-    }
-    let cp = checker.checkpoint();
-    let StreamVerdict::Rejected { .. } = cp.verdict else {
-        panic!("late lost update not caught after compaction");
-    };
-    let rejection = checker.rejection().unwrap();
-    let Outcome::CyclicViolation(v) = &rejection.report.outcome else {
-        panic!("rejection must be cyclic");
-    };
-    assert_eq!(v.anomaly.name(), "lost update");
-    assert!(!check(&h, IsolationLevel::Si, &opts).accepted(), "batch must agree");
+    assert!(!check(&h, IsolationLevel::Si, &EngineOptions::default()).accepted());
 }
 
 /// The straddling shape: the unbroken RMW chain keeps every version
@@ -238,28 +112,8 @@ fn settled_prefix_compacts_and_still_catches_the_late_anomaly() {
 /// full witness.
 #[test]
 fn straddling_reads_pin_the_watermark() {
-    let h = watermark_straddle_anomaly(90);
-    let opts = EngineOptions { compact: CompactMode::On, ..Default::default() };
-    let mut checker = StreamingChecker::new(IsolationLevel::Si, opts);
-    let sessions: Vec<SessionId> = (0..h.num_sessions()).map(|_| checker.session()).collect();
-    let txns: Vec<_> = h.iter().collect();
-    for (_, txn) in txns.iter().filter(|(_, t)| t.session.0 == 0) {
-        checker.push_transaction(sessions[0], txn.ops.clone(), txn.status);
-    }
-    checker.seal_session(sessions[0]);
-    let cp = checker.checkpoint();
-    assert!(cp.verdict.accepted());
+    let cp = settle_then_reject(&watermark_straddle_anomaly(90));
     assert_eq!(cp.compacted, 0, "the guard must refuse to compact across the chain's open reads");
-    for (_, txn) in txns.iter().filter(|(_, t)| t.session.0 != 0) {
-        checker.push_transaction(sessions[txn.session.0 as usize], txn.ops.clone(), txn.status);
-    }
-    let cp = checker.checkpoint();
-    assert!(!cp.verdict.accepted(), "straddling lost update not caught");
-    let rejection = checker.rejection().unwrap();
-    let Outcome::CyclicViolation(v) = &rejection.report.outcome else {
-        panic!("rejection must be cyclic");
-    };
-    assert_eq!(v.anomaly.name(), "lost update");
 }
 
 /// Reading the initial version of a key whose writers were compacted is
@@ -270,13 +124,10 @@ fn init_read_below_the_watermark_is_refused_loudly() {
     let opts = EngineOptions { compact: CompactMode::On, ..Default::default() };
     let mut checker = StreamingChecker::new(IsolationLevel::Si, opts);
     let writer = checker.session();
-    let k = polysi::history::Key(7);
+    let k = Key(7);
     for v in 1..=4u64 {
-        checker.push_transaction(
-            writer,
-            vec![polysi::history::Op::Write { key: k, value: polysi::history::Value(v) }],
-            polysi::history::TxnStatus::Committed,
-        );
+        let ops = vec![Op::Write { key: k, value: Value(v) }];
+        checker.push_transaction(writer, ops, TxnStatus::Committed);
     }
     checker.seal_session(writer);
     let cp = checker.checkpoint();
@@ -286,35 +137,14 @@ fn init_read_below_the_watermark_is_refused_loudly() {
     let late = checker.session();
     checker.push_transaction(
         late,
-        vec![polysi::history::Op::Read { key: k, value: polysi::history::Value::INIT }],
-        polysi::history::TxnStatus::Committed,
+        vec![Op::Read { key: k, value: Value::INIT }],
+        TxnStatus::Committed,
     );
     let cp = checker.checkpoint();
     assert!(!cp.verdict.accepted(), "fenced init read must not be accepted");
-    assert!(fence_engaged(&checker));
+    assert!(!checker.stream().facts().watermark_violations().is_empty());
     let again = checker.checkpoint();
     assert!(!again.verdict.accepted(), "the fence refusal must be stable");
-}
-
-/// Deterministic corpus sweep: session-major and round-robin replays of
-/// every conformance case at two cadences, all seals on — compaction
-/// invisible (or loudly fenced) everywhere.
-#[test]
-fn compaction_is_verdict_invisible_on_conformance_corpus() {
-    for case in corpus() {
-        let h = &case.history;
-        if h.is_empty() {
-            continue;
-        }
-        let seal = vec![true; h.num_sessions()];
-        for checkpoints in [2usize, 5] {
-            let stops = cadence(h.len(), checkpoints);
-            for isolation in [IsolationLevel::Si, IsolationLevel::Ser] {
-                let label = format!("{}/{isolation:?}/{checkpoints}", case.name);
-                assert_compaction_invisible(h, &session_major(h), &seal, &stops, isolation, &label);
-            }
-        }
-    }
 }
 
 /// The watermark templates, streamed prefix-first so compaction engages
@@ -322,21 +152,13 @@ fn compaction_is_verdict_invisible_on_conformance_corpus() {
 /// and the sweep really does compact on the settled-prefix shape.
 #[test]
 fn watermark_templates_survive_every_mode() {
-    let mut engaged = 0usize;
+    let mut dropped = 0;
     for h in [settled_prefix_late_anomaly(70), watermark_straddle_anomaly(90)] {
-        let seal = vec![true; h.num_sessions()];
-        let stops = cadence(h.len(), h.len()); // checkpoint after every txn
-        engaged += assert_compaction_invisible(
-            &h,
-            &session_major(&h),
-            &seal,
-            &stops,
-            IsolationLevel::Si,
-            "watermark-template",
-        )
-        .compacted;
+        // A checkpoint after every transaction.
+        let steps = support::session_major(&h, 1);
+        dropped += assert_compaction_invisible(&h, &steps, IsolationLevel::Si, "template").0;
     }
-    assert!(engaged > 0, "the settled-prefix replay must actually compact");
+    assert!(dropped > 0, "the settled-prefix replay must actually compact");
 }
 
 /// Waves of sealed sessions over a small key set: each wave opens with
@@ -346,8 +168,7 @@ fn watermark_templates_survive_every_mode() {
 /// the wave-to-wave `WR` edges, so the cached `poly.known` stays a small
 /// fraction of the resolved set while the watermark drops each settled
 /// wave. With `anomaly`, two closing sessions lose an update on key 0.
-/// Returns the history and the checkpoint stops (one per wave).
-fn sealed_waves(waves: usize, keys: u64, blind: usize, anomaly: bool) -> (History, Vec<usize>) {
+fn sealed_waves(waves: usize, keys: u64, blind: usize, anomaly: bool) -> History {
     let mut b = HistoryBuilder::new();
     let mut last = vec![Value::INIT; keys as usize];
     let mut next = 1u64;
@@ -355,7 +176,6 @@ fn sealed_waves(waves: usize, keys: u64, blind: usize, anomaly: bool) -> (Histor
         next += 1;
         Value(next)
     };
-    let (mut txns, mut stops) = (0usize, Vec::new());
     for _ in 0..waves {
         b.session();
         b.begin();
@@ -372,8 +192,6 @@ fn sealed_waves(waves: usize, keys: u64, blind: usize, anomaly: bool) -> (Histor
                 last[k as usize] = v;
             }
         }
-        txns += 1 + blind * keys as usize;
-        stops.push(txns);
     }
     if anomaly {
         for _ in 0..2 {
@@ -381,9 +199,8 @@ fn sealed_waves(waves: usize, keys: u64, blind: usize, anomaly: bool) -> (Histor
             let v = fresh();
             b.begin().read(Key(0), last[0]).write(Key(0), v).commit();
         }
-        stops.push(txns + 2);
     }
-    (b.build(), stops)
+    b.build()
 }
 
 /// Compacted ≡ uncompacted over a *reduced* `poly.known`: the cached
@@ -395,21 +212,21 @@ fn sealed_waves(waves: usize, keys: u64, blind: usize, anomaly: bool) -> (Histor
 /// arrives above a watermark that has already dropped most of the stream.
 #[test]
 fn compaction_agrees_over_a_reduced_known_graph() {
-    for (isolation, anomaly) in [
+    for (level, anomaly) in [
         (IsolationLevel::Si, false),
         (IsolationLevel::Si, true),
         (IsolationLevel::Ser, false),
         (IsolationLevel::Ser, true),
     ] {
-        let (h, stops) = sealed_waves(6, 3, 4, anomaly);
-        let seal = vec![true; h.num_sessions()];
-        let label = format!("sealed-waves/{isolation:?}/anomaly={anomaly}");
-        let engaged =
-            assert_compaction_invisible(&h, &session_major(&h), &seal, &stops, isolation, &label);
-        assert!(engaged.compacted > 0, "{label}: the settled waves must compact");
-        assert!(engaged.implied > 0, "{label}: no edge was implied — known was not reduced");
+        let h = sealed_waves(6, 3, 4, anomaly);
+        // A checkpoint after every wave of 1 + 4 · 3 transactions.
+        let steps = support::session_major(&h, 13);
+        let label = format!("sealed-waves/{level:?}/anomaly={anomaly}");
+        let (dropped, implied) = assert_compaction_invisible(&h, &steps, level, &label);
+        assert!(dropped > 0, "{label}: the settled waves must compact");
+        assert!(implied > 0, "{label}: no edge was implied — known was not reduced");
         assert_eq!(
-            check(&h, isolation, &EngineOptions::default()).accepted(),
+            check(&h, level, &EngineOptions::default()).accepted(),
             !anomaly,
             "{label}: batch verdict"
         );
@@ -425,37 +242,16 @@ proptest! {
     #[test]
     fn compaction_equivalence_on_random_interleavings(
         case_idx in 0usize..1000,
-        picks in prop::collection::vec(0u8..8, 0..96),
+        seed in any::<u64>(),
         seal_bits in any::<u16>(),
         checkpoints in 1usize..7,
         ser in any::<bool>(),
     ) {
-        let cases = corpus();
-        let case = &cases[case_idx % cases.len()];
-        let h = &case.history;
-        prop_assume!(!h.is_empty());
-        let per_session: Vec<Vec<TxnId>> = h
-            .sessions()
-            .map(|s| (0..s.txns.len() as u32).map(|i| TxnId(s.first.0 + i)).collect())
-            .collect();
-        let mut cursors = vec![0usize; per_session.len()];
-        let mut order = Vec::with_capacity(h.len());
-        let mut pick_i = 0usize;
-        while order.len() < h.len() {
-            let open: Vec<usize> = (0..per_session.len())
-                .filter(|&s| cursors[s] < per_session[s].len())
-                .collect();
-            let choice = if pick_i < picks.len() { picks[pick_i] as usize } else { pick_i };
-            pick_i += 1;
-            let s = open[choice % open.len()];
-            order.push(per_session[s][cursors[s]]);
-            cursors[s] += 1;
-        }
-        let seal: Vec<bool> =
-            (0..h.num_sessions()).map(|s| seal_bits & (1 << (s % 16)) != 0).collect();
-        let isolation = if ser { IsolationLevel::Ser } else { IsolationLevel::Si };
-        let stops = cadence(h.len(), checkpoints);
-        let label = format!("{}/{isolation:?}/prop", case.name);
-        assert_compaction_invisible(h, &order, &seal, &stops, isolation, &label);
+        let (name, h) = &support::corpus()[case_idx % support::corpus().len()];
+        let mut steps = clean_script(h, checkpoints, seed);
+        steps.retain(|step| !matches!(step, ScriptStep::Deliver { session, msg: Delivery::Seal { .. } }
+            if seal_bits & (1 << (session % 16)) == 0));
+        let level = if ser { IsolationLevel::Ser } else { IsolationLevel::Si };
+        assert_compaction_invisible(h, &steps, level, &format!("{name}/{level:?}/prop"));
     }
 }

@@ -17,6 +17,13 @@
 //! Beyond verdict agreement, every known-anomalous corpus entry must be
 //! *detected* (rejected by all SI checkers) and *classified* into the
 //! anomaly classes its provenance allows.
+//!
+//! The modes of the PolySI pipeline itself — sharding, prune threads, hash
+//! seeds, the two history formats, streaming with each compaction mode,
+//! the live hub under each tolerable delivery fault — are the rows of the
+//! mode matrix ([`support::modes`]), each checked against plain batch by
+//! its contract in the suite of its subject; the hash-seed rows are
+//! checked here.
 
 use polysi::baselines::{
     cobra_check_ser, cobra_si_check, dbcop_check_si_deepening, CobraOptions, DbcopVerdict,
@@ -26,6 +33,8 @@ use polysi::checker::engine::{check, EngineOptions, IsolationLevel, Sharding};
 use polysi::checker::{oracle::oracle_check_si_with_limit, Outcome};
 use polysi::dbsim::testkit::{conformance_corpus, ConformanceCase, Expectation};
 use polysi::history::{AxiomViolation, Facts, History};
+
+mod support;
 
 const CORPUS_SEED: u64 = 0xC0F_FEE;
 const SEEDS_PER_CONFIG: u64 = 2;
@@ -254,62 +263,10 @@ fn serializability_hierarchy_holds_on_corpus() {
     }
 }
 
-/// Verdict, witness and the exact stage counts of a report.
-fn report_digest(report: &polysi::checker::CheckReport) -> String {
-    let outcome = match &report.outcome {
-        Outcome::Si => "ok".to_string(),
-        Outcome::AxiomViolations(vs) => format!("axioms:{vs:?}"),
-        Outcome::CyclicViolation(v) => format!("cycle:{}:{:?}", v.anomaly, v.cycle),
-    };
-    let prune = report.prune_stats.map(|p| {
-        (
-            p.iterations,
-            p.constraints_before,
-            p.constraints_after,
-            p.closure_updates,
-            p.implied_edges,
-        )
-    });
-    let shards = report.shard_stats.map(|s| (s.components, s.key_components, s.largest));
-    format!("{outcome} prune {prune:?} vars {} shards {shards:?}", report.encode_stats.vars)
-}
-
-/// The analyses' maps hash with a per-process seed, so nothing a check
-/// reports may depend on it: the whole corpus digests the same — batch and
-/// sharded, SI and SER, and streamed — under two forced seeds (every map
-/// keeps the seed it was created under, so forcing one here cannot disturb
-/// the tests running next to this one).
+/// The hash-seed rows of the mode matrix: a check under either of two
+/// forced process hash seeds is byte-identical to plain batch, under SI and
+/// SER, on every history of the matrix corpus.
 #[test]
 fn reports_do_not_depend_on_the_hash_seed() {
-    let digests = |seed: u64| -> Vec<String> {
-        polysi::history::fasthash::force_process_seed(seed);
-        let mut out = Vec::new();
-        for case in corpus() {
-            for isolation in [IsolationLevel::Si, IsolationLevel::Ser] {
-                for sharding in [Sharding::Off, Sharding::Auto] {
-                    let opts = EngineOptions { sharding, ..Default::default() };
-                    out.push(report_digest(&check(&case.history, isolation, &opts)));
-                }
-            }
-            let mut stream = polysi::checker::StreamingChecker::new(
-                IsolationLevel::Si,
-                EngineOptions::default(),
-            );
-            for s in case.history.sessions() {
-                let id = stream.session();
-                for t in s.txns {
-                    stream.push_transaction(id, t.ops.clone(), t.status);
-                }
-                let cp = stream.checkpoint();
-                out.push(format!("{} {} {}", cp.verdict.kind(), cp.components, cp.dirty));
-            }
-            if let Some(rejection) = stream.rejection() {
-                out.push(report_digest(&rejection.report));
-            }
-        }
-        out
-    };
-    let first = digests(0x0123_4567_89ab_cdef);
-    assert!(first.len() > 5 * corpus().len());
-    assert_eq!(first, digests(0xfeed_f00d_dead_beef));
+    support::check_modes(&["hash seed a", "hash seed b"], |_, _, _| {});
 }

@@ -3,105 +3,38 @@
 //! * **tolerable faults heal exactly** — duplicated deliveries and
 //!   bounded within-session reorder produce checkpoint digests
 //!   byte-identical to clean delivery, across random interleavings,
-//!   cadences, and fault seeds;
+//!   cadences, and fault seeds (on the corpus, one row of the mode matrix
+//!   per tolerable fault);
 //! * **structural faults degrade loudly** — torn transactions, pushes
 //!   after seal, empty transactions, reorder beyond the window, and seal
 //!   mismatches surface as typed `IngestError`s (zero panics, zero silent
 //!   skips) while every other session's verdict is unaffected;
-//! * **parallel dirty-component checkpointing is byte-identical** for
-//!   any `--checkpoint-threads` setting (the sweep: 1 / 4 / auto);
 //! * the concurrent [`LiveService`] (bounded queues, backpressure,
 //!   drain thread) reaches the same final verdict as a synchronous run.
 
-use polysi::checker::engine::{CheckpointThreads, EngineOptions, IsolationLevel, Sharding};
+use polysi::checker::engine::{EngineOptions, IsolationLevel};
 use polysi::checker::live::Delivery;
-use polysi::checker::{
-    CheckReport, LiveChecker, LiveConfig, LiveReport, LiveService, Outcome, StreamingChecker,
-};
+use polysi::checker::{LiveChecker, LiveConfig, LiveService};
 use polysi::dbsim::faults::{clean_script, FaultPlan, ScriptStep};
-use polysi::dbsim::testkit::{conformance_corpus, ConformanceCase};
-use polysi::history::{History, IngestError, Key, Op, SessionId, TxnId, TxnStatus, Value};
+use polysi::history::{IngestError, Key, Op, SessionId, TxnId, TxnStatus, Value};
 use proptest::prelude::*;
 use std::time::Duration;
+use support::{Contract, Proj};
 
-fn corpus() -> &'static [ConformanceCase] {
-    static CORPUS: std::sync::OnceLock<Vec<ConformanceCase>> = std::sync::OnceLock::new();
-    CORPUS.get_or_init(|| {
-        conformance_corpus(0x11FE, 1, 14).into_iter().filter(|c| !c.history.is_empty()).collect()
-    })
-}
+mod support;
 
-/// A stable digest of a batch report's verdict (the canonical rejection).
-fn report_digest(report: &CheckReport) -> String {
-    match &report.outcome {
-        Outcome::Si => "ok".into(),
-        Outcome::AxiomViolations(vs) => format!("axioms:{vs:?}"),
-        Outcome::CyclicViolation(v) => format!("cycle:{}:{:?}", v.anomaly, v.cycle),
-    }
-}
-
-/// A stable digest of one live checkpoint: the covered prefix size and
-/// the full verdict (violation lists included), plus the degraded flag.
-/// Timing (`elapsed`) and cache stats are deliberately excluded — they
-/// are performance metadata, not part of the contract.
-fn checkpoint_digest(cp: &polysi::checker::LiveCheckpoint) -> String {
-    format!(
-        "{}txn/{}op/{}cp/degraded={}:{:?}",
-        cp.report.txns, cp.report.ops, cp.report.seq, cp.degraded, cp.report.verdict
-    )
-}
-
-/// Drive a delivery script through a fresh hub (cadence off — the
-/// script's markers place the checkpoints). Returns the report and the
-/// canonical rejection digest, if the stream terminally rejected.
-fn run_script(
-    h: &History,
-    steps: &[ScriptStep],
-    opts: EngineOptions,
-    isolation: IsolationLevel,
-) -> (LiveReport, Option<String>) {
-    let cfg = LiveConfig { checkpoint_every: 0, reorder_window: 16, ..LiveConfig::default() };
-    let mut hub = LiveChecker::new(isolation, opts, cfg);
-    for _ in 0..h.num_sessions() {
-        hub.session();
-    }
-    for step in steps {
-        match step {
-            ScriptStep::Deliver { session, msg } => {
-                let _ = hub.deliver(SessionId(*session), msg.clone());
-            }
-            ScriptStep::Checkpoint => {
-                hub.checkpoint_now();
-            }
-        }
-    }
-    let report = hub.finish();
-    let witness = hub.checker().rejection().map(|r| report_digest(&r.report));
-    (report, witness)
-}
-
-/// Tolerable-fault digest equality on the whole corpus at a fixed seed —
-/// the deterministic anchor for the proptest below.
+/// The live rows of the mode matrix: clean delivery through the hub is
+/// checked against batch on every prefix, and duplicated or reordered
+/// delivery heals to the clean trail byte for byte, under SI and SER, on
+/// every history of the matrix corpus — the deterministic anchor for the
+/// proptest below.
 #[test]
 fn tolerable_faults_heal_to_clean_digests_on_corpus() {
-    for case in corpus() {
-        let h = &case.history;
-        let opts = EngineOptions { interpret: false, ..Default::default() };
-        let clean = clean_script(h, 3, 7);
-        let faulty = FaultPlan::tolerable(13, 250, 250).script(h, 3, 7);
-        let (creport, cwitness) = run_script(h, &clean, opts, IsolationLevel::Si);
-        let (freport, fwitness) = run_script(h, &faulty, opts, IsolationLevel::Si);
-        assert!(creport.faults.is_empty(), "{}: clean delivery has no faults", case.name);
-        assert!(freport.faults.is_empty(), "{}: tolerable faults are healed", case.name);
-        let cd: Vec<String> = creport.checkpoints.iter().map(checkpoint_digest).collect();
-        let fd: Vec<String> = freport.checkpoints.iter().map(checkpoint_digest).collect();
-        assert_eq!(cd, fd, "{}: faulty checkpoints diverged from clean", case.name);
-        assert_eq!(cwitness, fwitness, "{}: canonical witness diverged", case.name);
-    }
+    support::check_modes(&["live", "live duplicates", "live reorders"], |_, _, _| {});
 }
 
-// The same equality under proptest-chosen interleavings, cadences, and
-// fault seeds, both isolation levels.
+// Tolerable faults heal to the clean trail under proptest-chosen
+// interleavings, cadences, and fault seeds, both isolation levels.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
@@ -114,21 +47,16 @@ proptest! {
         reorder in 0u16..400,
         ser in any::<bool>(),
     ) {
-        let cases = corpus();
-        let case = &cases[case_idx % cases.len()];
-        let h = &case.history;
-        let isolation = if ser { IsolationLevel::Ser } else { IsolationLevel::Si };
-        let opts = EngineOptions { interpret: false, ..Default::default() };
+        let (name, h) = &support::corpus()[case_idx % support::corpus().len()];
+        let level = if ser { IsolationLevel::Ser } else { IsolationLevel::Si };
         let clean = clean_script(h, checkpoints, interleave_seed);
         let faulty =
             FaultPlan::tolerable(fault_seed, dup, reorder).script(h, checkpoints, interleave_seed);
-        let (creport, cwitness) = run_script(h, &clean, opts, isolation);
-        let (freport, fwitness) = run_script(h, &faulty, opts, isolation);
+        let (creport, clean) = support::live(h, level, &clean);
+        let (freport, faulty) = support::live(h, level, &faulty);
         prop_assert!(freport.faults.is_empty(), "tolerable faults must be healed");
-        let cd: Vec<String> = creport.checkpoints.iter().map(checkpoint_digest).collect();
-        let fd: Vec<String> = freport.checkpoints.iter().map(checkpoint_digest).collect();
-        prop_assert_eq!(cd, fd, "{}: faulty checkpoints diverged", &case.name);
-        prop_assert_eq!(cwitness, fwitness);
+        let label = format!("{name}/{level:?}/faulty");
+        Contract::Same(Proj::Exact, "live").assert(&faulty, &[("live", clean)], level, &label);
         // Healing is visible in the stats whenever the plan actually
         // perturbed something.
         let clean_stats = creport.stats;
@@ -153,9 +81,7 @@ proptest! {
         stalled in 0u32..2,
         malformed in 0u16..300,
     ) {
-        let cases = corpus();
-        let case = &cases[case_idx % cases.len()];
-        let h = &case.history;
+        let h = &support::corpus()[case_idx % support::corpus().len()].1;
         prop_assume!(h.num_sessions() >= 2 && h.len() >= 4);
         let plan = FaultPlan {
             seed: fault_seed,
@@ -164,9 +90,8 @@ proptest! {
             malformed,
             ..FaultPlan::clean()
         };
-        let opts = EngineOptions { interpret: false, ..Default::default() };
         let steps = plan.script(h, 2, interleave_seed);
-        let (report, _witness) = run_script(h, &steps, opts, IsolationLevel::Si);
+        let (report, _) = support::live(h, IsolationLevel::Si, &steps);
         // Every torn delivery in the script surfaced as a TornTransaction.
         let torn_sent = steps
             .iter()
@@ -302,85 +227,14 @@ fn stall_watchdog_defers_then_degrades() {
     assert!(report.verdict().accepted());
 }
 
-/// Parallel dirty-component checkpointing: the full checkpoint report
-/// stream is byte-identical for `--checkpoint-threads` 1 / 4 / auto, on
-/// every corpus case, both isolation levels.
-#[test]
-fn parallel_checkpointing_is_byte_identical_across_thread_counts() {
-    for case in corpus() {
-        let h = &case.history;
-        for isolation in [IsolationLevel::Si, IsolationLevel::Ser] {
-            let run = |threads: CheckpointThreads| -> (Vec<String>, Option<String>) {
-                let opts = EngineOptions {
-                    interpret: false,
-                    sharding: Sharding::Auto,
-                    checkpoint_threads: threads,
-                    ..Default::default()
-                };
-                let mut checker = StreamingChecker::new(isolation, opts);
-                let sessions: Vec<SessionId> =
-                    (0..h.num_sessions()).map(|_| checker.session()).collect();
-                let mut digests = Vec::new();
-                // Round-robin replay, checkpoint every 4 transactions.
-                let per_session: Vec<Vec<TxnId>> = h
-                    .sessions()
-                    .map(|s| (0..s.txns.len() as u32).map(|i| TxnId(s.first.0 + i)).collect())
-                    .collect();
-                let mut cursors = vec![0usize; per_session.len()];
-                let mut pushed = 0usize;
-                loop {
-                    let mut progressed = false;
-                    for (si, txns) in per_session.iter().enumerate() {
-                        if cursors[si] < txns.len() {
-                            let t = h.txn(txns[cursors[si]]);
-                            checker.push_transaction(sessions[si], t.ops.clone(), t.status);
-                            cursors[si] += 1;
-                            pushed += 1;
-                            progressed = true;
-                            if pushed.is_multiple_of(4) {
-                                let cp = checker.checkpoint();
-                                digests.push(format!(
-                                    "{}:{}:{}:{}:{:?}",
-                                    cp.txns, cp.ops, cp.dirty, cp.rebuilt, cp.verdict
-                                ));
-                            }
-                        }
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-                let cp = checker.checkpoint();
-                digests.push(format!(
-                    "{}:{}:{}:{}:{:?}",
-                    cp.txns, cp.ops, cp.dirty, cp.rebuilt, cp.verdict
-                ));
-                let witness = checker.rejection().map(|r| report_digest(&r.report));
-                (digests, witness)
-            };
-            let seq = run(CheckpointThreads::Fixed(1));
-            for threads in [CheckpointThreads::Fixed(4), CheckpointThreads::Auto] {
-                let par = run(threads);
-                assert_eq!(
-                    seq, par,
-                    "{}/{:?}: {threads:?} diverged from sequential",
-                    case.name, isolation
-                );
-            }
-        }
-    }
-}
-
 /// The concurrent service: producers on scoped threads push through
 /// bounded queues (capacity 2 — real backpressure) while the drain thread
 /// checks; the final verdict digest equals a synchronous clean run's, and
 /// no faults are recorded.
 #[test]
 fn live_service_matches_synchronous_run_under_backpressure() {
-    let cases: Vec<&ConformanceCase> =
-        corpus().iter().filter(|c| c.history.num_sessions() >= 2).take(6).collect();
-    for case in cases {
-        let h = &case.history;
+    let corpus = support::corpus().iter().filter(|(_, h)| h.num_sessions() >= 2 && !h.is_empty());
+    for (name, h) in corpus.take(6) {
         let opts = EngineOptions { interpret: false, ..Default::default() };
         let cfg = LiveConfig {
             checkpoint_every: 8,
@@ -406,39 +260,20 @@ fn live_service_matches_synchronous_run_under_backpressure() {
             }
         });
         let live = service.finish();
-        assert!(live.faults.is_empty(), "{}: clean concurrent delivery", case.name);
-        assert!(live.abandoned.is_empty(), "{}: every session sealed", case.name);
-        assert_eq!(live.stats.ingested, h.len(), "{}: every txn ingested", case.name);
+        assert!(live.faults.is_empty(), "{name}: clean concurrent delivery");
+        assert!(live.abandoned.is_empty(), "{name}: every session sealed");
+        assert_eq!(live.stats.ingested, h.len(), "{name}: every txn ingested");
 
-        // Synchronous reference: same history, session-major replay, one
-        // final checkpoint. Final verdicts must agree (the canonical
-        // verdict is a function of the ingested set, not the interleave).
-        let mut sync = LiveChecker::new(
-            IsolationLevel::Si,
-            opts,
-            LiveConfig { checkpoint_every: 0, ..LiveConfig::default() },
-        );
-        let sids: Vec<SessionId> = (0..h.num_sessions()).map(|_| sync.session()).collect();
-        for (si, s) in h.sessions().enumerate() {
-            for (i, t) in s.txns.iter().enumerate() {
-                sync.deliver(
-                    sids[si],
-                    Delivery::Txn { seq: i as u64, ops: t.ops.clone(), status: t.status },
-                )
-                .unwrap();
-            }
-            sync.deliver(sids[si], Delivery::Seal { count: s.txns.len() as u64 }).unwrap();
-        }
-        let sync_report = sync.finish();
+        // Synchronous reference: the clean script, one final checkpoint.
         // The acceptance decision is interleave-independent; the rejection
         // *classification* may legitimately differ (it is canonical per
         // detecting prefix, and the concurrent run's cadence checkpoints
         // land on different prefixes than the single final one).
+        let (sync, _) = support::live(h, IsolationLevel::Si, &clean_script(h, 1, 0));
         assert_eq!(
             live.verdict().accepted(),
-            sync_report.verdict().accepted(),
-            "{}: concurrent final verdict diverged",
-            case.name
+            sync.verdict().accepted(),
+            "{name}: concurrent final verdict diverged"
         );
     }
 }

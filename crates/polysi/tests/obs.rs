@@ -1,12 +1,9 @@
-//! Observability contract tests: deterministic metrics, well-nested span
-//! trees, and machine-readable reports.
+//! Observability contract tests: counter digests, well-nested span trees
+//! and machine-readable reports.
 //!
-//! * **Counter determinism** — plain (non-`runtime.*`) counter totals,
-//!   the solver's search counters among them, are a function of the
-//!   history and options, not of scheduling:
-//!   [`polysi_obs::Metrics::counter_digest`] must be byte-identical at 1,
-//!   4, and auto threads for the prune and checkpoint worker pools,
-//!   across the conformance corpus.
+//! * **Counter digest** — the sharded prune-thread rows of the mode matrix
+//!   keep `Metrics::counter_digest` equal to plain batch, on a corpus that
+//!   moves the reduced known graph and the solver.
 //! * **Span coverage** — a traced batch check on the solver-stress
 //!   fixture produces one well-nested `check` root covering ≥95% of the
 //!   measured wall time, with the pipeline stages as ordered children.
@@ -19,86 +16,29 @@
 //!   carries the documented top-level keys; `--trace-out` emits valid
 //!   Chrome trace-event JSON.
 
-use polysi::checker::engine::{
-    CheckEngine, CheckpointThreads, EngineOptions, IsolationLevel, PruneThreads, Sharding,
-};
+use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel, Sharding};
 use polysi::checker::StreamingChecker;
-use polysi::dbsim::testkit::conformance_corpus;
 use polysi::history::History;
 use polysi_obs::json::{parse, Value};
 use polysi_obs::span::{span_forest, AttrValue, SpanNode};
 use polysi_obs::Obs;
 use std::process::Command;
+use support::{fixture, fixture_path};
+
+mod support;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_polysi"))
 }
 
-fn fixture(name: &str) -> String {
-    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(path).expect("fixture exists")
-}
-
-fn fixture_history(name: &str) -> History {
-    polysi::history::codec::decode(&fixture(name)).expect("fixture parses")
-}
-
-fn fixture_path(name: &str) -> String {
-    format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Batch-check `h` with the given prune pool and return the registry's
-/// deterministic counter digest, plus the count of resolved edges the
-/// reduced known graph did not materialise and the solver's decisions.
-fn batch_digest(h: &History, prune: PruneThreads) -> (u64, u64, u64) {
-    let opts =
-        EngineOptions { sharding: Sharding::Auto, prune_threads: prune, ..Default::default() };
-    let obs = Obs::default();
-    CheckEngine::new(IsolationLevel::Si, opts).with_obs(obs.clone()).check(h);
-    (
-        obs.metrics.counter_digest(),
-        obs.metrics.counter("prune.implied_edges").total(),
-        obs.metrics.counter("solver.decisions").total(),
-    )
-}
-
-/// Stream `h` in thirds with the given checkpoint pool and return the
-/// registry's counter digest.
-fn stream_digest(h: &History, threads: CheckpointThreads) -> u64 {
-    let opts = EngineOptions { checkpoint_threads: threads, ..Default::default() };
-    let obs = Obs::default();
-    let mut checker = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs.clone());
-    let sessions: Vec<_> = (0..h.num_sessions()).map(|_| checker.session()).collect();
-    let stop = (h.len() / 3).max(1);
-    let mut since = 0usize;
-    for s in h.sessions() {
-        for txn in s.txns {
-            checker.push_transaction(sessions[txn.session.0 as usize], txn.ops.clone(), txn.status);
-            since += 1;
-            if since >= stop {
-                since = 0;
-                checker.checkpoint();
-            }
-        }
-    }
-    checker.checkpoint();
-    obs.metrics.counter_digest()
-}
-
 #[test]
 fn counter_digest_is_thread_count_invariant() {
-    let corpus = conformance_corpus(0x00D1_6E57, 1, 6);
-    assert!(corpus.len() >= 10, "corpus too small: {}", corpus.len());
     let (mut implied, mut decisions) = (0u64, 0u64);
-    for case in &corpus {
-        let base = batch_digest(&case.history, PruneThreads::Fixed(1));
-        implied += base.1;
-        decisions += base.2;
-        for prune in [PruneThreads::Fixed(4), PruneThreads::Auto] {
-            let digest = batch_digest(&case.history, prune);
-            assert_eq!(digest, base, "{}: counter digest diverged at {prune:?}", case.name);
-        }
-    }
+    support::check_modes(&["prune 1", "prune 4"], |_, _, runs| {
+        let batch = support::run_of(runs, "batch");
+        implied += batch.counter("prune.implied_edges");
+        decisions += batch.counter("solver.decisions");
+    });
     // The digest covers `prune.implied_edges` and `solver.*` only if the
     // corpus makes them move: the reduced known graph must have absorbed
     // something, and the solver must have searched.
@@ -107,23 +47,8 @@ fn counter_digest_is_thread_count_invariant() {
 }
 
 #[test]
-fn streaming_counter_digest_is_checkpoint_pool_invariant() {
-    for name in ["session_braid.txt", "serializable.txt", "shard_disjoint_components.txt"] {
-        let h = fixture_history(name);
-        let base = stream_digest(&h, CheckpointThreads::Fixed(1));
-        for threads in [CheckpointThreads::Fixed(4), CheckpointThreads::Auto] {
-            assert_eq!(
-                stream_digest(&h, threads),
-                base,
-                "{name}: streaming digest diverged at {threads:?}"
-            );
-        }
-    }
-}
-
-#[test]
 fn spans_cover_the_check_and_nest_the_stages() {
-    let h = fixture_history("solver_stress_clique.txt");
+    let h = fixture("solver_stress_clique.txt");
     // Scheduler noise outside the engine can only *inflate* the measured
     // wall (the run is a few hundred µs), so take the best of a few
     // attempts before judging coverage.
@@ -220,7 +145,7 @@ fn sat_solve_span_explains_the_propagation_gate() {
     assert!(stats.theory_visits > 0);
 
     // A corpus accept decided by the solver long before any restart.
-    let clique = fixture_history("solver_stress_clique.txt");
+    let clique = fixture("solver_stress_clique.txt");
     let (report, attr, counter) = traced(&clique, IsolationLevel::Si);
     assert!(report.is_si() && report.solver_stats.is_some_and(|s| s.conflicts > 0));
     assert_eq!(attr("theory_propagations"), Some(AttrValue::U64(0)));
@@ -264,7 +189,7 @@ fn prune_span_says_which_oracle_the_rule_picked() {
     assert!(matches!(sessions, Some(AttrValue::U64(c)) if c * 32 > lattice.len() as u64));
 
     // A corpus accept: small, so dense whatever its sessions.
-    let clique = fixture_history("solver_stress_clique.txt");
+    let clique = fixture("solver_stress_clique.txt");
     let (oracles, oracle, ..) = traced(&clique, IsolationLevel::Si);
     assert_eq!((oracles, oracle), (OracleCounts { dense: 1, chains: 0 }, Some(dense)));
 }
@@ -275,7 +200,7 @@ fn prune_span_says_which_oracle_the_rule_picked() {
 /// next to the stage ones.
 #[test]
 fn axioms_and_shard_plan_are_traced_and_timed() {
-    let h = fixture_history("shard_disjoint_components.txt");
+    let h = fixture("shard_disjoint_components.txt");
     let obs = Obs::enabled();
     let report = CheckEngine::new(IsolationLevel::Si, EngineOptions::default())
         .with_obs(obs.clone())
@@ -323,13 +248,8 @@ fn axioms_and_shard_plan_are_traced_and_timed() {
 /// verdicts.
 fn three_checkpoint_stream(obs: Obs) -> Vec<bool> {
     use polysi::history::{Key, Op, TxnStatus, Value};
-    // One checkpoint worker, so component spans nest under their
-    // checkpoint instead of rooting on worker threads.
-    let opts = EngineOptions {
-        compact: polysi::checker::engine::CompactMode::On,
-        checkpoint_threads: CheckpointThreads::Fixed(1),
-        ..EngineOptions::default()
-    };
+    let opts =
+        EngineOptions { compact: polysi::checker::engine::CompactMode::On, ..Default::default() };
     let mut checker = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs);
     let sessions: Vec<_> = (0..6).map(|_| checker.session()).collect();
     let mut latest = std::collections::HashMap::new();
@@ -454,11 +374,7 @@ fn delta_checkpoints_are_attributed_to_their_phases() {
 fn compaction_reports_retired_sessions_and_evidence_bytes() {
     use polysi::checker::engine::CompactMode;
     use polysi::history::{Key, Op, TxnStatus, Value};
-    let opts = EngineOptions {
-        compact: CompactMode::On,
-        checkpoint_threads: CheckpointThreads::Fixed(1),
-        ..EngineOptions::default()
-    };
+    let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
     let obs = Obs::enabled();
     let mut checker = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs.clone());
     let key = |slot: u64, i: u64| Key(1 + slot * 4 + i % 4);

@@ -1,93 +1,57 @@
-//! Determinism of the parallel prune sweep: `--prune-threads 1` and
-//! `auto`/fixed-N must produce byte-identical verdicts, known-edge
-//! lists, and counterexample cycles across the conformance corpus — the
-//! sweep is read-only against the shared oracle and resolutions are
-//! applied in constraint order, so thread count is purely a performance
-//! knob. This suite is also CI's `--prune-threads auto` conformance run:
-//! it exercises the parallel path on every corpus history.
+//! Determinism of the parallel prune sweep at the polygraph level: the
+//! reduced known-edge list, the surviving constraints and the
+//! counterexample cycle are byte-identical for every thread count and
+//! closure store (the sweep is read-only against the shared oracle and
+//! resolutions are applied in constraint order). Thread counts at the
+//! engine level are rows of the mode matrix: the unsharded ones here, the
+//! sharded ones with the counter digests in `tests/obs.rs`.
 
-use polysi::checker::engine::{check, EngineOptions, IsolationLevel, PruneThreads, Sharding};
-use polysi::checker::Outcome;
 use polysi::dbsim::testkit::conformance_corpus;
 use polysi::history::Facts;
 use polysi::polygraph::{
     ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Polygraph, PruneOptions,
     PruneResult, Semantics,
 };
+use polysi_obs::json::Value;
 use polysi_obs::Tracer;
 use rebuild::prune_by_rebuild;
+use support::Proj;
+
+mod support;
 
 /// The textbook Algorithm-1 loop the production prune is held against.
 mod rebuild {
     include!("../../polygraph/tests/support/rebuild.rs");
 }
 
-const SEED: u64 = 0xD15C_0C0A;
-
-fn corpus() -> &'static [polysi::dbsim::testkit::ConformanceCase] {
-    static CORPUS: std::sync::OnceLock<Vec<polysi::dbsim::testkit::ConformanceCase>> =
-        std::sync::OnceLock::new();
-    CORPUS.get_or_init(|| conformance_corpus(SEED, 1, 16))
-}
-
-/// A comparable digest of everything a check run decides, and of the
-/// search effort the solver spent deciding it.
-fn digest(report: &polysi::checker::CheckReport) -> (bool, String, Option<(usize, usize)>, String) {
-    let cycle = match &report.outcome {
-        Outcome::CyclicViolation(v) => format!("{:?}", v.cycle),
-        Outcome::AxiomViolations(vs) => format!("{vs:?}"),
-        Outcome::Si => String::new(),
-    };
-    (
-        report.is_si(),
-        cycle,
-        report.prune_stats.map(|s| (s.constraints_after, s.unknown_deps_after)),
-        format!("{:?}", report.solver_stats),
-    )
-}
-
-/// Engine-level: thread counts never change verdicts, witness cycles,
-/// surviving-constraint counts, or solver counters, sharded or not, for
-/// either isolation level.
+/// The unsharded prune-thread rows of the mode matrix: one and four sweep
+/// threads give byte-identical reports and counter digests, under SI and
+/// SER, on every history of the matrix corpus — including histories whose
+/// cycle the prune itself finds.
 #[test]
 fn prune_threads_are_deterministic_across_corpus() {
-    for case in corpus() {
-        for isolation in [IsolationLevel::Si, IsolationLevel::Ser] {
-            for sharding in [Sharding::Off, Sharding::Auto] {
-                let run = |threads: PruneThreads| {
-                    let opts = EngineOptions {
-                        sharding,
-                        interpret: false,
-                        prune_threads: threads,
-                        ..Default::default()
-                    };
-                    digest(&check(&case.history, isolation, &opts))
-                };
-                let seq = run(PruneThreads::Fixed(1));
-                for threads in [PruneThreads::Fixed(4), PruneThreads::Auto] {
-                    assert_eq!(
-                        seq,
-                        run(threads),
-                        "{}: {isolation:?}/{sharding:?}/{threads:?} diverged from sequential",
-                        case.name
-                    );
-                }
-            }
-        }
-    }
+    let mut prune_cycles = 0usize;
+    support::check_modes(&["prune 1 unsharded", "prune 4 unsharded"], |_, _, runs| {
+        // A cycle pruning found leaves the unit without prune counters.
+        let unsharded = support::run_of(runs, "batch unsharded").trail[0].view(Proj::Exact);
+        prune_cycles += (unsharded.get("verdict").and_then(Value::as_str)
+            == Some("cyclic_violation")
+            && unsharded.get("prune") == Some(&Value::Null)) as usize;
+    });
+    assert!(prune_cycles > 0, "pruning never found the violation");
 }
 
 /// Polygraph-level: `Polygraph::known` after prune — the reduced list of
 /// materialised edges, not just its length — is byte-identical for every
-/// thread count, chunk size, and oracle representation, under SI and SER;
-/// and the incremental oracle agrees with the unreduced rebuild loop on
-/// every verdict and, on acceptance, on the surviving constraints.
+/// thread count and oracle representation, under SI and SER; and the
+/// incremental oracle agrees with the unreduced rebuild loop on every
+/// verdict and, on acceptance, on the surviving constraints.
 #[test]
 fn resolved_edge_sets_are_identical() {
     let tracer = Tracer::disabled();
     let mut violations = 0usize;
     let mut reduced = 0usize;
-    for case in corpus() {
+    for case in conformance_corpus(0xD15C_0C0A, 1, 16) {
         let facts = Facts::analyze(&case.history);
         if !facts.axioms_ok() {
             continue;
@@ -117,13 +81,11 @@ fn resolved_edge_sets_are_identical() {
                 // corpus worklists; the size cutoff would otherwise route
                 // every case through the sequential fallback and compare
                 // sequential against sequential.
-                for chunk_size in [0usize, 1, 7] {
-                    assert!(
-                        seq == run(PruneOptions::forced_parallel(threads, chunk_size)),
-                        "{}: {semantics:?} threads={threads} chunk={chunk_size} diverged",
-                        case.name
-                    );
-                }
+                assert!(
+                    seq == run(PruneOptions::forced_parallel(threads)),
+                    "{}: {semantics:?} threads={threads} diverged",
+                    case.name
+                );
             }
             // Either store, pinned: a pre-built oracle resumed with every
             // transaction seeded sweeps exactly what `prune` sweeps.
@@ -133,7 +95,7 @@ fn resolved_edge_sets_are_identical() {
                     KnownGraphResult::Cyclic(cycle) => PruneResult::Violation(cycle),
                     KnownGraphResult::Acyclic(kg) => {
                         assert_eq!(kg.oracle_kind(), kind);
-                        let opts = PruneOptions::forced_parallel(4, 0);
+                        let opts = PruneOptions::forced_parallel(4);
                         g.prune_resume(kg, &vec![true; base.n], &opts, &tracer).0
                     }
                 };

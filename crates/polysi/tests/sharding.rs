@@ -1,14 +1,17 @@
 //! Sharded checking must be invisible in verdicts: `Sharding::Auto` and
-//! `Sharding::Off` agree on every history, for both isolation levels —
-//! on the full testkit conformance corpus and on proptest-generated
-//! multi-component histories, including histories that force the
-//! cross-shard fallback path.
+//! `Sharding::Off` agree on proptest-generated multi-component histories,
+//! for both isolation levels, including histories that force the
+//! cross-shard fallback path. On the corpus the pair is the unsharded row
+//! of the mode matrix.
 
 use polysi::checker::engine::{check, EngineOptions, IsolationLevel, Sharding};
 use polysi::checker::ShardFallback;
-use polysi::dbsim::testkit::conformance_corpus;
 use polysi::history::{History, HistoryBuilder, Key, Value};
+use polysi_obs::json::Value as Json;
 use proptest::prelude::*;
+use support::Proj;
+
+mod support;
 
 fn auto() -> EngineOptions {
     EngineOptions { sharding: Sharding::Auto, interpret: false, ..Default::default() }
@@ -18,29 +21,17 @@ fn off() -> EngineOptions {
     EngineOptions { sharding: Sharding::Off, interpret: false, ..Default::default() }
 }
 
-/// Sharded verdict == whole-history verdict across the whole conformance
-/// corpus, under SI and SER.
+/// The unsharded row of the mode matrix: `Sharding::Off` reaches the
+/// verdict class of sharded plain batch, under SI and SER, on every history
+/// of the matrix corpus — and some of them really split.
 #[test]
 fn sharded_verdicts_match_whole_history_on_conformance_corpus() {
     let mut sharded_runs = 0usize;
-    for case in conformance_corpus(0xC0F_FEE, 1, 12) {
-        for isolation in [IsolationLevel::Si, IsolationLevel::Ser] {
-            let a = check(&case.history, isolation, &auto());
-            let b = check(&case.history, isolation, &off());
-            assert_eq!(
-                a.is_si(),
-                b.is_si(),
-                "{}: sharding changed the {} verdict",
-                case.name,
-                isolation.name()
-            );
-            if a.shard_stats.is_some_and(|s| s.components >= 2) {
-                sharded_runs += 1;
-            }
-        }
-    }
-    // The corpus contains templated anomalies over tiny key sets, several
-    // of which split: the sweep must really exercise the sharded path.
+    support::check_modes(&["batch unsharded"], |_, _, runs| {
+        let batch = support::run_of(runs, "batch").trail[0].view(Proj::Exact);
+        let components = batch.get("shards").and_then(|s| s.get("components"));
+        sharded_runs += (components.and_then(Json::as_u64) >= Some(2)) as usize;
+    });
     assert!(sharded_runs > 0, "no corpus case exercised multi-component checking");
 }
 
