@@ -1,19 +1,22 @@
 //! What a check run reports (Algorithm 1/2 of the paper): the verdict with
 //! its witness, per-stage timing for the decomposition analysis (Section
 //! 5.4.2) and the stage counters. The pipeline that fills them in is the
-//! staged [`crate::engine::CheckEngine`].
+//! staged [`crate::engine::CheckEngine`]; each pipeline unit's share is one
+//! [`Tally`], which shards merge and the metrics registry records.
 
 use crate::anomaly::Anomaly;
 use crate::engine::ShardStats;
 use crate::interpret::Scenario;
 use polysi_history::AxiomViolation;
+use polysi_obs::Metrics;
 use polysi_polygraph::{Edge, OracleKind, PruneStats};
 use polysi_solver::SolverStats;
 use std::time::Duration;
 
-/// Wall-clock duration of each pipeline stage (Figure 9). For sharded runs
-/// these are summed across components (CPU time, not wall-clock — the
-/// components run concurrently).
+/// Wall-clock duration of each pipeline stage (Figure 9): the durations of
+/// the stage's spans (`axioms` + `construct`, `prune`, `encode`, `solve` +
+/// `solve.witness`). For sharded runs these are summed across components
+/// (CPU time, not wall-clock — the components run concurrently).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings {
     /// Axiom checks + polygraph construction.
@@ -138,6 +141,104 @@ impl OracleCounts {
         match kind {
             OracleKind::Dense => self.dense += 1,
             OracleKind::Chains => self.chains += 1,
+        }
+    }
+}
+
+/// What one pipeline unit's stages produced and cost — a batch unit (the
+/// whole history or one shard) or one dirty stream component. A stat is
+/// `None` when its stage did not run (prune: did not complete; solver: was
+/// not called).
+#[derive(Default)]
+pub(crate) struct Tally {
+    pub timings: StageTimings,
+    pub prune_stats: Option<PruneStats>,
+    pub encode_stats: Option<EncodeStats>,
+    pub solver_stats: Option<SolverStats>,
+    pub solve_stats: Option<SolveStats>,
+    pub oracles: OracleCounts,
+}
+
+impl Tally {
+    /// Add another unit's tally: counts and times add up (a stat present
+    /// on either side is present in the sum).
+    pub(crate) fn merge(&mut self, u: Tally) {
+        fn sum<T>(a: Option<T>, b: Option<T>, add: impl FnOnce(T, T) -> T) -> Option<T> {
+            match (a, b) {
+                (Some(a), Some(b)) => Some(add(a, b)),
+                (a, b) => a.or(b),
+            }
+        }
+        let (t, ut) = (&mut self.timings, u.timings);
+        t.constructing += ut.constructing;
+        t.pruning += ut.pruning;
+        t.encoding += ut.encoding;
+        t.solving += ut.solving;
+        self.prune_stats = sum(self.prune_stats, u.prune_stats, PruneStats::merge);
+        self.encode_stats = sum(self.encode_stats, u.encode_stats, |a, b| EncodeStats {
+            vars: a.vars + b.vars,
+            clauses: a.clauses + b.clauses,
+            known_edges: a.known_edges + b.known_edges,
+            symbolic_edges: a.symbolic_edges + b.symbolic_edges,
+        });
+        self.solver_stats = sum(self.solver_stats, u.solver_stats, |a, b| SolverStats {
+            decisions: a.decisions + b.decisions,
+            propagations: a.propagations + b.propagations,
+            conflicts: a.conflicts + b.conflicts,
+            theory_conflicts: a.theory_conflicts + b.theory_conflicts,
+            learned_clauses: a.learned_clauses + b.learned_clauses,
+            restarts: a.restarts + b.restarts,
+            theory_propagations: a.theory_propagations + b.theory_propagations,
+            theory_visits: a.theory_visits + b.theory_visits,
+        });
+        self.solve_stats =
+            sum(self.solve_stats, u.solve_stats, |a, b| SolveStats { units: a.units + b.units });
+        self.oracles.dense += u.oracles.dense;
+        self.oracles.chains += u.oracles.chains;
+    }
+
+    /// Fold the stage counters into the registry: the one place the
+    /// `prune.*`, `encode.*` and `solver.*` counters are written. A family
+    /// is registered only when its stat is present (registration shows in
+    /// `Metrics::counter_digest`).
+    pub(crate) fn record(&self, m: &Metrics) {
+        if let Some(p) = &self.prune_stats {
+            m.counter("prune.constraints_before").add(p.constraints_before as u64);
+            m.counter("prune.constraints_after").add(p.constraints_after as u64);
+            m.counter("prune.closure_updates").add(p.closure_updates as u64);
+            m.counter("prune.incremental_edges").add(p.incremental_edges as u64);
+            m.counter("prune.implied_edges").add(p.implied_edges as u64);
+            m.counter("prune.graph_builds").add(p.graph_builds as u64);
+        }
+        if let Some(e) = &self.encode_stats {
+            m.counter("encode.vars").add(e.vars as u64);
+            m.counter("encode.clauses").add(e.clauses as u64);
+            m.counter("encode.known_edges").add(e.known_edges as u64);
+            m.counter("encode.symbolic_edges").add(e.symbolic_edges as u64);
+        }
+        if let Some(s) = &self.solver_stats {
+            m.counter("solver.decisions").add(s.decisions);
+            m.counter("solver.propagations").add(s.propagations);
+            m.counter("solver.conflicts").add(s.conflicts);
+            m.counter("solver.theory_conflicts").add(s.theory_conflicts);
+            m.counter("solver.learned_clauses").add(s.learned_clauses);
+            m.counter("solver.restarts").add(s.restarts);
+            m.counter("solver.theory_propagations").add(s.theory_propagations);
+            m.counter("solver.theory_visits").add(s.theory_visits);
+        }
+    }
+
+    /// The report of a check whose units this tally sums.
+    pub(crate) fn report(self, outcome: Outcome, shard_stats: Option<ShardStats>) -> CheckReport {
+        CheckReport {
+            outcome,
+            timings: self.timings,
+            prune_stats: self.prune_stats,
+            encode_stats: self.encode_stats.unwrap_or_default(),
+            solver_stats: self.solver_stats,
+            solve_stats: self.solve_stats,
+            shard_stats,
+            oracles: self.oracles,
         }
     }
 }

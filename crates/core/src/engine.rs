@@ -11,18 +11,20 @@
 //! |---|---|---|
 //! | [`Stage::Axioms`] | Algorithm 1, lines 2–4 (`CheckNonCyclicAxioms`) | `Int`, aborted/intermediate reads, UniqueValue via [`Facts::analyze`]; on failure the graph stages are skipped |
 //! | [`Stage::Construct`] | Algorithm 2 (`CreateKnownGraph` + `GenerateConstraints`) | known `SO ∪ WR` (+ init-read `RW`, + RMW-inferred `WW` under SER) edges and per-key writer-pair constraints |
-//! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — and the per-pass sweep can fan out over [`PruneThreads`] scoped threads |
+//! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — and the per-pass sweep can fan out over its share of the [`PruneThreads`] budget |
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
 //! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph, classified, and interpreted |
 //!
-//! Encode and Solve are one function (`encode_and_solve`, shared with the
-//! streaming checker) and cost the constraints that *survive* pruning: a
-//! unit whose pruning ran and left no constraint is accepted without
-//! building a solver — the known graph is then the only compatible graph,
-//! and the prune oracle already holds it acyclic. `solve.units`
-//! ([`SolveStats`]) therefore counts the solver calls actually made, not
-//! the units that got that far; with `pruning: false` every unit is
-//! encoded.
+//! Prune → Encode → Solve is one runner (`run_unit`), shared with the
+//! streaming checker, which constructs its polygraphs its own way; only a
+//! batch unit extracts a witness. Encode and Solve cost the constraints
+//! that *survive* pruning: a unit whose pruning ran and left none is
+//! accepted without building a solver — the known graph is then the only
+//! compatible graph, and the prune oracle already holds it acyclic.
+//! `solve.units` ([`SolveStats`]) therefore counts the solver calls
+//! actually made; with `pruning: false` every unit is encoded. Every stage
+//! time is its span's duration, and a unit's times and stats are one tally
+//! that shards merge and the metrics registry records.
 //!
 //! # Isolation levels
 //!
@@ -41,26 +43,23 @@
 //! no keys and no session edges. Each component is constructed, pruned,
 //! encoded, and solved independently on scoped threads (axioms always run
 //! once, globally); stage timings and counters are merged into the single
-//! [`CheckReport`]. When key components are bridged by sessions the `SO`
-//! edges between them are cross-shard constraints and the engine falls
+//! [`CheckReport`]. The [`PruneThreads`] budget is the whole check's. When
+//! key components are bridged by sessions the `SO` edges between them are cross-shard constraints and the engine falls
 //! back to whole-history checking
 //! ([`ShardFallback::CrossShardSessions`]).
 
 use crate::anomaly::Anomaly;
-use crate::check::{
-    CheckReport, EncodeStats, OracleCounts, Outcome, SolveStats, StageTimings, Violation,
-};
+use crate::check::{CheckReport, EncodeStats, Outcome, SolveStats, Tally, Violation};
 use crate::interpret::interpret;
 use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan};
-use polysi_obs::{kv, Metrics, Obs, Tracer};
+use polysi_obs::{kv, Obs, SpanGuard, Tracer};
 use polysi_polygraph::{
     ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, Polygraph, PruneOptions,
-    PruneResult, PruneStats, Semantics,
+    PruneResult, Semantics,
 };
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// The isolation level a history is checked against (the *policy*; the
 /// graph-level *mechanism* is [`Semantics`]).
@@ -111,18 +110,18 @@ pub enum Sharding {
     Auto,
 }
 
-/// Worker threads for the intra-component constraint sweep of the Prune
-/// stage. Any setting produces byte-identical verdicts, resolved-edge
-/// sets, and counterexample cycles — the sweep is read-only against the
-/// shared reachability oracle and resolutions are applied in constraint
-/// order — so this is purely a performance knob (CLI `--prune-threads`).
+/// The thread budget of a check (CLI `--prune-threads`): a sharded check
+/// runs `min(budget, components)` shard workers, each unit's Prune sweep
+/// on `budget / workers` threads (at least one; the `check` span records
+/// both); an unsharded unit or a stream component sweeps on all of it.
+/// Any setting produces byte-identical reports and counters, so this is
+/// purely a performance knob.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PruneThreads {
-    /// Use the machine's available parallelism, divided across concurrent
-    /// shard pipelines when the history is sharded.
+    /// The machine's available parallelism.
     #[default]
     Auto,
-    /// Exactly `n` sweep threads per pruning unit (1 = sequential).
+    /// Exactly `n` threads (1 = a sequential check).
     Fixed(usize),
 }
 
@@ -136,15 +135,14 @@ fn cores() -> usize {
 }
 
 impl PruneThreads {
-    /// Resolve to a concrete thread count for one of `units` concurrently
-    /// pruning pipeline units. `Fixed` is capped at a small multiple of
-    /// the machine's parallelism — an absurd `--prune-threads` value must
-    /// degrade to oversubscription, not exhaust the process thread limit.
-    pub(crate) fn resolve(self, units: usize) -> usize {
+    /// The budget as a thread count. `Fixed` is capped at a small multiple
+    /// of the machine's parallelism — an absurd `--prune-threads` value
+    /// must degrade to oversubscription, not exhaust the thread limit.
+    pub(crate) fn budget(self) -> usize {
         let cores = cores();
         match self {
             PruneThreads::Fixed(n) => n.clamp(1, cores.saturating_mul(4).max(64)),
-            PruneThreads::Auto => (cores / units.max(1)).max(1),
+            PruneThreads::Auto => cores,
         }
     }
 }
@@ -234,10 +232,7 @@ pub struct EngineOptions {
     pub pruning: bool,
     /// Run the interpretation algorithm on cyclic violations.
     pub interpret: bool,
-    /// Seed solver decision phases along a topological order of the known
-    /// graph.
-    pub phase_seeding: bool,
-    /// Intra-component parallelism of the Prune stage's constraint sweep.
+    /// The check's thread budget: shard workers × prune sweep threads.
     pub prune_threads: PruneThreads,
     /// Watermark compaction of the streaming checker's settled prefix
     /// ([`CompactMode`]); ignored by batch checks.
@@ -251,7 +246,6 @@ impl Default for EngineOptions {
             mode: ConstraintMode::Generalized,
             pruning: true,
             interpret: true,
-            phase_seeding: true,
             prune_threads: PruneThreads::Auto,
             compact: CompactMode::Auto,
         }
@@ -288,18 +282,9 @@ pub struct CheckEngine {
     obs: Obs,
 }
 
-/// What one pipeline unit (the whole history, or one shard) produced.
-/// Cycles are in *global* transaction ids.
-#[derive(Default)]
-struct UnitReport {
-    cycle: Option<Vec<Edge>>,
-    oracles: OracleCounts,
-    timings: StageTimings,
-    prune_stats: Option<PruneStats>,
-    encode_stats: EncodeStats,
-    solver_stats: Option<SolverStats>,
-    solve_stats: Option<SolveStats>,
-}
+/// What one pipeline unit (the whole history, or one shard) concluded —
+/// its violating cycle, in *global* transaction ids — and its tally.
+type UnitReport = (Option<Vec<Edge>>, Tally);
 
 impl CheckEngine {
     /// An engine for `isolation` with the given knobs.
@@ -331,43 +316,36 @@ impl CheckEngine {
             .obs
             .tracer
             .span_kv("check", kv! { isolation: self.isolation.name(), txns: h.len() });
-        let report = self.check_inner(h);
-        span.attr("verdict", report.outcome.kind());
-        self.record_metrics(h, &report);
-        report
+        let (outcome, mut tally, shard_stats) = self.check_inner(h, &mut span);
+        span.attr("verdict", outcome.kind());
+        // A batch report always carries an `encode` object (zeros when no
+        // unit reached Encode), and so does the registry.
+        tally.encode_stats.get_or_insert_default();
+        self.record_metrics(h, &outcome, &tally);
+        tally.report(outcome, shard_stats)
     }
 
-    fn check_inner(&self, h: &History) -> CheckReport {
-        let mut timings = StageTimings::default();
-        let t0 = Instant::now();
-
+    fn check_inner(
+        &self,
+        h: &History,
+        check_span: &mut SpanGuard,
+    ) -> (Outcome, Tally, Option<ShardStats>) {
         // Stage::Axioms — run once, globally: axiom witnesses (e.g. an
         // aborted write read in another session) may span what would
         // otherwise be distinct shards. Its time is folded into
         // `constructing`, as in the original pipeline.
         // The key index both analyses read is built here, once.
-        let (index, facts) = {
-            let mut span = self.obs.tracer.span_kv("axioms", kv! { txns: h.len() });
-            let index = KeyIndex::build(h);
-            span.attr("ops", index.op_ids().len());
-            span.attr("keys", index.len());
-            let facts = Facts::analyze_with(h, &index);
-            (index, facts)
-        };
-        let axioms_time = t0.elapsed();
+        let mut span = self.obs.tracer.span_kv("axioms", kv! { txns: h.len() });
+        let index = KeyIndex::build(h);
+        span.attr("ops", index.op_ids().len());
+        span.attr("keys", index.len());
+        let facts = Facts::analyze_with(h, &index);
+        let axioms_time = span.finish();
         self.obs.metrics.histogram_us("check.axioms_us").observe_duration(axioms_time);
+        let mut tally = Tally::default();
+        tally.timings.constructing = axioms_time;
         if !facts.axioms_ok() {
-            timings.constructing = axioms_time;
-            return CheckReport {
-                outcome: Outcome::AxiomViolations(facts.violations),
-                timings,
-                prune_stats: None,
-                encode_stats: EncodeStats::default(),
-                solver_stats: None,
-                solve_stats: None,
-                shard_stats: None,
-                oracles: OracleCounts::default(),
-            };
+            return (Outcome::AxiomViolations(facts.violations), tally, None);
         }
 
         let plan = match self.opts.sharding {
@@ -381,14 +359,20 @@ impl CheckEngine {
             largest: plan.largest().max(if plan.is_shardable() { 0 } else { h.len() }),
             fallback: plan.fallback(),
         });
-        let mut unit = match plan.filter(ShardPlan::is_shardable) {
-            Some(plan) => self.check_shards(h, &facts, &plan),
-            None => self.check_unit(h, &facts, None, self.prune_options(1)),
+        let plan = plan.filter(ShardPlan::is_shardable);
+        let budget = self.opts.prune_threads.budget();
+        let workers = plan.as_ref().map_or(1, |plan| budget.min(plan.components.len()));
+        let sweep_threads = (budget / workers).max(1);
+        check_span.attr("workers", workers);
+        check_span.attr("sweep_threads", sweep_threads);
+        let prune_opts = PruneOptions::new(sweep_threads);
+        let (cycle, unit) = match plan {
+            Some(plan) => self.check_shards(h, &facts, &plan, workers, prune_opts),
+            None => self.check_unit(h, &facts, None, prune_opts),
         };
+        tally.merge(unit);
 
-        unit.timings.constructing += axioms_time;
-
-        let outcome = match unit.cycle {
+        let outcome = match cycle {
             None => Outcome::Si,
             Some(cycle) => {
                 let scenario = self.opts.interpret.then(|| interpret(h, &facts, &cycle));
@@ -396,43 +380,35 @@ impl CheckEngine {
                 Outcome::CyclicViolation(Violation { cycle, anomaly, scenario })
             }
         };
-        CheckReport {
-            outcome,
-            timings: unit.timings,
-            prune_stats: unit.prune_stats,
-            encode_stats: unit.encode_stats,
-            solver_stats: unit.solver_stats,
-            solve_stats: unit.solve_stats,
-            shard_stats,
-            oracles: unit.oracles,
-        }
+        (outcome, tally, shard_stats)
     }
 
-    /// The key-connectivity plan, under a `shard.plan` span and the
-    /// `check.shard_plan_us` histogram. No [`StageTimings`] field includes
-    /// this time.
+    /// The key-connectivity plan, under a `shard.plan` span whose duration
+    /// the `check.shard_plan_us` histogram records (no stage includes it).
     fn shard_plan(&self, h: &History, index: &KeyIndex) -> ShardPlan {
-        let t = Instant::now();
         let mut span = self.obs.tracer.span("shard.plan");
         let plan = ShardPlan::analyze_with(h, index);
         span.attr("components", plan.components.len());
         span.attr("keys", index.len());
         span.attr("largest", plan.largest());
-        drop(span);
-        self.obs.metrics.histogram_us("check.shard_plan_us").observe_duration(t.elapsed());
+        let took = span.finish();
+        self.obs.metrics.histogram_us("check.shard_plan_us").observe_duration(took);
         plan
     }
 
-    /// Check every component on scoped worker threads and merge the
+    /// Check every component on `workers` scoped threads and merge the
     /// results. The reported violation (if any) is the one from the
     /// lowest-numbered violating component, so sharded runs stay
     /// deterministic regardless of scheduling.
-    fn check_shards(&self, h: &History, facts: &Facts, plan: &ShardPlan) -> UnitReport {
+    fn check_shards(
+        &self,
+        h: &History,
+        facts: &Facts,
+        plan: &ShardPlan,
+        workers: usize,
+        prune_opts: PruneOptions,
+    ) -> UnitReport {
         let ncomp = plan.components.len();
-        let workers = cores().clamp(1, ncomp);
-        // Shard pipelines run `workers`-wide, so each unit's intra-prune
-        // sweep gets a proportional share of the machine.
-        let prune_opts = self.prune_options(workers);
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, UnitReport)>> = Mutex::new(Vec::with_capacity(ncomp));
         std::thread::scope(|s| {
@@ -453,46 +429,17 @@ impl CheckEngine {
         });
         let mut units = results.into_inner().expect("shard worker panicked");
         units.sort_by_key(|&(i, _)| i);
-
         let mut merged = UnitReport::default();
-        for (_, u) in units {
-            if merged.cycle.is_none() {
-                merged.cycle = u.cycle;
-            }
-            merged.oracles.dense += u.oracles.dense;
-            merged.oracles.chains += u.oracles.chains;
-            merged.timings.constructing += u.timings.constructing;
-            merged.timings.pruning += u.timings.pruning;
-            merged.timings.encoding += u.timings.encoding;
-            merged.timings.solving += u.timings.solving;
-            merged.prune_stats = match (merged.prune_stats, u.prune_stats) {
-                (Some(a), Some(b)) => Some(a.merge(b)),
-                (a, b) => a.or(b),
-            };
-            merged.encode_stats.vars += u.encode_stats.vars;
-            merged.encode_stats.clauses += u.encode_stats.clauses;
-            merged.encode_stats.known_edges += u.encode_stats.known_edges;
-            merged.encode_stats.symbolic_edges += u.encode_stats.symbolic_edges;
-            merged.solver_stats = match (merged.solver_stats, u.solver_stats) {
-                (Some(a), Some(b)) => Some(merge_solver_stats(a, b)),
-                (a, b) => a.or(b),
-            };
-            merged.solve_stats = match (merged.solve_stats, u.solve_stats) {
-                (Some(a), Some(b)) => Some(SolveStats { units: a.units + b.units }),
-                (a, b) => a.or(b),
-            };
+        for (_, (cycle, tally)) in units {
+            merged.0 = merged.0.or(cycle);
+            merged.1.merge(tally);
         }
         merged
     }
 
-    /// Prune options for one pipeline unit, `units` of which prune
-    /// concurrently.
-    fn prune_options(&self, units: usize) -> PruneOptions {
-        PruneOptions::new(self.opts.prune_threads.resolve(units))
-    }
-
-    /// Stages Construct → Prune → Encode → Solve for one unit: the whole
-    /// history (`shard == None`) or one key-connectivity component.
+    /// Stage::Construct for one unit — the whole history (`shard == None`)
+    /// or one key-connectivity component — then the shared Prune → Encode
+    /// → Solve runner, and on UNSAT the witness.
     fn check_unit(
         &self,
         h: &History,
@@ -500,116 +447,58 @@ impl CheckEngine {
         shard: Option<(&ShardPlan, usize)>,
         prune_opts: PruneOptions,
     ) -> UnitReport {
-        let comp = shard.map(|(plan, i)| &plan.components[i]);
+        let tracer = &self.obs.tracer;
         let semantics = self.isolation.semantics();
-        let mut timings = StageTimings::default();
+        let span = tracer.span("construct");
+        let mut g = match shard {
+            None => Polygraph::from_history_with(h, facts, self.opts.mode, semantics),
+            Some((plan, i)) => {
+                Polygraph::from_component(h, facts, self.opts.mode, semantics, plan, i)
+            }
+        };
+        let constructing = span.finish();
+
+        let prune = self.opts.pruning.then_some(Prune::Scratch);
+        let (verdict, mut tally, _oracle) = run_unit(&mut g, prune, &prune_opts, tracer);
+        tally.timings.constructing = constructing;
+        let cycle = match verdict {
+            UnitVerdict::Accepted => None,
+            UnitVerdict::PruneCycle(cycle) => Some(cycle),
+            // The counterexample is part of the Solve stage's time.
+            UnitVerdict::Unsat => {
+                let span = tracer.span("solve.witness");
+                let cycle = extract_cycle(&g);
+                tally.timings.solving += span.finish();
+                Some(cycle)
+            }
+        };
         let translate = |mut cycle: Vec<Edge>| {
-            if let Some(c) = comp {
+            if let Some((plan, i)) = shard {
                 for e in &mut cycle {
-                    e.from = c.global(e.from);
-                    e.to = c.global(e.to);
+                    e.from = plan.components[i].global(e.from);
+                    e.to = plan.components[i].global(e.to);
                 }
             }
             cycle
         };
-
-        // Stage::Construct.
-        let t = Instant::now();
-        let mut g = {
-            let _span = self.obs.tracer.span("construct");
-            match shard {
-                None => Polygraph::from_history_with(h, facts, self.opts.mode, semantics),
-                Some((plan, i)) => {
-                    Polygraph::from_component(h, facts, self.opts.mode, semantics, plan, i)
-                }
-            }
-        };
-        timings.constructing = t.elapsed();
-
-        // Stage::Prune.
-        let mut prune_stats = None;
-        let mut oracle = None;
-        let mut oracles = OracleCounts::default();
-        if self.opts.pruning {
-            let t = Instant::now();
-            let (pr, orc) = {
-                let mut span =
-                    self.obs.tracer.span_kv("prune", kv! { constraints: g.constraints.len() });
-                let r = g.prune(&prune_opts, &self.obs.tracer);
-                span.attr("remaining", g.constraints.len());
-                if let Some(kg) = &r.1 {
-                    oracles.record(kg.oracle_kind());
-                    // What the representation rule picked, and its two
-                    // inputs (the second costs a pass over the graph).
-                    if self.obs.tracer.is_enabled() {
-                        span.attr("oracle", kg.oracle_kind().name());
-                        span.attr("n", g.n);
-                        span.attr("chains", kg.rule_chains());
-                    }
-                }
-                r
-            };
-            timings.pruning = t.elapsed();
-            match pr {
-                PruneResult::Pruned(stats) => {
-                    prune_stats = Some(stats);
-                    oracle = orc;
-                }
-                PruneResult::Violation(cycle) => {
-                    return UnitReport {
-                        cycle: Some(translate(cycle)),
-                        oracles,
-                        timings,
-                        ..Default::default()
-                    };
-                }
-            }
-        }
-
-        // Stages Encode → Solve (the counterexample is part of the Solve
-        // stage's time, as it always was).
-        let tail = encode_and_solve(
-            &g,
-            &self.opts,
-            oracle.as_deref(),
-            &self.obs.tracer,
-            ["encode", "solve"],
-        );
-        timings.encoding = tail.encoding;
-        let t = Instant::now();
-        let cycle = (!tail.sat).then(|| {
-            let _span = self.obs.tracer.span("solve.witness");
-            translate(extract_cycle(&g))
-        });
-        timings.solving = tail.solving + t.elapsed();
-        UnitReport {
-            cycle,
-            oracles,
-            timings,
-            prune_stats,
-            encode_stats: tail.encode_stats,
-            solver_stats: tail.solver_stats,
-            solve_stats: Some(SolveStats { units: tail.solver_stats.is_some() as usize }),
-        }
+        (cycle.map(translate), tally)
     }
 
-    /// Fold a finished report into the metrics registry. Plain counters
-    /// carry only scheduling-independent totals (the digest contract);
-    /// stage latencies go into histograms.
-    fn record_metrics(&self, h: &History, report: &CheckReport) {
+    /// Fold a finished check into the metrics registry: the run counters,
+    /// the tally's stage counters, and the stage times as histograms.
+    /// Plain counters carry only scheduling-independent totals (the digest
+    /// contract).
+    fn record_metrics(&self, h: &History, outcome: &Outcome, tally: &Tally) {
         let m = &self.obs.metrics;
         m.counter("check.runs").inc();
         m.counter("check.txns").add(h.len() as u64);
-        match &report.outcome {
+        match outcome {
             Outcome::Si => {}
             Outcome::AxiomViolations(v) => m.counter("check.axiom_violations").add(v.len() as u64),
             Outcome::CyclicViolation(_) => m.counter("check.cyclic_violations").inc(),
         }
-        if let Some(p) = &report.prune_stats {
-            record_prune_stats(m, p);
-        }
-        record_instance_stats(m, &report.encode_stats, report.solver_stats.as_ref());
-        let t = &report.timings;
+        tally.record(m);
+        let t = &tally.timings;
         m.histogram_us("check.total_us").observe_duration(t.total());
         m.histogram_us("check.construct_us").observe_duration(t.constructing);
         m.histogram_us("check.prune_us").observe_duration(t.pruning);
@@ -618,96 +507,87 @@ impl CheckEngine {
     }
 }
 
-/// Fold the counters of one prune call (batch: the merged report's; stream:
-/// one call per dirty component) into the registry. Per-component work is
-/// identical for any worker count, so the totals stay deterministic.
-pub(crate) fn record_prune_stats(m: &Metrics, p: &PruneStats) {
-    m.counter("prune.constraints_before").add(p.constraints_before as u64);
-    m.counter("prune.constraints_after").add(p.constraints_after as u64);
-    m.counter("prune.closure_updates").add(p.closure_updates as u64);
-    m.counter("prune.incremental_edges").add(p.incremental_edges as u64);
-    m.counter("prune.implied_edges").add(p.implied_edges as u64);
-    m.counter("prune.graph_builds").add(p.graph_builds as u64);
+/// Where a unit's Prune stage starts.
+pub(crate) enum Prune<'a> {
+    /// From scratch: a batch unit or a rebuilt stream component.
+    Scratch,
+    /// From a stream component's warm oracle, seeded with the transactions
+    /// its delta `touched`; the stage spans are then `delta.*`.
+    Resume(Box<KnownGraph>, &'a [bool]),
 }
 
-/// Fold the size of the encoded instances and the solver's search counters
-/// into the registry (batch: the merged report's; stream: one call per
-/// dirty component's tail).
-pub(crate) fn record_instance_stats(m: &Metrics, e: &EncodeStats, s: Option<&SolverStats>) {
-    m.counter("encode.vars").add(e.vars as u64);
-    m.counter("encode.clauses").add(e.clauses as u64);
-    m.counter("encode.known_edges").add(e.known_edges as u64);
-    m.counter("encode.symbolic_edges").add(e.symbolic_edges as u64);
-    if let Some(s) = s {
-        m.counter("solver.decisions").add(s.decisions);
-        m.counter("solver.propagations").add(s.propagations);
-        m.counter("solver.conflicts").add(s.conflicts);
-        m.counter("solver.theory_conflicts").add(s.theory_conflicts);
-        m.counter("solver.learned_clauses").add(s.learned_clauses);
-        m.counter("solver.restarts").add(s.restarts);
-        m.counter("solver.theory_propagations").add(s.theory_propagations);
-        m.counter("solver.theory_visits").add(s.theory_visits);
-    }
+/// What the Prune → Encode → Solve runner concluded about one unit.
+pub(crate) enum UnitVerdict {
+    /// Some resolution of the surviving constraints is acyclic.
+    Accepted,
+    /// Pruning closed this known cycle (the unit's local ids).
+    PruneCycle(Vec<Edge>),
+    /// No resolution is acyclic; a witness is the caller's to extract.
+    Unsat,
 }
 
-fn merge_solver_stats(a: SolverStats, b: SolverStats) -> SolverStats {
-    SolverStats {
-        decisions: a.decisions + b.decisions,
-        propagations: a.propagations + b.propagations,
-        conflicts: a.conflicts + b.conflicts,
-        theory_conflicts: a.theory_conflicts + b.theory_conflicts,
-        learned_clauses: a.learned_clauses + b.learned_clauses,
-        restarts: a.restarts + b.restarts,
-        theory_propagations: a.theory_propagations + b.theory_propagations,
-        theory_visits: a.theory_visits + b.theory_visits,
-    }
-}
-
-/// What the Encode → Solve tail of one pipeline unit produced.
-pub(crate) struct Tail {
-    /// Whether some resolution of the surviving constraints is acyclic.
-    pub sat: bool,
-    /// Size of the encoded instance (all zero when none was built).
-    pub encode_stats: EncodeStats,
-    /// The solver's search counters; `None` when no solver was called.
-    pub solver_stats: Option<SolverStats>,
-    /// Wall-clock of the Encode stage.
-    pub encoding: Duration,
-    /// Wall-clock of the Solve stage proper (no counterexample).
-    pub solving: Duration,
-}
-
-/// Stages Encode → Solve for one pipeline unit — a batch unit or one dirty
-/// component of a streaming checkpoint — under the two span names given.
+/// Stages Prune (skipped when `prune` is `None`) → Encode → Solve for one
+/// unit whose polygraph the caller constructed: a batch unit, or a dirty
+/// stream component, rebuilt or extended by its delta. Returns the
+/// verdict, the unit's tally (`constructing` is the caller's) and, when
+/// pruning completed, the reachability oracle it maintained.
 ///
-/// The tail costs the constraints that survived pruning: when pruning ran
-/// (`oracle` is the reachability oracle it handed back) and left none, the
-/// unit is accepted here and no solver is built. That is sound because
-/// [`PruneResult::Pruned`] means every known edge sits in an acyclic
-/// oracle, and with no constraint left the known graph is the only
-/// compatible graph; it is also what the solver would answer (`finalize`
-/// on the known edges alone). Without an oracle — `pruning: false` — the
-/// known graph has not been checked, so the unit is encoded whatever it
-/// holds.
-pub(crate) fn encode_and_solve(
-    g: &Polygraph,
-    opts: &EngineOptions,
-    oracle: Option<&KnownGraph>,
+/// When pruning completed and left no constraint, the unit is accepted
+/// without a solver. That is sound because [`PruneResult::Pruned`] means
+/// every known edge sits in an acyclic oracle, and with no constraint left
+/// the known graph is the only compatible graph; it is also what the
+/// solver would answer. Without an oracle — `pruning: false` — the known
+/// graph has not been checked, so the unit is encoded whatever it holds.
+pub(crate) fn run_unit(
+    g: &mut Polygraph,
+    prune: Option<Prune<'_>>,
+    prune_opts: &PruneOptions,
     tracer: &Tracer,
-    spans: [&'static str; 2],
-) -> Tail {
-    let t = Instant::now();
-    let encoded = {
-        let _span = tracer.span(spans[0]);
-        let decided = oracle.is_some() && g.constraints.is_empty();
-        // Phase seeding reuses the oracle pruning just maintained (it
-        // reflects every resolved edge) instead of paying a second
-        // from-scratch closure build.
-        (!decided).then(|| encode(g, opts.phase_seeding, oracle))
+) -> (UnitVerdict, Tally, Option<Box<KnownGraph>>) {
+    let delta = matches!(prune, Some(Prune::Resume(..)));
+    let [prune_name, encode_name, solve_name] = if delta {
+        ["delta.prune", "delta.encode", "delta.solve"]
+    } else {
+        ["prune", "encode", "solve"]
     };
-    let encoding = t.elapsed();
-    let t = Instant::now();
-    let mut span = tracer.span(spans[1]);
+    let mut tally = Tally::default();
+    let mut oracle = None;
+    if let Some(from) = prune {
+        let mut span = tracer.span(prune_name);
+        span.attr("constraints", g.constraints.len());
+        let (result, kg) = match from {
+            Prune::Scratch => g.prune(prune_opts, tracer),
+            Prune::Resume(kg, touched) => g.prune_resume(kg, touched, prune_opts, tracer),
+        };
+        span.attr("remaining", g.constraints.len());
+        if let Some(kg) = &kg {
+            tally.oracles.record(kg.oracle_kind());
+            // What the representation rule picked, and its two inputs
+            // (the second costs a pass over the graph).
+            if tracer.is_enabled() {
+                span.attr("oracle", kg.oracle_kind().name());
+                span.attr("n", g.n);
+                span.attr("chains", kg.rule_chains());
+            }
+        }
+        tally.timings.pruning = span.finish();
+        match result {
+            PruneResult::Violation(cycle) => return (UnitVerdict::PruneCycle(cycle), tally, None),
+            PruneResult::Pruned(stats) => {
+                tally.prune_stats = Some(stats);
+                oracle = kg;
+            }
+        }
+    }
+
+    let span = tracer.span(encode_name);
+    let decided = oracle.is_some() && g.constraints.is_empty();
+    // Phase seeding reuses the oracle pruning just maintained (it reflects
+    // every resolved edge) instead of paying a second from-scratch closure
+    // build.
+    let encoded = (!decided).then(|| encode(g, oracle.as_deref()));
+    tally.timings.encoding = span.finish();
+    let mut span = tracer.span(solve_name);
     span.attr("vars", g.constraints.len());
     let (sat, encode_stats, solver_stats) = match encoded {
         None => (true, EncodeStats::default(), None),
@@ -717,7 +597,12 @@ pub(crate) fn encode_and_solve(
             (sat, encode_stats, Some(solver_stats))
         }
     };
-    Tail { sat, encode_stats, solver_stats, encoding, solving: t.elapsed() }
+    tally.timings.solving = span.finish();
+    tally.encode_stats = Some(encode_stats);
+    tally.solver_stats = solver_stats;
+    tally.solve_stats = Some(SolveStats { units: solver_stats.is_some() as usize });
+    let verdict = if sat { UnitVerdict::Accepted } else { UnitVerdict::Unsat };
+    (verdict, tally, oracle)
 }
 
 /// Encode a polygraph into the SAT-modulo-acyclicity solver. Under SI the
@@ -727,23 +612,15 @@ pub(crate) fn encode_and_solve(
 /// of the known graph so the solver's first full assignment is already
 /// near-acyclic; `oracle` (the reachability oracle pruning handed back,
 /// when it ran) supplies that order without a rebuild.
-fn encode(
-    g: &Polygraph,
-    phase_seeding: bool,
-    oracle: Option<&KnownGraph>,
-) -> (Solver, EncodeStats) {
+fn encode(g: &Polygraph, oracle: Option<&KnownGraph>) -> (Solver, EncodeStats) {
     let n = g.n;
     let semantics = g.semantics;
-    let topo: Option<Vec<u32>> = if phase_seeding {
-        match oracle {
-            Some(kg) => Some(kg.topo_positions()),
-            None => match g.known_graph() {
-                KnownGraphResult::Acyclic(kg) => Some(kg.topo_positions()),
-                KnownGraphResult::Cyclic(_) => None, // solver will report Unsat
-            },
-        }
-    } else {
-        None
+    let topo: Option<Vec<u32>> = match oracle {
+        Some(kg) => Some(kg.topo_positions()),
+        None => match g.known_graph() {
+            KnownGraphResult::Acyclic(kg) => Some(kg.topo_positions()),
+            KnownGraphResult::Cyclic(_) => None, // solver will report Unsat
+        },
     };
     let nodes = match semantics {
         Semantics::Si => 2 * n,
@@ -1066,15 +943,14 @@ mod tests {
 
     #[test]
     fn prune_threads_resolve() {
-        assert_eq!(PruneThreads::Fixed(3).resolve(8), 3);
-        assert_eq!(PruneThreads::Fixed(0).resolve(1), 1);
+        assert_eq!(PruneThreads::Fixed(3).budget(), 3);
+        assert_eq!(PruneThreads::Fixed(0).budget(), 1);
         assert_eq!(
-            PruneThreads::Fixed(usize::MAX).resolve(1),
+            PruneThreads::Fixed(usize::MAX).budget(),
             cores().saturating_mul(4).max(64),
             "absurd --prune-threads values must be capped, not spawned"
         );
-        assert!(PruneThreads::Auto.resolve(1) >= 1);
-        assert!(PruneThreads::Auto.resolve(usize::MAX) >= 1);
+        assert_eq!(PruneThreads::Auto.budget(), cores());
     }
 
     #[test]
@@ -1153,45 +1029,42 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The Solve stage decides exactly the existence of an acyclic
-        /// resolution, on random polygraphs under both semantics, with
-        /// and without phase seeding. Model validity on SAT is enforced
-        /// internally (the solver cross-checks every model against the
-        /// full theory before returning it).
+        /// resolution, on random polygraphs under both semantics. Model
+        /// validity on SAT is enforced internally (the solver cross-checks
+        /// every model against the full theory before returning it).
         #[test]
         fn encode_and_solve_match_enumeration(rp in polygraph_strategy()) {
             let g = build(&rp);
             let truth = enumerate_sat(&g);
-            for phase_seeding in [true, false] {
-                let (solver, _) = encode(&g, phase_seeding, None);
-                prop_assert_eq!(solve(solver).0, truth, "phase seeding {}", phase_seeding);
-            }
+            let (solver, _) = encode(&g, None);
+            prop_assert_eq!(solve(solver).0, truth);
         }
 
-        /// The shared Encode → Solve tail after pruning: its verdict is
-        /// the ground truth, it builds a solver exactly when a constraint
-        /// survived, and where it accepts without one the solver, run on
-        /// the same pruned polygraph, accepts too.
+        /// The shared Prune → Encode → Solve runner: its verdict is the
+        /// ground truth, it builds a solver exactly when a constraint
+        /// survived pruning, and where it accepts without one the solver,
+        /// run on the same pruned polygraph, accepts too.
         #[test]
         fn tail_without_survivors_accepts_exactly_like_the_solver(rp in polygraph_strategy()) {
             let mut g = build(&rp);
             let truth = enumerate_sat(&g);
-            let (pruned, oracle) = g.prune(&PruneOptions::default(), &Tracer::disabled());
-            if let PruneResult::Violation(_) = pruned {
+            let (opts, tracer) = (PruneOptions::default(), Tracer::disabled());
+            let (verdict, tally, oracle) = run_unit(&mut g, Some(Prune::Scratch), &opts, &tracer);
+            if let UnitVerdict::PruneCycle(_) = verdict {
                 prop_assert!(!truth, "pruning rejected a satisfiable polygraph");
                 return Ok(());
             }
-            let opts = EngineOptions::default();
-            let tracer = Tracer::disabled();
-            let tail = encode_and_solve(&g, &opts, oracle.as_deref(), &tracer, ["encode", "solve"]);
-            prop_assert_eq!(tail.sat, truth);
-            prop_assert_eq!(tail.solver_stats.is_none(), g.constraints.is_empty());
+            prop_assert_eq!(matches!(verdict, UnitVerdict::Accepted), truth);
+            prop_assert_eq!(tally.solver_stats.is_none(), g.constraints.is_empty());
             if g.constraints.is_empty() {
-                prop_assert_eq!(tail.encode_stats.known_edges, 0, "nothing was encoded");
-                let (solver, _) = encode(&g, true, oracle.as_deref());
-                prop_assert!(solve(solver).0, "the solver rejects what the tail accepted");
+                let known_edges = tally.encode_stats.map(|e| e.known_edges);
+                prop_assert_eq!(known_edges, Some(0), "nothing was encoded");
+                let (solver, _) = encode(&g, oracle.as_deref());
+                prop_assert!(solve(solver).0, "the solver rejects what the runner accepted");
                 // Without an oracle nothing vouches for the known graph.
-                let unpruned = encode_and_solve(&g, &opts, None, &tracer, ["encode", "solve"]);
-                prop_assert!(unpruned.sat && unpruned.solver_stats.is_some());
+                let (unpruned, tally, _) = run_unit(&mut g, None, &opts, &tracer);
+                let solved = tally.solver_stats.is_some();
+                prop_assert!(matches!(unpruned, UnitVerdict::Accepted) && solved);
             }
         }
     }

@@ -17,12 +17,14 @@
 //!   is flagged **degraded**. Single-threaded and clock-free in its
 //!   control flow, so a delivery script fully determines its behavior.
 //! * [`LiveService`] — the **concurrent wrapper**: one bounded
-//!   [`sync_channel`] queue per session (producers block on a full queue —
-//!   backpressure, not unbounded buffering), [`LiveClient`] handles for
-//!   producer threads, and a drain thread that round-robins the queues
-//!   into the hub (a wedged session never blocks the others) with a
-//!   wall-clock stall watchdog for the case where the cadence is overdue
-//!   but no further deliveries arrive to advance the count-based one.
+//!   [`sync_channel`] of `(session, delivery)` messages shared by every
+//!   producer (producers block on a full queue — backpressure, not
+//!   unbounded buffering), [`LiveClient`] handles for producer threads,
+//!   and a drain thread that feeds the hub in send order — so a producer
+//!   that sends in commit order has its checkpoints see commit-consistent
+//!   prefixes — with a wall-clock stall watchdog for the case where the
+//!   cadence is overdue but no further deliveries arrive to advance the
+//!   count-based one. A silent session holds up nobody.
 //!
 //! # Delivery contract
 //!
@@ -50,8 +52,8 @@ pub use polysi_history::live::{Delivery, IngestError};
 use polysi_history::{Op, SessionId, TxnStatus};
 use polysi_obs::{kv, Obs};
 use std::collections::BTreeMap;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::time::Duration;
 
 /// Knobs of the live ingest service.
 #[derive(Clone, Copy, Debug)]
@@ -66,7 +68,8 @@ pub struct LiveConfig {
     /// gap still open, wait for up to this many further deliveries before
     /// checkpointing anyway (degraded).
     pub stall_patience: usize,
-    /// Bound of each session's delivery queue ([`LiveService`] only):
+    /// Each session's share of the delivery queue ([`LiveService`] only):
+    /// the one queue holds `queue_capacity × sessions` messages, and
     /// producers block once it fills.
     pub queue_capacity: usize,
     /// Wall-clock stall watchdog ([`LiveService`] only): with the cadence
@@ -417,11 +420,11 @@ impl LiveChecker {
 }
 
 /// A producer handle for one live session: assigns sequence numbers and
-/// sends over the session's bounded queue, blocking when it is full
+/// sends over the service's bounded queue, blocking when it is full
 /// (backpressure).
 pub struct LiveClient {
     session: SessionId,
-    tx: SyncSender<Delivery>,
+    tx: SyncSender<(SessionId, Delivery)>,
     next_seq: u64,
 }
 
@@ -447,26 +450,26 @@ impl LiveClient {
     /// (duplicates, reordered seqs, torn transactions). Blocking; a send
     /// after the service finished is dropped.
     pub fn send(&self, msg: Delivery) {
-        let _ = self.tx.send(msg);
+        let _ = self.tx.send((self.session, msg));
     }
 
     /// Seal the session (`Seal { count }` with this client's own count)
-    /// and close the queue.
+    /// and drop the handle.
     pub fn seal(self) {
         self.send(Delivery::Seal { count: self.next_seq });
     }
 }
 
 /// The concurrent live service: a [`LiveChecker`] hub on its own drain
-/// thread, fed through channel-per-session bounded queues.
+/// thread, fed through one bounded queue that every client sends on.
 pub struct LiveService {
     handle: std::thread::JoinHandle<LiveReport>,
 }
 
 impl LiveService {
     /// Spawn the service with `sessions` lanes; returns one [`LiveClient`]
-    /// per lane. Producers run concurrently with the drain loop; dropping
-    /// a client (or [`LiveClient::seal`]) closes its queue.
+    /// per lane. Producers run concurrently with the drain loop; the run
+    /// ends once every client is dropped (or [`LiveClient::seal`]ed).
     pub fn spawn(
         isolation: IsolationLevel,
         opts: EngineOptions,
@@ -486,61 +489,36 @@ impl LiveService {
         obs: Obs,
     ) -> (LiveService, Vec<LiveClient>) {
         let mut hub = LiveChecker::new(isolation, opts, cfg).with_obs(obs);
-        let mut clients = Vec::with_capacity(sessions);
-        let mut rxs: Vec<(SessionId, Receiver<Delivery>)> = Vec::with_capacity(sessions);
-        for _ in 0..sessions {
-            let sid = hub.session();
-            let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-            clients.push(LiveClient { session: sid, tx, next_seq: 0 });
-            rxs.push((sid, rx));
-        }
-        let handle = std::thread::spawn(move || Self::drain(hub, rxs));
+        let (tx, rx) = sync_channel(cfg.queue_capacity.max(1).saturating_mul(sessions.max(1)));
+        let clients = (0..sessions)
+            .map(|_| LiveClient { session: hub.session(), tx: tx.clone(), next_seq: 0 })
+            .collect();
+        let handle = std::thread::spawn(move || Self::drain(hub, rx));
         (LiveService { handle }, clients)
     }
 
-    /// The drain loop: round-robin one message per open session per round
-    /// — a wedged session never blocks the others — plus the wall-clock
-    /// stall watchdog for an overdue cadence with no deliveries arriving.
-    fn drain(mut hub: LiveChecker, rxs: Vec<(SessionId, Receiver<Delivery>)>) -> LiveReport {
-        let stall_timeout = hub.cfg.stall_timeout;
-        let mut open = vec![true; rxs.len()];
-        let mut last_progress = Instant::now();
+    /// The drain loop: deliveries in send order, and the wall-clock stall
+    /// watchdog — no delivery for `stall_timeout` while the cadence is due
+    /// forces the checkpoint. The run ends when every client is gone.
+    fn drain(mut hub: LiveChecker, rx: Receiver<(SessionId, Delivery)>) -> LiveReport {
         loop {
-            let mut progressed = false;
-            for (i, (sid, rx)) in rxs.iter().enumerate() {
-                if !open[i] {
-                    continue;
+            match rx.recv_timeout(hub.cfg.stall_timeout) {
+                Ok((sid, msg)) => {
+                    // Faults are recorded in the report; the producer is
+                    // already gone from this side of the queue.
+                    let _ = hub.deliver(sid, msg);
                 }
-                match rx.try_recv() {
-                    Ok(msg) => {
-                        // Faults are recorded in the report; the producer
-                        // is already gone from this side of the queue.
-                        let _ = hub.deliver(*sid, msg);
-                        progressed = true;
-                    }
-                    Err(TryRecvError::Empty) => {}
-                    Err(TryRecvError::Disconnected) => {
-                        open[i] = false;
-                        progressed = true;
+                Err(RecvTimeoutError::Timeout) => {
+                    if hub.cadence_due() {
+                        hub.checkpoint_now();
                     }
                 }
+                Err(RecvTimeoutError::Disconnected) => return hub.finish(),
             }
-            if progressed {
-                last_progress = Instant::now();
-                continue;
-            }
-            if open.iter().all(|o| !o) {
-                return hub.finish();
-            }
-            if hub.cadence_due() && last_progress.elapsed() >= stall_timeout {
-                hub.checkpoint_now();
-                last_progress = Instant::now();
-            }
-            std::thread::sleep(Duration::from_micros(50));
         }
     }
 
-    /// Wait for every queue to close and return the consolidated report
+    /// Wait for every client to finish and return the consolidated report
     /// (final checkpoint included).
     pub fn finish(self) -> LiveReport {
         self.handle.join().expect("live drain thread must not panic")

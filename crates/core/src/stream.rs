@@ -35,23 +35,27 @@
 //! **A checkpoint costs its delta.** Global → local ids are one read of
 //! the checker's `local_of` column, the delta's dedup and pair sets hash
 //! with the seeded fold-multiply hasher of `polysi_history::fasthash`, and
-//! the prune thread knob resolves against a core count read once per
-//! process. The dirty components are checked one after another. The
-//! Encode → Solve tail is the batch engine's (`engine::encode_and_solve`)
-//! and costs the constraints that *survive*: a dirty component whose
-//! resumed prune leaves none is accepted without building a solver — the
-//! common case on update-heavy streams — so the registry's `encode.*` / `solver.*` counters count only the
-//! instances actually built and the solver calls actually made. When
-//! constraints do survive, the instance is rebuilt from the component's
-//! whole known graph (solver state is not incremental); clean components
-//! keep their cached accept.
+//! the thread budget resolves against a core count read once per
+//! process. The dirty components are checked one after another. Each
+//! constructs its polygraph from the stream's facts (whole on a rebuild,
+//! by its delta otherwise) and hands it to the batch engine's Prune →
+//! Encode → Solve runner (`engine::run_unit`), whose tally the registry
+//! records — the same counters, in the same place, as a batch check's.
+//! Encode and Solve cost the constraints that *survive*: a dirty component
+//! whose resumed prune leaves none is accepted without building a solver —
+//! the common case on update-heavy streams — so the registry's `encode.*`
+//! / `solver.*` counters count only the instances actually built and the
+//! solver calls actually made. When constraints do survive, the instance
+//! is rebuilt from the component's whole known graph (solver state is not
+//! incremental); clean components keep their cached accept.
 //!
 //! Each step is a span: `checkpoint` ⊃ `checkpoint.group`, one `component`
 //! per dirty component ⊃ `delta.events` / `delta.grow` (attrs `kind`,
 //! `converted`) / `delta.insert` / `delta.constraints` / `delta.prune` /
 //! `delta.encode` / `delta.solve` (a rebuild has the batch stages
 //! `construct` / `prune` / `encode` / `solve` instead), then `compact` ⊃
-//! `compact.select` / `history.compact` / `compact.remap`.
+//! `compact.select` / `history.compact` / `compact.remap`. A checkpoint's
+//! [`CheckpointReport::elapsed`] is its `checkpoint` span's duration.
 //!
 //! # Monotonicity contract
 //!
@@ -85,8 +89,7 @@
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, Outcome};
 use crate::engine::{
-    encode_and_solve, record_instance_stats, record_prune_stats, CheckEngine, CompactMode,
-    EngineOptions, IsolationLevel,
+    run_unit, CheckEngine, CompactMode, EngineOptions, IsolationLevel, Prune, UnitVerdict,
 };
 use polysi_history::{
     AxiomViolation, FactEvent, Facts, FastMap, FastSet, History, HistoryStream, IngestError, Key,
@@ -95,10 +98,9 @@ use polysi_history::{
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
     ConstraintMode, ConstraintSet, Edge, Flush, KnownGraph, Label, Polygraph, PruneOptions,
-    PruneResult,
 };
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The verdict of one checkpoint.
 #[derive(Clone, Debug)]
@@ -167,7 +169,8 @@ pub struct CheckpointReport {
     pub rebuilt: usize,
     /// The verdict for the prefix.
     pub verdict: StreamVerdict,
-    /// Wall-clock spent in this checkpoint call.
+    /// Wall-clock spent in this checkpoint call: its `checkpoint` span's
+    /// duration.
     pub elapsed: Duration,
 }
 
@@ -320,15 +323,13 @@ impl StreamingChecker {
     /// Produce a verdict for the prefix ingested so far, re-checking only
     /// the components dirtied since the previous checkpoint.
     pub fn checkpoint(&mut self) -> CheckpointReport {
-        let (report, disagreement) = {
-            let mut span = self.obs.tracer.span_kv("checkpoint", kv! { seq: self.checkpoints + 1 });
-            let (report, disagreement) = self.checkpoint_inner();
-            span.attr("verdict", report.verdict.kind());
-            span.attr("dirty", report.dirty);
-            span.attr("rebuilt", report.rebuilt);
-            span.attr("disagreement", disagreement);
-            (report, disagreement)
-        };
+        let mut span = self.obs.tracer.span_kv("checkpoint", kv! { seq: self.checkpoints + 1 });
+        let (mut report, disagreement) = self.checkpoint_inner();
+        span.attr("verdict", report.verdict.kind());
+        span.attr("dirty", report.dirty);
+        span.attr("rebuilt", report.rebuilt);
+        span.attr("disagreement", disagreement);
+        report.elapsed = span.finish();
         let m = &self.obs.metrics;
         if disagreement {
             // Registered on first use, like `compact.retired_sessions`: a
@@ -352,10 +353,9 @@ impl StreamingChecker {
         report
     }
 
-    /// One checkpoint, and whether its delta detector rejected a prefix the
-    /// batch engine accepts.
+    /// One checkpoint (`elapsed` left to the caller), and whether its delta
+    /// detector rejected a prefix the batch engine accepts.
     fn checkpoint_inner(&mut self) -> (CheckpointReport, bool) {
-        let t0 = Instant::now();
         self.checkpoints += 1;
         let seq = self.checkpoints;
         let (txns, ops) = (self.stream.total_pushed(), self.stream.num_ops());
@@ -368,19 +368,18 @@ impl StreamingChecker {
             components += !c.txns.is_empty() as usize;
             live.insert(c.tag);
         }
-        let base =
-            |verdict: StreamVerdict, dirty: usize, rebuilt: usize, t0: Instant| CheckpointReport {
-                seq,
-                txns,
-                live_txns,
-                compacted: 0,
-                ops,
-                components,
-                dirty,
-                rebuilt,
-                verdict,
-                elapsed: t0.elapsed(),
-            };
+        let base = |verdict: StreamVerdict, dirty: usize, rebuilt: usize| CheckpointReport {
+            seq,
+            txns,
+            live_txns,
+            compacted: 0,
+            ops,
+            components,
+            dirty,
+            rebuilt,
+            verdict,
+            elapsed: Duration::ZERO,
+        };
 
         // Terminal rejection: the stable verdict, no further work.
         if let Some(rej) = &self.rejection {
@@ -388,7 +387,7 @@ impl StreamingChecker {
                 anomaly: rejection_anomaly(&rej.report),
                 first_violation_op: rej.op_index,
             };
-            return (base(verdict, 0, 0, t0), false);
+            return (base(verdict, 0, 0), false);
         }
 
         // Axiom state: batch-canonical reporting, graph work skipped (the
@@ -425,10 +424,10 @@ impl StreamingChecker {
                     checkpoint: seq,
                 });
                 let verdict = StreamVerdict::Rejected { anomaly: None, first_violation_op: ops };
-                return (base(verdict, 0, 0, t0), false);
+                return (base(verdict, 0, 0), false);
             }
             let verdict = StreamVerdict::AxiomViolations { violations, healable };
-            return (base(verdict, 0, 0, t0), false);
+            return (base(verdict, 0, 0), false);
         }
 
         // Drop cached state for components that merged away.
@@ -483,7 +482,7 @@ impl StreamingChecker {
         drop(group_span);
 
         let dirty = jobs.len();
-        let prune_opts = PruneOptions::new(self.opts.prune_threads.resolve(1));
+        let prune_opts = PruneOptions::new(self.opts.prune_threads.budget());
         let (mut rebuilt, mut rejected) = (0usize, false);
         for job in jobs {
             let tag = job.info.tag;
@@ -516,7 +515,7 @@ impl StreamingChecker {
                 // verdict, drop every cache so the next checkpoint
                 // rebuilds from scratch.
                 self.comps.clear();
-                return (base(StreamVerdict::Accepted, dirty, rebuilt, t0), true);
+                return (base(StreamVerdict::Accepted, dirty, rebuilt), true);
             }
             let verdict = StreamVerdict::Rejected {
                 anomaly: rejection_anomaly(&report),
@@ -529,7 +528,7 @@ impl StreamingChecker {
                 txn_count: txns,
                 checkpoint: seq,
             });
-            return (base(verdict, dirty, rebuilt, t0), false);
+            return (base(verdict, dirty, rebuilt), false);
         }
 
         // Watermark GC: the settled prefix of every fully sealed component
@@ -549,7 +548,7 @@ impl StreamingChecker {
             }
             compacted
         };
-        let mut report = base(StreamVerdict::Accepted, dirty, rebuilt, t0);
+        let mut report = base(StreamVerdict::Accepted, dirty, rebuilt);
         report.live_txns = self.stream.len();
         report.compacted = compacted;
         (report, false)
@@ -743,19 +742,11 @@ impl StreamingChecker {
         let writer_seen =
             comp.keys.iter().map(|&k| (k, facts.writers.get(&k).map_or(0, Vec::len))).collect();
         drop(construct_span);
-        let (result, oracle) = {
-            let _span = tracer.span("prune");
-            poly.prune(prune_opts, tracer)
-        };
-        let mut state = ComponentState { txns: comp.txns, poly, oracle: None, writer_seen };
-        match result {
-            PruneResult::Violation(_) => (state, false),
-            PruneResult::Pruned(stats) => {
-                record_prune_stats(&self.obs.metrics, &stats);
-                let ok = self.encode_and_solve(&mut state, oracle, ["encode", "solve"]);
-                (state, ok)
-            }
-        }
+        let (verdict, tally, oracle) =
+            run_unit(&mut poly, Some(Prune::Scratch), prune_opts, tracer);
+        tally.record(&self.obs.metrics);
+        let state = ComponentState { txns: comp.txns, poly, oracle, writer_seen };
+        (state, matches!(verdict, UnitVerdict::Accepted))
     }
 
     /// The local id of a transaction within its component: one read of the
@@ -765,10 +756,11 @@ impl StreamingChecker {
     }
 
     /// Delta path: extend the cached polygraph and oracle with the
-    /// component's new events, resume pruning from the touched set, then
-    /// re-encode and re-solve what survives. Returns whether the component
-    /// accepted. Every step costs the delta (or the surviving constraints),
-    /// and each is a `delta.*` span under the component's.
+    /// component's new events, then hand them to the shared runner, which
+    /// resumes pruning from the touched set and re-encodes and re-solves
+    /// what survives. Returns whether the component accepted. Every step
+    /// costs the delta (or the surviving constraints), and each is a
+    /// `delta.*` span under the component's.
     ///
     /// Constraint maintenance distinguishes three cases per affected
     /// writer pair:
@@ -962,35 +954,11 @@ impl StreamingChecker {
         state.poly.constraints.extend(new_constraints);
         drop(constraints_span);
 
-        let (result, oracle) = {
-            let mut span = tracer.span("delta.prune");
-            span.attr("constraints", state.poly.constraints.len());
-            state.poly.prune_resume(oracle, &touched, prune_opts, tracer)
-        };
-        match result {
-            PruneResult::Violation(_) => false,
-            PruneResult::Pruned(stats) => {
-                record_prune_stats(&self.obs.metrics, &stats);
-                self.encode_and_solve(state, oracle, ["delta.encode", "delta.solve"])
-            }
-        }
-    }
-
-    /// The Encode → Solve tail the batch engine runs
-    /// ([`encode_and_solve`]: no solver when pruning left no constraint),
-    /// with this component's share folded into the registry; stores the
-    /// oracle back into the state.
-    fn encode_and_solve(
-        &self,
-        state: &mut ComponentState,
-        oracle: Option<Box<KnownGraph>>,
-        spans: [&'static str; 2],
-    ) -> bool {
-        let tail =
-            encode_and_solve(&state.poly, &self.opts, oracle.as_deref(), &self.obs.tracer, spans);
+        let prune = Some(Prune::Resume(oracle, &touched));
+        let (verdict, tally, oracle) = run_unit(&mut state.poly, prune, prune_opts, tracer);
+        tally.record(&self.obs.metrics);
         state.oracle = oracle;
-        record_instance_stats(&self.obs.metrics, &tail.encode_stats, tail.solver_stats.as_ref());
-        tail.sat
+        matches!(verdict, UnitVerdict::Accepted)
     }
 }
 
@@ -1364,6 +1332,11 @@ mod tests {
         }
     }
 
+    /// The total of the registry counter `name`.
+    fn total(obs: &Obs, name: &str) -> u64 {
+        obs.metrics.counter(name).total()
+    }
+
     /// The cached oracle of a single-component stream.
     fn only_oracle(c: &StreamingChecker) -> &KnownGraph {
         assert_eq!(c.comps.len(), 1, "one component");
@@ -1454,15 +1427,15 @@ mod tests {
             let cp = c.checkpoint();
             assert!(cp.verdict.accepted() && check(&prefix, c.isolation(), &opts).accepted());
             compacted += cp.compacted;
-            constraints = obs.metrics.counter("prune.constraints_before").total();
+            constraints = total(&obs, "prune.constraints_before");
         }
         assert!(constraints > 0, "the stream must give pruning something to decide");
         assert!(compacted > 0, "the stream must compact");
         for name in ["encode.vars", "encode.known_edges", "solver.decisions", "solver.propagations"]
         {
-            assert_eq!(obs.metrics.counter(name).total(), 0, "{name}");
+            assert_eq!(total(&obs, name), 0, "{name}");
         }
-        assert_eq!(obs.metrics.counter("prune.constraints_after").total(), 0);
+        assert_eq!(total(&obs, "prune.constraints_after"), 0);
         assert!(obs.tracer.events().iter().all(|e| e.name != "sat.solve"), "a solver was called");
     }
 
@@ -1488,8 +1461,8 @@ mod tests {
             }
             assert!(c.checkpoint().verdict.accepted());
             let oracle = only_oracle(&c);
-            let updates = obs.metrics.counter("prune.closure_updates").total();
-            let edges = obs.metrics.counter("prune.incremental_edges").total();
+            let updates = total(&obs, "prune.closure_updates");
+            let edges = total(&obs, "prune.incremental_edges");
             assert!(updates as usize <= oracle.closure_updates(), "checkpoint {checkpoint}");
             assert!(edges as usize <= oracle.inserted_edges(), "checkpoint {checkpoint}");
             assert!(edges > 0 && updates > 0, "pruning must materialise edges here");

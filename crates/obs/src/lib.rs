@@ -6,9 +6,11 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when disabled.** [`Tracer::disabled`] is an `Option<Arc<..>>`
-//!    holding `None`; `span()` on it is a branch and a `None` guard, nothing
-//!    else — no clock read, no allocation, no lock.
+//! 1. **Next to no cost when disabled.** [`Tracer::disabled`] is an
+//!    `Option<Arc<..>>` holding `None`; `span()` on it is one clock read
+//!    and a branch — no allocation, no lock. The clock read is what lets
+//!    [`SpanGuard::finish`] return a stage's duration either way, so the
+//!    spans are the only timer the pipeline has.
 //! 2. **Deterministic counts.** Counter totals depend only on the work done,
 //!    never on thread interleaving; anything runtime-dependent (timings)
 //!    goes into `runtime.*` counters, gauges, or histograms, all of which

@@ -8,10 +8,10 @@
 //! polysi check history.txt                  # SI verdict + anomaly + cycle
 //! polysi check history.pbh                  # same, from the binary format
 //! polysi check history.txt --isolation ser  # serializability instead of SI
-//! polysi check history.txt --shards auto    # shard by key connectivity
-//! polysi check history.txt --prune-threads 4  # parallel constraint sweep
+//! polysi check history.txt --shards off     # one unit (default: shard by key connectivity)
+//! polysi check history.txt --prune-threads 4  # thread budget: shard workers × sweep threads
 //! polysi check history.txt --stream          # online checkpoints over a replay
-//! polysi check history.txt --live            # concurrent ingest via bounded queues
+//! polysi check history.txt --live            # concurrent ingest via one bounded queue
 //! polysi check history.txt --dot out.dot
 //! polysi check history.txt --no-pruning
 //! polysi stats history.txt                  # workload statistics only
@@ -32,7 +32,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto]\n               [--stream] [--live] [--checkpoints N]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
+        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto]   (defaults: si, auto, auto)\n               [--stream] [--live] [--checkpoints N]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
     );
     ExitCode::from(2)
 }
@@ -186,8 +186,9 @@ fn stream_check(
 }
 
 /// `polysi check --live`: replay the history through the concurrent live
-/// ingest service — one producer thread and one bounded queue per session,
-/// the drain thread checkpointing on a count cadence — and report the
+/// ingest service — one producer thread per session, all sending on the
+/// service's one bounded queue, the drain thread checkpointing on a count
+/// cadence — and report the
 /// checkpoint trail (degraded ones flagged), any ingest faults, and the
 /// final verdict.
 fn live_check(
@@ -296,7 +297,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => {
             let Some(path) = args.get(1) else { return usage() };
-            let mut opts = EngineOptions { sharding: Sharding::Off, ..Default::default() };
+            let mut opts = EngineOptions::default();
             let mut isolation = IsolationLevel::Si;
             let mut dot_path: Option<String> = None;
             let mut trace_out: Option<String> = None;

@@ -304,18 +304,29 @@ fn isolation_ser_flag_rejects_write_skew() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("serializability"));
 }
 
-/// `--shards auto` reports its partition (or the fallback reason).
+/// `--shards auto` — the default, as in the library and the benchmark —
+/// reports its partition (or the fallback reason).
 #[test]
 fn shards_auto_reports_partition() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for flags in [&[][..], &["--shards", "auto"]] {
+        let out = bin()
+            .arg("check")
+            .arg(dir.join("shard_disjoint_components.txt"))
+            .args(flags)
+            .output()
+            .expect("run check");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("sharded into 2 components"), "{flags:?}: {stdout}");
+    }
     let out = bin()
         .arg("check")
         .arg(dir.join("shard_disjoint_components.txt"))
-        .args(["--shards", "auto"])
+        .args(["--shards", "off"])
         .output()
         .expect("run check");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("sharded into 2 components"), "{stdout}");
+    assert!(out.status.success() && !stdout.contains("sharded into"), "{stdout}");
     let out = bin()
         .arg("check")
         .arg(dir.join("shard_cross_session_fallback.txt"))

@@ -9,8 +9,10 @@
 //!   after seal, empty transactions, reorder beyond the window, and seal
 //!   mismatches surface as typed `IngestError`s (zero panics, zero silent
 //!   skips) while every other session's verdict is unaffected;
-//! * the concurrent [`LiveService`] (bounded queues, backpressure,
-//!   drain thread) reaches the same final verdict as a synchronous run.
+//! * the concurrent [`LiveService`] (one bounded queue, backpressure,
+//!   drain thread) reaches the same final verdict as a synchronous run,
+//!   and delivers in send order: commit-order sending gets checkpoints
+//!   that all accept.
 
 use polysi::checker::engine::{EngineOptions, IsolationLevel};
 use polysi::checker::live::Delivery;
@@ -227,10 +229,10 @@ fn stall_watchdog_defers_then_degrades() {
     assert!(report.verdict().accepted());
 }
 
-/// The concurrent service: producers on scoped threads push through
-/// bounded queues (capacity 2 — real backpressure) while the drain thread
-/// checks; the final verdict digest equals a synchronous clean run's, and
-/// no faults are recorded.
+/// The concurrent service: producers on scoped threads push through the
+/// bounded queue (two slots per session — real backpressure) while the
+/// drain thread checks; the final verdict digest equals a synchronous
+/// clean run's, and no faults are recorded.
 #[test]
 fn live_service_matches_synchronous_run_under_backpressure() {
     let corpus = support::corpus().iter().filter(|(_, h)| h.num_sessions() >= 2 && !h.is_empty());
@@ -275,6 +277,59 @@ fn live_service_matches_synchronous_run_under_backpressure() {
             sync.verdict().accepted(),
             "{name}: concurrent final verdict diverged"
         );
+    }
+}
+
+/// One producer sending a general SI history in commit order — Kahn's
+/// algorithm over `SO ∪ WR`, smallest ready id first — through the
+/// service: the drain thread delivers in send order, so every cadence
+/// checkpoint sees a commit-consistent prefix and accepts, and none is
+/// degraded.
+#[test]
+fn live_service_in_commit_order_accepts_every_checkpoint() {
+    use polysi::history::Facts;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let plan = polysi::workloads::generate(&polysi::workloads::GeneralParams {
+        txns_per_session: 100,
+        ..Default::default()
+    });
+    let config = polysi::dbsim::SimConfig::new(polysi::dbsim::IsolationLevel::SnapshotIsolation, 7);
+    let h = polysi::dbsim::run(&plan, &config).history;
+    let facts = Facts::analyze(&h);
+    let (mut succs, mut blockers) = (vec![Vec::new(); h.len()], vec![0u32; h.len()]);
+    for (from, to) in h.so_edges().chain(facts.wr_edges().map(|(w, r, _)| (w, r))) {
+        succs[from.idx()].push(to);
+        blockers[to.idx()] += 1;
+    }
+    let mut ready: BinaryHeap<Reverse<TxnId>> =
+        (0..h.len() as u32).map(TxnId).filter(|t| blockers[t.idx()] == 0).map(Reverse).collect();
+    let mut order = Vec::with_capacity(h.len());
+    while let Some(Reverse(t)) = ready.pop() {
+        order.push(t);
+        for &s in &succs[t.idx()] {
+            blockers[s.idx()] -= 1;
+            if blockers[s.idx()] == 0 {
+                ready.push(Reverse(s));
+            }
+        }
+    }
+    assert_eq!(order.len(), h.len(), "SO ∪ WR of an SI history is acyclic");
+
+    let cfg = LiveConfig { checkpoint_every: h.len() / 8, ..LiveConfig::default() };
+    let (service, mut clients) =
+        LiveService::spawn(IsolationLevel::Si, EngineOptions::default(), cfg, h.num_sessions());
+    for t in order {
+        let txn = h.txn(t);
+        clients[txn.session.0 as usize].push(txn.ops.clone(), txn.status);
+    }
+    clients.into_iter().for_each(|client| client.seal());
+    let report = service.finish();
+    let cadence = h.len() / cfg.checkpoint_every;
+    assert_eq!(report.checkpoints.len(), cadence + 1, "the cadence's and the final one");
+    for (i, cp) in report.checkpoints.iter().enumerate() {
+        let verdict = cp.report.verdict.kind();
+        assert!(cp.report.verdict.accepted() && !cp.degraded, "checkpoint {}: {verdict}", i + 1);
     }
 }
 

@@ -4,6 +4,12 @@
 //! * **Counter digest** — the sharded prune-thread rows of the mode matrix
 //!   keep `Metrics::counter_digest` equal to plain batch, on a corpus that
 //!   moves the reduced known graph and the solver.
+//! * **One clock** — every stage time of a report is the sum of its spans'
+//!   durations and every checkpoint's `elapsed` its span's.
+//! * **One thread budget** — the `check` span records how the budget split
+//!   into shard workers and sweep threads.
+//! * **One table** — the README's metrics table names exactly what the
+//!   registry holds after a batch, a stream and a live run.
 //! * **Span coverage** — a traced batch check on the solver-stress
 //!   fixture produces one well-nested `check` root covering ≥95% of the
 //!   measured wall time, with the pipeline stages as ordered children.
@@ -16,12 +22,13 @@
 //!   carries the documented top-level keys; `--trace-out` emits valid
 //!   Chrome trace-event JSON.
 
-use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel, Sharding};
-use polysi::checker::StreamingChecker;
+use polysi::checker::engine::{CheckEngine, CompactMode, EngineOptions, IsolationLevel, Sharding};
+use polysi::checker::{CheckpointReport, LiveConfig, LiveService, StreamingChecker};
 use polysi::history::History;
 use polysi_obs::json::{parse, Value};
 use polysi_obs::span::{span_forest, AttrValue, SpanNode};
-use polysi_obs::Obs;
+use polysi_obs::{Metrics, Obs};
+use std::collections::BTreeSet;
 use std::process::Command;
 use support::{fixture, fixture_path};
 
@@ -241,6 +248,44 @@ fn axioms_and_shard_plan_are_traced_and_timed() {
     assert!(obs.metrics.snapshot().histograms.iter().all(|h| h.name != "check.shard_plan_us"));
 }
 
+/// One thread budget for the whole check: `Fixed(1)` makes a sharded
+/// check sequential — every shard on one thread — and `Auto` runs
+/// `min(cores, components)` workers of `cores / workers` sweep threads
+/// each, as the `check` span records.
+#[test]
+fn one_budget_splits_into_workers_and_sweep_threads() {
+    use polysi::checker::engine::PruneThreads;
+    use polysi::history::{HistoryBuilder, Key, Value};
+    let mut b = HistoryBuilder::new();
+    for key in (0..50).step_by(10).map(Key) {
+        b.session();
+        b.begin().write(key, Value(1)).commit();
+        b.session();
+        b.begin().read(key, Value(1)).write(key, Value(2)).commit();
+    }
+    let h = b.build();
+    let run = |prune_threads| {
+        let obs = Obs::enabled();
+        let opts = EngineOptions { prune_threads, ..Default::default() };
+        let report = CheckEngine::new(IsolationLevel::Si, opts).with_obs(obs.clone()).check(&h);
+        assert_eq!(report.shard_stats.map(|s| s.components), Some(5));
+        let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+        let check = forest.iter().find(|n| n.name == "check").expect("check root");
+        let attr = |key: &str| check.attrs.iter().find(|(k, _)| *k == key).map(|a| a.1.clone());
+        let tids: BTreeSet<u32> =
+            forest.iter().filter(|n| n.name == "shard").map(|n| n.tid).collect();
+        (attr("workers"), attr("sweep_threads"), tids)
+    };
+    let u = |n: usize| Some(AttrValue::U64(n as u64));
+    let (workers, sweep_threads, tids) = run(PruneThreads::Fixed(1));
+    assert_eq!((workers, sweep_threads, tids.len()), (u(1), u(1), 1));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = cores.min(5);
+    let (w, sweep_threads, tids) = run(PruneThreads::Auto);
+    assert_eq!((w, sweep_threads), (u(workers), u((cores / workers).max(1))));
+    assert!(!tids.is_empty() && tids.len() <= workers, "{tids:?}");
+}
+
 /// Three checkpoints over a serial execution dealt to six sessions (every
 /// read names the latest write, so every prefix is valid): five sessions
 /// update twelve contended keys, the sixth overwrites a key of its own
@@ -248,8 +293,7 @@ fn axioms_and_shard_plan_are_traced_and_timed() {
 /// verdicts.
 fn three_checkpoint_stream(obs: Obs) -> Vec<bool> {
     use polysi::history::{Key, Op, TxnStatus, Value};
-    let opts =
-        EngineOptions { compact: polysi::checker::engine::CompactMode::On, ..Default::default() };
+    let opts = EngineOptions { compact: CompactMode::On, ..Default::default() };
     let mut checker = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs);
     let sessions: Vec<_> = (0..6).map(|_| checker.session()).collect();
     let mut latest = std::collections::HashMap::new();
@@ -363,25 +407,18 @@ fn delta_checkpoints_are_attributed_to_their_phases() {
     assert!(!obs.tracer.is_enabled() && obs.tracer.events().is_empty());
 }
 
-/// Compaction says what it freed. A soak-shaped stream — 16 waves of
-/// eight fresh sessions over a fixed set of 32 keys, each wave reading the
-/// previous one's final versions, sealed and checkpointed — retires every
-/// session of the wave before, once settled: the `compact` span counts
-/// them in `retired` (as the `compact.retired_sessions` counter does), and
-/// its `evidence_bytes` — the heap of the duplicate-write evidence — grows
-/// by less than 16 B per value dropped.
-#[test]
-fn compaction_reports_retired_sessions_and_evidence_bytes() {
-    use polysi::checker::engine::CompactMode;
+/// A soak-shaped stream, compacting: `waves` waves of eight fresh sessions
+/// over a fixed set of 32 keys, each wave reading the previous one's final
+/// versions, sealed and checkpointed. Returns the checkpoints.
+fn retiring_stream(obs: Obs, waves: usize) -> Vec<CheckpointReport> {
     use polysi::history::{Key, Op, TxnStatus, Value};
     let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
-    let obs = Obs::enabled();
-    let mut checker = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs.clone());
+    let mut checker = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs);
     let key = |slot: u64, i: u64| Key(1 + slot * 4 + i % 4);
     let mut latest = std::collections::HashMap::new();
     let mut value = 0u64;
-    let mut dropped = Vec::new();
-    for _wave in 0..16 {
+    let mut checkpoints = Vec::new();
+    for _wave in 0..waves {
         let sessions: Vec<_> = (0..8).map(|_| checker.session()).collect();
         for t in 0..32u64 {
             for (slot, &s) in (0u64..).zip(&sessions) {
@@ -401,9 +438,21 @@ fn compaction_reports_retired_sessions_and_evidence_bytes() {
         sessions.iter().for_each(|&s| checker.seal_session(s));
         let cp = checker.checkpoint();
         assert!(cp.verdict.accepted());
-        dropped.push(cp.compacted as u64);
+        checkpoints.push(cp);
     }
+    checkpoints
+}
 
+/// Compaction says what it freed. The soak-shaped stream retires every
+/// session of the wave before, once settled: the `compact` span counts
+/// them in `retired` (as the `compact.retired_sessions` counter does), and
+/// its `evidence_bytes` — the heap of the duplicate-write evidence — grows
+/// by less than 16 B per value dropped.
+#[test]
+fn compaction_reports_retired_sessions_and_evidence_bytes() {
+    let obs = Obs::enabled();
+    let dropped: Vec<u64> =
+        retiring_stream(obs.clone(), 16).iter().map(|cp| cp.compacted as u64).collect();
     let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
     let attr = |node: &SpanNode, key: &str| match node.attrs.iter().find(|(k, _)| *k == key) {
         Some((_, AttrValue::U64(n))) => *n,
@@ -426,6 +475,137 @@ fn compaction_reports_retired_sessions_and_evidence_bytes() {
     let growth = evidence[15] - evidence[0];
     let values: u64 = dropped[1..].iter().sum();
     assert!(values > 0 && growth < 16 * values, "{growth} B for {values} dropped values");
+}
+
+/// Every span below `nodes`, depth first.
+fn all_spans(nodes: &[SpanNode]) -> Vec<&SpanNode> {
+    nodes.iter().flat_map(|n| std::iter::once(n).chain(all_spans(&n.children))).collect()
+}
+
+/// One clock: a report's stage times are the sums of its spans' durations
+/// — to within the microsecond each span's timestamps are truncated to —
+/// sharded and not, on a fixture whose components reach Solve; and a
+/// stream checkpoint's `elapsed` is its `checkpoint` span's.
+#[test]
+fn stage_timings_are_the_spans_durations() {
+    let us = |d: std::time::Duration| d.as_nanos() as f64 / 1e3;
+    let h = fixture("shard_component_lost_update.txt");
+    for sharding in [Sharding::Auto, Sharding::Off] {
+        let obs = Obs::enabled();
+        let opts = EngineOptions { sharding, ..Default::default() };
+        let report = CheckEngine::new(IsolationLevel::Si, opts).with_obs(obs.clone()).check(&h);
+        assert!(report.solve_stats.is_some_and(|s| s.units > 0), "{sharding:?} skips Solve");
+        let components = report.shard_stats.map_or(1, |s| s.components);
+        assert_eq!(components > 1, sharding == Sharding::Auto, "{sharding:?}");
+        let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+        let spans = all_spans(&forest);
+        let t = report.timings;
+        for (took, names) in [
+            (t.constructing, &["axioms", "construct"][..]),
+            (t.pruning, &["prune"]),
+            (t.encoding, &["encode"]),
+            (t.solving, &["solve", "solve.witness"]),
+        ] {
+            let of: Vec<_> = spans.iter().filter(|n| names.contains(&n.name)).collect();
+            let traced: u64 = of.iter().map(|n| n.duration_us()).sum();
+            let (diff, bound) = ((us(took) - traced as f64).abs(), of.len() as f64);
+            assert!(diff <= bound, "{sharding:?} {names:?}: {took:?} vs {traced} µs");
+        }
+    }
+
+    let obs = Obs::enabled();
+    let checkpoints = retiring_stream(obs.clone(), 3);
+    let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+    let spans: Vec<_> = forest.iter().filter(|n| n.name == "checkpoint").collect();
+    assert_eq!(spans.len(), checkpoints.len());
+    for (cp, span) in checkpoints.iter().zip(spans) {
+        let diff = (us(cp.elapsed) - span.duration_us() as f64).abs();
+        assert!(
+            diff <= 1.0,
+            "checkpoint {}: {:?} vs {} µs",
+            cp.seq,
+            cp.elapsed,
+            span.duration_us()
+        );
+    }
+}
+
+/// The README's metrics table is the registry's: every name that a batch
+/// check (sharded, an SER rejection by the solver, an axiom rejection), a
+/// compacting stream that retires sessions and a live run register is in
+/// the table with its kind, and every name in the table is registered by
+/// one of them or marked "on first use".
+#[test]
+fn readme_metrics_table_names_every_registered_metric() {
+    let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let readme = std::fs::read_to_string(readme).expect("README");
+    let mut table: BTreeSet<(String, String)> = BTreeSet::new();
+    let mut first_use: BTreeSet<String> = BTreeSet::new();
+    let rows = readme.lines().skip_while(|l| !l.starts_with("| metric")).skip(2);
+    for row in rows.take_while(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let (name, kind) = (cells[1].trim_matches('`'), cells[2]);
+        let names: Vec<String> = match name.split_once('{') {
+            None => vec![name.to_string()],
+            Some((prefix, rest)) => {
+                let (alternatives, suffix) = rest.split_once('}').expect("closing brace");
+                alternatives.split(',').map(|a| format!("{prefix}{a}{suffix}")).collect()
+            }
+        };
+        for name in names {
+            if cells[3].contains("on first use") {
+                first_use.insert(name.clone());
+            }
+            table.insert((name, kind.to_string()));
+        }
+    }
+    assert!(table.len() > 40, "the README metrics table is gone: {table:?}");
+
+    let names = |m: &Metrics| -> BTreeSet<(String, String)> {
+        let snap = m.snapshot();
+        let counters = snap.counters.into_iter().map(|(n, _)| (n, "counter".to_string()));
+        let gauges = snap.gauges.into_iter().map(|(n, _)| (n, "gauge".to_string()));
+        let histograms = snap.histograms.into_iter().map(|h| (h.name, "histogram".to_string()));
+        counters.chain(gauges).chain(histograms).collect()
+    };
+    let mut registered = BTreeSet::new();
+    let obs = Obs::default();
+    let si = CheckEngine::new(IsolationLevel::Si, EngineOptions::default()).with_obs(obs.clone());
+    let sharded = si.check(&fixture("shard_disjoint_components.txt")).shard_stats;
+    assert!(sharded.is_some_and(|s| s.fallback.is_none() && s.components > 1));
+    assert!(!si.check(&fixture("aborted_read.txt")).accepted());
+    let ser = CheckEngine::new(IsolationLevel::Ser, EngineOptions::default()).with_obs(obs.clone());
+    let lattice = ser.check(&fixture("solver_stress_lattice.txt"));
+    assert!(!lattice.accepted() && lattice.solver_stats.is_some());
+    registered.extend(names(&obs.metrics));
+
+    let obs = Obs::default();
+    retiring_stream(obs.clone(), 3);
+    registered.extend(names(&obs.metrics));
+    let retired = ("compact.retired_sessions".to_string(), "counter".to_string());
+    assert!(registered.contains(&retired), "the stream must retire sessions");
+
+    let obs = Obs::default();
+    let h = fixture("serializable.txt");
+    let (service, clients) = LiveService::spawn_with_obs(
+        IsolationLevel::Si,
+        EngineOptions::default(),
+        LiveConfig { checkpoint_every: 2, ..LiveConfig::default() },
+        h.num_sessions(),
+        obs.clone(),
+    );
+    for (mut client, session) in clients.into_iter().zip(h.sessions()) {
+        session.txns.iter().for_each(|t| client.push(t.ops.clone(), t.status));
+        client.seal();
+    }
+    assert!(service.finish().verdict().accepted());
+    registered.extend(names(&obs.metrics));
+
+    let unlisted: Vec<_> = registered.difference(&table).collect();
+    assert!(unlisted.is_empty(), "registered but not in the README table: {unlisted:?}");
+    let unregistered: Vec<_> =
+        table.difference(&registered).filter(|(name, _)| !first_use.contains(name)).collect();
+    assert!(unregistered.is_empty(), "in the README table, never registered: {unregistered:?}");
 }
 
 #[test]
