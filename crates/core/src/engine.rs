@@ -44,9 +44,9 @@
 //! encoded, and solved independently on scoped threads (axioms always run
 //! once, globally); stage timings and counters are merged into the single
 //! [`CheckReport`]. The [`PruneThreads`] budget is the whole check's. When
-//! key components are bridged by sessions the `SO` edges between them are cross-shard constraints and the engine falls
-//! back to whole-history checking
-//! ([`ShardFallback::CrossShardSessions`]).
+//! key components are bridged by sessions the `SO` edges between them are
+//! cross-shard constraints and the engine falls back to whole-history
+//! checking ([`ShardFallback::CrossShardSessions`]).
 
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, EncodeStats, Outcome, SolveStats, Tally, Violation};

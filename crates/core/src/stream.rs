@@ -17,9 +17,11 @@
 //!
 //! * the component's [`Polygraph`] in *arrival-order* local ids — new
 //!   transactions extend it in place (**delta construction**: new `SO`,
-//!   `WR`, init-`RW` (and SER RMW-`WW`) edges from the stream's
-//!   [`FactEvent`] log, new or regenerated writer-pair constraints for
-//!   keys whose writer or reader sets grew);
+//!   `WR`, init-`RW` (and SER RMW-`WW`) edges from the facts of the
+//!   transactions that arrived since the last graph check, as
+//!   [`polysi_history::StreamFacts::delta`] derives them; new or
+//!   regenerated writer-pair constraints for keys whose writer or reader
+//!   sets grew);
 //! * the prune stage's reachability oracle, grown with
 //!   [`KnownGraph::grow`] and extended with
 //!   [`KnownGraph::insert_edges`] (one flush per delta) — never rebuilt;
@@ -201,9 +203,6 @@ struct ComponentState {
     poly: Polygraph,
     /// The warm reachability oracle (`None` only transiently).
     oracle: Option<Box<KnownGraph>>,
-    /// Writers per key already incorporated into constraints (a prefix
-    /// length of `facts.writers[key]`).
-    writer_seen: FastMap<Key, usize>,
 }
 
 /// The streaming checker (see the module docs).
@@ -219,7 +218,9 @@ pub struct StreamingChecker {
     /// the component jobs just read it. Covers every transaction of a
     /// cached component.
     local_of: Vec<u32>,
-    /// Events consumed from the stream's fact log.
+    /// Arrival id of the first transaction no component has seen yet: the
+    /// start of the next delta. It moves only past a prefix whose axioms
+    /// hold.
     cursor: usize,
     checkpoints: usize,
     rejection: Option<StreamRejection>,
@@ -391,7 +392,7 @@ impl StreamingChecker {
         }
 
         // Axiom state: batch-canonical reporting, graph work skipped (the
-        // event cursor stays put, so a healed prefix replays the backlog).
+        // cursor stays put, so a healed prefix replays the backlog).
         // Watermark violations (fenced reads, duplicate writes of
         // compacted values) are streaming-only — the compacted snapshot no
         // longer contains the dropped writers a batch analysis would need
@@ -435,44 +436,42 @@ impl StreamingChecker {
 
         // Collect the dirty components as independent jobs: each owns its
         // cached state (if any) and its events, grouped by their *current*
-        // component. A cached component's new transactions join its member
-        // list — and get their local ids — right here, so the jobs only
-        // read the `local_of` column. Every job runs, even after one
-        // rejects (the canonical rejection report below is a pure function
-        // of the snapshot).
+        // component — the component of the transaction's session, whose
+        // keys all joined it when the transaction arrived. A cached
+        // component's new transactions join its member list — and get
+        // their local ids — right here, so the jobs only read the
+        // `local_of` column. Every job runs, even after one rejects (the
+        // canonical rejection report below is a pure function of the
+        // snapshot).
         struct DirtyJob<'a> {
             info: &'a RootInfo,
             events: Vec<FactEvent>,
             state: Option<ComponentState>,
         }
         let group_span = self.obs.tracer.span("checkpoint.group");
-        let events = self.stream.facts().events();
         let shards = self.stream.shards();
         self.local_of.resize(self.stream.len(), u32::MAX);
         let mut per_tag: BTreeMap<u64, DirtyJob<'_>> = BTreeMap::new();
-        for &ev in &events[self.cursor..] {
-            let info = match ev {
-                FactEvent::Txn { id } => shards.component_of_session(self.stream.txn(id).session),
-                FactEvent::FinalWrite { key, .. }
-                | FactEvent::Wr { key, .. }
-                | FactEvent::InitRead { key, .. } => {
-                    shards.component_of_key(key).expect("key was pushed")
+        let mut job = None;
+        for ev in self.stream.facts().delta(self.cursor) {
+            if let FactEvent::Txn { id } = ev {
+                let info = shards.component_of_session(self.stream.txn(id).session);
+                let j = per_tag.entry(info.tag).or_insert_with(|| DirtyJob {
+                    info,
+                    events: Vec::new(),
+                    state: self.comps.remove(&info.tag),
+                });
+                // (A rebuild numbers its whole component, below.)
+                if let Some(state) = &mut j.state {
+                    debug_assert!(state.txns.last().is_none_or(|&t| t < id));
+                    self.local_of[id.idx()] = state.txns.len() as u32;
+                    state.txns.push(id);
                 }
-            };
-            let job = per_tag.entry(info.tag).or_insert_with(|| DirtyJob {
-                info,
-                events: Vec::new(),
-                state: self.comps.remove(&info.tag),
-            });
-            job.events.push(ev);
-            // (A rebuild numbers its whole component, below.)
-            if let (FactEvent::Txn { id }, Some(state)) = (ev, &mut job.state) {
-                debug_assert!(state.txns.last().is_none_or(|&t| t < id));
-                self.local_of[id.idx()] = state.txns.len() as u32;
-                state.txns.push(id);
+                job = Some(j);
             }
+            job.as_mut().expect("a delta opens with a transaction").events.push(ev);
         }
-        self.cursor = events.len();
+        self.cursor = self.stream.len();
         let jobs: Vec<DirtyJob<'_>> = per_tag.into_values().collect();
         for job in jobs.iter().filter(|job| job.state.is_none()) {
             for (i, t) in job.info.txns.iter().enumerate() {
@@ -555,8 +554,8 @@ impl StreamingChecker {
     }
 
     /// Compact the settled prefix of every eligible component (watermark
-    /// GC). Called only after an accepted checkpoint, when the event
-    /// cursor is fully drained.
+    /// GC). Called only after an accepted checkpoint, when the cursor is
+    /// at the end of the stream.
     ///
     /// Per component, the watermark requires: every live contributing
     /// session sealed (a retired one is sealed and no longer listed, so the
@@ -579,7 +578,7 @@ impl StreamingChecker {
             // Skip remaps that cannot pay for themselves.
             CompactMode::Auto => 64,
         };
-        debug_assert_eq!(self.cursor, self.stream.facts().events().len());
+        debug_assert_eq!(self.cursor, self.stream.len());
 
         // Phase 1: per-component retained sets, merged into one global
         // drop mask.
@@ -670,9 +669,9 @@ impl StreamingChecker {
         }
 
         // Phase 2: compact the stream (facts, sessions, shard membership)
-        // and re-anchor the event cursor on the now-empty log.
+        // and re-anchor the cursor at its new end.
         let map = self.stream.compact(&drop);
-        self.cursor = 0;
+        self.cursor = self.stream.len();
 
         // Phase 3: remap every cached component in place. Untouched
         // components only renumber their member list (local ids are
@@ -680,7 +679,6 @@ impl StreamingChecker {
         // polygraph, and bookkeeping to the survivors. Global ids moved
         // for everyone, so the `local_of` column is rewritten whole.
         let _remap_span = self.obs.tracer.span("compact.remap");
-        let facts = self.stream.facts().facts();
         for (tag, state) in self.comps.iter_mut() {
             let Some(keep) = keeps.get(tag) else {
                 for id in state.txns.iter_mut() {
@@ -698,11 +696,6 @@ impl StreamingChecker {
                 .enumerate()
                 .filter(|&(i, _)| keep[i])
                 .map(|(_, &g)| TxnId(map[g.idx()]))
-                .collect();
-            state.writer_seen = state
-                .writer_seen
-                .keys()
-                .map(|&key| (key, facts.writers.get(&key).map_or(0, Vec::len)))
                 .collect();
         }
         self.comps.retain(|_, s| !s.txns.is_empty());
@@ -739,13 +732,11 @@ impl StreamingChecker {
             self.isolation.semantics(),
             &comp,
         );
-        let writer_seen =
-            comp.keys.iter().map(|&k| (k, facts.writers.get(&k).map_or(0, Vec::len))).collect();
         drop(construct_span);
         let (verdict, tally, oracle) =
             run_unit(&mut poly, Some(Prune::Scratch), prune_opts, tracer);
         tally.record(&self.obs.metrics);
-        let state = ComponentState { txns: comp.txns, poly, oracle, writer_seen };
+        let state = ComponentState { txns: comp.txns, poly, oracle };
         (state, matches!(verdict, UnitVerdict::Accepted))
     }
 
@@ -799,11 +790,12 @@ impl StreamingChecker {
                     }
                 }
                 FactEvent::FinalWrite { key, writer } => {
-                    let seen = state.writer_seen.entry(key).or_insert(0);
+                    // The writers before it in the ascending writer list
+                    // are the ones already in constraints.
                     let writers = &facts.writers[&key];
-                    debug_assert_eq!(writers[*seen], writer, "writer events arrive in order");
-                    new_pairs.extend(writers[..*seen].iter().map(|&w2| (key, w2, writer)));
-                    *seen += 1;
+                    let seen = writers.partition_point(|&w| w < writer);
+                    debug_assert_eq!(writers.get(seen), Some(&writer));
+                    new_pairs.extend(writers[..seen].iter().map(|&w2| (key, w2, writer)));
                     // Init readers (past and in-batch; dedup below) gain a
                     // known anti-dependency to the new writer.
                     if let Some(rs) = facts.init_readers.get(&key) {
@@ -824,9 +816,11 @@ impl StreamingChecker {
                     reader_growth.push((key, writer, reader));
                 }
                 FactEvent::InitRead { key, reader } => {
-                    let seen = state.writer_seen.get(&key).copied().unwrap_or(0);
+                    // Writers up to the reader are in constraints by now;
+                    // later ones pick it up from `init_readers`.
                     let writers = facts.writers.get(&key).map_or(&[][..], Vec::as_slice);
-                    for &w in &writers[..seen.min(writers.len())] {
+                    let seen = writers.partition_point(|&w| w <= reader);
+                    for &w in &writers[..seen] {
                         if w != reader {
                             new_known.push(Edge::new(reader, w, Label::Rw(key)));
                         }
@@ -893,9 +887,8 @@ impl StreamingChecker {
         let mut regen: FastSet<(Key, TxnId, TxnId)> = FastSet::default();
         let mut follow_on: Vec<Edge> = Vec::new(); // local ids
         for &(key, w, r) in &reader_growth {
-            let seen = state.writer_seen.get(&key).copied().unwrap_or(0);
             let (lw, lr) = (self.local(w), self.local(r));
-            for &w2 in &facts.writers[&key][..seen] {
+            for &w2 in &facts.writers[&key] {
                 if w2 == w {
                     continue;
                 }
@@ -1095,6 +1088,33 @@ mod tests {
         assert!(!c.checkpoint().verdict.accepted());
     }
 
+    /// A read that waits for its writer across a checkpoint heals into a
+    /// cached component: the delta path sees its `WR` edge at the writer's
+    /// turn, closes the cycle it makes and rejects as batch does.
+    #[test]
+    fn a_read_healed_on_the_delta_path_lands() {
+        let mut c = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default());
+        let s0 = c.session();
+        let s1 = c.session();
+        c.push_transaction(s0, vec![w(1, 1)], TxnStatus::Committed);
+        assert!(c.checkpoint().verdict.accepted());
+        c.push_transaction(s1, vec![r(1, 7)], TxnStatus::Committed); // waits for its writer
+        c.push_transaction(s1, vec![w(2, 1)], TxnStatus::Committed); // r2
+        let cp = c.checkpoint();
+        assert!(matches!(cp.verdict, StreamVerdict::AxiomViolations { healable: true, .. }));
+        // w7 heals the read and closes w7 →WR r →SO r2 →WR w7.
+        c.push_transaction(s0, vec![r(2, 1), w(1, 7)], TxnStatus::Committed);
+        let (prefix, _) = c.stream().snapshot();
+        let cp = c.checkpoint();
+        assert_eq!((cp.dirty, cp.rebuilt), (1, 0), "the healed component takes the delta path");
+        let StreamVerdict::Rejected { anomaly, .. } = cp.verdict else {
+            panic!("the healed read closes a cycle: {:?}", cp.verdict);
+        };
+        let batch = check(&prefix, IsolationLevel::Si, &EngineOptions::default());
+        assert!(anomaly.is_some());
+        assert_eq!(anomaly, rejection_anomaly(&batch));
+    }
+
     /// A delta detector that rejects a prefix the batch engine accepts is
     /// counted and marked on its checkpoint span before anything else: a
     /// release build then reports the batch verdict and rebuilds from
@@ -1290,21 +1310,14 @@ mod tests {
             let mut c = StreamingChecker::new(isolation, EngineOptions::default());
             let sessions: Vec<SessionId> = (0..4).map(|_| c.session()).collect();
             c.push_transaction(sessions[0], vec![w(1, 1), w(2, 2), w(3, 3)], TxnStatus::Committed);
-            assert!(assert_matches_batch_for(&mut c));
+            assert!(assert_matches_batch(&mut c));
             c.push_transaction(sessions[1], vec![r(1, 1), w(2, 22)], TxnStatus::Committed);
-            assert!(assert_matches_batch_for(&mut c));
+            assert!(assert_matches_batch(&mut c));
             c.push_transaction(sessions[2], vec![r(2, 2), w(3, 33)], TxnStatus::Committed);
-            assert!(assert_matches_batch_for(&mut c));
+            assert!(assert_matches_batch(&mut c));
             c.push_transaction(sessions[3], vec![r(3, 3), w(1, 11)], TxnStatus::Committed);
-            let (prefix, _) = c.stream().snapshot();
-            let batch = check(&prefix, isolation, &EngineOptions::default());
-            let cp = c.checkpoint();
-            assert_eq!(cp.verdict.accepted(), batch.accepted());
-            cp.verdict.accepted()
+            assert_matches_batch(&mut c)
         };
-        fn assert_matches_batch_for(c: &mut StreamingChecker) -> bool {
-            super::tests::assert_matches_batch(c)
-        }
         assert!(run(IsolationLevel::Si), "write skew is SI-allowed");
         assert!(!run(IsolationLevel::Ser), "write skew chain is not serializable");
     }

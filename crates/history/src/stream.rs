@@ -14,40 +14,45 @@
 //! [`History`] (with the arrival→session-major id mapping), so any batch
 //! machinery can be run on the same prefix.
 //!
-//! Three incremental structures are maintained per push:
+//! Two incremental structures are maintained per push:
 //!
 //! * [`StreamFacts`] — the graph-relevant fields of [`Facts`] (external
 //!   reads with resolved `WR` sources, final writes, writers/readers per
 //!   key, init readers), kept equivalent to `Facts::analyze` on the
 //!   current prefix. Reads of values whose writer has not arrived yet are
-//!   *unresolved*; while any exist (or any monotone axiom violation was
-//!   seen) the prefix fails the non-cyclic axioms exactly as the batch
-//!   analysis would, and graph work is skipped. A later write resolves
-//!   them in place.
+//!   *unresolved*: they wait in their reader's one read list; while any
+//!   exist (or any monotone axiom violation was seen) the prefix fails the
+//!   non-cyclic axioms exactly as the batch analysis would, and graph work
+//!   is skipped. A later write resolves them in place.
 //! * [`StreamShards`] — the sessions∪keys union–find of
 //!   [`crate::ShardPlan`], grown online. Components carry a stable
 //!   [`RootInfo::tag`] that changes only when two transaction-bearing
 //!   components merge — the signal that a checker's cached per-component
 //!   state must be rebuilt rather than extended.
-//! * an append-only [`FactEvent`] log — the delta feed a streaming
-//!   checker consumes to extend per-component polygraphs without
-//!   re-deriving anything from scratch.
+//!
+//! The delta a streaming checker consumes between two checkpoints is not
+//! stored: [`StreamFacts::delta`] derives it from the facts as the
+//! [`FactEvent`]s of every transaction from a cursor on. That is exact
+//! because a checker moves its cursor only past a prefix whose axioms
+//! hold, where no read waits; a read that heals later therefore belongs to
+//! a transaction at or after the cursor, and its `WR` edge is emitted at
+//! its writer's turn.
 
-use crate::facts::{AxiomViolation, Facts, ReadFact, TxnEffects, WrSource};
+use crate::facts::{AxiomViolation, Facts, TxnEffects, WrSource};
 use crate::fasthash::{FastMap, FastSet};
 use crate::fence::Fences;
 use crate::history::{History, Transaction};
 use crate::ids::{Key, SessionId, TxnId, Value};
 use crate::live::IngestError;
 use crate::op::{Op, TxnStatus};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-/// One entry of the incremental graph-delta log: everything a checker
-/// needs to extend component polygraphs between two checkpoints. Events
-/// are appended in a canonical order per push — the transaction itself,
-/// then its final writes, then read resolutions (its own and any older
-/// unresolved reads its writes satisfied), then init reads — so replaying
-/// the log is deterministic.
+/// One fact of a graph delta ([`StreamFacts::delta`]): everything a
+/// checker needs to extend component polygraphs between two checkpoints.
+/// Each transaction yields its facts in a canonical order — the
+/// transaction itself, then its final writes, then the older reads its
+/// writes healed, then its own reads in program order — so replaying a
+/// delta is deterministic.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FactEvent {
     /// A transaction arrived (any status; aborted transactions occupy a
@@ -66,9 +71,9 @@ pub enum FactEvent {
         writer: TxnId,
     },
     /// An external read resolved to its source: the `WR(key)` edge
-    /// `writer → reader` is now known (`writer ≠ reader`). Emitted at the
-    /// reader's push when the writer was already present, or at the
-    /// writer's push when the read had been waiting.
+    /// `writer → reader` is now known (`writer ≠ reader`). Yielded at the
+    /// reader's turn when the writer arrived first, or at the writer's
+    /// turn when the read had been waiting.
     Wr {
         /// The read key.
         key: Key,
@@ -88,9 +93,15 @@ pub enum FactEvent {
     },
 }
 
+/// The source of a read still waiting for its writer. No transaction has
+/// this id, and no read carries it while [`StreamFacts::axioms_ok`] holds.
+const PENDING: WrSource = WrSource::Txn(TxnId(u32::MAX));
+
 /// The incrementally maintained analogue of [`Facts`] (see the module
-/// docs). The embedded [`Facts`] value always reflects the *resolved*
-/// state of the current prefix; its `violations` list stays empty — axiom
+/// docs). The embedded [`Facts`] value is the state of the current prefix:
+/// its `reads` lists hold every external read in program order, a read
+/// still waiting for its writer with a placeholder source, resolved in
+/// place when the writer lands. Its `violations` list stays empty — axiom
 /// reporting on a broken prefix goes through a batch `Facts::analyze` on
 /// the snapshot, which yields the canonical (batch-identical) list.
 pub struct StreamFacts {
@@ -102,9 +113,6 @@ pub struct StreamFacts {
     /// reads (aborted/intermediate/unknown) is produced by a snapshot
     /// `Facts::analyze` when a broken prefix must be reported.
     final_writer: FastMap<(Key, Value), TxnId>,
-    /// Per-transaction external reads in program order, with their
-    /// resolution state (`None` = no committed final writer yet).
-    ext: Vec<Vec<(Key, Value, Option<WrSource>)>>,
     /// Readers waiting on a committed final write of `(key, value)`.
     unresolved: FastMap<(Key, Value), Vec<TxnId>>,
     unresolved_count: usize,
@@ -134,7 +142,6 @@ pub struct StreamFacts {
     /// they are reported from here rather than from a snapshot
     /// re-analysis.
     watermark_violations: Vec<AxiomViolation>,
-    events: Vec<FactEvent>,
     /// Scratch of the per-transaction walk shared with `Facts::analyze`,
     /// and the violations it reports (only counted here).
     effects: TxnEffects,
@@ -153,13 +160,11 @@ impl StreamFacts {
                 violations: Vec::new(),
             },
             final_writer: FastMap::default(),
-            ext: Vec::new(),
             unresolved: FastMap::default(),
             unresolved_count: 0,
             monotone_violations: 0,
             fences: Fences::default(),
             watermark_violations: Vec::new(),
-            events: Vec::new(),
             effects: TxnEffects::default(),
             walk_violations: Vec::new(),
         }
@@ -169,8 +174,10 @@ impl StreamFacts {
     /// `Facts::analyze` on the snapshot whenever [`StreamFacts::axioms_ok`]
     /// holds (list *orders* inside `writers`/`readers`/`init_readers`
     /// follow arrival rather than session-major id order — verdict-neutral
-    /// for graph construction).
+    /// for graph construction). A debug build refuses to hand them out
+    /// while a read waits for its writer.
     pub fn facts(&self) -> &Facts {
+        debug_assert_eq!(self.unresolved_count, 0, "a read waiting for its writer is visible");
         &self.facts
     }
 
@@ -209,16 +216,37 @@ impl StreamFacts {
         &self.fences
     }
 
-    /// The append-only graph-delta log (see [`FactEvent`]).
-    pub fn events(&self) -> &[FactEvent] {
-        &self.events
-    }
-
-    fn rebuild_reads(&mut self, r: TxnId) {
-        self.facts.reads[r.idx()] = self.ext[r.idx()]
-            .iter()
-            .filter_map(|&(k, v, src)| src.map(|s| (k, v, s) as ReadFact))
-            .collect();
+    /// The graph delta of the transactions with arrival id `from` and
+    /// later, derived from the facts: per transaction, in ascending order,
+    /// [`FactEvent::Txn`], a [`FactEvent::FinalWrite`] per final write in
+    /// key order, a [`FactEvent::Wr`] per older read those writes healed,
+    /// and its own reads in program order — an [`FactEvent::InitRead`], or
+    /// a [`FactEvent::Wr`] from an earlier writer. `from` must have moved
+    /// only past prefixes whose axioms held (see the module docs).
+    pub fn delta(&self, from: usize) -> impl Iterator<Item = FactEvent> + '_ {
+        let facts = self.facts();
+        (from..facts.reads.len()).flat_map(move |t| {
+            let id = TxnId(t as u32);
+            let writes = &facts.writes[t];
+            let final_writes =
+                writes.iter().map(move |&(key, _)| FactEvent::FinalWrite { key, writer: id });
+            // A reader below its writer read the value before it was
+            // written: its read waited and healed at the writer's push.
+            // Readers are in id order, so those come first.
+            let healed = writes.iter().flat_map(move |&(key, _)| {
+                let readers = facts.readers_of(key, id).iter();
+                readers.take_while(move |&&r| r < id).map(move |&r| {
+                    debug_assert!(r.idx() >= from, "a read healed below the cursor");
+                    FactEvent::Wr { key, writer: id, reader: r }
+                })
+            });
+            let reads = facts.reads[t].iter().filter_map(move |&(key, _, source)| match source {
+                WrSource::Init => Some(FactEvent::InitRead { key, reader: id }),
+                WrSource::Txn(w) if w < id => Some(FactEvent::Wr { key, writer: w, reader: id }),
+                WrSource::Txn(_) => None, // its own write, or healed at its writer's turn
+            });
+            std::iter::once(FactEvent::Txn { id }).chain(final_writes).chain(healed).chain(reads)
+        })
     }
 
     /// Ingest one complete transaction (mirrors both passes of
@@ -226,8 +254,6 @@ impl StreamFacts {
     fn push(&mut self, id: TxnId, txn: &Transaction) {
         self.facts.reads.push(Vec::new());
         self.facts.writes.push(Vec::new());
-        self.ext.push(Vec::new());
-        self.events.push(FactEvent::Txn { id });
         let committed = txn.committed();
 
         // The batch analysis' program-order walk: Int and init-value
@@ -262,7 +288,6 @@ impl StreamFacts {
                         slot.insert(id);
                         self.facts.writes[id.idx()].push((key, value));
                         self.facts.writers.entry(key).or_default().push(id);
-                        self.events.push(FactEvent::FinalWrite { key, writer: id });
                     }
                 }
             }
@@ -281,16 +306,14 @@ impl StreamFacts {
                 }
                 let Some(waiting) = self.unresolved.remove(&(key, value)) else { continue };
                 self.unresolved_count -= waiting.len();
-                for r in waiting {
-                    for slot in self.ext[r.idx()].iter_mut() {
-                        if slot.0 == key && slot.1 == value && slot.2.is_none() {
-                            slot.2 = Some(WrSource::Txn(id));
-                        }
-                    }
-                    self.rebuild_reads(r);
-                    self.facts.readers.entry((key, id)).or_default().push(r);
-                    self.events.push(FactEvent::Wr { key, writer: id, reader: r });
+                for &r in &waiting {
+                    let read = self.facts.reads[r.idx()]
+                        .iter_mut()
+                        .find(|read| **read == (key, value, PENDING))
+                        .expect("a waiting reader holds its read");
+                    read.2 = WrSource::Txn(id);
                 }
+                self.facts.readers.insert((key, id), waiting);
             }
         }
 
@@ -306,25 +329,22 @@ impl StreamFacts {
                         self.watermark_violations.push(AxiomViolation::FencedRead { txn: id, key });
                     }
                     self.facts.init_readers.entry(key).or_default().push(id);
-                    self.events.push(FactEvent::InitRead { key, reader: id });
-                    Some(WrSource::Init)
+                    WrSource::Init
                 } else if let Some(&w) = self.final_writer.get(&(key, value)) {
                     if w != id {
                         self.facts.readers.entry((key, w)).or_default().push(id);
-                        self.events.push(FactEvent::Wr { key, writer: w, reader: id });
                     }
-                    Some(WrSource::Txn(w))
+                    WrSource::Txn(w)
                 } else {
                     // No committed final writer yet: the batch analysis
                     // flags this prefix (aborted / intermediate /
                     // unknown-value read); a future write may heal it.
                     self.unresolved.entry((key, value)).or_default().push(id);
                     self.unresolved_count += 1;
-                    None
+                    PENDING
                 };
-                self.ext[id.idx()].push((key, value, source));
+                self.facts.reads[id.idx()].push((key, value, source));
             }
-            self.rebuild_reads(id);
         }
         self.effects = fx;
     }
@@ -337,8 +357,7 @@ impl StreamFacts {
     /// every `WR` source of a surviving reader survives — so the compacted
     /// facts are exactly `Facts::analyze` of the compacted snapshot. The
     /// values of the dropped writers join their keys' fence records (see
-    /// [`StreamFacts::fences`]); the event log is cleared (consumers
-    /// re-anchor their cursors at zero).
+    /// [`StreamFacts::fences`]).
     fn compact(&mut self, map: &[u32]) {
         assert!(
             self.unresolved.is_empty() && self.unresolved_count == 0,
@@ -349,30 +368,20 @@ impl StreamFacts {
 
         // Dense per-transaction vectors: survivors keep their relative
         // order, so retained index == map value.
-        let mut i = 0;
-        self.ext.retain(|_| {
-            let keep = map[i] != u32::MAX;
-            i += 1;
-            keep
-        });
-        for ext in &mut self.ext {
-            for slot in ext.iter_mut() {
-                if let Some(WrSource::Txn(w)) = slot.2 {
-                    debug_assert!(live(w), "surviving reader kept a dropped WR source");
-                    slot.2 = Some(WrSource::Txn(remap(w)));
-                }
-            }
+        fn retain_live<T>(column: &mut Vec<T>, map: &[u32]) {
+            let mut i = 0;
+            column.retain(|_| {
+                i += 1;
+                map[i - 1] != u32::MAX
+            });
         }
-        let mut i = 0;
-        self.facts.writes.retain(|_| {
-            let keep = map[i] != u32::MAX;
-            i += 1;
-            keep
-        });
-        self.facts.reads.clear();
-        self.facts.reads.resize(self.ext.len(), Vec::new());
-        for r in 0..self.ext.len() {
-            self.rebuild_reads(TxnId(r as u32));
+        retain_live(&mut self.facts.reads, map);
+        retain_live(&mut self.facts.writes, map);
+        for read in self.facts.reads.iter_mut().flatten() {
+            if let WrSource::Txn(w) = &mut read.2 {
+                debug_assert!(live(*w), "surviving reader kept a dropped WR source");
+                *w = remap(*w);
+            }
         }
 
         let mut dropped = Vec::new();
@@ -420,7 +429,6 @@ impl StreamFacts {
             }
             !rs.is_empty()
         });
-        self.events.clear();
     }
 }
 
@@ -450,8 +458,8 @@ pub struct StreamShards {
     parent: Vec<u32>,
     size: Vec<u32>,
     session_node: Vec<u32>,
-    key_node: HashMap<Key, u32>,
-    info: HashMap<u32, RootInfo>,
+    key_node: FastMap<Key, u32>,
+    info: FastMap<u32, RootInfo>,
     next_tag: u64,
 }
 
@@ -461,8 +469,8 @@ impl StreamShards {
             parent: Vec::new(),
             size: Vec::new(),
             session_node: Vec::new(),
-            key_node: HashMap::new(),
-            info: HashMap::new(),
+            key_node: FastMap::default(),
+            info: FastMap::default(),
             next_tag: 1,
         }
     }
@@ -563,31 +571,16 @@ impl StreamShards {
         }
     }
 
-    /// The component a session currently belongs to.
+    /// The component a session currently belongs to — that of every key
+    /// its transactions touched.
     pub fn component_of_session(&self, s: SessionId) -> &RootInfo {
         &self.info[&self.find(self.session_node[s.0 as usize])]
-    }
-
-    /// The component a key currently belongs to, if the key has been seen.
-    pub fn component_of_key(&self, k: Key) -> Option<&RootInfo> {
-        self.key_node.get(&k).map(|&n| &self.info[&self.find(n)])
     }
 
     /// Iterate over the current components (arbitrary order; identify and
     /// sort by [`RootInfo::tag`] for determinism).
     pub fn components(&self) -> impl Iterator<Item = &RootInfo> {
         self.info.values()
-    }
-
-    /// Number of current components (including transaction-less ones:
-    /// opened-but-empty sessions, exactly as in the batch plan).
-    pub fn len(&self) -> usize {
-        self.info.len()
-    }
-
-    /// Whether no component exists yet.
-    pub fn is_empty(&self) -> bool {
-        self.info.is_empty()
     }
 }
 
@@ -992,6 +985,21 @@ mod tests {
         Op::Read { key, value }
     }
 
+    /// The stream's axioms hold, as the batch analysis of its snapshot's
+    /// do, and both know the same WR relation modulo the id mapping.
+    fn assert_wr_matches_batch(s: &HistoryStream) {
+        assert!(s.facts().axioms_ok());
+        let (h, map) = s.snapshot();
+        let batch = Facts::analyze(&h);
+        assert!(batch.axioms_ok());
+        let wr = s.facts().facts().wr_edges().map(|(a, b, key)| (map[a.idx()], map[b.idx()], key));
+        let mut stream_wr: Vec<_> = wr.collect();
+        let mut batch_wr: Vec<_> = batch.wr_edges().collect();
+        stream_wr.sort_unstable_by_key(|&(a, b, key)| (a.0, b.0, key.0));
+        batch_wr.sort_unstable_by_key(|&(a, b, key)| (a.0, b.0, key.0));
+        assert_eq!(stream_wr, batch_wr);
+    }
+
     /// Interleaved pushes; facts match the batch analysis on the snapshot.
     #[test]
     fn incremental_facts_match_batch_on_snapshot() {
@@ -1001,21 +1009,7 @@ mod tests {
         s.push_transaction(s0, vec![w(k(1), v(10))], TxnStatus::Committed);
         s.push_transaction(s1, vec![r(k(1), v(10)), w(k(1), v(11))], TxnStatus::Committed);
         s.push_transaction(s0, vec![r(k(1), v(11))], TxnStatus::Committed);
-        assert!(s.facts().axioms_ok());
-        let (h, map) = s.snapshot();
-        let batch = Facts::analyze(&h);
-        assert!(batch.axioms_ok());
-        // Same WR relation modulo the id mapping.
-        let mut stream_wr: Vec<_> = s
-            .facts()
-            .facts()
-            .wr_edges()
-            .map(|(a, b, key)| (map[a.idx()], map[b.idx()], key))
-            .collect();
-        let mut batch_wr: Vec<_> = batch.wr_edges().collect();
-        stream_wr.sort_unstable_by_key(|&(a, b, key)| (a.0, b.0, key.0));
-        batch_wr.sort_unstable_by_key(|&(a, b, key)| (a.0, b.0, key.0));
-        assert_eq!(stream_wr, batch_wr);
+        assert_wr_matches_batch(&s);
     }
 
     /// A read arriving before its writer breaks the axioms exactly while
@@ -1034,12 +1028,17 @@ mod tests {
         assert!(s.facts().axioms_ok());
         let (h, _) = s.snapshot();
         assert!(Facts::analyze(&h).axioms_ok(), "batch agrees the prefix healed");
-        // The late resolution emitted the WR edge.
-        assert!(s
-            .facts()
-            .events()
-            .iter()
-            .any(|e| matches!(e, FactEvent::Wr { writer: TxnId(1), reader: TxnId(0), .. })));
+        // The delta yields the late WR edge at the writer's turn, once.
+        let (t0, t1) = (TxnId(0), TxnId(1));
+        assert_eq!(
+            s.facts().delta(0).collect::<Vec<_>>(),
+            [
+                FactEvent::Txn { id: t0 },
+                FactEvent::Txn { id: t1 },
+                FactEvent::FinalWrite { key: k(1), writer: t1 },
+                FactEvent::Wr { key: k(1), writer: t1, reader: t0 },
+            ]
+        );
     }
 
     /// Monotone violations (here: a duplicate committed write) never heal.
@@ -1137,35 +1136,33 @@ mod tests {
         assert_eq!(s.compacted_txns(), 1);
         assert_eq!(s.total_pushed(), 3);
         assert_eq!(s.num_ops(), 3, "ops stay monotone across compaction");
-        assert!(s.facts().events().is_empty(), "event log is cleared");
+        assert_eq!(
+            s.facts().delta(0).collect::<Vec<_>>(),
+            [
+                FactEvent::Txn { id: TxnId(0) },
+                FactEvent::FinalWrite { key: k(1), writer: TxnId(0) },
+                FactEvent::Txn { id: TxnId(1) },
+                FactEvent::Wr { key: k(1), writer: TxnId(0), reader: TxnId(1) },
+            ],
+            "the read's source is renumbered in place"
+        );
         assert_eq!(s.facts().fences().get(k(1)).map(KeyFence::len), Some(1));
         assert_eq!(s.session_predecessor(TxnId(0)), None, "T1 is now a session head");
-        assert!(s.facts().axioms_ok());
-
         // Facts equal the batch analysis of the compacted snapshot.
-        let (h, snap_map) = s.snapshot();
-        let batch = Facts::analyze(&h);
-        assert!(batch.axioms_ok());
-        let mut stream_wr: Vec<_> = s
-            .facts()
-            .facts()
-            .wr_edges()
-            .map(|(a, b, key)| (snap_map[a.idx()], snap_map[b.idx()], key))
-            .collect();
-        let mut batch_wr: Vec<_> = batch.wr_edges().collect();
-        stream_wr.sort_unstable_by_key(|&(a, b, key)| (a.0, b.0, key.0));
-        batch_wr.sort_unstable_by_key(|&(a, b, key)| (a.0, b.0, key.0));
-        assert_eq!(stream_wr, batch_wr);
+        assert_wr_matches_batch(&s);
 
         // Later pushes get dense ids and resolve against survivors.
         let id = s.push_transaction(s1, vec![r(k(1), v(2)), w(k(1), v(3))], TxnStatus::Committed);
         assert_eq!(id, TxnId(2));
         assert!(s.facts().axioms_ok());
-        assert!(s
-            .facts()
-            .events()
-            .iter()
-            .any(|e| matches!(e, FactEvent::Wr { writer: TxnId(0), reader: TxnId(2), .. })));
+        assert_eq!(
+            s.facts().delta(2).collect::<Vec<_>>(),
+            [
+                FactEvent::Txn { id },
+                FactEvent::FinalWrite { key: k(1), writer: id },
+                FactEvent::Wr { key: k(1), writer: TxnId(0), reader: id },
+            ]
+        );
         // Compaction of nothing is the identity.
         let map = s.compact(&[false, false, false]);
         assert_eq!(map, vec![0, 1, 2]);
@@ -1284,11 +1281,9 @@ mod tests {
             s.facts().watermark_violations(),
             &[AxiomViolation::CompactedDuplicateWrite { txn: TxnId(3), key: k(1), value: v(1) }]
         );
-        assert!(!s
-            .facts()
-            .events()
-            .iter()
-            .any(|e| matches!(e, FactEvent::Wr { writer: TxnId(3), .. })));
+        let waiting = &s.facts.facts;
+        assert_eq!(waiting.reads[2], [(k(1), v(1), PENDING)]);
+        assert!(waiting.readers_of(k(1), TxnId(3)).is_empty());
     }
 
     /// A later read of a *dropped value* stays unresolved forever — loud

@@ -25,8 +25,11 @@ use polysi::checker::engine::{
 use polysi::checker::report::{
     check_report_json, live_report_json, stats_json, stream_report_json,
 };
-use polysi::checker::{dot, LiveConfig, LiveService, Outcome, StreamVerdict, StreamingChecker};
-use polysi::history::{binfmt, codec, stats::HistoryStats, History};
+use polysi::checker::{
+    dot, CheckpointReport, LiveConfig, LiveService, Outcome, StreamVerdict, StreamingChecker,
+};
+use polysi::history::{binfmt, codec, stats::HistoryStats, AxiomViolation, History};
+use polysi::polygraph::Edge;
 use polysi_obs::{trace::chrome_trace_json, Obs, Tracer};
 use std::process::ExitCode;
 
@@ -60,70 +63,46 @@ fn stream_check(
 ) -> ExitCode {
     let t0 = std::time::Instant::now();
     let mut checker = StreamingChecker::new(isolation, opts).with_obs(obs.clone());
-    let sessions: Vec<_> = (0..history.num_sessions()).map(|_| checker.session()).collect();
-    // Per-session (first txn id, length): the replay indexes the history
-    // directly and clones each transaction's ops once, at push time.
-    let ranges: Vec<(u32, usize)> = history.sessions().map(|s| (s.first.0, s.txns.len())).collect();
+    for _ in 0..history.num_sessions() {
+        checker.session();
+    }
     let total = history.len();
     let interval = total.div_ceil(checkpoints.max(1)).max(1);
-    let mut cursors = vec![0usize; ranges.len()];
-    let mut pushed = 0usize;
-    let mut since_checkpoint = 0usize;
-    let report = |cp: &polysi::checker::CheckpointReport, quiet: bool| {
-        if !quiet {
-            let verdict = match &cp.verdict {
-                StreamVerdict::Accepted => "ok".to_string(),
-                StreamVerdict::AxiomViolations { healable, .. } => {
-                    format!("axioms broken ({})", if *healable { "healable" } else { "terminal" })
-                }
-                StreamVerdict::Rejected { .. } => "VIOLATION".to_string(),
-            };
-            println!(
-                "  checkpoint {}: {}/{} txns, {} components ({} dirty, {} rebuilt), {}, {:?}",
-                cp.seq, cp.txns, total, cp.components, cp.dirty, cp.rebuilt, verdict, cp.elapsed
-            );
-        }
-    };
-    let mut trail: Vec<polysi::checker::CheckpointReport> = Vec::new();
-    let mut last_verdict = StreamVerdict::Accepted;
-    'replay: loop {
-        let mut progressed = false;
-        for (s, &(first, len)) in ranges.iter().enumerate() {
-            if cursors[s] >= len {
-                continue;
-            }
-            let txn = history.txn(polysi::history::TxnId(first + cursors[s] as u32));
-            checker.push_transaction(sessions[s], txn.ops.clone(), txn.status);
-            cursors[s] += 1;
-            if cursors[s] == len {
-                // The session is exhausted: sealing it lets watermark
-                // compaction treat its settled transactions as droppable.
-                checker.seal_session(sessions[s]);
-            }
-            pushed += 1;
-            since_checkpoint += 1;
-            progressed = true;
-            if since_checkpoint >= interval && pushed < total {
-                since_checkpoint = 0;
-                let cp = checker.checkpoint();
-                report(&cp, quiet || report_json);
-                last_verdict = cp.verdict.clone();
-                trail.push(cp);
-                if matches!(last_verdict, StreamVerdict::Rejected { .. }) {
-                    break 'replay;
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    if !matches!(last_verdict, StreamVerdict::Rejected { .. }) {
+    // Round `i` pushes the `i`-th transaction of every session that has
+    // one, with whether it is the session's last.
+    let longest = history.sessions().map(|s| s.txns.len()).max().unwrap_or(0);
+    let replay = (0..longest).flat_map(|i| {
+        history.sessions().filter_map(move |s| Some((s.id, s.txns.get(i)?, i + 1 == s.txns.len())))
+    });
+    let mut trail: Vec<CheckpointReport> = Vec::new();
+    let mut checkpoint = |checker: &mut StreamingChecker| {
         let cp = checker.checkpoint();
-        report(&cp, quiet || report_json);
-        last_verdict = cp.verdict.clone();
+        if !quiet && !report_json {
+            print_checkpoint(&cp, total, false);
+        }
+        let rejected = matches!(cp.verdict, StreamVerdict::Rejected { .. });
         trail.push(cp);
+        rejected
+    };
+    let mut rejected = false;
+    for (pushed, (session, txn, last)) in (1..).zip(replay) {
+        checker.push_transaction(session, txn.ops.clone(), txn.status);
+        if last {
+            // The session is exhausted: sealing it lets watermark
+            // compaction treat its settled transactions as droppable.
+            checker.seal_session(session);
+        }
+        if pushed % interval == 0 && pushed < total {
+            rejected = checkpoint(&mut checker);
+            if rejected {
+                break;
+            }
+        }
     }
+    if !rejected {
+        checkpoint(&mut checker);
+    }
+    let last_verdict = &trail.last().expect("the replay ends in a checkpoint").verdict;
     if report_json {
         let json = stream_report_json(
             &trail,
@@ -135,53 +114,95 @@ fn stream_check(
         println!("{json}");
         return if last_verdict.accepted() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }
-    match last_verdict {
+    print_verdict(last_verdict, isolation, quiet, Some((history, &checker)))
+}
+
+/// One `--stream` / `--live` checkpoint line of a `total`-transaction
+/// replay; `degraded` flags a live checkpoint taken while reorder gaps
+/// were open.
+fn print_checkpoint(cp: &CheckpointReport, total: usize, degraded: bool) {
+    let verdict = match &cp.verdict {
+        StreamVerdict::Accepted => "ok".to_string(),
+        StreamVerdict::AxiomViolations { healable, .. } => {
+            format!("axioms broken ({})", if *healable { "healable" } else { "terminal" })
+        }
+        StreamVerdict::Rejected { .. } => "VIOLATION".to_string(),
+    };
+    println!(
+        "  checkpoint {}: {}/{} txns, {} components ({} dirty, {} rebuilt), {}{}, {:?}",
+        cp.seq,
+        cp.txns,
+        total,
+        cp.components,
+        cp.dirty,
+        cp.rebuilt,
+        verdict,
+        if degraded { " [degraded]" } else { "" },
+        cp.elapsed
+    );
+}
+
+/// The final verdict of `--stream` / `--live` and its exit code. A
+/// `--stream` run passes its history and checker (`stream`): an accept
+/// then also prints the history's statistics, a rejection where it was
+/// detected and, unless `quiet`, its canonical witness.
+fn print_verdict(
+    verdict: &StreamVerdict,
+    isolation: IsolationLevel,
+    quiet: bool,
+    stream: Option<(&History, &StreamingChecker)>,
+) -> ExitCode {
+    match verdict {
         StreamVerdict::Accepted => {
-            println!("OK: history satisfies {} (streaming)", isolation.long_name());
-            if !quiet {
+            let how = if stream.is_some() { "streaming" } else { "live" };
+            println!("OK: history satisfies {} ({how})", isolation.long_name());
+            if let (false, Some((history, _))) = (quiet, stream) {
                 println!("  {}", HistoryStats::of(history));
             }
             ExitCode::SUCCESS
         }
         StreamVerdict::AxiomViolations { violations, .. } => {
-            println!("VIOLATION: non-cyclic axioms failed");
-            for v in violations.iter().take(if quiet { 1 } else { usize::MAX }) {
-                println!("  - {v}");
-            }
+            print_violations(violations, quiet);
             ExitCode::FAILURE
         }
         StreamVerdict::Rejected { anomaly, first_violation_op } => {
-            let rej = checker.rejection().expect("rejected streams record the canonical report");
             match anomaly {
                 Some(a) => println!("VIOLATION: {a}"),
                 None => println!("VIOLATION: non-cyclic axioms failed"),
             }
+            let Some((_, checker)) = stream else {
+                println!("  detected by op {first_violation_op}");
+                return ExitCode::FAILURE;
+            };
+            let rej = checker.rejection().expect("rejected streams record the canonical report");
             println!(
                 "  detected by op {first_violation_op} (checkpoint {}, {} txns ingested)",
                 rej.checkpoint, rej.txn_count
             );
-            if !quiet {
-                match &rej.report.outcome {
-                    Outcome::CyclicViolation(v) => {
-                        for e in &v.cycle {
-                            println!(
-                                "  {} {} -> {}",
-                                e.label,
-                                rej.prefix.txn(e.from).label(),
-                                rej.prefix.txn(e.to).label()
-                            );
-                        }
-                    }
-                    Outcome::AxiomViolations(vs) => {
-                        for v in vs {
-                            println!("  - {v}");
-                        }
-                    }
-                    Outcome::Si => unreachable!("canonical report of a rejection"),
-                }
+            match &rej.report.outcome {
+                _ if quiet => {}
+                Outcome::CyclicViolation(v) => print_cycle(&rej.prefix, &v.cycle),
+                Outcome::AxiomViolations(vs) => vs.iter().for_each(|v| println!("  - {v}")),
+                Outcome::Si => unreachable!("canonical report of a rejection"),
             }
             ExitCode::FAILURE
         }
+    }
+}
+
+/// The non-cyclic-axiom verdict: its heading, then the violations, only
+/// the first when `quiet`.
+fn print_violations(violations: &[AxiomViolation], quiet: bool) {
+    println!("VIOLATION: non-cyclic axioms failed");
+    for v in violations.iter().take(if quiet { 1 } else { usize::MAX }) {
+        println!("  - {v}");
+    }
+}
+
+/// A violating cycle over `history`, one edge a line.
+fn print_cycle(history: &History, cycle: &[Edge]) {
+    for e in cycle {
+        println!("  {} {} -> {}", e.label, history.txn(e.from).label(), history.txn(e.to).label());
     }
 }
 
@@ -228,25 +249,7 @@ fn live_check(
     }
     if !quiet {
         for cp in &report.checkpoints {
-            let verdict = match &cp.report.verdict {
-                StreamVerdict::Accepted => "ok".to_string(),
-                StreamVerdict::AxiomViolations { healable, .. } => {
-                    format!("axioms broken ({})", if *healable { "healable" } else { "terminal" })
-                }
-                StreamVerdict::Rejected { .. } => "VIOLATION".to_string(),
-            };
-            println!(
-                "  checkpoint {}: {}/{} txns, {} components ({} dirty, {} rebuilt), {}{}, {:?}",
-                cp.report.seq,
-                cp.report.txns,
-                total,
-                cp.report.components,
-                cp.report.dirty,
-                cp.report.rebuilt,
-                verdict,
-                if cp.degraded { " [degraded]" } else { "" },
-                cp.report.elapsed
-            );
+            print_checkpoint(&cp.report, total, cp.degraded);
         }
         let s = &report.stats;
         println!(
@@ -257,27 +260,7 @@ fn live_check(
     for (sid, err) in &report.faults {
         println!("  ingest fault on session {}: {err}", sid.0);
     }
-    match report.verdict() {
-        StreamVerdict::Accepted => {
-            println!("OK: history satisfies {} (live)", isolation.long_name());
-            ExitCode::SUCCESS
-        }
-        StreamVerdict::AxiomViolations { violations, .. } => {
-            println!("VIOLATION: non-cyclic axioms failed");
-            for v in violations.iter().take(if quiet { 1 } else { usize::MAX }) {
-                println!("  - {v}");
-            }
-            ExitCode::FAILURE
-        }
-        StreamVerdict::Rejected { anomaly, first_violation_op } => {
-            match anomaly {
-                Some(a) => println!("VIOLATION: {a}"),
-                None => println!("VIOLATION: non-cyclic axioms failed"),
-            }
-            println!("  detected by op {first_violation_op}");
-            ExitCode::FAILURE
-        }
-    }
+    print_verdict(report.verdict(), isolation, quiet, None)
 }
 
 /// Load a history, auto-detecting the format by content: the `.pbh`
@@ -475,10 +458,7 @@ fn main() -> ExitCode {
                     ExitCode::SUCCESS
                 }
                 Outcome::AxiomViolations(vs) => {
-                    println!("VIOLATION: non-cyclic axioms failed");
-                    for v in vs.iter().take(if quiet { 1 } else { usize::MAX }) {
-                        println!("  - {v}");
-                    }
+                    print_violations(vs, quiet);
                     ExitCode::FAILURE
                 }
                 Outcome::CyclicViolation(v) => {
@@ -487,14 +467,7 @@ fn main() -> ExitCode {
                         if let Some(line) = &shard_line {
                             println!("  {line}");
                         }
-                        for e in &v.cycle {
-                            println!(
-                                "  {} {} -> {}",
-                                e.label,
-                                history.txn(e.from).label(),
-                                history.txn(e.to).label()
-                            );
-                        }
+                        print_cycle(&history, &v.cycle);
                     }
                     if let (Some(out), Some(s)) = (&dot_path, &v.scenario) {
                         if let Err(e) = std::fs::write(out, dot::scenario_to_dot(&history, s)) {

@@ -413,8 +413,34 @@ pub fn fixture(name: &str) -> History {
     codec::decode(&text).expect("fixture parses")
 }
 
+/// A cycle that only a healed read closes, whatever the delivery order.
+/// Two sessions blind-write key 1 eight times each (an online checker
+/// caches their one component on the way); then `b` reads key 2 from `d`
+/// and writes key 1 = 7, `c` reads that 7, and `d` follows `c` in its
+/// session: b →WR c →SO d →WR b. `b` before `d` makes `b`'s read wait
+/// for `d`; `c` before `b` makes `c`'s read wait for `b` — so in every
+/// order a read on the cycle heals after a checkpoint that accepted.
+pub fn healed_read_cycle() -> History {
+    use polysi::history::{HistoryBuilder, Key, Value};
+    let mut h = HistoryBuilder::new();
+    let blind_writes = |h: &mut HistoryBuilder, from: u64| {
+        for v in from..from + 8 {
+            h.begin().write(Key(1), Value(v)).commit();
+        }
+    };
+    h.session();
+    blind_writes(&mut h, 100);
+    h.begin().read(Key(2), Value(1)).write(Key(1), Value(7)).commit(); // b
+    h.session();
+    blind_writes(&mut h, 200);
+    h.begin().read(Key(1), Value(7)).commit(); // c
+    h.begin().write(Key(2), Value(1)).commit(); // d
+    h.build()
+}
+
 /// The matrix corpus, each history with its name: a conformance corpus,
-/// the fixture table and the solver-stress templates.
+/// the fixture table, the solver-stress templates and
+/// [`healed_read_cycle`].
 pub fn corpus() -> &'static [(String, History)] {
     static CORPUS: std::sync::OnceLock<Vec<(String, History)>> = std::sync::OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -424,10 +450,11 @@ pub fn corpus() -> &'static [(String, History)] {
             dir.map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
         files.sort();
         let fixtures = files.into_iter().map(|file| (file.clone(), fixture(&file)));
-        let stress = [
+        let built = [
             ("stress/write-skew-lattice-5".into(), write_skew_lattice(0, 5)),
             ("stress/overlapping-clique-6".into(), overlapping_clique(1_000_000, 6)),
+            ("healed-read-cycle".into(), healed_read_cycle()),
         ];
-        cases.chain(fixtures).chain(stress).collect()
+        cases.chain(fixtures).chain(built).collect()
     })
 }
