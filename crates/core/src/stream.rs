@@ -24,13 +24,14 @@
 //!   sets grew);
 //! * the prune stage's reachability oracle, grown with
 //!   [`KnownGraph::grow`] and extended with
-//!   [`KnownGraph::insert_edges`] (one flush per delta) — never rebuilt;
-//!   it keeps only the delta edges its paths do not already imply, and the
-//!   polygraph's `known` list mirrors exactly those. Its
-//!   representation follows the growth (`grow` moves a dense oracle to
-//!   chains once the component is big enough for that to pay), so a
-//!   component first seen small ends up with the oracle a batch check of
-//!   the same prefix would build;
+//!   [`KnownGraph::insert_edges`] (one flush per delta) — rebuilt only
+//!   by a compaction, over the surviving edges; it keeps only the delta
+//!   edges its paths do not already imply, and the polygraph's `known`
+//!   list mirrors exactly those. Its representation follows the growth
+//!   (`grow` moves a dense oracle to chains once the component is big
+//!   enough for that to pay) and the compaction (a rebuild applies the
+//!   build rule), so a component ends up with the oracle a batch check
+//!   of the same snapshot would build;
 //! * the prune fixpoint resumes from the delta's touched set
 //!   ([`Polygraph::prune_resume`]) instead of sweeping every constraint.
 //!
@@ -99,7 +100,8 @@ use polysi_history::{
 };
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
-    ConstraintMode, ConstraintSet, Edge, Flush, KnownGraph, Label, Polygraph, PruneOptions,
+    ConstraintMode, ConstraintSet, Edge, Flush, KnownGraph, KnownGraphResult, Label, Polygraph,
+    PruneOptions,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -673,11 +675,15 @@ impl StreamingChecker {
         let map = self.stream.compact(&drop);
         self.cursor = self.stream.len();
 
-        // Phase 3: remap every cached component in place. Untouched
-        // components only renumber their member list (local ids are
-        // positional and unchanged); compacted ones restrict their oracle,
-        // polygraph, and bookkeeping to the survivors. Global ids moved
-        // for everyone, so the `local_of` column is rewritten whole.
+        // Phase 3: remap every cached component. Untouched components only
+        // renumber their member list (local ids are positional and
+        // unchanged). A compacted one restricts its polygraph to the
+        // survivors and builds its oracle afresh over the surviving known
+        // edges — `poly.known` is exactly what the old oracle held, and
+        // the keep set is predecessor-closed, so every path between
+        // survivors survives and the build answers every query the old
+        // oracle did. Global ids moved for everyone, so the `local_of`
+        // column is rewritten whole.
         let _remap_span = self.obs.tracer.span("compact.remap");
         for (tag, state) in self.comps.iter_mut() {
             let Some(keep) = keeps.get(tag) else {
@@ -686,17 +692,19 @@ impl StreamingChecker {
                 }
                 continue;
             };
-            let oracle = state.oracle.as_mut().expect("live component has an oracle");
-            let lmap = oracle.compact(keep);
-            let n2 = keep.iter().filter(|&&kept| kept).count();
-            state.poly.compact(&lmap, n2);
-            state.txns = state
-                .txns
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| keep[i])
-                .map(|(_, &g)| TxnId(map[g.idx()]))
-                .collect();
+            let survivors: Vec<usize> = (0..keep.len()).filter(|&i| keep[i]).collect();
+            let mut lmap = vec![u32::MAX; keep.len()];
+            for (new, &old) in survivors.iter().enumerate() {
+                lmap[old] = new as u32;
+            }
+            state.poly.compact(&lmap, survivors.len());
+            state.oracle = match state.poly.known_graph() {
+                KnownGraphResult::Acyclic(oracle) => Some(oracle),
+                KnownGraphResult::Cyclic(_) => {
+                    unreachable!("a restriction of an accepted component's known graph is acyclic")
+                }
+            };
+            state.txns = survivors.iter().map(|&i| TxnId(map[state.txns[i].idx()])).collect();
         }
         self.comps.retain(|_, s| !s.txns.is_empty());
         self.local_of.clear();
@@ -1356,14 +1364,14 @@ mod tests {
         c.comps.values().next().and_then(|s| s.oracle.as_deref()).expect("accepted state")
     }
 
-    /// The representation a batch check of the checker's current prefix
-    /// picks: the kind of the oracle its prune stage builds.
-    fn batch_oracle_kind(c: &StreamingChecker) -> polysi_polygraph::OracleKind {
+    /// The oracle the prune stage of a batch check of the checker's
+    /// current snapshot builds.
+    fn batch_oracle(c: &StreamingChecker) -> Box<KnownGraph> {
         let (prefix, _) = c.stream().snapshot();
         let facts = Facts::analyze(&prefix);
         let mut g = Polygraph::from_history(&prefix, &facts, ConstraintMode::Generalized);
         let (_, oracle) = g.prune(&PruneOptions::default(), &polysi_obs::Tracer::disabled());
-        oracle.expect("an accepted prefix prunes").oracle_kind()
+        oracle.expect("an accepted prefix prunes")
     }
 
     /// A 20-session component first seen at 256 transactions and grown to
@@ -1398,7 +1406,7 @@ mod tests {
             if (j + 1) % 256 == 0 {
                 assert!(assert_matches_batch(&mut c));
                 let kind = only_oracle(&c).oracle_kind();
-                assert_eq!(kind, batch_oracle_kind(&c), "at {} transactions", j + 1);
+                assert_eq!(kind, batch_oracle(&c).oracle_kind(), "at {} transactions", j + 1);
                 kinds.push(kind);
             }
         }
@@ -1406,6 +1414,40 @@ mod tests {
         assert_eq!(kinds[3..], [OracleKind::Chains; 13], "chains from 1 024 transactions on");
         let bytes = only_oracle(&c).oracle_bytes();
         assert!(bytes <= 2 << 20, "chain oracle holds {bytes} B");
+    }
+
+    /// A 20-session component checked on chains at 1 100 transactions,
+    /// then sealed: compaction keeps its 20 final writers, and the oracle
+    /// it keeps for them is the one a batch check of the compacted
+    /// snapshot builds — dense, at no more bytes — not the chains it had.
+    #[test]
+    fn a_compacted_oracle_follows_the_batch_rule() {
+        use polysi_polygraph::OracleKind;
+        let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
+        let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
+        let sessions: Vec<SessionId> = (0..20).map(|_| c.session()).collect();
+        let mut serial = Serial::default();
+        for j in 0..1_100u64 {
+            // Each session overwrites a key of its own; its first
+            // transaction also reads the next session's key, which ties
+            // the twenty into one component.
+            let s = j % 20;
+            let reads = if j < 20 { vec![1 + (s + 1) % 20] } else { Vec::new() };
+            let ops = serial.txn(&reads, &[1 + s]);
+            c.push_transaction(sessions[s as usize], ops, TxnStatus::Committed);
+        }
+        assert!(assert_matches_batch(&mut c));
+        assert_eq!(only_oracle(&c).oracle_kind(), OracleKind::Chains);
+        for &s in &sessions {
+            c.seal_session(s);
+        }
+        let cp = c.checkpoint();
+        assert!(cp.verdict.accepted());
+        assert_eq!((cp.compacted, cp.live_txns), (1_080, 20));
+        let (oracle, batch) = (only_oracle(&c), batch_oracle(&c));
+        assert_eq!(oracle.oracle_kind(), OracleKind::Dense);
+        assert_eq!(batch.oracle_kind(), OracleKind::Dense);
+        assert!(oracle.oracle_bytes() <= batch.oracle_bytes());
     }
 
     /// A soak-shaped stream — waves of fresh sessions updating their own

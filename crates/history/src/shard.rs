@@ -139,11 +139,12 @@ impl ShardPlan {
         }
 
         // Components, ordered by first session: map union-find roots to
-        // dense component indices.
+        // dense component indices. A session without transactions touches
+        // no key and has nothing to check, so it opens no component.
         let mut comp_of_root = vec![u32::MAX; nsess + nkeys];
         let mut components: Vec<ShardComponent> = Vec::new();
         let mut sizes: Vec<(usize, usize)> = Vec::new(); // (txns, keys) per component
-        for s in h.sessions() {
+        for s in h.sessions().filter(|s| !s.txns.is_empty()) {
             let root = uf.find(s.id.0 as usize);
             if comp_of_root[root] == u32::MAX {
                 comp_of_root[root] = components.len() as u32;
@@ -171,7 +172,7 @@ impl ShardPlan {
         // transactions ascending; `ids_by_key` visits the keys ascending.
         let mut component_of = vec![0u32; h.len()];
         let mut local_of = vec![0u32; h.len()];
-        for s in h.sessions() {
+        for s in h.sessions().filter(|s| !s.txns.is_empty()) {
             let c = comp_of_root[uf.find(s.id.0 as usize)];
             let txns = &mut components[c as usize].txns;
             for i in 0..s.txns.len() {
@@ -350,6 +351,21 @@ mod tests {
         let plan = ShardPlan::analyze(&b.build());
         assert_eq!(plan.components.len(), 2);
         assert_eq!(plan.components[0].txns, vec![TxnId(0), TxnId(1)]);
+    }
+
+    #[test]
+    fn empty_sessions_open_no_component() {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(k(1), v(1)).commit();
+        b.begin().read(k(1), v(1)).write(k(1), v(2)).commit();
+        b.session();
+        b.begin().read(k(1), v(2)).commit();
+        b.session();
+        let plan = ShardPlan::analyze(&b.build());
+        assert_eq!(plan.components.len(), 1);
+        assert_eq!(plan.components[0].sessions, vec![SessionId(0), SessionId(1)]);
+        assert_eq!(plan.fallback(), Some(ShardFallback::SingleComponent));
     }
 
     #[test]

@@ -56,7 +56,9 @@ impl OracleKind {
 /// sits on and where. Nodes start *unplaced* ([`ChainIndex::NONE`]) —
 /// equivalently, on a virtual singleton chain no row references — and
 /// acquire a real chain column lazily, either by extending a session
-/// chain (staging its `So` edge) or on first becoming reachable.
+/// chain (staging its `So` edge) or on first becoming reachable. Columns
+/// are only ever added: the vertex space only grows in place, and a
+/// smaller one is a fresh [`KnownGraph::build`].
 struct ChainIndex {
     /// Chain id per transaction (`NONE` = unplaced).
     chain_of: Vec<u32>,
@@ -64,12 +66,6 @@ struct ChainIndex {
     pos: Vec<u32>,
     /// Tail transaction per allocated chain.
     tail: Vec<u32>,
-    /// Retired chain ids whose columns are pristine (all-unreached),
-    /// reusable for future placements — streamed transactions pass
-    /// through a transient singleton chain until their session `So`
-    /// edge lands, and recycling keeps the column count at
-    /// `O(sessions)`, not `O(n)`.
-    free: Vec<u32>,
 }
 
 impl ChainIndex {
@@ -81,11 +77,8 @@ impl ChainIndex {
         self.tail.len() + self.chain_of.iter().filter(|&&c| c == Self::NONE).count()
     }
 
-    /// Allocate a chain column (recycling retired ids first).
+    /// Allocate a fresh chain column.
     fn alloc(&mut self, rows: &mut ChainRows) -> u32 {
-        if let Some(c) = self.free.pop() {
-            return c;
-        }
         let c = rows.push_chain() as u32;
         debug_assert_eq!(c as usize, self.tail.len());
         self.tail.push(Self::NONE);
@@ -127,12 +120,8 @@ fn chain_cover(n: usize, known: &[Edge]) -> ChainIndex {
             }
         }
     }
-    let mut idx = ChainIndex {
-        chain_of: vec![ChainIndex::NONE; n],
-        pos: vec![0; n],
-        tail: Vec::new(),
-        free: Vec::new(),
-    };
+    let mut idx =
+        ChainIndex { chain_of: vec![ChainIndex::NONE; n], pos: vec![0; n], tail: Vec::new() };
     for h in 0..n {
         if has_pred[h] || !has_succ[h] {
             continue;
@@ -761,163 +750,6 @@ impl KnownGraph {
         let mut order: Vec<u32> = (0..2 * n as u32).collect();
         order.sort_unstable_by_key(|&x| self.ord[x as usize]);
         self.compute_closure(&order);
-    }
-
-    /// Shrink the vertex space to the transactions with `keep[i]` set,
-    /// renumbering survivors by ascending old id; returns the old → new
-    /// id map (`u32::MAX` for dropped ids). The watermark GC's
-    /// counterpart of [`KnownGraph::grow`].
-    ///
-    /// The caller must pass a *predecessor-closed* keep set: no retained
-    /// transaction may have a known edge into a dropped one (the
-    /// streaming checker's watermark guard computes exactly such a set —
-    /// the forward closure of the live frontier). Under that contract
-    /// every retained-to-retained path uses only retained nodes, so the
-    /// compaction is a pure subgraph restriction: closure answers among
-    /// survivors are preserved exactly (dense rows by row/column
-    /// remapping, chain rows by [`ChainRows::truncate_prefix`] — dropped
-    /// chain nodes form per-chain prefixes, since a retained chain
-    /// predecessor would be a retained → dropped edge), witness paths
-    /// remain constructible, and the maintained topological order keeps
-    /// its relative priorities. Requires a flushed oracle.
-    pub fn compact(&mut self, keep: &[bool]) -> Vec<u32> {
-        assert!(self.pending.is_empty(), "compact on an unflushed oracle");
-        debug_assert!(self.pending_chain.is_empty(), "chain append without a staged edge");
-        let n = self.n;
-        assert_eq!(keep.len(), n);
-        let mut map = vec![u32::MAX; n];
-        let mut n2 = 0usize;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                map[i] = n2 as u32;
-                n2 += 1;
-            }
-        }
-        if n2 == n {
-            return map;
-        }
-        // Old layered node -> new layered node (boundary 0..n2, mid n2..2n2).
-        let lmap = |old: usize| -> Option<usize> {
-            let (txn, mid) = if old < n { (old, 0) } else { (old - n, n2) };
-            (map[txn] != u32::MAX).then(|| map[txn] as usize + mid)
-        };
-        let remap_edge =
-            |e: Edge| Edge::new(TxnId(map[e.from.idx()]), TxnId(map[e.to.idx()]), e.label);
-        let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); 2 * n2];
-        for (i, list) in std::mem::take(&mut self.adj).into_iter().enumerate() {
-            let Some(ni) = lmap(i) else {
-                continue;
-            };
-            debug_assert!(
-                list.iter().all(|&(v, _)| lmap(v as usize).is_some()),
-                "keep set is not predecessor-closed: retained node has a dropped successor"
-            );
-            adj[ni] = list
-                .into_iter()
-                .filter_map(|(v, e)| lmap(v as usize).map(|nv| (nv as u32, remap_edge(e))))
-                .collect();
-        }
-        self.adj = adj;
-        let mut radj: Vec<Vec<u32>> = vec![Vec::new(); 2 * n2];
-        for (i, list) in std::mem::take(&mut self.radj).into_iter().enumerate() {
-            let Some(ni) = lmap(i) else {
-                continue;
-            };
-            radj[ni] =
-                list.into_iter().filter_map(|v| lmap(v as usize).map(|nv| nv as u32)).collect();
-        }
-        self.radj = radj;
-        // Topological priorities: survivors keep their relative order.
-        let mut nodes: Vec<u32> =
-            (0..2 * n).filter(|&x| lmap(x).is_some()).map(|x| x as u32).collect();
-        nodes.sort_unstable_by_key(|&x| self.ord[x as usize]);
-        let mut ord = vec![0u32; 2 * n2];
-        for (p, &x) in nodes.iter().enumerate() {
-            ord[lmap(x as usize).expect("filtered above")] = p as u32;
-        }
-        self.ord = ord;
-        // New boundary id -> old boundary id, for row sources.
-        let mut inv = vec![0usize; n2];
-        for (old, &new) in map.iter().enumerate() {
-            if new != u32::MAX {
-                inv[new as usize] = old;
-            }
-        }
-        let layered_src = |r: usize| {
-            if r < n2 {
-                Some(inv[r])
-            } else {
-                Some(inv[r - n2] + n)
-            }
-        };
-        match &mut self.store {
-            ClosureStore::Dense { closure, dep_in } => {
-                let dst_col = |c: usize| (map[c] != u32::MAX).then_some(map[c] as usize);
-                *dep_in = dep_in.compacted(n2, n2, |r| Some(inv[r]), dst_col);
-                *closure = closure.compacted(2 * n2, n2, layered_src, dst_col);
-            }
-            ClosureStore::Chains { rows, idx, dep_preds } => {
-                // Retained positions per chain, ascending (a per-chain
-                // suffix under the predecessor-closed contract, but the
-                // truncation is exact for any monotone retained set).
-                let chains = idx.tail.len();
-                let mut kept_nodes: Vec<Vec<(u32, u32)>> = vec![Vec::new(); chains];
-                for (v, &c) in idx.chain_of.iter().enumerate() {
-                    if keep[v] && c != ChainIndex::NONE {
-                        kept_nodes[c as usize].push((idx.pos[v], v as u32));
-                    }
-                }
-                let mut kept_pos: Vec<Vec<u32>> = Vec::with_capacity(chains);
-                for list in &mut kept_nodes {
-                    list.sort_unstable();
-                    kept_pos.push(list.iter().map(|&(p, _)| p).collect());
-                }
-                *rows = rows.remapped(2 * n2, layered_src);
-                rows.truncate_prefix(&kept_pos);
-                let mut chain_of = vec![ChainIndex::NONE; n2];
-                let mut pos = vec![0u32; n2];
-                let was_free: std::collections::HashSet<u32> = idx.free.iter().copied().collect();
-                for (c, list) in kept_nodes.iter().enumerate() {
-                    match list.last() {
-                        Some(&(_, tail_v)) => {
-                            for (rank, &(_, v)) in list.iter().enumerate() {
-                                let nv = map[v as usize] as usize;
-                                chain_of[nv] = c as u32;
-                                pos[nv] = rank as u32;
-                            }
-                            idx.tail[c] = map[tail_v as usize];
-                        }
-                        None => {
-                            // Emptied chains are pristine again (every row
-                            // entry contracted to NONE): recycle the column.
-                            idx.tail[c] = ChainIndex::NONE;
-                            if !was_free.contains(&(c as u32)) {
-                                idx.free.push(c as u32);
-                            }
-                        }
-                    }
-                }
-                idx.chain_of = chain_of;
-                idx.pos = pos;
-                let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n2];
-                for (i, list) in std::mem::take(dep_preds).into_iter().enumerate() {
-                    if map[i] != u32::MAX {
-                        // Ascending stays ascending: the id map is monotone.
-                        preds[map[i] as usize] = list
-                            .into_iter()
-                            .filter_map(|p| {
-                                (map[p as usize] != u32::MAX).then_some(map[p as usize])
-                            })
-                            .collect();
-                    }
-                }
-                *dep_preds = preds;
-            }
-        }
-        self.visited = vec![0; 2 * n2];
-        self.grown = vec![0; 2 * n2];
-        self.n = n2;
-        map
     }
 
     /// Extend the oracle with newly known typed edges, maintaining the
@@ -1671,74 +1503,6 @@ mod tests {
         // A cycle through old and new vertices is still caught.
         let err = insert(&mut g, &[ww(6, 1)], &mut Vec::new()).unwrap_err();
         assert!(!err.is_empty());
-    }
-
-    #[test]
-    fn compact_matches_fresh_build_on_survivors() {
-        // Two sealed sessions 0..=3 and 4..=7 with cross dependencies.
-        // Keep the frontier {3, 6, 7}: a predecessor-closed set (no
-        // retained node has an edge into a dropped one), the shape the
-        // watermark guard produces.
-        let initial = [
-            so(0, 1),
-            so(1, 2),
-            so(2, 3),
-            so(4, 5),
-            so(5, 6),
-            so(6, 7),
-            wr(0, 4),
-            ww(1, 5),
-            wr(2, 6),
-            rw(5, 3),
-            wr(3, 7),
-        ];
-        let keep = [false, false, false, true, false, false, true, true];
-        for kind in [OracleKind::Dense, OracleKind::Chains] {
-            let mut g = pinned(8, &initial, Semantics::Si, kind);
-            let kind_before = g.oracle_kind();
-            let map = g.compact(&keep);
-            assert_eq!(map, vec![u32::MAX, u32::MAX, u32::MAX, 0, u32::MAX, u32::MAX, 1, 2]);
-            assert_eq!(g.oracle_kind(), kind_before, "compaction keeps the representation");
-            // Surviving edges, remapped: so(6,7) → so(1,2), wr(3,7) → wr(0,2).
-            let survivors = [so(1, 2), wr(0, 2)];
-            let fresh = acyclic(3, &survivors);
-            assert_oracles_agree(&g, &fresh, 3, "post-compact");
-            // Witness paths among survivors stay constructible.
-            assert_eq!(g.find_path(TxnId(0), TxnId(2)).unwrap(), vec![wr(0, 2)]);
-            // The compacted oracle keeps working: grow, insert, reject.
-            g.grow(5);
-            let extra = [so(2, 3), wr(1, 4), rw(4, 0)];
-            insert(&mut g, &extra, &mut Vec::new()).expect("acyclic after compact+grow");
-            let all: Vec<Edge> = survivors.iter().chain(&extra).copied().collect();
-            let full = acyclic(5, &all);
-            assert_oracles_agree(&g, &full, 5, "post-compact growth");
-            assert_order_is_topological(&g, 5);
-            // A dependency cycle through survivors and new nodes is caught.
-            let err = insert(&mut g, &[ww(3, 0)], &mut Vec::new()).unwrap_err();
-            assert!(!err.is_empty());
-        }
-    }
-
-    #[test]
-    fn compact_recycles_emptied_chain_columns() {
-        // Drop session 0..=3 entirely: its chain column empties and must
-        // come back pristine for the next session to reuse.
-        let initial =
-            [so(0, 1), so(1, 2), so(2, 3), so(4, 5), so(5, 6), so(6, 7), wr(0, 4), wr(3, 6)];
-        let keep = [false, false, false, false, false, false, true, true];
-        let mut g = pinned(8, &initial, Semantics::Si, OracleKind::Chains);
-        let bytes_before = g.oracle_bytes();
-        let map = g.compact(&keep);
-        assert_eq!(map[6], 0);
-        assert_eq!(map[7], 1);
-        assert!(g.oracle_bytes() < bytes_before, "compaction shrinks the oracle");
-        assert_oracles_agree(&g, &acyclic(2, &[so(0, 1)]), 2, "emptied chain");
-        // A fresh session lands on the recycled column without ghosts.
-        g.grow(5);
-        insert(&mut g, &[so(2, 3), so(3, 4), wr(1, 2), rw(1, 4)], &mut Vec::new())
-            .expect("acyclic");
-        let full = acyclic(5, &[so(0, 1), so(2, 3), so(3, 4), wr(1, 2), rw(1, 4)]);
-        assert_oracles_agree(&g, &full, 5, "recycled column");
     }
 
     #[test]

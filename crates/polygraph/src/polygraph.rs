@@ -227,13 +227,15 @@ impl Polygraph {
         self.constraints.num_edges()
     }
 
-    /// Apply a watermark-compaction id map (`u32::MAX` = dropped, as
-    /// returned by [`KnownGraph::compact`]): known edges with a dropped
-    /// endpoint disappear, surviving edges and constraints are renumbered,
-    /// and the vertex count shrinks to `n2`. The caller guarantees no
-    /// live constraint references a dropped transaction — the watermark
-    /// guard retains every constraint endpoint — and a violated guard
-    /// panics here, at the cause.
+    /// Apply a watermark-compaction id map (old id → new id in `0..n2`,
+    /// `u32::MAX` = dropped): known edges with a dropped endpoint
+    /// disappear, surviving edges and constraints are renumbered, and the
+    /// vertex count shrinks to `n2`. The caller guarantees no live
+    /// constraint references a dropped transaction — the watermark guard
+    /// retains every constraint endpoint — and a violated guard panics
+    /// here, at the cause. For a predecessor-closed keep set,
+    /// [`Polygraph::known_graph`] of the result answers every reachability
+    /// query among survivors as the oracle over the uncompacted edges did.
     pub fn compact(&mut self, map: &[u32], n2: usize) {
         debug_assert_eq!(map.len(), self.n);
         self.known.retain(|e| map[e.from.idx()] != u32::MAX && map[e.to.idx()] != u32::MAX);

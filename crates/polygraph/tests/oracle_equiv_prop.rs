@@ -12,8 +12,12 @@
 //! A second family grows history-shaped graphs across the size threshold
 //! of the representation rule: a [`KnownGraph::build`] oracle that starts
 //! dense and converts to chains inside `grow` must be indistinguishable
-//! from the dense oracle it replaced, from a chains oracle built that way, and from a fresh
-//! chains build — before and after `compact`, and as it keeps growing.
+//! from the dense oracle it replaced, from a chains oracle built that way,
+//! and from a fresh chains build. It then states what the streaming
+//! checker's compaction relies on: for a predecessor-closed keep set, the
+//! uncompacted oracles answer every query on survivor pairs exactly as a
+//! [`KnownGraph::build`] over the surviving edges does, whatever the two
+//! kinds — and the rebuilt oracles keep growing alike.
 
 use polysi_history::{Key, TxnId};
 use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Semantics};
@@ -359,13 +363,16 @@ fn land(
 }
 
 /// `reaches` / `rw_closes_cycle` / `implies` / `closing_cycle` on sampled
-/// pairs (both directions, so cycle-closing edges and their byte-identical
-/// witnesses are covered), and the maintained order.
+/// pairs of `b`'s `n` vertices (both directions, so cycle-closing edges
+/// are covered), asked of `a` about the same vertices `shift` ids up — `b`
+/// may be built over the suffix `shift..` of `a`'s vertex space. Under
+/// `same_order` (only with `shift` 0) the maintained orders and the
+/// witnesses must be identical too.
 fn assert_same_answers(
     a: &KnownGraph,
     b: &KnownGraph,
     n: usize,
-    semantics: Semantics,
+    shift: usize,
     same_order: bool,
     rng: &mut Rng,
     ctx: &str,
@@ -373,23 +380,25 @@ fn assert_same_answers(
     if same_order {
         prop_assert_eq!(a.topo_positions(), b.topo_positions(), "{}: topo_positions", ctx);
     }
+    let up = |t: TxnId| TxnId(t.0 + shift as u32);
     for _ in 0..500 {
         let (x, y) = (TxnId(rng.below(n) as u32), TxnId(rng.below(n) as u32));
-        prop_assert_eq!(a.reaches(x, y), b.reaches(x, y), "{}: reaches({:?}, {:?})", ctx, x, y);
+        let (ax, ay) = (up(x), up(y));
+        prop_assert_eq!(a.reaches(ax, ay), b.reaches(x, y), "{}: reaches({:?}, {:?})", ctx, x, y);
         if x == y {
             continue;
         }
-        if semantics == Semantics::Si {
-            prop_assert_eq!(a.rw_closes_cycle(x, y), b.rw_closes_cycle(x, y), "{}: rw", ctx);
+        if b.semantics() == Semantics::Si {
+            prop_assert_eq!(a.rw_closes_cycle(ax, ay), b.rw_closes_cycle(x, y), "{}: rw", ctx);
         }
         let key = Key(rng.next() % 5);
         for label in [Label::So, Label::Ww(key), Label::Rw(key)] {
-            let e = Edge::new(x, y, label);
-            prop_assert_eq!(a.implies(e), b.implies(e), "{}: implies({:?})", ctx, e);
+            let (ea, e) = (Edge::new(ax, ay, label), Edge::new(x, y, label));
+            prop_assert_eq!(a.implies(ea), b.implies(e), "{}: implies({:?})", ctx, e);
+            let (ca, cb) = (a.closing_cycle(ea), b.closing_cycle(e));
             if same_order {
-                prop_assert_eq!(a.closing_cycle(e), b.closing_cycle(e), "{}: cycle({:?})", ctx, e);
+                prop_assert_eq!(ca, cb, "{}: cycle({:?})", ctx, e);
             } else {
-                let (ca, cb) = (a.closing_cycle(e), b.closing_cycle(e));
                 prop_assert_eq!(ca.is_some(), cb.is_some(), "{}: cycle({:?})", ctx, e);
             }
         }
@@ -405,8 +414,11 @@ proptest! {
     /// exactly as the dense oracle it replaced (queries, witnesses, kept
     /// edges, order, counters), as an oracle that was chains from the
     /// start, and as a fresh chains build — under eager, deferred and bulk
-    /// insertion, through `compact`, and while it keeps growing. Pinned
-    /// kinds never move.
+    /// insertion. Pinned kinds never move. Then compaction, as the
+    /// streaming checker does it: for a predecessor-closed keep set, each
+    /// of the three answers on survivor pairs exactly as every build over
+    /// the surviving edges, rule-built or pinned; and the rebuilt oracles
+    /// keep growing alike.
     #[test]
     fn auto_oracle_converts_on_growth_and_stays_indistinguishable(
         (seed, sessions, ser, policy) in
@@ -431,7 +443,7 @@ proptest! {
         prop_assert_eq!(auto.oracle_kind(), OracleKind::Chains, "{} sessions at n = {}", sessions, n1);
         prop_assert_eq!(dense.oracle_kind(), OracleKind::Dense);
         prop_assert!(auto.oracle_bytes() < dense.oracle_bytes());
-        assert_same_answers(&auto, &dense, n1, semantics, true, &mut rng, "converted vs dense")?;
+        assert_same_answers(&auto, &dense, n1, 0, true, &mut rng, "converted vs dense")?;
         let kept = land(
             &mut [&mut auto, &mut dense, &mut chains],
             &edges[upto(n0)..upto(n1)],
@@ -443,31 +455,34 @@ proptest! {
         prop_assert_eq!(auto.inserted_edges(), dense.inserted_edges());
         prop_assert!(auto.closure_updates() <= dense.closure_updates());
         prop_assert!(chains.closure_updates() <= auto.closure_updates());
-        assert_same_answers(&auto, &dense, n1, semantics, true, &mut rng, "grown vs dense")?;
-        assert_same_answers(&auto, &chains, n1, semantics, true, &mut rng, "grown vs chains")?;
+        assert_same_answers(&auto, &dense, n1, 0, true, &mut rng, "grown vs dense")?;
+        assert_same_answers(&auto, &chains, n1, 0, true, &mut rng, "grown vs chains")?;
         let fresh = build(n1, &edges[..upto(n1)], semantics, Some(OracleKind::Chains));
-        assert_same_answers(&auto, &fresh, n1, semantics, false, &mut rng, "grown vs fresh")?;
+        assert_same_answers(&auto, &fresh, n1, 0, false, &mut rng, "grown vs fresh")?;
 
-        // Through compaction: any id suffix is predecessor-closed here.
+        // Through compaction. Every edge points to a later arrival, so
+        // any id suffix is predecessor-closed. The surviving edges are
+        // those of the build and the kept ones — what a component's
+        // `poly.known` holds — restricted to the suffix and renumbered.
         let cut = n1 / 4 + rng.below(n1 / 2);
-        let keep: Vec<bool> = (0..n1).map(|v| v >= cut).collect();
         let n2 = n1 - cut;
-        for g in [&mut auto, &mut dense, &mut chains] {
-            let map = g.compact(&keep);
-            prop_assert_eq!(map[cut], 0);
-        }
-        prop_assert_eq!(auto.oracle_kind(), OracleKind::Chains, "the move is one-way");
-        assert_same_answers(&auto, &dense, n2, semantics, true, &mut rng, "compacted vs dense")?;
-        assert_same_answers(&auto, &chains, n2, semantics, true, &mut rng, "compacted vs chains")?;
         let shift = |e: &Edge| {
             Edge::new(TxnId((e.from.idx() - cut) as u32), TxnId((e.to.idx() - cut) as u32), e.label)
         };
         let survivors: Vec<Edge> =
-            edges[..upto(n1)].iter().filter(|e| e.from.idx() >= cut).map(shift).collect();
-        let fresh = build(n2, &survivors, semantics, Some(OracleKind::Chains));
-        assert_same_answers(&auto, &fresh, n2, semantics, false, &mut rng, "compacted vs fresh")?;
+            initial.iter().chain(&kept[0]).filter(|e| e.from.idx() >= cut).map(shift).collect();
+        let rebuilt = [None, Some(OracleKind::Dense), Some(OracleKind::Chains)]
+            .map(|kind| build(n2, &survivors, semantics, kind));
+        prop_assert_eq!(rebuilt[0].oracle_kind(), OracleKind::Dense, "the rule at n = {}", n2);
+        for (old, name) in [(&auto, "auto"), (&dense, "dense"), (&chains, "chains")] {
+            for new in &rebuilt {
+                let ctx = format!("{name} vs rebuilt {:?}", new.oracle_kind());
+                assert_same_answers(old, new, n2, cut, false, &mut rng, &ctx)?;
+            }
+        }
 
-        // And it keeps growing.
+        // And the rebuilt oracles keep growing alike.
+        let [mut auto, mut dense, mut chains] = rebuilt;
         let n3 = n2 + 150;
         for g in [&mut auto, &mut dense, &mut chains] {
             g.grow(n3);
@@ -477,7 +492,7 @@ proptest! {
         let kept = land(&mut [&mut auto, &mut dense, &mut chains], &tail, policy, &mut rng);
         prop_assert_eq!(&kept[0], &kept[1]);
         prop_assert_eq!(&kept[0], &kept[2]);
-        assert_same_answers(&auto, &dense, n3, semantics, true, &mut rng, "regrown vs dense")?;
-        assert_same_answers(&auto, &chains, n3, semantics, true, &mut rng, "regrown vs chains")?;
+        assert_same_answers(&auto, &dense, n3, 0, true, &mut rng, "regrown vs dense")?;
+        assert_same_answers(&auto, &chains, n3, 0, true, &mut rng, "regrown vs chains")?;
     }
 }

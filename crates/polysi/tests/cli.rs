@@ -337,6 +337,25 @@ fn shards_auto_reports_partition() {
     assert!(stdout.contains("CrossShardSessions"), "{stdout}");
 }
 
+/// A session without transactions is not a component: one real component
+/// plus two empty sessions is a whole-history check.
+#[test]
+fn empty_sessions_are_not_shard_components() {
+    let dir = std::env::temp_dir().join("polysi-cli-test-empty-sessions");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("h.txt");
+    std::fs::write(
+        &path,
+        "session\nbegin\nw 1 1\ncommit\nbegin\nr 1 1\nw 1 2\ncommit\n\
+         session\nbegin\nr 1 2\ncommit\nsession\n",
+    )
+    .unwrap();
+    let out = bin().arg("check").arg(&path).output().expect("run check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("whole-history check (SingleComponent, 1 key components)"), "{stdout}");
+}
+
 /// Every fixture parses, `polysi stats` succeeds on it regardless of the
 /// verdict, and `polysi convert` takes it text → binary → text → binary
 /// with byte-identical binary output (both encoders are deterministic).

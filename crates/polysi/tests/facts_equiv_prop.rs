@@ -218,13 +218,13 @@ fn reference_plan(h: &History) -> RefPlan {
     }
     let mut comp_of_root: BTreeMap<usize, u32> = BTreeMap::new();
     let mut components: Vec<(Vec<SessionId>, Vec<TxnId>, Vec<Key>)> = Vec::new();
-    for s in 0..nsess {
+    for s in h.sessions().filter(|s| !s.txns.is_empty()) {
         let next = components.len() as u32;
-        let c = *comp_of_root.entry(find(&uf, s)).or_insert(next);
+        let c = *comp_of_root.entry(find(&uf, s.id.0 as usize)).or_insert(next);
         if c == next {
             components.push(Default::default());
         }
-        components[c as usize].0.push(SessionId(s as u32));
+        components[c as usize].0.push(s.id);
     }
     let mut component_of = vec![0u32; h.len()];
     for (id, txn) in h.iter() {

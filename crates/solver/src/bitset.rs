@@ -140,31 +140,6 @@ impl BitMatrix {
     pub fn count_ones(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// A copy with *smaller* (or equal) dimensions: row `r` of the result
-    /// is row `src_row(r)` of `self`, and a set bit survives only when
-    /// `dst_col` maps its column into the new space. The compaction
-    /// counterpart of [`BitMatrix::remapped`] — watermark GC uses it to
-    /// drop settled nodes from dense closure matrices in one pass.
-    pub fn compacted(
-        &self,
-        rows: usize,
-        cols: usize,
-        src_row: impl Fn(usize) -> Option<usize>,
-        dst_col: impl Fn(usize) -> Option<usize>,
-    ) -> BitMatrix {
-        let mut out = BitMatrix::rect(rows, cols);
-        for r in 0..rows {
-            if let Some(src) = src_row(r) {
-                for c in self.iter_row(src) {
-                    if let Some(nc) = dst_col(c) {
-                        out.set(r, nc);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Per-chain reachability rows: the sparse counterpart of [`BitMatrix`]
@@ -301,35 +276,6 @@ impl ChainRows {
     /// Count of finite entries (diagnostics).
     pub fn finite_count(&self) -> usize {
         self.ents.iter().filter(|&&e| e != Self::NONE).count()
-    }
-
-    /// Contract every entry onto the per-chain lists of *retained*
-    /// positions (`kept[c]`, ascending old positions): a finite entry `e`
-    /// on chain `c` becomes the rank of the first retained position `≥ e`
-    /// — its new position once the dropped prefix (and any dropped
-    /// interior nodes) are renumbered away — or [`ChainRows::NONE`] when
-    /// the whole retained suffix lies before `e`.
-    ///
-    /// Sound because chain reachability is up-closed: reaching old
-    /// position `e` means reaching every retained position at or after
-    /// `e`, and reachability *to dropped nodes only* is, by the watermark
-    /// contract, never queried again. Used together with
-    /// [`ChainRows::remapped`] (rows) this is the in-place settled-prefix
-    /// truncation of the streaming checker's chain closure.
-    pub fn truncate_prefix(&mut self, kept: &[Vec<u32>]) {
-        debug_assert_eq!(kept.len(), self.chains);
-        for r in 0..self.rows {
-            for (c, kc) in kept.iter().enumerate().take(self.chains) {
-                let e = &mut self.ents[r * self.stride + c];
-                if *e == Self::NONE {
-                    continue;
-                }
-                *e = match kc.partition_point(|&p| p < *e) {
-                    rank if rank < kc.len() => rank as u32,
-                    _ => Self::NONE,
-                };
-            }
-        }
     }
 }
 
@@ -574,48 +520,6 @@ mod chain_tests {
         // stride rounds 3 up to 4 columns of u32.
         assert_eq!(c.bytes(), 4 * 4 * 4);
     }
-
-    #[test]
-    fn truncate_prefix_contracts_onto_retained_positions() {
-        // Chain 0 keeps old positions {2, 5}; chain 1 keeps {0, 1, 3}.
-        let mut c = ChainRows::rect(4, 2);
-        c.min_set(0, 0, 0); // below the cut: contracts to first survivor (rank 0)
-        c.min_set(1, 0, 2); // exactly a survivor: rank 0
-        c.min_set(2, 0, 3); // between survivors: next survivor is 5, rank 1
-        c.min_set(3, 0, 6); // past the last survivor: unreachable
-        c.min_set(0, 1, 2); // between 1 and 3: contracts to rank 2
-        c.truncate_prefix(&[vec![2, 5], vec![0, 1, 3]]);
-        assert_eq!(c.get(0, 0), 0);
-        assert_eq!(c.get(1, 0), 0);
-        assert_eq!(c.get(2, 0), 1);
-        assert_eq!(c.get(3, 0), ChainRows::NONE);
-        assert_eq!(c.get(0, 1), 2);
-        assert_eq!(c.get(1, 1), ChainRows::NONE, "untouched entries stay NONE");
-    }
-
-    /// The compaction contract: for any retained pair, "row reaches chain
-    /// position" answers identically before and after `remapped` (rows) +
-    /// `truncate_prefix` (positions).
-    #[test]
-    fn truncate_prefix_preserves_queries_among_survivors() {
-        // 6 nodes on one chain at positions 0..6; node r reaches position
-        // r (and, by up-closure, everything after it). Keep nodes at
-        // positions 1, 3, 4.
-        let mut c = ChainRows::rect(6, 1);
-        for r in 0..6 {
-            c.min_set(r, 0, r as u32);
-        }
-        let kept = [1u32, 3, 4];
-        let mut g = c.remapped(kept.len(), |r| Some(kept[r] as usize));
-        g.truncate_prefix(&[kept.to_vec()]);
-        for (new_r, &old_r) in kept.iter().enumerate() {
-            for (new_p, &old_p) in kept.iter().enumerate() {
-                let before = c.get(old_r as usize, 0) <= old_p;
-                let after = g.get(new_r, 0) != ChainRows::NONE && g.get(new_r, 0) <= new_p as u32;
-                assert_eq!(before, after, "query ({old_r} -> pos {old_p}) changed");
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -630,26 +534,5 @@ mod rect_tests {
         assert_eq!(m.len(), 3);
         assert_eq!(m.cols(), 200);
         assert_eq!(m.count_ones(), 1);
-    }
-
-    #[test]
-    fn compacted_drops_rows_and_columns() {
-        let mut m = BitMatrix::rect(4, 130);
-        m.set(0, 0);
-        m.set(0, 129);
-        m.set(2, 64);
-        m.set(3, 1);
-        // Keep rows {0, 2} and columns {0, 64, 129} -> new columns 0..3.
-        let col_map = |c: usize| match c {
-            0 => Some(0),
-            64 => Some(1),
-            129 => Some(2),
-            _ => None,
-        };
-        let g = m.compacted(2, 3, |r| Some([0usize, 2][r]), col_map);
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.cols(), 3);
-        assert!(g.get(0, 0) && g.get(0, 2) && g.get(1, 1));
-        assert_eq!(g.count_ones(), 3, "bits on dropped rows/columns vanished");
     }
 }
