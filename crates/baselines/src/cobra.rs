@@ -29,7 +29,7 @@
 //! each other (see `tests/agreement.rs` and the conformance harness).
 
 use polysi_history::{Facts, History};
-use polysi_polygraph::{ConstraintMode, ConstraintSet, Edge, Label};
+use polysi_polygraph::{ConstraintGen, ConstraintMode, Edge, Label};
 use polysi_solver::{Lit, SolveResult, Solver};
 use std::collections::HashSet;
 
@@ -105,7 +105,7 @@ pub fn cobra_check_ser(h: &History, opts: &CobraOptions) -> (SerVerdict, CobraSt
 
     // Constraints per key per writer pair (as in the polygraph).
     let mut constraints =
-        ConstraintSet::from_facts(&facts, facts.writers.keys().copied(), opts.mode);
+        ConstraintGen::new(&facts, facts.writers.keys().copied(), opts.mode, |t| t).store();
     stats.constraints = constraints.len();
 
     // Iterative reachability pruning over the plain known graph.

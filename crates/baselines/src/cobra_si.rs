@@ -16,7 +16,7 @@
 
 use polysi_history::{Facts, History};
 use polysi_polygraph::{
-    ConstraintMode, ConstraintSet, Edge, KnownGraph, KnownGraphResult, Label, Semantics,
+    ConstraintGen, ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, Semantics,
 };
 use polysi_solver::{Lit, SolveResult, Solver};
 
@@ -74,7 +74,8 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
     }
 
     let mut constraints =
-        ConstraintSet::from_facts(&facts, facts.writers.keys().copied(), ConstraintMode::Plain);
+        ConstraintGen::new(&facts, facts.writers.keys().copied(), ConstraintMode::Plain, |t| t)
+            .store();
     stats.constraints = constraints.len();
 
     // Cobra-style pruning: only the direct reachability rule, applied to

@@ -204,6 +204,7 @@ impl Tally {
     pub(crate) fn record(&self, m: &Metrics) {
         if let Some(p) = &self.prune_stats {
             m.counter("prune.constraints_before").add(p.constraints_before as u64);
+            m.counter("prune.constraints_stored").add(p.constraints_stored as u64);
             m.counter("prune.constraints_after").add(p.constraints_after as u64);
             m.counter("prune.closure_updates").add(p.closure_updates as u64);
             m.counter("prune.incremental_edges").add(p.incremental_edges as u64);

@@ -10,8 +10,8 @@
 //! | Stage | Paper | What happens |
 //! |---|---|---|
 //! | [`Stage::Axioms`] | Algorithm 1, lines 2–4 (`CheckNonCyclicAxioms`) | `Int`, aborted/intermediate reads, UniqueValue via [`Facts::analyze`]; on failure the graph stages are skipped |
-//! | [`Stage::Construct`] | Algorithm 2 (`CreateKnownGraph` + `GenerateConstraints`) | known `SO ∪ WR` (+ init-read `RW`, + RMW-inferred `WW` under SER) edges and per-key writer-pair constraints |
-//! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — and the per-pass sweep can fan out over its share of the [`PruneThreads`] budget |
+//! | [`Stage::Construct`] | Algorithm 2 (`CreateKnownGraph` + `GenerateConstraints`) | known `SO ∪ WR` (+ init-read `RW`, + RMW-inferred `WW` under SER) edges and the per-key writer-pair constraint generator (with `pruning: false`, every constraint stored) |
+//! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the first pass generates each constraint and stores only the undecided ones; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — and the per-pass sweep can fan out over its share of the [`PruneThreads`] budget |
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
 //! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph, classified, and interpreted |
 //!
@@ -51,11 +51,11 @@
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, EncodeStats, Outcome, SolveStats, Tally, Violation};
 use crate::interpret::interpret;
-use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan};
+use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan, TxnId};
 use polysi_obs::{kv, Obs, SpanGuard, Tracer};
 use polysi_polygraph::{
-    ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, Polygraph, PruneOptions,
-    PruneResult, Semantics,
+    ConstraintGen, ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, Polygraph,
+    PruneOptions, PruneResult, Semantics,
 };
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -450,15 +450,27 @@ impl CheckEngine {
         let tracer = &self.obs.tracer;
         let semantics = self.isolation.semantics();
         let span = tracer.span("construct");
-        let mut g = match shard {
+        let (mut g, gen) = match shard {
             None => Polygraph::from_history_with(h, facts, self.opts.mode, semantics),
             Some((plan, i)) => {
-                Polygraph::from_component(h, facts, self.opts.mode, semantics, plan, i)
+                // Sessions never span components, so every successor stays
+                // inside; consecutive `SO` edges reach what the transitive
+                // relation does.
+                let comp = &plan.components[i];
+                let so: Vec<_> =
+                    comp.txns.iter().filter_map(|&t| h.so_successor(t).map(|s| (t, s))).collect();
+                let local = |t: TxnId| TxnId(plan.local_of[t.idx()]);
+                Polygraph::from_component(&so, facts, self.opts.mode, semantics, comp, &local)
             }
         };
+        // Without pruning every constraint is stored here; with it, the
+        // first prune pass generates them and stores only the undecided.
+        if !self.opts.pruning {
+            g.constraints = gen.store();
+        }
         let constructing = span.finish();
 
-        let prune = self.opts.pruning.then_some(Prune::Scratch);
+        let prune = self.opts.pruning.then_some(Prune::Scratch(Some(gen)));
         let (verdict, mut tally, _oracle) = run_unit(&mut g, prune, &prune_opts, tracer);
         tally.timings.constructing = constructing;
         let cycle = match verdict {
@@ -509,8 +521,10 @@ impl CheckEngine {
 
 /// Where a unit's Prune stage starts.
 pub(crate) enum Prune<'a> {
-    /// From scratch: a batch unit or a rebuilt stream component.
-    Scratch,
+    /// From scratch: a batch unit or a rebuilt stream component, whose
+    /// first pass generates its constraints (`None`: reads the stored
+    /// ones).
+    Scratch(Option<ConstraintGen>),
     /// From a stream component's warm oracle, seeded with the transactions
     /// its delta `touched`; the stage spans are then `delta.*`.
     Resume(Box<KnownGraph>, &'a [bool]),
@@ -554,9 +568,14 @@ pub(crate) fn run_unit(
     let mut oracle = None;
     if let Some(from) = prune {
         let mut span = tracer.span(prune_name);
-        span.attr("constraints", g.constraints.len());
+        let constraints = match &from {
+            Prune::Scratch(Some(gen)) => gen.counts().0,
+            _ => g.constraints.len(),
+        };
+        span.attr("constraints", constraints);
         let (result, kg) = match from {
-            Prune::Scratch => g.prune(prune_opts, tracer),
+            Prune::Scratch(Some(gen)) => g.prune_generated(&gen, prune_opts, tracer),
+            Prune::Scratch(None) => g.prune(prune_opts, tracer),
             Prune::Resume(kg, touched) => g.prune_resume(kg, touched, prune_opts, tracer),
         };
         span.attr("remaining", g.constraints.len());
@@ -1049,7 +1068,7 @@ mod tests {
             let mut g = build(&rp);
             let truth = enumerate_sat(&g);
             let (opts, tracer) = (PruneOptions::default(), Tracer::disabled());
-            let (verdict, tally, oracle) = run_unit(&mut g, Some(Prune::Scratch), &opts, &tracer);
+            let (verdict, tally, oracle) = run_unit(&mut g, Some(Prune::Scratch(None)), &opts, &tracer);
             if let UnitVerdict::PruneCycle(_) = verdict {
                 prop_assert!(!truth, "pruning rejected a satisfiable polygraph");
                 return Ok(());

@@ -67,6 +67,7 @@ fn write_prune_stats(w: &mut JsonWriter, p: &PruneStats) {
     w.begin_object();
     w.field_u64("iterations", p.iterations as u64);
     w.field_u64("constraints_before", p.constraints_before as u64);
+    w.field_u64("constraints_stored", p.constraints_stored as u64);
     w.field_u64("constraints_after", p.constraints_after as u64);
     w.field_u64("unknown_deps_before", p.unknown_deps_before as u64);
     w.field_u64("unknown_deps_after", p.unknown_deps_after as u64);

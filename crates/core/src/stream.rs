@@ -733,16 +733,18 @@ impl StreamingChecker {
             .iter()
             .filter_map(|&t| self.stream.session_predecessor(t).map(|p| (p, t)))
             .collect();
-        let mut poly = Polygraph::from_component_parts(
+        let local = |t: TxnId| comp.local(t).expect("edge endpoint outside its component");
+        let (mut poly, gen) = Polygraph::from_component(
             &so,
             facts,
             self.opts.mode,
             self.isolation.semantics(),
             &comp,
+            &local,
         );
         drop(construct_span);
         let (verdict, tally, oracle) =
-            run_unit(&mut poly, Some(Prune::Scratch), prune_opts, tracer);
+            run_unit(&mut poly, Some(Prune::Scratch(Some(gen))), prune_opts, tracer);
         tally.record(&self.obs.metrics);
         let state = ComponentState { txns: comp.txns, poly, oracle };
         (state, matches!(verdict, UnitVerdict::Accepted))

@@ -62,7 +62,8 @@ pub fn encode(h: &History) -> String {
 /// Parse a history from the text format.
 pub fn decode(text: &str) -> Result<History, ParseError> {
     let mut b = HistoryBuilder::new();
-    let mut in_txn = false;
+    // The open transaction's operation count, if one is open.
+    let mut open: Option<usize> = None;
     let mut have_session = false;
     let err = |line: usize, message: &str| ParseError { line, message: message.to_string() };
 
@@ -76,7 +77,7 @@ pub fn decode(text: &str) -> Result<History, ParseError> {
         let word = parts.next().unwrap();
         match word {
             "session" => {
-                if in_txn {
+                if open.is_some() {
                     return Err(err(line, "`session` inside an open transaction"));
                 }
                 b.session();
@@ -86,27 +87,29 @@ pub fn decode(text: &str) -> Result<History, ParseError> {
                 if !have_session {
                     return Err(err(line, "`begin` before any `session`"));
                 }
-                if in_txn {
+                if open.is_some() {
                     return Err(err(line, "nested `begin`"));
                 }
                 b.begin();
-                in_txn = true;
+                open = Some(0);
             }
             "commit" | "abort" => {
-                if !in_txn {
-                    return Err(err(line, "`commit`/`abort` without `begin`"));
+                match open.take() {
+                    None => return Err(err(line, "`commit`/`abort` without `begin`")),
+                    Some(0) => return Err(err(line, "empty transaction (Definition 3)")),
+                    Some(_) => {}
                 }
                 if word == "commit" {
                     b.commit();
                 } else {
                     b.abort();
                 }
-                in_txn = false;
             }
             "r" | "w" => {
-                if !in_txn {
+                let Some(ops) = open.as_mut() else {
                     return Err(err(line, "operation outside a transaction"));
-                }
+                };
+                *ops += 1;
                 let key: u64 = parts
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -127,7 +130,7 @@ pub fn decode(text: &str) -> Result<History, ParseError> {
             other => return Err(err(line, &format!("unknown directive `{other}`"))),
         }
     }
-    if in_txn {
+    if open.is_some() {
         return Err(err(text.lines().count(), "history ends inside an open transaction"));
     }
     Ok(b.build())
@@ -189,6 +192,18 @@ commit
     fn rejects_unterminated_txn() {
         let e = decode("session\nbegin\nw 1 2\n").unwrap_err();
         assert!(e.message.contains("open transaction"));
+    }
+
+    /// Definition 3 wants every transaction non-empty: the line that
+    /// closes an empty one is a parse error, not a builder panic.
+    #[test]
+    fn rejects_empty_transaction() {
+        for close in ["commit", "abort"] {
+            let e =
+                decode(&format!("session\nbegin\nw 1 2\ncommit\nbegin\n{close}\n")).unwrap_err();
+            assert_eq!(e.line, 6, "{close}");
+            assert!(e.message.contains("empty transaction"), "{e}");
+        }
     }
 
     #[test]

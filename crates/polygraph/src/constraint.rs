@@ -7,6 +7,7 @@ use crate::edge::{Edge, Label};
 use crate::polygraph::ConstraintMode;
 use polysi_history::{Facts, Key, TxnId};
 use std::fmt;
+use std::ops::Range;
 
 /// A borrowed view of one constraint `⟨either, or⟩`: exactly one of the two
 /// edge sets is present in any compatible graph (Definition 12).
@@ -95,71 +96,6 @@ impl ConstraintSet {
     /// An empty set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The constraints between every two writers of each of `keys`, in key
-    /// then writer-pair order (procedure `GenerateConstraints` of
-    /// Algorithm 2): one generalized constraint per pair, or its plain
-    /// expansion under [`ConstraintMode::Plain`].
-    ///
-    /// A counting pre-pass looks each `(key, writer)` reader list up once
-    /// and sizes the arena exactly, so construction allocates a fixed
-    /// number of blocks regardless of how many constraints come out.
-    pub fn from_facts(
-        facts: &Facts,
-        keys: impl Iterator<Item = Key>,
-        mode: ConstraintMode,
-    ) -> Self {
-        let mut per_key: Vec<(Key, &[TxnId])> = Vec::new();
-        let mut readers: Vec<&[TxnId]> = Vec::new();
-        let (mut constraints, mut edges) = (0usize, 0usize);
-        for key in keys {
-            let Some(writers) = facts.writers.get(&key) else { continue };
-            per_key.push((key, writers));
-            let from = readers.len();
-            readers.extend(writers.iter().map(|&w| facts.readers_of(key, w)));
-            let m = writers.len();
-            let pairs = m * m.saturating_sub(1) / 2;
-            // Each reader meets every other writer of the key once, except
-            // itself when it writes the key too (no `RW` self-edge).
-            // Writer lists ascend; were one not to, the search would only
-            // miss and leave the capacity generous.
-            let mine = readers[from..].iter().flat_map(|list| list.iter());
-            let (all, writing) = mine.fold((0usize, 0usize), |(all, writing), r| {
-                (all + 1, writing + writers.binary_search(r).is_ok() as usize)
-            });
-            let reader_edges = m.saturating_sub(1) * all - writing;
-            match mode {
-                ConstraintMode::Generalized => {
-                    constraints += pairs;
-                    edges += 2 * pairs + reader_edges;
-                }
-                ConstraintMode::Plain => {
-                    constraints += pairs + reader_edges;
-                    edges += 2 * (pairs + reader_edges);
-                }
-            }
-        }
-        let mut set = ConstraintSet {
-            edges: Vec::with_capacity(edges),
-            records: Vec::with_capacity(constraints),
-        };
-        let mut readers = readers.as_slice();
-        for (key, writers) in per_key {
-            let (mine, rest) = readers.split_at(writers.len());
-            readers = rest;
-            for (i, &t) in writers.iter().enumerate() {
-                for (j, &s) in writers.iter().enumerate().skip(i + 1) {
-                    match mode {
-                        ConstraintMode::Generalized => {
-                            set.push_generalized(key, t, s, mine[i], mine[j]);
-                        }
-                        ConstraintMode::Plain => set.push_plain(key, t, s, mine[i], mine[j]),
-                    }
-                }
-            }
-        }
-        set
     }
 
     /// Number of constraints.
@@ -323,6 +259,185 @@ impl ConstraintSet {
     }
 }
 
+/// The constraints between every two writers of each key of one unit,
+/// before any is stored (procedure `GenerateConstraints` of Algorithm 2):
+/// per key, its writers and their readers in unit-local ids. Each writer is
+/// a *row*, yielding its pairs with the later writers of its key. Visits go
+/// in key, then writer-pair order, to one of two consumers:
+/// [`ConstraintGen::store`] keeps every constraint, and the first pass of
+/// [`crate::Polygraph::prune_generated`] stores only the undecided ones.
+#[derive(Clone, Debug, Default)]
+pub struct ConstraintGen {
+    mode: ConstraintMode,
+    /// Each key and its first row, in key order, then the row count.
+    keys: Vec<(Key, u32)>,
+    /// The writer of each row.
+    writers: Vec<TxnId>,
+    /// Row `r`'s readers are `readers[reader_at[r]..reader_at[r + 1]]`.
+    reader_at: Vec<u32>,
+    readers: Vec<TxnId>,
+    constraints: usize,
+    edges: usize,
+}
+
+impl ConstraintGen {
+    /// The constraints of `keys` under `mode`, every transaction id
+    /// translated by `local`, which must keep ids in order (as a
+    /// component's dense renumbering does). Their counts are exact.
+    pub fn new(
+        facts: &Facts,
+        keys: impl Iterator<Item = Key>,
+        mode: ConstraintMode,
+        local: impl Fn(TxnId) -> TxnId,
+    ) -> Self {
+        let mut gen = ConstraintGen { mode, reader_at: vec![0], ..Default::default() };
+        for key in keys {
+            let Some(writers) = facts.writers.get(&key).filter(|ws| ws.len() > 1) else { continue };
+            gen.keys.push((key, offset(gen.writers.len())));
+            // Each reader meets every other writer of the key once, except
+            // itself when it writes the key too (no `RW` self-edge).
+            let (mut all, mut writing) = (0usize, 0usize);
+            for &w in writers {
+                let readers = facts.readers_of(key, w);
+                all += readers.len();
+                writing += readers.iter().filter(|r| writers.binary_search(r).is_ok()).count();
+                gen.writers.push(local(w));
+                gen.readers.extend(readers.iter().map(|&r| local(r)));
+                gen.reader_at.push(offset(gen.readers.len()));
+            }
+            let m = writers.len();
+            let (pairs, reader_edges) = (m * (m - 1) / 2, (m - 1) * all - writing);
+            let (constraints, edges) = match mode {
+                ConstraintMode::Generalized => (pairs, 2 * pairs + reader_edges),
+                ConstraintMode::Plain => (pairs + reader_edges, 2 * (pairs + reader_edges)),
+            };
+            gen.constraints += constraints;
+            gen.edges += edges;
+        }
+        gen.keys.push((Key(0), offset(gen.writers.len())));
+        gen
+    }
+
+    /// The constraints it yields and their uncertain edges, in total.
+    pub fn counts(&self) -> (usize, usize) {
+        (self.constraints, self.edges)
+    }
+
+    /// Every constraint, stored: the store-all consumer, for callers whose
+    /// constraints no first prune pass filters (`pruning: false`, the
+    /// baselines, tests). The counts size the store exactly, so it takes a
+    /// fixed number of allocations however many constraints come out.
+    pub fn store(&self) -> ConstraintSet {
+        let mut set = ConstraintSet {
+            edges: Vec::with_capacity(self.edges),
+            records: Vec::with_capacity(self.constraints),
+        };
+        self.visit(0..self.writers.len(), &mut set, &mut |_| Some(true));
+        set
+    }
+
+    fn readers(&self, row: usize) -> &[TxnId] {
+        &self.readers[self.reader_at[row] as usize..self.reader_at[row + 1] as usize]
+    }
+}
+
+/// What the first prune pass reads: a generator, or constraints already
+/// stored. A *row* is the unit its chunks split at.
+pub(crate) trait Source: Sync {
+    /// Consecutive row ranges covering every row, each yielding about
+    /// `target` constraints.
+    fn chunks(&self, target: usize) -> Vec<Range<usize>>;
+
+    /// Feed the constraints of `rows` to `test` in order, appending those
+    /// it answers `Some(true)` to `open`; `false` if it stopped at a
+    /// `None`.
+    fn visit(
+        &self,
+        rows: Range<usize>,
+        open: &mut ConstraintSet,
+        test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
+    ) -> bool;
+}
+
+impl Source for ConstraintGen {
+    fn chunks(&self, target: usize) -> Vec<Range<usize>> {
+        let (mut out, mut start, mut yielded) = (Vec::new(), 0, 0usize);
+        for key in self.keys.windows(2) {
+            let (first, end) = (key[0].1 as usize, key[1].1 as usize);
+            for row in first..end {
+                // Approximate under `Plain`: chunking only balances work.
+                yielded += end - row - 1;
+                if yielded >= target {
+                    out.push(start..row + 1);
+                    (start, yielded) = (row + 1, 0);
+                }
+            }
+        }
+        if start < self.writers.len() {
+            out.push(start..self.writers.len());
+        }
+        out
+    }
+
+    fn visit(
+        &self,
+        rows: Range<usize>,
+        open: &mut ConstraintSet,
+        test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
+    ) -> bool {
+        // One writer pair's constraints at a time: a decided constraint is
+        // never stored.
+        let mut pair = ConstraintSet::new();
+        let mut k = self.keys.partition_point(|&(_, first)| first as usize <= rows.start);
+        for row in rows {
+            while self.keys[k].1 as usize <= row {
+                k += 1;
+            }
+            let (key, first) = (self.keys[k - 1].0, self.keys[k - 1].1 as usize);
+            let writers = &self.writers[first..self.keys[k].1 as usize];
+            let (t, readers_t) = (writers[row - first], self.readers(row));
+            for (j, &s) in writers.iter().enumerate().skip(row - first + 1) {
+                pair.edges.clear();
+                pair.records.clear();
+                let readers_s = self.readers(first + j);
+                match self.mode {
+                    ConstraintMode::Generalized => {
+                        pair.push_generalized(key, t, s, readers_t, readers_s);
+                    }
+                    ConstraintMode::Plain => pair.push_plain(key, t, s, readers_t, readers_s),
+                }
+                if !pair.visit(0..pair.len(), open, test) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+impl Source for ConstraintSet {
+    fn chunks(&self, target: usize) -> Vec<Range<usize>> {
+        let len = self.len();
+        (0..len).step_by(target).map(|start| start..start.saturating_add(target).min(len)).collect()
+    }
+
+    fn visit(
+        &self,
+        rows: Range<usize>,
+        open: &mut ConstraintSet,
+        test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
+    ) -> bool {
+        for c in rows.map(|i| self.get(i)) {
+            match test(c) {
+                Some(true) => open.push(c.key, c.either.iter().copied(), c.or.iter().copied()),
+                Some(false) => {}
+                None => return false,
+            }
+        }
+        true
+    }
+}
+
 /// Iterator over the constraints of a [`ConstraintSet`], in order.
 pub struct Iter<'a> {
     set: &'a ConstraintSet,
@@ -416,48 +531,12 @@ mod tests {
         b.begin().read(Key(1), Value(3)).write(Key(2), Value(1)).commit();
         let facts = Facts::analyze(&b.build());
         for mode in [ConstraintMode::Generalized, ConstraintMode::Plain] {
-            let set = ConstraintSet::from_facts(&facts, facts.writers.keys().copied(), mode);
+            let set =
+                ConstraintGen::new(&facts, facts.writers.keys().copied(), mode, |t| t).store();
             assert!(set.len() >= 15, "{mode:?}: {} constraints", set.len());
             assert_eq!(set.edges.capacity(), set.edges.len(), "{mode:?}");
             assert_eq!(set.records.capacity(), set.records.len(), "{mode:?}");
         }
-    }
-
-    #[test]
-    fn retain_compacts_in_order() {
-        let mut cs = ConstraintSet::new();
-        for i in 0..6u32 {
-            cs.push(Key(i as u64), (0..=i).map(|j| ww(i, j, 0)), [ww(9, i, 0)]);
-        }
-        let before: Vec<_> = cs.iter().map(|c| (c.key, c.either.to_vec(), c.or.to_vec())).collect();
-        cs.retain(|i, c| {
-            assert_eq!(c.key, Key(i as u64), "retain sees the pre-compaction views");
-            i % 2 == 1
-        });
-        let after: Vec<_> = cs.iter().map(|c| (c.key, c.either.to_vec(), c.or.to_vec())).collect();
-        assert_eq!(after, [before[1].clone(), before[3].clone(), before[5].clone()]);
-        assert_eq!(cs.num_edges(), after.iter().map(|(_, e, o)| e.len() + o.len()).sum::<usize>());
-        // Equal contents are equal stores, whatever the history.
-        let mut fresh = ConstraintSet::new();
-        for (key, either, or) in after {
-            fresh.push(key, either, or);
-        }
-        assert_eq!(cs, fresh);
-    }
-
-    #[test]
-    fn extend_and_remap() {
-        let mut a = ConstraintSet::new();
-        a.push(Key(1), [ww(0, 1, 1)], [ww(1, 0, 1)]);
-        let mut b = ConstraintSet::new();
-        b.push(Key(2), [ww(2, 3, 2), rw(4, 3, 2)], [ww(3, 2, 2)]);
-        a.extend(b);
-        a.remap(|t| TxnId(t.0 + 10));
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.get(0).either, [ww(10, 11, 1)]);
-        assert_eq!(a.get(1).either, [ww(12, 13, 2), rw(14, 13, 2)]);
-        assert_eq!(a.get(1).or, [ww(13, 12, 2)]);
-        assert_eq!(a.edges().len(), 5);
     }
 
     #[test]

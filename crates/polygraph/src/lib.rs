@@ -11,11 +11,14 @@
 //! * [`ConstraintSet`] — generalized (Definition 9) and plain
 //!   (Definition 8) constraints in one flat edge arena, read through
 //!   borrowed [`ConstraintRef`] views;
+//! * [`ConstraintGen`] — a unit's constraints before any is stored, to be
+//!   stored whole or fed straight into the first prune pass;
 //! * [`Polygraph::from_history`] — construction from a history's
 //!   [`polysi_history::Facts`];
-//! * [`Polygraph::prune`] — the paper's Algorithm 1: iteratively resolve
-//!   constraints whose one possibility would close a cycle in the known
-//!   induced graph;
+//! * [`Polygraph::prune`] / [`Polygraph::prune_generated`] — the paper's
+//!   Algorithm 1: iteratively resolve constraints whose one possibility
+//!   would close a cycle in the known induced graph, the generated variant
+//!   storing only what its first pass leaves undecided;
 //! * [`KnownGraph`] — a reachability oracle over the known induced SI graph
 //!   `Dep ∪ (Dep ; AntiDep)`, implemented on a layered graph so the
 //!   quadratic composition is never materialized;
@@ -30,7 +33,7 @@ mod edge;
 mod graph;
 mod polygraph;
 
-pub use constraint::{ConstraintRef, ConstraintSet};
+pub use constraint::{ConstraintGen, ConstraintRef, ConstraintSet};
 pub use edge::{Edge, Label};
 pub use graph::{Flush, KnownGraph, KnownGraphResult, OracleKind};
 pub use polygraph::{

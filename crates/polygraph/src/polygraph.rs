@@ -2,10 +2,10 @@
 //! (Section 4.3, Algorithm 1), for both SI and SER edge semantics and for
 //! whole histories as well as key-connectivity shards.
 
-use crate::constraint::ConstraintSet;
+use crate::constraint::{ConstraintGen, ConstraintRef, ConstraintSet, Source};
 use crate::edge::{Edge, Label};
 use crate::graph::{Flush, KnownGraph, KnownGraphResult};
-use polysi_history::{Facts, History, Key, ShardComponent, ShardPlan, TxnId, WrSource};
+use polysi_history::{Facts, History, Key, ShardComponent, TxnId, WrSource};
 use polysi_obs::Tracer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -69,6 +69,9 @@ pub struct PruneStats {
     pub constraints_before: usize,
     /// Uncertain dependency edges before pruning.
     pub unknown_deps_before: usize,
+    /// Constraints stored after the first pass: those it left open (on
+    /// [`Polygraph::prune_generated`], the only ones ever stored).
+    pub constraints_stored: usize,
     /// Constraints remaining after pruning.
     pub constraints_after: usize,
     /// Uncertain dependency edges remaining after pruning.
@@ -99,6 +102,7 @@ impl PruneStats {
             iterations: self.iterations.max(other.iterations),
             constraints_before: self.constraints_before + other.constraints_before,
             unknown_deps_before: self.unknown_deps_before + other.unknown_deps_before,
+            constraints_stored: self.constraints_stored + other.constraints_stored,
             constraints_after: self.constraints_after + other.constraints_after,
             unknown_deps_after: self.unknown_deps_after + other.unknown_deps_after,
             graph_builds: self.graph_builds + other.graph_builds,
@@ -157,69 +161,49 @@ pub enum PruneResult {
 impl Polygraph {
     /// Build the generalized polygraph of a history (procedures
     /// `CreateKnownGraph` and `GenerateConstraints` of Algorithm 2) under
-    /// SI semantics.
+    /// SI semantics, every constraint stored.
     ///
     /// `facts` must come from [`Facts::analyze`] on the same history and be
     /// free of axiom violations.
     pub fn from_history(h: &History, facts: &Facts, mode: ConstraintMode) -> Self {
-        Self::from_history_with(h, facts, mode, Semantics::Si)
+        let (mut g, gen) = Self::from_history_with(h, facts, mode, Semantics::Si);
+        g.constraints = gen.store();
+        g
     }
 
-    /// [`Polygraph::from_history`] with explicit edge semantics.
+    /// The known graph of a history under explicit edge semantics, and its
+    /// constraints as a generator: [`ConstraintGen::store`] stores them
+    /// all, [`Polygraph::prune_generated`] only what its first pass leaves
+    /// undecided.
     pub fn from_history_with(
         h: &History,
         facts: &Facts,
         mode: ConstraintMode,
         semantics: Semantics,
-    ) -> Self {
+    ) -> (Self, ConstraintGen) {
         let so = h.so_edges().map(|(a, b)| Edge::new(a, b, Label::So)).collect();
         build_polygraph_from(so, facts, mode, semantics, None, h.len())
     }
 
-    /// Build the polygraph of component `i` of `plan`, reusing the
-    /// whole-history `facts` (axioms run once globally; no per-shard
-    /// re-analysis). Vertices are the component-local dense transaction
-    /// ids ([`ShardPlan::local_of`]) — translate cycles back with
-    /// [`ShardComponent::global`]. Cost is proportional to the component,
-    /// not the history.
+    /// [`Polygraph::from_history_with`] for one key-connectivity component,
+    /// reusing the global `facts` (axioms run once globally; no per-shard
+    /// re-analysis), so that the streaming checker too can build from its
+    /// incrementally maintained facts. `so_edges` are the session-order
+    /// successor pairs restricted to the component, in any deterministic
+    /// order; `local` maps the component's transactions to their dense
+    /// local ids (e.g. [`polysi_history::ShardPlan::local_of`]), the vertices — translate
+    /// cycles back with [`ShardComponent::global`]. Cost is proportional to
+    /// the component, not the history.
     pub fn from_component(
-        h: &History,
-        facts: &Facts,
-        mode: ConstraintMode,
-        semantics: Semantics,
-        plan: &ShardPlan,
-        i: usize,
-    ) -> Self {
-        let comp = &plan.components[i];
-        // Session order: consecutive edges generate the same reachability
-        // as the full transitive SO relation. Sessions never span
-        // components, so every successor stays inside `comp`.
-        let so = comp
-            .txns
-            .iter()
-            .filter_map(|&t| h.so_successor(t).map(|s| Edge::new(t, s, Label::So)))
-            .collect();
-        let local = |t: TxnId| TxnId(plan.local_of[t.idx()]);
-        build_polygraph_from(so, facts, mode, semantics, Some((comp, &local)), h.len())
-    }
-
-    /// [`Polygraph::from_component`] for callers that have no [`History`]
-    /// value — the streaming checker rebuilds a merged component this way,
-    /// from its incrementally maintained facts. `so_edges` must be the
-    /// session-order successor pairs *restricted to the component* (every
-    /// endpoint inside `comp`), in any deterministic order; `facts` is the
-    /// global (stream-wide) facts value, exactly as with
-    /// [`Polygraph::from_component`].
-    pub fn from_component_parts(
         so_edges: &[(TxnId, TxnId)],
         facts: &Facts,
         mode: ConstraintMode,
         semantics: Semantics,
         comp: &ShardComponent,
-    ) -> Self {
+        local: &dyn Fn(TxnId) -> TxnId,
+    ) -> (Self, ConstraintGen) {
         let so = so_edges.iter().map(|&(a, b)| Edge::new(a, b, Label::So)).collect();
-        let local = |t: TxnId| comp.local(t).expect("edge endpoint outside its component");
-        build_polygraph_from(so, facts, mode, semantics, Some((comp, &local)), comp.len())
+        build_polygraph_from(so, facts, mode, semantics, Some((comp, local)), comp.len())
     }
 
     /// Total uncertain dependency edges across unresolved constraints.
@@ -271,20 +255,21 @@ impl Polygraph {
     ///
     /// Each pass is staged: a read-only *sweep* tests the worklist against
     /// the shared oracle — chunked across scoped threads when
-    /// `opts.threads > 1` — and emits one resolution per constraint,
-    /// carrying the forced side's not-yet-implied edges; the main thread
+    /// `opts.threads > 1` — and emits, per chunk, the forced sides'
+    /// not-yet-implied edges and the constraints left open; the main thread
     /// then *applies* them in constraint order (so the lowest-index
-    /// contradiction wins and results are identical for any thread
-    /// count), feeding those edges to the oracle via
-    /// [`KnownGraph::insert_edges`], which re-tests them against what
-    /// earlier resolutions added and reports the ones it kept.
+    /// contradiction wins and results are identical for any thread count),
+    /// feeding those edges to the oracle via [`KnownGraph::insert_edges`],
+    /// which re-tests them against what earlier resolutions added and
+    /// reports the ones it kept, and stores the open constraints afresh.
     ///
     /// After the first full pass, only constraints *incident* to a
     /// transaction touched by edges resolved in the previous pass are
     /// re-tested. This is a sound under-approximation of the full fixpoint
     /// (reachability added between two untouched transactions can be
     /// missed); whatever survives goes to the solver, so verdicts are
-    /// unaffected.
+    /// unaffected. A violation leaves the constraints the failing pass
+    /// started from.
     ///
     /// The reachability oracle is handed back whenever one was built. On
     /// [`PruneResult::Pruned`] it reflects every resolved edge, so
@@ -296,10 +281,22 @@ impl Polygraph {
         opts: &PruneOptions,
         tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
-        match self.known_graph() {
-            KnownGraphResult::Acyclic(kg) => self.prune_loop(kg, opts, None, tracer),
-            KnownGraphResult::Cyclic(cycle) => (PruneResult::Violation(cycle), None),
-        }
+        self.prune_loop(None, None, opts, tracer)
+    }
+
+    /// [`Polygraph::prune`] whose first pass tests the constraints of `gen`
+    /// as they are generated and stores only the undecided ones
+    /// (`constraints` must be empty). Decisions, stats and the oracle are
+    /// those of [`Polygraph::prune`] on `gen.store()`; a cyclic known graph
+    /// generates nothing.
+    pub fn prune_generated(
+        &mut self,
+        gen: &ConstraintGen,
+        opts: &PruneOptions,
+        tracer: &Tracer,
+    ) -> (PruneResult, Option<Box<KnownGraph>>) {
+        debug_assert!(self.constraints.is_empty(), "generated constraints join a stored set");
+        self.prune_loop(Some(gen), None, opts, tracer)
     }
 
     /// Resume pruning with a *warm* oracle — the streaming checker's delta
@@ -318,109 +315,100 @@ impl Polygraph {
         tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         debug_assert_eq!(seed.len(), self.n, "seed must cover the vertex space");
-        self.prune_loop(kg, opts, Some(seed), tracer)
+        self.prune_loop(None, Some((kg, seed)), opts, tracer)
     }
 
-    /// The shared pass loop behind [`Polygraph::prune`] (`seed == None`:
-    /// fresh oracle, full first sweep) and [`Polygraph::prune_resume`]
-    /// (`seed == Some`: first sweep restricted to the seeded worklist).
+    /// The shared pass loop: a fresh oracle and a full first pass, reading
+    /// `gen` if given (else the stored constraints), or a `resume`d oracle
+    /// and a first pass restricted to the seeded worklist.
     fn prune_loop(
         &mut self,
-        mut kg: Box<KnownGraph>,
+        mut gen: Option<&ConstraintGen>,
+        resume: Option<(Box<KnownGraph>, &[bool])>,
         opts: &PruneOptions,
-        seed: Option<&[bool]>,
         tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         let semantics = self.semantics;
+        let (mut kg, seed) = match resume {
+            Some((kg, seed)) => (kg, Some(seed)),
+            None => match self.known_graph() {
+                KnownGraphResult::Acyclic(kg) => (kg, None),
+                KnownGraphResult::Cyclic(cycle) => return (PruneResult::Violation(cycle), None),
+            },
+        };
+        let (constraints_before, unknown_deps_before) = match gen {
+            Some(gen) => gen.counts(),
+            None => (self.constraints.len(), self.unknown_deps()),
+        };
         let mut stats = PruneStats {
-            constraints_before: self.constraints.len(),
-            unknown_deps_before: self.unknown_deps(),
+            constraints_before,
+            unknown_deps_before,
             graph_builds: seed.is_none() as usize,
             ..Default::default()
         };
         // The oracle's counters are lifetime totals; a resumed oracle has
         // a past, and this call reports only its own work.
         let (updates_before, edges_before) = (kg.closure_updates(), kg.inserted_edges());
-        // Transactions incident to edges resolved in the previous pass;
-        // `first` forces a full sweep before the worklist narrows (unless
-        // a resume seed already narrows it).
-        let mut first = true;
-        let mut touched = match seed {
-            Some(s) => s.to_vec(),
-            None => vec![false; self.n],
-        };
-        let full_first = seed.is_none();
-        let mut touched_now = vec![false; self.n];
-        let mut work: Vec<u32> = Vec::with_capacity(self.constraints.len());
-        let mut resolved: Vec<bool> = Vec::new();
+        // Transactions incident to edges resolved in the previous pass:
+        // the worklist filter of every pass but a full first one.
+        let mut touched = seed.map(<[bool]>::to_vec);
         loop {
             stats.iterations += 1;
-            work.clear();
-            if first && full_first {
-                work.extend(0..self.constraints.len() as u32);
-            } else {
-                work.extend(
-                    self.constraints
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.incident(&touched))
-                        .map(|(i, _)| i as u32),
-                );
-            }
+            let input = std::mem::take(&mut self.constraints);
+            let source: &dyn Source = match gen.take() {
+                Some(gen) => gen,
+                None => &input,
+            };
+            let filter = touched.as_deref();
+            let worklist = match filter {
+                None => constraints_before,
+                Some(t) => input.iter().filter(|c| c.incident(t)).count(),
+            };
             let mut pass_span = tracer.span_kv(
                 "prune.pass",
-                polysi_obs::kv! { pass: stats.iterations, worklist: work.len() },
+                polysi_obs::kv! { pass: stats.iterations, worklist: worklist },
             );
-            let outcomes = sweep(&kg, &self.constraints, &work, semantics, opts);
-            touched_now.iter_mut().for_each(|t| *t = false);
-            resolved.clear();
-            resolved.resize(self.constraints.len(), false);
-            let mut resolved_count = 0usize;
+            let parallel = opts.threads > 1 && worklist >= opts.parallel_min.max(2);
+            let target = if parallel { chunk_target(worklist, opts.threads) } else { usize::MAX };
+            let chunks = source.chunks(target);
+            let (n, oracle) = (self.n, &*kg);
+            let (outcomes, touched_now) = fan_out(n, chunks.len(), opts.threads, |c, marks| {
+                let (mut out, mut open) = (ChunkOut::default(), ConstraintSet::new());
+                source.visit(chunks[c].clone(), &mut open, &mut |cons| {
+                    if filter.is_some_and(|t| !cons.incident(t)) {
+                        return Some(true);
+                    }
+                    out.test(oracle, semantics, cons, marks)
+                });
+                out.open = open;
+                out
+            });
+            let (mut forced, mut side_edges) = (0usize, 0usize);
             let known_before = self.known.len();
-            let mut resolved_edges = 0usize;
             for chunk in outcomes {
-                let mut survivors = chunk.edges.as_slice();
-                for forced in chunk.forced {
-                    let cons = self.constraints.get(forced.idx as usize);
-                    let side = if forced.either() { cons.either } else { cons.or };
-                    // The whole side marks the next worklist, implied
-                    // edges included: what gets re-tested must not depend
-                    // on what happened to be materialised.
-                    for e in side {
-                        touched_now[e.from.idx()] = true;
-                        touched_now[e.to.idx()] = true;
-                    }
-                    resolved_edges += side.len();
-                    let (mine, rest) = survivors.split_at(forced.kept());
-                    survivors = rest;
-                    if let Err(cycle) = kg.insert_edges(mine, &mut self.known, APPLY_FLUSH) {
-                        // An earlier resolution of this apply phase made
-                        // this side impossible too: the staged insertion
-                        // surfaces the violating cycle.
-                        return (PruneResult::Violation(cycle), Some(kg));
-                    }
-                    resolved[forced.idx as usize] = true;
-                    resolved_count += 1;
+                (forced, side_edges) = (forced + chunk.forced, side_edges + chunk.side_edges);
+                let applied = kg.insert_edges(&chunk.edges, &mut self.known, APPLY_FLUSH);
+                // An insert cycle: an earlier resolution of this apply phase
+                // made a forced side impossible too. A contradiction: neither
+                // possibility can hold (line 57/65).
+                if let Some(cycle) = applied.err().or(chunk.contradiction) {
+                    self.constraints = input;
+                    return (PruneResult::Violation(cycle), Some(kg));
                 }
-                if let Some(witness) = chunk.contradiction {
-                    // Neither possibility can hold (line 57/65).
-                    return (PruneResult::Violation(witness), Some(kg));
-                }
+                self.constraints.extend(chunk.open);
             }
-            let changed = resolved_count > 0;
-            stats.implied_edges += resolved_edges - (self.known.len() - known_before);
-            pass_span.attr("resolved", resolved_count);
+            stats.implied_edges += side_edges - (self.known.len() - known_before);
+            pass_span.attr("resolved", forced);
             // One closure propagation for what the apply phase left
             // staged, from the frontier of everything just inserted.
             kg.flush_closure();
-            if changed {
-                self.constraints.retain(|i, _| !resolved[i]);
+            if stats.iterations == 1 {
+                stats.constraints_stored = self.constraints.len();
             }
-            if !changed {
+            if forced == 0 {
                 break;
             }
-            first = false;
-            std::mem::swap(&mut touched, &mut touched_now);
+            touched = Some(touched_now);
         }
         stats.closure_updates = kg.closure_updates() - updates_before;
         stats.incremental_edges = kg.inserted_edges() - edges_before;
@@ -437,89 +425,65 @@ impl Polygraph {
 /// last flush — never lags far behind what the phase has already inserted.
 const APPLY_FLUSH: Flush = Flush::Every(62);
 
-/// What the sweep decided about one constraint, against the shared
-/// read-only oracle of the pass: exactly one side is impossible, so the
-/// other is forced. Constraints with neither side impossible emit nothing
-/// — they simply survive — so on accepting workloads (where most tests are
-/// inconclusive) the sweep output stays small; eight bytes per entry keep
-/// it small on the first pass too, where nearly everything resolves while
-/// the full constraint store is still live.
-#[derive(Clone, Copy)]
-struct Forced {
-    /// Index of the constraint.
-    idx: u32,
-    /// `kept << 1 | either`.
-    packed: u32,
-}
-
-impl Forced {
-    fn new(idx: u32, either: bool, kept: usize) -> Self {
-        let packed = u32::try_from(kept << 1 | either as usize)
-            .expect("a constraint side is addressed by u32 arena offsets");
-        Forced { idx, packed }
-    }
-
-    /// Whether the forced side is `either` (else `or`).
-    fn either(self) -> bool {
-        self.packed & 1 == 1
-    }
-
-    /// How many of the forced side's edges the pass oracle does not
-    /// imply: the next `kept` entries of the chunk's [`ChunkOut::edges`].
-    fn kept(self) -> usize {
-        (self.packed >> 1) as usize
-    }
-}
-
-/// One sweep chunk's output, in worklist order.
+/// One sweep chunk's output, in constraint order: a decided constraint
+/// leaves only its forced side's not-yet-implied edges.
 #[derive(Default)]
 struct ChunkOut {
-    /// The decided constraints.
-    forced: Vec<Forced>,
-    /// The forced sides' not-yet-implied edges, back to back — one flat
-    /// buffer per chunk rather than a `Vec` per constraint.
+    /// Constraints decided, and their forced sides' edges, implied or not.
+    forced: usize,
+    side_edges: usize,
+    /// The forced sides' not-yet-implied edges, back to back.
     edges: Vec<Edge>,
+    /// The constraints left open, tested or not.
+    open: ConstraintSet,
     /// The violating cycle of the `either` side of the chunk's first
     /// constraint with both sides impossible. The chunk ends there: the
     /// apply phase stops at a contradiction, so nothing after it is read.
     contradiction: Option<Vec<Edge>>,
 }
 
-/// Test the constraints `work` against the oracle (read-only), in order.
-fn test_chunk(
-    kg: &KnownGraph,
-    constraints: &ConstraintSet,
-    work: &[u32],
-    semantics: Semantics,
-) -> ChunkOut {
-    let mut out = ChunkOut::default();
-    for &i in work {
-        let cons = constraints.get(i as usize);
+impl ChunkOut {
+    /// Test `cons` against the pass oracle (read-only): `Some(true)` if
+    /// neither side is impossible; `Some(false)` if one is, and then the
+    /// other side's edges the oracle does not imply join `edges` and all its
+    /// endpoints mark `touched` (what gets re-tested must not depend on what
+    /// happened to be materialised); `None` if both are, the witness kept.
+    fn test(
+        &mut self,
+        kg: &KnownGraph,
+        semantics: Semantics,
+        cons: ConstraintRef<'_>,
+        touched: &mut [bool],
+    ) -> Option<bool> {
         let bad_either = side_impossible(kg, cons.either, semantics);
         let bad_or = side_impossible(kg, cons.or, semantics);
-        match (bad_either, bad_or) {
-            (false, false) => {}
+        let side = match (bad_either, bad_or) {
+            (false, false) => return Some(true),
             (true, true) => {
-                out.contradiction = Some(
+                self.contradiction = Some(
                     witness_cycle(kg, cons.either, semantics)
                         .expect("side_impossible implies a witness"),
                 );
-                break;
+                return None;
             }
-            (bad_either, _) => {
-                let side = if bad_either { cons.or } else { cons.either };
-                let from = out.edges.len();
-                out.edges.extend(side.iter().filter(|&&e| !kg.implies(e)));
-                out.forced.push(Forced::new(i, !bad_either, out.edges.len() - from));
-            }
+            (true, false) => cons.or,
+            (false, true) => cons.either,
+        };
+        for e in side {
+            touched[e.from.idx()] = true;
+            touched[e.to.idx()] = true;
         }
+        self.forced += 1;
+        self.side_edges += side.len();
+        self.edges.extend(side.iter().filter(|&&e| !kg.implies(e)));
+        Some(false)
     }
-    out
 }
 
 /// Below this worklist size a sweep stays in-place whatever
 /// [`PruneOptions::threads`] says: a parallel sweep costs more in thread
-/// setup than it saves. Measured on
+/// setup than it saves. The first pass counts the constraints it will test
+/// — generated ones too. Measured on
 /// the 2-core container: a sweep costs ~0.12 µs of CPU per constraint
 /// (`batch_general`: 567 k constraints in ~40 ms on two threads), and
 /// fanning one pass out costs ~0.25–0.5 ms in spawn + join (the
@@ -531,42 +495,55 @@ fn test_chunk(
 /// a batch first pass still fans out.
 pub const PARALLEL_SWEEP_MIN: usize = 8192;
 
-/// Test `work` (constraint indices) against the oracle, in order. With
-/// `opts.threads > 1` and enough work, disjoint chunks are tested on scoped
-/// threads; the chunk outputs come back in chunk order, so applying them
-/// in sequence is identical to the sequential sweep.
-fn sweep(
-    kg: &KnownGraph,
-    constraints: &ConstraintSet,
-    work: &[u32],
-    semantics: Semantics,
-    opts: &PruneOptions,
-) -> Vec<ChunkOut> {
-    if opts.threads <= 1 || work.len() < opts.parallel_min.max(2) {
-        return vec![test_chunk(kg, constraints, work, semantics)];
+/// Constraints per chunk of a fanned-out sweep over `total`: ~8 chunks per
+/// thread keeps stragglers short without drowning in scheduling overhead.
+/// The floor only binds under `forced_parallel`, where it cuts a small
+/// worklist into many chunks.
+fn chunk_target(total: usize, threads: usize) -> usize {
+    (total / (threads * 8)).clamp(1, 2048)
+}
+
+/// Run `test(chunk, touched)` for every chunk in `0..chunks`, in place or
+/// on up to `threads` scoped threads that each mark their own `touched`.
+/// Returns the outputs in chunk order, so applying them in sequence is the
+/// sequential sweep, and the union of the marks.
+fn fan_out(
+    n: usize,
+    chunks: usize,
+    threads: usize,
+    test: impl Fn(usize, &mut [bool]) -> ChunkOut + Sync,
+) -> (Vec<ChunkOut>, Vec<bool>) {
+    let mut touched = vec![false; n];
+    if threads <= 1 || chunks <= 1 {
+        let outs = (0..chunks).map(|c| test(c, &mut touched)).collect();
+        return (outs, touched);
     }
-    // ~8 chunks per thread keeps stragglers short without drowning in
-    // scheduling overhead. The floor only binds under `forced_parallel`,
-    // where it cuts a small worklist into many chunks.
-    let chunk = (work.len() / (opts.threads * 8)).clamp(1, 2048);
-    let chunks: Vec<&[u32]> = work.chunks(chunk).collect();
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-    std::thread::scope(|s| {
-        for _ in 0..opts.threads.min(chunks.len()) {
-            s.spawn(|| loop {
-                let ci = next.fetch_add(1, Ordering::Relaxed);
-                if ci >= chunks.len() {
-                    break;
-                }
-                let out = test_chunk(kg, constraints, chunks[ci], semantics);
-                results.lock().expect("sweep worker panicked").push((ci, out));
-            });
-        }
+    let results: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(chunks));
+    let marks: Vec<Vec<bool>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.min(chunks))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = vec![false; n];
+                    loop {
+                        let c = next.fetch_add(1, Ordering::Relaxed);
+                        if c >= chunks {
+                            break mine;
+                        }
+                        let out = test(c, &mut mine);
+                        results.lock().expect("sweep worker panicked").push((c, out));
+                    }
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("sweep worker panicked")).collect()
     });
+    for mine in marks {
+        touched.iter_mut().zip(mine).for_each(|(t, m)| *t |= m);
+    }
     let mut per_chunk = results.into_inner().expect("sweep worker panicked");
-    per_chunk.sort_unstable_by_key(|&(ci, _)| ci);
-    per_chunk.into_iter().map(|(_, out)| out).collect()
+    per_chunk.sort_unstable_by_key(|&(c, _)| c);
+    (per_chunk.into_iter().map(|(_, out)| out).collect(), touched)
 }
 
 /// The shared constructor: everything but the session-order edges `so`
@@ -582,7 +559,7 @@ fn build_polygraph_from(
     semantics: Semantics,
     scope: Option<(&ShardComponent, &dyn Fn(TxnId) -> TxnId)>,
     n_whole: usize,
-) -> Polygraph {
+) -> (Polygraph, ConstraintGen) {
     let comp = scope.map(|(c, _)| c);
     let n = comp.map_or(n_whole, ShardComponent::len);
     let mut known: Vec<Edge> = so;
@@ -628,20 +605,20 @@ fn build_polygraph_from(
             }
         }
     }
-    // Constraints per key per writer pair (keys nobody writes yield none).
-    let mut constraints = match comp {
-        None => ConstraintSet::from_facts(facts, facts.writers.keys().copied(), mode),
-        Some(c) => ConstraintSet::from_facts(facts, c.keys.iter().copied(), mode),
+    // Constraints per key per writer pair (keys nobody writes yield none),
+    // generated later, in component-local ids.
+    let translate = |t: TxnId| scope.map_or(t, |(_, local)| local(t));
+    let gen = match comp {
+        None => ConstraintGen::new(facts, facts.writers.keys().copied(), mode, translate),
+        Some(c) => ConstraintGen::new(facts, c.keys.iter().copied(), mode, translate),
     };
-    // Translate to component-local vertex ids.
     if let Some((_, local)) = scope {
         for e in &mut known {
             e.from = local(e.from);
             e.to = local(e.to);
         }
-        constraints.remap(local);
     }
-    Polygraph { n, known, constraints, semantics }
+    (Polygraph { n, known, constraints: ConstraintSet::new(), semantics }, gen)
 }
 
 /// Whether adding `e` closes a cycle in `KI`. Under SI (Figure 4 of the
@@ -856,70 +833,6 @@ mod tests {
             .known
             .iter()
             .any(|e| e.label == Label::Rw(k(1)) && e.from == TxnId(0) && e.to == TxnId(1)));
-    }
-
-    /// Any thread count and chunk size produces a byte-identical `known`
-    /// list, surviving constraints, and witnesses. The rebuild loop is the
-    /// unreduced reference (it keeps every resolved edge): it agrees on
-    /// the verdict and, on acceptance, on the surviving constraints and on
-    /// the reachability of the known graph, from boundary and mid nodes.
-    #[test]
-    fn prune_modes_agree() {
-        let histories = [long_fork(), {
-            let mut b = HistoryBuilder::new();
-            b.session();
-            for i in 0..8u64 {
-                b.begin()
-                    .read(k(1), if i == 0 { Value::INIT } else { v(i) })
-                    .write(k(1), v(i + 1))
-                    .commit();
-            }
-            b.session();
-            b.begin().read(k(1), v(8)).write(k(1), v(100)).commit();
-            b.build()
-        }];
-        for h in &histories {
-            let f = Facts::analyze(h);
-            let base = Polygraph::from_history(h, &f, ConstraintMode::Generalized);
-            let run = |opts: PruneOptions| {
-                let mut g = base.clone();
-                let witness = match g.prune(&opts, &Tracer::disabled()).0 {
-                    PruneResult::Pruned(_) => None,
-                    PruneResult::Violation(c) => Some(c),
-                };
-                (witness, g.known.clone(), g.constraints.clone())
-            };
-            let seq = run(PruneOptions::default());
-            for threads in [2usize, 4, 7] {
-                // `forced_parallel` runs the threaded sweep even on these
-                // small worklists — without it the size cutoff would fall
-                // back to the sequential path and the comparison would be
-                // vacuous.
-                let par = run(PruneOptions::forced_parallel(threads));
-                assert_eq!(seq, par, "threads={threads} diverged");
-            }
-            let mut rebuild = base.clone();
-            let accepted = prune_by_rebuild(&mut rebuild);
-            assert_eq!(seq.0.is_none(), accepted, "verdict diverged from the rebuild reference");
-            if accepted {
-                assert_eq!(seq.2, rebuild.constraints, "surviving constraints diverged");
-                assert!(seq.1.len() <= rebuild.known.len(), "the reduced list outgrew the full");
-                let oracle = |known: &[Edge]| match KnownGraph::build(base.n, known, base.semantics)
-                {
-                    KnownGraphResult::Acyclic(g) => g,
-                    KnownGraphResult::Cyclic(c) => panic!("accepted prune left a cycle: {c:?}"),
-                };
-                let (reduced, full) = (oracle(&seq.1), oracle(&rebuild.known));
-                for (x, y) in
-                    (0..base.n as u32).flat_map(|x| (0..base.n as u32).map(move |y| (x, y)))
-                {
-                    let (tx, ty) = (TxnId(x), TxnId(y));
-                    assert_eq!(reduced.reaches(tx, ty), full.reaches(tx, ty), "{x} ⇝ {y}");
-                    let rw = Edge::new(tx, ty, Label::Rw(k(1)));
-                    assert_eq!(reduced.implies(rw), full.implies(rw), "mid row of {x} ⇝ {y}");
-                }
-            }
-        }
     }
 
     /// Pruning builds its oracle once and records the closure-update

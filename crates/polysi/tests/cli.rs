@@ -391,6 +391,22 @@ fn fixture_corpus_parses_and_has_stats() {
     assert_eq!(count, 21, "fixture corpus changed size without updating the verdict table");
 }
 
+/// An empty transaction is a parse error at the line that closes it —
+/// exit 2 with the line number, like an unknown directive — not a panic.
+#[test]
+fn empty_transaction_is_a_parse_error() {
+    let dir = std::env::temp_dir().join("polysi-cli-test-empty-txn");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("empty.txt");
+    std::fs::write(&path, "session\nbegin\ncommit\n").unwrap();
+    for extra in [&[][..], &["--stream"][..], &["--live"][..]] {
+        let out = bin().arg("check").arg(&path).args(extra).output().expect("run check");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "check {extra:?}: {stderr}");
+        assert!(stderr.contains("line 3") && stderr.contains("empty transaction"), "{stderr}");
+    }
+}
+
 #[test]
 fn bad_usage_exits_2() {
     let out = bin().arg("frobnicate").output().expect("run");

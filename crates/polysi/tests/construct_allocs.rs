@@ -1,19 +1,28 @@
-//! Construction must not pay the allocator per constraint: the constraint
-//! store is one edge arena plus one record array, sized by a counting
-//! pre-pass, so `Polygraph::from_history` performs a number of heap
-//! allocations that does not grow with the constraint count. Likewise the
-//! history analyses in front of it must not pay per *operation*:
-//! `Facts::analyze` allocates its output lists (a few per transaction and
-//! per key) and `ShardPlan::analyze` a fixed number of arrays per history
-//! and component. This test binary installs its own counting allocator
-//! (hence its own file).
+//! Construction and the first prune pass must not pay the allocator per
+//! constraint. Construction builds the known edges and a constraint
+//! generator (per key, its writers and their readers), so its allocations
+//! do not grow with the constraint count; the first prune pass generates
+//! each constraint into one reused scratch store, tests it, and stores
+//! only the undecided ones, so it allocates what a prune over constraints
+//! already stored does, plus a fixed few blocks. Nor does a whole check
+//! ever hold the constraint arena a store-all construction would: its
+//! peak live bytes stay below the 24 bytes an `Edge` costs times the edges
+//! generated. Likewise the history analyses in front of it must not pay per
+//! *operation*: `Facts::analyze` allocates its output lists (a few per
+//! transaction and per key) and `ShardPlan::analyze` a fixed number of
+//! arrays per history and component. This test binary installs its own
+//! counting allocator (hence its own file).
 
+use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel as Level};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::{Facts, History, KeyIndex, ShardPlan};
-use polysi::polygraph::{ConstraintMode, Polygraph};
+use polysi::polygraph::{ConstraintMode, Edge, Polygraph, PruneOptions, Semantics};
 use polysi::workloads::{generate, multi_component, GeneralParams, KeyDistribution};
+use polysi_obs::Tracer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// Allocation calls (`alloc` + `realloc`) made by this thread. Const
@@ -22,22 +31,38 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Live heap bytes across all threads, and their high-water mark.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Held by every test, so that one test's peak sees no other's bytes.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
 struct CountingAllocator;
 
 // SAFETY: defers entirely to the system allocator; the bookkeeping is a
-// thread-local counter bump that never allocates.
+// thread-local counter bump and relaxed atomics, none of which allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        grow(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,32 +70,79 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Constraints and allocation calls of one construction of the general
-/// history with `txns_per_session` transactions in each of 20 sessions.
-fn construct(txns_per_session: usize) -> (usize, u64) {
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The general history with `txns_per_session` transactions in each of
+/// 20 sessions.
+fn general(txns_per_session: usize) -> History {
     let plan = generate(&GeneralParams { txns_per_session, ..Default::default() });
-    let h = run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, 7)).history;
+    run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, 7)).history
+}
+
+/// Constraints generated for the general 20 × `txns_per_session` history,
+/// allocation calls of its construction, and how many more allocation
+/// calls its generated prune makes than a prune over the same constraints
+/// stored (which allocates for the oracle what the generated one does).
+fn construct(txns_per_session: usize) -> (usize, u64, i64) {
+    let h = general(txns_per_session);
     let facts = Facts::analyze(&h);
     assert!(facts.axioms_ok());
-    let before = ALLOCS.with(Cell::get);
-    let g = Polygraph::from_history(&h, &facts, ConstraintMode::Generalized);
-    let allocs = ALLOCS.with(Cell::get) - before;
-    (g.constraints.len(), allocs)
+    let (opts, tracer) = (PruneOptions::new(1), Tracer::disabled());
+    let mode = ConstraintMode::Generalized;
+    let ((mut g, gen), construct) =
+        allocs_of(|| Polygraph::from_history_with(&h, &facts, mode, Semantics::Si));
+    let mut stored = g.clone();
+    stored.constraints = gen.store();
+    let (_, generated) = allocs_of(|| g.prune_generated(&gen, &opts, &tracer));
+    let (_, from_store) = allocs_of(|| stored.prune(&opts, &tracer));
+    assert_eq!(g.constraints, stored.constraints);
+    (gen.counts().0, construct, generated as i64 - from_store as i64)
 }
 
 #[test]
 fn construction_allocations_do_not_grow_with_constraints() {
-    let (constraints, allocs) = construct(100);
+    let _serial = serial();
+    let (constraints, allocs, extra) = construct(100);
     assert!(constraints > 10_000, "the general 20×100 history has {constraints} constraints");
     assert!(
         (allocs as usize) < constraints / 100,
         "{allocs} allocations for {constraints} constraints"
     );
     // Four times the constraints cost only the extra doublings of the
-    // `known` edge list and the pre-pass scratch, not a block apiece.
-    let (more, more_allocs) = construct(200);
+    // `known` edge list and the generator's lists, not a block apiece.
+    let (more, more_allocs, more_extra) = construct(200);
     assert!(more > 3 * constraints, "{more} vs {constraints} constraints");
     assert!(more_allocs <= allocs + 8, "{allocs} allocations grew to {more_allocs}");
+    // Generating and testing them in the first pass costs a fixed few
+    // blocks beyond what pruning stored constraints costs.
+    for (constraints, extra) in [(constraints, extra), (more, more_extra)] {
+        assert!(extra.abs() <= 16, "{extra} more allocations for {constraints} constraints");
+    }
+}
+
+/// A whole check of the general 20 × 200 history never holds what a
+/// store-all construction would: its peak live bytes stay below 24 bytes
+/// per generated edge, the size of that store's edge arena alone.
+#[test]
+fn a_check_never_holds_the_constraint_arena() {
+    let _serial = serial();
+    let h = general(200);
+    let facts = Facts::analyze(&h);
+    let (_, gen) =
+        Polygraph::from_history_with(&h, &facts, ConstraintMode::Generalized, Semantics::Si);
+    let (constraints, edges) = gen.counts();
+    drop((facts, gen));
+    assert!(constraints > 50_000, "the general 20×200 history has {constraints} constraints");
+    let engine = CheckEngine::new(Level::Si, EngineOptions::default());
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let report = engine.check(&h);
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    assert!(report.accepted());
+    let arena = edges * std::mem::size_of::<Edge>();
+    assert!(peak < arena, "peak {peak} B vs the {arena} B arena of {edges} edges");
 }
 
 /// Sixteen key-disjoint copies of a 4-session × 100-transaction workload
@@ -97,6 +169,7 @@ fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 #[test]
 fn history_analyses_do_not_allocate_per_operation() {
+    let _serial = serial();
     let h = sharded_history(8, 1000);
     let (txns, keys) = (h.len() as u64, KeyIndex::build(&h).len() as u64);
     assert!(txns == 6400 && keys > 12_000, "{txns} txns, {keys} keys");

@@ -6,14 +6,18 @@
 //! engine level are rows of the mode matrix: the unsharded ones here, the
 //! sharded ones with the counter digests in `tests/obs.rs`.
 
+use materialized::prune_materialized;
 use polysi::dbsim::testkit::conformance_corpus;
-use polysi::history::Facts;
+use polysi::dbsim::{run, IsolationLevel as Store, SimConfig};
+use polysi::history::{Facts, Key, ShardPlan, TxnId};
 use polysi::polygraph::{
-    ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Polygraph, PruneOptions,
-    PruneResult, Semantics,
+    ConstraintGen, ConstraintMode, ConstraintSet, Edge, Flush, KnownGraph, KnownGraphResult, Label,
+    OracleKind, Polygraph, PruneOptions, PruneResult, PruneStats, Semantics,
 };
+use polysi::workloads::{multi_component, GeneralParams, KeyDistribution};
 use polysi_obs::json::Value;
 use polysi_obs::Tracer;
+use proptest::prelude::*;
 use rebuild::prune_by_rebuild;
 use support::Proj;
 
@@ -22,6 +26,11 @@ mod support;
 /// The textbook Algorithm-1 loop the production prune is held against.
 mod rebuild {
     include!("../../polygraph/tests/support/rebuild.rs");
+}
+
+/// The materialize-then-prune loop the fused first pass is held against.
+mod materialized {
+    include!("../../polygraph/tests/support/materialized.rs");
 }
 
 /// The unsharded prune-thread rows of the mode matrix: one and four sweep
@@ -41,11 +50,20 @@ fn prune_threads_are_deterministic_across_corpus() {
     assert!(prune_cycles > 0, "pruning never found the violation");
 }
 
+/// The constraint generator's other consumers: every constraint stored
+/// (`pruning: false`) and the plain expansion (`ConstraintMode::Plain`,
+/// pruned through the generated first pass) reach batch's verdicts.
+#[test]
+fn store_all_and_plain_rows_reach_batch_verdicts() {
+    support::check_modes(&["no prune", "plain"], |_, _, _| {});
+}
+
 /// Polygraph-level: `Polygraph::known` after prune — the reduced list of
 /// materialised edges, not just its length — is byte-identical for every
 /// thread count and oracle representation, under SI and SER; and the
 /// incremental oracle agrees with the unreduced rebuild loop on every
-/// verdict and, on acceptance, on the surviving constraints.
+/// verdict and, on acceptance, on the surviving constraints and on the
+/// reachability of the known graph.
 #[test]
 fn resolved_edge_sets_are_identical() {
     let tracer = Tracer::disabled();
@@ -57,12 +75,13 @@ fn resolved_edge_sets_are_identical() {
             continue;
         }
         for semantics in [Semantics::Si, Semantics::Ser] {
-            let base = Polygraph::from_history_with(
+            let (mut base, gen) = Polygraph::from_history_with(
                 &case.history,
                 &facts,
                 ConstraintMode::Generalized,
                 semantics,
             );
+            base.constraints = gen.store();
             let outcome = |g: Polygraph, result: PruneResult| {
                 let witness = match result {
                     PruneResult::Pruned(_) => None,
@@ -121,6 +140,20 @@ fn resolved_edge_sets_are_identical() {
                 );
                 assert!(seq.1.len() <= rebuild.known.len());
                 reduced += (seq.1.len() < rebuild.known.len()) as usize;
+                // The reduced list reaches what the full one does, from
+                // boundary and mid nodes alike (on a sample of pairs).
+                let oracle = |known: &[Edge]| match KnownGraph::build(base.n, known, semantics) {
+                    KnownGraphResult::Acyclic(g) => g,
+                    KnownGraphResult::Cyclic(c) => panic!("accepted prune left a cycle: {c:?}"),
+                };
+                let (reduced, full) = (oracle(&seq.1), oracle(&rebuild.known));
+                let sample: Vec<u32> = (0..base.n as u32).step_by(base.n / 40 + 1).collect();
+                for (&x, &y) in sample.iter().flat_map(|x| sample.iter().map(move |y| (x, y))) {
+                    let (tx, ty) = (TxnId(x), TxnId(y));
+                    assert_eq!(reduced.reaches(tx, ty), full.reaches(tx, ty), "{x} ⇝ {y}");
+                    let rw = Edge::new(tx, ty, Label::Rw(Key(1)));
+                    assert_eq!(reduced.implies(rw), full.implies(rw), "mid row of {x} ⇝ {y}");
+                }
             } else {
                 violations += 1;
             }
@@ -128,4 +161,98 @@ fn resolved_edge_sets_are_identical() {
     }
     assert!(violations > 0, "corpus exercised no prune-time violations");
     assert!(reduced > 0, "corpus exercised no implied resolved edge");
+}
+
+/// A prune's witness (`None` on acceptance) and, on acceptance, its stats
+/// with `constraints_stored` cleared (the reference has no storing pass)
+/// and the surviving constraints, plus the known list either way. A
+/// storing prune stored what survived and no more than was generated.
+type Outcome = (Option<Vec<Edge>>, Option<(PruneStats, ConstraintSet)>, Vec<Edge>);
+
+fn outcome(g: &Polygraph, result: PruneResult, storing: bool) -> Outcome {
+    match result {
+        PruneResult::Violation(cycle) => (Some(cycle), None, g.known.clone()),
+        PruneResult::Pruned(stats) => {
+            let (before, stored, after) =
+                (stats.constraints_before, stats.constraints_stored, stats.constraints_after);
+            assert!(!storing || (after <= stored && stored <= before), "{stats:?}");
+            let stats = PruneStats { constraints_stored: 0, ..stats };
+            (None, Some((stats, g.constraints.clone())), g.known.clone())
+        }
+    }
+}
+
+/// Every unit of `h` as the engine constructs it: the whole history, and
+/// each component when it shards.
+fn units(
+    h: &polysi::history::History,
+    facts: &Facts,
+    mode: ConstraintMode,
+    semantics: Semantics,
+) -> Vec<(Polygraph, ConstraintGen)> {
+    let mut units = vec![Polygraph::from_history_with(h, facts, mode, semantics)];
+    let plan = ShardPlan::analyze(h);
+    if plan.is_shardable() {
+        units.extend(plan.components.iter().map(|comp| {
+            let so: Vec<_> =
+                comp.txns.iter().filter_map(|&t| h.so_successor(t).map(|s| (t, s))).collect();
+            let local = |t: TxnId| TxnId(plan.local_of[t.idx()]);
+            Polygraph::from_component(&so, facts, mode, semantics, comp, &local)
+        }));
+    }
+    units
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fused first pass — constraints generated, tested, and stored
+    /// only when undecided — is the materialize-then-prune loop: the same
+    /// witness, `known` list, surviving constraints and stats, under SI and
+    /// SER, generalized and plain, on one thread and fanned out; and so is
+    /// `Polygraph::prune` over the stored constraints.
+    #[test]
+    fn fused_first_pass_is_materialize_then_prune(
+        seed in 0u64..1 << 32,
+        components in 1usize..4,
+        level in 0usize..4,
+    ) {
+        let store = [Store::SnapshotIsolation, Store::Serializable, Store::StaleSnapshot,
+            Store::NoWriteConflictDetection][level];
+        let base = GeneralParams {
+            sessions: 2 + (seed % 4) as usize,
+            txns_per_session: 4 + (seed % 12) as usize,
+            ops_per_txn: 2 + (seed % 5) as usize,
+            keys: 6 + seed % 24,
+            read_pct: 30 + (seed % 50) as u32,
+            dist: if seed % 2 == 0 { KeyDistribution::Uniform } else { KeyDistribution::Zipfian },
+            seed,
+        };
+        let h = run(&multi_component(&base, components), &SimConfig::new(store, seed)).history;
+        let facts = Facts::analyze(&h);
+        prop_assume!(facts.axioms_ok());
+        let tracer = Tracer::disabled();
+        for semantics in [Semantics::Si, Semantics::Ser] {
+            for mode in [ConstraintMode::Generalized, ConstraintMode::Plain] {
+                for (g, gen) in units(&h, &facts, mode, semantics) {
+                    let mut stored = g.clone();
+                    stored.constraints = gen.store();
+                    let mut reference = stored.clone();
+                    let result = prune_materialized(&mut reference);
+                    let want = outcome(&reference, result, false);
+                    let label = format!("{semantics:?} {mode:?}");
+                    for opts in [PruneOptions::new(1), PruneOptions::forced_parallel(2),
+                        PruneOptions::forced_parallel(4)]
+                    {
+                        let mut fused = g.clone();
+                        let result = fused.prune_generated(&gen, &opts, &tracer).0;
+                        prop_assert_eq!(&outcome(&fused, result, true), &want, "{} {:?}", label, opts);
+                        let mut again = stored.clone();
+                        let result = again.prune(&opts, &tracer).0;
+                        prop_assert_eq!(&outcome(&again, result, true), &want, "{} stored {:?}", label, opts);
+                    }
+                }
+            }
+        }
+    }
 }

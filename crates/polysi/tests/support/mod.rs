@@ -311,12 +311,14 @@ pub type Runner = Box<dyn Fn(&History, IsolationLevel) -> Run>;
 
 /// The mode matrix: name, mode, contract.
 pub fn modes() -> Vec<(&'static str, Runner, Contract)> {
+    use polysi::polygraph::ConstraintMode::Plain;
     use Contract::{Fenced, Prefixes, Same};
     use Proj::{Class, Exact};
     let batched = |sharding, prune_threads| -> Runner {
         let opts = EngineOptions { sharding, prune_threads, ..Default::default() };
         Box::new(move |h, level| batch(h, level, opts))
     };
+    let with = |opts: EngineOptions| -> Runner { Box::new(move |h, level| batch(h, level, opts)) };
     let reread = |read: fn(&History) -> History| -> Runner {
         Box::new(move |h, level| batch(&read(h), level, EngineOptions::default()))
     };
@@ -345,6 +347,12 @@ pub fn modes() -> Vec<(&'static str, Runner, Contract)> {
         ("prune 4", batched(sharded, fixed(4)), Same(Exact, "batch")),
         ("prune 1 unsharded", batched(unsharded, fixed(1)), Same(Exact, "batch unsharded")),
         ("prune 4 unsharded", batched(unsharded, fixed(4)), Same(Exact, "batch unsharded")),
+        (
+            "no prune",
+            with(EngineOptions { pruning: false, ..Default::default() }),
+            Same(Class, "batch"),
+        ),
+        ("plain", with(EngineOptions { mode: Plain, ..Default::default() }), Same(Class, "batch")),
         ("hash seed a", seeded(0x0123_4567_89ab_cdef), Same(Exact, "batch")),
         ("hash seed b", seeded(0xfeed_f00d_dead_beef), Same(Exact, "batch")),
         ("text", reread(|h| codec::decode(&codec::encode(h)).unwrap()), Same(Exact, "batch")),
