@@ -38,7 +38,7 @@ fn sims() -> impl Iterator<Item = polysi_history::History> {
 #[test]
 fn polysi_dbcop_cobrasi_agree() {
     for (i, h) in sims().enumerate() {
-        let poly = check(&h, Level::Si, &EngineOptions::default()).is_si();
+        let poly = check(&h, Level::Si, &EngineOptions::default()).accepted();
         let dbcop = dbcop_check_si(&h, 5_000_000);
         let cobrasi = cobra_si_check(&h).0;
         match dbcop.verdict {
@@ -60,7 +60,7 @@ fn serializability_implies_si() {
         let (ser, _) = cobra_check_ser(&h, &CobraOptions::default());
         if ser == SerVerdict::Serializable {
             assert!(
-                check(&h, Level::Si, &EngineOptions::default()).is_si(),
+                check(&h, Level::Si, &EngineOptions::default()).accepted(),
                 "case {i}: SER but not SI — hierarchy violated\n{h:?}"
             );
         }
@@ -117,7 +117,10 @@ fn si_sim_runs_can_violate_ser_but_not_si() {
             ..Default::default()
         });
         let out = run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, seed));
-        assert!(check(&out.history, Level::Si, &EngineOptions::default()).is_si(), "seed {seed}");
+        assert!(
+            check(&out.history, Level::Si, &EngineOptions::default()).accepted(),
+            "seed {seed}"
+        );
         let (ser, _) = cobra_check_ser(&out.history, &CobraOptions::default());
         if ser == SerVerdict::NotSerializable {
             saw_skew = true;

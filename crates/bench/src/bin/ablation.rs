@@ -45,7 +45,7 @@ fn main() {
             decisions
         );
         rows.push(format!("{name},{:.6},{conflicts},{decisions}", elapsed.as_secs_f64()));
-        assert!(report.is_si(), "{name}: valid history rejected");
+        assert!(report.accepted(), "{name}: valid history rejected");
     }
     csv_append("ablation", "configuration,seconds,conflicts,decisions", &rows);
     println!("\nCSV appended to bench_results/ablation.csv");

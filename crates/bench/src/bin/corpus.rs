@@ -20,7 +20,8 @@ fn main() {
     let mut detected = 0usize;
     let mut by_source: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     for entry in &corpus {
-        let caught = !check(&entry.history, IsolationLevel::Si, &EngineOptions::default()).is_si();
+        let caught =
+            !check(&entry.history, IsolationLevel::Si, &EngineOptions::default()).accepted();
         let slot = by_source.entry(entry.source.clone()).or_default();
         slot.1 += 1;
         if caught {

@@ -52,7 +52,7 @@ fn main() {
             let rec = generate_list_history(&pt.params);
             let h = to_checker_history(&rec);
             let report = check_si_list(&h);
-            assert!(report.is_si(), "valid list history rejected at {sweep}={}", pt.x);
+            assert!(report.accepted(), "valid list history rejected at {sweep}={}", pt.x);
             println!("{:<10} {:>12.4}", pt.x, report.elapsed.as_secs_f64());
             rows.push(format!("{sweep},{},{:.6}", pt.x, report.elapsed.as_secs_f64()));
         }

@@ -36,7 +36,7 @@ fn main() {
             t.encoding.as_secs_f64(),
             t.solving.as_secs_f64()
         ));
-        assert!(report.is_si(), "{name}: valid history rejected");
+        assert!(report.accepted(), "{name}: valid history rejected");
     }
     csv_append("fig9", "benchmark,constructing,pruning,encoding,solving", &rows);
     println!("\nCSV appended to bench_results/fig9.csv");

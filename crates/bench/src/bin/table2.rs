@@ -51,11 +51,9 @@ fn main() {
             });
             let sim = run(&plan, &SimConfig::new(profile.level, attempt));
             let report = check(&sim.history, IsolationLevel::Si, &EngineOptions::default());
-            if matches!(report.outcome, Outcome::Si) {
-                continue;
-            }
             let expected = matches_expected(profile.expected, &report.outcome);
             let entry = match &report.outcome {
+                Outcome::Si | Outcome::Inconclusive(_) => continue,
                 Outcome::AxiomViolations(vs) => {
                     (format!("dirty read ({})", vs[0]), attempt + 1, None)
                 }
@@ -68,7 +66,6 @@ fn main() {
                     });
                     (v.anomaly.to_string(), attempt + 1, dot_out)
                 }
-                Outcome::Si => unreachable!(),
             };
             if expected {
                 found = Some(entry);

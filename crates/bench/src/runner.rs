@@ -99,7 +99,7 @@ pub fn measure(checker: Checker, h: &History, timeout: &Timeout) -> Measurement 
     // are the only knobs the figures turn.
     let polysi = |pruning: bool, mode: ConstraintMode| {
         let opts = EngineOptions { interpret: false, pruning, mode, ..Default::default() };
-        Some(CheckEngine::new(IsolationLevel::Si, opts).check(h).is_si())
+        Some(CheckEngine::new(IsolationLevel::Si, opts).check(h).accepted())
     };
     let verdict = match checker {
         Checker::PolySi => polysi(true, ConstraintMode::Generalized),

@@ -12,7 +12,7 @@
 
 use polysi_bench::CountingAllocator;
 use polysi_checker::engine::{check, CompactMode, EngineOptions, IsolationLevel};
-use polysi_checker::{StreamVerdict, StreamingChecker};
+use polysi_checker::StreamingChecker;
 use polysi_history::{Key, Op, TxnStatus, Value};
 use std::collections::HashMap;
 
@@ -73,7 +73,7 @@ fn a_sealed_wave_stream_is_checked_at_bounded_memory() {
         }
 
         let cp = checker.checkpoint();
-        assert!(matches!(cp.verdict, StreamVerdict::Accepted), "wave {wave}: {:?}", cp.verdict);
+        assert!(cp.verdict.accepted(), "wave {wave}: {:?}", cp.verdict);
         assert_eq!(cp.txns, pushed, "wave {wave}: monotone txn counter drifted");
         compacted += cp.compacted;
         // Bounded frontier: two waves plus the retained boundary facts,

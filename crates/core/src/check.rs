@@ -7,7 +7,7 @@
 use crate::anomaly::Anomaly;
 use crate::engine::ShardStats;
 use crate::interpret::Scenario;
-use polysi_history::AxiomViolation;
+use polysi_history::{AxiomViolation, Key, TxnId, Value};
 use polysi_obs::Metrics;
 use polysi_polygraph::{Edge, OracleKind, PruneStats};
 use polysi_solver::SolverStats;
@@ -60,11 +60,12 @@ pub struct SolveStats {
     pub units: usize,
 }
 
-/// The verdict of a check.
+/// The verdict of a check — of a batch run, a stream checkpoint or a live
+/// run. It claims only what the checker proved.
+#[derive(Clone, Debug)]
 pub enum Outcome {
-    /// The history satisfies the checked isolation level (named for the
-    /// original SI-only pipeline; [`CheckReport::accepted`] reads better
-    /// for SER runs).
+    /// The history satisfies the checked isolation level, SI or SER (named
+    /// for the original SI-only pipeline).
     Si,
     /// A non-cyclic axiom failed (`Int`, aborted read, intermediate read,
     /// UniqueValue, …); the history violates the level and graph analysis
@@ -72,21 +73,62 @@ pub enum Outcome {
     AxiomViolations(Vec<AxiomViolation>),
     /// A cyclic violation with its witness.
     CyclicViolation(Violation),
+    /// The checker could not decide: a limit of the checker, not a
+    /// property of the history.
+    Inconclusive(Inconclusive),
 }
 
 impl Outcome {
+    /// Whether the history was accepted.
+    pub fn accepted(&self) -> bool {
+        matches!(self, Outcome::Si)
+    }
+
     /// Stable machine-readable kind, used by span attributes and the
-    /// `--report json` schema: `ok` / `axiom_violation` / `cyclic_violation`.
+    /// `--report json` schemas: `ok` / `axiom_violation` /
+    /// `cyclic_violation` / `inconclusive`.
     pub fn kind(&self) -> &'static str {
         match self {
             Outcome::Si => "ok",
             Outcome::AxiomViolations(_) => "axiom_violation",
             Outcome::CyclicViolation(_) => "cyclic_violation",
+            Outcome::Inconclusive(_) => "inconclusive",
+        }
+    }
+}
+
+/// Why a check could not decide.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Inconclusive {
+    /// A compacting stream refused these committed reads `(txn, key,
+    /// value)` of a version below its watermark, whose edges to the
+    /// dropped writers it can no longer build (ids of the checked prefix).
+    Fenced(Vec<(TxnId, Key, Value)>),
+    /// The stream's delta detector rejected a prefix that the batch engine
+    /// accepts: a checker bug, reported instead of either answer.
+    Disagreement,
+}
+
+impl Inconclusive {
+    /// Stable machine-readable reason: `fenced` / `disagreement`.
+    pub fn reason(&self) -> &'static str {
+        match self {
+            Inconclusive::Fenced(_) => "fenced",
+            Inconclusive::Disagreement => "disagreement",
+        }
+    }
+
+    /// The refused reads (none unless [`Inconclusive::Fenced`]).
+    pub fn reads(&self) -> &[(TxnId, Key, Value)] {
+        match self {
+            Inconclusive::Fenced(reads) => reads,
+            Inconclusive::Disagreement => &[],
         }
     }
 }
 
 /// A cyclic isolation violation.
+#[derive(Clone, Debug)]
 pub struct Violation {
     /// The violating cycle: typed dependency edges. Under SI no two `RW`
     /// edges are adjacent (so the cycle survives the `(Dep);RW?` induce
@@ -245,15 +287,9 @@ impl Tally {
 }
 
 impl CheckReport {
-    /// Whether the history was accepted as SI (historical name; for SER
-    /// runs prefer [`CheckReport::accepted`]).
-    pub fn is_si(&self) -> bool {
-        matches!(self.outcome, Outcome::Si)
-    }
-
     /// Whether the history satisfies the checked isolation level.
     pub fn accepted(&self) -> bool {
-        self.is_si()
+        self.outcome.accepted()
     }
 }
 
@@ -261,7 +297,7 @@ impl CheckReport {
 mod tests {
     use super::*;
     use crate::engine::{self, EngineOptions, IsolationLevel};
-    use polysi_history::{History, HistoryBuilder, Key, Value};
+    use polysi_history::{History, HistoryBuilder};
     use polysi_polygraph::ConstraintMode;
 
     fn k(n: u64) -> Key {
@@ -277,7 +313,7 @@ mod tests {
 
     #[test]
     fn empty_history_is_si() {
-        assert!(check(&History::new()).is_si());
+        assert!(check(&History::new()).accepted());
     }
 
     #[test]
@@ -287,7 +323,7 @@ mod tests {
         b.begin().write(k(1), v(1)).commit();
         b.begin().read(k(1), v(1)).write(k(1), v(2)).commit();
         b.begin().read(k(1), v(2)).commit();
-        assert!(check(&b.build()).is_si());
+        assert!(check(&b.build()).accepted());
     }
 
     #[test]
@@ -342,7 +378,7 @@ mod tests {
         b.begin().read(k(1), v(1)).write(k(2), v(22)).commit();
         b.session();
         b.begin().read(k(2), v(2)).write(k(1), v(11)).commit();
-        assert!(check(&b.build()).is_si(), "write skew is allowed under SI");
+        assert!(check(&b.build()).accepted(), "write skew is allowed under SI");
     }
 
     #[test]
@@ -391,7 +427,7 @@ mod tests {
         b.session();
         b.begin().write(k(2), v(2)).commit();
         b.begin().read(k(1), v(1)).commit();
-        assert!(check(&b.build()).is_si());
+        assert!(check(&b.build()).accepted());
     }
 
     #[test]
@@ -416,7 +452,7 @@ mod tests {
             pruning: false,
             ..Default::default()
         });
-        assert!(!full.is_si() && !no_p.is_si() && !no_cp.is_si());
+        assert!(!full.accepted() && !no_p.accepted() && !no_cp.accepted());
     }
 
     #[test]
@@ -429,7 +465,7 @@ mod tests {
         b.session();
         b.begin().read(k(1), v(2)).write(k(1), v(4)).commit();
         let report = check(&b.build());
-        assert!(report.is_si());
+        assert!(report.accepted());
         assert!(report.prune_stats.is_some());
         assert!(report.timings.total() > Duration::ZERO);
         assert_eq!(report.oracles, OracleCounts { dense: 1, chains: 0 });
@@ -447,6 +483,6 @@ mod tests {
         b.session();
         b.begin().read(k(1), v(1)).write(k(1), v(12)).commit();
         let report = check(&b.build());
-        assert!(!report.is_si());
+        assert!(!report.accepted());
     }
 }

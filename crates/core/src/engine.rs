@@ -505,7 +505,7 @@ impl CheckEngine {
         m.counter("check.runs").inc();
         m.counter("check.txns").add(h.len() as u64);
         match outcome {
-            Outcome::Si => {}
+            Outcome::Si | Outcome::Inconclusive(_) => {}
             Outcome::AxiomViolations(v) => m.counter("check.axiom_violations").add(v.len() as u64),
             Outcome::CyclicViolation(_) => m.counter("check.cyclic_violations").inc(),
         }
@@ -813,9 +813,9 @@ mod tests {
     fn ser_rejects_what_si_accepts() {
         let h = write_skew_chain();
         let opts = EngineOptions::default();
-        assert!(check(&h, IsolationLevel::Si, &opts).is_si());
+        assert!(check(&h, IsolationLevel::Si, &opts).accepted());
         let ser = check(&h, IsolationLevel::Ser, &opts);
-        assert!(!ser.is_si());
+        assert!(!ser.accepted());
         match &ser.outcome {
             Outcome::CyclicViolation(viol) => {
                 assert!(!viol.cycle.is_empty());
@@ -844,7 +844,7 @@ mod tests {
         }
         // Off agrees.
         let off = EngineOptions { sharding: Sharding::Off, ..Default::default() };
-        assert!(!check(&h, IsolationLevel::Si, &off).is_si());
+        assert!(!check(&h, IsolationLevel::Si, &off).accepted());
     }
 
     #[test]
@@ -852,14 +852,14 @@ mod tests {
         let h = two_components_one_bad();
         let auto = check(&h, IsolationLevel::Ser, &EngineOptions::default());
         assert!(auto.shard_stats.is_some());
-        assert!(!auto.is_si(), "a lost update is not serializable");
+        assert!(!auto.accepted(), "a lost update is not serializable");
         let off = check(
             &h,
             IsolationLevel::Ser,
             &EngineOptions { sharding: Sharding::Off, ..Default::default() },
         );
         assert!(off.shard_stats.is_none());
-        assert_eq!(auto.is_si(), off.is_si());
+        assert_eq!(auto.accepted(), off.accepted());
     }
 
     #[test]
@@ -873,7 +873,7 @@ mod tests {
         b.begin().read(k(1), v(1)).commit();
         b.begin().read(k(10), v(100)).commit();
         let report = check(&b.build(), IsolationLevel::Si, &EngineOptions::default());
-        assert!(report.is_si());
+        assert!(report.accepted());
         let stats = report.shard_stats.unwrap();
         assert_eq!(stats.components, 1);
         assert_eq!(stats.key_components, 2);
@@ -892,7 +892,7 @@ mod tests {
                 let seq = run(PruneThreads::Fixed(1));
                 for threads in [PruneThreads::Fixed(4), PruneThreads::Auto] {
                     let par = run(threads);
-                    assert_eq!(seq.is_si(), par.is_si(), "{isolation:?} {threads:?}");
+                    assert_eq!(seq.accepted(), par.accepted(), "{isolation:?} {threads:?}");
                     let cycles = |r: &crate::check::CheckReport| match &r.outcome {
                         Outcome::CyclicViolation(v) => format!("{:?}", v.cycle),
                         _ => String::new(),
@@ -936,7 +936,7 @@ mod tests {
         let (decided, h) = (history(false), history(true));
 
         let report = check(&h, IsolationLevel::Si, &EngineOptions::default());
-        assert!(report.is_si());
+        assert!(report.accepted());
         assert_eq!(report.shard_stats.map(|s| s.components), Some(5));
         assert_eq!(report.prune_stats.map(|p| p.constraints_after), Some(2));
         assert_eq!(report.solve_stats.map(|s| s.units), Some(2));
@@ -947,7 +947,7 @@ mod tests {
         // Nothing survives: no solver is built, whole or sharded.
         for opts in [EngineOptions::default(), off] {
             let report = check(&decided, IsolationLevel::Si, &opts);
-            assert!(report.is_si());
+            assert!(report.accepted());
             assert_eq!(report.prune_stats.map(|p| p.constraints_after), Some(0));
             assert_eq!(report.solve_stats.map(|s| s.units), Some(0));
             assert!(report.solver_stats.is_none());
@@ -955,7 +955,7 @@ mod tests {
         }
         let unpruned = EngineOptions { pruning: false, ..Default::default() };
         let report = check(&decided, IsolationLevel::Si, &unpruned);
-        assert!(report.is_si());
+        assert!(report.accepted());
         assert_eq!(report.solve_stats.map(|s| s.units), Some(3));
         assert_eq!(report.encode_stats.vars, 3);
     }

@@ -26,6 +26,7 @@ pub enum Certainty {
 }
 
 /// The interpreted violation scenario.
+#[derive(Clone, Debug)]
 pub struct Scenario {
     /// Recovered scenario: all collected dependencies with their tags
     /// (Figure 5b/5c).

@@ -54,7 +54,8 @@ pub mod stream;
 
 pub use anomaly::Anomaly;
 pub use check::{
-    CheckReport, EncodeStats, OracleCounts, Outcome, SolveStats, StageTimings, Violation,
+    CheckReport, EncodeStats, Inconclusive, OracleCounts, Outcome, SolveStats, StageTimings,
+    Violation,
 };
 pub use engine::{
     check, CheckEngine, EngineOptions, IsolationLevel, PruneThreads, ShardStats, Sharding, Stage,
@@ -66,4 +67,4 @@ pub use live::{
 };
 pub use polysi_history::ShardFallback;
 pub use polysi_polygraph::OracleKind;
-pub use stream::{CheckpointReport, StreamRejection, StreamVerdict, StreamingChecker};
+pub use stream::{CheckpointReport, StreamRejection, StreamingChecker};

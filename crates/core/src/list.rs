@@ -104,7 +104,7 @@ pub struct ListReport {
 
 impl ListReport {
     /// Whether the history was accepted.
-    pub fn is_si(&self) -> bool {
+    pub fn accepted(&self) -> bool {
         self.violation.is_none()
     }
 }
@@ -366,7 +366,7 @@ mod tests {
                 txn(vec![read(k(1), &[1, 2])]),
             ]],
         };
-        assert!(check_si_list(&h).is_si());
+        assert!(check_si_list(&h).accepted());
     }
 
     #[test]
@@ -447,7 +447,7 @@ mod tests {
                 vec![txn(vec![read(k(2), &[2]), append(k(1), v(11))])],
             ],
         };
-        assert!(check_si_list(&h).is_si());
+        assert!(check_si_list(&h).accepted());
     }
 
     #[test]
@@ -458,7 +458,7 @@ mod tests {
                 vec![txn(vec![read(k(1), &[])])],
             ],
         };
-        assert!(check_si_list(&h).is_si());
+        assert!(check_si_list(&h).accepted());
         // Reading the aborted value is a phantom.
         let h2 = ListHistory {
             sessions: vec![
@@ -478,6 +478,6 @@ mod tests {
                 vec![txn(vec![read(k(1), &[1])])],
             ],
         };
-        assert!(check_si_list(&h).is_si());
+        assert!(check_si_list(&h).accepted());
     }
 }

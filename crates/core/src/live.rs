@@ -46,8 +46,9 @@
 //! transaction), the fault is recorded in the [`LiveReport`], and every
 //! other session's verdict is unaffected.
 
+use crate::check::Outcome;
 use crate::engine::{EngineOptions, IsolationLevel};
-use crate::stream::{CheckpointReport, StreamVerdict, StreamingChecker};
+use crate::stream::{CheckpointReport, StreamingChecker};
 pub use polysi_history::live::{Delivery, IngestError};
 use polysi_history::{Op, SessionId, TxnStatus};
 use polysi_obs::{kv, Obs};
@@ -134,8 +135,9 @@ pub struct LiveReport {
 }
 
 impl LiveReport {
-    /// The final verdict (of the last checkpoint).
-    pub fn verdict(&self) -> &StreamVerdict {
+    /// The final verdict (of the last checkpoint), with its witness on a
+    /// rejection.
+    pub fn verdict(&self) -> &Outcome {
         &self.checkpoints.last().expect("a finished run has a final checkpoint").report.verdict
     }
 }

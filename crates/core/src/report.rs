@@ -5,29 +5,34 @@
 //!
 //! | schema             | producer                                   |
 //! |--------------------|--------------------------------------------|
-//! | `polysi.check.v3`  | batch check ([`check_report_json`])        |
-//! | `polysi.stream.v3` | streaming check ([`stream_report_json`])   |
-//! | `polysi.live.v3`   | live ingest run ([`live_report_json`])     |
+//! | `polysi.check.v4`  | batch check ([`check_report_json`])        |
+//! | `polysi.stream.v4` | streaming check ([`stream_report_json`])   |
+//! | `polysi.live.v4`   | live ingest run ([`live_report_json`])     |
 //! | `polysi.stats.v1`  | history statistics ([`stats_json`])        |
+//!
+//! One writer emits every verdict — the check body, each checkpoint, a
+//! run's `final` — as the fields `verdict` ([`Outcome::kind`]),
+//! `accepted`, `anomaly`, `axiom_violations`, `cycle` and `inconclusive`
+//! (`null`, or `{"reason", "reads": [{"txn", "key", "value"}]}`).
 //!
 //! The schemas are **append-only**: new optional fields may be added
 //! within a version; removing or re-typing a field bumps it (`v2`: the
-//! `solve` object of the check body, which the stream and live schemas
-//! nest under `rejection.report`, shrank to `{"units": N}`; `v3`: the
-//! same body's closing string, the configured oracle kind — a setting that
-//! no longer exists — gave way to `"oracles": {"dense": N, "chains": M}`,
-//! the representation the Prune stage picked per pipeline unit). All
-//! durations are integer microseconds with a `_us` suffix; absent
-//! sub-reports (e.g. solver counters on an axiom rejection) are `null`,
-//! never omitted. The output is strict JSON — it round-trips through
-//! [`polysi_obs::json::parse`], which the CLI tests rely on.
+//! check body's `solve` object shrank to `{"units": N}`; `v3`: its oracle
+//! setting gave way to the `oracles` the Prune stage picked; `v4`: the
+//! `inconclusive` field, checkpoints and `final` carry the verdict fields
+//! in place of their own `{"kind", …}` object, a checkpoint says whether
+//! it is `terminal`, and the live schema drops its always-`null`
+//! `rejection`). All durations are integer microseconds with a `_us`
+//! suffix; absent sub-reports (e.g. solver counters on an axiom rejection)
+//! are `null`, never omitted. The output is strict JSON — it round-trips
+//! through [`polysi_obs::json::parse`], which the CLI tests rely on.
 //!
 //! See the README "Observability" section for a worked example.
 
 use crate::check::{CheckReport, Outcome, Violation};
 use crate::engine::{IsolationLevel, ShardStats};
 use crate::live::LiveReport;
-use crate::stream::{CheckpointReport, StreamRejection, StreamVerdict};
+use crate::stream::{CheckpointReport, StreamRejection};
 use polysi_history::stats::HistoryStats;
 use polysi_history::{AxiomViolation, ShardFallback};
 use polysi_obs::json::JsonWriter;
@@ -120,36 +125,58 @@ fn write_metrics(w: &mut JsonWriter, metrics: Option<&MetricsSnapshot>) {
     }
 }
 
-/// Write the body of a `polysi.check.v3` report (everything after the
+/// The one verdict writer: an [`Outcome`] as the fields `verdict`,
+/// `accepted`, `anomaly`, `axiom_violations`, `cycle` and `inconclusive`
+/// of the enclosing object.
+fn write_verdict(w: &mut JsonWriter, outcome: &Outcome) {
+    w.field_str("verdict", outcome.kind());
+    w.field_bool("accepted", outcome.accepted());
+    match outcome {
+        Outcome::CyclicViolation(Violation { anomaly, .. }) => {
+            w.field_str("anomaly", anomaly.name())
+        }
+        _ => w.field_null("anomaly"),
+    };
+    w.key("axiom_violations");
+    write_axiom_violations(w, if let Outcome::AxiomViolations(vs) = outcome { vs } else { &[] });
+    match outcome {
+        Outcome::CyclicViolation(Violation { cycle, .. }) => {
+            w.key("cycle");
+            write_cycle(w, cycle);
+        }
+        _ => {
+            w.field_null("cycle");
+        }
+    }
+    w.key("inconclusive");
+    match outcome {
+        Outcome::Inconclusive(why) => {
+            w.begin_object();
+            w.field_str("reason", why.reason());
+            w.key("reads");
+            w.begin_array();
+            for &(txn, key, value) in why.reads() {
+                w.begin_object();
+                w.field_u64("txn", txn.0 as u64);
+                w.field_u64("key", key.0);
+                w.field_u64("value", value.0);
+                w.end_object();
+            }
+            w.end_array();
+            w.end_object();
+        }
+        _ => {
+            w.null();
+        }
+    }
+}
+
+/// Write the body of a `polysi.check.v4` report (everything after the
 /// opening brace and schema tag is shared with the nested rejection
 /// report of the stream schema).
 fn write_check_body(w: &mut JsonWriter, report: &CheckReport, isolation: IsolationLevel) {
     w.field_str("isolation", isolation.name());
-    w.field_str("verdict", report.outcome.kind());
-    w.field_bool("accepted", report.accepted());
-    match &report.outcome {
-        Outcome::Si => {
-            w.field_null("anomaly");
-            w.key("axiom_violations");
-            w.begin_array();
-            w.end_array();
-            w.field_null("cycle");
-        }
-        Outcome::AxiomViolations(violations) => {
-            w.field_null("anomaly");
-            w.key("axiom_violations");
-            write_axiom_violations(w, violations);
-            w.field_null("cycle");
-        }
-        Outcome::CyclicViolation(Violation { cycle, anomaly, .. }) => {
-            w.field_str("anomaly", anomaly.name());
-            w.key("axiom_violations");
-            w.begin_array();
-            w.end_array();
-            w.key("cycle");
-            write_cycle(w, cycle);
-        }
-    }
+    write_verdict(w, &report.outcome);
     w.key("timings");
     w.begin_object();
     w.field_u64("construct_us", us(report.timings.constructing));
@@ -204,7 +231,7 @@ fn write_check_body(w: &mut JsonWriter, report: &CheckReport, isolation: Isolati
     w.end_object();
 }
 
-/// The batch check report as a `polysi.check.v3` JSON document.
+/// The batch check report as a `polysi.check.v4` JSON document.
 ///
 /// `wall` is the end-to-end wall-clock of the run (load + check);
 /// `metrics` embeds a registry snapshot when observability was on.
@@ -216,37 +243,12 @@ pub fn check_report_json(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.check.v3");
+    w.field_str("schema", "polysi.check.v4");
     write_check_body(&mut w, report, isolation);
     w.field_u64("wall_us", us(wall));
     write_metrics(&mut w, metrics);
     w.end_object();
     w.finish()
-}
-
-fn write_stream_verdict(w: &mut JsonWriter, v: &StreamVerdict) {
-    w.begin_object();
-    w.field_str("kind", v.kind());
-    match v {
-        StreamVerdict::Accepted => {}
-        StreamVerdict::AxiomViolations { violations, healable } => {
-            w.field_bool("healable", *healable);
-            w.key("violations");
-            write_axiom_violations(w, violations);
-        }
-        StreamVerdict::Rejected { anomaly, first_violation_op } => {
-            match anomaly {
-                Some(a) => {
-                    w.field_str("anomaly", a.name());
-                }
-                None => {
-                    w.field_null("anomaly");
-                }
-            }
-            w.field_u64("first_violation_op", *first_violation_op as u64);
-        }
-    }
-    w.end_object();
 }
 
 fn write_checkpoint(w: &mut JsonWriter, cp: &CheckpointReport) {
@@ -260,9 +262,24 @@ fn write_checkpoint(w: &mut JsonWriter, cp: &CheckpointReport) {
     w.field_u64("dirty", cp.dirty as u64);
     w.field_u64("rebuilt", cp.rebuilt as u64);
     w.field_u64("elapsed_us", us(cp.elapsed));
-    w.key("verdict");
-    write_stream_verdict(w, &cp.verdict);
+    w.field_bool("terminal", cp.terminal);
+    write_verdict(w, &cp.verdict);
     w.end_object();
+}
+
+/// A run's `final` key: its last checkpoint's verdict, `null` without one.
+fn write_final(w: &mut JsonWriter, last: Option<&CheckpointReport>) {
+    w.key("final");
+    match last {
+        Some(cp) => {
+            w.begin_object();
+            write_verdict(w, &cp.verdict);
+            w.end_object();
+        }
+        None => {
+            w.null();
+        }
+    }
 }
 
 fn write_rejection(w: &mut JsonWriter, rej: Option<&StreamRejection>, isolation: IsolationLevel) {
@@ -285,9 +302,9 @@ fn write_rejection(w: &mut JsonWriter, rej: Option<&StreamRejection>, isolation:
     }
 }
 
-/// A streaming run as a `polysi.stream.v3` JSON document: the checkpoint
-/// trail, the final verdict, and (on terminal rejection) the canonical
-/// batch report on the rejecting prefix.
+/// A streaming run as a `polysi.stream.v4` JSON document: the checkpoint
+/// trail, the final verdict, and (in the terminal state) the canonical
+/// batch report on the prefix that reached it.
 pub fn stream_report_json(
     checkpoints: &[CheckpointReport],
     rejection: Option<&StreamRejection>,
@@ -297,7 +314,7 @@ pub fn stream_report_json(
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.stream.v3");
+    w.field_str("schema", "polysi.stream.v4");
     w.field_str("isolation", isolation.name());
     w.key("checkpoints");
     w.begin_array();
@@ -305,13 +322,7 @@ pub fn stream_report_json(
         write_checkpoint(&mut w, cp);
     }
     w.end_array();
-    w.key("final");
-    match checkpoints.last() {
-        Some(cp) => write_stream_verdict(&mut w, &cp.verdict),
-        None => {
-            w.null();
-        }
-    }
+    write_final(&mut w, checkpoints.last());
     write_rejection(&mut w, rejection, isolation);
     w.field_u64("wall_us", us(wall));
     write_metrics(&mut w, metrics);
@@ -319,19 +330,19 @@ pub fn stream_report_json(
     w.finish()
 }
 
-/// A live ingest run as a `polysi.live.v3` JSON document: the stream
+/// A live ingest run as a `polysi.live.v4` JSON document: the stream
 /// schema's checkpoint trail plus degradation flags, ingest counters, and
-/// the typed fault log.
+/// the typed fault log. Its `final` verdict carries the witness of a
+/// rejection.
 pub fn live_report_json(
     live: &LiveReport,
-    rejection: Option<&StreamRejection>,
     isolation: IsolationLevel,
     wall: Duration,
     metrics: Option<&MetricsSnapshot>,
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "polysi.live.v3");
+    w.field_str("schema", "polysi.live.v4");
     w.field_str("isolation", isolation.name());
     w.key("checkpoints");
     w.begin_array();
@@ -349,13 +360,7 @@ pub fn live_report_json(
         w.end_object();
     }
     w.end_array();
-    w.key("final");
-    match live.checkpoints.last() {
-        Some(cp) => write_stream_verdict(&mut w, &cp.report.verdict),
-        None => {
-            w.null();
-        }
-    }
+    write_final(&mut w, live.checkpoints.last().map(|cp| &cp.report));
     w.key("ingest");
     w.begin_object();
     w.field_u64("delivered", live.stats.delivered as u64);
@@ -380,7 +385,6 @@ pub fn live_report_json(
         w.u64(sid.0 as u64);
     }
     w.end_array();
-    write_rejection(&mut w, rejection, isolation);
     w.field_u64("wall_us", us(wall));
     write_metrics(&mut w, metrics);
     w.end_object();
@@ -433,7 +437,7 @@ mod tests {
             Some(&engine.obs().metrics.snapshot()),
         );
         let v = parse(&json).expect("report must be valid JSON");
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v3"));
+        assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v4"));
         assert_eq!(v.get("verdict").and_then(Value::as_str), Some("ok"));
         assert_eq!(v.get("accepted").and_then(Value::as_bool), Some(true));
         assert!(v.get("timings").and_then(|t| t.get("total_us")).is_some());

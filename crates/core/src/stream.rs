@@ -81,6 +81,16 @@
 //!   is identical), yet it *heals* if the writer arrives later. `Int`,
 //!   duplicate-write, and wrote-init violations never heal and are
 //!   terminal.
+//! * **A fenced read is terminal and inconclusive**: a read that a
+//!   compacting stream refuses below its watermark
+//!   ([`polysi_history::StreamFacts::fenced_reads`]) leaves the stream
+//!   [`Inconclusive::Fenced`] — unless the prefix has a violation to
+//!   report anyway (batch rejects the compacted snapshot for another
+//!   reason, or a compacted value was re-written), which wins.
+//! * **No silent disagreement**: a delta detector that rejects a prefix
+//!   the batch engine accepts is a checker bug; that checkpoint is
+//!   [`Inconclusive::Disagreement`] (counted in `stream.disagreements`
+//!   and marked on its span), and the next one rebuilds every component.
 //!
 //! # Scope
 //!
@@ -89,14 +99,13 @@
 //! *is* the incremental structure). The prune thread knob applies
 //! unchanged; interpretation runs inside the canonical batch report.
 
-use crate::anomaly::Anomaly;
-use crate::check::{CheckReport, Outcome};
+use crate::check::{CheckReport, Inconclusive, Outcome};
 use crate::engine::{
     run_unit, CheckEngine, CompactMode, EngineOptions, IsolationLevel, Prune, UnitVerdict,
 };
 use polysi_history::{
     AxiomViolation, FactEvent, Facts, FastMap, FastSet, History, HistoryStream, IngestError, Key,
-    Op, RootInfo, SessionId, ShardComponent, TxnId, TxnStatus, WrSource,
+    Op, RootInfo, SessionId, ShardComponent, TxnId, TxnStatus, Value, WrSource,
 };
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
@@ -105,49 +114,6 @@ use polysi_polygraph::{
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-/// The verdict of one checkpoint.
-#[derive(Clone, Debug)]
-pub enum StreamVerdict {
-    /// Every component of the current prefix is accepted.
-    Accepted,
-    /// The prefix fails the non-cyclic axioms, exactly as the batch
-    /// analysis of the snapshot would (same violations, same order).
-    /// Revisable iff every violation is an unresolved read (see the
-    /// module docs); `healable` says whether that is the case.
-    AxiomViolations {
-        /// The canonical violation list.
-        violations: Vec<AxiomViolation>,
-        /// Whether later transactions can still heal the prefix.
-        healable: bool,
-    },
-    /// Terminal rejection: a component's polygraph is violating. The full
-    /// canonical report is available via [`StreamingChecker::rejection`].
-    Rejected {
-        /// Anomaly classification of the canonical witness (`None` for
-        /// axiom-level terminal rejections).
-        anomaly: Option<Anomaly>,
-        /// Operations ingested when the violation was detected.
-        first_violation_op: usize,
-    },
-}
-
-impl StreamVerdict {
-    /// Whether the checkpoint accepted the prefix.
-    pub fn accepted(&self) -> bool {
-        matches!(self, StreamVerdict::Accepted)
-    }
-
-    /// Stable machine-readable kind, used by span attributes and the
-    /// `--report json` schema: `accepted` / `axiom_violations` / `rejected`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            StreamVerdict::Accepted => "accepted",
-            StreamVerdict::AxiomViolations { .. } => "axiom_violations",
-            StreamVerdict::Rejected { .. } => "rejected",
-        }
-    }
-}
 
 /// What one [`StreamingChecker::checkpoint`] call did.
 #[derive(Clone, Debug)]
@@ -171,20 +137,29 @@ pub struct CheckpointReport {
     /// Of the dirty components, how many were rebuilt from scratch
     /// (first sight or merge) rather than delta-extended.
     pub rebuilt: usize,
-    /// The verdict for the prefix.
-    pub verdict: StreamVerdict,
+    /// The verdict for the prefix: batch's on the same snapshot, or
+    /// [`Outcome::Inconclusive`] where the stream cannot give it (see the
+    /// module docs).
+    pub verdict: Outcome,
+    /// Whether the verdict is final: the stream holds its terminal state
+    /// ([`StreamingChecker::rejection`]) and reports it from now on.
+    pub terminal: bool,
     /// Wall-clock spent in this checkpoint call: its `checkpoint` span's
     /// duration.
     pub elapsed: Duration,
 }
 
-/// The terminal rejection state: the prefix at the rejecting checkpoint
-/// and the canonical batch report on it.
+/// The terminal state: the prefix at the checkpoint that reached it and
+/// the canonical batch report on it. Its outcome is a violation, or
+/// [`Inconclusive::Fenced`] when the reads the fence refused leave nothing
+/// else to report.
 pub struct StreamRejection {
     /// The snapshot of the rejecting prefix (session-major).
     pub prefix: History,
     /// The batch engine's report on `prefix` — byte-identical to running
-    /// [`CheckEngine::check`] on the snapshot with the same options.
+    /// [`CheckEngine::check`] on the snapshot with the same options, but
+    /// for what only the stream knows: the reads its fence refused and the
+    /// compacted values it saw re-written.
     pub report: CheckReport,
     /// Operations ingested when the violation was detected.
     pub op_index: usize,
@@ -313,7 +288,7 @@ impl StreamingChecker {
         &self.stream
     }
 
-    /// The terminal rejection, if one occurred.
+    /// The terminal state, if the stream reached it.
     pub fn rejection(&self) -> Option<&StreamRejection> {
         self.rejection.as_ref()
     }
@@ -327,7 +302,10 @@ impl StreamingChecker {
     /// the components dirtied since the previous checkpoint.
     pub fn checkpoint(&mut self) -> CheckpointReport {
         let mut span = self.obs.tracer.span_kv("checkpoint", kv! { seq: self.checkpoints + 1 });
-        let (mut report, disagreement) = self.checkpoint_inner();
+        let mut report = self.checkpoint_inner();
+        report.terminal = self.rejection.is_some();
+        let disagreement =
+            matches!(report.verdict, Outcome::Inconclusive(Inconclusive::Disagreement));
         span.attr("verdict", report.verdict.kind());
         span.attr("dirty", report.dirty);
         span.attr("rebuilt", report.rebuilt);
@@ -348,17 +326,11 @@ impl StreamingChecker {
         m.counter("stream.rebuilt_components").add(report.rebuilt as u64);
         m.counter("compact.dropped_txns").add(report.compacted as u64);
         m.histogram_us("checkpoint.latency_us").observe_duration(report.elapsed);
-        // A dirty-recheck false positive is a bug in the delta machinery.
-        // A release build trusts the batch verdict (the counter and the
-        // span attribute above are what is left of it); a debug build
-        // stops here, after recording it.
-        debug_assert!(!disagreement, "streaming detector rejected a batch-accepted prefix");
         report
     }
 
-    /// One checkpoint (`elapsed` left to the caller), and whether its delta
-    /// detector rejected a prefix the batch engine accepts.
-    fn checkpoint_inner(&mut self) -> (CheckpointReport, bool) {
+    /// One checkpoint (`elapsed` and `terminal` left to the caller).
+    fn checkpoint_inner(&mut self) -> CheckpointReport {
         self.checkpoints += 1;
         let seq = self.checkpoints;
         let (txns, ops) = (self.stream.total_pushed(), self.stream.num_ops());
@@ -371,7 +343,7 @@ impl StreamingChecker {
             components += !c.txns.is_empty() as usize;
             live.insert(c.tag);
         }
-        let base = |verdict: StreamVerdict, dirty: usize, rebuilt: usize| CheckpointReport {
+        let base = |verdict: Outcome, dirty: usize, rebuilt: usize| CheckpointReport {
             seq,
             txns,
             live_txns,
@@ -381,56 +353,52 @@ impl StreamingChecker {
             dirty,
             rebuilt,
             verdict,
+            terminal: false,
             elapsed: Duration::ZERO,
         };
 
-        // Terminal rejection: the stable verdict, no further work.
+        // Terminal state: the stable verdict, no further work.
         if let Some(rej) = &self.rejection {
-            let verdict = StreamVerdict::Rejected {
-                anomaly: rejection_anomaly(&rej.report),
-                first_violation_op: rej.op_index,
-            };
-            return (base(verdict, 0, 0), false);
+            return base(rej.report.outcome.clone(), 0, 0);
         }
 
         // Axiom state: batch-canonical reporting, graph work skipped (the
         // cursor stays put, so a healed prefix replays the backlog).
-        // Watermark violations (fenced reads, duplicate writes of
-        // compacted values) are streaming-only — the compacted snapshot no
-        // longer contains the dropped writers a batch analysis would need
-        // to see them — so they are appended to the snapshot's list.
-        if !self.stream.facts().axioms_ok() {
-            let healable = self.stream.facts().axioms_can_heal();
-            let fence = self.stream.facts().watermark_violations().to_vec();
-            let (prefix, _) = self.stream.snapshot();
-            let mut violations = Facts::analyze(&prefix).violations;
-            violations.extend(fence.iter().cloned());
-            if !healable {
-                // Monotone and watermark violations never heal:
-                // canonicalize once and reject terminally, like a cyclic
-                // violation.
-                let mut report = CheckEngine::new(self.isolation, self.opts).check(&prefix);
-                if report.accepted() {
-                    // Watermark-only breakage: the batch engine cannot
-                    // reject what the snapshot no longer shows; carry the
-                    // watermark violations as the report's outcome.
-                    debug_assert!(!fence.is_empty(), "unhealable axiom state must have a cause");
-                    report.outcome = Outcome::AxiomViolations(violations);
-                } else if let Outcome::AxiomViolations(vs) = &mut report.outcome {
-                    vs.extend(fence.iter().cloned());
-                }
-                self.rejection = Some(StreamRejection {
-                    prefix,
-                    report,
-                    op_index: ops,
-                    txn_count: txns,
-                    checkpoint: seq,
-                });
-                let verdict = StreamVerdict::Rejected { anomaly: None, first_violation_op: ops };
-                return (base(verdict, 0, 0), false);
+        let facts = self.stream.facts();
+        if !facts.axioms_ok() {
+            let (prefix, map) = self.stream.snapshot();
+            if facts.axioms_can_heal() {
+                let violations = Facts::analyze(&prefix).violations;
+                return base(Outcome::AxiomViolations(violations), 0, 0);
             }
-            let verdict = StreamVerdict::AxiomViolations { violations, healable };
-            return (base(verdict, 0, 0), false);
+            // Monotone and watermark violations and fenced reads never
+            // heal: canonicalize once and stop for good, like a cyclic
+            // violation. What only the stream knows the compacted snapshot
+            // cannot show, as it no longer holds the dropped writers:
+            // duplicate writes of compacted values are appended to the
+            // snapshot's violations, and what it says of a fenced read (an
+            // unknown value) is taken out. A violation that remains beats
+            // the fenced reads.
+            let fenced: Vec<(TxnId, Key, Value)> =
+                facts.fenced_reads().iter().map(|&(t, k, v)| (map[t.idx()], k, v)).collect();
+            let mut report = CheckEngine::new(self.isolation, self.opts).check(&prefix);
+            if report.accepted() {
+                report.outcome = Outcome::AxiomViolations(Vec::new());
+            }
+            if let Outcome::AxiomViolations(vs) = &mut report.outcome {
+                vs.retain(|v| match *v {
+                    AxiomViolation::UnknownValueRead { txn, key, value } => {
+                        !fenced.contains(&(txn, key, value))
+                    }
+                    _ => true,
+                });
+                vs.extend(facts.watermark_violations().iter().cloned());
+                if vs.is_empty() {
+                    debug_assert!(!fenced.is_empty(), "unhealable axiom state must have a cause");
+                    report.outcome = Outcome::Inconclusive(Inconclusive::Fenced(fenced));
+                }
+            }
+            return base(self.terminate(prefix, report), 0, 0);
         }
 
         // Drop cached state for components that merged away.
@@ -512,24 +480,13 @@ impl StreamingChecker {
             let (prefix, _) = self.stream.snapshot();
             let report = CheckEngine::new(self.isolation, self.opts).check(&prefix);
             if report.accepted() {
-                // A disagreement (see `checkpoint`): trust the batch
-                // verdict, drop every cache so the next checkpoint
+                // A disagreement (see the module docs): neither answer can
+                // be trusted. Drop every cache so the next checkpoint
                 // rebuilds from scratch.
                 self.comps.clear();
-                return (base(StreamVerdict::Accepted, dirty, rebuilt), true);
+                return base(Outcome::Inconclusive(Inconclusive::Disagreement), dirty, rebuilt);
             }
-            let verdict = StreamVerdict::Rejected {
-                anomaly: rejection_anomaly(&report),
-                first_violation_op: ops,
-            };
-            self.rejection = Some(StreamRejection {
-                prefix,
-                report,
-                op_index: ops,
-                txn_count: txns,
-                checkpoint: seq,
-            });
-            return (base(verdict, dirty, rebuilt), false);
+            return base(self.terminate(prefix, report), dirty, rebuilt);
         }
 
         // Watermark GC: the settled prefix of every fully sealed component
@@ -549,10 +506,24 @@ impl StreamingChecker {
             }
             compacted
         };
-        let mut report = base(StreamVerdict::Accepted, dirty, rebuilt);
+        let mut report = base(Outcome::Si, dirty, rebuilt);
         report.live_txns = self.stream.len();
         report.compacted = compacted;
-        (report, false)
+        report
+    }
+
+    /// Enter the terminal state at this checkpoint, with the canonical
+    /// `report` on `prefix`; returns its verdict.
+    fn terminate(&mut self, prefix: History, report: CheckReport) -> Outcome {
+        let verdict = report.outcome.clone();
+        self.rejection = Some(StreamRejection {
+            prefix,
+            report,
+            op_index: self.stream.num_ops(),
+            txn_count: self.stream.total_pushed(),
+            checkpoint: self.checkpoints,
+        });
+        verdict
     }
 
     /// Compact the settled prefix of every eligible component (watermark
@@ -965,19 +936,11 @@ impl StreamingChecker {
     }
 }
 
-/// The anomaly classification of a canonical rejection report, if cyclic.
-fn rejection_anomaly(report: &CheckReport) -> Option<Anomaly> {
-    match &report.outcome {
-        Outcome::CyclicViolation(v) => Some(v.anomaly),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::anomaly::Anomaly;
     use crate::engine::check;
-    use polysi_history::{Key, Value};
 
     fn k(n: u64) -> Key {
         Key(n)
@@ -1043,18 +1006,19 @@ mod tests {
         assert!(c.checkpoint().verdict.accepted());
         c.push_transaction(s2, vec![r(1, 1), w(1, 3)], TxnStatus::Committed);
         let cp = c.checkpoint();
-        let StreamVerdict::Rejected { anomaly, first_violation_op } = cp.verdict else {
+        assert!(cp.terminal);
+        let Outcome::CyclicViolation(v) = &cp.verdict else {
             panic!("lost update must reject");
         };
-        assert_eq!(anomaly, Some(Anomaly::LostUpdate));
-        assert_eq!(first_violation_op, 5);
+        assert_eq!(v.anomaly, Anomaly::LostUpdate);
         let rej = c.rejection().expect("terminal rejection recorded");
         assert!(!rej.report.accepted());
-        assert_eq!(rej.checkpoint, 3);
+        assert_eq!((rej.checkpoint, rej.op_index), (3, 5));
         // Stable thereafter, even as more (clean) transactions arrive.
         c.push_transaction(s0, vec![w(2, 9)], TxnStatus::Committed);
         let again = c.checkpoint();
-        assert!(matches!(again.verdict, StreamVerdict::Rejected { first_violation_op: 5, .. }));
+        assert!(again.terminal);
+        assert_eq!(format!("{:?}", again.verdict), format!("{:?}", cp.verdict));
         assert_eq!(again.dirty, 0);
     }
 
@@ -1084,10 +1048,10 @@ mod tests {
         let s1 = c.session();
         c.push_transaction(s0, vec![r(1, 7)], TxnStatus::Committed);
         let cp = c.checkpoint();
-        let StreamVerdict::AxiomViolations { violations, healable } = cp.verdict else {
+        let Outcome::AxiomViolations(violations) = cp.verdict else {
             panic!("unresolved read must fail the axioms");
         };
-        assert!(healable);
+        assert!(!cp.terminal);
         assert!(matches!(violations[0], AxiomViolation::UnknownValueRead { .. }));
         c.push_transaction(s1, vec![w(1, 7)], TxnStatus::Committed);
         assert!(c.checkpoint().verdict.accepted());
@@ -1111,24 +1075,24 @@ mod tests {
         c.push_transaction(s1, vec![r(1, 7)], TxnStatus::Committed); // waits for its writer
         c.push_transaction(s1, vec![w(2, 1)], TxnStatus::Committed); // r2
         let cp = c.checkpoint();
-        assert!(matches!(cp.verdict, StreamVerdict::AxiomViolations { healable: true, .. }));
+        assert!(matches!(cp.verdict, Outcome::AxiomViolations(_)) && !cp.terminal);
         // w7 heals the read and closes w7 →WR r →SO r2 →WR w7.
         c.push_transaction(s0, vec![r(2, 1), w(1, 7)], TxnStatus::Committed);
         let (prefix, _) = c.stream().snapshot();
         let cp = c.checkpoint();
         assert_eq!((cp.dirty, cp.rebuilt), (1, 0), "the healed component takes the delta path");
-        let StreamVerdict::Rejected { anomaly, .. } = cp.verdict else {
+        let Outcome::CyclicViolation(v) = &cp.verdict else {
             panic!("the healed read closes a cycle: {:?}", cp.verdict);
         };
         let batch = check(&prefix, IsolationLevel::Si, &EngineOptions::default());
-        assert!(anomaly.is_some());
-        assert_eq!(anomaly, rejection_anomaly(&batch));
+        let Outcome::CyclicViolation(b) = &batch.outcome else { panic!("batch rejects") };
+        assert_eq!(v.anomaly, b.anomaly);
     }
 
     /// A delta detector that rejects a prefix the batch engine accepts is
-    /// counted and marked on its checkpoint span before anything else: a
-    /// release build then reports the batch verdict and rebuilds from
-    /// scratch, a debug build stops at the assertion.
+    /// a checker bug: in every build the checkpoint is inconclusive, the
+    /// case is counted and marked on its checkpoint span, and the next
+    /// checkpoint rebuilds from scratch and accepts.
     #[test]
     fn a_detector_disagreement_is_counted() {
         let obs = Obs::enabled();
@@ -1148,17 +1112,20 @@ mod tests {
         oracle.insert_edges(&poison, &mut state.poly.known, Flush::AtEnd).expect("still acyclic");
         c.push_transaction(s0, vec![w(1, 2)], TxnStatus::Committed);
 
-        let cp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.checkpoint()));
-        assert_eq!(cp.is_err(), cfg!(debug_assertions), "only a debug build stops");
-        assert!(cp.is_err() || cp.is_ok_and(|cp| cp.verdict.accepted()));
+        let cp = c.checkpoint();
+        assert!(matches!(cp.verdict, Outcome::Inconclusive(Inconclusive::Disagreement)));
+        assert!(!cp.terminal && c.rejection().is_none());
         assert_eq!(obs.metrics.counter("stream.disagreements").total(), 1);
         let forest = polysi_obs::span::span_forest(&obs.tracer.events()).expect("well-nested");
-        let marks: Vec<bool> = forest
+        let marks: Vec<(bool, bool)> = forest
             .iter()
             .filter(|n| n.name == "checkpoint")
-            .map(|n| n.attrs.iter().any(|a| *a == ("disagreement", true.into())))
+            .map(|n| {
+                let disagreement = n.attrs.iter().any(|a| *a == ("disagreement", true.into()));
+                (disagreement, n.attrs.iter().any(|a| *a == ("verdict", "inconclusive".into())))
+            })
             .collect();
-        assert_eq!(marks, [false, true]);
+        assert_eq!(marks, [(false, false), (true, true)]);
 
         // The caches were dropped: the next checkpoint rebuilds and agrees.
         c.push_transaction(s0, vec![w(1, 3)], TxnStatus::Committed);
@@ -1176,7 +1143,7 @@ mod tests {
         c.push_transaction(s0, vec![w(1, 5)], TxnStatus::Committed);
         c.push_transaction(s0, vec![w(1, 5)], TxnStatus::Committed);
         let cp = c.checkpoint();
-        assert!(matches!(cp.verdict, StreamVerdict::Rejected { anomaly: None, .. }));
+        assert!(matches!(cp.verdict, Outcome::AxiomViolations(_)) && cp.terminal);
         assert!(c.rejection().is_some());
     }
 
@@ -1215,10 +1182,9 @@ mod tests {
         let s3 = c.session();
         c.push_transaction(s3, vec![r(1, 3), w(1, 5)], TxnStatus::Committed);
         let cp = c.checkpoint();
-        assert!(matches!(
-            cp.verdict,
-            StreamVerdict::Rejected { anomaly: Some(Anomaly::LostUpdate), .. }
-        ));
+        assert!(
+            matches!(&cp.verdict, Outcome::CyclicViolation(v) if v.anomaly == Anomaly::LostUpdate)
+        );
     }
 
     /// The watermark refuses to cross open reads: an RMW chain keeps every
@@ -1253,11 +1219,12 @@ mod tests {
         assert_eq!(cp.live_txns, 2);
     }
 
-    /// An initial-value read below the watermark is a terminal rejection
-    /// carrying the fenced-read violation (batch cannot reproduce it: the
-    /// compacted snapshot no longer shows the dropped writers).
+    /// An initial-value read below the watermark leaves the stream
+    /// terminally inconclusive, naming the refused read (batch cannot
+    /// check it: the compacted snapshot no longer shows the dropped
+    /// writers) — never a violation of a history nothing rejects.
     #[test]
-    fn fenced_init_read_rejects_terminally() {
+    fn fenced_init_read_is_terminally_inconclusive() {
         let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
         let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
         let s0 = c.session();
@@ -1271,15 +1238,16 @@ mod tests {
         let s1 = c.session();
         c.push_transaction(s1, vec![r(1, 0)], TxnStatus::Committed);
         let cp = c.checkpoint();
-        assert!(matches!(cp.verdict, StreamVerdict::Rejected { anomaly: None, .. }));
-        let rej = c.rejection().expect("fence rejection is terminal");
-        let Outcome::AxiomViolations(vs) = &rej.report.outcome else {
-            panic!("fence rejection must carry axiom violations");
-        };
-        assert!(vs.iter().any(|v| matches!(v, AxiomViolation::FencedRead { .. })));
+        // The snapshot's ids: the survivor of `s0` is T0, the reader T1.
+        let fenced = Inconclusive::Fenced(vec![(TxnId(1), k(1), Value::INIT)]);
+        assert!(matches!(&cp.verdict, Outcome::Inconclusive(why) if *why == fenced));
+        assert!(cp.terminal);
+        let rej = c.rejection().expect("a fenced read is terminal");
+        assert!(matches!(&rej.report.outcome, Outcome::Inconclusive(why) if *why == fenced));
         // Stable thereafter.
         c.push_transaction(s1, vec![w(2, 1)], TxnStatus::Committed);
-        assert!(matches!(c.checkpoint().verdict, StreamVerdict::Rejected { .. }));
+        let again = c.checkpoint();
+        assert!(matches!(again.verdict, Outcome::Inconclusive(_)) && again.terminal);
     }
 
     /// Compacted and uncompacted runs of the same stream produce the same

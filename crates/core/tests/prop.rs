@@ -78,16 +78,16 @@ proptest! {
         let h = build(&spec);
         let expected = oracle_check_si(&h);
         let got = check(&h, IsolationLevel::Si, &EngineOptions::default());
-        prop_assert_eq!(got.is_si(), expected, "history: {:?}", h);
+        prop_assert_eq!(got.accepted(), expected, "history: {:?}", h);
     }
 
     #[test]
     fn pruning_and_compaction_preserve_verdicts(spec in spec_strategy()) {
         let h = build(&spec);
-        let full = check(&h, IsolationLevel::Si, &EngineOptions::default()).is_si();
+        let full = check(&h, IsolationLevel::Si, &EngineOptions::default()).accepted();
         let run = |pruning: bool, mode: polysi_polygraph::ConstraintMode| {
             let opts = EngineOptions { pruning, mode, ..Default::default() };
-            check(&h, IsolationLevel::Si, &opts).is_si()
+            check(&h, IsolationLevel::Si, &opts).accepted()
         };
         let no_p = run(false, polysi_polygraph::ConstraintMode::Generalized);
         let no_cp = run(false, polysi_polygraph::ConstraintMode::Plain);

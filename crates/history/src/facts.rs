@@ -77,13 +77,6 @@ pub enum AxiomViolation {
     UnknownValueRead { txn: TxnId, key: Key, value: Value },
     /// A transaction wrote the reserved initial value.
     WroteInitValue { txn: TxnId, key: Key },
-    /// A read below the compaction watermark: the transaction observed the
-    /// initial version of a key whose early writers were already compacted
-    /// away (streaming only — batch analysis never emits this). Under the
-    /// watermark contract clients do not read versions older than the
-    /// fence; such a read could hide a real cycle through the dropped
-    /// prefix, so it is refused as a terminal violation.
-    FencedRead { txn: TxnId, key: Key },
     /// A committed write below the compaction watermark: `txn` re-wrote a
     /// `(key, value)` pair whose original writer was already compacted
     /// away (streaming only — batch analysis reports this shape as a
@@ -120,13 +113,6 @@ impl fmt::Display for AxiomViolation {
             AxiomViolation::WroteInitValue { txn, key } => {
                 write!(f, "{txn} wrote the reserved initial value to key {key}")
             }
-            AxiomViolation::FencedRead { txn, key } => {
-                write!(
-                    f,
-                    "fenced read: {txn} read the initial version of key {key} \
-                     below the compaction watermark"
-                )
-            }
             AxiomViolation::CompactedDuplicateWrite { txn, key, value } => {
                 write!(
                     f,
@@ -149,7 +135,6 @@ impl AxiomViolation {
             AxiomViolation::DuplicateWrite { .. } => "duplicate_write",
             AxiomViolation::UnknownValueRead { .. } => "unknown_value_read",
             AxiomViolation::WroteInitValue { .. } => "wrote_init_value",
-            AxiomViolation::FencedRead { .. } => "fenced_read",
             AxiomViolation::CompactedDuplicateWrite { .. } => "compacted_duplicate_write",
         }
     }

@@ -123,10 +123,10 @@ pub struct StreamFacts {
     /// One fence record per key with at least one writer dropped by
     /// compaction: the committed values those writers installed.
     ///
-    /// * An initial-value read of a fenced key can no longer be given its
-    ///   anti-dependency edges to the dropped writers, so it is refused as
-    ///   a terminal [`AxiomViolation::FencedRead`] rather than silently
-    ///   under-checked.
+    /// * A read of a version below the fence — the initial value of a
+    ///   fenced key, or a value a dropped writer installed — can no longer
+    ///   be given its dependency edges, so it is refused (see
+    ///   [`StreamFacts::fenced_reads`]) rather than silently under-checked.
     /// * Compaction removes the `final_writer` entries the duplicate-write
     ///   axiom consults, so a later committed re-write of a dropped
     ///   `(key, value)` pair would be registered as if the value were
@@ -135,13 +135,15 @@ pub struct StreamFacts {
     ///   [`AxiomViolation::CompactedDuplicateWrite`] — exactly where an
     ///   uncompacted run reports a `DuplicateWrite`.
     fences: Fences,
-    /// Watermark violations seen so far: fenced reads and duplicate
-    /// writes of compacted values. Like monotone violations these never
-    /// heal; unlike them they are streaming-only (a batch analysis of the
-    /// compacted snapshot cannot know about dropped writers or values), so
-    /// they are reported from here rather than from a snapshot
-    /// re-analysis.
+    /// Watermark violations seen so far: duplicate writes of compacted
+    /// values. Like monotone violations these never heal; unlike them they
+    /// are streaming-only (a batch analysis of the compacted snapshot
+    /// cannot know about dropped values), so they are reported from here
+    /// rather than from a snapshot re-analysis.
     watermark_violations: Vec<AxiomViolation>,
+    /// Committed reads refused at the fence (see
+    /// [`StreamFacts::fenced_reads`]); they join no read list.
+    fenced_reads: Vec<(TxnId, Key, Value)>,
     /// Scratch of the per-transaction walk shared with `Facts::analyze`,
     /// and the violations it reports (only counted here).
     effects: TxnEffects,
@@ -165,6 +167,7 @@ impl StreamFacts {
             monotone_violations: 0,
             fences: Fences::default(),
             watermark_violations: Vec::new(),
+            fenced_reads: Vec::new(),
             effects: TxnEffects::default(),
             walk_violations: Vec::new(),
         }
@@ -182,30 +185,36 @@ impl StreamFacts {
     }
 
     /// Whether the current prefix passes the non-cyclic axioms — i.e.
-    /// batch `Facts::analyze` on the snapshot would find no violation.
-    /// Unresolved reads count as broken (the batch analysis classifies
-    /// them as aborted/intermediate/unknown-value reads); they may heal
-    /// when the writer arrives, monotone violations never do.
+    /// batch `Facts::analyze` on the snapshot would find no violation —
+    /// and the fence refused no read. Unresolved reads count as broken
+    /// (the batch analysis classifies them as aborted/intermediate/
+    /// unknown-value reads); they may heal when the writer arrives,
+    /// monotone violations never do.
     pub fn axioms_ok(&self) -> bool {
-        self.monotone_violations == 0
-            && self.unresolved_count == 0
-            && self.watermark_violations.is_empty()
+        self.unresolved_count == 0 && self.axioms_can_heal()
     }
 
-    /// Whether the axioms can still heal: no *monotone* violation and no
-    /// watermark violation has occurred (any breakage is unresolved reads
-    /// only).
+    /// Whether the axioms can still heal: no *monotone* violation, no
+    /// watermark violation and no fenced read has occurred (any breakage
+    /// is unresolved reads only).
     pub fn axioms_can_heal(&self) -> bool {
-        self.monotone_violations == 0 && self.watermark_violations.is_empty()
+        self.monotone_violations == 0
+            && self.watermark_violations.is_empty()
+            && self.fenced_reads.is_empty()
     }
 
-    /// Terminal watermark violations: reads of the initial version of a
-    /// key below the compaction watermark
-    /// ([`AxiomViolation::FencedRead`]) and committed re-writes of
-    /// compacted-away values
-    /// ([`AxiomViolation::CompactedDuplicateWrite`]).
+    /// Terminal watermark violations: committed re-writes of
+    /// compacted-away values ([`AxiomViolation::CompactedDuplicateWrite`]).
     pub fn watermark_violations(&self) -> &[AxiomViolation] {
         &self.watermark_violations
+    }
+
+    /// Committed reads refused below the compaction watermark, `(reader,
+    /// key, value)` in arrival ids: of the initial value of a fenced key,
+    /// or of a value a dropped writer installed. Terminal, but a limit of
+    /// the checker rather than a violation.
+    pub fn fenced_reads(&self) -> &[(TxnId, Key, Value)] {
+        &self.fenced_reads
     }
 
     /// The keys fenced by compaction (at least one dropped writer), each
@@ -298,9 +307,9 @@ impl StreamFacts {
             for &(key, value, _) in &fx.final_writes {
                 // Only the value's registered writer heals: a duplicate
                 // committed write (the first writer already resolved the
-                // waiters) and a refused re-write of a dropped value (its
-                // readers stay unresolved, as reads of dropped state
-                // should) hold no `final_writer` entry of their own.
+                // waiters) and a refused re-write of a dropped value (whose
+                // readers the fence refuses) hold no `final_writer` entry
+                // of their own.
                 if self.final_writer.get(&(key, value)) != Some(&id) {
                     continue;
                 }
@@ -321,13 +330,14 @@ impl StreamFacts {
         // as in the batch pass 2).
         if committed {
             for &(key, value, _) in &fx.ext_reads {
+                // A read of the initial value of a fenced key or of a
+                // dropped value: its edges to the dropped writers cannot be
+                // built any more — refuse it instead of under-checking it.
+                if self.fences.get(key).is_some_and(|f| value.is_init() || f.contains(value)) {
+                    self.fenced_reads.push((id, key, value));
+                    continue;
+                }
                 let source = if value.is_init() {
-                    if self.fences.get(key).is_some() {
-                        // The anti-dependency edges to the key's dropped
-                        // writers cannot be produced any more — refuse
-                        // loudly instead of under-checking.
-                        self.watermark_violations.push(AxiomViolation::FencedRead { txn: id, key });
-                    }
                     self.facts.init_readers.entry(key).or_default().push(id);
                     WrSource::Init
                 } else if let Some(&w) = self.final_writer.get(&(key, value)) {
@@ -829,12 +839,12 @@ impl HistoryStream {
     ///   compaction debug-asserts the read/write half).
     ///
     /// Under that contract the compacted stream behaves exactly like a
-    /// fresh stream of the surviving suffix, with three loud exceptions at
-    /// the fence: later reads of a *dropped value* stay unresolved forever
-    /// (the axioms keep failing, as they should — the value no longer has a
-    /// writer), later *initial-value* reads of a key with dropped writers
-    /// are refused as terminal [`AxiomViolation::FencedRead`]s, and later
-    /// committed re-*writes* of a dropped value are refused as terminal
+    /// fresh stream of the surviving suffix, with two loud exceptions at
+    /// the fence: later committed reads of a version below it — a *dropped
+    /// value*, or the *initial value* of a key with dropped writers — are
+    /// refused for good ([`StreamFacts::fenced_reads`]: their edges to the
+    /// dropped writers cannot be built), and later committed re-*writes*
+    /// of a dropped value are refused as terminal
     /// [`AxiomViolation::CompactedDuplicateWrite`]s (see
     /// [`StreamFacts::fences`]: per fenced key one [`crate::KeyFence`],
     /// the exact, gap-encoded set of the dropped writers' values).
@@ -1226,7 +1236,7 @@ mod tests {
     }
 
     /// A later initial-value read of a fenced key (one with dropped
-    /// writers) is refused as a terminal fenced read.
+    /// writers) is refused for good.
     #[test]
     fn init_reads_below_the_fence_are_terminal() {
         let mut s = HistoryStream::new();
@@ -1243,10 +1253,9 @@ mod tests {
         s.push_transaction(s1, vec![r(k(1), Value::INIT)], TxnStatus::Committed);
         assert!(!s.facts().axioms_ok());
         assert!(!s.facts().axioms_can_heal());
-        assert_eq!(
-            s.facts().watermark_violations(),
-            &[AxiomViolation::FencedRead { txn: TxnId(2), key: k(1) }]
-        );
+        assert_eq!(s.facts().fenced_reads(), &[(TxnId(2), k(1), Value::INIT)]);
+        assert!(s.facts().watermark_violations().is_empty(), "a limitation, not a violation");
+        assert!(!s.facts.facts.init_readers.contains_key(&k(1)), "a refused read has no edges");
     }
 
     /// A later committed re-write of a *dropped value* is refused via the
@@ -1266,31 +1275,29 @@ mod tests {
         // Re-writing the *surviving* value's key with a fresh value is fine.
         s.push_transaction(s1, vec![w(k(1), v(3))], TxnStatus::Committed);
         assert!(s.facts().axioms_ok());
-        // A read of the dropped value waits (unresolvable, but healable
-        // as far as the stream knows)...
-        s.push_transaction(s1, vec![r(k(1), v(1))], TxnStatus::Committed);
-        assert!(!s.facts().axioms_ok());
-        assert!(s.facts().axioms_can_heal());
-        // ...then the re-write of the dropped value is refused for good,
-        // and must not pose as the value's writer: the waiting read stays
-        // unresolved rather than resolving to the refused re-write.
+        // The re-write of the dropped value is refused for good, and must
+        // not pose as the value's writer: a later read of the value is
+        // refused at the fence rather than resolved to the re-write.
         s.push_transaction(s1, vec![w(k(1), v(1))], TxnStatus::Committed);
         assert!(!s.facts().axioms_ok());
         assert!(!s.facts().axioms_can_heal());
         assert_eq!(
             s.facts().watermark_violations(),
-            &[AxiomViolation::CompactedDuplicateWrite { txn: TxnId(3), key: k(1), value: v(1) }]
+            &[AxiomViolation::CompactedDuplicateWrite { txn: TxnId(2), key: k(1), value: v(1) }]
         );
-        let waiting = &s.facts.facts;
-        assert_eq!(waiting.reads[2], [(k(1), v(1), PENDING)]);
-        assert!(waiting.readers_of(k(1), TxnId(3)).is_empty());
+        s.push_transaction(s1, vec![r(k(1), v(1))], TxnStatus::Committed);
+        assert_eq!(s.facts().fenced_reads(), &[(TxnId(3), k(1), v(1))]);
+        let facts = &s.facts.facts;
+        assert!(facts.reads[3].is_empty());
+        assert!(facts.readers_of(k(1), TxnId(2)).is_empty());
     }
 
-    /// A later read of a *dropped value* stays unresolved forever — loud
-    /// at every checkpoint, but not terminal (matches the batch verdict on
-    /// the compacted snapshot, which sees an unknown-value read).
+    /// A later read of a *dropped value* is refused at the fence, for good
+    /// — not left waiting for a writer, which would pose as an
+    /// unknown-value read (the batch verdict on the compacted snapshot,
+    /// which no longer holds the value's writer).
     #[test]
-    fn reads_of_dropped_values_stay_unresolved() {
+    fn reads_of_dropped_values_are_refused() {
         let mut s = HistoryStream::new();
         let s0 = s.session();
         let s1 = s.session();
@@ -1300,9 +1307,11 @@ mod tests {
         s.compact(&[true, false]);
         s.push_transaction(s1, vec![r(k(1), v(1))], TxnStatus::Committed);
         assert!(!s.facts().axioms_ok());
-        assert!(s.facts().axioms_can_heal(), "unresolved, not terminal");
+        assert!(!s.facts().axioms_can_heal(), "refused, not waiting");
+        assert_eq!(s.facts().fenced_reads(), &[(TxnId(1), k(1), v(1))]);
+        assert_eq!(s.facts.unresolved_count, 0);
         let (h, _) = s.snapshot();
-        assert!(!Facts::analyze(&h).axioms_ok(), "batch agrees the compacted prefix is broken");
+        assert!(!Facts::analyze(&h).axioms_ok(), "the compacted snapshot calls the value unknown");
     }
 
     #[test]

@@ -35,6 +35,10 @@ fn main() {
             Outcome::Si => {
                 println!("run {seed:>3}: {stats} — OK");
             }
+            Outcome::Inconclusive(why) => {
+                println!("run {seed:>3}: {stats} — INCONCLUSIVE: {}", why.reason());
+                return;
+            }
             Outcome::AxiomViolations(vs) => {
                 println!("run {seed:>3}: {stats} — AXIOM VIOLATION: {}", vs[0]);
                 return;

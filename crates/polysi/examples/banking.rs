@@ -54,6 +54,6 @@ fn main() {
     let verdict = check(&sim.history, Level::Si, &EngineOptions::default());
     println!(
         "PolySI verdict on the recorded history: {}",
-        if verdict.is_si() { "SI holds" } else { "violation" }
+        if verdict.accepted() { "SI holds" } else { "violation" }
     );
 }

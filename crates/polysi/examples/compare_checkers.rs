@@ -41,7 +41,7 @@ fn main() {
     // Full PolySI and the paper's two ablations (Figure 10).
     let polysi = |pruning: bool, mode: ConstraintMode| -> String {
         let o = EngineOptions { interpret: false, pruning, mode, ..Default::default() };
-        if check(&sim.history, polysi::checker::IsolationLevel::Si, &o).is_si() {
+        if check(&sim.history, polysi::checker::IsolationLevel::Si, &o).accepted() {
             "SI".into()
         } else {
             "violation".into()

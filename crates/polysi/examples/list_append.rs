@@ -28,7 +28,7 @@ fn main() {
     let report = check_si_list(&good);
     println!(
         "valid list history: {} ({} µs)",
-        if report.is_si() { "SI holds" } else { "violation" },
+        if report.accepted() { "SI holds" } else { "violation" },
         report.elapsed.as_micros()
     );
 

@@ -33,6 +33,7 @@ fn main() {
 
     match &report.outcome {
         Outcome::Si => println!("history satisfies SI (unexpected for this example!)"),
+        Outcome::Inconclusive(why) => println!("inconclusive: {}", why.reason()),
         Outcome::AxiomViolations(vs) => {
             println!("non-cyclic axiom violations:");
             for v in vs {

@@ -33,7 +33,7 @@
 //! b.begin().read(Key(1), Value(10)).write(Key(1), Value(12)).commit();
 //!
 //! let outcome = check(&b.build(), IsolationLevel::Si, &EngineOptions::default());
-//! assert!(!outcome.is_si());
+//! assert!(!outcome.accepted());
 //! ```
 
 pub use polysi_baselines as baselines;

@@ -18,6 +18,12 @@
 //! polysi convert history.txt history.pbh    # text -> binary (and back)
 //! polysi demo                               # run the built-in long-fork demo
 //! ```
+//!
+//! Every mode prints its verdict through one printer and maps it to one
+//! exit code: 0 accepted, 1 violation, 2 usage or input error, 3
+//! inconclusive (the checker could not decide — a compacting stream
+//! refused a read below its watermark, or the stream's delta detector
+//! disagreed with the batch engine).
 
 use polysi::checker::engine::{
     check, CheckEngine, CompactMode, EngineOptions, IsolationLevel, PruneThreads, Sharding,
@@ -25,17 +31,14 @@ use polysi::checker::engine::{
 use polysi::checker::report::{
     check_report_json, live_report_json, stats_json, stream_report_json,
 };
-use polysi::checker::{
-    dot, CheckpointReport, LiveConfig, LiveService, Outcome, StreamVerdict, StreamingChecker,
-};
-use polysi::history::{binfmt, codec, stats::HistoryStats, AxiomViolation, History};
-use polysi::polygraph::Edge;
+use polysi::checker::{dot, CheckpointReport, LiveConfig, LiveService, Outcome, StreamingChecker};
+use polysi::history::{binfmt, codec, stats::HistoryStats, History, TxnId};
 use polysi_obs::{trace::chrome_trace_json, Obs, Tracer};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto]   (defaults: si, auto, auto)\n               [--stream] [--live] [--checkpoints N]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
+        "usage:\n  polysi check <history.txt|.pbh> [--isolation si|ser] [--shards auto|off]\n               [--prune-threads N|auto]   (defaults: si, auto, auto)\n               [--stream] [--live] [--checkpoints N]\n               [--compact on|off|auto]\n               [--report json] [--trace-out <trace.json>]\n               [--dot <out.dot>] [--no-pruning] [--plain] [--quiet]\n               exit: 0 accepted, 1 violation, 2 usage or input error, 3 inconclusive\n  polysi stats <history.txt|.pbh> [--report json]\n  polysi convert <in.txt|.pbh> <out.pbh|.txt>   (input auto-detected; output\n               format by extension: .pbh binary, anything else text)\n  polysi demo"
     );
     ExitCode::from(2)
 }
@@ -50,8 +53,8 @@ fn write_trace(path: &str, tracer: &Tracer) {
 
 /// `polysi check --stream`: replay the history as a session-ordered
 /// stream (round-robin across sessions), checkpointing `checkpoints`
-/// times; report per-checkpoint verdicts and timings, and on violation
-/// the first-violation op index plus the canonical witness.
+/// times; report per-checkpoint verdicts and timings, and in the terminal
+/// state where it was reached plus the canonical witness.
 fn stream_check(
     history: &History,
     isolation: IsolationLevel,
@@ -80,11 +83,11 @@ fn stream_check(
         if !quiet && !report_json {
             print_checkpoint(&cp, total, false);
         }
-        let rejected = matches!(cp.verdict, StreamVerdict::Rejected { .. });
+        let terminal = cp.terminal;
         trail.push(cp);
-        rejected
+        terminal
     };
-    let mut rejected = false;
+    let mut terminal = false;
     for (pushed, (session, txn, last)) in (1..).zip(replay) {
         checker.push_transaction(session, txn.ops.clone(), txn.status);
         if last {
@@ -93,13 +96,13 @@ fn stream_check(
             checker.seal_session(session);
         }
         if pushed % interval == 0 && pushed < total {
-            rejected = checkpoint(&mut checker);
-            if rejected {
+            terminal = checkpoint(&mut checker);
+            if terminal {
                 break;
             }
         }
     }
-    if !rejected {
+    if !terminal {
         checkpoint(&mut checker);
     }
     let last_verdict = &trail.last().expect("the replay ends in a checkpoint").verdict;
@@ -112,98 +115,94 @@ fn stream_check(
             Some(&obs.metrics.snapshot()),
         );
         println!("{json}");
-        return if last_verdict.accepted() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        return exit_code(last_verdict);
     }
-    print_verdict(last_verdict, isolation, quiet, Some((history, &checker)))
+    let rej = checker.rejection();
+    let notes = match rej {
+        Some(r) => vec![format!(
+            "detected by op {} (checkpoint {}, {} txns ingested)",
+            r.op_index, r.checkpoint, r.txn_count
+        )],
+        None if quiet => Vec::new(),
+        None => vec![HistoryStats::of(history).to_string()],
+    };
+    let labels = rej.map_or(history, |r| &r.prefix);
+    print_outcome(last_verdict, isolation, Some("streaming"), &notes, Some(labels), quiet)
 }
 
 /// One `--stream` / `--live` checkpoint line of a `total`-transaction
 /// replay; `degraded` flags a live checkpoint taken while reorder gaps
 /// were open.
 fn print_checkpoint(cp: &CheckpointReport, total: usize, degraded: bool) {
-    let verdict = match &cp.verdict {
-        StreamVerdict::Accepted => "ok".to_string(),
-        StreamVerdict::AxiomViolations { healable, .. } => {
-            format!("axioms broken ({})", if *healable { "healable" } else { "terminal" })
-        }
-        StreamVerdict::Rejected { .. } => "VIOLATION".to_string(),
-    };
     println!(
-        "  checkpoint {}: {}/{} txns, {} components ({} dirty, {} rebuilt), {}{}, {:?}",
+        "  checkpoint {}: {}/{} txns, {} components ({} dirty, {} rebuilt), {}{}{}, {:?}",
         cp.seq,
         cp.txns,
         total,
         cp.components,
         cp.dirty,
         cp.rebuilt,
-        verdict,
+        cp.verdict.kind(),
+        if cp.terminal { " (terminal)" } else { "" },
         if degraded { " [degraded]" } else { "" },
         cp.elapsed
     );
 }
 
-/// The final verdict of `--stream` / `--live` and its exit code. A
-/// `--stream` run passes its history and checker (`stream`): an accept
-/// then also prints the history's statistics, a rejection where it was
-/// detected and, unless `quiet`, its canonical witness.
-fn print_verdict(
-    verdict: &StreamVerdict,
+/// A verdict's exit code: 0 accepted, 1 violation, 3 inconclusive (2 is a
+/// usage or input error, decided before any verdict).
+fn exit_code(outcome: &Outcome) -> ExitCode {
+    match outcome {
+        Outcome::Si => ExitCode::SUCCESS,
+        Outcome::AxiomViolations(_) | Outcome::CyclicViolation(_) => ExitCode::FAILURE,
+        Outcome::Inconclusive(_) => ExitCode::from(3),
+    }
+}
+
+/// Every mode's verdict printer; returns the verdict's exit code. The
+/// heading names an online run's `mode` on an accept; `notes` follow it;
+/// then come the axiom violations, the cycle or the refused reads, whose
+/// transactions are labelled from `labels`, the history the verdict is
+/// about (plain ids without it). `quiet` keeps the first axiom violation
+/// or refused read and drops the cycle.
+fn print_outcome(
+    outcome: &Outcome,
     isolation: IsolationLevel,
+    mode: Option<&str>,
+    notes: &[String],
+    labels: Option<&History>,
     quiet: bool,
-    stream: Option<(&History, &StreamingChecker)>,
 ) -> ExitCode {
-    match verdict {
-        StreamVerdict::Accepted => {
-            let how = if stream.is_some() { "streaming" } else { "live" };
-            println!("OK: history satisfies {} ({how})", isolation.long_name());
-            if let (false, Some((history, _))) = (quiet, stream) {
-                println!("  {}", HistoryStats::of(history));
-            }
-            ExitCode::SUCCESS
+    match outcome {
+        Outcome::Si => {
+            let how = mode.map(|m| format!(" ({m})")).unwrap_or_default();
+            println!("OK: history satisfies {}{how}", isolation.long_name());
         }
-        StreamVerdict::AxiomViolations { violations, .. } => {
-            print_violations(violations, quiet);
-            ExitCode::FAILURE
-        }
-        StreamVerdict::Rejected { anomaly, first_violation_op } => {
-            match anomaly {
-                Some(a) => println!("VIOLATION: {a}"),
-                None => println!("VIOLATION: non-cyclic axioms failed"),
+        Outcome::AxiomViolations(_) => println!("VIOLATION: non-cyclic axioms failed"),
+        Outcome::CyclicViolation(v) => println!("VIOLATION: {}", v.anomaly),
+        Outcome::Inconclusive(why) => println!("INCONCLUSIVE: {}", why.reason()),
+    }
+    for note in notes {
+        println!("  {note}");
+    }
+    let label = |t: TxnId| labels.map_or_else(|| t.to_string(), |h| h.txn(t).label());
+    let first = if quiet { 1 } else { usize::MAX };
+    match outcome {
+        Outcome::AxiomViolations(vs) => vs.iter().take(first).for_each(|v| println!("  - {v}")),
+        Outcome::CyclicViolation(v) if !quiet => {
+            for e in &v.cycle {
+                println!("  {} {} -> {}", e.label, label(e.from), label(e.to));
             }
-            let Some((_, checker)) = stream else {
-                println!("  detected by op {first_violation_op}");
-                return ExitCode::FAILURE;
-            };
-            let rej = checker.rejection().expect("rejected streams record the canonical report");
-            println!(
-                "  detected by op {first_violation_op} (checkpoint {}, {} txns ingested)",
-                rej.checkpoint, rej.txn_count
-            );
-            match &rej.report.outcome {
-                _ if quiet => {}
-                Outcome::CyclicViolation(v) => print_cycle(&rej.prefix, &v.cycle),
-                Outcome::AxiomViolations(vs) => vs.iter().for_each(|v| println!("  - {v}")),
-                Outcome::Si => unreachable!("canonical report of a rejection"),
-            }
-            ExitCode::FAILURE
         }
+        Outcome::Inconclusive(why) => {
+            for &(t, key, value) in why.reads().iter().take(first) {
+                let t = label(t);
+                println!("  - {t} read value {value} of key {key} below the compaction watermark");
+            }
+        }
+        _ => {}
     }
-}
-
-/// The non-cyclic-axiom verdict: its heading, then the violations, only
-/// the first when `quiet`.
-fn print_violations(violations: &[AxiomViolation], quiet: bool) {
-    println!("VIOLATION: non-cyclic axioms failed");
-    for v in violations.iter().take(if quiet { 1 } else { usize::MAX }) {
-        println!("  - {v}");
-    }
-}
-
-/// A violating cycle over `history`, one edge a line.
-fn print_cycle(history: &History, cycle: &[Edge]) {
-    for e in cycle {
-        println!("  {} {} -> {}", e.label, history.txn(e.from).label(), history.txn(e.to).label());
-    }
+    exit_code(outcome)
 }
 
 /// `polysi check --live`: replay the history through the concurrent live
@@ -243,9 +242,9 @@ fn live_check(
     });
     if report_json {
         let json =
-            live_report_json(&report, None, isolation, t0.elapsed(), Some(&obs.metrics.snapshot()));
+            live_report_json(&report, isolation, t0.elapsed(), Some(&obs.metrics.snapshot()));
         println!("{json}");
-        return if report.verdict().accepted() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        return exit_code(report.verdict());
     }
     if !quiet {
         for cp in &report.checkpoints {
@@ -260,7 +259,7 @@ fn live_check(
     for (sid, err) in &report.faults {
         println!("  ingest fault on session {}: {err}", sid.0);
     }
-    print_verdict(report.verdict(), isolation, quiet, None)
+    print_outcome(report.verdict(), isolation, Some("live"), &[], None, quiet)
 }
 
 /// Load a history, auto-detecting the format by content: the `.pbh`
@@ -435,7 +434,7 @@ fn main() -> ExitCode {
                 let json =
                     check_report_json(&report, isolation, elapsed, Some(&obs.metrics.snapshot()));
                 println!("{json}");
-                return if report.accepted() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+                return exit_code(&report.outcome);
             }
             let shard_line = report.shard_stats.map(|s| match s.fallback {
                 None => {
@@ -445,40 +444,28 @@ fn main() -> ExitCode {
                     format!("whole-history check ({f:?}, {} key components)", s.key_components)
                 }
             });
-            match &report.outcome {
-                Outcome::Si => {
-                    println!("OK: history satisfies {}", isolation.long_name());
-                    if !quiet {
-                        println!("  {}", HistoryStats::of(&history));
-                        if let Some(line) = &shard_line {
-                            println!("  {line}");
-                        }
-                        println!("  checked in {elapsed:?}");
-                    }
-                    ExitCode::SUCCESS
+            let mut notes = Vec::new();
+            if !quiet {
+                if report.accepted() {
+                    notes.push(HistoryStats::of(&history).to_string());
                 }
-                Outcome::AxiomViolations(vs) => {
-                    print_violations(vs, quiet);
-                    ExitCode::FAILURE
-                }
-                Outcome::CyclicViolation(v) => {
-                    println!("VIOLATION: {}", v.anomaly);
-                    if !quiet {
-                        if let Some(line) = &shard_line {
-                            println!("  {line}");
-                        }
-                        print_cycle(&history, &v.cycle);
-                    }
-                    if let (Some(out), Some(s)) = (&dot_path, &v.scenario) {
-                        if let Err(e) = std::fs::write(out, dot::scenario_to_dot(&history, s)) {
-                            eprintln!("error writing {out}: {e}");
-                        } else if !quiet {
-                            println!("  scenario written to {out}");
-                        }
-                    }
-                    ExitCode::FAILURE
+                notes.extend(shard_line);
+                if report.accepted() {
+                    notes.push(format!("checked in {elapsed:?}"));
                 }
             }
+            let code =
+                print_outcome(&report.outcome, isolation, None, &notes, Some(&history), quiet);
+            if let (Some(out), Outcome::CyclicViolation(v)) = (&dot_path, &report.outcome) {
+                if let Some(s) = &v.scenario {
+                    if let Err(e) = std::fs::write(out, dot::scenario_to_dot(&history, s)) {
+                        eprintln!("error writing {out}: {e}");
+                    } else if !quiet {
+                        println!("  scenario written to {out}");
+                    }
+                }
+            }
+            code
         }
         Some("stats") => {
             let Some(path) = args.get(1) else { return usage() };

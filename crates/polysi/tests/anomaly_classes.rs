@@ -68,7 +68,7 @@ fn corpus_templates_classified_as_named() {
 fn whole_corpus_is_rejected() {
     for entry in generate_corpus(60, 11) {
         assert!(
-            !check(&entry.history, IsolationLevel::Si, &EngineOptions::default()).is_si(),
+            !check(&entry.history, IsolationLevel::Si, &EngineOptions::default()).accepted(),
             "corpus entry {} wrongly accepted",
             entry.source
         );

@@ -77,7 +77,7 @@ fn stats_prints_counts() {
 /// `tests/conformance.rs`.)
 #[test]
 fn fixture_corpus_has_stable_verdicts() {
-    let fixtures: [(&str, i32, &str); 21] = [
+    let fixtures: [(&str, i32, &str); 23] = [
         ("long_fork.txt", 1, "long fork"),
         ("lost_update.txt", 1, "lost update"),
         ("write_skew.txt", 0, "OK"),
@@ -99,6 +99,8 @@ fn fixture_corpus_has_stable_verdicts() {
         ("watermark_straddle_anomaly.txt", 1, "lost update"),
         ("duplicate_delivery_lost_update.txt", 1, "lost update"),
         ("stalled_session_long_fork.txt", 1, "long fork"),
+        ("fenced_value.txt", 0, "OK"),
+        ("fenced_init.txt", 0, "OK"),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for (file, expected_code, needle) in fixtures {
@@ -203,6 +205,35 @@ fn stream_compact_flag_preserves_fixture_verdicts() {
         .output()
         .expect("run");
     assert_eq!(out.status.code(), Some(2), "bad --compact must be a usage error");
+}
+
+/// A valid history whose read a compacting stream refuses below its
+/// watermark is inconclusive — exit 3, naming the refused read — not a
+/// violation: batch accepts it, and so does a stream that keeps every
+/// transaction.
+#[test]
+fn fenced_reads_are_inconclusive_not_violations() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for (file, read) in
+        [("fenced_value.txt", "value 1 of key 1"), ("fenced_init.txt", "value 0 of key 1")]
+    {
+        let run = |args: &[&str]| {
+            let out = bin().arg("check").arg(dir.join(file)).args(args).output().expect("run");
+            (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+        };
+        let (code, stdout) = run(&["--stream", "--compact", "on", "--checkpoints", "2"]);
+        assert_eq!(code, Some(3), "{file}\n{stdout}");
+        assert!(stdout.contains("INCONCLUSIVE"), "{file}: {stdout}");
+        let refused = format!("T:(1,2) read {read} below the compaction watermark");
+        assert!(stdout.contains(&refused), "{file}: {stdout}");
+        assert!(!stdout.contains("VIOLATION"), "{file}: {stdout}");
+        for args in
+            [&[][..], &["--stream"], &["--stream", "--compact", "off", "--checkpoints", "2"]]
+        {
+            let (code, stdout) = run(args);
+            assert_eq!(code, Some(0), "{file} {args:?}\n{stdout}");
+        }
+    }
 }
 
 #[test]
@@ -388,7 +419,7 @@ fn fixture_corpus_parses_and_has_stats() {
             path.display()
         );
     }
-    assert_eq!(count, 21, "fixture corpus changed size without updating the verdict table");
+    assert_eq!(count, 23, "fixture corpus changed size without updating the verdict table");
 }
 
 /// An empty transaction is a parse error at the line that closes it —

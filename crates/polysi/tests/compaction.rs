@@ -5,9 +5,10 @@
 //! same checkpoint cadence — and must agree with it checkpoint by
 //! checkpoint on the verdict kind and axiom classes (the mode matrix's
 //! `Fenced` contract), with exactly one sanctioned exception: a
-//! transaction that reads below the watermark is refused loudly by the
-//! compacting run (`FencedRead`, or an unknown-value read whose writer was
-//! dropped), never answered silently.
+//! transaction that reads below the watermark — the initial value of a key
+//! whose writers were dropped, or a dropped writer's value — is refused
+//! by the compacting run, which is then inconclusive: never answered
+//! silently, never called a violation.
 //!
 //! The deterministic tests pin the two watermark corpus shapes: the
 //! settled-prefix anomaly (witness entirely above the watermark —
@@ -17,11 +18,11 @@
 //! evidence).
 
 use polysi::checker::engine::{check, CompactMode, EngineOptions, IsolationLevel};
-use polysi::checker::{CheckpointReport, Outcome, StreamingChecker};
+use polysi::checker::{CheckpointReport, Inconclusive, Outcome, StreamingChecker};
 use polysi::dbsim::corpus::{settled_prefix_late_anomaly, watermark_straddle_anomaly};
 use polysi::dbsim::faults::{clean_script, ScriptStep};
 use polysi::history::live::Delivery;
-use polysi::history::{History, HistoryBuilder, Key, Op, SessionId, TxnStatus, Value};
+use polysi::history::{History, HistoryBuilder, Key, Op, SessionId, TxnId, TxnStatus, Value};
 use proptest::prelude::*;
 use support::Contract;
 
@@ -117,8 +118,8 @@ fn straddling_reads_pin_the_watermark() {
 }
 
 /// Reading the initial version of a key whose writers were compacted is
-/// refused loudly and terminally — never silently accepted, and stable
-/// across further checkpoints.
+/// refused terminally: the verdict is inconclusive — never silently
+/// accepted, never a violation — and stable across further checkpoints.
 #[test]
 fn init_read_below_the_watermark_is_refused_loudly() {
     let opts = EngineOptions { compact: CompactMode::On, ..Default::default() };
@@ -141,10 +142,16 @@ fn init_read_below_the_watermark_is_refused_loudly() {
         TxnStatus::Committed,
     );
     let cp = checker.checkpoint();
-    assert!(!cp.verdict.accepted(), "fenced init read must not be accepted");
-    assert!(!checker.stream().facts().watermark_violations().is_empty());
+    let refused = Inconclusive::Fenced(vec![(TxnId(1), k, Value::INIT)]);
+    assert!(
+        matches!(&cp.verdict, Outcome::Inconclusive(why) if *why == refused),
+        "fenced init read must be inconclusive: {:?}",
+        cp.verdict
+    );
+    assert!(checker.stream().facts().watermark_violations().is_empty());
     let again = checker.checkpoint();
-    assert!(!again.verdict.accepted(), "the fence refusal must be stable");
+    assert!(again.terminal, "the fence refusal must be stable");
+    assert_eq!(format!("{:?}", again.verdict), format!("{:?}", cp.verdict));
 }
 
 /// The watermark templates, streamed prefix-first so compaction engages

@@ -61,7 +61,7 @@ fn corpus() -> &'static [ConformanceCase] {
 /// or axiom-level classes).
 fn observed_classes(outcome: &Outcome) -> Vec<&'static str> {
     match outcome {
-        Outcome::Si => vec![],
+        Outcome::Si | Outcome::Inconclusive(_) => vec![],
         Outcome::CyclicViolation(v) => vec![v.anomaly.name()],
         Outcome::AxiomViolations(vs) => vs
             .iter()
@@ -72,7 +72,6 @@ fn observed_classes(outcome: &Outcome) -> Vec<&'static str> {
                 AxiomViolation::DuplicateWrite { .. } => "unique-value violation",
                 AxiomViolation::UnknownValueRead { .. } => "unknown-value read",
                 AxiomViolation::WroteInitValue { .. } => "wrote-init-value",
-                AxiomViolation::FencedRead { .. } => "fenced read",
                 AxiomViolation::CompactedDuplicateWrite { .. } => "unique-value violation",
             })
             .collect(),
@@ -109,11 +108,11 @@ fn all_si_checkers_agree_on_conformance_corpus() {
     for case in cases {
         let h = &case.history;
         let polysi = check(h, IsolationLevel::Si, &EngineOptions::default());
-        let verdict = polysi.is_si();
+        let verdict = polysi.accepted();
 
         // The pipeline's own ablations may not change the verdict.
         let no_pruning = EngineOptions { pruning: false, ..Default::default() };
-        let no_pruning = check(h, IsolationLevel::Si, &no_pruning).is_si();
+        let no_pruning = check(h, IsolationLevel::Si, &no_pruning).accepted();
         assert_eq!(verdict, no_pruning, "{}: pruning changed the verdict", case.name);
 
         let (cobrasi, _) = cobra_si_check(h);
@@ -247,7 +246,7 @@ fn serializability_hierarchy_holds_on_corpus() {
         let (ser, _) = cobra_check_ser(&case.history, &CobraOptions::default());
         if ser == SerVerdict::Serializable {
             assert!(
-                check(&case.history, IsolationLevel::Si, &EngineOptions::default()).is_si(),
+                check(&case.history, IsolationLevel::Si, &EngineOptions::default()).accepted(),
                 "{}: serializable but not SI — hierarchy violated",
                 case.name
             );

@@ -24,7 +24,7 @@ fn full_pipeline_accepts_si_databases() {
     for dist in [KeyDistribution::Uniform, KeyDistribution::Zipfian, KeyDistribution::Hotspot] {
         let plan = generate(&GeneralParams { dist, ..params(1) });
         let sim = run(&plan, &SimConfig::new(IsolationLevel::SnapshotIsolation, 1));
-        assert!(check(&sim.history, Level::Si, &EngineOptions::default()).is_si(), "{dist:?}");
+        assert!(check(&sim.history, Level::Si, &EngineOptions::default()).accepted(), "{dist:?}");
     }
 }
 
@@ -37,8 +37,8 @@ fn histories_survive_codec_round_trip_with_same_verdict() {
             let text = codec::encode(&sim.history);
             let parsed = codec::decode(&text).expect("round trip");
             assert_eq!(sim.history, parsed);
-            let a = check(&sim.history, Level::Si, &EngineOptions::default()).is_si();
-            let b = check(&parsed, Level::Si, &EngineOptions::default()).is_si();
+            let a = check(&sim.history, Level::Si, &EngineOptions::default()).accepted();
+            let b = check(&parsed, Level::Si, &EngineOptions::default()).accepted();
             assert_eq!(a, b);
         }
     }
@@ -51,7 +51,7 @@ fn every_table2_profile_is_caught_within_bounded_runs() {
         for seed in 0..40u64 {
             let plan = generate(&GeneralParams { keys: 8, ..params(seed) });
             let sim = run(&plan, &SimConfig::new(profile.level, seed));
-            if !check(&sim.history, Level::Si, &EngineOptions::default()).is_si() {
+            if !check(&sim.history, Level::Si, &EngineOptions::default()).accepted() {
                 caught = true;
                 break;
             }
@@ -102,6 +102,9 @@ fn higher_isolation_levels_nest() {
     for seed in 0..5 {
         let plan = generate(&params(seed));
         let ser = run(&plan, &SimConfig::new(IsolationLevel::Serializable, seed));
-        assert!(check(&ser.history, Level::Si, &EngineOptions::default()).is_si(), "seed {seed}");
+        assert!(
+            check(&ser.history, Level::Si, &EngineOptions::default()).accepted(),
+            "seed {seed}"
+        );
     }
 }

@@ -143,7 +143,7 @@ fn sat_solve_span_explains_the_propagation_gate() {
     let lattice = polysi::dbsim::corpus::write_skew_lattice(1, 999);
     let (report, attr, counter) = traced(&lattice, IsolationLevel::Ser);
     let stats = report.solver_stats.expect("decided by the solver");
-    assert!(!report.is_si() && stats.theory_propagations > 0, "{stats:?}");
+    assert!(!report.accepted() && stats.theory_propagations > 0, "{stats:?}");
     assert_eq!(attr("theory_propagations"), Some(AttrValue::U64(stats.theory_propagations)));
     assert_eq!(attr("eager_from_conflict"), Some(AttrValue::U64(100)));
     assert_eq!(attr("budget_exhausted"), Some(AttrValue::Bool(false)));
@@ -154,7 +154,7 @@ fn sat_solve_span_explains_the_propagation_gate() {
     // A corpus accept decided by the solver long before any restart.
     let clique = fixture("solver_stress_clique.txt");
     let (report, attr, counter) = traced(&clique, IsolationLevel::Si);
-    assert!(report.is_si() && report.solver_stats.is_some_and(|s| s.conflicts > 0));
+    assert!(report.accepted() && report.solver_stats.is_some_and(|s| s.conflicts > 0));
     assert_eq!(attr("theory_propagations"), Some(AttrValue::U64(0)));
     assert_eq!(attr("eager_from_conflict"), None);
     assert_eq!(attr("budget_exhausted"), Some(AttrValue::Bool(false)));
@@ -619,7 +619,7 @@ fn cli_check_report_json_round_trips() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     let v = parse(&text).expect("valid JSON");
-    assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v3"));
+    assert_eq!(v.get("schema").and_then(Value::as_str), Some("polysi.check.v4"));
     for key in [
         "isolation",
         "verdict",
@@ -627,6 +627,7 @@ fn cli_check_report_json_round_trips() {
         "anomaly",
         "axiom_violations",
         "cycle",
+        "inconclusive",
         "timings",
         "prune",
         "encode",
@@ -677,7 +678,7 @@ fn cli_check_report_json_carries_the_violation() {
 
 #[test]
 fn cli_stream_and_live_report_json_round_trip() {
-    for (mode, schema) in [("--stream", "polysi.stream.v3"), ("--live", "polysi.live.v3")] {
+    for (mode, schema) in [("--stream", "polysi.stream.v4"), ("--live", "polysi.live.v4")] {
         let out = bin()
             .arg("check")
             .arg(fixture_path("serializable.txt"))
@@ -691,6 +692,18 @@ fn cli_stream_and_live_report_json_round_trip() {
         let cps = v.get("checkpoints").and_then(Value::as_array).expect("checkpoints");
         assert!(!cps.is_empty(), "{mode}: no checkpoints");
         assert!(v.get("final").is_some() && v.get("metrics").is_some());
+        // v4: a checkpoint and `final` carry the check body's verdict
+        // fields, written by the same writer.
+        let last = v.get("final").unwrap();
+        assert_eq!(last.get("verdict").and_then(Value::as_str), Some("ok"), "{mode}");
+        let first = cps[0].get("checkpoint").unwrap_or(&cps[0]); // live nests it
+        for verdict in [first, last] {
+            for key in
+                ["verdict", "accepted", "anomaly", "axiom_violations", "cycle", "inconclusive"]
+            {
+                assert!(verdict.get(key).is_some(), "{mode}: missing key {key}");
+            }
+        }
         let counters = v.get("metrics").and_then(|m| m.get("counters")).expect("counters");
         assert!(
             counters.get("prune.implied_edges").and_then(Value::as_u64).is_some(),
@@ -702,6 +715,26 @@ fn cli_stream_and_live_report_json_round_trip() {
             assert_eq!(v.get("faults").and_then(Value::as_array).map(<[_]>::len), Some(0));
         }
     }
+}
+
+/// A rejecting `--live` run's `final` verdict carries its witness, as a
+/// batch report does, and `polysi.live.v4` has no `rejection` key.
+#[test]
+fn cli_live_report_json_carries_the_witness() {
+    let out = bin()
+        .arg("check")
+        .arg(fixture_path("long_fork.txt"))
+        .args(["--live", "--report", "json"])
+        .output()
+        .expect("run check");
+    assert_eq!(out.status.code(), Some(1));
+    let v = parse(&String::from_utf8(out.stdout).unwrap()).expect("valid JSON");
+    assert!(v.get("rejection").is_none());
+    let verdict = v.get("final").expect("final verdict");
+    assert_eq!(verdict.get("verdict").and_then(Value::as_str), Some("cyclic_violation"));
+    assert_eq!(verdict.get("anomaly").and_then(Value::as_str), Some("long fork"));
+    let cycle = verdict.get("cycle").and_then(Value::as_array).expect("cycle array");
+    assert!(cycle.len() >= 2 && cycle[0].get("label").and_then(Value::as_str).is_some());
 }
 
 #[test]

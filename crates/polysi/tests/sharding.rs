@@ -118,8 +118,8 @@ proptest! {
             let a = check(&h, isolation, &auto());
             let b = check(&h, isolation, &off());
             prop_assert_eq!(
-                a.is_si(),
-                b.is_si(),
+                a.accepted(),
+                b.accepted(),
                 "sharding changed the {} verdict on {:?}",
                 isolation.name(),
                 h
@@ -171,6 +171,6 @@ fn cross_shard_fallback_path_is_taken_and_agrees() {
     assert_eq!(stats.components, 1, "the bridge must merge the components");
     assert!(stats.key_components >= 2);
     assert_eq!(stats.fallback, Some(ShardFallback::CrossShardSessions));
-    assert_eq!(a.is_si(), check(&h, IsolationLevel::Si, &off()).is_si());
-    assert!(!a.is_si(), "the lost update must still be caught on the fallback path");
+    assert_eq!(a.accepted(), check(&h, IsolationLevel::Si, &off()).accepted());
+    assert!(!a.accepted(), "the lost update must still be caught on the fallback path");
 }

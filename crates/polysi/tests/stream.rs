@@ -5,7 +5,7 @@
 //! first checked at its end; the streaming fixtures flip at their tail.
 
 use polysi::checker::engine::{CompactMode, EngineOptions, IsolationLevel};
-use polysi::checker::{Outcome, StreamVerdict, StreamingChecker};
+use polysi::checker::{Outcome, StreamingChecker};
 use polysi::dbsim::faults::clean_script;
 use proptest::prelude::*;
 use support::Contract;
@@ -58,15 +58,12 @@ fn streaming_fixtures_flip_at_the_tail() {
             if cp.txns < h.len() {
                 assert!(cp.verdict.accepted(), "{file}: rejected before the tail");
             } else {
-                let StreamVerdict::Rejected { first_violation_op, .. } = cp.verdict else {
-                    panic!("{file}: tail must reject");
-                };
-                assert_eq!(first_violation_op, h.num_ops());
-                let rej = checker.rejection().unwrap();
-                let Outcome::CyclicViolation(v) = &rej.report.outcome else {
-                    panic!("{file}: rejection must be cyclic");
+                let Outcome::CyclicViolation(v) = &cp.verdict else {
+                    panic!("{file}: tail must reject with a cycle");
                 };
                 assert_eq!(v.anomaly.name(), anomaly, "{file}");
+                assert!(cp.terminal);
+                assert_eq!(checker.rejection().unwrap().op_index, h.num_ops());
             }
         }
     }

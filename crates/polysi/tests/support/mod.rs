@@ -11,8 +11,7 @@ use polysi::checker::engine::{
 };
 use polysi::checker::report::check_report_json;
 use polysi::checker::{
-    CheckReport, CheckpointReport, LiveChecker, LiveConfig, LiveReport, Outcome, StreamVerdict,
-    StreamingChecker,
+    CheckReport, CheckpointReport, LiveChecker, LiveConfig, LiveReport, Outcome, StreamingChecker,
 };
 use polysi::dbsim::corpus::{overlapping_clique, write_skew_lattice};
 use polysi::dbsim::faults::{FaultPlan, ScriptStep};
@@ -30,11 +29,12 @@ pub enum Proj {
     Exact,
     /// Outcome, witness (anomaly, cycle, finalized scenario) and axiom list.
     Verdict,
-    /// Outcome kind and the set of axiom classes.
+    /// Outcome kind and the set of axiom classes, or the reason of an
+    /// inconclusive outcome.
     Class,
 }
 
-/// The one digest of a report: the `polysi.check.v3` body without
+/// The one digest of a report: the `polysi.check.v4` body without
 /// `timings`, `wall_us` and `metrics`, plus the interpretation's finalized
 /// edges, cut down to `proj`. `Class` counts a duplicate write of a value a
 /// compaction dropped as the duplicate write it is.
@@ -44,6 +44,7 @@ pub fn digest(report: &CheckReport, level: IsolationLevel, proj: Proj) -> Value 
             Outcome::AxiomViolations(vs) => {
                 vs.iter().map(|v| v.kind().replace("compacted_", "")).collect()
             }
+            Outcome::Inconclusive(why) => vec![why.reason().to_string()],
             _ => Vec::new(),
         };
         classes.sort_unstable();
@@ -83,9 +84,9 @@ pub struct Checkpoint {
     pub prefix: History,
     /// [`digest`] under `Exact`, `Verdict` and `Class`, in that order.
     views: [Value; 3],
-    /// A terminal rejection, reported by the canonical batch report.
+    /// A terminal state, reported by the canonical batch report.
     pub terminal: bool,
-    /// The compacting stream's fence holds a record or refused a read.
+    /// The compacting stream's fence holds a record.
     pub fenced: bool,
 }
 
@@ -100,6 +101,14 @@ impl Checkpoint {
     pub fn view(&self, proj: Proj) -> &Value {
         &self.views[proj as usize]
     }
+
+    /// The outcome's kind (`ok`, `axiom_violation`, …).
+    pub fn kind(&self) -> &str {
+        match self.view(Proj::Class) {
+            Value::Arr(class) => class[0].as_str().expect("a class opens with the kind"),
+            _ => unreachable!("a class is an array"),
+        }
+    }
 }
 
 /// The checkpoint `cp` that `c` just took over `prefix`.
@@ -109,18 +118,13 @@ fn online(
     prefix: History,
     cp: &CheckpointReport,
 ) -> Checkpoint {
-    let mut out = if let StreamVerdict::Rejected { .. } = cp.verdict {
-        let rej = c.rejection().expect("a rejected stream keeps its canonical report");
+    let mut out = if cp.terminal {
+        let rej = c.rejection().expect("a terminal stream keeps its canonical report");
+        assert_eq!(format!("{:?}", rej.report.outcome), format!("{:?}", cp.verdict));
         Checkpoint { terminal: true, ..Checkpoint::new(rej.prefix.clone(), &rej.report, level) }
     } else {
-        let outcome = match &cp.verdict {
-            StreamVerdict::AxiomViolations { violations, .. } => {
-                Outcome::AxiomViolations(violations.clone())
-            }
-            _ => Outcome::Si,
-        };
         let report = CheckReport {
-            outcome,
+            outcome: cp.verdict.clone(),
             timings: Default::default(),
             prune_stats: None,
             encode_stats: Default::default(),
@@ -131,8 +135,7 @@ fn online(
         };
         Checkpoint::new(prefix, &report, level)
     };
-    let facts = c.stream().facts();
-    out.fenced = !facts.fences().is_empty() || !facts.watermark_violations().is_empty();
+    out.fenced = !c.stream().facts().fences().is_empty();
     out
 }
 
@@ -253,8 +256,8 @@ pub enum Contract {
     /// Every checkpoint `Verdict`-equal to plain batch on its prefix, a
     /// terminal rejection `Exact`.
     Prefixes,
-    /// `Class`-equal checkpoint by checkpoint, except where this run's
-    /// fence engaged and it refuses a fenced or unknown-value read.
+    /// `Class`-equal checkpoint by checkpoint, or inconclusive on the reads
+    /// this run's fence refused.
     Fenced(&'static str),
 }
 
@@ -292,12 +295,11 @@ impl Contract {
                 assert!(a.prefix == b.prefix, "{label}: checkpoint {i} is about another history");
                 assert_eq!(got, want, "{label}: checkpoint {i}");
             } else if got != want {
-                let refuses = |class: &str| match got {
-                    Value::Arr(classes) => classes.contains(&Value::Str(class.into())),
-                    _ => false,
-                };
-                let loud = refuses("fenced_read") || refuses("unknown_value_read");
-                assert!(a.fenced && loud, "{label}: checkpoint {i} is {got:?}, not {want:?}");
+                let fenced = Value::Arr(vec![
+                    Value::Str("inconclusive".into()),
+                    Value::Str("fenced".into()),
+                ]);
+                assert_eq!(got, &fenced, "{label}: checkpoint {i} is neither {want:?} nor fenced");
             }
         }
         if let (Proj::Exact, Some(a), Some(b)) = (proj, &run.metrics, &of.metrics) {
@@ -376,9 +378,10 @@ pub fn run_of<'a>(runs: &'a Runs, mode: &str) -> &'a Run {
 }
 
 /// Check the matrix rows named in `rows` under SI and SER on every history
-/// of the matrix corpus, each by its contract, and hand each history's
-/// runs to `observe`: the named rows and the rows (plain batch among them)
-/// their contracts compare against.
+/// of the matrix corpus, each by its contract and none calling a history
+/// plain batch accepts a violation, and hand each history's runs to
+/// `observe`: plain batch, the named rows and the rows their contracts
+/// compare against.
 pub fn check_modes(rows: &[&str], mut observe: impl FnMut(&str, IsolationLevel, &Runs)) {
     let modes = modes();
     for row in rows {
@@ -394,14 +397,16 @@ pub fn check_modes(rows: &[&str], mut observe: impl FnMut(&str, IsolationLevel, 
     }
     for (name, h) in corpus() {
         for level in [IsolationLevel::Si, IsolationLevel::Ser] {
-            let mut runs = Vec::new();
-            if needed.contains(&"batch") {
-                runs.push(("batch", batch(h, level, EngineOptions::default())));
-            }
+            let mut runs = vec![("batch", batch(h, level, EngineOptions::default()))];
+            let accepted = runs[0].1.trail[0].kind() == "ok";
             for (mode, run, contract) in modes.iter().filter(|(mode, ..)| needed.contains(mode)) {
                 let run = run(h, level);
                 if rows.contains(mode) {
-                    contract.assert(&run, &runs, level, &format!("{name}/{level:?}/{mode}"));
+                    let label = format!("{name}/{level:?}/{mode}");
+                    contract.assert(&run, &runs, level, &label);
+                    let last = run.trail.last().expect("a run has a verdict").kind();
+                    let violation = matches!(last, "axiom_violation" | "cyclic_violation");
+                    assert!(!(accepted && violation), "{label}: a violation batch does not see");
                 }
                 runs.push((*mode, run));
             }
