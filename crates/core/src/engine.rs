@@ -526,8 +526,10 @@ pub(crate) enum Prune<'a> {
     /// ones).
     Scratch(Option<ConstraintGen>),
     /// From a stream component's warm oracle, seeded with the transactions
-    /// its delta `touched`; the stage spans are then `delta.*`.
-    Resume(Box<KnownGraph>, &'a [bool]),
+    /// its delta `touched`, whose first pass generates the delta's
+    /// constraints after the stored ones; the stage spans are then
+    /// `delta.*`.
+    Resume(Box<KnownGraph>, &'a [bool], ConstraintGen),
 }
 
 /// What the Prune → Encode → Solve runner concluded about one unit.
@@ -569,14 +571,16 @@ pub(crate) fn run_unit(
     if let Some(from) = prune {
         let mut span = tracer.span(prune_name);
         let constraints = match &from {
-            Prune::Scratch(Some(gen)) => gen.counts().0,
-            _ => g.constraints.len(),
+            Prune::Scratch(Some(gen)) | Prune::Resume(_, _, gen) => {
+                g.constraints.len() + gen.counts().0
+            }
+            Prune::Scratch(None) => g.constraints.len(),
         };
         span.attr("constraints", constraints);
         let (result, kg) = match from {
             Prune::Scratch(Some(gen)) => g.prune_generated(&gen, prune_opts, tracer),
             Prune::Scratch(None) => g.prune(prune_opts, tracer),
-            Prune::Resume(kg, touched) => g.prune_resume(kg, touched, prune_opts, tracer),
+            Prune::Resume(kg, seed, gen) => g.prune_resume(kg, seed, &gen, prune_opts, tracer),
         };
         span.attr("remaining", g.constraints.len());
         if let Some(kg) = &kg {

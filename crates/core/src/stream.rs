@@ -19,9 +19,7 @@
 //!   transactions extend it in place (**delta construction**: new `SO`,
 //!   `WR`, init-`RW` (and SER RMW-`WW`) edges from the facts of the
 //!   transactions that arrived since the last graph check, as
-//!   [`polysi_history::StreamFacts::delta`] derives them; new or
-//!   regenerated writer-pair constraints for keys whose writer or reader
-//!   sets grew);
+//!   [`polysi_history::StreamFacts::delta`] derives them);
 //! * the prune stage's reachability oracle, grown with
 //!   [`KnownGraph::grow`] and extended with
 //!   [`KnownGraph::insert_edges`] (one flush per delta) — rebuilt only
@@ -32,18 +30,29 @@
 //!   enough for that to pay) and the compaction (a rebuild applies the
 //!   build rule), so a component ends up with the oracle a batch check
 //!   of the same snapshot would build;
-//! * the prune fixpoint resumes from the delta's touched set
-//!   ([`Polygraph::prune_resume`]) instead of sweeping every constraint.
+//! * the constraints its last prune left open — and only those: the new
+//!   writer pairs of keys whose writer sets grew, and the open pairs whose
+//!   reader sets grew, are never stored by the delta path. A
+//!   [`ConstraintGen::delta`] generates them straight into the first pass
+//!   of the resumed prune ([`Polygraph::prune_resume`]), which tests the
+//!   stored constraints incident to the delta's touched set and then each
+//!   generated one against its fixed oracle, and stores only those it
+//!   leaves open.
 //!
-//! **A checkpoint costs its delta.** Global → local ids are one read of
-//! the checker's `local_of` column, the delta's dedup and pair sets hash
-//! with the seeded fold-multiply hasher of `polysi_history::fasthash`, and
-//! the thread budget resolves against a core count read once per
-//! process. The dirty components are checked one after another. Each
-//! constructs its polygraph from the stream's facts (whole on a rebuild,
-//! by its delta otherwise) and hands it to the batch engine's Prune →
-//! Encode → Solve runner (`engine::run_unit`), whose tally the registry
-//! records — the same counters, in the same place, as a batch check's.
+//! **A checkpoint costs its delta,** with three exceptions that grow with
+//! the prefix: a new writer of a hot key pairs with *every* earlier writer
+//! of the key (generated and tested, if no longer stored), an encode
+//! rebuilds the solver instance from the component's whole known graph,
+//! and [`KnownGraph::grow`] resizes the oracle. Global → local ids are
+//! one read of the checker's `local_of` column, the delta's dedup and pair
+//! sets hash with the seeded fold-multiply hasher of
+//! `polysi_history::fasthash`, and the thread budget resolves against a
+//! core count read once per process. The dirty components are checked one
+//! after another. Each constructs its polygraph from the stream's facts
+//! (whole on a rebuild, by its delta otherwise) and hands it to the batch
+//! engine's Prune → Encode → Solve runner (`engine::run_unit`), whose
+//! tally the registry records — the same counters, in the same place, as
+//! a batch check's.
 //! Encode and Solve cost the constraints that *survive*: a dirty component
 //! whose resumed prune leaves none is accepted without building a solver —
 //! the common case on update-heavy streams — so the registry's `encode.*`
@@ -109,7 +118,7 @@ use polysi_history::{
 };
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
-    ConstraintMode, ConstraintSet, Edge, Flush, KnownGraph, KnownGraphResult, Label, Polygraph,
+    ConstraintGen, ConstraintMode, Edge, Flush, KnownGraph, KnownGraphResult, Label, Polygraph,
     PruneOptions,
 };
 use std::collections::BTreeMap;
@@ -441,6 +450,7 @@ impl StreamingChecker {
             }
             job.as_mut().expect("a delta opens with a transaction").events.push(ev);
         }
+        let from = TxnId(self.cursor as u32);
         self.cursor = self.stream.len();
         let jobs: Vec<DirtyJob<'_>> = per_tag.into_values().collect();
         for job in jobs.iter().filter(|job| job.state.is_none()) {
@@ -460,7 +470,7 @@ impl StreamingChecker {
                 self.obs.tracer.span_kv("component", kv! { tag: tag, events: job.events.len() });
             let (state, ok) = match job.state {
                 Some(mut state) => {
-                    let ok = self.check_delta(&mut state, &job.events, &prune_opts);
+                    let ok = self.check_delta(&mut state, &job.events, from, &prune_opts);
                     (state, ok)
                 }
                 None => self.check_rebuild(job.info, &prune_opts),
@@ -728,7 +738,8 @@ impl StreamingChecker {
     }
 
     /// Delta path: extend the cached polygraph and oracle with the
-    /// component's new events, then hand them to the shared runner, which
+    /// component's new events — those of its transactions with arrival id
+    /// `from` and later — then hand them to the shared runner, which
     /// resumes pruning from the touched set and re-encodes and re-solves
     /// what survives. Returns whether the component accepted. Every step
     /// costs the delta (or the surviving constraints), and each is a
@@ -737,18 +748,24 @@ impl StreamingChecker {
     /// Constraint maintenance distinguishes three cases per affected
     /// writer pair:
     ///
-    /// * **new pair** (a new writer joined the key): a fresh generalized
-    ///   constraint over the current reader sets — it cannot pre-exist;
+    /// * **new pair** (a new writer joined the key, so the pair's later
+    ///   writer is at `from` or later): a fresh generalized constraint over
+    ///   the current reader sets — it cannot pre-exist;
     /// * **decided pair** gaining a reader (one writer already reaches the
     ///   other in the oracle): the resolution is fixed in every compatible
     ///   graph, so the new reader's anti-dependency lands directly as a
     ///   known edge — no constraint regeneration, no re-resolution;
     /// * **open pair** gaining a reader: the surviving constraint is
     ///   dropped and regenerated over the grown reader sets.
+    ///
+    /// New and regenerated pairs are never stored here: a
+    /// [`ConstraintGen::delta`] generates them straight into the resumed
+    /// prune's first pass, which stores only those it leaves open.
     fn check_delta(
         &self,
         state: &mut ComponentState,
         events: &[FactEvent],
+        from: TxnId,
         prune_opts: &PruneOptions,
     ) -> bool {
         let facts = self.stream.facts().facts();
@@ -756,11 +773,9 @@ impl StreamingChecker {
         let tracer = &self.obs.tracer;
 
         let events_span = tracer.span("delta.events");
-        let mut new_known: Vec<Edge> = Vec::new(); // global ids
-                                                   // (key, t, s) with `t` before `s` in the key's writer list (writer
-                                                   // lists are ascending in arrival order, so min/max normalizes).
-        let mut new_pairs: Vec<(Key, TxnId, TxnId)> = Vec::new();
-        let mut reader_growth: Vec<(Key, TxnId, TxnId)> = Vec::new(); // (key, writer, reader)
+        // Known edges in global ids, and `(key, writer, reader)` reads.
+        let mut new_known: Vec<Edge> = Vec::new();
+        let mut reader_growth: Vec<(Key, TxnId, TxnId)> = Vec::new();
         for &ev in events {
             match ev {
                 FactEvent::Txn { id } => {
@@ -771,14 +786,9 @@ impl StreamingChecker {
                     }
                 }
                 FactEvent::FinalWrite { key, writer } => {
-                    // The writers before it in the ascending writer list
-                    // are the ones already in constraints.
-                    let writers = &facts.writers[&key];
-                    let seen = writers.partition_point(|&w| w < writer);
-                    debug_assert_eq!(writers.get(seen), Some(&writer));
-                    new_pairs.extend(writers[..seen].iter().map(|&w2| (key, w2, writer)));
-                    // Init readers (past and in-batch; dedup below) gain a
-                    // known anti-dependency to the new writer.
+                    // Its pairs with the key's earlier writers are
+                    // generated below. Init readers (past and in-batch;
+                    // dedup below) gain a known anti-dependency to it.
                     if let Some(rs) = facts.init_readers.get(&key) {
                         for &r in rs {
                             if r != writer {
@@ -850,32 +860,17 @@ impl StreamingChecker {
         }
 
         let constraints_span = tracer.span("delta.constraints");
-        // Fresh constraints for the new writer pairs (global ids until
-        // the whole batch is localized below).
-        let mut new_constraints = ConstraintSet::new();
-        let mut generate = |key: Key, t: TxnId, s: TxnId| {
-            let (rt, rs) = (facts.readers_of(key, t), facts.readers_of(key, s));
-            new_constraints.push_generalized(key, t, s, rt, rs);
-        };
-        for &(key, t, s) in &new_pairs {
-            generate(key, t, s);
-        }
-
         // Reader growth against pre-existing pairs: decided pairs take the
         // new anti-dependency as a direct known edge, open pairs are
-        // marked for regeneration.
-        let fresh: FastSet<(Key, TxnId, TxnId)> = new_pairs.into_iter().collect();
+        // marked for regeneration. A pair whose later writer arrived in
+        // this delta is new: its constraint carries the reader already.
         let mut regen: FastSet<(Key, TxnId, TxnId)> = FastSet::default();
         let mut follow_on: Vec<Edge> = Vec::new(); // local ids
         for &(key, w, r) in &reader_growth {
             let (lw, lr) = (self.local(w), self.local(r));
             for &w2 in &facts.writers[&key] {
-                if w2 == w {
+                if w2 == w || w.max(w2) >= from {
                     continue;
-                }
-                let pair = if w < w2 { (key, w, w2) } else { (key, w2, w) };
-                if fresh.contains(&pair) {
-                    continue; // the fresh constraint already carries `r`
                 }
                 let lw2 = self.local(w2);
                 if oracle.reaches(lw, lw2) {
@@ -891,7 +886,7 @@ impl StreamingChecker {
                         }
                     }
                 } else if !oracle.reaches(lw2, lw) {
-                    regen.insert(pair);
+                    regen.insert(if w < w2 { (key, w, w2) } else { (key, w2, w) });
                 }
                 // `w2 ⇝ w`: readers of `w` are unconstrained against `w2`
                 // on this side; nothing to do.
@@ -903,9 +898,10 @@ impl StreamingChecker {
             return false;
         }
 
-        // Open pairs: drop the survivor, regenerate over the grown reader
-        // sets in pair order (re-resolution is impossible here — neither
-        // direction is reachable — so no duplicate work is queued).
+        // Open pairs: drop the survivor, to be regenerated over the grown
+        // reader sets in pair order (re-resolution is impossible here —
+        // neither direction is reachable — so no duplicate work is
+        // queued).
         if !regen.is_empty() {
             state.poly.constraints.retain(|_, c| {
                 let ww = c.either[0];
@@ -914,21 +910,17 @@ impl StreamingChecker {
                 let pair = if t < s { (c.key, t, s) } else { (c.key, s, t) };
                 !regen.contains(&pair)
             });
-            let mut regen: Vec<(Key, TxnId, TxnId)> = regen.into_iter().collect();
-            regen.sort_unstable();
-            for (key, t, s) in regen {
-                generate(key, t, s);
-            }
         }
-        new_constraints.remap(|t| self.local(t));
-        for e in new_constraints.edges() {
-            touched[e.from.idx()] = true;
-            touched[e.to.idx()] = true;
-        }
-        state.poly.constraints.extend(new_constraints);
+        let mut regen: Vec<(Key, TxnId, TxnId)> = regen.into_iter().collect();
+        regen.sort_unstable();
+        let writes = events.iter().filter_map(|ev| match *ev {
+            FactEvent::FinalWrite { key, writer } => Some((key, writer)),
+            _ => None,
+        });
+        let gen = ConstraintGen::delta(facts, writes, &regen, |t| self.local(t));
         drop(constraints_span);
 
-        let prune = Some(Prune::Resume(oracle, &touched));
+        let prune = Some(Prune::Resume(oracle, &touched, gen));
         let (verdict, tally, oracle) = run_unit(&mut state.poly, prune, prune_opts, tracer);
         tally.record(&self.obs.metrics);
         state.oracle = oracle;

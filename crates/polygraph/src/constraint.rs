@@ -6,6 +6,7 @@
 use crate::edge::{Edge, Label};
 use crate::polygraph::ConstraintMode;
 use polysi_history::{Facts, Key, TxnId};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -262,10 +263,13 @@ impl ConstraintSet {
 /// The constraints between every two writers of each key of one unit,
 /// before any is stored (procedure `GenerateConstraints` of Algorithm 2):
 /// per key, its writers and their readers in unit-local ids. Each writer is
-/// a *row*, yielding its pairs with the later writers of its key. Visits go
-/// in key, then writer-pair order, to one of two consumers:
-/// [`ConstraintGen::store`] keeps every constraint, and the first pass of
-/// [`crate::Polygraph::prune_generated`] stores only the undecided ones.
+/// a *row*. A whole unit's generator yields, row by row, each writer's
+/// pairs with the later writers of its key, in key, then writer-pair order;
+/// a delta's ([`ConstraintGen::delta`]) yields only the pairs its *runs*
+/// name. Either goes to one of two consumers: [`ConstraintGen::store`]
+/// keeps every constraint, and the first pass of
+/// [`crate::Polygraph::prune_generated`] (a delta's:
+/// [`crate::Polygraph::prune_resume`]) stores only the undecided ones.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintGen {
     mode: ConstraintMode,
@@ -276,8 +280,21 @@ pub struct ConstraintGen {
     /// Row `r`'s readers are `readers[reader_at[r]..reader_at[r + 1]]`.
     reader_at: Vec<u32>,
     readers: Vec<TxnId>,
+    /// A delta's pairs, in yield order; `None` for a whole unit, whose
+    /// rows pair with their later rows.
+    runs: Option<Vec<Run>>,
     constraints: usize,
     edges: usize,
+}
+
+/// A delta's unit of generation: the constraints between row `s` and each
+/// of the earlier rows `ts` of its key, `ts` in row order, each oriented
+/// with its `ts` writer first.
+#[derive(Clone, Debug)]
+struct Run {
+    key: Key,
+    s: u32,
+    ts: (u32, u32),
 }
 
 impl ConstraintGen {
@@ -294,6 +311,7 @@ impl ConstraintGen {
         for key in keys {
             let Some(writers) = facts.writers.get(&key).filter(|ws| ws.len() > 1) else { continue };
             gen.keys.push((key, offset(gen.writers.len())));
+            gen.push_rows(facts, key, writers, &local);
             // Each reader meets every other writer of the key once, except
             // itself when it writes the key too (no `RW` self-edge).
             let (mut all, mut writing) = (0usize, 0usize);
@@ -301,9 +319,6 @@ impl ConstraintGen {
                 let readers = facts.readers_of(key, w);
                 all += readers.len();
                 writing += readers.iter().filter(|r| writers.binary_search(r).is_ok()).count();
-                gen.writers.push(local(w));
-                gen.readers.extend(readers.iter().map(|&r| local(r)));
-                gen.reader_at.push(offset(gen.readers.len()));
             }
             let m = writers.len();
             let (pairs, reader_edges) = (m * (m - 1) / 2, (m - 1) * all - writing);
@@ -318,9 +333,89 @@ impl ConstraintGen {
         gen
     }
 
+    /// The generalized constraints a stream delta adds, ids translated by
+    /// `local` as in [`ConstraintGen::new`], over the current reader sets:
+    /// first one run per final write in `writes` (a new writer against
+    /// every earlier writer of its key, in `writes` order), then one per
+    /// pair `(key, t, s)` of `regen` (earlier writer `t`), in the given
+    /// order. Rows are built for the keys the runs name. Its counts are
+    /// exact.
+    pub fn delta(
+        facts: &Facts,
+        writes: impl IntoIterator<Item = (Key, TxnId)>,
+        regen: &[(Key, TxnId, TxnId)],
+        local: impl Fn(TxnId) -> TxnId,
+    ) -> Self {
+        let mut gen = ConstraintGen { reader_at: vec![0], ..Default::default() };
+        let (mut runs, mut first_rows) = (Vec::new(), BTreeMap::new());
+        let pairs = regen.iter().map(|&(key, t, s)| (key, Some(t), s));
+        for (key, t, s) in writes.into_iter().map(|(key, s)| (key, None, s)).chain(pairs) {
+            let writers = &facts.writers[&key];
+            let position = |w: TxnId| writers.binary_search(&w).expect("a writer of the key");
+            // A new writer pairs with every earlier one; a regenerated
+            // pair is one of them.
+            let si = position(s);
+            let ts = t.map_or(0..si, |t| position(t)..position(t) + 1);
+            if ts.is_empty() {
+                continue;
+            }
+            let first = *first_rows.entry(key).or_insert_with(|| {
+                gen.push_rows(facts, key, writers, &local);
+                gen.writers.len() - writers.len()
+            });
+            let (s, ts) = (first + si, first + ts.start..first + ts.end);
+            let (ws, readers_s) = (&gen.writers[ts.clone()], gen.readers(s));
+            let readers_t: usize = ts
+                .clone()
+                .map(|t| gen.readers(t).iter().filter(|&&r| r != gen.writers[s]).count())
+                .sum();
+            let writing = readers_s.iter().filter(|r| ws.binary_search(r).is_ok()).count();
+            let edges = 2 * ts.len() + readers_t + ts.len() * readers_s.len() - writing;
+            gen.constraints += ts.len();
+            gen.edges += edges;
+            runs.push(Run { key, s: offset(s), ts: (offset(ts.start), offset(ts.end)) });
+        }
+        gen.runs = Some(runs);
+        gen
+    }
+
+    /// Append a row per writer of `key`, with its readers.
+    fn push_rows(
+        &mut self,
+        facts: &Facts,
+        key: Key,
+        writers: &[TxnId],
+        local: &impl Fn(TxnId) -> TxnId,
+    ) {
+        for &w in writers {
+            self.writers.push(local(w));
+            self.readers.extend(facts.readers_of(key, w).iter().map(|&r| local(r)));
+            self.reader_at.push(offset(self.readers.len()));
+        }
+    }
+
     /// The constraints it yields and their uncertain edges, in total.
     pub fn counts(&self) -> (usize, usize) {
         (self.constraints, self.edges)
+    }
+
+    /// Mark every endpoint of the edges it yields: each yielding row's
+    /// writer and readers.
+    pub fn mark_endpoints(&self, marks: &mut [bool]) {
+        let mut mark = |row: usize| {
+            marks[self.writers[row].idx()] = true;
+            self.readers(row).iter().for_each(|r| marks[r.idx()] = true);
+        };
+        match &self.runs {
+            // Every key of a whole unit has two writers or more.
+            None => (0..self.writers.len()).for_each(mark),
+            Some(runs) => {
+                for run in runs {
+                    mark(run.s as usize);
+                    (run.ts.0 as usize..run.ts.1 as usize).for_each(&mut mark);
+                }
+            }
+        }
     }
 
     /// Every constraint, stored: the store-all consumer, for callers whose
@@ -332,28 +427,55 @@ impl ConstraintGen {
             edges: Vec::with_capacity(self.edges),
             records: Vec::with_capacity(self.constraints),
         };
-        self.visit(0..self.writers.len(), &mut set, &mut |_| Some(true));
+        self.visit(0..self.len(), &mut set, &mut |_| Some(true));
         set
+    }
+
+    /// Its units of generation: rows, or a delta's runs.
+    fn len(&self) -> usize {
+        self.runs.as_ref().map_or(self.writers.len(), Vec::len)
     }
 
     fn readers(&self, row: usize) -> &[TxnId] {
         &self.readers[self.reader_at[row] as usize..self.reader_at[row + 1] as usize]
     }
+
+    /// Generate the constraints of rows `t` before `s` of `key` into the
+    /// scratch store `pair` and feed them to `test`, as
+    /// [`Source::visit`] does.
+    fn visit_pair(
+        &self,
+        key: Key,
+        (t, s): (usize, usize),
+        pair: &mut ConstraintSet,
+        open: &mut ConstraintSet,
+        test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
+    ) -> bool {
+        pair.edges.clear();
+        pair.records.clear();
+        let (wt, ws, rt, rs) = (self.writers[t], self.writers[s], self.readers(t), self.readers(s));
+        match self.mode {
+            ConstraintMode::Generalized => pair.push_generalized(key, wt, ws, rt, rs),
+            ConstraintMode::Plain => pair.push_plain(key, wt, ws, rt, rs),
+        }
+        pair.visit(0..pair.len(), open, test)
+    }
 }
 
 /// What the first prune pass reads: a generator, or constraints already
-/// stored. A *row* is the unit its chunks split at.
+/// stored. A *unit* (a generator's row or run, a stored constraint) is
+/// what its chunks split at.
 pub(crate) trait Source: Sync {
-    /// Consecutive row ranges covering every row, each yielding about
+    /// Consecutive unit ranges covering every unit, each yielding about
     /// `target` constraints.
     fn chunks(&self, target: usize) -> Vec<Range<usize>>;
 
-    /// Feed the constraints of `rows` to `test` in order, appending those
+    /// Feed the constraints of `units` to `test` in order, appending those
     /// it answers `Some(true)` to `open`; `false` if it stopped at a
     /// `None`.
     fn visit(
         &self,
-        rows: Range<usize>,
+        units: Range<usize>,
         open: &mut ConstraintSet,
         test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
     ) -> bool;
@@ -361,52 +483,56 @@ pub(crate) trait Source: Sync {
 
 impl Source for ConstraintGen {
     fn chunks(&self, target: usize) -> Vec<Range<usize>> {
+        // What each unit of generation yields (approximate under `Plain`:
+        // chunking only balances work).
+        let yields: Box<dyn Iterator<Item = usize> + '_> = match &self.runs {
+            None => Box::new(self.keys.windows(2).flat_map(|key| {
+                let (first, end) = (key[0].1 as usize, key[1].1 as usize);
+                (first..end).map(move |row| end - row - 1)
+            })),
+            Some(runs) => Box::new(runs.iter().map(|run| (run.ts.1 - run.ts.0) as usize)),
+        };
         let (mut out, mut start, mut yielded) = (Vec::new(), 0, 0usize);
-        for key in self.keys.windows(2) {
-            let (first, end) = (key[0].1 as usize, key[1].1 as usize);
-            for row in first..end {
-                // Approximate under `Plain`: chunking only balances work.
-                yielded += end - row - 1;
-                if yielded >= target {
-                    out.push(start..row + 1);
-                    (start, yielded) = (row + 1, 0);
-                }
+        for (unit, n) in yields.enumerate() {
+            yielded += n;
+            if yielded >= target {
+                out.push(start..unit + 1);
+                (start, yielded) = (unit + 1, 0);
             }
         }
-        if start < self.writers.len() {
-            out.push(start..self.writers.len());
+        if start < self.len() {
+            out.push(start..self.len());
         }
         out
     }
 
     fn visit(
         &self,
-        rows: Range<usize>,
+        units: Range<usize>,
         open: &mut ConstraintSet,
         test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
     ) -> bool {
         // One writer pair's constraints at a time: a decided constraint is
         // never stored.
         let mut pair = ConstraintSet::new();
-        let mut k = self.keys.partition_point(|&(_, first)| first as usize <= rows.start);
-        for row in rows {
+        if let Some(runs) = &self.runs {
+            for run in &runs[units] {
+                for t in run.ts.0 as usize..run.ts.1 as usize {
+                    if !self.visit_pair(run.key, (t, run.s as usize), &mut pair, open, test) {
+                        return false;
+                    }
+                }
+            }
+            return true;
+        }
+        let mut k = self.keys.partition_point(|&(_, first)| first as usize <= units.start);
+        for row in units {
             while self.keys[k].1 as usize <= row {
                 k += 1;
             }
-            let (key, first) = (self.keys[k - 1].0, self.keys[k - 1].1 as usize);
-            let writers = &self.writers[first..self.keys[k].1 as usize];
-            let (t, readers_t) = (writers[row - first], self.readers(row));
-            for (j, &s) in writers.iter().enumerate().skip(row - first + 1) {
-                pair.edges.clear();
-                pair.records.clear();
-                let readers_s = self.readers(first + j);
-                match self.mode {
-                    ConstraintMode::Generalized => {
-                        pair.push_generalized(key, t, s, readers_t, readers_s);
-                    }
-                    ConstraintMode::Plain => pair.push_plain(key, t, s, readers_t, readers_s),
-                }
-                if !pair.visit(0..pair.len(), open, test) {
+            let (key, end) = (self.keys[k - 1].0, self.keys[k].1 as usize);
+            for s in row + 1..end {
+                if !self.visit_pair(key, (row, s), &mut pair, open, test) {
                     return false;
                 }
             }
@@ -423,11 +549,11 @@ impl Source for ConstraintSet {
 
     fn visit(
         &self,
-        rows: Range<usize>,
+        units: Range<usize>,
         open: &mut ConstraintSet,
         test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
     ) -> bool {
-        for c in rows.map(|i| self.get(i)) {
+        for c in units.map(|i| self.get(i)) {
             match test(c) {
                 Some(true) => open.push(c.key, c.either.iter().copied(), c.or.iter().copied()),
                 Some(false) => {}

@@ -19,6 +19,8 @@
 //!   Algorithm 1: iteratively resolve constraints whose one possibility
 //!   would close a cycle in the known induced graph, the generated variant
 //!   storing only what its first pass leaves undecided;
+//!   [`Polygraph::prune_resume`] is the generated variant on a warm oracle,
+//!   for a stream delta ([`ConstraintGen::delta`]);
 //! * [`KnownGraph`] — a reachability oracle over the known induced SI graph
 //!   `Dep ∪ (Dep ; AntiDep)`, implemented on a layered graph so the
 //!   quadratic composition is never materialized;

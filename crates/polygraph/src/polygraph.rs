@@ -7,6 +7,7 @@ use crate::edge::{Edge, Label};
 use crate::graph::{Flush, KnownGraph, KnownGraphResult};
 use polysi_history::{Facts, History, Key, ShardComponent, TxnId, WrSource};
 use polysi_obs::Tracer;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -69,8 +70,9 @@ pub struct PruneStats {
     pub constraints_before: usize,
     /// Uncertain dependency edges before pruning.
     pub unknown_deps_before: usize,
-    /// Constraints stored after the first pass: those it left open (on
-    /// [`Polygraph::prune_generated`], the only ones ever stored).
+    /// Constraints stored after the first pass: those it left open (of
+    /// the ones [`Polygraph::prune_generated`] and
+    /// [`Polygraph::prune_resume`] generate, the only ones ever stored).
     pub constraints_stored: usize,
     /// Constraints remaining after pruning.
     pub constraints_after: usize,
@@ -302,25 +304,31 @@ impl Polygraph {
     /// Resume pruning with a *warm* oracle — the streaming checker's delta
     /// path. `kg` must already reflect every edge of `self.known` (the
     /// caller fed the delta through [`KnownGraph::insert_edges`]); `seed`
-    /// marks the transactions touched by that delta, and only constraints
-    /// incident to them are swept in the first pass (the same sound
-    /// under-approximation as the later worklist passes — anything
-    /// untested simply survives to the solver). From there the worklist
-    /// fixpoint proceeds exactly as in [`Polygraph::prune`].
+    /// marks the transactions touched by that delta, and `gen` generates
+    /// the delta's constraints ([`ConstraintGen::delta`]). The first pass
+    /// sweeps the stored constraints incident to the seed or to an endpoint
+    /// of `gen`'s edges (the same sound under-approximation as the later
+    /// worklist passes — anything untested simply survives to the solver),
+    /// then `gen`'s constraints, storing only those it leaves open. From
+    /// there the worklist fixpoint proceeds exactly as in
+    /// [`Polygraph::prune`]. Decisions, stats and the oracle are those of a
+    /// resume over the stored constraints followed by `gen.store()`, seeded
+    /// with `seed` and [`ConstraintGen::mark_endpoints`].
     pub fn prune_resume(
         &mut self,
         kg: Box<KnownGraph>,
         seed: &[bool],
+        gen: &ConstraintGen,
         opts: &PruneOptions,
         tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         debug_assert_eq!(seed.len(), self.n, "seed must cover the vertex space");
-        self.prune_loop(None, Some((kg, seed)), opts, tracer)
+        self.prune_loop(Some(gen), Some((kg, seed)), opts, tracer)
     }
 
-    /// The shared pass loop: a fresh oracle and a full first pass, reading
-    /// `gen` if given (else the stored constraints), or a `resume`d oracle
-    /// and a first pass restricted to the seeded worklist.
+    /// The shared pass loop: a fresh oracle and a full first pass, or a
+    /// `resume`d oracle and a first pass restricted to the seeded worklist.
+    /// The first pass reads the stored constraints, then those of `gen`.
     fn prune_loop(
         &mut self,
         mut gen: Option<&ConstraintGen>,
@@ -336,10 +344,9 @@ impl Polygraph {
                 KnownGraphResult::Cyclic(cycle) => return (PruneResult::Violation(cycle), None),
             },
         };
-        let (constraints_before, unknown_deps_before) = match gen {
-            Some(gen) => gen.counts(),
-            None => (self.constraints.len(), self.unknown_deps()),
-        };
+        let generated = gen.map_or((0, 0), ConstraintGen::counts);
+        let (constraints_before, unknown_deps_before) =
+            (self.constraints.len() + generated.0, self.unknown_deps() + generated.1);
         let mut stats = PruneStats {
             constraints_before,
             unknown_deps_before,
@@ -352,17 +359,23 @@ impl Polygraph {
         // Transactions incident to edges resolved in the previous pass:
         // the worklist filter of every pass but a full first one.
         let mut touched = seed.map(<[bool]>::to_vec);
+        if let (Some(t), Some(gen)) = (&mut touched, gen) {
+            gen.mark_endpoints(t);
+        }
         loop {
             stats.iterations += 1;
             let input = std::mem::take(&mut self.constraints);
-            let source: &dyn Source = match gen.take() {
-                Some(gen) => gen,
-                None => &input,
-            };
+            let gen = gen.take();
             let filter = touched.as_deref();
-            let worklist = match filter {
-                None => constraints_before,
-                Some(t) => input.iter().filter(|c| c.incident(t)).count(),
+            // Every generated constraint is incident to the seed.
+            let worklist = gen.map_or(0, |gen| gen.counts().0)
+                + match filter {
+                    None => input.len(),
+                    Some(t) => input.iter().filter(|c| c.incident(t)).count(),
+                };
+            let sources: Vec<&dyn Source> = match gen {
+                Some(gen) => vec![&input, gen],
+                None => vec![&input],
             };
             let mut pass_span = tracer.span_kv(
                 "prune.pass",
@@ -370,11 +383,15 @@ impl Polygraph {
             );
             let parallel = opts.threads > 1 && worklist >= opts.parallel_min.max(2);
             let target = if parallel { chunk_target(worklist, opts.threads) } else { usize::MAX };
-            let chunks = source.chunks(target);
+            let chunks: Vec<(&dyn Source, Range<usize>)> = sources
+                .iter()
+                .flat_map(|&source| source.chunks(target).into_iter().map(move |c| (source, c)))
+                .collect();
             let (n, oracle) = (self.n, &*kg);
             let (outcomes, touched_now) = fan_out(n, chunks.len(), opts.threads, |c, marks| {
                 let (mut out, mut open) = (ChunkOut::default(), ConstraintSet::new());
-                source.visit(chunks[c].clone(), &mut open, &mut |cons| {
+                let (source, units) = &chunks[c];
+                source.visit(units.clone(), &mut open, &mut |cons| {
                     if filter.is_some_and(|t| !cons.incident(t)) {
                         return Some(true);
                     }
@@ -894,8 +911,13 @@ mod tests {
         let (either, or) = pair(4, 5, 6, 7);
         g.constraints.push(k(1), either, or);
         let seed = [false, false, false, false, true, true, true, true];
-        let (resumed, kg) =
-            g.prune_resume(kg, &seed, &PruneOptions::default(), &Tracer::disabled());
+        let (resumed, kg) = g.prune_resume(
+            kg,
+            &seed,
+            &ConstraintGen::default(),
+            &PruneOptions::default(),
+            &Tracer::disabled(),
+        );
         let PruneResult::Pruned(resumed) = resumed else { panic!("acyclic") };
         let kg = kg.expect("pruning hands its oracle back");
         assert_eq!((resumed.incremental_edges, resumed.implied_edges), (1, 1));

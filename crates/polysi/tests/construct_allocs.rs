@@ -7,18 +7,21 @@
 //! already stored does, plus a fixed few blocks. Nor does a whole check
 //! ever hold the constraint arena a store-all construction would: its
 //! peak live bytes stay below the 24 bytes an `Edge` costs times the edges
-//! generated. Likewise the history analyses in front of it must not pay per
+//! generated, and a streaming checkpoint never holds what storing its
+//! delta's constraints would. Likewise the history analyses in front of it
+//! must not pay per
 //! *operation*: `Facts::analyze` allocates its output lists (a few per
 //! transaction and per key) and `ShardPlan::analyze` a fixed number of
 //! arrays per history and component. This test binary installs its own
 //! counting allocator (hence its own file).
 
 use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel as Level};
+use polysi::checker::StreamingChecker;
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
-use polysi::history::{Facts, History, KeyIndex, ShardPlan};
+use polysi::history::{Facts, History, Key, KeyIndex, Op, ShardPlan, TxnStatus, Value};
 use polysi::polygraph::{ConstraintMode, Edge, Polygraph, PruneOptions, Semantics};
 use polysi::workloads::{generate, multi_component, GeneralParams, KeyDistribution};
-use polysi_obs::Tracer;
+use polysi_obs::{Obs, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -143,6 +146,44 @@ fn a_check_never_holds_the_constraint_arena() {
     assert!(report.accepted());
     let arena = edges * std::mem::size_of::<Edge>();
     assert!(peak < arena, "peak {peak} B vs the {arena} B arena of {edges} edges");
+}
+
+/// A checkpoint whose delta adds `W` writers to a key that already has `M`
+/// generates a constraint per new writer pair, each against its fixed
+/// oracle, and stores only those it leaves open — none here, where session
+/// order decides every pair. Its peak live bytes above its start stay below
+/// 24 bytes per uncertain edge the delta generates, the size of a delta
+/// store's edge arena alone.
+#[test]
+fn a_checkpoint_never_holds_its_delta_arena() {
+    let _serial = serial();
+    const M: u64 = 300;
+    const W: u64 = 100;
+    let obs = Obs::default();
+    let mut c = StreamingChecker::new(Level::Si, EngineOptions::default()).with_obs(obs.clone());
+    let s = c.session();
+    let write = |v: u64| vec![Op::Write { key: Key(1), value: Value(v) }];
+    for v in 1..=M {
+        c.push_transaction(s, write(v), TxnStatus::Committed);
+    }
+    assert!(c.checkpoint().verdict.accepted());
+    for v in M + 1..=M + W {
+        c.push_transaction(s, write(v), TxnStatus::Committed);
+    }
+    // Each new writer pairs with every earlier one; a pair of blind
+    // writers has one `WW` edge a side.
+    let pairs = W * M + W * (W - 1) / 2;
+    let edges = 2 * pairs as usize;
+    let before = obs.metrics.counter("prune.constraints_before").total();
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let cp = c.checkpoint();
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    assert!(cp.verdict.accepted() && cp.rebuilt == 0, "the delta path checked it");
+    assert_eq!(obs.metrics.counter("prune.constraints_before").total() - before, pairs);
+    assert_eq!(obs.metrics.counter("prune.constraints_stored").total(), 0);
+    let arena = edges * std::mem::size_of::<Edge>();
+    assert!(peak < arena, "peak {peak} B vs the {arena} B arena of {edges} delta edges");
 }
 
 /// Sixteen key-disjoint copies of a 4-session × 100-transaction workload

@@ -107,22 +107,35 @@ fn resolved_edge_sets_are_identical() {
                 );
             }
             // Either store, pinned: a pre-built oracle resumed with every
-            // transaction seeded sweeps exactly what `prune` sweeps.
+            // transaction seeded sweeps exactly what `prune` sweeps, over
+            // the stored constraints and over none stored but all generated
+            // (a violation leaves the failing pass's stored input: none when
+            // that is the first pass, which stops before its survivors).
+            let generated = Polygraph { constraints: ConstraintSet::new(), ..base.clone() };
+            let first_pass = seq.0.is_some() && seq.2.len() == base.constraints.len();
+            let kept = if first_pass { ConstraintSet::new() } else { seq.2.clone() };
+            let generated_seq = (seq.0.clone(), seq.1.clone(), kept);
+            let inputs = [
+                ("stored", &base, &ConstraintGen::default(), &seq),
+                ("generated", &generated, &gen, &generated_seq),
+            ];
             for kind in [OracleKind::Dense, OracleKind::Chains] {
-                let mut g = base.clone();
-                let result = match KnownGraph::build_pinned(g.n, &g.known, semantics, kind) {
-                    KnownGraphResult::Cyclic(cycle) => PruneResult::Violation(cycle),
-                    KnownGraphResult::Acyclic(kg) => {
-                        assert_eq!(kg.oracle_kind(), kind);
-                        let opts = PruneOptions::forced_parallel(4);
-                        g.prune_resume(kg, &vec![true; base.n], &opts, &tracer).0
-                    }
-                };
-                assert!(
-                    seq == outcome(g, result),
-                    "{}: {semantics:?} oracle={kind:?} diverged",
-                    case.name
-                );
+                for (input, from, gen, want) in inputs {
+                    let mut g = from.clone();
+                    let result = match KnownGraph::build_pinned(g.n, &g.known, semantics, kind) {
+                        KnownGraphResult::Cyclic(cycle) => PruneResult::Violation(cycle),
+                        KnownGraphResult::Acyclic(kg) => {
+                            assert_eq!(kg.oracle_kind(), kind);
+                            let opts = PruneOptions::forced_parallel(4);
+                            g.prune_resume(kg, &vec![true; base.n], gen, &opts, &tracer).0
+                        }
+                    };
+                    assert!(
+                        *want == outcome(g, result),
+                        "{}: {semantics:?} oracle={kind:?} {input} diverged",
+                        case.name
+                    );
+                }
             }
             let mut rebuild = base.clone();
             let accepted = prune_by_rebuild(&mut rebuild);
@@ -161,6 +174,114 @@ fn resolved_edge_sets_are_identical() {
     }
     assert!(violations > 0, "corpus exercised no prune-time violations");
     assert!(reduced > 0, "corpus exercised no implied resolved edge");
+}
+
+/// A stream checkpoint's resume, fanned out: stored survivors plus a
+/// delta's generated pairs (`ConstraintGen::delta`) prune exactly as the
+/// same survivors with the delta's constraints stored after them, seeded
+/// with their endpoints too — the same stats, `known` list and surviving
+/// constraints, or the same witness and what the failing pass kept. On
+/// every oracle store, under SI and SER, each corpus history cut twice
+/// into a stored prefix and a delta whose new writers pair with every
+/// earlier writer, and every third prefix pair regenerated.
+#[test]
+fn a_delta_generator_resumes_as_if_stored_first() {
+    let (mut accepted, mut violations, mut decided) = (0usize, 0usize, 0usize);
+    for case in conformance_corpus(0xDE17_A6E4, 1, 16) {
+        let facts = Facts::analyze(&case.history);
+        if !facts.axioms_ok() {
+            continue;
+        }
+        for semantics in [Semantics::Si, Semantics::Ser] {
+            let (base, _) = Polygraph::from_history_with(
+                &case.history,
+                &facts,
+                ConstraintMode::Generalized,
+                semantics,
+            );
+            for from in [base.n as u32 / 3, 2 * base.n as u32 / 3] {
+                let mut writes: Vec<(Key, TxnId)> = Vec::new();
+                let (mut prefix, mut regen) = (Vec::new(), Vec::new());
+                for (&key, writers) in &facts.writers {
+                    for (i, &s) in writers.iter().enumerate() {
+                        if s.0 >= from {
+                            writes.push((key, s));
+                            continue;
+                        }
+                        for &t in &writers[..i] {
+                            let pairs = if (t.0 + s.0) % 3 == 0 { &mut regen } else { &mut prefix };
+                            pairs.push((key, t, s));
+                        }
+                    }
+                }
+                // Final writes arrive in transaction order.
+                writes.sort_unstable_by_key(|&(key, w)| (w, key));
+                regen.sort_unstable();
+                let id = |t: TxnId| t;
+                let stored = ConstraintGen::delta(&facts, [], &prefix, id).store();
+                let delta = ConstraintGen::delta(&facts, writes, &regen, id);
+                let seed: Vec<bool> = (0..base.n as u32).map(|t| t >= from).collect();
+                let (mut seed_all, mut stored_all) = (seed.clone(), stored.clone());
+                let generated = delta.store();
+                for e in generated.edges() {
+                    seed_all[e.from.idx()] = true;
+                    seed_all[e.to.idx()] = true;
+                }
+                stored_all.extend(generated);
+                for kind in [OracleKind::Dense, OracleKind::Chains] {
+                    let label = format!("{}: {semantics:?} oracle={kind:?} from={from}", case.name);
+                    let Some((got, got_known, got_left)) =
+                        resume_pinned(&base, kind, &stored, &seed, &delta)
+                    else {
+                        continue;
+                    };
+                    let default = ConstraintGen::default();
+                    let (want, want_known, want_left) =
+                        resume_pinned(&base, kind, &stored_all, &seed_all, &default)
+                            .expect("the same oracle");
+                    assert!(got_known == want_known, "{label}: known lists diverged");
+                    match (got, want) {
+                        (PruneResult::Pruned(got), PruneResult::Pruned(want)) => {
+                            assert_eq!(got, want, "{label}");
+                            assert!(got_left == want_left, "{label}: survivors diverged");
+                            accepted += 1;
+                            decided += (got.constraints_stored < stored_all.len()) as usize;
+                        }
+                        (PruneResult::Violation(got), PruneResult::Violation(want)) => {
+                            assert_eq!(got, want, "{label}");
+                            // A first-pass violation stops before its
+                            // survivors and keeps its stored input.
+                            let kept = if want_left == stored_all { &stored } else { &want_left };
+                            assert!(got_left == *kept, "{label}: kept constraints diverged");
+                            violations += 1;
+                        }
+                        _ => panic!("{label}: verdicts diverged"),
+                    }
+                }
+            }
+        }
+    }
+    assert!(accepted > 0 && violations > 0, "{accepted} accepted, {violations} violations");
+    assert!(decided > 0, "no first pass decided a constraint");
+}
+
+/// `g` with `constraints` stored, resumed on four forced sweep threads from
+/// its known graph pinned to `kind`; `None` if that graph is cyclic.
+fn resume_pinned(
+    g: &Polygraph,
+    kind: OracleKind,
+    constraints: &ConstraintSet,
+    seed: &[bool],
+    gen: &ConstraintGen,
+) -> Option<(PruneResult, Vec<Edge>, ConstraintSet)> {
+    let mut g = Polygraph { constraints: constraints.clone(), ..g.clone() };
+    let KnownGraphResult::Acyclic(kg) = KnownGraph::build_pinned(g.n, &g.known, g.semantics, kind)
+    else {
+        return None;
+    };
+    let opts = PruneOptions::forced_parallel(4);
+    let result = g.prune_resume(kg, seed, gen, &opts, &Tracer::disabled()).0;
+    Some((result, g.known, g.constraints))
 }
 
 /// A prune's witness (`None` on acceptance) and, on acceptance, its stats

@@ -15,8 +15,15 @@ alternating pairs each file records:
           bound, a workload when its change side is incorrect or fails
           more operations than its parent side.
 
-Exit status: 0 when no row of the second table regresses, 1 when one
-does, 2 on unusable input. A file comparison: nothing is built or run.
+When THIS records `claims` (`bench_record.py --claim W/M`), each is
+judged by the rule of choosing-metrics section 8: the change wins at least
+nine tenths of the pairs (ties count for neither side), and its median is
+better than the parent's by more than the parent's interquartile range.
+A claim on a workload the extra seed repeated is judged there too.
+
+Exit status: 0 when no row of the second table regresses and every claim
+holds, 1 otherwise, 2 on unusable input. A file comparison: nothing is
+built or run.
 """
 
 import argparse
@@ -82,6 +89,47 @@ def table(title, metrics, base, new, judge):
     return regressions
 
 
+def judge_claim(claim, summaries, pairs_won, pairs, better):
+    """One claim against one set of pairs; returns the failure, if any."""
+    w, m = claim["workload"], claim["metric"]
+    try:
+        p, c = summaries["parent"][w][m], summaries["change"][w][m]
+        won = pairs_won[w][m]["change"]
+    except KeyError:
+        return f"{w} {m}: not measured"
+    gain = p["median"] - c["median"] if better == "lower" else c["median"] - p["median"]
+    iqr = p["q3"] - p["q1"]
+    print(
+        f"  {w:<14} {m:<18} {p['median']:>12.6g} {c['median']:>12.6g}"
+        f"  won {won}/{pairs}  gain {gain:.6g} vs parent IQR {iqr:.6g}"
+    )
+    if won * 10 < 9 * pairs:
+        return f"{w} {m}: the change won {won} of {pairs} pairs (needs 9/10)"
+    if gain <= iqr:
+        return f"{w} {m}: median gain {gain:.6g} is not above the parent's IQR {iqr:.6g}"
+    return None
+
+
+def judge_claims(doc, metrics):
+    """Print and judge every claim `doc` records; returns the failures."""
+    better = {m["name"]: m["better"] for m in metrics}
+    failures = []
+    for claim in doc.get("claims", []):
+        if claim["metric"] not in better:
+            failures.append(f"{claim['workload']} {claim['metric']}: no such end-to-end metric")
+            continue
+        runs = [(f"seed {doc.get('seed')}", {s: doc["sides"][s]["summary"] for s in doc["sides"]}, doc["pairs_won"])]
+        extra = doc.get("extra_seed")
+        if extra and claim["workload"] in extra["pairs_won"]:
+            runs.append((f"seed {extra['seed']}", extra["summary"], extra["pairs_won"]))
+        for label, summaries, won in runs:
+            print(f"claim ({label}):")
+            failure = judge_claim(claim, summaries, won, doc["pairs"], better[claim["metric"]])
+            if failure:
+                failures.append(f"{failure} ({label})")
+    return failures
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("prev", help="the previous PR's BENCH_<pr>.json")
@@ -113,12 +161,18 @@ def main():
         summary(this, "change", args.this),
         judge=True,
     )
+    failures = judge_claims(this, metrics)
     if regressions:
         print("regressions beyond the declared bounds:")
         for r in regressions:
             print(f"  {r}")
+    if failures:
+        print("claims not met:")
+        for f in failures:
+            print(f"  {f}")
+    if regressions or failures:
         sys.exit(1)
-    print("no metric is worse than its bound")
+    print("no metric is worse than its bound" + (", every claim holds" if this.get("claims") else ""))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@
         [--parent-target DIR] [--change-target DIR] [--pairs 10] \\
         [--seed 7] [--seconds 10] [--workloads W ...] \\
         [--extra-seed 8 --extra-workloads W ...] [--change-commit TEXT] \\
-        [--what TEXT] [--out FILE]
+        [--claim WORKLOAD/METRIC ...] [--what TEXT] [--out FILE]
 
 For every workload `BENCHMARK.json` declares, runs `--pairs` alternating
 parent/change pairs of the `BENCHMARK.json` command (`--trace 0`; the side
@@ -16,6 +16,8 @@ ledger. Writes, per side and workload, the result line of the run whose
 every end-to-end metric, and the ledger line; per workload and metric, how
 many pairs each side won. `--extra-seed` repeats the pairs (no ledger) on
 `--extra-workloads` with a seed not used while writing the change.
+`--claim W/M` records that the change claims a gain on workload W's
+end-to-end metric M; `scripts/bench_compare.py` then judges it.
 
 Both checkouts should be built beforehand (the command is `cargo run`, so
 an unbuilt one is built inside the first timed run's process, not inside
@@ -114,6 +116,7 @@ def main():
     ap.add_argument("--extra-seed", type=int, help="a seed not used while writing the change")
     ap.add_argument("--extra-workloads", nargs="+", default=[], help="workloads to repeat under --extra-seed")
     ap.add_argument("--change-commit", help="what to record as the change's commit (default: asked of git)")
+    ap.add_argument("--claim", action="append", default=[], metavar="W/M", help="a claimed gain: workload/metric")
     ap.add_argument("--what", default="", help="free text recorded in the file (session notes)")
     ap.add_argument("--out", help="default: BENCH_<pr>.json in the change checkout")
     args = ap.parse_args()
@@ -124,6 +127,12 @@ def main():
     seconds = args.seconds or bench["run_seconds"]
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
+    claims = []
+    for claim in args.claim:
+        workload, _, metric = claim.partition("/")
+        if workload not in workloads or metric not in metrics:
+            sys.exit(f"error: --claim {claim}: not a measured workload/end-to-end metric")
+        claims.append({"workload": workload, "metric": metric})
     sides = {
         "parent": (os.path.abspath(args.parent), args.parent_target),
         "change": (os.path.abspath(args.change), args.change_target),
@@ -145,6 +154,8 @@ def main():
         "sides": {s: {"commit": commit_of(sides[s][0]), "end_to_end": {}, "summary": {}, "ledger": {}} for s in sides},
         "pairs_won": {},
     }
+    if claims:
+        doc["claims"] = claims
     if args.change_commit:
         doc["sides"]["change"]["commit"] = args.change_commit
     for workload in workloads:
