@@ -121,7 +121,7 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
         KnownGraphResult::Acyclic(kg) => Some(kg.topo_positions()),
         KnownGraphResult::Cyclic(_) => None,
     };
-    let mut solver = Solver::with_graph(2 * n);
+    let mut solver = Solver::with_graph(Semantics::Si.layers() * n);
     let add_known = |solver: &mut Solver, e: &Edge| {
         let (f, t) = (e.from.0, e.to.0);
         if e.label.is_dep() {

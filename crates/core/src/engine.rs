@@ -375,6 +375,7 @@ impl CheckEngine {
         let outcome = match cycle {
             None => Outcome::Si,
             Some(cycle) => {
+                let _span = self.obs.tracer.span("interpret");
                 let scenario = self.opts.interpret.then(|| interpret(h, &facts, &cycle));
                 let anomaly = Anomaly::classify(&cycle);
                 Outcome::CyclicViolation(Violation { cycle, anomaly, scenario })
@@ -585,12 +586,13 @@ pub(crate) fn run_unit(
         span.attr("remaining", g.constraints.len());
         if let Some(kg) = &kg {
             tally.oracles.record(kg.oracle_kind());
-            // What the representation rule picked, and its two inputs
-            // (the second costs a pass over the graph).
+            // What the representation rule picked, its two inputs (the
+            // second costs a pass over the graph) and what the store holds.
             if tracer.is_enabled() {
                 span.attr("oracle", kg.oracle_kind().name());
                 span.attr("n", g.n);
                 span.attr("chains", kg.rule_chains());
+                span.attr("bytes", kg.oracle_bytes());
             }
         }
         tally.timings.pruning = span.finish();
@@ -645,11 +647,7 @@ fn encode(g: &Polygraph, oracle: Option<&KnownGraph>) -> (Solver, EncodeStats) {
             KnownGraphResult::Cyclic(_) => None, // solver will report Unsat
         },
     };
-    let nodes = match semantics {
-        Semantics::Si => 2 * n,
-        Semantics::Ser => n,
-    };
-    let mut solver = Solver::with_graph(nodes);
+    let mut solver = Solver::with_graph(semantics.layers() * n);
     let mut encode_stats = EncodeStats::default();
     for e in &g.known {
         add_known(&mut solver, n, e, semantics);

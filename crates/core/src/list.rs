@@ -296,7 +296,7 @@ fn run(h: &ListHistory) -> Result<(), ListViolation> {
         return Ok(());
     }
     // Residual solving: selector per unobserved pair on the layered graph.
-    let mut solver = Solver::with_graph(2 * n);
+    let mut solver = Solver::with_graph(Semantics::Si.layers() * n);
     for e in &edges {
         let (f, t) = (e.from.0, e.to.0);
         if e.label.is_dep() {

@@ -11,6 +11,11 @@
 //! paths of the induced SI graph, and layered cycles are exactly the
 //! violating cycles (every `RW` edge is immediately preceded by a `Dep`
 //! edge — i.e. no two adjacent `RW` edges).
+//!
+//! Serializability composes nothing, so under [`Semantics::Ser`] the graph
+//! has one layer: transaction `i` is node `i` and every edge is direct.
+//! Every per-node structure is sized by [`Semantics::layers`] — `2n` nodes
+//! under SI, `n` under SER — as the solver's theory graph is.
 
 use crate::edge::{Edge, Label};
 use crate::polygraph::Semantics;
@@ -19,9 +24,11 @@ use polysi_solver::bitset::{BitMatrix, ChainRows};
 
 /// Which reachability representation a [`KnownGraph`] stores.
 ///
-/// The dense oracle keeps one `n`-bit closure row per layered node —
-/// exact for any graph but `O(n²/64)` memory, which walls components
-/// around ~10⁴ transactions. The chain oracle exploits the history's
+/// The dense oracle keeps one `n`-bit closure row per layered node, and
+/// under SI an `n × n` bit `Dep` index besides: 3n²/8 bytes under SI and
+/// n²/8 under SER (≈ 895 and 298 MiB at 50k transactions). That is exact
+/// for any graph, but walls components around ~10⁴ transactions. The
+/// chain oracle exploits the history's
 /// session structure: session order is a *path cover*, so per-node
 /// reachability collapses to one minimum-reachable-position `u32` per
 /// chain (`O(n·sessions)`), with identical query answers, cycle
@@ -33,7 +40,7 @@ use polysi_solver::bitset::{BitMatrix, ChainRows};
 /// dense, and [`KnownGraph::oracle_kind`] reports the choice. Both stay
 /// because each loses badly on the other's ground: chains on the
 /// session-poor 7 992-transaction lattice of the benchmark's `batch_solver`
-/// cost 40× the time and 25× the memory.
+/// cost 19× the time and 28× the memory (`trials/oracle_rule_34.json`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OracleKind {
     /// The dense `BitMatrix` closure.
@@ -155,20 +162,22 @@ fn chain_cover(n: usize, known: &[Edge]) -> ChainIndex {
 /// algorithmic win) while converging to the same fixpoint.
 enum ClosureStore {
     Dense {
-        /// Closure rows over layered nodes (2n × n columns, boundary
-        /// targets).
+        /// Closure rows over layered nodes (`layers·n` × n columns,
+        /// boundary targets).
         closure: BitMatrix,
-        /// `dep_in.row(j)` = transactions with a known `Dep` edge into `j`.
+        /// `dep_in.row(j)` = transactions with a known `Dep` edge into `j`
+        /// (n × n under SI; empty under SER, which never asks).
         dep_in: BitMatrix,
     },
     Chains {
-        /// Min-reachable-position rows over layered nodes (2n × chains).
+        /// Min-reachable-position rows over layered nodes (`layers·n` ×
+        /// chains).
         rows: ChainRows,
         /// Chain placement of the boundary transactions.
         idx: ChainIndex,
         /// Sorted `Dep` predecessors per transaction (the sparse
         /// `dep_in`; ascending, so witness selection matches the dense
-        /// row iteration order bit for bit).
+        /// row iteration order bit for bit; empty under SER).
         dep_preds: Vec<Vec<u32>>,
     },
 }
@@ -180,10 +189,25 @@ fn chains_pay(n: usize, chains: usize) -> bool {
     n >= 1024 && chains * 32 <= n
 }
 
+/// Rows of the `Dep`-predecessor index over `n` transactions: one per
+/// transaction under SI, none under SER, whose queries never read it.
+fn dep_rows(n: usize, semantics: Semantics) -> usize {
+    if semantics == Semantics::Si {
+        n
+    } else {
+        0
+    }
+}
+
 impl ClosureStore {
     /// Build an empty store: of the kind [`chains_pay`] picks for the
     /// session cover of `known`, unless `pinned` names one.
-    fn new(n: usize, known: &[Edge], pinned: Option<OracleKind>) -> ClosureStore {
+    fn new(
+        n: usize,
+        known: &[Edge],
+        semantics: Semantics,
+        pinned: Option<OracleKind>,
+    ) -> ClosureStore {
         let idx = chain_cover(n, known);
         let by_rule = if chains_pay(n, idx.estimated_chains()) {
             OracleKind::Chains
@@ -191,16 +215,18 @@ impl ClosureStore {
             OracleKind::Dense
         };
         match pinned.unwrap_or(by_rule) {
-            OracleKind::Dense => {
-                ClosureStore::Dense { closure: BitMatrix::rect(0, 0), dep_in: BitMatrix::new(n) }
-            }
-            OracleKind::Chains => ClosureStore::chains(n, idx),
+            OracleKind::Dense => ClosureStore::Dense {
+                closure: BitMatrix::rect(0, 0),
+                dep_in: BitMatrix::new(dep_rows(n, semantics)),
+            },
+            OracleKind::Chains => ClosureStore::chains(n, idx, semantics),
         }
     }
 
     /// An empty chain store over `n` transactions placed by `idx`.
-    fn chains(n: usize, idx: ChainIndex) -> ClosureStore {
-        ClosureStore::Chains { rows: ChainRows::rect(0, 0), idx, dep_preds: vec![Vec::new(); n] }
+    fn chains(n: usize, idx: ChainIndex, semantics: Semantics) -> ClosureStore {
+        let dep_preds = vec![Vec::new(); dep_rows(n, semantics)];
+        ClosureStore::Chains { rows: ChainRows::rect(0, 0), idx, dep_preds }
     }
 
     fn kind(&self) -> OracleKind {
@@ -210,12 +236,13 @@ impl ClosureStore {
         }
     }
 
-    /// Allocate the closure rows for `n` transactions (post-topo-sort).
-    fn alloc_rows(&mut self, n: usize) {
+    /// Allocate the closure rows of `nodes` layered nodes over `n`
+    /// transactions (post-topo-sort).
+    fn alloc_rows(&mut self, nodes: usize, n: usize) {
         match self {
-            ClosureStore::Dense { closure, .. } => *closure = BitMatrix::rect(2 * n, n),
+            ClosureStore::Dense { closure, .. } => *closure = BitMatrix::rect(nodes, n),
             ClosureStore::Chains { rows, idx, .. } => {
-                *rows = ChainRows::rect(2 * n, idx.tail.len())
+                *rows = ChainRows::rect(nodes, idx.tail.len())
             }
         }
     }
@@ -372,7 +399,7 @@ pub struct KnownGraph {
     /// the graph as it grows) rather than pinned by a test.
     follows_growth: bool,
     /// Topological priority of each layered node (a permutation of
-    /// `0..2n`), maintained dynamically across insertions.
+    /// `0..layers·n`), maintained dynamically across insertions.
     ord: Vec<u32>,
     /// Closure rows grown by incremental updates (performance counter).
     closure_updates: usize,
@@ -445,9 +472,10 @@ pub enum Flush {
 /// The layered adjacency of `known`: `adj[node] = (target, underlying
 /// edge)`. Under [`Semantics::Si`] a `Dep` edge `i → k` fans out to
 /// `B(i) → B(k)` and `B(i) → M(k)` and an `RW` edge leaves its source's
-/// mid node; under [`Semantics::Ser`] every edge is boundary-to-boundary.
+/// mid node; under [`Semantics::Ser`] there are no mid nodes and every
+/// edge is boundary-to-boundary.
 fn layered_adjacency(n: usize, known: &[Edge], semantics: Semantics) -> Vec<Vec<(u32, Edge)>> {
-    let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); 2 * n];
+    let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); semantics.layers() * n];
     for &e in known {
         let (f, t) = (e.from.0, e.to.0);
         debug_assert_ne!(f, t, "self edges are malformed: {e:?}");
@@ -490,12 +518,13 @@ fn topological_order(adj: &[Vec<(u32, Edge)>]) -> Option<Vec<u32>> {
 impl KnownGraph {
     /// Build the reachability oracle over `known`, or return the violating
     /// cycle the known edges already contain. Under [`Semantics::Si`] the
-    /// graph is layered as described above; under [`Semantics::Ser`] every
-    /// edge — `RW` included — is a plain boundary-to-boundary edge (mid
-    /// nodes stay isolated), so paths and cycles are those of the ordinary
-    /// dependency graph `SO ∪ WR ∪ WW ∪ RW`. The SI-specific queries
+    /// graph is layered as described above; under [`Semantics::Ser`] it has
+    /// one layer and every edge — `RW` included — is a plain edge, so paths
+    /// and cycles are those of the ordinary dependency graph
+    /// `SO ∪ WR ∪ WW ∪ RW`. The SI-specific queries
     /// ([`Self::rw_closes_cycle`], [`Self::witness_pred`],
-    /// [`Self::dep_edge_between`]) are meaningful only for SI-built graphs.
+    /// [`Self::dep_edge_between`]) are meaningful only for SI-built graphs;
+    /// a SER graph keeps no `Dep` index for them.
     /// The closure representation is picked from the graph ([`OracleKind`])
     /// and is invisible to every query, witness and propagation counter.
     pub fn build(n: usize, known: &[Edge], semantics: Semantics) -> KnownGraphResult {
@@ -535,19 +564,20 @@ impl KnownGraph {
         let Some(order) = topological_order(&adj) else {
             return KnownGraphResult::Cyclic(extract_cycle(n, &adj));
         };
-        let mut radj: Vec<Vec<u32>> = vec![Vec::new(); 2 * n];
+        let nodes = adj.len();
+        let mut radj: Vec<Vec<u32>> = vec![Vec::new(); nodes];
         for (u, outs) in adj.iter().enumerate() {
             for &(v, _) in outs {
                 radj[v as usize].push(u as u32);
             }
         }
-        let mut store = ClosureStore::new(n, known, pinned);
+        let mut store = ClosureStore::new(n, known, semantics, pinned);
         if semantics == Semantics::Si {
             for e in known.iter().filter(|e| e.label.is_dep()) {
                 store.record_dep(e.from.idx(), e.to.idx());
             }
         }
-        let mut ord = vec![0; 2 * n];
+        let mut ord = vec![0; nodes];
         for (pos, &node) in order.iter().enumerate() {
             ord[node as usize] = pos as u32;
         }
@@ -564,8 +594,8 @@ impl KnownGraph {
             pending: Vec::new(),
             pending_chain: Vec::new(),
             stamp: 0,
-            visited: vec![0; 2 * n],
-            grown: vec![0; 2 * n],
+            visited: vec![0; nodes],
+            grown: vec![0; nodes],
         };
         g.compute_closure(&order);
         KnownGraphResult::Acyclic(Box::new(g))
@@ -574,7 +604,7 @@ impl KnownGraph {
     /// Reverse-topological DP: `closure[u]` = boundary transactions
     /// reachable from layered node `u`.
     fn compute_closure(&mut self, order: &[u32]) {
-        self.store.alloc_rows(self.n);
+        self.store.alloc_rows(self.adj.len(), self.n);
         for &u in order.iter().rev() {
             for i in 0..self.adj[u as usize].len() {
                 let v = self.adj[u as usize][i].0;
@@ -655,11 +685,12 @@ impl KnownGraph {
     /// oracle this way when new transactions arrive, then feeds their
     /// edges through [`KnownGraph::insert_edges`]. Equivalent to a
     /// from-scratch build over `n2` vertices with the same edges: the
-    /// layered layout keeps boundary nodes at `0..n2` and mid nodes at
-    /// `n2..2·n2`, so existing mid indices shift and every index-carrying
-    /// structure is remapped; existing topological priorities are kept and
-    /// the new (isolated) vertices take the fresh tail slots in index
-    /// order. Requires a flushed oracle.
+    /// layered layout keeps boundary nodes at `0..n2` and, under SI, mid
+    /// nodes at `n2..2·n2`, so existing mid indices shift and every
+    /// index-carrying structure is remapped (under SER nothing shifts);
+    /// existing topological priorities are kept and the new (isolated)
+    /// vertices take the fresh tail slots in index order. Requires a
+    /// flushed oracle.
     ///
     /// The representation follows the growth: a graph that is still dense
     /// re-applies the build-time rule here — for the new size, with the
@@ -675,22 +706,24 @@ impl KnownGraph {
             return;
         }
         self.follow_growth(n2);
+        let layers = self.semantics.layers();
         let node = |old: usize| if old < n { old } else { old - n + n2 };
-        let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); 2 * n2];
+        let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); layers * n2];
         for (i, list) in std::mem::take(&mut self.adj).into_iter().enumerate() {
             adj[node(i)] = list.into_iter().map(|(v, e)| (node(v as usize) as u32, e)).collect();
         }
         self.adj = adj;
-        let mut radj: Vec<Vec<u32>> = vec![Vec::new(); 2 * n2];
+        let mut radj: Vec<Vec<u32>> = vec![Vec::new(); layers * n2];
         for (i, list) in std::mem::take(&mut self.radj).into_iter().enumerate() {
             radj[node(i)] = list.into_iter().map(|v| node(v as usize) as u32).collect();
         }
         self.radj = radj;
-        let mut ord = vec![0u32; 2 * n2];
+        let mut ord = vec![0u32; layers * n2];
         for (i, &p) in self.ord.iter().enumerate() {
             ord[node(i)] = p;
         }
-        for (next, i) in (2 * n as u32..).zip((n..n2).chain(n2 + n..2 * n2)) {
+        // New boundary nodes, then (SI only) new mid nodes.
+        for (next, i) in ((layers * n) as u32..).zip((n..n2).chain(n2 + n..layers * n2)) {
             ord[i] = next;
         }
         self.ord = ord;
@@ -703,21 +736,22 @@ impl KnownGraph {
         };
         match &mut self.store {
             ClosureStore::Dense { closure, dep_in } => {
-                *dep_in = dep_in.remapped(n2, n2, |r| (r < n).then_some(r));
-                *closure = closure.remapped(2 * n2, n2, layered_src);
+                let rows = dep_rows(n2, self.semantics);
+                *dep_in = dep_in.remapped(rows, rows, |r| (r < n).then_some(r));
+                *closure = closure.remapped(layers * n2, n2, layered_src);
             }
             ClosureStore::Chains { rows, idx, dep_preds } => {
                 // Chain columns are index-stable; only the rows remap.
                 // New transactions stay unplaced until their session `So`
                 // edge (or first reachability reference) arrives.
-                *rows = rows.remapped(2 * n2, layered_src);
+                *rows = rows.remapped(layers * n2, layered_src);
                 idx.chain_of.resize(n2, ChainIndex::NONE);
                 idx.pos.resize(n2, 0);
-                dep_preds.resize(n2, Vec::new());
+                dep_preds.resize(dep_rows(n2, self.semantics), Vec::new());
             }
         }
-        self.visited = vec![0; 2 * n2];
-        self.grown = vec![0; 2 * n2];
+        self.visited = vec![0; layers * n2];
+        self.grown = vec![0; layers * n2];
         self.n = n2;
     }
 
@@ -740,14 +774,14 @@ impl KnownGraph {
         if !chains_pay(n2, idx.estimated_chains()) {
             return;
         }
-        let mut store = ClosureStore::chains(n, idx);
+        let mut store = ClosureStore::chains(n, idx, self.semantics);
         if self.semantics == Semantics::Si {
             for e in self.held(Label::is_dep) {
                 store.record_dep(e.from.idx(), e.to.idx());
             }
         }
         self.store = store;
-        let mut order: Vec<u32> = (0..2 * n as u32).collect();
+        let mut order: Vec<u32> = (0..self.adj.len() as u32).collect();
         order.sort_unstable_by_key(|&x| self.ord[x as usize]);
         self.compute_closure(&order);
     }
@@ -1089,6 +1123,7 @@ impl KnownGraph {
     /// `to == prec` or `to ⇝ prec` (Figure 4b of the paper).
     pub fn rw_closes_cycle(&self, from: TxnId, to: TxnId) -> bool {
         debug_assert!(self.pending.is_empty(), "query on an unflushed oracle");
+        debug_assert_eq!(self.semantics, Semantics::Si, "an SI query on a SER oracle");
         if self.store.is_dep_pred(from.idx(), to.idx()) {
             return true;
         }
@@ -1099,6 +1134,7 @@ impl KnownGraph {
     /// for witness construction. Must be called only if
     /// [`Self::rw_closes_cycle`] holds.
     pub fn witness_pred(&self, from: TxnId, to: TxnId) -> TxnId {
+        debug_assert_eq!(self.semantics, Semantics::Si, "an SI query on a SER oracle");
         if self.store.is_dep_pred(from.idx(), to.idx()) {
             return to;
         }

@@ -39,6 +39,19 @@ pub enum Semantics {
     Ser,
 }
 
+impl Semantics {
+    /// Theory-graph nodes per transaction: 2 under SI (a boundary and a
+    /// mid node, which realise the `; RW?` composition), 1 under SER (no
+    /// composition, so no mid node). The reachability oracle and the
+    /// solver's acyclicity theory both size their vertex space by it.
+    pub fn layers(self) -> usize {
+        match self {
+            Semantics::Si => 2,
+            Semantics::Ser => 1,
+        }
+    }
+}
+
 /// A generalized polygraph `G = (V, E, C)` over the transactions of one
 /// history (or one of its key-connectivity shards): known typed edges plus
 /// unresolved constraints.

@@ -163,15 +163,17 @@ fn sat_solve_span_explains_the_propagation_gate() {
 
 /// The one decision nobody can pin any more explains itself: the `prune`
 /// span names the closure store `KnownGraph::build` picked with the two
-/// inputs of the rule (n ≥ 1024 and 32·chains ≤ n → chains), and the report
-/// counts the stores per pipeline unit.
+/// inputs of the rule (n ≥ 1024 and 32·chains ≤ n → chains) and the bytes
+/// it holds, and the report counts the stores per pipeline unit.
 #[test]
 fn prune_span_says_which_oracle_the_rule_picked() {
     use polysi::checker::OracleCounts;
     let traced = |h: &History, level: IsolationLevel| {
         let (report, attr, _) = traced_check(h, level, "prune");
-        (report.oracles, attr("oracle"), attr("n"), attr("chains"))
+        (report.oracles, attr("oracle"), attr("n"), attr("chains"), attr("bytes"))
     };
+    // One `n`-bit closure row per theory-graph node, in 64-bit words.
+    let rows = |nodes: usize, n: usize| AttrValue::U64((nodes * n.div_ceil(64) * 8) as u64);
     let (dense, chains) = (AttrValue::Str("dense".into()), AttrValue::Str("chains".into()));
 
     // The paper-default general history: 20 sessions × 500 transactions.
@@ -181,24 +183,48 @@ fn prune_span_says_which_oracle_the_rule_picked() {
     });
     let config = polysi::dbsim::SimConfig::new(polysi::dbsim::IsolationLevel::SnapshotIsolation, 7);
     let general = polysi::dbsim::run(&plan, &config).history;
-    let (oracles, oracle, n, sessions) = traced(&general, IsolationLevel::Si);
+    let (oracles, oracle, n, sessions, _) = traced(&general, IsolationLevel::Si);
     assert_eq!(oracles, OracleCounts { dense: 0, chains: 1 });
     assert_eq!((oracle, n), (Some(chains), Some(AttrValue::U64(general.len() as u64))));
     assert!(matches!(sessions, Some(AttrValue::U64(c)) if c * 32 <= general.len() as u64));
 
     // The 999-cell lattice: big enough, but session-poor — the row that
-    // keeps the dense store.
+    // keeps the dense store. Under SER it is one layer with no `Dep` index:
+    // n rows of closure.
     let lattice = polysi::dbsim::corpus::write_skew_lattice(1, 999);
-    let (oracles, oracle, n, sessions) = traced(&lattice, IsolationLevel::Ser);
+    let (oracles, oracle, n, sessions, bytes) = traced(&lattice, IsolationLevel::Ser);
     assert_eq!(oracles, OracleCounts { dense: 1, chains: 0 });
     assert_eq!((oracle, n), (Some(dense.clone()), Some(AttrValue::U64(lattice.len() as u64))));
     assert!(lattice.len() >= 1024);
     assert!(matches!(sessions, Some(AttrValue::U64(c)) if c * 32 > lattice.len() as u64));
+    assert_eq!(bytes, Some(rows(lattice.len(), lattice.len())));
 
-    // A corpus accept: small, so dense whatever its sessions.
+    // A corpus accept: small, so dense whatever its sessions. Under SI the
+    // store is 2n closure rows (boundary and mid) plus the n-row `Dep` index.
     let clique = fixture("solver_stress_clique.txt");
-    let (oracles, oracle, ..) = traced(&clique, IsolationLevel::Si);
+    let (oracles, oracle, n, _, bytes) = traced(&clique, IsolationLevel::Si);
     assert_eq!((oracles, oracle), (OracleCounts { dense: 1, chains: 0 }, Some(dense)));
+    let Some(AttrValue::U64(n)) = n else { panic!("prune.n is {n:?}") };
+    assert_eq!(bytes, Some(rows(3 * n as usize, n as usize)));
+}
+
+/// A rejection's classification and interpretation are a span of their
+/// own under `check`, which an accept does not open.
+#[test]
+fn a_rejection_traces_its_interpretation() {
+    let interpreted = |name: &str| {
+        let obs = Obs::enabled();
+        let report = CheckEngine::new(IsolationLevel::Si, EngineOptions::default())
+            .with_obs(obs.clone())
+            .check(&fixture(name));
+        let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+        let root = forest.iter().find(|n| n.name == "check").expect("check root");
+        let under_check = root.children.iter().filter(|c| c.name == "interpret").count();
+        let anywhere = all_spans(&forest).iter().filter(|n| n.name == "interpret").count();
+        (report.accepted(), under_check, anywhere)
+    };
+    assert_eq!(interpreted("long_fork.txt"), (false, 1, 1));
+    assert_eq!(interpreted("solver_stress_clique.txt"), (true, 0, 0));
 }
 
 /// The serial front of a sharded check is visible without re-running it:

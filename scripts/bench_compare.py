@@ -4,7 +4,7 @@
     scripts/bench_compare.py PREV.json THIS.json [--benchmark BENCHMARK.json]
 
 Two tables, one row per workload x end-to-end metric, medians of the ten
-alternating pairs each file records:
+alternating pairs each file records, and a third of exact counts:
 
 * drift   PREV's `change` side against THIS's `parent` side. They are the
           same commit measured in two sessions, so the ratio is how much
@@ -14,6 +14,11 @@ alternating pairs each file records:
           the change's median is worse than the parent's by more than its
           bound, a workload when its change side is incorrect or fails
           more operations than its parent side.
+* counts  THIS's `parent` ledger against its `change` ledger, every
+          per-layer metric whose `BENCHMARK.json` unit is `count`. An exact
+          count that differs moved pruning, solving or sharding, not just
+          speed: it fails unless THIS records it as a move
+          (`bench_record.py --moves W/M`).
 
 When THIS records `claims` (`bench_record.py --claim W/M`), each is
 judged by the rule of choosing-metrics section 8: the change wins at least
@@ -21,9 +26,9 @@ nine tenths of the pairs (ties count for neither side), and its median is
 better than the parent's by more than the parent's interquartile range.
 A claim on a workload the extra seed repeated is judged there too.
 
-Exit status: 0 when no row of the second table regresses and every claim
-holds, 1 otherwise, 2 on unusable input. A file comparison: nothing is
-built or run.
+Exit status: 0 when no row of the second table regresses, every count that
+differs is a recorded move and every claim holds, 1 otherwise, 2 on
+unusable input. A file comparison: nothing is built or run.
 """
 
 import argparse
@@ -87,6 +92,41 @@ def table(title, metrics, base, new, judge):
                 )
     print()
     return regressions
+
+
+def count_moves(doc, bench, path):
+    """Print the counts table of `doc`; return the differences it does not record as moves."""
+    names = [m["name"] for m in bench.get("per_layer", []) if m.get("unit") == "count"]
+    recorded = {(m["workload"], m["metric"]) for m in doc.get("moves", [])}
+    ledgers = {}
+    for side in ("parent", "change"):
+        try:
+            ledgers[side] = doc["sides"][side]["ledger"]
+        except (KeyError, TypeError):
+            print(f"error: {path}: no sides.{side}.ledger", file=sys.stderr)
+            sys.exit(2)
+    print(f"counts: {path} parent ledger -> change ledger (rows where either side is nonzero)")
+    print(f"  {'workload':<14} {'metric':<28} {'parent':>12} {'change':>12}")
+    unrecorded, equal = [], 0
+    for workload, parent in ledgers["parent"].items():
+        change = ledgers["change"].get(workload, {}).get("metrics", {})
+        for name in names:
+            p, c = parent["metrics"].get(name), change.get(name)
+            if p is None or c is None:
+                continue
+            p, c = p["value"], c["value"]
+            mark = ""
+            if p == c:
+                equal += 1
+            elif (workload, name) in recorded:
+                mark = "  moved (recorded)"
+            else:
+                mark = "  MOVED"
+                unrecorded.append(f"{workload} {name}: {p} -> {c}, not recorded as a move")
+            if p or c:
+                print(f"  {workload:<14} {name:<28} {p:>12} {c:>12}{mark}")
+    print(f"  {equal} counts equal\n")
+    return unrecorded
 
 
 def judge_claim(claim, summaries, pairs_won, pairs, better):
@@ -161,13 +201,13 @@ def main():
         summary(this, "change", args.this),
         judge=True,
     )
-    failures = judge_claims(this, metrics)
+    failures = count_moves(this, bench, args.this) + judge_claims(this, metrics)
     if regressions:
         print("regressions beyond the declared bounds:")
         for r in regressions:
             print(f"  {r}")
     if failures:
-        print("claims not met:")
+        print("counts moved or claims not met:")
         for f in failures:
             print(f"  {f}")
     if regressions or failures:

@@ -5,7 +5,8 @@
         [--parent-target DIR] [--change-target DIR] [--pairs 10] \\
         [--seed 7] [--seconds 10] [--workloads W ...] \\
         [--extra-seed 8 --extra-workloads W ...] [--change-commit TEXT] \\
-        [--claim WORKLOAD/METRIC ...] [--what TEXT] [--out FILE]
+        [--claim WORKLOAD/METRIC ...] [--moves WORKLOAD/METRIC ...] \\
+        [--what TEXT] [--out FILE]
 
 For every workload `BENCHMARK.json` declares, runs `--pairs` alternating
 parent/change pairs of the `BENCHMARK.json` command (`--trace 0`; the side
@@ -18,6 +19,9 @@ many pairs each side won. `--extra-seed` repeats the pairs (no ledger) on
 `--extra-workloads` with a seed not used while writing the change.
 `--claim W/M` records that the change claims a gain on workload W's
 end-to-end metric M; `scripts/bench_compare.py` then judges it.
+`--moves W/M` records that the change moves workload W's exact count M (a
+per-layer metric of unit `count`); `scripts/bench_compare.py` fails on any
+count that differs between the two ledgers and is not recorded so.
 
 Both checkouts should be built beforehand (the command is `cargo run`, so
 an unbuilt one is built inside the first timed run's process, not inside
@@ -117,6 +121,7 @@ def main():
     ap.add_argument("--extra-workloads", nargs="+", default=[], help="workloads to repeat under --extra-seed")
     ap.add_argument("--change-commit", help="what to record as the change's commit (default: asked of git)")
     ap.add_argument("--claim", action="append", default=[], metavar="W/M", help="a claimed gain: workload/metric")
+    ap.add_argument("--moves", action="append", default=[], metavar="W/M", help="a count the change moves: workload/metric")
     ap.add_argument("--what", default="", help="free text recorded in the file (session notes)")
     ap.add_argument("--out", help="default: BENCH_<pr>.json in the change checkout")
     args = ap.parse_args()
@@ -133,6 +138,13 @@ def main():
         if workload not in workloads or metric not in metrics:
             sys.exit(f"error: --claim {claim}: not a measured workload/end-to-end metric")
         claims.append({"workload": workload, "metric": metric})
+    counts = [m["name"] for m in bench.get("per_layer", []) if m.get("unit") == "count"]
+    moves = []
+    for move in args.moves:
+        workload, _, metric = move.partition("/")
+        if workload not in workloads or metric not in counts:
+            sys.exit(f"error: --moves {move}: not a measured workload/count metric")
+        moves.append({"workload": workload, "metric": metric})
     sides = {
         "parent": (os.path.abspath(args.parent), args.parent_target),
         "change": (os.path.abspath(args.change), args.change_target),
@@ -156,6 +168,8 @@ def main():
     }
     if claims:
         doc["claims"] = claims
+    if moves:
+        doc["moves"] = moves
     if args.change_commit:
         doc["sides"]["change"]["commit"] = args.change_commit
     for workload in workloads:
