@@ -85,6 +85,18 @@ pub enum ListViolation {
         /// The duplicated value.
         value: Value,
     },
+    /// A committed transaction's read disagrees with its own earlier
+    /// operations on the key (Elle's internal consistency): a repeated
+    /// read is not the previous read plus the appends since, or a first
+    /// read does not end with the transaction's own appends so far.
+    Internal {
+        /// The key read.
+        key: Key,
+        /// The reading transaction (dense id, session-major).
+        txn: TxnId,
+        /// The list the read returned.
+        list: Vec<Value>,
+    },
     /// The fully-known dependency graph contains a violating cycle.
     Cyclic {
         /// The violating cycle.
@@ -227,12 +239,28 @@ fn run(h: &ListHistory) -> Result<(), ListViolation> {
             continue;
         }
         let reader = TxnId(i as u32);
-        // Only the first (external) read of each key creates edges; later
-        // reads repeat information.
-        let mut seen: HashMap<Key, ()> = HashMap::new();
+        // Per key, whether the transaction has read it and what its next
+        // read must show: before the first read, its own appends so far
+        // (the read must end with them); after, the last read plus the
+        // appends since (the read must equal it). Only the first
+        // (external) read of each key creates edges; later reads repeat
+        // information.
+        let mut own: HashMap<Key, (bool, Vec<Value>)> = HashMap::new();
         for op in &t.ops {
-            let ListOp::Read { key, list } = op else { continue };
-            if seen.insert(*key, ()).is_some() {
+            let (key, list) = match op {
+                ListOp::Append { key, value } => {
+                    own.entry(*key).or_default().1.push(*value);
+                    continue;
+                }
+                ListOp::Read { key, list } => (key, list),
+            };
+            let (read, expect) = own.entry(*key).or_default();
+            let consistent = if *read { list == expect } else { list.ends_with(expect) };
+            if !consistent {
+                return Err(ListViolation::Internal { key: *key, txn: reader, list: list.clone() });
+            }
+            expect.clone_from(list);
+            if std::mem::replace(read, true) {
                 continue;
             }
             let obs = observed.get(key).map(Vec::as_slice).unwrap_or(&[]);
@@ -467,6 +495,52 @@ mod tests {
             ],
         };
         assert!(matches!(check_si_list(&h2).violation, Some(ListViolation::PhantomValue { .. })));
+    }
+
+    #[test]
+    fn reread_without_append_must_repeat_the_read() {
+        // T3 reads [1], then [1, 2] with no append in between: a
+        // non-repeatable read, which no snapshot explains.
+        let h = ListHistory {
+            sessions: vec![
+                vec![txn(vec![append(k(1), v(1))])],
+                vec![txn(vec![append(k(1), v(2))])],
+                vec![txn(vec![read(k(1), &[1]), read(k(1), &[1, 2])])],
+            ],
+        };
+        match check_si_list(&h).violation {
+            Some(ListViolation::Internal { key, txn, list }) => {
+                assert_eq!((key, txn, list), (k(1), TxnId(2), vec![v(1), v(2)]));
+            }
+            other => panic!("expected an internal violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_must_end_with_own_appends() {
+        // T appends 1 to k, then reads k = []: it misses its own write.
+        let h =
+            ListHistory { sessions: vec![vec![txn(vec![append(k(1), v(1)), read(k(1), &[])])]] };
+        assert!(matches!(
+            check_si_list(&h).violation,
+            Some(ListViolation::Internal { key, .. }) if key == k(1)
+        ));
+    }
+
+    #[test]
+    fn reads_that_follow_own_appends_accepted() {
+        let h = ListHistory {
+            sessions: vec![
+                vec![txn(vec![append(k(1), v(1))])],
+                vec![txn(vec![
+                    append(k(1), v(2)),
+                    read(k(1), &[1, 2]),
+                    append(k(1), v(3)),
+                    read(k(1), &[1, 2, 3]),
+                ])],
+            ],
+        };
+        assert!(check_si_list(&h).accepted());
     }
 
     #[test]
