@@ -1,8 +1,12 @@
 //! Property tests for PolySI-List: serially-generated list histories are
 //! always accepted; targeted mutations (swapping observed elements,
-//! fabricating values) are rejected.
+//! fabricating values) are rejected; and on mutated histories the checker
+//! agrees with the reference body it replaced.
 
-use polysi_checker::list::{check_si_list, ListHistory, ListOp, ListTxn};
+#[path = "support/list_reference.rs"]
+mod list_reference;
+
+use polysi_checker::list::{check_si_list, ListHistory, ListOp, ListTxn, ListViolation};
 use polysi_history::{TxnStatus, Value};
 use polysi_workloads::list_append::{generate_list_history, ListOpRecord};
 use polysi_workloads::{GeneralParams, KeyDistribution};
@@ -119,4 +123,118 @@ proptest! {
         prop_assume!(mutated);
         prop_assert!(!check_si_list(&h).accepted());
     }
+}
+
+/// splitmix64: the mutation schedule's randomness, a function of the case.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// One random mutation of five kinds: truncate a read, drop a
+/// transaction's reads, swap two transactions of a session, move a
+/// transaction to another session, abort a transaction.
+fn mutate(h: &mut ListHistory, rng: &mut Mix) {
+    let s = rng.below(h.sessions.len());
+    if h.sessions[s].is_empty() {
+        return;
+    }
+    let t = rng.below(h.sessions[s].len());
+    match rng.below(5) {
+        0 => {
+            let reads: Vec<usize> = (h.sessions[s][t].ops.iter().enumerate())
+                .filter(|(_, op)| matches!(op, ListOp::Read { list, .. } if !list.is_empty()))
+                .map(|(i, _)| i)
+                .collect();
+            if let Some(&i) = reads.get(rng.below(reads.len())) {
+                if let ListOp::Read { list, .. } = &mut h.sessions[s][t].ops[i] {
+                    list.truncate(rng.below(list.len()));
+                }
+            }
+        }
+        1 => h.sessions[s][t].ops.retain(|op| matches!(op, ListOp::Append { .. })),
+        2 => {
+            let u = rng.below(h.sessions[s].len());
+            h.sessions[s].swap(t, u);
+        }
+        3 => {
+            let txn = h.sessions[s].remove(t);
+            let to = rng.below(h.sessions.len());
+            let at = rng.below(h.sessions[to].len() + 1);
+            h.sessions[to].insert(at, txn);
+        }
+        _ => h.sessions[s][t].status = TxnStatus::Aborted,
+    }
+}
+
+fn kind(v: &Option<ListViolation>) -> &'static str {
+    match v {
+        None => "accept",
+        Some(ListViolation::IncompatibleOrders { .. }) => "incompatible",
+        Some(ListViolation::PhantomValue { .. }) => "phantom",
+        Some(ListViolation::DuplicateAppend { .. }) => "duplicate",
+        Some(ListViolation::Internal { .. }) => "internal",
+        Some(ListViolation::Cyclic { .. }) => "cyclic",
+    }
+}
+
+/// The checker against the body it replaced, on generated list histories
+/// under one to three random mutations: the same verdict kind on every
+/// internally consistent case (the reference has no internal check).
+/// Witnesses may move on rejections: where the reference found a cycle
+/// only by search, pruning now finds one, and the two can differ (they are
+/// counted, not compared).
+#[test]
+fn same_verdict_kind_as_the_reference_body() {
+    let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
+    let (mut solved, mut cycle_moves, mut class_moves) = (0, 0, 0);
+    for case in 0..6_000u64 {
+        let mut rng = Mix(case);
+        let rec = generate_list_history(&GeneralParams {
+            sessions: 2 + rng.below(4),
+            txns_per_session: 2 + rng.below(8),
+            ops_per_txn: 1 + rng.below(5),
+            keys: 1 + rng.below(5) as u64,
+            read_pct: 20 + rng.below(61) as u32,
+            dist: KeyDistribution::Uniform,
+            seed: case,
+        });
+        let mut h = convert(&rec);
+        for _ in 0..1 + rng.below(3) {
+            mutate(&mut h, &mut rng);
+        }
+        let got = check_si_list(&h).violation;
+        *counts.entry(kind(&got)).or_default() += 1;
+        if matches!(got, Some(ListViolation::Internal { .. })) {
+            continue;
+        }
+        let (want, reached_solver) = list_reference::reference(&h);
+        let want = want.err();
+        solved += reached_solver as usize;
+        assert_eq!(kind(&got), kind(&want), "case {case}: {got:?} vs the reference's {want:?}");
+        if let (
+            Some(ListViolation::Cyclic { cycle, anomaly }),
+            Some(ListViolation::Cyclic { cycle: old_cycle, anomaly: old_anomaly }),
+        ) = (&got, &want)
+        {
+            cycle_moves += (cycle != old_cycle) as usize;
+            class_moves += (anomaly != old_anomaly) as usize;
+        }
+    }
+    println!(
+        "verdicts {counts:?}; reference reached its solver on {solved}; \
+         {cycle_moves} cyclic rejections got another cycle, {class_moves} another anomaly class"
+    );
+    assert!(solved > 0, "no case carried constraints over an acyclic known graph");
 }
