@@ -51,9 +51,11 @@ use crate::engine::{EngineOptions, IsolationLevel};
 use crate::stream::{CheckpointReport, StreamingChecker};
 pub use polysi_history::live::{Delivery, IngestError};
 use polysi_history::{Op, SessionId, TxnStatus};
-use polysi_obs::{kv, Obs};
+use polysi_obs::metrics::Counter;
+use polysi_obs::{kv, Metrics, Obs};
 use std::collections::BTreeMap;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Knobs of the live ingest service.
@@ -120,6 +122,34 @@ pub struct LiveStats {
     pub sealed: usize,
 }
 
+/// The `ingest.*` counters, one per [`LiveStats`] field, registered when
+/// the hub's registry is attached and bumped with their field ([`bump`]).
+struct IngestCounters {
+    delivered: Arc<Counter>,
+    ingested: Arc<Counter>,
+    duplicates: Arc<Counter>,
+    healed: Arc<Counter>,
+    sealed: Arc<Counter>,
+}
+
+impl IngestCounters {
+    fn register(m: &Metrics) -> Self {
+        IngestCounters {
+            delivered: m.counter("ingest.delivered"),
+            ingested: m.counter("ingest.ingested"),
+            duplicates: m.counter("ingest.duplicates"),
+            healed: m.counter("ingest.healed"),
+            sealed: m.counter("ingest.sealed"),
+        }
+    }
+}
+
+/// Count one event in a [`LiveStats`] field and in its `ingest.*` counter.
+fn bump(field: &mut usize, counter: &Counter) {
+    *field += 1;
+    counter.inc();
+}
+
 /// Everything a live run produced: the checkpoint trail, every ingest
 /// fault (typed, per session), and the counters.
 #[derive(Clone, Debug)]
@@ -170,15 +200,18 @@ pub struct LiveChecker {
     checkpoints: Vec<LiveCheckpoint>,
     faults: Vec<(SessionId, IngestError)>,
     stats: LiveStats,
+    counters: IngestCounters,
 }
 
 impl LiveChecker {
     /// A live hub checking `isolation` with the given engine knobs.
     pub fn new(isolation: IsolationLevel, opts: EngineOptions, cfg: LiveConfig) -> Self {
+        let obs = Obs::default();
         LiveChecker {
             cfg,
             checker: StreamingChecker::new(isolation, opts),
-            obs: Obs::default(),
+            counters: IngestCounters::register(&obs.metrics),
+            obs,
             lanes: Vec::new(),
             since_cp: 0,
             overdue: 0,
@@ -192,6 +225,7 @@ impl LiveChecker {
     /// hub into the underlying [`StreamingChecker`].
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.checker = self.checker.with_obs(obs.clone());
+        self.counters = IngestCounters::register(&obs.metrics);
         self.obs = obs;
         self
     }
@@ -225,27 +259,40 @@ impl LiveChecker {
 
     /// Process one delivered message. Tolerable faults are healed and
     /// return `Ok`; structural faults are recorded (the session degrades
-    /// as documented on [`IngestError`]) and returned. Never panics.
+    /// as documented on [`IngestError`]) and the message's own is
+    /// returned — a buffered transaction drained behind it is a separate
+    /// fault, recorded but not returned. Never panics.
     pub fn deliver(&mut self, session: SessionId, msg: Delivery) -> Result<(), IngestError> {
-        self.stats.delivered += 1;
-        let before = self.stats;
-        let faults_before = self.faults.len();
+        bump(&mut self.stats.delivered, &self.counters.delivered);
         let result = self.deliver_inner(session, msg);
         if let Err(e) = &result {
-            self.faults.push((session, e.clone()));
+            self.fault(session, e.clone());
         }
-        for (sid, fault) in &self.faults[faults_before..] {
-            self.obs.tracer.instant("ingest.fault", kv! { session: sid.0, kind: fault.kind() });
-            self.obs.metrics.counter("ingest.faults").inc();
-        }
-        let m = &self.obs.metrics;
-        m.counter("ingest.delivered").inc();
-        m.counter("ingest.ingested").add((self.stats.ingested - before.ingested) as u64);
-        m.counter("ingest.duplicates").add((self.stats.duplicates - before.duplicates) as u64);
-        m.counter("ingest.healed").add((self.stats.healed - before.healed) as u64);
-        m.counter("ingest.sealed").add((self.stats.sealed - before.sealed) as u64);
+        self.drain_buffered(session);
         self.auto_checkpoint();
         result
+    }
+
+    /// Ingest every buffered successor an in-sequence delivery unblocked
+    /// (healed reorder), recording each one's fault as its own.
+    fn drain_buffered(&mut self, session: SessionId) {
+        while let Some((ops, status)) = self
+            .lanes
+            .get_mut(session.0 as usize)
+            .and_then(|lane| lane.buffer.remove(&lane.expected))
+        {
+            if let Err(e) = self.ingest(session, ops, status, true) {
+                self.fault(session, e);
+            }
+        }
+    }
+
+    /// Record one structural fault: its report entry, its `ingest.fault`
+    /// instant and the `ingest.faults` counter.
+    fn fault(&mut self, session: SessionId, e: IngestError) {
+        self.obs.tracer.instant("ingest.fault", kv! { session: session.0, kind: e.kind() });
+        self.obs.metrics.counter("ingest.faults").inc();
+        self.faults.push((session, e));
     }
 
     fn deliver_inner(&mut self, session: SessionId, msg: Delivery) -> Result<(), IngestError> {
@@ -259,7 +306,7 @@ impl LiveChecker {
                     // Exact duplicate: this sequence number was already
                     // ingested (or is already waiting). Tolerable — even
                     // after a seal.
-                    self.stats.duplicates += 1;
+                    bump(&mut self.stats.duplicates, &self.counters.duplicates);
                     return Ok(());
                 }
                 if lane.closed {
@@ -279,17 +326,9 @@ impl LiveChecker {
                     self.lanes[session.0 as usize].buffer.insert(seq, (ops, status));
                     return Ok(());
                 }
-                // The expected transaction: ingest it, then drain every
-                // buffered successor it unblocks (healed reorder).
-                let mut result = self.ingest(session, ops, status, false);
-                while let Some((ops, status)) = {
-                    let lane = &mut self.lanes[session.0 as usize];
-                    lane.buffer.remove(&lane.expected)
-                } {
-                    let healed = self.ingest(session, ops, status, true);
-                    result = result.and(healed);
-                }
-                result
+                // The expected transaction; `deliver` then drains the
+                // buffered successors it unblocks.
+                self.ingest(session, ops, status, false)
             }
             Delivery::Torn { seq, ops: _ } => {
                 // Client crash mid-commit: the partial prefix is never
@@ -301,7 +340,7 @@ impl LiveChecker {
             Delivery::Seal { count } => {
                 if lane.closed {
                     // Duplicated seal: tolerable.
-                    self.stats.duplicates += 1;
+                    bump(&mut self.stats.duplicates, &self.counters.duplicates);
                     return Ok(());
                 }
                 if count != lane.expected || !lane.buffer.is_empty() {
@@ -326,18 +365,14 @@ impl LiveChecker {
     ) -> Result<(), IngestError> {
         self.lanes[session.0 as usize].expected += 1;
         if ops.is_empty() {
-            let e = IngestError::EmptyTransaction { session };
-            // Recorded here (not via `deliver`'s single recording) when a
-            // *buffered* empty transaction drains behind a gap filler.
-            if healed {
-                self.faults.push((session, e.clone()));
-            }
-            return Err(e);
+            return Err(IngestError::EmptyTransaction { session });
         }
         self.checker.try_push_transaction(session, ops, status)?;
         self.since_cp += 1;
-        self.stats.ingested += 1;
-        self.stats.healed += healed as usize;
+        bump(&mut self.stats.ingested, &self.counters.ingested);
+        if healed {
+            bump(&mut self.stats.healed, &self.counters.healed);
+        }
         Ok(())
     }
 
@@ -346,7 +381,7 @@ impl LiveChecker {
         let lane = &mut self.lanes[session.0 as usize];
         if !lane.closed {
             lane.closed = true;
-            self.stats.sealed += 1;
+            bump(&mut self.stats.sealed, &self.counters.sealed);
             let _ = self.checker.try_seal_session(session);
         }
     }

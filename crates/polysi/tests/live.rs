@@ -19,6 +19,7 @@ use polysi::checker::live::Delivery;
 use polysi::checker::{LiveChecker, LiveConfig, LiveService};
 use polysi::dbsim::faults::{clean_script, FaultPlan, ScriptStep};
 use polysi::history::{IngestError, Key, Op, SessionId, TxnId, TxnStatus, Value};
+use polysi_obs::Obs;
 use proptest::prelude::*;
 use std::time::Duration;
 use support::{Contract, Proj};
@@ -190,6 +191,43 @@ fn hub_types_every_structural_fault() {
     let report = hub.finish();
     assert_eq!(report.faults.len(), 1);
     assert!(report.verdict().accepted(), "the surviving prefix is clean");
+}
+
+/// Buffered empty transactions drained behind their gap filler are each
+/// one fault, recorded once and not returned by the filler's `deliver`;
+/// every `ingest.*` counter equals its `LiveStats` field.
+#[test]
+fn buffered_faults_are_recorded_once() {
+    let opts = EngineOptions { interpret: false, ..Default::default() };
+    let cfg = LiveConfig { checkpoint_every: 0, ..LiveConfig::default() };
+    let obs = Obs::default();
+    let mut hub = LiveChecker::new(IsolationLevel::Si, opts, cfg).with_obs(obs.clone());
+    let s = hub.session();
+    let commit = TxnStatus::Committed;
+    for seq in [1, 2] {
+        hub.deliver(s, Delivery::Txn { seq, ops: vec![], status: commit })
+            .expect("ahead of sequence: buffered");
+    }
+    let filler = vec![Op::Write { key: Key(1), value: Value(10) }];
+    hub.deliver(s, Delivery::Txn { seq: 0, ops: filler, status: commit })
+        .expect("the gap filler itself is well formed");
+    hub.deliver(s, Delivery::Seal { count: 3 }).expect("both empty slots are consumed");
+    let report = hub.finish();
+    let empty =
+        |(_, e): &(SessionId, IngestError)| matches!(e, IngestError::EmptyTransaction { .. });
+    assert_eq!(report.faults.len(), 2, "{:?}", report.faults);
+    assert!(report.faults.iter().all(empty));
+
+    let counters = obs.metrics.snapshot().counters;
+    let counter = |name: &str| counters.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v);
+    let st = report.stats;
+    assert_eq!(counter("ingest.faults"), 2);
+    assert_eq!(
+        ["delivered", "ingested", "duplicates", "healed", "sealed"]
+            .map(|f| counter(&format!("ingest.{f}"))),
+        [st.delivered, st.ingested, st.duplicates, st.healed, st.sealed].map(|v| v as u64),
+    );
+    assert_eq!((st.delivered, st.ingested, st.healed, st.sealed), (4, 1, 0, 1));
 }
 
 /// The stall watchdog: with the cadence due but a reorder gap open, the
