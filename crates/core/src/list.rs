@@ -16,7 +16,7 @@ use crate::engine::{extract_cycle, run_unit, Prune, PruneThreads, UnitVerdict};
 use polysi_history::{Key, TxnId, TxnStatus, Value};
 use polysi_obs::Tracer;
 use polysi_polygraph::{ConstraintSet, Edge, Label, Polygraph, PruneOptions, Semantics};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 /// An operation over list-valued keys.
@@ -163,8 +163,10 @@ fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
         }
     }
 
-    // Longest observed list per key; verify prefix-compatibility.
-    let mut longest: HashMap<Key, Vec<Value>> = HashMap::new();
+    // Longest observed list per key; verify prefix-compatibility. The maps
+    // iterated below are ordered, so a verdict's key and witness repeat
+    // from run to run.
+    let mut longest: BTreeMap<Key, Vec<Value>> = BTreeMap::new();
     for t in &txns {
         if t.status != TxnStatus::Committed {
             continue;
@@ -193,7 +195,7 @@ fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
     // observed one would have been observed too), but their order *among
     // themselves* is genuinely unknown — it becomes a constraint for the
     // solver, exactly like a register-history version order.
-    let mut observed: HashMap<Key, Vec<TxnId>> = HashMap::new();
+    let mut observed: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
     let mut value_pos: HashMap<(Key, Value), usize> = HashMap::new();
     for (key, list) in &longest {
         let mut ws = Vec::with_capacity(list.len());
@@ -206,7 +208,7 @@ fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
         }
         observed.insert(*key, ws);
     }
-    let mut unobserved: HashMap<Key, Vec<TxnId>> = HashMap::new();
+    let mut unobserved: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
     for (&(key, value), &w) in &appender {
         if !value_pos.contains_key(&(key, value)) {
             let slot = unobserved.entry(key).or_default();

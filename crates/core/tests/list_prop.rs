@@ -198,7 +198,7 @@ fn kind(v: &Option<ListViolation>) -> &'static str {
 #[test]
 fn same_verdict_kind_as_the_reference_body() {
     let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
-    let (mut solved, mut cycle_moves, mut class_moves) = (0, 0, 0);
+    let (mut solved, mut searched, mut cycle_moves, mut class_moves) = (0, 0, 0, 0);
     for case in 0..6_000u64 {
         let mut rng = Mix(case);
         let rec = generate_list_history(&GeneralParams {
@@ -222,6 +222,7 @@ fn same_verdict_kind_as_the_reference_body() {
         let (want, reached_solver) = list_reference::reference(&h);
         let want = want.err();
         solved += reached_solver as usize;
+        searched += (reached_solver && want.is_some()) as usize;
         assert_eq!(kind(&got), kind(&want), "case {case}: {got:?} vs the reference's {want:?}");
         if let (
             Some(ListViolation::Cyclic { cycle, anomaly }),
@@ -233,8 +234,9 @@ fn same_verdict_kind_as_the_reference_body() {
         }
     }
     println!(
-        "verdicts {counts:?}; reference reached its solver on {solved}; \
-         {cycle_moves} cyclic rejections got another cycle, {class_moves} another anomaly class"
+        "verdicts {counts:?}; the reference reached its solver on {solved} and rejected \
+         {searched} of them; {cycle_moves} cyclic rejections got another cycle, \
+         {class_moves} another anomaly class"
     );
     assert!(solved > 0, "no case carried constraints over an acyclic known graph");
 }

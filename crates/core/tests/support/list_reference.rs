@@ -4,14 +4,17 @@
 //! and a witness from the `either` resolution only. It has no
 //! internal-consistency check. `list_prop.rs` asserts that the shipped
 //! checker reaches the same verdict kind on every internally consistent
-//! history.
+//! history. One edit: the maps it iterates are ordered, as the shipped
+//! checker's are, where the old body iterated hash maps — the verdict
+//! kind never depended on that order, but its witness did, so the count
+//! of witnesses that moved now repeats from run to run.
 
 use polysi_checker::list::{ListHistory, ListOp, ListTxn, ListViolation};
 use polysi_checker::Anomaly;
 use polysi_history::{Key, TxnId, TxnStatus, Value};
 use polysi_polygraph::{ConstraintSet, Edge, KnownGraph, Label, Semantics};
 use polysi_solver::{Lit, SolveResult, Solver};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Check `h` as the old body did. The flag says whether the check reached
 /// the solver: constraints over an acyclic known graph.
@@ -46,7 +49,7 @@ pub fn reference(h: &ListHistory) -> (Result<(), ListViolation>, bool) {
     }
 
     // Longest observed list per key; verify prefix-compatibility.
-    let mut longest: HashMap<Key, Vec<Value>> = HashMap::new();
+    let mut longest: BTreeMap<Key, Vec<Value>> = BTreeMap::new();
     for t in &txns {
         if t.status != TxnStatus::Committed {
             continue;
@@ -75,7 +78,7 @@ pub fn reference(h: &ListHistory) -> (Result<(), ListViolation>, bool) {
     // observed one would have been observed too), but their order *among
     // themselves* is genuinely unknown — it becomes a constraint for the
     // solver, exactly like a register-history version order.
-    let mut observed: HashMap<Key, Vec<TxnId>> = HashMap::new();
+    let mut observed: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
     let mut value_pos: HashMap<(Key, Value), usize> = HashMap::new();
     for (key, list) in &longest {
         let mut ws = Vec::with_capacity(list.len());
@@ -88,7 +91,7 @@ pub fn reference(h: &ListHistory) -> (Result<(), ListViolation>, bool) {
         }
         observed.insert(*key, ws);
     }
-    let mut unobserved: HashMap<Key, Vec<TxnId>> = HashMap::new();
+    let mut unobserved: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
     for (&(key, value), &w) in &appender {
         if !value_pos.contains_key(&(key, value)) {
             let slot = unobserved.entry(key).or_default();
