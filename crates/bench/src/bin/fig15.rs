@@ -1,7 +1,10 @@
 //! Figure 15 (Appendix F): PolySI-List on Elle-style list-append histories,
-//! under the same six sweeps as Figure 6. With lists, version orders are
-//! observable, so checking reduces to a single acyclicity test — times are
-//! sub-second across the board, as the paper reports.
+//! under the same six sweeps as Figure 6. With lists, observed appends fix
+//! most version orders; only the appends no read observed stay
+//! constraints (411 at the default point, 1 510 at 25 % reads), and
+//! pruning leaves a handful of them (5 and 7) for the solver — times are
+//! sub-second across the board, as the paper reports. Every generated
+//! history is valid, so a rejection fails the run.
 
 use polysi_bench::sweeps::fig6_sweeps;
 use polysi_bench::{csv_append, scale, CountingAllocator};

@@ -16,15 +16,17 @@
 //! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph, classified, and interpreted |
 //!
 //! Prune → Encode → Solve is one runner (`run_unit`), shared with the
-//! streaming checker, which constructs its polygraphs its own way; only a
-//! batch unit extracts a witness. Encode and Solve cost the constraints
-//! that *survive* pruning: a unit whose pruning ran and left none is
-//! accepted without building a solver — the known graph is then the only
-//! compatible graph, and the prune oracle already holds it acyclic.
-//! `solve.units` ([`SolveStats`]) therefore counts the solver calls
-//! actually made; with `pruning: false` every unit is encoded. Every stage
-//! time is its span's duration, and a unit's times and stats are one tally
-//! that shards merge and the metrics registry records.
+//! streaming checker and PolySI-List ([`crate::list`]), which construct
+//! their polygraphs their own way; a batch unit and a list history extract
+//! a witness on UNSAT, a stream component does not. Its solve is the
+//! checker's only match on a solver result. Encode and Solve cost the
+//! constraints that *survive* pruning: a unit whose pruning ran and left
+//! none is accepted without building a solver — the known graph is then
+//! the only compatible graph, and the prune oracle already holds it
+//! acyclic. `solve.units` ([`SolveStats`]) therefore counts the solver
+//! calls actually made; with `pruning: false` every unit is encoded. Every
+//! stage time is its span's duration, and a unit's times and stats are one
+//! tally that shards merge and the metrics registry records.
 //!
 //! # Isolation levels
 //!
@@ -523,8 +525,8 @@ impl CheckEngine {
 /// Where a unit's Prune stage starts.
 pub(crate) enum Prune<'a> {
     /// From scratch: a batch unit or a rebuilt stream component, whose
-    /// first pass generates its constraints (`None`: reads the stored
-    /// ones).
+    /// first pass generates its constraints; with `None`, PolySI-List,
+    /// whose first pass reads the constraints it stored.
     Scratch(Option<ConstraintGen>),
     /// From a stream component's warm oracle, seeded with the transactions
     /// its delta `touched`, whose first pass generates the delta's

@@ -193,8 +193,8 @@ fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
     // *observed* value; appends nobody observed necessarily come after the
     // whole observed prefix (lists are append-only, so a value preceding an
     // observed one would have been observed too), but their order *among
-    // themselves* is genuinely unknown — it becomes a constraint for the
-    // solver, exactly like a register-history version order.
+    // themselves* is genuinely unknown — it becomes a constraint, exactly
+    // like a register-history version order.
     let mut observed: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
     let mut value_pos: HashMap<(Key, Value), usize> = HashMap::new();
     for (key, list) in &longest {
