@@ -153,7 +153,10 @@ fn mutate(h: &mut ListHistory, rng: &mut Mix) {
     let t = rng.below(h.sessions[s].len());
     match rng.below(5) {
         0 => {
-            let reads: Vec<usize> = (h.sessions[s][t].ops.iter().enumerate())
+            let reads: Vec<usize> = h.sessions[s][t]
+                .ops
+                .iter()
+                .enumerate()
                 .filter(|(_, op)| matches!(op, ListOp::Read { list, .. } if !list.is_empty()))
                 .map(|(i, _)| i)
                 .collect();
