@@ -9,7 +9,7 @@
 //!
 //! | Stage | Paper | What happens |
 //! |---|---|---|
-//! | [`Stage::Axioms`] | Algorithm 1, lines 2–4 (`CheckNonCyclicAxioms`) | `Int`, aborted/intermediate reads, UniqueValue via [`Facts::analyze`]; on failure the graph stages are skipped |
+//! | [`Stage::Axioms`] | Algorithm 1, lines 2–4 (`CheckNonCyclicAxioms`) | `Int`, aborted/intermediate reads, UniqueValue via [`Facts::analyze`] on the unit's own history; once a unit fails, every unit still runs them but skips the graph stages |
 //! | [`Stage::Construct`] | Algorithm 2 (`CreateKnownGraph` + `GenerateConstraints`) | known `SO ∪ WR` (+ init-read `RW`, + RMW-inferred `WW` under SER) edges and the per-key writer-pair constraint generator (with `pruning: false`, every constraint stored) |
 //! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the first pass generates each constraint and stores only the undecided ones; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — and the per-pass sweep can fan out over its share of the [`PruneThreads`] budget |
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
@@ -40,28 +40,43 @@
 //!
 //! # Sharding
 //!
-//! With [`Sharding::Auto`] the engine partitions the history into
+//! With [`Sharding::Auto`] the engine first partitions the history into
 //! key-connectivity components ([`ShardPlan`]): transaction sets sharing
-//! no keys and no session edges. Each component is constructed, pruned,
-//! encoded, and solved independently on scoped threads (axioms always run
-//! once, globally); stage timings and counters are merged into the single
+//! no keys and no session edges. Each component is then a unit of its own,
+//! checked on one of the scoped shard workers: the history of its sessions
+//! in component-local ids ([`History::restrict`]), its own [`Facts`] and
+//! axioms, then construct, prune, encode and solve; its facts are dropped
+//! before the worker takes the next component, so no analysis is sized by
+//! the whole history. The axioms may run per component because every
+//! axiom witness lies inside one: the plan unions the key of every
+//! operation, aborted ones included, so a read and every write of its key
+//! share a component. The components' violations merge, by
+//! [`AxiomViolation::position`], into the list [`Facts`] gives the whole
+//! history; a cyclic violation is the lowest-numbered violating
+//! component's, interpreted on that component and translated to global
+//! ids. Stage timings and counters are merged into the single
 //! [`CheckReport`]. The [`PruneThreads`] budget is the whole check's. When
 //! key components are bridged by sessions the `SO` edges between them are
 //! cross-shard constraints and the engine falls back to whole-history
-//! checking ([`ShardFallback::CrossShardSessions`]).
+//! checking ([`ShardFallback::CrossShardSessions`]); that one unit is the
+//! history itself, without a copy, and reuses the plan's key index.
 
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, EncodeStats, Outcome, SolveStats, Tally, Violation};
 use crate::interpret::interpret;
-use polysi_history::{Facts, History, KeyIndex, ShardFallback, ShardPlan, TxnId};
+use polysi_history::{
+    AxiomViolation, Facts, History, KeyIndex, ShardComponent, ShardFallback, ShardPlan, TxnId,
+};
 use polysi_obs::{kv, Obs, SpanGuard, Tracer};
 use polysi_polygraph::{
     ConstraintGen, ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, Polygraph,
     PruneOptions, PruneResult, Semantics,
 };
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+use std::time::Duration;
 
 /// The isolation level a history is checked against (the *policy*; the
 /// graph-level *mechanism* is [`Semantics`]).
@@ -284,9 +299,39 @@ pub struct CheckEngine {
     obs: Obs,
 }
 
-/// What one pipeline unit (the whole history, or one shard) concluded —
-/// its violating cycle, in *global* transaction ids — and its tally.
-type UnitReport = (Option<Vec<Edge>>, Tally);
+/// What one pipeline unit (the whole history, or one shard) reports to
+/// the merge: its axiom violations in global ids, the duration of its
+/// axioms, and the tally of its graph stages when they ran.
+#[derive(Default)]
+struct UnitReport {
+    violations: Vec<AxiomViolation>,
+    axioms: Duration,
+    tally: Option<Tally>,
+}
+
+/// A violating cycle in the ids of the unit that found it, with the
+/// unit's history and facts, which interpret it.
+struct Witness<'h> {
+    unit: usize,
+    history: Cow<'h, History>,
+    facts: Facts,
+    cycle: Vec<Edge>,
+}
+
+/// What the units of one check share: whether a unit's axioms failed, the
+/// reports, and the lowest-numbered unit's witness so far.
+#[derive(Default)]
+struct Units<'h> {
+    failed: AtomicBool,
+    reports: Mutex<Vec<(usize, UnitReport)>>,
+    witness: Mutex<Option<Witness<'h>>>,
+}
+
+impl Units<'_> {
+    fn push(&self, i: usize, unit: UnitReport) {
+        self.reports.lock().expect("shard worker panicked").push((i, unit));
+    }
+}
 
 impl CheckEngine {
     /// An engine for `isolation` with the given knobs.
@@ -332,29 +377,16 @@ impl CheckEngine {
         h: &History,
         check_span: &mut SpanGuard,
     ) -> (Outcome, Tally, Option<ShardStats>) {
-        // Stage::Axioms — run once, globally: axiom witnesses (e.g. an
-        // aborted write read in another session) may span what would
-        // otherwise be distinct shards. Its time is folded into
-        // `constructing`, as in the original pipeline.
-        // The key index both analyses read is built here, once.
-        let mut span = self.obs.tracer.span_kv("axioms", kv! { txns: h.len() });
-        let index = KeyIndex::build(h);
-        span.attr("ops", index.op_ids().len());
-        span.attr("keys", index.len());
-        let facts = Facts::analyze_with(h, &index);
-        let axioms_time = span.finish();
-        self.obs.metrics.histogram_us("check.axioms_us").observe_duration(axioms_time);
-        let mut tally = Tally::default();
-        tally.timings.constructing = axioms_time;
-        if !facts.axioms_ok() {
-            return (Outcome::AxiomViolations(facts.violations), tally, None);
-        }
-
-        let plan = match self.opts.sharding {
-            Sharding::Off => None,
-            Sharding::Auto => Some(self.shard_plan(h, &index)),
+        // The plan comes first, so that no analysis is ever sized by more
+        // than one unit. A plan that does not shard is dropped, and the one
+        // unit, `h` itself, reuses the keys it interned.
+        let (plan, index) = match self.opts.sharding {
+            Sharding::Off => (None, None),
+            Sharding::Auto => {
+                let (plan, index) = self.shard_plan(h);
+                (Some(plan), Some(index))
+            }
         };
-        drop(index);
         let shard_stats = plan.as_ref().map(|plan| ShardStats {
             components: plan.components.len().max(1),
             key_components: plan.key_components.max(1),
@@ -362,23 +394,54 @@ impl CheckEngine {
             fallback: plan.fallback(),
         });
         let plan = plan.filter(ShardPlan::is_shardable);
+        let index = index.filter(|_| plan.is_none());
         let budget = self.opts.prune_threads.budget();
         let workers = plan.as_ref().map_or(1, |plan| budget.min(plan.components.len()));
         let sweep_threads = (budget / workers).max(1);
         check_span.attr("workers", workers);
         check_span.attr("sweep_threads", sweep_threads);
         let prune_opts = PruneOptions::new(sweep_threads);
-        let (cycle, unit) = match plan {
-            Some(plan) => self.check_shards(h, &facts, &plan, workers, prune_opts),
-            None => self.check_unit(h, &facts, None, prune_opts),
-        };
-        tally.merge(unit);
 
-        let outcome = match cycle {
+        // Every unit runs the axioms; once one has failed, the rest skip
+        // the graph stages, and the lowest-numbered unit that found a
+        // violating cycle keeps what interprets it.
+        let units = Units::default();
+        match &plan {
+            None => units.push(0, self.check_unit(h, None, index, prune_opts, &units)),
+            Some(plan) => self.check_shards(h, plan, workers, prune_opts, &units),
+        }
+        let mut reports = units.reports.into_inner().expect("shard worker panicked");
+        reports.sort_by_key(|&(i, _)| i);
+
+        // Axiom witnesses never span components (the plan unions the key of
+        // every operation, aborted ones included), so the global list is
+        // the units' lists in the order `Facts` gives one history.
+        let mut violations: Vec<AxiomViolation> =
+            reports.iter_mut().flat_map(|(_, unit)| std::mem::take(&mut unit.violations)).collect();
+        let mut tally = Tally::default();
+        if !violations.is_empty() {
+            violations.sort_by_key(AxiomViolation::position);
+            tally.timings.constructing = reports.iter().map(|(_, unit)| unit.axioms).sum();
+            return (Outcome::AxiomViolations(violations), tally, None);
+        }
+        for (_, unit) in reports {
+            tally.merge(unit.tally.expect("with no axiom failure every unit ran its graph"));
+        }
+
+        let witness = units.witness.into_inner().expect("shard worker panicked");
+        let outcome = match witness {
             None => Outcome::Si,
-            Some(cycle) => {
+            Some(Witness { unit, history, facts, mut cycle }) => {
                 let _span = self.obs.tracer.span("interpret");
-                let scenario = self.opts.interpret.then(|| interpret(h, &facts, &cycle));
+                let global = |t: TxnId| plan.as_ref().map_or(t, |p| p.components[unit].global(t));
+                let scenario = self
+                    .opts
+                    .interpret
+                    .then(|| interpret(&history, &facts, &cycle).map_txns(global));
+                drop((history, facts));
+                for e in &mut cycle {
+                    (e.from, e.to) = (global(e.from), global(e.to));
+                }
                 let anomaly = Anomaly::classify(&cycle);
                 Outcome::CyclicViolation(Violation { cycle, anomaly, scenario })
             }
@@ -386,86 +449,89 @@ impl CheckEngine {
         (outcome, tally, shard_stats)
     }
 
-    /// The key-connectivity plan, under a `shard.plan` span whose duration
-    /// the `check.shard_plan_us` histogram records (no stage includes it).
-    fn shard_plan(&self, h: &History, index: &KeyIndex) -> ShardPlan {
+    /// The key-connectivity plan and the key index it was computed from,
+    /// under a `shard.plan` span whose duration the `check.shard_plan_us`
+    /// histogram records (no stage includes it).
+    fn shard_plan(&self, h: &History) -> (ShardPlan, KeyIndex) {
         let mut span = self.obs.tracer.span("shard.plan");
-        let plan = ShardPlan::analyze_with(h, index);
+        let index = KeyIndex::build(h);
+        let plan = ShardPlan::analyze_with(h, &index);
         span.attr("components", plan.components.len());
         span.attr("keys", index.len());
         span.attr("largest", plan.largest());
         let took = span.finish();
         self.obs.metrics.histogram_us("check.shard_plan_us").observe_duration(took);
-        plan
+        (plan, index)
     }
 
-    /// Check every component on `workers` scoped threads and merge the
-    /// results. The reported violation (if any) is the one from the
-    /// lowest-numbered violating component, so sharded runs stay
-    /// deterministic regardless of scheduling.
-    fn check_shards(
+    /// Check every component on `workers` scoped threads, each under a
+    /// `shard` span.
+    fn check_shards<'h>(
         &self,
-        h: &History,
-        facts: &Facts,
+        h: &'h History,
         plan: &ShardPlan,
         workers: usize,
         prune_opts: PruneOptions,
-    ) -> UnitReport {
-        let ncomp = plan.components.len();
+        units: &Units<'h>,
+    ) {
         let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, UnitReport)>> = Mutex::new(Vec::with_capacity(ncomp));
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(comp) = plan.components.get(i) else { break };
+            let _span = self.obs.tracer.span_kv("shard", kv! { component: i, txns: comp.len() });
+            units.push(i, self.check_unit(h, Some((i, comp)), None, prune_opts, units));
+        };
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= ncomp {
-                        break;
-                    }
-                    let _span = self
-                        .obs
-                        .tracer
-                        .span_kv("shard", kv! { component: i, txns: plan.components[i].len() });
-                    let unit = self.check_unit(h, facts, Some((plan, i)), prune_opts);
-                    results.lock().expect("shard worker panicked").push((i, unit));
-                });
+                s.spawn(work);
             }
         });
-        let mut units = results.into_inner().expect("shard worker panicked");
-        units.sort_by_key(|&(i, _)| i);
-        let mut merged = UnitReport::default();
-        for (_, (cycle, tally)) in units {
-            merged.0 = merged.0.or(cycle);
-            merged.1.merge(tally);
-        }
-        merged
     }
 
-    /// Stage::Construct for one unit — the whole history (`shard == None`)
-    /// or one key-connectivity component — then the shared Prune → Encode
-    /// → Solve runner, and on UNSAT the witness.
-    fn check_unit(
+    /// One unit — the whole history (`comp == None`; `index` is its keys,
+    /// when the plan interned them) or the history of one component's
+    /// sessions, in component-local ids: Stage::Axioms on its own facts,
+    /// then, unless a unit's axioms failed, Stage::Construct and the shared
+    /// Prune → Encode → Solve runner, and on UNSAT the witness. The unit's
+    /// facts are dropped on return unless its cycle is the check's witness
+    /// so far.
+    fn check_unit<'h>(
         &self,
-        h: &History,
-        facts: &Facts,
-        shard: Option<(&ShardPlan, usize)>,
+        h: &'h History,
+        comp: Option<(usize, &ShardComponent)>,
+        index: Option<KeyIndex>,
         prune_opts: PruneOptions,
+        units: &Units<'h>,
     ) -> UnitReport {
         let tracer = &self.obs.tracer;
-        let semantics = self.isolation.semantics();
-        let span = tracer.span("construct");
-        let (mut g, gen) = match shard {
-            None => Polygraph::from_history_with(h, facts, self.opts.mode, semantics),
-            Some((plan, i)) => {
-                // Sessions never span components, so every successor stays
-                // inside; consecutive `SO` edges reach what the transitive
-                // relation does.
-                let comp = &plan.components[i];
-                let so: Vec<_> =
-                    comp.txns.iter().filter_map(|&t| h.so_successor(t).map(|s| (t, s))).collect();
-                let local = |t: TxnId| TxnId(plan.local_of[t.idx()]);
-                Polygraph::from_component(&so, facts, self.opts.mode, semantics, comp, &local)
-            }
+        let mut span =
+            tracer.span_kv("axioms", kv! { txns: comp.map_or(h.len(), |(_, c)| c.len()) });
+        let history = match comp {
+            None => Cow::Borrowed(h),
+            Some((_, c)) => Cow::Owned(h.restrict(&c.sessions)),
         };
+        let index = index.unwrap_or_else(|| KeyIndex::build(&history));
+        span.attr("ops", index.op_ids().len());
+        span.attr("keys", index.len());
+        let facts = Facts::analyze_with(&history, &index);
+        drop(index);
+        let axioms = span.finish();
+        self.obs.metrics.histogram_us("check.axioms_us").observe_duration(axioms);
+        let mut unit = UnitReport { axioms, ..UnitReport::default() };
+        if !facts.axioms_ok() {
+            units.failed.store(true, Ordering::Relaxed);
+            let global = |t: TxnId| comp.map_or(t, |(_, c)| c.global(t));
+            unit.violations = facts.violations.into_iter().map(|v| v.map_txns(global)).collect();
+            return unit;
+        }
+        if units.failed.load(Ordering::Relaxed) {
+            return unit;
+        }
+
+        let span = tracer.span("construct");
+        let semantics = self.isolation.semantics();
+        let (mut g, gen) =
+            Polygraph::from_history_with(&history, &facts, self.opts.mode, semantics);
         // Without pruning every constraint is stored here; with it, the
         // first prune pass generates them and stores only the undecided.
         if !self.opts.pruning {
@@ -475,7 +541,7 @@ impl CheckEngine {
 
         let prune = self.opts.pruning.then_some(Prune::Scratch(Some(gen)));
         let (verdict, mut tally, _oracle) = run_unit(&mut g, prune, &prune_opts, tracer);
-        tally.timings.constructing = constructing;
+        tally.timings.constructing = axioms + constructing;
         let cycle = match verdict {
             UnitVerdict::Accepted => None,
             UnitVerdict::PruneCycle(cycle) => Some(cycle),
@@ -487,16 +553,15 @@ impl CheckEngine {
                 Some(cycle)
             }
         };
-        let translate = |mut cycle: Vec<Edge>| {
-            if let Some((plan, i)) = shard {
-                for e in &mut cycle {
-                    e.from = plan.components[i].global(e.from);
-                    e.to = plan.components[i].global(e.to);
-                }
+        unit.tally = Some(tally);
+        if let Some(cycle) = cycle {
+            let i = comp.map_or(0, |(i, _)| i);
+            let mut witness = units.witness.lock().expect("shard worker panicked");
+            if witness.as_ref().is_none_or(|w| i < w.unit) {
+                *witness = Some(Witness { unit: i, history, facts, cycle });
             }
-            cycle
-        };
-        (cycle.map(translate), tally)
+        }
+        unit
     }
 
     /// Fold a finished check into the metrics registry: the run counters,
@@ -849,6 +914,43 @@ mod tests {
         // Off agrees.
         let off = EngineOptions { sharding: Sharding::Off, ..Default::default() };
         assert!(!check(&h, IsolationLevel::Si, &off).accepted());
+    }
+
+    /// The components' axiom violations merge into the whole history's
+    /// list: every transaction's own violations, then the unresolved reads,
+    /// each group in global order — so the first component's aborted read
+    /// follows the second component's `Int` violation.
+    #[test]
+    fn sharded_axiom_violations_merge_in_whole_history_order() {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(k(1), v(1)).abort();
+        b.session();
+        b.begin().read(k(1), v(1)).commit();
+        b.session();
+        b.begin().write(k(10), v(10)).read(k(10), v(11)).commit();
+        b.begin().write(k(10), v(11)).commit();
+        let h = b.build();
+        assert_eq!(ShardPlan::analyze(&h).components.len(), 2);
+        let off = EngineOptions { sharding: Sharding::Off, ..Default::default() };
+        let (auto, off) = (
+            check(&h, IsolationLevel::Si, &Default::default()),
+            check(&h, IsolationLevel::Si, &off),
+        );
+        assert!(auto.shard_stats.is_none(), "an axiom failure reports no partition");
+        let (Outcome::AxiomViolations(sharded), Outcome::AxiomViolations(whole)) =
+            (&auto.outcome, &off.outcome)
+        else {
+            panic!("both checks must fail the axioms")
+        };
+        assert_eq!(sharded, whole);
+        assert!(matches!(
+            sharded[..],
+            [
+                AxiomViolation::Int { txn: TxnId(2), .. },
+                AxiomViolation::AbortedRead { reader: TxnId(1), writer: TxnId(0), .. }
+            ]
+        ));
     }
 
     #[test]

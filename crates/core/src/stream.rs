@@ -198,8 +198,8 @@ pub struct StreamingChecker {
     stream: HistoryStream,
     comps: FastMap<u64, ComponentState>,
     /// Arrival id → local id within the transaction's component (its
-    /// position in that [`ComponentState::txns`]): what
-    /// `ShardPlan::local_of` is for a batch check. Written by the
+    /// position in that [`ComponentState::txns`]), without the search
+    /// [`polysi_history::ShardComponent::local`] makes. Written by the
     /// event-grouping loop, the collection of rebuild jobs and compaction;
     /// the component jobs just read it. Covers every transaction of a
     /// cached component.

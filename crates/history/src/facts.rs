@@ -138,6 +138,55 @@ impl AxiomViolation {
             AxiomViolation::CompactedDuplicateWrite { .. } => "compacted_duplicate_write",
         }
     }
+
+    /// Where the violation stands in [`Facts::violations`]: its group (0
+    /// for a transaction's own `Int` / `WroteInitValue` / duplicate writes,
+    /// 1 for an unresolved read) and the transaction it is listed under.
+    /// A stable sort by it merges the lists of key-disjoint parts of a
+    /// history, in global ids, into the list of the whole.
+    pub fn position(&self) -> (u8, TxnId) {
+        match *self {
+            AxiomViolation::Int { txn, .. }
+            | AxiomViolation::WroteInitValue { txn, .. }
+            | AxiomViolation::CompactedDuplicateWrite { txn, .. } => (0, txn),
+            AxiomViolation::DuplicateWrite { second, .. } => (0, second),
+            AxiomViolation::AbortedRead { reader, .. }
+            | AxiomViolation::IntermediateRead { reader, .. } => (1, reader),
+            AxiomViolation::UnknownValueRead { txn, .. } => (1, txn),
+        }
+    }
+
+    /// The violation with every transaction id translated by `f`.
+    pub fn map_txns(self, f: impl Fn(TxnId) -> TxnId) -> AxiomViolation {
+        match self {
+            AxiomViolation::Int { txn, key, expected, got } => {
+                AxiomViolation::Int { txn: f(txn), key, expected, got }
+            }
+            AxiomViolation::AbortedRead { reader, writer, key, value } => {
+                AxiomViolation::AbortedRead { reader: f(reader), writer: f(writer), key, value }
+            }
+            AxiomViolation::IntermediateRead { reader, writer, key, value } => {
+                AxiomViolation::IntermediateRead {
+                    reader: f(reader),
+                    writer: f(writer),
+                    key,
+                    value,
+                }
+            }
+            AxiomViolation::DuplicateWrite { key, value, first, second } => {
+                AxiomViolation::DuplicateWrite { key, value, first: f(first), second: f(second) }
+            }
+            AxiomViolation::UnknownValueRead { txn, key, value } => {
+                AxiomViolation::UnknownValueRead { txn: f(txn), key, value }
+            }
+            AxiomViolation::WroteInitValue { txn, key } => {
+                AxiomViolation::WroteInitValue { txn: f(txn), key }
+            }
+            AxiomViolation::CompactedDuplicateWrite { txn, key, value } => {
+                AxiomViolation::CompactedDuplicateWrite { txn: f(txn), key, value }
+            }
+        }
+    }
 }
 
 /// An external read: `(key, value, source)`.
@@ -677,6 +726,33 @@ mod tests {
         assert_eq!(f.writes[1], vec![(k(1), v(2))]);
         assert!(f.writes_key(TxnId(1), k(1)));
         assert!(!f.writes_key(TxnId(1), k(2)));
+    }
+
+    /// The list ascends by `position`: a transaction's own violations, all
+    /// of them, before any unresolved read, whatever the transaction ids.
+    #[test]
+    fn violations_ascend_by_position() {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(k(1), v(5)).abort();
+        b.session();
+        b.begin().read(k(1), v(5)).commit();
+        b.begin().write(k(2), v(6)).read(k(2), v(7)).commit();
+        let violations = Facts::analyze(&b.build()).violations;
+        assert_eq!(
+            violations.iter().map(AxiomViolation::position).collect::<Vec<_>>(),
+            [(0, TxnId(2)), (1, TxnId(1))]
+        );
+        let shifted = violations[1].clone().map_txns(|t| TxnId(t.0 + 10));
+        assert_eq!(
+            shifted,
+            AxiomViolation::AbortedRead {
+                reader: TxnId(11),
+                writer: TxnId(10),
+                key: k(1),
+                value: v(5)
+            }
+        );
     }
 
     #[test]

@@ -138,6 +138,31 @@ impl History {
         self.txn(a).session == self.txn(b).session && a.0 < b.0
     }
 
+    /// The history of `sessions` alone, given ascending (as a
+    /// [`ShardComponent`](crate::ShardComponent) lists them): sessions and
+    /// transactions are renumbered densely in their order here, so the
+    /// `i`-th transaction of the result is the `i`-th of those sessions.
+    pub fn restrict(&self, sessions: &[SessionId]) -> History {
+        let range = |s: SessionId| {
+            let r = &self.session_ranges[s.0 as usize];
+            r.start as usize..r.end as usize
+        };
+        let mut h = History::new();
+        h.txns.reserve_exact(sessions.iter().map(|&s| range(s).len()).sum());
+        h.session_ranges.reserve_exact(sessions.len());
+        for &s in sessions {
+            let (sid, start) = (SessionId(h.session_ranges.len() as u32), h.txns.len() as u32);
+            h.txns.extend(self.txns[range(s)].iter().map(|t| Transaction {
+                session: sid,
+                index_in_session: t.index_in_session,
+                ops: t.ops.clone(),
+                status: t.status,
+            }));
+            h.session_ranges.push(start..h.txns.len() as u32);
+        }
+        h
+    }
+
     /// Append a session built from complete transactions. Returns its id.
     ///
     /// This is the low-level entry point; prefer [`HistoryBuilder`].
@@ -323,6 +348,30 @@ mod tests {
         assert_eq!(sess[0].txns.len(), 2);
         assert_eq!(sess[1].txns.len(), 1);
         assert_eq!(sess[1].first, TxnId(2));
+    }
+
+    #[test]
+    fn restrict_renumbers_the_chosen_sessions() {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(Key(1), Value(10)).commit();
+        b.session();
+        b.begin().write(Key(2), Value(20)).commit();
+        b.begin().read(Key(2), Value(20)).abort();
+        b.session();
+        b.begin().read(Key(1), Value(10)).commit();
+        let h = b.build();
+        let r = h.restrict(&[SessionId(1), SessionId(2)]);
+        assert_eq!(r.num_sessions(), 2);
+        assert_eq!(
+            r.txns().iter().map(|t| &t.ops).collect::<Vec<_>>(),
+            [&h.txn(TxnId(1)).ops, &h.txn(TxnId(2)).ops, &h.txn(TxnId(3)).ops]
+        );
+        assert_eq!(r.txn(TxnId(1)).index_in_session, 1);
+        assert!(!r.txn(TxnId(1)).committed());
+        assert_eq!(r.txn(TxnId(2)).session, SessionId(1));
+        assert_eq!(r.so_edges().collect::<Vec<_>>(), [(TxnId(0), TxnId(1))]);
+        assert_eq!(h.restrict(&[]), History::new());
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! blocks per history and component. Its output is ordered by construction,
 //! not by sorting: components by their first session, `sessions` and `txns`
 //! ascending (sessions are id ranges), `keys` ascending (filled by one sweep
-//! of [`KeyIndex::ids_by_key`]), and [`ShardPlan::local_of`] gives every
-//! transaction its position in its component's `txns`, so consumers
-//! translate ids by indexing instead of searching.
+//! of [`KeyIndex::ids_by_key`]). A component's local ids are positions in
+//! its `txns`, which is also how [`History::restrict`] numbers the history
+//! of its sessions, the unit the engine analyses and checks.
 
 use crate::history::History;
 use crate::ids::{Key, SessionId, TxnId};
@@ -99,10 +99,6 @@ pub struct ShardPlan {
     pub components: Vec<ShardComponent>,
     /// Component index of each transaction (dense over `TxnId`).
     pub component_of: Vec<u32>,
-    /// Component-local id of each transaction (dense over `TxnId`): its
-    /// position in `components[component_of[t]].txns`, i.e. what
-    /// [`ShardComponent::local`] finds by binary search.
-    pub local_of: Vec<u32>,
     /// Number of components under key connectivity alone (ignoring
     /// sessions). `key_components > components.len()` means session edges
     /// merged otherwise independent shards.
@@ -171,14 +167,12 @@ impl ShardPlan {
         // Sessions are id ranges, so walking them in order visits the
         // transactions ascending; `ids_by_key` visits the keys ascending.
         let mut component_of = vec![0u32; h.len()];
-        let mut local_of = vec![0u32; h.len()];
         for s in h.sessions().filter(|s| !s.txns.is_empty()) {
             let c = comp_of_root[uf.find(s.id.0 as usize)];
             let txns = &mut components[c as usize].txns;
             for i in 0..s.txns.len() {
                 let id = TxnId(s.first.0 + i as u32);
                 component_of[id.idx()] = c;
-                local_of[id.idx()] = txns.len() as u32;
                 txns.push(id);
             }
         }
@@ -190,7 +184,7 @@ impl ShardPlan {
         // share one root, so the key-only components are the roots of `kf`.
         let key_components = (0..nkeys).filter(|&k| kf.find(k) == k).count();
 
-        ShardPlan { components, component_of, local_of, key_components }
+        ShardPlan { components, component_of, key_components }
     }
 
     /// Whether the partition is worth sharding over (two or more
@@ -296,13 +290,21 @@ mod tests {
 
     #[test]
     fn local_global_roundtrip() {
-        let plan = ShardPlan::analyze(&two_component_history());
+        let h = two_component_history();
+        let plan = ShardPlan::analyze(&h);
         let b = &plan.components[1];
         assert_eq!(b.local(TxnId(2)), Some(TxnId(0)));
         assert_eq!(b.local(TxnId(3)), Some(TxnId(1)));
         assert_eq!(b.local(TxnId(0)), None);
         assert_eq!(b.global(TxnId(1)), TxnId(3));
         assert!(b.contains(TxnId(3)) && !b.contains(TxnId(1)));
+        // The history of the component's sessions numbers its transactions
+        // by the same local ids.
+        let restricted = h.restrict(&b.sessions);
+        assert_eq!(restricted.len(), b.len());
+        for &t in &b.txns {
+            assert_eq!(restricted.txn(b.local(t).unwrap()).ops, h.txn(t).ops);
+        }
     }
 
     #[test]

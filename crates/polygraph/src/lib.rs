@@ -26,9 +26,10 @@
 //!   quadratic composition is never materialized;
 //! * [`Semantics`] — the edge-composition rule: SI's `(Dep);RW?` layered
 //!   graph or SER's plain acyclicity over all dependency edges;
-//! * [`Polygraph::from_component`] — shard-aware construction over one
-//!   key-connectivity component ([`polysi_history::ShardComponent`]) of a
-//!   history, at cost proportional to the shard.
+//! * [`Polygraph::from_component`] — construction over one
+//!   key-connectivity component ([`polysi_history::ShardComponent`]) of
+//!   facts that cover more than it (a stream's), at cost proportional to
+//!   the component.
 
 mod constraint;
 mod edge;

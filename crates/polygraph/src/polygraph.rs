@@ -200,15 +200,16 @@ impl Polygraph {
         build_polygraph_from(so, facts, mode, semantics, None, h.len())
     }
 
-    /// [`Polygraph::from_history_with`] for one key-connectivity component,
-    /// reusing the global `facts` (axioms run once globally; no per-shard
-    /// re-analysis), so that the streaming checker too can build from its
-    /// incrementally maintained facts. `so_edges` are the session-order
-    /// successor pairs restricted to the component, in any deterministic
-    /// order; `local` maps the component's transactions to their dense
-    /// local ids (e.g. [`polysi_history::ShardPlan::local_of`]), the vertices — translate
-    /// cycles back with [`ShardComponent::global`]. Cost is proportional to
-    /// the component, not the history.
+    /// [`Polygraph::from_history_with`] for one key-connectivity component
+    /// of facts that cover more than the component: the streaming
+    /// checker's, which it maintains incrementally for the whole stream.
+    /// (A batch check analyses each component's own history instead.)
+    /// `so_edges` are the session-order successor pairs restricted to the
+    /// component, in any deterministic order; `local` maps the component's
+    /// transactions to their dense local ids ([`ShardComponent::local`]),
+    /// the vertices — translate cycles back with
+    /// [`ShardComponent::global`]. Cost is proportional to the component,
+    /// not the history.
     pub fn from_component(
         so_edges: &[(TxnId, TxnId)],
         facts: &Facts,
@@ -726,6 +727,30 @@ mod tests {
         assert_eq!(wr, 4);
         // Writers of x: {T0, T5, T1} → 3 constraints; of y: {T0, T2} → 1.
         assert_eq!(g.constraints.len(), 4);
+    }
+
+    /// Under SER a transaction that reads `x` from `w` and writes `x`
+    /// directly follows `w` in `x`'s version order (Cobra's
+    /// read-modify-write inference), so construction knows that `WW` edge
+    /// beside the `WR` one; a plain reader gets none, and SI infers none.
+    #[test]
+    fn ser_read_modify_write_infers_a_known_ww_edge() {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(k(1), v(1)).commit();
+        b.session();
+        b.begin().read(k(1), v(1)).write(k(1), v(2)).commit();
+        b.session();
+        b.begin().read(k(1), v(1)).commit();
+        let h = b.build();
+        let f = Facts::analyze(&h);
+        let known = |semantics| {
+            Polygraph::from_history_with(&h, &f, ConstraintMode::Generalized, semantics).0.known
+        };
+        let (w, rmw, reader) = (TxnId(0), TxnId(1), TxnId(2));
+        let wr = [Edge::new(w, rmw, Label::Wr(k(1))), Edge::new(w, reader, Label::Wr(k(1)))];
+        assert_eq!(known(Semantics::Si), wr);
+        assert_eq!(known(Semantics::Ser), [wr[0], Edge::new(w, rmw, Label::Ww(k(1))), wr[1]]);
     }
 
     #[test]

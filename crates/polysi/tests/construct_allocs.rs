@@ -7,15 +7,16 @@
 //! already stored does, plus a fixed few blocks. Nor does a whole check
 //! ever hold the constraint arena a store-all construction would: its
 //! peak live bytes stay below the 24 bytes an `Edge` costs times the edges
-//! generated, and a streaming checkpoint never holds what storing its
-//! delta's constraints would. Likewise the history analyses in front of it
+//! generated, a streaming checkpoint never holds what storing its delta's
+//! constraints would, and a sharded check never holds the whole history's
+//! `Facts`. Likewise the history analyses in front of it
 //! must not pay per
 //! *operation*: `Facts::analyze` allocates its output lists (a few per
 //! transaction and per key) and `ShardPlan::analyze` a fixed number of
 //! arrays per history and component. This test binary installs its own
 //! counting allocator (hence its own file).
 
-use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel as Level};
+use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel as Level, PruneThreads};
 use polysi::checker::StreamingChecker;
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::{Facts, History, Key, KeyIndex, Op, ShardPlan, TxnStatus, Value};
@@ -186,9 +187,9 @@ fn a_checkpoint_never_holds_its_delta_arena() {
     assert!(peak < arena, "peak {peak} B vs the {arena} B arena of {edges} delta edges");
 }
 
-/// Sixteen key-disjoint copies of a 4-session × 100-transaction workload
-/// over `keys` keys each.
-fn sharded_history(ops_per_txn: usize, keys: u64) -> History {
+/// `components` key-disjoint copies of a 4-session × 100-transaction
+/// workload over `keys` keys each.
+fn sharded_history(ops_per_txn: usize, keys: u64, components: usize) -> History {
     let base = GeneralParams {
         sessions: 4,
         txns_per_session: 100,
@@ -199,7 +200,30 @@ fn sharded_history(ops_per_txn: usize, keys: u64) -> History {
         seed: 7,
     };
     let sim = SimConfig::new(IsolationLevel::SnapshotIsolation, 7);
-    run(&multi_component(&base, 16), &sim).history
+    run(&multi_component(&base, components), &sim).history
+}
+
+/// A sharded check analyses each component on its own and drops its
+/// facts before it takes the next, so on 32 components and two workers its
+/// peak live bytes above the history stay below what the whole history's
+/// `Facts` alone holds (about twice that peak).
+#[test]
+fn a_sharded_check_never_holds_the_whole_facts() {
+    let _serial = serial();
+    let h = sharded_history(8, 150, 32);
+    let base = LIVE.load(Ordering::Relaxed);
+    let facts = Facts::analyze(&h);
+    let whole = LIVE.load(Ordering::Relaxed) - base;
+    drop(facts);
+    let opts = EngineOptions { prune_threads: PruneThreads::Fixed(2), ..Default::default() };
+    let engine = CheckEngine::new(Level::Si, opts);
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let report = engine.check(&h);
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    assert!(report.accepted());
+    assert_eq!(report.shard_stats.map(|s| s.components), Some(32));
+    assert!(peak < whole, "peak {peak} B vs the {whole} B of the whole history's facts");
 }
 
 fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
@@ -211,7 +235,7 @@ fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn history_analyses_do_not_allocate_per_operation() {
     let _serial = serial();
-    let h = sharded_history(8, 1000);
+    let h = sharded_history(8, 1000, 16);
     let (txns, keys) = (h.len() as u64, KeyIndex::build(&h).len() as u64);
     assert!(txns == 6400 && keys > 12_000, "{txns} txns, {keys} keys");
 
@@ -224,10 +248,10 @@ fn history_analyses_do_not_allocate_per_operation() {
     // The plan: the same blocks for twice the operations on the same
     // sessions and keys (150 a component: few enough that every key is
     // touched whatever the transaction length).
-    let h = sharded_history(8, 150);
+    let h = sharded_history(8, 150, 16);
     let (plan, allocs) = allocs_of(|| ShardPlan::analyze(&h));
     assert_eq!(plan.components.len(), 16);
-    let longer = sharded_history(16, 150);
+    let longer = sharded_history(16, 150, 16);
     assert!(longer.num_ops() >= 2 * h.num_ops());
     let (longer_plan, longer_allocs) = allocs_of(|| ShardPlan::analyze(&longer));
     assert_eq!(longer_plan.components.len(), 16);

@@ -395,9 +395,11 @@ fn assert_analyses_match(h: &History, label: &str) {
     let expected = reference_plan(h);
     for plan in [ShardPlan::analyze(h), ShardPlan::analyze_with(h, &index)] {
         assert_eq!(RefPlan::of(&plan), expected, "{label}: ShardPlan::analyze");
-        for (t, &local) in plan.local_of.iter().enumerate() {
-            let comp = &plan.components[plan.component_of[t] as usize];
-            assert_eq!(comp.local(TxnId(t as u32)), Some(TxnId(local)), "{label}: local_of[{t}]");
+        for comp in &plan.components {
+            for (i, &t) in comp.txns.iter().enumerate() {
+                assert_eq!(comp.local(t), Some(TxnId(i as u32)), "{label}: local({t})");
+                assert_eq!(comp.global(TxnId(i as u32)), t, "{label}: global({i})");
+            }
         }
     }
 }

@@ -227,12 +227,15 @@ fn a_rejection_traces_its_interpretation() {
     assert_eq!(interpreted("solver_stress_clique.txt"), (true, 0, 0));
 }
 
-/// The serial front of a sharded check is visible without re-running it:
-/// `axioms` carries the history's size, `shard.plan` sits between it and
-/// the shards with the partition's shape, and both feed latency histograms
-/// next to the stage ones.
+/// A sharded check plans first and analyses per component: `shard.plan`
+/// opens before any `shard` with the partition's shape, and each `shard`
+/// runs one `axioms` span on its own component, which together cover the
+/// history's transactions, operations and keys once. `check.axioms_us`
+/// records one sample per unit and `constructing` is the `axioms` plus
+/// `construct` spans.
 #[test]
 fn axioms_and_shard_plan_are_traced_and_timed() {
+    let us = |d: std::time::Duration| d.as_nanos() as f64 / 1e3;
     let h = fixture("shard_disjoint_components.txt");
     let obs = Obs::enabled();
     let report = CheckEngine::new(IsolationLevel::Si, EngineOptions::default())
@@ -243,35 +246,65 @@ fn axioms_and_shard_plan_are_traced_and_timed() {
 
     let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
     let root = forest.iter().find(|n| n.name == "check").expect("check root");
-    let u64_attr = |node: &polysi_obs::span::SpanNode, key: &str| {
+    let u64_attr = |node: &SpanNode, key: &str| {
         node.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| match v {
-            polysi_obs::span::AttrValue::U64(n) => *n,
+            AttrValue::U64(n) => *n,
             other => panic!("{}.{key} is {other:?}", node.name),
         })
     };
-    let front: Vec<&str> = root.children.iter().map(|c| c.name).take(2).collect();
-    assert_eq!(front, ["axioms", "shard.plan"]);
-    let (axioms, plan) = (&root.children[0], &root.children[1]);
-    assert_eq!(u64_attr(axioms, "txns"), Some(h.len() as u64));
-    assert_eq!(u64_attr(axioms, "ops"), Some(h.num_ops() as u64));
-    let keys = u64_attr(axioms, "keys").expect("axioms.keys");
+    assert_eq!(root.children.first().map(|c| c.name), Some("shard.plan"));
+    let plan = &root.children[0];
+    assert!(root.children.iter().all(|c| c.name != "axioms"), "no whole-history axioms");
+    let keys = u64_attr(plan, "keys").expect("shard.plan.keys");
     assert!(keys >= 2);
-    assert_eq!(u64_attr(plan, "keys"), Some(keys));
     assert_eq!(u64_attr(plan, "components"), Some(stats.components as u64));
     assert_eq!(u64_attr(plan, "largest"), Some(stats.largest as u64));
 
-    let snapshot = obs.metrics.snapshot();
-    for name in ["check.axioms_us", "check.shard_plan_us", "check.construct_us"] {
-        let hist = snapshot.histograms.iter().find(|h| h.name == name);
-        assert_eq!(hist.map(|h| h.count), Some(1), "{name}");
+    let spans = all_spans(&forest);
+    let shards: Vec<_> = spans.iter().filter(|n| n.name == "shard").collect();
+    assert_eq!(shards.len(), stats.components);
+    let (mut txns, mut ops, mut shard_keys) = (0, 0, 0);
+    for shard in &shards {
+        assert!(shard.start_us >= plan.end_us, "a shard opened before the plan closed");
+        let axioms: Vec<_> = shard.children.iter().filter(|c| c.name == "axioms").collect();
+        assert_eq!(axioms.len(), 1, "one axioms span per shard");
+        assert_eq!(u64_attr(axioms[0], "txns"), u64_attr(shard, "txns"));
+        txns += u64_attr(axioms[0], "txns").expect("axioms.txns");
+        ops += u64_attr(axioms[0], "ops").expect("axioms.ops");
+        shard_keys += u64_attr(axioms[0], "keys").expect("axioms.keys");
     }
-    // The plan's time is its own: `constructing` still means axioms plus
-    // polygraph construction.
+    assert_eq!((txns, ops, shard_keys), (h.len() as u64, h.num_ops() as u64, keys));
+
+    let snapshot = obs.metrics.snapshot();
+    let count = |name: &str| snapshot.histograms.iter().find(|h| h.name == name).map(|h| h.count);
+    assert_eq!(count("check.axioms_us"), Some(stats.components as u64), "one per unit");
+    for name in ["check.shard_plan_us", "check.construct_us"] {
+        assert_eq!(count(name), Some(1), "{name}");
+    }
+    // The plan's time is its own: `constructing` means axioms plus
+    // polygraph construction, summed over the shards.
+    let of: Vec<_> = spans.iter().filter(|n| ["axioms", "construct"].contains(&n.name)).collect();
+    assert_eq!(of.len(), 2 * stats.components);
+    let traced: u64 = of.iter().map(|n| n.duration_us()).sum();
+    let diff = (us(report.timings.constructing) - traced as f64).abs();
+    assert!(diff <= of.len() as f64, "{:?} vs {traced} µs", report.timings.constructing);
+
+    // Unsharded, the one unit's axioms sit under `check`, over the history.
     let unsharded = EngineOptions { sharding: Sharding::Off, ..Default::default() };
     let obs = Obs::enabled();
     CheckEngine::new(IsolationLevel::Si, unsharded).with_obs(obs.clone()).check(&h);
-    assert!(obs.tracer.events().iter().all(|e| e.name != "shard.plan"));
-    assert!(obs.metrics.snapshot().histograms.iter().all(|h| h.name != "check.shard_plan_us"));
+    let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+    let spans = all_spans(&forest);
+    assert!(spans.iter().all(|n| n.name != "shard.plan" && n.name != "shard"));
+    let root = forest.iter().find(|n| n.name == "check").expect("check root");
+    let axioms: Vec<_> = root.children.iter().filter(|c| c.name == "axioms").collect();
+    assert_eq!(axioms.len(), 1);
+    assert_eq!(u64_attr(axioms[0], "txns"), Some(h.len() as u64));
+    assert_eq!(u64_attr(axioms[0], "keys"), Some(keys));
+    let snapshot = obs.metrics.snapshot();
+    assert!(snapshot.histograms.iter().all(|h| h.name != "check.shard_plan_us"));
+    let axioms_us = snapshot.histograms.iter().find(|h| h.name == "check.axioms_us");
+    assert_eq!(axioms_us.map(|h| h.count), Some(1));
 }
 
 /// One thread budget for the whole check: `Fixed(1)` makes a sharded
@@ -298,8 +331,14 @@ fn one_budget_splits_into_workers_and_sweep_threads() {
         let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
         let check = forest.iter().find(|n| n.name == "check").expect("check root");
         let attr = |key: &str| check.attrs.iter().find(|(k, _)| *k == key).map(|a| a.1.clone());
-        let tids: BTreeSet<u32> =
-            forest.iter().filter(|n| n.name == "shard").map(|n| n.tid).collect();
+        let shards: Vec<_> = forest.iter().filter(|n| n.name == "shard").collect();
+        assert_eq!(shards.len(), 5, "every shard span is a worker's root");
+        for shard in &shards {
+            let axioms = shard.children.iter().filter(|c| c.name == "axioms").count();
+            assert_eq!(axioms, 1, "each shard analyses its own component");
+        }
+        assert!(check.children.iter().all(|c| c.name != "axioms"));
+        let tids: BTreeSet<u32> = shards.iter().map(|n| n.tid).collect();
         (attr("workers"), attr("sweep_threads"), tids)
     };
     let u = |n: usize| Some(AttrValue::U64(n as u64));
@@ -525,6 +564,16 @@ fn stage_timings_are_the_spans_durations() {
         assert_eq!(components > 1, sharding == Sharding::Auto, "{sharding:?}");
         let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
         let spans = all_spans(&forest);
+        // One `axioms` span per unit: in each `shard`, or under `check`.
+        let unit_span = if sharding == Sharding::Auto { "shard" } else { "check" };
+        let units: Vec<_> = spans.iter().filter(|n| n.name == unit_span).collect();
+        assert_eq!(units.len(), components, "{sharding:?}");
+        for unit in &units {
+            let axioms = unit.children.iter().filter(|c| c.name == "axioms").count();
+            assert_eq!(axioms, 1, "{sharding:?} {}", unit.name);
+        }
+        let axioms = spans.iter().filter(|n| n.name == "axioms").count();
+        assert_eq!(axioms, components, "{sharding:?}");
         let t = report.timings;
         for (took, names) in [
             (t.constructing, &["axioms", "construct"][..]),

@@ -304,7 +304,7 @@ fn outcome(g: &Polygraph, result: PruneResult, storing: bool) -> Outcome {
 }
 
 /// Every unit of `h` as the engine constructs it: the whole history, and
-/// each component when it shards.
+/// each component's own history when it shards.
 fn units(
     h: &polysi::history::History,
     facts: &Facts,
@@ -315,10 +315,8 @@ fn units(
     let plan = ShardPlan::analyze(h);
     if plan.is_shardable() {
         units.extend(plan.components.iter().map(|comp| {
-            let so: Vec<_> =
-                comp.txns.iter().filter_map(|&t| h.so_successor(t).map(|s| (t, s))).collect();
-            let local = |t: TxnId| TxnId(plan.local_of[t.idx()]);
-            Polygraph::from_component(&so, facts, mode, semantics, comp, &local)
+            let h = h.restrict(&comp.sessions);
+            Polygraph::from_history_with(&h, &Facts::analyze(&h), mode, semantics)
         }));
     }
     units
@@ -326,6 +324,47 @@ fn units(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A component's own history and facts — the unit a sharded check
+    /// builds — give the polygraph that the whole history's facts give for
+    /// the component (`Polygraph::from_component`, the stream's
+    /// construction): the same known edges and stored constraints, in the
+    /// same order and the same local ids, under SI and SER.
+    #[test]
+    fn a_component_history_builds_what_the_whole_facts_build(
+        seed in 0u64..1 << 32,
+        components in 2usize..5,
+    ) {
+        let base = GeneralParams {
+            sessions: 2 + (seed % 3) as usize,
+            txns_per_session: 4 + (seed % 10) as usize,
+            ops_per_txn: 2 + (seed % 4) as usize,
+            keys: 4 + seed % 12,
+            read_pct: 30 + (seed % 50) as u32,
+            dist: KeyDistribution::Uniform,
+            seed,
+        };
+        let store = SimConfig::new(Store::SnapshotIsolation, seed);
+        let h = run(&multi_component(&base, components), &store).history;
+        let facts = Facts::analyze(&h);
+        prop_assume!(facts.axioms_ok());
+        let plan = ShardPlan::analyze(&h);
+        for comp in &plan.components {
+            let own = h.restrict(&comp.sessions);
+            let own_facts = Facts::analyze(&own);
+            let so: Vec<_> =
+                comp.txns.iter().filter_map(|&t| h.so_successor(t).map(|s| (t, s))).collect();
+            let local = |t: TxnId| comp.local(t).expect("a transaction of the component");
+            for semantics in [Semantics::Si, Semantics::Ser] {
+                let mode = ConstraintMode::Generalized;
+                let (mut a, gen_a) = Polygraph::from_history_with(&own, &own_facts, mode, semantics);
+                let (mut b, gen_b) =
+                    Polygraph::from_component(&so, &facts, mode, semantics, comp, &local);
+                (a.constraints, b.constraints) = (gen_a.store(), gen_b.store());
+                prop_assert_eq!((a.n, &a.known, &a.constraints), (b.n, &b.known, &b.constraints));
+            }
+        }
+    }
 
     /// The fused first pass — constraints generated, tested, and stored
     /// only when undecided — is the materialize-then-prune loop: the same

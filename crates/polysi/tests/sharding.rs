@@ -5,7 +5,7 @@
 //! of the mode matrix.
 
 use polysi::checker::engine::{check, EngineOptions, IsolationLevel, Sharding};
-use polysi::checker::ShardFallback;
+use polysi::checker::{Outcome, ShardFallback};
 use polysi::history::{History, HistoryBuilder, Key, Value};
 use polysi_obs::json::Value as Json;
 use proptest::prelude::*;
@@ -38,11 +38,14 @@ fn sharded_verdicts_match_whole_history_on_conformance_corpus() {
 /// A compact random multi-component history description: up to three
 /// groups of sessions, each group confined to its own key range. Reads
 /// pick from values written anywhere to the key so far — including values
-/// that make the history inconsistent; that is the point.
+/// that make the history inconsistent (a write an aborted transaction made,
+/// or one its writer overwrote); that is the point.
 #[derive(Debug, Clone)]
 struct MultiSpec {
     #[allow(clippy::type_complexity)]
     groups: Vec<Vec<Vec<Vec<(bool, u64, u64)>>>>, // group→session→txn→(is_read, key, choice)
+    /// Per group→session→txn, in generation order: whether it aborts.
+    aborts: Vec<bool>,
 }
 
 const KEYS_PER_GROUP: u64 = 3;
@@ -52,7 +55,10 @@ fn spec_strategy() -> impl Strategy<Value = MultiSpec> {
     let txn = prop::collection::vec(op, 1..4);
     let session = prop::collection::vec(txn, 1..3);
     let group = prop::collection::vec(session, 1..3);
-    prop::collection::vec(group, 1..4).prop_map(|groups| MultiSpec { groups })
+    // One transaction in six aborts.
+    let aborts = prop::collection::vec((0u8..6).prop_map(|d| d == 0), 24);
+    (prop::collection::vec(group, 1..4), aborts)
+        .prop_map(|(groups, aborts)| MultiSpec { groups, aborts })
 }
 
 /// Instantiate a spec: group `g` owns keys `g*KEYS_PER_GROUP ..`, written
@@ -86,6 +92,7 @@ fn build(spec: &MultiSpec) -> History {
         }
         assigned.push(gv);
     }
+    let mut aborts = spec.aborts.iter().copied().cycle();
     let mut b = HistoryBuilder::new();
     for (gi, group) in spec.groups.iter().enumerate() {
         for (si, sess) in group.iter().enumerate() {
@@ -101,7 +108,11 @@ fn build(spec: &MultiSpec) -> History {
                         b.write(Key(key), Value(assigned[gi][si][ti][oi]));
                     }
                 }
-                b.commit();
+                if aborts.next() == Some(true) {
+                    b.abort();
+                } else {
+                    b.commit();
+                }
             }
         }
     }
@@ -124,10 +135,18 @@ proptest! {
                 isolation.name(),
                 h
             );
+            // Each component's axiom violations merge into the list the
+            // whole history's analysis gives, element for element.
+            if let Outcome::AxiomViolations(sharded) = &a.outcome {
+                let Outcome::AxiomViolations(whole) = &b.outcome else {
+                    panic!("only the sharded check failed an axiom")
+                };
+                prop_assert_eq!(sharded, whole, "{}", isolation.name());
+            }
             // When the graph stages ran, the partition is recorded, and it
             // is at least as fine as the key-disjoint groups (a group's
-            // sessions may split further). (On axiom failures the engine
-            // returns before shard analysis.)
+            // sessions may split further). (An axiom failure reports no
+            // partition.)
             match a.shard_stats {
                 Some(stats) => prop_assert!(
                     stats.components >= spec.groups.len(),
@@ -135,10 +154,7 @@ proptest! {
                     stats.components,
                     spec.groups.len()
                 ),
-                None => prop_assert!(matches!(
-                    a.outcome,
-                    polysi::checker::Outcome::AxiomViolations(_)
-                )),
+                None => prop_assert!(matches!(a.outcome, Outcome::AxiomViolations(_))),
             }
         }
     }
