@@ -134,7 +134,8 @@ fn bench_solver(c: &mut Criterion) {
 }
 
 fn bench_list_mode(c: &mut Criterion) {
-    use polysi_checker::list::{check_si_list, ListHistory, ListOp, ListTxn};
+    use polysi_checker::list::{ListHistory, ListOp, ListTxn};
+    use polysi_checker::CheckEngine;
     use polysi_workloads::list_append::{generate_list_history, ListOpRecord};
     let rec = generate_list_history(&GeneralParams {
         sessions: 10,
@@ -169,7 +170,8 @@ fn bench_list_mode(c: &mut Criterion) {
             })
             .collect(),
     };
-    c.bench_function("polysi-list-1k-txns", |b| b.iter(|| check_si_list(&h)));
+    let engine = CheckEngine::new(Level::Si, EngineOptions::default());
+    c.bench_function("polysi-list-1k-txns", |b| b.iter(|| engine.check_list(&h)));
 }
 
 criterion_group!(

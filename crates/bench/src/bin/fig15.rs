@@ -8,7 +8,8 @@
 
 use polysi_bench::sweeps::fig6_sweeps;
 use polysi_bench::{csv_append, scale, CountingAllocator};
-use polysi_checker::list::{check_si_list, ListHistory, ListOp, ListTxn};
+use polysi_checker::list::{ListHistory, ListOp, ListTxn};
+use polysi_checker::{CheckEngine, EngineOptions, IsolationLevel};
 use polysi_workloads::list_append::{generate_list_history, ListOpRecord};
 
 #[global_allocator]
@@ -45,6 +46,7 @@ fn to_checker_history(rec: &polysi_workloads::list_append::ListHistoryRecord) ->
 fn main() {
     println!("# Figure 15: PolySI-List checking time (s) under sweeps (scale {})", scale());
     let mut rows = Vec::new();
+    let engine = CheckEngine::new(IsolationLevel::Si, EngineOptions::default());
     for (sweep, points) in fig6_sweeps(15) {
         println!("\n== sweep: {sweep} ==");
         println!("{:<10} {:>12}", "x", "PolySI-List");
@@ -54,10 +56,10 @@ fn main() {
             }
             let rec = generate_list_history(&pt.params);
             let h = to_checker_history(&rec);
-            let report = check_si_list(&h);
+            let report = engine.check_list(&h);
             assert!(report.accepted(), "valid list history rejected at {sweep}={}", pt.x);
-            println!("{:<10} {:>12.4}", pt.x, report.elapsed.as_secs_f64());
-            rows.push(format!("{sweep},{},{:.6}", pt.x, report.elapsed.as_secs_f64()));
+            println!("{:<10} {:>12.4}", pt.x, report.timings.total().as_secs_f64());
+            rows.push(format!("{sweep},{},{:.6}", pt.x, report.timings.total().as_secs_f64()));
         }
     }
     csv_append("fig15", "sweep,x,seconds", &rows);

@@ -15,18 +15,18 @@
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
 //! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph, classified, and interpreted |
 //!
-//! Prune → Encode → Solve is one runner (`run_unit`), shared with the
-//! streaming checker and PolySI-List ([`crate::list`]), which construct
-//! their polygraphs their own way; a batch unit and a list history extract
-//! a witness on UNSAT, a stream component does not. Its solve is the
-//! checker's only match on a solver result. Encode and Solve cost the
-//! constraints that *survive* pruning: a unit whose pruning ran and left
-//! none is accepted without building a solver — the known graph is then
-//! the only compatible graph, and the prune oracle already holds it
-//! acyclic. `solve.units` ([`SolveStats`]) therefore counts the solver
-//! calls actually made; with `pruning: false` every unit is encoded. Every
-//! stage time is its span's duration, and a unit's times and stats are one
-//! tally that shards merge and the metrics registry records.
+//! Prune → Encode → Solve is one runner (`run_unit`), shared with the streaming
+//! checker and list histories ([`CheckEngine::check_list`]), which construct
+//! their polygraphs their own way; a batch unit and a list history extract a
+//! witness on UNSAT, a stream component does not. Its solve is the checker's
+//! only match on a solver result. Encode and Solve cost the constraints that
+//! *survive* pruning: a unit whose pruning ran and left none is accepted
+//! without building a solver — the known graph is then the only compatible
+//! graph, and the prune oracle already holds it acyclic. `solve.units`
+//! ([`SolveStats`]) therefore counts the solver calls actually made; with
+//! `pruning: false` every unit is encoded. Every stage time is its span's
+//! duration, and a unit's times and stats are one tally that shards merge and
+//! the metrics registry records.
 //!
 //! # Isolation levels
 //!
@@ -64,6 +64,7 @@
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, EncodeStats, Outcome, SolveStats, Tally, Violation};
 use crate::interpret::interpret;
+use crate::list::{self, ListHistory};
 use polysi_history::{
     AxiomViolation, Facts, History, KeyIndex, ShardComponent, ShardFallback, ShardPlan, TxnId,
 };
@@ -359,16 +360,58 @@ impl CheckEngine {
 
     /// Run the staged pipeline on a history.
     pub fn check(&self, h: &History) -> CheckReport {
-        let mut span = self
-            .obs
-            .tracer
-            .span_kv("check", kv! { isolation: self.isolation.name(), txns: h.len() });
-        let (outcome, mut tally, shard_stats) = self.check_inner(h, &mut span);
+        self.checked(h.len(), |span| self.check_inner(h, span))
+    }
+
+    /// Run the pipeline on a list-append history (PolySI-List, the paper's
+    /// Appendix F) at the engine's level. Its front half, one `construct`
+    /// span, reports the first list-specific [`AxiomViolation`] or builds
+    /// the polygraph ([`crate::list`]) for Prune → Encode → Solve. Of the
+    /// options, `pruning` and `prune_threads` apply; `sharding`, `mode`,
+    /// `interpret` and `compact` do not, so a cycle carries no scenario.
+    pub fn check_list(&self, h: &ListHistory) -> CheckReport {
+        self.checked(h.len(), |_| {
+            let span = self.obs.tracer.span("construct");
+            let g = list::polygraph(h, self.isolation.semantics());
+            let constructing = span.finish();
+            let (cycle, tally) = match g {
+                Ok(mut g) => {
+                    let prune = self.opts.pruning.then_some(Prune::Scratch(None));
+                    let prune_opts = PruneOptions::new(self.opts.prune_threads.budget());
+                    self.run_graph(&mut g, prune, prune_opts, constructing)
+                }
+                Err(violation) => {
+                    let mut tally = Tally::default();
+                    tally.timings.constructing = constructing;
+                    return (Outcome::AxiomViolations(vec![violation]), tally, None);
+                }
+            };
+            let violation = |cycle: Vec<Edge>| {
+                Outcome::CyclicViolation(Violation {
+                    anomaly: Anomaly::classify(&cycle),
+                    cycle,
+                    scenario: None,
+                })
+            };
+            (cycle.map_or(Outcome::Si, violation), tally, None)
+        })
+    }
+
+    /// One check of `txns` transactions under a `check` span, recorded in
+    /// the metrics registry.
+    fn checked(
+        &self,
+        txns: usize,
+        inner: impl FnOnce(&mut SpanGuard) -> (Outcome, Tally, Option<ShardStats>),
+    ) -> CheckReport {
+        let mut span =
+            self.obs.tracer.span_kv("check", kv! { isolation: self.isolation.name(), txns: txns });
+        let (outcome, mut tally, shard_stats) = inner(&mut span);
         span.attr("verdict", outcome.kind());
         // A batch report always carries an `encode` object (zeros when no
         // unit reached Encode), and so does the registry.
         tally.encode_stats.get_or_insert_default();
-        self.record_metrics(h, &outcome, &tally);
+        self.record_metrics(txns, &outcome, &tally);
         tally.report(outcome, shard_stats)
     }
 
@@ -540,19 +583,7 @@ impl CheckEngine {
         let constructing = span.finish();
 
         let prune = self.opts.pruning.then_some(Prune::Scratch(Some(gen)));
-        let (verdict, mut tally, _oracle) = run_unit(&mut g, prune, &prune_opts, tracer);
-        tally.timings.constructing = axioms + constructing;
-        let cycle = match verdict {
-            UnitVerdict::Accepted => None,
-            UnitVerdict::PruneCycle(cycle) => Some(cycle),
-            // The counterexample is part of the Solve stage's time.
-            UnitVerdict::Unsat => {
-                let span = tracer.span("solve.witness");
-                let cycle = extract_cycle(&g);
-                tally.timings.solving += span.finish();
-                Some(cycle)
-            }
-        };
+        let (cycle, tally) = self.run_graph(&mut g, prune, prune_opts, axioms + constructing);
         unit.tally = Some(tally);
         if let Some(cycle) = cycle {
             let i = comp.map_or(0, |(i, _)| i);
@@ -564,14 +595,40 @@ impl CheckEngine {
         unit
     }
 
-    /// Fold a finished check into the metrics registry: the run counters,
-    /// the tally's stage counters, and the stage times as histograms.
-    /// Plain counters carry only scheduling-independent totals (the digest
-    /// contract).
-    fn record_metrics(&self, h: &History, outcome: &Outcome, tally: &Tally) {
+    /// [`run_unit`] on a constructed unit, and on UNSAT its witness, timed
+    /// as part of the Solve stage: the violating cycle, if any, and the
+    /// unit's tally, whose `constructing` is given.
+    fn run_graph(
+        &self,
+        g: &mut Polygraph,
+        prune: Option<Prune<'_>>,
+        prune_opts: PruneOptions,
+        constructing: Duration,
+    ) -> (Option<Vec<Edge>>, Tally) {
+        let tracer = &self.obs.tracer;
+        let (verdict, mut tally, _oracle) = run_unit(g, prune, &prune_opts, tracer);
+        tally.timings.constructing = constructing;
+        let cycle = match verdict {
+            UnitVerdict::Accepted => None,
+            UnitVerdict::PruneCycle(cycle) => Some(cycle),
+            UnitVerdict::Unsat => {
+                let span = tracer.span("solve.witness");
+                let cycle = extract_cycle(g);
+                tally.timings.solving += span.finish();
+                Some(cycle)
+            }
+        };
+        (cycle, tally)
+    }
+
+    /// Fold a finished check of `txns` transactions into the metrics
+    /// registry: the run counters, the tally's stage counters, and the
+    /// stage times as histograms. Plain counters carry only
+    /// scheduling-independent totals (the digest contract).
+    fn record_metrics(&self, txns: usize, outcome: &Outcome, tally: &Tally) {
         let m = &self.obs.metrics;
         m.counter("check.runs").inc();
-        m.counter("check.txns").add(h.len() as u64);
+        m.counter("check.txns").add(txns as u64);
         match outcome {
             Outcome::Si | Outcome::Inconclusive(_) => {}
             Outcome::AxiomViolations(v) => m.counter("check.axiom_violations").add(v.len() as u64),
@@ -590,8 +647,9 @@ impl CheckEngine {
 /// Where a unit's Prune stage starts.
 pub(crate) enum Prune<'a> {
     /// From scratch: a batch unit or a rebuilt stream component, whose
-    /// first pass generates its constraints; with `None`, PolySI-List,
-    /// whose first pass reads the constraints it stored.
+    /// first pass generates its constraints; with `None`, a list history
+    /// ([`CheckEngine::check_list`]), whose first pass reads the
+    /// constraints its front half stored.
     Scratch(Option<ConstraintGen>),
     /// From a stream component's warm oracle, seeded with the transactions
     /// its delta `touched`, whose first pass generates the delta's

@@ -15,10 +15,11 @@
 //!    and produce a minimal, classified counterexample
 //!    ([`interpret::interpret`], [`anomaly::Anomaly`]).
 //!
-//! The crate also ships a brute-force [`oracle`] (Theorem 6 executed
-//! literally) used by the property-test suite to validate soundness and
-//! completeness, a Graphviz [`dot`] renderer, and the PolySI-List extension
-//! ([`list`]) for Elle-style list-append histories.
+//! The same engine checks Elle-style list-append histories ([`list`],
+//! [`CheckEngine::check_list`]) to the one [`Outcome`]. The crate also
+//! ships a brute-force [`oracle`] (Theorem 6 executed literally) used by
+//! the property-test suite to validate soundness and completeness, and a
+//! Graphviz [`dot`] renderer.
 //!
 //! ```
 //! use polysi_checker::{check, EngineOptions, IsolationLevel, Outcome};
@@ -61,7 +62,7 @@ pub use engine::{
     check, CheckEngine, EngineOptions, IsolationLevel, PruneThreads, ShardStats, Sharding, Stage,
 };
 pub use interpret::{Certainty, Scenario};
-pub use list::{check_si_list, ListHistory, ListOp, ListReport, ListTxn, ListViolation};
+pub use list::{ListHistory, ListOp, ListTxn};
 pub use live::{
     LiveChecker, LiveCheckpoint, LiveClient, LiveConfig, LiveReport, LiveService, LiveStats,
 };

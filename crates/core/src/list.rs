@@ -1,23 +1,24 @@
-//! PolySI-List (Appendix F): checking SI over Elle-style *list-append*
-//! histories.
+//! PolySI-List (Appendix F): Elle-style *list-append* histories, checked
+//! by [`CheckEngine::check_list`](crate::CheckEngine::check_list).
 //!
 //! With the list data model, each key holds a list; transactions append
 //! unique values and reads return the whole list. Observed lists fix the
 //! order of every observed append (every read is a prefix of the final
 //! order); only appends no read observed stay unordered among themselves,
 //! one single-edge `WW` constraint per pair of their appenders. This module
-//! is a front end: it checks what is specific to lists, derives the known
-//! edges and those constraints, and hands the polygraph to the engine's
-//! Prune → Encode → Solve runner. At Figure 15's default point (500
-//! transactions) that is 411 constraints, of which pruning leaves 5.
+//! is the engine's front half for lists: it checks what is specific to
+//! lists, as [`AxiomViolation`]s, and derives the known edges and those
+//! constraints; Prune → Encode → Solve are a history's. At Figure 15's
+//! default point (500 transactions) that is 411 constraints, of which
+//! pruning leaves 5.
+//!
+//! The polygraph serves SER as it is: unobserved values have no readers,
+//! so no `RW` edge depends on how a constraint is resolved, and every `RW`
+//! edge is known — SER is plain acyclicity over the same polygraph.
 
-use crate::anomaly::Anomaly;
-use crate::engine::{extract_cycle, run_unit, Prune, PruneThreads, UnitVerdict};
-use polysi_history::{Key, TxnId, TxnStatus, Value};
-use polysi_obs::Tracer;
-use polysi_polygraph::{ConstraintSet, Edge, Label, Polygraph, PruneOptions, Semantics};
+use polysi_history::{AxiomViolation, Key, TxnId, TxnStatus, Value};
+use polysi_polygraph::{ConstraintSet, Edge, Label, Polygraph, Semantics};
 use std::collections::{BTreeMap, HashMap};
-use std::time::Duration;
 
 /// An operation over list-valued keys.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -66,125 +67,61 @@ impl ListHistory {
     }
 }
 
-/// Why a list history was rejected.
-#[derive(Debug)]
-pub enum ListViolation {
-    /// Two observed lists for one key are not prefix-ordered — there is no
-    /// single version order (Elle's "incompatible orders").
-    IncompatibleOrders {
-        /// The key with conflicting observations.
-        key: Key,
-    },
-    /// A read observed a value never appended by a committed transaction.
-    PhantomValue {
-        /// The key read.
-        key: Key,
-        /// The unexplained value.
-        value: Value,
-    },
-    /// Two transactions appended the same value to the same key.
-    DuplicateAppend {
-        /// The key appended.
-        key: Key,
-        /// The duplicated value.
-        value: Value,
-    },
-    /// A committed transaction's read disagrees with its own earlier
-    /// operations on the key (Elle's internal consistency): a repeated
-    /// read is not the previous read plus the appends since, or a first
-    /// read does not end with the transaction's own appends so far.
-    Internal {
-        /// The key read.
-        key: Key,
-        /// The reading transaction (dense id, session-major).
-        txn: TxnId,
-        /// The list the read returned.
-        list: Vec<Value>,
-    },
-    /// The fully-known dependency graph contains a violating cycle.
-    Cyclic {
-        /// The violating cycle.
-        cycle: Vec<Edge>,
-        /// Its anomaly classification.
-        anomaly: Anomaly,
-    },
-}
-
-/// Result of checking a list history.
-pub struct ListReport {
-    /// `None` means the history satisfies SI.
-    pub violation: Option<ListViolation>,
-    /// Checking time: the duration of the `list` span around the check.
-    pub elapsed: Duration,
-}
-
-impl ListReport {
-    /// Whether the history was accepted.
-    pub fn accepted(&self) -> bool {
-        self.violation.is_none()
-    }
-}
-
-/// Check a list-append history against snapshot isolation.
-pub fn check_si_list(h: &ListHistory) -> ListReport {
-    let tracer = Tracer::disabled();
-    let span = tracer.span("list");
-    let violation = run(h, &tracer).err();
-    ListReport { violation, elapsed: span.finish() }
-}
-
-fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
-    // Dense ids, session-major.
+/// The polygraph of `h` under `semantics`, or the first list-specific
+/// violation found, in this order: a value appended twice
+/// ([`AxiomViolation::DuplicateWrite`]); two reads of a key that are not
+/// prefix-ordered ([`AxiomViolation::IncompatibleOrders`]); per key, a
+/// value of the longest read that no committed transaction appended
+/// ([`AxiomViolation::UnknownValueRead`]) or that it repeats
+/// (`IncompatibleOrders` of its reader with itself); per committed
+/// transaction in program order, a read that disagrees with its own
+/// earlier operations on the key ([`AxiomViolation::ListInt`]) or that
+/// lists a value it appends only later ([`AxiomViolation::FutureRead`]).
+pub(crate) fn polygraph(
+    h: &ListHistory,
+    semantics: Semantics,
+) -> Result<Polygraph, AxiomViolation> {
+    // Dense ids, session-major; the session order is the first known edges.
     let mut txns: Vec<&ListTxn> = Vec::new();
-    let mut so_edges: Vec<(TxnId, TxnId)> = Vec::new();
+    let mut edges: Vec<Edge> = Vec::new();
     for sess in &h.sessions {
-        let start = txns.len();
-        for (i, t) in sess.iter().enumerate() {
+        let start = txns.len() as u32;
+        for (i, t) in (start..).zip(sess) {
             txns.push(t);
-            if i > 0 {
-                so_edges.push((TxnId((start + i - 1) as u32), TxnId((start + i) as u32)));
+            if i > start {
+                edges.push(Edge::new(TxnId(i - 1), TxnId(i), Label::So));
             }
         }
     }
-    let n = txns.len();
+    let committed = || {
+        (0..).map(TxnId).zip(txns.iter().copied()).filter(|(_, t)| t.status == TxnStatus::Committed)
+    };
 
     // Appender maps (committed appends only).
     let mut appender: HashMap<(Key, Value), TxnId> = HashMap::new();
-    for (i, t) in txns.iter().enumerate() {
-        if t.status != TxnStatus::Committed {
-            continue;
-        }
+    for (id, t) in committed() {
         for op in &t.ops {
             if let ListOp::Append { key, value } = *op {
-                if appender.insert((key, value), TxnId(i as u32)).is_some() {
-                    return Err(ListViolation::DuplicateAppend { key, value });
+                if let Some(first) = appender.insert((key, value), id) {
+                    return Err(AxiomViolation::DuplicateWrite { key, value, first, second: id });
                 }
             }
         }
     }
 
-    // Longest observed list per key; verify prefix-compatibility. The maps
-    // iterated below are ordered, so a verdict's key and witness repeat
-    // from run to run.
-    let mut longest: BTreeMap<Key, Vec<Value>> = BTreeMap::new();
-    for t in &txns {
-        if t.status != TxnStatus::Committed {
-            continue;
-        }
-        for op in &t.ops {
-            if let ListOp::Read { key, list } = op {
-                let best = longest.entry(*key).or_default();
-                let (short, long) = if list.len() <= best.len() {
-                    (&list[..], &best[..])
-                } else {
-                    (&best[..], &list[..])
-                };
-                if short != &long[..short.len()] {
-                    return Err(ListViolation::IncompatibleOrders { key: *key });
-                }
-                if list.len() > best.len() {
-                    *best = list.clone();
-                }
+    // Longest observed list per key, and its reader; verify
+    // prefix-compatibility. The maps iterated below are ordered, so a
+    // verdict's key and witness repeat from run to run.
+    let mut longest: BTreeMap<Key, (TxnId, &[Value])> = BTreeMap::new();
+    for (id, t) in committed() {
+        for (key, list) in reads(t) {
+            let (holder, best) = longest.entry(key).or_insert((id, &[]));
+            let short = list.len().min(best.len());
+            if list[..short] != best[..short] {
+                return Err(AxiomViolation::IncompatibleOrders { key, first: *holder, second: id });
+            }
+            if list.len() > best.len() {
+                (*holder, *best) = (id, list);
             }
         }
     }
@@ -196,36 +133,41 @@ fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
     // themselves* is genuinely unknown — it becomes a constraint, exactly
     // like a register-history version order.
     let mut observed: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
-    let mut value_pos: HashMap<(Key, Value), usize> = HashMap::new();
-    for (key, list) in &longest {
+    for (&key, &(holder, list)) in &longest {
         let mut ws = Vec::with_capacity(list.len());
-        for &v in list {
-            let Some(&w) = appender.get(&(*key, v)) else {
-                return Err(ListViolation::PhantomValue { key: *key, value: v });
-            };
-            value_pos.insert((*key, v), ws.len());
-            ws.push(w);
-        }
-        observed.insert(*key, ws);
-    }
-    let mut unobserved: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
-    for (&(key, value), &w) in &appender {
-        if !value_pos.contains_key(&(key, value)) {
-            let slot = unobserved.entry(key).or_default();
-            if !slot.contains(&w) {
-                slot.push(w);
+        for (i, &value) in list.iter().enumerate() {
+            match appender.remove(&(key, value)) {
+                Some(w) => ws.push(w),
+                None if list[..i].contains(&value) => {
+                    return Err(AxiomViolation::IncompatibleOrders {
+                        key,
+                        first: holder,
+                        second: holder,
+                    })
+                }
+                None => {
+                    let listed =
+                        |t: &ListTxn| reads(t).any(|(k, l)| k == key && l.contains(&value));
+                    let (txn, _) =
+                        committed().find(|&(_, t)| listed(t)).expect("a reader listed it");
+                    return Err(AxiomViolation::UnknownValueRead { txn, key, value });
+                }
             }
         }
+        observed.insert(key, ws);
+    }
+    // What is left of the appenders appended what nobody observed.
+    let mut unobserved: BTreeMap<Key, Vec<TxnId>> = BTreeMap::new();
+    for ((key, _), w) in appender {
+        unobserved.entry(key).or_default().push(w);
     }
     for ws in unobserved.values_mut() {
         ws.sort_unstable();
+        ws.dedup();
     }
+    let unobs = |key: &Key| unobserved.get(key).map_or(&[][..], Vec::as_slice);
 
     // Known edges.
-    let mut edges: Vec<Edge> = Vec::new();
-    for (a, b) in so_edges {
-        edges.push(Edge::new(a, b, Label::So));
-    }
     for (key, ws) in &observed {
         for w in ws.windows(2) {
             if w[0] != w[1] {
@@ -234,18 +176,12 @@ fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
         }
         // Every unobserved appender comes after the observed prefix.
         if let Some(&last) = ws.last() {
-            for &u in unobserved.get(key).map(Vec::as_slice).unwrap_or(&[]) {
-                if u != last {
-                    edges.push(Edge::new(last, u, Label::Ww(*key)));
-                }
+            for &u in unobs(key).iter().filter(|&&u| u != last) {
+                edges.push(Edge::new(last, u, Label::Ww(*key)));
             }
         }
     }
-    for (i, t) in txns.iter().enumerate() {
-        if t.status != TxnStatus::Committed {
-            continue;
-        }
-        let reader = TxnId(i as u32);
+    for (reader, t) in committed() {
         // Per key, whether the transaction has read it and what its next
         // read must show: before the first read, its own appends so far
         // (the read must end with them); after, the last read plus the
@@ -259,52 +195,34 @@ fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
                     own.entry(*key).or_default().1.push(*value);
                     continue;
                 }
-                ListOp::Read { key, list } => (key, list),
+                ListOp::Read { key, list } => (*key, list),
             };
-            let (read, expect) = own.entry(*key).or_default();
+            let (read, expect) = own.entry(key).or_default();
             let consistent = if *read { list == expect } else { list.ends_with(expect) };
             if !consistent {
-                return Err(ListViolation::Internal { key: *key, txn: reader, list: list.clone() });
+                return Err(AxiomViolation::ListInt { txn: reader, key, got: list[..].into() });
             }
+            let external = list.len() - expect.len();
             expect.clone_from(list);
             if std::mem::replace(read, true) {
                 continue;
             }
-            let obs = observed.get(key).map(Vec::as_slice).unwrap_or(&[]);
-            let unobs = unobserved.get(key).map(Vec::as_slice).unwrap_or(&[]);
-            if let Some(&last) = list.last() {
-                let pos = value_pos[&(*key, last)];
-                let w = obs[pos];
-                if w != reader {
-                    edges.push(Edge::new(w, reader, Label::Wr(*key)));
-                }
-                if let Some(&next) = obs.get(pos + 1) {
-                    // Overwritten by the next observed append.
-                    if next != reader {
-                        edges.push(Edge::new(reader, next, Label::Rw(*key)));
-                    }
-                } else {
-                    // Read the full observed prefix: anti-depends on every
-                    // unobserved append (their first is unknown).
-                    for &u in unobs {
-                        if u != reader {
-                            edges.push(Edge::new(reader, u, Label::Rw(*key)));
-                        }
-                    }
-                }
-            } else if let Some(&first) = obs.first() {
-                // Empty read: anti-depends on the first appender.
-                if first != reader {
-                    edges.push(Edge::new(reader, first, Label::Rw(*key)));
-                }
-            } else {
-                // Empty read with no observed appends at all: every append
-                // (necessarily unobserved) overwrote it.
-                for &u in unobs {
-                    if u != reader {
-                        edges.push(Edge::new(reader, u, Label::Rw(*key)));
-                    }
-                }
+            // The read is a prefix of the observed order: what precedes
+            // its own appends, other transactions appended.
+            let obs = observed.get(&key).map_or(&[][..], Vec::as_slice);
+            if let Some(i) = (0..external).find(|&i| obs[i] == reader) {
+                return Err(AxiomViolation::FutureRead { txn: reader, key, value: list[i] });
+            }
+            // It read from its last element's appender and was overwritten
+            // by the next observed append or, past the observed prefix, by
+            // every unobserved one (their first is unknown).
+            let len = list.len();
+            if len > 0 && obs[len - 1] != reader {
+                edges.push(Edge::new(obs[len - 1], reader, Label::Wr(key)));
+            }
+            let overwriters = obs.get(len).map_or(unobs(&key), std::slice::from_ref);
+            for &u in overwriters.iter().filter(|&&u| u != reader) {
+                edges.push(Edge::new(reader, u, Label::Rw(key)));
             }
         }
     }
@@ -322,206 +240,176 @@ fn run(h: &ListHistory, tracer: &Tracer) -> Result<(), ListViolation> {
             }
         }
     }
+    Ok(Polygraph { n: txns.len(), known: edges, constraints, semantics })
+}
 
-    // The engine's runner: prune decides most pairs; the rest are solved.
-    let mut g = Polygraph { n, known: edges, constraints, semantics: Semantics::Si };
-    let opts = PruneOptions::new(PruneThreads::default().budget());
-    let cycle = match run_unit(&mut g, Some(Prune::Scratch(None)), &opts, tracer).0 {
-        UnitVerdict::Accepted => return Ok(()),
-        UnitVerdict::PruneCycle(cycle) => cycle,
-        UnitVerdict::Unsat => extract_cycle(&g),
-    };
-    let anomaly = Anomaly::classify(&cycle);
-    Err(ListViolation::Cyclic { cycle, anomaly })
+/// A transaction's reads, in program order.
+fn reads(t: &ListTxn) -> impl Iterator<Item = (Key, &[Value])> + '_ {
+    t.ops.iter().filter_map(|op| match op {
+        ListOp::Read { key, list } => Some((*key, &list[..])),
+        ListOp::Append { .. } => None,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{CheckEngine, EngineOptions, IsolationLevel};
+    use crate::Outcome;
 
-    fn k(n: u64) -> Key {
-        Key(n)
+    fn append(key: u64, value: u64) -> ListOp {
+        ListOp::Append { key: Key(key), value: Value(value) }
     }
-    fn v(n: u64) -> Value {
-        Value(n)
-    }
-    fn append(key: Key, value: Value) -> ListOp {
-        ListOp::Append { key, value }
-    }
-    fn read(key: Key, list: &[u64]) -> ListOp {
-        ListOp::Read { key, list: list.iter().map(|&x| Value(x)).collect() }
+    fn read(key: u64, list: &[u64]) -> ListOp {
+        ListOp::Read { key: Key(key), list: list.iter().map(|&x| Value(x)).collect() }
     }
     fn txn(ops: Vec<ListOp>) -> ListTxn {
         ListTxn { ops, status: TxnStatus::Committed }
     }
+    fn aborted(ops: Vec<ListOp>) -> ListTxn {
+        ListTxn { ops, status: TxnStatus::Aborted }
+    }
+    /// One transaction per session.
+    fn sessions(txns: Vec<ListTxn>) -> ListHistory {
+        ListHistory { sessions: txns.into_iter().map(|t| vec![t]).collect() }
+    }
 
-    #[test]
-    fn serial_appends_accepted() {
-        let h = ListHistory {
+    fn check(h: &ListHistory, level: IsolationLevel) -> Outcome {
+        CheckEngine::new(level, EngineOptions::default()).check_list(h).outcome
+    }
+
+    fn write_skew() -> ListHistory {
+        ListHistory {
+            sessions: vec![
+                vec![txn(vec![append(1, 1)]), txn(vec![append(2, 2)])],
+                vec![txn(vec![read(1, &[1]), append(2, 22)])],
+                vec![txn(vec![read(2, &[2]), append(1, 11)])],
+            ],
+        }
+    }
+
+    /// The list verdict table: each row is a test named `$name` asserting
+    /// that `$history` checked at `$level`, with and without pruning, gives
+    /// `Outcome::kind()` `$kind` and the violation kind `$violation` (an
+    /// axiom's [`AxiomViolation::kind`], a cycle's anomaly, `""` for an
+    /// accept).
+    macro_rules! verdicts {
+        ($($name:ident: $level:ident, $kind:literal, $violation:literal, $history:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                for pruning in [true, false] {
+                    let opts = EngineOptions { pruning, ..EngineOptions::default() };
+                    let engine = CheckEngine::new(IsolationLevel::$level, opts);
+                    let outcome = engine.check_list(&$history).outcome;
+                    let violation = match &outcome {
+                        Outcome::AxiomViolations(vs) => vs[0].kind(),
+                        Outcome::CyclicViolation(v) => v.anomaly.name(),
+                        Outcome::Si | Outcome::Inconclusive(_) => "",
+                    };
+                    let got = (outcome.kind(), violation);
+                    assert_eq!(got, ($kind, $violation), "pruning {pruning}: {outcome:?}");
+                }
+            }
+        )*};
+    }
+
+    verdicts! {
+        serial_appends_accepted: Si, "ok", "", ListHistory {
             sessions: vec![vec![
-                txn(vec![append(k(1), v(1))]),
-                txn(vec![read(k(1), &[1]), append(k(1), v(2))]),
-                txn(vec![read(k(1), &[1, 2])]),
+                txn(vec![append(1, 1)]),
+                txn(vec![read(1, &[1]), append(1, 2)]),
+                txn(vec![read(1, &[1, 2])]),
             ]],
         };
-        assert!(check_si_list(&h).accepted());
+        incompatible_orders_rejected: Si, "axiom_violation", "incompatible_orders", sessions(vec![
+            txn(vec![append(1, 1)]),
+            txn(vec![append(1, 2)]),
+            txn(vec![read(1, &[1, 2])]),
+            txn(vec![read(1, &[2, 1])]),
+        ]);
+        repeated_element_rejected: Si, "axiom_violation", "incompatible_orders",
+            sessions(vec![txn(vec![append(1, 1)]), txn(vec![read(1, &[1, 1])])]);
+        phantom_value_rejected: Si, "axiom_violation", "unknown_value_read",
+            sessions(vec![txn(vec![read(1, &[9])])]);
+        duplicate_append_rejected: Si, "axiom_violation", "duplicate_write",
+            sessions(vec![txn(vec![append(1, 1)]), txn(vec![append(1, 1)])]);
+        // Both updaters read [1] and append: a later read [1, 2, 3] exposes
+        // the order, and each missed the other.
+        lost_update_on_lists_rejected: Si, "cyclic_violation", "lost update", sessions(vec![
+            txn(vec![append(1, 1)]),
+            txn(vec![read(1, &[1]), append(1, 2)]),
+            txn(vec![read(1, &[1]), append(1, 3)]),
+            txn(vec![read(1, &[1, 2, 3])]),
+        ]);
+        long_fork_on_lists_rejected: Si, "cyclic_violation", "long fork", sessions(vec![
+            txn(vec![append(1, 1)]),
+            txn(vec![append(2, 2)]),
+            txn(vec![read(1, &[1]), read(2, &[])]),
+            txn(vec![read(1, &[]), read(2, &[2])]),
+        ]);
+        write_skew_on_lists_accepted: Si, "ok", "", write_skew();
+        write_skew_on_lists_rejected_under_ser: Ser, "cyclic_violation", "write skew",
+            write_skew();
+        aborted_appends_invisible: Si, "ok", "",
+            sessions(vec![aborted(vec![append(1, 1)]), txn(vec![read(1, &[])])]);
+        reading_an_aborted_append_rejected: Si, "axiom_violation", "unknown_value_read",
+            sessions(vec![aborted(vec![append(1, 1)]), txn(vec![read(1, &[1])])]);
+        // [1], then [1, 2] with no append in between: a non-repeatable read,
+        // which no snapshot explains.
+        reread_without_append_must_repeat_the_read: Si, "axiom_violation", "list_int",
+            sessions(vec![
+                txn(vec![append(1, 1)]),
+                txn(vec![append(1, 2)]),
+                txn(vec![read(1, &[1]), read(1, &[1, 2])]),
+            ]);
+        read_must_end_with_own_appends: Si, "axiom_violation", "list_int",
+            sessions(vec![txn(vec![append(1, 1), read(1, &[])])]);
+        read_of_own_later_append_rejected: Si, "axiom_violation", "future_read",
+            sessions(vec![txn(vec![read(1, &[1]), append(1, 1)])]);
+        reads_that_follow_own_appends_accepted: Si, "ok", "", sessions(vec![
+            txn(vec![append(1, 1)]),
+            txn(vec![append(1, 2), read(1, &[1, 2]), append(1, 3), read(1, &[1, 2, 3])]),
+        ]);
+        unobserved_appends_do_not_block_acceptance: Si, "ok", "", sessions(vec![
+            txn(vec![append(1, 1)]),
+            txn(vec![append(1, 2)]),
+            txn(vec![read(1, &[1])]),
+        ]);
     }
 
+    /// A list axiom names its transactions, key and list; a phantom's
+    /// reader is the first committed one that listed it.
     #[test]
-    fn incompatible_orders_rejected() {
-        let h = ListHistory {
-            sessions: vec![
-                vec![txn(vec![append(k(1), v(1))])],
-                vec![txn(vec![append(k(1), v(2))])],
-                vec![txn(vec![read(k(1), &[1, 2])])],
-                vec![txn(vec![read(k(1), &[2, 1])])],
-            ],
+    fn list_violations_name_their_witness() {
+        let axioms = |h: &ListHistory| match check(h, IsolationLevel::Si) {
+            Outcome::AxiomViolations(vs) => vs,
+            other => panic!("expected an axiom violation, got {other:?}"),
         };
-        match check_si_list(&h).violation {
-            Some(ListViolation::IncompatibleOrders { key }) => assert_eq!(key, k(1)),
-            other => panic!("expected incompatible orders, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn phantom_value_rejected() {
-        let h = ListHistory { sessions: vec![vec![txn(vec![read(k(1), &[9])])]] };
-        assert!(matches!(check_si_list(&h).violation, Some(ListViolation::PhantomValue { .. })));
-    }
-
-    #[test]
-    fn duplicate_append_rejected() {
-        let h = ListHistory {
-            sessions: vec![
-                vec![txn(vec![append(k(1), v(1))])],
-                vec![txn(vec![append(k(1), v(1))])],
-            ],
-        };
-        assert!(matches!(check_si_list(&h).violation, Some(ListViolation::DuplicateAppend { .. })));
-    }
-
-    #[test]
-    fn lost_update_on_lists_rejected() {
-        // Both sessions read [1] and append: the version order is exposed by
-        // a later read [1,2,3], and each updater missed the other.
-        let h = ListHistory {
-            sessions: vec![
-                vec![txn(vec![append(k(1), v(1))])],
-                vec![txn(vec![read(k(1), &[1]), append(k(1), v(2))])],
-                vec![txn(vec![read(k(1), &[1]), append(k(1), v(3))])],
-                vec![txn(vec![read(k(1), &[1, 2, 3])])],
-            ],
-        };
-        match check_si_list(&h).violation {
-            Some(ListViolation::Cyclic { anomaly, .. }) => {
-                assert_eq!(anomaly, Anomaly::LostUpdate);
-            }
-            other => panic!("expected cyclic violation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn long_fork_on_lists_rejected() {
-        let h = ListHistory {
-            sessions: vec![
-                vec![txn(vec![append(k(1), v(1))])],
-                vec![txn(vec![append(k(2), v(2))])],
-                vec![txn(vec![read(k(1), &[1]), read(k(2), &[])])],
-                vec![txn(vec![read(k(1), &[]), read(k(2), &[2])])],
-            ],
-        };
-        match check_si_list(&h).violation {
-            Some(ListViolation::Cyclic { anomaly, .. }) => assert_eq!(anomaly, Anomaly::LongFork),
-            other => panic!("expected cyclic violation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn write_skew_on_lists_accepted() {
-        let h = ListHistory {
-            sessions: vec![
-                vec![txn(vec![append(k(1), v(1))]), txn(vec![append(k(2), v(2))])],
-                vec![txn(vec![read(k(1), &[1]), append(k(2), v(22))])],
-                vec![txn(vec![read(k(2), &[2]), append(k(1), v(11))])],
-            ],
-        };
-        assert!(check_si_list(&h).accepted());
-    }
-
-    #[test]
-    fn aborted_appends_invisible() {
-        let h = ListHistory {
-            sessions: vec![
-                vec![ListTxn { ops: vec![append(k(1), v(1))], status: TxnStatus::Aborted }],
-                vec![txn(vec![read(k(1), &[])])],
-            ],
-        };
-        assert!(check_si_list(&h).accepted());
-        // Reading the aborted value is a phantom.
-        let h2 = ListHistory {
-            sessions: vec![
-                vec![ListTxn { ops: vec![append(k(1), v(1))], status: TxnStatus::Aborted }],
-                vec![txn(vec![read(k(1), &[1])])],
-            ],
-        };
-        assert!(matches!(check_si_list(&h2).violation, Some(ListViolation::PhantomValue { .. })));
-    }
-
-    #[test]
-    fn reread_without_append_must_repeat_the_read() {
-        // T3 reads [1], then [1, 2] with no append in between: a
-        // non-repeatable read, which no snapshot explains.
-        let h = ListHistory {
-            sessions: vec![
-                vec![txn(vec![append(k(1), v(1))])],
-                vec![txn(vec![append(k(1), v(2))])],
-                vec![txn(vec![read(k(1), &[1]), read(k(1), &[1, 2])])],
-            ],
-        };
-        match check_si_list(&h).violation {
-            Some(ListViolation::Internal { key, txn, list }) => {
-                assert_eq!((key, txn, list), (k(1), TxnId(2), vec![v(1), v(2)]));
-            }
-            other => panic!("expected an internal violation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn read_must_end_with_own_appends() {
-        // T appends 1 to k, then reads k = []: it misses its own write.
-        let h =
-            ListHistory { sessions: vec![vec![txn(vec![append(k(1), v(1)), read(k(1), &[])])]] };
-        assert!(matches!(
-            check_si_list(&h).violation,
-            Some(ListViolation::Internal { key, .. }) if key == k(1)
-        ));
-    }
-
-    #[test]
-    fn reads_that_follow_own_appends_accepted() {
-        let h = ListHistory {
-            sessions: vec![
-                vec![txn(vec![append(k(1), v(1))])],
-                vec![txn(vec![
-                    append(k(1), v(2)),
-                    read(k(1), &[1, 2]),
-                    append(k(1), v(3)),
-                    read(k(1), &[1, 2, 3]),
-                ])],
-            ],
-        };
-        assert!(check_si_list(&h).accepted());
-    }
-
-    #[test]
-    fn unobserved_appends_do_not_block_acceptance() {
-        let h = ListHistory {
-            sessions: vec![
-                vec![txn(vec![append(k(1), v(1))])],
-                vec![txn(vec![append(k(1), v(2))])],
-                vec![txn(vec![read(k(1), &[1])])],
-            ],
-        };
-        assert!(check_si_list(&h).accepted());
+        let reread = sessions(vec![
+            txn(vec![append(1, 1)]),
+            txn(vec![append(1, 2)]),
+            txn(vec![read(1, &[1]), read(1, &[1, 2])]),
+        ]);
+        let got = vec![Value(1), Value(2)].into_boxed_slice();
+        assert_eq!(axioms(&reread), [AxiomViolation::ListInt { txn: TxnId(2), key: Key(1), got }]);
+        let orders = sessions(vec![
+            txn(vec![append(1, 1)]),
+            txn(vec![append(1, 2)]),
+            txn(vec![read(1, &[1, 2])]),
+            txn(vec![read(1, &[2, 1])]),
+        ]);
+        assert_eq!(
+            axioms(&orders),
+            [AxiomViolation::IncompatibleOrders { key: Key(1), first: TxnId(2), second: TxnId(3) }]
+        );
+        let phantom = sessions(vec![
+            txn(vec![append(1, 1)]),
+            txn(vec![read(1, &[1, 9])]),
+            txn(vec![read(1, &[1, 9, 8])]),
+        ]);
+        assert_eq!(
+            axioms(&phantom),
+            [AxiomViolation::UnknownValueRead { txn: TxnId(1), key: Key(1), value: Value(9) }]
+        );
     }
 }

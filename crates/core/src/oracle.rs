@@ -210,6 +210,21 @@ mod tests {
         assert!(!oracle_check_si(&b.build()));
     }
 
+    /// A read of the transaction's own later write: the oracle and the
+    /// engine at both levels reject it.
+    #[test]
+    fn future_read_rejected() {
+        use crate::engine::{check, EngineOptions, IsolationLevel};
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().read(k(1), v(1)).write(k(1), v(1)).commit();
+        let h = b.build();
+        assert!(!oracle_check_si(&h));
+        for level in [IsolationLevel::Si, IsolationLevel::Ser] {
+            assert!(!check(&h, level, &EngineOptions::default()).accepted(), "{level:?}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "too large")]
     fn guard_trips_on_blowup() {

@@ -444,6 +444,36 @@ mod tests {
         assert!(v.get("metrics").and_then(|m| m.get("counters")).is_some());
     }
 
+    /// A list check reports like a history check: the one verdict writer
+    /// and the registry's run counters.
+    #[test]
+    fn a_list_rejection_reports_its_axiom_kind() {
+        use crate::list::{ListHistory, ListOp, ListTxn};
+        use polysi_history::{Key, TxnStatus};
+        let txn = |op| ListTxn { ops: vec![op], status: TxnStatus::Committed };
+        let list = vec![polysi_history::Value(1); 2];
+        let h = ListHistory {
+            sessions: vec![
+                vec![txn(ListOp::Append { key: Key(1), value: polysi_history::Value(1) })],
+                vec![txn(ListOp::Read { key: Key(1), list })],
+            ],
+        };
+        let engine =
+            CheckEngine::new(IsolationLevel::Si, EngineOptions::default()).with_obs(Obs::enabled());
+        let report = engine.check_list(&h);
+        let metrics = engine.obs().metrics.snapshot();
+        let json = check_report_json(&report, IsolationLevel::Si, Duration::ZERO, Some(&metrics));
+        let v = parse(&json).expect("report must be valid JSON");
+        assert_eq!(v.get("verdict").and_then(Value::as_str), Some("axiom_violation"));
+        let violations = v.get("axiom_violations").and_then(Value::as_array).expect("a list");
+        let kinds: Vec<_> =
+            violations.iter().map(|a| a.get("kind").and_then(Value::as_str)).collect();
+        assert_eq!(kinds, [Some("incompatible_orders")]);
+        let counter = |name: &str| engine.obs().metrics.counter(name).total();
+        let runs = ["check.runs", "check.txns", "check.axiom_violations"].map(counter);
+        assert_eq!(runs, [1, 2, 1]);
+    }
+
     #[test]
     fn stats_round_trips() {
         let h = tiny_history();

@@ -1,13 +1,15 @@
 //! Property tests for PolySI-List: serially-generated list histories are
-//! always accepted; targeted mutations (swapping observed elements,
-//! fabricating values) are rejected; and on mutated histories the checker
-//! agrees with the reference body it replaced.
+//! always accepted, under SI and SER; targeted mutations (swapping observed
+//! elements, fabricating values) are rejected; and on mutated histories the
+//! checker agrees with the reference body it replaced.
 
 #[path = "support/list_reference.rs"]
 mod list_reference;
 
-use polysi_checker::list::{check_si_list, ListHistory, ListOp, ListTxn, ListViolation};
-use polysi_history::{TxnStatus, Value};
+use list_reference::ListViolation;
+use polysi_checker::list::{ListHistory, ListOp, ListTxn};
+use polysi_checker::{CheckEngine, CheckReport, EngineOptions, IsolationLevel, Outcome};
+use polysi_history::{AxiomViolation, TxnStatus, Value};
 use polysi_workloads::list_append::{generate_list_history, ListOpRecord};
 use polysi_workloads::{GeneralParams, KeyDistribution};
 use proptest::prelude::*;
@@ -40,6 +42,10 @@ fn convert(rec: &polysi_workloads::list_append::ListHistoryRecord) -> ListHistor
     }
 }
 
+fn check(h: &ListHistory, level: IsolationLevel) -> CheckReport {
+    CheckEngine::new(level, EngineOptions::default()).check_list(h)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -60,8 +66,10 @@ proptest! {
             seed,
         });
         let h = convert(&rec);
-        let report = check_si_list(&h);
-        prop_assert!(report.accepted(), "violation: {:?}", report.violation);
+        for level in [IsolationLevel::Si, IsolationLevel::Ser] {
+            let report = check(&h, level);
+            prop_assert!(report.accepted(), "{level:?} violation: {:?}", report.outcome);
+        }
     }
 
     #[test]
@@ -93,7 +101,7 @@ proptest! {
             }
         }
         prop_assume!(mutated);
-        prop_assert!(!check_si_list(&h).accepted());
+        prop_assert!(!check(&h, IsolationLevel::Si).accepted());
     }
 
     #[test]
@@ -121,7 +129,7 @@ proptest! {
             }
         }
         prop_assume!(mutated);
-        prop_assert!(!check_si_list(&h).accepted());
+        prop_assert!(!check(&h, IsolationLevel::Si).accepted());
     }
 }
 
@@ -181,23 +189,44 @@ fn mutate(h: &mut ListHistory, rng: &mut Mix) {
     }
 }
 
-fn kind(v: &Option<ListViolation>) -> &'static str {
+/// The checker's verdict in the reference's terms: the map from
+/// [`AxiomViolation::kind`] onto the reference's variants. `list_int` and
+/// `future_read` have no counterpart (the reference has no
+/// internal-consistency check), nor do the variants the reference never
+/// reports; a repeated list element does not arise from the mutations.
+fn kind(outcome: &Outcome) -> &'static str {
+    match outcome {
+        Outcome::Si => "accept",
+        Outcome::AxiomViolations(vs) => match vs[0].kind() {
+            "incompatible_orders" => "incompatible",
+            "unknown_value_read" => "phantom",
+            "duplicate_write" => "duplicate",
+            "list_int" | "future_read" => "internal",
+            other => panic!("a list check reported {other}"),
+        },
+        Outcome::CyclicViolation(_) => "cyclic",
+        Outcome::Inconclusive(_) => panic!("a list check is never inconclusive"),
+    }
+}
+
+/// The reference's verdict kind.
+fn reference_kind(v: &Option<ListViolation>) -> &'static str {
     match v {
         None => "accept",
         Some(ListViolation::IncompatibleOrders { .. }) => "incompatible",
         Some(ListViolation::PhantomValue { .. }) => "phantom",
         Some(ListViolation::DuplicateAppend { .. }) => "duplicate",
-        Some(ListViolation::Internal { .. }) => "internal",
         Some(ListViolation::Cyclic { .. }) => "cyclic",
     }
 }
 
 /// The checker against the body it replaced, on generated list histories
 /// under one to three random mutations: the same verdict kind on every
-/// internally consistent case (the reference has no internal check).
-/// Witnesses may move on rejections: where the reference found a cycle
-/// only by search, pruning now finds one, and the two can differ (they are
-/// counted, not compared).
+/// internally consistent case (the reference has no internal check), and
+/// the same key (and value) in an axiom violation. Witnesses may move on
+/// rejections: where the reference found a cycle only by search, pruning
+/// now finds one, and the two can differ (they are counted, not
+/// compared). SER rejects every case SI rejects.
 #[test]
 fn same_verdict_kind_as_the_reference_body() {
     let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
@@ -217,23 +246,48 @@ fn same_verdict_kind_as_the_reference_body() {
         for _ in 0..1 + rng.below(3) {
             mutate(&mut h, &mut rng);
         }
-        let got = check_si_list(&h).violation;
+        let got = check(&h, IsolationLevel::Si).outcome;
+        assert!(
+            got.accepted() || !check(&h, IsolationLevel::Ser).accepted(),
+            "case {case}: SER accepts what SI rejects: {got:?}"
+        );
         *counts.entry(kind(&got)).or_default() += 1;
-        if matches!(got, Some(ListViolation::Internal { .. })) {
+        if kind(&got) == "internal" {
             continue;
         }
         let (want, reached_solver) = list_reference::reference(&h);
         let want = want.err();
         solved += reached_solver as usize;
         searched += (reached_solver && want.is_some()) as usize;
-        assert_eq!(kind(&got), kind(&want), "case {case}: {got:?} vs the reference's {want:?}");
-        if let (
-            Some(ListViolation::Cyclic { cycle, anomaly }),
-            Some(ListViolation::Cyclic { cycle: old_cycle, anomaly: old_anomaly }),
-        ) = (&got, &want)
-        {
-            cycle_moves += (cycle != old_cycle) as usize;
-            class_moves += (anomaly != old_anomaly) as usize;
+        assert_eq!(
+            kind(&got),
+            reference_kind(&want),
+            "case {case}: {got:?} vs the reference's {want:?}"
+        );
+        match (&got, &want) {
+            (Outcome::CyclicViolation(v), Some(ListViolation::Cyclic { cycle, anomaly })) => {
+                cycle_moves += (&v.cycle != cycle) as usize;
+                class_moves += (&v.anomaly != anomaly) as usize;
+            }
+            (Outcome::AxiomViolations(vs), Some(want)) => {
+                let key_value = match (&vs[0], want) {
+                    (
+                        AxiomViolation::IncompatibleOrders { key, .. },
+                        ListViolation::IncompatibleOrders { key: want },
+                    ) => key == want,
+                    (
+                        AxiomViolation::UnknownValueRead { key, value, .. },
+                        ListViolation::PhantomValue { key: k, value: v },
+                    )
+                    | (
+                        AxiomViolation::DuplicateWrite { key, value, .. },
+                        ListViolation::DuplicateAppend { key: k, value: v },
+                    ) => (key, value) == (k, v),
+                    _ => false,
+                };
+                assert!(key_value, "case {case}: {vs:?} vs the reference's {want:?}");
+            }
+            _ => {}
         }
     }
     println!(

@@ -1,20 +1,35 @@
 //! The PolySI-List check body as it was before list histories went
-//! through the engine's Prune → Encode → Solve runner: its own early
-//! acyclicity test, its own layered SI encoding and solve (no pruning),
-//! and a witness from the `either` resolution only. It has no
-//! internal-consistency check. `list_prop.rs` asserts that the shipped
-//! checker reaches the same verdict kind on every internally consistent
-//! history. One edit: the maps it iterates are ordered, as the shipped
-//! checker's are, where the old body iterated hash maps — the verdict
-//! kind never depended on that order, but its witness did, so the count
-//! of witnesses that moved now repeats from run to run.
+//! through the engine's Prune → Encode → Solve runner (`check_si_list`,
+//! SI only): its own early acyclicity test, its own layered SI encoding
+//! and solve (no pruning), and a witness from the `either` resolution
+//! only. It has no internal-consistency check. `list_prop.rs` asserts that
+//! the shipped checker reaches the same verdict kind on every internally
+//! consistent history. Two edits: the maps it iterates are ordered, as
+//! the shipped checker's are, where the old body iterated hash maps — the
+//! verdict kind never depended on that order, but its witness did, so the
+//! count of witnesses that moved now repeats from run to run; and its
+//! verdict type, `ListViolation`, lives here, where the shipped checker
+//! reports the one `Outcome`.
 
-use polysi_checker::list::{ListHistory, ListOp, ListTxn, ListViolation};
+use polysi_checker::list::{ListHistory, ListOp, ListTxn};
 use polysi_checker::Anomaly;
 use polysi_history::{Key, TxnId, TxnStatus, Value};
 use polysi_polygraph::{ConstraintSet, Edge, KnownGraph, Label, Semantics};
 use polysi_solver::{Lit, SolveResult, Solver};
 use std::collections::{BTreeMap, HashMap};
+
+/// Why the reference rejected a list history.
+#[derive(Debug)]
+pub enum ListViolation {
+    /// Two observed lists for one key are not prefix-ordered.
+    IncompatibleOrders { key: Key },
+    /// A read observed a value never appended by a committed transaction.
+    PhantomValue { key: Key, value: Value },
+    /// Two transactions appended the same value to the same key.
+    DuplicateAppend { key: Key, value: Value },
+    /// The dependency graph contains a violating cycle.
+    Cyclic { cycle: Vec<Edge>, anomaly: Anomaly },
+}
 
 /// Check `h` as the old body did. The flag says whether the check reached
 /// the solver: constraints over an acyclic known graph.

@@ -22,8 +22,8 @@
 //!    noted for every final write and every initial-value read.
 //! 2. **Resolution, in place.** Every non-initial read of `reads[t]` looks
 //!    its `(key, value)` up once; the entry gets its source, or is reported
-//!    (aborted / intermediate / unknown-value read) and removed. There is
-//!    no second copy of the reads.
+//!    (aborted / intermediate / unknown-value / future read) and removed.
+//!    There is no second copy of the reads.
 //!
 //! `writers` and `init_readers` are then built from the noted pairs:
 //! counted per key id, filled into exact-capacity lists, and loaded into
@@ -75,6 +75,9 @@ pub enum AxiomViolation {
     /// A read returned a value no transaction wrote (and not the initial
     /// value); in a black-box test this indicates data corruption.
     UnknownValueRead { txn: TxnId, key: Key, value: Value },
+    /// A read returned a value that its own transaction writes only later:
+    /// no snapshot taken at the transaction's start holds it.
+    FutureRead { txn: TxnId, key: Key, value: Value },
     /// A transaction wrote the reserved initial value.
     WroteInitValue { txn: TxnId, key: Key },
     /// A committed write below the compaction watermark: `txn` re-wrote a
@@ -85,6 +88,16 @@ pub enum AxiomViolation {
     /// `StreamFacts::fences`) preserves the UniqueValue evidence the
     /// writers themselves no longer carry.
     CompactedDuplicateWrite { txn: TxnId, key: Key, value: Value },
+    /// List histories: no single append order explains what `first` and
+    /// `second` read of `key` (Elle's incompatible orders) — their lists
+    /// are not prefix-ordered, or, with `first == second`, one list repeats
+    /// a value.
+    IncompatibleOrders { key: Key, first: TxnId, second: TxnId },
+    /// List histories: a read inside `txn` returned `got`, which is not
+    /// its earlier read plus its appends since, or, for its first read of
+    /// `key`, does not end with its appends so far (Elle's internal
+    /// consistency; the list-valued [`AxiomViolation::Int`]).
+    ListInt { txn: TxnId, key: Key, got: Box<[Value]> },
 }
 
 impl fmt::Display for AxiomViolation {
@@ -110,6 +123,10 @@ impl fmt::Display for AxiomViolation {
             AxiomViolation::UnknownValueRead { txn, key, value } => {
                 write!(f, "unknown value: {txn} read value {value} of key {key} that nobody wrote")
             }
+            AxiomViolation::FutureRead { txn, key, value } => write!(
+                f,
+                "future read: {txn} read value {value} of key {key}, which it writes only later"
+            ),
             AxiomViolation::WroteInitValue { txn, key } => {
                 write!(f, "{txn} wrote the reserved initial value to key {key}")
             }
@@ -120,6 +137,19 @@ impl fmt::Display for AxiomViolation {
                      first written below the compaction watermark"
                 )
             }
+            AxiomViolation::IncompatibleOrders { key, first, second } if first == second => {
+                write!(f, "incompatible orders: {first} read a list of key {key} repeating a value")
+            }
+            AxiomViolation::IncompatibleOrders { key, first, second } => write!(
+                f,
+                "incompatible orders: {first} and {second} read lists of key {key} \
+                 that are not prefix-ordered"
+            ),
+            AxiomViolation::ListInt { txn, key, got } => write!(
+                f,
+                "Int violation in {txn}: read of key {key} returned {got:?}, not its own earlier \
+                 reads and appends"
+            ),
         }
     }
 }
@@ -136,23 +166,30 @@ impl AxiomViolation {
             AxiomViolation::UnknownValueRead { .. } => "unknown_value_read",
             AxiomViolation::WroteInitValue { .. } => "wrote_init_value",
             AxiomViolation::CompactedDuplicateWrite { .. } => "compacted_duplicate_write",
+            AxiomViolation::FutureRead { .. } => "future_read",
+            AxiomViolation::IncompatibleOrders { .. } => "incompatible_orders",
+            AxiomViolation::ListInt { .. } => "list_int",
         }
     }
 
     /// Where the violation stands in [`Facts::violations`]: its group (0
     /// for a transaction's own `Int` / `WroteInitValue` / duplicate writes,
-    /// 1 for an unresolved read) and the transaction it is listed under.
+    /// 1 for an unresolved or future read) and the transaction it is
+    /// listed under.
     /// A stable sort by it merges the lists of key-disjoint parts of a
     /// history, in global ids, into the list of the whole.
     pub fn position(&self) -> (u8, TxnId) {
         match *self {
             AxiomViolation::Int { txn, .. }
             | AxiomViolation::WroteInitValue { txn, .. }
-            | AxiomViolation::CompactedDuplicateWrite { txn, .. } => (0, txn),
+            | AxiomViolation::CompactedDuplicateWrite { txn, .. }
+            | AxiomViolation::ListInt { txn, .. } => (0, txn),
             AxiomViolation::DuplicateWrite { second, .. } => (0, second),
             AxiomViolation::AbortedRead { reader, .. }
-            | AxiomViolation::IntermediateRead { reader, .. } => (1, reader),
-            AxiomViolation::UnknownValueRead { txn, .. } => (1, txn),
+            | AxiomViolation::IntermediateRead { reader, .. }
+            | AxiomViolation::IncompatibleOrders { second: reader, .. } => (1, reader),
+            AxiomViolation::UnknownValueRead { txn, .. }
+            | AxiomViolation::FutureRead { txn, .. } => (1, txn),
         }
     }
 
@@ -184,6 +221,15 @@ impl AxiomViolation {
             }
             AxiomViolation::CompactedDuplicateWrite { txn, key, value } => {
                 AxiomViolation::CompactedDuplicateWrite { txn: f(txn), key, value }
+            }
+            AxiomViolation::FutureRead { txn, key, value } => {
+                AxiomViolation::FutureRead { txn: f(txn), key, value }
+            }
+            AxiomViolation::IncompatibleOrders { key, first, second } => {
+                AxiomViolation::IncompatibleOrders { key, first: f(first), second: f(second) }
+            }
+            AxiomViolation::ListInt { txn, key, got } => {
+                AxiomViolation::ListInt { txn: f(txn), key, got }
             }
         }
     }
@@ -430,8 +476,9 @@ impl Facts {
         let init_readers = group_by_key(init_pairs, index);
 
         // Pass 2: resolve the WR source of every other external read in
-        // place; a read with no committed final writer is a violation and
-        // leaves the list.
+        // place; a read with no committed final writer, or whose writer is
+        // the reader itself (a read of its own later write), is a violation
+        // and leaves the list.
         let mut readers: FastMap<(Key, TxnId), Vec<TxnId>> = FastMap::default();
         for (idx, ext) in reads.iter_mut().enumerate() {
             let reader = TxnId(idx as u32);
@@ -439,14 +486,15 @@ impl Facts {
                 if value.is_init() {
                     return true;
                 }
-                if let Some(&w) = final_writer.get(&(key, value)) {
-                    if w != reader {
-                        readers.entry((key, w)).or_default().push(reader);
-                    }
+                let writer = final_writer.get(&(key, value)).copied();
+                if let Some(w) = writer.filter(|&w| w != reader) {
+                    readers.entry((key, w)).or_default().push(reader);
                     *source = WrSource::Txn(w);
                     return true;
                 }
-                violations.push(if let Some(&w) = aborted_writer.get(&(key, value)) {
+                violations.push(if writer.is_some() {
+                    AxiomViolation::FutureRead { txn: reader, key, value }
+                } else if let Some(&w) = aborted_writer.get(&(key, value)) {
                     AxiomViolation::AbortedRead { reader, writer: w, key, value }
                 } else if let Some(&w) = overwriting_writer.get(&(key, value)) {
                     AxiomViolation::IntermediateRead { reader, writer: w, key, value }
@@ -690,6 +738,28 @@ mod tests {
         b.begin().read(k(1), v(42)).commit();
         let f = Facts::analyze(&b.build());
         assert!(matches!(f.violations[0], AxiomViolation::UnknownValueRead { .. }));
+    }
+
+    /// A transaction that reads the value it writes only later read from
+    /// no snapshot: the read leaves the facts as a violation.
+    #[test]
+    fn future_read_detected() {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().read(k(1), v(1)).write(k(1), v(1)).commit();
+        let f = Facts::analyze(&b.build());
+        assert_eq!(
+            f.violations,
+            [AxiomViolation::FutureRead { txn: TxnId(0), key: k(1), value: v(1) }]
+        );
+        assert!(f.reads[0].is_empty());
+        assert_eq!(f.violations[0].position(), (1, TxnId(0)));
+    }
+
+    /// The list-valued `ListInt` is boxed so that no variant outgrows `Int`.
+    #[test]
+    fn a_violation_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<AxiomViolation>(), 32);
     }
 
     #[test]

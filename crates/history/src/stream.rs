@@ -117,8 +117,8 @@ pub struct StreamFacts {
     unresolved: FastMap<(Key, Value), Vec<TxnId>>,
     unresolved_count: usize,
     /// Monotone axiom violations seen so far (Int, duplicate committed
-    /// writes, writes of the reserved initial value). These never heal,
-    /// unlike unresolved reads.
+    /// writes, writes of the reserved initial value, future reads). These
+    /// never heal, unlike unresolved reads.
     monotone_violations: usize,
     /// One fence record per key with at least one writer dropped by
     /// compaction: the committed values those writers installed.
@@ -252,7 +252,7 @@ impl StreamFacts {
             let reads = facts.reads[t].iter().filter_map(move |&(key, _, source)| match source {
                 WrSource::Init => Some(FactEvent::InitRead { key, reader: id }),
                 WrSource::Txn(w) if w < id => Some(FactEvent::Wr { key, writer: w, reader: id }),
-                WrSource::Txn(_) => None, // its own write, or healed at its writer's turn
+                WrSource::Txn(_) => None, // healed at its writer's turn
             });
             std::iter::once(FactEvent::Txn { id }).chain(final_writes).chain(healed).chain(reads)
         })
@@ -341,9 +341,12 @@ impl StreamFacts {
                     self.facts.init_readers.entry(key).or_default().push(id);
                     WrSource::Init
                 } else if let Some(&w) = self.final_writer.get(&(key, value)) {
-                    if w != id {
-                        self.facts.readers.entry((key, w)).or_default().push(id);
+                    // A read of its own later write never heals.
+                    if w == id {
+                        self.monotone_violations += 1;
+                        continue;
                     }
+                    self.facts.readers.entry((key, w)).or_default().push(id);
                     WrSource::Txn(w)
                 } else {
                     // No committed final writer yet: the batch analysis

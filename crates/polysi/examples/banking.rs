@@ -36,7 +36,10 @@ fn main() {
             println!("blindly overwrote it; under SI, first-committer-wins must");
             println!("have aborted one of them.\n");
         }
-        _ => println!("unexpectedly accepted!\n"),
+        other => {
+            eprintln!("unexpected verdict: {}", other.kind());
+            std::process::exit(1);
+        }
     }
 
     // The same intents on a correct SI engine: one deposit aborts (the

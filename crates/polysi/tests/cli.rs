@@ -77,11 +77,12 @@ fn stats_prints_counts() {
 /// `tests/conformance.rs`.)
 #[test]
 fn fixture_corpus_has_stable_verdicts() {
-    let fixtures: [(&str, i32, &str); 23] = [
+    let fixtures: [(&str, i32, &str); 24] = [
         ("long_fork.txt", 1, "long fork"),
         ("lost_update.txt", 1, "lost update"),
         ("write_skew.txt", 0, "OK"),
         ("aborted_read.txt", 1, "aborted read"),
+        ("future_read.txt", 1, "future read"),
         ("serializable.txt", 0, "OK"),
         ("shard_disjoint_components.txt", 0, "OK"),
         ("shard_component_lost_update.txt", 1, "lost update"),
@@ -419,7 +420,7 @@ fn fixture_corpus_parses_and_has_stats() {
             path.display()
         );
     }
-    assert_eq!(count, 23, "fixture corpus changed size without updating the verdict table");
+    assert_eq!(count, 24, "fixture corpus changed size without updating the verdict table");
 }
 
 /// An empty transaction is a parse error at the line that closes it —

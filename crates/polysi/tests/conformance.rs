@@ -73,6 +73,10 @@ fn observed_classes(outcome: &Outcome) -> Vec<&'static str> {
                 AxiomViolation::UnknownValueRead { .. } => "unknown-value read",
                 AxiomViolation::WroteInitValue { .. } => "wrote-init-value",
                 AxiomViolation::CompactedDuplicateWrite { .. } => "unique-value violation",
+                AxiomViolation::FutureRead { .. } => "future read",
+                AxiomViolation::IncompatibleOrders { .. } | AxiomViolation::ListInt { .. } => {
+                    unreachable!("a register history has no list")
+                }
             })
             .collect(),
     }

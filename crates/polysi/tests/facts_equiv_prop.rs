@@ -125,10 +125,11 @@ fn reference_facts(h: &History) -> RefFacts {
             let source = if value.is_init() {
                 init_readers.entry(key).or_default().push(reader);
                 Some(WrSource::Init)
+            } else if final_writer.get(&(key, value)) == Some(&reader) {
+                violations.push(AxiomViolation::FutureRead { txn: reader, key, value });
+                None
             } else if let Some(&w) = final_writer.get(&(key, value)) {
-                if w != reader {
-                    readers.entry((key, w)).or_default().push(reader);
-                }
+                readers.entry((key, w)).or_default().push(reader);
                 Some(WrSource::Txn(w))
             } else if let Some(&w) = aborted_writer.get(&(key, value)) {
                 violations.push(AxiomViolation::AbortedRead { reader, writer: w, key, value });
