@@ -17,6 +17,9 @@ use std::time::Duration;
 /// the stage's spans (`axioms` + `construct`, `prune`, `encode`, `solve` +
 /// `solve.witness`). For sharded runs these are summed across components
 /// (CPU time, not wall-clock — the components run concurrently).
+/// Interpretation belongs to no stage: its `interpret` span runs once per
+/// check, after the units' stages, and no field or [`Self::total`] counts
+/// it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings {
     /// Axiom checks + polygraph construction.
@@ -25,7 +28,8 @@ pub struct StageTimings {
     pub pruning: Duration,
     /// SAT encoding.
     pub encoding: Duration,
-    /// Solver run (including counterexample extraction on violation).
+    /// Solver run (including counterexample extraction on violation, but
+    /// not its interpretation).
     pub solving: Duration,
 }
 

@@ -108,6 +108,7 @@ mod tests {
     fn scenario_marks_restored_nodes() {
         use crate::interpret::interpret;
         use polysi_history::Facts;
+        use polysi_polygraph::{ConstraintMode::Generalized, Polygraph, Semantics};
         let mut b = HistoryBuilder::new();
         b.session();
         b.begin().write(Key(0), Value(4)).commit();
@@ -120,7 +121,8 @@ mod tests {
             Edge::new(TxnId(1), TxnId(2), Label::Ww(Key(0))),
             Edge::new(TxnId(2), TxnId(1), Label::Rw(Key(0))),
         ];
-        let s = interpret(&h, &facts, &cycle);
+        let (g, _) = Polygraph::from_history_with(&h, &facts, Generalized, Semantics::Si);
+        let s = interpret(&g, &facts, &cycle);
         let dot = scenario_to_dot(&h, &s);
         assert!(dot.contains("palegreen"), "restored node highlighted:\n{dot}");
         let fin = finalized_to_dot(&h, &s);

@@ -13,7 +13,7 @@
 //! | [`Stage::Construct`] | Algorithm 2 (`CreateKnownGraph` + `GenerateConstraints`) | known `SO ∪ WR` (+ init-read `RW`, + RMW-inferred `WW` under SER) edges and the per-key writer-pair constraint generator (with `pruning: false`, every constraint stored) |
 //! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the first pass generates each constraint and stores only the undecided ones; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — and the per-pass sweep can fan out over its share of the [`PruneThreads`] budget |
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
-//! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph, classified, and interpreted |
+//! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph |
 //!
 //! Prune → Encode → Solve is one runner (`run_unit`), shared with the streaming
 //! checker and list histories ([`CheckEngine::check_list`]), which construct
@@ -26,7 +26,10 @@
 //! ([`SolveStats`]) therefore counts the solver calls actually made; with
 //! `pruning: false` every unit is encoded. Every stage time is its span's
 //! duration, and a unit's times and stats are one tally that shards merge and
-//! the metrics registry records.
+//! the metrics registry records. A violating cycle is classified and, with
+//! `interpret`, interpreted ([`crate::interpret`]) on its unit's polygraph as
+//! constructed, under the level's own prune rule, in an `interpret` span that
+//! belongs to no stage.
 //!
 //! # Isolation levels
 //!
@@ -70,8 +73,8 @@ use polysi_history::{
 };
 use polysi_obs::{kv, Obs, SpanGuard, Tracer};
 use polysi_polygraph::{
-    ConstraintGen, ConstraintMode, Edge, KnownGraph, KnownGraphResult, Label, Polygraph,
-    PruneOptions, PruneResult, Semantics,
+    ConstraintGen, ConstraintMode, ConstraintSet, Edge, KnownGraph, KnownGraphResult, Label,
+    Polygraph, PruneOptions, PruneResult, Semantics,
 };
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
 use std::borrow::Cow;
@@ -311,10 +314,10 @@ struct UnitReport {
 }
 
 /// A violating cycle in the ids of the unit that found it, with the
-/// unit's history and facts, which interpret it.
-struct Witness<'h> {
+/// unit's polygraph as constructed and its facts, which interpret it.
+struct Witness {
     unit: usize,
-    history: Cow<'h, History>,
+    graph: Polygraph,
     facts: Facts,
     cycle: Vec<Edge>,
 }
@@ -322,13 +325,13 @@ struct Witness<'h> {
 /// What the units of one check share: whether a unit's axioms failed, the
 /// reports, and the lowest-numbered unit's witness so far.
 #[derive(Default)]
-struct Units<'h> {
+struct Units {
     failed: AtomicBool,
     reports: Mutex<Vec<(usize, UnitReport)>>,
-    witness: Mutex<Option<Witness<'h>>>,
+    witness: Mutex<Option<Witness>>,
 }
 
-impl Units<'_> {
+impl Units {
     fn push(&self, i: usize, unit: UnitReport) {
         self.reports.lock().expect("shard worker panicked").push((i, unit));
     }
@@ -474,14 +477,12 @@ impl CheckEngine {
         let witness = units.witness.into_inner().expect("shard worker panicked");
         let outcome = match witness {
             None => Outcome::Si,
-            Some(Witness { unit, history, facts, mut cycle }) => {
+            Some(Witness { unit, graph, facts, mut cycle }) => {
                 let _span = self.obs.tracer.span("interpret");
                 let global = |t: TxnId| plan.as_ref().map_or(t, |p| p.components[unit].global(t));
-                let scenario = self
-                    .opts
-                    .interpret
-                    .then(|| interpret(&history, &facts, &cycle).map_txns(global));
-                drop((history, facts));
+                let scenario =
+                    self.opts.interpret.then(|| interpret(&graph, &facts, &cycle).map_txns(global));
+                drop((graph, facts));
                 for e in &mut cycle {
                     (e.from, e.to) = (global(e.from), global(e.to));
                 }
@@ -509,13 +510,13 @@ impl CheckEngine {
 
     /// Check every component on `workers` scoped threads, each under a
     /// `shard` span.
-    fn check_shards<'h>(
+    fn check_shards(
         &self,
-        h: &'h History,
+        h: &History,
         plan: &ShardPlan,
         workers: usize,
         prune_opts: PruneOptions,
-        units: &Units<'h>,
+        units: &Units,
     ) {
         let next = AtomicUsize::new(0);
         let work = || loop {
@@ -536,15 +537,15 @@ impl CheckEngine {
     /// sessions, in component-local ids: Stage::Axioms on its own facts,
     /// then, unless a unit's axioms failed, Stage::Construct and the shared
     /// Prune → Encode → Solve runner, and on UNSAT the witness. The unit's
-    /// facts are dropped on return unless its cycle is the check's witness
-    /// so far.
-    fn check_unit<'h>(
+    /// facts and polygraph are dropped on return unless its cycle is the
+    /// check's witness so far.
+    fn check_unit(
         &self,
-        h: &'h History,
+        h: &History,
         comp: Option<(usize, &ShardComponent)>,
         index: Option<KeyIndex>,
         prune_opts: PruneOptions,
-        units: &Units<'h>,
+        units: &Units,
     ) -> UnitReport {
         let tracer = &self.obs.tracer;
         let mut span =
@@ -575,6 +576,7 @@ impl CheckEngine {
         let semantics = self.isolation.semantics();
         let (mut g, gen) =
             Polygraph::from_history_with(&history, &facts, self.opts.mode, semantics);
+        let constructed = g.known.len();
         // Without pruning every constraint is stored here; with it, the
         // first prune pass generates them and stores only the undecided.
         if !self.opts.pruning {
@@ -589,7 +591,11 @@ impl CheckEngine {
             let i = comp.map_or(0, |(i, _)| i);
             let mut witness = units.witness.lock().expect("shard worker panicked");
             if witness.as_ref().is_none_or(|w| i < w.unit) {
-                *witness = Some(Witness { unit: i, history, facts, cycle });
+                // Interpretation reads the unit as constructed (prune only
+                // appends to `known`) and none of its constraints.
+                g.known.truncate(constructed);
+                g.constraints = ConstraintSet::new();
+                *witness = Some(Witness { unit: i, graph: g, facts, cycle });
             }
         }
         unit

@@ -4,16 +4,16 @@
 //! 1. **restoring** the "missing" transactions and dependencies behind every
 //!    `RW` edge (the writer whose version was read, with its `WR` and `WW`
 //!    dependencies),
-//! 2. **resolving** uncertain dependencies with the pruning rule — an
-//!    uncertain direction whose opposite would close a cycle with certain
-//!    dependencies becomes certain (Figure 5c), and
+//! 2. **resolving** uncertain dependencies with the pruning rule of the
+//!    unit's level — an uncertain direction whose opposite would close a
+//!    cycle with certain dependencies becomes certain (Figure 5c), and
 //! 3. **finalizing** by dropping whatever stayed uncertain (Figure 5d),
 //!    which yields the minimal cause-only counterexample (Theorem 20's
 //!    minimal complete adjoining-cycle set, restricted to the depth-1
 //!    search the paper itself reports sufficient in practice).
 
-use polysi_history::{Facts, History, Key, TxnId, WrSource};
-use polysi_polygraph::{ConstraintSet, Edge, Label};
+use polysi_history::{Facts, Key, TxnId, WrSource};
+use polysi_polygraph::{ConstraintSet, DepGraph, Edge, Label, Polygraph};
 use std::collections::{BTreeSet, HashSet};
 
 /// Whether a scenario dependency is established or still a guess.
@@ -53,8 +53,10 @@ impl Scenario {
     }
 }
 
-/// Run interpretation for a violating `cycle` of history `h`.
-pub fn interpret(h: &History, facts: &Facts, cycle: &[Edge]) -> Scenario {
+/// Run interpretation for a violating `cycle` of the unit `g`, as
+/// constructed (its known edges, before pruning added any), whose history
+/// `facts` analyzed.
+pub fn interpret(g: &Polygraph, facts: &Facts, cycle: &[Edge]) -> Scenario {
     let mut edges: Vec<(Edge, Certainty)> = Vec::new();
     // Constraint pairs (key, writer, writer) that interpretation must
     // resolve, normalized to ascending transaction ids. Walked in sorted
@@ -140,51 +142,34 @@ pub fn interpret(h: &History, facts: &Facts, cycle: &[Edge]) -> Scenario {
     }
 
     // Step 2: resolve uncertainties (Algorithm 3, Resolve) with the pruning
-    // rule, to a fixpoint. Following Find_ACS, the adjoining cycles that
-    // refute a direction may run through *any* known edge of the history
-    // (`SO`, `WR`, init anti-dependencies), not just scenario edges — the
+    // rule of the unit's level, to a fixpoint. Following Find_ACS, the
+    // adjoining cycles that refute a direction may run through *any* known
+    // edge of the unit (`SO`, `WR`, init anti-dependencies, and under SER
+    // the read-modify-write `WW` edges), not just scenario edges — the
     // edges of each refuting cycle are pulled into the scenario so the
     // final picture is self-contained (Figure 5b/5c).
-    let known = known_edges(h, facts);
+    let mut graph = DepGraph::new(g.n, &g.known, g.semantics);
     let mut unresolved: Vec<(Key, TxnId, TxnId)> = pairs.into_iter().collect();
-    loop {
-        let mut graph = SmallGraph::new();
-        graph.add_edges(&known);
-        for (e, c) in &edges {
-            if *c == Certainty::Certain {
-                graph.add_edges(std::slice::from_ref(e));
-            }
-        }
-        let mut progressed = false;
-        let mut still = Vec::new();
-        for (key, t, s) in unresolved.drain(..) {
+    while !unresolved.is_empty() {
+        graph.overlay(edges.iter().filter(|(_, c)| *c == Certainty::Certain).map(|(e, _)| *e));
+        let before = unresolved.len();
+        unresolved.retain(|&(key, t, s)| {
             let mut pair = ConstraintSet::new();
             pair.push_generalized(key, t, s, facts.readers_of(key, t), facts.readers_of(key, s));
             let cons = pair.get(0);
-            let wit_either = side_witness(&graph, cons.either);
-            let wit_or = side_witness(&graph, cons.or);
-            // On a violation both sides may be blocked; pick the `either`
-            // orientation so the scenario stays deterministic.
-            let resolution = match (&wit_either, &wit_or) {
-                (None, Some(w)) => Some((cons.either, w.clone())),
-                (Some(w), None) => Some((cons.or, w.clone())),
-                (Some(_), Some(w)) => Some((cons.either, w.clone())),
-                (None, None) => None,
+            // On a violation both sides may be refuted; a refuted `or`
+            // picks `either` then, so the scenario stays deterministic.
+            let resolved = match graph.refute(cons.or) {
+                Some((_, path)) => Some((cons.either, path)),
+                None => graph.refute(cons.either).map(|(_, path)| (cons.or, path)),
             };
-            if let Some((side, witness)) = resolution {
-                for &e in side {
-                    upsert(&mut edges, e, Certainty::Certain);
-                }
-                for e in witness {
-                    upsert(&mut edges, e, Certainty::Certain);
-                }
-                progressed = true;
-            } else {
-                still.push((key, t, s));
+            let Some((side, path)) = resolved else { return true };
+            for &e in side.iter().chain(&path) {
+                upsert(&mut edges, e, Certainty::Certain);
             }
-        }
-        unresolved = still;
-        if !progressed || unresolved.is_empty() {
+            false
+        });
+        if unresolved.len() == before {
             break;
         }
     }
@@ -194,18 +179,10 @@ pub fn interpret(h: &History, facts: &Facts, cycle: &[Edge]) -> Scenario {
         edges.iter().filter(|(_, c)| *c == Certainty::Certain).map(|(e, _)| *e).collect();
 
     let cycle_txns: HashSet<TxnId> = cycle.iter().flat_map(|e| [e.from, e.to]).collect();
-    let mut transactions: Vec<TxnId> = edges
-        .iter()
-        .flat_map(|(e, _)| [e.from, e.to])
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .collect();
-    transactions.sort_unstable();
-    let mut restored: Vec<TxnId> =
-        transactions.iter().copied().filter(|t| !cycle_txns.contains(t)).collect();
-    restored.sort_unstable();
+    let transactions: BTreeSet<TxnId> = edges.iter().flat_map(|(e, _)| [e.from, e.to]).collect();
+    let restored = transactions.iter().copied().filter(|t| !cycle_txns.contains(t)).collect();
+    let transactions = transactions.into_iter().collect();
 
-    let _ = h; // history is carried for future schema-aware rendering
     Scenario { edges, finalized, transactions, restored }
 }
 
@@ -214,145 +191,26 @@ fn read_source(facts: &Facts, reader: TxnId, key: Key) -> Option<WrSource> {
     facts.reads[reader.idx()].iter().find(|&&(k, _, _)| k == key).map(|&(_, _, s)| s)
 }
 
-/// All unconditionally-known edges of the history: session order,
-/// write-read, and init-read anti-dependencies.
-fn known_edges(h: &History, facts: &Facts) -> Vec<Edge> {
-    let mut known: Vec<Edge> = Vec::new();
-    for (a, b) in h.so_edges() {
-        known.push(Edge::new(a, b, Label::So));
-    }
-    for (w, r, key) in facts.wr_edges() {
-        known.push(Edge::new(w, r, Label::Wr(key)));
-    }
-    for (&key, readers) in &facts.init_readers {
-        if let Some(writers) = facts.writers.get(&key) {
-            for &r in readers {
-                for &w in writers {
-                    if w != r {
-                        known.push(Edge::new(r, w, Label::Rw(key)));
-                    }
-                }
-            }
-        }
-    }
-    known
-}
-
-/// A small adjacency-listed dependency graph supporting induced-graph
-/// reachability and path extraction even when cyclic (plain BFS on the
-/// layered state space `(txn, at_boundary)`).
-struct SmallGraph {
-    adj: std::collections::HashMap<TxnId, Vec<Edge>>,
-    dep_in: std::collections::HashMap<TxnId, Vec<Edge>>,
-}
-
-impl SmallGraph {
-    fn new() -> Self {
-        SmallGraph { adj: Default::default(), dep_in: Default::default() }
-    }
-
-    fn add_edges(&mut self, edges: &[Edge]) {
-        for &e in edges {
-            self.adj.entry(e.from).or_default().push(e);
-            if e.label.is_dep() {
-                self.dep_in.entry(e.to).or_default().push(e);
-            }
-        }
-    }
-
-    /// Shortest induced-graph path `a ⇝ b` as typed edges (`RW` only after
-    /// a `Dep` edge).
-    fn find_path(&self, a: TxnId, b: TxnId) -> Option<Vec<Edge>> {
-        let start = (a, true);
-        let mut parent: std::collections::HashMap<(TxnId, bool), ((TxnId, bool), Edge)> =
-            Default::default();
-        let mut queue = vec![start];
-        let mut seen: HashSet<(TxnId, bool)> = queue.iter().copied().collect();
-        let mut head = 0;
-        let mut found = false;
-        'bfs: while head < queue.len() {
-            let (x, boundary) = queue[head];
-            head += 1;
-            for &e in self.adj.get(&x).map(Vec::as_slice).unwrap_or(&[]) {
-                let nexts: &[(TxnId, bool)] = if boundary && e.label.is_dep() {
-                    &[(e.to, true), (e.to, false)]
-                } else if !boundary && !e.label.is_dep() {
-                    &[(e.to, true)]
-                } else {
-                    &[]
-                };
-                for &st in nexts {
-                    if seen.insert(st) {
-                        parent.insert(st, ((x, boundary), e));
-                        if st == (b, true) {
-                            found = true;
-                            break 'bfs;
-                        }
-                        queue.push(st);
-                    }
-                }
-            }
-        }
-        if !found {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = (b, true);
-        while cur != start {
-            let &(prev, e) = parent.get(&cur)?;
-            // Skip the duplicate edge of a (B, M) double-arrival.
-            if path.last() != Some(&e) {
-                path.push(e);
-            }
-            cur = prev;
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    #[cfg(test)]
-    fn reaches(&self, a: TxnId, b: TxnId) -> bool {
-        self.find_path(a, b).is_some()
-    }
-}
-
-/// If some edge of `side` would close a cycle with the current certain
-/// graph (the pruning rule of Figure 4), return the certain edges of that
-/// refuting cycle.
-fn side_witness(g: &SmallGraph, side: &[Edge]) -> Option<Vec<Edge>> {
-    for &e in side {
-        match e.label {
-            Label::Rw(_) => {
-                for &d in g.dep_in.get(&e.from).map(Vec::as_slice).unwrap_or(&[]) {
-                    if d.from == e.to {
-                        return Some(vec![d]);
-                    }
-                    if let Some(mut path) = g.find_path(e.to, d.from) {
-                        path.push(d);
-                        return Some(path);
-                    }
-                }
-            }
-            _ => {
-                if let Some(path) = g.find_path(e.to, e.from) {
-                    return Some(path);
-                }
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polysi_history::{HistoryBuilder, Value};
+    use polysi_history::{History, HistoryBuilder, Value};
+    use polysi_polygraph::{ConstraintMode, Semantics};
 
     fn k(n: u64) -> Key {
         Key(n)
     }
     fn v(n: u64) -> Value {
         Value(n)
+    }
+
+    /// `h`'s facts and its polygraph under `semantics`, as constructed.
+    fn unit(h: &History, semantics: Semantics) -> (Polygraph, Facts) {
+        let facts = Facts::analyze(h);
+        assert!(facts.axioms_ok());
+        let (g, _) =
+            Polygraph::from_history_with(h, &facts, ConstraintMode::Generalized, semantics);
+        (g, facts)
     }
 
     /// The MariaDB-Galera lost-update shape of Figure 5: T:(1,4)=W(0,4);
@@ -369,15 +227,13 @@ mod tests {
 
     #[test]
     fn galera_lost_update_scenario() {
-        let h = galera_history();
-        let facts = Facts::analyze(&h);
-        assert!(facts.axioms_ok());
+        let (g, facts) = unit(&galera_history(), Semantics::Si);
         // The MonoSAT-style cycle: T1 -WW-> T2 -RW-> T1.
         let cycle = [
             Edge::new(TxnId(1), TxnId(2), Label::Ww(k(0))),
             Edge::new(TxnId(2), TxnId(1), Label::Rw(k(0))),
         ];
-        let s = interpret(&h, &facts, &cycle);
+        let s = interpret(&g, &facts, &cycle);
         // The missing writer T0 is restored.
         assert_eq!(s.restored, vec![TxnId(0)]);
         assert_eq!(s.transactions, vec![TxnId(0), TxnId(1), TxnId(2)]);
@@ -394,13 +250,12 @@ mod tests {
 
     #[test]
     fn so_and_wr_edges_stay_certain() {
-        let h = galera_history();
-        let facts = Facts::analyze(&h);
+        let (g, facts) = unit(&galera_history(), Semantics::Si);
         let cycle = [
             Edge::new(TxnId(0), TxnId(1), Label::So),
             Edge::new(TxnId(1), TxnId(0), Label::Rw(k(0))),
         ];
-        let s = interpret(&h, &facts, &cycle);
+        let s = interpret(&g, &facts, &cycle);
         assert!(s.edges.iter().any(|&(e, c)| e.label == Label::So && c == Certainty::Certain));
     }
 
@@ -411,10 +266,9 @@ mod tests {
         b.begin().read(k(1), Value::INIT).commit();
         b.session();
         b.begin().write(k(1), v(5)).commit();
-        let h = b.build();
-        let facts = Facts::analyze(&h);
+        let (g, facts) = unit(&b.build(), Semantics::Si);
         let cycle = [Edge::new(TxnId(0), TxnId(1), Label::Rw(k(1)))];
-        let s = interpret(&h, &facts, &cycle);
+        let s = interpret(&g, &facts, &cycle);
         assert_eq!(s.edges, vec![(cycle[0], Certainty::Certain)]);
         assert!(s.restored.is_empty());
     }
@@ -432,34 +286,43 @@ mod tests {
         b.begin().read(k(1), v(1)).read(k(2), v(1)).write(k(1), v(2)).write(k(2), v(2)).commit();
         b.session();
         b.begin().read(k(1), v(1)).read(k(2), v(1)).write(k(1), v(3)).write(k(2), v(3)).commit();
-        let h = b.build();
-        let facts = Facts::analyze(&h);
-        assert!(facts.axioms_ok());
+        let (g, facts) = unit(&b.build(), Semantics::Si);
         let cycle = [
             Edge::new(TxnId(1), TxnId(2), Label::Ww(k(1))),
             Edge::new(TxnId(2), TxnId(1), Label::Rw(k(2))),
         ];
-        let first = interpret(&h, &facts, &cycle);
+        let first = interpret(&g, &facts, &cycle);
         assert!(first.finalized.len() >= 6, "a multi-pair scenario: {:?}", first.finalized);
         for _ in 0..32 {
-            let again = interpret(&h, &facts, &cycle);
+            let again = interpret(&g, &facts, &cycle);
             assert_eq!(again.edges, first.edges);
             assert_eq!(again.finalized, first.finalized);
         }
     }
 
+    /// A SER counterexample is resolved by SER's rule. T0 and T1 read the
+    /// initial versions that T1 and T2 overwrite: T0 -RW(2)-> T1 -RW(3)-> T2,
+    /// which SI composes into nothing but SER into a path T0 ⇝ T2, so
+    /// `T2 -WW(1)-> T0` is refuted and T3, reading T0's key 1, anti-depends
+    /// on T2. SI's rule called that `WW` edge certain and missed the `RW`.
     #[test]
-    fn reaches_respects_rw_composition() {
-        let mut g = SmallGraph::new();
-        g.add_edges(&[
-            Edge::new(TxnId(0), TxnId(1), Label::Wr(k(1))),
-            Edge::new(TxnId(1), TxnId(2), Label::Rw(k(1))),
-            Edge::new(TxnId(2), TxnId(3), Label::Rw(k(2))),
-        ]);
-        assert!(g.reaches(TxnId(0), TxnId(2)));
-        assert!(!g.reaches(TxnId(0), TxnId(3)), "RW;RW must not compose");
-        assert!(!g.reaches(TxnId(1), TxnId(2)), "bare RW does not compose");
-        let p = g.find_path(TxnId(0), TxnId(2)).unwrap();
-        assert_eq!(p.len(), 2);
+    fn ser_scenario_states_no_edge_ser_refutes() {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().read(k(2), Value::INIT).write(k(1), v(1)).commit();
+        b.session();
+        b.begin().read(k(3), Value::INIT).write(k(2), v(1)).commit();
+        b.session();
+        b.begin().write(k(3), v(1)).write(k(1), v(2)).write(k(4), v(1)).commit();
+        b.session();
+        b.begin().read(k(1), v(1)).read(k(4), v(1)).commit();
+        let (g, facts) = unit(&b.build(), Semantics::Ser);
+        let (t2, t3) = (TxnId(2), TxnId(3));
+        let cycle = [Edge::new(t3, t2, Label::Rw(k(1))), Edge::new(t2, t3, Label::Wr(k(4)))];
+        let s = interpret(&g, &facts, &cycle);
+        assert!(s.finalized.contains(&Edge::new(t2, t3, Label::Wr(k(4)))), "{:?}", s.finalized);
+        assert!(s.finalized.contains(&Edge::new(t3, t2, Label::Rw(k(1)))), "{:?}", s.finalized);
+        let refuted = Edge::new(t2, TxnId(0), Label::Ww(k(1)));
+        assert!(!s.finalized.contains(&refuted), "{:?}", s.finalized);
     }
 }

@@ -469,23 +469,26 @@ pub enum Flush {
     AtEnd,
 }
 
-/// The layered adjacency of `known`: `adj[node] = (target, underlying
-/// edge)`. Under [`Semantics::Si`] a `Dep` edge `i → k` fans out to
-/// `B(i) → B(k)` and `B(i) → M(k)` and an `RW` edge leaves its source's
+/// The layered images of `e` over `n` transactions, as (source node,
+/// target node). Under [`Semantics::Si`] a `Dep` edge `i → k` is
+/// `B(i) → B(k)` then `B(i) → M(k)` and an `RW` edge leaves its source's
 /// mid node; under [`Semantics::Ser`] there are no mid nodes and every
 /// edge is boundary-to-boundary.
+fn images(n: usize, e: Edge, semantics: Semantics) -> impl Iterator<Item = (u32, u32)> {
+    let (f, t, n) = (e.from.0, e.to.0, n as u32);
+    debug_assert_ne!(f, t, "self edges are malformed: {e:?}");
+    let (si, dep) = (semantics == Semantics::Si, e.label.is_dep());
+    let first = if si && !dep { (n + f, b(t)) } else { (b(f), b(t)) };
+    std::iter::once(first).chain((si && dep).then_some((b(f), n + t)))
+}
+
+/// The layered adjacency of `known`: `adj[node] = (target, underlying
+/// edge)`, each edge's [`images`] in edge order.
 fn layered_adjacency(n: usize, known: &[Edge], semantics: Semantics) -> Vec<Vec<(u32, Edge)>> {
     let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); semantics.layers() * n];
     for &e in known {
-        let (f, t) = (e.from.0, e.to.0);
-        debug_assert_ne!(f, t, "self edges are malformed: {e:?}");
-        if semantics == Semantics::Ser || e.label.is_dep() {
-            adj[b(f) as usize].push((b(t), e));
-            if semantics == Semantics::Si {
-                adj[b(f) as usize].push((n as u32 + t, e));
-            }
-        } else {
-            adj[(n as u32 + f) as usize].push((b(t), e));
+        for (u, v) in images(n, e, semantics) {
+            adj[u as usize].push((v, e));
         }
     }
     adj
@@ -1011,15 +1014,10 @@ impl KnownGraph {
         if self.implies(e) {
             return Staged::Implied;
         }
-        let (f, t) = (e.from.0 as usize, e.to.0 as usize);
-        let layered: [(usize, usize); 2] = match (self.semantics, e.label.is_dep()) {
-            (Semantics::Ser, _) => [(f, t), (usize::MAX, 0)],
-            (Semantics::Si, true) => [(f, t), (f, self.n + t)],
-            (Semantics::Si, false) => [(self.n + f, t), (usize::MAX, 0)],
-        };
+        let (f, t) = (e.from.idx(), e.to.idx());
         let staged_from = self.pending.len();
-        for &(lu, lv) in layered.iter().filter(|&&(lu, _)| lu != usize::MAX) {
-            if !self.pk_insert(lu as u32, lv as u32) {
+        for (lu, lv) in images(self.n, e, self.semantics) {
+            if !self.pk_insert(lu, lv) {
                 // Unwind the already-applied image (the entries are the
                 // trailing ones); its order perturbation is a valid
                 // topological order either way, and violation paths
@@ -1031,9 +1029,9 @@ impl KnownGraph {
                 }
                 return Staged::Cycle;
             }
-            self.adj[lu].push((lv as u32, e));
-            self.radj[lv].push(lu as u32);
-            self.pending.push((lu as u32, lv as u32));
+            self.adj[lu as usize].push((lv, e));
+            self.radj[lv as usize].push(lu);
+            self.pending.push((lu, lv));
         }
         if self.semantics == Semantics::Si && e.label.is_dep() {
             self.store.record_dep(f, t);
@@ -1157,34 +1155,41 @@ impl KnownGraph {
     /// Shortest path `a ⇝ b` in the induced graph, as the underlying typed
     /// edge sequence. Allows `a == b` (shortest cycle through `a`).
     pub fn find_path(&self, a: TxnId, target: TxnId) -> Option<Vec<Edge>> {
-        find_path(&self.adj, a, target)
+        find_path(self.adj.len(), |u| self.adj[u as usize].iter().copied(), a, target)
     }
 }
 
-/// [`KnownGraph::find_path`] over a bare layered adjacency.
-fn find_path(adj: &[Vec<(u32, Edge)>], a: TxnId, target: TxnId) -> Option<Vec<Edge>> {
-    let start = b(a.0);
-    let goal = b(target.0);
-    let total = adj.len();
-    let mut parent: Vec<Option<(u32, Edge)>> = vec![None; total];
+/// Breadth-first shortest path `B(a) ⇝ B(target)` over a layered graph of
+/// `nodes` nodes whose out-edges `succ` lists in a fixed order, as the
+/// typed edge sequence; `a == target` asks for the shortest cycle through
+/// `a`. The first arrival at a node is its parent, kept as the parent's
+/// node and the slot in its successor list — 8 bytes a node, the edge
+/// read back from `succ` on the way home.
+fn find_path<I: Iterator<Item = (u32, Edge)>>(
+    nodes: usize,
+    succ: impl Fn(u32) -> I,
+    a: TxnId,
+    target: TxnId,
+) -> Option<Vec<Edge>> {
+    const UNSEEN: u32 = u32::MAX;
+    let (start, goal) = (b(a.0), b(target.0));
+    let mut parent: Vec<(u32, u32)> = vec![(UNSEEN, 0); nodes];
     let mut queue = vec![start];
-    let mut visited = vec![false; total];
-    // Deliberately do not mark `start` visited so that paths may return
-    // to it (cycle search when a == target).
+    // `start` stays unseen so that a path may return to it (cycle search
+    // when a == target); it is never queued twice.
     let mut head = 0;
     let mut found = false;
     'bfs: while head < queue.len() {
         let u = queue[head];
         head += 1;
-        for &(v, e) in &adj[u as usize] {
+        for (slot, (v, _)) in (0u32..).zip(succ(u)) {
             if v == goal {
-                parent[v as usize] = Some((u, e));
+                parent[v as usize] = (u, slot);
                 found = true;
                 break 'bfs;
             }
-            if !visited[v as usize] && v != start {
-                visited[v as usize] = true;
-                parent[v as usize] = Some((u, e));
+            if parent[v as usize].0 == UNSEEN && v != start {
+                parent[v as usize] = (u, slot);
                 queue.push(v);
             }
         }
@@ -1196,8 +1201,8 @@ fn find_path(adj: &[Vec<(u32, Edge)>], a: TxnId, target: TxnId) -> Option<Vec<Ed
     let mut path = Vec::new();
     let mut cur = goal;
     loop {
-        let (prev, e) = parent[cur as usize].expect("walked off the parent chain");
-        path.push(e);
+        let (prev, slot) = parent[cur as usize];
+        path.push(succ(prev).nth(slot as usize).expect("a parent's slot is in its list").1);
         cur = prev;
         if cur == start {
             break;
@@ -1205,6 +1210,108 @@ fn find_path(adj: &[Vec<(u32, Edge)>], a: TxnId, target: TxnId) -> Option<Vec<Ed
     }
     path.reverse();
     Some(path)
+}
+
+/// A layered graph over edges that may close cycles, for the searches a
+/// counterexample's interpretation makes: [`DepGraph::find_path`] is
+/// [`KnownGraph::find_path`]'s search over the same layered images, and
+/// [`DepGraph::refute`] is the prune rule without an oracle. Its edges are
+/// a borrowed base, indexed once (8 bytes a layered image), and an overlay
+/// of the few edges a caller adds on top, which [`DepGraph::overlay`]
+/// replaces whole; base edges come before overlay edges, each part in the
+/// order given.
+pub struct DepGraph<'e> {
+    n: usize,
+    semantics: Semantics,
+    base: (&'e [Edge], Images),
+    overlay: (Vec<Edge>, Images),
+}
+
+/// An edge list's layered images by source node: node `u`'s are
+/// `out[first[u]..first[u + 1]]`, as (target node, edge index), in edge
+/// order.
+struct Images {
+    first: Vec<u32>,
+    out: Vec<(u32, u32)>,
+}
+
+impl Images {
+    fn new(n: usize, edges: &[Edge], semantics: Semantics) -> Images {
+        let all = || {
+            let indexed = (0u32..).zip(edges);
+            indexed.flat_map(|(i, &e)| images(n, e, semantics).map(move |(u, v)| (u, v, i)))
+        };
+        let nodes = semantics.layers() * n;
+        let mut first = vec![0u32; nodes + 1];
+        all().for_each(|(u, ..)| first[u as usize + 1] += 1);
+        for u in 1..=nodes {
+            first[u] += first[u - 1];
+        }
+        let mut out = vec![(0, 0); first[nodes] as usize];
+        let mut at = first.clone();
+        for (u, v, i) in all() {
+            out[at[u as usize] as usize] = (v, i);
+            at[u as usize] += 1;
+        }
+        Images { first, out }
+    }
+
+    fn of(&self, u: u32) -> &[(u32, u32)] {
+        &self.out[self.first[u as usize] as usize..self.first[u as usize + 1] as usize]
+    }
+}
+
+impl<'e> DepGraph<'e> {
+    /// The layered graph of `edges` over `n` transactions.
+    pub fn new(n: usize, edges: &'e [Edge], semantics: Semantics) -> Self {
+        let overlay = (Vec::new(), Images::new(n, &[], semantics));
+        DepGraph { n, semantics, base: (edges, Images::new(n, edges, semantics)), overlay }
+    }
+
+    /// Replace the overlay by `edges`.
+    pub fn overlay(&mut self, edges: impl IntoIterator<Item = Edge>) {
+        let edges: Vec<Edge> = edges.into_iter().collect();
+        let images = Images::new(self.n, &edges, self.semantics);
+        self.overlay = (edges, images);
+    }
+
+    fn parts(&self) -> [(&[Edge], &Images); 2] {
+        [(self.base.0, &self.base.1), (&self.overlay.0, &self.overlay.1)]
+    }
+
+    /// Shortest path `a ⇝ b`, as [`KnownGraph::find_path`] finds it.
+    pub fn find_path(&self, a: TxnId, b: TxnId) -> Option<Vec<Edge>> {
+        let succ = |u| {
+            self.parts().into_iter().flat_map(move |(edges, images)| {
+                images.of(u).iter().map(move |&(v, i)| (v, edges[i as usize]))
+            })
+        };
+        find_path(self.semantics.layers() * self.n, succ, a, b)
+    }
+
+    /// The prune rule's refutation of a constraint side: the first edge of
+    /// `side` that would close a cycle with this graph, and the edges of
+    /// the graph that close it, in cycle order after that edge. Under SI an
+    /// `RW` edge `f → t` is refuted through the `Dep` edges `p → f`, in
+    /// order (that edge alone when `p = t`, else a path `t ⇝ p` and then
+    /// the edge); any other edge, and under SER every edge, by a path from
+    /// its target to its source.
+    pub fn refute(&self, side: &[Edge]) -> Option<(Edge, Vec<Edge>)> {
+        side.iter().find_map(|&e| {
+            let path = if self.semantics == Semantics::Si && !e.label.is_dep() {
+                let edges = self.parts().into_iter().flat_map(|(edges, _)| edges);
+                edges.filter(|d| d.label.is_dep() && d.to == e.from).find_map(|&d| {
+                    let mut path =
+                        if d.from == e.to { Vec::new() } else { self.find_path(e.to, d.from)? };
+                    path.push(d);
+                    Some(path)
+                })
+            } else {
+                self.find_path(e.to, e.from)
+            };
+            path.map(|path| (e, path))
+        })
+    }
 }
 
 /// Extract some violating cycle from a cyclic layered adjacency over `n`
@@ -1237,7 +1344,8 @@ fn extract_cycle(n: usize, adj: &[Vec<(u32, Edge)>]) -> Vec<Edge> {
                         // BFS.
                         let bnode = if (v as usize) < n { v } else { u };
                         debug_assert!((bnode as usize) < n);
-                        return find_path(adj, TxnId(bnode), TxnId(bnode))
+                        let succ = |u: u32| adj[u as usize].iter().copied();
+                        return find_path(total, succ, TxnId(bnode), TxnId(bnode))
                             .expect("boundary node lies on a cycle");
                     }
                     Color::White => {

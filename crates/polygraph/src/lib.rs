@@ -24,6 +24,9 @@
 //! * [`KnownGraph`] — a reachability oracle over the known induced SI graph
 //!   `Dep ∪ (Dep ; AntiDep)`, implemented on a layered graph so the
 //!   quadratic composition is never materialized;
+//! * [`DepGraph`] — the same layered graph without an oracle, for path
+//!   searches over edges that may close cycles (a counterexample's
+//!   interpretation) and the prune rule's refutation of a constraint side;
 //! * [`Semantics`] — the edge-composition rule: SI's `(Dep);RW?` layered
 //!   graph or SER's plain acyclicity over all dependency edges;
 //! * [`Polygraph::from_component`] — construction over one
@@ -38,7 +41,7 @@ mod polygraph;
 
 pub use constraint::{ConstraintGen, ConstraintRef, ConstraintSet};
 pub use edge::{Edge, Label};
-pub use graph::{Flush, KnownGraph, KnownGraphResult, OracleKind};
+pub use graph::{DepGraph, Flush, KnownGraph, KnownGraphResult, OracleKind};
 pub use polygraph::{
     ConstraintMode, Polygraph, PruneOptions, PruneResult, PruneStats, Semantics, PARALLEL_SWEEP_MIN,
 };

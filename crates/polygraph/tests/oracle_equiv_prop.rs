@@ -18,9 +18,17 @@
 //! uncompacted oracles answer every query on survivor pairs exactly as a
 //! [`KnownGraph::build`] over the surviving edges does, whatever the two
 //! kinds — and the rebuilt oracles keep growing alike.
+//!
+//! A third states that [`DepGraph`], the oracle-free graph a
+//! counterexample's interpretation searches, asks prune's question: on a
+//! random acyclic known graph its refutation of a random constraint side
+//! names exactly the first edge the oracle rule calls impossible, and the
+//! edge with its refuting path is a violating cycle.
 
 use polysi_history::{Key, TxnId};
-use polysi_polygraph::{Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Semantics};
+use polysi_polygraph::{
+    DepGraph, Edge, KnownGraph, KnownGraphResult, Label, OracleKind, Semantics,
+};
 use proptest::prelude::*;
 use support::{Policy, BULK, DEFERRED, EAGER};
 
@@ -495,4 +503,68 @@ proptest! {
         assert_same_answers(&auto, &dense, n3, 0, true, &mut rng, "regrown vs dense")?;
         assert_same_answers(&auto, &chains, n3, 0, true, &mut rng, "regrown vs chains")?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// [`DepGraph::refute`] is the prune rule behind `edge_impossible`: an
+    /// SI `RW` edge `f → t` is impossible iff the oracle says
+    /// `rw_closes_cycle(f, t)`, any other edge iff its target reaches its
+    /// source. The refutation names the side's first impossible edge, that
+    /// edge and its path close a violating cycle over the graph's edges,
+    /// and splitting the edges into a base and an overlay changes nothing.
+    #[test]
+    fn refutation_is_the_prune_rule(
+        (n, edges, side, ser, split) in (3u32..10).prop_flat_map(|n| (
+            Just(n),
+            prop::collection::vec(edge_strategy(n), 0..20),
+            prop::collection::vec(edge_strategy(n), 1..4),
+            any::<bool>(),
+            0usize..20,
+        ))
+    ) {
+        let semantics = if ser { Semantics::Ser } else { Semantics::Si };
+        let n = n as usize;
+        let KnownGraphResult::Acyclic(kg) = KnownGraph::build(n, &edges, semantics) else {
+            return Ok(());
+        };
+        let impossible = |e: &Edge| match (semantics, e.label) {
+            (Semantics::Si, Label::Rw(_)) => kg.rw_closes_cycle(e.from, e.to),
+            _ => kg.reaches(e.to, e.from),
+        };
+        let split = split.min(edges.len());
+        let mut layered = DepGraph::new(n, &edges[..split], semantics);
+        layered.overlay(edges[split..].iter().copied());
+        let g = DepGraph::new(n, &edges, semantics);
+        // The random side, then every single-edge side of either kind.
+        let all = (0..n as u32).flat_map(|f| (0..n as u32).filter(move |&t| t != f).flat_map(
+            move |t| [Label::Ww(Key(0)), Label::Rw(Key(0))].map(|l| vec![Edge::new(TxnId(f), TxnId(t), l)]),
+        ));
+        for side in std::iter::once(side).chain(all) {
+            let refuted = g.refute(&side);
+            let first = side.iter().copied().find(impossible);
+            prop_assert_eq!(refuted.as_ref().map(|(e, _)| *e), first, "side {:?}", side);
+            if let Some((e, path)) = &refuted {
+                let cycle: Vec<Edge> = std::iter::once(*e).chain(path.iter().copied()).collect();
+                assert_valid_cycle(&cycle, &[edges.as_slice(), &[*e]].concat(), semantics);
+            }
+            prop_assert_eq!(layered.refute(&side), refuted);
+        }
+    }
+}
+
+/// Under SI, `RW` composes only after a `Dep` edge: `WR;RW` is a path,
+/// `RW;RW` and a bare `RW` are not.
+#[test]
+fn reaches_respects_rw_composition() {
+    let edges = [
+        Edge::new(TxnId(0), TxnId(1), Label::Wr(Key(1))),
+        Edge::new(TxnId(1), TxnId(2), Label::Rw(Key(1))),
+        Edge::new(TxnId(2), TxnId(3), Label::Rw(Key(2))),
+    ];
+    let g = DepGraph::new(4, &edges, Semantics::Si);
+    assert_eq!(g.find_path(TxnId(0), TxnId(2)), Some(edges[..2].to_vec()));
+    assert_eq!(g.find_path(TxnId(0), TxnId(3)), None, "RW;RW must not compose");
+    assert_eq!(g.find_path(TxnId(1), TxnId(2)), None, "bare RW does not compose");
 }

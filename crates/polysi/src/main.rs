@@ -31,7 +31,9 @@ use polysi::checker::engine::{
 use polysi::checker::report::{
     check_report_json, live_report_json, stats_json, stream_report_json,
 };
-use polysi::checker::{dot, CheckpointReport, LiveConfig, LiveService, Outcome, StreamingChecker};
+use polysi::checker::{
+    dot, CheckpointReport, LiveConfig, LiveService, Outcome, StreamingChecker, Violation,
+};
 use polysi::history::{binfmt, codec, stats::HistoryStats, History, TxnId};
 use polysi_obs::{trace::chrome_trace_json, Obs, Tracer};
 use std::process::ExitCode;
@@ -51,18 +53,44 @@ fn write_trace(path: &str, tracer: &Tracer) {
     }
 }
 
+/// How a check reports besides its verdict line and exit code: `--quiet`,
+/// `--report json` and `--dot`.
+#[derive(Clone, Copy)]
+struct Output<'a> {
+    quiet: bool,
+    json: bool,
+    dot: Option<&'a str>,
+}
+
+impl Output<'_> {
+    /// Write the interpreted scenario of `outcome`, whose ids are
+    /// `history`'s, to the `--dot` path, if one was given.
+    fn dot(self, outcome: &Outcome, history: &History) {
+        let (Some(path), Outcome::CyclicViolation(Violation { scenario: Some(s), .. })) =
+            (self.dot, outcome)
+        else {
+            return;
+        };
+        match std::fs::write(path, dot::scenario_to_dot(history, s)) {
+            Err(e) => eprintln!("error writing {path}: {e}"),
+            Ok(()) if !self.quiet && !self.json => println!("  scenario written to {path}"),
+            Ok(()) => {}
+        }
+    }
+}
+
 /// `polysi check --stream`: replay the history as a session-ordered
 /// stream (round-robin across sessions), checkpointing `checkpoints`
 /// times; report per-checkpoint verdicts and timings, and in the terminal
-/// state where it was reached plus the canonical witness.
+/// state where it was reached plus the canonical witness, whose scenario
+/// `--dot` renders over the rejecting prefix.
 fn stream_check(
     history: &History,
     isolation: IsolationLevel,
     opts: EngineOptions,
     checkpoints: usize,
-    quiet: bool,
     obs: &Obs,
-    report_json: bool,
+    out: Output,
 ) -> ExitCode {
     let t0 = std::time::Instant::now();
     let mut checker = StreamingChecker::new(isolation, opts).with_obs(obs.clone());
@@ -80,7 +108,7 @@ fn stream_check(
     let mut trail: Vec<CheckpointReport> = Vec::new();
     let mut checkpoint = |checker: &mut StreamingChecker| {
         let cp = checker.checkpoint();
-        if !quiet && !report_json {
+        if !out.quiet && !out.json {
             print_checkpoint(&cp, total, false);
         }
         let terminal = cp.terminal;
@@ -106,28 +134,27 @@ fn stream_check(
         checkpoint(&mut checker);
     }
     let last_verdict = &trail.last().expect("the replay ends in a checkpoint").verdict;
-    if report_json {
-        let json = stream_report_json(
-            &trail,
-            checker.rejection(),
-            isolation,
-            t0.elapsed(),
-            Some(&obs.metrics.snapshot()),
-        );
-        println!("{json}");
-        return exit_code(last_verdict);
-    }
     let rej = checker.rejection();
-    let notes = match rej {
-        Some(r) => vec![format!(
-            "detected by op {} (checkpoint {}, {} txns ingested)",
-            r.op_index, r.checkpoint, r.txn_count
-        )],
-        None if quiet => Vec::new(),
-        None => vec![HistoryStats::of(history).to_string()],
+    let code = if out.json {
+        let metrics = obs.metrics.snapshot();
+        println!("{}", stream_report_json(&trail, rej, isolation, t0.elapsed(), Some(&metrics)));
+        exit_code(last_verdict)
+    } else {
+        let notes = match rej {
+            Some(r) => vec![format!(
+                "detected by op {} (checkpoint {}, {} txns ingested)",
+                r.op_index, r.checkpoint, r.txn_count
+            )],
+            None if out.quiet => Vec::new(),
+            None => vec![HistoryStats::of(history).to_string()],
+        };
+        let labels = rej.map_or(history, |r| &r.prefix);
+        print_outcome(last_verdict, isolation, Some("streaming"), &notes, Some(labels), out.quiet)
     };
-    let labels = rej.map_or(history, |r| &r.prefix);
-    print_outcome(last_verdict, isolation, Some("streaming"), &notes, Some(labels), quiet)
+    if let Some(r) = rej {
+        out.dot(&r.report.outcome, &r.prefix);
+    }
+    code
 }
 
 /// One `--stream` / `--live` checkpoint line of a `total`-transaction
@@ -216,9 +243,8 @@ fn live_check(
     isolation: IsolationLevel,
     opts: EngineOptions,
     checkpoints: usize,
-    quiet: bool,
     obs: &Obs,
-    report_json: bool,
+    out: Output,
 ) -> ExitCode {
     let t0 = std::time::Instant::now();
     let total = history.len();
@@ -240,13 +266,13 @@ fn live_check(
         }
         service.finish()
     });
-    if report_json {
+    if out.json {
         let json =
             live_report_json(&report, isolation, t0.elapsed(), Some(&obs.metrics.snapshot()));
         println!("{json}");
         return exit_code(report.verdict());
     }
-    if !quiet {
+    if !out.quiet {
         for cp in &report.checkpoints {
             print_checkpoint(&cp.report, total, cp.degraded);
         }
@@ -259,7 +285,7 @@ fn live_check(
     for (sid, err) in &report.faults {
         println!("  ingest fault on session {}: {err}", sid.0);
     }
-    print_outcome(report.verdict(), isolation, Some("live"), &[], None, quiet)
+    print_outcome(report.verdict(), isolation, Some("live"), &[], None, out.quiet)
 }
 
 /// Load a history, auto-detecting the format by content: the `.pbh`
@@ -387,6 +413,11 @@ fn main() -> ExitCode {
                 }
                 i += 1;
             }
+            if live && dot_path.is_some() {
+                eprintln!("--dot needs the checked history, which --live does not keep");
+                return usage();
+            }
+            let out = Output { quiet, json: report_json, dot: dot_path.as_deref() };
             let history = match load(path) {
                 Ok(h) => h,
                 Err(e) => {
@@ -413,9 +444,9 @@ fn main() -> ExitCode {
                     );
                 }
                 let code = if live {
-                    live_check(&history, isolation, opts, checkpoints, quiet, &obs, report_json)
+                    live_check(&history, isolation, opts, checkpoints, &obs, out)
                 } else {
-                    stream_check(&history, isolation, opts, checkpoints, quiet, &obs, report_json)
+                    stream_check(&history, isolation, opts, checkpoints, &obs, out)
                 };
                 if let Some(path) = &trace_out {
                     write_trace(path, &obs.tracer);
@@ -434,6 +465,7 @@ fn main() -> ExitCode {
                 let json =
                     check_report_json(&report, isolation, elapsed, Some(&obs.metrics.snapshot()));
                 println!("{json}");
+                out.dot(&report.outcome, &history);
                 return exit_code(&report.outcome);
             }
             let shard_line = report.shard_stats.map(|s| match s.fallback {
@@ -456,15 +488,7 @@ fn main() -> ExitCode {
             }
             let code =
                 print_outcome(&report.outcome, isolation, None, &notes, Some(&history), quiet);
-            if let (Some(out), Outcome::CyclicViolation(v)) = (&dot_path, &report.outcome) {
-                if let Some(s) = &v.scenario {
-                    if let Err(e) = std::fs::write(out, dot::scenario_to_dot(&history, s)) {
-                        eprintln!("error writing {out}: {e}");
-                    } else if !quiet {
-                        println!("  scenario written to {out}");
-                    }
-                }
-            }
+            out.dot(&report.outcome, &history);
             code
         }
         Some("stats") => {

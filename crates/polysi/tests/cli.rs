@@ -58,6 +58,38 @@ fn check_rejects_lost_update_with_exit_code_and_dot() {
     assert!(rendered.starts_with("digraph"));
 }
 
+/// `--dot` writes the scenario wherever the run holds the history its ids
+/// refer to: a batch report, as text or JSON (whose stdout stays one JSON
+/// document), and a stream's rejecting prefix. `--live` keeps no such
+/// history and refuses the flag.
+#[test]
+fn dot_is_written_wherever_the_history_is_held() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/lost_update.txt");
+    let dir = std::env::temp_dir().join("polysi-cli-test-dot");
+    std::fs::create_dir_all(&dir).unwrap();
+    let runs: [&[&str]; 4] =
+        [&[], &["--report", "json"], &["--stream"], &["--stream", "--report", "json"]];
+    for (i, flags) in runs.into_iter().enumerate() {
+        let dot = dir.join(format!("{i}.dot"));
+        let _ = std::fs::remove_file(&dot);
+        let out = bin().args(["check", fixture]).args(flags).arg("--dot").arg(&dot).output();
+        let out = out.expect("run check");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let rendered = std::fs::read_to_string(&dot).expect("dot written");
+        assert!(rendered.starts_with("digraph"), "{flags:?}: {rendered}");
+        if flags.contains(&"json") {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(polysi_obs::json::parse(stdout.trim()).is_ok(), "{flags:?}: {stdout}");
+        }
+    }
+    let dot = dir.join("live.dot");
+    let _ = std::fs::remove_file(&dot);
+    let out = bin().args(["check", fixture, "--live", "--dot"]).arg(&dot).output().expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--live"));
+    assert!(!dot.exists(), "--live wrote a DOT file");
+}
+
 #[test]
 fn stats_prints_counts() {
     let dir = std::env::temp_dir().join("polysi-cli-test-stats");
@@ -77,7 +109,7 @@ fn stats_prints_counts() {
 /// `tests/conformance.rs`.)
 #[test]
 fn fixture_corpus_has_stable_verdicts() {
-    let fixtures: [(&str, i32, &str); 24] = [
+    let fixtures: [(&str, i32, &str); 25] = [
         ("long_fork.txt", 1, "long fork"),
         ("lost_update.txt", 1, "lost update"),
         ("write_skew.txt", 0, "OK"),
@@ -102,6 +134,7 @@ fn fixture_corpus_has_stable_verdicts() {
         ("stalled_session_long_fork.txt", 1, "long fork"),
         ("fenced_value.txt", 0, "OK"),
         ("fenced_init.txt", 0, "OK"),
+        ("ser_refuted_scenario.txt", 0, "OK"),
     ];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     for (file, expected_code, needle) in fixtures {
@@ -420,7 +453,7 @@ fn fixture_corpus_parses_and_has_stats() {
             path.display()
         );
     }
-    assert_eq!(count, 24, "fixture corpus changed size without updating the verdict table");
+    assert_eq!(count, 25, "fixture corpus changed size without updating the verdict table");
 }
 
 /// An empty transaction is a parse error at the line that closes it —

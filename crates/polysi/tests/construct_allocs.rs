@@ -17,7 +17,7 @@
 //! counting allocator (hence its own file).
 
 use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel as Level, PruneThreads};
-use polysi::checker::StreamingChecker;
+use polysi::checker::{Outcome, StreamingChecker};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::{Facts, History, Key, KeyIndex, Op, ShardPlan, TxnStatus, Value};
 use polysi::polygraph::{ConstraintMode, Edge, Polygraph, PruneOptions, Semantics};
@@ -147,6 +147,42 @@ fn a_check_never_holds_the_constraint_arena() {
     assert!(report.accepted());
     let arena = edges * std::mem::size_of::<Edge>();
     assert!(peak < arena, "peak {peak} B vs the {arena} B arena of {edges} edges");
+}
+
+/// Interpretation is never a check's peak: on a rejected stale-snapshot
+/// history, a check that interprets its counterexample peaks exactly where
+/// one that does not interpret it peaks (in pruning). One prune thread, so
+/// the peak does not depend on scheduling.
+#[test]
+fn interpretation_is_never_the_peak() {
+    let _serial = serial();
+    let plan = generate(&GeneralParams { txns_per_session: 200, ..Default::default() });
+    let h = run(&plan, &SimConfig::new(IsolationLevel::StaleSnapshot, 7)).history;
+    let peak = |interpret: bool| {
+        let opts = EngineOptions {
+            interpret,
+            prune_threads: PruneThreads::Fixed(1),
+            ..Default::default()
+        };
+        let engine = CheckEngine::new(Level::Si, opts);
+        let base = LIVE.load(Ordering::Relaxed);
+        PEAK.store(base, Ordering::Relaxed);
+        let report = engine.check(&h);
+        let peak = PEAK.load(Ordering::Relaxed) - base;
+        let Outcome::CyclicViolation(v) = &report.outcome else {
+            panic!("the stale-snapshot history is rejected by a cycle: {:?}", report.outcome)
+        };
+        assert_eq!(v.scenario.is_some(), interpret);
+        peak
+    };
+    let (with, without) = (peak(true), peak(false));
+    eprintln!("peak {with} B interpreting, {without} B not");
+    assert_eq!(
+        with,
+        without,
+        "interpretation raised the peak by {} B",
+        with as i64 - without as i64
+    );
 }
 
 /// A checkpoint whose delta adds `W` writers to a key that already has `M`

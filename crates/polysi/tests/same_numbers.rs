@@ -1,9 +1,10 @@
 //! The numbers a change must not move, one line per (history, level,
 //! mode-matrix row): the registry counters the row's checker recorded
 //! (`runtime.*` left out, as in `Metrics::counter_digest`; `None` for a
-//! live hub, which keeps no registry) and the `Exact` digest of each of
-//! its checkpoints, tab-separated, each in its `Debug` form. A probe, not
-//! a check: run it at two commits and diff the outputs.
+//! live hub, which keeps no registry), the `Exact` digest of each of its
+//! checkpoints and the whole interpreted scenario of each (empty unless
+//! it is a cyclic violation), tab-separated, each in its `Debug` form. A
+//! probe, not a check: run it at two commits and diff the outputs.
 //!
 //! ```sh
 //! cargo test --release -q -p polysi --test same_numbers -- --ignored --nocapture \
@@ -26,7 +27,10 @@ fn print_matrix_numbers() {
                 counters.filter(|(name, _)| !name.starts_with("runtime.")).collect::<Vec<_>>()
             });
             let digests: Vec<_> = run.trail.iter().map(|cp| cp.view(Proj::Exact)).collect();
-            println!("numbers\t{history}\t{level:?}\t{mode}\t{counters:?}\t{digests:?}");
+            let scenarios: Vec<_> = run.trail.iter().map(|cp| &cp.scenario).collect();
+            println!(
+                "numbers\t{history}\t{level:?}\t{mode}\t{counters:?}\t{digests:?}\t{scenarios:?}"
+            );
         }
     });
 }

@@ -84,6 +84,9 @@ pub struct Checkpoint {
     pub prefix: History,
     /// [`digest`] under `Exact`, `Verdict` and `Class`, in that order.
     views: [Value; 3],
+    /// The interpreted scenario of a cyclic violation, whole, in its
+    /// `Debug` form (`Exact` holds only its finalized edges).
+    pub scenario: String,
     /// A terminal state, reported by the canonical batch report.
     pub terminal: bool,
     /// The compacting stream's fence holds a record.
@@ -95,7 +98,11 @@ impl Checkpoint {
         let exact = digest(report, level, Proj::Exact);
         let verdict = verdict_of(&exact);
         let views = [exact, verdict, digest(report, level, Proj::Class)];
-        Checkpoint { prefix, views, terminal: false, fenced: false }
+        let scenario = match &report.outcome {
+            Outcome::CyclicViolation(v) => format!("{:?}", v.scenario),
+            _ => String::new(),
+        };
+        Checkpoint { prefix, views, scenario, terminal: false, fenced: false }
     }
 
     pub fn view(&self, proj: Proj) -> &Value {
