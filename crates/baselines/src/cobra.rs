@@ -232,7 +232,7 @@ fn plain_closure(n: usize, edges: &[Edge]) -> Option<HashSet<(u32, u32)>> {
         return None;
     }
     // Reverse-topological reach sets via bitsets.
-    let mut reach = polysi_solver::bitset::BitMatrix::new(n);
+    let mut reach = polysi_polygraph::bitset::BitMatrix::new(n);
     for &u in order.iter().rev() {
         for &v in &adj[u as usize] {
             reach.set(u as usize, v as usize);

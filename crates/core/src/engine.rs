@@ -718,12 +718,14 @@ pub(crate) fn run_unit(
         if let Some(kg) = &kg {
             tally.oracles.record(kg.oracle_kind());
             // What the representation rule picked, its two inputs (the
-            // second costs a pass over the graph) and what the store holds.
+            // second costs a pass over the graph), what the closure store
+            // holds and what the layered index holds.
             if tracer.is_enabled() {
                 span.attr("oracle", kg.oracle_kind().name());
                 span.attr("n", g.n);
                 span.attr("chains", kg.rule_chains());
                 span.attr("bytes", kg.oracle_bytes());
+                span.attr("graph_bytes", kg.graph_bytes());
             }
         }
         tally.timings.pruning = span.finish();

@@ -1,10 +1,10 @@
 //! Compact bit matrices for dense reachability.
 //!
-//! A [`BitMatrix`] with `n` rows of `n` bits backs the transitive-closure
-//! computations used both by constraint pruning (Algorithm 1, line 15 — the
-//! paper uses Floyd–Warshall; we BFS in reverse topological order, which is
-//! `O(V·E/64)` instead of `O(V³)`) and by the acyclicity theory's
-//! known-graph jumps.
+//! A [`BitMatrix`] with `n` rows of `n` bits backs the dense closure of the
+//! known-graph oracle that constraint pruning queries (Algorithm 1, line 15
+//! — the paper uses Floyd–Warshall; we BFS in reverse topological order,
+//! which is `O(V·E/64)` instead of `O(V³)`), and [`ChainRows`] its
+//! session-chain closure; the Cobra baseline's reach sets use the former.
 
 /// A bit matrix stored row-major in 64-bit words.
 #[derive(Clone)]

@@ -16,11 +16,22 @@
 //! has one layer: transaction `i` is node `i` and every edge is direct.
 //! Every per-node structure is sized by [`Semantics::layers`] — `2n` nodes
 //! under SI, `n` under SER — as the solver's theory graph is.
+//!
+//! The layout is flat: the adjacency, its reverse and the chain store's
+//! `Dep` predecessor lists are each one `Csr` — an offset per node and
+//! one entry array, filled by a counting sort — and an adjacency entry is
+//! 8 bytes, (target node, index into the graph's one edge list). A build
+//! allocates a fixed number of blocks whatever the graph's size. What
+//! [`KnownGraph::insert_edges`] adds goes to an arena of linked entries
+//! behind each list, read after its built part (so every list stays in
+//! edge order), and is folded in once it has grown to a quarter of the
+//! built part; [`KnownGraph::grow`] widens the index in place, arena and
+//! all.
 
+use crate::bitset::{BitMatrix, ChainRows};
 use crate::edge::{Edge, Label};
 use crate::polygraph::Semantics;
 use polysi_history::TxnId;
-use polysi_solver::bitset::{BitMatrix, ChainRows};
 
 /// Which reachability representation a [`KnownGraph`] stores.
 ///
@@ -177,9 +188,237 @@ enum ClosureStore {
         idx: ChainIndex,
         /// Sorted `Dep` predecessors per transaction (the sparse
         /// `dep_in`; ascending, so witness selection matches the dense
-        /// row iteration order bit for bit; empty under SER).
-        dep_preds: Vec<Vec<u32>>,
+        /// row iteration order bit for bit; no rows under SER).
+        dep_preds: Csr<u32>,
     },
+}
+
+/// Per-node lists in compressed sparse row form: the one index behind
+/// [`KnownGraph`]'s layered adjacency, its reverse and its chain store's
+/// `Dep` predecessor lists, [`KnownGraph::find_cycle`] and [`DepGraph`].
+/// Node `u`'s list is its *built* entries `out[first[u]..first[u + 1]]`,
+/// then what [`Csr::push`] added since the last [`Csr::fold`], in push
+/// order — so a list reads "build order, then insertion order" however
+/// often it is folded. A build is one counting sort into two arrays, and
+/// pushes go to one arena, whatever the node count.
+struct Csr<T> {
+    first: Vec<u32>,
+    out: Vec<T>,
+    /// Entries pushed since the last fold, in push order, each linked to
+    /// the next and the previous one of its node's list.
+    more: Vec<Pushed<T>>,
+    /// Per node, the first and the last of its pushed entries ([`NONE`]
+    /// when it has none); no rows (and no allocation) until the first push.
+    ends: Vec<(u32, u32)>,
+}
+
+/// "No entry" in [`Csr`]'s links.
+const NONE: u32 = u32::MAX;
+
+#[derive(Clone, Copy)]
+struct Pushed<T> {
+    x: T,
+    next: u32,
+    prev: u32,
+}
+
+/// The pushed part of one node's list in a [`Csr`], along its links.
+struct Links<'a, T> {
+    more: &'a [Pushed<T>],
+    at: u32,
+}
+
+impl<'a, T> Iterator for Links<'a, T> {
+    type Item = &'a T;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a T> {
+        let p = self.more.get(self.at as usize)?;
+        self.at = p.next;
+        Some(&p.x)
+    }
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// The lists of `nodes` nodes holding the `(node, entry)` pairs of
+    /// `entries()` (walked twice), each list in the order given.
+    fn build<I: Iterator<Item = (u32, T)>>(nodes: usize, entries: impl Fn() -> I) -> Self {
+        let mut first = vec![0u32; nodes + 1];
+        entries().for_each(|(u, _)| first[u as usize + 1] += 1);
+        for u in 1..=nodes {
+            first[u] += first[u - 1];
+        }
+        let mut out = vec![T::default(); first[nodes] as usize];
+        // `first[u]` is node `u`'s fill cursor; filled, it holds the start
+        // of node `u + 1`, so one rotation puts every start back in place.
+        for (u, x) in entries() {
+            out[first[u as usize] as usize] = x;
+            first[u as usize] += 1;
+        }
+        first.rotate_right(1);
+        first[0] = 0;
+        Csr { first, out, more: Vec::new(), ends: Vec::new() }
+    }
+
+    fn nodes(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    /// Node `u`'s built entries.
+    #[inline]
+    fn row(&self, u: usize) -> &[T] {
+        &self.out[self.first[u] as usize..self.first[u + 1] as usize]
+    }
+
+    /// Whether node `u` has entries pushed since the last fold.
+    #[inline]
+    fn has_pushed(&self, u: usize) -> bool {
+        self.ends.get(u).is_some_and(|&(head, _)| head != NONE)
+    }
+
+    /// Node `u`'s list.
+    #[inline]
+    fn iter(&self, u: usize) -> std::iter::Chain<std::slice::Iter<'_, T>, Links<'_, T>> {
+        self.row(u).iter().chain(self.pushed(u))
+    }
+
+    /// Node `u`'s entries pushed since the last fold.
+    #[inline]
+    fn pushed(&self, u: usize) -> Links<'_, T> {
+        let at = self.ends.get(u).map_or(NONE, |&(head, _)| head);
+        Links { more: &self.more, at }
+    }
+
+    /// Whether some entry pushed to node `u` since the last fold is `hit`:
+    /// on a folded index, a test of one length.
+    #[inline]
+    fn any_pushed(&self, u: usize, hit: impl FnMut(&T) -> bool) -> bool {
+        !self.more.is_empty() && self.pushed(u).any(hit)
+    }
+
+    /// Every entry of every list.
+    fn all(&self) -> impl Iterator<Item = &T> {
+        self.out.iter().chain(self.more.iter().map(|p| &p.x))
+    }
+
+    /// Append `x` to node `u`'s list.
+    fn push(&mut self, u: usize, x: T) {
+        if self.ends.is_empty() {
+            self.ends = vec![(NONE, NONE); self.nodes()];
+        }
+        let at = self.more.len() as u32;
+        let (head, tail) = self.ends[u];
+        self.more.push(Pushed { x, next: NONE, prev: tail });
+        match self.more.get_mut(tail as usize) {
+            Some(last) => last.next = at,
+            None => debug_assert_eq!(head, NONE),
+        }
+        self.ends[u] = (if head == NONE { at } else { head }, at);
+    }
+
+    /// Remove the entry pushed last overall, which is node `u`'s last.
+    fn pop(&mut self, u: usize) -> Option<T> {
+        let (head, tail) = *self.ends.get(u)?;
+        debug_assert_eq!(tail as usize + 1, self.more.len(), "pops undo the latest push");
+        let p = self.more.pop()?;
+        match self.more.get_mut(p.prev as usize) {
+            Some(prev) => prev.next = NONE,
+            None => debug_assert_eq!(head, tail),
+        }
+        self.ends[u] = if p.prev == NONE { (NONE, NONE) } else { (head, p.prev) };
+        Some(p.x)
+    }
+
+    /// Once the pushed entries number a quarter of the built ones, move
+    /// them into the built arrays, each behind its node's built entries
+    /// (lists keep their order), and `settle` each list that grew. A fold
+    /// moves every entry, so waiting for the quarter keeps it at a few
+    /// moves per push however often it is asked for.
+    fn fold(&mut self, settle: impl Fn(&mut [T])) {
+        if self.more.is_empty() || 4 * self.more.len() < self.out.len() {
+            return;
+        }
+        let mut out = Vec::with_capacity(self.out.len() + self.more.len());
+        for u in 0..self.nodes() {
+            let start = out.len();
+            out.extend(self.iter(u));
+            if self.has_pushed(u) {
+                settle(&mut out[start..]);
+            }
+            self.first[u] = start as u32;
+        }
+        *self.first.last_mut().expect("a sentinel offset") = out.len() as u32;
+        (self.out, self.more, self.ends) = (out, Vec::new(), Vec::new());
+    }
+
+    /// Insert `count` empty lists before node `at`.
+    fn insert_rows(&mut self, at: usize, count: usize) {
+        let start = self.first[at];
+        self.first.reserve_exact(count);
+        self.first.splice(at..at, std::iter::repeat_n(start, count));
+        if !self.ends.is_empty() {
+            self.ends.splice(at..at, std::iter::repeat_n((NONE, NONE), count));
+        }
+    }
+
+    /// Apply `f` to every entry, built or pushed.
+    fn remap(&mut self, f: impl Fn(&mut T)) {
+        self.out.iter_mut().for_each(&f);
+        self.more.iter_mut().for_each(|p| f(&mut p.x));
+    }
+
+    /// Bytes of the offsets, the entries and the pushed entries with their
+    /// links.
+    fn bytes(&self) -> usize {
+        4 * self.first.len()
+            + std::mem::size_of::<T>() * self.out.len()
+            + std::mem::size_of::<Pushed<T>>() * self.more.len()
+            + 8 * self.ends.len()
+    }
+}
+
+impl Csr<u32> {
+    /// The ascending, duplicate-free `Dep` predecessor lists of `deps`
+    /// over `n` transactions: [`dep_rows`] lists, `to`'s holding each `from`.
+    fn dep_lists<I: Iterator<Item = Edge>>(
+        n: usize,
+        semantics: Semantics,
+        deps: impl Fn() -> I,
+    ) -> Csr<u32> {
+        let si = semantics == Semantics::Si;
+        let mut lists = Csr::build(dep_rows(n, semantics), || {
+            deps().filter(move |_| si).map(|e| (e.to.0, e.from.0))
+        });
+        let (mut kept, mut s) = (0, 0);
+        for u in 0..lists.nodes() {
+            let e = lists.first[u + 1] as usize;
+            lists.out[s..e].sort_unstable();
+            for i in s..e {
+                if i == s || lists.out[i] != lists.out[i - 1] {
+                    lists.out[kept] = lists.out[i];
+                    kept += 1;
+                }
+            }
+            lists.first[u + 1] = kept as u32;
+            s = e;
+        }
+        lists.out.truncate(kept);
+        lists
+    }
+
+    /// Whether node `u`'s list holds `x` (its built part is ascending).
+    #[inline]
+    fn contains(&self, u: usize, x: u32) -> bool {
+        self.row(u).binary_search(&x).is_ok() || self.any_pushed(u, |&y| y == x)
+    }
+
+    /// Add `x` to node `u`'s list unless it is there; a fold that sorts
+    /// keeps the list ascending.
+    fn insert_new(&mut self, u: usize, x: u32) {
+        if !self.contains(u, x) {
+            self.push(u, x);
+        }
+    }
 }
 
 /// The representation rule: chains iff the component is big enough to
@@ -200,8 +439,9 @@ fn dep_rows(n: usize, semantics: Semantics) -> usize {
 }
 
 impl ClosureStore {
-    /// Build an empty store: of the kind [`chains_pay`] picks for the
-    /// session cover of `known`, unless `pinned` names one.
+    /// Build a store with no closure rows yet and the `Dep` index of
+    /// `known`: of the kind [`chains_pay`] picks for the session cover of
+    /// `known`, unless `pinned` names one.
     fn new(
         n: usize,
         known: &[Edge],
@@ -214,18 +454,22 @@ impl ClosureStore {
         } else {
             OracleKind::Dense
         };
+        let deps = || known.iter().copied().filter(|e| e.label.is_dep());
         match pinned.unwrap_or(by_rule) {
-            OracleKind::Dense => ClosureStore::Dense {
-                closure: BitMatrix::rect(0, 0),
-                dep_in: BitMatrix::new(dep_rows(n, semantics)),
-            },
-            OracleKind::Chains => ClosureStore::chains(n, idx, semantics),
+            OracleKind::Dense => {
+                let mut dep_in = BitMatrix::new(dep_rows(n, semantics));
+                if semantics == Semantics::Si {
+                    deps().for_each(|e| dep_in.set(e.to.idx(), e.from.idx()));
+                }
+                ClosureStore::Dense { closure: BitMatrix::rect(0, 0), dep_in }
+            }
+            OracleKind::Chains => ClosureStore::chains(idx, Csr::dep_lists(n, semantics, deps)),
         }
     }
 
-    /// An empty chain store over `n` transactions placed by `idx`.
-    fn chains(n: usize, idx: ChainIndex, semantics: Semantics) -> ClosureStore {
-        let dep_preds = vec![Vec::new(); dep_rows(n, semantics)];
+    /// A chain store over the transactions placed by `idx`, with no
+    /// closure rows yet.
+    fn chains(idx: ChainIndex, dep_preds: Csr<u32>) -> ClosureStore {
         ClosureStore::Chains { rows: ChainRows::rect(0, 0), idx, dep_preds }
     }
 
@@ -285,12 +529,7 @@ impl ClosureStore {
     fn record_dep(&mut self, from: usize, to: usize) {
         match self {
             ClosureStore::Dense { dep_in, .. } => dep_in.set(to, from),
-            ClosureStore::Chains { dep_preds, .. } => {
-                let v = &mut dep_preds[to];
-                if let Err(i) = v.binary_search(&(from as u32)) {
-                    v.insert(i, from as u32);
-                }
-            }
+            ClosureStore::Chains { dep_preds, .. } => dep_preds.insert_new(to, from as u32),
         }
     }
 
@@ -299,9 +538,7 @@ impl ClosureStore {
     fn is_dep_pred(&self, of: usize, p: usize) -> bool {
         match self {
             ClosureStore::Dense { dep_in, .. } => dep_in.get(of, p),
-            ClosureStore::Chains { dep_preds, .. } => {
-                dep_preds[of].binary_search(&(p as u32)).is_ok()
-            }
+            ClosureStore::Chains { dep_preds, .. } => dep_preds.contains(of, p as u32),
         }
     }
 
@@ -309,8 +546,12 @@ impl ClosureStore {
     fn reaches_dep_pred(&self, src: usize, of: usize) -> bool {
         match self {
             ClosureStore::Dense { closure, dep_in } => closure.row_intersects(src, dep_in.row(of)),
-            ClosureStore::Chains { dep_preds, .. } => {
-                dep_preds[of].iter().any(|&p| self.reach(src, p as usize))
+            ClosureStore::Chains { rows, idx, dep_preds } => {
+                let reached = |&p: &u32| {
+                    let c = idx.chain_of[p as usize];
+                    c != ChainIndex::NONE && rows.get(src, c as usize) <= idx.pos[p as usize]
+                };
+                dep_preds.row(of).iter().any(reached) || dep_preds.any_pushed(of, reached)
             }
         }
     }
@@ -320,9 +561,22 @@ impl ClosureStore {
     fn dep_pred_iter<'a>(&'a self, of: usize) -> Box<dyn Iterator<Item = usize> + 'a> {
         match self {
             ClosureStore::Dense { dep_in, .. } => Box::new(dep_in.iter_row(of)),
-            ClosureStore::Chains { dep_preds, .. } => {
-                Box::new(dep_preds[of].iter().map(|&p| p as usize))
+            ClosureStore::Chains { dep_preds, .. } if !dep_preds.has_pushed(of) => {
+                Box::new(dep_preds.row(of).iter().map(|&p| p as usize))
             }
+            ClosureStore::Chains { dep_preds, .. } => {
+                let mut preds: Vec<usize> = dep_preds.iter(of).map(|&p| p as usize).collect();
+                preds.sort_unstable();
+                Box::new(preds.into_iter())
+            }
+        }
+    }
+
+    /// Fold the `Dep` lists' insertions into their built form, as
+    /// [`Csr::fold`] does.
+    fn fold(&mut self) {
+        if let ClosureStore::Chains { dep_preds, .. } = self {
+            dep_preds.fold(<[u32]>::sort_unstable);
         }
     }
 
@@ -355,13 +609,21 @@ impl ClosureStore {
         }
     }
 
-    /// Bytes of closure + dep-index storage (memory accounting).
+    /// Bytes of the closure rows and the dense `Dep` bit index (memory
+    /// accounting; the chain store's `Dep` lists count in
+    /// [`Self::list_bytes`]).
     fn bytes(&self) -> usize {
         match self {
             ClosureStore::Dense { closure, dep_in } => closure.bytes() + dep_in.bytes(),
-            ClosureStore::Chains { rows, dep_preds, .. } => {
-                rows.bytes() + dep_preds.iter().map(|v| v.len() * 4).sum::<usize>()
-            }
+            ClosureStore::Chains { rows, .. } => rows.bytes(),
+        }
+    }
+
+    /// Bytes of the chain store's `Dep` lists.
+    fn list_bytes(&self) -> usize {
+        match self {
+            ClosureStore::Dense { .. } => 0,
+            ClosureStore::Chains { dep_preds, .. } => dep_preds.bytes(),
         }
     }
 }
@@ -387,11 +649,15 @@ pub struct KnownGraph {
     n: usize,
     /// Edge-composition semantics the graph was built under.
     semantics: Semantics,
-    /// Layered adjacency: `adj[g2node] = (g2target, underlying edge)`.
-    adj: Vec<Vec<(u32, Edge)>>,
+    /// The typed edges the graph holds: the build's, then each one
+    /// [`KnownGraph::insert_edges`] kept, in order.
+    edges: Vec<Edge>,
+    /// Layered adjacency: node `u`'s out-edges as (target node, index into
+    /// `edges`), in edge order.
+    adj: Images,
     /// Reverse layered adjacency (sources per node): the ancestor
     /// iteration order of incremental closure updates.
-    radj: Vec<Vec<u32>>,
+    radj: Csr<u32>,
     /// Closure rows + `Dep` predecessor index, in one of the
     /// [`OracleKind`] representations.
     store: ClosureStore,
@@ -482,33 +748,32 @@ fn images(n: usize, e: Edge, semantics: Semantics) -> impl Iterator<Item = (u32,
     std::iter::once(first).chain((si && dep).then_some((b(f), n + t)))
 }
 
-/// The layered adjacency of `known`: `adj[node] = (target, underlying
-/// edge)`, each edge's [`images`] in edge order.
-fn layered_adjacency(n: usize, known: &[Edge], semantics: Semantics) -> Vec<Vec<(u32, Edge)>> {
-    let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); semantics.layers() * n];
-    for &e in known {
-        for (u, v) in images(n, e, semantics) {
-            adj[u as usize].push((v, e));
-        }
-    }
-    adj
+/// Layered images by source node, as (target node, index into an edge
+/// list).
+type Images = Csr<(u32, u32)>;
+
+/// The layered images of `edges` over `n` transactions by source node:
+/// node `u`'s are (target node, index into `edges`), in edge order.
+fn layered(n: usize, edges: &[Edge], semantics: Semantics) -> Images {
+    Csr::build(semantics.layers() * n, || {
+        let indexed = (0u32..).zip(edges);
+        indexed.flat_map(move |(i, &e)| images(n, e, semantics).map(move |(u, v)| (u, (v, i))))
+    })
 }
 
 /// Kahn topological sort over a layered adjacency; `None` if cyclic.
-fn topological_order(adj: &[Vec<(u32, Edge)>]) -> Option<Vec<u32>> {
-    let total = adj.len();
+fn topological_order(adj: &Images) -> Option<Vec<u32>> {
+    let total = adj.nodes();
     let mut indeg = vec![0u32; total];
-    for outs in adj {
-        for &(v, _) in outs {
-            indeg[v as usize] += 1;
-        }
+    for &(v, _) in adj.all() {
+        indeg[v as usize] += 1;
     }
     let mut order: Vec<u32> = (0..total as u32).filter(|&v| indeg[v as usize] == 0).collect();
     let mut head = 0;
     while head < order.len() {
         let u = order[head];
         head += 1;
-        for &(v, _) in &adj[u as usize] {
+        for &(v, _) in adj.iter(u as usize) {
             indeg[v as usize] -= 1;
             if indeg[v as usize] == 0 {
                 order.push(v);
@@ -553,8 +818,8 @@ impl KnownGraph {
     /// without the oracle: no closure store is allocated, so callers that
     /// only want a verdict or a witness pay `O(n + m)`.
     pub fn find_cycle(n: usize, edges: &[Edge], semantics: Semantics) -> Option<Vec<Edge>> {
-        let adj = layered_adjacency(n, edges, semantics);
-        topological_order(&adj).is_none().then(|| extract_cycle(n, &adj))
+        let adj = layered(n, edges, semantics);
+        topological_order(&adj).is_none().then(|| extract_cycle(n, &adj, edges))
     }
 
     fn build_inner(
@@ -563,23 +828,15 @@ impl KnownGraph {
         semantics: Semantics,
         pinned: Option<OracleKind>,
     ) -> KnownGraphResult {
-        let adj = layered_adjacency(n, known, semantics);
+        let adj = layered(n, known, semantics);
         let Some(order) = topological_order(&adj) else {
-            return KnownGraphResult::Cyclic(extract_cycle(n, &adj));
+            return KnownGraphResult::Cyclic(extract_cycle(n, &adj, known));
         };
-        let nodes = adj.len();
-        let mut radj: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        for (u, outs) in adj.iter().enumerate() {
-            for &(v, _) in outs {
-                radj[v as usize].push(u as u32);
-            }
-        }
-        let mut store = ClosureStore::new(n, known, semantics, pinned);
-        if semantics == Semantics::Si {
-            for e in known.iter().filter(|e| e.label.is_dep()) {
-                store.record_dep(e.from.idx(), e.to.idx());
-            }
-        }
+        let nodes = adj.nodes();
+        let radj = Csr::build(nodes, || {
+            (0..nodes as u32).flat_map(|u| adj.row(u as usize).iter().map(move |&(v, _)| (v, u)))
+        });
+        let store = ClosureStore::new(n, known, semantics, pinned);
         let mut ord = vec![0; nodes];
         for (pos, &node) in order.iter().enumerate() {
             ord[node as usize] = pos as u32;
@@ -587,6 +844,7 @@ impl KnownGraph {
         let mut g = KnownGraph {
             n,
             semantics,
+            edges: known.to_vec(),
             adj,
             radj,
             store,
@@ -607,10 +865,9 @@ impl KnownGraph {
     /// Reverse-topological DP: `closure[u]` = boundary transactions
     /// reachable from layered node `u`.
     fn compute_closure(&mut self, order: &[u32]) {
-        self.store.alloc_rows(self.adj.len(), self.n);
+        self.store.alloc_rows(self.adj.nodes(), self.n);
         for &u in order.iter().rev() {
-            for i in 0..self.adj[u as usize].len() {
-                let v = self.adj[u as usize][i].0;
+            for &(v, _) in self.adj.iter(u as usize) {
                 if (v as usize) < self.n {
                     self.store.set_fresh(u as usize, v as usize);
                 }
@@ -664,11 +921,11 @@ impl KnownGraph {
     /// boundary images only (under SI a `Dep` edge also has a mid image).
     fn held(&self, keep: fn(Label) -> bool) -> impl Iterator<Item = Edge> + '_ {
         let n = self.n;
-        self.adj[..n]
-            .iter()
-            .flatten()
-            .filter(move |&&(v, e)| (v as usize) < n && keep(e.label))
-            .map(|&(_, e)| e)
+        (0..n)
+            .flat_map(|u| self.adj.iter(u))
+            .map(|&(v, i)| (v, self.edges[i as usize]))
+            .filter(move |&(v, e)| (v as usize) < n && keep(e.label))
+            .map(|(_, e)| e)
     }
 
     /// The chain cover of the `So` edges the graph holds.
@@ -677,10 +934,24 @@ impl KnownGraph {
         chain_cover(self.n, &so)
     }
 
-    /// Bytes of closure + dep-index storage (memory accounting; the
-    /// figure the representation rule is about).
+    /// Bytes of the closure store: its rows, and under the dense store the
+    /// `Dep` bit index (memory accounting; the figure the representation
+    /// rule is about).
     pub fn oracle_bytes(&self) -> usize {
         self.store.bytes()
+    }
+
+    /// Bytes of the layered index: the offsets and entries of the
+    /// adjacency and its reverse, the edge list the entries index, the
+    /// chain store's `Dep` lists, and what insertions pushed since the last
+    /// [`Self::settle`] (memory accounting; with [`Self::oracle_bytes`],
+    /// the whole oracle but its per-node scratch). Counts entries, not
+    /// spare capacity.
+    pub fn graph_bytes(&self) -> usize {
+        self.adj.bytes()
+            + self.radj.bytes()
+            + self.edges.len() * std::mem::size_of::<Edge>()
+            + self.store.list_bytes()
     }
 
     /// Extend the vertex space to `n2` transactions (`n2 ≥ n`), adding
@@ -711,16 +982,17 @@ impl KnownGraph {
         self.follow_growth(n2);
         let layers = self.semantics.layers();
         let node = |old: usize| if old < n { old } else { old - n + n2 };
-        let mut adj: Vec<Vec<(u32, Edge)>> = vec![Vec::new(); layers * n2];
-        for (i, list) in std::mem::take(&mut self.adj).into_iter().enumerate() {
-            adj[node(i)] = list.into_iter().map(|(v, e)| (node(v as usize) as u32, e)).collect();
+        // Widen in place: each layer's new rows go in behind its old ones,
+        // so boundary rows stay and mid rows shift by `n2 − n`, and one
+        // sequential pass remaps the targets.
+        for layer in 0..layers {
+            self.adj.insert_rows(layer * n2 + n, n2 - n);
+            self.radj.insert_rows(layer * n2 + n, n2 - n);
         }
-        self.adj = adj;
-        let mut radj: Vec<Vec<u32>> = vec![Vec::new(); layers * n2];
-        for (i, list) in std::mem::take(&mut self.radj).into_iter().enumerate() {
-            radj[node(i)] = list.into_iter().map(|v| node(v as usize) as u32).collect();
+        if layers > 1 {
+            self.adj.remap(|(v, _)| *v = node(*v as usize) as u32);
+            self.radj.remap(|v| *v = node(*v as usize) as u32);
         }
-        self.radj = radj;
         let mut ord = vec![0u32; layers * n2];
         for (i, &p) in self.ord.iter().enumerate() {
             ord[node(i)] = p;
@@ -750,7 +1022,8 @@ impl KnownGraph {
                 *rows = rows.remapped(layers * n2, layered_src);
                 idx.chain_of.resize(n2, ChainIndex::NONE);
                 idx.pos.resize(n2, 0);
-                dep_preds.resize(dep_rows(n2, self.semantics), Vec::new());
+                let nodes = dep_preds.nodes();
+                dep_preds.insert_rows(nodes, dep_rows(n2, self.semantics) - nodes);
             }
         }
         self.visited = vec![0; layers * n2];
@@ -777,14 +1050,9 @@ impl KnownGraph {
         if !chains_pay(n2, idx.estimated_chains()) {
             return;
         }
-        let mut store = ClosureStore::chains(n, idx, self.semantics);
-        if self.semantics == Semantics::Si {
-            for e in self.held(Label::is_dep) {
-                store.record_dep(e.from.idx(), e.to.idx());
-            }
-        }
-        self.store = store;
-        let mut order: Vec<u32> = (0..self.adj.len() as u32).collect();
+        let deps = Csr::dep_lists(n, self.semantics, || self.held(Label::is_dep));
+        self.store = ClosureStore::chains(idx, deps);
+        let mut order: Vec<u32> = (0..self.adj.nodes() as u32).collect();
         order.sort_unstable_by_key(|&x| self.ord[x as usize]);
         self.compute_closure(&order);
     }
@@ -909,8 +1177,8 @@ impl KnownGraph {
             }
             self.grown[u] = stamp;
             self.closure_updates += 1;
-            for i in 0..self.radj[u].len() {
-                let w = self.radj[u][i] as usize;
+            for &w in self.radj.iter(u) {
+                let w = w as usize;
                 if self.store.merge_rows(u, w) && self.grown[w] != stamp {
                     self.grown[w] = stamp;
                     if self.visited[w] != stamp {
@@ -921,6 +1189,18 @@ impl KnownGraph {
             }
         }
         self.pending.clear();
+    }
+
+    /// Flush, then fold the lists whose insertions have grown to a quarter
+    /// of their built part, so that a read-only sweep mostly reads one
+    /// slice per list (the prune loop settles its oracle after each apply
+    /// phase). Changes no list's order, and so no query, witness or
+    /// schedule.
+    pub fn settle(&mut self) {
+        self.flush_closure();
+        self.adj.fold(|_| {});
+        self.radj.fold(|_| {});
+        self.store.fold();
     }
 
     /// The violating cycle that adding `e` to the known graph would close,
@@ -954,8 +1234,8 @@ impl KnownGraph {
         // `RW` out of `k` composing back — closes a cycle the boundary
         // image misses.
         if self.semantics == Semantics::Si && self.store.reach(self.n + t.idx(), f.idx()) {
-            for &(j, rw) in &self.adj[self.n + t.idx()] {
-                let j = TxnId(j);
+            for &(j, i) in self.adj.iter(self.n + t.idx()) {
+                let (j, rw) = (TxnId(j), self.edges[i as usize]);
                 if j == f {
                     return Some(vec![e, rw]);
                 }
@@ -1015,7 +1295,7 @@ impl KnownGraph {
             return Staged::Implied;
         }
         let (f, t) = (e.from.idx(), e.to.idx());
-        let staged_from = self.pending.len();
+        let (staged_from, index) = (self.pending.len(), self.edges.len() as u32);
         for (lu, lv) in images(self.n, e, self.semantics) {
             if !self.pk_insert(lu, lv) {
                 // Unwind the already-applied image (the entries are the
@@ -1024,15 +1304,16 @@ impl KnownGraph {
                 // discard the oracle.
                 while self.pending.len() > staged_from {
                     let (plu, plv) = self.pending.pop().expect("applied images are pending");
-                    self.adj[plu as usize].pop();
-                    self.radj[plv as usize].pop();
+                    self.adj.pop(plu as usize);
+                    self.radj.pop(plv as usize);
                 }
                 return Staged::Cycle;
             }
-            self.adj[lu as usize].push((lv, e));
-            self.radj[lv as usize].push(lu);
+            self.adj.push(lu as usize, (lv, index));
+            self.radj.push(lv as usize, lu);
             self.pending.push((lu, lv));
         }
+        self.edges.push(e);
         if self.semantics == Semantics::Si && e.label.is_dep() {
             self.store.record_dep(f, t);
         }
@@ -1070,7 +1351,7 @@ impl KnownGraph {
                 return false;
             }
             delta_f.push(x);
-            for &(y, _) in &self.adj[x as usize] {
+            for &(y, _) in self.adj.iter(x as usize) {
                 if self.ord[y as usize] <= ub && self.visited[y as usize] != stamp {
                     self.visited[y as usize] = stamp;
                     stack.push(y);
@@ -1085,7 +1366,7 @@ impl KnownGraph {
         self.visited[u as usize] = bstamp;
         while let Some(x) = stack.pop() {
             delta_b.push(x);
-            for &y in &self.radj[x as usize] {
+            for &y in self.radj.iter(x as usize) {
                 if self.ord[y as usize] >= lb && self.visited[y as usize] != bstamp {
                     self.visited[y as usize] = bstamp;
                     stack.push(y);
@@ -1145,17 +1426,19 @@ impl KnownGraph {
 
     /// The known `Dep` edge `prec → from` used in a witness.
     pub fn dep_edge_between(&self, prec: TxnId, from: TxnId) -> Edge {
-        self.adj[b(prec.0) as usize]
-            .iter()
-            .find(|&&(v, e)| v == b(from.0) && e.label.is_dep())
-            .map(|&(_, e)| e)
+        self.adj
+            .iter(b(prec.0) as usize)
+            .map(|&(v, i)| (v, self.edges[i as usize]))
+            .find(|&(v, e)| v == b(from.0) && e.label.is_dep())
+            .map(|(_, e)| e)
             .expect("dep_in recorded this edge")
     }
 
     /// Shortest path `a ⇝ b` in the induced graph, as the underlying typed
     /// edge sequence. Allows `a == b` (shortest cycle through `a`).
     pub fn find_path(&self, a: TxnId, target: TxnId) -> Option<Vec<Edge>> {
-        find_path(self.adj.len(), |u| self.adj[u as usize].iter().copied(), a, target)
+        let succ = |u: u32| self.adj.iter(u as usize).map(|&(v, i)| (v, self.edges[i as usize]));
+        find_path(self.adj.nodes(), succ, a, target)
     }
 }
 
@@ -1227,51 +1510,17 @@ pub struct DepGraph<'e> {
     overlay: (Vec<Edge>, Images),
 }
 
-/// An edge list's layered images by source node: node `u`'s are
-/// `out[first[u]..first[u + 1]]`, as (target node, edge index), in edge
-/// order.
-struct Images {
-    first: Vec<u32>,
-    out: Vec<(u32, u32)>,
-}
-
-impl Images {
-    fn new(n: usize, edges: &[Edge], semantics: Semantics) -> Images {
-        let all = || {
-            let indexed = (0u32..).zip(edges);
-            indexed.flat_map(|(i, &e)| images(n, e, semantics).map(move |(u, v)| (u, v, i)))
-        };
-        let nodes = semantics.layers() * n;
-        let mut first = vec![0u32; nodes + 1];
-        all().for_each(|(u, ..)| first[u as usize + 1] += 1);
-        for u in 1..=nodes {
-            first[u] += first[u - 1];
-        }
-        let mut out = vec![(0, 0); first[nodes] as usize];
-        let mut at = first.clone();
-        for (u, v, i) in all() {
-            out[at[u as usize] as usize] = (v, i);
-            at[u as usize] += 1;
-        }
-        Images { first, out }
-    }
-
-    fn of(&self, u: u32) -> &[(u32, u32)] {
-        &self.out[self.first[u as usize] as usize..self.first[u as usize + 1] as usize]
-    }
-}
-
 impl<'e> DepGraph<'e> {
     /// The layered graph of `edges` over `n` transactions.
     pub fn new(n: usize, edges: &'e [Edge], semantics: Semantics) -> Self {
-        let overlay = (Vec::new(), Images::new(n, &[], semantics));
-        DepGraph { n, semantics, base: (edges, Images::new(n, edges, semantics)), overlay }
+        let overlay = (Vec::new(), layered(n, &[], semantics));
+        DepGraph { n, semantics, base: (edges, layered(n, edges, semantics)), overlay }
     }
 
     /// Replace the overlay by `edges`.
     pub fn overlay(&mut self, edges: impl IntoIterator<Item = Edge>) {
         let edges: Vec<Edge> = edges.into_iter().collect();
-        let images = Images::new(self.n, &edges, self.semantics);
+        let images = layered(self.n, &edges, self.semantics);
         self.overlay = (edges, images);
     }
 
@@ -1281,9 +1530,9 @@ impl<'e> DepGraph<'e> {
 
     /// Shortest path `a ⇝ b`, as [`KnownGraph::find_path`] finds it.
     pub fn find_path(&self, a: TxnId, b: TxnId) -> Option<Vec<Edge>> {
-        let succ = |u| {
+        let succ = |u: u32| {
             self.parts().into_iter().flat_map(move |(edges, images)| {
-                images.of(u).iter().map(move |&(v, i)| (v, edges[i as usize]))
+                images.row(u as usize).iter().map(move |&(v, i)| (v, edges[i as usize]))
             })
         };
         find_path(self.semantics.layers() * self.n, succ, a, b)
@@ -1314,9 +1563,10 @@ impl<'e> DepGraph<'e> {
     }
 }
 
-/// Extract some violating cycle from a cyclic layered adjacency over `n`
-/// transactions, shortened by a BFS through one of its nodes.
-fn extract_cycle(n: usize, adj: &[Vec<(u32, Edge)>]) -> Vec<Edge> {
+/// Extract some violating cycle from the cyclic layered adjacency `adj` of
+/// `edges` over `n` transactions, shortened by a BFS through one of its
+/// nodes.
+fn extract_cycle(n: usize, adj: &Images, edges: &[Edge]) -> Vec<Edge> {
     // Iterative DFS for a back edge.
     #[derive(Clone, Copy, PartialEq)]
     enum Color {
@@ -1324,7 +1574,7 @@ fn extract_cycle(n: usize, adj: &[Vec<(u32, Edge)>]) -> Vec<Edge> {
         Gray,
         Black,
     }
-    let total = adj.len();
+    let total = adj.nodes();
     let mut color = vec![Color::White; total];
     for s in 0..total as u32 {
         if color[s as usize] != Color::White {
@@ -1333,7 +1583,7 @@ fn extract_cycle(n: usize, adj: &[Vec<(u32, Edge)>]) -> Vec<Edge> {
         let mut stack: Vec<(u32, usize)> = vec![(s, 0)];
         color[s as usize] = Color::Gray;
         while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-            if let Some(&(v, _)) = adj[u as usize].get(*next) {
+            if let Some(&(v, _)) = adj.row(u as usize).get(*next) {
                 *next += 1;
                 match color[v as usize] {
                     Color::Gray => {
@@ -1344,7 +1594,9 @@ fn extract_cycle(n: usize, adj: &[Vec<(u32, Edge)>]) -> Vec<Edge> {
                         // BFS.
                         let bnode = if (v as usize) < n { v } else { u };
                         debug_assert!((bnode as usize) < n);
-                        let succ = |u: u32| adj[u as usize].iter().copied();
+                        let succ = |u: u32| {
+                            adj.row(u as usize).iter().map(|&(v, i)| (v, edges[i as usize]))
+                        };
                         return find_path(total, succ, TxnId(bnode), TxnId(bnode))
                             .expect("boundary node lies on a cycle");
                     }
@@ -1404,6 +1656,109 @@ mod tests {
         let staged = g.insert_edges(edges, kept, STAGED);
         g.flush_closure();
         staged
+    }
+
+    /// Every node's list against a model of per-node vectors.
+    fn assert_lists(lists: &Csr<u32>, model: &[Vec<u32>], ctx: &str) {
+        assert_eq!(lists.nodes(), model.len(), "{ctx}: nodes");
+        for (u, want) in model.iter().enumerate() {
+            let got: Vec<u32> = lists.iter(u).copied().collect();
+            assert_eq!(&got, want, "{ctx}: node {u}");
+        }
+        let mut all: Vec<u32> = lists.all().copied().collect();
+        let mut want: Vec<u32> = model.concat();
+        all.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(all, want, "{ctx}: every entry once");
+    }
+
+    #[test]
+    fn a_list_is_its_built_entries_in_order_then_its_pushes_in_order() {
+        // Built by one counting sort: each node's entries in the order
+        // given, whatever order the nodes come in.
+        let built = [(2, 10), (0, 11), (2, 12), (1, 13), (0, 14), (2, 15)];
+        let mut lists = Csr::build(3, || built.iter().copied());
+        let mut model = vec![vec![11, 14], vec![13], vec![10, 12, 15]];
+        assert_lists(&lists, &model, "build");
+        // Pushes, and pops of the latest pushes (`stage` unwinding the
+        // images of an edge that closes a cycle).
+        enum Op {
+            Push(usize, u32),
+            Pop(usize),
+        }
+        let ops = [
+            Op::Push(0, 20),
+            Op::Push(1, 21),
+            Op::Push(0, 22),
+            Op::Pop(0),
+            Op::Push(2, 23),
+            Op::Push(2, 24),
+            Op::Pop(2),
+            Op::Pop(2),
+            Op::Push(2, 25),
+            Op::Push(0, 26),
+            Op::Push(1, 27),
+            Op::Pop(1),
+        ];
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Push(u, x) => {
+                    lists.push(u, x);
+                    model[u].push(x);
+                }
+                Op::Pop(u) => assert_eq!(lists.pop(u), model[u].pop(), "pop {i}"),
+            }
+            assert_lists(&lists, &model, &format!("op {i}"));
+        }
+        // Widened as `grow` widens a layer, pushes and all: empty lists go
+        // in before node 1 and at the end, the others keep their entries,
+        // and every entry, built or pushed, is remapped in place.
+        lists.insert_rows(1, 2);
+        lists.insert_rows(5, 1);
+        model.splice(1..1, [vec![], vec![]]);
+        model.push(vec![]);
+        assert_lists(&lists, &model, "widen");
+        lists.remap(|x| *x += 100);
+        model.iter_mut().flatten().for_each(|x| *x += 100);
+        lists.push(1, 30);
+        model[1].push(30);
+        lists.push(5, 31);
+        model[5].push(31);
+        assert_lists(&lists, &model, "push after widen");
+        // Six pushes on six built entries: a fold is due and moves them
+        // behind the built entries — same lists, one slice each.
+        assert!(lists.has_pushed(0));
+        lists.fold(|_| {});
+        assert!(!lists.has_pushed(0));
+        assert_lists(&lists, &model, "fold");
+        assert!((0..model.len()).all(|u| lists.row(u) == model[u].as_slice()));
+        // Two pushes on twelve built entries: not yet.
+        lists.push(4, 32);
+        model[4].push(32);
+        lists.push(0, 33);
+        model[0].push(33);
+        lists.fold(|_| {});
+        assert!(lists.has_pushed(0));
+        assert_lists(&lists, &model, "push after fold");
+        // 7 offsets, 12 built entries, 2 pushed ones with their two links,
+        // and the first and last push of each of the 6 nodes.
+        assert_eq!(lists.bytes(), 4 * 7 + 4 * 12 + 12 * 2 + 8 * 6);
+    }
+
+    #[test]
+    fn dep_lists_are_ascending_without_duplicates_through_insertions() {
+        let deps = [wr(3, 1), so(0, 1), ww(3, 1), wr(2, 0), so(1, 2)];
+        let mut lists = Csr::dep_lists(4, Semantics::Si, || deps.iter().copied());
+        assert_lists(&lists, &[vec![2], vec![0, 3], vec![1], vec![]], "build");
+        for (to, from) in [(1, 2), (1, 0), (3, 2), (1, 2)] {
+            lists.insert_new(to, from);
+        }
+        assert!(lists.contains(1, 2) && lists.contains(1, 3) && !lists.contains(2, 0));
+        // Two pushes on four built entries: a fold is due, and sorts.
+        lists.fold(<[u32]>::sort_unstable);
+        assert!(!lists.has_pushed(1));
+        assert_lists(&lists, &[vec![2], vec![0, 2, 3], vec![1], vec![2]], "fold");
+        assert_eq!(Csr::dep_lists(4, Semantics::Ser, || deps.iter().copied()).nodes(), 0);
     }
 
     #[test]

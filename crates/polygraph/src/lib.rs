@@ -34,6 +34,7 @@
 //!   facts that cover more than it (a stream's), at cost proportional to
 //!   the component.
 
+pub mod bitset;
 mod constraint;
 mod edge;
 mod graph;

@@ -352,7 +352,10 @@ impl Polygraph {
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         let semantics = self.semantics;
         let (mut kg, seed) = match resume {
-            Some((kg, seed)) => (kg, Some(seed)),
+            Some((mut kg, seed)) => {
+                kg.settle();
+                (kg, Some(seed))
+            }
             None => match self.known_graph() {
                 KnownGraphResult::Acyclic(kg) => (kg, None),
                 KnownGraphResult::Cyclic(cycle) => return (PruneResult::Violation(cycle), None),
@@ -431,8 +434,9 @@ impl Polygraph {
             stats.implied_edges += side_edges - (self.known.len() - known_before);
             pass_span.attr("resolved", forced);
             // One closure propagation for what the apply phase left
-            // staged, from the frontier of everything just inserted.
-            kg.flush_closure();
+            // staged, from the frontier of everything just inserted, and
+            // the lists folded for the next sweep.
+            kg.settle();
             if stats.iterations == 1 {
                 stats.constraints_stored = self.constraints.len();
             }

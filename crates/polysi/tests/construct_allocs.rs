@@ -13,14 +13,18 @@
 //! must not pay per
 //! *operation*: `Facts::analyze` allocates its output lists (a few per
 //! transaction and per key) and `ShardPlan::analyze` a fixed number of
-//! arrays per history and component. This test binary installs its own
-//! counting allocator (hence its own file).
+//! arrays per history and component; and the known-graph oracle the first
+//! prune pass builds takes a fixed number of blocks whatever its size.
+//! This test binary installs its own counting allocator (hence its own
+//! file).
 
 use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel as Level, PruneThreads};
 use polysi::checker::{Outcome, StreamingChecker};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::{Facts, History, Key, KeyIndex, Op, ShardPlan, TxnStatus, Value};
-use polysi::polygraph::{ConstraintMode, Edge, Polygraph, PruneOptions, Semantics};
+use polysi::polygraph::{
+    ConstraintMode, Edge, KnownGraphResult, Polygraph, PruneOptions, Semantics,
+};
 use polysi::workloads::{generate, multi_component, GeneralParams, KeyDistribution};
 use polysi_obs::{Obs, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -266,6 +270,30 @@ fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The reachability oracle is a few flat arrays — the layered adjacency
+/// and its reverse in CSR form, the edge list their entries index, the
+/// `Dep` lists, the closure rows and the per-node order and scratch — so
+/// building it over four times the transactions costs no more blocks, bar
+/// a few doublings of the lists whose length the session cover decides.
+#[test]
+fn an_oracle_build_allocates_a_fixed_number_of_blocks() {
+    let _serial = serial();
+    let build = |txns_per_session: usize| {
+        let h = general(txns_per_session);
+        let facts = Facts::analyze(&h);
+        let (g, _) =
+            Polygraph::from_history_with(&h, &facts, ConstraintMode::Generalized, Semantics::Si);
+        let (oracle, allocs) = allocs_of(|| g.known_graph());
+        assert!(matches!(oracle, KnownGraphResult::Acyclic(_)));
+        (h.len(), allocs)
+    };
+    let ((small, few), (large, more)) = (build(100), build(400));
+    eprintln!("oracle build: {few} allocations at {small} txns, {more} at {large}");
+    assert_eq!((small, large), (2_000, 8_000));
+    assert!(few < 100 && more < 100, "{few} and {more} allocations");
+    assert!(more.abs_diff(few) <= 8, "{few} allocations grew to {more}");
 }
 
 #[test]

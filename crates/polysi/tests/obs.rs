@@ -25,6 +25,7 @@
 use polysi::checker::engine::{CheckEngine, CompactMode, EngineOptions, IsolationLevel, Sharding};
 use polysi::checker::{CheckpointReport, LiveConfig, LiveService, StreamingChecker};
 use polysi::history::History;
+use polysi::polygraph::{ConstraintMode, Edge, Polygraph};
 use polysi_obs::json::{parse, Value};
 use polysi_obs::span::{span_forest, AttrValue, SpanNode};
 use polysi_obs::{Metrics, Obs};
@@ -163,14 +164,16 @@ fn sat_solve_span_explains_the_propagation_gate() {
 
 /// The one decision nobody can pin any more explains itself: the `prune`
 /// span names the closure store `KnownGraph::build` picked with the two
-/// inputs of the rule (n ≥ 1024 and 32·chains ≤ n → chains) and the bytes
-/// it holds, and the report counts the stores per pipeline unit.
+/// inputs of the rule (n ≥ 1024 and 32·chains ≤ n → chains), the bytes it
+/// holds and the bytes of the layered index it queries, and the report
+/// counts the stores per pipeline unit.
 #[test]
 fn prune_span_says_which_oracle_the_rule_picked() {
     use polysi::checker::OracleCounts;
     let traced = |h: &History, level: IsolationLevel| {
         let (report, attr, _) = traced_check(h, level, "prune");
-        (report.oracles, attr("oracle"), attr("n"), attr("chains"), attr("bytes"))
+        let bytes = (attr("bytes"), attr("graph_bytes"));
+        (report.oracles, attr("oracle"), attr("n"), attr("chains"), bytes)
     };
     // One `n`-bit closure row per theory-graph node, in 64-bit words.
     let rows = |nodes: usize, n: usize| AttrValue::U64((nodes * n.div_ceil(64) * 8) as u64);
@@ -192,7 +195,7 @@ fn prune_span_says_which_oracle_the_rule_picked() {
     // keeps the dense store. Under SER it is one layer with no `Dep` index:
     // n rows of closure.
     let lattice = polysi::dbsim::corpus::write_skew_lattice(1, 999);
-    let (oracles, oracle, n, sessions, bytes) = traced(&lattice, IsolationLevel::Ser);
+    let (oracles, oracle, n, sessions, (bytes, _)) = traced(&lattice, IsolationLevel::Ser);
     assert_eq!(oracles, OracleCounts { dense: 1, chains: 0 });
     assert_eq!((oracle, n), (Some(dense.clone()), Some(AttrValue::U64(lattice.len() as u64))));
     assert!(lattice.len() >= 1024);
@@ -202,10 +205,23 @@ fn prune_span_says_which_oracle_the_rule_picked() {
     // A corpus accept: small, so dense whatever its sessions. Under SI the
     // store is 2n closure rows (boundary and mid) plus the n-row `Dep` index.
     let clique = fixture("solver_stress_clique.txt");
-    let (oracles, oracle, n, _, bytes) = traced(&clique, IsolationLevel::Si);
+    let (oracles, oracle, n, _, (bytes, graph_bytes)) = traced(&clique, IsolationLevel::Si);
     assert_eq!((oracles, oracle), (OracleCounts { dense: 1, chains: 0 }, Some(dense)));
     let Some(AttrValue::U64(n)) = n else { panic!("prune.n is {n:?}") };
+    assert_eq!(n as usize, clique.len(), "one unit");
     assert_eq!(bytes, Some(rows(3 * n as usize, n as usize)));
+    // The layered index, as its layout implies: an offset per layered node
+    // (2n of them, plus an end) for the adjacency and for its reverse, an
+    // 8-byte entry and a 4-byte reverse entry per layered image (two for a
+    // `Dep` edge, one for an `RW` edge) and the 24-byte edges the entries
+    // index. All four constraints survive pruning, so the edges are those
+    // construction knows and no insertion is pending a fold.
+    let facts = polysi::history::Facts::analyze(&clique);
+    let known = Polygraph::from_history(&clique, &facts, ConstraintMode::Generalized).known;
+    let images: usize = known.iter().map(|e| if e.label.is_dep() { 2 } else { 1 }).sum();
+    let offsets = 2 * 4 * (2 * clique.len() + 1);
+    let index = offsets + 12 * images + std::mem::size_of::<Edge>() * known.len();
+    assert_eq!(graph_bytes, Some(AttrValue::U64(index as u64)));
 }
 
 /// A rejection's classification and interpretation are a span of their

@@ -40,7 +40,6 @@
 //! assert!(!s.solve().is_sat());
 //! ```
 
-pub mod bitset;
 mod heap;
 mod solver;
 pub mod theory;
