@@ -709,6 +709,10 @@ pub(crate) fn run_unit(
             Prune::Scratch(None) => g.constraints.len(),
         };
         span.attr("constraints", constraints);
+        let reorders = match &from {
+            Prune::Resume(kg, ..) => kg.reorders(),
+            Prune::Scratch(_) => 0,
+        };
         let (result, kg) = match from {
             Prune::Scratch(Some(gen)) => g.prune_generated(&gen, prune_opts, tracer),
             Prune::Scratch(None) => g.prune(prune_opts, tracer),
@@ -719,13 +723,15 @@ pub(crate) fn run_unit(
             tally.oracles.record(kg.oracle_kind());
             // What the representation rule picked, its two inputs (the
             // second costs a pass over the graph), what the closure store
-            // holds and what the layered index holds.
+            // holds, what the layered index holds and how often this pass
+            // reordered it.
             if tracer.is_enabled() {
                 span.attr("oracle", kg.oracle_kind().name());
                 span.attr("n", g.n);
                 span.attr("chains", kg.rule_chains());
                 span.attr("bytes", kg.oracle_bytes());
                 span.attr("graph_bytes", kg.graph_bytes());
+                span.attr("reordered", kg.reorders() - reorders);
             }
         }
         tally.timings.pruning = span.finish();

@@ -63,7 +63,8 @@
 //!
 //! Each step is a span: `checkpoint` ⊃ `checkpoint.group`, one `component`
 //! per dirty component ⊃ `delta.events` / `delta.grow` (attrs `kind`,
-//! `converted`) / `delta.insert` / `delta.constraints` / `delta.prune` /
+//! `converted`) / `delta.insert` (attr `reordered`, the Pearce–Kelly
+//! reorders its edges cost) / `delta.constraints` / `delta.prune` /
 //! `delta.encode` / `delta.solve` (a rebuild has the batch stages
 //! `construct` / `prune` / `encode` / `solve` instead), then `compact` ⊃
 //! `compact.select` / `history.compact` / `compact.remap`. A checkpoint's
@@ -844,7 +845,8 @@ impl StreamingChecker {
         let mut touched = vec![false; n];
         let mut landed: FastSet<Edge> = FastSet::default();
         {
-            let _span = tracer.span("delta.insert");
+            let mut span = tracer.span("delta.insert");
+            let reorders = oracle.reorders();
             let mut delta: Vec<Edge> = Vec::with_capacity(new_known.len());
             for e in new_known {
                 let le = Edge::new(self.local(e.from), self.local(e.to), e.label);
@@ -857,6 +859,7 @@ impl StreamingChecker {
             if oracle.insert_edges(&delta, &mut state.poly.known, Flush::AtEnd).is_err() {
                 return false; // terminal; the canonical witness comes from batch
             }
+            span.attr("reordered", oracle.reorders() - reorders);
         }
 
         let constraints_span = tracer.span("delta.constraints");
@@ -1454,6 +1457,54 @@ mod tests {
         }
         assert_eq!(total(&obs, "prune.constraints_after"), 0);
         assert!(obs.tracer.events().iter().all(|e| e.name != "sat.solve"), "a solver was called");
+    }
+
+    /// A delta lands in arrival order: every edge of a soak-shaped wave,
+    /// known or decided by pruning, runs from an earlier arrival to a
+    /// later one, which `grow` slots behind it, so neither the
+    /// `delta.insert` nor the `delta.prune` spans reorder — pruning's `RW`
+    /// edges `M(f) → B(t)` between two new transactions included.
+    #[test]
+    fn a_soak_delta_lands_without_reordering() {
+        use polysi_obs::{AttrValue, SpanPhase};
+        let obs = Obs::enabled();
+        let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
+        let mut c = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs.clone());
+        let mut serial = Serial::default();
+        for _wave in 0..6 {
+            let sessions: Vec<SessionId> = (0..4).map(|_| c.session()).collect();
+            for t in 0..8u64 {
+                for (slot, &s) in sessions.iter().enumerate() {
+                    // Each slot updates two keys of its own, reading each
+                    // key's last version first, and now and then reads a
+                    // neighbour's current value instead.
+                    let key = 1 + 2 * slot as u64 + t % 2;
+                    let reads = match t {
+                        0 | 1 => vec![key],
+                        3 | 6 => vec![1 + 2 * ((slot as u64 + 1) % 4) + t % 2],
+                        _ => Vec::new(),
+                    };
+                    c.push_transaction(s, serial.txn(&reads, &[key]), TxnStatus::Committed);
+                }
+            }
+            for s in sessions {
+                c.seal_session(s);
+            }
+            assert!(c.checkpoint().verdict.accepted());
+        }
+        let events = obs.tracer.events();
+        for span in ["delta.insert", "delta.prune"] {
+            let reordered: Vec<u64> = events
+                .iter()
+                .filter(|e| e.name == span && e.phase == SpanPhase::End)
+                .flat_map(|e| e.attrs.iter().filter(|(key, _)| *key == "reordered"))
+                .map(|(_, value)| match value {
+                    AttrValue::U64(n) => *n,
+                    other => panic!("`reordered` is a count: {other:?}"),
+                })
+                .collect();
+            assert_eq!(reordered, [0; 5], "{span}: every checkpoint after the first is a delta");
+        }
     }
 
     /// Satellite of the delta accounting: the registry's prune counters are

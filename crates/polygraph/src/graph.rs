@@ -665,10 +665,14 @@ pub struct KnownGraph {
     /// the graph as it grows) rather than pinned by a test.
     follows_growth: bool,
     /// Topological priority of each layered node (a permutation of
-    /// `0..layers·n`), maintained dynamically across insertions.
+    /// `0..layers·n`), maintained dynamically across insertions: a build's
+    /// Kahn order, then each [`KnownGraph::grow`]'s new transactions in
+    /// arrival order, a transaction's layered nodes in adjacent slots.
     ord: Vec<u32>,
     /// Closure rows grown by incremental updates (performance counter).
     closure_updates: usize,
+    /// Pearce–Kelly insertions that reordered (performance counter).
+    reorders: usize,
     /// Typed edges materialised by [`KnownGraph::insert_edges`] (implied
     /// ones are absorbed and not counted).
     inserted_edges: usize,
@@ -686,11 +690,20 @@ pub struct KnownGraph {
     /// the flush's propagation wave for that edge establishes — never
     /// earlier.
     pending_chain: Vec<(u32, u32)>,
-    // Pearce–Kelly DFS scratch (stamped to avoid clearing).
+    // Pearce–Kelly DFS scratch (stamped to avoid clearing; see
+    // `next_stamp`).
     stamp: u32,
     visited: Vec<u32>,
     /// Flush scratch: `grown[v] == stamp` marks rows grown this flush.
     grown: Vec<u32>,
+    /// Pearce–Kelly scratch, kept so that a reorder allocates nothing:
+    /// the DFS stack, the affected regions and their pooled priorities.
+    stack: Vec<u32>,
+    delta_f: Vec<u32>,
+    delta_b: Vec<u32>,
+    slots: Vec<u32>,
+    /// Flush scratch: the propagation heap (empty between flushes).
+    heap: std::collections::BinaryHeap<(u32, u32)>,
 }
 
 /// What [`KnownGraph::stage`] did with one typed edge.
@@ -851,12 +864,18 @@ impl KnownGraph {
             follows_growth: pinned.is_none(),
             ord,
             closure_updates: 0,
+            reorders: 0,
             inserted_edges: 0,
             pending: Vec::new(),
             pending_chain: Vec::new(),
             stamp: 0,
             visited: vec![0; nodes],
             grown: vec![0; nodes],
+            stack: Vec::new(),
+            delta_f: Vec::new(),
+            delta_b: Vec::new(),
+            slots: Vec::new(),
+            heap: std::collections::BinaryHeap::new(),
         };
         g.compute_closure(&order);
         KnownGraphResult::Acyclic(Box::new(g))
@@ -893,6 +912,13 @@ impl KnownGraph {
     /// Closure rows grown by incremental updates so far.
     pub fn closure_updates(&self) -> usize {
         self.closure_updates
+    }
+
+    /// Pearce–Kelly insertions so far that found their edge against the
+    /// maintained order and reordered its affected region (an edge already
+    /// in order costs one comparison and is not counted).
+    pub fn reorders(&self) -> usize {
+        self.reorders
     }
 
     /// Typed edges materialised by [`KnownGraph::insert_edges`] so far
@@ -961,9 +987,13 @@ impl KnownGraph {
     /// from-scratch build over `n2` vertices with the same edges: the
     /// layered layout keeps boundary nodes at `0..n2` and, under SI, mid
     /// nodes at `n2..2·n2`, so existing mid indices shift and every
-    /// index-carrying structure is remapped (under SER nothing shifts);
-    /// existing topological priorities are kept and the new (isolated)
-    /// vertices take the fresh tail slots in index order. Requires a
+    /// index-carrying structure is remapped (under SER nothing shifts).
+    /// Existing topological priorities are kept and the new vertices take
+    /// the fresh tail slots in arrival order, each transaction's layered
+    /// nodes adjacent: `B(n), M(n), B(n + 1), …`. Isolated, they may go in
+    /// any order; in this one every edge from an earlier arrival to a later
+    /// one — a `Dep` into `B(t)` or `M(t)`, an `RW` out of `M(f)` — is
+    /// already in order, and Pearce–Kelly takes it in O(1). Requires a
     /// flushed oracle.
     ///
     /// The representation follows the growth: a graph that is still dense
@@ -997,8 +1027,9 @@ impl KnownGraph {
         for (i, &p) in self.ord.iter().enumerate() {
             ord[node(i)] = p;
         }
-        // New boundary nodes, then (SI only) new mid nodes.
-        for (next, i) in ((layers * n) as u32..).zip((n..n2).chain(n2 + n..layers * n2)) {
+        // New transactions in arrival order, each one's layers adjacent.
+        let fresh = (n..n2).flat_map(|i| (0..layers).map(move |layer| layer * n2 + i));
+        for (next, i) in ((layers * n) as u32..).zip(fresh) {
             ord[i] = next;
         }
         self.ord = ord;
@@ -1133,8 +1164,7 @@ impl KnownGraph {
         for (f, t) in std::mem::take(&mut self.pending_chain) {
             self.store.try_chain_append(f as usize, t as usize);
         }
-        self.stamp += 1;
-        let stamp = self.stamp;
+        let stamp = self.next_stamp();
         // Push-based propagation over a max-heap on topological priority:
         // a node pops only after every grown successor (all higher
         // priority) has pushed its row in, so each row is finalized —
@@ -1142,8 +1172,7 @@ impl KnownGraph {
         // many staged edges feed it. Work matches the per-edge BFS's
         // change-driven propagation (untouched rows cost nothing), minus
         // the per-edge re-walks this batching exists to amortize.
-        let mut heap: std::collections::BinaryHeap<(u32, u32)> =
-            std::collections::BinaryHeap::new();
+        let mut heap = std::mem::take(&mut self.heap);
         // Staged edges grouped by source (sorting the pending list is
         // safe: it is cleared when the flush completes), so each popped
         // node scans its own range instead of the whole phase — bulk
@@ -1188,7 +1217,20 @@ impl KnownGraph {
                 }
             }
         }
+        self.heap = heap;
         self.pending.clear();
+    }
+
+    /// A mark no live entry of `visited` / `grown` carries: the stamp
+    /// restarts, and the marks are cleared, once it has used every `u32`.
+    fn next_stamp(&mut self) -> u32 {
+        if self.stamp == u32::MAX {
+            self.visited.fill(0);
+            self.grown.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        self.stamp
     }
 
     /// Flush, then fold the lists whose insertions have grown to a quarter
@@ -1341,48 +1383,50 @@ impl KnownGraph {
         // Forward DFS from v over nodes with ord <= ub; finding `u` means
         // the new edge closes a cycle (this doubles as the insertion's
         // cycle check — `ord` is untouched until the search completes).
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut delta_f: Vec<u32> = Vec::new();
-        let mut stack = vec![v];
+        let stamp = self.next_stamp();
+        self.delta_f.clear();
+        self.stack.clear();
+        self.stack.push(v);
         self.visited[v as usize] = stamp;
-        while let Some(x) = stack.pop() {
+        while let Some(x) = self.stack.pop() {
             if x == u {
                 return false;
             }
-            delta_f.push(x);
+            self.delta_f.push(x);
             for &(y, _) in self.adj.iter(x as usize) {
                 if self.ord[y as usize] <= ub && self.visited[y as usize] != stamp {
                     self.visited[y as usize] = stamp;
-                    stack.push(y);
+                    self.stack.push(y);
                 }
             }
         }
         // Backward DFS from u over nodes with ord >= lb.
-        self.stamp += 1;
-        let bstamp = self.stamp;
-        let mut delta_b: Vec<u32> = Vec::new();
-        let mut stack = vec![u];
+        let bstamp = self.next_stamp();
+        self.delta_b.clear();
+        self.stack.push(u);
         self.visited[u as usize] = bstamp;
-        while let Some(x) = stack.pop() {
-            delta_b.push(x);
+        while let Some(x) = self.stack.pop() {
+            self.delta_b.push(x);
             for &y in self.radj.iter(x as usize) {
                 if self.ord[y as usize] >= lb && self.visited[y as usize] != bstamp {
                     self.visited[y as usize] = bstamp;
-                    stack.push(y);
+                    self.stack.push(y);
                 }
             }
         }
         // δB (sources) must precede δF (sinks): pool their current
         // priorities and redistribute.
-        delta_b.sort_unstable_by_key(|&x| self.ord[x as usize]);
-        delta_f.sort_unstable_by_key(|&x| self.ord[x as usize]);
-        let mut slots: Vec<u32> =
-            delta_b.iter().chain(delta_f.iter()).map(|&x| self.ord[x as usize]).collect();
-        slots.sort_unstable();
-        for (node, slot) in delta_b.iter().chain(delta_f.iter()).zip(slots) {
-            self.ord[*node as usize] = slot;
+        let ord = &mut self.ord;
+        self.delta_b.sort_unstable_by_key(|&x| ord[x as usize]);
+        self.delta_f.sort_unstable_by_key(|&x| ord[x as usize]);
+        let region = || self.delta_b.iter().chain(&self.delta_f);
+        self.slots.clear();
+        self.slots.extend(region().map(|&x| ord[x as usize]));
+        self.slots.sort_unstable();
+        for (&node, &slot) in region().zip(&self.slots) {
+            ord[node as usize] = slot;
         }
+        self.reorders += 1;
         true
     }
 
@@ -2002,6 +2046,53 @@ mod tests {
         // A cycle through old and new vertices is still caught.
         let err = insert(&mut g, &[ww(6, 1)], &mut Vec::new()).unwrap_err();
         assert!(!err.is_empty());
+    }
+
+    /// `grow` gives each new transaction's layered nodes adjacent slots
+    /// behind every earlier arrival's, so an edge from an earlier arrival
+    /// into a grown vertex — `Dep` into `B(t)` and `M(t)`, `RW` out of
+    /// `M(f)` — is already in order: no label reorders, under either
+    /// semantics or store.
+    #[test]
+    fn edges_into_grown_vertices_never_reorder() {
+        let arrivals = [
+            so(1, 3),
+            wr(2, 3),
+            rw(0, 4),
+            ww(3, 4),
+            so(4, 5),
+            rw(3, 5),
+            wr(2, 6),
+            rw(5, 6),
+            ww(0, 6),
+        ];
+        for semantics in [Semantics::Si, Semantics::Ser] {
+            for kind in [OracleKind::Dense, OracleKind::Chains] {
+                let ctx = format!("{semantics:?} {kind:?}");
+                let mut g = pinned(3, &[so(0, 1), wr(1, 2)], semantics, kind);
+                g.grow(7);
+                insert(&mut g, &arrivals, &mut Vec::new()).expect("arrival order is acyclic");
+                assert_eq!(g.reorders(), 0, "{ctx}");
+                assert_order_is_topological(&g, 7);
+            }
+        }
+    }
+
+    /// The DFS marks are stamped. A stamp that has used every `u32`
+    /// starts over on cleared marks rather than wrapping onto marks that
+    /// read as the current search's, so a reorder at the last stamps and a
+    /// cycle the forward search must find after it are both exact.
+    #[test]
+    fn the_stamp_starts_over_instead_of_wrapping() {
+        let mut g = acyclic(2, &[]);
+        g.stamp = u32::MAX - 1;
+        // Against the build's order B(0), B(1), M(0), M(1): the boundary
+        // image reorders (two stamps), and the flush takes a third.
+        insert(&mut g, &[so(1, 0)], &mut Vec::new()).expect("acyclic");
+        assert_eq!(g.reorders(), 1);
+        assert!(g.stamp < 3, "the stamp started over at {}", g.stamp);
+        let err = insert(&mut g, &[wr(0, 1)], &mut Vec::new()).unwrap_err();
+        assert_eq!(err, [wr(0, 1), so(1, 0)]);
     }
 
     #[test]

@@ -426,7 +426,8 @@ proptest! {
     /// streaming checker does it: for a predecessor-closed keep set, each
     /// of the three answers on survivor pairs exactly as every build over
     /// the surviving edges, rule-built or pinned; and the rebuilt oracles
-    /// keep growing alike.
+    /// keep growing alike. Arrivals land into grown vertices without a
+    /// Pearce–Kelly reorder.
     #[test]
     fn auto_oracle_converts_on_growth_and_stays_indistinguishable(
         (seed, sessions, ser, policy) in
@@ -460,6 +461,11 @@ proptest! {
         );
         prop_assert_eq!(&kept[0], &kept[1], "the reduced edge list depends on the conversion");
         prop_assert_eq!(&kept[0], &kept[2]);
+        // Every landed edge runs from an earlier arrival into a grown
+        // vertex, which `grow` slotted behind it: no edge reorders.
+        for g in [&auto, &dense, &chains] {
+            prop_assert_eq!(g.reorders(), 0, "{:?} grown", g.oracle_kind());
+        }
         prop_assert_eq!(auto.inserted_edges(), dense.inserted_edges());
         prop_assert!(auto.closure_updates() <= dense.closure_updates());
         prop_assert!(chains.closure_updates() <= auto.closure_updates());
@@ -500,6 +506,9 @@ proptest! {
         let kept = land(&mut [&mut auto, &mut dense, &mut chains], &tail, policy, &mut rng);
         prop_assert_eq!(&kept[0], &kept[1]);
         prop_assert_eq!(&kept[0], &kept[2]);
+        for g in [&auto, &dense, &chains] {
+            prop_assert_eq!(g.reorders(), 0, "{:?} regrown", g.oracle_kind());
+        }
         assert_same_answers(&auto, &dense, n3, 0, true, &mut rng, "regrown vs dense")?;
         assert_same_answers(&auto, &chains, n3, 0, true, &mut rng, "regrown vs chains")?;
     }
