@@ -118,7 +118,7 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
     // Encode on the doubled (layered) graph; seed phases along the known
     // topological order.
     let topo: Option<Vec<u32>> = match KnownGraph::build(n, &known, Semantics::Si) {
-        KnownGraphResult::Acyclic(kg) => Some(kg.topo_positions()),
+        KnownGraphResult::Acyclic(kg) => Some(kg.layered_order().to_vec()),
         KnownGraphResult::Cyclic(_) => None,
     };
     let mut solver = Solver::with_graph(Semantics::Si.layers() * n);

@@ -73,9 +73,10 @@ use polysi_history::{
 };
 use polysi_obs::{kv, Obs, SpanGuard, Tracer};
 use polysi_polygraph::{
-    ConstraintGen, ConstraintMode, ConstraintSet, Edge, KnownGraph, KnownGraphResult, Label,
-    Polygraph, PruneOptions, PruneResult, Semantics,
+    layered_images, ConstraintGen, ConstraintMode, ConstraintRef, ConstraintSet, Edge, KnownGraph,
+    KnownGraphResult, Label, Polygraph, PruneOptions, PruneResult, Semantics,
 };
+use polysi_solver::theory::KnownEdges;
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -746,18 +747,25 @@ pub(crate) fn run_unit(
 
     let span = tracer.span(encode_name);
     let decided = oracle.is_some() && g.constraints.is_empty();
-    // Phase seeding reuses the oracle pruning just maintained (it reflects
-    // every resolved edge) instead of paying a second from-scratch closure
-    // build.
-    let encoded = (!decided).then(|| encode(g, oracle.as_deref()));
+    // The solver reads the oracle pruning maintained; without pruning one
+    // is built here, and a known graph it finds cyclic is unsatisfiable
+    // before any solver exists.
+    let unpruned = match oracle.is_none().then(|| g.known_graph()) {
+        Some(KnownGraphResult::Acyclic(kg)) => Some(kg),
+        _ => None,
+    };
+    let encoded = (!decided).then(|| {
+        let stats = encode_stats(g);
+        let kg = oracle.as_deref().or(unpruned.as_deref());
+        (kg.map(|kg| encode(g, kg, stats.known_edges)), stats)
+    });
     tally.timings.encoding = span.finish();
     let mut span = tracer.span(solve_name);
     span.attr("vars", g.constraints.len());
     let (sat, encode_stats, solver_stats) = match encoded {
         None => (true, EncodeStats::default(), None),
-        Some((mut solver, encode_stats)) => {
-            solver.set_tracer(tracer.clone());
-            let (sat, solver_stats) = solve(solver);
+        Some((solver, encode_stats)) => {
+            let (sat, solver_stats) = solve(solver, tracer);
             (sat, encode_stats, Some(solver_stats))
         }
     };
@@ -769,53 +777,86 @@ pub(crate) fn run_unit(
     (verdict, tally, oracle)
 }
 
-/// Encode a polygraph into the SAT-modulo-acyclicity solver. Under SI the
-/// theory graph is the layered one (2n nodes, `Dep` edges fan out to
-/// boundary + mid images); under SER it is the plain n-node graph with
-/// every edge direct. Selector phases are seeded from a topological order
-/// of the known graph so the solver's first full assignment is already
-/// near-acyclic; `oracle` (the reachability oracle pruning handed back,
-/// when it ran) supplies that order without a rebuild.
-fn encode(g: &Polygraph, oracle: Option<&KnownGraph>) -> (Solver, EncodeStats) {
-    let n = g.n;
-    let semantics = g.semantics;
-    let topo: Option<Vec<u32>> = match oracle {
-        Some(kg) => Some(kg.topo_positions()),
-        None => match g.known_graph() {
-            KnownGraphResult::Acyclic(kg) => Some(kg.topo_positions()),
-            KnownGraphResult::Cyclic(_) => None, // solver will report Unsat
-        },
-    };
-    let mut solver = Solver::with_graph(semantics.layers() * n);
-    let mut encode_stats = EncodeStats::default();
-    for e in &g.known {
-        add_known(&mut solver, n, e, semantics);
-        encode_stats.known_edges += edge_count(e, semantics);
+/// The solver's view of a unit's oracle: the theory reads the layered known
+/// graph in place and starts from its maintained order, so a unit holds one
+/// known graph and one order.
+struct Oracle<'k>(&'k KnownGraph);
+
+impl KnownEdges for Oracle<'_> {
+    fn nodes(&self) -> usize {
+        self.0.layered_order().len()
     }
+
+    fn edges(&self) -> usize {
+        self.0.layered_edges()
+    }
+
+    fn out(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        self.0.layered_out(x)
+    }
+
+    fn inn(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        self.0.layered_in(x)
+    }
+
+    fn order(&mut self) -> Option<Vec<u32>> {
+        Some(self.0.layered_order().to_vec())
+    }
+}
+
+/// Encode a polygraph into the SAT-modulo-acyclicity solver over `kg`, the
+/// oracle of its known edges, whose layered images number `known_edges`:
+/// the theory reads those images (2n nodes under SI, `Dep` edges fanning
+/// out to boundary + mid images; n under SER, every edge direct) from the
+/// oracle, so only the constraints' edges are added. Selector phases are
+/// seeded from the oracle's topological order, so the first full
+/// assignment is near-acyclic.
+fn encode<'k>(g: &Polygraph, kg: &'k KnownGraph, known_edges: usize) -> Solver<Oracle<'k>> {
+    let (n, semantics) = (g.n, g.semantics);
+    let topo = kg.layered_order();
+    // The theory trusts the oracle for every known edge: one it lacked
+    // would be a false accept. Both counts are O(1).
+    assert!(
+        topo.len() == semantics.layers() * n && kg.layered_edges() == known_edges,
+        "the oracle holds exactly the layered images of the unit's known edges"
+    );
+    let mut solver = Solver::with_known(Oracle(kg));
     for cons in &g.constraints {
         let var = solver.new_var();
+        solver.set_phase(var, phase_along_topo(topo, cons, semantics));
         let s = Lit::pos(var);
-        encode_stats.vars += 1;
-        if let Some(topo) = &topo {
-            solver.set_phase(var, phase_along_topo(topo, cons, semantics));
-        }
-        for e in cons.either {
-            add_symbolic(&mut solver, n, s, e, semantics);
-            encode_stats.symbolic_edges += edge_count(e, semantics);
-        }
-        for e in cons.or {
-            add_symbolic(&mut solver, n, !s, e, semantics);
-            encode_stats.symbolic_edges += edge_count(e, semantics);
+        for (guard, side) in [(s, cons.either), (!s, cons.or)] {
+            for e in side {
+                for (u, v) in layered_images(n, *e, semantics) {
+                    solver.add_symbolic_edge(guard, u, v);
+                }
+            }
         }
     }
-    (solver, encode_stats)
+    solver
+}
+
+/// What [`encode`] puts in the solver: a selector per constraint, and the
+/// theory edges of the known edges and of the constraints' sides.
+fn encode_stats(g: &Polygraph) -> EncodeStats {
+    let edges = |side: &[Edge]| -> usize {
+        side.iter().map(|e| layered_images(g.n, *e, g.semantics).count()).sum()
+    };
+    EncodeStats {
+        vars: g.constraints.len(),
+        known_edges: edges(&g.known),
+        symbolic_edges: g.constraints.iter().map(|c| edges(c.either) + edges(c.or)).sum(),
+        ..EncodeStats::default()
+    }
 }
 
 /// Stage::Solve proper: whether the encoded instance is satisfiable, i.e.
 /// some resolution of the surviving constraints is acyclic, and what the
-/// search cost. Consumes the solver, so its clauses are freed before the
-/// caller builds a witness.
-fn solve(mut solver: Solver) -> (bool, SolverStats) {
+/// search cost; no solver means a cyclic known graph. Consumes the solver,
+/// so its clauses are freed before the caller builds a witness.
+fn solve(solver: Option<Solver<Oracle<'_>>>, tracer: &Tracer) -> (bool, SolverStats) {
+    let Some(mut solver) = solver else { return (false, SolverStats::default()) };
+    solver.set_tracer(tracer.clone());
     let sat = match solver.solve() {
         SolveResult::Sat(_) => true,
         SolveResult::Unsat => false,
@@ -847,11 +888,7 @@ pub(crate) fn extract_cycle(g: &Polygraph) -> Vec<Edge> {
 /// Prefer the constraint side whose edges agree with the known topological
 /// order. Under SI only `WW` edges vote (the `RW` companions follow them);
 /// under SER every edge is a plain edge and votes.
-fn phase_along_topo(
-    topo: &[u32],
-    cons: polysi_polygraph::ConstraintRef<'_>,
-    sem: Semantics,
-) -> bool {
+fn phase_along_topo(topo: &[u32], cons: ConstraintRef<'_>, sem: Semantics) -> bool {
     let agreement = |side: &[Edge]| -> i64 {
         side.iter()
             .filter(|e| sem == Semantics::Ser || matches!(e.label, Label::Ww(_)))
@@ -861,54 +898,11 @@ fn phase_along_topo(
     agreement(cons.either) >= agreement(cons.or)
 }
 
-/// Theory edges contributed by one typed edge.
-#[inline]
-fn edge_count(e: &Edge, sem: Semantics) -> usize {
-    if sem == Semantics::Si && e.label.is_dep() {
-        2
-    } else {
-        1
-    }
-}
-
-/// Add a known edge's theory image. Under SI, the layered mapping (see
-/// [`KnownGraph`]): `Dep i→k` becomes `B(i)→B(k)` and `B(i)→M(k)`;
-/// `RW k→j` becomes `M(k)→B(j)`. Under SER, one direct edge.
-fn add_known(solver: &mut Solver, n: usize, e: &Edge, sem: Semantics) {
-    let (f, t) = (e.from.0, e.to.0);
-    match sem {
-        Semantics::Ser => solver.add_known_edge(f, t),
-        Semantics::Si => {
-            if e.label.is_dep() {
-                solver.add_known_edge(f, t);
-                solver.add_known_edge(f, n as u32 + t);
-            } else {
-                solver.add_known_edge(n as u32 + f, t);
-            }
-        }
-    }
-}
-
-fn add_symbolic(solver: &mut Solver, n: usize, guard: Lit, e: &Edge, sem: Semantics) {
-    let (f, t) = (e.from.0, e.to.0);
-    match sem {
-        Semantics::Ser => solver.add_symbolic_edge(guard, f, t),
-        Semantics::Si => {
-            if e.label.is_dep() {
-                solver.add_symbolic_edge(guard, f, t);
-                solver.add_symbolic_edge(guard, f, n as u32 + t);
-            } else {
-                solver.add_symbolic_edge(guard, n as u32 + f, t);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use polysi_history::{HistoryBuilder, Key, TxnId, Value};
-    use polysi_polygraph::ConstraintSet;
+    use polysi_polygraph::{ConstraintSet, Flush};
     use proptest::prelude::*;
 
     fn k(n: u64) -> Key {
@@ -1222,6 +1216,11 @@ mod tests {
         })
     }
 
+    /// Encode `g` over its oracle `kg` and solve.
+    fn solved(g: &Polygraph, kg: &KnownGraph) -> bool {
+        solve(Some(encode(g, kg, encode_stats(g).known_edges)), &Tracer::disabled()).0
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1231,10 +1230,41 @@ mod tests {
         /// every model against the full theory before returning it).
         #[test]
         fn encode_and_solve_match_enumeration(rp in polygraph_strategy()) {
-            let g = build(&rp);
+            let mut g = build(&rp);
             let truth = enumerate_sat(&g);
-            let (solver, _) = encode(&g, None);
-            prop_assert_eq!(solve(solver).0, truth);
+            let (opts, tracer) = (PruneOptions::default(), Tracer::disabled());
+            let (verdict, tally, _) = run_unit(&mut g, None, &opts, &tracer);
+            prop_assert_eq!(matches!(verdict, UnitVerdict::Accepted), truth);
+            prop_assert!(tally.solver_stats.is_some(), "without pruning every unit is one solve");
+        }
+
+        /// The solver starts from whatever order the oracle's history left:
+        /// built over a prefix of the transactions, grown, and extended
+        /// edge by edge (Pearce–Kelly reordering where an edge runs against
+        /// arrival), the oracle encodes to the enumerated verdict.
+        #[test]
+        fn a_grown_oracle_encodes_to_the_enumerated_verdict(
+            rp in polygraph_strategy(),
+            first in 0usize..10,
+        ) {
+            let mut g = build(&rp);
+            let truth = enumerate_sat(&g);
+            let first = first.min(g.n);
+            let (early, late): (Vec<Edge>, Vec<Edge>) =
+                g.known.iter().partition(|e| e.from.idx().max(e.to.idx()) < first);
+            let KnownGraphResult::Acyclic(mut kg) = KnownGraph::build(first, &early, g.semantics)
+            else {
+                prop_assert!(!truth);
+                return Ok(());
+            };
+            kg.grow(g.n);
+            // What the oracle keeps is what the unit's known edges become.
+            g.known = early;
+            if kg.insert_edges(&late, &mut g.known, Flush::AtEnd).is_err() {
+                prop_assert!(!truth);
+                return Ok(());
+            }
+            prop_assert_eq!(solved(&g, &kg), truth);
         }
 
         /// The shared Prune → Encode → Solve runner: its verdict is the
@@ -1256,12 +1286,129 @@ mod tests {
             if g.constraints.is_empty() {
                 let known_edges = tally.encode_stats.map(|e| e.known_edges);
                 prop_assert_eq!(known_edges, Some(0), "nothing was encoded");
-                let (solver, _) = encode(&g, oracle.as_deref());
-                prop_assert!(solve(solver).0, "the solver rejects what the runner accepted");
+                let kg = oracle.as_deref().expect("pruning completed");
+                prop_assert!(solved(&g, kg), "the solver rejects what the runner accepted");
                 // Without an oracle nothing vouches for the known graph.
                 let (unpruned, tally, _) = run_unit(&mut g, None, &opts, &tracer);
                 let solved = tally.solver_stats.is_some();
                 prop_assert!(matches!(unpruned, UnitVerdict::Accepted) && solved);
+            }
+        }
+    }
+
+    /// The oracle's layered out-lists are the images of `g.known`, node by
+    /// node in edge order: the known graph the solver reads is the unit's.
+    pub(crate) fn assert_mirrors(kg: &KnownGraph, g: &Polygraph) {
+        let nodes = g.semantics.layers() * g.n;
+        assert_eq!(kg.layered_order().len(), nodes, "one layered node per layer and txn");
+        let mut images = vec![Vec::new(); nodes];
+        for e in &g.known {
+            for (u, v) in layered_images(g.n, *e, g.semantics) {
+                images[u as usize].push(v);
+            }
+        }
+        for (x, images) in images.iter().enumerate() {
+            assert_eq!(kg.layered_out(x as u32).collect::<Vec<_>>(), *images, "layered node {x}");
+        }
+    }
+
+    /// Two serial components, every writer pair decided by pruning: keys
+    /// 1 and 2 over three sessions, key 10 over three more.
+    fn two_serial_components() -> polysi_history::History {
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(k(1), v(1)).write(k(2), v(1)).commit();
+        b.begin().read(k(2), v(2)).write(k(1), v(3)).commit();
+        b.session();
+        b.begin().read(k(1), v(1)).write(k(1), v(2)).commit();
+        b.session();
+        b.begin().read(k(1), v(2)).read(k(2), v(1)).write(k(2), v(2)).commit();
+        b.session();
+        b.begin().write(k(10), v(1)).commit();
+        b.begin().read(k(10), v(2)).commit();
+        b.session();
+        b.begin().read(k(10), v(1)).write(k(10), v(2)).commit();
+        b.session();
+        b.begin().read(k(10), v(1)).commit();
+        b.build()
+    }
+
+    /// The oracle a unit's solver reads holds exactly the images of the
+    /// unit's known edges, prune's resolutions included: batch, sharded
+    /// and list units, under SI and SER (the stream's components are
+    /// checked in `stream.rs`).
+    #[test]
+    fn a_unit_s_oracle_is_its_known_graph() {
+        use crate::list::{ListOp, ListTxn};
+        use polysi_history::TxnStatus;
+        let (opts, tracer) = (PruneOptions::default(), Tracer::disabled());
+        let h = two_serial_components();
+        let plan = ShardPlan::analyze(&h);
+        assert_eq!(plan.components.len(), 2);
+        let mut units = vec![h.clone()];
+        units.extend(plan.components.iter().map(|c| h.restrict(&c.sessions)));
+        let append = |key: u64, value: u64| ListOp::Append { key: k(key), value: v(value) };
+        let read = |key: u64, list: &[u64]| ListOp::Read {
+            key: k(key),
+            list: list.iter().map(|&x| v(x)).collect(),
+        };
+        let txn = |ops| ListTxn { ops, status: TxnStatus::Committed };
+        let lists = ListHistory {
+            sessions: vec![
+                vec![txn(vec![append(1, 1)]), txn(vec![read(1, &[1, 2]), append(1, 3)])],
+                vec![txn(vec![read(1, &[1]), append(1, 2)]), txn(vec![append(1, 4)])],
+            ],
+        };
+        for level in [IsolationLevel::Si, IsolationLevel::Ser] {
+            let sem = level.semantics();
+            let mut resolved = 0;
+            for unit in &units {
+                let facts = Facts::analyze(unit);
+                let (mut g, gen) =
+                    Polygraph::from_history_with(unit, &facts, ConstraintMode::Generalized, sem);
+                let constructed = g.known.len();
+                let (verdict, _, oracle) =
+                    run_unit(&mut g, Some(Prune::Scratch(Some(gen))), &opts, &tracer);
+                assert!(matches!(verdict, UnitVerdict::Accepted));
+                resolved += g.known.len() - constructed;
+                assert_mirrors(&oracle.expect("pruning completed"), &g);
+            }
+            assert!(resolved > 0, "{level:?}: pruning added edges no path implied");
+            let mut g = list::polygraph(&lists, sem).expect("a valid list history");
+            let (verdict, _, oracle) = run_unit(&mut g, Some(Prune::Scratch(None)), &opts, &tracer);
+            assert!(matches!(verdict, UnitVerdict::Accepted));
+            assert_mirrors(&oracle.expect("pruning completed"), &g);
+        }
+    }
+
+    /// A unit's oracle that grew and reordered before encode: built over
+    /// `T0 → T1`, grown by `T2`, `T3`, then given `T3 → T0` and `T2 → T3`,
+    /// which run against arrival order. The theory starts from the order
+    /// Pearce–Kelly left and decides both instances as enumeration does.
+    #[test]
+    fn the_solver_starts_from_a_grown_and_reordered_oracle() {
+        let edge = |f: u32, t: u32, label| Edge::new(TxnId(f), TxnId(t), label);
+        for sem in [Semantics::Si, Semantics::Ser] {
+            let KnownGraphResult::Acyclic(mut kg) =
+                KnownGraph::build(2, &[edge(0, 1, Label::So)], sem)
+            else {
+                panic!("acyclic");
+            };
+            kg.grow(4);
+            let mut known = vec![edge(0, 1, Label::So)];
+            let late = [edge(3, 0, Label::Wr(k(1))), edge(2, 3, Label::Wr(k(2)))];
+            kg.insert_edges(&late, &mut known, Flush::AtEnd).expect("acyclic");
+            assert!(kg.reorders() > 0, "{sem:?}: an edge ran against arrival order");
+            // `1 → 2` closes 2 → 3 → 0 → 1 → 2, and so does `1 → 3` with
+            // 3 → 0 → 1: the first instance is forced to `2 → 1`, the
+            // second has no acyclic resolution.
+            let ww = |f, t| vec![edge(f, t, Label::Ww(k(3)))];
+            for (or, sat) in [(ww(2, 1), true), (ww(1, 3), false)] {
+                let mut constraints = ConstraintSet::new();
+                constraints.push(k(3), ww(1, 2), or);
+                let g = Polygraph { n: 4, known: known.clone(), constraints, semantics: sem };
+                assert_eq!(enumerate_sat(&g), sat);
+                assert_eq!(solved(&g, &kg), sat, "{sem:?}");
             }
         }
     }

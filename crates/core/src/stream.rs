@@ -862,7 +862,7 @@ impl StreamingChecker {
             span.attr("reordered", oracle.reorders() - reorders);
         }
 
-        let constraints_span = tracer.span("delta.constraints");
+        let mut constraints_span = tracer.span("delta.constraints");
         // Reader growth against pre-existing pairs: decided pairs take the
         // new anti-dependency as a direct known edge, open pairs are
         // marked for regeneration. A pair whose later writer arrived in
@@ -895,11 +895,13 @@ impl StreamingChecker {
                 // on this side; nothing to do.
             }
         }
+        let reorders = oracle.reorders();
         if !follow_on.is_empty()
             && oracle.insert_edges(&follow_on, &mut state.poly.known, Flush::AtEnd).is_err()
         {
             return false;
         }
+        constraints_span.attr("reordered", oracle.reorders() - reorders);
 
         // Open pairs: drop the survivor, to be regenerated over the grown
         // reader sets in pair order (re-resolution is impossible here —
@@ -1466,44 +1468,105 @@ mod tests {
     /// edges `M(f) → B(t)` between two new transactions included.
     #[test]
     fn a_soak_delta_lands_without_reordering() {
-        use polysi_obs::{AttrValue, SpanPhase};
         let obs = Obs::enabled();
         let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
         let mut c = StreamingChecker::new(IsolationLevel::Si, opts).with_obs(obs.clone());
         let mut serial = Serial::default();
         for _wave in 0..6 {
-            let sessions: Vec<SessionId> = (0..4).map(|_| c.session()).collect();
-            for t in 0..8u64 {
-                for (slot, &s) in sessions.iter().enumerate() {
-                    // Each slot updates two keys of its own, reading each
-                    // key's last version first, and now and then reads a
-                    // neighbour's current value instead.
-                    let key = 1 + 2 * slot as u64 + t % 2;
-                    let reads = match t {
-                        0 | 1 => vec![key],
-                        3 | 6 => vec![1 + 2 * ((slot as u64 + 1) % 4) + t % 2],
-                        _ => Vec::new(),
-                    };
-                    c.push_transaction(s, serial.txn(&reads, &[key]), TxnStatus::Committed);
+            assert!(soak_wave(&mut c, &mut serial).verdict.accepted());
+        }
+        for span in ["delta.insert", "delta.prune"] {
+            assert_eq!(
+                reordered(&obs, span),
+                [0; 5],
+                "{span}: every checkpoint after the first is a delta"
+            );
+        }
+    }
+
+    /// One wave of a soak-shaped stream, then a checkpoint: four fresh
+    /// sessions of eight transactions, sealed. Each slot updates two keys
+    /// of its own, reading each key's last version first, and now and then
+    /// reads a neighbour's current value instead.
+    fn soak_wave(c: &mut StreamingChecker, serial: &mut Serial) -> CheckpointReport {
+        let sessions: Vec<SessionId> = (0..4).map(|_| c.session()).collect();
+        for t in 0..8u64 {
+            for (slot, &s) in sessions.iter().enumerate() {
+                let key = 1 + 2 * slot as u64 + t % 2;
+                let reads = match t {
+                    0 | 1 => vec![key],
+                    3 | 6 => vec![1 + 2 * ((slot as u64 + 1) % 4) + t % 2],
+                    _ => Vec::new(),
+                };
+                c.push_transaction(s, serial.txn(&reads, &[key]), TxnStatus::Committed);
+            }
+        }
+        for s in sessions {
+            c.seal_session(s);
+        }
+        c.checkpoint()
+    }
+
+    /// The `reordered` attribute of every `span` the tracer ended, in order.
+    fn reordered(obs: &Obs, span: &str) -> Vec<u64> {
+        use polysi_obs::{AttrValue, SpanPhase};
+        let events = obs.tracer.events();
+        let ended = events.iter().filter(|e| e.name == span && e.phase == SpanPhase::End);
+        let attrs = ended.flat_map(|e| e.attrs.iter().filter(|(key, _)| *key == "reordered"));
+        attrs
+            .map(|(_, value)| match value {
+                AttrValue::U64(n) => *n,
+                other => panic!("`reordered` is a count: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Every Pearce–Kelly reorder of a component's oracle is reported on
+    /// the span that made it: the `reordered` attributes of `prune` (the
+    /// first checkpoint builds the component), `delta.insert`,
+    /// `delta.constraints` and `delta.prune` sum to the oracle's count. A
+    /// new reader of the version `T0` wrote, which `T1` overwrote, lands
+    /// its anti-dependency on `T1` under `delta.constraints`, from the new
+    /// transaction back to an old one: against arrival order.
+    #[test]
+    fn every_reorder_is_reported_on_the_span_that_made_it() {
+        let obs = Obs::enabled();
+        let mut c = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default())
+            .with_obs(obs.clone());
+        let (a, b, reader) = (c.session(), c.session(), c.session());
+        c.push_transaction(a, vec![w(1, 1)], TxnStatus::Committed);
+        c.push_transaction(b, vec![r(1, 1), w(1, 2)], TxnStatus::Committed);
+        c.push_transaction(reader, vec![r(1, 1)], TxnStatus::Committed);
+        assert!(c.checkpoint().verdict.accepted());
+        c.push_transaction(reader, vec![r(1, 1)], TxnStatus::Committed);
+        assert!(c.checkpoint().verdict.accepted());
+        let sum = |span| reordered(&obs, span).iter().sum::<u64>();
+        assert!(sum("delta.constraints") > 0, "the follow-on edge runs against arrival order");
+        let spans = ["prune", "delta.insert", "delta.constraints", "delta.prune"];
+        assert_eq!(spans.map(sum).iter().sum::<u64>(), only_oracle(&c).reorders() as u64);
+    }
+
+    /// The oracle a component's solver reads holds exactly the images of
+    /// the component's known edges at every checkpoint — grown by each
+    /// delta, extended by its follow-on edges and pruning, rebuilt by
+    /// compaction — under SI and SER.
+    #[test]
+    fn a_component_s_oracle_is_its_known_graph() {
+        for level in [IsolationLevel::Si, IsolationLevel::Ser] {
+            let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
+            let mut c = StreamingChecker::new(level, opts);
+            let mut serial = Serial::default();
+            let mut compacted = 0;
+            for _wave in 0..6 {
+                let cp = soak_wave(&mut c, &mut serial);
+                assert!(cp.verdict.accepted());
+                compacted += cp.compacted;
+                for state in c.comps.values() {
+                    let kg = state.oracle.as_deref().expect("accepted state");
+                    crate::engine::tests::assert_mirrors(kg, &state.poly);
                 }
             }
-            for s in sessions {
-                c.seal_session(s);
-            }
-            assert!(c.checkpoint().verdict.accepted());
-        }
-        let events = obs.tracer.events();
-        for span in ["delta.insert", "delta.prune"] {
-            let reordered: Vec<u64> = events
-                .iter()
-                .filter(|e| e.name == span && e.phase == SpanPhase::End)
-                .flat_map(|e| e.attrs.iter().filter(|(key, _)| *key == "reordered"))
-                .map(|(_, value)| match value {
-                    AttrValue::U64(n) => *n,
-                    other => panic!("`reordered` is a count: {other:?}"),
-                })
-                .collect();
-            assert_eq!(reordered, [0; 5], "{span}: every checkpoint after the first is a delta");
+            assert!(compacted > 0, "{level:?}: some checkpoint compacted");
         }
     }
 

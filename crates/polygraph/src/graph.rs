@@ -264,6 +264,11 @@ impl<T: Copy + Default> Csr<T> {
         self.first.len() - 1
     }
 
+    /// Entries of all lists, built and pushed.
+    fn len(&self) -> usize {
+        self.out.len() + self.more.len()
+    }
+
     /// Node `u`'s built entries.
     #[inline]
     fn row(&self, u: usize) -> &[T] {
@@ -338,7 +343,7 @@ impl<T: Copy + Default> Csr<T> {
         if self.more.is_empty() || 4 * self.more.len() < self.out.len() {
             return;
         }
-        let mut out = Vec::with_capacity(self.out.len() + self.more.len());
+        let mut out = Vec::with_capacity(self.len());
         for u in 0..self.nodes() {
             let start = out.len();
             out.extend(self.iter(u));
@@ -632,8 +637,8 @@ impl ClosureStore {
 ///
 /// The oracle is *incremental*: [`KnownGraph::insert_edges`] extends it with
 /// newly known edges in time proportional to the affected region — the
-/// layered topological order is maintained Pearce–Kelly style (the same
-/// affected-region reordering as `polysi_solver::theory::AcyclicityTheory`)
+/// layered topological order is maintained Pearce–Kelly style (the order the
+/// solver's acyclicity theory starts from, [`KnownGraph::layered_order`])
 /// and closure rows are updated by propagating the target's row into the
 /// ancestors of the source over the reverse adjacency — instead of the
 /// from-scratch Kahn sort + reverse-topological closure sweep of
@@ -752,8 +757,8 @@ pub enum Flush {
 /// target node). Under [`Semantics::Si`] a `Dep` edge `i → k` is
 /// `B(i) → B(k)` then `B(i) → M(k)` and an `RW` edge leaves its source's
 /// mid node; under [`Semantics::Ser`] there are no mid nodes and every
-/// edge is boundary-to-boundary.
-fn images(n: usize, e: Edge, semantics: Semantics) -> impl Iterator<Item = (u32, u32)> {
+/// edge is boundary-to-boundary. The solver's theory graph is made of these.
+pub fn layered_images(n: usize, e: Edge, semantics: Semantics) -> impl Iterator<Item = (u32, u32)> {
     let (f, t, n) = (e.from.0, e.to.0, n as u32);
     debug_assert_ne!(f, t, "self edges are malformed: {e:?}");
     let (si, dep) = (semantics == Semantics::Si, e.label.is_dep());
@@ -770,7 +775,8 @@ type Images = Csr<(u32, u32)>;
 fn layered(n: usize, edges: &[Edge], semantics: Semantics) -> Images {
     Csr::build(semantics.layers() * n, || {
         let indexed = (0u32..).zip(edges);
-        indexed.flat_map(move |(i, &e)| images(n, e, semantics).map(move |(u, v)| (u, (v, i))))
+        indexed
+            .flat_map(move |(i, &e)| layered_images(n, e, semantics).map(move |(u, v)| (u, (v, i))))
     })
 }
 
@@ -895,13 +901,26 @@ impl KnownGraph {
         }
     }
 
-    /// Positions of the boundary nodes in a topological order of the known
-    /// induced graph: `pos[i] < pos[j]` means `i` can safely precede `j`.
-    /// Used to seed solver phases with a near-acyclic initial orientation.
-    /// Reads the dynamically maintained order, so it stays cheap after any
-    /// number of [`KnownGraph::insert_edges`] calls.
-    pub fn topo_positions(&self) -> Vec<u32> {
-        self.ord[..self.n].to_vec()
+    /// Every layered node's priority in the one maintained topological order.
+    pub fn layered_order(&self) -> &[u32] {
+        &self.ord
+    }
+
+    /// Targets of layered node `x`'s edges, in the order of their typed edges.
+    #[inline]
+    pub fn layered_out(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        self.adj.iter(x as usize).map(|&(v, _)| v)
+    }
+
+    /// Sources of layered node `x`'s edges.
+    #[inline]
+    pub fn layered_in(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        self.radj.iter(x as usize).copied()
+    }
+
+    /// Number of layered edges.
+    pub fn layered_edges(&self) -> usize {
+        self.adj.len()
     }
 
     /// The semantics the graph was built under.
@@ -1098,7 +1117,7 @@ impl KnownGraph {
     ///
     /// Each edge is *staged*: the adjacency, `Dep` predecessor index and
     /// layered topological order are updated at once (so
-    /// [`Self::topo_positions`], witness paths and the cycle checks of later
+    /// [`Self::layered_order`], witness paths and the cycle checks of later
     /// edges stay exact), while closure rows wait for the next flush, which
     /// `flush` schedules. Until then the closure under-approximates, so
     /// callers must [`KnownGraph::flush_closure`] before using the oracle
@@ -1338,7 +1357,7 @@ impl KnownGraph {
         }
         let (f, t) = (e.from.idx(), e.to.idx());
         let (staged_from, index) = (self.pending.len(), self.edges.len() as u32);
-        for (lu, lv) in images(self.n, e, self.semantics) {
+        for (lu, lv) in layered_images(self.n, e, self.semantics) {
             if !self.pk_insert(lu, lv) {
                 // Unwind the already-applied image (the entries are the
                 // trailing ones); its order perturbation is a valid
@@ -1372,8 +1391,8 @@ impl KnownGraph {
     /// report a cycle (`false`, nothing mutated). In-order insertions are
     /// O(1); otherwise the affected region — forward from `v` below
     /// `ord[u]`, backward from `u` above `ord[v]` — is discovered by a
-    /// double DFS and its priorities are pooled and redistributed,
-    /// exactly as in `polysi_solver::theory::AcyclicityTheory::insert`;
+    /// double DFS and its priorities are pooled and redistributed, as the
+    /// solver's acyclicity theory then goes on doing from the same order;
     /// the forward search doubles as the insertion's cycle check.
     fn pk_insert(&mut self, u: u32, v: u32) -> bool {
         let (lb, ub) = (self.ord[v as usize], self.ord[u as usize]);
@@ -2112,7 +2131,7 @@ mod tests {
 
     /// The maintained order is topological for the induced graph.
     fn assert_order_is_topological(g: &KnownGraph, n: usize) {
-        let pos = g.topo_positions();
+        let pos = g.layered_order();
         for (a, w) in (0..n).flat_map(|a| (0..n).map(move |w| (a, w))) {
             if g.reaches(TxnId(a as u32), TxnId(w as u32)) {
                 assert!(pos[a] < pos[w], "order violates reachability {a} -> {w}");
@@ -2170,7 +2189,7 @@ mod tests {
         assert!(chains.closure_updates() <= dense.closure_updates(), "neutral counter");
         assert!(chains.closure_updates() > 0);
         assert_eq!(dense.inserted_edges(), chains.inserted_edges());
-        assert_eq!(dense.topo_positions(), chains.topo_positions());
+        assert_eq!(dense.layered_order(), chains.layered_order());
     }
 
     #[test]
@@ -2280,14 +2299,14 @@ mod tests {
         assert_eq!(auto.oracle_kind(), OracleKind::Dense);
         // Across it: two chains against 1100-bit rows.
         let dense_bytes = auto.oracle_bytes();
-        let before = (auto.closure_updates(), auto.inserted_edges(), auto.topo_positions());
+        let before = (auto.closure_updates(), auto.inserted_edges(), auto.layered_order().to_vec());
         auto.grow(1100);
         dense.grow(1100);
         assert_eq!(auto.oracle_kind(), OracleKind::Chains);
         assert_eq!(dense.oracle_kind(), OracleKind::Dense, "a pinned kind stays for life");
         assert!(auto.oracle_bytes() * 8 < dense_bytes);
         assert_eq!((auto.closure_updates(), auto.inserted_edges()), (before.0, before.1));
-        assert_eq!(auto.topo_positions()[..1010], before.2[..]);
+        assert_eq!(auto.layered_order()[..1010], before.2[..1010]);
         // The new vertices continue session 0 and tie into session 1; the
         // converted oracle keeps answering like the dense one.
         let mut extra = vec![so(499, 1010)];
@@ -2297,7 +2316,7 @@ mod tests {
         auto.insert_edges(&extra, &mut kept_auto, Flush::AtEnd).expect("acyclic");
         dense.insert_edges(&extra, &mut kept_dense, Flush::AtEnd).expect("acyclic");
         assert_eq!(kept_auto, kept_dense);
-        assert_eq!(auto.topo_positions(), dense.topo_positions());
+        assert_eq!(auto.layered_order(), dense.layered_order());
         for (x, y) in
             (0..1100u32).step_by(13).flat_map(|x| (0..1100).step_by(17).map(move |y| (x, y)))
         {

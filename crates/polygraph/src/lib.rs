@@ -42,7 +42,7 @@ mod polygraph;
 
 pub use constraint::{ConstraintGen, ConstraintRef, ConstraintSet};
 pub use edge::{Edge, Label};
-pub use graph::{DepGraph, Flush, KnownGraph, KnownGraphResult, OracleKind};
+pub use graph::{layered_images, DepGraph, Flush, KnownGraph, KnownGraphResult, OracleKind};
 pub use polygraph::{
     ConstraintMode, Polygraph, PruneOptions, PruneResult, PruneStats, Semantics, PARALLEL_SWEEP_MIN,
 };

@@ -288,10 +288,10 @@ impl Polygraph {
     /// started from.
     ///
     /// The reachability oracle is handed back whenever one was built. On
-    /// [`PruneResult::Pruned`] it reflects every resolved edge, so
-    /// encoding can reuse it (e.g. [`KnownGraph::topo_positions`] for
-    /// phase seeding) instead of rebuilding from scratch; after a
-    /// violation found mid-loop it says what was built and nothing more.
+    /// [`PruneResult::Pruned`] it holds exactly the layered images of
+    /// `self.known`, so encoding reads the known graph and its order from
+    /// it instead of building another; after a violation found mid-loop it
+    /// says what was built and nothing more.
     pub fn prune(
         &mut self,
         opts: &PruneOptions,

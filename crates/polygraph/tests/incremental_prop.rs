@@ -189,7 +189,7 @@ proptest! {
             assert_same_answers(&g, &full, plan.n, plan.semantics)?;
             // The maintained topo positions are a valid order for the
             // final reachability.
-            let pos = g.topo_positions();
+            let pos = g.layered_order();
             for a in 0..plan.n as u32 {
                 for w in 0..plan.n as u32 {
                     let (a, w) = (TxnId(a), TxnId(w));

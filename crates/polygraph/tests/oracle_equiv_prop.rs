@@ -172,8 +172,8 @@ fn assert_indistinguishable(
         plan
     );
     prop_assert_eq!(dense.inserted_edges(), chains.inserted_edges());
-    prop_assert_eq!(dense.topo_positions(), chains.topo_positions());
-    let pos = chains.topo_positions();
+    prop_assert_eq!(dense.layered_order(), chains.layered_order());
+    let pos = chains.layered_order();
     for a in 0..n as u32 {
         for w in 0..n as u32 {
             let (a, w) = (TxnId(a), TxnId(w));
@@ -386,7 +386,7 @@ fn assert_same_answers(
     ctx: &str,
 ) -> Result<(), TestCaseError> {
     if same_order {
-        prop_assert_eq!(a.topo_positions(), b.topo_positions(), "{}: topo_positions", ctx);
+        prop_assert_eq!(a.layered_order(), b.layered_order(), "{}: layered_order", ctx);
     }
     let up = |t: TxnId| TxnId(t.0 + shift as u32);
     for _ in 0..500 {

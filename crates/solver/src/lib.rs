@@ -9,13 +9,13 @@
 //!
 //! * [`Solver`] — a CDCL SAT core (watched literals, VSIDS, first-UIP
 //!   learning, phase saving, Luby restarts);
-//! * [`theory::AcyclicityTheory`] — a monotonic graph theory over a flat
-//!   (CSR) graph: known edges are facts, symbolic edges are guarded by
+//! * [`theory::AcyclicityTheory`] — a monotonic graph theory: known edges
+//!   are facts read through a [`theory::KnownEdges`] view (the caller's own
+//!   graph, or one staged in the solver), symbolic edges are guarded by
 //!   literals. It *detects*: any cycle produces a conflict clause over the
 //!   guards of the symbolic edges on the cycle, found incrementally
 //!   (Pearce–Kelly) as guards become true. And it *propagates*: a guard
-//!   whose edge would close a cycle is implied false before the SAT core
-//!   tries it.
+//!   whose edge would close a cycle is implied false before it is tried.
 //!
 //! Detection is complete and is the judge; propagation is an accelerator
 //! the solver gates on its own behaviour — off until the search's first

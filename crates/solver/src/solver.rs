@@ -30,7 +30,7 @@
 //! simplicity pays for itself in auditability.
 
 use crate::heap::ActivityHeap;
-use crate::theory::{AcyclicityTheory, KnownGraph};
+use crate::theory::{AcyclicityTheory, KnownEdges, Staged};
 use crate::types::{LBool, Lit, Var};
 
 /// Outcome of [`Solver::solve`].
@@ -110,8 +110,8 @@ enum Conflict {
     Theory(Vec<Lit>),
 }
 
-/// The solver. See the module docs for the architecture.
-pub struct Solver {
+/// The solver, reading its graph's known edges through `K`. See the module docs.
+pub struct Solver<K = Staged> {
     clauses: Vec<Clause>,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
@@ -126,8 +126,7 @@ pub struct Solver {
     heap: ActivityHeap,
     phase: Vec<bool>,
     seen: Vec<bool>,
-    theory: Option<AcyclicityTheory>,
-    theory_finalized: bool,
+    theory: Option<AcyclicityTheory<K>>,
     ok: bool,
     budget: Option<u64>,
     /// Theory-propagation work left until the next restart; zero (the gate
@@ -159,6 +158,29 @@ impl Default for Solver {
 impl Solver {
     /// A pure-SAT solver (no graph).
     pub fn new() -> Self {
+        Self::with_theory(None)
+    }
+
+    /// A solver whose model must additionally keep a graph over `n_nodes`
+    /// nodes acyclic, its known edges added by [`Solver::add_known_edge`].
+    pub fn with_graph(n_nodes: usize) -> Self {
+        Self::with_known(Staged::new(n_nodes))
+    }
+
+    /// Add an unconditional graph edge `u → v` (must precede `solve`).
+    pub fn add_known_edge(&mut self, u: u32, v: u32) {
+        self.theory.as_mut().expect("graph edges require Solver::with_graph").known.add_edge(u, v);
+    }
+}
+
+impl<K: KnownEdges> Solver<K> {
+    /// A solver whose model must additionally keep the graph of `known`
+    /// (its nodes and known edges, read in place) acyclic.
+    pub fn with_known(known: K) -> Self {
+        Self::with_theory(Some(AcyclicityTheory::with_known(known)))
+    }
+
+    fn with_theory(theory: Option<AcyclicityTheory<K>>) -> Self {
         Solver {
             clauses: Vec::new(),
             watches: Vec::new(),
@@ -174,8 +196,7 @@ impl Solver {
             heap: ActivityHeap::new(),
             phase: Vec::new(),
             seen: Vec::new(),
-            theory: None,
-            theory_finalized: false,
+            theory,
             ok: true,
             budget: None,
             propagation_budget: 0,
@@ -185,14 +206,6 @@ impl Solver {
             stats: SolverStats::default(),
             tracer: polysi_obs::Tracer::default(),
         }
-    }
-
-    /// A solver whose model must additionally keep a graph over `n_nodes`
-    /// nodes acyclic.
-    pub fn with_graph(n_nodes: usize) -> Self {
-        let mut s = Self::new();
-        s.theory = Some(AcyclicityTheory::new(n_nodes));
-        s
     }
 
     /// Allocate a fresh variable (initial phase: false).
@@ -246,17 +259,9 @@ impl Solver {
         self.phase[v.idx()] = phase;
     }
 
-    /// Add an unconditional graph edge `u → v` (must precede `solve`).
-    pub fn add_known_edge(&mut self, u: u32, v: u32) {
-        self.theory.as_mut().expect("graph edges require Solver::with_graph").add_known_edge(u, v);
-    }
-
     /// Add a graph edge `u → v` present iff `lit` is true.
     pub fn add_symbolic_edge(&mut self, lit: Lit, u: u32, v: u32) {
-        self.theory
-            .as_mut()
-            .expect("graph edges require Solver::with_graph")
-            .add_symbolic_edge(lit, u, v);
+        self.theory.as_mut().expect("graph edges require a graph").add_symbolic_edge(lit, u, v);
     }
 
     #[inline]
@@ -645,14 +650,9 @@ impl Solver {
         if !self.ok {
             return SolveResult::Unsat;
         }
-        if let Some(t) = self.theory.as_mut() {
-            if !self.theory_finalized {
-                self.theory_finalized = true;
-                if let KnownGraph::Cyclic(_) = t.finalize() {
-                    self.ok = false;
-                    return SolveResult::Unsat;
-                }
-            }
+        if self.theory.as_mut().is_some_and(|t| !t.start()) {
+            self.ok = false;
+            return SolveResult::Unsat;
         }
         let mut conflicts_since_restart = 0u64;
         let mut restart_budget = RESTART_BASE * luby(self.stats.restarts + 1);
@@ -1057,9 +1057,9 @@ mod eager_tests {
     }
 
     fn theory_of(inst: &Instance) -> AcyclicityTheory {
-        let mut t = AcyclicityTheory::new(inst.nn as usize);
+        let mut t = AcyclicityTheory::with_known(Staged::new(inst.nn as usize));
         for &(u, v) in &inst.known {
-            t.add_known_edge(u, v);
+            t.known.add_edge(u, v);
         }
         for &(l, u, v) in &inst.symbolic {
             t.add_symbolic_edge(l, u, v);

@@ -26,24 +26,107 @@
 //! candidate entry touched is charged, and a search that runs dry is
 //! abandoned — that costs time only, never a verdict.
 //!
-//! **Layout.** Everything is flat: known edges are staged in one vector and
-//! counting-sorted into out-/in-CSR by [`AcyclicityTheory::finalize`];
+//! **Layout.** The theory does not own the known edges: it reads them
+//! through a [`KnownEdges`] view and starts from the view's topological
+//! order. A caller that holds its known graph already (the checker's
+//! reachability oracle) lends it; [`Staged`], the default, is a graph the
+//! theory owns, its edges added one at a time. Everything else is flat:
 //! symbolic edges are indexed by guard literal and by source node in two
-//! more CSRs; the active symbolic edges of a node live in a fixed region of
-//! one array (a node's region has room for every symbolic edge incident to
+//! CSRs; the active symbolic edges of a node live in a fixed region of one
+//! array (a node's region has room for every symbolic edge incident to
 //! it), so activating and rolling back are a store and a decrement, and
 //! `activate` allocates nothing unless it has a conflict to report.
 
 use crate::types::{LBool, Lit};
 
-/// Result of finalizing the known subgraph.
-#[derive(Debug, PartialEq, Eq)]
-pub enum KnownGraph {
-    /// The known edges form a DAG; solving may proceed.
-    Acyclic,
-    /// The known edges already contain a cycle (listed as node ids);
-    /// the instance is unsatisfiable regardless of the symbolic edges.
-    Cyclic(Vec<u32>),
+/// The known edges of a theory graph, as [`AcyclicityTheory`] reads them.
+pub trait KnownEdges {
+    /// Number of nodes.
+    fn nodes(&self) -> usize;
+    /// Number of known edges.
+    fn edges(&self) -> usize;
+    /// Targets of `x`'s known edges.
+    fn out(&self, x: u32) -> impl Iterator<Item = u32> + '_;
+    /// Sources of `x`'s known edges.
+    fn inn(&self, x: u32) -> impl Iterator<Item = u32> + '_;
+    /// The order the theory starts from: each node's priority in a
+    /// topological order of the known edges, a permutation of
+    /// `0..nodes()`, whichever one; `None` when they have a cycle. Asked
+    /// once, before any neighbour is read.
+    fn order(&mut self) -> Option<Vec<u32>>;
+}
+
+/// The staged view: known edges added one at a time
+/// ([`Staged::add_edge`]), then counting-sorted into out- and in-CSR and
+/// ordered by Kahn's algorithm when the theory starts.
+pub struct Staged {
+    n: usize,
+    /// Known edges in insertion order, until [`KnownEdges::order`] sorts
+    /// them into `out` / `inn` (each node's list in insertion order).
+    staged: Vec<(u32, u32)>,
+    out: (Vec<u32>, Vec<u32>),
+    inn: (Vec<u32>, Vec<u32>),
+}
+
+impl Staged {
+    /// `n` nodes and no edge.
+    pub fn new(n: usize) -> Self {
+        let empty = (vec![0; n + 1], Vec::new());
+        Staged { n, staged: Vec::new(), out: empty.clone(), inn: empty }
+    }
+
+    /// Add the known edge `u → v`; edges are added before the theory starts.
+    pub fn add_edge(&mut self, u: u32, v: u32) {
+        debug_assert!(self.out.1.is_empty(), "known edges must be added before the theory starts");
+        self.staged.push((u, v));
+    }
+}
+
+impl KnownEdges for Staged {
+    fn nodes(&self) -> usize {
+        self.n
+    }
+
+    fn edges(&self) -> usize {
+        self.staged.len() + self.out.1.len()
+    }
+
+    fn out(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        row(&self.out, x).iter().copied()
+    }
+
+    fn inn(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
+        row(&self.inn, x).iter().copied()
+    }
+
+    /// Kahn's order over the staged edges, once they are sorted into
+    /// out- and in-CSR.
+    fn order(&mut self) -> Option<Vec<u32>> {
+        let staged = std::mem::take(&mut self.staged);
+        self.out = bucket(self.n, &staged, |e| e.0, |e| e.1);
+        self.inn = bucket(self.n, &staged, |e| e.1, |e| e.0);
+        let mut indeg: Vec<u32> =
+            (0..self.n as u32).map(|v| row(&self.inn, v).len() as u32).collect();
+        let mut order: Vec<u32> = (0..self.n as u32).filter(|&v| indeg[v as usize] == 0).collect();
+        let mut ord = vec![0; self.n];
+        for head in 0.. {
+            let Some(&u) = order.get(head) else { break };
+            ord[u as usize] = head as u32;
+            for &v in row(&self.out, u) {
+                indeg[v as usize] -= 1;
+                if indeg[v as usize] == 0 {
+                    order.push(v);
+                }
+            }
+        }
+        (order.len() == self.n).then_some(ord)
+    }
+}
+
+/// Node `x`'s list in a CSR given as (offsets, entries).
+fn row(csr: &(Vec<u32>, Vec<u32>), x: u32) -> &[u32] {
+    let x = x as usize;
+    &csr.1[csr.0[x] as usize..csr.0[x + 1] as usize]
 }
 
 /// Stable counting sort of `items` into `buckets` buckets: the offsets
@@ -76,111 +159,83 @@ fn bucket<T, V: Copy>(
     (start, values)
 }
 
-/// One direction (out or in) of the theory graph: per node the known
-/// neighbours, then the neighbours over active symbolic edges, oldest
-/// activation first — the order every search visits them in.
-struct Adjacency {
-    /// CSR offsets (`n + 1`) into `known`.
-    known_start: Vec<u32>,
-    known: Vec<u32>,
-    /// Offsets (`n + 1`) of each node's region of `active`: one slot per
-    /// symbolic edge incident to the node in this direction.
-    active_start: Vec<u32>,
-    /// `(neighbour, guard)`; the first `active_len[x]` slots of `x`'s
-    /// region are live.
-    active: Vec<(u32, Lit)>,
-    active_len: Vec<u32>,
+/// One direction (out or in) of the active symbolic edges: per node a
+/// fixed region of one array, oldest activation first.
+struct Active {
+    /// Offsets (`n + 1`) of each node's region: one slot per symbolic edge
+    /// incident to the node in this direction.
+    start: Vec<u32>,
+    /// `(neighbour, guard)`; the first `len[x]` slots of `x`'s region are
+    /// live.
+    edges: Vec<(u32, Lit)>,
+    len: Vec<u32>,
 }
 
-impl Adjacency {
+impl Active {
     fn new(n: usize) -> Self {
-        Adjacency {
-            known_start: vec![0; n + 1],
-            known: Vec::new(),
-            active_start: vec![0; n + 1],
-            active: Vec::new(),
-            active_len: vec![0; n],
-        }
+        Active { start: vec![0; n + 1], edges: Vec::new(), len: vec![0; n] }
     }
 
-    fn known(&self, x: u32) -> &[u32] {
-        let x = x as usize;
-        &self.known[self.known_start[x] as usize..self.known_start[x + 1] as usize]
-    }
-
-    fn active(&self, x: u32) -> &[(u32, Lit)] {
-        let start = self.active_start[x as usize] as usize;
-        &self.active[start..start + self.active_len[x as usize] as usize]
-    }
-
-    /// Neighbours of `x` with the guard of the edge (`None` = known).
-    fn edges(&self, x: u32) -> impl Iterator<Item = (u32, Option<Lit>)> + '_ {
-        let known = self.known(x).iter().map(|&y| (y, None));
-        known.chain(self.active(x).iter().map(|&(y, g)| (y, Some(g))))
-    }
-
-    fn degree(&self, x: u32) -> usize {
-        self.known(x).len() + self.active_len[x as usize] as usize
+    fn of(&self, x: u32) -> &[(u32, Lit)] {
+        let start = self.start[x as usize] as usize;
+        &self.edges[start..start + self.len[x as usize] as usize]
     }
 
     fn push(&mut self, x: u32, y: u32, guard: Lit) {
-        let len = &mut self.active_len[x as usize];
+        let len = &mut self.len[x as usize];
         debug_assert!(
-            self.active_start[x as usize] + *len < self.active_start[x as usize + 1],
+            self.start[x as usize] + *len < self.start[x as usize + 1],
             "a guard was activated twice without a rollback"
         );
-        self.active[(self.active_start[x as usize] + *len) as usize] = (y, guard);
+        self.edges[(self.start[x as usize] + *len) as usize] = (y, guard);
         *len += 1;
     }
 
     /// Drop the newest active edge of `x`; returns its neighbour.
     fn pop(&mut self, x: u32) -> u32 {
-        let len = &mut self.active_len[x as usize];
+        let len = &mut self.len[x as usize];
         *len -= 1;
-        self.active[(self.active_start[x as usize] + *len) as usize].0
+        self.edges[(self.start[x as usize] + *len) as usize].0
     }
 
-    /// Lay the active regions out afresh along `start`, all empty.
-    fn reset_active(&mut self, start: Vec<u32>, slots: usize) {
-        self.active_start = start;
-        self.active.clear();
-        self.active.resize(slots, (0, Lit::from_idx(0)));
-        self.active_len.fill(0);
+    /// Lay the regions out afresh along `start`, all empty.
+    fn reset(&mut self, start: Vec<u32>, slots: usize) {
+        self.start = start;
+        self.edges.clear();
+        self.edges.resize(slots, (0, Lit::from_idx(0)));
+        self.len.fill(0);
     }
 }
 
-/// The acyclicity theory state.
-pub struct AcyclicityTheory {
+/// The acyclicity theory state, over the known edges of `K`.
+pub struct AcyclicityTheory<K = Staged> {
+    pub(crate) known: K,
     n: usize,
-    /// Known edges in insertion order, until `finalize` sorts them into
-    /// `out` / `inn`.
-    staged: Vec<(u32, u32)>,
-    out: Adjacency,
-    inn: Adjacency,
-    /// Topological priority of each node (unique).
+    out: Active,
+    inn: Active,
+    /// Topological priority of each node (unique): the known edges' order
+    /// from [`Self::start`] on, then Pearce–Kelly's.
     ord: Vec<u32>,
     /// Symbolic edges `(guard, u, v)` in registration order.
     symbolic: Vec<(Lit, u32, u32)>,
-    /// How many of `symbolic` the indexes below (and the active regions of
-    /// `out` / `inn`) cover; `activate` re-indexes when edges were added.
+    /// How many of `symbolic` the indexes below (and the regions of `out` /
+    /// `inn`) cover; `activate` re-indexes when edges were added.
     indexed: usize,
     /// CSR by guard: `Lit::idx()` → the `(u, v)` it enables.
     guard_start: Vec<u32>,
     guard_edges: Vec<(u32, u32)>,
     /// `(guard, target)` of every symbolic edge by source node — the
-    /// candidates of `propagate`; its offsets are `out.active_start`.
+    /// candidates of `propagate`; its offsets are `out.start`.
     source_edges: Vec<(Lit, u32)>,
     /// LIFO log of activations: `(trail_pos, guard, u, v)`.
     activations: Vec<(usize, Lit, u32, u32)>,
-    finalized: bool,
     // Search scratch, reused by every `insert` and `propagate`: nodes and
     // guards are marked with a stamp instead of being cleared.
     stamp: u32,
     visited: Vec<u32>,
     /// Forward search tree: `(predecessor, guard of the edge from it)`.
     parent: Vec<(u32, Option<Lit>)>,
-    /// Backward search tree: `(successor, guard of the edge to it)`; only
-    /// propagation needs one, so it is sized by the first `propagate`.
+    /// Backward search tree: `(successor, guard of the edge to it)`.
     back: Vec<(u32, Option<Lit>)>,
     stack: Vec<u32>,
     delta_f: Vec<u32>,
@@ -191,26 +246,27 @@ pub struct AcyclicityTheory {
     implied: Vec<u32>,
 }
 
-impl AcyclicityTheory {
-    /// A theory over `n` nodes with no edges.
-    pub fn new(n: usize) -> Self {
+impl<K: KnownEdges> AcyclicityTheory<K> {
+    /// A theory over the nodes and known edges of `known`, with no
+    /// symbolic edge.
+    pub fn with_known(known: K) -> Self {
+        let n = known.nodes();
         AcyclicityTheory {
+            known,
             n,
-            staged: Vec::new(),
-            out: Adjacency::new(n),
-            inn: Adjacency::new(n),
-            ord: (0..n as u32).collect(),
+            out: Active::new(n),
+            inn: Active::new(n),
+            ord: Vec::new(),
             symbolic: Vec::new(),
             indexed: 0,
             guard_start: Vec::new(),
             guard_edges: Vec::new(),
             source_edges: Vec::new(),
             activations: Vec::new(),
-            finalized: false,
             stamp: 0,
             visited: vec![0; n],
             parent: vec![(0, None); n],
-            back: Vec::new(),
+            back: vec![(0, None); n],
             stack: Vec::new(),
             delta_f: Vec::new(),
             delta_b: Vec::new(),
@@ -220,15 +276,10 @@ impl AcyclicityTheory {
         }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.n
-    }
-
     /// Nodes + known edges + symbolic edges: what one pass over the whole
     /// graph touches, the unit a propagation budget is granted in.
     pub fn size(&self) -> usize {
-        self.n + self.staged.len() + self.out.known.len() + self.symbolic.len()
+        self.n + self.known.edges() + self.symbolic.len()
     }
 
     /// Guard literals that have at least one edge attached, ascending.
@@ -239,91 +290,22 @@ impl AcyclicityTheory {
         guards.into_iter()
     }
 
-    /// Add an unconditional edge `u → v`. Must precede [`Self::finalize`].
-    pub fn add_known_edge(&mut self, u: u32, v: u32) {
-        debug_assert!(!self.finalized, "known edges must be added before finalize");
-        self.staged.push((u, v));
-    }
-
     /// Add a symbolic edge `u → v` guarded by `lit` (present iff `lit` is
     /// true in the assignment).
     pub fn add_symbolic_edge(&mut self, lit: Lit, u: u32, v: u32) {
         self.symbolic.push((lit, u, v));
     }
 
-    /// Sort the staged known edges into the out-/in-CSR and order the known
-    /// subgraph topologically. Returns [`KnownGraph::Cyclic`] with a
-    /// witness cycle if the known edges alone are cyclic.
-    pub fn finalize(&mut self) -> KnownGraph {
-        debug_assert!(!self.finalized, "finalize runs once");
-        self.finalized = true;
-        let staged = std::mem::take(&mut self.staged);
-        (self.out.known_start, self.out.known) = bucket(self.n, &staged, |e| e.0, |e| e.1);
-        (self.inn.known_start, self.inn.known) = bucket(self.n, &staged, |e| e.1, |e| e.0);
-        drop(staged);
-        let mut indeg: Vec<u32> =
-            (0..self.n as u32).map(|v| self.inn.known(v).len() as u32).collect();
-        let mut order: Vec<u32> = (0..self.n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-        let mut head = 0;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            for &v in self.out.known(u) {
-                indeg[v as usize] -= 1;
-                if indeg[v as usize] == 0 {
-                    order.push(v);
-                }
-            }
+    /// Take the known edges' order ([`KnownEdges::order`]) as the one to
+    /// maintain, unless it was taken already; before the first activation.
+    /// `false` when the known edges alone close a cycle: the instance is
+    /// then unsatisfiable whatever the symbolic edges.
+    pub fn start(&mut self) -> bool {
+        if self.ord.len() != self.n {
+            let Some(ord) = self.known.order() else { return false };
+            self.ord = ord;
         }
-        if order.len() < self.n {
-            return KnownGraph::Cyclic(self.find_known_cycle(&indeg));
-        }
-        for (pos, &node) in order.iter().enumerate() {
-            self.ord[node as usize] = pos as u32;
-        }
-        KnownGraph::Acyclic
-    }
-
-    /// Extract some cycle among known edges via an iterative DFS that looks
-    /// for a back edge (restricted to nodes Kahn could not process).
-    fn find_known_cycle(&self, indeg: &[u32]) -> Vec<u32> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let mut color = vec![Color::White; self.n];
-        for start in 0..self.n {
-            if indeg[start] == 0 || color[start] != Color::White {
-                continue;
-            }
-            let mut stack: Vec<(u32, usize)> = vec![(start as u32, 0)];
-            let mut path: Vec<u32> = vec![start as u32];
-            color[start] = Color::Gray;
-            while let Some(&mut (u, ref mut next)) = stack.last_mut() {
-                if let Some(&v) = self.out.known(u).get(*next) {
-                    *next += 1;
-                    match color[v as usize] {
-                        Color::Gray => {
-                            let pos = path.iter().position(|&x| x == v).unwrap();
-                            return path[pos..].to_vec();
-                        }
-                        Color::White => {
-                            color[v as usize] = Color::Gray;
-                            stack.push((v, 0));
-                            path.push(v);
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color[u as usize] = Color::Black;
-                    stack.pop();
-                    path.pop();
-                }
-            }
-        }
-        unreachable!("Kahn reported a cycle, so a DFS back edge must exist")
+        true
     }
 
     /// Rebuild the by-guard and by-source indexes and the active regions
@@ -337,8 +319,8 @@ impl AcyclicityTheory {
         let (by_source, source_edges) = bucket(n, &self.symbolic, |e| e.1, |e| (e.0, e.2));
         let (by_target, _) = bucket(n, &self.symbolic, |e| e.2, |_| ());
         self.source_edges = source_edges;
-        self.out.reset_active(by_source, self.symbolic.len());
-        self.inn.reset_active(by_target, self.symbolic.len());
+        self.out.reset(by_source, self.symbolic.len());
+        self.inn.reset(by_target, self.symbolic.len());
         for &(_, guard, u, v) in &self.activations {
             self.out.push(u, v, guard);
             self.inn.push(v, u, guard);
@@ -409,7 +391,10 @@ impl AcyclicityTheory {
         self.parent[v as usize] = (v, None);
         while let Some(x) = self.stack.pop() {
             self.delta_f.push(x);
-            for (y, guard) in self.out.edges(x) {
+            // Known neighbours first, then those over active edges (`guard`
+            // is the edge's), the order every search visits them in.
+            let known = self.known.out(x).map(|y| (y, None));
+            for (y, guard) in known.chain(self.out.of(x).iter().map(|&(y, g)| (y, Some(g)))) {
                 if y == u {
                     // Cycle: u → v ⇝ x → u. Collect guards along v ⇝ x,
                     // plus this closing edge's guard.
@@ -436,19 +421,7 @@ impl AcyclicityTheory {
         }
         // Backward DFS from u over nodes with ord >= lb. (No cycle is
         // possible here: it would have been found forward.)
-        let stamp = self.next_stamp();
-        self.delta_b.clear();
-        self.stack.push(u);
-        self.visited[u as usize] = stamp;
-        while let Some(x) = self.stack.pop() {
-            self.delta_b.push(x);
-            for (y, _) in self.inn.edges(x) {
-                if self.ord[y as usize] >= lb && self.visited[y as usize] != stamp {
-                    self.visited[y as usize] = stamp;
-                    self.stack.push(y);
-                }
-            }
-        }
+        self.reach(false, u, lb, &mut { u64::MAX });
         // Reorder: δB (sources) must precede δF (sinks). Pool their current
         // priorities and redistribute.
         let ord = &mut self.ord;
@@ -501,7 +474,6 @@ impl AcyclicityTheory {
         lemmas: &mut Vec<Vec<Lit>>,
     ) {
         let call = self.next_stamp();
-        self.back.resize(self.n, (0, None));
         for e in self.guard_range(lit) {
             let (u, v) = self.guard_edges[e];
             if !self.reach(true, v, 0, budget) {
@@ -513,8 +485,8 @@ impl AcyclicityTheory {
             let limit = self.ord[u as usize];
             let mut floor = u32::MAX;
             for &a in &self.delta_f {
-                let from = self.out.active_start[a as usize] as usize;
-                let to = self.out.active_start[a as usize + 1] as usize;
+                let from = self.out.start[a as usize] as usize;
+                let to = self.out.start[a as usize + 1] as usize;
                 if !charge(budget, to - from) {
                     return;
                 }
@@ -568,29 +540,37 @@ impl AcyclicityTheory {
     /// `delta_f` / `parent`, or backward along in-edges into `delta_b` /
     /// `back` — over nodes at positions `>= floor`, marking `visited` with
     /// a fresh stamp (left in `self.stamp`). Charges `budget` one unit per
-    /// node and adjacency entry; `false` when it ran dry mid-search.
+    /// node and adjacency entry, once the node's entries are walked; `false`
+    /// when it ran dry mid-search (what the search left is then unused).
     fn reach(&mut self, forward: bool, from: u32, floor: u32, budget: &mut u64) -> bool {
         let stamp = self.next_stamp();
-        let (adj, tree, reached) = if forward {
-            (&self.out, &mut self.parent, &mut self.delta_f)
-        } else {
-            (&self.inn, &mut self.back, &mut self.delta_b)
-        };
+        let Self { known, ord, visited, stack, out, inn, parent, back, delta_f, delta_b, .. } =
+            self;
+        let (active, tree, reached) =
+            if forward { (out, parent, delta_f) } else { (inn, back, delta_b) };
         reached.clear();
-        self.stack.clear();
-        self.stack.push(from);
-        self.visited[from as usize] = stamp;
-        while let Some(x) = self.stack.pop() {
-            if !charge(budget, 1 + adj.degree(x)) {
-                return false;
-            }
+        stack.clear();
+        stack.push(from);
+        visited[from as usize] = stamp;
+        while let Some(x) = stack.pop() {
             reached.push(x);
-            for (y, guard) in adj.edges(x) {
-                if self.ord[y as usize] >= floor && self.visited[y as usize] != stamp {
-                    self.visited[y as usize] = stamp;
+            let mut degree = 0;
+            let mut visit = |y: u32, guard: Option<Lit>| {
+                degree += 1;
+                if ord[y as usize] >= floor && visited[y as usize] != stamp {
+                    visited[y as usize] = stamp;
                     tree[y as usize] = (x, guard);
-                    self.stack.push(y);
+                    stack.push(y);
                 }
+            };
+            if forward {
+                known.out(x).for_each(|y| visit(y, None));
+            } else {
+                known.inn(x).for_each(|y| visit(y, None));
+            }
+            active.of(x).iter().for_each(|&(y, g)| visit(y, Some(g)));
+            if !charge(budget, 1 + degree) {
+                return false;
             }
         }
         true
@@ -601,7 +581,7 @@ impl AcyclicityTheory {
     /// and of every edge whose guard `is_true`, strictly before its target.
     ///
     /// `true` proves known ∪ enabled acyclic — `ord` is a permutation
-    /// (`finalize` assigns one, Pearce–Kelly only redistributes slots), and
+    /// (the known edges' order is one, Pearce–Kelly only redistributes slots), and
     /// a cycle cannot descend strictly all the way round — at the cost of
     /// one pass over the edges and no allocation. The enabled edges are read
     /// from the registered edge list, not from the activation log, so the
@@ -613,7 +593,7 @@ impl AcyclicityTheory {
     /// model; the tests hold it against a rebuild-and-sort reference.
     pub fn order_certifies(&self, is_true: impl Fn(Lit) -> bool) -> bool {
         let in_order = |u: u32, v: u32| self.ord[u as usize] < self.ord[v as usize];
-        let known = (0..self.n as u32).all(|u| self.out.known(u).iter().all(|&v| in_order(u, v)));
+        let known = (0..self.n as u32).all(|u| self.known.out(u).all(|v| in_order(u, v)));
         known && self.symbolic.iter().filter(|e| is_true(e.0)).all(|&(_, u, v)| in_order(u, v))
     }
 }
@@ -642,12 +622,17 @@ pub(crate) mod tests {
         Lit::pos(Var(i))
     }
 
+    /// A theory over `n` nodes, its known edges staged.
+    pub(crate) fn theory(n: usize) -> AcyclicityTheory {
+        AcyclicityTheory::with_known(Staged::new(n))
+    }
+
     /// The order-independent reference for a *complete* assignment: with
     /// `is_true(lit)` deciding guard truth, rebuild the full graph (known +
     /// all enabled symbolic edges) and sort it topologically.
     pub(crate) fn validate_model(t: &AcyclicityTheory, is_true: impl Fn(Lit) -> bool) -> bool {
-        let mut out: Vec<Vec<u32>> = (0..t.n as u32).map(|u| t.out.known(u).to_vec()).collect();
-        for &(u, v) in &t.staged {
+        let mut out: Vec<Vec<u32>> = (0..t.n as u32).map(|u| t.known.out(u).collect()).collect();
+        for &(u, v) in &t.known.staged {
             out[u as usize].push(v);
         }
         for &(guard, u, v) in &t.symbolic {
@@ -699,58 +684,52 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn known_dag_finalizes() {
-        let mut t = AcyclicityTheory::new(3);
-        t.add_known_edge(0, 1);
-        t.add_known_edge(1, 2);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+    fn known_dag_starts() {
+        let mut t = theory(3);
+        t.known.add_edge(0, 1);
+        t.known.add_edge(1, 2);
+        assert!(t.start());
     }
 
     #[test]
-    fn finalize_keeps_each_node_s_edges_in_insertion_order() {
-        let mut t = AcyclicityTheory::new(4);
+    fn staging_keeps_each_node_s_edges_in_insertion_order() {
+        let mut t = theory(4);
         for (u, v) in [(2, 3), (0, 3), (0, 1), (2, 0), (0, 2), (1, 3)] {
-            t.add_known_edge(u, v);
+            t.known.add_edge(u, v);
         }
         // 2 → 0 → 2 is a cycle; the layout is what is under test.
-        assert!(matches!(t.finalize(), KnownGraph::Cyclic(_)));
-        assert_eq!(t.out.known(0), [3, 1, 2]);
-        assert_eq!(t.out.known(2), [3, 0]);
-        assert_eq!(t.inn.known(3), [2, 0, 1]);
-        assert_eq!(t.inn.known(0), [2]);
+        assert!(!t.start());
+        assert_eq!(t.known.out(0).collect::<Vec<_>>(), [3, 1, 2]);
+        assert_eq!(t.known.out(2).collect::<Vec<_>>(), [3, 0]);
+        assert_eq!(t.known.inn(3).collect::<Vec<_>>(), [2, 0, 1]);
+        assert_eq!(t.known.inn(0).collect::<Vec<_>>(), [2]);
         assert_eq!(t.size(), 4 + 6);
     }
 
     #[test]
-    fn known_cycle_detected_with_witness() {
-        let mut t = AcyclicityTheory::new(4);
-        t.add_known_edge(0, 1);
-        t.add_known_edge(1, 2);
-        t.add_known_edge(2, 1);
-        match t.finalize() {
-            KnownGraph::Cyclic(c) => {
-                assert_eq!(c.len(), 2);
-                assert!(c.contains(&1) && c.contains(&2));
-            }
-            other => panic!("expected cycle, got {other:?}"),
-        }
+    fn known_cycle_fails_the_start() {
+        let mut t = theory(4);
+        t.known.add_edge(0, 1);
+        t.known.add_edge(1, 2);
+        t.known.add_edge(2, 1);
+        assert!(!t.start(), "1 → 2 → 1 is a known cycle");
     }
 
     #[test]
     fn symbolic_edge_closing_known_path_conflicts() {
-        let mut t = AcyclicityTheory::new(3);
-        t.add_known_edge(0, 1);
-        t.add_known_edge(1, 2);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(3);
+        t.known.add_edge(0, 1);
+        t.known.add_edge(1, 2);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 2, 0);
         assert_eq!(t.activate(lit(0), 0), Some(vec![!lit(0)]));
     }
 
     #[test]
     fn two_symbolic_edges_conflict_lists_both_guards() {
-        let mut t = AcyclicityTheory::new(3);
-        t.add_known_edge(0, 1);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(3);
+        t.known.add_edge(0, 1);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 1, 2);
         t.add_symbolic_edge(lit(1), 2, 0);
         assert_eq!(t.activate(lit(0), 0), None);
@@ -762,8 +741,8 @@ pub(crate) mod tests {
 
     #[test]
     fn rollback_removes_edges() {
-        let mut t = AcyclicityTheory::new(2);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(2);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 0, 1);
         t.add_symbolic_edge(lit(1), 1, 0);
         assert_eq!(t.activate(lit(0), 5), None);
@@ -776,17 +755,17 @@ pub(crate) mod tests {
 
     #[test]
     fn self_loop_is_immediate_conflict() {
-        let mut t = AcyclicityTheory::new(1);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(1);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 0, 0);
         assert_eq!(t.activate(lit(0), 0), Some(vec![!lit(0)]));
     }
 
     #[test]
     fn validate_model_agrees() {
-        let mut t = AcyclicityTheory::new(3);
-        t.add_known_edge(0, 1);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(3);
+        t.known.add_edge(0, 1);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 1, 2);
         t.add_symbolic_edge(lit(1), 2, 0);
         assert!(validate_model(&t, |l| l == lit(0)));
@@ -795,9 +774,9 @@ pub(crate) mod tests {
 
     #[test]
     fn order_certificate_passes_activated_models_and_fails_stale_orders() {
-        let mut t = AcyclicityTheory::new(3);
-        t.add_known_edge(0, 1);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(3);
+        t.known.add_edge(0, 1);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 1, 2);
         t.add_symbolic_edge(lit(1), 2, 0);
         // A true guard that was never activated: nothing ordered its edges.
@@ -818,7 +797,7 @@ pub(crate) mod tests {
 
     #[test]
     fn guard_lits_enumerates() {
-        let mut t = AcyclicityTheory::new(2);
+        let mut t = theory(2);
         t.add_symbolic_edge(lit(3), 0, 1);
         t.add_symbolic_edge(!lit(0), 1, 0);
         t.add_symbolic_edge(lit(3), 1, 0);
@@ -830,8 +809,8 @@ pub(crate) mod tests {
     fn reordering_keeps_later_insertions_cheap() {
         // Insert edges against the initial order, then verify a long chain
         // of further in-order edges is accepted.
-        let mut t = AcyclicityTheory::new(6);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(6);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 5, 0);
         t.add_symbolic_edge(lit(1), 0, 3);
         t.add_symbolic_edge(lit(2), 3, 1);
@@ -851,8 +830,8 @@ pub(crate) mod tests {
     fn edges_added_after_activations_keep_the_active_ones() {
         // Two active edges out of node 0, then a re-index: both survive, in
         // activation order, and roll back in LIFO order.
-        let mut t = AcyclicityTheory::new(4);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(4);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 0, 2);
         t.add_symbolic_edge(lit(1), 0, 1);
         assert_eq!(t.activate(lit(1), 0), None);
@@ -860,20 +839,20 @@ pub(crate) mod tests {
         t.add_symbolic_edge(lit(2), 0, 3);
         t.add_symbolic_edge(lit(3), 2, 0);
         assert_eq!(t.activate(lit(2), 2), None);
-        assert_eq!(t.out.active(0), [(1, lit(1)), (2, lit(0)), (3, lit(2))]);
-        assert_eq!(t.inn.active(2), [(0, lit(0))]);
+        assert_eq!(t.out.of(0), [(1, lit(1)), (2, lit(0)), (3, lit(2))]);
+        assert_eq!(t.inn.of(2), [(0, lit(0))]);
         assert_eq!(t.activate(lit(3), 3), Some(vec![!lit(0), !lit(3)]));
         t.rollback(1);
-        assert_eq!(t.out.active(0), [(1, lit(1))]);
+        assert_eq!(t.out.of(0), [(1, lit(1))]);
         assert_eq!(t.activate(lit(3), 1), None);
     }
 
     #[test]
     fn mixed_known_and_symbolic_cycle_reports_only_guards() {
-        let mut t = AcyclicityTheory::new(4);
-        t.add_known_edge(0, 1);
-        t.add_known_edge(2, 3);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(4);
+        t.known.add_edge(0, 1);
+        t.known.add_edge(2, 3);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 1, 2);
         t.add_symbolic_edge(lit(1), 3, 0);
         assert_eq!(t.activate(lit(0), 0), None);
@@ -888,10 +867,10 @@ pub(crate) mod tests {
         // Known 0 → 1 and 2 → 3; x0 guards 1 → 2. Once it is in, x1 (3 → 0)
         // would close 0 → 1 → 2 → 3 → 0 and x2 (3 → 1) the shorter cycle;
         // x3 (0 → 3) runs along the order and stays free.
-        let mut t = AcyclicityTheory::new(4);
-        t.add_known_edge(0, 1);
-        t.add_known_edge(2, 3);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(4);
+        t.known.add_edge(0, 1);
+        t.known.add_edge(2, 3);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 1, 2);
         t.add_symbolic_edge(lit(1), 3, 0);
         t.add_symbolic_edge(lit(2), 3, 1);
@@ -909,8 +888,8 @@ pub(crate) mod tests {
     fn propagation_reasons_carry_the_guards_of_both_paths() {
         // Chain of symbolic edges 0 → 1 → 2 → 3 activated out of order, so
         // the last activation (1 → 2) has guards before and behind it.
-        let mut t = AcyclicityTheory::new(4);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(4);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 0, 1);
         t.add_symbolic_edge(lit(1), 1, 2);
         t.add_symbolic_edge(lit(2), 2, 3);
@@ -928,8 +907,8 @@ pub(crate) mod tests {
 
     #[test]
     fn propagation_skips_false_guards_and_reports_true_ones() {
-        let mut t = AcyclicityTheory::new(2);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(2);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 0, 1);
         t.add_symbolic_edge(lit(1), 1, 0);
         t.add_symbolic_edge(lit(2), 1, 0);
@@ -942,10 +921,10 @@ pub(crate) mod tests {
 
     #[test]
     fn propagation_charges_what_it_touches_and_stops_when_dry() {
-        let mut t = AcyclicityTheory::new(4);
-        t.add_known_edge(0, 1);
-        t.add_known_edge(2, 3);
-        assert_eq!(t.finalize(), KnownGraph::Acyclic);
+        let mut t = theory(4);
+        t.known.add_edge(0, 1);
+        t.known.add_edge(2, 3);
+        assert!(t.start());
         t.add_symbolic_edge(lit(0), 1, 2);
         t.add_symbolic_edge(lit(1), 3, 0);
         assert_eq!(t.activate(lit(0), 0), None);
