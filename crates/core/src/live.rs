@@ -209,7 +209,7 @@ impl LiveChecker {
         let obs = Obs::default();
         LiveChecker {
             cfg,
-            checker: StreamingChecker::new(isolation, opts),
+            checker: StreamingChecker::new(isolation, opts).with_obs(obs.clone()),
             counters: IngestCounters::register(&obs.metrics),
             obs,
             lanes: Vec::new(),

@@ -4,6 +4,7 @@
 //! constraint.
 
 use crate::edge::{Edge, Label};
+use crate::graph::KnownGraph;
 use crate::polygraph::ConstraintMode;
 use polysi_history::{Facts, Key, TxnId};
 use std::collections::BTreeMap;
@@ -260,16 +261,17 @@ impl ConstraintSet {
     }
 }
 
-/// The constraints between every two writers of each key of one unit,
-/// before any is stored (procedure `GenerateConstraints` of Algorithm 2):
-/// per key, its writers and their readers in unit-local ids. Each writer is
-/// a *row*. A whole unit's generator yields, row by row, each writer's
-/// pairs with the later writers of its key, in key, then writer-pair order;
-/// a delta's ([`ConstraintGen::delta`]) yields only the pairs its *runs*
-/// name. Either goes to one of two consumers: [`ConstraintGen::store`]
-/// keeps every constraint, and the first pass of
-/// [`crate::Polygraph::prune_generated`] (a delta's:
-/// [`crate::Polygraph::prune_resume`]) stores only the undecided ones.
+/// The constraints between the writers of each key of one unit, before any
+/// is stored (procedure `GenerateConstraints` of Algorithm 2): per key, its
+/// writers and their readers in unit-local ids. Each writer is a *row*. A
+/// whole unit's generator pairs every two writers of a key: row by row,
+/// each writer with the later writers of its key, in key, then writer-pair
+/// order; a delta's ([`ConstraintGen::delta`]) yields only the pairs its
+/// *runs* name. [`ConstraintGen::store`] keeps every constraint. The first
+/// pass of [`crate::Polygraph::prune_generated`] narrows a whole unit's
+/// pairs to those its oracle leaves to decide ([`ConstraintGen::covers`]),
+/// and it (a delta's: [`crate::Polygraph::prune_resume`]) stores only the
+/// undecided ones.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintGen {
     mode: ConstraintMode,
@@ -423,12 +425,7 @@ impl ConstraintGen {
     /// baselines, tests). The counts size the store exactly, so it takes a
     /// fixed number of allocations however many constraints come out.
     pub fn store(&self) -> ConstraintSet {
-        let mut set = ConstraintSet {
-            edges: Vec::with_capacity(self.edges),
-            records: Vec::with_capacity(self.constraints),
-        };
-        self.visit(0..self.len(), &mut set, &mut |_| Some(true));
-        set
+        store(self, self.len(), self.counts())
     }
 
     /// Its units of generation: rows, or a delta's runs.
@@ -438,6 +435,144 @@ impl ConstraintGen {
 
     fn readers(&self, row: usize) -> &[TxnId] {
         &self.readers[self.reader_at[row] as usize..self.reader_at[row + 1] as usize]
+    }
+
+    /// Each unit of `units` of a whole unit's generator, as (key, row, end
+    /// of the key's rows).
+    fn rows(&self, units: Range<usize>) -> impl Iterator<Item = (Key, usize, usize)> + '_ {
+        let mut k = self.keys.partition_point(|&(_, first)| first as usize <= units.start);
+        units.map(move |row| {
+            while self.keys[k].1 as usize <= row {
+                k += 1;
+            }
+            (self.keys[k - 1].0, row, self.keys[k].1 as usize)
+        })
+    }
+
+    /// A whole unit's pairs narrowed to those the fixed oracle `kg` leaves
+    /// to decide: a writer pair of a key is generated if `kg` orders
+    /// neither writer before the other (*incomparable*), or if it is a
+    /// *cover*, `wᵢ ⇝ wⱼ` with no third writer `wₘ` of the key between
+    /// them (`wᵢ ⇝ wₘ ⇝ wⱼ`). An omitted pair is ordered, so a first prune
+    /// pass would force its side `wᵢ` first, and that side follows from
+    /// the sides its cover chain `wᵢ = c₀ ⇝ c₁ ⇝ … ⇝ c_L = wⱼ` forces
+    /// (each edge of a forced side ends up inserted or implied):
+    ///
+    /// * `WW wᵢ→wⱼ`: the forced `WW c_{L-1}→wⱼ` leaves a `Dep` predecessor
+    ///   `p` of `wⱼ` that is `c_{L-1}` or reached from it, and
+    ///   `wᵢ ⇝ c_{L-1}`, so both layered images are implied;
+    /// * `RW r→wⱼ` for a reader `r ≠ c₁` of `wᵢ`: the forced `RW r→c₁`
+    ///   and `c₁ ⇝ wⱼ` give `M(r) ⇝ B(wⱼ)`;
+    /// * `RW c₁→wⱼ` when `c₁` reads the key from `wᵢ` (and writes it):
+    ///   not implied, and not needed. A cycle through its image
+    ///   `M(c₁) → B(wⱼ)` enters `M(c₁)` from some `B(x)` by a `Dep` edge
+    ///   `x → c₁`, whose other image `B(x) → B(c₁)` and `c₁ ⇝ wⱼ` close
+    ///   the same cycle without it; so no verdict, no pruning decision and
+    ///   no `B`-to-`B` reachability depends on it. Under SER the edge is
+    ///   `c₁ → wⱼ` and `c₁ ⇝ wⱼ` implies it.
+    ///
+    /// An omitted pair both of whose sides are impossible makes its chain's
+    /// first pair `(wᵢ, c₁)` contradictory too: an `RW r→wⱼ` that closes a
+    /// cycle makes `RW r→c₁` close one through `c₁ ⇝ wⱼ`. And every endpoint
+    /// of an omitted pair's forced side is one of a generated pair's, so
+    /// the pass marks the transactions it would have. The survivors and
+    /// the verdict are therefore those of every pair.
+    ///
+    /// The search needs no session data, so it serves SI and SER and both
+    /// modes alike. Per key, the rows (ascending ids) split into maximal
+    /// runs in which each row reaches the next; of a run, the rows reaching
+    /// a writer form a prefix and the rows it reaches a suffix, so two
+    /// binary searches per run give a writer its incomparable rows and one
+    /// candidate cover on each side, and the candidates another candidate
+    /// dominates are dropped, visiting them in `kg`'s topological order.
+    pub fn covers(&self, kg: &KnownGraph) -> Covers<'_> {
+        debug_assert!(self.runs.is_none(), "a delta's pairs are not narrowed");
+        let mut covers = Covers {
+            gen: self,
+            later_at: Vec::with_capacity(self.writers.len() + 1),
+            later: Vec::new(),
+            constraints: 0,
+            edges: 0,
+            omitted: 0,
+        };
+        let reaches = |a: usize, b: usize| kg.reaches(self.writers[a], self.writers[b]);
+        let ord = |row: usize| kg.layered_order()[self.writers[row].idx()];
+        covers.later_at.push(0);
+        // Scratch for the largest key: run bounds, the candidates below
+        // and above a row, and the undominated ones.
+        let most = self.keys.windows(2).map(|w| (w[1].1 - w[0].1) as usize).max().unwrap_or(0);
+        let mut bounds = Vec::with_capacity(most + 1);
+        let [mut below, mut above, mut kept] = [(); 3].map(|_| Vec::with_capacity(most));
+        for key in self.keys.windows(2) {
+            let (first, end) = (key[0].1 as usize, key[1].1 as usize);
+            let k = end - first;
+            covers.omitted += k * (k - 1) / 2;
+            bounds.clear();
+            bounds.push(first);
+            // Two writers are always kept: incomparable or a cover.
+            if k > 2 {
+                bounds.extend((first + 1..end).filter(|&r| !reaches(r - 1, r)));
+            }
+            bounds.push(end);
+            for row in first..end {
+                let start = covers.later.len();
+                if k <= 2 {
+                    covers.later.extend(row as u32 + 1..end as u32);
+                } else {
+                    below.clear();
+                    above.clear();
+                    for run in bounds.windows(2) {
+                        let (s, e) = (run[0], run[1]);
+                        let (p, q) = if (s..e).contains(&row) {
+                            (row, row + 1)
+                        } else {
+                            let p = prefix_end(s..e, |x| reaches(x, row));
+                            (p, prefix_end(p..e, |x| !reaches(row, x)))
+                        };
+                        below.extend((p > s).then(|| p - 1));
+                        above.extend((q < e).then_some(q));
+                        covers.later.extend((p.max(row + 1)..q).map(|x| x as u32));
+                    }
+                    // The nearest candidates first: a candidate is
+                    // dominated iff it lies beyond one that is not.
+                    below.sort_unstable_by_key(|&c| std::cmp::Reverse(ord(c)));
+                    above.sort_unstable_by_key(|&c| ord(c));
+                    for (cands, up) in [(&below, true), (&above, false)] {
+                        kept.clear();
+                        for &c in cands.iter() {
+                            let beyond =
+                                |&m: &usize| if up { reaches(c, m) } else { reaches(m, c) };
+                            if !kept.iter().any(beyond) {
+                                kept.push(c);
+                            }
+                        }
+                        covers.later.extend(kept.iter().filter(|&&c| c > row).map(|&c| c as u32));
+                    }
+                    covers.later[start..].sort_unstable();
+                }
+                for &s in &covers.later[start..] {
+                    let (constraints, edges) = self.pair_counts(row, s as usize);
+                    covers.constraints += constraints;
+                    covers.edges += edges;
+                }
+                covers.later_at.push(offset(covers.later.len()));
+            }
+        }
+        covers.omitted -= covers.later.len();
+        covers
+    }
+
+    /// The constraints and edges of the pair of rows `t` and `s`.
+    fn pair_counts(&self, t: usize, s: usize) -> (usize, usize) {
+        let other = |row: usize, w: usize| {
+            let readers = self.readers(row);
+            readers.len() - readers.contains(&self.writers[w]) as usize
+        };
+        let readers = other(t, s) + other(s, t);
+        match self.mode {
+            ConstraintMode::Generalized => (1, 2 + readers),
+            ConstraintMode::Plain => (1 + readers, 2 * (1 + readers)),
+        }
     }
 
     /// Generate the constraints of rows `t` before `s` of `key` into the
@@ -485,25 +620,10 @@ impl Source for ConstraintGen {
     fn chunks(&self, target: usize) -> Vec<Range<usize>> {
         // What each unit of generation yields (approximate under `Plain`:
         // chunking only balances work).
-        let yields: Box<dyn Iterator<Item = usize> + '_> = match &self.runs {
-            None => Box::new(self.keys.windows(2).flat_map(|key| {
-                let (first, end) = (key[0].1 as usize, key[1].1 as usize);
-                (first..end).map(move |row| end - row - 1)
-            })),
-            Some(runs) => Box::new(runs.iter().map(|run| (run.ts.1 - run.ts.0) as usize)),
-        };
-        let (mut out, mut start, mut yielded) = (Vec::new(), 0, 0usize);
-        for (unit, n) in yields.enumerate() {
-            yielded += n;
-            if yielded >= target {
-                out.push(start..unit + 1);
-                (start, yielded) = (unit + 1, 0);
-            }
+        match &self.runs {
+            None => chunks(self.rows(0..self.len()).map(|(_, row, end)| end - row - 1), target),
+            Some(runs) => chunks(runs.iter().map(|run| (run.ts.1 - run.ts.0) as usize), target),
         }
-        if start < self.len() {
-            out.push(start..self.len());
-        }
-        out
     }
 
     fn visit(
@@ -525,12 +645,7 @@ impl Source for ConstraintGen {
             }
             return true;
         }
-        let mut k = self.keys.partition_point(|&(_, first)| first as usize <= units.start);
-        for row in units {
-            while self.keys[k].1 as usize <= row {
-                k += 1;
-            }
-            let (key, end) = (self.keys[k - 1].0, self.keys[k].1 as usize);
+        for (key, row, end) in self.rows(units) {
             for s in row + 1..end {
                 if !self.visit_pair(key, (row, s), &mut pair, open, test) {
                     return false;
@@ -539,6 +654,111 @@ impl Source for ConstraintGen {
         }
         true
     }
+}
+
+/// A whole unit's generator narrowed to the pairs a fixed oracle leaves to
+/// decide ([`ConstraintGen::covers`]), in the generator's order.
+#[derive(Debug)]
+pub struct Covers<'g> {
+    gen: &'g ConstraintGen,
+    /// Row `r` pairs with rows `later[later_at[r]..later_at[r + 1]]`, all
+    /// after it in its key, ascending.
+    later_at: Vec<u32>,
+    later: Vec<u32>,
+    constraints: usize,
+    edges: usize,
+    omitted: usize,
+}
+
+impl Covers<'_> {
+    /// The constraints it yields and their uncertain edges, in total.
+    pub fn counts(&self) -> (usize, usize) {
+        (self.constraints, self.edges)
+    }
+
+    /// The writer pairs it yields.
+    pub fn pairs(&self) -> usize {
+        self.later.len()
+    }
+
+    /// The writer pairs of the generator it omits: comparable, not covers.
+    pub fn omitted(&self) -> usize {
+        self.omitted
+    }
+
+    /// Every constraint it yields, stored.
+    pub fn store(&self) -> ConstraintSet {
+        store(self, self.later_at.len() - 1, self.counts())
+    }
+
+    fn later(&self, row: usize) -> &[u32] {
+        &self.later[self.later_at[row] as usize..self.later_at[row + 1] as usize]
+    }
+}
+
+impl Source for Covers<'_> {
+    fn chunks(&self, target: usize) -> Vec<Range<usize>> {
+        chunks(self.later_at.windows(2).map(|w| (w[1] - w[0]) as usize), target)
+    }
+
+    fn visit(
+        &self,
+        units: Range<usize>,
+        open: &mut ConstraintSet,
+        test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
+    ) -> bool {
+        let mut pair = ConstraintSet::new();
+        for (key, row, _) in self.gen.rows(units) {
+            for &s in self.later(row) {
+                if !self.gen.visit_pair(key, (row, s as usize), &mut pair, open, test) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Every constraint of the `units` units of `source`, stored, sized by
+/// its exact `counts`.
+fn store(source: &dyn Source, units: usize, (constraints, edges): (usize, usize)) -> ConstraintSet {
+    let mut set = ConstraintSet {
+        edges: Vec::with_capacity(edges),
+        records: Vec::with_capacity(constraints),
+    };
+    source.visit(0..units, &mut set, &mut |_| Some(true));
+    set
+}
+
+/// Consecutive unit ranges covering the units whose yields are `yields`,
+/// each yielding about `target` constraints.
+fn chunks(yields: impl Iterator<Item = usize>, target: usize) -> Vec<Range<usize>> {
+    let (mut out, mut start, mut yielded, mut len) = (Vec::new(), 0, 0usize, 0);
+    for (unit, n) in yields.enumerate() {
+        (yielded, len) = (yielded + n, unit + 1);
+        if yielded >= target {
+            out.push(start..len);
+            (start, yielded) = (len, 0);
+        }
+    }
+    if start < len {
+        out.push(start..len);
+    }
+    out
+}
+
+/// The end of the prefix of `range` on which `holds` holds.
+fn prefix_end(range: Range<usize>, holds: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (range.start, range.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 impl Source for ConstraintSet {

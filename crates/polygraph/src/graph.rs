@@ -287,10 +287,15 @@ impl<T: Copy + Default> Csr<T> {
         self.row(u).iter().chain(self.pushed(u))
     }
 
-    /// Node `u`'s entries pushed since the last fold.
+    /// Node `u`'s entries pushed since the last fold; on a folded index,
+    /// none, without a read of its list ends.
     #[inline]
     fn pushed(&self, u: usize) -> Links<'_, T> {
-        let at = self.ends.get(u).map_or(NONE, |&(head, _)| head);
+        let at = if self.more.is_empty() {
+            NONE
+        } else {
+            self.ends.get(u).map_or(NONE, |&(head, _)| head)
+        };
         Links { more: &self.more, at }
     }
 
@@ -298,7 +303,7 @@ impl<T: Copy + Default> Csr<T> {
     /// on a folded index, a test of one length.
     #[inline]
     fn any_pushed(&self, u: usize, hit: impl FnMut(&T) -> bool) -> bool {
-        !self.more.is_empty() && self.pushed(u).any(hit)
+        self.pushed(u).any(hit)
     }
 
     /// Every entry of every list.

@@ -12,7 +12,8 @@
 //!   (Definition 8) constraints in one flat edge arena, read through
 //!   borrowed [`ConstraintRef`] views;
 //! * [`ConstraintGen`] — a unit's constraints before any is stored, to be
-//!   stored whole or fed straight into the first prune pass;
+//!   stored whole or fed straight into the first prune pass, which
+//!   generates only the pairs its oracle leaves to decide ([`Covers`]);
 //! * [`Polygraph::from_history`] — construction from a history's
 //!   [`polysi_history::Facts`];
 //! * [`Polygraph::prune`] / [`Polygraph::prune_generated`] — the paper's
@@ -40,7 +41,7 @@ mod edge;
 mod graph;
 mod polygraph;
 
-pub use constraint::{ConstraintGen, ConstraintRef, ConstraintSet};
+pub use constraint::{ConstraintGen, ConstraintRef, ConstraintSet, Covers};
 pub use edge::{Edge, Label};
 pub use graph::{layered_images, DepGraph, Flush, KnownGraph, KnownGraphResult, OracleKind};
 pub use polygraph::{

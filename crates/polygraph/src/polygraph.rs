@@ -300,11 +300,14 @@ impl Polygraph {
         self.prune_loop(None, None, opts, tracer)
     }
 
-    /// [`Polygraph::prune`] whose first pass tests the constraints of `gen`
-    /// as they are generated and stores only the undecided ones
-    /// (`constraints` must be empty). Decisions, stats and the oracle are
-    /// those of [`Polygraph::prune`] on `gen.store()`; a cyclic known graph
-    /// generates nothing.
+    /// [`Polygraph::prune`] whose first pass generates the constraints of a
+    /// whole unit's `gen` that its oracle leaves to decide
+    /// ([`ConstraintGen::covers`]), tests them as they are generated and
+    /// stores only the undecided ones (`constraints` must be empty).
+    /// Decisions, stats and the oracle are those of [`Polygraph::prune`] on
+    /// `gen.covers(oracle).store()`; its verdict and survivors are those on
+    /// `gen.store()`. A cyclic known graph generates nothing. The first
+    /// `prune.pass` span carries the pairs `generated` and `omitted`.
     pub fn prune_generated(
         &mut self,
         gen: &ConstraintGen,
@@ -345,7 +348,7 @@ impl Polygraph {
     /// The first pass reads the stored constraints, then those of `gen`.
     fn prune_loop(
         &mut self,
-        mut gen: Option<&ConstraintGen>,
+        gen: Option<&ConstraintGen>,
         resume: Option<(Box<KnownGraph>, &[bool])>,
         opts: &PruneOptions,
         tracer: &Tracer,
@@ -361,7 +364,16 @@ impl Polygraph {
                 KnownGraphResult::Cyclic(cycle) => return (PruneResult::Violation(cycle), None),
             },
         };
-        let generated = gen.map_or((0, 0), ConstraintGen::counts);
+        // A whole unit's first pass generates only the pairs its fixed
+        // oracle leaves to decide.
+        let covers = match (gen, seed) {
+            (Some(gen), None) => Some(gen.covers(&kg)),
+            _ => None,
+        };
+        let (mut first, generated): (Option<&dyn Source>, _) = match (&covers, gen) {
+            (Some(covers), _) => (Some(covers), covers.counts()),
+            (None, gen) => (gen.map(|gen| gen as &dyn Source), gen.map_or((0, 0), |g| g.counts())),
+        };
         let (constraints_before, unknown_deps_before) =
             (self.constraints.len() + generated.0, self.unknown_deps() + generated.1);
         let mut stats = PruneStats {
@@ -382,10 +394,10 @@ impl Polygraph {
         loop {
             stats.iterations += 1;
             let input = std::mem::take(&mut self.constraints);
-            let gen = gen.take();
+            let gen = first.take();
             let filter = touched.as_deref();
             // Every generated constraint is incident to the seed.
-            let worklist = gen.map_or(0, |gen| gen.counts().0)
+            let worklist = gen.map_or(0, |_| generated.0)
                 + match filter {
                     None => input.len(),
                     Some(t) => input.iter().filter(|c| c.incident(t)).count(),
@@ -398,6 +410,10 @@ impl Polygraph {
                 "prune.pass",
                 polysi_obs::kv! { pass: stats.iterations, worklist: worklist },
             );
+            if let Some(covers) = covers.as_ref().filter(|_| stats.iterations == 1) {
+                pass_span.attr("generated", covers.pairs());
+                pass_span.attr("omitted", covers.omitted());
+            }
             let parallel = opts.threads > 1 && worklist >= opts.parallel_min.max(2);
             let target = if parallel { chunk_target(worklist, opts.threads) } else { usize::MAX };
             let chunks: Vec<(&dyn Source, Range<usize>)> = sources
@@ -518,9 +534,9 @@ impl ChunkOut {
 /// Below this worklist size a sweep stays in-place whatever
 /// [`PruneOptions::threads`] says: a parallel sweep costs more in thread
 /// setup than it saves. The first pass counts the constraints it will test
-/// — generated ones too. Measured on
-/// the 2-core container: a sweep costs ~0.12 µs of CPU per constraint
-/// (`batch_general`: 567 k constraints in ~40 ms on two threads), and
+/// — generated ones too. Measured on a 2-core machine: a sweep costs
+/// ~0.12 µs of CPU per constraint (all 567 k writer pairs of
+/// `batch_general` in ~40 ms on two threads), and
 /// fanning one pass out costs ~0.25–0.5 ms in spawn + join (the
 /// benchmark's `stream.auto_threads_s` on `stream_soak`, 1024 checkpoints
 /// under `Auto` threads: 1.68 s with a 1024 cut-off, 1.20 s with this one

@@ -4,12 +4,97 @@
 // order through `KnownGraph::insert_edges`, the forced constraints dropped
 // from the store — sequential, as the production sweep's results do not
 // depend on its thread count. The reference the generated first pass is
-// held against; `include!`d by the facade's `tests/prune_parallel.rs` in a
-// module whose parent has the polygraph types in scope.
+// held against, over the pairs it generates (`ConstraintGen::covers`);
+// and, over every pair, the reference those pairs are held against
+// (`check_covers`). `include!`d by the facade's `tests/prune_parallel.rs`
+// in a module whose parent has the polygraph types in scope.
 
 use super::{
-    Edge, Flush, KnownGraph, KnownGraphResult, Label, Polygraph, PruneResult, PruneStats, Semantics,
+    ConstraintGen, ConstraintSet, Edge, Flush, KnownGraph, KnownGraphResult, Label, Polygraph,
+    PruneResult, PruneStats, Semantics, TxnId,
 };
+
+/// What [`check_covers`] saw on one unit.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CoversSeen {
+    /// Writer pairs omitted.
+    pub omitted: usize,
+    /// Forced edges of omitted pairs that the final oracle implies.
+    pub implied: usize,
+    /// Forced `RW f→t` edges of omitted pairs that it does not imply,
+    /// where `B(f) ⇝ B(t)` makes them redundant.
+    pub redundant: usize,
+}
+
+/// `g` (no constraint stored) pruned over every pair of `gen` and over the
+/// pairs [`ConstraintGen::covers`] keeps, both through the reference loop:
+/// the same verdict, and on acceptance the same survivors and the same
+/// `B`-to-`B` reachability between every two transactions. Every edge an
+/// omitted pair would have forced is implied by the narrowed run's final
+/// oracle, or is an `RW f→t` edge with `B(f) ⇝ B(t)` there.
+pub fn check_covers(g: &Polygraph, gen: &ConstraintGen) -> Result<CoversSeen, String> {
+    let oracle = |known: &[Edge]| match KnownGraph::build(g.n, known, g.semantics) {
+        KnownGraphResult::Acyclic(kg) => Some(kg),
+        KnownGraphResult::Cyclic(_) => None,
+    };
+    let Some(kg) = oracle(&g.known) else { return Ok(CoversSeen::default()) };
+    let covers = gen.covers(&kg);
+    let (every, kept) = (gen.store(), covers.store());
+    let run = |constraints: &ConstraintSet| {
+        let mut g = Polygraph { constraints: constraints.clone(), ..g.clone() };
+        let accepted = matches!(prune_materialized(&mut g), PruneResult::Pruned(_));
+        (accepted, g)
+    };
+    let ((accepted, full), (narrowed_accepted, narrowed)) = (run(&every), run(&kept));
+    if accepted != narrowed_accepted {
+        return Err(format!("verdicts: every pair {accepted}, covers {narrowed_accepted}"));
+    }
+    let mut seen = CoversSeen { omitted: covers.omitted(), ..Default::default() };
+    if !accepted {
+        return Ok(seen);
+    }
+    if full.constraints != narrowed.constraints {
+        return Err("survivors diverged".into());
+    }
+    let (kg_full, kg_narrowed) = (oracle(&full.known), oracle(&narrowed.known));
+    let (kg_full, kg_narrowed) = kg_full.zip(kg_narrowed).ok_or("an accepted prune left a cycle")?;
+    for (a, b) in (0..g.n as u32).flat_map(|a| (0..g.n as u32).map(move |b| (TxnId(a), TxnId(b)))) {
+        if kg_full.reaches(a, b) != kg_narrowed.reaches(a, b) {
+            return Err(format!("{a} ⇝ {b} diverged"));
+        }
+    }
+    // The omitted constraints: those of `every` that `kept`, a subsequence
+    // of it, skips. The initial oracle orders each pair, so the first pass
+    // finds one side of each impossible (an accepted run, not both); the
+    // other is forced.
+    let mut kept = kept.iter().peekable();
+    for c in every.iter() {
+        if kept.next_if_eq(&c).is_some() {
+            continue;
+        }
+        let impossible = |side: &[Edge]| {
+            side.iter().any(|e| match (g.semantics, e.label) {
+                (Semantics::Si, Label::Rw(_)) => kg.rw_closes_cycle(e.from, e.to),
+                _ => kg.reaches(e.to, e.from),
+            })
+        };
+        let forced = match (impossible(c.either), impossible(c.or)) {
+            (true, false) => c.or,
+            (false, true) => c.either,
+            sides => return Err(format!("an omitted constraint is not ordered: {sides:?} {c:?}")),
+        };
+        for &e in forced {
+            if kg_narrowed.implies(e) {
+                seen.implied += 1;
+            } else if matches!(e.label, Label::Rw(_)) && kg_narrowed.reaches(e.from, e.to) {
+                seen.redundant += 1;
+            } else {
+                return Err(format!("omitted edge {e:?} of {c:?} is neither implied nor redundant"));
+            }
+        }
+    }
+    Ok(seen)
+}
 
 /// Prune `g`, whose constraints are all stored, to the worklist fixpoint.
 /// `constraints_stored` is left 0: this loop has no first pass that stores.

@@ -91,8 +91,9 @@ fn general(txns_per_session: usize) -> History {
 
 /// Constraints generated for the general 20 × `txns_per_session` history,
 /// allocation calls of its construction, and how many more allocation
-/// calls its generated prune makes than a prune over the same constraints
-/// stored (which allocates for the oracle what the generated one does).
+/// calls its generated prune (which generates only the pairs its oracle
+/// leaves to decide) makes than a prune over all its constraints stored
+/// (which allocates for the oracle what the generated one does).
 fn construct(txns_per_session: usize) -> (usize, u64, i64) {
     let h = general(txns_per_session);
     let facts = Facts::analyze(&h);

@@ -391,3 +391,26 @@ fn fault_fixtures_match_their_templates() {
         assert_eq!(got, want, "{file} drifted from its template");
     }
 }
+
+/// A hub built with `LiveChecker::new` and no `with_obs` reports what its
+/// checkpoints did through `hub.obs()`: the checker under the hub records
+/// into the hub's own registry, so the prune and solver counters of a
+/// checkpoint that solves reach it.
+#[test]
+fn a_default_hub_sees_its_checkpoints_counters() {
+    let opts = EngineOptions { interpret: false, ..Default::default() };
+    let cfg = LiveConfig { checkpoint_every: 0, ..LiveConfig::default() };
+    let mut hub = LiveChecker::new(IsolationLevel::Si, opts, cfg);
+    let commit = TxnStatus::Committed;
+    // Two blind writers of one key in two sessions: pruning cannot order
+    // them, so the checkpoint asks the solver.
+    for v in [1, 2] {
+        let s = hub.session();
+        let ops = vec![Op::Write { key: Key(1), value: Value(v) }];
+        hub.deliver(s, Delivery::Txn { seq: 0, ops, status: commit }).unwrap();
+    }
+    assert!(hub.checkpoint_now().report.verdict.accepted());
+    let counter = |name: &str| hub.obs().metrics.counter(name).total();
+    assert_eq!(counter("prune.constraints_before"), 1);
+    assert!(counter("solver.decisions") > 0, "the checkpoint solved");
+}

@@ -890,3 +890,24 @@ fn cli_trace_out_emits_covering_chrome_trace() {
         prev = b;
     }
 }
+
+/// The first prune pass says how many writer pairs it generated and how
+/// many comparable, non-cover pairs it left out: three blind writers of one
+/// key in session order make a chain, whose two covers are generated and
+/// whose outer pair is omitted.
+#[test]
+fn the_first_prune_pass_counts_generated_and_omitted_pairs() {
+    let mut b = polysi::history::HistoryBuilder::new();
+    b.session();
+    for v in 1..=3 {
+        b.begin().write(polysi::history::Key(1), polysi::history::Value(v)).commit();
+    }
+    let (report, attr, obs) = traced_check(&b.build(), IsolationLevel::Si, "prune.pass");
+    assert!(report.accepted());
+    assert_eq!(attr("pass"), Some(AttrValue::U64(1)));
+    assert_eq!(attr("generated"), Some(AttrValue::U64(2)));
+    assert_eq!(attr("omitted"), Some(AttrValue::U64(1)));
+    // Tracer-only: the registry holds no counter for either.
+    let counters = obs.metrics.snapshot().counters;
+    assert!(!counters.iter().any(|(n, _)| n.contains("generated") || n.contains("omitted")));
+}

@@ -6,7 +6,7 @@
 //! engine level are rows of the mode matrix: the unsharded ones here, the
 //! sharded ones with the counter digests in `tests/obs.rs`.
 
-use materialized::prune_materialized;
+use materialized::{check_covers, prune_materialized};
 use polysi::dbsim::testkit::conformance_corpus;
 use polysi::dbsim::{run, IsolationLevel as Store, SimConfig};
 use polysi::history::{Facts, Key, ShardPlan, TxnId};
@@ -56,6 +56,53 @@ fn prune_threads_are_deterministic_across_corpus() {
 #[test]
 fn store_all_and_plain_rows_reach_batch_verdicts() {
     support::check_modes(&["no prune", "plain"], |_, _, _| {});
+}
+
+/// Only the first pass of a pruning check narrows the pairs: everything
+/// that stores constraints without it keeps all k(k−1)/2 writer pairs of a
+/// key — `ConstraintGen::store` and `Polygraph::from_history` (Table 3's
+/// and Figure 10's input), `pruning: false` (Figure 10's "w/o P") and the
+/// Cobra baselines. Two session-ordered chains of blind writers: 3 and 6
+/// pairs, of which the pruning engine generates the 2 and 3 covers.
+#[test]
+fn only_the_first_pass_narrows_the_pairs() {
+    use polysi::baselines::{cobra_check_ser, cobra_si_check, CobraOptions};
+    use polysi::checker::engine::{check, EngineOptions, IsolationLevel};
+    let mut b = polysi::history::HistoryBuilder::new();
+    for (key, writers) in [(1u64, 3u64), (2, 4)] {
+        b.session();
+        for v in 1..=writers {
+            b.begin().write(Key(key), polysi::history::Value(v)).commit();
+        }
+    }
+    let h = b.build();
+    let facts = Facts::analyze(&h);
+    let every = 3 + 6;
+    let gen =
+        Polygraph::from_history_with(&h, &facts, ConstraintMode::Generalized, Semantics::Si).1;
+    assert_eq!(gen.store().len(), every);
+    let mut table3 = Polygraph::from_history(&h, &facts, ConstraintMode::Generalized);
+    assert_eq!(table3.constraints.len(), every);
+    let PruneResult::Pruned(stats) = table3.prune(&PruneOptions::default(), &Tracer::disabled()).0
+    else {
+        panic!("session-ordered writers are SI")
+    };
+    assert_eq!(stats.constraints_before, every);
+    for (mode, pruning, constraints) in [
+        (ConstraintMode::Generalized, true, 2 + 3),
+        (ConstraintMode::Generalized, false, every),
+        (ConstraintMode::Plain, false, every),
+    ] {
+        let opts = EngineOptions { mode, pruning, interpret: false, ..Default::default() };
+        let report = check(&h, IsolationLevel::Si, &opts);
+        assert!(report.accepted());
+        match report.prune_stats {
+            Some(stats) => assert_eq!(stats.constraints_before, constraints, "{mode:?}"),
+            None => assert_eq!(report.encode_stats.vars, constraints, "{mode:?}"),
+        }
+    }
+    assert_eq!(cobra_check_ser(&h, &CobraOptions::default()).1.constraints, every);
+    assert_eq!(cobra_si_check(&h).1.constraints, every);
 }
 
 /// Polygraph-level: `Polygraph::known` after prune — the reduced list of
@@ -366,11 +413,13 @@ proptest! {
         }
     }
 
-    /// The fused first pass — constraints generated, tested, and stored
-    /// only when undecided — is the materialize-then-prune loop: the same
-    /// witness, `known` list, surviving constraints and stats, under SI and
-    /// SER, generalized and plain, on one thread and fanned out; and so is
-    /// `Polygraph::prune` over the stored constraints.
+    /// The fused first pass — the pairs its oracle leaves to decide
+    /// generated, tested, and stored only when undecided — is the
+    /// materialize-then-prune loop over those pairs: the same witness,
+    /// `known` list, surviving constraints and stats, under SI and SER,
+    /// generalized and plain, on one thread and fanned out; and
+    /// `Polygraph::prune` over every pair stored is that loop over every
+    /// pair.
     #[test]
     fn fused_first_pass_is_materialize_then_prune(
         seed in 0u64..1 << 32,
@@ -395,18 +444,26 @@ proptest! {
         for semantics in [Semantics::Si, Semantics::Ser] {
             for mode in [ConstraintMode::Generalized, ConstraintMode::Plain] {
                 for (g, gen) in units(&h, &facts, mode, semantics) {
+                    let reference = |constraints: ConstraintSet| {
+                        let mut reference = Polygraph { constraints, ..g.clone() };
+                        let result = prune_materialized(&mut reference);
+                        outcome(&reference, result, false)
+                    };
                     let mut stored = g.clone();
                     stored.constraints = gen.store();
-                    let mut reference = stored.clone();
-                    let result = prune_materialized(&mut reference);
-                    let want = outcome(&reference, result, false);
+                    let want = reference(stored.constraints.clone());
+                    let covers = match g.known_graph() {
+                        KnownGraphResult::Acyclic(kg) => gen.covers(&kg).store(),
+                        KnownGraphResult::Cyclic(_) => ConstraintSet::new(),
+                    };
+                    let want_fused = reference(covers);
                     let label = format!("{semantics:?} {mode:?}");
                     for opts in [PruneOptions::new(1), PruneOptions::forced_parallel(2),
                         PruneOptions::forced_parallel(4)]
                     {
                         let mut fused = g.clone();
                         let result = fused.prune_generated(&gen, &opts, &tracer).0;
-                        prop_assert_eq!(&outcome(&fused, result, true), &want, "{} {:?}", label, opts);
+                        prop_assert_eq!(&outcome(&fused, result, true), &want_fused, "{} {:?}", label, opts);
                         let mut again = stored.clone();
                         let result = again.prune(&opts, &tracer).0;
                         prop_assert_eq!(&outcome(&again, result, true), &want, "{} stored {:?}", label, opts);
@@ -415,4 +472,58 @@ proptest! {
             }
         }
     }
+}
+
+/// Soundness of the narrowed first pass: on random SI and SER histories
+/// (simulated under four store levels, so some violate), generalized and
+/// plain, pruning the pairs `ConstraintGen::covers` keeps reaches the
+/// verdict, the survivors and the `B`-to-`B` reachability that pruning
+/// every pair reaches, and every edge an omitted pair would have forced is
+/// implied by the final oracle or redundant (`materialized::check_covers`).
+#[test]
+fn covers_prune_as_every_pair_does() {
+    let mut seen = materialized::CoversSeen::default();
+    let mut rng = 0x00C0_7E25u64;
+    for case in 0..48u64 {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let seed = rng >> 16;
+        let store = [
+            Store::SnapshotIsolation,
+            Store::Serializable,
+            Store::StaleSnapshot,
+            Store::NoWriteConflictDetection,
+        ][case as usize % 4];
+        let base = GeneralParams {
+            sessions: 2 + (seed % 4) as usize,
+            txns_per_session: 6 + (seed % 16) as usize,
+            ops_per_txn: 2 + (seed % 4) as usize,
+            keys: 3 + seed % 8,
+            read_pct: 30 + (seed % 50) as u32,
+            dist: if seed.is_multiple_of(2) {
+                KeyDistribution::Uniform
+            } else {
+                KeyDistribution::Zipfian
+            },
+            seed,
+        };
+        let h = run(&multi_component(&base, 1), &SimConfig::new(store, seed)).history;
+        let facts = Facts::analyze(&h);
+        if !facts.axioms_ok() {
+            continue;
+        }
+        for semantics in [Semantics::Si, Semantics::Ser] {
+            for mode in [ConstraintMode::Generalized, ConstraintMode::Plain] {
+                let (g, gen) = Polygraph::from_history_with(&h, &facts, mode, semantics);
+                let one = check_covers(&g, &gen).unwrap_or_else(|e| {
+                    panic!("seed {seed} {store:?} {semantics:?} {mode:?}: {e}")
+                });
+                seen.omitted += one.omitted;
+                seen.implied += one.implied;
+                seen.redundant += one.redundant;
+            }
+        }
+    }
+    eprintln!("{seen:?}");
+    assert!(seen.omitted > 0 && seen.implied > 0, "nothing omitted: {seen:?}");
+    assert!(seen.redundant > 0, "no omitted edge needed the redundancy argument: {seen:?}");
 }
