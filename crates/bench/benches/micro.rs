@@ -7,7 +7,7 @@ use polysi_checker::{check, EngineOptions, IsolationLevel as Level};
 use polysi_dbsim::{run, IsolationLevel, SimConfig};
 use polysi_history::{Facts, ShardPlan};
 use polysi_obs::Tracer;
-use polysi_polygraph::{ConstraintMode, Polygraph, PruneOptions};
+use polysi_polygraph::{ConstraintMode, Polygraph};
 use polysi_solver::{Lit, Solver};
 use polysi_workloads::{generate, multi_component, GeneralParams, KeyDistribution};
 
@@ -89,7 +89,7 @@ fn bench_prune(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(10 * txns), &txns, |b, _| {
             b.iter_batched(
                 || Polygraph::from_history(&h, &facts, ConstraintMode::Generalized),
-                |mut pg| pg.prune(&PruneOptions::default(), &Tracer::disabled()).0,
+                |mut pg| pg.prune(&Tracer::disabled()).0,
                 criterion::BatchSize::SmallInput,
             )
         });

@@ -6,7 +6,7 @@ use polysi_bench::{csv_append, scale, CountingAllocator};
 use polysi_dbsim::IsolationLevel;
 use polysi_history::Facts;
 use polysi_obs::Tracer;
-use polysi_polygraph::{ConstraintMode, Polygraph, PruneOptions, PruneResult};
+use polysi_polygraph::{ConstraintMode, Polygraph, PruneResult};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -25,7 +25,7 @@ fn main() {
         let facts = Facts::analyze(&h);
         assert!(facts.axioms_ok(), "{name}: axioms failed");
         let mut g = Polygraph::from_history(&h, &facts, ConstraintMode::Generalized);
-        match g.prune(&PruneOptions::default(), &Tracer::disabled()).0 {
+        match g.prune(&Tracer::disabled()).0 {
             PruneResult::Pruned(s) => {
                 println!(
                     "{:<12} {:>12} {:>12} {:>14} {:>14}",

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`Stage::Axioms`] | Algorithm 1, lines 2–4 (`CheckNonCyclicAxioms`) | `Int`, aborted/intermediate reads, UniqueValue via [`Facts::analyze`] on the unit's own history; once a unit fails, every unit still runs them but skips the graph stages |
 //! | [`Stage::Construct`] | Algorithm 2 (`CreateKnownGraph` + `GenerateConstraints`) | known `SO ∪ WR` (+ init-read `RW`, + RMW-inferred `WW` under SER) edges and the per-key writer-pair constraint generator (with `pruning: false`, every constraint stored) |
-//! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the first pass generates each constraint and stores only the undecided ones; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — and the per-pass sweep can fan out over its share of the [`PruneThreads`] budget |
+//! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the first pass generates each constraint and stores only the undecided ones; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — on the unit's own thread |
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
 //! | [`Stage::Solve`] | Algorithm 1, lines 8–9 (solving + counterexample) | one CDCL-modulo-acyclicity solver call on the encoded instance; on UNSAT a violating cycle is extracted from the polygraph |
 //!
@@ -74,7 +74,7 @@ use polysi_history::{
 use polysi_obs::{kv, Obs, SpanGuard, Tracer};
 use polysi_polygraph::{
     layered_images, ConstraintGen, ConstraintMode, ConstraintRef, ConstraintSet, Edge, KnownGraph,
-    KnownGraphResult, Label, Polygraph, PruneOptions, PruneResult, Semantics,
+    KnownGraphResult, Label, Polygraph, PruneResult, Semantics,
 };
 use polysi_solver::theory::KnownEdges;
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
@@ -133,11 +133,11 @@ pub enum Sharding {
 }
 
 /// The thread budget of a check (CLI `--prune-threads`): a sharded check
-/// runs `min(budget, components)` shard workers, each unit's Prune sweep
-/// on `budget / workers` threads (at least one; the `check` span records
-/// both); an unsharded unit or a stream component sweeps on all of it.
-/// Any setting produces byte-identical reports and counters, so this is
-/// purely a performance knob.
+/// runs `min(budget, components)` shard workers (the `check` span records
+/// `workers`). Every unit prunes on the thread that checks it, so an
+/// unsharded check runs on one thread whatever the budget, and the
+/// streaming checker ignores it. Any setting produces byte-identical
+/// reports and counters, so this is purely a performance knob.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PruneThreads {
     /// The machine's available parallelism.
@@ -149,8 +149,7 @@ pub enum PruneThreads {
 
 /// The machine's available parallelism, read once per process: the
 /// standard library re-derives it on every call (on Linux from the cgroup
-/// files — ≈15 µs), and the streaming checker resolves its thread knobs at
-/// every sub-millisecond checkpoint.
+/// files — ≈15 µs), and a check of a small history takes less.
 fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
@@ -254,7 +253,8 @@ pub struct EngineOptions {
     pub pruning: bool,
     /// Run the interpretation algorithm on cyclic violations.
     pub interpret: bool,
-    /// The check's thread budget: shard workers × prune sweep threads.
+    /// The check's thread budget: shard workers ([`PruneThreads`]); the
+    /// streaming checker ignores it.
     pub prune_threads: PruneThreads,
     /// Watermark compaction of the streaming checker's settled prefix
     /// ([`CompactMode`]); ignored by batch checks.
@@ -371,8 +371,9 @@ impl CheckEngine {
     /// Appendix F) at the engine's level. Its front half, one `construct`
     /// span, reports the first list-specific [`AxiomViolation`] or builds
     /// the polygraph ([`crate::list`]) for Prune → Encode → Solve. Of the
-    /// options, `pruning` and `prune_threads` apply; `sharding`, `mode`,
-    /// `interpret` and `compact` do not, so a cycle carries no scenario.
+    /// options, `pruning` applies; `sharding`, `mode`, `interpret`,
+    /// `prune_threads` and `compact` do not, so a cycle carries no
+    /// scenario.
     pub fn check_list(&self, h: &ListHistory) -> CheckReport {
         self.checked(h.len(), |_| {
             let span = self.obs.tracer.span("construct");
@@ -381,8 +382,7 @@ impl CheckEngine {
             let (cycle, tally) = match g {
                 Ok(mut g) => {
                     let prune = self.opts.pruning.then_some(Prune::Scratch(None));
-                    let prune_opts = PruneOptions::new(self.opts.prune_threads.budget());
-                    self.run_graph(&mut g, prune, prune_opts, constructing)
+                    self.run_graph(&mut g, prune, constructing)
                 }
                 Err(violation) => {
                     let mut tally = Tally::default();
@@ -444,18 +444,15 @@ impl CheckEngine {
         let index = index.filter(|_| plan.is_none());
         let budget = self.opts.prune_threads.budget();
         let workers = plan.as_ref().map_or(1, |plan| budget.min(plan.components.len()));
-        let sweep_threads = (budget / workers).max(1);
         check_span.attr("workers", workers);
-        check_span.attr("sweep_threads", sweep_threads);
-        let prune_opts = PruneOptions::new(sweep_threads);
 
         // Every unit runs the axioms; once one has failed, the rest skip
         // the graph stages, and the lowest-numbered unit that found a
         // violating cycle keeps what interprets it.
         let units = Units::default();
         match &plan {
-            None => units.push(0, self.check_unit(h, None, index, prune_opts, &units)),
-            Some(plan) => self.check_shards(h, plan, workers, prune_opts, &units),
+            None => units.push(0, self.check_unit(h, None, index, &units)),
+            Some(plan) => self.check_shards(h, plan, workers, &units),
         }
         let mut reports = units.reports.into_inner().expect("shard worker panicked");
         reports.sort_by_key(|&(i, _)| i);
@@ -511,20 +508,13 @@ impl CheckEngine {
 
     /// Check every component on `workers` scoped threads, each under a
     /// `shard` span.
-    fn check_shards(
-        &self,
-        h: &History,
-        plan: &ShardPlan,
-        workers: usize,
-        prune_opts: PruneOptions,
-        units: &Units,
-    ) {
+    fn check_shards(&self, h: &History, plan: &ShardPlan, workers: usize, units: &Units) {
         let next = AtomicUsize::new(0);
         let work = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(comp) = plan.components.get(i) else { break };
             let _span = self.obs.tracer.span_kv("shard", kv! { component: i, txns: comp.len() });
-            units.push(i, self.check_unit(h, Some((i, comp)), None, prune_opts, units));
+            units.push(i, self.check_unit(h, Some((i, comp)), None, units));
         };
         std::thread::scope(|s| {
             for _ in 0..workers {
@@ -545,7 +535,6 @@ impl CheckEngine {
         h: &History,
         comp: Option<(usize, &ShardComponent)>,
         index: Option<KeyIndex>,
-        prune_opts: PruneOptions,
         units: &Units,
     ) -> UnitReport {
         let tracer = &self.obs.tracer;
@@ -586,7 +575,7 @@ impl CheckEngine {
         let constructing = span.finish();
 
         let prune = self.opts.pruning.then_some(Prune::Scratch(Some(gen)));
-        let (cycle, tally) = self.run_graph(&mut g, prune, prune_opts, axioms + constructing);
+        let (cycle, tally) = self.run_graph(&mut g, prune, axioms + constructing);
         unit.tally = Some(tally);
         if let Some(cycle) = cycle {
             let i = comp.map_or(0, |(i, _)| i);
@@ -609,11 +598,10 @@ impl CheckEngine {
         &self,
         g: &mut Polygraph,
         prune: Option<Prune<'_>>,
-        prune_opts: PruneOptions,
         constructing: Duration,
     ) -> (Option<Vec<Edge>>, Tally) {
         let tracer = &self.obs.tracer;
-        let (verdict, mut tally, _oracle) = run_unit(g, prune, &prune_opts, tracer);
+        let (verdict, mut tally, _oracle) = run_unit(g, prune, tracer);
         tally.timings.constructing = constructing;
         let cycle = match verdict {
             UnitVerdict::Accepted => None,
@@ -690,7 +678,6 @@ pub(crate) enum UnitVerdict {
 pub(crate) fn run_unit(
     g: &mut Polygraph,
     prune: Option<Prune<'_>>,
-    prune_opts: &PruneOptions,
     tracer: &Tracer,
 ) -> (UnitVerdict, Tally, Option<Box<KnownGraph>>) {
     let delta = matches!(prune, Some(Prune::Resume(..)));
@@ -715,9 +702,9 @@ pub(crate) fn run_unit(
             Prune::Scratch(_) => 0,
         };
         let (result, kg) = match from {
-            Prune::Scratch(Some(gen)) => g.prune_generated(&gen, prune_opts, tracer),
-            Prune::Scratch(None) => g.prune(prune_opts, tracer),
-            Prune::Resume(kg, seed, gen) => g.prune_resume(kg, seed, &gen, prune_opts, tracer),
+            Prune::Scratch(Some(gen)) => g.prune_generated(&gen, tracer),
+            Prune::Scratch(None) => g.prune(tracer),
+            Prune::Resume(kg, seed, gen) => g.prune_resume(kg, seed, &gen, tracer),
         };
         span.attr("remaining", g.constraints.len());
         if let Some(kg) = &kg {
@@ -1232,8 +1219,8 @@ pub(crate) mod tests {
         fn encode_and_solve_match_enumeration(rp in polygraph_strategy()) {
             let mut g = build(&rp);
             let truth = enumerate_sat(&g);
-            let (opts, tracer) = (PruneOptions::default(), Tracer::disabled());
-            let (verdict, tally, _) = run_unit(&mut g, None, &opts, &tracer);
+            let tracer = Tracer::disabled();
+            let (verdict, tally, _) = run_unit(&mut g, None, &tracer);
             prop_assert_eq!(matches!(verdict, UnitVerdict::Accepted), truth);
             prop_assert!(tally.solver_stats.is_some(), "without pruning every unit is one solve");
         }
@@ -1275,8 +1262,8 @@ pub(crate) mod tests {
         fn tail_without_survivors_accepts_exactly_like_the_solver(rp in polygraph_strategy()) {
             let mut g = build(&rp);
             let truth = enumerate_sat(&g);
-            let (opts, tracer) = (PruneOptions::default(), Tracer::disabled());
-            let (verdict, tally, oracle) = run_unit(&mut g, Some(Prune::Scratch(None)), &opts, &tracer);
+            let tracer = Tracer::disabled();
+            let (verdict, tally, oracle) = run_unit(&mut g, Some(Prune::Scratch(None)), &tracer);
             if let UnitVerdict::PruneCycle(_) = verdict {
                 prop_assert!(!truth, "pruning rejected a satisfiable polygraph");
                 return Ok(());
@@ -1289,7 +1276,7 @@ pub(crate) mod tests {
                 let kg = oracle.as_deref().expect("pruning completed");
                 prop_assert!(solved(&g, kg), "the solver rejects what the runner accepted");
                 // Without an oracle nothing vouches for the known graph.
-                let (unpruned, tally, _) = run_unit(&mut g, None, &opts, &tracer);
+                let (unpruned, tally, _) = run_unit(&mut g, None, &tracer);
                 let solved = tally.solver_stats.is_some();
                 prop_assert!(matches!(unpruned, UnitVerdict::Accepted) && solved);
             }
@@ -1341,7 +1328,7 @@ pub(crate) mod tests {
     fn a_unit_s_oracle_is_its_known_graph() {
         use crate::list::{ListOp, ListTxn};
         use polysi_history::TxnStatus;
-        let (opts, tracer) = (PruneOptions::default(), Tracer::disabled());
+        let tracer = Tracer::disabled();
         let h = two_serial_components();
         let plan = ShardPlan::analyze(&h);
         assert_eq!(plan.components.len(), 2);
@@ -1368,14 +1355,14 @@ pub(crate) mod tests {
                     Polygraph::from_history_with(unit, &facts, ConstraintMode::Generalized, sem);
                 let constructed = g.known.len();
                 let (verdict, _, oracle) =
-                    run_unit(&mut g, Some(Prune::Scratch(Some(gen))), &opts, &tracer);
+                    run_unit(&mut g, Some(Prune::Scratch(Some(gen))), &tracer);
                 assert!(matches!(verdict, UnitVerdict::Accepted));
                 resolved += g.known.len() - constructed;
                 assert_mirrors(&oracle.expect("pruning completed"), &g);
             }
             assert!(resolved > 0, "{level:?}: pruning added edges no path implied");
             let mut g = list::polygraph(&lists, sem).expect("a valid list history");
-            let (verdict, _, oracle) = run_unit(&mut g, Some(Prune::Scratch(None)), &opts, &tracer);
+            let (verdict, _, oracle) = run_unit(&mut g, Some(Prune::Scratch(None)), &tracer);
             assert!(matches!(verdict, UnitVerdict::Accepted));
             assert_mirrors(&oracle.expect("pruning completed"), &g);
         }

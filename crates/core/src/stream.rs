@@ -35,24 +35,25 @@
 //!   reader sets grew, are never stored by the delta path. A
 //!   [`ConstraintGen::delta`] generates them straight into the first pass
 //!   of the resumed prune ([`Polygraph::prune_resume`]), which tests the
-//!   stored constraints incident to the delta's touched set and then each
-//!   generated one against its fixed oracle, and stores only those it
+//!   stored constraints incident to the delta's touched set and then the
+//!   generated pairs its fixed oracle leaves to decide (incomparable ones
+//!   and covers, [`ConstraintGen::covers`]), and stores only those it
 //!   leaves open.
 //!
 //! **A checkpoint costs its delta,** with three exceptions that grow with
-//! the prefix: a new writer of a hot key pairs with *every* earlier writer
-//! of the key (generated and tested, if no longer stored), an encode
+//! the prefix: a new writer of a hot key is placed against *every* earlier
+//! writer of the key (binary searches over the key's runs of ordered
+//! writers; only its incomparable pairs and covers are generated), an encode
 //! rebuilds the solver instance from the component's whole known graph,
 //! and [`KnownGraph::grow`] resizes the oracle. Global → local ids are
 //! one read of the checker's `local_of` column, the delta's dedup and pair
 //! sets hash with the seeded fold-multiply hasher of
-//! `polysi_history::fasthash`, and the thread budget resolves against a
-//! core count read once per process. The dirty components are checked one
-//! after another. Each constructs its polygraph from the stream's facts
-//! (whole on a rebuild, by its delta otherwise) and hands it to the batch
-//! engine's Prune → Encode → Solve runner (`engine::run_unit`), whose
-//! tally the registry records — the same counters, in the same place, as
-//! a batch check's.
+//! `polysi_history::fasthash`. The dirty components are checked one after
+//! another, on the calling thread. Each constructs its polygraph from the
+//! stream's facts (whole on a rebuild, by its delta otherwise) and hands it
+//! to the batch engine's Prune → Encode → Solve runner (`engine::run_unit`),
+//! whose tally the registry records — the same counters, in the same place,
+//! as a batch check's.
 //! Encode and Solve cost the constraints that *survive*: a dirty component
 //! whose resumed prune leaves none is accepted without building a solver —
 //! the common case on update-heavy streams — so the registry's `encode.*`
@@ -106,8 +107,9 @@
 //!
 //! Streaming requires the default engine configuration of the graph
 //! stages: generalized constraints and pruning enabled (the prune oracle
-//! *is* the incremental structure). The prune thread knob applies
-//! unchanged; interpretation runs inside the canonical batch report.
+//! *is* the incremental structure). The thread budget (`prune_threads`)
+//! sizes batch shard workers only and does not apply; interpretation runs
+//! inside the canonical batch report.
 
 use crate::check::{CheckReport, Inconclusive, Outcome};
 use crate::engine::{
@@ -120,7 +122,6 @@ use polysi_history::{
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{
     ConstraintGen, ConstraintMode, Edge, Flush, KnownGraph, KnownGraphResult, Label, Polygraph,
-    PruneOptions,
 };
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -462,7 +463,6 @@ impl StreamingChecker {
         drop(group_span);
 
         let dirty = jobs.len();
-        let prune_opts = PruneOptions::new(self.opts.prune_threads.budget());
         let (mut rebuilt, mut rejected) = (0usize, false);
         for job in jobs {
             let tag = job.info.tag;
@@ -471,10 +471,10 @@ impl StreamingChecker {
                 self.obs.tracer.span_kv("component", kv! { tag: tag, events: job.events.len() });
             let (state, ok) = match job.state {
                 Some(mut state) => {
-                    let ok = self.check_delta(&mut state, &job.events, from, &prune_opts);
+                    let ok = self.check_delta(&mut state, &job.events, from);
                     (state, ok)
                 }
-                None => self.check_rebuild(job.info, &prune_opts),
+                None => self.check_rebuild(job.info),
             };
             span.attr("rebuilt", was_rebuilt);
             span.attr("ok", ok);
@@ -702,7 +702,7 @@ impl StreamingChecker {
     /// First sight of a component (or a post-merge rebuild): construct
     /// and run the full staged pipeline on it. Returns the cached state
     /// and whether the component accepted.
-    fn check_rebuild(&self, info: &RootInfo, prune_opts: &PruneOptions) -> (ComponentState, bool) {
+    fn check_rebuild(&self, info: &RootInfo) -> (ComponentState, bool) {
         let facts = self.stream.facts().facts();
         let tracer = &self.obs.tracer;
         let construct_span = tracer.span("construct");
@@ -725,8 +725,7 @@ impl StreamingChecker {
             &local,
         );
         drop(construct_span);
-        let (verdict, tally, oracle) =
-            run_unit(&mut poly, Some(Prune::Scratch(Some(gen))), prune_opts, tracer);
+        let (verdict, tally, oracle) = run_unit(&mut poly, Some(Prune::Scratch(Some(gen))), tracer);
         tally.record(&self.obs.metrics);
         let state = ComponentState { txns: comp.txns, poly, oracle };
         (state, matches!(verdict, UnitVerdict::Accepted))
@@ -762,13 +761,7 @@ impl StreamingChecker {
     /// New and regenerated pairs are never stored here: a
     /// [`ConstraintGen::delta`] generates them straight into the resumed
     /// prune's first pass, which stores only those it leaves open.
-    fn check_delta(
-        &self,
-        state: &mut ComponentState,
-        events: &[FactEvent],
-        from: TxnId,
-        prune_opts: &PruneOptions,
-    ) -> bool {
+    fn check_delta(&self, state: &mut ComponentState, events: &[FactEvent], from: TxnId) -> bool {
         let facts = self.stream.facts().facts();
         let semantics = self.isolation.semantics();
         let tracer = &self.obs.tracer;
@@ -926,7 +919,7 @@ impl StreamingChecker {
         drop(constraints_span);
 
         let prune = Some(Prune::Resume(oracle, &touched, gen));
-        let (verdict, tally, oracle) = run_unit(&mut state.poly, prune, prune_opts, tracer);
+        let (verdict, tally, oracle) = run_unit(&mut state.poly, prune, tracer);
         tally.record(&self.obs.metrics);
         state.oracle = oracle;
         matches!(verdict, UnitVerdict::Accepted)
@@ -1337,7 +1330,7 @@ mod tests {
         let (prefix, _) = c.stream().snapshot();
         let facts = Facts::analyze(&prefix);
         let mut g = Polygraph::from_history(&prefix, &facts, ConstraintMode::Generalized);
-        let (_, oracle) = g.prune(&PruneOptions::default(), &polysi_obs::Tracer::disabled());
+        let (_, oracle) = g.prune(&polysi_obs::Tracer::disabled());
         oracle.expect("an accepted prefix prunes")
     }
 

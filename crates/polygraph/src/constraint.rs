@@ -268,14 +268,14 @@ impl ConstraintSet {
 /// each writer with the later writers of its key, in key, then writer-pair
 /// order; a delta's ([`ConstraintGen::delta`]) yields only the pairs its
 /// *runs* name. [`ConstraintGen::store`] keeps every constraint. The first
-/// pass of [`crate::Polygraph::prune_generated`] narrows a whole unit's
-/// pairs to those its oracle leaves to decide ([`ConstraintGen::covers`]),
-/// and it (a delta's: [`crate::Polygraph::prune_resume`]) stores only the
+/// pass of [`crate::Polygraph::prune_generated`] (a delta's:
+/// [`crate::Polygraph::prune_resume`]) narrows the pairs to those its
+/// oracle leaves to decide ([`ConstraintGen::covers`]) and stores only the
 /// undecided ones.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintGen {
     mode: ConstraintMode,
-    /// Each key and its first row, in key order, then the row count.
+    /// Each key and its first row, in row order, then the row count.
     keys: Vec<(Key, u32)>,
     /// The writer of each row.
     writers: Vec<TxnId>,
@@ -290,11 +290,11 @@ pub struct ConstraintGen {
 }
 
 /// A delta's unit of generation: the constraints between row `s` and each
-/// of the earlier rows `ts` of its key, `ts` in row order, each oriented
-/// with its `ts` writer first.
+/// of the earlier rows `ts` of key `keys[key]`, `ts` in row order, each
+/// oriented with its `ts` writer first.
 #[derive(Clone, Debug)]
 struct Run {
-    key: Key,
+    key: u32,
     s: u32,
     ts: (u32, u32),
 }
@@ -349,7 +349,7 @@ impl ConstraintGen {
         local: impl Fn(TxnId) -> TxnId,
     ) -> Self {
         let mut gen = ConstraintGen { reader_at: vec![0], ..Default::default() };
-        let (mut runs, mut first_rows) = (Vec::new(), BTreeMap::new());
+        let (mut runs, mut key_at) = (Vec::new(), BTreeMap::new());
         let pairs = regen.iter().map(|&(key, t, s)| (key, Some(t), s));
         for (key, t, s) in writes.into_iter().map(|(key, s)| (key, None, s)).chain(pairs) {
             let writers = &facts.writers[&key];
@@ -361,10 +361,12 @@ impl ConstraintGen {
             if ts.is_empty() {
                 continue;
             }
-            let first = *first_rows.entry(key).or_insert_with(|| {
+            let k = *key_at.entry(key).or_insert_with(|| {
+                gen.keys.push((key, offset(gen.writers.len())));
                 gen.push_rows(facts, key, writers, &local);
-                gen.writers.len() - writers.len()
+                gen.keys.len() - 1
             });
+            let first = gen.keys[k].1 as usize;
             let (s, ts) = (first + si, first + ts.start..first + ts.end);
             let (ws, readers_s) = (&gen.writers[ts.clone()], gen.readers(s));
             let readers_t: usize = ts
@@ -375,8 +377,9 @@ impl ConstraintGen {
             let edges = 2 * ts.len() + readers_t + ts.len() * readers_s.len() - writing;
             gen.constraints += ts.len();
             gen.edges += edges;
-            runs.push(Run { key, s: offset(s), ts: (offset(ts.start), offset(ts.end)) });
+            runs.push(Run { key: offset(k), s: offset(s), ts: (offset(ts.start), offset(ts.end)) });
         }
+        gen.keys.push((Key(0), offset(gen.writers.len())));
         gen.runs = Some(runs);
         gen
     }
@@ -425,38 +428,37 @@ impl ConstraintGen {
     /// baselines, tests). The counts size the store exactly, so it takes a
     /// fixed number of allocations however many constraints come out.
     pub fn store(&self) -> ConstraintSet {
-        store(self, self.len(), self.counts())
-    }
-
-    /// Its units of generation: rows, or a delta's runs.
-    fn len(&self) -> usize {
-        self.runs.as_ref().map_or(self.writers.len(), Vec::len)
+        store(self, self.counts())
     }
 
     fn readers(&self, row: usize) -> &[TxnId] {
         &self.readers[self.reader_at[row] as usize..self.reader_at[row + 1] as usize]
     }
 
-    /// Each unit of `units` of a whole unit's generator, as (key, row, end
-    /// of the key's rows).
-    fn rows(&self, units: Range<usize>) -> impl Iterator<Item = (Key, usize, usize)> + '_ {
-        let mut k = self.keys.partition_point(|&(_, first)| first as usize <= units.start);
-        units.map(move |row| {
-            while self.keys[k].1 as usize <= row {
-                k += 1;
-            }
-            (self.keys[k - 1].0, row, self.keys[k].1 as usize)
-        })
+    /// Its units of generation, in yield order, as (key index, anchor row,
+    /// the rows the anchor pairs with): a whole unit's rows, each with its
+    /// key's later rows, or a delta's runs, each new writer `s` with its
+    /// rows `ts`.
+    fn units(&self) -> Box<dyn Iterator<Item = (usize, usize, Range<usize>)> + '_> {
+        match &self.runs {
+            None => Box::new(self.keys.windows(2).enumerate().flat_map(|(k, key)| {
+                let end = key[1].1 as usize;
+                (key[0].1 as usize..end).map(move |row| (k, row, row + 1..end))
+            })),
+            Some(runs) => Box::new(runs.iter().map(|run| {
+                (run.key as usize, run.s as usize, run.ts.0 as usize..run.ts.1 as usize)
+            })),
+        }
     }
 
-    /// A whole unit's pairs narrowed to those the fixed oracle `kg` leaves
-    /// to decide: a writer pair of a key is generated if `kg` orders
-    /// neither writer before the other (*incomparable*), or if it is a
-    /// *cover*, `wᵢ ⇝ wⱼ` with no third writer `wₘ` of the key between
-    /// them (`wᵢ ⇝ wₘ ⇝ wⱼ`). An omitted pair is ordered, so a first prune
-    /// pass would force its side `wᵢ` first, and that side follows from
-    /// the sides its cover chain `wᵢ = c₀ ⇝ c₁ ⇝ … ⇝ c_L = wⱼ` forces
-    /// (each edge of a forced side ends up inserted or implied):
+    /// The pairs narrowed to those the fixed oracle `kg` leaves to decide:
+    /// a writer pair of a key is generated if `kg` orders neither writer
+    /// before the other (*incomparable*), or if it is a *cover*, `wᵢ ⇝ wⱼ`
+    /// with no third writer `wₘ` of the key between them (`wᵢ ⇝ wₘ ⇝ wⱼ`).
+    /// An omitted pair is ordered, so a first prune pass would force its
+    /// side `wᵢ` first, and that side follows from the sides its cover
+    /// chain `wᵢ = c₀ ⇝ c₁ ⇝ … ⇝ c_L = wⱼ` forces (each edge of a forced
+    /// side ends up inserted or implied):
     ///
     /// * `WW wᵢ→wⱼ`: the forced `WW c_{L-1}→wⱼ` leaves a `Dep` predecessor
     ///   `p` of `wⱼ` that is `c_{L-1}` or reached from it, and
@@ -478,6 +480,31 @@ impl ConstraintGen {
     /// the pass marks the transactions it would have. The survivors and
     /// the verdict are therefore those of every pair.
     ///
+    /// A delta's covers are taken among every writer of the key, old and
+    /// new, and a run keeps the pairs of its new writer `s` with the
+    /// earlier rows that are incomparable to `s` or its covers, above or
+    /// below it (a regenerated pair is open, so incomparable, and stays).
+    /// The argument needs only the forced sides of a chain's first and
+    /// last pairs, and in a delta each of them is
+    ///
+    /// * generated now, if it holds a new writer: the later of its two
+    ///   writers by id names it (two new writers of one delta pair in the
+    ///   later one's run, and a new writer ordered before old ones pairs
+    ///   with its covers above as with those below);
+    /// * stored: each run marks every earlier writer of its key, so the
+    ///   resumed first pass sweeps it and, as it is ordered, forces it;
+    /// * or settled at an earlier checkpoint, decided there or omitted by
+    ///   this same argument: its side is implied or redundant, and stays
+    ///   so as the oracle grows, and readers that arrived since gain
+    ///   their `RW` edge to every writer their writer reaches as a known
+    ///   edge (the stream's follow-on edges).
+    ///
+    /// A settled first pair is in the acyclic oracle, so it is not
+    /// contradictory, and neither is the omitted pair. Only the marking
+    /// argument fails: a settled pair marks nothing, so later passes may
+    /// retest less and leave more to the solver, whose verdict is the
+    /// same.
+    ///
     /// The search needs no session data, so it serves SI and SER and both
     /// modes alike. Per key, the rows (ascending ids) split into maximal
     /// runs in which each row reaches the next; of a run, the rows reaching
@@ -486,79 +513,84 @@ impl ConstraintGen {
     /// candidate cover on each side, and the candidates another candidate
     /// dominates are dropped, visiting them in `kg`'s topological order.
     pub fn covers(&self, kg: &KnownGraph) -> Covers<'_> {
-        debug_assert!(self.runs.is_none(), "a delta's pairs are not narrowed");
+        let reaches = |a: usize, b: usize| kg.reaches(self.writers[a], self.writers[b]);
+        let ord = |row: usize| kg.layered_order()[self.writers[row].idx()];
+        // Per key of three rows or more, its runs' bounds:
+        // `bounds[bounds_at[k]..bounds_at[k + 1]]`. Two writers are always
+        // kept: incomparable or a cover.
+        let mut bounds = Vec::with_capacity(self.writers.len() + self.keys.len());
+        let mut bounds_at = Vec::with_capacity(self.keys.len());
+        bounds_at.push(0);
+        for key in self.keys.windows(2) {
+            let (first, end) = (key[0].1 as usize, key[1].1 as usize);
+            if end - first > 2 {
+                bounds.push(first);
+                bounds.extend((first + 1..end).filter(|&r| !reaches(r - 1, r)));
+                bounds.push(end);
+            }
+            bounds_at.push(bounds.len());
+        }
+        let units = self.runs.as_ref().map_or(self.writers.len(), Vec::len);
         let mut covers = Covers {
             gen: self,
-            later_at: Vec::with_capacity(self.writers.len() + 1),
-            later: Vec::new(),
+            at: Vec::with_capacity(units + 1),
+            partners: Vec::new(),
             constraints: 0,
             edges: 0,
             omitted: 0,
         };
-        let reaches = |a: usize, b: usize| kg.reaches(self.writers[a], self.writers[b]);
-        let ord = |row: usize| kg.layered_order()[self.writers[row].idx()];
-        covers.later_at.push(0);
-        // Scratch for the largest key: run bounds, the candidates below
-        // and above a row, and the undominated ones.
+        // Scratch for the largest key: the candidates below and above a
+        // row, and the undominated ones.
         let most = self.keys.windows(2).map(|w| (w[1].1 - w[0].1) as usize).max().unwrap_or(0);
-        let mut bounds = Vec::with_capacity(most + 1);
         let [mut below, mut above, mut kept] = [(); 3].map(|_| Vec::with_capacity(most));
-        for key in self.keys.windows(2) {
-            let (first, end) = (key[0].1 as usize, key[1].1 as usize);
-            let k = end - first;
-            covers.omitted += k * (k - 1) / 2;
-            bounds.clear();
-            bounds.push(first);
-            // Two writers are always kept: incomparable or a cover.
-            if k > 2 {
-                bounds.extend((first + 1..end).filter(|&r| !reaches(r - 1, r)));
-            }
-            bounds.push(end);
-            for row in first..end {
-                let start = covers.later.len();
-                if k <= 2 {
-                    covers.later.extend(row as u32 + 1..end as u32);
-                } else {
-                    below.clear();
-                    above.clear();
-                    for run in bounds.windows(2) {
-                        let (s, e) = (run[0], run[1]);
-                        let (p, q) = if (s..e).contains(&row) {
-                            (row, row + 1)
-                        } else {
-                            let p = prefix_end(s..e, |x| reaches(x, row));
-                            (p, prefix_end(p..e, |x| !reaches(row, x)))
-                        };
-                        below.extend((p > s).then(|| p - 1));
-                        above.extend((q < e).then_some(q));
-                        covers.later.extend((p.max(row + 1)..q).map(|x| x as u32));
-                    }
-                    // The nearest candidates first: a candidate is
-                    // dominated iff it lies beyond one that is not.
-                    below.sort_unstable_by_key(|&c| std::cmp::Reverse(ord(c)));
-                    above.sort_unstable_by_key(|&c| ord(c));
-                    for (cands, up) in [(&below, true), (&above, false)] {
-                        kept.clear();
-                        for &c in cands.iter() {
-                            let beyond =
-                                |&m: &usize| if up { reaches(c, m) } else { reaches(m, c) };
-                            if !kept.iter().any(beyond) {
-                                kept.push(c);
-                            }
+        covers.at.push(0);
+        for (k, row, want) in self.units() {
+            let start = covers.partners.len();
+            covers.omitted += want.len();
+            let runs = &bounds[bounds_at[k]..bounds_at[k + 1]];
+            if runs.is_empty() {
+                covers.partners.extend(want.map(offset));
+            } else {
+                below.clear();
+                above.clear();
+                for run in runs.windows(2) {
+                    let (s, e) = (run[0], run[1]);
+                    let (p, q) = if (s..e).contains(&row) {
+                        (row, row + 1)
+                    } else {
+                        let p = prefix_end(s..e, |x| reaches(x, row));
+                        (p, prefix_end(p..e, |x| !reaches(row, x)))
+                    };
+                    below.extend((p > s).then(|| p - 1));
+                    above.extend((q < e).then_some(q));
+                    covers.partners.extend((p.max(want.start)..q.min(want.end)).map(offset));
+                }
+                // The nearest candidates first: a candidate is dominated
+                // iff it lies beyond one that is not.
+                below.sort_unstable_by_key(|&c| std::cmp::Reverse(ord(c)));
+                above.sort_unstable_by_key(|&c| ord(c));
+                for (cands, up) in [(&below, true), (&above, false)] {
+                    kept.clear();
+                    for &c in cands.iter() {
+                        let beyond = |&m: &usize| if up { reaches(c, m) } else { reaches(m, c) };
+                        if !kept.iter().any(beyond) {
+                            kept.push(c);
                         }
-                        covers.later.extend(kept.iter().filter(|&&c| c > row).map(|&c| c as u32));
                     }
-                    covers.later[start..].sort_unstable();
+                    covers
+                        .partners
+                        .extend(kept.iter().filter(|c| want.contains(c)).map(|&c| offset(c)));
                 }
-                for &s in &covers.later[start..] {
-                    let (constraints, edges) = self.pair_counts(row, s as usize);
-                    covers.constraints += constraints;
-                    covers.edges += edges;
-                }
-                covers.later_at.push(offset(covers.later.len()));
+                covers.partners[start..].sort_unstable();
             }
+            for &p in &covers.partners[start..] {
+                let (constraints, edges) = self.pair_counts(row, p as usize);
+                covers.constraints += constraints;
+                covers.edges += edges;
+            }
+            covers.at.push(offset(covers.partners.len()));
         }
-        covers.omitted -= covers.later.len();
+        covers.omitted -= covers.partners.len();
         covers
     }
 
@@ -575,96 +607,67 @@ impl ConstraintGen {
         }
     }
 
-    /// Generate the constraints of rows `t` before `s` of `key` into the
-    /// scratch store `pair` and feed them to `test`, as
-    /// [`Source::visit`] does.
+    /// Generate the constraints between the anchor row `anchor` of key
+    /// `keys[k]` and row `other`, the earlier row first, into the scratch
+    /// store `pair` and feed them to `test`, as [`Source::visit`] does.
     fn visit_pair(
         &self,
-        key: Key,
-        (t, s): (usize, usize),
+        (k, anchor, other): (usize, usize, usize),
         pair: &mut ConstraintSet,
         open: &mut ConstraintSet,
         test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
     ) -> bool {
         pair.edges.clear();
         pair.records.clear();
+        let (t, s) = (anchor.min(other), anchor.max(other));
         let (wt, ws, rt, rs) = (self.writers[t], self.writers[s], self.readers(t), self.readers(s));
+        let key = self.keys[k].0;
         match self.mode {
             ConstraintMode::Generalized => pair.push_generalized(key, wt, ws, rt, rs),
             ConstraintMode::Plain => pair.push_plain(key, wt, ws, rt, rs),
         }
-        pair.visit(0..pair.len(), open, test)
+        pair.visit(open, test)
     }
 }
 
 /// What the first prune pass reads: a generator, or constraints already
-/// stored. A *unit* (a generator's row or run, a stored constraint) is
-/// what its chunks split at.
-pub(crate) trait Source: Sync {
-    /// Consecutive unit ranges covering every unit, each yielding about
-    /// `target` constraints.
-    fn chunks(&self, target: usize) -> Vec<Range<usize>>;
-
-    /// Feed the constraints of `units` to `test` in order, appending those
-    /// it answers `Some(true)` to `open`; `false` if it stopped at a
-    /// `None`.
+/// stored.
+pub(crate) trait Source {
+    /// Feed its constraints to `test` in order, appending those it answers
+    /// `Some(true)` to `open`; `false` if it stopped at a `None`.
     fn visit(
         &self,
-        units: Range<usize>,
         open: &mut ConstraintSet,
         test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
     ) -> bool;
 }
 
 impl Source for ConstraintGen {
-    fn chunks(&self, target: usize) -> Vec<Range<usize>> {
-        // What each unit of generation yields (approximate under `Plain`:
-        // chunking only balances work).
-        match &self.runs {
-            None => chunks(self.rows(0..self.len()).map(|(_, row, end)| end - row - 1), target),
-            Some(runs) => chunks(runs.iter().map(|run| (run.ts.1 - run.ts.0) as usize), target),
-        }
-    }
-
     fn visit(
         &self,
-        units: Range<usize>,
         open: &mut ConstraintSet,
         test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
     ) -> bool {
         // One writer pair's constraints at a time: a decided constraint is
         // never stored.
         let mut pair = ConstraintSet::new();
-        if let Some(runs) = &self.runs {
-            for run in &runs[units] {
-                for t in run.ts.0 as usize..run.ts.1 as usize {
-                    if !self.visit_pair(run.key, (t, run.s as usize), &mut pair, open, test) {
-                        return false;
-                    }
-                }
-            }
-            return true;
-        }
-        for (key, row, end) in self.rows(units) {
-            for s in row + 1..end {
-                if !self.visit_pair(key, (row, s), &mut pair, open, test) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.units().all(|(k, anchor, others)| {
+            others
+                .into_iter()
+                .all(|other| self.visit_pair((k, anchor, other), &mut pair, open, test))
+        })
     }
 }
 
-/// A whole unit's generator narrowed to the pairs a fixed oracle leaves to
-/// decide ([`ConstraintGen::covers`]), in the generator's order.
+/// A generator narrowed to the pairs a fixed oracle leaves to decide
+/// ([`ConstraintGen::covers`]), in the generator's order.
 #[derive(Debug)]
 pub struct Covers<'g> {
     gen: &'g ConstraintGen,
-    /// Row `r` pairs with rows `later[later_at[r]..later_at[r + 1]]`, all
-    /// after it in its key, ascending.
-    later_at: Vec<u32>,
-    later: Vec<u32>,
+    /// The generator's `u`-th unit pairs its anchor row with rows
+    /// `partners[at[u]..at[u + 1]]`, ascending.
+    at: Vec<u32>,
+    partners: Vec<u32>,
     constraints: usize,
     edges: usize,
     omitted: usize,
@@ -678,7 +681,7 @@ impl Covers<'_> {
 
     /// The writer pairs it yields.
     pub fn pairs(&self) -> usize {
-        self.later.len()
+        self.partners.len()
     }
 
     /// The writer pairs of the generator it omits: comparable, not covers.
@@ -688,63 +691,33 @@ impl Covers<'_> {
 
     /// Every constraint it yields, stored.
     pub fn store(&self) -> ConstraintSet {
-        store(self, self.later_at.len() - 1, self.counts())
-    }
-
-    fn later(&self, row: usize) -> &[u32] {
-        &self.later[self.later_at[row] as usize..self.later_at[row + 1] as usize]
+        store(self, self.counts())
     }
 }
 
 impl Source for Covers<'_> {
-    fn chunks(&self, target: usize) -> Vec<Range<usize>> {
-        chunks(self.later_at.windows(2).map(|w| (w[1] - w[0]) as usize), target)
-    }
-
     fn visit(
         &self,
-        units: Range<usize>,
         open: &mut ConstraintSet,
         test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
     ) -> bool {
         let mut pair = ConstraintSet::new();
-        for (key, row, _) in self.gen.rows(units) {
-            for &s in self.later(row) {
-                if !self.gen.visit_pair(key, (row, s as usize), &mut pair, open, test) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.gen.units().zip(self.at.windows(2)).all(|((k, anchor, _), at)| {
+            self.partners[at[0] as usize..at[1] as usize].iter().all(|&other| {
+                self.gen.visit_pair((k, anchor, other as usize), &mut pair, open, test)
+            })
+        })
     }
 }
 
-/// Every constraint of the `units` units of `source`, stored, sized by
-/// its exact `counts`.
-fn store(source: &dyn Source, units: usize, (constraints, edges): (usize, usize)) -> ConstraintSet {
+/// Every constraint of `source`, stored, sized by its exact `counts`.
+fn store(source: &dyn Source, (constraints, edges): (usize, usize)) -> ConstraintSet {
     let mut set = ConstraintSet {
         edges: Vec::with_capacity(edges),
         records: Vec::with_capacity(constraints),
     };
-    source.visit(0..units, &mut set, &mut |_| Some(true));
+    source.visit(&mut set, &mut |_| Some(true));
     set
-}
-
-/// Consecutive unit ranges covering the units whose yields are `yields`,
-/// each yielding about `target` constraints.
-fn chunks(yields: impl Iterator<Item = usize>, target: usize) -> Vec<Range<usize>> {
-    let (mut out, mut start, mut yielded, mut len) = (Vec::new(), 0, 0usize, 0);
-    for (unit, n) in yields.enumerate() {
-        (yielded, len) = (yielded + n, unit + 1);
-        if yielded >= target {
-            out.push(start..len);
-            (start, yielded) = (len, 0);
-        }
-    }
-    if start < len {
-        out.push(start..len);
-    }
-    out
 }
 
 /// The end of the prefix of `range` on which `holds` holds.
@@ -762,18 +735,12 @@ fn prefix_end(range: Range<usize>, holds: impl Fn(usize) -> bool) -> usize {
 }
 
 impl Source for ConstraintSet {
-    fn chunks(&self, target: usize) -> Vec<Range<usize>> {
-        let len = self.len();
-        (0..len).step_by(target).map(|start| start..start.saturating_add(target).min(len)).collect()
-    }
-
     fn visit(
         &self,
-        units: Range<usize>,
         open: &mut ConstraintSet,
         test: &mut dyn FnMut(ConstraintRef<'_>) -> Option<bool>,
     ) -> bool {
-        for c in units.map(|i| self.get(i)) {
+        for c in self.iter() {
             match test(c) {
                 Some(true) => open.push(c.key, c.either.iter().copied(), c.or.iter().copied()),
                 Some(false) => {}

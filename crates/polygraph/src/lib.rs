@@ -44,6 +44,4 @@ mod polygraph;
 pub use constraint::{ConstraintGen, ConstraintRef, ConstraintSet, Covers};
 pub use edge::{Edge, Label};
 pub use graph::{layered_images, DepGraph, Flush, KnownGraph, KnownGraphResult, OracleKind};
-pub use polygraph::{
-    ConstraintMode, Polygraph, PruneOptions, PruneResult, PruneStats, Semantics, PARALLEL_SWEEP_MIN,
-};
+pub use polygraph::{ConstraintMode, Polygraph, PruneResult, PruneStats, Semantics};

@@ -2,14 +2,11 @@
 //! (Section 4.3, Algorithm 1), for both SI and SER edge semantics and for
 //! whole histories as well as key-connectivity shards.
 
-use crate::constraint::{ConstraintGen, ConstraintRef, ConstraintSet, Source};
+use crate::constraint::{ConstraintGen, ConstraintRef, ConstraintSet, Covers, Source};
 use crate::edge::{Edge, Label};
 use crate::graph::{Flush, KnownGraph, KnownGraphResult};
 use polysi_history::{Facts, History, Key, ShardComponent, TxnId, WrSource};
 use polysi_obs::Tracer;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which constraint representation to generate (Section 5.4.3's
 /// differential variants).
@@ -128,41 +125,6 @@ impl PruneStats {
     }
 }
 
-/// Knobs of [`Polygraph::prune`]: pure performance knobs — any setting
-/// yields byte-identical verdicts, known-edge lists, and counterexample
-/// cycles (the sweep is read-only and resolutions are applied in
-/// constraint order). The default is the sequential sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct PruneOptions {
-    /// Worker threads for the per-pass constraint sweep (1 = in-place).
-    /// Worklists shorter than [`PARALLEL_SWEEP_MIN`] stay in-place anyway.
-    pub threads: usize,
-    /// Worklists shorter than this stay in-place even when `threads > 1`.
-    parallel_min: usize,
-}
-
-impl PruneOptions {
-    /// `threads` sweep workers.
-    pub fn new(threads: usize) -> Self {
-        PruneOptions { threads, parallel_min: PARALLEL_SWEEP_MIN }
-    }
-
-    /// [`PruneOptions::new`] without the worklist-size cut-off, so the
-    /// threaded sweep runs on the few-constraint corpus histories too — a
-    /// thread-equivalence test would otherwise compare the in-place path
-    /// with itself.
-    #[doc(hidden)]
-    pub fn forced_parallel(threads: usize) -> Self {
-        PruneOptions { threads, parallel_min: 0 }
-    }
-}
-
-impl Default for PruneOptions {
-    fn default() -> Self {
-        PruneOptions::new(1)
-    }
-}
-
 /// Result of [`Polygraph::prune`].
 pub enum PruneResult {
     /// Pruning finished; remaining constraints go to the solver.
@@ -270,14 +232,12 @@ impl Polygraph {
     /// are impossible the history violates the isolation level.
     ///
     /// Each pass is staged: a read-only *sweep* tests the worklist against
-    /// the shared oracle — chunked across scoped threads when
-    /// `opts.threads > 1` — and emits, per chunk, the forced sides'
-    /// not-yet-implied edges and the constraints left open; the main thread
-    /// then *applies* them in constraint order (so the lowest-index
-    /// contradiction wins and results are identical for any thread count),
-    /// feeding those edges to the oracle via [`KnownGraph::insert_edges`],
-    /// which re-tests them against what earlier resolutions added and
-    /// reports the ones it kept, and stores the open constraints afresh.
+    /// the pass oracle and emits the forced sides' not-yet-implied edges
+    /// and the constraints left open; the *apply* phase then feeds those
+    /// edges, in constraint order, to the oracle via
+    /// [`KnownGraph::insert_edges`], which re-tests them against what
+    /// earlier resolutions added and reports the ones it kept, and stores
+    /// the open constraints afresh. The first contradiction ends the sweep.
     ///
     /// After the first full pass, only constraints *incident* to a
     /// transaction touched by edges resolved in the previous pass are
@@ -292,30 +252,25 @@ impl Polygraph {
     /// `self.known`, so encoding reads the known graph and its order from
     /// it instead of building another; after a violation found mid-loop it
     /// says what was built and nothing more.
-    pub fn prune(
-        &mut self,
-        opts: &PruneOptions,
-        tracer: &Tracer,
-    ) -> (PruneResult, Option<Box<KnownGraph>>) {
-        self.prune_loop(None, None, opts, tracer)
+    pub fn prune(&mut self, tracer: &Tracer) -> (PruneResult, Option<Box<KnownGraph>>) {
+        self.prune_loop(None, None, tracer)
     }
 
     /// [`Polygraph::prune`] whose first pass generates the constraints of a
     /// whole unit's `gen` that its oracle leaves to decide
-    /// ([`ConstraintGen::covers`]), tests them as they are generated and
-    /// stores only the undecided ones (`constraints` must be empty).
+    /// ([`ConstraintGen::covers`], under a `prune.covers` span carrying the
+    /// writer `pairs` kept and `omitted`), tests them as they are generated
+    /// and stores only the undecided ones (`constraints` must be empty).
     /// Decisions, stats and the oracle are those of [`Polygraph::prune`] on
     /// `gen.covers(oracle).store()`; its verdict and survivors are those on
-    /// `gen.store()`. A cyclic known graph generates nothing. The first
-    /// `prune.pass` span carries the pairs `generated` and `omitted`.
+    /// `gen.store()`. A cyclic known graph generates nothing.
     pub fn prune_generated(
         &mut self,
         gen: &ConstraintGen,
-        opts: &PruneOptions,
         tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         debug_assert!(self.constraints.is_empty(), "generated constraints join a stored set");
-        self.prune_loop(Some(gen), None, opts, tracer)
+        self.prune_loop(Some(gen), None, tracer)
     }
 
     /// Resume pruning with a *warm* oracle — the streaming checker's delta
@@ -324,33 +279,34 @@ impl Polygraph {
     /// marks the transactions touched by that delta, and `gen` generates
     /// the delta's constraints ([`ConstraintGen::delta`]). The first pass
     /// sweeps the stored constraints incident to the seed or to an endpoint
-    /// of `gen`'s edges (the same sound under-approximation as the later
+    /// of `gen`'s pairs (the same sound under-approximation as the later
     /// worklist passes — anything untested simply survives to the solver),
-    /// then `gen`'s constraints, storing only those it leaves open. From
-    /// there the worklist fixpoint proceeds exactly as in
-    /// [`Polygraph::prune`]. Decisions, stats and the oracle are those of a
-    /// resume over the stored constraints followed by `gen.store()`, seeded
-    /// with `seed` and [`ConstraintGen::mark_endpoints`].
+    /// then the pairs of `gen` the warm oracle leaves to decide
+    /// ([`ConstraintGen::covers`], as in [`Polygraph::prune_generated`]),
+    /// storing only those it leaves open. From there the worklist fixpoint
+    /// proceeds exactly as in [`Polygraph::prune`]. Decisions, stats and
+    /// the oracle are those of a resume over the stored constraints
+    /// followed by `gen.covers(kg).store()`, seeded with `seed` and
+    /// [`ConstraintGen::mark_endpoints`].
     pub fn prune_resume(
         &mut self,
         kg: Box<KnownGraph>,
         seed: &[bool],
         gen: &ConstraintGen,
-        opts: &PruneOptions,
         tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         debug_assert_eq!(seed.len(), self.n, "seed must cover the vertex space");
-        self.prune_loop(Some(gen), Some((kg, seed)), opts, tracer)
+        self.prune_loop(Some(gen), Some((kg, seed)), tracer)
     }
 
     /// The shared pass loop: a fresh oracle and a full first pass, or a
     /// `resume`d oracle and a first pass restricted to the seeded worklist.
-    /// The first pass reads the stored constraints, then those of `gen`.
+    /// The first pass reads the stored constraints, then the pairs of `gen`
+    /// its oracle leaves to decide.
     fn prune_loop(
         &mut self,
         gen: Option<&ConstraintGen>,
         resume: Option<(Box<KnownGraph>, &[bool])>,
-        opts: &PruneOptions,
         tracer: &Tracer,
     ) -> (PruneResult, Option<Box<KnownGraph>>) {
         let semantics = self.semantics;
@@ -364,16 +320,14 @@ impl Polygraph {
                 KnownGraphResult::Cyclic(cycle) => return (PruneResult::Violation(cycle), None),
             },
         };
-        // A whole unit's first pass generates only the pairs its fixed
-        // oracle leaves to decide.
-        let covers = match (gen, seed) {
-            (Some(gen), None) => Some(gen.covers(&kg)),
-            _ => None,
-        };
-        let (mut first, generated): (Option<&dyn Source>, _) = match (&covers, gen) {
-            (Some(covers), _) => (Some(covers), covers.counts()),
-            (None, gen) => (gen.map(|gen| gen as &dyn Source), gen.map_or((0, 0), |g| g.counts())),
-        };
+        let covers = gen.map(|gen| {
+            let mut span = tracer.span("prune.covers");
+            let covers = gen.covers(&kg);
+            span.attr("pairs", covers.pairs());
+            span.attr("omitted", covers.omitted());
+            covers
+        });
+        let generated = covers.as_ref().map_or((0, 0), Covers::counts);
         let (constraints_before, unknown_deps_before) =
             (self.constraints.len() + generated.0, self.unknown_deps() + generated.1);
         let mut stats = PruneStats {
@@ -391,64 +345,43 @@ impl Polygraph {
         if let (Some(t), Some(gen)) = (&mut touched, gen) {
             gen.mark_endpoints(t);
         }
+        let mut first = covers.as_ref();
         loop {
             stats.iterations += 1;
             let input = std::mem::take(&mut self.constraints);
-            let gen = first.take();
+            let covers = first.take();
             let filter = touched.as_deref();
             // Every generated constraint is incident to the seed.
-            let worklist = gen.map_or(0, |_| generated.0)
+            let worklist = covers.map_or(0, |_| generated.0)
                 + match filter {
                     None => input.len(),
                     Some(t) => input.iter().filter(|c| c.incident(t)).count(),
                 };
-            let sources: Vec<&dyn Source> = match gen {
-                Some(gen) => vec![&input, gen],
-                None => vec![&input],
-            };
             let mut pass_span = tracer.span_kv(
                 "prune.pass",
                 polysi_obs::kv! { pass: stats.iterations, worklist: worklist },
             );
-            if let Some(covers) = covers.as_ref().filter(|_| stats.iterations == 1) {
-                pass_span.attr("generated", covers.pairs());
-                pass_span.attr("omitted", covers.omitted());
-            }
-            let parallel = opts.threads > 1 && worklist >= opts.parallel_min.max(2);
-            let target = if parallel { chunk_target(worklist, opts.threads) } else { usize::MAX };
-            let chunks: Vec<(&dyn Source, Range<usize>)> = sources
-                .iter()
-                .flat_map(|&source| source.chunks(target).into_iter().map(move |c| (source, c)))
-                .collect();
-            let (n, oracle) = (self.n, &*kg);
-            let (outcomes, touched_now) = fan_out(n, chunks.len(), opts.threads, |c, marks| {
-                let (mut out, mut open) = (ChunkOut::default(), ConstraintSet::new());
-                let (source, units) = &chunks[c];
-                source.visit(units.clone(), &mut open, &mut |cons| {
-                    if filter.is_some_and(|t| !cons.incident(t)) {
-                        return Some(true);
-                    }
-                    out.test(oracle, semantics, cons, marks)
-                });
-                out.open = open;
-                out
-            });
-            let (mut forced, mut side_edges) = (0usize, 0usize);
-            let known_before = self.known.len();
-            for chunk in outcomes {
-                (forced, side_edges) = (forced + chunk.forced, side_edges + chunk.side_edges);
-                let applied = kg.insert_edges(&chunk.edges, &mut self.known, APPLY_FLUSH);
-                // An insert cycle: an earlier resolution of this apply phase
-                // made a forced side impossible too. A contradiction: neither
-                // possibility can hold (line 57/65).
-                if let Some(cycle) = applied.err().or(chunk.contradiction) {
-                    self.constraints = input;
-                    return (PruneResult::Violation(cycle), Some(kg));
+            let (mut sweep, mut open) = (Sweep::new(self.n), ConstraintSet::new());
+            let mut test = |cons: ConstraintRef<'_>| {
+                if filter.is_some_and(|t| !cons.incident(t)) {
+                    return Some(true);
                 }
-                self.constraints.extend(chunk.open);
+                sweep.test(&kg, semantics, cons)
+            };
+            let _ = input.visit(&mut open, &mut test)
+                && covers.is_none_or(|covers| covers.visit(&mut open, &mut test));
+            let known_before = self.known.len();
+            let applied = kg.insert_edges(&sweep.edges, &mut self.known, APPLY_FLUSH);
+            // An insert cycle: an earlier resolution of this apply phase
+            // made a forced side impossible too. A contradiction: neither
+            // possibility can hold (line 57/65).
+            if let Some(cycle) = applied.err().or(sweep.contradiction) {
+                self.constraints = input;
+                return (PruneResult::Violation(cycle), Some(kg));
             }
-            stats.implied_edges += side_edges - (self.known.len() - known_before);
-            pass_span.attr("resolved", forced);
+            self.constraints = open;
+            stats.implied_edges += sweep.side_edges - (self.known.len() - known_before);
+            pass_span.attr("resolved", sweep.forced);
             // One closure propagation for what the apply phase left
             // staged, from the frontier of everything just inserted, and
             // the lists folded for the next sweep.
@@ -456,10 +389,10 @@ impl Polygraph {
             if stats.iterations == 1 {
                 stats.constraints_stored = self.constraints.len();
             }
-            if forced == 0 {
+            if sweep.forced == 0 {
                 break;
             }
-            touched = Some(touched_now);
+            touched = Some(sweep.touched);
         }
         stats.closure_updates = kg.closure_updates() - updates_before;
         stats.incremental_edges = kg.inserted_edges() - edges_before;
@@ -476,24 +409,33 @@ impl Polygraph {
 /// last flush — never lags far behind what the phase has already inserted.
 const APPLY_FLUSH: Flush = Flush::Every(62);
 
-/// One sweep chunk's output, in constraint order: a decided constraint
-/// leaves only its forced side's not-yet-implied edges.
-#[derive(Default)]
-struct ChunkOut {
+/// One pass's sweep, in constraint order: a decided constraint leaves only
+/// its forced side's not-yet-implied edges.
+struct Sweep {
     /// Constraints decided, and their forced sides' edges, implied or not.
     forced: usize,
     side_edges: usize,
     /// The forced sides' not-yet-implied edges, back to back.
     edges: Vec<Edge>,
-    /// The constraints left open, tested or not.
-    open: ConstraintSet,
-    /// The violating cycle of the `either` side of the chunk's first
-    /// constraint with both sides impossible. The chunk ends there: the
-    /// apply phase stops at a contradiction, so nothing after it is read.
+    /// Every endpoint of a forced side: the next pass's worklist filter.
+    touched: Vec<bool>,
+    /// The violating cycle of the `either` side of the first constraint
+    /// with both sides impossible. The sweep ends there: the apply phase
+    /// stops at a contradiction, so nothing after it is read.
     contradiction: Option<Vec<Edge>>,
 }
 
-impl ChunkOut {
+impl Sweep {
+    fn new(n: usize) -> Self {
+        Sweep {
+            forced: 0,
+            side_edges: 0,
+            edges: Vec::new(),
+            touched: vec![false; n],
+            contradiction: None,
+        }
+    }
+
     /// Test `cons` against the pass oracle (read-only): `Some(true)` if
     /// neither side is impossible; `Some(false)` if one is, and then the
     /// other side's edges the oracle does not imply join `edges` and all its
@@ -504,7 +446,6 @@ impl ChunkOut {
         kg: &KnownGraph,
         semantics: Semantics,
         cons: ConstraintRef<'_>,
-        touched: &mut [bool],
     ) -> Option<bool> {
         let bad_either = side_impossible(kg, cons.either, semantics);
         let bad_or = side_impossible(kg, cons.or, semantics);
@@ -521,80 +462,14 @@ impl ChunkOut {
             (false, true) => cons.either,
         };
         for e in side {
-            touched[e.from.idx()] = true;
-            touched[e.to.idx()] = true;
+            self.touched[e.from.idx()] = true;
+            self.touched[e.to.idx()] = true;
         }
         self.forced += 1;
         self.side_edges += side.len();
         self.edges.extend(side.iter().filter(|&&e| !kg.implies(e)));
         Some(false)
     }
-}
-
-/// Below this worklist size a sweep stays in-place whatever
-/// [`PruneOptions::threads`] says: a parallel sweep costs more in thread
-/// setup than it saves. The first pass counts the constraints it will test
-/// — generated ones too. Measured on a 2-core machine: a sweep costs
-/// ~0.12 µs of CPU per constraint (all 567 k writer pairs of
-/// `batch_general` in ~40 ms on two threads), and
-/// fanning one pass out costs ~0.25–0.5 ms in spawn + join (the
-/// benchmark's `stream.auto_threads_s` on `stream_soak`, 1024 checkpoints
-/// under `Auto` threads: 1.68 s with a 1024 cut-off, 1.20 s with this one
-/// — which is push + checkpoint time, no penalty left). Two threads at
-/// best halve a sweep, so the fan-out breaks even at a few thousand
-/// constraints; this cut-off keeps millisecond checkpoints in place while
-/// a batch first pass still fans out.
-pub const PARALLEL_SWEEP_MIN: usize = 8192;
-
-/// Constraints per chunk of a fanned-out sweep over `total`: ~8 chunks per
-/// thread keeps stragglers short without drowning in scheduling overhead.
-/// The floor only binds under `forced_parallel`, where it cuts a small
-/// worklist into many chunks.
-fn chunk_target(total: usize, threads: usize) -> usize {
-    (total / (threads * 8)).clamp(1, 2048)
-}
-
-/// Run `test(chunk, touched)` for every chunk in `0..chunks`, in place or
-/// on up to `threads` scoped threads that each mark their own `touched`.
-/// Returns the outputs in chunk order, so applying them in sequence is the
-/// sequential sweep, and the union of the marks.
-fn fan_out(
-    n: usize,
-    chunks: usize,
-    threads: usize,
-    test: impl Fn(usize, &mut [bool]) -> ChunkOut + Sync,
-) -> (Vec<ChunkOut>, Vec<bool>) {
-    let mut touched = vec![false; n];
-    if threads <= 1 || chunks <= 1 {
-        let outs = (0..chunks).map(|c| test(c, &mut touched)).collect();
-        return (outs, touched);
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, ChunkOut)>> = Mutex::new(Vec::with_capacity(chunks));
-    let marks: Vec<Vec<bool>> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads.min(chunks))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut mine = vec![false; n];
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks {
-                            break mine;
-                        }
-                        let out = test(c, &mut mine);
-                        results.lock().expect("sweep worker panicked").push((c, out));
-                    }
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().expect("sweep worker panicked")).collect()
-    });
-    for mine in marks {
-        touched.iter_mut().zip(mine).for_each(|(t, m)| *t |= m);
-    }
-    let mut per_chunk = results.into_inner().expect("sweep worker panicked");
-    per_chunk.sort_unstable_by_key(|&(c, _)| c);
-    (per_chunk.into_iter().map(|(_, out)| out).collect(), touched)
 }
 
 /// The shared constructor: everything but the session-order edges `so`
@@ -676,6 +551,9 @@ fn build_polygraph_from(
 /// paper) `WW` edges test plain reachability and `RW` edges look for a
 /// `Dep` predecessor of the source; under SER every edge tests plain
 /// reachability.
+/// Figure 4 leaves out a `WW` edge's mid image `B(f) → M(t)` on purpose:
+/// testing it too decides more but breaks the paper's Figure 4 and 5(d)
+/// outcomes (`trials/mid_image_rule_43.json`).
 fn edge_impossible(kg: &KnownGraph, e: &Edge, semantics: Semantics) -> bool {
     match (semantics, e.label) {
         (Semantics::Si, Label::Rw(_)) => kg.rw_closes_cycle(e.from, e.to),
@@ -706,7 +584,7 @@ mod tests {
 
     /// `prune` with the default options and no tracer, oracle dropped.
     fn prune(g: &mut Polygraph) -> PruneResult {
-        g.prune(&PruneOptions::default(), &Tracer::disabled()).0
+        g.prune(&Tracer::disabled()).0
     }
 
     fn k(n: u64) -> Key {
@@ -816,7 +694,7 @@ mod tests {
         let between = |e: &Edge| (e.from == t0 && e.to == t5) || (e.from == t5 && e.to == t0);
         let open = |g: &Polygraph| g.constraints.iter().any(|c| c.either.iter().any(between));
         assert!(open(&g));
-        let (result, oracle) = g.prune(&PruneOptions::default(), &Tracer::disabled());
+        let (result, oracle) = g.prune(&Tracer::disabled());
         let stats = match result {
             PruneResult::Pruned(stats) => stats,
             PruneResult::Violation(c) => panic!("an SI history was rejected: {c:?}"),
@@ -956,7 +834,7 @@ mod tests {
         constraints.push(k(1), either, or);
         let mut g =
             Polygraph { n: 8, known: vec![so(0, 1)], constraints, semantics: Semantics::Si };
-        let (first, kg) = g.prune(&PruneOptions::default(), &Tracer::disabled());
+        let (first, kg) = g.prune(&Tracer::disabled());
         let PruneResult::Pruned(first) = first else { panic!("acyclic") };
         let mut kg = kg.expect("pruning hands its oracle back");
         assert_eq!((first.incremental_edges, first.implied_edges), (1, 1));
@@ -969,13 +847,8 @@ mod tests {
         let (either, or) = pair(4, 5, 6, 7);
         g.constraints.push(k(1), either, or);
         let seed = [false, false, false, false, true, true, true, true];
-        let (resumed, kg) = g.prune_resume(
-            kg,
-            &seed,
-            &ConstraintGen::default(),
-            &PruneOptions::default(),
-            &Tracer::disabled(),
-        );
+        let (resumed, kg) =
+            g.prune_resume(kg, &seed, &ConstraintGen::default(), &Tracer::disabled());
         let PruneResult::Pruned(resumed) = resumed else { panic!("acyclic") };
         let kg = kg.expect("pruning hands its oracle back");
         assert_eq!((resumed.incremental_edges, resumed.implied_edges), (1, 1));

@@ -2,16 +2,16 @@
 // the same staged passes as the production prune — a read-only sweep of
 // the worklist against the pass oracle, resolutions applied in constraint
 // order through `KnownGraph::insert_edges`, the forced constraints dropped
-// from the store — sequential, as the production sweep's results do not
-// depend on its thread count. The reference the generated first pass is
-// held against, over the pairs it generates (`ConstraintGen::covers`);
-// and, over every pair, the reference those pairs are held against
-// (`check_covers`). `include!`d by the facade's `tests/prune_parallel.rs`
-// in a module whose parent has the polygraph types in scope.
+// from the store. The reference the generated first pass is held against,
+// over the pairs it generates (`ConstraintGen::covers`); and, over every
+// pair, the reference those pairs are held against (`check_covers`, and
+// `check_delta_covers` for a stream delta's). `include!`d by the facade's
+// `tests/prune_parallel.rs` in a module whose parent has the polygraph
+// types in scope.
 
 use super::{
-    ConstraintGen, ConstraintSet, Edge, Flush, KnownGraph, KnownGraphResult, Label, Polygraph,
-    PruneResult, PruneStats, Semantics, TxnId,
+    ConstraintGen, ConstraintSet, Edge, Flush, KnownGraph, KnownGraphResult, Label,
+    Polygraph, PruneResult, PruneStats, Semantics, Tracer, TxnId,
 };
 
 /// What [`check_covers`] saw on one unit.
@@ -24,6 +24,9 @@ pub struct CoversSeen {
     /// Forced `RW f→t` edges of omitted pairs that it does not imply,
     /// where `B(f) ⇝ B(t)` makes them redundant.
     pub redundant: usize,
+    /// Omitted pairs whose forced side puts the later writer by id first
+    /// (in a delta: the new writer ordered before an old one).
+    pub later_first: usize,
 }
 
 /// `g` (no constraint stored) pruned over every pair of `gen` and over the
@@ -63,37 +66,92 @@ pub fn check_covers(g: &Polygraph, gen: &ConstraintGen) -> Result<CoversSeen, St
             return Err(format!("{a} ⇝ {b} diverged"));
         }
     }
-    // The omitted constraints: those of `every` that `kept`, a subsequence
-    // of it, skips. The initial oracle orders each pair, so the first pass
-    // finds one side of each impossible (an accepted run, not both); the
-    // other is forced.
+    omitted_edges(g.semantics, &kg, &kg_narrowed, (&every, &kept), &mut seen)?;
+    Ok(seen)
+}
+
+/// A stream delta's narrowing: `g`, whose stored constraints an earlier
+/// prune left open, resumed on its known graph seeded with `seed`, over
+/// the pairs of `delta` that [`ConstraintGen::covers`] keeps
+/// (`Polygraph::prune_resume`) and over every pair (stored after the
+/// survivors and seeded with their endpoints): the same verdict. On
+/// acceptance every edge an omitted pair would have forced is implied by
+/// the narrowed run's final oracle, or is an `RW f→t` edge with
+/// `B(f) ⇝ B(t)` there.
+pub fn check_delta_covers(
+    g: &Polygraph,
+    seed: &[bool],
+    delta: &ConstraintGen,
+) -> Result<CoversSeen, String> {
+    let oracle = || match KnownGraph::build(g.n, &g.known, g.semantics) {
+        KnownGraphResult::Acyclic(kg) => Some(kg),
+        KnownGraphResult::Cyclic(_) => None,
+    };
+    let Some(kg) = oracle() else { return Ok(CoversSeen::default()) };
+    let covers = delta.covers(&kg);
+    let (every, kept) = (delta.store(), covers.store());
+    let tracer = Tracer::disabled();
+    let mut narrowed = g.clone();
+    let (result, final_kg) = narrowed.prune_resume(oracle().expect("acyclic"), seed, delta, &tracer);
+    let mut full = g.clone();
+    full.constraints.extend(every.clone());
+    let mut seed_all = seed.to_vec();
+    delta.mark_endpoints(&mut seed_all);
+    let default = ConstraintGen::default();
+    let (full_result, _) = full.prune_resume(oracle().expect("acyclic"), &seed_all, &default, &tracer);
+    let accepted = matches!(result, PruneResult::Pruned(_));
+    if accepted != matches!(full_result, PruneResult::Pruned(_)) {
+        return Err(format!("verdicts: every pair {}, covers {accepted}", !accepted));
+    }
+    let mut seen = CoversSeen { omitted: covers.omitted(), ..Default::default() };
+    if !accepted {
+        return Ok(seen);
+    }
+    let final_kg = final_kg.expect("an accepting prune returns its oracle");
+    omitted_edges(g.semantics, &kg, &final_kg, (&every, &kept), &mut seen)?;
+    Ok(seen)
+}
+
+/// Hold every constraint of `every` that `kept`, a subsequence of it,
+/// skips against `fin`: the initial oracle `kg` orders each such pair, so
+/// a first pass finds one side impossible (an accepted run, not both) and
+/// forces the other, each edge of which `fin` must imply, or, an `RW f→t`
+/// edge, make redundant by `B(f) ⇝ B(t)`.
+fn omitted_edges(
+    semantics: Semantics,
+    kg: &KnownGraph,
+    fin: &KnownGraph,
+    (every, kept): (&ConstraintSet, &ConstraintSet),
+    seen: &mut CoversSeen,
+) -> Result<(), String> {
+    let impossible = |side: &[Edge]| {
+        side.iter().any(|e| match (semantics, e.label) {
+            (Semantics::Si, Label::Rw(_)) => kg.rw_closes_cycle(e.from, e.to),
+            _ => kg.reaches(e.to, e.from),
+        })
+    };
     let mut kept = kept.iter().peekable();
     for c in every.iter() {
         if kept.next_if_eq(&c).is_some() {
             continue;
         }
-        let impossible = |side: &[Edge]| {
-            side.iter().any(|e| match (g.semantics, e.label) {
-                (Semantics::Si, Label::Rw(_)) => kg.rw_closes_cycle(e.from, e.to),
-                _ => kg.reaches(e.to, e.from),
-            })
-        };
         let forced = match (impossible(c.either), impossible(c.or)) {
             (true, false) => c.or,
             (false, true) => c.either,
             sides => return Err(format!("an omitted constraint is not ordered: {sides:?} {c:?}")),
         };
+        seen.later_first += (forced[0].from > forced[0].to) as usize;
         for &e in forced {
-            if kg_narrowed.implies(e) {
+            if fin.implies(e) {
                 seen.implied += 1;
-            } else if matches!(e.label, Label::Rw(_)) && kg_narrowed.reaches(e.from, e.to) {
+            } else if matches!(e.label, Label::Rw(_)) && fin.reaches(e.from, e.to) {
                 seen.redundant += 1;
             } else {
                 return Err(format!("omitted edge {e:?} of {c:?} is neither implied nor redundant"));
             }
         }
     }
-    Ok(seen)
+    Ok(())
 }
 
 /// Prune `g`, whose constraints are all stored, to the worklist fixpoint.

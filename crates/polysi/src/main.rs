@@ -9,7 +9,7 @@
 //! polysi check history.pbh                  # same, from the binary format
 //! polysi check history.txt --isolation ser  # serializability instead of SI
 //! polysi check history.txt --shards off     # one unit (default: shard by key connectivity)
-//! polysi check history.txt --prune-threads 4  # thread budget: shard workers × sweep threads
+//! polysi check history.txt --prune-threads 4  # thread budget: shard workers
 //! polysi check history.txt --stream          # online checkpoints over a replay
 //! polysi check history.txt --live            # concurrent ingest via one bounded queue
 //! polysi check history.txt --dot out.dot

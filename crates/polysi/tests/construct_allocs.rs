@@ -22,9 +22,7 @@ use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel as Leve
 use polysi::checker::{Outcome, StreamingChecker};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::{Facts, History, Key, KeyIndex, Op, ShardPlan, TxnStatus, Value};
-use polysi::polygraph::{
-    ConstraintMode, Edge, KnownGraphResult, Polygraph, PruneOptions, Semantics,
-};
+use polysi::polygraph::{ConstraintMode, Edge, KnownGraphResult, Polygraph, Semantics};
 use polysi::workloads::{generate, multi_component, GeneralParams, KeyDistribution};
 use polysi_obs::{Obs, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,14 +96,14 @@ fn construct(txns_per_session: usize) -> (usize, u64, i64) {
     let h = general(txns_per_session);
     let facts = Facts::analyze(&h);
     assert!(facts.axioms_ok());
-    let (opts, tracer) = (PruneOptions::new(1), Tracer::disabled());
+    let tracer = Tracer::disabled();
     let mode = ConstraintMode::Generalized;
     let ((mut g, gen), construct) =
         allocs_of(|| Polygraph::from_history_with(&h, &facts, mode, Semantics::Si));
     let mut stored = g.clone();
     stored.constraints = gen.store();
-    let (_, generated) = allocs_of(|| g.prune_generated(&gen, &opts, &tracer));
-    let (_, from_store) = allocs_of(|| stored.prune(&opts, &tracer));
+    let (_, generated) = allocs_of(|| g.prune_generated(&gen, &tracer));
+    let (_, from_store) = allocs_of(|| stored.prune(&tracer));
     assert_eq!(g.constraints, stored.constraints);
     (gen.counts().0, construct, generated as i64 - from_store as i64)
 }
@@ -191,11 +189,12 @@ fn interpretation_is_never_the_peak() {
 }
 
 /// A checkpoint whose delta adds `W` writers to a key that already has `M`
-/// generates a constraint per new writer pair, each against its fixed
-/// oracle, and stores only those it leaves open — none here, where session
-/// order decides every pair. Its peak live bytes above its start stay below
-/// 24 bytes per uncertain edge the delta generates, the size of a delta
-/// store's edge arena alone.
+/// generates, of each new writer's pairs, only those its fixed oracle
+/// leaves to decide — here, where session order decides every pair, the
+/// one with the writer just before it — and stores only those it leaves
+/// open: none. Its peak live bytes above its start stay below 24 bytes per
+/// uncertain edge of all the delta's pairs, the size of a store-all delta
+/// arena alone.
 #[test]
 fn a_checkpoint_never_holds_its_delta_arena() {
     let _serial = serial();
@@ -212,7 +211,7 @@ fn a_checkpoint_never_holds_its_delta_arena() {
     for v in M + 1..=M + W {
         c.push_transaction(s, write(v), TxnStatus::Committed);
     }
-    // Each new writer pairs with every earlier one; a pair of blind
+    // Each new writer would pair with every earlier one; a pair of blind
     // writers has one `WW` edge a side.
     let pairs = W * M + W * (W - 1) / 2;
     let edges = 2 * pairs as usize;
@@ -222,7 +221,7 @@ fn a_checkpoint_never_holds_its_delta_arena() {
     let cp = c.checkpoint();
     let peak = PEAK.load(Ordering::Relaxed) - base;
     assert!(cp.verdict.accepted() && cp.rebuilt == 0, "the delta path checked it");
-    assert_eq!(obs.metrics.counter("prune.constraints_before").total() - before, pairs);
+    assert_eq!(obs.metrics.counter("prune.constraints_before").total() - before, W);
     assert_eq!(obs.metrics.counter("prune.constraints_stored").total(), 0);
     let arena = edges * std::mem::size_of::<Edge>();
     assert!(peak < arena, "peak {peak} B vs the {arena} B arena of {edges} delta edges");

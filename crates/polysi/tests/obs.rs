@@ -325,10 +325,10 @@ fn axioms_and_shard_plan_are_traced_and_timed() {
 
 /// One thread budget for the whole check: `Fixed(1)` makes a sharded
 /// check sequential — every shard on one thread — and `Auto` runs
-/// `min(cores, components)` workers of `cores / workers` sweep threads
-/// each, as the `check` span records.
+/// `min(cores, components)` shard workers, as the `check` span records;
+/// every unit prunes on its worker's thread.
 #[test]
-fn one_budget_splits_into_workers_and_sweep_threads() {
+fn one_budget_sizes_the_shard_workers() {
     use polysi::checker::engine::PruneThreads;
     use polysi::history::{HistoryBuilder, Key, Value};
     let mut b = HistoryBuilder::new();
@@ -355,15 +355,20 @@ fn one_budget_splits_into_workers_and_sweep_threads() {
         }
         assert!(check.children.iter().all(|c| c.name != "axioms"));
         let tids: BTreeSet<u32> = shards.iter().map(|n| n.tid).collect();
-        (attr("workers"), attr("sweep_threads"), tids)
+        assert_eq!(attr("sweep_threads"), None, "no unit sweeps on threads of its own");
+        for shard in &shards {
+            let prunes: Vec<_> = shard.children.iter().filter(|c| c.name == "prune").collect();
+            assert!(prunes.iter().all(|p| p.tid == shard.tid), "a unit prunes on its worker");
+        }
+        (attr("workers"), tids)
     };
     let u = |n: usize| Some(AttrValue::U64(n as u64));
-    let (workers, sweep_threads, tids) = run(PruneThreads::Fixed(1));
-    assert_eq!((workers, sweep_threads, tids.len()), (u(1), u(1), 1));
+    let (workers, tids) = run(PruneThreads::Fixed(1));
+    assert_eq!((workers, tids.len()), (u(1), 1));
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let workers = cores.min(5);
-    let (w, sweep_threads, tids) = run(PruneThreads::Auto);
-    assert_eq!((w, sweep_threads), (u(workers), u((cores / workers).max(1))));
+    let (w, tids) = run(PruneThreads::Auto);
+    assert_eq!(w, u(workers));
     assert!(!tids.is_empty() && tids.len() <= workers, "{tids:?}");
 }
 
@@ -891,23 +896,53 @@ fn cli_trace_out_emits_covering_chrome_trace() {
     }
 }
 
-/// The first prune pass says how many writer pairs it generated and how
-/// many comparable, non-cover pairs it left out: three blind writers of one
-/// key in session order make a chain, whose two covers are generated and
-/// whose outer pair is omitted.
+/// The first prune pass says, in its `prune.covers` span, how many writer
+/// pairs it generated and how many comparable, non-cover pairs it left
+/// out, in a batch check and in a stream delta alike: three blind writers
+/// of one key in session order make a chain, whose two covers are
+/// generated and whose outer pair is omitted; the third writer, arriving
+/// in a delta, pairs with its cover and not with the first writer.
 #[test]
 fn the_first_prune_pass_counts_generated_and_omitted_pairs() {
+    use polysi::history::{Key, Op, TxnStatus, Value};
     let mut b = polysi::history::HistoryBuilder::new();
     b.session();
     for v in 1..=3 {
-        b.begin().write(polysi::history::Key(1), polysi::history::Value(v)).commit();
+        b.begin().write(Key(1), Value(v)).commit();
     }
-    let (report, attr, obs) = traced_check(&b.build(), IsolationLevel::Si, "prune.pass");
+    let (report, attr, obs) = traced_check(&b.build(), IsolationLevel::Si, "prune.covers");
     assert!(report.accepted());
-    assert_eq!(attr("pass"), Some(AttrValue::U64(1)));
-    assert_eq!(attr("generated"), Some(AttrValue::U64(2)));
+    assert_eq!(attr("pairs"), Some(AttrValue::U64(2)));
     assert_eq!(attr("omitted"), Some(AttrValue::U64(1)));
     // Tracer-only: the registry holds no counter for either.
     let counters = obs.metrics.snapshot().counters;
-    assert!(!counters.iter().any(|(n, _)| n.contains("generated") || n.contains("omitted")));
+    assert!(!counters.iter().any(|(n, _)| n.contains("pairs") || n.contains("omitted")));
+    // The stream: two writers, a checkpoint, then the third as a delta.
+    let obs = Obs::enabled();
+    let mut checker =
+        StreamingChecker::new(IsolationLevel::Si, EngineOptions::default()).with_obs(obs.clone());
+    let session = checker.session();
+    for v in 1..=3 {
+        let write = Op::Write { key: Key(1), value: Value(v) };
+        checker.push_transaction(session, vec![write], TxnStatus::Committed);
+        if v >= 2 {
+            assert!(checker.checkpoint().verdict.accepted());
+        }
+    }
+    let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
+    fn covers<'a>(nodes: &'a [SpanNode], out: &mut Vec<&'a SpanNode>) {
+        for n in nodes {
+            if n.name == "prune.covers" {
+                out.push(n);
+            }
+            covers(&n.children, out);
+        }
+    }
+    let mut spans = Vec::new();
+    covers(&forest, &mut spans);
+    let attrs = |n: &SpanNode| {
+        ["pairs", "omitted"].map(|k| n.attrs.iter().find(|(a, _)| *a == k).map(|a| a.1.clone()))
+    };
+    let u = |n: u64| Some(AttrValue::U64(n));
+    assert_eq!(spans.iter().map(|n| attrs(n)).collect::<Vec<_>>(), [[u(1), u(0)], [u(1), u(1)]]);
 }

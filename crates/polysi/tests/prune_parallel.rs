@@ -1,25 +1,24 @@
-//! Determinism of the parallel prune sweep at the polygraph level: the
-//! reduced known-edge list, the surviving constraints and the
-//! counterexample cycle are byte-identical for every thread count and
-//! closure store (the sweep is read-only against the shared oracle and
-//! resolutions are applied in constraint order). Thread counts at the
-//! engine level are rows of the mode matrix: the unsharded ones here, the
-//! sharded ones with the counter digests in `tests/obs.rs`.
+//! The prune stage at the polygraph level: the reduced known-edge list,
+//! the surviving constraints and the counterexample cycle are
+//! byte-identical for every closure store and for every way of reaching
+//! the first pass (constraints stored, generated, or resumed on a warm
+//! oracle), and the pairs a first pass narrows away
+//! (`ConstraintGen::covers`, a whole unit's and a stream delta's) change
+//! no verdict. Shard-worker counts at the engine level are rows of the
+//! mode matrix, checked with the counter digests in `tests/obs.rs`.
 
-use materialized::{check_covers, prune_materialized};
+use materialized::{check_covers, check_delta_covers, prune_materialized};
 use polysi::dbsim::testkit::conformance_corpus;
 use polysi::dbsim::{run, IsolationLevel as Store, SimConfig};
 use polysi::history::{Facts, Key, ShardPlan, TxnId};
 use polysi::polygraph::{
     ConstraintGen, ConstraintMode, ConstraintSet, Edge, Flush, KnownGraph, KnownGraphResult, Label,
-    OracleKind, Polygraph, PruneOptions, PruneResult, PruneStats, Semantics,
+    OracleKind, Polygraph, PruneResult, PruneStats, Semantics,
 };
 use polysi::workloads::{multi_component, GeneralParams, KeyDistribution};
-use polysi_obs::json::Value;
 use polysi_obs::Tracer;
 use proptest::prelude::*;
 use rebuild::prune_by_rebuild;
-use support::Proj;
 
 mod support;
 
@@ -31,23 +30,6 @@ mod rebuild {
 /// The materialize-then-prune loop the fused first pass is held against.
 mod materialized {
     include!("../../polygraph/tests/support/materialized.rs");
-}
-
-/// The unsharded prune-thread rows of the mode matrix: one and four sweep
-/// threads give byte-identical reports and counter digests, under SI and
-/// SER, on every history of the matrix corpus — including histories whose
-/// cycle the prune itself finds.
-#[test]
-fn prune_threads_are_deterministic_across_corpus() {
-    let mut prune_cycles = 0usize;
-    support::check_modes(&["prune 1 unsharded", "prune 4 unsharded"], |_, _, runs| {
-        // A cycle pruning found leaves the unit without prune counters.
-        let unsharded = support::run_of(runs, "batch unsharded").trail[0].view(Proj::Exact);
-        prune_cycles += (unsharded.get("verdict").and_then(Value::as_str)
-            == Some("cyclic_violation")
-            && unsharded.get("prune") == Some(&Value::Null)) as usize;
-    });
-    assert!(prune_cycles > 0, "pruning never found the violation");
 }
 
 /// The constraint generator's other consumers: every constraint stored
@@ -83,8 +65,7 @@ fn only_the_first_pass_narrows_the_pairs() {
     assert_eq!(gen.store().len(), every);
     let mut table3 = Polygraph::from_history(&h, &facts, ConstraintMode::Generalized);
     assert_eq!(table3.constraints.len(), every);
-    let PruneResult::Pruned(stats) = table3.prune(&PruneOptions::default(), &Tracer::disabled()).0
-    else {
+    let PruneResult::Pruned(stats) = table3.prune(&Tracer::disabled()).0 else {
         panic!("session-ordered writers are SI")
     };
     assert_eq!(stats.constraints_before, every);
@@ -107,7 +88,7 @@ fn only_the_first_pass_narrows_the_pairs() {
 
 /// Polygraph-level: `Polygraph::known` after prune — the reduced list of
 /// materialised edges, not just its length — is byte-identical for every
-/// thread count and oracle representation, under SI and SER; and the
+/// oracle representation, under SI and SER; and the
 /// incremental oracle agrees with the unreduced rebuild loop on every
 /// verdict and, on acceptance, on the surviving constraints and on the
 /// reachability of the known graph.
@@ -136,32 +117,17 @@ fn resolved_edge_sets_are_identical() {
                 };
                 (witness, g.known, g.constraints)
             };
-            let run = |opts: PruneOptions| {
-                let mut g = base.clone();
-                let result = g.prune(&opts, &tracer).0;
-                outcome(g, result)
-            };
-            let seq = run(PruneOptions::default());
-            for threads in [2usize, 4, 8] {
-                // `forced_parallel` runs the threaded sweep on these small
-                // corpus worklists; the size cutoff would otherwise route
-                // every case through the sequential fallback and compare
-                // sequential against sequential.
-                assert!(
-                    seq == run(PruneOptions::forced_parallel(threads)),
-                    "{}: {semantics:?} threads={threads} diverged",
-                    case.name
-                );
-            }
+            let mut g = base.clone();
+            let result = g.prune(&tracer).0;
+            let seq = outcome(g, result);
             // Either store, pinned: a pre-built oracle resumed with every
-            // transaction seeded sweeps exactly what `prune` sweeps, over
-            // the stored constraints and over none stored but all generated
-            // (a violation leaves the failing pass's stored input: none when
-            // that is the first pass, which stops before its survivors).
+            // transaction seeded sweeps exactly what `prune` sweeps over the
+            // stored constraints, and what `prune_generated` sweeps over
+            // none stored but all generated (both narrow the pairs).
             let generated = Polygraph { constraints: ConstraintSet::new(), ..base.clone() };
-            let first_pass = seq.0.is_some() && seq.2.len() == base.constraints.len();
-            let kept = if first_pass { ConstraintSet::new() } else { seq.2.clone() };
-            let generated_seq = (seq.0.clone(), seq.1.clone(), kept);
+            let mut g = generated.clone();
+            let result = g.prune_generated(&gen, &tracer).0;
+            let generated_seq = outcome(g, result);
             let inputs = [
                 ("stored", &base, &ConstraintGen::default(), &seq),
                 ("generated", &generated, &gen, &generated_seq),
@@ -173,8 +139,7 @@ fn resolved_edge_sets_are_identical() {
                         KnownGraphResult::Cyclic(cycle) => PruneResult::Violation(cycle),
                         KnownGraphResult::Acyclic(kg) => {
                             assert_eq!(kg.oracle_kind(), kind);
-                            let opts = PruneOptions::forced_parallel(4);
-                            g.prune_resume(kg, &vec![true; base.n], gen, &opts, &tracer).0
+                            g.prune_resume(kg, &vec![true; base.n], gen, &tracer).0
                         }
                     };
                     assert!(
@@ -223,17 +188,18 @@ fn resolved_edge_sets_are_identical() {
     assert!(reduced > 0, "corpus exercised no implied resolved edge");
 }
 
-/// A stream checkpoint's resume, fanned out: stored survivors plus a
-/// delta's generated pairs (`ConstraintGen::delta`) prune exactly as the
-/// same survivors with the delta's constraints stored after them, seeded
-/// with their endpoints too — the same stats, `known` list and surviving
-/// constraints, or the same witness and what the failing pass kept. On
-/// every oracle store, under SI and SER, each corpus history cut twice
-/// into a stored prefix and a delta whose new writers pair with every
-/// earlier writer, and every third prefix pair regenerated.
+/// A stream checkpoint's resume: stored survivors plus a delta's pairs
+/// (`ConstraintGen::delta`) prune exactly as the same survivors with the
+/// pairs the warm oracle leaves to decide (`ConstraintGen::covers`) stored
+/// after them, seeded with the endpoints of all the delta's pairs too —
+/// the same stats, `known` list and surviving constraints, or the same
+/// witness and what the failing pass kept. On every oracle store, under SI
+/// and SER, each corpus history cut twice into a stored prefix and a delta
+/// whose new writers pair with every earlier writer, and every third
+/// prefix pair regenerated.
 #[test]
 fn a_delta_generator_resumes_as_if_stored_first() {
-    let (mut accepted, mut violations, mut decided) = (0usize, 0usize, 0usize);
+    let (mut accepted, mut violations, mut decided, mut omitted) = (0usize, 0usize, 0usize, 0);
     for case in conformance_corpus(0xDE17_A6E4, 1, 16) {
         let facts = Facts::analyze(&case.history);
         if !facts.axioms_ok() {
@@ -269,12 +235,11 @@ fn a_delta_generator_resumes_as_if_stored_first() {
                 let delta = ConstraintGen::delta(&facts, writes, &regen, id);
                 let seed: Vec<bool> = (0..base.n as u32).map(|t| t >= from).collect();
                 let (mut seed_all, mut stored_all) = (seed.clone(), stored.clone());
-                let generated = delta.store();
-                for e in generated.edges() {
-                    seed_all[e.from.idx()] = true;
-                    seed_all[e.to.idx()] = true;
-                }
-                stored_all.extend(generated);
+                delta.mark_endpoints(&mut seed_all);
+                let KnownGraphResult::Acyclic(kg) = base.known_graph() else { continue };
+                let narrowed = delta.covers(&kg);
+                omitted += narrowed.omitted();
+                stored_all.extend(narrowed.store());
                 for kind in [OracleKind::Dense, OracleKind::Chains] {
                     let label = format!("{}: {semantics:?} oracle={kind:?} from={from}", case.name);
                     let Some((got, got_known, got_left)) =
@@ -310,10 +275,11 @@ fn a_delta_generator_resumes_as_if_stored_first() {
     }
     assert!(accepted > 0 && violations > 0, "{accepted} accepted, {violations} violations");
     assert!(decided > 0, "no first pass decided a constraint");
+    assert!(omitted > 0, "no delta pair was narrowed away");
 }
 
-/// `g` with `constraints` stored, resumed on four forced sweep threads from
-/// its known graph pinned to `kind`; `None` if that graph is cyclic.
+/// `g` with `constraints` stored, resumed from its known graph pinned to
+/// `kind`; `None` if that graph is cyclic.
 fn resume_pinned(
     g: &Polygraph,
     kind: OracleKind,
@@ -326,8 +292,7 @@ fn resume_pinned(
     else {
         return None;
     };
-    let opts = PruneOptions::forced_parallel(4);
-    let result = g.prune_resume(kg, seed, gen, &opts, &Tracer::disabled()).0;
+    let result = g.prune_resume(kg, seed, gen, &Tracer::disabled()).0;
     Some((result, g.known, g.constraints))
 }
 
@@ -417,9 +382,8 @@ proptest! {
     /// generated, tested, and stored only when undecided — is the
     /// materialize-then-prune loop over those pairs: the same witness,
     /// `known` list, surviving constraints and stats, under SI and SER,
-    /// generalized and plain, on one thread and fanned out; and
-    /// `Polygraph::prune` over every pair stored is that loop over every
-    /// pair.
+    /// generalized and plain; and `Polygraph::prune` over every pair
+    /// stored is that loop over every pair.
     #[test]
     fn fused_first_pass_is_materialize_then_prune(
         seed in 0u64..1 << 32,
@@ -458,16 +422,12 @@ proptest! {
                     };
                     let want_fused = reference(covers);
                     let label = format!("{semantics:?} {mode:?}");
-                    for opts in [PruneOptions::new(1), PruneOptions::forced_parallel(2),
-                        PruneOptions::forced_parallel(4)]
-                    {
-                        let mut fused = g.clone();
-                        let result = fused.prune_generated(&gen, &opts, &tracer).0;
-                        prop_assert_eq!(&outcome(&fused, result, true), &want_fused, "{} {:?}", label, opts);
-                        let mut again = stored.clone();
-                        let result = again.prune(&opts, &tracer).0;
-                        prop_assert_eq!(&outcome(&again, result, true), &want, "{} stored {:?}", label, opts);
-                    }
+                    let mut fused = g.clone();
+                    let result = fused.prune_generated(&gen, &tracer).0;
+                    prop_assert_eq!(&outcome(&fused, result, true), &want_fused, "{}", label);
+                    let mut again = stored.clone();
+                    let result = again.prune(&tracer).0;
+                    prop_assert_eq!(&outcome(&again, result, true), &want, "{} stored", label);
                 }
             }
         }
@@ -526,4 +486,102 @@ fn covers_prune_as_every_pair_does() {
     eprintln!("{seen:?}");
     assert!(seen.omitted > 0 && seen.implied > 0, "nothing omitted: {seen:?}");
     assert!(seen.redundant > 0, "no omitted edge needed the redundancy argument: {seen:?}");
+}
+
+/// Soundness of a narrowed stream delta (`Polygraph::prune_resume` over
+/// `ConstraintGen::covers` of a `ConstraintGen::delta`), two checkpoints at
+/// the polygraph level: on random SI and SER histories (simulated under
+/// four store levels, so some violate), the pairs of the writers before a
+/// cut are pruned first, narrowed, as earlier checkpoints would have (so
+/// some are settled without being generated); then the writers from the
+/// cut on arrive as one delta, and every third survivor still open is
+/// regenerated. Pruning the delta's kept pairs reaches the verdict that
+/// pruning all its pairs reaches, and every edge an omitted delta pair
+/// would have forced is implied by the final oracle or redundant
+/// (`materialized::check_delta_covers`). The delta pairs omitted include
+/// ones whose new writer is ordered before an old one.
+#[test]
+fn delta_covers_prune_as_every_pair_does() {
+    let (mut seen, mut settled) = (materialized::CoversSeen::default(), 0);
+    let mut rng = 0x0DE1_7A5Eu64;
+    for case in 0..32u64 {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let seed = rng >> 16;
+        let store = [
+            Store::SnapshotIsolation,
+            Store::Serializable,
+            Store::StaleSnapshot,
+            Store::NoWriteConflictDetection,
+        ][case as usize % 4];
+        let base = GeneralParams {
+            sessions: 2 + (seed % 4) as usize,
+            txns_per_session: 6 + (seed % 12) as usize,
+            ops_per_txn: 2 + (seed % 4) as usize,
+            keys: 3 + seed % 6,
+            read_pct: 30 + (seed % 50) as u32,
+            dist: if seed.is_multiple_of(2) {
+                KeyDistribution::Uniform
+            } else {
+                KeyDistribution::Zipfian
+            },
+            seed,
+        };
+        let h = run(&multi_component(&base, 1), &SimConfig::new(store, seed)).history;
+        let facts = Facts::analyze(&h);
+        if !facts.axioms_ok() {
+            continue;
+        }
+        let id = |t: TxnId| t;
+        for semantics in [Semantics::Si, Semantics::Ser] {
+            let (base, _) =
+                Polygraph::from_history_with(&h, &facts, ConstraintMode::Generalized, semantics);
+            for from in [base.n as u32 / 2, 3 * base.n as u32 / 4] {
+                let (mut old, mut writes) = (Vec::new(), Vec::new());
+                for (&key, writers) in &facts.writers {
+                    for (i, &s) in writers.iter().enumerate() {
+                        if s.0 >= from {
+                            writes.push((key, s));
+                        } else {
+                            old.extend(writers[..i].iter().map(|&t| (key, t, s)));
+                        }
+                    }
+                }
+                writes.sort_unstable_by_key(|&(key, w)| (w, key));
+                // The earlier checkpoints: the old pairs, narrowed.
+                let mut g = base.clone();
+                let earlier = ConstraintGen::delta(&facts, [], &old, id);
+                let (PruneResult::Pruned(_), Some(kg)) =
+                    g.prune_generated(&earlier, &Tracer::disabled())
+                else {
+                    continue;
+                };
+                settled += earlier.covers(&kg).omitted();
+                // Open pairs that gained a reader are dropped and regenerated.
+                let mut regen = Vec::new();
+                g.constraints.retain(|i, c| {
+                    let ww = c.either[0];
+                    let open = !kg.reaches(ww.from, ww.to) && !kg.reaches(ww.to, ww.from);
+                    let again = open && i % 3 == 0;
+                    if again {
+                        regen.push((c.key, ww.from.min(ww.to), ww.from.max(ww.to)));
+                    }
+                    !again
+                });
+                regen.sort_unstable();
+                let delta = ConstraintGen::delta(&facts, writes, &regen, id);
+                let touched: Vec<bool> = (0..base.n as u32).map(|t| t >= from).collect();
+                let one = check_delta_covers(&g, &touched, &delta).unwrap_or_else(|e| {
+                    panic!("seed {seed} {store:?} {semantics:?} from={from}: {e}")
+                });
+                seen.omitted += one.omitted;
+                seen.implied += one.implied;
+                seen.redundant += one.redundant;
+                seen.later_first += one.later_first;
+            }
+        }
+    }
+    eprintln!("{seen:?}, {settled} settled earlier");
+    assert!(seen.omitted > 0 && seen.implied > 0, "nothing omitted: {seen:?}");
+    assert!(settled > 0, "no earlier pair was settled without being generated");
+    assert!(seen.later_first > 0, "no omitted pair put its new writer first: {seen:?}");
 }

@@ -1,8 +1,10 @@
-//! Every small history, three SI deciders: the engine (`check`), the
-//! Theorem-6 oracle (`oracle_check_si`, by enumeration of version orders)
-//! and Berenson et al.'s operational SI (`replay_check_si`) agree on every
-//! history of exactly three committed transactions in at most three
-//! sessions, within a bound on keys and operations per transaction.
+//! Every small history, four SI deciders: the engine (`check`), the
+//! streaming checker with a checkpoint after every transaction (each
+//! checkpoint after the first resumes on a delta), the Theorem-6 oracle
+//! (`oracle_check_si`, by enumeration of version orders) and Berenson et
+//! al.'s operational SI (`replay_check_si`) agree on every history of
+//! exactly three committed transactions in at most three sessions, within
+//! a bound on keys and operations per transaction.
 //!
 //! Histories are canonical: session sizes are non-increasing, the n-th
 //! write of a key writes value n, and each read picks the initial value or
@@ -12,6 +14,7 @@
 
 use polysi::checker::engine::{check, EngineOptions, IsolationLevel};
 use polysi::checker::oracle::oracle_check_si;
+use polysi::checker::StreamingChecker;
 use polysi::dbsim::{replay_check_si, ReplayResult};
 use polysi::history::{History, Key, Op, TxnStatus, Value};
 
@@ -114,13 +117,29 @@ fn build(sessions: &[usize], txns: &[&Vec<Step>; 3], choice: &[u64], keys: u64) 
     h
 }
 
-/// Run the three deciders on every history within the bound; panics on the
+/// The streaming checker fed `h` in session-major order with a checkpoint
+/// after every transaction: whether its last checkpoint accepts.
+fn stream_accepts(h: &History) -> bool {
+    let mut checker = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default());
+    let mut accepted = true;
+    for session in h.sessions() {
+        let id = checker.session();
+        for t in session.txns {
+            checker.push_transaction(id, t.ops.clone(), t.status);
+            accepted = checker.checkpoint().verdict.accepted();
+        }
+    }
+    accepted
+}
+
+/// Run the four deciders on every history within the bound; panics on the
 /// first disagreement. Returns the histories checked and the accepted ones.
 fn deciders_agree(keys: u64, max_ops: usize) -> (usize, usize) {
     let opts = EngineOptions::default();
     let mut accepted = 0;
     let visited = for_each_history(keys, max_ops, |h| {
         let engine = check(h, IsolationLevel::Si, &opts).accepted();
+        let stream = stream_accepts(h);
         let oracle = oracle_check_si(h);
         let replay = match replay_check_si(h, 100_000) {
             ReplayResult::Si => true,
@@ -128,8 +147,8 @@ fn deciders_agree(keys: u64, max_ops: usize) -> (usize, usize) {
             ReplayResult::Budget => panic!("replay ran out of budget on {h:?}"),
         };
         assert!(
-            engine == oracle && oracle == replay,
-            "engine {engine}, oracle {oracle}, replay {replay} on {h:?}"
+            engine == stream && engine == oracle && oracle == replay,
+            "engine {engine}, stream {stream}, oracle {oracle}, replay {replay} on {h:?}"
         );
         accepted += engine as usize;
     });
@@ -138,7 +157,8 @@ fn deciders_agree(keys: u64, max_ops: usize) -> (usize, usize) {
 
 /// One key, one or two steps a transaction: 15 138 histories, among them
 /// every one in which all three transactions write the key (the smallest
-/// case where the first prune pass omits a writer pair).
+/// case where the first prune pass omits a writer pair, and where a
+/// stream delta's does: a third writer after two it follows).
 #[test]
 fn three_transactions_on_one_key() {
     let (visited, accepted) = deciders_agree(1, 2);

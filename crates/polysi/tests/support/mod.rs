@@ -354,8 +354,6 @@ pub fn modes() -> Vec<(&'static str, Runner, Contract)> {
         ("batch unsharded", batched(unsharded, PruneThreads::Auto), Same(Class, "batch")),
         ("prune 1", batched(sharded, fixed(1)), Same(Exact, "batch")),
         ("prune 4", batched(sharded, fixed(4)), Same(Exact, "batch")),
-        ("prune 1 unsharded", batched(unsharded, fixed(1)), Same(Exact, "batch unsharded")),
-        ("prune 4 unsharded", batched(unsharded, fixed(4)), Same(Exact, "batch unsharded")),
         (
             "no prune",
             with(EngineOptions { pruning: false, ..Default::default() }),
