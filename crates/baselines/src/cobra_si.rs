@@ -79,13 +79,15 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
     stats.constraints = constraints.len();
 
     // Cobra-style pruning: only the direct reachability rule, applied to
-    // WW edges over the doubled graph.
-    loop {
-        let kg = match KnownGraph::build(n, &known, Semantics::Si) {
+    // WW edges over the doubled graph, each round on an oracle rebuilt over
+    // the known edges and what the last round forced. The oracle of the
+    // round that forces nothing holds the known graph the solver gets.
+    let kg = loop {
+        let kg = match KnownGraph::build(n, known, Semantics::Si) {
             KnownGraphResult::Acyclic(g) => g,
-            KnownGraphResult::Cyclic(_) => return (SiVerdict::NotSi, stats),
+            KnownGraphResult::Cyclic { .. } => return (SiVerdict::NotSi, stats),
         };
-        let resolved_before = stats.resolved;
+        let mut forced_edges: Vec<Edge> = Vec::new();
         let mut contradiction = false;
         constraints.retain(|_, cons| {
             if contradiction {
@@ -103,24 +105,23 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
                 (false, true) => cons.either,
                 (false, false) => return true,
             };
-            known.extend_from_slice(forced);
+            forced_edges.extend_from_slice(forced);
             stats.resolved += 1;
             false
         });
         if contradiction {
             return (SiVerdict::NotSi, stats);
         }
-        if stats.resolved == resolved_before {
-            break;
+        if forced_edges.is_empty() {
+            break kg;
         }
-    }
+        known = kg.into_edges();
+        known.extend(forced_edges);
+    };
 
     // Encode on the doubled (layered) graph; seed phases along the known
     // topological order.
-    let topo: Option<Vec<u32>> = match KnownGraph::build(n, &known, Semantics::Si) {
-        KnownGraphResult::Acyclic(kg) => Some(kg.layered_order().to_vec()),
-        KnownGraphResult::Cyclic(_) => None,
-    };
+    let topo = kg.layered_order();
     let mut solver = Solver::with_graph(Semantics::Si.layers() * n);
     let add_known = |solver: &mut Solver, e: &Edge| {
         let (f, t) = (e.from.0, e.to.0);
@@ -140,21 +141,19 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
             solver.add_symbolic_edge(guard, n as u32 + f, t);
         }
     };
-    for e in &known {
+    for e in kg.edges() {
         add_known(&mut solver, e);
     }
     for cons in &constraints {
         let var = solver.new_var();
         let s = Lit::pos(var);
-        if let Some(topo) = &topo {
-            let score = |side: &[Edge]| -> i64 {
-                side.iter()
-                    .filter(|e| matches!(e.label, Label::Ww(_)))
-                    .map(|e| if topo[e.from.idx()] < topo[e.to.idx()] { 1i64 } else { -1 })
-                    .sum()
-            };
-            solver.set_phase(var, score(cons.either) >= score(cons.or));
-        }
+        let score = |side: &[Edge]| -> i64 {
+            side.iter()
+                .filter(|e| matches!(e.label, Label::Ww(_)))
+                .map(|e| if topo[e.from.idx()] < topo[e.to.idx()] { 1i64 } else { -1 })
+                .sum()
+        };
+        solver.set_phase(var, score(cons.either) >= score(cons.or));
         for e in cons.either {
             add_sym(&mut solver, s, e);
         }
@@ -162,6 +161,8 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
             add_sym(&mut solver, !s, e);
         }
     }
+    // The solver holds its own copy of the known graph.
+    drop(kg);
     let verdict = match solver.solve() {
         SolveResult::Sat(_) => SiVerdict::Si,
         SolveResult::Unsat | SolveResult::Unknown => SiVerdict::NotSi,

@@ -74,7 +74,7 @@ use polysi_history::{
 use polysi_obs::{kv, Obs, SpanGuard, Tracer};
 use polysi_polygraph::{
     layered_images, ConstraintGen, ConstraintMode, ConstraintRef, ConstraintSet, Edge, KnownGraph,
-    KnownGraphResult, Label, Polygraph, PruneResult, Semantics,
+    Label, Polygraph, PruneResult, Semantics,
 };
 use polysi_solver::theory::KnownEdges;
 use polysi_solver::{Lit, SolveResult, Solver, SolverStats};
@@ -582,7 +582,7 @@ impl CheckEngine {
             let mut witness = units.witness.lock().expect("shard worker panicked");
             if witness.as_ref().is_none_or(|w| i < w.unit) {
                 // Interpretation reads the unit as constructed (prune only
-                // appends to `known`) and none of its constraints.
+                // appends to the known edges) and none of its constraints.
                 g.known.truncate(constructed);
                 g.constraints = ConstraintSet::new();
                 *witness = Some(Witness { unit: i, graph: g, facts, cycle });
@@ -601,8 +601,13 @@ impl CheckEngine {
         constructing: Duration,
     ) -> (Option<Vec<Edge>>, Tally) {
         let tracer = &self.obs.tracer;
-        let (verdict, mut tally, _oracle) = run_unit(g, prune, tracer);
+        let (verdict, mut tally, oracle) = run_unit(g, prune, tracer);
         tally.timings.constructing = constructing;
+        // A rejected unit's oracle hands back the known edges that its
+        // witness and interpretation read.
+        if let (false, Some(kg)) = (matches!(verdict, UnitVerdict::Accepted), oracle) {
+            g.known = kg.into_edges();
+        }
         let cycle = match verdict {
             UnitVerdict::Accepted => None,
             UnitVerdict::PruneCycle(cycle) => Some(cycle),
@@ -666,8 +671,9 @@ pub(crate) enum UnitVerdict {
 /// Stages Prune (skipped when `prune` is `None`) → Encode → Solve for one
 /// unit whose polygraph the caller constructed: a batch unit, or a dirty
 /// stream component, rebuilt or extended by its delta. Returns the
-/// verdict, the unit's tally (`constructing` is the caller's) and, when
-/// pruning completed, the reachability oracle it maintained.
+/// verdict, the unit's tally (`constructing` is the caller's) and the
+/// reachability oracle, which owns the unit's known edges
+/// ([`Polygraph::known_graph`]), whenever one was built.
 ///
 /// When pruning completed and left no constraint, the unit is accepted
 /// without a solver. That is sound because [`PruneResult::Pruned`] means
@@ -690,13 +696,6 @@ pub(crate) fn run_unit(
     let mut oracle = None;
     if let Some(from) = prune {
         let mut span = tracer.span(prune_name);
-        let constraints = match &from {
-            Prune::Scratch(Some(gen)) | Prune::Resume(_, _, gen) => {
-                g.constraints.len() + gen.counts().0
-            }
-            Prune::Scratch(None) => g.constraints.len(),
-        };
-        span.attr("constraints", constraints);
         let reorders = match &from {
             Prune::Resume(kg, ..) => kg.reorders(),
             Prune::Scratch(_) => 0,
@@ -722,14 +721,20 @@ pub(crate) fn run_unit(
                 span.attr("reordered", kg.reorders() - reorders);
             }
         }
-        tally.timings.pruning = span.finish();
+        oracle = kg;
         match result {
-            PruneResult::Violation(cycle) => return (UnitVerdict::PruneCycle(cycle), tally, None),
+            PruneResult::Violation(cycle) => {
+                tally.timings.pruning = span.finish();
+                return (UnitVerdict::PruneCycle(cycle), tally, oracle);
+            }
             PruneResult::Pruned(stats) => {
+                // What the first pass tested: the stored constraints and
+                // the generated ones its oracle left to decide.
+                span.attr("constraints", stats.constraints_before);
                 tally.prune_stats = Some(stats);
-                oracle = kg;
             }
         }
+        tally.timings.pruning = span.finish();
     }
 
     let span = tracer.span(encode_name);
@@ -737,14 +742,12 @@ pub(crate) fn run_unit(
     // The solver reads the oracle pruning maintained; without pruning one
     // is built here, and a known graph it finds cyclic is unsatisfiable
     // before any solver exists.
-    let unpruned = match oracle.is_none().then(|| g.known_graph()) {
-        Some(KnownGraphResult::Acyclic(kg)) => Some(kg),
-        _ => None,
-    };
+    if oracle.is_none() {
+        oracle = g.known_graph().ok();
+    }
     let encoded = (!decided).then(|| {
-        let stats = encode_stats(g);
-        let kg = oracle.as_deref().or(unpruned.as_deref());
-        (kg.map(|kg| encode(g, kg, stats.known_edges)), stats)
+        let stats = encode_stats(g, oracle.as_deref());
+        (oracle.as_deref().map(|kg| encode(g, kg)), stats)
     });
     tally.timings.encoding = span.finish();
     let mut span = tracer.span(solve_name);
@@ -792,20 +795,20 @@ impl KnownEdges for Oracle<'_> {
 }
 
 /// Encode a polygraph into the SAT-modulo-acyclicity solver over `kg`, the
-/// oracle of its known edges, whose layered images number `known_edges`:
-/// the theory reads those images (2n nodes under SI, `Dep` edges fanning
-/// out to boundary + mid images; n under SER, every edge direct) from the
-/// oracle, so only the constraints' edges are added. Selector phases are
-/// seeded from the oracle's topological order, so the first full
-/// assignment is near-acyclic.
-fn encode<'k>(g: &Polygraph, kg: &'k KnownGraph, known_edges: usize) -> Solver<Oracle<'k>> {
+/// oracle that owns its known edges: the theory reads their layered images
+/// (2n nodes under SI, `Dep` edges fanning out to boundary + mid images;
+/// n under SER, every edge direct) from the oracle, so only the
+/// constraints' edges are added. Selector phases are seeded from the
+/// oracle's topological order, so the first full assignment is
+/// near-acyclic.
+fn encode<'k>(g: &Polygraph, kg: &'k KnownGraph) -> Solver<Oracle<'k>> {
     let (n, semantics) = (g.n, g.semantics);
     let topo = kg.layered_order();
-    // The theory trusts the oracle for every known edge: one it lacked
-    // would be a false accept. Both counts are O(1).
+    // The theory reads the oracle's nodes as the unit's transactions: an
+    // oracle over another vertex space would be a false accept.
     assert!(
-        topo.len() == semantics.layers() * n && kg.layered_edges() == known_edges,
-        "the oracle holds exactly the layered images of the unit's known edges"
+        topo.len() == semantics.layers() * n,
+        "the oracle has one layered node per layer and transaction of the unit"
     );
     let mut solver = Solver::with_known(Oracle(kg));
     for cons in &g.constraints {
@@ -824,14 +827,15 @@ fn encode<'k>(g: &Polygraph, kg: &'k KnownGraph, known_edges: usize) -> Solver<O
 }
 
 /// What [`encode`] puts in the solver: a selector per constraint, and the
-/// theory edges of the known edges and of the constraints' sides.
-fn encode_stats(g: &Polygraph) -> EncodeStats {
+/// theory edges of the known edges (those of `kg`, the unit's oracle, if
+/// one was built) and of the constraints' sides.
+fn encode_stats(g: &Polygraph, kg: Option<&KnownGraph>) -> EncodeStats {
     let edges = |side: &[Edge]| -> usize {
         side.iter().map(|e| layered_images(g.n, *e, g.semantics).count()).sum()
     };
     EncodeStats {
         vars: g.constraints.len(),
-        known_edges: edges(&g.known),
+        known_edges: kg.map_or_else(|| edges(&g.known), KnownGraph::layered_edges),
         symbolic_edges: g.constraints.iter().map(|c| edges(c.either) + edges(c.or)).sum(),
         ..EncodeStats::default()
     }
@@ -889,7 +893,7 @@ fn phase_along_topo(topo: &[u32], cons: ConstraintRef<'_>, sem: Semantics) -> bo
 pub(crate) mod tests {
     use super::*;
     use polysi_history::{HistoryBuilder, Key, TxnId, Value};
-    use polysi_polygraph::{ConstraintSet, Flush};
+    use polysi_polygraph::{ConstraintSet, Flush, KnownGraphResult};
     use proptest::prelude::*;
 
     fn k(n: u64) -> Key {
@@ -1205,7 +1209,7 @@ pub(crate) mod tests {
 
     /// Encode `g` over its oracle `kg` and solve.
     fn solved(g: &Polygraph, kg: &KnownGraph) -> bool {
-        solve(Some(encode(g, kg, encode_stats(g).known_edges)), &Tracer::disabled()).0
+        solve(Some(encode(g, kg)), &Tracer::disabled()).0
     }
 
     proptest! {
@@ -1234,20 +1238,18 @@ pub(crate) mod tests {
             rp in polygraph_strategy(),
             first in 0usize..10,
         ) {
-            let mut g = build(&rp);
+            let g = build(&rp);
             let truth = enumerate_sat(&g);
             let first = first.min(g.n);
             let (early, late): (Vec<Edge>, Vec<Edge>) =
                 g.known.iter().partition(|e| e.from.idx().max(e.to.idx()) < first);
-            let KnownGraphResult::Acyclic(mut kg) = KnownGraph::build(first, &early, g.semantics)
+            let KnownGraphResult::Acyclic(mut kg) = KnownGraph::build(first, early, g.semantics)
             else {
                 prop_assert!(!truth);
                 return Ok(());
             };
             kg.grow(g.n);
-            // What the oracle keeps is what the unit's known edges become.
-            g.known = early;
-            if kg.insert_edges(&late, &mut g.known, Flush::AtEnd).is_err() {
+            if kg.insert_edges(&late, Flush::AtEnd).is_err() {
                 prop_assert!(!truth);
                 return Ok(());
             }
@@ -1273,9 +1275,10 @@ pub(crate) mod tests {
             if g.constraints.is_empty() {
                 let known_edges = tally.encode_stats.map(|e| e.known_edges);
                 prop_assert_eq!(known_edges, Some(0), "nothing was encoded");
-                let kg = oracle.as_deref().expect("pruning completed");
-                prop_assert!(solved(&g, kg), "the solver rejects what the runner accepted");
+                let kg = oracle.expect("pruning completed");
+                prop_assert!(solved(&g, &kg), "the solver rejects what the runner accepted");
                 // Without an oracle nothing vouches for the known graph.
+                g.known = kg.into_edges();
                 let (unpruned, tally, _) = run_unit(&mut g, None, &tracer);
                 let solved = tally.solver_stats.is_some();
                 prop_assert!(matches!(unpruned, UnitVerdict::Accepted) && solved);
@@ -1283,20 +1286,68 @@ pub(crate) mod tests {
         }
     }
 
-    /// The oracle's layered out-lists are the images of `g.known`, node by
-    /// node in edge order: the known graph the solver reads is the unit's.
-    pub(crate) fn assert_mirrors(kg: &KnownGraph, g: &Polygraph) {
-        let nodes = g.semantics.layers() * g.n;
-        assert_eq!(kg.layered_order().len(), nodes, "one layered node per layer and txn");
-        let mut images = vec![Vec::new(); nodes];
-        for e in &g.known {
-            for (u, v) in layered_images(g.n, *e, g.semantics) {
-                images[u as usize].push(v);
-            }
+    /// `g`'s oracle owns its known edges: `g.known` is empty, the oracle's
+    /// edges start with the `constructed` ones, and its layered edges are
+    /// their images.
+    pub(crate) fn assert_owns(kg: &KnownGraph, g: &Polygraph, constructed: &[Edge]) {
+        assert!(g.known.is_empty(), "the unit keeps a second list");
+        assert_eq!(kg.layered_order().len(), g.semantics.layers() * g.n);
+        assert_eq!(&kg.edges()[..constructed.len()], constructed, "the constructed prefix");
+        let images: usize =
+            kg.edges().iter().map(|e| layered_images(g.n, *e, g.semantics).count()).sum();
+        assert_eq!(kg.layered_edges(), images);
+    }
+
+    /// A rejected unit keeps its known edges where interpretation finds
+    /// them: a known graph cyclic as constructed gives them back to the
+    /// polygraph, with pruning or without (which still reports them as
+    /// `encode.known_edges`); a prune that rejects hands back its oracle,
+    /// whose edges start with the constructed ones.
+    #[test]
+    fn a_rejected_unit_keeps_its_known_edges() {
+        let tracer = Tracer::disabled();
+        let unit = |h: &polysi_history::History| {
+            let facts = Facts::analyze(h);
+            let sem = Semantics::Si;
+            Polygraph::from_history_with(h, &facts, ConstraintMode::Generalized, sem)
+        };
+        // Each transaction reads the other's write: `WR` both ways.
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().read(k(1), v(2)).write(k(2), v(1)).commit();
+        b.session();
+        b.begin().read(k(2), v(1)).write(k(1), v(2)).commit();
+        let cyclic = b.build();
+        for pruning in [true, false] {
+            let (mut g, gen) = unit(&cyclic);
+            let constructed = g.known.clone();
+            let prune = pruning.then_some(Prune::Scratch(Some(gen)));
+            let (verdict, tally, oracle) = run_unit(&mut g, prune, &tracer);
+            assert!(!matches!(verdict, UnitVerdict::Accepted) && oracle.is_none());
+            assert_eq!(g.known, constructed, "pruning {pruning}");
+            let known_edges = tally.encode_stats.map(|e| e.known_edges);
+            assert_eq!(known_edges, (!pruning).then_some(4), "two `WR` edges, two images each");
         }
-        for (x, images) in images.iter().enumerate() {
-            assert_eq!(kg.layered_out(x as u32).collect::<Vec<_>>(), *images, "layered node {x}");
+        // The long fork: the first prune pass finds both orders of a pair
+        // impossible.
+        let mut b = HistoryBuilder::new();
+        b.session();
+        b.begin().write(k(1), v(10)).write(k(2), v(20)).commit();
+        for (key, value) in [(1, 11), (2, 21)] {
+            b.session();
+            b.begin().write(k(key), v(value)).commit();
         }
+        for (x, y) in [(11, 20), (10, 21)] {
+            b.session();
+            b.begin().read(k(1), v(x)).read(k(2), v(y)).commit();
+        }
+        let (mut g, gen) = unit(&b.build());
+        let constructed = g.known.clone();
+        let (verdict, _, oracle) = run_unit(&mut g, Some(Prune::Scratch(Some(gen))), &tracer);
+        assert!(matches!(verdict, UnitVerdict::PruneCycle(_)));
+        let kg = oracle.expect("a rejecting prune hands its oracle back");
+        assert!(g.known.is_empty());
+        assert_eq!(&kg.edges()[..constructed.len()], constructed);
     }
 
     /// Two serial components, every writer pair decided by pruning: keys
@@ -1320,10 +1371,10 @@ pub(crate) mod tests {
         b.build()
     }
 
-    /// The oracle a unit's solver reads holds exactly the images of the
-    /// unit's known edges, prune's resolutions included: batch, sharded
-    /// and list units, under SI and SER (the stream's components are
-    /// checked in `stream.rs`).
+    /// A unit's oracle, which its solver reads, owns the unit's known
+    /// edges, prune's resolutions included: batch, sharded and list units,
+    /// under SI and SER (the stream's components are checked in
+    /// `stream.rs`).
     #[test]
     fn a_unit_s_oracle_is_its_known_graph() {
         use crate::list::{ListOp, ListTxn};
@@ -1353,18 +1404,20 @@ pub(crate) mod tests {
                 let facts = Facts::analyze(unit);
                 let (mut g, gen) =
                     Polygraph::from_history_with(unit, &facts, ConstraintMode::Generalized, sem);
-                let constructed = g.known.len();
+                let constructed = g.known.clone();
                 let (verdict, _, oracle) =
                     run_unit(&mut g, Some(Prune::Scratch(Some(gen))), &tracer);
                 assert!(matches!(verdict, UnitVerdict::Accepted));
-                resolved += g.known.len() - constructed;
-                assert_mirrors(&oracle.expect("pruning completed"), &g);
+                let kg = oracle.expect("pruning completed");
+                resolved += kg.edges().len() - constructed.len();
+                assert_owns(&kg, &g, &constructed);
             }
             assert!(resolved > 0, "{level:?}: pruning added edges no path implied");
             let mut g = list::polygraph(&lists, sem).expect("a valid list history");
+            let constructed = g.known.clone();
             let (verdict, _, oracle) = run_unit(&mut g, Some(Prune::Scratch(None)), &tracer);
             assert!(matches!(verdict, UnitVerdict::Accepted));
-            assert_mirrors(&oracle.expect("pruning completed"), &g);
+            assert_owns(&oracle.expect("pruning completed"), &g, &constructed);
         }
     }
 
@@ -1377,14 +1430,13 @@ pub(crate) mod tests {
         let edge = |f: u32, t: u32, label| Edge::new(TxnId(f), TxnId(t), label);
         for sem in [Semantics::Si, Semantics::Ser] {
             let KnownGraphResult::Acyclic(mut kg) =
-                KnownGraph::build(2, &[edge(0, 1, Label::So)], sem)
+                KnownGraph::build(2, vec![edge(0, 1, Label::So)], sem)
             else {
                 panic!("acyclic");
             };
             kg.grow(4);
-            let mut known = vec![edge(0, 1, Label::So)];
             let late = [edge(3, 0, Label::Wr(k(1))), edge(2, 3, Label::Wr(k(2)))];
-            kg.insert_edges(&late, &mut known, Flush::AtEnd).expect("acyclic");
+            kg.insert_edges(&late, Flush::AtEnd).expect("acyclic");
             assert!(kg.reorders() > 0, "{sem:?}: an edge ran against arrival order");
             // `1 → 2` closes 2 → 3 → 0 → 1 → 2, and so does `1 → 3` with
             // 3 → 0 → 1: the first instance is forced to `2 → 1`, the
@@ -1393,7 +1445,7 @@ pub(crate) mod tests {
             for (or, sat) in [(ww(2, 1), true), (ww(1, 3), false)] {
                 let mut constraints = ConstraintSet::new();
                 constraints.push(k(3), ww(1, 2), or);
-                let g = Polygraph { n: 4, known: known.clone(), constraints, semantics: sem };
+                let g = Polygraph { n: 4, known: kg.edges().to_vec(), constraints, semantics: sem };
                 assert_eq!(enumerate_sat(&g), sat);
                 assert_eq!(solved(&g, &kg), sat, "{sem:?}");
             }

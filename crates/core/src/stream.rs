@@ -20,12 +20,11 @@
 //!   `WR`, init-`RW` (and SER RMW-`WW`) edges from the facts of the
 //!   transactions that arrived since the last graph check, as
 //!   [`polysi_history::StreamFacts::delta`] derives them);
-//! * the prune stage's reachability oracle, grown with
-//!   [`KnownGraph::grow`] and extended with
+//! * the prune stage's reachability oracle, which owns the component's
+//!   known edges, grown with [`KnownGraph::grow`] and extended with
 //!   [`KnownGraph::insert_edges`] (one flush per delta) — rebuilt only
 //!   by a compaction, over the surviving edges; it keeps only the delta
-//!   edges its paths do not already imply, and the polygraph's `known`
-//!   list mirrors exactly those. Its representation follows the growth
+//!   edges its paths do not already imply. Its representation follows the growth
 //!   (`grow` moves a dense oracle to chains once the component is big
 //!   enough for that to pay) and the compaction (a rebuild applies the
 //!   build rule), so a component ends up with the oracle a batch check
@@ -120,9 +119,7 @@ use polysi_history::{
     Op, RootInfo, SessionId, ShardComponent, TxnId, TxnStatus, Value, WrSource,
 };
 use polysi_obs::{kv, Obs};
-use polysi_polygraph::{
-    ConstraintGen, ConstraintMode, Edge, Flush, KnownGraph, KnownGraphResult, Label, Polygraph,
-};
+use polysi_polygraph::{ConstraintGen, ConstraintMode, Edge, Flush, KnownGraph, Label, Polygraph};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -186,10 +183,11 @@ pub struct StreamRejection {
 struct ComponentState {
     /// Member transactions, ascending arrival ids.
     txns: Vec<TxnId>,
-    /// The component polygraph, post-prune (known includes resolved
-    /// edges; constraints are the survivors).
+    /// The component polygraph, post-prune: its constraints are the
+    /// survivors, and its known edges are the oracle's.
     poly: Polygraph,
-    /// The warm reachability oracle (`None` only transiently).
+    /// The warm reachability oracle, which owns the component's known
+    /// edges, resolved ones included (`None` only transiently).
     oracle: Option<Box<KnownGraph>>,
 }
 
@@ -611,15 +609,15 @@ impl StreamingChecker {
                     mark(i as u32, &mut keep, &mut stack);
                 }
             }
-            // Forward closure: successors along known edges, plus the `WR`
-            // sources of retained readers (so no dropped writer keeps a
-            // live reader).
-            let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for e in &state.poly.known {
-                adj[e.from.idx()].push(e.to.0);
-            }
+            // Forward closure: successors along known edges (the
+            // transactions a transaction's layered nodes point at in the
+            // oracle), plus the `WR` sources of retained readers (so no
+            // dropped writer keeps a live reader).
+            let oracle = state.oracle.as_deref().expect("live component has an oracle");
+            let layers = self.isolation.semantics().layers() as u32;
             while let Some(i) = stack.pop() {
-                for &j in &adj[i as usize] {
+                let succ = (0..layers).flat_map(|l| oracle.layered_out(l * n as u32 + i));
+                for j in succ.filter(|&j| (j as usize) < n) {
                     if !keep[j as usize] {
                         keep[j as usize] = true;
                         stack.push(j);
@@ -660,12 +658,11 @@ impl StreamingChecker {
         // Phase 3: remap every cached component. Untouched components only
         // renumber their member list (local ids are positional and
         // unchanged). A compacted one restricts its polygraph to the
-        // survivors and builds its oracle afresh over the surviving known
-        // edges — `poly.known` is exactly what the old oracle held, and
-        // the keep set is predecessor-closed, so every path between
-        // survivors survives and the build answers every query the old
-        // oracle did. Global ids moved for everyone, so the `local_of`
-        // column is rewritten whole.
+        // survivors and builds its oracle afresh over the old oracle's
+        // surviving edges — the keep set is predecessor-closed, so every
+        // path between survivors survives and the build answers every
+        // query the old oracle did. Global ids moved for everyone, so the
+        // `local_of` column is rewritten whole.
         let _remap_span = self.obs.tracer.span("compact.remap");
         for (tag, state) in self.comps.iter_mut() {
             let Some(keep) = keeps.get(tag) else {
@@ -679,13 +676,8 @@ impl StreamingChecker {
             for (new, &old) in survivors.iter().enumerate() {
                 lmap[old] = new as u32;
             }
-            state.poly.compact(&lmap, survivors.len());
-            state.oracle = match state.poly.known_graph() {
-                KnownGraphResult::Acyclic(oracle) => Some(oracle),
-                KnownGraphResult::Cyclic(_) => {
-                    unreachable!("a restriction of an accepted component's known graph is acyclic")
-                }
-            };
+            let oracle = state.oracle.take().expect("live component has an oracle");
+            state.oracle = Some(state.poly.compact(oracle, &lmap, survivors.len()));
             state.txns = survivors.iter().map(|&i| TxnId(map[state.txns[i].idx()])).collect();
         }
         self.comps.retain(|_, s| !s.txns.is_empty());
@@ -830,8 +822,8 @@ impl StreamingChecker {
 
         // Land the edge delta (dedup + localize) so reachability reflects
         // this checkpoint's knowns. The oracle keeps only the edges its
-        // paths do not already imply and `poly.known` mirrors it; every
-        // delta edge still marks the resume worklist. Each event fires
+        // paths do not already imply; every delta edge still marks the
+        // resume worklist. Each event fires
         // once, so an edge can repeat only within a batch (an init read
         // and a final write landing together name the same
         // anti-dependency) — hence the local set.
@@ -849,7 +841,7 @@ impl StreamingChecker {
                     delta.push(le);
                 }
             }
-            if oracle.insert_edges(&delta, &mut state.poly.known, Flush::AtEnd).is_err() {
+            if oracle.insert_edges(&delta, Flush::AtEnd).is_err() {
                 return false; // terminal; the canonical witness comes from batch
             }
             span.attr("reordered", oracle.reorders() - reorders);
@@ -889,9 +881,7 @@ impl StreamingChecker {
             }
         }
         let reorders = oracle.reorders();
-        if !follow_on.is_empty()
-            && oracle.insert_edges(&follow_on, &mut state.poly.known, Flush::AtEnd).is_err()
-        {
+        if !follow_on.is_empty() && oracle.insert_edges(&follow_on, Flush::AtEnd).is_err() {
             return false;
         }
         constraints_span.attr("reordered", oracle.reorders() - reorders);
@@ -1099,7 +1089,7 @@ mod tests {
         let oracle = state.oracle.as_mut().expect("accepted state");
         oracle.grow(2);
         let poison = [Edge::new(TxnId(1), TxnId(0), Label::So)];
-        oracle.insert_edges(&poison, &mut state.poly.known, Flush::AtEnd).expect("still acyclic");
+        oracle.insert_edges(&poison, Flush::AtEnd).expect("still acyclic");
         c.push_transaction(s0, vec![w(1, 2)], TxnStatus::Committed);
 
         let cp = c.checkpoint();
@@ -1539,10 +1529,10 @@ mod tests {
         assert_eq!(spans.map(sum).iter().sum::<u64>(), only_oracle(&c).reorders() as u64);
     }
 
-    /// The oracle a component's solver reads holds exactly the images of
-    /// the component's known edges at every checkpoint — grown by each
-    /// delta, extended by its follow-on edges and pruning, rebuilt by
-    /// compaction — under SI and SER.
+    /// The oracle a component's solver reads owns the component's known
+    /// edges at every checkpoint — grown by each delta, extended by its
+    /// follow-on edges and pruning, rebuilt by compaction — under SI and
+    /// SER.
     #[test]
     fn a_component_s_oracle_is_its_known_graph() {
         for level in [IsolationLevel::Si, IsolationLevel::Ser] {
@@ -1556,7 +1546,7 @@ mod tests {
                 compacted += cp.compacted;
                 for state in c.comps.values() {
                     let kg = state.oracle.as_deref().expect("accepted state");
-                    crate::engine::tests::assert_mirrors(kg, &state.poly);
+                    crate::engine::tests::assert_owns(kg, &state.poly, &[]);
                 }
             }
             assert!(compacted > 0, "{level:?}: some checkpoint compacted");

@@ -653,14 +653,15 @@ impl ClosureStore {
 ///
 /// Incremental insertion keeps the graph *reachability-reduced*: an edge
 /// that real paths already imply ([`KnownGraph::implies`]) is absorbed
-/// without entering the adjacency, and [`KnownGraph::insert_edges`] reports
-/// the edges it kept so a caller's edge list can mirror the oracle's.
+/// without entering the adjacency. The oracle owns the typed edges it
+/// holds ([`KnownGraph::edges`]): a unit's known edges live here, and only
+/// here, from the build on.
 pub struct KnownGraph {
     n: usize,
     /// Edge-composition semantics the graph was built under.
     semantics: Semantics,
     /// The typed edges the graph holds: the build's, then each one
-    /// [`KnownGraph::insert_edges`] kept, in order.
+    /// [`KnownGraph::insert_edges`] materialised, in order.
     edges: Vec<Edge>,
     /// Layered adjacency: node `u`'s out-edges as (target node, index into
     /// `edges`), in edge order.
@@ -716,23 +717,14 @@ pub struct KnownGraph {
     heap: std::collections::BinaryHeap<(u32, u32)>,
 }
 
-/// What [`KnownGraph::stage`] did with one typed edge.
-enum Staged {
-    /// Materialised: adjacency, order and pending closure updated.
-    Kept,
-    /// Already implied by real paths; nothing changed.
-    Implied,
-    /// Would close a violating cycle; nothing changed.
-    Cycle,
-}
-
 /// Result of building the known graph.
 pub enum KnownGraphResult {
     /// The known induced graph is acyclic; queries may proceed.
     Acyclic(Box<KnownGraph>),
-    /// The known edges alone contain a violating cycle, given as the typed
-    /// edge sequence (no two adjacent `RW` edges).
-    Cyclic(Vec<Edge>),
+    /// The known edges alone contain a violating `cycle`, given as the
+    /// typed edge sequence (no two adjacent `RW` edges); the build hands
+    /// the `known` edges it was given back.
+    Cyclic { cycle: Vec<Edge>, known: Vec<Edge> },
 }
 
 #[inline]
@@ -819,7 +811,8 @@ impl KnownGraph {
     /// a SER graph keeps no `Dep` index for them.
     /// The closure representation is picked from the graph ([`OracleKind`])
     /// and is invisible to every query, witness and propagation counter.
-    pub fn build(n: usize, known: &[Edge], semantics: Semantics) -> KnownGraphResult {
+    /// The oracle takes `known` as its edge list ([`Self::edges`]).
+    pub fn build(n: usize, known: Vec<Edge>, semantics: Semantics) -> KnownGraphResult {
         Self::build_inner(n, known, semantics, None)
     }
 
@@ -830,7 +823,7 @@ impl KnownGraph {
     #[doc(hidden)]
     pub fn build_pinned(
         n: usize,
-        known: &[Edge],
+        known: Vec<Edge>,
         semantics: Semantics,
         kind: OracleKind,
     ) -> KnownGraphResult {
@@ -848,19 +841,20 @@ impl KnownGraph {
 
     fn build_inner(
         n: usize,
-        known: &[Edge],
+        known: Vec<Edge>,
         semantics: Semantics,
         pinned: Option<OracleKind>,
     ) -> KnownGraphResult {
-        let adj = layered(n, known, semantics);
+        let adj = layered(n, &known, semantics);
         let Some(order) = topological_order(&adj) else {
-            return KnownGraphResult::Cyclic(extract_cycle(n, &adj, known));
+            let cycle = extract_cycle(n, &adj, &known);
+            return KnownGraphResult::Cyclic { cycle, known };
         };
         let nodes = adj.nodes();
         let radj = Csr::build(nodes, || {
             (0..nodes as u32).flat_map(|u| adj.row(u as usize).iter().map(move |&(v, _)| (v, u)))
         });
-        let store = ClosureStore::new(n, known, semantics, pinned);
+        let store = ClosureStore::new(n, &known, semantics, pinned);
         let mut ord = vec![0; nodes];
         for (pos, &node) in order.iter().enumerate() {
             ord[node as usize] = pos as u32;
@@ -868,7 +862,7 @@ impl KnownGraph {
         let mut g = KnownGraph {
             n,
             semantics,
-            edges: known.to_vec(),
+            edges: known,
             adj,
             radj,
             store,
@@ -904,6 +898,18 @@ impl KnownGraph {
                 self.store.merge_rows(v as usize, u as usize);
             }
         }
+    }
+
+    /// The typed edges the graph holds: the build's, then each one
+    /// [`Self::insert_edges`] materialised, in order.
+    pub fn edges(&self) -> &[Edge] {
+        &self.edges
+    }
+
+    /// The graph's typed edges ([`Self::edges`]), handed back as the
+    /// oracle is dropped.
+    pub fn into_edges(self) -> Vec<Edge> {
+        self.edges
     }
 
     /// Every layered node's priority in the one maintained topological order.
@@ -1117,45 +1123,36 @@ impl KnownGraph {
     ///
     /// The known graph stays *reachability-reduced*: an edge the graph
     /// already [implies](Self::implies) is absorbed without a trace, and
-    /// only the others are materialised — those are appended to `kept`, in
-    /// batch order, so the caller's edge list can mirror the oracle's.
+    /// only the others are materialised — appended to [`Self::edges`], in
+    /// batch order.
     ///
     /// Each edge is *staged*: the adjacency, `Dep` predecessor index and
     /// layered topological order are updated at once (so
     /// [`Self::layered_order`], witness paths and the cycle checks of later
     /// edges stay exact), while closure rows wait for the next flush, which
     /// `flush` schedules. Until then the closure under-approximates, so
-    /// callers must [`KnownGraph::flush_closure`] before using the oracle
-    /// read-only (e.g. handing it to a parallel sweep).
+    /// callers must [`KnownGraph::flush_closure`] before a read-only
+    /// query (the prune loop settles its oracle before each sweep).
     ///
     /// Edges are applied in order; the first edge that would close a
     /// violating cycle aborts the batch and returns that cycle (typed, no
     /// two adjacent `RW` under SI). The accepted prefix has then been
     /// applied and flushed — the witness is built from plain closure
-    /// queries — and the oracle should be discarded. On `Ok`, once flushed,
-    /// every query answers exactly as a from-scratch [`KnownGraph::build`]
-    /// over the union of edges.
-    pub fn insert_edges(
-        &mut self,
-        batch: &[Edge],
-        kept: &mut Vec<Edge>,
-        flush: Flush,
-    ) -> Result<(), Vec<Edge>> {
+    /// queries — and the oracle holds that prefix, for interpretation to
+    /// read. On `Ok`, once flushed, every query answers exactly as a
+    /// from-scratch [`KnownGraph::build`] over the union of edges.
+    pub fn insert_edges(&mut self, batch: &[Edge], flush: Flush) -> Result<(), Vec<Edge>> {
         let flush_limit = match flush {
             Flush::Every(pending) => pending,
             Flush::AtEnd => usize::MAX,
         };
         for &e in batch {
-            match self.stage(e) {
-                Staged::Implied => {}
-                Staged::Kept => kept.push(e),
-                Staged::Cycle => {
-                    self.flush_closure();
-                    let cycle = self
-                        .closing_cycle(e)
-                        .expect("Pearce-Kelly found a cycle, so the closure queries must too");
-                    return Err(cycle);
-                }
+            if !self.stage(e) {
+                self.flush_closure();
+                let cycle = self
+                    .closing_cycle(e)
+                    .expect("Pearce-Kelly found a cycle, so the closure queries must too");
+                return Err(cycle);
             }
             if self.pending.len() >= flush_limit {
                 self.flush_closure();
@@ -1350,15 +1347,15 @@ impl KnownGraph {
     /// Stage one typed edge unless the graph already [implies](Self::implies)
     /// it: push the layered images, restore the topological order
     /// (Pearce–Kelly affected-region reordering), and queue the closure
-    /// propagation for the next flush. Reports [`Staged::Cycle`] — with
-    /// the partially staged images undone — when the edge would close a
+    /// propagation for the next flush. Returns `false` — with the
+    /// partially staged images undone — when the edge would close a
     /// violating cycle: the PK forward search discovers exactly the
     /// layered cycles, so the hot path needs no separate reachability
     /// precheck; callers flush and build the canonical witness afterwards
     /// through [`Self::closing_cycle`].
-    fn stage(&mut self, e: Edge) -> Staged {
+    fn stage(&mut self, e: Edge) -> bool {
         if self.implies(e) {
-            return Staged::Implied;
+            return true;
         }
         let (f, t) = (e.from.idx(), e.to.idx());
         let (staged_from, index) = (self.pending.len(), self.edges.len() as u32);
@@ -1366,14 +1363,13 @@ impl KnownGraph {
             if !self.pk_insert(lu, lv) {
                 // Unwind the already-applied image (the entries are the
                 // trailing ones); its order perturbation is a valid
-                // topological order either way, and violation paths
-                // discard the oracle.
+                // topological order either way.
                 while self.pending.len() > staged_from {
                     let (plu, plv) = self.pending.pop().expect("applied images are pending");
                     self.adj.pop(plu as usize);
                     self.radj.pop(plv as usize);
                 }
-                return Staged::Cycle;
+                return false;
             }
             self.adj.push(lu as usize, (lv, index));
             self.radj.push(lv as usize, lu);
@@ -1389,7 +1385,7 @@ impl KnownGraph {
             self.pending_chain.push((f as u32, t as u32));
         }
         self.inserted_edges += 1;
-        Staged::Kept
+        true
     }
 
     /// Pearce–Kelly: accommodate the layered edge `u → v` in `ord`, or
@@ -1703,16 +1699,16 @@ mod tests {
     }
 
     fn acyclic(n: usize, edges: &[Edge]) -> Box<KnownGraph> {
-        match KnownGraph::build(n, edges, Semantics::Si) {
+        match KnownGraph::build(n, edges.to_vec(), Semantics::Si) {
             KnownGraphResult::Acyclic(g) => g,
-            KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
+            KnownGraphResult::Cyclic { cycle: c, .. } => panic!("unexpected cycle {c:?}"),
         }
     }
 
     fn pinned(n: usize, edges: &[Edge], semantics: Semantics, kind: OracleKind) -> Box<KnownGraph> {
-        match KnownGraph::build_pinned(n, edges, semantics, kind) {
+        match KnownGraph::build_pinned(n, edges.to_vec(), semantics, kind) {
             KnownGraphResult::Acyclic(g) => g,
-            KnownGraphResult::Cyclic(c) => panic!("unexpected cycle {c:?}"),
+            KnownGraphResult::Cyclic { cycle: c, .. } => panic!("unexpected cycle {c:?}"),
         }
     }
 
@@ -1720,8 +1716,8 @@ mod tests {
     const STAGED: Flush = Flush::Every(62);
 
     /// Insert and flush: the closure is current when the call returns.
-    fn insert(g: &mut KnownGraph, edges: &[Edge], kept: &mut Vec<Edge>) -> Result<(), Vec<Edge>> {
-        let staged = g.insert_edges(edges, kept, STAGED);
+    fn insert(g: &mut KnownGraph, edges: &[Edge]) -> Result<(), Vec<Edge>> {
+        let staged = g.insert_edges(edges, STAGED);
         g.flush_closure();
         staged
     }
@@ -1860,8 +1856,8 @@ mod tests {
 
     #[test]
     fn dep_cycle_detected() {
-        match KnownGraph::build(2, &[wr(0, 1), ww(1, 0)], Semantics::Si) {
-            KnownGraphResult::Cyclic(c) => {
+        match KnownGraph::build(2, vec![wr(0, 1), ww(1, 0)], Semantics::Si) {
+            KnownGraphResult::Cyclic { cycle: c, .. } => {
                 assert_eq!(c.len(), 2);
             }
             _ => panic!("expected cycle"),
@@ -1871,8 +1867,8 @@ mod tests {
     #[test]
     fn dep_rw_cycle_detected() {
         // 0 -WR-> 1 -RW-> 0 is a violating cycle (single RW).
-        match KnownGraph::build(2, &[wr(0, 1), rw(1, 0)], Semantics::Si) {
-            KnownGraphResult::Cyclic(c) => {
+        match KnownGraph::build(2, vec![wr(0, 1), rw(1, 0)], Semantics::Si) {
+            KnownGraphResult::Cyclic { cycle: c, .. } => {
                 assert_eq!(c.len(), 2);
                 assert!(c.iter().any(|e| !e.label.is_dep()));
             }
@@ -1884,13 +1880,15 @@ mod tests {
     fn pure_rw_cycle_is_allowed() {
         // RW 0→1, RW 1→0 with deps feeding them: write-skew shape, no
         // violating cycle (the two RW edges are adjacent).
-        let edges = [wr(2, 0), wr(3, 1), rw(0, 1), rw(1, 0)];
-        match KnownGraph::build(4, &edges, Semantics::Si) {
+        let edges = vec![wr(2, 0), wr(3, 1), rw(0, 1), rw(1, 0)];
+        match KnownGraph::build(4, edges, Semantics::Si) {
             KnownGraphResult::Acyclic(g) => {
                 assert!(g.reaches(TxnId(2), TxnId(1)));
                 assert!(g.reaches(TxnId(3), TxnId(0)));
             }
-            KnownGraphResult::Cyclic(c) => panic!("write skew wrongly flagged: {c:?}"),
+            KnownGraphResult::Cyclic { cycle: c, .. } => {
+                panic!("write skew wrongly flagged: {c:?}")
+            }
         }
     }
 
@@ -1927,7 +1925,7 @@ mod tests {
         let initial = [so(0, 1), wr(1, 2)];
         let extra = [ww(2, 3), rw(3, 4), wr(0, 4)];
         let mut g = acyclic(5, &initial);
-        insert(&mut g, &extra, &mut Vec::new()).expect("acyclic");
+        insert(&mut g, &extra).expect("acyclic");
         let all: Vec<Edge> = initial.iter().chain(&extra).copied().collect();
         let full = acyclic(5, &all);
         assert_oracles_agree(&g, &full, 5, "incremental vs rebuild");
@@ -1939,14 +1937,13 @@ mod tests {
     #[test]
     fn implied_edges_are_absorbed_and_the_rest_reported() {
         let mut g = acyclic(4, &[so(0, 1), wr(1, 2), rw(2, 3)]);
-        let mut kept = Vec::new();
         // ww(0, 2): B(0) ⇝ B(1) and 1 is a Dep predecessor of 2 — implied.
         // wr(1, 2) again: 1 already is a Dep predecessor of 2 — implied.
         // rw(2, 3) under another key: M(2) ⇝ B(3) — implied.
         // ww(0, 3): 0 ⇝ 3, but 3 has no Dep predecessor yet — kept.
         let other_rw = Edge::new(TxnId(2), TxnId(3), Label::Rw(Key(9)));
-        insert(&mut g, &[ww(0, 2), wr(1, 2), other_rw, ww(0, 3)], &mut kept).expect("acyclic");
-        assert_eq!(kept, vec![ww(0, 3)]);
+        insert(&mut g, &[ww(0, 2), wr(1, 2), other_rw, ww(0, 3)]).expect("acyclic");
+        assert_eq!(g.edges()[3..], [ww(0, 3)]);
         assert_eq!(g.inserted_edges(), 1);
         let full = acyclic(4, &[so(0, 1), wr(1, 2), rw(2, 3), ww(0, 2), other_rw, ww(0, 3)]);
         assert_oracles_agree(&g, &full, 4, "reduced vs every edge");
@@ -1963,10 +1960,9 @@ mod tests {
             let mut g = pinned(4, &[wr(0, 1), rw(1, 2)], Semantics::Si, kind);
             assert!(g.reaches(TxnId(0), TxnId(2)));
             assert!(!g.implies(ww(0, 2)), "no Dep-pred path: the edge must be kept");
-            let mut kept = Vec::new();
-            insert(&mut g, &[ww(0, 2)], &mut kept).expect("acyclic");
-            assert_eq!(kept, vec![ww(0, 2)]);
-            insert(&mut g, &[rw(2, 3)], &mut kept).expect("acyclic");
+            insert(&mut g, &[ww(0, 2)]).expect("acyclic");
+            assert_eq!(g.edges()[2..], [ww(0, 2)]);
+            insert(&mut g, &[rw(2, 3)]).expect("acyclic");
             assert!(g.reaches(TxnId(0), TxnId(3)), "RW out of the target must reach the source");
             // With a real Dep-pred path the same edge *is* implied, and
             // later RWs out of the target still reach the source.
@@ -1978,7 +1974,7 @@ mod tests {
     #[test]
     fn insert_detects_dep_cycle() {
         let mut g = acyclic(3, &[wr(0, 1), ww(1, 2)]);
-        let err = insert(&mut g, &[ww(2, 0)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[ww(2, 0)]).unwrap_err();
         assert_eq!(err.len(), 3);
         assert_eq!(err[0], ww(2, 0));
     }
@@ -1987,7 +1983,7 @@ mod tests {
     fn insert_detects_rw_composition_cycle() {
         // Dep 0→1 known; RW 1→0 closes 0→1→0.
         let mut g = acyclic(2, &[wr(0, 1)]);
-        let err = insert(&mut g, &[rw(1, 0)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[rw(1, 0)]).unwrap_err();
         assert_eq!(err.len(), 2);
         assert!(err.contains(&rw(1, 0)));
     }
@@ -1998,15 +1994,15 @@ mod tests {
         // later Dep 0→1 composes with it into the cycle 0 -WR-> 1 -RW-> 0 —
         // visible only through the mid-node image of the new Dep edge.
         let mut g = acyclic(2, &[]);
-        insert(&mut g, &[rw(1, 0)], &mut Vec::new()).expect("lone RW composes with nothing");
-        let err = insert(&mut g, &[wr(0, 1)], &mut Vec::new()).unwrap_err();
+        insert(&mut g, &[rw(1, 0)]).expect("lone RW composes with nothing");
+        let err = insert(&mut g, &[wr(0, 1)]).unwrap_err();
         assert_eq!(err, vec![wr(0, 1), rw(1, 0)]);
     }
 
     #[test]
     fn insert_batch_applies_prefix_before_failing() {
         let mut g = acyclic(3, &[so(0, 1)]);
-        let err = insert(&mut g, &[ww(1, 2), ww(2, 0)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[ww(1, 2), ww(2, 0)]).unwrap_err();
         assert_eq!(err[0], ww(2, 0));
         // The first batch edge landed before the violation.
         assert!(g.reaches(TxnId(0), TxnId(2)));
@@ -2019,8 +2015,8 @@ mod tests {
         // over the staged adjacency (the closure still reflects only
         // `so(0, 1)`), and the witness built after the error-path flush.
         let mut g = acyclic(4, &[so(0, 1)]);
-        g.insert_edges(&[ww(1, 2), ww(2, 3)], &mut Vec::new(), STAGED).expect("chain is acyclic");
-        let err = g.insert_edges(&[ww(3, 0)], &mut Vec::new(), STAGED).unwrap_err();
+        g.insert_edges(&[ww(1, 2), ww(2, 3)], STAGED).expect("chain is acyclic");
+        let err = g.insert_edges(&[ww(3, 0)], STAGED).unwrap_err();
         assert_eq!(err[0], ww(3, 0));
     }
 
@@ -2029,9 +2025,8 @@ mod tests {
         // The mid-node Dep;RW composition must fire against *staged* RW
         // edges too: RW 1→0 staged, then Dep 0→1 staged in the same batch.
         let mut g = acyclic(2, &[]);
-        g.insert_edges(&[rw(1, 0)], &mut Vec::new(), STAGED)
-            .expect("lone RW composes with nothing");
-        let err = g.insert_edges(&[wr(0, 1)], &mut Vec::new(), STAGED).unwrap_err();
+        g.insert_edges(&[rw(1, 0)], STAGED).expect("lone RW composes with nothing");
+        let err = g.insert_edges(&[wr(0, 1)], STAGED).unwrap_err();
         assert_eq!(err, vec![wr(0, 1), rw(1, 0)]);
     }
 
@@ -2042,8 +2037,8 @@ mod tests {
         let mut eager = acyclic(5, &initial);
         let mut deferred = acyclic(5, &initial);
         for batch in batches {
-            insert(&mut eager, batch, &mut Vec::new()).expect("acyclic");
-            deferred.insert_edges(batch, &mut Vec::new(), STAGED).expect("acyclic");
+            insert(&mut eager, batch).expect("acyclic");
+            deferred.insert_edges(batch, STAGED).expect("acyclic");
         }
         deferred.flush_closure();
         assert_oracles_agree(&eager, &deferred, 5, "eager vs deferred");
@@ -2061,14 +2056,14 @@ mod tests {
         g.grow(4); // no-op
         g.grow(7);
         let extra = [ww(3, 5), wr(5, 6), rw(6, 4)];
-        insert(&mut g, &extra, &mut Vec::new()).expect("acyclic after growth");
+        insert(&mut g, &extra).expect("acyclic after growth");
         let all: Vec<Edge> = initial.iter().chain(&extra).copied().collect();
         let full = acyclic(7, &all);
         // Boundary rows, the remapped mid rows and the SI-specific queries.
         assert_oracles_agree(&g, &full, 7, "grown vs rebuild");
         assert_order_is_topological(&g, 7);
         // A cycle through old and new vertices is still caught.
-        let err = insert(&mut g, &[ww(6, 1)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[ww(6, 1)]).unwrap_err();
         assert!(!err.is_empty());
     }
 
@@ -2095,7 +2090,7 @@ mod tests {
                 let ctx = format!("{semantics:?} {kind:?}");
                 let mut g = pinned(3, &[so(0, 1), wr(1, 2)], semantics, kind);
                 g.grow(7);
-                insert(&mut g, &arrivals, &mut Vec::new()).expect("arrival order is acyclic");
+                insert(&mut g, &arrivals).expect("arrival order is acyclic");
                 assert_eq!(g.reorders(), 0, "{ctx}");
                 assert_order_is_topological(&g, 7);
             }
@@ -2112,10 +2107,10 @@ mod tests {
         g.stamp = u32::MAX - 1;
         // Against the build's order B(0), B(1), M(0), M(1): the boundary
         // image reorders (two stamps), and the flush takes a third.
-        insert(&mut g, &[so(1, 0)], &mut Vec::new()).expect("acyclic");
+        insert(&mut g, &[so(1, 0)]).expect("acyclic");
         assert_eq!(g.reorders(), 1);
         assert!(g.stamp < 3, "the stamp started over at {}", g.stamp);
-        let err = insert(&mut g, &[wr(0, 1)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[wr(0, 1)]).unwrap_err();
         assert_eq!(err, [wr(0, 1), so(1, 0)]);
     }
 
@@ -2123,10 +2118,10 @@ mod tests {
     fn insert_edges_under_ser_semantics() {
         let mut g = pinned(3, &[wr(0, 1)], Semantics::Ser, OracleKind::Dense);
         // Under SER an RW edge is a plain edge: it extends reachability...
-        insert(&mut g, &[rw(1, 2)], &mut Vec::new()).expect("chain");
+        insert(&mut g, &[rw(1, 2)]).expect("chain");
         assert!(g.reaches(TxnId(0), TxnId(2)));
         // ...and a back edge closes a plain cycle.
-        let err = insert(&mut g, &[rw(2, 0)], &mut Vec::new()).unwrap_err();
+        let err = insert(&mut g, &[rw(2, 0)]).unwrap_err();
         assert_eq!(err.len(), 3);
     }
 
@@ -2186,8 +2181,8 @@ mod tests {
         let extra = [ww(3, 4), rw(4, 5), wr(0, 5), ww(1, 4)];
         let mut dense = acyclic(6, &initial);
         let mut chains = acyclic_chains(6, &initial);
-        insert(&mut dense, &extra, &mut Vec::new()).expect("acyclic");
-        insert(&mut chains, &extra, &mut Vec::new()).expect("acyclic");
+        insert(&mut dense, &extra).expect("acyclic");
+        insert(&mut chains, &extra).expect("acyclic");
         assert_oracles_agree(&dense, &chains, 6, "incremental");
         // Same propagation-operation unit, but chain suffixes absorb some
         // dense row growth for free — never the other way around.
@@ -2203,8 +2198,8 @@ mod tests {
         let closing = [ww(2, 3), rw(3, 0)];
         let mut dense = acyclic(4, &initial);
         let mut chains = acyclic_chains(4, &initial);
-        let e1 = insert(&mut dense, &closing, &mut Vec::new()).unwrap_err();
-        let e2 = insert(&mut chains, &closing, &mut Vec::new()).unwrap_err();
+        let e1 = insert(&mut dense, &closing).unwrap_err();
+        let e2 = insert(&mut chains, &closing).unwrap_err();
         assert_eq!(e1, e2, "witness cycles must be byte-identical");
     }
 
@@ -2218,8 +2213,8 @@ mod tests {
         // Session 0 continues into the new vertex space; 4, 5 start a
         // new session; cross edges tie them in.
         let extra = [so(1, 3), so(4, 5), wr(3, 4), ww(2, 4), rw(2, 5)];
-        insert(&mut dense, &extra, &mut Vec::new()).expect("acyclic after growth");
-        insert(&mut chains, &extra, &mut Vec::new()).expect("acyclic after growth");
+        insert(&mut dense, &extra).expect("acyclic after growth");
+        insert(&mut chains, &extra).expect("acyclic after growth");
         assert_oracles_agree(&dense, &chains, 6, "grow");
         assert!(chains.closure_updates() <= dense.closure_updates());
         // The chain oracle keeps its column budget near the session
@@ -2233,14 +2228,14 @@ mod tests {
         let batch = [wr(0, 3), rw(4, 1), ww(2, 5), wr(3, 5)];
         let mut dense = acyclic(6, &initial);
         let mut chains = acyclic_chains(6, &initial);
-        dense.insert_edges(&batch, &mut Vec::new(), Flush::AtEnd).expect("acyclic");
-        chains.insert_edges(&batch, &mut Vec::new(), Flush::AtEnd).expect("acyclic");
+        dense.insert_edges(&batch, Flush::AtEnd).expect("acyclic");
+        chains.insert_edges(&batch, Flush::AtEnd).expect("acyclic");
         assert_oracles_agree(&dense, &chains, 6, "bulk");
 
         let mut dense_d = acyclic(6, &initial);
         let mut chains_d = acyclic_chains(6, &initial);
-        dense_d.insert_edges(&batch, &mut Vec::new(), STAGED).expect("acyclic");
-        chains_d.insert_edges(&batch, &mut Vec::new(), STAGED).expect("acyclic");
+        dense_d.insert_edges(&batch, STAGED).expect("acyclic");
+        chains_d.insert_edges(&batch, STAGED).expect("acyclic");
         dense_d.flush_closure();
         chains_d.flush_closure();
         assert_oracles_agree(&dense_d, &chains_d, 6, "deferred");
@@ -2275,9 +2270,9 @@ mod tests {
         for semantics in [Semantics::Si, Semantics::Ser] {
             for upto in 0..=cyclic.len() {
                 let found = KnownGraph::find_cycle(4, &cyclic[..upto], semantics);
-                match KnownGraph::build(4, &cyclic[..upto], semantics) {
+                match KnownGraph::build(4, cyclic[..upto].to_vec(), semantics) {
                     KnownGraphResult::Acyclic(_) => assert_eq!(found, None),
-                    KnownGraphResult::Cyclic(c) => assert_eq!(found, Some(c)),
+                    KnownGraphResult::Cyclic { cycle: c, .. } => assert_eq!(found, Some(c)),
                 }
             }
             assert!(KnownGraph::find_cycle(4, &cyclic, semantics).is_some());
@@ -2317,10 +2312,9 @@ mod tests {
         let mut extra = vec![so(499, 1010)];
         extra.extend((1010..1099).map(|i| so(i, i + 1)));
         extra.extend([wr(999, 1050), rw(600, 1020)]);
-        let (mut kept_auto, mut kept_dense) = (Vec::new(), Vec::new());
-        auto.insert_edges(&extra, &mut kept_auto, Flush::AtEnd).expect("acyclic");
-        dense.insert_edges(&extra, &mut kept_dense, Flush::AtEnd).expect("acyclic");
-        assert_eq!(kept_auto, kept_dense);
+        auto.insert_edges(&extra, Flush::AtEnd).expect("acyclic");
+        dense.insert_edges(&extra, Flush::AtEnd).expect("acyclic");
+        assert_eq!(auto.edges(), dense.edges());
         assert_eq!(auto.layered_order(), dense.layered_order());
         for (x, y) in
             (0..1100u32).step_by(13).flat_map(|x| (0..1100).step_by(17).map(move |y| (x, y)))
@@ -2333,8 +2327,8 @@ mod tests {
             }
         }
         assert_eq!(
-            insert(&mut auto, &[ww(1099, 0)], &mut Vec::new()).unwrap_err(),
-            insert(&mut dense, &[ww(1099, 0)], &mut Vec::new()).unwrap_err(),
+            insert(&mut auto, &[ww(1099, 0)]).unwrap_err(),
+            insert(&mut dense, &[ww(1099, 0)]).unwrap_err(),
         );
     }
 
@@ -2342,21 +2336,21 @@ mod tests {
     fn chain_oracle_under_ser_semantics() {
         let edges = [so(0, 1), so(1, 2), wr(2, 3)];
         let mut g = pinned(4, &edges, Semantics::Ser, OracleKind::Chains);
-        insert(&mut g, &[rw(3, 0)], &mut Vec::new()).unwrap_err();
+        insert(&mut g, &[rw(3, 0)]).unwrap_err();
         assert!(g.reaches(TxnId(0), TxnId(3)));
     }
 
     #[test]
     fn long_fork_cycle_shape() {
         // Figure 3e of the paper: T1 -WR-> T3 -RW-> T2 -WR-> T4 -RW-> T1.
-        let edges = [
+        let edges = vec![
             wr(1, 3),
             Edge::new(TxnId(3), TxnId(2), Label::Rw(Key(1))),
             Edge::new(TxnId(2), TxnId(4), Label::Wr(Key(1))),
             rw(4, 1),
         ];
-        match KnownGraph::build(5, &edges, Semantics::Si) {
-            KnownGraphResult::Cyclic(c) => {
+        match KnownGraph::build(5, edges, Semantics::Si) {
+            KnownGraphResult::Cyclic { cycle: c, .. } => {
                 assert_eq!(c.len(), 4);
                 let rw_count = c.iter().filter(|e| !e.label.is_dep()).count();
                 assert_eq!(rw_count, 2, "long fork has two non-adjacent RW edges");

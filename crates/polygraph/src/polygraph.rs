@@ -56,13 +56,10 @@ impl Semantics {
 pub struct Polygraph {
     /// Number of transactions (vertex count).
     pub n: usize,
-    /// Known edges. Initially `SO ∪ WR` plus the anti-dependencies implied
-    /// by reads of initial values (plus RMW-inferred `WW` edges under
-    /// [`Semantics::Ser`]); pruning appends the resolved constraint edges
-    /// that the known graph did not already imply
-    /// ([`KnownGraph::implies`]), so the list stays reachability-reduced:
-    /// same paths and cycles as the full resolved set, a fraction of the
-    /// edges.
+    /// Known edges as constructed: `SO ∪ WR` plus the anti-dependencies
+    /// implied by reads of initial values (plus RMW-inferred `WW` edges
+    /// under [`Semantics::Ser`]), until [`Polygraph::known_graph`] moves
+    /// them into the oracle that owns them from then on.
     pub known: Vec<Edge>,
     /// Unresolved constraints.
     pub constraints: ConstraintSet,
@@ -190,18 +187,20 @@ impl Polygraph {
     }
 
     /// Apply a watermark-compaction id map (old id → new id in `0..n2`,
-    /// `u32::MAX` = dropped): known edges with a dropped endpoint
-    /// disappear, surviving edges and constraints are renumbered, and the
-    /// vertex count shrinks to `n2`. The caller guarantees no live
-    /// constraint references a dropped transaction — the watermark guard
-    /// retains every constraint endpoint — and a violated guard panics
-    /// here, at the cause. For a predecessor-closed keep set,
-    /// [`Polygraph::known_graph`] of the result answers every reachability
-    /// query among survivors as the oracle over the uncompacted edges did.
-    pub fn compact(&mut self, map: &[u32], n2: usize) {
+    /// `u32::MAX` = dropped) to the polygraph and its oracle `kg`: known
+    /// edges with a dropped endpoint disappear, surviving edges and
+    /// constraints are renumbered, the vertex count shrinks to `n2`, and
+    /// the oracle is rebuilt over the surviving edges. The caller
+    /// guarantees no live constraint references a dropped transaction —
+    /// the watermark guard retains every constraint endpoint — and a
+    /// violated guard panics here, at the cause. For a predecessor-closed
+    /// keep set, the new oracle answers every query among survivors as
+    /// `kg` did.
+    pub fn compact(&mut self, kg: Box<KnownGraph>, map: &[u32], n2: usize) -> Box<KnownGraph> {
         debug_assert_eq!(map.len(), self.n);
-        self.known.retain(|e| map[e.from.idx()] != u32::MAX && map[e.to.idx()] != u32::MAX);
-        for e in &mut self.known {
+        let mut known = kg.into_edges();
+        known.retain(|e| map[e.from.idx()] != u32::MAX && map[e.to.idx()] != u32::MAX);
+        for e in &mut known {
             e.from = TxnId(map[e.from.idx()]);
             e.to = TxnId(map[e.to.idx()]);
         }
@@ -211,12 +210,21 @@ impl Polygraph {
             TxnId(to)
         });
         self.n = n2;
+        self.known = known;
+        self.known_graph().expect("a restriction of an acyclic known graph is acyclic")
     }
 
-    /// Build the reachability oracle over the current known edges, or
-    /// return a violating cycle if the known part is already cyclic.
-    pub fn known_graph(&self) -> KnownGraphResult {
-        KnownGraph::build(self.n, &self.known, self.semantics)
+    /// Build the reachability oracle over the known edges, which move
+    /// into it; or, if the known part is already cyclic, return a
+    /// violating cycle and keep the edges.
+    pub fn known_graph(&mut self) -> Result<Box<KnownGraph>, Vec<Edge>> {
+        match KnownGraph::build(self.n, std::mem::take(&mut self.known), self.semantics) {
+            KnownGraphResult::Acyclic(kg) => Ok(kg),
+            KnownGraphResult::Cyclic { cycle, known } => {
+                self.known = known;
+                Err(cycle)
+            }
+        }
     }
 
     /// Prune constraints to a fixpoint (procedure `PruneConstraints`,
@@ -236,8 +244,8 @@ impl Polygraph {
     /// and the constraints left open; the *apply* phase then feeds those
     /// edges, in constraint order, to the oracle via
     /// [`KnownGraph::insert_edges`], which re-tests them against what
-    /// earlier resolutions added and reports the ones it kept, and stores
-    /// the open constraints afresh. The first contradiction ends the sweep.
+    /// earlier resolutions added, and stores the open constraints afresh.
+    /// The first contradiction ends the sweep.
     ///
     /// After the first full pass, only constraints *incident* to a
     /// transaction touched by edges resolved in the previous pass are
@@ -247,11 +255,9 @@ impl Polygraph {
     /// unaffected. A violation leaves the constraints the failing pass
     /// started from.
     ///
-    /// The reachability oracle is handed back whenever one was built. On
-    /// [`PruneResult::Pruned`] it holds exactly the layered images of
-    /// `self.known`, so encoding reads the known graph and its order from
-    /// it instead of building another; after a violation found mid-loop it
-    /// says what was built and nothing more.
+    /// The reachability oracle is handed back whenever one was built. It
+    /// owns the known edges ([`KnownGraph::edges`]): the constructed ones
+    /// and the resolved ones it materialised, up to a violation if any.
     pub fn prune(&mut self, tracer: &Tracer) -> (PruneResult, Option<Box<KnownGraph>>) {
         self.prune_loop(None, None, tracer)
     }
@@ -274,8 +280,8 @@ impl Polygraph {
     }
 
     /// Resume pruning with a *warm* oracle — the streaming checker's delta
-    /// path. `kg` must already reflect every edge of `self.known` (the
-    /// caller fed the delta through [`KnownGraph::insert_edges`]); `seed`
+    /// path. `kg` must already hold every known edge (the caller fed the
+    /// delta through [`KnownGraph::insert_edges`]); `seed`
     /// marks the transactions touched by that delta, and `gen` generates
     /// the delta's constraints ([`ConstraintGen::delta`]). The first pass
     /// sweeps the stored constraints incident to the seed or to an endpoint
@@ -316,8 +322,8 @@ impl Polygraph {
                 (kg, Some(seed))
             }
             None => match self.known_graph() {
-                KnownGraphResult::Acyclic(kg) => (kg, None),
-                KnownGraphResult::Cyclic(cycle) => return (PruneResult::Violation(cycle), None),
+                Ok(kg) => (kg, None),
+                Err(cycle) => return (PruneResult::Violation(cycle), None),
             },
         };
         let covers = gen.map(|gen| {
@@ -370,8 +376,8 @@ impl Polygraph {
             };
             let _ = input.visit(&mut open, &mut test)
                 && covers.is_none_or(|covers| covers.visit(&mut open, &mut test));
-            let known_before = self.known.len();
-            let applied = kg.insert_edges(&sweep.edges, &mut self.known, APPLY_FLUSH);
+            let inserted_before = kg.inserted_edges();
+            let applied = kg.insert_edges(&sweep.edges, APPLY_FLUSH);
             // An insert cycle: an earlier resolution of this apply phase
             // made a forced side impossible too. A contradiction: neither
             // possibility can hold (line 57/65).
@@ -380,7 +386,7 @@ impl Polygraph {
                 return (PruneResult::Violation(cycle), Some(kg));
             }
             self.constraints = open;
-            stats.implied_edges += sweep.side_edges - (self.known.len() - known_before);
+            stats.implied_edges += sweep.side_edges - (kg.inserted_edges() - inserted_before);
             pass_span.attr("resolved", sweep.forced);
             // One closure propagation for what the apply phase left
             // staged, from the frontier of everything just inserted, and
@@ -700,8 +706,9 @@ mod tests {
             PruneResult::Violation(c) => panic!("an SI history was rejected: {c:?}"),
         };
         assert!(!open(&g), "T0-vs-T5 on x should be resolved; left: {:?}", g.constraints);
-        assert!(oracle.expect("an accepting prune returns its oracle").reaches(t0, t5));
-        assert!(!g.known.iter().any(|e| matches!(e.label, Label::Ww(_)) && between(e)));
+        let oracle = oracle.expect("an accepting prune returns its oracle");
+        assert!(oracle.reaches(t0, t5));
+        assert!(!oracle.edges().iter().any(|e| matches!(e.label, Label::Ww(_)) && between(e)));
         assert!(stats.implied_edges > 0, "the forced WW is implied by SO: {stats:?}");
     }
 
@@ -747,13 +754,15 @@ mod tests {
         let h = b.build();
         let f = Facts::analyze(&h);
         let mut g = Polygraph::from_history(&h, &f, ConstraintMode::Generalized);
-        match prune(&mut g) {
+        let (result, kg) = g.prune(&Tracer::disabled());
+        match result {
             PruneResult::Pruned(s) => {
                 assert_eq!(s.constraints_before, 3);
                 assert_eq!(s.constraints_after, 1);
                 // The resolved constraints made both cross anti-dependencies
                 // known: RW(T2→T1) and RW(T1→T2).
-                let rw: Vec<_> = g.known.iter().filter(|e| !e.label.is_dep()).collect();
+                let kg = kg.expect("pruning hands its oracle back");
+                let rw: Vec<_> = kg.edges().iter().filter(|e| !e.label.is_dep()).collect();
                 assert_eq!(rw.len(), 2);
             }
             PruneResult::Violation(c) => {
@@ -804,14 +813,16 @@ mod tests {
         let f = Facts::analyze(&h);
         let mut g = Polygraph::from_history(&h, &f, ConstraintMode::Generalized);
         let mut rebuild = g.clone();
-        match prune(&mut g) {
+        let (result, kg) = g.prune(&Tracer::disabled());
+        match result {
             PruneResult::Pruned(s) => {
                 assert_eq!(s.graph_builds, 1);
                 assert!(s.incremental_edges > 0, "resolutions must flow through insert_edges");
                 assert!(s.closure_updates > 0);
                 assert!(s.iterations >= 2, "a serial RMW chain needs a cascade");
                 assert!(prune_by_rebuild(&mut rebuild), "serial chain flagged by the reference");
-                assert_eq!(rebuild.known.len() - g.known.len(), s.implied_edges);
+                let kg = kg.expect("pruning hands its oracle back");
+                assert_eq!(rebuild.known.len() - kg.edges().len(), s.implied_edges);
             }
             PruneResult::Violation(c) => panic!("serial chain flagged: {c:?}"),
         }
@@ -841,7 +852,7 @@ mod tests {
         assert!(first.closure_updates > 0);
         assert_eq!((first.closure_updates, 1), (kg.closure_updates(), kg.inserted_edges()));
         // The streaming delta: new known edges land outside any prune call.
-        kg.insert_edges(&[so(1, 4), so(4, 5)], &mut g.known, Flush::AtEnd).expect("acyclic");
+        kg.insert_edges(&[so(1, 4), so(4, 5)], Flush::AtEnd).expect("acyclic");
         let landed = (kg.closure_updates(), kg.inserted_edges());
         assert!(landed.0 > first.closure_updates && landed.1 == 3);
         let (either, or) = pair(4, 5, 6, 7);
@@ -868,12 +879,20 @@ mod tests {
         Polygraph { n: 3, known, constraints, semantics: Semantics::Si }
     }
 
+    /// `open_pair` and its oracle, which holds the known edge.
+    fn open_pair_and_oracle() -> (Polygraph, Box<KnownGraph>) {
+        let mut g = open_pair();
+        let kg = g.known_graph().expect("acyclic");
+        (g, kg)
+    }
+
     #[test]
     fn compact_drops_and_renumbers() {
-        let mut g = open_pair();
-        g.compact(&[u32::MAX, 0, 1], 2);
+        let (mut g, kg) = open_pair_and_oracle();
+        let kg = g.compact(kg, &[u32::MAX, 0, 1], 2);
         assert_eq!(g.n, 2);
-        assert!(g.known.is_empty(), "the SO edge lost its source: {:?}", g.known);
+        assert!(kg.edges().is_empty(), "the SO edge lost its source: {:?}", kg.edges());
+        assert_eq!(kg.layered_order().len(), 4, "the oracle spans the survivors");
         let c = g.constraints.get(0);
         assert_eq!((c.either[0].from, c.either[0].to), (TxnId(0), TxnId(1)));
         assert_eq!((c.or[0].from, c.or[0].to), (TxnId(1), TxnId(0)));
@@ -883,7 +902,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "live constraint references compacted transaction T1")]
     fn compact_refuses_to_drop_a_constraint_endpoint() {
-        open_pair().compact(&[0, u32::MAX, 1], 2);
+        let (mut g, kg) = open_pair_and_oracle();
+        g.compact(kg, &[0, u32::MAX, 1], 2);
     }
 
     #[test]
@@ -899,11 +919,14 @@ mod tests {
         let h = b.build();
         let f = Facts::analyze(&h);
         let mut g = Polygraph::from_history(&h, &f, ConstraintMode::Generalized);
-        match prune(&mut g) {
+        let (result, kg) = g.prune(&Tracer::disabled());
+        match result {
             PruneResult::Pruned(_) => {
                 // The remaining graph must be satisfiable; the known part is
                 // acyclic.
-                assert!(matches!(g.known_graph(), KnownGraphResult::Acyclic(_)));
+                let kg = kg.expect("pruning hands its oracle back");
+                let known = kg.into_edges();
+                assert!(KnownGraph::find_cycle(g.n, &known, g.semantics).is_none());
             }
             PruneResult::Violation(c) => panic!("write skew wrongly flagged: {c:?}"),
         }

@@ -86,24 +86,23 @@ struct Reduced {
 /// edges the reduced graph materialised, plus the closing edge.
 fn drive(plan: &Plan, kind: OracleKind, policy: Policy) -> Result<Reduced, (usize, Vec<Edge>)> {
     let initial = &plan.edges[..plan.initial];
-    let mut g = match KnownGraph::build_pinned(plan.n, initial, plan.semantics, kind) {
+    let mut g = match KnownGraph::build_pinned(plan.n, initial.to_vec(), plan.semantics, kind) {
         KnownGraphResult::Acyclic(g) => g,
-        KnownGraphResult::Cyclic(cycle) => {
+        KnownGraphResult::Cyclic { cycle, .. } => {
             assert_valid_cycle(&cycle, initial, plan.semantics);
             return Err((plan.initial, cycle));
         }
     };
     let mut next = plan.initial;
     let mut batch = 0;
-    let mut kept = Vec::new();
     while next < plan.edges.len() {
         let size = plan.batch_sizes[batch % plan.batch_sizes.len()];
         batch += 1;
         let end = (next + size).min(plan.edges.len());
-        match policy.insert(&mut g, &plan.edges[next..end], &mut kept) {
+        match policy.insert(&mut g, &plan.edges[next..end]) {
             Ok(()) => next = end,
             Err(cycle) => {
-                let mut allowed: Vec<Edge> = initial.iter().chain(&kept).copied().collect();
+                let mut allowed: Vec<Edge> = g.edges().to_vec();
                 let closing: Vec<Edge> =
                     cycle.iter().filter(|e| !allowed.contains(e)).copied().collect();
                 assert_eq!(closing.len(), 1, "one closing edge, the rest materialised: {cycle:?}");
@@ -115,6 +114,7 @@ fn drive(plan: &Plan, kind: OracleKind, policy: Policy) -> Result<Reduced, (usiz
         }
     }
     g.flush_closure();
+    let kept = g.edges()[plan.initial..].to_vec();
     Ok(Reduced { g, kept })
 }
 
@@ -181,9 +181,9 @@ proptest! {
                 Ok(r) => r,
             };
             prop_assert!(cyclic_at.is_none(), "incremental accepted a cyclic edge set");
-            let full = match KnownGraph::build(plan.n, &plan.edges, plan.semantics) {
+            let full = match KnownGraph::build(plan.n, plan.edges.clone(), plan.semantics) {
                 KnownGraphResult::Acyclic(f) => f,
-                KnownGraphResult::Cyclic(_) => unreachable!("no cyclic prefix"),
+                KnownGraphResult::Cyclic { .. } => unreachable!("no cyclic prefix"),
             };
             prop_assert_eq!(full.oracle_kind(), OracleKind::Dense, "the reference is dense");
             assert_same_answers(&g, &full, plan.n, plan.semantics)?;
@@ -217,9 +217,9 @@ proptest! {
             }
             let reduced: Vec<Edge> =
                 plan.edges[..plan.initial].iter().chain(&kept).copied().collect();
-            let rebuilt = match KnownGraph::build(plan.n, &reduced, plan.semantics) {
+            let rebuilt = match KnownGraph::build(plan.n, reduced, plan.semantics) {
                 KnownGraphResult::Acyclic(r) => r,
-                KnownGraphResult::Cyclic(c) => {
+                KnownGraphResult::Cyclic { cycle: c, .. } => {
                     return Err(TestCaseError::fail(format!("reduced list is cyclic: {c:?}")));
                 }
             };

@@ -117,9 +117,9 @@ fn drive(
     force: Option<Policy>,
 ) -> Result<Accepted, (usize, Vec<Edge>)> {
     let initial = &plan.edges[..plan.initial];
-    let mut g = match KnownGraph::build_pinned(plan.n0, initial, plan.semantics, kind) {
+    let mut g = match KnownGraph::build_pinned(plan.n0, initial.to_vec(), plan.semantics, kind) {
         KnownGraphResult::Acyclic(g) => g,
-        KnownGraphResult::Cyclic(cycle) => {
+        KnownGraphResult::Cyclic { cycle, .. } => {
             assert_valid_cycle(&cycle, initial, plan.semantics);
             return Err((plan.initial, cycle));
         }
@@ -127,7 +127,6 @@ fn drive(
     let mut cur_n = plan.n0;
     let mut next = plan.initial;
     let mut b = 0;
-    let mut kept = Vec::new();
     while next < plan.edges.len() {
         let (size, policy) = plan.batches[b % plan.batches.len()];
         let policy = force.unwrap_or(policy);
@@ -140,7 +139,7 @@ fn drive(
             g.grow(needed);
             cur_n = needed;
         }
-        match policy.insert(&mut g, batch, &mut kept) {
+        match policy.insert(&mut g, batch) {
             Ok(()) => next = end,
             Err(cycle) => {
                 assert_valid_cycle(&cycle, &plan.edges[..end], plan.semantics);
@@ -149,6 +148,7 @@ fn drive(
         }
     }
     g.flush_closure();
+    let kept = g.edges()[plan.initial..].to_vec();
     Ok((g, cur_n, kept))
 }
 
@@ -221,10 +221,10 @@ proptest! {
                 assert_indistinguishable(&dense, &chains, n, plan.semantics, &plan)?;
                 // From-scratch chain build over the full edge set.
                 let fresh = match KnownGraph::build_pinned(
-                    n, &plan.edges, plan.semantics, OracleKind::Chains,
+                    n, plan.edges.clone(), plan.semantics, OracleKind::Chains,
                 ) {
                     KnownGraphResult::Acyclic(f) => f,
-                    KnownGraphResult::Cyclic(c) => {
+                    KnownGraphResult::Cyclic { cycle: c, .. } => {
                         return Err(TestCaseError::fail(format!(
                             "incremental chains accepted a cyclic edge set: {c:?}"
                         )));
@@ -338,36 +338,36 @@ fn build(
     kind: Option<OracleKind>,
 ) -> Box<KnownGraph> {
     let built = match kind {
-        None => KnownGraph::build(n, edges, semantics),
-        Some(kind) => KnownGraph::build_pinned(n, edges, semantics, kind),
+        None => KnownGraph::build(n, edges.to_vec(), semantics),
+        Some(kind) => KnownGraph::build_pinned(n, edges.to_vec(), semantics, kind),
     };
     match built {
         KnownGraphResult::Acyclic(g) => g,
-        KnownGraphResult::Cyclic(c) => panic!("arrival graphs are acyclic: {c:?}"),
+        KnownGraphResult::Cyclic { cycle: c, .. } => panic!("arrival graphs are acyclic: {c:?}"),
     }
 }
 
 /// Land `edges` on every oracle through the same schedule of batch sizes
-/// under `policy`; returns each oracle's kept list.
+/// under `policy`; returns the edges each oracle kept of them.
 fn land(
     oracles: &mut [&mut KnownGraph],
     edges: &[Edge],
     policy: Policy,
     rng: &mut Rng,
 ) -> Vec<Vec<Edge>> {
-    let mut kept = vec![Vec::new(); oracles.len()];
+    let held: Vec<usize> = oracles.iter().map(|g| g.edges().len()).collect();
     let mut at = 0;
     while at < edges.len() {
         let end = (at + 1 + rng.below(96)).min(edges.len());
-        for (g, kept) in oracles.iter_mut().zip(&mut kept) {
-            policy.insert(g, &edges[at..end], kept).expect("arrival graphs are acyclic");
+        for g in oracles.iter_mut() {
+            policy.insert(g, &edges[at..end]).expect("arrival graphs are acyclic");
         }
         at = end;
     }
     for g in oracles.iter_mut() {
         g.flush_closure();
     }
-    kept
+    oracles.iter().zip(held).map(|(g, held)| g.edges()[held..].to_vec()).collect()
 }
 
 /// `reaches` / `rw_closes_cycle` / `implies` / `closing_cycle` on sampled
@@ -476,15 +476,16 @@ proptest! {
 
         // Through compaction. Every edge points to a later arrival, so
         // any id suffix is predecessor-closed. The surviving edges are
-        // those of the build and the kept ones — what a component's
-        // `poly.known` holds — restricted to the suffix and renumbered.
+        // those the oracle holds — the build's and the kept ones, as a
+        // compacted component's are — restricted to the suffix and
+        // renumbered.
         let cut = n1 / 4 + rng.below(n1 / 2);
         let n2 = n1 - cut;
         let shift = |e: &Edge| {
             Edge::new(TxnId((e.from.idx() - cut) as u32), TxnId((e.to.idx() - cut) as u32), e.label)
         };
         let survivors: Vec<Edge> =
-            initial.iter().chain(&kept[0]).filter(|e| e.from.idx() >= cut).map(shift).collect();
+            auto.edges().iter().filter(|e| e.from.idx() >= cut).map(shift).collect();
         let rebuilt = [None, Some(OracleKind::Dense), Some(OracleKind::Chains)]
             .map(|kind| build(n2, &survivors, semantics, kind));
         prop_assert_eq!(rebuilt[0].oracle_kind(), OracleKind::Dense, "the rule at n = {}", n2);
@@ -535,7 +536,7 @@ proptest! {
     ) {
         let semantics = if ser { Semantics::Ser } else { Semantics::Si };
         let n = n as usize;
-        let KnownGraphResult::Acyclic(kg) = KnownGraph::build(n, &edges, semantics) else {
+        let KnownGraphResult::Acyclic(kg) = KnownGraph::build(n, edges.clone(), semantics) else {
             return Ok(());
         };
         let impossible = |e: &Edge| match (semantics, e.label) {

@@ -36,9 +36,9 @@ pub struct CoversSeen {
 /// omitted pair would have forced is implied by the narrowed run's final
 /// oracle, or is an `RW f→t` edge with `B(f) ⇝ B(t)` there.
 pub fn check_covers(g: &Polygraph, gen: &ConstraintGen) -> Result<CoversSeen, String> {
-    let oracle = |known: &[Edge]| match KnownGraph::build(g.n, known, g.semantics) {
+    let oracle = |known: &[Edge]| match KnownGraph::build(g.n, known.to_vec(), g.semantics) {
         KnownGraphResult::Acyclic(kg) => Some(kg),
-        KnownGraphResult::Cyclic(_) => None,
+        KnownGraphResult::Cyclic { .. } => None,
     };
     let Some(kg) = oracle(&g.known) else { return Ok(CoversSeen::default()) };
     let covers = gen.covers(&kg);
@@ -83,9 +83,9 @@ pub fn check_delta_covers(
     seed: &[bool],
     delta: &ConstraintGen,
 ) -> Result<CoversSeen, String> {
-    let oracle = || match KnownGraph::build(g.n, &g.known, g.semantics) {
+    let oracle = || match KnownGraph::build(g.n, g.known.clone(), g.semantics) {
         KnownGraphResult::Acyclic(kg) => Some(kg),
-        KnownGraphResult::Cyclic(_) => None,
+        KnownGraphResult::Cyclic { .. } => None,
     };
     let Some(kg) = oracle() else { return Ok(CoversSeen::default()) };
     let covers = delta.covers(&kg);
@@ -156,15 +156,16 @@ fn omitted_edges(
 
 /// Prune `g`, whose constraints are all stored, to the worklist fixpoint.
 /// `constraints_stored` is left 0: this loop has no first pass that stores.
+/// `g.known` ends as the last oracle's edges.
 pub fn prune_materialized(g: &mut Polygraph) -> PruneResult {
     let semantics = g.semantics;
     let impossible = |kg: &KnownGraph, e: &Edge| match (semantics, e.label) {
         (Semantics::Si, Label::Rw(_)) => kg.rw_closes_cycle(e.from, e.to),
         _ => kg.reaches(e.to, e.from),
     };
-    let mut kg = match KnownGraph::build(g.n, &g.known, semantics) {
-        KnownGraphResult::Acyclic(kg) => kg,
-        KnownGraphResult::Cyclic(cycle) => return PruneResult::Violation(cycle),
+    let mut kg = match g.known_graph() {
+        Ok(kg) => kg,
+        Err(cycle) => return PruneResult::Violation(cycle),
     };
     let mut stats = PruneStats {
         constraints_before: g.constraints.len(),
@@ -201,22 +202,24 @@ pub fn prune_materialized(g: &mut Polygraph) -> PruneResult {
         // Apply, in constraint order.
         let mut touched_now = vec![false; g.n];
         let mut resolved = vec![false; g.constraints.len()];
-        let (known_before, mut side_edges) = (g.known.len(), 0usize);
+        let (inserted_before, mut side_edges) = (kg.inserted_edges(), 0usize);
         for (i, side, kept) in forced {
             for e in side {
                 touched_now[e.from.idx()] = true;
                 touched_now[e.to.idx()] = true;
             }
             side_edges += side.len();
-            if let Err(cycle) = kg.insert_edges(&kept, &mut g.known, Flush::Every(62)) {
+            if let Err(cycle) = kg.insert_edges(&kept, Flush::Every(62)) {
+                g.known = kg.into_edges();
                 return PruneResult::Violation(cycle);
             }
             resolved[i] = true;
         }
         if let Some(witness) = contradiction {
+            g.known = kg.into_edges();
             return PruneResult::Violation(witness);
         }
-        stats.implied_edges += side_edges - (g.known.len() - known_before);
+        stats.implied_edges += side_edges - (kg.inserted_edges() - inserted_before);
         kg.flush_closure();
         if !resolved.contains(&true) {
             break;
@@ -228,5 +231,6 @@ pub fn prune_materialized(g: &mut Polygraph) -> PruneResult {
     stats.incremental_edges = kg.inserted_edges() - edges_before;
     stats.constraints_after = g.constraints.len();
     stats.unknown_deps_after = g.constraints.num_edges();
+    g.known = kg.into_edges();
     PruneResult::Pruned(stats)
 }

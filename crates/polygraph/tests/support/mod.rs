@@ -19,13 +19,8 @@ pub const DEFERRED: Policy = Policy { flush: Flush::Every(62), flush_after_call:
 pub const BULK: Policy = Policy { flush: Flush::AtEnd, flush_after_call: false };
 
 impl Policy {
-    pub fn insert(
-        self,
-        g: &mut KnownGraph,
-        batch: &[Edge],
-        kept: &mut Vec<Edge>,
-    ) -> Result<(), Vec<Edge>> {
-        let staged = g.insert_edges(batch, kept, self.flush);
+    pub fn insert(self, g: &mut KnownGraph, batch: &[Edge]) -> Result<(), Vec<Edge>> {
+        let staged = g.insert_edges(batch, self.flush);
         if self.flush_after_call {
             g.flush_closure();
         }

@@ -25,7 +25,7 @@ pub fn prune_by_rebuild(g: &mut Polygraph) -> bool {
     };
     let mut touched: Option<Vec<bool>> = None;
     loop {
-        let KnownGraphResult::Acyclic(kg) = KnownGraph::build(g.n, &g.known, semantics) else {
+        let KnownGraphResult::Acyclic(kg) = KnownGraph::build(g.n, g.known.clone(), semantics) else {
             return false;
         };
         let mut touched_now = vec![false; g.n];

@@ -901,7 +901,9 @@ fn cli_trace_out_emits_covering_chrome_trace() {
 /// out, in a batch check and in a stream delta alike: three blind writers
 /// of one key in session order make a chain, whose two covers are
 /// generated and whose outer pair is omitted; the third writer, arriving
-/// in a delta, pairs with its cover and not with the first writer.
+/// in a delta, pairs with its cover and not with the first writer. The
+/// `prune` / `delta.prune` span's `constraints` counts what that pass
+/// tested (`prune.constraints_before`), not every pair.
 #[test]
 fn the_first_prune_pass_counts_generated_and_omitted_pairs() {
     use polysi::history::{Key, Op, TxnStatus, Value};
@@ -910,13 +912,17 @@ fn the_first_prune_pass_counts_generated_and_omitted_pairs() {
     for v in 1..=3 {
         b.begin().write(Key(1), Value(v)).commit();
     }
-    let (report, attr, obs) = traced_check(&b.build(), IsolationLevel::Si, "prune.covers");
+    let h = b.build();
+    let (report, attr, obs) = traced_check(&h, IsolationLevel::Si, "prune.covers");
     assert!(report.accepted());
     assert_eq!(attr("pairs"), Some(AttrValue::U64(2)));
     assert_eq!(attr("omitted"), Some(AttrValue::U64(1)));
     // Tracer-only: the registry holds no counter for either.
     let counters = obs.metrics.snapshot().counters;
     assert!(!counters.iter().any(|(n, _)| n.contains("pairs") || n.contains("omitted")));
+    let (_, attr, obs) = traced_check(&h, IsolationLevel::Si, "prune");
+    assert_eq!(obs.metrics.counter("prune.constraints_before").total(), 2);
+    assert_eq!(attr("constraints"), Some(AttrValue::U64(2)), "the two covers, not 3 pairs");
     // The stream: two writers, a checkpoint, then the third as a delta.
     let obs = Obs::enabled();
     let mut checker =
@@ -930,19 +936,18 @@ fn the_first_prune_pass_counts_generated_and_omitted_pairs() {
         }
     }
     let forest = span_forest(&obs.tracer.events()).expect("span log is well-nested");
-    fn covers<'a>(nodes: &'a [SpanNode], out: &mut Vec<&'a SpanNode>) {
-        for n in nodes {
-            if n.name == "prune.covers" {
-                out.push(n);
-            }
-            covers(&n.children, out);
-        }
-    }
-    let mut spans = Vec::new();
-    covers(&forest, &mut spans);
-    let attrs = |n: &SpanNode| {
-        ["pairs", "omitted"].map(|k| n.attrs.iter().find(|(a, _)| *a == k).map(|a| a.1.clone()))
+    let spans = |name: &str| all_spans(&forest).into_iter().filter(|n| n.name == name).collect();
+    let attrs = |spans: Vec<&SpanNode>, keys: &[&str]| -> Vec<Vec<Option<AttrValue>>> {
+        let attr =
+            |n: &SpanNode, k: &str| n.attrs.iter().find(|(a, _)| *a == k).map(|a| a.1.clone());
+        spans.iter().map(|n| keys.iter().map(|k| attr(n, k)).collect()).collect()
     };
     let u = |n: u64| Some(AttrValue::U64(n));
-    assert_eq!(spans.iter().map(|n| attrs(n)).collect::<Vec<_>>(), [[u(1), u(0)], [u(1), u(1)]]);
+    let covers = attrs(spans("prune.covers"), &["pairs", "omitted"]);
+    assert_eq!(covers, [[u(1), u(0)], [u(1), u(1)]]);
+    // The delta's pass tests the third writer's cover, not its two pairs.
+    let tested =
+        [attrs(spans("prune"), &["constraints"]), attrs(spans("delta.prune"), &["constraints"])];
+    assert_eq!(tested, [[[u(1)]], [[u(1)]]]);
+    assert_eq!(obs.metrics.counter("prune.constraints_before").total(), 2);
 }

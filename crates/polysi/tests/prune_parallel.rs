@@ -118,7 +118,8 @@ fn resolved_edge_sets_are_identical() {
                 (witness, g.known, g.constraints)
             };
             let mut g = base.clone();
-            let result = g.prune(&tracer).0;
+            let pruned = g.prune(&tracer);
+            let result = handed_back(&mut g, pruned);
             let seq = outcome(g, result);
             // Either store, pinned: a pre-built oracle resumed with every
             // transaction seeded sweeps exactly what `prune` sweeps over the
@@ -126,7 +127,8 @@ fn resolved_edge_sets_are_identical() {
             // none stored but all generated (both narrow the pairs).
             let generated = Polygraph { constraints: ConstraintSet::new(), ..base.clone() };
             let mut g = generated.clone();
-            let result = g.prune_generated(&gen, &tracer).0;
+            let pruned = g.prune_generated(&gen, &tracer);
+            let result = handed_back(&mut g, pruned);
             let generated_seq = outcome(g, result);
             let inputs = [
                 ("stored", &base, &ConstraintGen::default(), &seq),
@@ -135,11 +137,16 @@ fn resolved_edge_sets_are_identical() {
             for kind in [OracleKind::Dense, OracleKind::Chains] {
                 for (input, from, gen, want) in inputs {
                     let mut g = from.clone();
-                    let result = match KnownGraph::build_pinned(g.n, &g.known, semantics, kind) {
-                        KnownGraphResult::Cyclic(cycle) => PruneResult::Violation(cycle),
+                    let known = std::mem::take(&mut g.known);
+                    let result = match KnownGraph::build_pinned(g.n, known, semantics, kind) {
+                        KnownGraphResult::Cyclic { cycle, known } => {
+                            g.known = known;
+                            PruneResult::Violation(cycle)
+                        }
                         KnownGraphResult::Acyclic(kg) => {
                             assert_eq!(kg.oracle_kind(), kind);
-                            g.prune_resume(kg, &vec![true; base.n], gen, &tracer).0
+                            let pruned = g.prune_resume(kg, &vec![true; base.n], gen, &tracer);
+                            handed_back(&mut g, pruned)
                         }
                     };
                     assert!(
@@ -167,10 +174,13 @@ fn resolved_edge_sets_are_identical() {
                 reduced += (seq.1.len() < rebuild.known.len()) as usize;
                 // The reduced list reaches what the full one does, from
                 // boundary and mid nodes alike (on a sample of pairs).
-                let oracle = |known: &[Edge]| match KnownGraph::build(base.n, known, semantics) {
-                    KnownGraphResult::Acyclic(g) => g,
-                    KnownGraphResult::Cyclic(c) => panic!("accepted prune left a cycle: {c:?}"),
-                };
+                let oracle =
+                    |known: &[Edge]| match KnownGraph::build(base.n, known.to_vec(), semantics) {
+                        KnownGraphResult::Acyclic(g) => g,
+                        KnownGraphResult::Cyclic { cycle, .. } => {
+                            panic!("accepted prune left a cycle: {cycle:?}")
+                        }
+                    };
                 let (reduced, full) = (oracle(&seq.1), oracle(&rebuild.known));
                 let sample: Vec<u32> = (0..base.n as u32).step_by(base.n / 40 + 1).collect();
                 for (&x, &y) in sample.iter().flat_map(|x| sample.iter().map(move |y| (x, y))) {
@@ -236,7 +246,7 @@ fn a_delta_generator_resumes_as_if_stored_first() {
                 let seed: Vec<bool> = (0..base.n as u32).map(|t| t >= from).collect();
                 let (mut seed_all, mut stored_all) = (seed.clone(), stored.clone());
                 delta.mark_endpoints(&mut seed_all);
-                let KnownGraphResult::Acyclic(kg) = base.known_graph() else { continue };
+                let Ok(kg) = base.clone().known_graph() else { continue };
                 let narrowed = delta.covers(&kg);
                 omitted += narrowed.omitted();
                 stored_all.extend(narrowed.store());
@@ -278,6 +288,18 @@ fn a_delta_generator_resumes_as_if_stored_first() {
     assert!(omitted > 0, "no delta pair was narrowed away");
 }
 
+/// A prune's result, its oracle's known edges handed back to `g` (where
+/// the reference loops leave theirs).
+fn handed_back(
+    g: &mut Polygraph,
+    (result, kg): (PruneResult, Option<Box<KnownGraph>>),
+) -> PruneResult {
+    if let Some(kg) = kg {
+        g.known = kg.into_edges();
+    }
+    result
+}
+
 /// `g` with `constraints` stored, resumed from its known graph pinned to
 /// `kind`; `None` if that graph is cyclic.
 fn resume_pinned(
@@ -288,11 +310,13 @@ fn resume_pinned(
     gen: &ConstraintGen,
 ) -> Option<(PruneResult, Vec<Edge>, ConstraintSet)> {
     let mut g = Polygraph { constraints: constraints.clone(), ..g.clone() };
-    let KnownGraphResult::Acyclic(kg) = KnownGraph::build_pinned(g.n, &g.known, g.semantics, kind)
+    let known = std::mem::take(&mut g.known);
+    let KnownGraphResult::Acyclic(kg) = KnownGraph::build_pinned(g.n, known, g.semantics, kind)
     else {
         return None;
     };
-    let result = g.prune_resume(kg, seed, gen, &Tracer::disabled()).0;
+    let pruned = g.prune_resume(kg, seed, gen, &Tracer::disabled());
+    let result = handed_back(&mut g, pruned);
     Some((result, g.known, g.constraints))
 }
 
@@ -416,17 +440,19 @@ proptest! {
                     let mut stored = g.clone();
                     stored.constraints = gen.store();
                     let want = reference(stored.constraints.clone());
-                    let covers = match g.known_graph() {
-                        KnownGraphResult::Acyclic(kg) => gen.covers(&kg).store(),
-                        KnownGraphResult::Cyclic(_) => ConstraintSet::new(),
+                    let covers = match g.clone().known_graph() {
+                        Ok(kg) => gen.covers(&kg).store(),
+                        Err(_) => ConstraintSet::new(),
                     };
                     let want_fused = reference(covers);
                     let label = format!("{semantics:?} {mode:?}");
                     let mut fused = g.clone();
-                    let result = fused.prune_generated(&gen, &tracer).0;
+                    let pruned = fused.prune_generated(&gen, &tracer);
+                    let result = handed_back(&mut fused, pruned);
                     prop_assert_eq!(&outcome(&fused, result, true), &want_fused, "{}", label);
                     let mut again = stored.clone();
-                    let result = again.prune(&tracer).0;
+                    let pruned = again.prune(&tracer);
+                    let result = handed_back(&mut again, pruned);
                     prop_assert_eq!(&outcome(&again, result, true), &want, "{} stored", label);
                 }
             }
@@ -568,6 +594,8 @@ fn delta_covers_prune_as_every_pair_does() {
                     !again
                 });
                 regen.sort_unstable();
+                // The component's known edges, as its oracle holds them.
+                g.known = kg.into_edges();
                 let delta = ConstraintGen::delta(&facts, writes, &regen, id);
                 let touched: Vec<bool> = (0..base.n as u32).map(|t| t >= from).collect();
                 let one = check_delta_covers(&g, &touched, &delta).unwrap_or_else(|e| {

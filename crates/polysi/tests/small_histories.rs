@@ -4,7 +4,10 @@
 //! (`oracle_check_si`, by enumeration of version orders) and Berenson et
 //! al.'s operational SI (`replay_check_si`) agree on every history of
 //! exactly three committed transactions in at most three sessions, within
-//! a bound on keys and operations per transaction.
+//! a bound on keys and operations per transaction. Past that bound, the
+//! stream and the engine agree on simulated histories delivered in random
+//! session-respecting orders, whose checkpoints land several transactions
+//! as one delta.
 //!
 //! Histories are canonical: session sizes are non-increasing, the n-th
 //! write of a key writes value n, and each read picks the initial value or
@@ -15,8 +18,9 @@
 use polysi::checker::engine::{check, EngineOptions, IsolationLevel};
 use polysi::checker::oracle::oracle_check_si;
 use polysi::checker::StreamingChecker;
-use polysi::dbsim::{replay_check_si, ReplayResult};
+use polysi::dbsim::{replay_check_si, run, IsolationLevel as Store, ReplayResult, SimConfig};
 use polysi::history::{History, Key, Op, TxnStatus, Value};
+use polysi::workloads::{generate, GeneralParams, KeyDistribution};
 
 /// One operation of a transaction's shape: a read or a write of a key.
 #[derive(Clone, Copy, Debug)]
@@ -175,4 +179,70 @@ fn three_transactions_on_two_keys() {
     let (visited, accepted) = deciders_agree(2, 2);
     assert_eq!(visited, 205_872);
     assert!(accepted > 0 && accepted < visited, "{accepted} of {visited} accepted");
+}
+
+/// The streaming checker fed `h` in the session-respecting order that
+/// `seed` draws, with a checkpoint after each transaction with odds 1 in 4
+/// and one at the end: whether the last accepts. A checkpoint's delta can
+/// hold several transactions of several sessions, so a new writer can
+/// arrive with the transactions that order it before an old one
+/// (`W_new →SO T →RW W_old`).
+fn stream_accepts_in_random_order(h: &History, mut seed: u64) -> bool {
+    let mut draw = || {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (seed >> 33) as usize
+    };
+    let mut checker = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default());
+    let sessions: Vec<_> = h.sessions().collect();
+    let ids: Vec<_> = sessions.iter().map(|_| checker.session()).collect();
+    let mut next = vec![0; sessions.len()];
+    loop {
+        let open: Vec<usize> =
+            (0..sessions.len()).filter(|&s| next[s] < sessions[s].txns.len()).collect();
+        if open.is_empty() {
+            return checker.checkpoint().verdict.accepted();
+        }
+        let s = open[draw() % open.len()];
+        let t = &sessions[s].txns[next[s]];
+        next[s] += 1;
+        checker.push_transaction(ids[s], t.ops.clone(), t.status);
+        if draw() % 4 == 0 {
+            checker.checkpoint();
+        }
+    }
+}
+
+/// 4 000 simulated histories of 2–4 sessions of 2–5 transactions over 2–4
+/// keys (stale-snapshot and lost-update stores as well as SI, so about a
+/// fifth violate), each streamed in four random orders: every last
+/// checkpoint has the engine's verdict (about two seconds in a release
+/// build).
+#[test]
+#[ignore]
+fn random_deliveries_of_simulated_histories() {
+    let opts = EngineOptions::default();
+    let (mut accepted, mut rejected) = (0, 0);
+    for seed in 0..4_000u64 {
+        let store =
+            [Store::StaleSnapshot, Store::NoWriteConflictDetection, Store::SnapshotIsolation]
+                [seed as usize % 3];
+        let params = GeneralParams {
+            sessions: 2 + (seed % 3) as usize,
+            txns_per_session: 2 + (seed / 3 % 4) as usize,
+            ops_per_txn: 1 + (seed / 7 % 4) as usize,
+            keys: 2 + seed / 11 % 3,
+            read_pct: 50,
+            dist: KeyDistribution::Uniform,
+            seed,
+        };
+        let h = run(&generate(&params), &SimConfig::new(store, seed)).history;
+        let engine = check(&h, IsolationLevel::Si, &opts).accepted();
+        for order in 0..4 {
+            let stream = stream_accepts_in_random_order(&h, seed * 31 + order);
+            assert_eq!(stream, engine, "seed {seed} order {order}: {h:?}");
+        }
+        (accepted, rejected) =
+            if engine { (accepted + 1, rejected) } else { (accepted, rejected + 1) };
+    }
+    assert!(accepted > 2_000 && rejected > 500, "{accepted} accepted, {rejected} rejected");
 }
