@@ -91,7 +91,7 @@ pub fn cobra_check_ser(h: &History, opts: &CobraOptions) -> (SerVerdict, CobraSt
             known.push(Edge::new(w, r, Label::Ww(key)));
         }
     }
-    for (&key, readers) in &facts.init_readers {
+    for (key, readers) in Facts::by_key(&facts.init_readers) {
         if let Some(writers) = facts.writers.get(&key) {
             for &r in readers {
                 for &w in writers {
@@ -105,7 +105,7 @@ pub fn cobra_check_ser(h: &History, opts: &CobraOptions) -> (SerVerdict, CobraSt
 
     // Constraints per key per writer pair (as in the polygraph).
     let mut constraints =
-        ConstraintGen::new(&facts, facts.writers.keys().copied(), opts.mode, |t| t).store();
+        ConstraintGen::new(&facts, facts.written_keys(), opts.mode, |t| t).store();
     stats.constraints = constraints.len();
 
     // Iterative reachability pruning over the plain known graph.

@@ -61,7 +61,7 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
             known.push(Edge::new(w, r, Label::Ww(key)));
         }
     }
-    for (&key, readers) in &facts.init_readers {
+    for (key, readers) in Facts::by_key(&facts.init_readers) {
         if let Some(writers) = facts.writers.get(&key) {
             for &r in readers {
                 for &w in writers {
@@ -74,8 +74,7 @@ pub fn cobra_si_check(h: &History) -> (SiVerdict, CobraSiStats) {
     }
 
     let mut constraints =
-        ConstraintGen::new(&facts, facts.writers.keys().copied(), ConstraintMode::Plain, |t| t)
-            .store();
+        ConstraintGen::new(&facts, facts.written_keys(), ConstraintMode::Plain, |t| t).store();
     stats.constraints = constraints.len();
 
     // Cobra-style pruning: only the direct reachability rule, applied to

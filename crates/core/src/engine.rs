@@ -9,7 +9,7 @@
 //!
 //! | Stage | Paper | What happens |
 //! |---|---|---|
-//! | [`Stage::Axioms`] | Algorithm 1, lines 2–4 (`CheckNonCyclicAxioms`) | `Int`, aborted/intermediate reads, UniqueValue via [`Facts::analyze`] on the unit's own history; once a unit fails, every unit still runs them but skips the graph stages |
+//! | [`Stage::Axioms`] | Algorithm 1, lines 2–4 (`CheckNonCyclicAxioms`) | `Int`, aborted/intermediate reads, UniqueValue via [`Facts::analyze`] (the stream's fact builder fed the unit's transactions in id order) on the unit's own history; once a unit fails, every unit still runs them but skips the graph stages |
 //! | [`Stage::Construct`] | Algorithm 2 (`CreateKnownGraph` + `GenerateConstraints`) | known `SO ∪ WR` (+ init-read `RW`, + RMW-inferred `WW` under SER) edges and the per-key writer-pair constraint generator (with `pruning: false`, every constraint stored) |
 //! | [`Stage::Prune`] | Algorithm 1, lines 10–32 (`PruneConstraints`) | worklist-driven fixpoint resolving constraints whose one side closes a known cycle; the first pass generates each constraint and stores only the undecided ones; the reachability oracle updates incrementally across passes — closure propagation batched per apply phase — on the unit's own thread |
 //! | [`Stage::Encode`] | Algorithm 1, lines 5–7 (encoding, Section 4.4) | one selector variable per surviving constraint guarding graph edges in the SAT-modulo-acyclicity solver |
@@ -62,14 +62,14 @@
 //! key components are bridged by sessions the `SO` edges between them are
 //! cross-shard constraints and the engine falls back to whole-history
 //! checking ([`ShardFallback::CrossShardSessions`]); that one unit is the
-//! history itself, without a copy, and reuses the plan's key index.
+//! history itself, without a copy.
 
 use crate::anomaly::Anomaly;
 use crate::check::{CheckReport, EncodeStats, Outcome, SolveStats, Tally, Violation};
 use crate::interpret::interpret;
 use crate::list::{self, ListHistory};
 use polysi_history::{
-    AxiomViolation, Facts, History, KeyIndex, ShardComponent, ShardFallback, ShardPlan, TxnId,
+    AxiomViolation, Facts, FastSet, History, ShardComponent, ShardFallback, ShardPlan, TxnId,
 };
 use polysi_obs::{kv, Obs, SpanGuard, Tracer};
 use polysi_polygraph::{
@@ -427,11 +427,11 @@ impl CheckEngine {
         // The plan comes first, so that no analysis is ever sized by more
         // than one unit. A plan that does not shard is dropped, and the one
         // unit, `h` itself, reuses the keys it interned.
-        let (plan, index) = match self.opts.sharding {
+        let (plan, keys) = match self.opts.sharding {
             Sharding::Off => (None, None),
             Sharding::Auto => {
-                let (plan, index) = self.shard_plan(h);
-                (Some(plan), Some(index))
+                let (plan, keys) = self.shard_plan(h);
+                (Some(plan), Some(keys))
             }
         };
         let shard_stats = plan.as_ref().map(|plan| ShardStats {
@@ -441,7 +441,6 @@ impl CheckEngine {
             fallback: plan.fallback(),
         });
         let plan = plan.filter(ShardPlan::is_shardable);
-        let index = index.filter(|_| plan.is_none());
         let budget = self.opts.prune_threads.budget();
         let workers = plan.as_ref().map_or(1, |plan| budget.min(plan.components.len()));
         check_span.attr("workers", workers);
@@ -451,7 +450,7 @@ impl CheckEngine {
         // violating cycle keeps what interprets it.
         let units = Units::default();
         match &plan {
-            None => units.push(0, self.check_unit(h, None, index, &units)),
+            None => units.push(0, self.check_unit(h, None, keys, &units)),
             Some(plan) => self.check_shards(h, plan, workers, &units),
         }
         let mut reports = units.reports.into_inner().expect("shard worker panicked");
@@ -491,19 +490,19 @@ impl CheckEngine {
         (outcome, tally, shard_stats)
     }
 
-    /// The key-connectivity plan and the key index it was computed from,
-    /// under a `shard.plan` span whose duration the `check.shard_plan_us`
-    /// histogram records (no stage includes it).
-    fn shard_plan(&self, h: &History) -> (ShardPlan, KeyIndex) {
+    /// The key-connectivity plan and the number of keys it found (each
+    /// key is in one component), under a `shard.plan` span whose duration
+    /// the `check.shard_plan_us` histogram records (no stage includes it).
+    fn shard_plan(&self, h: &History) -> (ShardPlan, usize) {
         let mut span = self.obs.tracer.span("shard.plan");
-        let index = KeyIndex::build(h);
-        let plan = ShardPlan::analyze_with(h, &index);
+        let plan = ShardPlan::analyze(h);
+        let keys = plan.components.iter().map(|c| c.keys.len()).sum();
         span.attr("components", plan.components.len());
-        span.attr("keys", index.len());
+        span.attr("keys", keys);
         span.attr("largest", plan.largest());
         let took = span.finish();
         self.obs.metrics.histogram_us("check.shard_plan_us").observe_duration(took);
-        (plan, index)
+        (plan, keys)
     }
 
     /// Check every component on `workers` scoped threads, each under a
@@ -523,9 +522,10 @@ impl CheckEngine {
         });
     }
 
-    /// One unit — the whole history (`comp == None`; `index` is its keys,
-    /// when the plan interned them) or the history of one component's
-    /// sessions, in component-local ids: Stage::Axioms on its own facts,
+    /// One unit — the whole history (`comp == None`; `keys` is its key
+    /// count, when the plan interned them) or the history of one
+    /// component's sessions, in component-local ids: Stage::Axioms on its
+    /// own facts,
     /// then, unless a unit's axioms failed, Stage::Construct and the shared
     /// Prune → Encode → Solve runner, and on UNSAT the witness. The unit's
     /// facts and polygraph are dropped on return unless its cycle is the
@@ -534,7 +534,7 @@ impl CheckEngine {
         &self,
         h: &History,
         comp: Option<(usize, &ShardComponent)>,
-        index: Option<KeyIndex>,
+        keys: Option<usize>,
         units: &Units,
     ) -> UnitReport {
         let tracer = &self.obs.tracer;
@@ -544,11 +544,14 @@ impl CheckEngine {
             None => Cow::Borrowed(h),
             Some((_, c)) => Cow::Owned(h.restrict(&c.sessions)),
         };
-        let index = index.unwrap_or_else(|| KeyIndex::build(&history));
-        span.attr("ops", index.op_ids().len());
-        span.attr("keys", index.len());
-        let facts = Facts::analyze_with(&history, &index);
-        drop(index);
+        span.attr("ops", history.num_ops());
+        // A planned unit knows its key count; an unplanned one counts.
+        let keys = comp.map(|(_, c)| c.keys.len()).or(keys).unwrap_or_else(|| {
+            let ops = history.txns().iter().flat_map(|t| &t.ops);
+            ops.map(|op| op.key()).collect::<FastSet<_>>().len()
+        });
+        span.attr("keys", keys);
+        let facts = Facts::analyze(&history);
         let axioms = span.finish();
         self.obs.metrics.histogram_us("check.axioms_us").observe_duration(axioms);
         let mut unit = UnitReport { axioms, ..UnitReport::default() };

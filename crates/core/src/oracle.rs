@@ -18,8 +18,9 @@ pub fn oracle_check_si_with_limit(h: &History, limit: u64) -> bool {
         return false;
     }
     // Keys with at least two writers need an order chosen.
-    let contended: Vec<(&polysi_history::Key, &Vec<TxnId>)> =
-        facts.writers.iter().filter(|(_, ws)| ws.len() >= 2).collect();
+    let by_key = Facts::by_key(&facts.writers);
+    let contended: Vec<(polysi_history::Key, &[TxnId])> =
+        by_key.iter().copied().filter(|(_, ws)| ws.len() >= 2).collect();
     let combos: u64 = contended
         .iter()
         .map(|(_, ws)| (1..=ws.len() as u64).product::<u64>())
@@ -38,14 +39,10 @@ pub fn oracle_check_si_with_limit(h: &History, limit: u64) -> bool {
     }
 
     // Enumerate orders per contended key via recursion over permutations.
-    let mut orders: Vec<Vec<TxnId>> = contended.iter().map(|(_, ws)| (*ws).clone()).collect();
-    let keys: Vec<polysi_history::Key> = contended.iter().map(|(k, _)| **k).collect();
-    let single: Vec<(polysi_history::Key, Vec<TxnId>)> = facts
-        .writers
-        .iter()
-        .filter(|(_, ws)| ws.len() == 1)
-        .map(|(k, ws)| (*k, ws.clone()))
-        .collect();
+    let mut orders: Vec<Vec<TxnId>> = contended.iter().map(|(_, ws)| ws.to_vec()).collect();
+    let keys: Vec<polysi_history::Key> = contended.iter().map(|&(k, _)| k).collect();
+    let single: Vec<(polysi_history::Key, Vec<TxnId>)> =
+        by_key.iter().filter(|(_, ws)| ws.len() == 1).map(|&(k, ws)| (k, ws.to_vec())).collect();
 
     fn acyclic_for(
         h: &History,

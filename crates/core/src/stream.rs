@@ -87,10 +87,11 @@
 //! * **Axiom violations are canonical but only *monotone* ones are
 //!   stable**: a read of a value whose writer has not arrived yet fails
 //!   the non-cyclic axioms exactly as batch analysis of the prefix would
-//!   (reported via a batch `Facts::analyze` of the snapshot, so the list
-//!   is identical), yet it *heals* if the writer arrives later. `Int`,
-//!   duplicate-write, and wrote-init violations never heal and are
-//!   terminal.
+//!   (the fact builder classifies the waiting reads as `Facts::analyze`
+//!   of the snapshot does, in session-major ids —
+//!   [`HistoryStream::read_violations`] — so the list is identical), yet
+//!   it *heals* if the writer arrives later. `Int`, duplicate-write,
+//!   wrote-init and future-read violations never heal and are terminal.
 //! * **A fenced read is terminal and inconclusive**: a read that a
 //!   compacting stream refuses below its watermark
 //!   ([`polysi_history::StreamFacts::fenced_reads`]) leaves the stream
@@ -115,8 +116,8 @@ use crate::engine::{
     run_unit, CheckEngine, CompactMode, EngineOptions, IsolationLevel, Prune, UnitVerdict,
 };
 use polysi_history::{
-    AxiomViolation, FactEvent, Facts, FastMap, FastSet, History, HistoryStream, IngestError, Key,
-    Op, RootInfo, SessionId, ShardComponent, TxnId, TxnStatus, Value, WrSource,
+    AxiomViolation, FactEvent, FastMap, FastSet, History, HistoryStream, IngestError, Key, Op,
+    RootInfo, SessionId, ShardComponent, TxnId, TxnStatus, Value, WrSource,
 };
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{ConstraintGen, ConstraintMode, Edge, Flush, KnownGraph, Label, Polygraph};
@@ -375,11 +376,11 @@ impl StreamingChecker {
         // cursor stays put, so a healed prefix replays the backlog).
         let facts = self.stream.facts();
         if !facts.axioms_ok() {
-            let (prefix, map) = self.stream.snapshot();
             if facts.axioms_can_heal() {
-                let violations = Facts::analyze(&prefix).violations;
+                let violations = self.stream.read_violations();
                 return base(Outcome::AxiomViolations(violations), 0, 0);
             }
+            let (prefix, map) = self.stream.snapshot();
             // Monotone and watermark violations and fenced reads never
             // heal: canonicalize once and stop for good, like a cyclic
             // violation. What only the stream knows the compacted snapshot
@@ -921,6 +922,7 @@ mod tests {
     use super::*;
     use crate::anomaly::Anomaly;
     use crate::engine::check;
+    use polysi_history::Facts;
 
     fn k(n: u64) -> Key {
         Key(n)
@@ -1040,6 +1042,57 @@ mod tests {
         c.push_transaction(s0, vec![r(1, 7), w(1, 8)], TxnStatus::Committed);
         c.push_transaction(s1, vec![r(1, 7), w(1, 9)], TxnStatus::Committed);
         assert!(!c.checkpoint().verdict.accepted());
+    }
+
+    /// Two transactions in different sessions both wrote the value 5 that
+    /// a committed read returns, and arrived in the reverse of
+    /// session-major order (`ops[1]`, of session 1, first): the healable
+    /// checkpoint names the session-major-last of them, as batch on the
+    /// snapshot does, not the last to arrive.
+    fn healable_violations(ops: [Vec<Op>; 2], status: TxnStatus) -> Vec<AxiomViolation> {
+        let mut c = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default());
+        let (s0, s1, s2) = (c.session(), c.session(), c.session());
+        let [first, second] = ops;
+        c.push_transaction(s1, second, status);
+        c.push_transaction(s0, first, status);
+        c.push_transaction(s2, vec![r(1, 5)], TxnStatus::Committed);
+        let cp = c.checkpoint();
+        assert!(!cp.terminal, "a read waiting for its writer can heal");
+        let (prefix, map) = c.stream().snapshot();
+        assert_eq!(map, [TxnId(1), TxnId(0), TxnId(2)]);
+        let Outcome::AxiomViolations(violations) = cp.verdict else {
+            panic!("the read has no committed writer");
+        };
+        assert_eq!(violations, Facts::analyze(&prefix).violations);
+        violations
+    }
+
+    #[test]
+    fn a_healable_checkpoint_names_the_canonical_aborted_writer() {
+        let aborted = || vec![w(1, 5)];
+        assert_eq!(
+            healable_violations([aborted(), aborted()], TxnStatus::Aborted),
+            [AxiomViolation::AbortedRead {
+                reader: TxnId(2),
+                writer: TxnId(1),
+                key: k(1),
+                value: v(5)
+            }]
+        );
+    }
+
+    #[test]
+    fn a_healable_checkpoint_names_the_canonical_intermediate_writer() {
+        let overwrites = |last| vec![w(1, 5), w(1, last)];
+        assert_eq!(
+            healable_violations([overwrites(6), overwrites(7)], TxnStatus::Committed),
+            [AxiomViolation::IntermediateRead {
+                reader: TxnId(2),
+                writer: TxnId(1),
+                key: k(1),
+                value: v(5)
+            }]
+        );
     }
 
     /// A read that waits for its writer across a checkpoint heals into a

@@ -9,25 +9,22 @@
 //!
 //! # How the analysis runs
 //!
-//! [`Facts::analyze_with`] makes two passes and never hashes a key: the
-//! caller's [`KeyIndex`] already holds a dense id for the key of every
-//! operation.
+//! There is one builder, [`StreamFacts`](crate::StreamFacts), and
+//! [`Facts::analyze`] is "push every transaction in id order, then
+//! finish". A push walks the transaction once in program order (the
+//! [`TxnEffects`] scratch): `Int` and `WroteInitValue` are decided on the
+//! spot, its final writes join `writes[t]` and the per-key writer lists,
+//! a duplicate of a committed `(key, value)` is reported, and each
+//! external read is resolved against the committed final writes seen so
+//! far, or waits in its reader's list for a writer still to come (which
+//! heals it in place). Appending a fact probes hash maps only.
 //!
-//! 1. **Effects.** One [`TxnEffects`] scratch walks every transaction in
-//!    program order (the same walk `StreamFacts::push` uses): `Int` and
-//!    `WroteInitValue` are decided on the spot, the external reads of a
-//!    committed transaction are written straight into `reads[t]` with their
-//!    source still open, its final writes go into `writes[t]` and the
-//!    `(key, value) → writer` table, and `(key id, transaction)` pairs are
-//!    noted for every final write and every initial-value read.
-//! 2. **Resolution, in place.** Every non-initial read of `reads[t]` looks
-//!    its `(key, value)` up once; the entry gets its source, or is reported
-//!    (aborted / intermediate / unknown-value / future read) and removed.
-//!    There is no second copy of the reads.
-//!
-//! `writers` and `init_readers` are then built from the noted pairs:
-//! counted per key id, filled into exact-capacity lists, and loaded into
-//! the `BTreeMap` in one ascending sweep ([`KeyIndex::ids_by_key`]).
+//! What is still unresolved at the end — aborted, intermediate,
+//! unknown-value and future reads — is classified only when a list is
+//! asked for: one walk over the transactions in session-major order finds
+//! the aborted and intermediate writers of the waiting `(key, value)`
+//! pairs, the last one in that order winning. A history whose reads all
+//! resolve pays nothing for it.
 //!
 //! # Ordering guarantees
 //!
@@ -36,6 +33,8 @@
 //!
 //! * `reads[t]` is in program order, `writes[t]` in key order;
 //! * every per-key and per-`(key, writer)` list ascends by transaction id;
+//!   the per-key maps are hashed, and their readers take the keys in
+//!   ascending order ([`Facts::by_key`], [`Facts::written_keys`]);
 //! * `violations` lists, transaction by transaction, first the `Int` /
 //!   `WroteInitValue` violations in program order, then the transaction's
 //!   `DuplicateWrite`s in **key order**; after all of those come the
@@ -44,10 +43,8 @@
 use crate::fasthash::FastMap;
 use crate::history::{History, Transaction};
 use crate::ids::{Key, TxnId, Value};
-use crate::index::KeyIndex;
 use crate::op::Op;
-use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
+use crate::stream::StreamFacts;
 use std::fmt;
 
 /// Where an external read's value came from.
@@ -248,14 +245,16 @@ pub struct Facts {
     /// Per-transaction final writes `(key, value)`, in key order.
     pub writes: Vec<Vec<(Key, Value)>>,
     /// Committed writers per key (`WriteTx_x`), in transaction-id order.
-    pub writers: BTreeMap<Key, Vec<TxnId>>,
+    /// Look keys up, or take them from [`Facts::by_key`]; the map's
+    /// iteration order means nothing.
+    pub writers: FastMap<Key, Vec<TxnId>>,
     /// Readers of each committed final write: `(key, writer) → readers`, in
     /// transaction-id order. Look entries up ([`Facts::readers_of`]); the
     /// map's iteration order means nothing.
     pub readers: FastMap<(Key, TxnId), Vec<TxnId>>,
     /// Readers that observed the initial value, per key, in transaction-id
-    /// order.
-    pub init_readers: BTreeMap<Key, Vec<TxnId>>,
+    /// order. Look keys up, or take them from [`Facts::by_key`].
+    pub init_readers: FastMap<Key, Vec<TxnId>>,
     /// All detected axiom violations: first, transaction by transaction,
     /// its `Int` / `WroteInitValue` violations in program order and then its
     /// `DuplicateWrite`s in key order; after those, reader by reader, the
@@ -274,10 +273,10 @@ struct Touched {
     first_op: u32,
 }
 
-/// The effects of one transaction — the program-order walk `Facts::analyze`
-/// and `StreamFacts::push` share. One value is reused across transactions,
-/// so a walk allocates nothing once its vectors have grown to the largest
-/// transaction seen.
+/// The effects of one transaction — the program-order walk of
+/// `StreamFacts::push`, and of its classification of unresolved reads. One
+/// value is reused across transactions, so a walk allocates nothing once
+/// its vectors have grown to the largest transaction seen.
 #[derive(Default)]
 pub(crate) struct TxnEffects {
     /// Touched keys, in first-touch order.
@@ -384,128 +383,30 @@ impl TxnEffects {
     }
 }
 
-/// Group `(key id, transaction)` pairs, given in transaction order, into one
-/// exact-capacity list per key and load them into a map in key order.
-fn group_by_key(pairs: Vec<(u32, TxnId)>, index: &KeyIndex) -> BTreeMap<Key, Vec<TxnId>> {
-    let mut count = vec![0u32; index.len()];
-    for &(kid, _) in &pairs {
-        count[kid as usize] += 1;
-    }
-    let mut lists: Vec<Vec<TxnId>> =
-        count.iter().map(|&c| Vec::with_capacity(c as usize)).collect();
-    drop(count);
-    for (kid, t) in pairs {
-        lists[kid as usize].push(t);
-    }
-    index
-        .ids_by_key()
-        .iter()
-        .map(|&kid| (index.key(kid), std::mem::take(&mut lists[kid as usize])))
-        .filter(|(_, list)| !list.is_empty())
-        .collect()
-}
-
 impl Facts {
     /// Analyze a history: compute effects, resolve `WR`, and check the
-    /// non-cyclic axioms.
+    /// non-cyclic axioms. The stream's builder takes every transaction in
+    /// id order and finishes (see the module docs).
     pub fn analyze(h: &History) -> Facts {
-        Self::analyze_with(h, &KeyIndex::build(h))
+        let mut builder = StreamFacts::with_capacity(h.len());
+        for (id, txn) in h.iter() {
+            builder.push(id, txn);
+        }
+        builder.finish(h)
     }
 
-    /// [`Facts::analyze`] over a key index the caller already has (it must
-    /// come from [`KeyIndex::build`] on the same history).
-    pub fn analyze_with(h: &History, index: &KeyIndex) -> Facts {
-        let n = h.len();
-        let mut violations = Vec::new();
+    /// The lists of a per-key map (`writers`, `init_readers`), keys
+    /// ascending.
+    pub fn by_key(map: &FastMap<Key, Vec<TxnId>>) -> Vec<(Key, &[TxnId])> {
+        let mut lists: Vec<(Key, &[TxnId])> =
+            map.iter().map(|(&key, list)| (key, list.as_slice())).collect();
+        lists.sort_unstable_by_key(|&(key, _)| key);
+        lists
+    }
 
-        // Pass 1: per-transaction effects, and who wrote what. A committed
-        // transaction's external reads go straight into `reads`, sources
-        // still open (initial-value reads need no lookup and are final).
-        let mut reads: Vec<Vec<ReadFact>> = Vec::with_capacity(n);
-        let mut writes: Vec<Vec<(Key, Value)>> = Vec::with_capacity(n);
-        // (key, value) → writer, for committed final writes.
-        let mut final_writer: FastMap<(Key, Value), TxnId> = FastMap::default();
-        // values overwritten within their own transaction (any status).
-        let mut overwriting_writer: FastMap<(Key, Value), TxnId> = FastMap::default();
-        // final writes of aborted transactions.
-        let mut aborted_writer: FastMap<(Key, Value), TxnId> = FastMap::default();
-        // (key id, transaction) per committed final write / per
-        // initial-value read, in transaction order.
-        let mut write_pairs: Vec<(u32, TxnId)> = Vec::new();
-        let mut init_pairs: Vec<(u32, TxnId)> = Vec::new();
-
-        let mut fx = TxnEffects::default();
-        for (id, txn, key_ids) in index.per_txn(h) {
-            fx.walk(id, txn, &mut violations);
-            for &pair in &fx.overwritten {
-                overwriting_writer.insert(pair, id);
-            }
-            if !txn.committed() {
-                for &(key, value, _) in &fx.final_writes {
-                    aborted_writer.insert((key, value), id);
-                }
-                reads.push(Vec::new());
-                writes.push(Vec::new());
-                continue;
-            }
-            for &(key, value, op) in &fx.final_writes {
-                match final_writer.entry((key, value)) {
-                    Entry::Occupied(first) => violations.push(AxiomViolation::DuplicateWrite {
-                        key,
-                        value,
-                        first: *first.get(),
-                        second: id,
-                    }),
-                    Entry::Vacant(slot) => {
-                        slot.insert(id);
-                    }
-                }
-                write_pairs.push((key_ids[op as usize], id));
-            }
-            writes.push(fx.final_writes.iter().map(|&(key, value, _)| (key, value)).collect());
-            for &(_, value, op) in &fx.ext_reads {
-                if value.is_init() {
-                    init_pairs.push((key_ids[op as usize], id));
-                }
-            }
-            reads.push(
-                fx.ext_reads.iter().map(|&(key, value, _)| (key, value, WrSource::Init)).collect(),
-            );
-        }
-        let writers = group_by_key(write_pairs, index);
-        let init_readers = group_by_key(init_pairs, index);
-
-        // Pass 2: resolve the WR source of every other external read in
-        // place; a read with no committed final writer, or whose writer is
-        // the reader itself (a read of its own later write), is a violation
-        // and leaves the list.
-        let mut readers: FastMap<(Key, TxnId), Vec<TxnId>> = FastMap::default();
-        for (idx, ext) in reads.iter_mut().enumerate() {
-            let reader = TxnId(idx as u32);
-            ext.retain_mut(|&mut (key, value, ref mut source)| {
-                if value.is_init() {
-                    return true;
-                }
-                let writer = final_writer.get(&(key, value)).copied();
-                if let Some(w) = writer.filter(|&w| w != reader) {
-                    readers.entry((key, w)).or_default().push(reader);
-                    *source = WrSource::Txn(w);
-                    return true;
-                }
-                violations.push(if writer.is_some() {
-                    AxiomViolation::FutureRead { txn: reader, key, value }
-                } else if let Some(&w) = aborted_writer.get(&(key, value)) {
-                    AxiomViolation::AbortedRead { reader, writer: w, key, value }
-                } else if let Some(&w) = overwriting_writer.get(&(key, value)) {
-                    AxiomViolation::IntermediateRead { reader, writer: w, key, value }
-                } else {
-                    AxiomViolation::UnknownValueRead { txn: reader, key, value }
-                });
-                false
-            });
-        }
-
-        Facts { reads, writes, writers, readers, init_readers, violations }
+    /// The keys with a committed writer, ascending.
+    pub fn written_keys(&self) -> impl Iterator<Item = Key> + '_ {
+        Self::by_key(&self.writers).into_iter().map(|(key, _)| key)
     }
 
     /// Whether all non-cyclic axioms hold (i.e. graph analysis is meaningful

@@ -1,8 +1,9 @@
 //! The hasher behind every key-indexed map of this crate's analyses.
 //!
-//! [`Facts`](crate::Facts) and [`KeyIndex`](crate::KeyIndex) hash one or two
-//! machine words per probe — a [`Key`](crate::Key), a `(Key, Value)` or a
-//! `(Key, TxnId)` — a few million times per check. SipHash spends most of
+//! [`Facts`](crate::Facts) and the key index of a
+//! [`ShardPlan`](crate::ShardPlan) hash one or two machine words per probe
+//! — a [`Key`](crate::Key), a `(Key, Value)` or a `(Key, TxnId)` — a few
+//! million times per check. SipHash spends most of
 //! its rounds on the fixed-size finalisation there; a *fold-multiply* step
 //! (the 128-bit product of the running state and an odd constant, high half
 //! xored into the low half) mixes a word in one multiplication and leaves

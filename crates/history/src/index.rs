@@ -1,17 +1,15 @@
 //! Key interning: one hash lookup per operation, once per history.
 //!
-//! Every analysis of this crate groups work by key. A [`KeyIndex`] gives
-//! each key of a history a dense `u32` id in *first-touch* order and
-//! records the id of every operation, so [`Facts`](crate::Facts) and
-//! [`ShardPlan`](crate::ShardPlan) index plain vectors instead of probing a
-//! map per operation. The engine builds the index once and hands it to both
-//! (`Facts::analyze_with`, `ShardPlan::analyze_with`); their one-argument
-//! forms build a private one.
+//! A [`KeyIndex`] gives each key of a history a dense `u32` id in
+//! *first-touch* order and records the id of every operation, so
+//! [`ShardPlan`](crate::ShardPlan)'s union–find indexes plain vectors
+//! instead of probing a map per operation. (The facts need no index: their
+//! builder takes transactions one at a time, as a stream delivers them.)
 //!
 //! Ids follow the order operations appear in, which depends on nothing but
-//! the history; ascending-*key* order, which the `BTreeMap` fields of
-//! `Facts` and the component key lists are built in, comes from
-//! [`KeyIndex::ids_by_key`] (one sort of the distinct keys).
+//! the history; ascending-*key* order, which the component key lists are
+//! built in, comes from [`KeyIndex::ids_by_key`] (one sort of the distinct
+//! keys).
 
 use crate::fasthash::FastMap;
 use crate::history::{History, Transaction};
@@ -19,7 +17,7 @@ use crate::ids::{Key, TxnId};
 use std::collections::hash_map::Entry;
 
 /// Dense key ids of one history (see the module docs).
-pub struct KeyIndex {
+pub(crate) struct KeyIndex {
     /// `keys[id]`: first-touch order.
     keys: Vec<Key>,
     /// The key id of every operation, in history order (transactions by
@@ -31,7 +29,7 @@ pub struct KeyIndex {
 
 impl KeyIndex {
     /// Intern the keys of `h`.
-    pub fn build(h: &History) -> KeyIndex {
+    pub(crate) fn build(h: &History) -> KeyIndex {
         let mut ids: FastMap<Key, u32> = FastMap::default();
         let mut keys: Vec<Key> = Vec::new();
         let mut op_ids: Vec<u32> = Vec::with_capacity(h.num_ops());
@@ -56,29 +54,18 @@ impl KeyIndex {
     }
 
     /// Number of distinct keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len()
-    }
-
-    /// Whether the history touches no key.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// The key with the given id.
     #[inline]
-    pub fn key(&self, id: u32) -> Key {
+    pub(crate) fn key(&self, id: u32) -> Key {
         self.keys[id as usize]
     }
 
-    /// Key ids of all operations, in history order: a transaction's ids are
-    /// the next `ops.len()` entries after its predecessor's.
-    pub fn op_ids(&self) -> &[u32] {
-        &self.op_ids
-    }
-
     /// All key ids, by ascending key.
-    pub fn ids_by_key(&self) -> &[u32] {
+    pub(crate) fn ids_by_key(&self) -> &[u32] {
         &self.by_key
     }
 
@@ -113,7 +100,6 @@ mod tests {
         let h = b.build();
         let index = KeyIndex::build(&h);
         assert_eq!(index.len(), 3);
-        assert_eq!(index.op_ids(), &[0, 1, 0, 2, 0]);
         assert_eq!([index.key(0), index.key(1), index.key(2)], [Key(30), Key(10), Key(20)]);
         assert_eq!(index.ids_by_key(), &[1, 2, 0]);
         let per_txn: Vec<&[u32]> = index.per_txn(&h).map(|(_, _, ids)| ids).collect();
@@ -123,7 +109,7 @@ mod tests {
     #[test]
     fn empty_history_has_an_empty_index() {
         let index = KeyIndex::build(&History::new());
-        assert!(index.is_empty());
-        assert!(index.op_ids().is_empty() && index.ids_by_key().is_empty());
+        assert_eq!(index.len(), 0);
+        assert!(index.op_ids.is_empty() && index.ids_by_key().is_empty());
     }
 }

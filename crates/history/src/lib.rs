@@ -16,18 +16,19 @@
 //! plus the **UniqueValue** assumption check and the extraction of the
 //! write-read (`WR`) relation that it makes possible.
 //!
-//! Both whole-history analyses — [`Facts`] (effects, `WR`, axioms) and
-//! [`ShardPlan`] (key-connectivity components) — read the history through
-//! one [`KeyIndex`]: a dense first-touch id per key and the id of every
-//! operation, built with one hash lookup per operation on the seeded
-//! fold-multiply hasher of [`fasthash`]. A caller that needs both builds
-//! the index once (`Facts::analyze_with`, `ShardPlan::analyze_with`); the
-//! one-argument `analyze` forms build their own. `Facts` resolves reads in
-//! place and bulk-builds its per-key maps, and every list either analysis
-//! returns has a documented order that no hash seed can change (violations
-//! by transaction, a transaction's final writes and duplicate-write reports
-//! by key, component keys ascending). The streaming mirror ([`StreamFacts`]) runs the same
-//! per-transaction effects walk as the batch analysis.
+//! [`Facts`] (effects, `WR`, axioms) has one builder, [`StreamFacts`]:
+//! a stream pushes its transactions as they arrive, and
+//! [`Facts::analyze`] pushes a whole history in id order and finishes. A
+//! push resolves each read against the writes seen so far, or leaves it
+//! waiting for its writer, and probes hash maps on the seeded
+//! fold-multiply hasher of [`fasthash`] only; reads still unresolved are
+//! classified when a list is asked for. [`ShardPlan`] (key-connectivity
+//! components) interns the history's keys first: a dense first-touch id
+//! per key and the id of every operation. Every list
+//! either analysis returns has a documented order that no hash seed can
+//! change (violations by transaction, a transaction's final writes and
+//! duplicate-write reports by key, per-key lists by transaction, component
+//! keys ascending).
 //!
 //! Histories can be built programmatically with [`HistoryBuilder`], loaded
 //! from and saved to a line-oriented text format ([`codec`]) or a compact
@@ -53,7 +54,6 @@ pub use fasthash::{FastMap, FastSet};
 pub use fence::{Fences, KeyFence};
 pub use history::{History, HistoryBuilder, SessionView};
 pub use ids::{Key, SessionId, TxnId, Value};
-pub use index::KeyIndex;
 pub use live::{Delivery, IngestError};
 pub use op::{Op, TxnStatus};
 pub use shard::{ShardComponent, ShardFallback, ShardPlan};

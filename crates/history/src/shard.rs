@@ -22,14 +22,14 @@
 //! single component and the engine must fall back to whole-history
 //! checking ([`ShardFallback::CrossShardSessions`]).
 //!
-//! The union–find runs on the dense key ids of a [`KeyIndex`] — sessions
+//! The union–find runs on the dense key ids of a `KeyIndex` — sessions
 //! are unioned with key ids as the operations are met, roots map to
 //! components through a vector — so apart from building the index the plan
 //! costs two array steps per operation and allocates a fixed number of
 //! blocks per history and component. Its output is ordered by construction,
 //! not by sorting: components by their first session, `sessions` and `txns`
 //! ascending (sessions are id ranges), `keys` ascending (filled by one sweep
-//! of [`KeyIndex::ids_by_key`]). A component's local ids are positions in
+//! of `KeyIndex::ids_by_key`). A component's local ids are positions in
 //! its `txns`, which is also how [`History::restrict`] numbers the history
 //! of its sessions, the unit the engine analyses and checks.
 
@@ -106,17 +106,12 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Compute the finest independent partition of `h`.
+    /// Compute the finest independent partition of `h`. Apart from
+    /// interning the keys (`KeyIndex`), the work per operation is two
+    /// union–find steps on dense ids, and the number of allocations depends
+    /// on the sessions and components only.
     pub fn analyze(h: &History) -> ShardPlan {
-        Self::analyze_with(h, &KeyIndex::build(h))
-    }
-
-    /// [`ShardPlan::analyze`] over a key index the caller already has (it
-    /// must come from [`KeyIndex::build`] on the same history). Apart from
-    /// the index, the work per operation is two union–find steps on dense
-    /// ids, and the number of allocations depends on the sessions and
-    /// components only.
-    pub fn analyze_with(h: &History, index: &KeyIndex) -> ShardPlan {
+        let index = &KeyIndex::build(h);
         let nsess = h.num_sessions();
         let nkeys = index.len();
 

@@ -1,5 +1,5 @@
-//! Streaming history ingestion: an incrementally maintained mirror of
-//! [`Facts`] and of the key-connectivity [`crate::ShardPlan`] over a
+//! Streaming history ingestion: the one builder of [`Facts`], and the
+//! key-connectivity [`crate::ShardPlan`] grown online, over a
 //! session-ordered transaction stream.
 //!
 //! A [`HistoryStream`] accepts transactions one at a time
@@ -16,14 +16,16 @@
 //!
 //! Two incremental structures are maintained per push:
 //!
-//! * [`StreamFacts`] — the graph-relevant fields of [`Facts`] (external
-//!   reads with resolved `WR` sources, final writes, writers/readers per
-//!   key, init readers), kept equivalent to `Facts::analyze` on the
-//!   current prefix. Reads of values whose writer has not arrived yet are
-//!   *unresolved*: they wait in their reader's one read list; while any
-//!   exist (or any monotone axiom violation was seen) the prefix fails the
-//!   non-cyclic axioms exactly as the batch analysis would, and graph work
-//!   is skipped. A later write resolves them in place.
+//! * [`StreamFacts`] — the fact builder. `Facts::analyze` is this builder
+//!   fed a whole history in id order and finished, so the stream's facts
+//!   are the batch facts of its prefix by construction. Reads of values
+//!   whose writer has not arrived yet are *unresolved*: they wait in their
+//!   reader's one read list; while any exist (or any violation that never
+//!   heals was seen) the prefix fails the non-cyclic axioms exactly as the
+//!   batch analysis would, and graph work is skipped. A later write
+//!   resolves them in place. Asked for a list
+//!   ([`HistoryStream::read_violations`]), the builder classifies what
+//!   waits as the batch analysis of the snapshot would.
 //! * [`StreamShards`] — the sessions∪keys union–find of
 //!   [`crate::ShardPlan`], grown online. Components carry a stable
 //!   [`RootInfo::tag`] that changes only when two transaction-bearing
@@ -38,14 +40,14 @@
 //! a transaction at or after the cursor, and its `WR` edge is emitted at
 //! its writer's turn.
 
-use crate::facts::{AxiomViolation, Facts, TxnEffects, WrSource};
+use crate::facts::{AxiomViolation, Facts, ReadFact, TxnEffects, WrSource};
 use crate::fasthash::{FastMap, FastSet};
 use crate::fence::Fences;
 use crate::history::{History, Transaction};
 use crate::ids::{Key, SessionId, TxnId, Value};
 use crate::live::IngestError;
 use crate::op::{Op, TxnStatus};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 
 /// One fact of a graph delta ([`StreamFacts::delta`]): everything a
 /// checker needs to extend component polygraphs between two checkpoints.
@@ -97,29 +99,30 @@ pub enum FactEvent {
 /// this id, and no read carries it while [`StreamFacts::axioms_ok`] holds.
 const PENDING: WrSource = WrSource::Txn(TxnId(u32::MAX));
 
-/// The incrementally maintained analogue of [`Facts`] (see the module
-/// docs). The embedded [`Facts`] value is the state of the current prefix:
-/// its `reads` lists hold every external read in program order, a read
-/// still waiting for its writer with a placeholder source, resolved in
-/// place when the writer lands. Its `violations` list stays empty — axiom
-/// reporting on a broken prefix goes through a batch `Facts::analyze` on
-/// the snapshot, which yields the canonical (batch-identical) list.
+/// The fact builder (see the module docs): push transactions, then
+/// [`StreamFacts::facts`] while the axioms hold, or a classified list of
+/// what breaks them. The embedded [`Facts`] value is the state of the
+/// current prefix: its `reads` lists hold every external read in program
+/// order, a read still waiting for its writer with a placeholder source
+/// (resolved in place when the writer lands) and a read of the reader's
+/// own later write with the reader as its source; its `violations` hold the
+/// violations of the transactions themselves (`Int`, `WroteInitValue`,
+/// `DuplicateWrite`), which never heal. Fences are stream state: they are
+/// empty in a batch analysis.
 pub struct StreamFacts {
     facts: Facts,
     /// `(key, value) → writer` for committed final writes (first wins, as
     /// in the batch analysis). Aborted and intermediate writes are not
-    /// indexed: a read is either resolved against a committed final write
-    /// or *unresolved*, and the batch-exact classification of unresolved
-    /// reads (aborted/intermediate/unknown) is produced by a snapshot
-    /// `Facts::analyze` when a broken prefix must be reported.
+    /// indexed: a read is resolved against a committed final write or
+    /// *unresolved*, and only a list of violations classifies it (see
+    /// [`StreamFacts::read_violations`]).
     final_writer: FastMap<(Key, Value), TxnId>,
     /// Readers waiting on a committed final write of `(key, value)`.
     unresolved: FastMap<(Key, Value), Vec<TxnId>>,
     unresolved_count: usize,
-    /// Monotone axiom violations seen so far (Int, duplicate committed
-    /// writes, writes of the reserved initial value, future reads). These
-    /// never heal, unlike unresolved reads.
-    monotone_violations: usize,
+    /// Readers of their own later final write, once per such read: a
+    /// future read, which never heals.
+    future_readers: Vec<TxnId>,
     /// One fence record per key with at least one writer dropped by
     /// compaction: the committed values those writers installed.
     ///
@@ -136,49 +139,47 @@ pub struct StreamFacts {
     ///   uncompacted run reports a `DuplicateWrite`.
     fences: Fences,
     /// Watermark violations seen so far: duplicate writes of compacted
-    /// values. Like monotone violations these never heal; unlike them they
-    /// are streaming-only (a batch analysis of the compacted snapshot
-    /// cannot know about dropped values), so they are reported from here
-    /// rather than from a snapshot re-analysis.
+    /// values. They never heal, and they are streaming-only (a batch
+    /// analysis of the compacted snapshot cannot know about dropped
+    /// values).
     watermark_violations: Vec<AxiomViolation>,
     /// Committed reads refused at the fence (see
     /// [`StreamFacts::fenced_reads`]); they join no read list.
     fenced_reads: Vec<(TxnId, Key, Value)>,
-    /// Scratch of the per-transaction walk shared with `Facts::analyze`,
-    /// and the violations it reports (only counted here).
+    /// Scratch of the per-transaction walk.
     effects: TxnEffects,
-    walk_violations: Vec<AxiomViolation>,
 }
 
 impl StreamFacts {
-    fn new() -> Self {
+    /// An empty builder, with room for `txns` transactions.
+    pub(crate) fn with_capacity(txns: usize) -> Self {
         StreamFacts {
             facts: Facts {
-                reads: Vec::new(),
-                writes: Vec::new(),
-                writers: BTreeMap::new(),
+                reads: Vec::with_capacity(txns),
+                writes: Vec::with_capacity(txns),
+                writers: FastMap::default(),
                 readers: FastMap::default(),
-                init_readers: BTreeMap::new(),
+                init_readers: FastMap::default(),
                 violations: Vec::new(),
             },
             final_writer: FastMap::default(),
             unresolved: FastMap::default(),
             unresolved_count: 0,
-            monotone_violations: 0,
+            future_readers: Vec::new(),
             fences: Fences::default(),
             watermark_violations: Vec::new(),
             fenced_reads: Vec::new(),
             effects: TxnEffects::default(),
-            walk_violations: Vec::new(),
         }
     }
 
     /// The resolved facts of the current prefix. Field contents match
-    /// `Facts::analyze` on the snapshot whenever [`StreamFacts::axioms_ok`]
-    /// holds (list *orders* inside `writers`/`readers`/`init_readers`
-    /// follow arrival rather than session-major id order — verdict-neutral
-    /// for graph construction). A debug build refuses to hand them out
-    /// while a read waits for its writer.
+    /// `Facts::analyze` on the snapshot, up to the id mapping, whenever
+    /// [`StreamFacts::axioms_ok`] holds (list *orders* inside
+    /// `writers`/`readers`/`init_readers` follow arrival rather than
+    /// session-major id order — verdict-neutral for graph construction). A
+    /// debug build refuses to hand them out while a read waits for its
+    /// writer.
     pub fn facts(&self) -> &Facts {
         debug_assert_eq!(self.unresolved_count, 0, "a read waiting for its writer is visible");
         &self.facts
@@ -194,11 +195,12 @@ impl StreamFacts {
         self.unresolved_count == 0 && self.axioms_can_heal()
     }
 
-    /// Whether the axioms can still heal: no *monotone* violation, no
-    /// watermark violation and no fenced read has occurred (any breakage
-    /// is unresolved reads only).
+    /// Whether the axioms can still heal: no violation of a transaction
+    /// itself, no future read, no watermark violation and no fenced read
+    /// has occurred (any breakage is reads waiting for their writer).
     pub fn axioms_can_heal(&self) -> bool {
-        self.monotone_violations == 0
+        self.facts.violations.is_empty()
+            && self.future_readers.is_empty()
             && self.watermark_violations.is_empty()
             && self.fenced_reads.is_empty()
     }
@@ -258,62 +260,61 @@ impl StreamFacts {
         })
     }
 
-    /// Ingest one complete transaction (mirrors both passes of
-    /// `Facts::analyze` for the new suffix).
-    fn push(&mut self, id: TxnId, txn: &Transaction) {
-        self.facts.reads.push(Vec::new());
-        self.facts.writes.push(Vec::new());
-        let committed = txn.committed();
-
-        // The batch analysis' program-order walk: Int and init-value
-        // writes are monotone violations, the rest feeds the steps below.
+    /// Ingest one complete transaction: its own violations, its final
+    /// writes (healing the reads that waited for them), then its external
+    /// reads, each resolved, waiting, or a future read. A committed
+    /// transaction's lists are reserved at their exact length.
+    pub(crate) fn push(&mut self, id: TxnId, txn: &Transaction) {
         let mut fx = std::mem::take(&mut self.effects);
-        fx.walk(id, txn, &mut self.walk_violations);
-        self.monotone_violations += self.walk_violations.len();
-        self.walk_violations.clear();
-
-        // Final writes: register before resolving any read, so reads of a
-        // transaction's own final writes resolve exactly as in the batch
-        // analysis (which completes pass 1 before resolving).
+        fx.walk(id, txn, &mut self.facts.violations);
+        let committed = txn.committed();
+        let (reads, writes) =
+            if committed { (fx.ext_reads.len(), fx.final_writes.len()) } else { (0, 0) };
+        self.facts.reads.push(Vec::with_capacity(reads));
+        self.facts.writes.push(Vec::with_capacity(writes));
         if committed {
             for &(key, value, _) in &fx.final_writes {
-                if self.fences.contains(key, value) {
-                    // The first writer of this value was compacted away;
-                    // its `final_writer` entry is gone, but the value is
-                    // still taken. Registering the re-write would silently
-                    // diverge from an uncompacted run's DuplicateWrite.
-                    self.watermark_violations.push(AxiomViolation::CompactedDuplicateWrite {
-                        txn: id,
-                        key,
-                        value,
-                    });
-                    continue;
-                }
-                match self.final_writer.entry((key, value)) {
-                    std::collections::hash_map::Entry::Occupied(_) => {
-                        self.monotone_violations += 1; // DuplicateWrite
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(id);
-                        self.facts.writes[id.idx()].push((key, value));
-                        self.facts.writers.entry(key).or_default().push(id);
-                    }
-                }
+                self.push_write(id, key, value);
+            }
+            for &(key, value, _) in &fx.ext_reads {
+                self.push_read(id, key, value);
             }
         }
+        self.effects = fx;
+    }
 
-        // Heal older reads that were waiting on these writes.
-        if committed {
-            for &(key, value, _) in &fx.final_writes {
-                // Only the value's registered writer heals: a duplicate
-                // committed write (the first writer already resolved the
-                // waiters) and a refused re-write of a dropped value (whose
-                // readers the fence refuses) hold no `final_writer` entry
-                // of their own.
-                if self.final_writer.get(&(key, value)) != Some(&id) {
-                    continue;
-                }
-                let Some(waiting) = self.unresolved.remove(&(key, value)) else { continue };
+    /// A committed final write, registered before any read of its
+    /// transaction is resolved (so a read of its own later write is seen
+    /// as one).
+    fn push_write(&mut self, id: TxnId, key: Key, value: Value) {
+        if self.fences.contains(key, value) {
+            // The first writer of this value was compacted away; its
+            // `final_writer` entry is gone, but the value is still taken.
+            // Registering the re-write would silently diverge from an
+            // uncompacted run's DuplicateWrite.
+            self.watermark_violations.push(AxiomViolation::CompactedDuplicateWrite {
+                txn: id,
+                key,
+                value,
+            });
+            return;
+        }
+        self.facts.writes[id.idx()].push((key, value));
+        self.facts.writers.entry(key).or_default().push(id);
+        match self.final_writer.entry((key, value)) {
+            Entry::Occupied(first) => {
+                let first = *first.get();
+                self.facts.violations.push(AxiomViolation::DuplicateWrite {
+                    key,
+                    value,
+                    first,
+                    second: id,
+                });
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+                // Heal the older reads that were waiting on this write.
+                let Some(waiting) = self.unresolved.remove(&(key, value)) else { return };
                 self.unresolved_count -= waiting.len();
                 for &r in &waiting {
                     let read = self.facts.reads[r.idx()]
@@ -325,41 +326,115 @@ impl StreamFacts {
                 self.facts.readers.insert((key, id), waiting);
             }
         }
+    }
 
-        // Resolve this transaction's own external reads (committed only,
-        // as in the batch pass 2).
-        if committed {
-            for &(key, value, _) in &fx.ext_reads {
-                // A read of the initial value of a fenced key or of a
-                // dropped value: its edges to the dropped writers cannot be
-                // built any more — refuse it instead of under-checking it.
-                if self.fences.get(key).is_some_and(|f| value.is_init() || f.contains(value)) {
-                    self.fenced_reads.push((id, key, value));
-                    continue;
+    /// A committed external read: refused at the fence, or resolved, or
+    /// left waiting for its writer.
+    fn push_read(&mut self, id: TxnId, key: Key, value: Value) {
+        // A read of the initial value of a fenced key or of a dropped
+        // value: its edges to the dropped writers cannot be built any more
+        // — refuse it instead of under-checking it.
+        if self.fences.get(key).is_some_and(|f| value.is_init() || f.contains(value)) {
+            self.fenced_reads.push((id, key, value));
+            return;
+        }
+        let source = if value.is_init() {
+            self.facts.init_readers.entry(key).or_default().push(id);
+            WrSource::Init
+        } else {
+            match self.final_writer.get(&(key, value)) {
+                // A read of its own later write never heals.
+                Some(&w) if w == id => {
+                    self.future_readers.push(id);
+                    WrSource::Txn(id)
                 }
-                let source = if value.is_init() {
-                    self.facts.init_readers.entry(key).or_default().push(id);
-                    WrSource::Init
-                } else if let Some(&w) = self.final_writer.get(&(key, value)) {
-                    // A read of its own later write never heals.
-                    if w == id {
-                        self.monotone_violations += 1;
-                        continue;
-                    }
+                Some(&w) => {
                     self.facts.readers.entry((key, w)).or_default().push(id);
                     WrSource::Txn(w)
-                } else {
-                    // No committed final writer yet: the batch analysis
-                    // flags this prefix (aborted / intermediate /
-                    // unknown-value read); a future write may heal it.
+                }
+                // No committed final writer yet: a future write may heal it.
+                None => {
                     self.unresolved.entry((key, value)).or_default().push(id);
                     self.unresolved_count += 1;
                     PENDING
-                };
-                self.facts.reads[id.idx()].push((key, value, source));
+                }
+            }
+        };
+        self.facts.reads[id.idx()].push((key, value, source));
+    }
+
+    /// The violations of the reads still unresolved — aborted,
+    /// intermediate, unknown-value and future reads — as the batch analysis
+    /// of the live transactions lists them: reader by reader in
+    /// session-major order, each reader's in program order, with every id
+    /// session-major. `live` yields the live transactions in session-major
+    /// order with their arrival ids. One walk over them finds the aborted
+    /// and intermediate writers of the waiting `(key, value)` pairs, the
+    /// last in that order winning; a committed writer dropped by compaction
+    /// is not found, so its readers read an unknown value, as in the batch
+    /// analysis of the compacted snapshot. Nothing is walked while every
+    /// read is resolved.
+    fn read_violations<'a>(
+        &self,
+        live: impl Iterator<Item = (TxnId, &'a Transaction)>,
+    ) -> Vec<AxiomViolation> {
+        if self.unresolved_count == 0 && self.future_readers.is_empty() {
+            return Vec::new();
+        }
+        let mut rank = vec![u32::MAX; self.facts.reads.len()];
+        let mut aborted: FastMap<(Key, Value), TxnId> = FastMap::default();
+        let mut intermediate: FastMap<(Key, Value), TxnId> = FastMap::default();
+        let (mut fx, mut ignored) = (TxnEffects::default(), Vec::new());
+        for (i, (id, txn)) in live.enumerate() {
+            let at = TxnId(i as u32);
+            rank[id.idx()] = at.0;
+            if self.unresolved.is_empty() {
+                continue;
+            }
+            fx.walk(at, txn, &mut ignored);
+            ignored.clear();
+            let waits = |pair: &(Key, Value)| self.unresolved.contains_key(pair);
+            if !txn.committed() {
+                let finals = fx.final_writes.iter().map(|&(key, value, _)| (key, value));
+                aborted.extend(finals.filter(waits).map(|pair| (pair, at)));
+            }
+            intermediate.extend(fx.overwritten.iter().copied().filter(waits).map(|p| (p, at)));
+        }
+        let waiting = self.unresolved.values().flatten().chain(&self.future_readers);
+        let mut readers: Vec<(u32, TxnId)> = waiting.map(|&r| (rank[r.idx()], r)).collect();
+        readers.sort_unstable();
+        readers.dedup();
+        let mut violations = Vec::new();
+        for (at, r) in readers {
+            let reader = TxnId(at);
+            for &(key, value, source) in &self.facts.reads[r.idx()] {
+                violations.push(if source == WrSource::Txn(r) {
+                    AxiomViolation::FutureRead { txn: reader, key, value }
+                } else if source != PENDING {
+                    continue;
+                } else if let Some(&writer) = aborted.get(&(key, value)) {
+                    AxiomViolation::AbortedRead { reader, writer, key, value }
+                } else if let Some(&writer) = intermediate.get(&(key, value)) {
+                    AxiomViolation::IntermediateRead { reader, writer, key, value }
+                } else {
+                    AxiomViolation::UnknownValueRead { txn: reader, key, value }
+                });
             }
         }
-        self.effects = fx;
+        violations
+    }
+
+    /// The facts of `h`, pushed whole in id order: the unresolved reads
+    /// leave their readers' lists and join the violations.
+    pub(crate) fn finish(mut self, h: &History) -> Facts {
+        let found = self.read_violations(h.iter());
+        for &r in self.unresolved.values().flatten().chain(&self.future_readers) {
+            let resolved =
+                |&(_, _, source): &ReadFact| source != PENDING && source != WrSource::Txn(r);
+            self.facts.reads[r.idx()].retain(resolved);
+        }
+        self.facts.violations.extend(found);
+        self.facts
     }
 
     /// Drop the transactions whose `map` entry is `u32::MAX` and renumber
@@ -638,7 +713,7 @@ impl HistoryStream {
             ops: 0,
             compacted_txns: 0,
             retired_sessions: 0,
-            facts: StreamFacts::new(),
+            facts: StreamFacts::with_capacity(0),
             shards: StreamShards::new(),
             tracer: polysi_obs::Tracer::default(),
         }
@@ -947,6 +1022,14 @@ impl HistoryStream {
         &self.shards
     }
 
+    /// Every session ever opened, in id order, with its live
+    /// transactions (none for a retired session): the session-major order
+    /// of [`HistoryStream::snapshot`].
+    fn live_sessions(&self) -> impl Iterator<Item = &[TxnId]> + '_ {
+        (0..self.sealed.len() as u32)
+            .map(|s| self.session_txns.get(&SessionId(s)).map_or(&[][..], Vec::as_slice))
+    }
+
     /// Materialize the current prefix as a session-major [`History`], plus
     /// the arrival-id → session-major-id mapping. `Facts::analyze` /
     /// `ShardPlan::analyze` / the batch engine on the result see exactly
@@ -954,11 +1037,10 @@ impl HistoryStream {
     /// an empty session, so session ids match the stream's.
     pub fn snapshot(&self) -> (History, Vec<TxnId>) {
         let mut h = History::new();
-        let mut start = vec![0u32; self.sealed.len()];
+        let mut start = Vec::with_capacity(self.sealed.len());
         let mut acc = 0u32;
-        for (s, start) in start.iter_mut().enumerate() {
-            let txns = self.session_txns.get(&SessionId(s as u32)).map_or(&[][..], Vec::as_slice);
-            *start = acc;
+        for txns in self.live_sessions() {
+            start.push(acc);
             acc += txns.len() as u32;
             h.push_session(
                 txns.iter()
@@ -975,6 +1057,16 @@ impl HistoryStream {
             .map(|t| TxnId(start[t.session.0 as usize] + t.index_in_session))
             .collect();
         (h, map)
+    }
+
+    /// The violations of the reads the facts left unresolved — aborted,
+    /// intermediate, unknown-value and future reads — in session-major ids:
+    /// while [`StreamFacts::axioms_can_heal`] holds, exactly the list
+    /// `Facts::analyze` gives for [`HistoryStream::snapshot`], without
+    /// materializing it.
+    pub fn read_violations(&self) -> Vec<AxiomViolation> {
+        let live = self.live_sessions().flatten().map(|&id| (id, &self.txns[id.idx()]));
+        self.facts.read_violations(live)
     }
 }
 

@@ -844,8 +844,7 @@ mod tests {
         b.begin().read(Key(1), Value(3)).write(Key(2), Value(1)).commit();
         let facts = Facts::analyze(&b.build());
         for mode in [ConstraintMode::Generalized, ConstraintMode::Plain] {
-            let set =
-                ConstraintGen::new(&facts, facts.writers.keys().copied(), mode, |t| t).store();
+            let set = ConstraintGen::new(&facts, facts.written_keys(), mode, |t| t).store();
             assert!(set.len() >= 15, "{mode:?}: {} constraints", set.len());
             assert_eq!(set.edges.capacity(), set.edges.len(), "{mode:?}");
             assert_eq!(set.records.capacity(), set.records.len(), "{mode:?}");

@@ -520,11 +520,13 @@ fn build_polygraph_from(
     // write, so such readers have known anti-dependencies to *all* writers
     // of the key. A component probes each per-key map once per key of its
     // own, so its cost stays proportional to the shard.
-    let init_readers: Box<dyn Iterator<Item = (Key, &Vec<TxnId>)> + '_> = match comp {
-        None => Box::new(facts.init_readers.iter().map(|(&key, rs)| (key, rs))),
-        Some(c) => Box::new(
-            c.keys.iter().filter_map(|&key| facts.init_readers.get(&key).map(|rs| (key, rs))),
-        ),
+    let init_readers: Vec<(Key, &[TxnId])> = match comp {
+        None => Facts::by_key(&facts.init_readers),
+        Some(c) => c
+            .keys
+            .iter()
+            .filter_map(|&key| facts.init_readers.get(&key).map(|rs| (key, rs.as_slice())))
+            .collect(),
     };
     for (key, readers) in init_readers {
         if let Some(writers) = facts.writers.get(&key) {
@@ -541,7 +543,7 @@ fn build_polygraph_from(
     // generated later, in component-local ids.
     let translate = |t: TxnId| scope.map_or(t, |(_, local)| local(t));
     let gen = match comp {
-        None => ConstraintGen::new(facts, facts.writers.keys().copied(), mode, translate),
+        None => ConstraintGen::new(facts, facts.written_keys(), mode, translate),
         Some(c) => ConstraintGen::new(facts, c.keys.iter().copied(), mode, translate),
     };
     if let Some((_, local)) = scope {

@@ -21,7 +21,7 @@
 use polysi::checker::engine::{CheckEngine, EngineOptions, IsolationLevel as Level, PruneThreads};
 use polysi::checker::{Outcome, StreamingChecker};
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
-use polysi::history::{Facts, History, Key, KeyIndex, Op, ShardPlan, TxnStatus, Value};
+use polysi::history::{Facts, FastSet, History, Key, Op, ShardPlan, TxnStatus, Value};
 use polysi::polygraph::{ConstraintMode, Edge, Polygraph, PruneResult, Semantics};
 use polysi::workloads::{generate, multi_component, GeneralParams, KeyDistribution};
 use polysi_obs::{Obs, Tracer};
@@ -344,7 +344,8 @@ fn an_oracle_build_allocates_a_fixed_number_of_blocks() {
 fn history_analyses_do_not_allocate_per_operation() {
     let _serial = serial();
     let h = sharded_history(8, 1000, 16);
-    let (txns, keys) = (h.len() as u64, KeyIndex::build(&h).len() as u64);
+    let keys: FastSet<Key> = h.iter().flat_map(|(_, t)| t.ops.iter().map(|op| op.key())).collect();
+    let (txns, keys) = (h.len() as u64, keys.len() as u64);
     assert!(txns == 6400 && keys > 12_000, "{txns} txns, {keys} keys");
 
     // Facts: its output lists and little else — no map per transaction, no

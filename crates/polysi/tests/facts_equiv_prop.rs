@@ -1,24 +1,26 @@
 //! `Facts::analyze` and `ShardPlan::analyze` against their straightforward
 //! references.
 //!
-//! The two analyses run on interned key ids, a reused per-transaction
-//! scratch and bulk-built maps; what they must compute is easier to read
-//! off the plain versions below — one map per transaction, one `BTreeMap`
-//! probe per operation — which are the bodies the optimised ones replaced
-//! (written against the public API only). Histories come from the
+//! The facts come from the stream's one builder (pushes that resolve each
+//! read against the writes seen so far, a reused per-transaction scratch,
+//! hashed per-key lists) and the plan from interned key ids; what they must
+//! compute is easier to read off the plain versions below — two passes,
+//! one map per transaction, one `BTreeMap` probe per operation — written
+//! against the public API only. Histories come from the
 //! `workloads` generators run on the `dbsim` stores, then get the shapes
-//! the axioms exist for injected: aborted, intermediate and unknown-value
-//! reads, duplicate and `INIT` writes, `Int` breaks, keys repeated inside a
-//! transaction, and transactions wide enough (> 32 touched keys) to leave
+//! the axioms exist for injected: aborted, intermediate, unknown-value and
+//! future reads, duplicate and `INIT` writes, `Int` breaks, keys repeated
+//! inside a transaction, and transactions wide enough (> 32 touched keys) to leave
 //! the scratch's scanning path.
 //!
-//! Also here: `StreamFacts` after a session-major replay against the batch
-//! facts of the same history.
+//! Also here: the builder fed in random session-respecting orders, as a
+//! stream is, against the reference facts of each prefix's snapshot — the
+//! builder's only check that it does not share with itself.
 
 use polysi::dbsim::{run, IsolationLevel, SimConfig};
 use polysi::history::{
-    AxiomViolation, Facts, History, HistoryStream, Key, KeyIndex, Op, SessionId, ShardFallback,
-    ShardPlan, TxnId, TxnStatus, Value, WrSource,
+    AxiomViolation, Facts, History, HistoryStream, Key, Op, SessionId, ShardFallback, ShardPlan,
+    TxnId, TxnStatus, Value, WrSource,
 };
 use polysi::workloads::{multi_component, GeneralParams, KeyDistribution};
 use proptest::prelude::*;
@@ -42,9 +44,9 @@ impl RefFacts {
         RefFacts {
             reads: f.reads,
             writes: f.writes,
-            writers: f.writers,
+            writers: f.writers.into_iter().collect(),
             readers: f.readers.into_iter().collect(),
-            init_readers: f.init_readers,
+            init_readers: f.init_readers.into_iter().collect(),
             violations: f.violations,
         }
     }
@@ -306,7 +308,7 @@ fn inject(h: &History, seed: u64, rounds: usize) -> History {
         let (ops, status) = &mut sessions[s][t];
         let at = rng.below(ops.len());
         let (key, value) = (ops[at].key(), ops[at].value());
-        match rng.below(9) {
+        match rng.below(10) {
             // Its readers (if any) become aborted reads.
             0 => *status = TxnStatus::Aborted,
             // A write followed by an overwrite: whoever read `value` from
@@ -349,6 +351,13 @@ fn inject(h: &History, seed: u64, rounds: usize) -> History {
                     }
                 }
             }
+            // A read, first of all, of the transaction's own last write:
+            // a future read.
+            9 => {
+                if let Some(&Op::Write { key, value }) = ops.iter().rev().find(|op| !op.is_read()) {
+                    ops.insert(0, Op::Read { key, value });
+                }
+            }
             // A read of a value some other transaction overwrote or wrote.
             _ if !all_writes.is_empty() => {
                 let (key, value) = all_writes[rng.below(all_writes.len())];
@@ -388,19 +397,14 @@ const LEVELS: [IsolationLevel; 5] = [
 ];
 
 fn assert_analyses_match(h: &History, label: &str) {
-    let index = KeyIndex::build(h);
-    let expected = reference_facts(h);
-    assert_eq!(RefFacts::of(Facts::analyze(h)), expected, "{label}: Facts::analyze");
-    assert_eq!(RefFacts::of(Facts::analyze_with(h, &index)), expected, "{label}: shared index");
+    assert_eq!(RefFacts::of(Facts::analyze(h)), reference_facts(h), "{label}: Facts::analyze");
 
-    let expected = reference_plan(h);
-    for plan in [ShardPlan::analyze(h), ShardPlan::analyze_with(h, &index)] {
-        assert_eq!(RefPlan::of(&plan), expected, "{label}: ShardPlan::analyze");
-        for comp in &plan.components {
-            for (i, &t) in comp.txns.iter().enumerate() {
-                assert_eq!(comp.local(t), Some(TxnId(i as u32)), "{label}: local({t})");
-                assert_eq!(comp.global(TxnId(i as u32)), t, "{label}: global({i})");
-            }
+    let plan = ShardPlan::analyze(h);
+    assert_eq!(RefPlan::of(&plan), reference_plan(h), "{label}: ShardPlan::analyze");
+    for comp in &plan.components {
+        for (i, &t) in comp.txns.iter().enumerate() {
+            assert_eq!(comp.local(t), Some(TxnId(i as u32)), "{label}: local({t})");
+            assert_eq!(comp.global(TxnId(i as u32)), t, "{label}: global({i})");
         }
     }
 }
@@ -431,12 +435,14 @@ proptest! {
         assert_analyses_match(&h, &format!("seed {seed} × {components}, {rounds} injections"));
     }
 
-    /// `StreamFacts` after a session-major replay (arrival ids then equal
-    /// batch ids): the axioms agree, and on an axiom-clean history so does
-    /// every field — `readers` lists up to order, since a read that waited
-    /// for its writer joins the list when the writer arrives.
+    /// The builder fed in a random session-respecting order, checked
+    /// after every push against the reference facts of the prefix's
+    /// snapshot, in session-major ids: while only waiting reads break the
+    /// prefix its violation list, and while the axioms hold its facts, the
+    /// lists in each field up to order (a read that waited for its writer
+    /// joins the writer's readers when the writer arrives).
     #[test]
-    fn stream_facts_match_batch_after_session_major_replay(
+    fn stream_facts_match_the_reference_in_random_delivery_orders(
         seed in 0u64..1 << 32,
         components in 1usize..4,
         level in 0usize..LEVELS.len(),
@@ -444,33 +450,60 @@ proptest! {
     ) {
         let h = inject(&base_history(seed, components, LEVELS[level]), seed ^ 0x57e4, rounds);
         let mut stream = HistoryStream::new();
-        for s in h.sessions() {
-            let id = stream.session();
-            for t in s.txns {
-                stream.push_transaction(id, t.ops.clone(), t.status);
+        let mut pending: Vec<(SessionId, std::collections::VecDeque<_>)> =
+            h.sessions().map(|s| (stream.session(), s.txns.iter().collect())).collect();
+        pending.retain(|(_, txns)| !txns.is_empty());
+        let mut rng = SplitMix64(seed ^ 0x0de1);
+        while !pending.is_empty() {
+            let at = rng.below(pending.len());
+            let (session, txns) = &mut pending[at];
+            let t = txns.pop_front().expect("a session with transactions left");
+            stream.push_transaction(*session, t.ops.clone(), t.status);
+            if txns.is_empty() {
+                pending.swap_remove(at);
+            }
+            let (prefix, map) = stream.snapshot();
+            let expected = reference_facts(&prefix);
+            let facts = stream.facts();
+            prop_assert_eq!(facts.axioms_ok(), expected.violations.is_empty());
+            if facts.axioms_ok() {
+                prop_assert_eq!(mapped(facts.facts(), &map), unordered(expected));
+            } else if facts.axioms_can_heal() {
+                prop_assert_eq!(stream.read_violations(), expected.violations);
             }
         }
-        let batch = Facts::analyze(&h);
-        prop_assert_eq!(stream.facts().axioms_ok(), batch.axioms_ok());
-        if batch.axioms_ok() {
-            let streamed = stream.facts().facts();
-            prop_assert_eq!(&streamed.reads, &batch.reads);
-            prop_assert_eq!(&streamed.writes, &batch.writes);
-            prop_assert_eq!(&streamed.writers, &batch.writers);
-            prop_assert_eq!(&streamed.init_readers, &batch.init_readers);
-            let sorted = |f: &Facts| -> BTreeMap<(Key, TxnId), Vec<TxnId>> {
-                f.readers
-                    .iter()
-                    .map(|(&at, rs)| {
-                        let mut rs = rs.clone();
-                        rs.sort_unstable();
-                        (at, rs)
-                    })
-                    .collect()
-            };
-            prop_assert_eq!(sorted(streamed), sorted(&batch));
-        }
     }
+}
+
+/// `f`, in arrival ids, as the reference lists it in session-major ids
+/// (`map`), every list of transactions sorted.
+fn mapped(f: &Facts, map: &[TxnId]) -> RefFacts {
+    let id = |t: TxnId| map[t.idx()];
+    let ids = |ts: &[TxnId]| -> Vec<TxnId> { ts.iter().map(|&t| id(t)).collect() };
+    let mut out = RefFacts {
+        reads: vec![Vec::new(); map.len()],
+        writes: vec![Vec::new(); map.len()],
+        writers: f.writers.iter().map(|(&key, ws)| (key, ids(ws))).collect(),
+        readers: f.readers.iter().map(|(&(key, w), rs)| ((key, id(w)), ids(rs))).collect(),
+        init_readers: f.init_readers.iter().map(|(&key, rs)| (key, ids(rs))).collect(),
+        violations: f.violations.clone(),
+    };
+    for (t, (reads, writes)) in f.reads.iter().zip(&f.writes).enumerate() {
+        let source = |s: WrSource| match s {
+            WrSource::Txn(w) => WrSource::Txn(id(w)),
+            WrSource::Init => WrSource::Init,
+        };
+        out.reads[map[t].idx()] = reads.iter().map(|&(k, v, s)| (k, v, source(s))).collect();
+        out.writes[map[t].idx()] = writes.clone();
+    }
+    unordered(out)
+}
+
+/// `f` with every list of transactions sorted.
+fn unordered(mut f: RefFacts) -> RefFacts {
+    let lists = f.writers.values_mut().chain(f.readers.values_mut());
+    lists.chain(f.init_readers.values_mut()).for_each(|ts| ts.sort_unstable());
+    f
 }
 
 /// Transactions with more than 32 touched keys, deterministically (the
@@ -527,6 +560,7 @@ fn injections_reach_every_axiom() {
         "duplicate_write",
         "unknown_value_read",
         "wrote_init_value",
+        "future_read",
     ] {
         assert!(kinds.get(kind).is_some_and(|&n| n >= 3), "{kind}: {kinds:?}");
     }

@@ -42,13 +42,21 @@ fn shapes(keys: u64, max_ops: usize) -> Vec<Vec<Step>> {
     all
 }
 
+/// The session layouts of three transactions: session sizes, non-increasing.
+const LAYOUTS: [&[usize]; 3] = [&[3], &[2, 1], &[1, 1, 1]];
+
 /// Call `visit` on every canonical history of three committed transactions
-/// in at most three sessions whose transactions have 1 to `max_ops` steps
-/// over `keys` keys. Returns how many it visited.
-fn for_each_history(keys: u64, max_ops: usize, mut visit: impl FnMut(&History)) -> usize {
+/// laid out in sessions as one of `layouts` says, whose transactions have 1
+/// to `max_ops` steps over `keys` keys. Returns how many it visited.
+fn for_each_history(
+    keys: u64,
+    max_ops: usize,
+    layouts: &[&[usize]],
+    mut visit: impl FnMut(&History),
+) -> usize {
     let shapes = shapes(keys, max_ops);
     let mut visited = 0;
-    for sessions in [&[3usize][..], &[2, 1], &[1, 1, 1]] {
+    for &sessions in layouts {
         for a in &shapes {
             for b in &shapes {
                 for c in &shapes {
@@ -136,12 +144,13 @@ fn stream_accepts(h: &History) -> bool {
     accepted
 }
 
-/// Run the four deciders on every history within the bound; panics on the
-/// first disagreement. Returns the histories checked and the accepted ones.
-fn deciders_agree(keys: u64, max_ops: usize) -> (usize, usize) {
+/// Run the four deciders on every history within the bound and of the
+/// given layouts; panics on the first disagreement. Returns the histories
+/// checked and the accepted ones.
+fn deciders_agree(keys: u64, max_ops: usize, layouts: &[&[usize]]) -> (usize, usize) {
     let opts = EngineOptions::default();
     let mut accepted = 0;
-    let visited = for_each_history(keys, max_ops, |h| {
+    let visited = for_each_history(keys, max_ops, layouts, |h| {
         let engine = check(h, IsolationLevel::Si, &opts).accepted();
         let stream = stream_accepts(h);
         let oracle = oracle_check_si(h);
@@ -162,12 +171,29 @@ fn deciders_agree(keys: u64, max_ops: usize) -> (usize, usize) {
 /// One key, one or two steps a transaction: 15 138 histories, among them
 /// every one in which all three transactions write the key (the smallest
 /// case where the first prune pass omits a writer pair, and where a
-/// stream delta's does: a third writer after two it follows).
-#[test]
-fn three_transactions_on_one_key() {
-    let (visited, accepted) = deciders_agree(1, 2);
-    assert_eq!(visited, 15_138);
+/// stream delta's does: a third writer after two it follows). One test per
+/// session layout, so the harness runs them side by side: a layout does
+/// not change which transactions and reads are enumerated, so each visits
+/// 5 046 histories, and the three 15 138.
+fn one_key(layout: &[usize]) {
+    let (visited, accepted) = deciders_agree(1, 2, &[layout]);
+    assert_eq!(visited, 5_046);
     assert!(accepted > 0 && accepted < visited, "{accepted} of {visited} accepted");
+}
+
+#[test]
+fn three_transactions_on_one_key_in_one_session() {
+    one_key(&[3]);
+}
+
+#[test]
+fn three_transactions_on_one_key_in_two_sessions() {
+    one_key(&[2, 1]);
+}
+
+#[test]
+fn three_transactions_on_one_key_in_three_sessions() {
+    one_key(&[1, 1, 1]);
 }
 
 /// Two keys, one or two steps a transaction: 205 872 histories (a few
@@ -176,7 +202,7 @@ fn three_transactions_on_one_key() {
 #[test]
 #[ignore]
 fn three_transactions_on_two_keys() {
-    let (visited, accepted) = deciders_agree(2, 2);
+    let (visited, accepted) = deciders_agree(2, 2, &LAYOUTS);
     assert_eq!(visited, 205_872);
     assert!(accepted > 0 && accepted < visited, "{accepted} of {visited} accepted");
 }
