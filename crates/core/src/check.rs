@@ -145,6 +145,22 @@ pub struct Violation {
     pub scenario: Option<Scenario>,
 }
 
+impl Violation {
+    /// The violation with every transaction id translated by `f`, which
+    /// must keep ids in order (as a unit's local → global map does).
+    pub(crate) fn map_txns(self, f: impl Fn(TxnId) -> TxnId) -> Violation {
+        let edge = |e: Edge| Edge::new(f(e.from), f(e.to), e.label);
+        let scenario = self.scenario.map(|s| Scenario {
+            edges: s.edges.into_iter().map(|(e, c)| (edge(e), c)).collect(),
+            finalized: s.finalized.into_iter().map(edge).collect(),
+            transactions: s.transactions.into_iter().map(&f).collect(),
+            restored: s.restored.into_iter().map(&f).collect(),
+        });
+        let cycle = self.cycle.into_iter().map(edge).collect();
+        Violation { cycle, anomaly: self.anomaly, scenario }
+    }
+}
+
 /// Everything a check run produces.
 pub struct CheckReport {
     /// The verdict.

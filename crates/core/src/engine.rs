@@ -474,17 +474,13 @@ impl CheckEngine {
         let witness = units.witness.into_inner().expect("shard worker panicked");
         let outcome = match witness {
             None => Outcome::Si,
-            Some(Witness { unit, graph, facts, mut cycle }) => {
+            Some(Witness { unit, graph, facts, cycle }) => {
                 let _span = self.obs.tracer.span("interpret");
-                let global = |t: TxnId| plan.as_ref().map_or(t, |p| p.components[unit].global(t));
-                let scenario =
-                    self.opts.interpret.then(|| interpret(&graph, &facts, &cycle).map_txns(global));
+                let scenario = self.opts.interpret.then(|| interpret(&graph, &facts, &cycle));
                 drop((graph, facts));
-                for e in &mut cycle {
-                    (e.from, e.to) = (global(e.from), global(e.to));
-                }
-                let anomaly = Anomaly::classify(&cycle);
-                Outcome::CyclicViolation(Violation { cycle, anomaly, scenario })
+                let v = Violation { anomaly: Anomaly::classify(&cycle), cycle, scenario };
+                let global = |t: TxnId| plan.as_ref().map_or(t, |p| p.components[unit].global(t));
+                Outcome::CyclicViolation(v.map_txns(global))
             }
         };
         (outcome, tally, shard_stats)

@@ -39,20 +39,6 @@ pub struct Scenario {
     pub restored: Vec<TxnId>,
 }
 
-impl Scenario {
-    /// The scenario with every transaction id translated by `f`, which
-    /// must keep ids in order (as a component's local → global map does).
-    pub(crate) fn map_txns(self, f: impl Fn(TxnId) -> TxnId) -> Scenario {
-        let edge = |e: Edge| Edge::new(f(e.from), f(e.to), e.label);
-        Scenario {
-            edges: self.edges.into_iter().map(|(e, c)| (edge(e), c)).collect(),
-            finalized: self.finalized.into_iter().map(edge).collect(),
-            transactions: self.transactions.into_iter().map(&f).collect(),
-            restored: self.restored.into_iter().map(&f).collect(),
-        }
-    }
-}
-
 /// Run interpretation for a violating `cycle` of the unit `g`, as
 /// constructed (its known edges, before pruning added any), whose history
 /// `facts` analyzed.

@@ -304,7 +304,7 @@ fn write_rejection(w: &mut JsonWriter, rej: Option<&StreamRejection>, isolation:
 
 /// A streaming run as a `polysi.stream.v4` JSON document: the checkpoint
 /// trail, the final verdict, and (in the terminal state) the canonical
-/// batch report on the prefix that reached it.
+/// report of the checkpoint that reached it ([`StreamRejection::report`]).
 pub fn stream_report_json(
     checkpoints: &[CheckpointReport],
     rejection: Option<&StreamRejection>,

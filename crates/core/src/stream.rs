@@ -7,10 +7,12 @@
 //! A [`StreamingChecker`] wraps a [`HistoryStream`]: transactions are
 //! pushed in session order (interleaved freely across sessions) and
 //! [`StreamingChecker::checkpoint`] produces a verdict for the prefix
-//! ingested so far. The verdict at every checkpoint **equals the batch
-//! [`CheckEngine`] verdict on the same prefix** (the snapshot the stream
-//! can materialize at any time) — property-tested across the conformance
-//! corpus by `crates/polysi/tests/stream.rs`.
+//! ingested so far. Under the default [`crate::engine::Sharding::Auto`],
+//! the verdict at every checkpoint, witness and violation list included,
+//! **equals the batch [`CheckEngine`] verdict on the stream's snapshot of
+//! the same prefix** (under `Sharding::Off`, accept or reject does) —
+//! property-tested across the conformance corpus by
+//! `crates/polysi/tests/stream.rs`.
 //!
 //! Between checkpoints the checker maintains, per key-connectivity
 //! component:
@@ -52,14 +54,11 @@
 //! stream's facts (whole on a rebuild, by its delta otherwise) and hands it
 //! to the batch engine's Prune → Encode → Solve runner (`engine::run_unit`),
 //! whose tally the registry records — the same counters, in the same place,
-//! as a batch check's.
-//! Encode and Solve cost the constraints that *survive*: a dirty component
-//! whose resumed prune leaves none is accepted without building a solver —
-//! the common case on update-heavy streams — so the registry's `encode.*`
-//! / `solver.*` counters count only the instances actually built and the
-//! solver calls actually made. When constraints do survive, the instance
-//! is rebuilt from the component's whole known graph (solver state is not
-//! incremental); clean components keep their cached accept.
+//! as a batch check's. A dirty component whose resumed prune leaves no
+//! constraint is accepted without building a solver — the common case on
+//! update-heavy streams — so the `encode.*` / `solver.*` counters count
+//! only the instances built and the solver calls made; clean components
+//! keep their cached accept.
 //!
 //! Each step is a span: `checkpoint` ⊃ `checkpoint.group`, one `component`
 //! per dirty component ⊃ `delta.events` / `delta.grow` (attrs `kind`,
@@ -67,57 +66,57 @@
 //! reorders its edges cost) / `delta.constraints` / `delta.prune` /
 //! `delta.encode` / `delta.solve` (a rebuild has the batch stages
 //! `construct` / `prune` / `encode` / `solve` instead), then `compact` ⊃
-//! `compact.select` / `history.compact` / `compact.remap`. A checkpoint's
-//! [`CheckpointReport::elapsed`] is its `checkpoint` span's duration.
+//! `compact.select` / `history.compact` / `compact.remap`, or the `check`
+//! of a rejection's re-check. A checkpoint's [`CheckpointReport::elapsed`]
+//! is its `checkpoint` span's duration.
 //!
 //! # Monotonicity contract
 //!
 //! * **An accept is always revisable**: later transactions can only add
-//!   edges and constraints, so any checkpoint's accept may flip to reject
-//!   at a later checkpoint.
+//!   edges and constraints, so a later checkpoint may reject.
 //! * **A cyclic rejection is stable**: known edges never disappear and
 //!   constraint sides only grow, so a violating cycle (or an unsatisfiable
-//!   component) stays violating in every extension. On the first rejecting
-//!   checkpoint the checker canonicalizes the verdict by running the batch
-//!   engine once on the current prefix — making that checkpoint's report
-//!   byte-identical to batch — and the stream is terminally rejected: the
-//!   stable witness is returned from then on (later batch runs on longer
-//!   prefixes still reject, but may pick a different witness; the
-//!   streaming one stays put).
+//!   component) stays violating in every extension. The first rejecting
+//!   checkpoint canonicalizes it: the batch engine re-checks the sessions
+//!   of the components that rejected there, not the whole prefix, and keeps
+//!   its lowest-numbered rejecting unit, as it does on the prefix, whose
+//!   other units accept; the witness is mapped to the snapshot's ids, and
+//!   the stage objects are the re-checked sessions' ([`StreamRejection`]).
+//!   The stream is then terminal and returns that verdict from then on.
 //! * **Axiom violations are canonical but only *monotone* ones are
 //!   stable**: a read of a value whose writer has not arrived yet fails
 //!   the non-cyclic axioms exactly as batch analysis of the prefix would
-//!   (the fact builder classifies the waiting reads as `Facts::analyze`
-//!   of the snapshot does, in session-major ids —
-//!   [`HistoryStream::read_violations`] — so the list is identical), yet
-//!   it *heals* if the writer arrives later. `Int`, duplicate-write,
-//!   wrote-init and future-read violations never heal and are terminal.
+//!   ([`HistoryStream::read_violations`]), yet it *heals* if the writer
+//!   arrives later. `Int`, duplicate-write, wrote-init, future-read and
+//!   watermark violations never heal: the stream's fact builder classifies
+//!   them once, in snapshot ids ([`HistoryStream::axiom_state`]), and the
+//!   stream is terminal. An unhealable prefix never reaches the graph
+//!   stages.
 //! * **A fenced read is terminal and inconclusive**: a read that a
-//!   compacting stream refuses below its watermark
-//!   ([`polysi_history::StreamFacts::fenced_reads`]) leaves the stream
-//!   [`Inconclusive::Fenced`] — unless the prefix has a violation to
-//!   report anyway (batch rejects the compacted snapshot for another
-//!   reason, or a compacted value was re-written), which wins.
-//! * **No silent disagreement**: a delta detector that rejects a prefix
-//!   the batch engine accepts is a checker bug; that checkpoint is
+//!   compacting stream refuses below its watermark leaves the stream
+//!   [`Inconclusive::Fenced`], unless the prefix has an axiom violation to
+//!   report, which wins; no cycle is looked for.
+//! * **No silent disagreement**: a delta detector that rejects what the
+//!   batch re-check accepts is a checker bug; that checkpoint is
 //!   [`Inconclusive::Disagreement`] (counted in `stream.disagreements`
-//!   and marked on its span), and the next one rebuilds every component.
+//!   and marked on its span), and the components that rejected are rebuilt
+//!   when next dirty.
 //!
 //! # Scope
 //!
 //! Streaming requires the default engine configuration of the graph
 //! stages: generalized constraints and pruning enabled (the prune oracle
 //! *is* the incremental structure). The thread budget (`prune_threads`)
-//! sizes batch shard workers only and does not apply; interpretation runs
-//! inside the canonical batch report.
+//! sizes the re-check's shard workers only; interpretation runs in the
+//! re-check.
 
-use crate::check::{CheckReport, Inconclusive, Outcome};
+use crate::check::{CheckReport, Inconclusive, Outcome, Tally};
 use crate::engine::{
     run_unit, CheckEngine, CompactMode, EngineOptions, IsolationLevel, Prune, UnitVerdict,
 };
 use polysi_history::{
-    AxiomViolation, FactEvent, FastMap, FastSet, History, HistoryStream, IngestError, Key, Op,
-    RootInfo, SessionId, ShardComponent, TxnId, TxnStatus, Value, WrSource,
+    FactEvent, FastMap, FastSet, HistoryStream, IngestError, Key, Op, RootInfo, SessionId,
+    ShardComponent, TxnId, TxnStatus, WrSource,
 };
 use polysi_obs::{kv, Obs};
 use polysi_polygraph::{ConstraintGen, ConstraintMode, Edge, Flush, KnownGraph, Label, Polygraph};
@@ -158,17 +157,17 @@ pub struct CheckpointReport {
     pub elapsed: Duration,
 }
 
-/// The terminal state: the prefix at the checkpoint that reached it and
-/// the canonical batch report on it. Its outcome is a violation, or
-/// [`Inconclusive::Fenced`] when the reads the fence refused leave nothing
-/// else to report.
+/// The terminal state: the canonical report of the checkpoint that
+/// reached it, in the ids of the stream's snapshot there. Its outcome is a
+/// violation, or [`Inconclusive::Fenced`] when the reads the fence refused
+/// leave nothing else to report.
 pub struct StreamRejection {
-    /// The snapshot of the rejecting prefix (session-major).
-    pub prefix: History,
-    /// The batch engine's report on `prefix` — byte-identical to running
-    /// [`CheckEngine::check`] on the snapshot with the same options, but
-    /// for what only the stream knows: the reads its fence refused and the
-    /// compacted values it saw re-written.
+    /// The sessions the report checked, ascending: the rejecting
+    /// components' of a cyclic violation, every session of an axiom state.
+    pub sessions: Vec<SessionId>,
+    /// Batch's report on the history of `sessions` for a cyclic violation,
+    /// so its stage objects are those sessions'; the stream's
+    /// [`HistoryStream::axiom_state`], with no stage run, for an axiom one.
     pub report: CheckReport,
     /// Operations ingested when the violation was detected.
     pub op_index: usize,
@@ -380,35 +379,19 @@ impl StreamingChecker {
                 let violations = self.stream.read_violations();
                 return base(Outcome::AxiomViolations(violations), 0, 0);
             }
-            let (prefix, map) = self.stream.snapshot();
             // Monotone and watermark violations and fenced reads never
-            // heal: canonicalize once and stop for good, like a cyclic
-            // violation. What only the stream knows the compacted snapshot
-            // cannot show, as it no longer holds the dropped writers:
-            // duplicate writes of compacted values are appended to the
-            // snapshot's violations, and what it says of a fenced read (an
-            // unknown value) is taken out. A violation that remains beats
-            // the fenced reads.
-            let fenced: Vec<(TxnId, Key, Value)> =
-                facts.fenced_reads().iter().map(|&(t, k, v)| (map[t.idx()], k, v)).collect();
-            let mut report = CheckEngine::new(self.isolation, self.opts).check(&prefix);
-            if report.accepted() {
-                report.outcome = Outcome::AxiomViolations(Vec::new());
-            }
-            if let Outcome::AxiomViolations(vs) = &mut report.outcome {
-                vs.retain(|v| match *v {
-                    AxiomViolation::UnknownValueRead { txn, key, value } => {
-                        !fenced.contains(&(txn, key, value))
-                    }
-                    _ => true,
-                });
-                vs.extend(facts.watermark_violations().iter().cloned());
-                if vs.is_empty() {
-                    debug_assert!(!fenced.is_empty(), "unhealable axiom state must have a cause");
-                    report.outcome = Outcome::Inconclusive(Inconclusive::Fenced(fenced));
-                }
-            }
-            return base(self.terminate(prefix, report), 0, 0);
+            // heal: the stream's builder classifies them once, in snapshot
+            // ids, and the stream stops for good, like a cyclic violation.
+            // A violation beats the fenced reads.
+            let (violations, fenced) = self.stream.axiom_state();
+            let outcome = if violations.is_empty() {
+                debug_assert!(!fenced.is_empty(), "unhealable axiom state must have a cause");
+                Outcome::Inconclusive(Inconclusive::Fenced(fenced))
+            } else {
+                Outcome::AxiomViolations(violations)
+            };
+            let every = (0..self.stream.num_sessions() as u32).map(SessionId).collect();
+            return base(self.terminate(every, Tally::default().report(outcome, None)), 0, 0);
         }
 
         // Drop cached state for components that merged away.
@@ -421,8 +404,7 @@ impl StreamingChecker {
         // component's new transactions join its member list — and get
         // their local ids — right here, so the jobs only read the
         // `local_of` column. Every job runs, even after one rejects (the
-        // canonical rejection report below is a pure function of the
-        // snapshot).
+        // re-check below takes every rejecting component).
         struct DirtyJob<'a> {
             info: &'a RootInfo,
             events: Vec<FactEvent>,
@@ -462,7 +444,8 @@ impl StreamingChecker {
         drop(group_span);
 
         let dirty = jobs.len();
-        let (mut rebuilt, mut rejected) = (0usize, false);
+        let mut rebuilt = 0usize;
+        let (mut rejected, mut sessions) = (Vec::new(), Vec::new());
         for job in jobs {
             let tag = job.info.tag;
             let was_rebuilt = job.state.is_none();
@@ -480,23 +463,33 @@ impl StreamingChecker {
             drop(span);
             self.comps.insert(tag, state);
             rebuilt += was_rebuilt as usize;
-            rejected |= !ok;
+            if !ok {
+                rejected.push(tag);
+                sessions.extend_from_slice(&job.info.sessions);
+            }
         }
 
-        if rejected {
-            // Canonicalize once against the batch engine on this prefix;
-            // the verdict (witness included) is then byte-identical to a
-            // batch check and stays stable for the rest of the stream.
-            let (prefix, _) = self.stream.snapshot();
-            let report = CheckEngine::new(self.isolation, self.opts).check(&prefix);
+        if !rejected.is_empty() {
+            // Canonicalize once: batch re-checks the rejecting components'
+            // sessions alone, and its verdict, in the snapshot's ids, is
+            // batch's on the prefix (see the module docs).
+            sessions.sort_unstable();
+            let (history, ids) = self.stream.history_of(&sessions);
+            let obs = Obs { tracer: self.obs.tracer.clone(), metrics: Default::default() };
+            let mut report =
+                CheckEngine::new(self.isolation, self.opts).with_obs(obs).check(&history);
             if report.accepted() {
                 // A disagreement (see the module docs): neither answer can
-                // be trusted. Drop every cache so the next checkpoint
-                // rebuilds from scratch.
-                self.comps.clear();
+                // be trusted. The rejecting components' caches go, so each
+                // is rebuilt when next dirty.
+                self.comps.retain(|tag, _| !rejected.contains(tag));
                 return base(Outcome::Inconclusive(Inconclusive::Disagreement), dirty, rebuilt);
             }
-            return base(self.terminate(prefix, report), dirty, rebuilt);
+            let Outcome::CyclicViolation(v) = report.outcome else {
+                unreachable!("the axioms of an accepted-so-far prefix hold: {:?}", report.outcome)
+            };
+            report.outcome = Outcome::CyclicViolation(v.map_txns(|t| ids[t.idx()]));
+            return base(self.terminate(sessions, report), dirty, rebuilt);
         }
 
         // Watermark GC: the settled prefix of every fully sealed component
@@ -523,11 +516,11 @@ impl StreamingChecker {
     }
 
     /// Enter the terminal state at this checkpoint, with the canonical
-    /// `report` on `prefix`; returns its verdict.
-    fn terminate(&mut self, prefix: History, report: CheckReport) -> Outcome {
+    /// `report` on the history of `sessions`; returns its verdict.
+    fn terminate(&mut self, sessions: Vec<SessionId>, report: CheckReport) -> Outcome {
         let verdict = report.outcome.clone();
         self.rejection = Some(StreamRejection {
-            prefix,
+            sessions,
             report,
             op_index: self.stream.num_ops(),
             txn_count: self.stream.total_pushed(),
@@ -922,7 +915,7 @@ mod tests {
     use super::*;
     use crate::anomaly::Anomaly;
     use crate::engine::check;
-    use polysi_history::Facts;
+    use polysi_history::{AxiomViolation, Facts, Value};
 
     fn k(n: u64) -> Key {
         Key(n)
@@ -1166,6 +1159,125 @@ mod tests {
         assert!(cp.verdict.accepted());
         assert_eq!((cp.dirty, cp.rebuilt), (1, 1));
         assert_eq!(obs.metrics.counter("stream.disagreements").total(), 1);
+    }
+
+    /// Only the components that rejected lose their caches to a
+    /// disagreement: a poisoned component is rebuilt when next dirty, and
+    /// a clean one dirtied at the same checkpoint keeps its delta path.
+    #[test]
+    fn a_disagreement_drops_only_the_rejecting_caches() {
+        let mut c = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default());
+        let (s0, s1) = (c.session(), c.session());
+        c.push_transaction(s0, vec![w(1, 1)], TxnStatus::Committed);
+        c.push_transaction(s1, vec![w(10, 1)], TxnStatus::Committed);
+        assert!(c.checkpoint().verdict.accepted());
+        let tag = |c: &StreamingChecker, s| c.stream().shards().component_of_session(s).tag;
+        let (poisoned, clean) = (tag(&c, s0), tag(&c, s1));
+        // The poison of `a_detector_disagreement_is_counted`, in `s0`'s
+        // component only.
+        let oracle = c.comps.get_mut(&poisoned).and_then(|s| s.oracle.as_mut()).expect("cached");
+        oracle.grow(2);
+        let poison = [Edge::new(TxnId(1), TxnId(0), Label::So)];
+        oracle.insert_edges(&poison, Flush::AtEnd).expect("still acyclic");
+        c.push_transaction(s0, vec![w(1, 2)], TxnStatus::Committed);
+        c.push_transaction(s1, vec![w(10, 2)], TxnStatus::Committed);
+        let cp = c.checkpoint();
+        assert!(matches!(cp.verdict, Outcome::Inconclusive(Inconclusive::Disagreement)));
+        assert_eq!(cp.dirty, 2);
+        assert!(!c.comps.contains_key(&poisoned) && c.comps.contains_key(&clean));
+
+        c.push_transaction(s0, vec![w(1, 3)], TxnStatus::Committed);
+        c.push_transaction(s1, vec![w(10, 3)], TxnStatus::Committed);
+        let cp = c.checkpoint();
+        assert!(cp.verdict.accepted());
+        assert_eq!((cp.dirty, cp.rebuilt), (2, 1), "only the poisoned component is rebuilt");
+        assert_local_of_matches_search(&c);
+    }
+
+    /// A lost update in one of two components: the terminal report is the
+    /// re-check of that component's sessions alone, its witness in the
+    /// snapshot's ids — batch's on the whole prefix — and its stage
+    /// objects those of the rejecting component.
+    #[test]
+    fn a_rejection_re_checks_only_the_rejecting_component() {
+        let mut c = StreamingChecker::new(IsolationLevel::Si, EngineOptions::default());
+        let (clean, s1, s2) = (c.session(), c.session(), c.session());
+        for v in 1..=4 {
+            c.push_transaction(clean, vec![r(10, v - 1), w(10, v)], TxnStatus::Committed);
+        }
+        c.push_transaction(s1, vec![w(1, 1)], TxnStatus::Committed);
+        assert!(c.checkpoint().verdict.accepted());
+        c.push_transaction(s1, vec![r(1, 1), w(1, 2)], TxnStatus::Committed);
+        c.push_transaction(s2, vec![r(1, 1), w(1, 3)], TxnStatus::Committed);
+        let (prefix, _) = c.stream().snapshot();
+        let cp = c.checkpoint();
+        let batch = check(&prefix, IsolationLevel::Si, &EngineOptions::default());
+        assert_eq!(format!("{:?}", cp.verdict), format!("{:?}", batch.outcome));
+        let rej = c.rejection().expect("terminal");
+        assert_eq!(rej.sessions, [s1, s2]);
+        let (rechecked, _) = c.stream().history_of(&rej.sessions);
+        assert_eq!(rechecked.len(), 3);
+        let alone = check(&rechecked, IsolationLevel::Si, &EngineOptions::default());
+        assert_eq!(rej.report.shard_stats, alone.shard_stats);
+        assert_ne!(rej.report.shard_stats, batch.shard_stats, "the prefix has two components");
+    }
+
+    /// A compacted value re-written after a compaction is named in the
+    /// snapshot's ids, like every other axiom violation: `sa`'s second
+    /// transaction is `T1` there, while the arrival id it had (`T3`) is
+    /// `sb`'s unrelated write.
+    #[test]
+    fn a_watermark_violation_is_named_in_snapshot_ids() {
+        let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
+        let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
+        let (sa, s0) = (c.session(), c.session());
+        c.push_transaction(sa, vec![w(20, 1)], TxnStatus::Committed);
+        for value in 1..=3 {
+            c.push_transaction(s0, vec![w(1, value)], TxnStatus::Committed);
+        }
+        c.seal_session(s0);
+        let cp = c.checkpoint();
+        assert!(cp.verdict.accepted() && cp.compacted == 2);
+        let sb = c.session();
+        c.push_transaction(sb, vec![w(30, 1)], TxnStatus::Committed);
+        c.push_transaction(sa, vec![w(20, 2), w(1, 1)], TxnStatus::Committed);
+        let cp = c.checkpoint();
+        assert!(cp.terminal);
+        let rewrite =
+            AxiomViolation::CompactedDuplicateWrite { txn: TxnId(1), key: k(1), value: v(1) };
+        let Outcome::AxiomViolations(violations) = cp.verdict else { panic!("{:?}", cp.verdict) };
+        assert_eq!(violations, [rewrite]);
+    }
+
+    /// An unhealable prefix never reaches the graph stages: a fenced
+    /// initial-value read arrives with a lost update that a batch check of
+    /// the compacted snapshot rejects, and the stream names the refused
+    /// read, with no stage object, instead of the cycle.
+    #[test]
+    fn an_unhealable_prefix_never_reaches_the_graph_stages() {
+        let opts = EngineOptions { compact: CompactMode::On, ..EngineOptions::default() };
+        let mut c = StreamingChecker::new(IsolationLevel::Si, opts);
+        let s0 = c.session();
+        for value in 1..=3 {
+            c.push_transaction(s0, vec![w(1, value)], TxnStatus::Committed);
+        }
+        c.seal_session(s0);
+        assert_eq!(c.checkpoint().compacted, 2);
+        let (s1, s2, s3) = (c.session(), c.session(), c.session());
+        c.push_transaction(s1, vec![r(1, 0), w(5, 1)], TxnStatus::Committed);
+        c.push_transaction(s2, vec![r(5, 1), w(5, 2)], TxnStatus::Committed);
+        c.push_transaction(s3, vec![r(5, 1), w(5, 3)], TxnStatus::Committed);
+        let (prefix, _) = c.stream().snapshot();
+        assert!(matches!(
+            check(&prefix, c.isolation(), &opts).outcome,
+            Outcome::CyclicViolation(_)
+        ));
+        let cp = c.checkpoint();
+        let fenced = Inconclusive::Fenced(vec![(TxnId(1), k(1), Value::INIT)]);
+        assert!(matches!(&cp.verdict, Outcome::Inconclusive(why) if *why == fenced));
+        let rej = c.rejection().expect("terminal");
+        assert!(rej.report.prune_stats.is_none() && rej.report.shard_stats.is_none());
+        assert_eq!(rej.sessions.len(), 4);
     }
 
     /// Monotone axiom violations are terminal.

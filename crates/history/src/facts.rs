@@ -392,7 +392,7 @@ impl Facts {
         for (id, txn) in h.iter() {
             builder.push(id, txn);
         }
-        builder.finish(h)
+        builder.finish(h.iter())
     }
 
     /// The lists of a per-key map (`writers`, `init_readers`), keys

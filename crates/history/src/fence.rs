@@ -24,7 +24,7 @@ const BLOCK: usize = 64;
 /// installed, exactly (see the module docs for the encoding). Each dropped
 /// writer installed one final value of the key, so [`KeyFence::len`] is
 /// also the key's dropped-writer count.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct KeyFence {
     /// First value of each block, ascending.
     heads: Vec<u64>,
@@ -142,7 +142,7 @@ impl Iterator for Block<'_> {
 
 /// Every fenced key's [`KeyFence`]: the keys that lost at least one writer
 /// to compaction.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Fences {
     keys: FastMap<Key, KeyFence>,
     /// Sum of the records' [`KeyFence::heap_bytes`].

@@ -9,10 +9,10 @@
 //! **arrival order** (`TxnId(0)` is the first transaction pushed): unlike
 //! the session-major ids of a batch [`History`], arrival ids are stable as
 //! the stream grows, which is what lets per-component polygraphs and
-//! reachability oracles extend in place. [`HistoryStream::snapshot`]
-//! materializes the current prefix as an ordinary session-major
-//! [`History`] (with the arrival→session-major id mapping), so any batch
-//! machinery can be run on the same prefix.
+//! reachability oracles extend in place. [`HistoryStream::history_of`]
+//! materializes chosen sessions as an ordinary session-major [`History`],
+//! [`HistoryStream::snapshot`] every session, so any batch machinery can
+//! be run on the prefix or a part of it.
 //!
 //! Two incremental structures are maintained per push:
 //!
@@ -23,9 +23,9 @@
 //!   reader's one read list; while any exist (or any violation that never
 //!   heals was seen) the prefix fails the non-cyclic axioms exactly as the
 //!   batch analysis would, and graph work is skipped. A later write
-//!   resolves them in place. Asked for a list
-//!   ([`HistoryStream::read_violations`]), the builder classifies what
-//!   waits as the batch analysis of the snapshot would.
+//!   resolves them in place. The lists are the snapshot's: of what waits
+//!   ([`HistoryStream::read_violations`]), or of a prefix that never heals
+//!   ([`HistoryStream::axiom_state`]).
 //! * [`StreamShards`] — the sessions∪keys union–find of
 //!   [`crate::ShardPlan`], grown online. Components carry a stable
 //!   [`RootInfo::tag`] that changes only when two transaction-bearing
@@ -124,27 +124,17 @@ pub struct StreamFacts {
     /// future read, which never heals.
     future_readers: Vec<TxnId>,
     /// One fence record per key with at least one writer dropped by
-    /// compaction: the committed values those writers installed.
-    ///
-    /// * A read of a version below the fence — the initial value of a
-    ///   fenced key, or a value a dropped writer installed — can no longer
-    ///   be given its dependency edges, so it is refused (see
-    ///   [`StreamFacts::fenced_reads`]) rather than silently under-checked.
-    /// * Compaction removes the `final_writer` entries the duplicate-write
-    ///   axiom consults, so a later committed re-write of a dropped
-    ///   `(key, value)` pair would be registered as if the value were
-    ///   fresh; the record keeps the uniqueness evidence, and such a
-    ///   re-write is refused as a terminal
-    ///   [`AxiomViolation::CompactedDuplicateWrite`] — exactly where an
-    ///   uncompacted run reports a `DuplicateWrite`.
+    /// compaction: the committed values those writers installed, which
+    /// refuse later reads below the fence and re-writes of a dropped value
+    /// (see [`HistoryStream::compact`]).
     fences: Fences,
     /// Watermark violations seen so far: duplicate writes of compacted
     /// values. They never heal, and they are streaming-only (a batch
     /// analysis of the compacted snapshot cannot know about dropped
     /// values).
     watermark_violations: Vec<AxiomViolation>,
-    /// Committed reads refused at the fence (see
-    /// [`StreamFacts::fenced_reads`]); they join no read list.
+    /// Committed reads refused below the fence, `(reader, key, value)`:
+    /// terminal, but a limit of the checker, not a violation.
     fenced_reads: Vec<(TxnId, Key, Value)>,
     /// Scratch of the per-transaction walk.
     effects: TxnEffects,
@@ -203,20 +193,6 @@ impl StreamFacts {
             && self.future_readers.is_empty()
             && self.watermark_violations.is_empty()
             && self.fenced_reads.is_empty()
-    }
-
-    /// Terminal watermark violations: committed re-writes of
-    /// compacted-away values ([`AxiomViolation::CompactedDuplicateWrite`]).
-    pub fn watermark_violations(&self) -> &[AxiomViolation] {
-        &self.watermark_violations
-    }
-
-    /// Committed reads refused below the compaction watermark, `(reader,
-    /// key, value)` in arrival ids: of the initial value of a fenced key,
-    /// or of a value a dropped writer installed. Terminal, but a limit of
-    /// the checker rather than a violation.
-    pub fn fenced_reads(&self) -> &[(TxnId, Key, Value)] {
-        &self.fenced_reads
     }
 
     /// The keys fenced by compaction (at least one dropped writer), each
@@ -424,16 +400,20 @@ impl StreamFacts {
         violations
     }
 
-    /// The facts of `h`, pushed whole in id order: the unresolved reads
-    /// leave their readers' lists and join the violations.
-    pub(crate) fn finish(mut self, h: &History) -> Facts {
-        let found = self.read_violations(h.iter());
+    /// The facts of what was pushed, which `txns` yields again as pushed:
+    /// unresolved reads join the violations, then the watermark violations.
+    pub(crate) fn finish<'a>(
+        mut self,
+        txns: impl Iterator<Item = (TxnId, &'a Transaction)>,
+    ) -> Facts {
+        let found = self.read_violations(txns);
         for &r in self.unresolved.values().flatten().chain(&self.future_readers) {
             let resolved =
                 |&(_, _, source): &ReadFact| source != PENDING && source != WrSource::Txn(r);
             self.facts.reads[r.idx()].retain(resolved);
         }
         self.facts.violations.extend(found);
+        self.facts.violations.append(&mut self.watermark_violations);
         self.facts
     }
 
@@ -920,7 +900,7 @@ impl HistoryStream {
     /// fresh stream of the surviving suffix, with two loud exceptions at
     /// the fence: later committed reads of a version below it — a *dropped
     /// value*, or the *initial value* of a key with dropped writers — are
-    /// refused for good ([`StreamFacts::fenced_reads`]: their edges to the
+    /// refused for good ([`HistoryStream::axiom_state`]: their edges to the
     /// dropped writers cannot be built), and later committed re-*writes*
     /// of a dropped value are refused as terminal
     /// [`AxiomViolation::CompactedDuplicateWrite`]s (see
@@ -1030,32 +1010,37 @@ impl HistoryStream {
             .map(|s| self.session_txns.get(&SessionId(s)).map_or(&[][..], Vec::as_slice))
     }
 
-    /// Materialize the current prefix as a session-major [`History`], plus
-    /// the arrival-id → session-major-id mapping. `Facts::analyze` /
-    /// `ShardPlan::analyze` / the batch engine on the result see exactly
-    /// this prefix. Every session ever opened is emitted, a retired one as
-    /// an empty session, so session ids match the stream's.
-    pub fn snapshot(&self) -> (History, Vec<TxnId>) {
-        let mut h = History::new();
-        let mut start = Vec::with_capacity(self.sealed.len());
-        let mut acc = 0u32;
+    /// The history of `sessions` (ascending) alone, numbered as
+    /// [`History::restrict`] numbers the snapshot's, and the snapshot id of
+    /// each of its transactions.
+    pub fn history_of(&self, sessions: &[SessionId]) -> (History, Vec<TxnId>) {
+        let (mut start, mut at) = (Vec::with_capacity(self.sealed.len()), 0u32);
         for txns in self.live_sessions() {
-            start.push(acc);
-            acc += txns.len() as u32;
-            h.push_session(
-                txns.iter()
-                    .map(|&id| {
-                        let t = &self.txns[id.idx()];
-                        (t.ops.clone(), t.status)
-                    })
-                    .collect(),
-            );
+            start.push(at);
+            at += txns.len() as u32;
         }
-        let map = self
-            .txns
-            .iter()
-            .map(|t| TxnId(start[t.session.0 as usize] + t.index_in_session))
-            .collect();
+        let (mut h, mut ids) = (History::new(), Vec::new());
+        for &s in sessions {
+            let txns = self.session_txns.get(&s).map_or(&[][..], Vec::as_slice);
+            ids.extend((start[s.0 as usize]..).take(txns.len()).map(TxnId));
+            let txns = txns.iter().map(|&id| &self.txns[id.idx()]);
+            h.push_session(txns.map(|t| (t.ops.clone(), t.status)).collect());
+        }
+        (h, ids)
+    }
+
+    /// Materialize the current prefix as a session-major [`History`], plus
+    /// the arrival-id → session-major-id mapping: the history of every
+    /// session ever opened, a retired one as an empty session, so session
+    /// ids match the stream's. `Facts::analyze` / `ShardPlan::analyze` /
+    /// the batch engine on the result see exactly this prefix.
+    pub fn snapshot(&self) -> (History, Vec<TxnId>) {
+        let all: Vec<SessionId> = (0..self.sealed.len() as u32).map(SessionId).collect();
+        let (h, _) = self.history_of(&all);
+        let mut map = vec![TxnId(0); self.len()];
+        for (major, &id) in self.live_sessions().flatten().enumerate() {
+            map[id.idx()] = TxnId(major as u32);
+        }
         (h, map)
     }
 
@@ -1067,6 +1052,24 @@ impl HistoryStream {
     pub fn read_violations(&self) -> Vec<AxiomViolation> {
         let live = self.live_sessions().flatten().map(|&id| (id, &self.txns[id.idx()]));
         self.facts.read_violations(live)
+    }
+
+    /// The axiom state of the live transactions, in snapshot ids: the
+    /// violations (watermark ones last) and the reads the fence refuses, as
+    /// one builder finds them taking the transactions in session-major
+    /// order under the stream's fences. No [`History`] is built.
+    pub fn axiom_state(&self) -> (Vec<AxiomViolation>, Vec<(TxnId, Key, Value)>) {
+        let live = || {
+            let txns = self.live_sessions().flatten().map(|&id| &self.txns[id.idx()]);
+            (0u32..).map(TxnId).zip(txns)
+        };
+        let mut builder = StreamFacts::with_capacity(self.len());
+        builder.fences = self.facts.fences.clone();
+        for (id, txn) in live() {
+            builder.push(id, txn);
+        }
+        let fenced = std::mem::take(&mut builder.fenced_reads);
+        (builder.finish(live()).violations, fenced)
     }
 }
 
@@ -1348,8 +1351,9 @@ mod tests {
         s.push_transaction(s1, vec![r(k(1), Value::INIT)], TxnStatus::Committed);
         assert!(!s.facts().axioms_ok());
         assert!(!s.facts().axioms_can_heal());
-        assert_eq!(s.facts().fenced_reads(), &[(TxnId(2), k(1), Value::INIT)]);
-        assert!(s.facts().watermark_violations().is_empty(), "a limitation, not a violation");
+        let (violations, fenced) = s.axiom_state();
+        assert_eq!(fenced, [(TxnId(2), k(1), Value::INIT)]);
+        assert!(violations.is_empty(), "a limitation, not a violation");
         assert!(!s.facts.facts.init_readers.contains_key(&k(1)), "a refused read has no edges");
     }
 
@@ -1376,12 +1380,11 @@ mod tests {
         s.push_transaction(s1, vec![w(k(1), v(1))], TxnStatus::Committed);
         assert!(!s.facts().axioms_ok());
         assert!(!s.facts().axioms_can_heal());
-        assert_eq!(
-            s.facts().watermark_violations(),
-            &[AxiomViolation::CompactedDuplicateWrite { txn: TxnId(2), key: k(1), value: v(1) }]
-        );
+        let rewrite =
+            AxiomViolation::CompactedDuplicateWrite { txn: TxnId(2), key: k(1), value: v(1) };
+        assert_eq!(s.axiom_state(), (vec![rewrite.clone()], vec![]));
         s.push_transaction(s1, vec![r(k(1), v(1))], TxnStatus::Committed);
-        assert_eq!(s.facts().fenced_reads(), &[(TxnId(3), k(1), v(1))]);
+        assert_eq!(s.axiom_state(), (vec![rewrite], vec![(TxnId(3), k(1), v(1))]));
         let facts = &s.facts.facts;
         assert!(facts.reads[3].is_empty());
         assert!(facts.readers_of(k(1), TxnId(2)).is_empty());
@@ -1403,7 +1406,7 @@ mod tests {
         s.push_transaction(s1, vec![r(k(1), v(1))], TxnStatus::Committed);
         assert!(!s.facts().axioms_ok());
         assert!(!s.facts().axioms_can_heal(), "refused, not waiting");
-        assert_eq!(s.facts().fenced_reads(), &[(TxnId(1), k(1), v(1))]);
+        assert_eq!(s.axiom_state(), (vec![], vec![(TxnId(1), k(1), v(1))]));
         assert_eq!(s.facts.unresolved_count, 0);
         let (h, _) = s.snapshot();
         assert!(!Facts::analyze(&h).axioms_ok(), "the compacted snapshot calls the value unknown");

@@ -135,6 +135,7 @@ fn stream_check(
     }
     let last_verdict = &trail.last().expect("the replay ends in a checkpoint").verdict;
     let rej = checker.rejection();
+    let snapshot = rej.map(|_| checker.stream().snapshot().0);
     let code = if out.json {
         let metrics = obs.metrics.snapshot();
         println!("{}", stream_report_json(&trail, rej, isolation, t0.elapsed(), Some(&metrics)));
@@ -148,11 +149,11 @@ fn stream_check(
             None if out.quiet => Vec::new(),
             None => vec![HistoryStats::of(history).to_string()],
         };
-        let labels = rej.map_or(history, |r| &r.prefix);
+        let labels = snapshot.as_ref().unwrap_or(history);
         print_outcome(last_verdict, isolation, Some("streaming"), &notes, Some(labels), out.quiet)
     };
-    if let Some(r) = rej {
-        out.dot(&r.report.outcome, &r.prefix);
+    if let (Some(r), Some(prefix)) = (rej, &snapshot) {
+        out.dot(&r.report.outcome, prefix);
     }
     code
 }

@@ -61,29 +61,40 @@ fn check_rejects_lost_update_with_exit_code_and_dot() {
 /// `--dot` writes the scenario wherever the run holds the history its ids
 /// refer to: a batch report, as text or JSON (whose stdout stays one JSON
 /// document), and a stream's rejecting prefix. `--live` keeps no such
-/// history and refuses the flag.
+/// history and refuses the flag. A stream's witness and DOT are batch's,
+/// byte for byte, also when only one of two components rejects and the
+/// stream re-checks that one alone.
 #[test]
 fn dot_is_written_wherever_the_history_is_held() {
-    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/lost_update.txt");
     let dir = std::env::temp_dir().join("polysi-cli-test-dot");
     std::fs::create_dir_all(&dir).unwrap();
     let runs: [&[&str]; 4] =
         [&[], &["--report", "json"], &["--stream"], &["--stream", "--report", "json"]];
-    for (i, flags) in runs.into_iter().enumerate() {
-        let dot = dir.join(format!("{i}.dot"));
-        let _ = std::fs::remove_file(&dot);
-        let out = bin().args(["check", fixture]).args(flags).arg("--dot").arg(&dot).output();
-        let out = out.expect("run check");
-        assert_eq!(out.status.code(), Some(1), "{flags:?}");
-        let rendered = std::fs::read_to_string(&dot).expect("dot written");
-        assert!(rendered.starts_with("digraph"), "{flags:?}: {rendered}");
-        if flags.contains(&"json") {
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert!(polysi_obs::json::parse(stdout.trim()).is_ok(), "{flags:?}: {stdout}");
+    for name in ["lost_update.txt", "shard_component_lost_update.txt"] {
+        let fixture = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let mut texts = Vec::new();
+        for (i, flags) in runs.into_iter().enumerate() {
+            let dot = dir.join(format!("{i}.dot"));
+            let _ = std::fs::remove_file(&dot);
+            let out = bin().args(["check", &fixture]).args(flags).arg("--dot").arg(&dot).output();
+            let out = out.expect("run check");
+            assert_eq!(out.status.code(), Some(1), "{name} {flags:?}");
+            let rendered = std::fs::read_to_string(&dot).expect("dot written");
+            assert!(rendered.starts_with("digraph"), "{name} {flags:?}: {rendered}");
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            if flags.contains(&"json") {
+                assert!(polysi_obs::json::parse(stdout.trim()).is_ok(), "{flags:?}: {stdout}");
+            } else {
+                let witness: Vec<&str> = stdout.lines().filter(|l| l.contains(" -> ")).collect();
+                texts.push((rendered, witness.join("\n")));
+            }
         }
+        assert!(!texts[0].1.is_empty(), "{name}: batch prints its witness");
+        assert_eq!(texts[0], texts[1], "{name}: the stream's DOT and witness are batch's");
     }
     let dot = dir.join("live.dot");
     let _ = std::fs::remove_file(&dot);
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/lost_update.txt");
     let out = bin().args(["check", fixture, "--live", "--dot"]).arg(&dot).output().expect("run");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--live"));

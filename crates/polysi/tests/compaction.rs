@@ -148,7 +148,7 @@ fn init_read_below_the_watermark_is_refused_loudly() {
         "fenced init read must be inconclusive: {:?}",
         cp.verdict
     );
-    assert!(checker.stream().facts().watermark_violations().is_empty());
+    assert!(checker.stream().axiom_state().0.is_empty());
     let again = checker.checkpoint();
     assert!(again.terminal, "the fence refusal must be stable");
     assert_eq!(format!("{:?}", again.verdict), format!("{:?}", cp.verdict));

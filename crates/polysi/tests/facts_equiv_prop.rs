@@ -9,7 +9,8 @@
 //! against the public API only. Histories come from the
 //! `workloads` generators run on the `dbsim` stores, then get the shapes
 //! the axioms exist for injected: aborted, intermediate, unknown-value and
-//! future reads, duplicate and `INIT` writes, `Int` breaks, keys repeated
+//! future reads (a value's aborted or overwriting writers two at a time
+//! included), duplicate and `INIT` writes, `Int` breaks, keys repeated
 //! inside a transaction, and transactions wide enough (> 32 touched keys) to leave
 //! the scratch's scanning path.
 //!
@@ -308,7 +309,7 @@ fn inject(h: &History, seed: u64, rounds: usize) -> History {
         let (ops, status) = &mut sessions[s][t];
         let at = rng.below(ops.len());
         let (key, value) = (ops[at].key(), ops[at].value());
-        match rng.below(10) {
+        match rng.below(12) {
             // Its readers (if any) become aborted reads.
             0 => *status = TxnStatus::Aborted,
             // A write followed by an overwrite: whoever read `value` from
@@ -356,6 +357,30 @@ fn inject(h: &History, seed: u64, rounds: usize) -> History {
             9 => {
                 if let Some(&Op::Write { key, value }) = ops.iter().rev().find(|op| !op.is_read()) {
                     ops.insert(0, Op::Read { key, value });
+                }
+            }
+            // A committed read of a fresh value that two other
+            // transactions write: both abort (10), or both overwrite it
+            // (11). The read names the session-major last of them.
+            kind @ (10 | 11) => {
+                let value = fresh_value();
+                ops.insert(0, Op::Read { key, value });
+                *status = TxnStatus::Committed;
+                for _ in 0..2 {
+                    let w = rng.below(sessions.len());
+                    if sessions[w].is_empty() {
+                        continue;
+                    }
+                    let u = rng.below(sessions[w].len());
+                    if (w, u) == (s, t) {
+                        continue;
+                    }
+                    let (ops, status) = &mut sessions[w][u];
+                    ops.push(Op::Write { key, value });
+                    match kind {
+                        10 => *status = TxnStatus::Aborted,
+                        _ => ops.push(Op::Write { key, value: fresh_value() }),
+                    }
                 }
             }
             // A read of a value some other transaction overwrote or wrote.
@@ -437,8 +462,9 @@ proptest! {
 
     /// The builder fed in a random session-respecting order, checked
     /// after every push against the reference facts of the prefix's
-    /// snapshot, in session-major ids: while only waiting reads break the
-    /// prefix its violation list, and while the axioms hold its facts, the
+    /// snapshot, in session-major ids: while the axioms fail its violation
+    /// list (healable, or the axiom state of one that never heals), and
+    /// while they hold its facts, the
     /// lists in each field up to order (a read that waited for its writer
     /// joins the writer's readers when the writer arrives).
     #[test]
@@ -470,6 +496,8 @@ proptest! {
                 prop_assert_eq!(mapped(facts.facts(), &map), unordered(expected));
             } else if facts.axioms_can_heal() {
                 prop_assert_eq!(stream.read_violations(), expected.violations);
+            } else {
+                prop_assert_eq!(stream.axiom_state(), (expected.violations, Vec::new()));
             }
         }
     }

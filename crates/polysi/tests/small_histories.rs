@@ -209,7 +209,9 @@ fn three_transactions_on_two_keys() {
 
 /// The streaming checker fed `h` in the session-respecting order that
 /// `seed` draws, with a checkpoint after each transaction with odds 1 in 4
-/// and one at the end: whether the last accepts. A checkpoint's delta can
+/// and one at the end: whether the last accepts. The first terminal
+/// checkpoint's whole outcome (witness, anomaly, scenario or axiom list) is
+/// `check`'s on the snapshot there. A checkpoint's delta can
 /// hold several transactions of several sessions, so a new writer can
 /// arrive with the transactions that order it before an old one
 /// (`W_new →SO T →RW W_old`).
@@ -222,18 +224,30 @@ fn stream_accepts_in_random_order(h: &History, mut seed: u64) -> bool {
     let sessions: Vec<_> = h.sessions().collect();
     let ids: Vec<_> = sessions.iter().map(|_| checker.session()).collect();
     let mut next = vec![0; sessions.len()];
+    let mut terminal = false;
+    let mut checkpoint = |checker: &mut StreamingChecker| {
+        let cp = checker.checkpoint();
+        if cp.terminal && !terminal {
+            terminal = true;
+            let (prefix, _) = checker.stream().snapshot();
+            let batch = check(&prefix, IsolationLevel::Si, &EngineOptions::default());
+            let (got, want) = (format!("{:?}", cp.verdict), format!("{:?}", batch.outcome));
+            assert_eq!(got, want, "the terminal outcome is batch's on {prefix:?}");
+        }
+        cp.verdict.accepted()
+    };
     loop {
         let open: Vec<usize> =
             (0..sessions.len()).filter(|&s| next[s] < sessions[s].txns.len()).collect();
         if open.is_empty() {
-            return checker.checkpoint().verdict.accepted();
+            return checkpoint(&mut checker);
         }
         let s = open[draw() % open.len()];
         let t = &sessions[s].txns[next[s]];
         next[s] += 1;
         checker.push_transaction(ids[s], t.ops.clone(), t.status);
         if draw() % 4 == 0 {
-            checker.checkpoint();
+            checkpoint(&mut checker);
         }
     }
 }
@@ -241,7 +255,8 @@ fn stream_accepts_in_random_order(h: &History, mut seed: u64) -> bool {
 /// 4 000 simulated histories of 2–4 sessions of 2–5 transactions over 2–4
 /// keys (stale-snapshot and lost-update stores as well as SI, so about a
 /// fifth violate), each streamed in four random orders: every last
-/// checkpoint has the engine's verdict (about two seconds in a release
+/// checkpoint has the engine's verdict, and every first terminal one the
+/// engine's whole outcome on its prefix (about two seconds in a release
 /// build).
 #[test]
 #[ignore]

@@ -70,18 +70,33 @@ pub fn digest(report: &CheckReport, level: IsolationLevel, proj: Proj) -> Value 
 
 /// An `Exact` digest cut down to `Verdict`.
 fn verdict_of(exact: &Value) -> Value {
+    split(exact, true)
+}
+
+/// An `Exact` digest without its `Verdict` fields: the stage objects.
+fn stages_of(exact: &Value) -> Value {
+    split(exact, false)
+}
+
+/// The fields of an `Exact` digest that are (`verdict`) or are not its
+/// `Verdict` fields.
+fn split(exact: &Value, verdict: bool) -> Value {
     let Value::Obj(body) = exact else { unreachable!("a digest is a JSON object") };
     let keep = |key: &str| {
-        matches!(key, "verdict" | "anomaly" | "axiom_violations" | "cycle" | "finalized")
+        verdict == matches!(key, "verdict" | "anomaly" | "axiom_violations" | "cycle" | "finalized")
     };
     Value::Obj(body.iter().filter(|(key, _)| keep(key)).cloned().collect())
 }
 
 /// One verdict of a mode.
+#[derive(Clone)]
 pub struct Checkpoint {
     /// What the verdict is about: the input of a batch mode, the stream's
     /// snapshot (its rejecting prefix once rejected) of an online one.
     pub prefix: History,
+    /// The history whose stage objects a terminal report holds: that of
+    /// the sessions the stream re-checked.
+    pub rechecked: Option<History>,
     /// [`digest`] under `Exact`, `Verdict` and `Class`, in that order.
     views: [Value; 3],
     /// The interpreted scenario of a cyclic violation, whole, in its
@@ -102,7 +117,7 @@ impl Checkpoint {
             Outcome::CyclicViolation(v) => format!("{:?}", v.scenario),
             _ => String::new(),
         };
-        Checkpoint { prefix, views, scenario, terminal: false, fenced: false }
+        Checkpoint { prefix, rechecked: None, views, scenario, terminal: false, fenced: false }
     }
 
     pub fn view(&self, proj: Proj) -> &Value {
@@ -118,17 +133,23 @@ impl Checkpoint {
     }
 }
 
-/// The checkpoint `cp` that `c` just took over `prefix`.
+/// The checkpoint `cp` that `c` just took over `prefix`, after the
+/// checkpoints of `trail`: a terminal state's is the one that reached it.
 fn online(
     c: &StreamingChecker,
     level: IsolationLevel,
     prefix: History,
     cp: &CheckpointReport,
+    trail: &[Checkpoint],
 ) -> Checkpoint {
     let mut out = if cp.terminal {
         let rej = c.rejection().expect("a terminal stream keeps its canonical report");
         assert_eq!(format!("{:?}", rej.report.outcome), format!("{:?}", cp.verdict));
-        Checkpoint { terminal: true, ..Checkpoint::new(rej.prefix.clone(), &rej.report, level) }
+        if let Some(first) = trail.iter().find(|cp| cp.terminal) {
+            return first.clone();
+        }
+        let rechecked = Some(c.stream().history_of(&rej.sessions).0);
+        Checkpoint { terminal: true, rechecked, ..Checkpoint::new(prefix, &rej.report, level) }
     } else {
         let report = CheckReport {
             outcome: cp.verdict.clone(),
@@ -217,7 +238,8 @@ pub fn stream(
             ScriptStep::Checkpoint => {
                 let prefix = c.stream().snapshot().0;
                 let cp = c.checkpoint();
-                trail.push(online(&c, level, prefix, &cp));
+                let cp = online(&c, level, prefix, &cp, &trail);
+                trail.push(cp);
             }
         }
     }
@@ -242,14 +264,16 @@ pub fn live(h: &History, level: IsolationLevel, steps: &[ScriptStep]) -> (LiveRe
             ScriptStep::Checkpoint => {
                 let prefix = hub.checker().stream().snapshot().0;
                 let cp = hub.checkpoint_now().report.clone();
-                trail.push(online(hub.checker(), level, prefix, &cp));
+                let cp = online(hub.checker(), level, prefix, &cp, &trail);
+                trail.push(cp);
             }
         }
     }
     let prefix = hub.checker().stream().snapshot().0;
     let report = hub.finish();
     let last = &report.checkpoints.last().expect("finish checkpoints").report;
-    trail.push(online(hub.checker(), level, prefix, last));
+    let last = online(hub.checker(), level, prefix, last, &trail);
+    trail.push(last);
     (report, Run { trail, metrics: None })
 }
 
@@ -260,8 +284,9 @@ pub enum Contract {
     /// The same histories with equal digests, checkpoint by checkpoint,
     /// and under `Exact` equal counter digests where both have a registry.
     Same(Proj, &'static str),
-    /// Every checkpoint `Verdict`-equal to plain batch on its prefix, a
-    /// terminal rejection `Exact`.
+    /// Every checkpoint `Verdict`-equal to plain batch on its prefix. A
+    /// terminal state's stage objects equal plain batch's on the sessions
+    /// it re-checked, so it is `Exact` where those hold the whole prefix.
     Prefixes,
     /// `Class`-equal checkpoint by checkpoint, or inconclusive on the reads
     /// this run's fence refused.
@@ -286,10 +311,18 @@ impl Contract {
             Contract::Fenced(of) => (Proj::Class, of),
             Contract::Prefixes => {
                 for cp in &run.trail {
-                    let batch = batch(&cp.prefix, level, EngineOptions::default());
-                    let proj = if cp.terminal { Proj::Exact } else { Proj::Verdict };
+                    let of = batch(&cp.prefix, level, EngineOptions::default());
                     let at = cp.prefix.len();
-                    assert_eq!(cp.view(proj), batch.trail[0].view(proj), "{label}: {at} txns");
+                    let (got, want) = (cp.view(Proj::Verdict), of.trail[0].view(Proj::Verdict));
+                    assert_eq!(got, want, "{label}: {at} txns");
+                    let Some(rechecked) = &cp.rechecked else { continue };
+                    let of = if rechecked.len() == at {
+                        of
+                    } else {
+                        batch(rechecked, level, EngineOptions::default())
+                    };
+                    let (got, want) = (cp.view(Proj::Exact), of.trail[0].view(Proj::Exact));
+                    assert_eq!(stages_of(got), stages_of(want), "{label}: {at} txns, stages");
                 }
                 return;
             }

@@ -7,6 +7,8 @@ from its attribute through its matching closing brace (or its `;`).
     python3 scripts/product_lines.py               # the working tree
     python3 scripts/product_lines.py --rev HEAD~1  # a commit, via git
     python3 scripts/product_lines.py --json        # one JSON object
+    python3 scripts/product_lines.py --files crates/core/src/stream.rs ...
+                                                   # those files, each
 
 Stdlib only; reads files, runs nothing but `git ls-tree` / `git show`.
 """
@@ -153,21 +155,31 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", help="count this git revision instead of the working tree")
     ap.add_argument("--json", action="store_true", help="print one JSON object")
+    ap.add_argument("--files", nargs="+", metavar="PATH",
+                    help="count these files (paths from the repo root), each, instead of crates")
     args = ap.parse_args()
-    per_crate = {}
-    for crate, _, text in sources(args.rev):
-        per_crate[crate] = per_crate.get(crate, 0) + product_lines(text)
-    total = sum(per_crate.values())
+    per_crate, per_file = {}, {}
+    for crate, path, text in sources(args.rev):
+        lines = product_lines(text)
+        per_crate[crate] = per_crate.get(crate, 0) + lines
+        per_file[path] = lines
+    kind, rows = "crates", dict(sorted(per_crate.items()))
+    if args.files:
+        missing = [f for f in args.files if f not in per_file]
+        if missing:
+            sys.exit(f"not a crates/<crate>/src file here: {' '.join(missing)}")
+        kind, rows = "files", {f: per_file[f] for f in args.files}
+    total = sum(rows.values())
     if args.json:
-        json.dump({"rev": args.rev or "working tree", "crates": per_crate, "total": total},
+        json.dump({"rev": args.rev or "working tree", kind: rows, "total": total},
                   sys.stdout, indent=1)
         print()
         return
     print(f"product lines outside #[cfg(test)] ({args.rev or 'working tree'})")
-    for crate, lines in sorted(per_crate.items()):
-        print(f"  {crate:<10} {lines:>6}")
-    print(f"  {'total':<10} {total:>6}")
-
+    width = max(10, *map(len, rows))
+    for name, lines in rows.items():
+        print(f"  {name:<{width}} {lines:>6}")
+    print(f"  {'total':<{width}} {total:>6}")
 
 if __name__ == "__main__":
     main()
